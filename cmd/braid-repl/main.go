@@ -40,7 +40,7 @@ import (
 type sqlRunner struct {
 	db     *braid.DB
 	remote string
-	c      *remotedb.TCPClient
+	c      *remotedb.PoolClient
 }
 
 func (r *sqlRunner) exec(sql string) (string, error) {
@@ -50,7 +50,8 @@ func (r *sqlRunner) exec(sql string) (string, error) {
 	if r.c == nil {
 		// Redial: the side connection must survive server restarts the same
 		// way the session's pooled transport does.
-		c, err := remotedb.DialTCPOpts(r.remote, remotedb.TCPOptions{
+		c, err := remotedb.DialPool(r.remote, remotedb.PoolOptions{
+			Size:   1,
 			Costs:  remotedb.DefaultCosts(),
 			Redial: true,
 		})
@@ -76,8 +77,7 @@ func main() {
 	strategy := flag.String("strategy", "interpreted", "inference strategy: interpreted | conjunction | compiled")
 	comparator := flag.String("comparator", "braid", "data layer: braid | loose | exact | singlerel")
 	poolSize := flag.Int("pool-size", 1, "remote connection pool size (with -remote)")
-	frameTuples := flag.Int("frame-tuples", 0, "preferred tuples per response frame on the streamed protocol (0: server default)")
-	proto := flag.Int("proto", 0, "max wire protocol version: 1 legacy monolithic, 2 framed streaming (0: highest supported)")
+	frameTuples := flag.Int("frame-tuples", 0, "preferred tuples per response frame (0: server default)")
 	traceEvery := flag.Int("trace-sample", 1, "record a trace for one in N queries for .trace (0: tracing off)")
 	flag.Parse()
 
@@ -111,9 +111,6 @@ func main() {
 		}
 		if *frameTuples > 0 {
 			opts = append(opts, braid.WithFrameTuples(*frameTuples))
-		}
-		if *proto > 0 {
-			opts = append(opts, braid.WithProto(*proto))
 		}
 	} else {
 		db = braid.NewDB()

@@ -43,10 +43,9 @@ func main() {
 	flakyDelayRate := flag.Float64("flaky-delay-rate", 0, "fault injection: per-request probability of a delay")
 	flakyDelay := flag.Duration("flaky-delay", 100*time.Millisecond, "fault injection: delay duration")
 	flakySeed := flag.Int64("flaky-seed", 1, "fault injection: deterministic seed")
-	flakyStreamKill := flag.Float64("flaky-stream-kill", 0, "fault injection: per-stream probability of severing the connection mid-stream (v2 streamed results)")
+	flakyStreamKill := flag.Float64("flaky-stream-kill", 0, "fault injection: per-stream probability of severing the connection mid-stream (streamed results)")
 	flakyStreamAfter := flag.Int("flaky-stream-after", 2, "fault injection: response frames delivered before a stream kill severs the connection")
-	proto := flag.Int("proto", 0, "max wire protocol version to negotiate: 1 legacy monolithic, 2 framed streaming (0: highest supported)")
-	frameTuples := flag.Int("frame-tuples", 0, "default tuples per response frame on streamed (v2) connections (0: built-in default)")
+	frameTuples := flag.Int("frame-tuples", 0, "default tuples per response frame (0: built-in default)")
 	connStreams := flag.Int("conn-streams", 0, "concurrently executing requests per framed connection (0: 1, session-serial)")
 	noOpt := flag.Bool("no-optimizer", false, "disable the cost-based optimizer: every non-trivial SELECT runs through the naive materializing executor (the experiment control arm)")
 	parallelism := flag.Int("parallelism", runtime.NumCPU(), "worker-pool bound for morsel-parallel query execution (1: serial only)")
@@ -141,7 +140,6 @@ func main() {
 		WriteTimeout:   *writeTimeout,
 		RequestTimeout: *queryTimeout,
 		MaxInflight:    *maxInflight,
-		MaxProto:       *proto,
 		FrameTuples:    *frameTuples,
 		ConnStreams:    *connStreams,
 	}

@@ -120,8 +120,8 @@ type SourceStats struct {
 	// (zero when the transport does not report epochs).
 	EpochInvalidations int64
 
-	// Streamed-transport counters (populated when the remote client speaks
-	// the framed v2 wire protocol; zero on the monolithic transport).
+	// Streamed-transport counters (populated when the remote client is the
+	// framed network transport; zero in-process).
 	FramesSent      int64   // protocol frames written to the remote DBMS
 	FramesRecv      int64   // protocol frames received from the remote DBMS
 	RemoteStreams   int64   // streamed exec results opened

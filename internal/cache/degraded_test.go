@@ -12,7 +12,7 @@ import (
 	"repro/internal/remotedb"
 )
 
-// newResilientTCPCMS builds a CMS over ResilientClient(TCPClient-with-redial)
+// newResilientTCPCMS builds a CMS over ResilientClient(PoolClient-with-redial)
 // against a live server for the fixture engine, returning the CMS and the
 // server's address for restarts.
 func newResilientTCPCMS(t *testing.T, seed int64) (*CMS, *remotedb.Server, string, caql.MapSource) {
@@ -24,7 +24,8 @@ func newResilientTCPCMS(t *testing.T, seed int64) (*CMS, *remotedb.Server, strin
 		t.Fatal(err)
 	}
 	costs := remotedb.DefaultCosts()
-	tcp, err := remotedb.DialTCPOpts(addr, remotedb.TCPOptions{
+	tcp, err := remotedb.DialPool(addr, remotedb.PoolOptions{
+		Size:           1,
 		Costs:          costs,
 		Redial:         true,
 		DialTimeout:    500 * time.Millisecond,

@@ -92,7 +92,7 @@ func TestWorkloadOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := remotedb.DialTCP(addr, remotedb.DefaultCosts())
+	client, err := remotedb.DialPool(addr, remotedb.PoolOptions{Size: 1, Costs: remotedb.DefaultCosts()})
 	if err != nil {
 		t.Fatal(err)
 	}

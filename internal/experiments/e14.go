@@ -12,14 +12,14 @@ import (
 	"repro/internal/remotedb"
 )
 
-// E14 measures the framed (wire v2) stream transport against the legacy
-// monolithic protocol over real TCP connections.
+// E14 measures the framed stream transport over real TCP connections.
 //
-// Part A — first-tuple latency. One client scans a large table. On v1 the
-// whole relation is encoded, shipped, and decoded before the caller sees
-// anything; on v2 the first frame arrives after frameTuples tuples, so the
-// time-to-first-tuple is O(one frame) instead of O(result). Frame size trades
-// first-tuple latency against per-frame overhead on the full drain.
+// Part A — first-tuple latency. One client scans a large table. Through the
+// materializing Exec the whole relation is shipped and decoded before the
+// caller sees anything; through ExecStream the first frame arrives after
+// frameTuples tuples, so the time-to-first-tuple is O(one frame) instead of
+// O(result). Frame size trades first-tuple latency against per-frame overhead
+// on the full drain.
 //
 // Part B — multi-session throughput. Eight session goroutines share one
 // client against a server whose per-request service time is a deterministic
@@ -33,8 +33,8 @@ import (
 // E14Frame is one Part A configuration: a transport and frame size with its
 // measured latencies (medians over the iterations) and allocation rate.
 type E14Frame struct {
-	Transport    string `json:"transport"`      // "v1-monolithic" | "v2-stream"
-	FrameTuples  int    `json:"frame_tuples"`   // 0 on v1
+	Transport    string `json:"transport"`      // "materialized" | "stream"
+	FrameTuples  int    `json:"frame_tuples"`   // 0 (server default) on materialized
 	FirstTupleUS int64  `json:"first_tuple_us"` // median time to first tuple
 	DrainUS      int64  `json:"drain_us"`       // median time to full result
 	AllocsPerOp  int64  `json:"allocs_per_op"`  // client-side allocations per query
@@ -59,12 +59,12 @@ type E14Data struct {
 	ScanRows          int        `json:"scan_rows"`
 	FirstTuple        []E14Frame `json:"first_tuple"`
 	Throughput        []E14Pool  `json:"throughput"`
-	FirstTupleSpeedup float64    `json:"first_tuple_speedup"` // v1 / best v2
+	FirstTupleSpeedup float64    `json:"first_tuple_speedup"` // materialized / best stream
 	PoolScalingQPS    float64    `json:"pool_scaling_qps"`    // QPS(pool 8) / QPS(pool 1)
 }
 
 // e14ScanTable builds the Part A scan target: rows tuples of (int, int,
-// string), large enough that monolithic encode+ship+decode dominates.
+// string), large enough that shipping and decoding the whole result dominates.
 func e14ScanTable(rows int) *relation.Relation {
 	r := relation.New("scan", relation.NewSchema(
 		relation.Attr{Name: "id", Kind: relation.KindInt},
@@ -92,44 +92,46 @@ func e14Median(ds []time.Duration) time.Duration {
 
 const e14Scan = "SELECT * FROM scan"
 
-// e14MeasureV1 times the monolithic transport: the first tuple is only
-// available once Exec returns the whole relation.
-func e14MeasureV1(addr string, iters int) (E14Frame, error) {
-	c, err := remotedb.DialTCP(addr, remotedb.DefaultCosts())
+// e14Query issues the scan once and reports the time to the first tuple, the
+// time to the full result, and the result cardinality.
+type e14Query func(p *remotedb.PoolClient) (first, drain time.Duration, n int64, err error)
+
+// e14Materialized is the control arm: the first tuple is only available once
+// Exec has drained the whole stream into a relation.
+func e14Materialized(p *remotedb.PoolClient) (first, drain time.Duration, n int64, err error) {
+	t0 := time.Now()
+	res, err := p.Exec(e14Scan)
 	if err != nil {
-		return E14Frame{}, err
+		return 0, 0, 0, err
 	}
-	defer c.Close()
-	if _, err := c.Exec(e14Scan); err != nil { // warm up (connection, gob types)
-		return E14Frame{}, err
-	}
-	firsts := make([]time.Duration, 0, iters)
-	var tuples int64
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	for i := 0; i < iters; i++ {
-		t0 := time.Now()
-		res, err := c.Exec(e14Scan)
-		if err != nil {
-			return E14Frame{}, err
-		}
-		firsts = append(firsts, time.Since(t0))
-		tuples = int64(res.Rel.Len())
-	}
-	runtime.ReadMemStats(&ms1)
-	med := e14Median(firsts)
-	return E14Frame{
-		Transport:    "v1-monolithic",
-		FirstTupleUS: med.Microseconds(),
-		DrainUS:      med.Microseconds(), // monolithic: first tuple == full result
-		AllocsPerOp:  int64(ms1.Mallocs-ms0.Mallocs) / int64(iters),
-		Tuples:       tuples,
-	}, nil
+	d := time.Since(t0)
+	return d, d, int64(res.Rel.Len()), nil
 }
 
-// e14MeasureV2 times the streamed transport at one frame size: time to the
-// first Next and time to exhaustion.
-func e14MeasureV2(addr string, frameTuples, iters int) (E14Frame, error) {
+// e14Stream is the streamed arm: time to the first Next and time to
+// exhaustion.
+func e14Stream(p *remotedb.PoolClient) (first, drain time.Duration, n int64, err error) {
+	t0 := time.Now()
+	st, err := p.ExecStream(context.Background(), e14Scan)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	for {
+		_, ok := st.Next()
+		if !ok {
+			break
+		}
+		if n == 0 {
+			first = time.Since(t0)
+		}
+		n++
+	}
+	return first, time.Since(t0), n, st.Err()
+}
+
+// e14Measure times one arm over a single-connection client at one frame size
+// (0: server default), medians over iters runs after one warm-up.
+func e14Measure(addr, transport string, frameTuples, iters int, run e14Query) (E14Frame, error) {
 	p, err := remotedb.DialPool(addr, remotedb.PoolOptions{
 		Size:        1,
 		FrameTuples: frameTuples,
@@ -139,25 +141,7 @@ func e14MeasureV2(addr string, frameTuples, iters int) (E14Frame, error) {
 		return E14Frame{}, err
 	}
 	defer p.Close()
-	run := func() (first, drain time.Duration, n int64, err error) {
-		t0 := time.Now()
-		st, err := p.ExecStream(context.Background(), e14Scan)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		for {
-			_, ok := st.Next()
-			if !ok {
-				break
-			}
-			if n == 0 {
-				first = time.Since(t0)
-			}
-			n++
-		}
-		return first, time.Since(t0), n, st.Err()
-	}
-	if _, _, _, err := run(); err != nil { // warm up
+	if _, _, _, err := run(p); err != nil { // warm up (connection, gob types)
 		return E14Frame{}, err
 	}
 	firsts := make([]time.Duration, 0, iters)
@@ -166,7 +150,7 @@ func e14MeasureV2(addr string, frameTuples, iters int) (E14Frame, error) {
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	for i := 0; i < iters; i++ {
-		first, drain, n, err := run()
+		first, drain, n, err := run(p)
 		if err != nil {
 			return E14Frame{}, err
 		}
@@ -176,7 +160,7 @@ func e14MeasureV2(addr string, frameTuples, iters int) (E14Frame, error) {
 	}
 	runtime.ReadMemStats(&ms1)
 	return E14Frame{
-		Transport:    "v2-stream",
+		Transport:    transport,
 		FrameTuples:  frameTuples,
 		FirstTupleUS: e14Median(firsts).Microseconds(),
 		DrainUS:      e14Median(drains).Microseconds(),
@@ -247,7 +231,7 @@ func e14MeasurePool(addr string, poolSize, sessions, perSession int) (E14Pool, e
 func RunE14(scanRows, iters, sessions, perSession int) (*E14Data, error) {
 	data := &E14Data{Experiment: "E14 stream transport", ScanRows: scanRows}
 
-	// Part A: plain server (no faults), both protocols side by side.
+	// Part A: plain server (no faults), both arms side by side.
 	engA := remotedb.NewEngine()
 	engA.LoadTable(e14ScanTable(scanRows))
 	srvA := remotedb.NewServerWithOptions(engA, remotedb.ServerOptions{})
@@ -257,24 +241,24 @@ func RunE14(scanRows, iters, sessions, perSession int) (*E14Data, error) {
 	}
 	defer srvA.Close()
 
-	v1, err := e14MeasureV1(addrA, iters)
+	mat, err := e14Measure(addrA, "materialized", 0, iters, e14Materialized)
 	if err != nil {
 		return nil, err
 	}
-	data.FirstTuple = append(data.FirstTuple, v1)
-	bestV2 := int64(0)
+	data.FirstTuple = append(data.FirstTuple, mat)
+	best := int64(0)
 	for _, ft := range []int{64, 512, 4096} {
-		f, err := e14MeasureV2(addrA, ft, iters)
+		f, err := e14Measure(addrA, "stream", ft, iters, e14Stream)
 		if err != nil {
 			return nil, err
 		}
 		data.FirstTuple = append(data.FirstTuple, f)
-		if bestV2 == 0 || f.FirstTupleUS < bestV2 {
-			bestV2 = f.FirstTupleUS
+		if best == 0 || f.FirstTupleUS < best {
+			best = f.FirstTupleUS
 		}
 	}
-	if bestV2 > 0 {
-		data.FirstTupleSpeedup = float64(v1.FirstTupleUS) / float64(bestV2)
+	if best > 0 {
+		data.FirstTupleSpeedup = float64(mat.FirstTupleUS) / float64(best)
 	}
 
 	// Part B: session-serial server with a deterministic 1ms service stall.
@@ -312,8 +296,8 @@ func RunE14(scanRows, iters, sessions, perSession int) (*E14Data, error) {
 }
 
 // RunE14Bench runs E14 at the braid-bench default scale. The scan is large
-// enough that the monolithic transport's O(result) first-tuple cost dominates
-// constant factors (scheduling, GC) shared by both transports.
+// enough that the materialized arm's O(result) first-tuple cost dominates
+// constant factors (scheduling, GC) shared by both arms.
 func RunE14Bench() (*E14Data, error) {
 	return RunE14(60000, 5, 8, 25)
 }
@@ -339,7 +323,7 @@ func E14Render(d *E14Data) *Table {
 			ff(p.QPS), fi(p.P50US), fi(p.P99US))
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("scan is %d tuples; first-tuple speedup of the best frame size over v1 monolithic: %.1fx (acceptance: >= 5x)", d.ScanRows, d.FirstTupleSpeedup),
+		fmt.Sprintf("scan is %d tuples; first-tuple speedup of the best frame size over materialized Exec: %.1fx (acceptance: >= 5x)", d.ScanRows, d.FirstTupleSpeedup),
 		fmt.Sprintf("throughput is %d sessions sharing one client against a 1ms-per-request session-serial server; QPS scaling pool 1 -> 8: %.1fx (acceptance: >= 3x)",
 			e14Sessions(d), d.PoolScalingQPS),
 		"the 1ms service time is a deterministic stall (ListenerFaults delay), so pool scaling reflects latency hiding and holds on a single-core host")

@@ -252,7 +252,7 @@ func TestE12Shape(t *testing.T) {
 }
 
 // TestE14Shape runs the stream-transport experiment at a reduced scale and
-// checks the directional claims: streaming beats the monolithic transport on
+// checks the directional claims: streaming beats the materialized arm on
 // first-tuple latency, and pooled throughput grows with the pool against the
 // session-serial 1ms-per-request remote. The full-scale acceptance ratios
 // (5x / 3x) are asserted by braid-bench runs, not here — a loaded CI host
@@ -268,8 +268,8 @@ func TestE14Shape(t *testing.T) {
 	if len(d.FirstTuple) != 4 || len(d.Throughput) != 3 {
 		t.Fatalf("unexpected shape: %+v", d)
 	}
-	if d.FirstTuple[0].Transport != "v1-monolithic" {
-		t.Fatalf("row 0 should be v1, got %+v", d.FirstTuple[0])
+	if d.FirstTuple[0].Transport != "materialized" {
+		t.Fatalf("row 0 should be the materialized arm, got %+v", d.FirstTuple[0])
 	}
 	for _, f := range d.FirstTuple {
 		if f.Tuples != 20000 {

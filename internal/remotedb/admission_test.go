@@ -26,16 +26,8 @@ func TestServerShedsOverMaxInflight(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c1, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
+	c1 := dialTestPool(t, addr, PoolOptions{Size: 1})
+	c2 := dialTestPool(t, addr, PoolOptions{Size: 1})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -57,8 +49,8 @@ func TestServerShedsOverMaxInflight(t *testing.T) {
 	if st := srv.ServerStats(); st.Shed != 1 {
 		t.Fatalf("server shed count = %d, want 1", st.Shed)
 	}
-	// A shed response leaves the gob stream intact: the same connection
-	// works once load clears.
+	// A shed response leaves the connection intact: it works once load
+	// clears.
 	if _, err := c2.Exec("SELECT * FROM emp"); err != nil {
 		t.Fatalf("connection unusable after shed: %v", err)
 	}
@@ -79,11 +71,7 @@ func TestServerRequestTimeout(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialTestPool(t, addr, PoolOptions{Size: 1})
 	start := time.Now()
 	_, err = c.Exec("SELECT * FROM emp")
 	if !errors.Is(err, ErrDeadlineExceeded) {
@@ -97,9 +85,9 @@ func TestServerRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestTCPExecCtxCancel checks that a caller deadline interrupts a blocked
-// socket read (the server is stalling), surfaces the context error as the
-// transport cause, and that redial restores service afterwards.
+// TestTCPExecCtxCancel checks that a caller deadline interrupts the wait for
+// a stalling server, surfaces the context error as the transport cause, and
+// that the connection keeps serving afterwards.
 func TestTCPExecCtxCancel(t *testing.T) {
 	e := newTestEngine(t)
 	srv := NewServerWithOptions(e, ServerOptions{
@@ -111,11 +99,7 @@ func TestTCPExecCtxCancel(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := DialTCPOpts(addr, TCPOptions{Costs: DefaultCosts(), Redial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialTestPool(t, addr, PoolOptions{Size: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -126,11 +110,8 @@ func TestTCPExecCtxCancel(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("cancellation took %v, want ~50ms", d)
 	}
-	// The interrupted exchange desynced the stream; the next call redials.
+	// Only the canceled request died; the connection serves the next one.
 	if _, err := c.Exec("SELECT * FROM emp"); err != nil {
-		t.Fatalf("redial after cancellation failed: %v", err)
-	}
-	if c.Redials() < 2 {
-		t.Fatalf("redials = %d, want the post-cancel call to have redialed", c.Redials())
+		t.Fatalf("exec after cancellation failed: %v", err)
 	}
 }

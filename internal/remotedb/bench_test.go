@@ -71,7 +71,7 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialTCP(addr, DefaultCosts())
+	c, err := DialPool(addr, PoolOptions{Size: 1, Costs: DefaultCosts()})
 	if err != nil {
 		b.Fatal(err)
 	}

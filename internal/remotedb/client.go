@@ -17,7 +17,7 @@ type Result struct {
 
 // Client is the connection surface the CMS's Remote DBMS Interface uses.
 // Implementations: InProcClient (direct engine calls with simulated costs)
-// and TCPClient (a real wire protocol over net). Both account identical
+// and PoolClient (the wire protocol over TCP). Both account identical
 // request/tuple statistics so experiments can run on either transport.
 type Client interface {
 	// Exec parses and executes one DML statement.
@@ -47,12 +47,12 @@ type ContextClient interface {
 }
 
 // EpochReporter is implemented by clients that observe the server's catalog
-// epoch on responses (PoolClient, TCPClient, InProcClient). The CMS uses the
+// epoch on responses (PoolClient, InProcClient). The CMS uses the
 // high-water mark to detect that cached views were built against a backend
 // state the server has since moved past.
 type EpochReporter interface {
 	// ObservedEpoch returns the highest catalog epoch seen on any response
-	// so far; 0 means the transport (or peer) predates epochs.
+	// so far; 0 means no response has carried one yet.
 	ObservedEpoch() uint64
 }
 
@@ -63,8 +63,7 @@ type InnerClient interface {
 }
 
 // ObservedEpoch unwraps decorators until it finds an EpochReporter; 0 for
-// transports that never report (the defense degrades to off, exactly like
-// talking to a pre-epoch server).
+// transports that never report (the defense degrades to off).
 func ObservedEpoch(c Client) uint64 {
 	for c != nil {
 		if r, ok := c.(EpochReporter); ok {

@@ -49,8 +49,7 @@ func (c Costs) RequestCost(tuples, ops int64) float64 {
 
 // Stats accumulates transfer statistics for a client connection. All fields
 // are cumulative since the connection opened. The frame/stream counters are
-// populated by the v2 framed transport (PoolClient) and stay zero on the
-// monolithic v1 path.
+// populated by the framed transport (PoolClient) and stay zero in-process.
 type Stats struct {
 	// Requests is the number of DML requests issued.
 	Requests int64

@@ -37,8 +37,8 @@ type FaultConfig struct {
 	// ErrorRate injects a transport error (request lost, no side effects).
 	ErrorRate float64
 	// DropRate injects a dropped connection: the request fails and, when the
-	// inner client is a *TCPClient, its connection is torn down so redial
-	// machinery is exercised.
+	// inner client is a *PoolClient, one of its connections is torn down so
+	// redial machinery is exercised.
 	DropRate float64
 	// HangRate makes the request stall for HangFor before completing
 	// normally — the shape a per-request deadline must catch.
@@ -149,11 +149,8 @@ func (f *FaultClient) maybeFault(op string) error {
 
 	if err != nil {
 		if _, isDrop := errorIsDrop(err); isDrop {
-			switch c := f.inner.(type) {
-			case *TCPClient:
-				c.breakConn()
-			case *PoolClient:
-				c.breakConn()
+			if p, ok := f.inner.(*PoolClient); ok {
+				p.breakConn()
 			}
 		}
 		return err
@@ -209,7 +206,7 @@ func (f *FaultClient) ExecCtx(ctx context.Context, sql string) (*Result, error) 
 }
 
 // ExecStream implements StreamClient: establishment is faulted exactly like a
-// monolithic exec; an established stream then rolls once against the
+// materialized Exec; an established stream then rolls once against the
 // per-stream fault dimension (kill/stall/corrupt after N tuples).
 func (f *FaultClient) ExecStream(ctx context.Context, sql string) (TupleStream, error) {
 	if err := f.maybeFault("exec"); err != nil {
@@ -299,11 +296,8 @@ func (fs *faultStream) Next() (relation.Tuple, bool) {
 			// pooled inner client (exercising quarantine + redial) and fail
 			// this stream with the transport error its consumer would see.
 			fs.inner.Close()
-			switch c := fs.f.inner.(type) {
-			case *TCPClient:
-				c.breakConn()
-			case *PoolClient:
-				c.breakConn()
+			if p, ok := fs.f.inner.(*PoolClient); ok {
+				p.breakConn()
 			}
 			fs.err = &TransportError{Op: "exec", Err: errInjectedDrop}
 			return nil, false

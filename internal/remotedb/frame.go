@@ -7,9 +7,9 @@ import (
 	"io"
 )
 
-// Wire protocol v2: after the hello handshake (wire.go) negotiates version 2,
-// a connection carries gob-encoded wireFrame values in both directions on the
-// SAME per-connection gob encoder/decoder pair that carried the handshake.
+// Wire protocol v2: after the hello handshake (wire.go), a connection carries
+// gob-encoded wireFrame values in both directions on the SAME per-connection
+// gob encoder/decoder pair that carried the handshake.
 // Reusing the connection's encoder matters: gob transmits a type descriptor
 // the first time each type crosses an encoder, so a per-frame (or
 // per-request) encoder would resend descriptors on every message —
@@ -17,8 +17,8 @@ import (
 //
 // Frames are tagged with a request ID, so any number of requests can be in
 // flight on one connection and responses interleave at frame granularity: a
-// large result no longer blocks the connection for its full transfer, and
-// the client sees the first tuple batch after one frame instead of after the
+// large result does not block the connection for its full transfer, and the
+// client sees the first tuple batch after one frame instead of after the
 // whole relation.
 //
 // Client→server frames: frameReq (start a request), frameCancel (stop one
@@ -62,9 +62,8 @@ type wireFrame struct {
 	Stats  TableStats // frameEnd for the "stats" op
 	Tables []string   // frameEnd for the "tables" op
 
-	// Epoch, on header and end frames, is the server's catalog generation —
-	// the same gob-ignored extension as wireResponse.Epoch (v1 peers never
-	// see it, pre-epoch v2 peers skip the unknown field).
+	// Epoch, on header and end frames, is the server's catalog generation.
+	// The CMS uses it to detect that cached views predate the backend state.
 	Epoch uint64 // frameHeader, frameEnd
 }
 

@@ -16,10 +16,10 @@ import (
 	"repro/internal/relation"
 )
 
-// PoolClient is the wire-v2 transport: a pool of TCP connections, each
+// PoolClient is the network transport: a pool of TCP connections, each
 // carrying any number of in-flight requests as tagged frames, with responses
-// streamed back as tuple batches. It subsumes TCPClient (which remains as the
-// v1 legacy transport) and adds:
+// streamed back as tuple batches. Size 1 is the single-connection client. It
+// provides:
 //
 //   - streaming: ExecStream returns after the result header frame; tuples
 //     arrive in frames of the negotiated size, so first-tuple latency is one
@@ -29,14 +29,10 @@ import (
 //     connection; responses interleave at frame granularity.
 //   - a pool: requests are dispatched to the least-loaded connection, so K
 //     concurrent sessions spread over N sockets instead of convoying behind
-//     one (the v1 client serializes a connection per round trip).
+//     one.
 //   - mid-stream cancellation: canceling one stream sends a cancel frame and
 //     tears down only that stream's server-side producer; the connection and
 //     every other stream keep going.
-//
-// Protocol version is negotiated per connection (wire.go "hello"): against a
-// v1 peer every pool connection degrades to serialized round trips, so the
-// pool still provides N-way parallelism with no streaming.
 type PoolClient struct {
 	addr string
 	opts PoolOptions
@@ -47,9 +43,8 @@ type PoolClient struct {
 	conns  []*muxConn
 	closed bool
 	// shut mirrors closed as an atomic so muxConn.ensure / dialLocked can
-	// refuse to (re)dial after Close without taking p.mu under c.mu —
-	// Proto() holds p.mu while taking c.mu, so the reverse order would
-	// deadlock. Without this check, pick or a health probe racing Close can
+	// refuse to (re)dial after Close without taking p.mu under c.mu.
+	// Without this check, pick or a health probe racing Close can
 	// redial a connection Close already tore down, leaking the socket and
 	// its read-loop goroutine.
 	shut atomic.Bool
@@ -126,9 +121,6 @@ func (r *statsRec) snapshot() Stats {
 type PoolOptions struct {
 	// Size is the number of pooled connections (default 1).
 	Size int
-	// Proto is the highest protocol version to negotiate (default: the
-	// build's maximum). Set 1 to force the legacy monolithic protocol.
-	Proto int
 	// FrameTuples is the preferred response frame size in tuples, sent as a
 	// hint at negotiation (0: server default). The server clamps it.
 	FrameTuples int
@@ -143,17 +135,16 @@ type PoolOptions struct {
 	Redial bool
 	// DialTimeout bounds connection establishment (0: no bound).
 	DialTimeout time.Duration
-	// RequestTimeout bounds one v1 round trip, the v2 handshake, and each
-	// wait for the next frame of a v2 stream (0: no bound).
+	// RequestTimeout bounds the hello handshake and each wait for the next
+	// frame of a stream (0: no bound).
 	RequestTimeout time.Duration
 	// HealthInterval enables active health management (0: disabled, death is
 	// discovered lazily per request). Every interval a background loop probes
-	// each live connection with a lightweight ping — any answer, even a
-	// semantic error from an old server, proves liveness — evicts connections
-	// whose probe fails at the transport level, and (when Redial is set)
-	// re-dials broken connections in the background. Re-dial attempts honor
-	// the same jittered per-connection backoff that quarantines flapping
-	// connections from pick, so a dead server is probed, not hammered.
+	// each live connection with a lightweight ping, evicts connections whose
+	// probe fails, and (when Redial is set) re-dials broken connections in
+	// the background. Re-dial attempts honor the same jittered per-connection
+	// backoff that quarantines flapping connections from pick, so a dead
+	// server is probed, not hammered.
 	HealthInterval time.Duration
 	// HealthSeed seeds the quarantine backoff jitter stream.
 	HealthSeed int64
@@ -163,9 +154,6 @@ func (o PoolOptions) withDefaults() PoolOptions {
 	if o.Size <= 0 {
 		o.Size = 1
 	}
-	if o.Proto <= 0 {
-		o.Proto = protoMax
-	}
 	if o.StreamWindow <= 0 {
 		o.StreamWindow = 8
 	}
@@ -173,8 +161,8 @@ func (o PoolOptions) withDefaults() PoolOptions {
 }
 
 // DialPool connects a pool of opts.Size connections to a Server at addr and
-// negotiates the protocol on each. The first connection is dialed eagerly (so
-// an unreachable address fails fast); the rest are dialed on demand.
+// opens each with the hello handshake. The first connection is dialed eagerly
+// (so an unreachable address fails fast); the rest are dialed on demand.
 func DialPool(addr string, opts PoolOptions) (*PoolClient, error) {
 	opts = opts.withDefaults()
 	p := &PoolClient{addr: addr, opts: opts, done: make(chan struct{})}
@@ -242,22 +230,6 @@ func (p *PoolClient) healthPass() {
 			c.teardown(&TransportError{Op: "ping", Err: err})
 		}
 	}
-}
-
-// Proto returns the protocol version negotiated on the first live
-// connection (0 if none is up yet).
-func (p *PoolClient) Proto() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.conns {
-		c.mu.Lock()
-		proto, broken := c.proto, c.broken
-		c.mu.Unlock()
-		if !broken {
-			return proto
-		}
-	}
-	return 0
 }
 
 // pick returns the live (or redialable) connection with the fewest in-flight
@@ -430,8 +402,8 @@ func (p *PoolClient) Tables() ([]string, error) {
 }
 
 // muxConn is one pooled connection: a shared write path (wmu serializes frame
-// writes), a reader goroutine that demultiplexes response frames to streams
-// by request ID (v2), and fallback serialized round trips (v1 peer).
+// writes) and a reader goroutine that demultiplexes response frames to
+// streams by request ID.
 type muxConn struct {
 	p *PoolClient
 
@@ -442,7 +414,6 @@ type muxConn struct {
 	conn    net.Conn
 	enc     *gob.Encoder
 	dec     *gob.Decoder
-	proto   int
 	broken  bool
 	streams map[uint64]*muxStream
 	// gen counts successful dials. Teardown requests that originate from a
@@ -463,8 +434,7 @@ type muxConn struct {
 	quarUntil time.Time // quarantined until this instant
 	jitter    *rand.Rand
 
-	wmu sync.Mutex // serializes frame writes (v2)
-	rmu sync.Mutex // serializes round trips (v1 fallback)
+	wmu sync.Mutex // serializes frame writes
 }
 
 // Quarantine backoff bounds: the first failure backs a connection off ~10ms,
@@ -507,11 +477,10 @@ func (c *muxConn) quarantined(now time.Time) bool {
 	return now.Before(c.quarUntil)
 }
 
-// probe checks liveness with a "ping" round trip. ANY answer — including a
-// semantic error from a server predating the ping op — proves the connection
-// alive; only a transport/protocol failure condemns it. The probe is bounded
-// by RequestTimeout when set, else by the health interval, so a wedged
-// connection cannot stall the health loop forever.
+// probe checks liveness with a "ping" round trip (request clears the failure
+// quarantine when the answer arrives). The probe is bounded by RequestTimeout
+// when set, else by the health interval, so a wedged connection cannot stall
+// the health loop forever.
 func (c *muxConn) probe() error {
 	timeout := c.p.opts.RequestTimeout
 	if timeout <= 0 {
@@ -524,10 +493,6 @@ func (c *muxConn) probe() error {
 		defer cancel()
 	}
 	_, err := c.request(ctx, &wireRequest{Op: "ping"})
-	if err == nil || !IsTransient(err) {
-		c.noteSuccess()
-		return nil
-	}
 	return err
 }
 
@@ -550,63 +515,83 @@ func (c *muxConn) ensure(ctx context.Context) error {
 	return c.dialLocked(ctx)
 }
 
-// dialLocked (re)establishes the connection and negotiates the protocol.
-// Caller holds c.mu.
+// dialLocked (re)establishes the connection and opens it with the hello
+// handshake. Caller holds c.mu.
 func (c *muxConn) dialLocked(ctx context.Context) error {
-	opts := c.p.opts
 	if c.conn != nil {
 		c.conn.Close()
 	}
-	d := net.Dialer{Timeout: opts.DialTimeout}
+	c.conn, c.enc, c.dec = nil, nil, nil
+	c.broken = true
+	d := net.Dialer{Timeout: c.p.opts.DialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.p.addr)
 	if err != nil {
-		c.conn, c.enc, c.dec = nil, nil, nil
-		c.broken = true
 		c.noteFailure()
 		return err
 	}
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	proto := protoV1
-	if opts.Proto >= protoV2 {
-		// Negotiate: a v2 server answers with its accepted version; a v1
-		// server reports hello as an unknown op, which IS the v1 answer.
-		if opts.RequestTimeout > 0 {
-			conn.SetDeadline(time.Now().Add(opts.RequestTimeout))
-		}
-		hello := &wireRequest{Op: "hello", Proto: opts.Proto, FrameTuples: opts.FrameTuples}
-		var resp wireResponse
-		if err := enc.Encode(hello); err == nil {
-			err = dec.Decode(&resp)
-		}
-		if err != nil {
-			conn.Close()
-			c.conn, c.enc, c.dec = nil, nil, nil
-			c.broken = true
-			c.noteFailure()
-			return &ProtocolError{Op: "hello", Err: err}
-		}
-		conn.SetDeadline(time.Time{})
-		if resp.Err == "" && resp.Proto >= protoV2 {
-			proto = protoV2
-		}
+	if err := c.handshake(ctx, conn, enc, dec); err != nil {
+		conn.Close()
+		c.noteFailure()
+		return err
 	}
 	if c.p.shut.Load() {
 		// Close ran while we were dialing (it cannot hold c.mu across our
 		// dial): this connection is already past its teardown, so finish the
 		// job ourselves instead of leaking the socket.
 		conn.Close()
-		c.conn, c.enc, c.dec = nil, nil, nil
-		c.broken = true
 		return errors.New("remotedb: client closed")
 	}
 	c.conn, c.enc, c.dec = conn, enc, dec
-	c.proto = proto
 	c.broken = false
 	c.streams = make(map[uint64]*muxStream)
 	c.gen++
-	if proto >= protoV2 {
-		go c.readLoop(conn, dec, c.gen)
+	go c.readLoop(conn, dec, c.gen)
+	return nil
+}
+
+// handshake opens a fresh connection with the hello exchange that fixes the
+// response frame size. It is the one blocking exchange outside the read loop
+// and it runs under c.mu, so it is bounded by the earlier of ctx's deadline
+// and RequestTimeout and woken by cancellation: a peer that accepts TCP and
+// then says nothing must not wedge pick and healthPass behind the lock.
+func (c *muxConn) handshake(ctx context.Context, conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error {
+	opts := c.p.opts
+	var deadline time.Time
+	if opts.RequestTimeout > 0 {
+		deadline = time.Now().Add(opts.RequestTimeout)
 	}
+	ctxOwns := false
+	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
+		deadline, ctxOwns = d, true
+	}
+	conn.SetDeadline(deadline)
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
+	var resp wireResponse
+	err := enc.Encode(&wireRequest{Op: "hello", Proto: protoV2, FrameTuples: opts.FrameTuples})
+	if err == nil {
+		err = dec.Decode(&resp)
+	}
+	if !stop() {
+		// ctx ended during the exchange and its watcher owns the socket
+		// deadline now, so the connection is unusable even if hello got through.
+		return &TransportError{Op: "hello", Err: ctx.Err()}
+	}
+	if err != nil {
+		if ctxOwns && isTimeout(err) {
+			// The socket deadline was ctx's own: its timer can fire a hair
+			// before ctx.Err() turns non-nil.
+			return &TransportError{Op: "hello", Err: context.DeadlineExceeded}
+		}
+		return &ProtocolError{Op: "hello", Err: err}
+	}
+	if resp.Err != "" {
+		return &ProtocolError{Op: "hello", Err: errors.New(resp.Err)}
+	}
+	if resp.Proto < protoV2 {
+		return &ProtocolError{Op: "hello", Err: fmt.Errorf("server answered protocol %d, want %d", resp.Proto, protoV2)}
+	}
+	conn.SetDeadline(time.Time{})
 	return nil
 }
 
@@ -643,7 +628,7 @@ func (c *muxConn) teardownGen(err error, gen uint64) {
 	c.teardown(err)
 }
 
-// readLoop is the demultiplexer: one goroutine per v2 connection routes
+// readLoop is the demultiplexer: one goroutine per connection routes
 // response frames to their stream. Delivery blocks when a stream's window is
 // full — that is the client half of end-to-end backpressure (the stalled
 // reader stops draining the socket, TCP fills, the server's writer blocks).
@@ -696,22 +681,8 @@ func (c *muxConn) writeFrame(f *wireFrame) error {
 	return nil
 }
 
-// execStream starts one streamed exec request (v2), or falls back to a
-// monolithic round trip replayed through the stream surface (v1 peer — which
-// ignores resume state, so a resuming caller sees no ResumeReporter and
-// skips client-side).
+// execStream starts one streamed exec request.
 func (c *muxConn) execStream(ctx context.Context, sql, resume string, skip int64) (TupleStream, error) {
-	c.mu.Lock()
-	proto := c.proto
-	c.mu.Unlock()
-	if proto < protoV2 {
-		res, err := c.execV1(ctx, sql)
-		if err != nil {
-			return nil, err
-		}
-		return NewMaterializedStream(res), nil
-	}
-
 	id := c.p.nextID.Add(1)
 	st := &muxStream{
 		c:      c,
@@ -732,8 +703,7 @@ func (c *muxConn) execStream(ctx context.Context, sql, resume string, skip int64
 
 	// The context's trace ID (the CMS-side span's trace, or one adopted
 	// upstream) rides the request so server spans stitch into the same
-	// trace. A v1 peer never reaches here; gob drops the field for old
-	// binaries that predate it.
+	// trace.
 	req := &wireRequest{Op: "exec", SQL: sql, Resume: resume, Skip: skip, Trace: obs.TraceID(ctx)}
 	if err := c.writeFrame(&wireFrame{ID: id, Kind: frameReq, Req: req}); err != nil {
 		c.unregister(id)
@@ -776,7 +746,7 @@ func (c *muxConn) execStream(ctx context.Context, sql, resume string, skip int64
 }
 
 // endError maps a terminal frame to the client-side error surface (nil for a
-// clean end). The classification mirrors the v1 response codes.
+// clean end).
 func endError(f *wireFrame) error {
 	switch f.Code {
 	case wireCodeOverloaded:
@@ -804,12 +774,6 @@ func (c *muxConn) unregister(id uint64) {
 
 // request performs one non-exec catalog round trip.
 func (c *muxConn) request(ctx context.Context, req *wireRequest) (*wireResponse, error) {
-	c.mu.Lock()
-	proto := c.proto
-	c.mu.Unlock()
-	if proto < protoV2 {
-		return c.roundTripV1(ctx, req)
-	}
 	id := c.p.nextID.Add(1)
 	st := &muxStream{
 		c:      c,
@@ -852,103 +816,7 @@ func (c *muxConn) request(ctx context.Context, req *wireRequest) (*wireResponse,
 	return &wireResponse{Attrs: f.Attrs, Stats: f.Stats, Tables: f.Tables, Ops: f.Ops}, nil
 }
 
-// execV1 is the monolithic fallback exec against a v1 peer.
-func (c *muxConn) execV1(ctx context.Context, sql string) (*Result, error) {
-	resp, err := c.roundTripV1(ctx, &wireRequest{Op: "exec", SQL: sql})
-	if err != nil {
-		return nil, err
-	}
-	rel, err := fromWireRelation(resp.Rel)
-	if err != nil {
-		return nil, err
-	}
-	var tuples int64
-	if rel != nil {
-		tuples = int64(rel.Len())
-	}
-	sim := c.p.opts.Costs.RequestCost(tuples, resp.Ops)
-	c.p.stats.requests.Add(1)
-	c.p.stats.tuplesReturned.Add(tuples)
-	c.p.stats.serverOps.Add(resp.Ops)
-	c.p.stats.addSimMS(sim)
-	return &Result{Rel: rel, SimMS: sim}, nil
-}
-
-// roundTripV1 is one serialized request/response exchange against a v1 peer
-// (the same discipline as TCPClient: one outstanding request per connection).
-func (c *muxConn) roundTripV1(ctx context.Context, req *wireRequest) (*wireResponse, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	c.mu.Lock()
-	conn, enc, dec, broken := c.conn, c.enc, c.dec, c.broken
-	c.mu.Unlock()
-	if broken || conn == nil {
-		return nil, &TransportError{Op: req.Op, Err: ErrBrokenConn}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, &TransportError{Op: req.Op, Err: err}
-	}
-	deadline := time.Time{}
-	if c.p.opts.RequestTimeout > 0 {
-		deadline = time.Now().Add(c.p.opts.RequestTimeout)
-	}
-	ctxOwns := false
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline, ctxOwns = d, true
-	}
-	var stopWatch chan struct{}
-	if ctx.Done() != nil {
-		stopWatch = make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				conn.SetDeadline(time.Now())
-			case <-stopWatch:
-			}
-		}()
-		defer close(stopWatch)
-	}
-	if !deadline.IsZero() {
-		conn.SetDeadline(deadline)
-	}
-	ctxErr := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if ctxOwns && isTimeout(err) {
-			return context.DeadlineExceeded
-		}
-		return err
-	}
-	var resp wireResponse
-	err := enc.Encode(req)
-	if err == nil {
-		err = dec.Decode(&resp)
-	}
-	if err != nil {
-		c.teardown(&TransportError{Op: req.Op, Err: ErrBrokenConn})
-		return nil, &TransportError{Op: req.Op, Err: ctxErr(err)}
-	}
-	if !deadline.IsZero() {
-		conn.SetDeadline(time.Time{})
-	}
-	c.noteSuccess()
-	if resp.Epoch > 0 {
-		c.p.stats.noteEpoch(resp.Epoch)
-	}
-	switch resp.Code {
-	case wireCodeOverloaded:
-		return nil, &TransportError{Op: req.Op, Err: ErrOverloaded}
-	case wireCodeDeadline:
-		return nil, &TransportError{Op: req.Op, Err: ErrDeadlineExceeded}
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return &resp, nil
-}
-
-// muxStream is one in-flight v2 request's client side. Not safe for
+// muxStream is one in-flight request's client side. Not safe for
 // concurrent use (single consumer), except fail/abort which may race from the
 // read loop and are serialized by deadOnce.
 type muxStream struct {
@@ -973,13 +841,13 @@ type muxStream struct {
 	cur []relation.Tuple
 	pos int
 
-	tuples     int64
-	ops        int64
-	sim        float64
-	firstSeen  bool
-	done       bool
-	settled    bool
-	termErr    error
+	tuples    int64
+	ops       int64
+	sim       float64
+	firstSeen bool
+	done      bool
+	settled   bool
+	termErr   error
 }
 
 // wait blocks for the next frame, honoring the stream context, the

@@ -24,13 +24,10 @@ func dialTestPool(t *testing.T, addr string, opts PoolOptions) *PoolClient {
 	return p
 }
 
-func TestPoolNegotiatesV2(t *testing.T) {
+func TestPoolRoundTrip(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
 	p := dialTestPool(t, addr, PoolOptions{})
-	if got := p.Proto(); got != protoV2 {
-		t.Fatalf("negotiated proto = %d, want %d", got, protoV2)
-	}
 
 	res, err := p.Exec("SELECT name FROM emp WHERE dept = 10 ORDER BY name")
 	if err != nil {
@@ -65,59 +62,6 @@ func TestPoolNegotiatesV2(t *testing.T) {
 	}
 	if stats.FirstTupleNS <= 0 {
 		t.Fatalf("first-tuple latency not recorded: %+v", stats)
-	}
-}
-
-func TestPoolFallsBackToV1(t *testing.T) {
-	e := newTestEngine(t)
-	srv := NewServerWithOptions(e, ServerOptions{MaxProto: 1})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	p := dialTestPool(t, addr, PoolOptions{Size: 2})
-	if got := p.Proto(); got != protoV1 {
-		t.Fatalf("negotiated proto = %d, want %d (fallback)", got, protoV1)
-	}
-	res, err := p.Exec("SELECT * FROM dept")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rel.Len() != 3 {
-		t.Fatalf("v1-fallback exec wrong: %v", res.Rel)
-	}
-	// Streaming surface still works (materialized under the hood).
-	st, err := p.ExecStream(context.Background(), "SELECT * FROM dept")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, ok := st.Next(); ok; _, ok = st.Next() {
-		n++
-	}
-	if n != 3 || st.Err() != nil {
-		t.Fatalf("v1-fallback stream wrong: n=%d err=%v", n, st.Err())
-	}
-	if sch, err := p.RelationSchema("emp", 4); err != nil || sch.Arity() != 4 {
-		t.Fatalf("v1-fallback schema wrong: %v %v", sch, err)
-	}
-}
-
-func TestPoolLegacyClientAgainstV2Server(t *testing.T) {
-	// The old monolithic client must keep working against a v2-capable
-	// server: it never says hello, so the connection stays v1.
-	addr, _, cleanup := startTestServer(t)
-	defer cleanup()
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	res, err := c.Exec("SELECT * FROM dept")
-	if err != nil || res.Rel.Len() != 3 {
-		t.Fatalf("legacy client against v2 server: %v %v", res, err)
 	}
 }
 

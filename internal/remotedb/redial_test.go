@@ -10,80 +10,27 @@ import (
 
 func TestTCPBrokenConnFailsFast(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
-	c, err := DialTCP(addr, DefaultCosts()) // no redial
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialTestPool(t, addr, PoolOptions{Size: 1}) // no redial
 	if _, err := c.Exec("SELECT * FROM dept"); err != nil {
 		t.Fatal(err)
 	}
 	cleanup() // kill the server mid-session
 
-	// First call after the kill fails at I/O level and breaks the stream.
-	_, err = c.Exec("SELECT * FROM dept")
-	if err == nil {
-		t.Fatal("exec against dead server should fail")
-	}
-	if !IsTransient(err) {
-		t.Fatalf("I/O failure should be transient: %v", err)
-	}
-	// Subsequent calls fail fast with the typed broken-conn error instead of
-	// decoding from a desynced gob stream.
-	start := time.Now()
-	_, err = c.Exec("SELECT * FROM dept")
-	if !errors.Is(err, ErrBrokenConn) {
-		t.Fatalf("want ErrBrokenConn, got %v", err)
-	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("broken-conn failure was not fast")
-	}
-}
-
-func TestTCPRedialAcrossServerRestart(t *testing.T) {
-	addr, engine, cleanup := startTestServer(t)
-	c, err := DialTCPOpts(addr, TCPOptions{
-		Costs:       DefaultCosts(),
-		Redial:      true,
-		DialTimeout: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Exec("SELECT * FROM dept"); err != nil {
-		t.Fatal(err)
-	}
-
-	cleanup()
-	if _, err := c.Exec("SELECT * FROM dept"); err == nil {
-		t.Fatal("exec against dead server should fail")
-	}
-	// Server still down: the redial itself fails, transiently.
-	if _, err := c.Exec("SELECT * FROM dept"); !IsTransient(err) {
-		t.Fatalf("failed redial should be transient: %v", err)
-	}
-
-	// Restart on the same address; the next call redials transparently.
-	srv2 := NewServer(engine)
-	if _, err := srv2.Listen(addr); err != nil {
-		t.Fatalf("restart on %s: %v", addr, err)
-	}
-	defer srv2.Close()
-	res, err := c.Exec("SELECT * FROM dept")
-	if err != nil {
-		t.Fatalf("exec after restart should redial and succeed: %v", err)
-	}
-	if res.Rel.Len() != 3 {
-		t.Fatalf("rows = %d, want 3", res.Rel.Len())
-	}
-	if c.Redials() < 2 {
-		t.Fatalf("redials = %d, want >= 2 (initial + reconnect)", c.Redials())
-	}
-	// Close still wins over redial.
-	c.Close()
-	if _, err := c.Exec("SELECT * FROM dept"); err == nil {
-		t.Fatal("closed client must not redial")
+	// Every call after the kill fails with a transient transport error, and
+	// fast: nothing waits on the dead socket.
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		_, err := c.Exec("SELECT * FROM dept")
+		if err == nil {
+			t.Fatal("exec against dead server should fail")
+		}
+		var te *TransportError
+		if !errors.As(err, &te) || !IsTransient(err) {
+			t.Fatalf("want a transient TransportError, got %v", err)
+		}
+		if time.Since(start) > 100*time.Millisecond {
+			t.Fatal("failure against a dead server was not fast")
+		}
 	}
 }
 
@@ -95,29 +42,36 @@ func TestServerIdleTimeoutDropsDeadPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
+	serverConns := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns)
 	}
-	defer c.Close()
+	c := dialTestPool(t, addr, PoolOptions{Size: 1})
 	if _, err := c.Exec("SELECT * FROM dept"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(200 * time.Millisecond) // exceed the idle deadline
-	if _, err := c.Exec("SELECT * FROM dept"); err == nil {
-		t.Fatal("server should have dropped the idle connection")
+	deadline := time.Now().Add(2 * time.Second)
+	for serverConns() > 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
 	}
-	// An active client inside the idle window is unaffected.
-	c2, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
+	if n := serverConns(); n != 0 {
+		t.Fatalf("server still holds %d connection(s) past the idle deadline", n)
 	}
-	defer c2.Close()
+	// An active client inside the idle window is unaffected: its one
+	// connection is never dropped, so it never redials.
+	c2 := dialTestPool(t, addr, PoolOptions{Size: 1})
 	for i := 0; i < 5; i++ {
 		if _, err := c2.Exec("SELECT * FROM dept"); err != nil {
 			t.Fatalf("active connection dropped: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	c2.conns[0].mu.Lock()
+	gen := c2.conns[0].gen
+	c2.conns[0].mu.Unlock()
+	if gen != 1 {
+		t.Fatalf("active connection was dialed %d times, want 1", gen)
 	}
 }
 
@@ -140,7 +94,7 @@ func TestServerCloseUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := DialTCP(addr, DefaultCosts())
+			c, err := DialPool(addr, PoolOptions{Size: 1, Costs: DefaultCosts()})
 			if err != nil {
 				return
 			}
@@ -175,7 +129,7 @@ func TestServerCloseUnderLoad(t *testing.T) {
 		t.Fatal("clients hung after server close")
 	}
 	// New connections must be refused.
-	if _, err := DialTCP(addr, DefaultCosts()); err == nil {
+	if _, err := DialPool(addr, PoolOptions{Size: 1}); err == nil {
 		t.Fatal("dial after close should fail")
 	}
 }
@@ -189,11 +143,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialTestPool(t, addr, PoolOptions{Size: 1})
 
 	results := make(chan error, 1)
 	go func() {

@@ -402,7 +402,7 @@ func (r *ResilientClient) ExecCtx(ctx context.Context, sql string) (*Result, err
 // a resume token is wrapped in a ResilientStream, which repairs mid-stream
 // transport failures by re-dispatching with the token — through this same
 // client, so the breaker and backoff govern re-dispatches too. Tokenless
-// streams (materialized results, v1 peers) keep the old surface-the-error
+// streams (materialized results) keep the old surface-the-error
 // behavior, as does cfg.DisableStreamResume.
 func (r *ResilientClient) ExecStream(ctx context.Context, sql string) (TupleStream, error) {
 	v, err := r.doCtx(ctx, "exec", func() (any, error) { return ExecStreamContext(ctx, r.inner, sql) })

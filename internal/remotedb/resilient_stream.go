@@ -29,8 +29,8 @@ import (
 //     once, in order, across any number of connection deaths.
 //
 // Only streams that carry a resume token are repaired. A tokenless stream
-// (materialized execution path, v1 peer) has no determinism guarantee to skip
-// against, so its mid-stream failure still surfaces as Err — exactly the old
+// (materialized execution path) has no determinism guarantee to skip against,
+// so its mid-stream failure still surfaces as Err — exactly the old
 // behavior.
 //
 // Termination: each successful resume must make progress (the finite result

@@ -16,10 +16,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Server exposes an Engine over TCP with a gob-encoded request/response
-// protocol. This realizes the paper's deployment: the DBMS "is realized on a
-// separate system (database server)" reached via "a standard communication
-// protocol" (Section 5.5). Each accepted connection is served concurrently.
+// Server exposes an Engine over TCP with a gob-encoded framed protocol. This
+// realizes the paper's deployment: the DBMS "is realized on a separate system
+// (database server)" reached via "a standard communication protocol"
+// (Section 5.5). Each accepted connection is served concurrently.
 type Server struct {
 	engine *Engine
 	opts   ServerOptions
@@ -70,12 +70,8 @@ type ServerOptions struct {
 	// experiments: requests are delayed or their connection dropped from a
 	// deterministically seeded stream.
 	Faults *ListenerFaults
-	// MaxProto caps the wire protocol version this server negotiates
-	// (0: the build's maximum). Set 1 to force every connection onto the
-	// legacy monolithic protocol regardless of what clients offer.
-	MaxProto int
-	// FrameTuples is the default response frame size, in tuples, for framed
-	// (v2) connections whose client sent no preference (0: DefaultFrameTuples).
+	// FrameTuples is the default response frame size, in tuples, for
+	// connections whose client sent no preference (0: DefaultFrameTuples).
 	FrameTuples int
 	// ConnStreams bounds how many requests of one framed connection execute
 	// concurrently (0: 1). The default of one engine slot per connection
@@ -106,9 +102,9 @@ type ServerOptions struct {
 type ServerStats struct {
 	Shed     int64 // requests rejected by the MaxInflight admission limit
 	Timeouts int64 // requests abandoned at RequestTimeout
-	// FramesSent counts v2 protocol frames written (headers, batches, ends).
+	// FramesSent counts protocol frames written (headers, batches, ends).
 	FramesSent int64
-	// StreamsCanceled counts v2 streams torn down mid-flight by a client
+	// StreamsCanceled counts streams torn down mid-flight by a client
 	// cancel frame or connection-context cancellation.
 	StreamsCanceled int64
 	// StreamKills counts connections killed mid-stream by injected stream
@@ -134,7 +130,7 @@ type ListenerFaults struct {
 	DelayRate float64
 	// Delay is the stall duration for delay faults.
 	Delay time.Duration
-	// StreamKillRate is the per-stream probability (v2 streamed results only)
+	// StreamKillRate is the per-stream probability (streamed results only)
 	// of killing the CONNECTION mid-stream, after StreamKillAfter response
 	// frames — the fault resumable streams exist to survive. Unlike DropRate,
 	// which drops before any response, a stream kill leaves the client holding
@@ -226,14 +222,6 @@ func (s *Server) ServerStats() ServerStats {
 	}
 }
 
-// maxProto is the highest protocol version this server will accept.
-func (s *Server) maxProto() int {
-	if s.opts.MaxProto > 0 {
-		return s.opts.MaxProto
-	}
-	return protoMax
-}
-
 // Listen binds the server to addr (e.g. "127.0.0.1:0") and starts accepting
 // connections in the background. It returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {
@@ -269,21 +257,11 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// rollFault decides the fate of one request on a flaky listener: drop the
-// connection (return false), possibly after a delay.
-func (s *Server) rollFault() (keep bool) {
-	keep, delay := s.rollFault2()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return keep
-}
-
-// rollFault2 is the split form used by the framed path: the drop decision is
-// made synchronously (it closes the connection) while the delay is returned
-// for the caller to serve inside its deadline-bounded execution, so injected
-// delays model slow server work under the request clock on both protocols.
-func (s *Server) rollFault2() (keep bool, delay time.Duration) {
+// rollFault decides the fate of one request on a flaky listener. The drop
+// decision is made synchronously (the caller closes the connection) while the
+// delay is returned for the caller to serve inside its deadline-bounded
+// execution, so injected delays model slow server work under the request clock.
+func (s *Server) rollFault() (keep bool, delay time.Duration) {
 	f := s.opts.Faults
 	if f == nil {
 		return true, 0
@@ -300,6 +278,9 @@ func (s *Server) rollFault2() (keep bool, delay time.Duration) {
 	return true, 0
 }
 
+// serveConn reads the connection's opener. A hello at protoV2 or above is
+// acknowledged and the connection flips to framed mode on the same
+// encoder/decoder pair; anything else gets one error response and a close.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -310,119 +291,39 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
-	for {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
-				// Protocol error: best effort to report, then drop.
-				_ = enc.Encode(wireResponse{Err: fmt.Sprintf("protocol: %v", err)})
-			}
-			return
-		}
-		if req.Op == "hello" {
-			// Protocol negotiation rides the v1 exchange, so it works before
-			// either side knows the other's version. Agreeing on v2 flips this
-			// connection into framed mode on the same encoder/decoder pair.
-			proto := protoV1
-			if s.maxProto() >= protoV2 && req.Proto >= protoV2 {
-				proto = protoV2
-			}
-			if s.opts.WriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-			}
-			if err := enc.Encode(wireResponse{Proto: proto}); err != nil {
-				return
-			}
-			if s.opts.WriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Time{})
-			}
-			if proto >= protoV2 {
-				s.serveFramed(conn, enc, dec, clampFrameTuples(req.FrameTuples, s.opts.FrameTuples))
-				return
-			}
-			continue
-		}
-		resp, keep := s.dispatch(&req)
-		if !keep {
-			return // injected dropped connection
-		}
-		resp.Epoch = s.engine.Epoch()
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Time{})
-		}
-		s.mu.Lock()
-		draining := s.closed
-		s.mu.Unlock()
-		if draining {
-			return // shutdown: response written, now let go of the conn
-		}
+	if s.opts.IdleTimeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
+	var req wireRequest
+	if err := dec.Decode(&req); err != nil {
+		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
+			// Protocol error: best effort to report, then drop.
+			_ = enc.Encode(wireResponse{Err: fmt.Sprintf("protocol: %v", err)})
+		}
+		return
+	}
+	resp := wireResponse{Proto: protoV2}
+	framed := req.Op == "hello" && req.Proto >= protoV2
+	if !framed {
+		resp = wireResponse{Err: fmt.Sprintf(
+			"remotedb: unsupported protocol: a connection opens with hello at version %d or above, got op %q at version %d",
+			protoV2, req.Op, req.Proto)}
+	}
+	if s.opts.WriteTimeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+	}
+	if err := enc.Encode(resp); err != nil || !framed {
+		return
+	}
+	if s.opts.WriteTimeout > 0 {
+		conn.SetWriteDeadline(time.Time{})
+	}
+	s.serveFramed(conn, enc, dec, clampFrameTuples(req.FrameTuples, s.opts.FrameTuples))
 }
 
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// dispatch runs one request through admission control, fault injection, and
-// the request deadline. keep=false means an injected fault dropped the
-// connection. Fault delays run inside the admission scope — they model slow
-// server work, so they hold an in-flight slot and can push the server into
-// shedding, which is exactly what overload tests need.
-func (s *Server) dispatch(req *wireRequest) (resp wireResponse, keep bool) {
-	release := func() {}
-	if s.inflight != nil {
-		select {
-		case s.inflight <- struct{}{}:
-			release = func() { <-s.inflight }
-		default:
-			s.shed.Add(1)
-			return wireResponse{Code: wireCodeOverloaded, Err: ErrOverloaded.Error()}, true
-		}
-	}
-	if s.opts.RequestTimeout <= 0 {
-		defer release()
-		if !s.rollFault() {
-			return wireResponse{}, false // injected dropped connection
-		}
-		return s.handle(context.Background(), req), true
-	}
-	// Deadline-bounded execution: fault delays and the engine call both run
-	// under the request clock (an injected delay models slow server work).
-	// Work still running at the deadline is abandoned — it completes in the
-	// background and releases its slot then, so abandoned work keeps counting
-	// against MaxInflight while it burns CPU.
-	type outcome struct {
-		resp wireResponse
-		keep bool
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer release()
-		if !s.rollFault() {
-			ch <- outcome{wireResponse{}, false} // injected dropped connection
-			return
-		}
-		ch <- outcome{s.handle(context.Background(), req), true}
-	}()
-	timer := time.NewTimer(s.opts.RequestTimeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.resp, o.keep
-	case <-timer.C:
-		s.timeouts.Add(1)
-		return wireResponse{Code: wireCodeDeadline, Err: ErrDeadlineExceeded.Error()}, true
-	}
 }
 
 // slowClock returns the start timestamp for the slow-query log, zero when the
@@ -456,6 +357,8 @@ func (s *Server) logSlow(start time.Time, sql string, cached bool, rows, frames 
 	)
 }
 
+// handle executes one request that the framed path does not stream: the
+// catalog ops, ping, and exec statements with no pipelined form.
 func (s *Server) handle(ctx context.Context, req *wireRequest) wireResponse {
 	switch req.Op {
 	case "exec":
@@ -489,9 +392,7 @@ func (s *Server) handle(ctx context.Context, req *wireRequest) wireResponse {
 	case "tables":
 		return wireResponse{Tables: s.engine.Tables()}
 	case "ping":
-		// Liveness probe: succeed without touching the engine. Old servers
-		// answer with their unknown-op error, which probes also accept as
-		// proof of life (wire.go).
+		// Liveness probe: succeed without touching the engine.
 		return wireResponse{}
 	default:
 		return wireResponse{Err: fmt.Sprintf("remotedb: unknown op %q", req.Op)}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the server half of wire protocol v2 (frame.go): after the
+// This file is the server half of the wire protocol (frame.go): after the
 // hello handshake flips a connection into framed mode, serveFramed reads
 // request/cancel frames, runs each request in its own goroutine gated by a
 // per-connection execution slot, and streams exec results back as
@@ -25,7 +25,7 @@ import (
 // full and its consumer is slow. The server therefore never buffers more than
 // one frame per stream beyond the socket.
 
-// framedConn is the per-connection state of one v2 session.
+// framedConn is the per-connection state of one session.
 type framedConn struct {
 	s    *Server
 	conn net.Conn
@@ -42,8 +42,8 @@ type framedConn struct {
 	sem chan struct{} // per-connection execution slots (ConnStreams)
 }
 
-// serveFramed serves one negotiated v2 connection until the peer goes away or
-// violates the protocol. On return, in-flight streams are canceled and their
+// serveFramed serves one connection after its hello until the peer goes away
+// or violates the protocol. On return, in-flight streams are canceled and their
 // handlers drained (on server shutdown they are instead allowed to finish, so
 // responses in flight are written before the connection drops).
 func (s *Server) serveFramed(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, frameTuples int) {
@@ -65,17 +65,9 @@ func (s *Server) serveFramed(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, 
 		fc.wg.Wait()
 	}()
 	for {
-		// The idle timeout only guards a connection with nothing in flight;
-		// while streams are active the read loop must stay blocked on the
-		// socket indefinitely so cancel frames remain deliverable.
 		fc.mu.Lock()
-		idle := fc.active == 0
+		fc.armIdleLocked()
 		fc.mu.Unlock()
-		if s.opts.IdleTimeout > 0 && idle {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		} else {
-			conn.SetReadDeadline(time.Time{})
-		}
 		f, err := readFrame(dec)
 		if err != nil {
 			s.mu.Lock()
@@ -109,6 +101,26 @@ func (s *Server) serveFramed(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, 
 			return
 		}
 	}
+}
+
+// armIdleLocked sets the read deadline for the connection's current state.
+// The idle timeout only guards a connection with nothing in flight; while
+// streams are active the read loop must stay blocked on the socket
+// indefinitely so cancel frames remain deliverable. The loop is blocked in
+// readFrame when the last stream finishes, so its handler starts the idle
+// clock; both hold fc.mu, so their deadline writes cannot interleave. Shutdown
+// unblocks the read loop with an immediate deadline set under s.mu, which is
+// never overwritten here.
+func (fc *framedConn) armIdleLocked() {
+	var deadline time.Time
+	if fc.s.opts.IdleTimeout > 0 && fc.active == 0 {
+		deadline = time.Now().Add(fc.s.opts.IdleTimeout)
+	}
+	fc.s.mu.Lock()
+	if !fc.s.closed {
+		fc.conn.SetReadDeadline(deadline)
+	}
+	fc.s.mu.Unlock()
 }
 
 // write sends one frame on the shared encoder under the write timeout. A
@@ -167,13 +179,16 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 			delete(fc.cancels, id)
 		}
 		fc.active--
+		if fc.active == 0 && s.opts.IdleTimeout > 0 {
+			fc.armIdleLocked()
+		}
 		fc.mu.Unlock()
 	}()
 
 	// Adopt the trace ID the request carried so every span recorded under ctx
 	// — the server span here and the engine's plan-cache/optimize/execute
 	// spans below — stitches into the client's distributed trace. A zero ID
-	// (untraced request, v1-era client) leaves the context unchanged.
+	// (untraced request) leaves the context unchanged.
 	ctx = obs.WithTraceID(ctx, req.Trace)
 	sctx, sp := s.opts.Tracer.Start(ctx, "server.stream")
 	sp.Set("op", req.Op)
@@ -192,7 +207,8 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 	}
 	release := func() { <-fc.sem }
 
-	// Admission control shares the server-wide semaphore with the v1 path.
+	// Admission control: the server-wide semaphore bounds executing requests
+	// across all connections.
 	if s.inflight != nil {
 		select {
 		case s.inflight <- struct{}{}:
@@ -206,9 +222,8 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 		}
 	}
 
-	// A drop fault is a wire-level failure: the whole connection dies, as it
-	// would on the v1 path.
-	keep, delay := s.rollFault2()
+	// A drop fault is a wire-level failure: the whole connection dies.
+	keep, delay := s.rollFault()
 	if !keep {
 		release()
 		fc.conn.Close()
@@ -349,8 +364,7 @@ func (k *streamKiller) afterWrite() (killed bool) {
 // context, honoring an injected fault delay as slow server work. Work still
 // running at the deadline or at cancellation is abandoned — it completes in
 // the background and releases its execution/admission slots then, so
-// abandoned work keeps counting against the limits while it burns CPU (same
-// semantics as the v1 dispatch path).
+// abandoned work keeps counting against the limits while it burns CPU.
 func (s *Server) runBounded(ctx context.Context, req *wireRequest, delay time.Duration, release func()) (wireResponse, bool) {
 	ch := make(chan wireResponse, 1)
 	go func() {

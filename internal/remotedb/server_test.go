@@ -17,51 +17,10 @@ func startTestServer(t *testing.T) (addr string, e *Engine, cleanup func()) {
 	return addr, e, func() { srv.Close() }
 }
 
-func TestTCPRoundTrip(t *testing.T) {
-	addr, _, cleanup := startTestServer(t)
-	defer cleanup()
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	res, err := c.Exec("SELECT name FROM emp WHERE dept = 10 ORDER BY name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rel.Len() != 2 || res.Rel.Tuple(0)[0].AsString() != "alice" {
-		t.Fatalf("tcp result wrong: %v", res.Rel)
-	}
-	if res.SimMS <= 0 {
-		t.Fatal("sim cost not charged")
-	}
-
-	sch, err := c.RelationSchema("emp", 4)
-	if err != nil || sch.ColIndex("salary") != 3 {
-		t.Fatalf("schema over tcp wrong: %v %v", sch, err)
-	}
-	st, err := c.TableStats("dept")
-	if err != nil || st.Rows != 3 {
-		t.Fatalf("stats over tcp wrong: %+v %v", st, err)
-	}
-	tables, err := c.Tables()
-	if err != nil || len(tables) != 2 {
-		t.Fatalf("tables over tcp wrong: %v %v", tables, err)
-	}
-	if got := c.Stats(); got.Requests != 1 || got.TuplesReturned != 2 {
-		t.Fatalf("client stats wrong: %+v", got)
-	}
-}
-
 func TestTCPErrorPropagation(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialTestPool(t, addr, PoolOptions{Size: 1})
 	if _, err := c.Exec("SELECT * FROM missing"); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("expected remote error, got %v", err)
 	}
@@ -83,7 +42,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := DialTCP(addr, DefaultCosts())
+			c, err := DialPool(addr, PoolOptions{Size: 1, Costs: DefaultCosts()})
 			if err != nil {
 				errs <- err
 				return
@@ -111,10 +70,11 @@ func TestTCPConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestTCPClientClosed(t *testing.T) {
+func TestTCPClosedClient(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
-	c, err := DialTCP(addr, DefaultCosts())
+	// Redial on: Close must win over it.
+	c, err := DialPool(addr, PoolOptions{Size: 1, Costs: DefaultCosts(), Redial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +82,7 @@ func TestTCPClientClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.Exec("SELECT * FROM dept"); err == nil {
-		t.Error("exec on closed client should error")
+		t.Error("exec on closed client should error, not redial")
 	}
 	if err := c.Close(); err != nil {
 		t.Error("double close should be fine")
@@ -131,11 +91,7 @@ func TestTCPClientClosed(t *testing.T) {
 
 func TestServerCloseUnblocksClients(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialTestPool(t, addr, PoolOptions{Size: 1})
 	cleanup()
 	if _, err := c.Exec("SELECT * FROM dept"); err == nil {
 		t.Error("exec against closed server should error")

@@ -43,7 +43,7 @@ type TupleStream interface {
 }
 
 // StreamClient is implemented by clients that can deliver exec results
-// incrementally (PoolClient over wire v2). ExecStream returns once the result
+// incrementally (PoolClient). ExecStream returns once the result
 // header arrives; tuples then stream in frames.
 type StreamClient interface {
 	Client
@@ -51,8 +51,8 @@ type StreamClient interface {
 }
 
 // ResumableClient is implemented by stream clients that can re-issue a
-// streamed exec carrying a resume token (PoolClient over wire v2; FaultClient
-// passes through). Skip is the number of result tuples the caller already
+// streamed exec carrying a resume token (PoolClient; FaultClient passes
+// through). Skip is the number of result tuples the caller already
 // delivered to its consumer: the server skips them when the pinned snapshot
 // survives, and otherwise serves a fresh stream whose header reports
 // Resumed=false so the caller skips them itself.
@@ -96,7 +96,7 @@ func ExecStreamContext(ctx context.Context, c Client, sql string) (TupleStream, 
 }
 
 // materializedStream adapts a fully materialized Result to the TupleStream
-// surface (the v1 / in-process fallback).
+// surface (the in-process fallback).
 type materializedStream struct {
 	res    *Result
 	it     relation.Iterator

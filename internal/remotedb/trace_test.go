@@ -86,37 +86,6 @@ func TestWireTracePropagationV2(t *testing.T) {
 	}
 }
 
-// TestWireTraceV1Graceful: a v1 peer has no Trace field on the wire; the
-// traced client still works against it and the server simply records nothing
-// in the client's trace.
-func TestWireTraceV1Graceful(t *testing.T) {
-	e := newTestEngine(t)
-	serverTr := obs.NewTracer(1, 64)
-	srv := NewServerWithOptions(e, ServerOptions{MaxProto: 1, Tracer: serverTr})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	p := dialTestPool(t, addr, PoolOptions{})
-	if p.Proto() != protoV1 {
-		t.Fatalf("negotiated proto = %d, want v1", p.Proto())
-	}
-
-	clientTr := obs.NewTracer(1, 16)
-	ctx, root := clientTr.Start(context.Background(), "client.query")
-	res, err := p.ExecCtx(ctx, "SELECT * FROM dept")
-	if err != nil || res.Rel.Len() != 3 {
-		t.Fatalf("traced exec against v1 server: %v %v", res, err)
-	}
-	root.End()
-	for _, s := range serverTr.Spans() {
-		if s.TraceID == root.TraceID {
-			t.Fatalf("v1 server unexpectedly joined client trace: %+v", s)
-		}
-	}
-}
-
 // TestStreamResumeKeepsTraceID: a resumed stream re-issues the request under
 // the ORIGINAL trace ID, so the kill-and-resume pair shows up as two
 // server.stream spans in one trace rather than a fresh unexplained stream.

@@ -107,31 +107,25 @@ func fromWireRelation(w *wireRelation) (*relation.Relation, error) {
 
 // wireRequest is one protocol request. Op selects the action.
 //
-// Op "hello" is the protocol negotiation handshake introduced with wire v2:
-// a v2 client opens every connection with hello carrying its highest
-// supported version in Proto; a v2 server answers with the version it
-// accepts for this connection (wireResponse.Proto) and, when that is >= 2,
-// both sides switch the connection to framed mode (frame.go). A v1 server
-// answers hello with its usual "unknown op" semantic error, which a v2
-// client treats as a successful negotiation of v1 — so new clients
-// interoperate with old servers, and old clients (which never send hello)
-// keep speaking v1 to new servers.
-// Op "ping" is a liveness probe: the server answers with an empty success
-// response (v1) or an empty frameEnd (v2) without touching the engine. A v1
-// or pre-ping server answers with its "unknown op" semantic error — which is
-// still a response, so probes treat ANY reply as proof of liveness and only
-// transport/protocol failures as death.
+// Op "hello" opens every connection: the client sends its protocol version in
+// Proto and its preferred frame size in FrameTuples as a bare wireRequest, the
+// server answers with one bare wireResponse carrying its version, and from
+// then on the connection carries frames in both directions (frame.go). Any
+// other opener, or a version below protoV2, is answered with one error
+// response and a close.
+// Op "ping" is a liveness probe: the server answers with an empty frameEnd
+// without touching the engine.
 type wireRequest struct {
 	Op   string // "exec", "schema", "stats", "tables", "hello", "ping"
 	SQL  string
 	Name string
-	// Proto is the client's highest supported protocol version (hello only).
+	// Proto is the client's protocol version (hello only).
 	Proto int
 	// FrameTuples is the client's preferred response frame size in tuples
 	// (hello only; 0 lets the server choose). The server clamps it.
 	FrameTuples int
 	// Resume is the encoded resume token of a re-issued streamed request
-	// ("exec" over v2 only): the client saw the original stream die after
+	// ("exec" only): the client saw the original stream die after
 	// delivering Skip tuples and asks the server to serve the remainder of
 	// the same snapshot. A server that cannot honor it (snapshot gone, bad
 	// token) serves a fresh stream and clears the header's Resumed flag.
@@ -141,19 +135,13 @@ type wireRequest struct {
 	Skip int64
 	// Trace is the client's trace ID for this request (0: untraced). The
 	// server adopts it for the spans its execution records, stitching client
-	// and server into one distributed trace. Gob ignores fields the peer
-	// doesn't know, so v1/older binaries interoperate unchanged.
+	// and server into one distributed trace.
 	Trace uint64
 }
 
-// Protocol versions.
-const (
-	protoV1 = 1 // monolithic request/response, one outstanding request per conn
-	protoV2 = 2 // framed: streamed tuple batches, request-ID multiplexing
-
-	// protoMax is the highest version this build speaks.
-	protoMax = protoV2
-)
+// protoV2 is the one protocol version this build speaks: framed, with
+// streamed tuple batches and request-ID multiplexing.
+const protoV2 = 2
 
 // Wire error codes: Err carries the human-readable message, Code the machine
 // classification, so clients can distinguish overload shedding, server
@@ -163,10 +151,11 @@ const (
 	wireCodeNone       = 0 // no error, or a semantic error (Err set)
 	wireCodeOverloaded = 1 // request shed by the server's admission limit
 	wireCodeDeadline   = 2 // request abandoned at the server's deadline
-	wireCodeCanceled   = 3 // stream stopped by a client cancel frame (v2)
+	wireCodeCanceled   = 3 // stream stopped by a client cancel frame
 )
 
-// wireResponse is one protocol response.
+// wireResponse is the answer to hello on the wire, and the in-process result
+// of Server.handle that the framed path ships as header/batch/end frames.
 type wireResponse struct {
 	Err    string
 	Code   int // wireCode* classification of Err
@@ -175,14 +164,8 @@ type wireResponse struct {
 	Attrs  []wireAttr
 	Stats  TableStats
 	Tables []string
-	// Proto is the server's accepted protocol version (hello response only).
+	// Proto is the server's protocol version (hello response only).
 	Proto int
-	// Epoch is the server's catalog generation when the response was built.
-	// Like wireRequest.Trace, it is a gob-level extension: pre-epoch peers
-	// decode responses carrying it by ignoring the unknown field, and gob
-	// omits the zero value entirely, so old servers cost new clients nothing.
-	// The CMS uses it to detect that cached views predate the backend state.
-	Epoch uint64
 }
 
 // toWireTuples converts a slice of tuples to wire rows (one response frame's
