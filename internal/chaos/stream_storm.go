@@ -112,13 +112,13 @@ type StormResult struct {
 	Errors []string
 	// Parallel-leg books: attempted = completed + failed; ParMismatched
 	// counts completed streams whose sorted delivery differed from the
-	// fault-free one; ParEngineStreams is the server engine's own count of
+	// fault-free one; ParEngineRuns is the server engine's own count of
 	// executions that actually ran on the morsel worker pool.
-	ParStreams       int64
-	ParCompleted     int64
-	ParFailed        int64
-	ParMismatched    int64
-	ParEngineStreams int64
+	ParStreams    int64
+	ParCompleted  int64
+	ParFailed     int64
+	ParMismatched int64
+	ParEngineRuns int64
 }
 
 // stormStatements returns the raw-leg statement set with its expected
@@ -421,7 +421,7 @@ func runParallelStormLeg(cfg StormConfig, res *StormResult) error {
 	}
 	want := make(map[string]string, len(stmts))
 	for _, s := range stmts {
-		sc, ok := pe.ExecuteSQLPipeline(s)
+		sc, ok := pe.ExecuteSQLPipelineCtx(context.Background(), s)
 		if !ok {
 			return fmt.Errorf("parallel storm statement %q not streamable", s)
 		}
@@ -429,9 +429,7 @@ func runParallelStormLeg(cfg StormConfig, res *StormResult) error {
 		for tup, ok := sc.Next(); ok; tup, ok = sc.Next() {
 			lines = append(lines, tupleLine(tup))
 		}
-		if c, okc := sc.(interface{ Close() error }); okc {
-			c.Close()
-		}
+		sc.Close()
 		want[s] = sortedDelivery(lines)
 	}
 	if pe.ParallelStats().Streams == 0 {
@@ -503,7 +501,7 @@ func runParallelStormLeg(cfg StormConfig, res *StormResult) error {
 			res.ParCompleted++
 		}
 	}
-	res.ParEngineStreams = pe.ParallelStats().Streams
+	res.ParEngineRuns = pe.ParallelStats().Streams
 
 	if res.ParStreams != res.ParCompleted+res.ParFailed {
 		return fmt.Errorf("parallel leg books do not balance: %d != %d + %d",

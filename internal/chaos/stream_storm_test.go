@@ -62,12 +62,12 @@ func TestStreamKillStorm(t *testing.T) {
 	// The parallel leg must have exercised the worker pool for real: the
 	// engine's own counter says how many executions ran on it (warmup plus
 	// every wire stream that got far enough to open a plan).
-	if res.ParEngineStreams == 0 {
+	if res.ParEngineRuns == 0 {
 		t.Fatalf("parallel leg never ran on the morsel worker pool: %+v", res)
 	}
 	t.Logf("storm: %d streams, %d client resumes, %d server kills in %v; parallel leg %d streams (%d completed, %d killed, %d pool executions)",
 		res.Streams, res.Resumes, res.ServerKills, res.Elapsed,
-		res.ParStreams, res.ParCompleted, res.ParFailed, res.ParEngineStreams)
+		res.ParStreams, res.ParCompleted, res.ParFailed, res.ParEngineRuns)
 	stormLeakCheck(t, before)
 }
 

@@ -14,13 +14,13 @@ import (
 // joins and aggregates over the framed (wire v2) stream transport.
 //
 // Part A — first-tuple latency by query shape. A client streams three
-// query shapes over TCP: a single-table scan (the resumable ScanStream
-// baseline), a two-table join, and a grouped aggregate. With the optimizer
-// on, the join runs as a pipelined hash join (build the small side, probe
-// the streaming large side), so the first joined tuple ships after one
-// frame of probe work; with the optimizer off the server deliberately falls
-// back to the materializing executor and the first tuple waits for the
-// whole result. The grouped aggregate is pipeline-breaking either way (the
+// query shapes over TCP: a single-table scan (the resumable serial
+// PlanStream baseline), a two-table join, and a grouped aggregate. With the
+// optimizer on, the join runs as a pipelined hash join (build the small
+// side, probe the streaming large side), so the first joined tuple ships
+// after one frame of probe work; with the optimizer off the server
+// deliberately falls back to the materializing executor and the first tuple
+// waits for the whole result. The grouped aggregate is pipeline-breaking either way (the
 // hash table must see all input), so it bounds what streaming can buy.
 //
 // Part B — optimizer effect on server work. The same join with LIMIT 10
@@ -233,9 +233,9 @@ func RunE16(orderRows, custRows, iters int) (*E16Data, error) {
 	}
 	defer p.Close()
 
-	// Part A: each shape under both optimizer settings. The scan arm does
-	// not depend on the optimizer (the resumable ScanStream path serves it
-	// either way); it is measured under both settings anyway as a control.
+	// Part A: each shape under both optimizer settings. With the optimizer
+	// off every shape — the scan included — runs on the naive materializing
+	// executor, so each "off" arm's first tuple waits for its whole result.
 	type arm struct {
 		shape string
 		sql   string

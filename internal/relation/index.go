@@ -6,8 +6,11 @@ package relation
 // DBMS engine uses them for selections and join probes.
 type Index struct {
 	cols    []int
-	buckets map[uint64][]int // tuple positions in the indexed relation, by Hash64On
-	rel     *Relation
+	buckets map[uint64][]int // positions in tuples, by Hash64On
+	// tuples is the extension captured at build time. Holding the slice, not
+	// the *Relation, is what makes the index a snapshot: Lookup never reads
+	// the live relation, so it is safe beside a concurrent append.
+	tuples []Tuple
 }
 
 // BuildIndex constructs a hash index on the given columns of r. The index is
@@ -18,9 +21,9 @@ func BuildIndex(r *Relation, cols []int) *Index {
 	ix := &Index{
 		cols:    append([]int(nil), cols...),
 		buckets: make(map[uint64][]int, r.Len()),
-		rel:     r,
+		tuples:  r.Tuples(),
 	}
-	for i, t := range r.Tuples() {
+	for i, t := range ix.tuples {
 		h := t.Hash64On(ix.cols)
 		ix.buckets[h] = append(ix.buckets[h], i)
 	}
@@ -54,7 +57,7 @@ func (ix *Index) Lookup(vals []Value) []Tuple {
 	all := identity(len(vals))
 	out := make([]Tuple, 0, len(positions))
 	for _, p := range positions {
-		t := ix.rel.Tuple(p)
+		t := ix.tuples[p]
 		if equalOn(t, ix.cols, probe, all) {
 			out = append(out, t)
 		}

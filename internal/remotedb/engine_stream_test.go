@@ -1,6 +1,7 @@
 package remotedb
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -110,4 +111,67 @@ func TestScanStreamLimit(t *testing.T) {
 	if sc.Ops() >= 200 {
 		t.Fatalf("limit scan should stop early, did %d ops", sc.Ops())
 	}
+}
+
+// TestIndexLookupBesideInsert: a plan's iterator tree opens on the first
+// pull, outside the engine lock, so an index access path bound under the lock
+// is looked up while Inserts append to the live table. The index must be a
+// snapshot of the extension it was built over — under -race this fails if
+// Lookup touches the live relation — and the point query answers from a state
+// the table actually had, both materialized and over the wire. The writer is
+// never paced: every mutation moves the epoch, and an open builds and binds
+// its plan under one hold of the read lock, so no SELECT may fail or fall back
+// however fast the epoch moves.
+func TestIndexLookupBesideInsert(t *testing.T) {
+	e := newScanEngine(t)
+	if err := e.CreateIndex("t", []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(e)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := dialTestPool(t, addr, PoolOptions{})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 200; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			row := relation.Tuple{relation.Int(int64(i)), relation.Int(0), relation.Str("w")}
+			if err := e.Insert("t", []relation.Tuple{row}); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := e.CreateIndex("t", []int{0}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	const sql = "SELECT tag FROM t WHERE id = 7"
+	for i := 0; i < 300; i++ {
+		rel, _, err := e.ExecuteSQL(sql)
+		if err != nil || rel.Len() != 1 || rel.Tuple(0)[0].AsString() != "b" {
+			t.Fatalf("materialized point query: %v, %v", rel, err)
+		}
+		res, err := p.Exec(sql)
+		if err != nil || res.Rel.Len() != 1 || res.Rel.Tuple(0)[0].AsString() != "b" {
+			t.Fatalf("wire point query: %v, %v", res, err)
+		}
+		res, err = p.Exec("SELECT tag FROM t LIMIT 1")
+		if err != nil || res.Rel.Len() != 1 || res.Rel.Tuple(0)[0].AsString() != "a" {
+			t.Fatalf("wire scan: %v, %v", res, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

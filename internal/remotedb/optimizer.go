@@ -58,11 +58,10 @@ type colKey struct {
 	col   int
 }
 
-// buildPlan compiles sel against the current catalog. It acquires the engine
-// read lock itself (plans are built rarely; executions hit the cache).
+// buildPlan compiles sel against the current catalog. The caller holds e.mu
+// (planFor), so the epoch stamped on the plan is the epoch of everything the
+// plan was resolved and costed against.
 func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	epoch := e.epoch.Load()
 
 	scope, err := e.analyzeSelect(sel)
@@ -510,8 +509,22 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		// Parallel eligibility is a pure shape property, so it is decided
 		// here, once per plan; the per-execution DOP decision stays at open
 		// time where the engine's settings are known.
-		par: findParSection(cur, scanExamine),
+		par:       findParSection(cur, scanExamine),
+		resumable: resumableScan(cur),
 	}, nil
+}
+
+// resumableScan returns the scan of a [limit] → [project] → scan plan, or nil
+// for any other shape (Plan.resumable).
+func resumableScan(n planNode) *scanNode {
+	if l, ok := n.(*limitNode); ok {
+		n = l.child
+	}
+	if p, ok := n.(*projectNode); ok {
+		n = p.child
+	}
+	sn, _ := n.(*scanNode)
+	return sn
 }
 
 // accessFor picks the access path for one alias: the most selective covering

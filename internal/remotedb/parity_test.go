@@ -1,6 +1,7 @@
 package remotedb
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -141,12 +142,20 @@ func runParity(t *testing.T, indexed bool) {
 			}
 			check("planned", got)
 
-			// The streamed path must agree too when it accepts the statement.
-			if st, ok := e.ExecuteSQLPipeline(tc.sql); ok {
-				streamed := relation.Drain(st.Name(), st.Schema(), st)
-				check("streamed", streamed)
-			} else {
+			// The streamed path must agree too, and carry a resume token on
+			// exactly the single-table non-aggregate statements.
+			st, ok := e.ExecuteSQLPipelineCtx(context.Background(), tc.sql)
+			if !ok {
 				t.Fatalf("pipeline declined %q with optimizer on", tc.sql)
+			}
+			check("streamed", relation.Drain(st.Name(), st.Schema(), st))
+			sel := mustParseSelect(t, tc.sql)
+			resumable := len(sel.From) == 1 && !sel.Distinct && len(sel.GroupBy) == 0 && len(sel.OrderBy) == 0
+			for _, it := range sel.Items {
+				resumable = resumable && !it.IsAgg
+			}
+			if got := st.ResumeToken().Table != ""; got != resumable {
+				t.Fatalf("streamed: resume token present = %v, want %v", got, resumable)
 			}
 
 			// EXPLAIN must render without error for every corpus statement.
@@ -159,6 +168,15 @@ func runParity(t *testing.T, indexed bool) {
 			}
 		})
 	}
+}
+
+func mustParseSelect(t *testing.T, sql string) *SelectStmt {
+	t.Helper()
+	st, err := ParseSQL(sql)
+	if err != nil || st.Select == nil {
+		t.Fatalf("%q: not a SELECT (%v)", sql, err)
+	}
+	return st.Select
 }
 
 func TestParityCorpus(t *testing.T)        { runParity(t, false) }
@@ -216,17 +234,15 @@ func TestParityCorpusParallel(t *testing.T) {
 
 					// The streamed path: plan streams must drain clean (nil
 					// Err) and agree; Close joins any worker pool.
-					st, ok := e.ExecuteSQLPipeline(tc.sql)
+					st, ok := e.ExecuteSQLPipelineCtx(context.Background(), tc.sql)
 					if !ok {
 						t.Fatalf("pipeline declined %q with optimizer on", tc.sql)
 					}
 					streamed := relation.Drain(st.Name(), st.Schema(), st)
-					if ps, ok := st.(*PlanStream); ok {
-						if err := ps.Err(); err != nil {
-							t.Fatalf("streamed: %v", err)
-						}
-						ps.Close()
+					if err := st.Err(); err != nil {
+						t.Fatalf("streamed: %v", err)
 					}
+					st.Close()
 					check("parallel streamed", streamed)
 				})
 			}
@@ -377,9 +393,28 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
+// The cache key is a 64-bit hash of client-supplied text: a second statement
+// that collides with a cached one must miss, not be served the other's plan.
+func TestPlanCacheKeyCollision(t *testing.T) {
+	c := newPlanCache(4)
+	const key = 42
+	a, b := &Plan{epoch: 1}, &Plan{epoch: 1}
+	c.put(key, "SELECT a FROM t", a)
+	if got := c.get(key, "SELECT a FROM t", 1); got != a {
+		t.Fatalf("same text, same key: got %p, want the cached plan", got)
+	}
+	if got := c.get(key, "SELECT b FROM t", 1); got != nil {
+		t.Fatal("different text under the same key was served the cached plan")
+	}
+	c.put(key, "SELECT b FROM t", b) // the miss's put replaces the entry
+	if c.get(key, "SELECT b FROM t", 1) != b || c.get(key, "SELECT a FROM t", 1) != nil || c.size() != 1 {
+		t.Fatal("colliding put did not replace the entry")
+	}
+}
+
 // Optimizer-off parity for ops accounting: the planner's single-table op
 // counts match the naive executor's conventions exactly (the streaming suite
-// already pins ScanStream to Execute; this pins planned to naive).
+// already pins streamed to Execute; this pins planned to naive).
 func TestPlannedOpsMatchNaiveSingleTable(t *testing.T) {
 	e := newParityEngine(t, false)
 	for _, sql := range []string{

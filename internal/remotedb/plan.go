@@ -22,7 +22,6 @@ import (
 type Plan struct {
 	root   planNode
 	schema *relation.Schema
-	key    uint64 // StatementHash of the canonical statement text (cache key)
 	epoch  uint64 // catalog epoch the plan was built against
 
 	estRows float64 // estimated result cardinality
@@ -38,6 +37,13 @@ type Plan struct {
 	// whether a given execution actually runs parallel is decided at open
 	// time from the engine's Parallelism and ParallelMinRows settings.
 	par *parSection
+
+	// resumable is the plan's only scan when its shape is [limit] → [project]
+	// → scan: one FROM table, no DISTINCT / ORDER BY / aggregate. Run serially,
+	// such a plan emits in base order, a deterministic function of the bound
+	// snapshot, so its streamed executions carry a resume token (resume.go).
+	// Nil for every other shape.
+	resumable *scanNode
 }
 
 // EstRows is the optimizer's estimate of the result cardinality.
@@ -71,10 +77,6 @@ func explainNode(n planNode, depth int, out *[]string) {
 	}
 }
 
-// errPlanStale reports that a plan's catalog epoch no longer matches the
-// engine; the caller drops the cache entry and replans.
-var errPlanStale = errors.New("remotedb: plan stale")
-
 // errNotSelect reports that PlanForSQL was handed a non-SELECT statement.
 var errNotSelect = errors.New("remotedb: not a SELECT statement")
 
@@ -94,8 +96,8 @@ type planNode interface {
 // scanNode reads one base table: a full snapshot scan or an index equality
 // lookup, with every pushed-down per-alias predicate applied in the same
 // pass. The node stores names, not snapshots: the extension and the index
-// are re-bound to the live catalog each run, so cached plans survive
-// appends (via replanning: the epoch check fails) and never dangle.
+// are bound to the live catalog each run, and a mutation moves the epoch
+// past every cached plan (the next open replans), so plans never dangle.
 type scanNode struct {
 	table, alias string
 	sch          *relation.Schema
@@ -293,7 +295,7 @@ func (e *Engine) explainAnalyzeSelect(ctx context.Context, sel *SelectStmt) (*re
 		}
 		return planLinesRelation(lines), ops, nil
 	}
-	ps, err := e.openPlan(ctx, sel, true)
+	ps, err := e.openPlan(ctx, sel, true, false)
 	if err != nil {
 		return nil, 0, err
 	}

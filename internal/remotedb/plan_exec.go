@@ -97,12 +97,15 @@ func (run *planRun) openNode(n planNode) relation.Iterator {
 	})
 }
 
-// open binds the plan to the live catalog. With analyze set, the run records
-// per-node actuals. It fails with errPlanStale when the catalog epoch moved
-// past the plan (the caller drops the cache entry and replans). When the plan
+// open binds the plan to the catalog it was compiled against: the caller
+// holds e.mu and has just fetched or built p at the current epoch (openPlan),
+// so every table the plan names exists and no mutation can fall between the
+// plan and the snapshots bound here. With analyze set, the run records
+// per-node actuals. A streamed open of a resumable plan is always serial and
+// mints the resume token for the snapshot it bound; otherwise, when the plan
 // has a parallel section and the open-time DOP decision picks parallelism,
-// the stream carries a parExec; otherwise it runs the ordinary serial tree.
-func (p *Plan) open(ctx context.Context, e *Engine, analyze bool) (*PlanStream, error) {
+// the stream carries a parExec.
+func (p *Plan) open(ctx context.Context, e *Engine, analyze, streamed bool) *PlanStream {
 	run := &planRun{
 		scans:  make(map[*scanNode]scanBinding),
 		morsel: e.MorselSize(),
@@ -111,16 +114,15 @@ func (p *Plan) open(ctx context.Context, e *Engine, analyze bool) (*PlanStream, 
 	if analyze {
 		run.analyze = make(map[planNode]*nodeActual)
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.epoch.Load() != p.epoch {
-		return nil, errPlanStale
-	}
-	if err := bindScans(p.root, e, run); err != nil {
-		return nil, err
-	}
+	bindScans(p.root, e, run)
 	ps := &PlanStream{plan: p, run: run}
-	if p.par != nil {
+	if sn := p.resumable; sn != nil && streamed {
+		ps.token = ResumeToken{
+			Table:   sn.table,
+			Version: e.versions[sn.table],
+			SnapLen: int64(len(run.scans[sn].rows)),
+		}
+	} else if p.par != nil {
 		if dop := e.planDOP(p); dop > 1 {
 			if ctx == nil {
 				ctx = context.Background()
@@ -135,16 +137,12 @@ func (p *Plan) open(ctx context.Context, e *Engine, analyze bool) (*PlanStream, 
 			e.parFallbacks.Add(1)
 		}
 	}
-	return ps, nil
+	return ps
 }
 
-func bindScans(n planNode, e *Engine, run *planRun) error {
+func bindScans(n planNode, e *Engine, run *planRun) {
 	if sn, ok := n.(*scanNode); ok {
-		t, ok := e.tables[sn.table]
-		if !ok {
-			return errPlanStale
-		}
-		b := scanBinding{rows: t.Tuples()}
+		b := scanBinding{rows: e.tables[sn.table].Tuples()}
 		if len(sn.idxCols) > 0 {
 			for _, ix := range e.indexes[sn.table] {
 				if sameCols(ix.Cols(), sn.idxCols) {
@@ -154,14 +152,11 @@ func bindScans(n planNode, e *Engine, run *planRun) error {
 			}
 		}
 		run.scans[sn] = b
-		return nil
+		return
 	}
 	for _, c := range n.children() {
-		if err := bindScans(c, e, run); err != nil {
-			return err
-		}
+		bindScans(c, e, run)
 	}
-	return nil
 }
 
 func sameCols(a, b []int) bool {
@@ -234,6 +229,20 @@ func (n *projectNode) open(run *planRun) relation.Iterator {
 	if n.counted {
 		in = run.counted(in)
 	}
+	return n.project(in)
+}
+
+// project applies the projection to in. The identity over the child's arity
+// (SELECT * over one table) ships the child's tuples as they are: the op is
+// still charged by the caller, only the per-tuple copy is skipped.
+func (n *projectNode) project(in relation.Iterator) relation.Iterator {
+	identity := len(n.cols) == n.child.Schema().Arity()
+	for i, c := range n.cols {
+		identity = identity && c == i
+	}
+	if identity {
+		return in
+	}
 	return relation.Project(in, n.cols)
 }
 
@@ -296,8 +305,8 @@ func (n *limitNode) openOn(in relation.Iterator) relation.Iterator {
 
 // PlanStream executes a bound plan as a pull stream: Next drives the
 // iterator tree directly, so a consumer sees the first tuple as soon as the
-// plan's blocking prefix allows — no full materialization. It implements
-// EngineStream alongside ScanStream.
+// plan's blocking prefix allows — no full materialization. It is single
+// consumer and must not be shared between goroutines.
 type PlanStream struct {
 	plan   *Plan
 	run    *planRun
@@ -306,6 +315,15 @@ type PlanStream struct {
 	// par, when non-nil, executes the plan's parallel section on a morsel
 	// worker pool (plan_parallel.go); nil means the ordinary serial tree.
 	par *parExec
+	// token pins the bound snapshot of a streamed resumable plan for
+	// mid-stream resume (resume.go); zero otherwise.
+	token ResumeToken
+	// skip is how many tuples a resumed stream pulls from the root and drops
+	// before emitting (the prefix a broken connection already delivered).
+	// Dropping above the root makes them count against LIMIT and ops exactly
+	// as if they had been emitted, so a resumed delivery is the tail of the
+	// uninterrupted one.
+	skip int64
 }
 
 // Schema returns the result schema.
@@ -329,6 +347,11 @@ func (s *PlanStream) Plan() *Plan { return s.plan }
 // Cached reports whether the plan was served from the plan cache.
 func (s *PlanStream) Cached() bool { return s.cached }
 
+// ResumeToken identifies the snapshot a resumable stream reads, for the
+// header frame. The zero token (empty Table) means the stream is not
+// resumable: any shape but a serial single-table pipeline.
+func (s *PlanStream) ResumeToken() ResumeToken { return s.token }
+
 // Next returns the next result tuple. The iterator tree is built on the
 // first call; hash-join builds and sorts run then.
 func (s *PlanStream) Next() (relation.Tuple, bool) {
@@ -337,6 +360,11 @@ func (s *PlanStream) Next() (relation.Tuple, bool) {
 	}
 	if s.it == nil {
 		s.it = s.run.openNode(s.plan.root)
+		for ; s.skip > 0; s.skip-- {
+			if _, ok := s.it.Next(); !ok {
+				break
+			}
+		}
 	}
 	return s.it.Next()
 }
@@ -377,9 +405,18 @@ func (s *PlanStream) Close() error {
 // miss. Stale-epoch entries count as misses. hit reports a cache hit (the
 // slow-query log and EXPLAIN ANALYZE header surface it).
 func (e *Engine) planFor(ctx context.Context, sel *SelectStmt) (p *Plan, hit bool, err error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.planForLocked(ctx, sel)
+}
+
+// planForLocked is planFor for a caller that holds e.mu: the epoch cannot
+// move, so the plan it returns is current until the caller lets go.
+func (e *Engine) planForLocked(ctx context.Context, sel *SelectStmt) (p *Plan, hit bool, err error) {
 	_, probe := e.tracer.Load().Start(ctx, "engine.plancache")
-	key := StatementHash(sel.String())
-	if p := e.plans.get(key, e.epoch.Load()); p != nil {
+	text := sel.String()
+	key := StatementHash(text)
+	if p := e.plans.get(key, text, e.epoch.Load()); p != nil {
 		e.planHits.Add(1)
 		probe.Set("hit", "true")
 		probe.End()
@@ -394,8 +431,7 @@ func (e *Engine) planFor(ctx context.Context, sel *SelectStmt) (p *Plan, hit boo
 	if err != nil {
 		return nil, false, err
 	}
-	p.key = key
-	e.plans.put(key, p)
+	e.plans.put(key, text, p)
 	return p, false, nil
 }
 
@@ -415,33 +451,29 @@ func (e *Engine) PlanForSQL(src string) (*Plan, error) {
 	return p, err
 }
 
-// openPlan fetches-or-builds the plan for sel and binds it to the live
-// catalog, replanning when a concurrent mutation raced the bind. With
-// analyze set the returned stream records per-node actuals.
-func (e *Engine) openPlan(ctx context.Context, sel *SelectStmt, analyze bool) (*PlanStream, error) {
-	for attempt := 0; ; attempt++ {
-		p, hit, err := e.planFor(ctx, sel)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := p.open(ctx, e, analyze)
-		if err == errPlanStale && attempt < 4 {
-			e.plans.remove(p.key)
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		ps.cached = hit
-		return ps, nil
+// openPlan fetches-or-builds the plan for sel and binds it to the catalog
+// under one hold of the read lock, so a concurrent mutation lands before the
+// plan or after the bind, never between them: an open cannot lose a race with
+// writers however fast they come. With analyze set the returned stream
+// records per-node actuals; streamed marks an open whose consumer pulls the
+// stream itself (Plan.open).
+func (e *Engine) openPlan(ctx context.Context, sel *SelectStmt, analyze, streamed bool) (*PlanStream, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	p, hit, err := e.planForLocked(ctx, sel)
+	if err != nil {
+		return nil, err
 	}
+	ps := p.open(ctx, e, analyze, streamed)
+	ps.cached = hit
+	return ps, nil
 }
 
 // executeSelectPlanned runs a SELECT through the cost-based planner and
 // materializes the streamed result (the Execute API returns whole
 // relations; the v2 wire path streams the PlanStream directly).
 func (e *Engine) executeSelectPlanned(ctx context.Context, sel *SelectStmt) (*relation.Relation, int64, error) {
-	ps, err := e.openPlan(ctx, sel, false)
+	ps, err := e.openPlan(ctx, sel, false, false)
 	if err != nil {
 		return nil, 0, err
 	}

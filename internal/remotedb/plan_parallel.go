@@ -331,7 +331,7 @@ func (px *parExec) workerIter(ws *parWorkerStats, n planNode) relation.Iterator 
 		if t.counted {
 			in = countInto(ws, in)
 		}
-		return relation.Project(in, t.cols)
+		return t.project(in)
 	case *filterNode:
 		return relation.Select(countInto(ws, px.workerIter(ws, t.child)), t.conds)
 	case *joinNode:

@@ -114,6 +114,18 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 			if st.Workers <= base.Workers || st.Morsels <= base.Morsels {
 				t.Fatalf("workers/morsels did not advance: %+v -> %+v", base, st)
 			}
+			// Streamed, the same text runs parallel too — unless its shape is
+			// resumable: then the stream is serial and carries a token, while
+			// the materialized run above still fanned out.
+			ps, ok := e.ExecuteSQLPipelineCtx(context.Background(), sql)
+			if !ok {
+				t.Fatal("pipeline declined")
+			}
+			defer ps.Close()
+			resumable := sql == queries[0]
+			if hasToken := ps.ResumeToken().Table != ""; hasToken != resumable || (ps.DOP() == 1) != resumable {
+				t.Fatalf("streamed: token=%v dop=%d, want resumable=%v", hasToken, ps.DOP(), resumable)
+			}
 		})
 	}
 }
@@ -181,11 +193,10 @@ func TestParallelCloseAfterPartialDrainLeaksNothing(t *testing.T) {
 	forcePar(e, 4)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		sc, ok := e.ExecuteSQLPipelineCtx(context.Background(), "SELECT big.id, dim.dname FROM big, dim WHERE big.g = dim.g")
+		ps, ok := e.ExecuteSQLPipelineCtx(context.Background(), "SELECT big.id, dim.dname FROM big, dim WHERE big.g = dim.g")
 		if !ok {
 			t.Fatal("pipeline declined the join")
 		}
-		ps := sc.(*PlanStream)
 		if ps.DOP() < 2 {
 			t.Fatalf("dop = %d, want parallel", ps.DOP())
 		}
@@ -211,14 +222,13 @@ func TestParallelCancelMidStream(t *testing.T) {
 	defer e.SetMorselStall(0)
 	before := runtime.NumGoroutine()
 
-	// Single-table SELECTs stream as resumable serial ScanStreams by
-	// precedence, so the parallel exchange path needs a join shape.
+	// A streamed single-table scan is resumable and therefore serial, so the
+	// parallel exchange path needs a join shape.
 	ctx, cancel := context.WithCancel(context.Background())
-	sc, ok := e.ExecuteSQLPipelineCtx(ctx, "SELECT big.id, dim.dname FROM big, dim WHERE big.g = dim.g")
+	ps, ok := e.ExecuteSQLPipelineCtx(ctx, "SELECT big.id, dim.dname FROM big, dim WHERE big.g = dim.g")
 	if !ok {
 		t.Fatal("pipeline declined the join")
 	}
-	ps := sc.(*PlanStream)
 	if _, ok := ps.Next(); !ok {
 		t.Fatalf("no first tuple: %v", ps.Err())
 	}
@@ -242,7 +252,7 @@ func TestParallelCancelMidStream(t *testing.T) {
 		t.Fatal("pipeline declined the agg")
 	}
 	cancel2()
-	sc2.(*PlanStream).Close()
+	sc2.Close()
 	leakBracket(t, before)
 }
 
@@ -255,11 +265,10 @@ func TestParallelAggCancelYieldsErrorNotPartial(t *testing.T) {
 	defer e.SetMorselStall(0)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	sc, ok := e.ExecuteSQLPipelineCtx(ctx, "SELECT g, COUNT(*), SUM(v) FROM big GROUP BY g")
+	ps, ok := e.ExecuteSQLPipelineCtx(ctx, "SELECT g, COUNT(*), SUM(v) FROM big GROUP BY g")
 	if !ok {
 		t.Fatal("pipeline declined the agg")
 	}
-	ps := sc.(*PlanStream)
 	// Cancel while the workers are still chewing morsels: the agg boundary
 	// blocks the first pull until the pool drains, so fire the cancel from a
 	// timer racing that first pull.

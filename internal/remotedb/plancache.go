@@ -21,7 +21,11 @@ type planCache struct {
 }
 
 type planEntry struct {
-	p    *Plan
+	p *Plan
+	// text is the canonical statement the plan was compiled from. The key is
+	// a 64-bit hash of client-supplied text, so a hit must compare it: two
+	// statements that collide would otherwise be served each other's plan.
+	text string
 	used uint64
 }
 
@@ -29,13 +33,14 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, entries: make(map[uint64]*planEntry)}
 }
 
-// get returns the cached plan for key if it was built at the given epoch,
-// dropping (and missing on) any stale entry.
-func (c *planCache) get(key, epoch uint64) *Plan {
+// get returns the cached plan for text if it was built at the given epoch,
+// dropping (and missing on) any stale entry. A key collision with another
+// statement is a miss; the caller's put then replaces the entry.
+func (c *planCache) get(key uint64, text string, epoch uint64) *Plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	en := c.entries[key]
-	if en == nil {
+	if en == nil || en.text != text {
 		return nil
 	}
 	if en.p.epoch != epoch {
@@ -47,7 +52,7 @@ func (c *planCache) get(key, epoch uint64) *Plan {
 	return en.p
 }
 
-func (c *planCache) put(key uint64, p *Plan) {
+func (c *planCache) put(key uint64, text string, p *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok && len(c.entries) >= c.cap {
@@ -62,13 +67,7 @@ func (c *planCache) put(key uint64, p *Plan) {
 		delete(c.entries, lruKey)
 	}
 	c.tick++
-	c.entries[key] = &planEntry{p: p, used: c.tick}
-}
-
-func (c *planCache) remove(key uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.entries, key)
+	c.entries[key] = &planEntry{p: p, text: text, used: c.tick}
 }
 
 func (c *planCache) size() int {

@@ -274,7 +274,7 @@ func TestRecoveryInvalidatesResumeTokens(t *testing.T) {
 	e.CloseWAL()
 
 	r1, _ := openDurable(t, dir, nil)
-	if _, ok := r1.ResumeSQLStream(src, tok, 1); ok {
+	if _, ok := resumeSQLStream(r1, src, tok, 1); ok {
 		t.Fatal("pre-crash resume token accepted after first recovery")
 	}
 	tok1 := mustToken(t, r1, src)
@@ -284,13 +284,13 @@ func TestRecoveryInvalidatesResumeTokens(t *testing.T) {
 	// the original one must still be dead (versions move strictly forward).
 	r2, _ := openDurable(t, dir, nil)
 	defer r2.CloseWAL()
-	if _, ok := r2.ResumeSQLStream(src, tok, 1); ok {
+	if _, ok := resumeSQLStream(r2, src, tok, 1); ok {
 		t.Fatal("pre-crash resume token accepted after second recovery")
 	}
-	if _, ok := r2.ResumeSQLStream(src, tok1, 1); ok {
+	if _, ok := resumeSQLStream(r2, src, tok1, 1); ok {
 		t.Fatal("first recovery's token accepted after second recovery")
 	}
-	if _, ok := r2.ResumeSQLStream(src, mustToken(t, r2, src), 1); !ok {
+	if _, ok := resumeSQLStream(r2, src, mustToken(t, r2, src), 1); !ok {
 		t.Fatal("a token minted by the live engine must resume")
 	}
 }

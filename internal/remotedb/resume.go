@@ -14,21 +14,23 @@ import (
 // overlapping prefixes (duplicates). A resume token makes the re-issue safe:
 //
 //   - the server attaches a token to the header frame of every *resumable*
-//     stream (the pull-based scan path of engine_stream.go, whose emission
-//     order is a deterministic function of an append-only snapshot);
+//     stream (a serial single-table PlanStream, engine_stream.go, whose
+//     emission order is a deterministic function of an append-only snapshot);
 //   - the token pins the statement (hash), the scanned table, the table's
-//     version (bumped only when the extension is replaced wholesale), and the
-//     snapshot length (appends after the snapshot must not leak into a
-//     resumed delivery);
+//     version (bumped by every mutation: replacement, append, crash
+//     recovery), and the snapshot length;
 //   - a client that lost the connection after delivering K tuples re-issues
-//     the statement with the token and Skip=K; the server rebuilds the same
-//     scan, bounds it to the pinned snapshot, skips the first K emitted
-//     tuples, and the concatenation of the two deliveries is byte-identical
-//     to an uninterrupted run (resume_test.go proves this by property test);
-//   - when the pinned snapshot is gone (table replaced: version mismatch, or
-//     truncated below the pinned length), the server serves a fresh stream
-//     instead and says so (header Resumed=false), leaving the client to skip
+//     the statement with the token and Skip=K; the server opens the same
+//     plan, checks that it bound exactly the pinned snapshot, drops the first
+//     K tuples the plan emits, and the concatenation of the two deliveries
+//     is byte-identical to an uninterrupted run (resume_test.go proves this
+//     by property test and fuzzes it);
+//   - when the pinned snapshot is gone (any mutation of the table since:
+//     version mismatch), the server serves a fresh stream instead and says
+//     so (header Resumed=false), leaving the client to skip
 //     already-delivered tuples itself — full restart + client-side skip.
+//     Appends leave the delivered prefix byte-identical, so that skip is
+//     exact.
 //
 // The token is opaque to the client: it round-trips the header's string
 // verbatim. The codec below therefore defends the *server* against tokens
@@ -37,7 +39,8 @@ import (
 // malformed input with a typed error instead of resuming the wrong scan
 // (fuzzed in resume_test.go).
 
-// ResumeToken identifies a resumable point of one streamed scan.
+// ResumeToken identifies the snapshot one resumable stream reads. The zero
+// token (empty Table) stands for "not resumable"; the codec rejects it.
 type ResumeToken struct {
 	// StmtHash is the FNV-1a hash of the statement text; a resume request
 	// whose SQL does not hash to it is rejected (the token belongs to a
@@ -45,13 +48,13 @@ type ResumeToken struct {
 	StmtHash uint64
 	// Table is the scanned base table.
 	Table string
-	// Version is the table's extension version at snapshot time. Appends do
-	// not change it (the snapshot prefix stays valid under the append-only
-	// representation); wholesale replacement does.
+	// Version is the table's extension version at snapshot time. Every
+	// mutation bumps it — an append as much as a wholesale replacement or a
+	// crash recovery — so a token never outlives the state it was minted on.
 	Version uint64
-	// SnapLen is the snapshot length in base tuples: the resumed scan must
-	// not read past it, or tuples appended after the original snapshot would
-	// appear in the resumed half but not in an uninterrupted delivery.
+	// SnapLen is the snapshot length in base tuples. Under one version it is
+	// fixed; a token whose length differs from the bound snapshot's is forged
+	// or corrupt and is refused.
 	SnapLen int64
 }
 

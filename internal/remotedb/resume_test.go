@@ -38,8 +38,21 @@ func loadBigTable(t *testing.T, e *Engine, n int) {
 	}
 }
 
-// drainScan collects a ScanStream's delivery as strings (first column).
-func drainScan(sc *ScanStream) []string {
+// loadGroupedTable creates table ev(g INT, v TEXT) with n rows (g = i%7,
+// v = "e<i>") on e: an equality on g matches n/7 rows spread over the whole
+// extension, so an index bucket on g holds many positions.
+func loadGroupedTable(e *Engine, n int) {
+	r := relation.New("ev", relation.NewSchema(
+		relation.Attr{Name: "g", Kind: relation.KindInt},
+		relation.Attr{Name: "v", Kind: relation.KindString}))
+	for i := 0; i < n; i++ {
+		r.MustAppend(relation.Tuple{relation.Int(int64(i % 7)), relation.Str(fmt.Sprintf("e%d", i))})
+	}
+	e.LoadTable(r)
+}
+
+// drainScan collects a resumable stream's delivery as strings (first column).
+func drainScan(sc *PlanStream) []string {
 	var out []string
 	for tup, ok := sc.Next(); ok; tup, ok = sc.Next() {
 		out = append(out, tup[0].String())
@@ -49,6 +62,18 @@ func drainScan(sc *ScanStream) []string {
 
 // drainTuples collects a TupleStream's delivery as strings (first column),
 // returning the terminal error.
+// resumeSQLStream opens src the way the framed server opens a request that
+// presents a resume token: ok=false when the engine does not honour the token
+// (the server then serves the stream it got as a fresh one).
+func resumeSQLStream(e *Engine, src string, tok ResumeToken, skip int64) (*PlanStream, bool) {
+	ps, resumed, ok := e.openStream(context.Background(), src, &tok, skip)
+	if ok && !resumed {
+		ps.Close()
+		return nil, false
+	}
+	return ps, ok
+}
+
 func drainTuples(st TupleStream) ([]string, error) {
 	var out []string
 	for tup, ok := st.Next(); ok; tup, ok = st.Next() {
@@ -138,40 +163,100 @@ func FuzzParseResumeToken(f *testing.F) {
 	})
 }
 
-// TestScanResumeEqualsUninterrupted is the core determinism property at the
-// engine layer: for random statements and random interruption points, the
-// prefix delivered before the kill plus the resumed remainder equals the
-// uninterrupted delivery — no duplicates, no gaps, order preserved.
-func TestScanResumeEqualsUninterrupted(t *testing.T) {
+// resumeStatements are the resumable shapes the resume property runs over:
+// scans, filters, projections, LIMITs (skipped tuples count against them) and
+// equalities on ev.g, the column checkResume indexes.
+var resumeStatements = []string{
+	"SELECT v FROM big",
+	"SELECT v FROM big WHERE k < 500",
+	"SELECT v, k FROM big WHERE k >= 100",
+	"SELECT * FROM big WHERE k < 650",
+	"SELECT v FROM big LIMIT 300",
+	"SELECT v, k FROM big WHERE k >= 100 LIMIT 50",
+	"SELECT v FROM ev WHERE g = 3",
+	"SELECT v, g FROM ev WHERE g = 5 LIMIT 40",
+}
+
+// checkResume interrupts one delivery of src after offset tuples (modulo the
+// result size) and resumes it with the stream's own token: the prefix plus
+// the resumed tail must equal an uninterrupted delivery — no duplicate, no
+// gap, order preserved — unless the token is refused (honored=false).
+// indexed builds the index on ev.g before the first open, indexBetween builds
+// it between the break and the resume: CreateIndex does not bump the table
+// version, so the token is honored across the access-path change and the
+// index path must emit in base order (bucket order = base order).
+func checkResume(t *testing.T, src string, offset int, indexed, indexBetween bool) (honored bool) {
+	t.Helper()
 	e := NewEngine()
 	loadBigTable(t, e, 700)
-	rng := rand.New(rand.NewSource(42))
-	stmts := []string{
-		"SELECT v FROM big",
-		"SELECT v FROM big WHERE k < 500",
-		"SELECT v, k FROM big WHERE k >= 100",
-		"SELECT * FROM big WHERE k < 650",
-	}
-	for trial := 0; trial < 60; trial++ {
-		src := stmts[rng.Intn(len(stmts))]
-		full, ok := e.ExecuteSQLStream(src)
-		if !ok {
-			t.Fatalf("%q not streamable", src)
+	loadGroupedTable(e, 700)
+	createIndex := func() {
+		if err := e.CreateIndex("ev", []int{0}); err != nil {
+			t.Fatal(err)
 		}
-		want := drainScan(full)
-		tok := full.ResumeToken()
+	}
+	if indexed {
+		createIndex()
+	}
+	full, ok := e.ExecuteSQLStream(src)
+	if !ok {
+		t.Fatalf("%q not streamable", src)
+	}
+	want := drainScan(full)
 
-		kill := rng.Intn(len(want) + 1)
-		sc, ok := e.ResumeSQLStream(src, tok, int64(kill))
+	broken, _ := e.ExecuteSQLStream(src)
+	kill := offset % (len(want) + 1)
+	var got []string
+	for i := 0; i < kill; i++ {
+		tup, ok := broken.Next()
 		if !ok {
-			t.Fatalf("trial %d: resume of %q at %d refused", trial, src, kill)
+			t.Fatalf("%q ended at %d of %d", src, i, len(want))
 		}
-		got := drainScan(sc)
-		if !equalStrings(got, want[kill:]) {
-			t.Fatalf("trial %d: resume of %q at %d: got %d tuples, want %d (tail mismatch)",
-				trial, src, kill, len(got), len(want)-kill)
+		got = append(got, tup[0].String())
+	}
+	if indexBetween {
+		createIndex()
+	}
+	sc, ok := resumeSQLStream(e, src, broken.ResumeToken(), int64(kill))
+	if !ok {
+		return false
+	}
+	got = append(got, drainScan(sc)...)
+	if !equalStrings(got, want) {
+		t.Fatalf("resume of %q at %d (indexed=%v, indexBetween=%v): got %d tuples, want %d",
+			src, kill, indexed, indexBetween, len(got), len(want))
+	}
+	return true
+}
+
+// TestScanResumeEqualsUninterrupted is the core determinism property at the
+// engine layer: for random statements and random interruption points, with
+// and without an index (present from the start, or created mid-delivery), the
+// token is honored and the resumed delivery is exactly the tail.
+func TestScanResumeEqualsUninterrupted(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 90; trial++ {
+		src := resumeStatements[rng.Intn(len(resumeStatements))]
+		indexed, indexBetween := trial%3 == 1, trial%3 == 2
+		if !checkResume(t, src, rng.Intn(701), indexed, indexBetween) {
+			t.Fatalf("trial %d: resume of %q refused (indexed=%v, indexBetween=%v)", trial, src, indexed, indexBetween)
 		}
 	}
+}
+
+// FuzzPlanResume drives checkResume from fuzzed inputs: whatever the
+// statement, interruption offset and index timing, a resume either delivers
+// exactly the tail or is refused — never a panic, a duplicate or a gap.
+func FuzzPlanResume(f *testing.F) {
+	f.Add(uint8(0), uint16(0), false, false)
+	f.Add(uint8(3), uint16(649), false, false)
+	f.Add(uint8(4), uint16(300), false, true)
+	f.Add(uint8(6), uint16(57), true, false)
+	f.Add(uint8(6), uint16(99), false, true)
+	f.Add(uint8(7), uint16(40), true, true)
+	f.Fuzz(func(t *testing.T, stmt uint8, offset uint16, indexed, indexBetween bool) {
+		checkResume(t, resumeStatements[int(stmt)%len(resumeStatements)], int(offset), indexed, indexBetween)
+	})
 }
 
 // TestScanResumeInvalidatedByAppend: a durable Insert is a mutation like any
@@ -191,7 +276,7 @@ func TestScanResumeInvalidatedByAppend(t *testing.T) {
 	if _, _, err := e.ExecuteSQL("INSERT INTO big VALUES (100,'late'),(101,'later')"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.ResumeSQLStream(src, tok, 40); ok {
+	if _, ok := resumeSQLStream(e, src, tok, 40); ok {
 		t.Fatal("token minted before the insert was accepted after it")
 	}
 
@@ -214,8 +299,8 @@ func TestScanResumeInvalidatedByAppend(t *testing.T) {
 	}
 }
 
-// TestInsertDuringScanStreamByteStable: an Insert landing while a ScanStream
-// is mid-delivery must not disturb the stream — the snapshot pinned at open
+// TestInsertDuringScanStreamByteStable: an Insert landing while a streamed
+// scan is mid-delivery must not disturb the stream — the snapshot pinned at open
 // time delivers exactly the pre-insert rows, in order, and never sees the new
 // ones. (The append-only relation representation is what makes the pinned
 // prefix immutable; this is the test that holds that property in place.)
@@ -260,7 +345,7 @@ func TestInsertDuringScanStreamByteStable(t *testing.T) {
 	}
 	// And the stream's own token — minted against the pre-insert snapshot —
 	// is refused afterwards rather than silently reused.
-	if _, ok := e.ResumeSQLStream(src, sc.ResumeToken(), 10); ok {
+	if _, ok := resumeSQLStream(e, src, sc.ResumeToken(), 10); ok {
 		t.Fatal("pre-insert token accepted after the inserts")
 	}
 }
@@ -272,15 +357,15 @@ func TestResumeSQLStreamRefusals(t *testing.T) {
 	sc, _ := e.ExecuteSQLStream(src)
 	tok := sc.ResumeToken()
 
-	if _, ok := e.ResumeSQLStream("SELECT v FROM big", tok, 0); ok {
+	if _, ok := resumeSQLStream(e, "SELECT v FROM big", tok, 0); ok {
 		t.Fatal("token accepted for a different statement")
 	}
-	if _, ok := e.ResumeSQLStream(src, tok, -1); ok {
+	if _, ok := resumeSQLStream(e, src, tok, -1); ok {
 		t.Fatal("negative skip accepted")
 	}
 	forged := tok
 	forged.SnapLen = 10_000 // beyond the extension: impossible under append-only
-	if _, ok := e.ResumeSQLStream(src, forged, 0); ok {
+	if _, ok := resumeSQLStream(e, src, forged, 0); ok {
 		t.Fatal("forged SnapLen accepted")
 	}
 
@@ -290,7 +375,7 @@ func TestResumeSQLStreamRefusals(t *testing.T) {
 		relation.Attr{Name: "v", Kind: relation.KindString}))
 	repl.MustAppend(relation.Tuple{relation.Int(0), relation.Str("fresh")})
 	e.LoadTable(repl)
-	if _, ok := e.ResumeSQLStream(src, tok, 0); ok {
+	if _, ok := resumeSQLStream(e, src, tok, 0); ok {
 		t.Fatal("token accepted after the table was replaced")
 	}
 	// A fresh stream over the replaced table works and carries the new version.

@@ -241,34 +241,31 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 		}
 	}
 
-	// Streamable SELECTs bypass materialization entirely: the engine yields
-	// tuples on demand and frames ship as the scan advances, so the client's
-	// first tuple costs one frame of work, not the whole result.
+	// SELECTs bypass materialization entirely: the engine yields tuples on
+	// demand and frames ship as the plan advances, so the client's first tuple
+	// costs the plan's blocking prefix plus one frame of work, not the whole
+	// result. Everything the engine does not stream — EXPLAIN, DDL/DML, errors,
+	// any statement while the optimizer is off — runs bounded and is framed
+	// post hoc.
 	if req.Op == "exec" {
 		start := s.slowClock()
+		// A re-issued request carries a resume token: the stream serves the
+		// remainder of the pinned snapshot when it still exists. Any failure —
+		// malformed token, statement mismatch, table mutated — yields a fresh
+		// stream whose header says Resumed=false, and the client skips its
+		// delivered prefix itself.
+		var pin *ResumeToken
 		if req.Resume != "" {
-			// Re-issued request carrying a resume token: serve the remainder
-			// of the pinned snapshot when it still exists. Any failure —
-			// malformed token, statement mismatch, table replaced — falls
-			// through to a fresh stream whose header says Resumed=false, and
-			// the client skips its delivered prefix itself.
 			if tok, err := ParseResumeToken(req.Resume); err == nil {
-				if sc, ok := s.engine.ResumeSQLStream(req.SQL, tok, req.Skip); ok {
-					s.streamResumes.Add(1)
-					rows, frames := fc.streamScan(ctx, id, sc, delay, release, true, killer)
-					s.logSlow(start, req.SQL, false, rows, frames, 1)
-					return
-				}
+				pin = &tok
 			}
 		}
-		if sc, ok := s.engine.ExecuteSQLPipelineCtx(ctx, req.SQL); ok {
-			rows, frames := fc.streamScan(ctx, id, sc, delay, release, false, killer)
-			cached, dop := false, 1
-			if ps, ok := sc.(*PlanStream); ok {
-				cached = ps.Cached()
-				dop = ps.DOP()
+		if sc, resumed, ok := s.engine.openStream(ctx, req.SQL, pin, req.Skip); ok {
+			if resumed {
+				s.streamResumes.Add(1)
 			}
-			s.logSlow(start, req.SQL, cached, rows, frames, dop)
+			rows, frames := fc.streamScan(ctx, id, sc, delay, release, resumed, killer)
+			s.logSlow(start, req.SQL, sc.Cached(), rows, frames, sc.DOP())
 			return
 		}
 		resp, canceled := s.runBounded(ctx, req, delay, release)
@@ -391,24 +388,19 @@ func (s *Server) runBounded(ctx context.Context, req *wireRequest, delay time.Du
 	}
 }
 
-// streamScan pipelines a streamed SELECT — a resumable single-table
-// ScanStream or an optimized PlanStream — shipping tuples in frames as they
+// streamScan pipelines a streamed SELECT, shipping tuples in frames as they
 // are produced. The request deadline bounds production, checked at frame
 // granularity; an injected delay fault models slow server work before the
 // first tuple, interruptible by the deadline and by cancellation as on the
 // materialized path. It returns the tuples and frames shipped, for the
 // slow-query log.
-func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc EngineStream, delay time.Duration, release func(), resumed bool, killer *streamKiller) (rows, frames int64) {
+func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream, delay time.Duration, release func(), resumed bool, killer *streamKiller) (rows, frames int64) {
 	s := fc.s
 	defer release()
 	// Parallel plan streams own worker goroutines; closing on every exit path
 	// (deadline, cancel, write failure, kill fault, normal end) joins them, so
 	// an abandoned stream leaks nothing. Serial streams have a no-op Close.
-	defer func() {
-		if c, ok := sc.(interface{ Close() error }); ok {
-			c.Close()
-		}
-	}()
+	defer sc.Close()
 	var timerC <-chan time.Time
 	if s.opts.RequestTimeout > 0 {
 		timer := time.NewTimer(s.opts.RequestTimeout)
@@ -435,15 +427,16 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc EngineStream
 	for _, a := range sc.Schema().Attrs() {
 		attrs = append(attrs, wireAttr{Name: a.Name, Kind: uint8(a.Kind)})
 	}
-	// The header of a resumable scan carries the resume token pinning its
+	// The header of a resumable stream carries the resume token pinning its
 	// snapshot; a client that loses the connection mid-transfer re-issues the
 	// statement with it. Resumed acknowledges a honored token (server-side
 	// skip); on a fresh stream it tells a resuming client to skip client-side.
-	// Plan streams carry no token: their emission order is only deterministic
-	// per snapshot binding, so a resuming client restarts and skips locally.
+	// Every other stream carries no token: its emission order is not a
+	// function of the snapshot alone (hash joins, aggregation, parallel
+	// workers), so a resuming client restarts and skips locally.
 	resume := ""
-	if rs, ok := sc.(*ScanStream); ok {
-		resume = rs.ResumeToken().Encode()
+	if tok := sc.ResumeToken(); tok.Table != "" {
+		resume = tok.Encode()
 	}
 	if fc.write(&wireFrame{
 		ID: id, Kind: frameHeader, Name: sc.Name(), Attrs: attrs,
@@ -493,13 +486,11 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc EngineStream
 	// A stream that stopped early (a parallel worker hit its cancellation
 	// checkpoint) must not read as a complete result: report it as canceled,
 	// never as a silently truncated ok-end.
-	if es, ok := sc.(interface{ Err() error }); ok {
-		if err := es.Err(); err != nil {
-			s.streamsCanceled.Add(1)
-			fc.writeEnd(id, wireCodeCanceled, err.Error(), sc.Ops())
-			frames++
-			return rows, frames
-		}
+	if err := sc.Err(); err != nil {
+		s.streamsCanceled.Add(1)
+		fc.writeEnd(id, wireCodeCanceled, err.Error(), sc.Ops())
+		frames++
+		return rows, frames
 	}
 	fc.writeEnd(id, wireCodeNone, "", sc.Ops())
 	frames++
