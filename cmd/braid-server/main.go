@@ -47,7 +47,6 @@ func main() {
 	flakyStreamAfter := flag.Int("flaky-stream-after", 2, "fault injection: response frames delivered before a stream kill severs the connection")
 	frameTuples := flag.Int("frame-tuples", 0, "default tuples per response frame (0: built-in default)")
 	connStreams := flag.Int("conn-streams", 0, "concurrently executing requests per framed connection (0: 1, session-serial)")
-	noOpt := flag.Bool("no-optimizer", false, "disable the cost-based optimizer: every SELECT runs through the naive materializing executor (the experiment control arm)")
 	parallelism := flag.Int("parallelism", runtime.NumCPU(), "worker-pool bound for morsel-parallel query execution (1: serial only)")
 	dataDir := flag.String("data-dir", "", "durable mode: WAL + checkpoint directory; mutations are logged before apply and recovered at startup (empty: in-memory only)")
 	fsync := flag.String("fsync", "always", "with -data-dir: WAL sync policy — always (every acked write survives a crash), interval (sync at most once per -fsync-interval), off (OS writeback only)")
@@ -91,10 +90,6 @@ func main() {
 		}
 	} else {
 		engine = remotedb.NewEngine()
-	}
-	if *noOpt {
-		engine.SetOptimizer(false)
-		fmt.Println("braid-server: cost-based optimizer DISABLED (-no-optimizer)")
 	}
 	engine.SetParallelism(*parallelism)
 	if *parallelism > 1 {

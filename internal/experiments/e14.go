@@ -53,7 +53,7 @@ type E14Pool struct {
 }
 
 // E14Data is the machine-readable result of the whole experiment
-// (braid-bench -json writes it as BENCH_PR6.json).
+// (braid-bench -json writes it as part of BENCH_PR10.json).
 type E14Data struct {
 	Experiment        string     `json:"experiment"`
 	ScanRows          int        `json:"scan_rows"`

@@ -36,7 +36,7 @@ type E17Arm struct {
 }
 
 // E17Data is the machine-readable result (braid-bench -json writes it as
-// part of BENCH_PR8.json; CI diffs the sampled overhead against 5%).
+// part of BENCH_PR10.json; CI diffs the sampled overhead against 5%).
 type E17Data struct {
 	Experiment string   `json:"experiment"`
 	Sessions   int      `json:"sessions"`

@@ -40,7 +40,7 @@ type E18Recovery struct {
 	RowsOK     bool    `json:"rows_ok"`
 }
 
-// E18Data is the machine-readable result (braid-bench -json; BENCH_PR9.json
+// E18Data is the machine-readable result (braid-bench -json; BENCH_PR10.json
 // commits one run as baseline; CI treats RecoveryCorrect as an invariant).
 type E18Data struct {
 	Experiment string        `json:"experiment"`

@@ -40,10 +40,7 @@ type Engine struct {
 	// indexes; new indexes open access paths) bumps it, and plan-cache
 	// lookups require an exact match.
 	epoch atomic.Uint64
-	// noOpt disables the cost-based planner, routing every SELECT through
-	// the naive materializing executor (SetOptimizer; the experiments'
-	// control arm).
-	noOpt      atomic.Bool
+
 	plans      *planCache
 	planHits   atomic.Int64
 	planMisses atomic.Int64
@@ -103,15 +100,6 @@ func NewEngine() *Engine {
 // SetTracer installs (or, with nil, removes) the tracer recording
 // engine-side spans. Safe to call while the engine serves queries.
 func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer.Store(t) }
-
-// SetOptimizer toggles the cost-based planner. It is on by default; off, the
-// engine executes every SELECT with the naive materializing executor (the
-// unoptimized baseline the golden parity suite and experiment E16 compare
-// against).
-func (e *Engine) SetOptimizer(on bool) { e.noOpt.Store(!on) }
-
-// OptimizerEnabled reports whether the cost-based planner is active.
-func (e *Engine) OptimizerEnabled() bool { return !e.noOpt.Load() }
 
 // SetParallelism bounds the morsel-execution worker pool for eligible plans.
 // Values <= 1 force serial execution. The default is runtime.NumCPU(). Safe
@@ -509,22 +497,11 @@ func (e *Engine) ExecuteSQLCtx(ctx context.Context, src string) (*relation.Relat
 	return e.ExecuteCtx(ctx, st)
 }
 
-// executeSelect dispatches a SELECT: through the cost-based planner when the
-// optimizer is on (plan cache, predicate pushdown, join reordering —
-// optimizer.go), or through the naive materializing executor when it is off.
-func (e *Engine) executeSelect(ctx context.Context, sel *SelectStmt) (*relation.Relation, int64, error) {
-	ctx, sp := e.tracer.Load().Start(ctx, "engine.execute")
-	defer sp.End()
-	if e.OptimizerEnabled() {
-		return e.executeSelectPlanned(ctx, sel)
-	}
-	return e.executeSelectNaive(sel)
-}
-
 // selScope is the resolved FROM/WHERE of one SELECT: alias bindings plus the
 // WHERE conjuncts classified into per-alias filters, index-usable equality
-// constants, and cross-alias conditions. The naive executor and the planner
-// share it so both report identical resolution errors.
+// constants, and cross-alias conditions. The planner and the tests' reference
+// evaluator (reference_test.go) share it so both report identical resolution
+// errors.
 type selScope struct {
 	aliases  map[string]*relation.Relation
 	order    []string // aliases in FROM order
@@ -617,337 +594,4 @@ func (e *Engine) analyzeSelect(sel *SelectStmt) (*selScope, error) {
 		sc.cross = append(sc.cross, crossCond{la: la, lc: lc, op: c.Op, ra: ra, rc: rc})
 	}
 	return sc, nil
-}
-
-// executeSelectNaive is the unoptimized materializing executor: filter each
-// alias (index-aware), join greedily smallest-first, then project, aggregate,
-// order, and limit over fully materialized intermediates. It is the semantic
-// oracle the golden parity suite holds the planner to, and the optimizer-off
-// control arm of experiment E16.
-func (e *Engine) executeSelectNaive(sel *SelectStmt) (*relation.Relation, int64, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var ops int64
-
-	scope, err := e.analyzeSelect(sel)
-	if err != nil {
-		return nil, ops, err
-	}
-	order := scope.order
-	cross := scope.cross
-	resolve := scope.resolve
-
-	// Filter each alias's extension, preferring an index when an equality
-	// constant condition matches one.
-	filtered := make(map[string]*relation.Relation, len(order))
-	for _, a := range order {
-		base := scope.aliases[a]
-		conds := scope.perAlias[a]
-		var out *relation.Relation
-		if pairs := scope.eqConsts[a]; len(pairs) > 0 {
-			if ix := e.findIndex(base.Name, pairs); ix != nil {
-				vals := make([]relation.Value, len(ix.Cols()))
-				for i, col := range ix.Cols() {
-					for _, p := range pairs {
-						if p[0].(int) == col {
-							vals[i] = p[1].(relation.Value)
-						}
-					}
-				}
-				matched := ix.Lookup(vals)
-				ops += int64(len(matched))
-				out = relation.Drain(base.Name, base.Schema(),
-					relation.Select(relation.NewSliceIterator(matched), conds))
-				filtered[a] = out
-				continue
-			}
-		}
-		ops += int64(base.Len())
-		out = relation.SelectRel(base, conds)
-		filtered[a] = out
-	}
-
-	// Greedy join order: repeatedly join the smallest relation that has an
-	// equi-join condition with the current result (or the smallest overall
-	// for a cross product when none connects).
-	remaining := append([]string(nil), order...)
-	sort.SliceStable(remaining, func(i, j int) bool {
-		return filtered[remaining[i]].Len() < filtered[remaining[j]].Len()
-	})
-
-	// colPos maps alias -> base offset in the wide tuple.
-	colPos := make(map[string]int)
-	var wide *relation.Relation
-	takeConds := func(joined map[string]bool, next string) (eq []relation.JoinCond, later []crossCond) {
-		for _, c := range cross {
-			switch {
-			case joined[c.la] && c.ra == next && c.op == relation.OpEq:
-				eq = append(eq, relation.JoinCond{Left: colPos[c.la] + c.lc, Right: c.rc})
-			case joined[c.ra] && c.la == next && c.op == relation.OpEq:
-				eq = append(eq, relation.JoinCond{Left: colPos[c.ra] + c.rc, Right: c.lc})
-			default:
-				later = append(later, c)
-			}
-		}
-		return eq, later
-	}
-
-	joined := make(map[string]bool)
-	for len(remaining) > 0 {
-		// Pick next: prefer one connected by an equi-join.
-		pick := -1
-		if wide != nil {
-			for i, a := range remaining {
-				for _, c := range cross {
-					if (joined[c.la] && c.ra == a || joined[c.ra] && c.la == a) && c.op == relation.OpEq {
-						pick = i
-						break
-					}
-				}
-				if pick >= 0 {
-					break
-				}
-			}
-		}
-		if pick < 0 {
-			pick = 0
-		}
-		next := remaining[pick]
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		nextRel := filtered[next]
-		if wide == nil {
-			wide = nextRel
-			colPos[next] = 0
-			joined[next] = true
-			continue
-		}
-		eq, later := takeConds(joined, next)
-		ops += int64(wide.Len() + nextRel.Len())
-		schema := wide.Schema().Concat(nextRel.Schema())
-		w := relation.Drain("j", schema, relation.HashJoin(wide.Iter(), nextRel.Iter(), eq))
-		colPos[next] = wide.Schema().Arity()
-		wide = w
-		joined[next] = true
-		cross = later
-		// Apply any theta conditions now fully available.
-		var now []relation.Cond
-		var still []crossCond
-		for _, c := range cross {
-			if joined[c.la] && joined[c.ra] {
-				now = append(now, relation.ColCol(colPos[c.la]+c.lc, c.op, colPos[c.ra]+c.rc))
-			} else {
-				still = append(still, c)
-			}
-		}
-		if len(now) > 0 {
-			ops += int64(wide.Len())
-			wide = relation.SelectRel(wide, now)
-		}
-		cross = still
-	}
-	if len(cross) > 0 {
-		// All aliases joined; any remaining conds apply now.
-		var now []relation.Cond
-		for _, c := range cross {
-			now = append(now, relation.ColCol(colPos[c.la]+c.lc, c.op, colPos[c.ra]+c.rc))
-		}
-		ops += int64(wide.Len())
-		wide = relation.SelectRel(wide, now)
-	}
-
-	widePos := func(c ColRef) (int, error) {
-		a, i, err := resolve(c)
-		if err != nil {
-			return 0, err
-		}
-		return colPos[a] + i, nil
-	}
-
-	// Aggregation vs plain projection.
-	hasAgg := false
-	for _, it := range sel.Items {
-		if it.IsAgg {
-			hasAgg = true
-		}
-	}
-	if hasAgg {
-		var groupCols []int
-		for _, g := range sel.GroupBy {
-			p, err := widePos(g)
-			if err != nil {
-				return nil, ops, err
-			}
-			groupCols = append(groupCols, p)
-		}
-		var specs []relation.AggSpec
-		var attrs []relation.Attr
-		for _, g := range groupCols {
-			attrs = append(attrs, wide.Schema().Attr(g))
-		}
-		for _, it := range sel.Items {
-			if !it.IsAgg {
-				continue // non-aggregate items must be group-by columns; they are re-emitted first
-			}
-			spec := relation.AggSpec{Op: it.Agg, Col: -1}
-			if !it.AggStar {
-				p, err := widePos(it.Col)
-				if err != nil {
-					return nil, ops, err
-				}
-				spec.Col = p
-			}
-			specs = append(specs, spec)
-		}
-		ops += int64(wide.Len())
-		tuples := relation.Aggregate(wide.Iter(), groupCols, specs)
-		for i, s := range specs {
-			kind := relation.KindFloat
-			if s.Op == relation.AggCount {
-				kind = relation.KindInt
-			} else if (s.Op == relation.AggMin || s.Op == relation.AggMax) && s.Col >= 0 {
-				kind = wide.Schema().Attr(s.Col).Kind
-			}
-			attrs = append(attrs, relation.Attr{Name: fmt.Sprintf("agg%d", i), Kind: kind})
-		}
-		result := relation.FromTuples("result", relation.NewSchema(attrs...), tuples)
-		if sel.Distinct {
-			ops += int64(result.Len())
-			result = relation.DistinctRel(result)
-		}
-		if len(sel.OrderBy) > 0 {
-			// An aggregate's ORDER BY resolves against the group output only:
-			// sorting its input by a pre-aggregation column is meaningless.
-			var cols []int
-			for _, c := range sel.OrderBy {
-				i := result.Schema().ColIndex(c.Column)
-				if i < 0 {
-					return nil, ops, fmt.Errorf("remotedb: ORDER BY column %s not in result", c.Column)
-				}
-				cols = append(cols, i)
-			}
-			ops += int64(result.Len())
-			result.SortBy(cols)
-		}
-		if sel.Limit >= 0 && result.Len() > sel.Limit {
-			result = relation.FromTuples(result.Name, result.Schema(), result.Tuples()[:sel.Limit])
-		}
-		return result, ops, nil
-	}
-
-	// Plain projection.
-	var cols []int
-	if len(sel.Items) == 1 && sel.Items[0].Star {
-		for i := 0; i < wide.Schema().Arity(); i++ {
-			cols = append(cols, i)
-		}
-	} else {
-		for _, it := range sel.Items {
-			if it.Star {
-				return nil, ops, fmt.Errorf("remotedb: * must be the only select item")
-			}
-			p, err := widePos(it.Col)
-			if err != nil {
-				return nil, ops, err
-			}
-			cols = append(cols, p)
-		}
-	}
-	projSchema := wide.Schema().Project(cols)
-
-	// ORDER BY columns resolve against the projection by bare column name;
-	// a column the projection dropped instead resolves against the wide
-	// (pre-projection) schema, and the sort then runs before projection.
-	var sortRes, sortWide []int
-	needWide := false
-	for _, c := range sel.OrderBy {
-		if i := projSchema.ColIndex(c.Column); i >= 0 {
-			sortRes = append(sortRes, i)
-			sortWide = append(sortWide, cols[i])
-			continue
-		}
-		needWide = true
-		p, err := widePos(c)
-		if err != nil {
-			return nil, ops, err
-		}
-		sortWide = append(sortWide, p)
-	}
-
-	var result *relation.Relation
-	if sel.Limit >= 0 && len(sel.OrderBy) == 0 {
-		// LIMIT without ORDER BY short-circuits: the lazy pipeline is pulled
-		// only until the limit is satisfied instead of materializing the
-		// whole result and slicing it.
-		pulled := 0
-		src := wide.Iter()
-		counted := relation.IteratorFunc(func() (relation.Tuple, bool) {
-			t, ok := src.Next()
-			if ok {
-				pulled++
-			}
-			return t, ok
-		})
-		var pipe relation.Iterator = relation.Project(counted, cols)
-		if sel.Distinct {
-			pipe = relation.Distinct(pipe)
-		}
-		result = relation.Drain("result", projSchema, relation.Limit(pipe, sel.Limit))
-		ops += int64(pulled)
-		if sel.Distinct {
-			ops += int64(result.Len())
-		}
-		return result, ops, nil
-	}
-	if needWide {
-		ops += int64(wide.Len())
-		wide.SortBy(sortWide)
-		ops += int64(wide.Len())
-		result = relation.ProjectRel(wide, cols)
-		result.Name = "result"
-		if sel.Distinct {
-			ops += int64(result.Len())
-			result = relation.DistinctRel(result)
-		}
-	} else {
-		ops += int64(wide.Len())
-		result = relation.ProjectRel(wide, cols)
-		result.Name = "result"
-		if sel.Distinct {
-			ops += int64(result.Len())
-			result = relation.DistinctRel(result)
-		}
-		if len(sortRes) > 0 {
-			ops += int64(result.Len())
-			result.SortBy(sortRes)
-		}
-	}
-	if sel.Limit >= 0 && result.Len() > sel.Limit {
-		result = relation.FromTuples(result.Name, result.Schema(), result.Tuples()[:sel.Limit])
-	}
-	return result, ops, nil
-}
-
-// findIndex returns an index of the table whose columns are all covered by
-// the equality pairs, or nil.
-func (e *Engine) findIndex(table string, pairs [][2]any) *relation.Index {
-	for _, ix := range e.indexes[table] {
-		covered := true
-		for _, col := range ix.Cols() {
-			found := false
-			for _, p := range pairs {
-				if p[0].(int) == col {
-					found = true
-					break
-				}
-			}
-			if !found {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			return ix
-		}
-	}
-	return nil
 }

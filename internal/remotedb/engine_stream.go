@@ -20,8 +20,8 @@ import "context"
 
 // openStream parses src once and opens its plan for streaming. ok=false sends
 // the caller to the materializing Execute path, which also owns error
-// reporting: EXPLAIN, DDL/DML, parse and resolution errors, and every SELECT
-// while the optimizer is off (the E16 control arm) surface there, not here.
+// reporting: EXPLAIN, DDL/DML, parse and resolution errors surface there, not
+// here.
 //
 // With a non-nil pin the stream resumes the pinned delivery when it can:
 // resumed=true means the token belongs to src and to exactly the snapshot the
@@ -30,9 +30,6 @@ import "context"
 // was minted (replacement, append, or a crash recovery), the token was
 // forged, or the plan is not resumable — the stream is a fresh one.
 func (e *Engine) openStream(ctx context.Context, src string, pin *ResumeToken, skip int64) (ps *PlanStream, resumed, ok bool) {
-	if !e.OptimizerEnabled() {
-		return nil, false, false
-	}
 	st, err := ParseSQL(src)
 	if err != nil || st.Select == nil || st.Explain {
 		return nil, false, false

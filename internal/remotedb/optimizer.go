@@ -29,9 +29,9 @@ import (
 //     TopN sort; a bare LIMIT short-circuits naturally because execution is
 //     pull-based.
 //
-// The planner mirrors the naive executor's semantics exactly (the golden
-// parity suite in parity_test.go holds it to that), including its resolution
-// error messages, via the shared analyzeSelect.
+// The golden parity suite (parity_test.go) holds the planner to the semantics
+// of the tests' reference evaluator (reference_test.go) exactly, including its
+// resolution error messages, via the shared analyzeSelect.
 
 // joinEnumLimit caps exhaustive join-order enumeration (n! permutations).
 const joinEnumLimit = 6
@@ -68,9 +68,9 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	attrName := func(k colKey) string { return scope.aliases[k.alias].Schema().Attr(k.col).Name }
+	attrName := func(k colKey) string { return scope.attr(k).Name }
 
-	// --- Resolution (same order and error strings as the naive executor) ---
+	// --- Resolution (same order and error strings as reference_test.go) ---
 	hasAgg := false
 	for _, it := range sel.Items {
 		if it.IsAgg {
@@ -110,6 +110,9 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			}
 			aggItems = append(aggItems, ai)
 		}
+		if err := scope.distinctOutput(groupRefs); err != nil {
+			return nil, err
+		}
 	} else {
 		star = len(sel.Items) == 1 && sel.Items[0].Star
 		if star {
@@ -129,32 +132,25 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 				}
 				itemRefs = append(itemRefs, colKey{a, i})
 			}
+			if err := scope.distinctOutput(itemRefs); err != nil {
+				return nil, err
+			}
 		}
 	}
 
-	// Projection attributes (non-agg) and ORDER BY resolution. Like the naive
-	// executor, an ORDER BY column resolves against the projection by bare
-	// name first (matched on base attribute names; the output schema itself
-	// is derived from the join-deduplicated wide schema below); one the
-	// projection dropped resolves against the wide schema and forces the
+	// Projection schema (non-agg) and ORDER BY resolution. An ORDER BY column
+	// resolves against the projection's output names first, by bare name; one
+	// the projection dropped resolves against the FROM aliases and forces the
 	// sort below the projection. Aggregate ORDER BY resolves later, against
 	// the aggregate output schema.
-	var projAttrs []relation.Attr
-	for _, r := range itemRefs {
-		projAttrs = append(projAttrs, scope.aliases[r.alias].Schema().Attr(r.col))
-	}
-	var sortResIdx []int    // projection positions, when every sort col is projected
+	var projSch *relation.Schema
+	var sortResIdx []int      // projection positions, when every sort col is projected
 	var sortWideRefs []colKey // all sort cols as wide refs, when any is not projected
 	needWide := false
 	if !hasAgg {
+		projSch = scope.outputSchema(itemRefs)
 		for _, c := range sel.OrderBy {
-			found := -1
-			for i, a := range projAttrs {
-				if a.Name == c.Column {
-					found = i
-					break
-				}
-			}
+			found := projSch.ColIndex(c.Column)
 			if found >= 0 {
 				sortResIdx = append(sortResIdx, found)
 				sortWideRefs = append(sortWideRefs, itemRefs[found])
@@ -363,9 +359,6 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		var specs []relation.AggSpec
 		var attrs []relation.Attr
 		var specStrs []string
-		for _, g := range groupCols {
-			attrs = append(attrs, cur.Schema().Attr(g))
-		}
 		for _, ai := range aggItems {
 			spec := relation.AggSpec{Op: ai.op, Col: -1}
 			if !ai.star {
@@ -385,10 +378,10 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			}
 			attrs = append(attrs, relation.Attr{Name: fmt.Sprintf("agg%d", i), Kind: kind})
 		}
-		aggSch := relation.NewSchema(attrs...)
-		groupNames := make([]string, len(groupCols))
-		for i, g := range groupCols {
-			groupNames[i] = cur.Schema().Attr(g).Name
+		aggSch := scope.outputSchema(groupRefs, attrs...)
+		groupNames := make([]string, len(groupRefs))
+		for i, r := range groupRefs {
+			groupNames[i] = attrName(r)
 		}
 		estOps += est
 		if len(groupCols) > 0 {
@@ -432,10 +425,6 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		for i, r := range itemRefs {
 			cols[i] = pos(r)
 		}
-		// Derive the output schema from the wide (join-concatenated) schema so
-		// duplicate base names carry the same disambiguating suffixes a
-		// materialized join would give them.
-		projSch := cur.Schema().Project(cols)
 		projNames := make([]string, projSch.Arity())
 		for i := range projNames {
 			projNames[i] = projSch.Attr(i).Name
@@ -479,7 +468,7 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			if len(sortResIdx) > 0 {
 				names := make([]string, len(sortResIdx))
 				for i, p := range sortResIdx {
-					names[i] = projAttrs[p].Name
+					names[i] = projSch.Attr(p).Name
 				}
 				estOps += est
 				sn := &sortNode{child: cur, cols: sortResIdx, limit: -1, desc: "sort (" + strings.Join(names, ", ") + ")"}
@@ -525,6 +514,43 @@ func resumableScan(n planNode) *scanNode {
 	}
 	sn, _ := n.(*scanNode)
 	return sn
+}
+
+// attr returns the base-table attribute a resolved column names.
+func (sc *selScope) attr(k colKey) relation.Attr { return sc.aliases[k.alias].Schema().Attr(k.col) }
+
+// distinctOutput rejects an output list (select items, or GROUP BY columns)
+// that names one column twice: a result schema cannot hold both.
+func (sc *selScope) distinctOutput(refs []colKey) error {
+	for i, r := range refs {
+		for _, q := range refs[:i] {
+			if q == r {
+				return fmt.Errorf("remotedb: duplicate output column %s", sc.attr(r).Name)
+			}
+		}
+	}
+	return nil
+}
+
+// outputSchema names a result's columns: the base attributes of refs, then
+// extra, in that order. A name already taken (po.id beside cu.id) gets the
+// _2, _3, … suffix Schema.Concat would give it, assigned here in output order
+// so that the names are a function of the statement, not of the join order
+// the planner happened to choose.
+func (sc *selScope) outputSchema(refs []colKey, extra ...relation.Attr) *relation.Schema {
+	attrs := make([]relation.Attr, 0, len(refs)+len(extra))
+	for _, r := range refs {
+		attrs = append(attrs, sc.attr(r))
+	}
+	attrs = append(attrs, extra...)
+	seen := make(map[string]bool, len(attrs))
+	for i, a := range attrs {
+		for n := 2; seen[attrs[i].Name]; n++ {
+			attrs[i].Name = fmt.Sprintf("%s_%d", a.Name, n)
+		}
+		seen[attrs[i].Name] = true
+	}
+	return relation.NewSchema(attrs...)
 }
 
 // accessFor picks the access path for one alias: the most selective covering

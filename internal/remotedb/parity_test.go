@@ -10,11 +10,11 @@ import (
 )
 
 // The golden parity corpus: a table-driven suite asserting that the
-// cost-based planner (and its streamed execution path) returns result sets
-// identical to the naive materializing executor — as bags always, and in
-// order where an ORDER BY key makes the order deterministic. The whole
-// corpus runs twice, with and without indexes, so both access paths are held
-// to the same oracle.
+// cost-based planner (and its streamed execution path) returns results
+// identical to the reference evaluator (reference_test.go) — the same schema,
+// the same bag always, and the same order where an ORDER BY key makes the
+// order deterministic. The whole corpus runs twice, with and without indexes,
+// so both access paths are held to the same oracle.
 
 type parityCase struct {
 	sql string
@@ -53,6 +53,15 @@ var parityCorpus = []parityCase{
 	// Theta join and cross product.
 	{sql: "SELECT a.id, b.id FROM cu a, cu b WHERE a.tier > b.tier AND a.region = b.region"},
 	{sql: "SELECT po.id, re.id FROM po, re WHERE po.grp = 1"},
+	// Output names are a function of the statement: SELECT * over a join comes
+	// out in FROM order whichever side the planner builds (po.id = 3 makes po
+	// the small side), and a repeated base name takes its _2 in output order.
+	{sql: "SELECT * FROM po, cu WHERE po.cust = cu.id AND po.id = 3"},
+	{sql: "SELECT * FROM cu, po WHERE po.cust = cu.id AND po.id = 3"},
+	{sql: "SELECT * FROM po, cu WHERE po.cust = cu.id"},
+	{sql: "SELECT po.id, cu.id FROM po, cu WHERE po.cust = cu.id"},
+	{sql: "SELECT cu.id, po.id FROM po, cu WHERE po.cust = cu.id ORDER BY id_2", ordered: true},
+	{sql: "SELECT po.grp, cu.id, COUNT(*) FROM cu, po WHERE po.cust = cu.id AND cu.id = po.grp GROUP BY po.grp, cu.id"},
 	// Aggregates: grouped, global, joined, ordered, limited.
 	{sql: "SELECT grp, COUNT(*), SUM(amt) FROM po GROUP BY grp ORDER BY grp", ordered: true},
 	{sql: "SELECT COUNT(*), MIN(amt), MAX(amt), AVG(amt) FROM po"},
@@ -112,61 +121,84 @@ func newParityEngine(t *testing.T, indexed bool) *Engine {
 	return e
 }
 
+// checkParity holds one corpus statement to the reference on every path the
+// engine offers it — materialized, streamed, EXPLAIN, EXPLAIN ANALYZE — at
+// the engine's current settings, and returns the materialized run's ops.
+func checkParity(t *testing.T, e *Engine, tc parityCase) int64 {
+	t.Helper()
+	sel := mustParseSelect(t, tc.sql)
+	want, _, err := e.referenceSelect(sel)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	var full *relation.Relation
+	if tc.unlimited != "" {
+		if full, _, err = e.referenceSelect(mustParseSelect(t, tc.unlimited)); err != nil {
+			t.Fatalf("reference unlimited: %v", err)
+		}
+	}
+	check := func(label string, res *relation.Relation) {
+		t.Helper()
+		if full != nil {
+			assertSubsetOf(t, label, res, full, want)
+			return
+		}
+		assertSameResult(t, label, want, res, tc.ordered)
+	}
+	got, ops, err := e.ExecuteSQL(tc.sql)
+	if err != nil {
+		t.Fatalf("planned: %v", err)
+	}
+	check("planned", got)
+
+	// The streamed path must agree too, drain clean (Close joins any worker
+	// pool), and carry a resume token on exactly the single-table
+	// non-aggregate statements.
+	st, ok := e.ExecuteSQLPipelineCtx(context.Background(), tc.sql)
+	if !ok {
+		t.Fatalf("pipeline declined %q", tc.sql)
+	}
+	streamed := relation.Drain(st.Name(), st.Schema(), st)
+	if err := st.Err(); err != nil {
+		t.Fatalf("streamed: %v", err)
+	}
+	st.Close()
+	check("streamed", streamed)
+	resumable := len(sel.From) == 1 && !sel.Distinct && len(sel.GroupBy) == 0 && len(sel.OrderBy) == 0
+	for _, it := range sel.Items {
+		resumable = resumable && !it.IsAgg
+	}
+	if got := st.ResumeToken().Table != ""; got != resumable {
+		t.Fatalf("streamed: resume token present = %v, want %v", got, resumable)
+	}
+
+	// EXPLAIN must render for every corpus statement, and EXPLAIN ANALYZE must
+	// report the ops of the run it made: the same as the materialized run's.
+	plan, _, err := e.ExecuteSQL("EXPLAIN " + tc.sql)
+	if err != nil {
+		t.Fatalf("explain: %v", err)
+	}
+	if plan.Len() < 2 {
+		t.Fatalf("explain produced %d lines", plan.Len())
+	}
+	plan, analyzeOps, err := e.ExecuteSQL("EXPLAIN ANALYZE " + tc.sql)
+	if err != nil {
+		t.Fatalf("explain analyze: %v", err)
+	}
+	if plan.Len() < 2 {
+		t.Fatalf("explain analyze produced %d lines", plan.Len())
+	}
+	header := plan.Tuple(0)[0].AsString()
+	if analyzeOps != ops || !strings.Contains(header, fmt.Sprintf("| ops %d |", ops)) {
+		t.Errorf("explain analyze ops = %d, planned run ops = %d; header %q", analyzeOps, ops, header)
+	}
+	return ops
+}
+
 func runParity(t *testing.T, indexed bool) {
 	e := newParityEngine(t, indexed)
 	for _, tc := range parityCorpus {
-		t.Run(tc.sql, func(t *testing.T) {
-			e.SetOptimizer(false)
-			want, _, err := e.ExecuteSQL(tc.sql)
-			if err != nil {
-				t.Fatalf("naive: %v", err)
-			}
-			var full *relation.Relation
-			if tc.unlimited != "" {
-				if full, _, err = e.ExecuteSQL(tc.unlimited); err != nil {
-					t.Fatalf("naive unlimited: %v", err)
-				}
-			}
-			e.SetOptimizer(true)
-			got, _, err := e.ExecuteSQL(tc.sql)
-			if err != nil {
-				t.Fatalf("planned: %v", err)
-			}
-			check := func(label string, res *relation.Relation) {
-				t.Helper()
-				if full != nil {
-					assertSubsetOf(t, label, res, full, want.Len())
-					return
-				}
-				assertSameResult(t, label, want, res, tc.ordered)
-			}
-			check("planned", got)
-
-			// The streamed path must agree too, and carry a resume token on
-			// exactly the single-table non-aggregate statements.
-			st, ok := e.ExecuteSQLPipelineCtx(context.Background(), tc.sql)
-			if !ok {
-				t.Fatalf("pipeline declined %q with optimizer on", tc.sql)
-			}
-			check("streamed", relation.Drain(st.Name(), st.Schema(), st))
-			sel := mustParseSelect(t, tc.sql)
-			resumable := len(sel.From) == 1 && !sel.Distinct && len(sel.GroupBy) == 0 && len(sel.OrderBy) == 0
-			for _, it := range sel.Items {
-				resumable = resumable && !it.IsAgg
-			}
-			if got := st.ResumeToken().Table != ""; got != resumable {
-				t.Fatalf("streamed: resume token present = %v, want %v", got, resumable)
-			}
-
-			// EXPLAIN must render without error for every corpus statement.
-			plan, _, err := e.ExecuteSQL("EXPLAIN " + tc.sql)
-			if err != nil {
-				t.Fatalf("explain: %v", err)
-			}
-			if plan.Len() < 2 {
-				t.Fatalf("explain produced %d lines", plan.Len())
-			}
-		})
+		t.Run(tc.sql, func(t *testing.T) { checkParity(t, e, tc) })
 	}
 }
 
@@ -185,10 +217,10 @@ func TestParityCorpusIndexed(t *testing.T) { runParity(t, true) }
 // TestParityCorpusParallel runs the whole corpus with morsel-parallel
 // execution forced on (row threshold 1, 32-tuple morsels, so the 300-row po
 // splits into ~10 morsels and a dop-4 pool gets real concurrency) at DOP 1
-// and 4. Every statement must bag-match the naive oracle on both the planned
-// and streamed paths, report no stream error, and charge exactly the serial
-// planned run's op count — the parallel agg merge and the partitioned join
-// build are the high-risk paths this pins down.
+// and 4. Every statement must match the reference on the planned, streamed
+// and EXPLAIN ANALYZE paths, report no stream error, and charge exactly the
+// serial planned run's op count — the parallel agg merge and the partitioned
+// join build are the high-risk paths this pins down.
 func TestParityCorpusParallel(t *testing.T) {
 	for _, dop := range []int{1, 4} {
 		t.Run(fmt.Sprintf("dop%d", dop), func(t *testing.T) {
@@ -197,53 +229,15 @@ func TestParityCorpusParallel(t *testing.T) {
 			e.SetMorselSize(32)
 			for _, tc := range parityCorpus {
 				t.Run(tc.sql, func(t *testing.T) {
-					e.SetOptimizer(false)
-					want, _, err := e.ExecuteSQL(tc.sql)
-					if err != nil {
-						t.Fatalf("naive: %v", err)
-					}
-					var full *relation.Relation
-					if tc.unlimited != "" {
-						if full, _, err = e.ExecuteSQL(tc.unlimited); err != nil {
-							t.Fatalf("naive unlimited: %v", err)
-						}
-					}
-					e.SetOptimizer(true)
 					e.SetParallelism(1)
 					_, serialOps, err := e.ExecuteSQL(tc.sql)
 					if err != nil {
 						t.Fatalf("serial planned: %v", err)
 					}
 					e.SetParallelism(dop)
-					got, parOps, err := e.ExecuteSQL(tc.sql)
-					if err != nil {
-						t.Fatalf("parallel planned: %v", err)
-					}
-					check := func(label string, res *relation.Relation) {
-						t.Helper()
-						if full != nil {
-							assertSubsetOf(t, label, res, full, want.Len())
-							return
-						}
-						assertSameResult(t, label, want, res, tc.ordered)
-					}
-					check("parallel planned", got)
-					if parOps != serialOps {
+					if parOps := checkParity(t, e, tc); parOps != serialOps {
 						t.Errorf("ops diverge: parallel %d, serial %d", parOps, serialOps)
 					}
-
-					// The streamed path: plan streams must drain clean (nil
-					// Err) and agree; Close joins any worker pool.
-					st, ok := e.ExecuteSQLPipelineCtx(context.Background(), tc.sql)
-					if !ok {
-						t.Fatalf("pipeline declined %q with optimizer on", tc.sql)
-					}
-					streamed := relation.Drain(st.Name(), st.Schema(), st)
-					if err := st.Err(); err != nil {
-						t.Fatalf("streamed: %v", err)
-					}
-					st.Close()
-					check("parallel streamed", streamed)
 				})
 			}
 		})
@@ -252,6 +246,9 @@ func TestParityCorpusParallel(t *testing.T) {
 
 func assertSameResult(t *testing.T, label string, want, got *relation.Relation, ordered bool) {
 	t.Helper()
+	if !got.Schema().Equal(want.Schema()) {
+		t.Fatalf("%s: schema = %s, want %s", label, got.Schema(), want.Schema())
+	}
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: rows = %d, want %d", label, got.Len(), want.Len())
 	}
@@ -267,12 +264,16 @@ func assertSameResult(t *testing.T, label string, want, got *relation.Relation, 
 	}
 }
 
-// assertSubsetOf checks a LIMIT-without-ORDER result: same row count as the
-// oracle's, and every tuple drawn (with multiplicity) from the full result.
-func assertSubsetOf(t *testing.T, label string, got, full *relation.Relation, wantLen int) {
+// assertSubsetOf checks a LIMIT-without-ORDER result: same schema and row
+// count as the oracle's, and every tuple drawn (with multiplicity) from the
+// full result.
+func assertSubsetOf(t *testing.T, label string, got, full, want *relation.Relation) {
 	t.Helper()
-	if got.Len() != wantLen {
-		t.Fatalf("%s: rows = %d, want %d", label, got.Len(), wantLen)
+	if !got.Schema().Equal(want.Schema()) {
+		t.Fatalf("%s: schema = %s, want %s", label, got.Schema(), want.Schema())
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: rows = %d, want %d", label, got.Len(), want.Len())
 	}
 	avail := make(map[string]int, full.Len())
 	for _, tu := range full.Tuples() {
@@ -412,9 +413,9 @@ func TestPlanCacheKeyCollision(t *testing.T) {
 	}
 }
 
-// Optimizer-off parity for ops accounting: the planner's single-table op
-// counts match the naive executor's conventions exactly (the streaming suite
-// already pins streamed to Execute; this pins planned to naive).
+// Ops accounting: the planner's single-table op counts match the reference's
+// conventions exactly (the streaming suite already pins streamed to Execute;
+// this pins planned to the reference).
 func TestPlannedOpsMatchNaiveSingleTable(t *testing.T) {
 	e := newParityEngine(t, false)
 	for _, sql := range []string{
@@ -424,44 +425,48 @@ func TestPlannedOpsMatchNaiveSingleTable(t *testing.T) {
 		"SELECT grp, COUNT(*) FROM po GROUP BY grp",
 		"SELECT DISTINCT grp FROM po",
 	} {
-		e.SetOptimizer(false)
-		_, naiveOps, err := e.ExecuteSQL(sql)
+		_, refOps, err := e.referenceSelect(mustParseSelect(t, sql))
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetOptimizer(true)
 		_, planOps, err := e.ExecuteSQL(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if naiveOps != planOps {
-			t.Errorf("%s: planned ops %d != naive ops %d", sql, planOps, naiveOps)
+		if refOps != planOps {
+			t.Errorf("%s: planned ops %d != reference ops %d", sql, planOps, refOps)
 		}
 	}
 }
 
-// Error parity: the planner reports the same resolution errors as the naive
-// executor.
+// Error parity: the planner reports the same resolution errors as the
+// reference.
 func TestPlannedErrorParity(t *testing.T) {
 	e := newParityEngine(t, false)
 	for _, sql := range []string{
 		"SELECT nosuch FROM po",
 		"SELECT po.nosuch FROM po",
 		"SELECT x.id FROM po",
-		"SELECT id FROM po, cu",                   // ambiguous
-		"SELECT id, * FROM po",                    // star not alone
+		"SELECT id FROM po, cu",                                  // ambiguous
+		"SELECT id, * FROM po",                                   // star not alone
 		"SELECT grp, COUNT(*) FROM po GROUP BY grp ORDER BY amt", // not in result
 		"SELECT id FROM nosuch",
+		// One column twice in the output: this used to panic the planner in
+		// relation.NewSchema.
+		"SELECT id, id FROM po",
+		"SELECT po.id, cu.cname, po.id FROM po, cu WHERE po.cust = cu.id",
+		"SELECT grp, COUNT(*) FROM po GROUP BY grp, po.grp",
 	} {
-		e.SetOptimizer(false)
-		_, _, naiveErr := e.ExecuteSQL(sql)
-		e.SetOptimizer(true)
+		_, _, refErr := e.referenceSelect(mustParseSelect(t, sql))
 		_, _, planErr := e.ExecuteSQL(sql)
-		if naiveErr == nil || planErr == nil {
-			t.Fatalf("%s: expected errors, naive=%v planned=%v", sql, naiveErr, planErr)
+		if refErr == nil || planErr == nil {
+			t.Fatalf("%s: expected errors, reference=%v planned=%v", sql, refErr, planErr)
 		}
-		if naiveErr.Error() != planErr.Error() {
-			t.Errorf("%s: error mismatch:\n naive   %v\n planned %v", sql, naiveErr, planErr)
+		if refErr.Error() != planErr.Error() {
+			t.Errorf("%s: error mismatch:\n reference %v\n planned   %v", sql, refErr, planErr)
 		}
+	}
+	if _, _, err := e.ExecuteSQL("SELECT id, id FROM po"); err.Error() != "remotedb: duplicate output column id" {
+		t.Errorf("duplicate output column: %v", err)
 	}
 }

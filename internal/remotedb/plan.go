@@ -215,12 +215,8 @@ func (e *Engine) explainSelect(sel *SelectStmt) (*relation.Relation, int64, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	mode := "on"
-	if !e.OptimizerEnabled() {
-		mode = "off (naive materializing executor runs this statement)"
-	}
-	header := fmt.Sprintf("optimizer: %s | plan epoch %d | est rows %.0f | est cost %.1f sim-ms",
-		mode, p.epoch, p.estRows, p.EstCost(DefaultCosts()))
+	header := fmt.Sprintf("plan epoch %d | est rows %.0f | est cost %.1f sim-ms",
+		p.epoch, p.estRows, p.EstCost(DefaultCosts()))
 	if p.par != nil {
 		if dop := e.planDOP(p); dop > 1 {
 			header += fmt.Sprintf(" | parallel dop %d (driver est %.0f rows, morsel %d)",
@@ -278,23 +274,8 @@ func (p *Plan) explainAnalyze(run *planRun) []string {
 
 // explainAnalyzeSelect executes sel with per-node instrumentation and
 // renders estimated-vs-actual rows/ops/time for every plan node (EXPLAIN
-// ANALYZE SELECT). With the optimizer off, the statement runs through the
-// naive materializing executor and only statement totals are reported —
-// there is no plan tree to attribute time to.
+// ANALYZE SELECT).
 func (e *Engine) explainAnalyzeSelect(ctx context.Context, sel *SelectStmt) (*relation.Relation, int64, error) {
-	if !e.OptimizerEnabled() {
-		t0 := time.Now()
-		rel, ops, err := e.executeSelectNaive(sel)
-		if err != nil {
-			return nil, 0, err
-		}
-		lines := []string{
-			fmt.Sprintf("optimizer: off | naive materializing executor | actual rows %d | ops %d | time %.3fms",
-				rel.Len(), ops, float64(time.Since(t0).Nanoseconds())/1e6),
-			"(per-node timings require the cost-based optimizer)",
-		}
-		return planLinesRelation(lines), ops, nil
-	}
 	ps, err := e.openPlan(ctx, sel, true, false)
 	if err != nil {
 		return nil, 0, err
@@ -318,7 +299,7 @@ func (e *Engine) explainAnalyzeSelect(ctx context.Context, sel *SelectStmt) (*re
 		cache = "hit"
 	}
 	lines := []string{fmt.Sprintf(
-		"optimizer: on | plan epoch %d | plan cache %s | est rows %.0f | actual rows %d | ops %d | time %.3fms | dop %d",
+		"plan epoch %d | plan cache %s | est rows %.0f | actual rows %d | ops %d | time %.3fms | dop %d",
 		p.epoch, cache, p.estRows, rows, ps.Ops(), float64(wall.Nanoseconds())/1e6, ps.DOP())}
 	if ps.DOP() > 1 {
 		// Per-worker actuals: skewed partitions show up here as unbalanced

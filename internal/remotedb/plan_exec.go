@@ -469,10 +469,12 @@ func (e *Engine) openPlan(ctx context.Context, sel *SelectStmt, analyze, streame
 	return ps, nil
 }
 
-// executeSelectPlanned runs a SELECT through the cost-based planner and
-// materializes the streamed result (the Execute API returns whole
-// relations; the v2 wire path streams the PlanStream directly).
-func (e *Engine) executeSelectPlanned(ctx context.Context, sel *SelectStmt) (*relation.Relation, int64, error) {
+// executeSelect runs a SELECT and materializes the streamed result (the
+// Execute API returns whole relations; the wire path streams the PlanStream
+// directly).
+func (e *Engine) executeSelect(ctx context.Context, sel *SelectStmt) (*relation.Relation, int64, error) {
+	ctx, sp := e.tracer.Load().Start(ctx, "engine.execute")
+	defer sp.End()
 	ps, err := e.openPlan(ctx, sel, false, false)
 	if err != nil {
 		return nil, 0, err

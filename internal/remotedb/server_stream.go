@@ -244,9 +244,8 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 	// SELECTs bypass materialization entirely: the engine yields tuples on
 	// demand and frames ship as the plan advances, so the client's first tuple
 	// costs the plan's blocking prefix plus one frame of work, not the whole
-	// result. Everything the engine does not stream — EXPLAIN, DDL/DML, errors,
-	// any statement while the optimizer is off — runs bounded and is framed
-	// post hoc.
+	// result. Everything the engine does not stream — EXPLAIN, DDL/DML, errors —
+	// runs bounded and is framed post hoc.
 	if req.Op == "exec" {
 		start := s.slowClock()
 		// A re-issued request carries a resume token: the stream serves the

@@ -97,3 +97,27 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 		t.Error("exec against closed server should error")
 	}
 }
+
+// TestWireDuplicateOutputColumn: a select list naming one column twice used to
+// panic the planner (relation.NewSchema) on the stream handler's goroutine,
+// which has no recover, so one such statement from any client killed the
+// server. It is a semantic error on the end frame, and the connection it
+// arrived on serves the next statement.
+func TestWireDuplicateOutputColumn(t *testing.T) {
+	addr, _, cleanup := startTestServer(t)
+	defer cleanup()
+	c := dialTestPool(t, addr, PoolOptions{Size: 1})
+	_, err := c.Exec("SELECT id, id FROM dept")
+	if err == nil || !strings.Contains(err.Error(), "remotedb: duplicate output column id") || IsTransient(err) {
+		t.Fatalf("expected a semantic duplicate-column error, got %v", err)
+	}
+	if res, err := c.Exec("SELECT id FROM dept"); err != nil || res.Rel.Len() == 0 {
+		t.Fatalf("connection unusable after the error: %v", err)
+	}
+	c.conns[0].mu.Lock()
+	gen := c.conns[0].gen
+	c.conns[0].mu.Unlock()
+	if gen != 1 {
+		t.Fatalf("connection was dialed %d times, want 1", gen)
+	}
+}
