@@ -10,7 +10,6 @@ import (
 	"repro/internal/advice"
 	"repro/internal/bridge"
 	"repro/internal/cache"
-	"repro/internal/obs"
 	"repro/internal/remotedb"
 	"repro/internal/workload"
 )
@@ -39,20 +38,11 @@ type E12Result struct {
 // predictors compose in the replacement registry and their prefetches land in
 // one cache.
 func RunE12(k int) E12Result {
-	return runE12Instrumented(k, nil, nil)
-}
-
-// runE12Instrumented is RunE12 with an optional observability layer attached:
-// a tracer sampling query spans and a metrics registry absorbing the CMS/pool
-// counters. E17 uses it to price the instrumentation against the nil/nil
-// control arm on an identical workload.
-func runE12Instrumented(k int, tr *obs.Tracer, reg *obs.Registry) E12Result {
 	w := workload.Chain(53, 700, 24)
 	costs := remotedb.DefaultCosts()
 	cms := cache.New(remotedb.NewInProcClient(w.Engine(), costs),
 		cache.Options{Features: cache.AllFeatures(), Costs: costs,
-			ThinkTimeMS: 100, PredictHorizon: 16,
-			Tracer: tr, Metrics: reg})
+			ThinkTimeMS: 100, PredictHorizon: 16})
 
 	lats := make([][]time.Duration, k)
 	var wg sync.WaitGroup

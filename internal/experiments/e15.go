@@ -24,30 +24,29 @@ import (
 
 // E15Arm is one (kill rate, resume on/off) configuration.
 type E15Arm struct {
-	KillRate      float64 `json:"kill_rate"`
-	Resume        bool    `json:"resume"`
-	Streams       int64   `json:"streams"`
-	Completed     int64   `json:"completed"`
-	CompletionPct float64 `json:"completion_pct"`
-	Resumes       int64   `json:"resumes"`   // client-side mid-stream repairs
-	ServerKills   int64   `json:"srv_kills"` // listener-side severed connections
-	FirstP50US    int64   `json:"first_p50_us"`
-	FirstP99US    int64   `json:"first_p99_us"`
-	DrainP50US    int64   `json:"drain_p50_us"`
-	DrainP99US    int64   `json:"drain_p99_us"`
+	KillRate      float64
+	Resume        bool
+	Streams       int64
+	Completed     int64
+	CompletionPct float64
+	Resumes       int64 // client-side mid-stream repairs
+	ServerKills   int64 // listener-side severed connections
+	FirstP50US    int64
+	FirstP99US    int64
+	DrainP50US    int64
+	DrainP99US    int64
 }
 
-// E15Data is the machine-readable result (part of braid-bench -json output).
+// E15Data is the result of one run.
 type E15Data struct {
-	Experiment  string   `json:"experiment"`
-	ScanRows    int      `json:"scan_rows"`
-	FrameTuples int      `json:"frame_tuples"`
-	Arms        []E15Arm `json:"arms"`
+	ScanRows    int
+	FrameTuples int
+	Arms        []E15Arm
 	// ResumeCompletionPct / NoResumeCompletionPct compare the two arms at the
 	// highest kill rate — the headline: resume keeps completion at 100% where
 	// the control arm collapses.
-	ResumeCompletionPct   float64 `json:"resume_completion_pct"`
-	NoResumeCompletionPct float64 `json:"no_resume_completion_pct"`
+	ResumeCompletionPct   float64
+	NoResumeCompletionPct float64
 }
 
 const e15FrameTuples = 64
@@ -152,7 +151,6 @@ func e15MeasureArm(scanRows, streams int, killRate float64, resume bool) (E15Arm
 // RunE15 measures every (kill rate x resume) arm at the given scale.
 func RunE15(scanRows, streams int) (*E15Data, error) {
 	data := &E15Data{
-		Experiment:  "E15 mid-stream failure recovery",
 		ScanRows:    scanRows,
 		FrameTuples: e15FrameTuples,
 	}
@@ -178,14 +176,6 @@ func RunE15(scanRows, streams int) (*E15Data, error) {
 	return data, nil
 }
 
-// RunE15Bench runs E15 at the braid-bench default scale: a 4k-tuple scan is
-// ~63 frames at frame size 64, so a kill-after-2-frames fault leaves ~97% of
-// the result undelivered — a failure resume must repair dozens of times per
-// stream at kill rate 1.
-func RunE15Bench() (*E15Data, error) {
-	return RunE15(4000, 30)
-}
-
 // E15Render formats the measurement as the experiment table.
 func E15Render(d *E15Data) *Table {
 	t := &Table{
@@ -195,12 +185,8 @@ func E15Render(d *E15Data) *Table {
 		Header: []string{"killRate", "resume", "completed", "resumes", "srvKills", "first p50(us)", "first p99(us)", "drain p50(us)", "drain p99(us)"},
 	}
 	for _, a := range d.Arms {
-		onOff := "off"
-		if a.Resume {
-			onOff = "on"
-		}
 		t.AddRow(
-			fmt.Sprintf("%.1f", a.KillRate), onOff,
+			fmt.Sprintf("%.1f", a.KillRate), onOff(a.Resume),
 			fmt.Sprintf("%d/%d (%.0f%%)", a.Completed, a.Streams, a.CompletionPct),
 			fi(a.Resumes), fi(a.ServerKills),
 			fi(a.FirstP50US), fi(a.FirstP99US), fi(a.DrainP50US), fi(a.DrainP99US))
@@ -212,13 +198,14 @@ func E15Render(d *E15Data) *Table {
 	return t
 }
 
-// E15StreamRecovery runs the experiment at default scale for the bench
-// registry; errors surface as a note rather than a panic.
+// E15StreamRecovery runs the experiment at default scale: a 4k-tuple scan is
+// ~63 frames at frame size 64, so a kill-after-2-frames fault leaves ~97% of
+// the result undelivered — a failure resume must repair dozens of times per
+// stream at kill rate 1.
 func E15StreamRecovery() *Table {
-	d, err := RunE15Bench()
+	d, err := RunE15(4000, 30)
 	if err != nil {
-		return &Table{ID: "E15", Title: "mid-stream failure recovery (failed)",
-			Header: []string{"error"}, Rows: [][]string{{err.Error()}}}
+		return failed("E15", err)
 	}
 	return E15Render(d)
 }

@@ -37,34 +37,32 @@ import (
 // and drain latencies and the server-side tuple-operation count (the virtual
 // cost model's ops) for one execution.
 type E16Shape struct {
-	Shape        string  `json:"shape"` // "scan" | "join" | "agg"
-	FirstTupleUS int64   `json:"first_tuple_us"`
-	DrainUS      int64   `json:"drain_us"`
-	Tuples       int64   `json:"tuples"`
-	Ops          int64   `json:"ops"`     // server tuple operations (one run)
-	SimMS        float64 `json:"sim_ms"`  // virtual cost: RequestCost(tuples, ops)
-	EstCost      float64 `json:"est_sim"` // optimizer's estimate
+	Shape        string // "scan" | "join" | "agg"
+	FirstTupleUS int64
+	DrainUS      int64
+	Tuples       int64
+	Ops          int64   // server tuple operations (one run)
+	SimMS        float64 // virtual cost: RequestCost(tuples, ops)
+	EstCost      float64 // optimizer's estimate
 }
 
-// E16Data is the machine-readable result of the whole experiment
-// (braid-bench -json writes it; BENCH_PR10.json is the committed baseline).
+// E16Data is the result of the whole experiment.
 type E16Data struct {
-	Experiment string     `json:"experiment"`
-	OrderRows  int        `json:"order_rows"`
-	CustRows   int        `json:"cust_rows"`
-	Shapes     []E16Shape `json:"shapes"`
+	OrderRows int
+	CustRows  int
+	Shapes    []E16Shape
 
 	// JoinVsScanFirstTuple is join / scan first-tuple latency: a ratio of two
 	// sub-millisecond medians, reported but too noisy to gate on.
-	JoinVsScanFirstTuple float64 `json:"join_vs_scan_first_tuple"`
+	JoinVsScanFirstTuple float64
 
 	// Part B: server ops for the LIMIT 10 join and for the unlimited join.
-	LimitJoinOpsOn   int64   `json:"limit_join_ops_on"`
-	FullJoinOpsOn    int64   `json:"full_join_ops_on"`
-	LimitJoinOpsCut  float64 `json:"limit_join_ops_cut"`  // full / limit
-	PlanCacheHitRate float64 `json:"plan_cache_hit_rate"` // Part C
-	PlanCacheStmts   int     `json:"plan_cache_stmts"`
-	PlanCacheExecs   int     `json:"plan_cache_execs"`
+	LimitJoinOpsOn   int64
+	FullJoinOpsOn    int64
+	LimitJoinOpsCut  float64 // full / limit
+	PlanCacheHitRate float64 // Part C
+	PlanCacheStmts   int
+	PlanCacheExecs   int
 }
 
 // e16Tables builds the workload: orders (the large probe side), customers
@@ -194,9 +192,8 @@ func e16Shape(eng *remotedb.Engine, p *remotedb.PoolClient, shape, sql string, i
 // RunE16 runs all three parts at the given scale.
 func RunE16(orderRows, custRows, iters int) (*E16Data, error) {
 	data := &E16Data{
-		Experiment: "E16 cost-based optimizer and pipelined joins",
-		OrderRows:  orderRows,
-		CustRows:   custRows,
+		OrderRows: orderRows,
+		CustRows:  custRows,
 	}
 	eng := remotedb.NewEngine()
 	if err := e16Tables(eng, orderRows, custRows); err != nil {
@@ -273,12 +270,6 @@ func RunE16(orderRows, custRows, iters int) (*E16Data, error) {
 	return data, nil
 }
 
-// RunE16Bench runs E16 at the braid-bench default scale: a 40k-row probe
-// table against a 500-row build table.
-func RunE16Bench() (*E16Data, error) {
-	return RunE16(40000, 500, 5)
-}
-
 // E16Render formats the measurement as the experiment table.
 func E16Render(d *E16Data) *Table {
 	t := &Table{
@@ -303,14 +294,12 @@ func E16Render(d *E16Data) *Table {
 	return t
 }
 
-// E16PlannerStreaming runs the experiment at default scale for the bench
-// registry. Measurement errors surface as a note rather than a panic so one
-// flaky environment does not take down the whole suite.
+// E16PlannerStreaming runs the experiment at default scale: a 40k-row probe
+// table against a 500-row build table.
 func E16PlannerStreaming() *Table {
-	d, err := RunE16Bench()
+	d, err := RunE16(40000, 500, 5)
 	if err != nil {
-		return &Table{ID: "E16", Title: "cost-based optimizer (failed)",
-			Header: []string{"error"}, Rows: [][]string{{err.Error()}}}
+		return failed("E16", err)
 	}
 	return E16Render(d)
 }

@@ -19,53 +19,47 @@ import (
 //     speed, "interval" amortizes syncs over bursts, "always" pays one sync
 //     per acknowledged batch (the price of the crash-durability invariant);
 //   - recovery is correct and roughly linear in log size: every run of every
-//     arm recovers exactly the rows it acknowledged (RowsOK — an INVARIANT,
-//     diffed by CI), and replay wall time grows with the record count, not
-//     the write history's wall time.
+//     arm recovers exactly the rows it acknowledged (RowsOK — an invariant
+//     the tests assert), and replay wall time grows with the record count,
+//     not the write history's wall time.
 
 // E18Arm is one fsync policy's best-of-rounds write measurement.
 type E18Arm struct {
-	Policy string  `json:"policy"` // "memory" | "off" | "interval" | "always"
-	Rows   int     `json:"rows"`
-	Syncs  int64   `json:"syncs"`              // WAL syncs in the measured round
-	RowsPS float64 `json:"write_rows_per_sec"` // best round
-	RowsOK bool    `json:"rows_ok"`            // reopen recovered exactly the acked rows
+	Policy string // "memory" | "off" | "interval" | "always"
+	Rows   int
+	Syncs  int64   // WAL syncs in the measured round
+	RowsPS float64 // best round
+	RowsOK bool    // reopen recovered exactly the acked rows
 }
 
 // E18Recovery is one log size's best-of-rounds recovery measurement.
 type E18Recovery struct {
-	Rows       int     `json:"rows"`
-	Replayed   int     `json:"replayed"`
-	RecoveryMS float64 `json:"recovery_ms"` // best (lowest) round
-	RowsOK     bool    `json:"rows_ok"`
+	Rows       int
+	Replayed   int
+	RecoveryMS float64 // best (lowest) round
+	RowsOK     bool
 }
 
-// E18Data is the machine-readable result (braid-bench -json; BENCH_PR10.json
-// commits one run as baseline; CI treats RecoveryCorrect as an invariant).
+// E18Data is the result of one run.
 type E18Data struct {
-	Experiment string        `json:"experiment"`
-	Rounds     int           `json:"rounds"`
-	Arms       []E18Arm      `json:"arms"`
-	Recoveries []E18Recovery `json:"recoveries"`
+	Rounds     int
+	Arms       []E18Arm
+	Recoveries []E18Recovery
 
 	// AlwaysVsOffSlowdown is write throughput off/always — the measured price
 	// of the durability invariant (informational, machine-dependent).
-	AlwaysVsOffSlowdown float64 `json:"always_vs_off_slowdown"`
+	AlwaysVsOffSlowdown float64
 	// RecoveryCorrect is the conjunction of every RowsOK above.
-	RecoveryCorrect bool `json:"recovery_correct"`
+	RecoveryCorrect bool
 }
 
-const (
-	e18Batches      = 150
-	e18RowsPerBatch = 10
-	e18Rounds       = 3
-)
+const e18RowsPerBatch = 10
 
 // e18WriteArm runs one policy round: open a fresh durable engine (or an
 // in-memory one for "memory"), insert the workload, report rows/sec and —
 // for durable arms — whether a reopen recovers exactly the acked rows.
-func e18WriteArm(policy string) (rowsPS float64, syncs int64, rowsOK bool, err error) {
-	rows := e18Batches * e18RowsPerBatch
+func e18WriteArm(policy string, batches int) (rowsPS float64, syncs int64, rowsOK bool, err error) {
+	rows := batches * e18RowsPerBatch
 	var e *remotedb.Engine
 	var dir string
 	if policy == "memory" {
@@ -88,7 +82,7 @@ func e18WriteArm(policy string) (rowsPS float64, syncs int64, rowsOK bool, err e
 		return 0, 0, false, err
 	}
 	started := time.Now()
-	for b := 0; b < e18Batches; b++ {
+	for b := 0; b < batches; b++ {
 		var sb strings.Builder
 		sb.WriteString("INSERT INTO w VALUES ")
 		for i := 0; i < e18RowsPerBatch; i++ {
@@ -172,24 +166,21 @@ func e18Recovery(rows int) (E18Recovery, error) {
 	return rec, nil
 }
 
-// RunE18Bench measures every arm. Rounds interleave across policies (like
-// E17) so machine phases spread instead of biasing one arm; each arm keeps
+// RunE18 measures every arm: each policy inserts batches of ten rows, and a
+// log of each size in recoveryRows is replayed cold. Rounds interleave across
+// policies so machine phases spread instead of biasing one arm; each arm keeps
 // its best round. RowsOK must hold on EVERY round, not just the best one —
 // correctness is not a statistic.
-func RunE18Bench() (*E18Data, error) {
+func RunE18(batches, rounds int, recoveryRows []int) (*E18Data, error) {
 	policies := []string{"memory", "off", "interval", "always"}
-	d := &E18Data{
-		Experiment:      "E18",
-		Rounds:          e18Rounds,
-		RecoveryCorrect: true,
-	}
+	d := &E18Data{Rounds: rounds, RecoveryCorrect: true}
 	d.Arms = make([]E18Arm, len(policies))
 	for i, p := range policies {
-		d.Arms[i] = E18Arm{Policy: p, Rows: e18Batches * e18RowsPerBatch, RowsOK: true}
+		d.Arms[i] = E18Arm{Policy: p, Rows: batches * e18RowsPerBatch, RowsOK: true}
 	}
-	for round := 0; round < e18Rounds; round++ {
+	for round := 0; round < rounds; round++ {
 		for i, p := range policies {
-			rowsPS, syncs, ok, err := e18WriteArm(p)
+			rowsPS, syncs, ok, err := e18WriteArm(p, batches)
 			if err != nil {
 				return nil, fmt.Errorf("arm %s: %w", p, err)
 			}
@@ -205,9 +196,9 @@ func RunE18Bench() (*E18Data, error) {
 		}
 	}
 
-	for _, rows := range []int{1000, 4000, 16000} {
+	for _, rows := range recoveryRows {
 		var best E18Recovery
-		for round := 0; round < e18Rounds; round++ {
+		for round := 0; round < rounds; round++ {
 			rec, err := e18Recovery(rows)
 			if err != nil {
 				return nil, fmt.Errorf("recovery at %d rows: %w", rows, err)
@@ -274,13 +265,11 @@ func E18Render(d *E18Data) *Table {
 	return t
 }
 
-// E18Durability runs the experiment for the text-mode registry.
+// E18Durability runs the experiment at default scale.
 func E18Durability() *Table {
-	d, err := RunE18Bench()
+	d, err := RunE18(150, 3, []int{1000, 4000, 16000})
 	if err != nil {
-		t := &Table{ID: "E18", Title: "durability"}
-		t.Notes = append(t.Notes, fmt.Sprintf("FAILED: %v", err))
-		return t
+		return failed("E18", err)
 	}
 	return E18Render(d)
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/caql"
-	"repro/internal/relation"
 	"repro/internal/subsume"
 )
 
@@ -75,24 +74,4 @@ func RunE9(n int) e9Result {
 		pass()
 	}
 	return e9Result{perQuery: time.Since(start) / iters}
-}
-
-// E9DeriveApply exercises a full derive-and-apply cycle for the benchmark
-// harness: the returned relation is the derived answer from a synthetic
-// extension.
-func E9DeriveApply(ext *relation.Relation) *relation.Relation {
-	e := caql.MustParse(`e(X, Y, Z) :- b3(X, Y, Z)`)
-	q := caql.MustParse(`q(X, Z) :- b3(X, "c2", Z) & X >= 3`)
-	d, ok := subsume.DeriveFull(e, q)
-	if !ok {
-		panic("E9: derivation must succeed")
-	}
-	schema := relation.NewSchema(
-		relation.Attr{Name: "X", Kind: relation.KindInt},
-		relation.Attr{Name: "Z", Kind: relation.KindInt})
-	out, err := d.Apply("q", schema, ext)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }

@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // cell parses a numeric table cell.
@@ -165,6 +165,19 @@ func TestE6Shape(t *testing.T) {
 	}
 }
 
+// TestE6Repeats: the simulated cost of a run is a function of its inputs. It
+// was not while subsume.Match emitted a derivation's residual selections in
+// map order — the CMS indexes the first equality it meets, so the same 40
+// probes cost anything from 30.6 to 47.0 simulated ms.
+func TestE6Repeats(t *testing.T) {
+	first := RunE6(true, 1000)
+	for i := 1; i < 20; i++ {
+		if r := RunE6(true, 1000); r != first {
+			t.Fatalf("run %d: %+v, run 0: %+v", i, r, first)
+		}
+	}
+}
+
 func TestE7Shape(t *testing.T) {
 	tab := E7Replacement()
 	ref := colIndex(t, tab, "d1-refetches")
@@ -207,18 +220,35 @@ func TestE9Shape(t *testing.T) {
 	}
 }
 
+// TestAllRuns runs the registry braid-bench prints from, except the
+// experiments that have a reduced-scale test of their own below, and pins
+// what the suite is: E1..E19 without the retired E17, each id once.
 func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
-	tables := All()
-	if len(tables) != 12 {
-		t.Fatalf("expected 12 experiments, got %d", len(tables))
-	}
-	for _, tab := range tables {
-		if len(tab.Rows) == 0 || tab.String() == "" {
-			t.Errorf("%s produced no rows", tab.ID)
+	ownTest := map[string]bool{"E14": true, "E15": true, "E16": true, "E18": true, "E19": true}
+	var ids, want []string
+	for n := 1; n <= 19; n++ {
+		if n != 17 {
+			want = append(want, "E"+strconv.Itoa(n))
 		}
+	}
+	for _, e := range Registry {
+		ids = append(ids, e.ID)
+		if ownTest[e.ID] {
+			continue
+		}
+		tab := e.Run()
+		if tab.ID != e.ID {
+			t.Errorf("registry entry %s produced table %s", e.ID, tab.ID)
+		}
+		if len(tab.Rows) == 0 || tab.String() == "" {
+			t.Errorf("%s produced no rows", e.ID)
+		}
+	}
+	if !reflect.DeepEqual(ids, want) {
+		t.Errorf("registry ids = %v, want %v", ids, want)
 	}
 }
 
@@ -254,9 +284,8 @@ func TestE12Shape(t *testing.T) {
 // TestE14Shape runs the stream-transport experiment at a reduced scale and
 // checks the directional claims: streaming beats the materialized arm on
 // first-tuple latency, and pooled throughput grows with the pool against the
-// session-serial 1ms-per-request remote. The full-scale acceptance ratios
-// (5x / 3x) are asserted by braid-bench runs, not here — a loaded CI host
-// gets a conservative floor instead.
+// session-serial 1ms-per-request remote. Both ratios are wall-clock, so a
+// loaded CI host gets a conservative floor.
 func TestE14Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP measurement in short mode")
@@ -346,19 +375,107 @@ func TestE10Shape(t *testing.T) {
 	}
 }
 
+// TestE15Shape: at a kill rate that severs every streamed connection two
+// frames in, resume tokens keep completion at 100% and the non-resuming
+// control completes strictly less — otherwise the storm is not biting and the
+// experiment proves nothing. A fault-free arm repairs nothing.
+func TestE15Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real TCP measurement in short mode")
+	}
+	d, err := RunE15(1000, 6) // integrity (cardinality of every completed stream) is checked inside
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Arms) != 5 {
+		t.Fatalf("unexpected arm count %d: %+v", len(d.Arms), d)
+	}
+	for _, a := range d.Arms {
+		if a.Resume && a.Completed != a.Streams {
+			t.Errorf("resume on at kill rate %.1f completed %d/%d", a.KillRate, a.Completed, a.Streams)
+		}
+		if a.KillRate == 0 && (a.Resumes != 0 || a.ServerKills != 0) {
+			t.Errorf("fault-free arm repaired %d streams, server killed %d", a.Resumes, a.ServerKills)
+		}
+		if a.KillRate == 1 && a.Resume && a.Resumes == 0 {
+			t.Errorf("kill rate 1 with resume on repaired nothing: %+v", a)
+		}
+	}
+	if d.ResumeCompletionPct != 100 || d.NoResumeCompletionPct >= d.ResumeCompletionPct {
+		t.Errorf("completion at kill rate 1: resume on %.0f%%, off %.0f%%; want 100%% and strictly less",
+			d.ResumeCompletionPct, d.NoResumeCompletionPct)
+	}
+}
+
+// TestE16Shape checks the parts of E16 that are counts: every order joins
+// exactly one customer, the aggregate has 50 groups, LIMIT over the join
+// charges fewer ops than the join, and a workload of 8 statements repeated
+// compiles each once (hit rate >= 90%). Latencies are not asserted.
+func TestE16Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real TCP measurement in short mode")
+	}
+	d, err := RunE16(8000, 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Shapes) != 3 || d.Shapes[1].Shape != "join" || d.Shapes[2].Shape != "agg" {
+		t.Fatalf("unexpected shapes: %+v", d.Shapes)
+	}
+	if d.Shapes[1].Tuples != 8000 || d.Shapes[2].Tuples != 50 {
+		t.Errorf("join returned %d tuples (want 8000), agg %d (want 50)", d.Shapes[1].Tuples, d.Shapes[2].Tuples)
+	}
+	if !(d.LimitJoinOpsCut > 1) {
+		t.Errorf("LIMIT 10 over the join charged %d ops, the full join %d: no short-circuit",
+			d.LimitJoinOpsOn, d.FullJoinOpsOn)
+	}
+	if d.PlanCacheHitRate < 0.9 {
+		t.Errorf("plan-cache hit rate %.1f%%, want >= 90%%", 100*d.PlanCacheHitRate)
+	}
+}
+
+// TestE18Shape: every fsync policy, on every round, recovers exactly the rows
+// it acknowledged, fsync=always syncs at least once per acknowledged batch,
+// and a cold recovery replays the log it is given. Rows/s is not asserted.
+func TestE18Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes and fsyncs real files in short mode")
+	}
+	const batches = 20
+	d, err := RunE18(batches, 2, []int{500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.RecoveryCorrect {
+		t.Errorf("recovery lost or duplicated acknowledged rows: %+v", d)
+	}
+	if len(d.Arms) != 4 || len(d.Recoveries) != 1 {
+		t.Fatalf("unexpected shape: %+v", d)
+	}
+	for _, a := range d.Arms {
+		if !a.RowsOK {
+			t.Errorf("fsync=%s: reopen did not recover the %d acknowledged rows", a.Policy, a.Rows)
+		}
+		if a.Policy == "always" && a.Syncs < batches {
+			t.Errorf("fsync=always synced %d times for %d acknowledged batches", a.Syncs, batches)
+		}
+	}
+	if r := d.Recoveries[0]; !r.RowsOK || r.Replayed == 0 {
+		t.Errorf("cold recovery of %d rows: %+v", r.Rows, r)
+	}
+}
+
 // TestE19Shape runs the morsel-parallelism sweep at a reduced scale: the
 // result must carry every (shape, dop) arm with dop-invariant cardinality
 // and server ops (parallel execution may not change what a query returns or
 // how much work it charges), and the engine counters must show the pool
-// engaging for dop > 1 and falling back for dop 1. The full-scale speedup
-// floor (agg dop4 >= 1.8x) is asserted by braid-bench -baseline runs, not
-// here — under the race detector the instrumented CPU work can swamp the
-// simulated stall, so the floor here is conservative.
+// engaging for dop > 1 and falling back for dop 1. Drain and first-tuple
+// times are not asserted.
 func TestE19Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP measurement in short mode")
 	}
-	d, err := RunE19(12000, 1, 1*time.Millisecond)
+	d, err := RunE19(12000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,15 +499,5 @@ func TestE19Shape(t *testing.T) {
 	}
 	if d.ParFallbacks == 0 {
 		t.Errorf("dop-1 arms should count as serial fallbacks: %+v", d)
-	}
-	if d.FirstTupleSerialUS <= 0 || d.FirstTupleParUS <= 0 {
-		t.Errorf("first-tuple arm did not measure: %+v", d)
-	}
-	if raceEnabled {
-		t.Logf("race detector on: skipping speedup floor (agg dop4 %.2fx)", d.AggSpeedup4)
-	} else {
-		if !(d.AggSpeedup4 > 1.2) {
-			t.Errorf("agg dop4 speedup %.2fx under a 1ms morsel stall, want > 1.2x", d.AggSpeedup4)
-		}
 	}
 }

@@ -1,8 +1,10 @@
-// Package experiments implements the reproduction's evaluation suite E1–E14
-// (see DESIGN.md Section 5): one experiment per directional claim of the
-// paper, each producing a table in the style a systems paper would report.
-// The suite is shared by the repository's testing.B benchmarks
-// (bench_test.go) and by cmd/braid-bench.
+// Package experiments implements the reproduction's evaluation suite (see
+// DESIGN.md Section 5 and EXPERIMENTS.md): one experiment per directional
+// claim of the paper, each producing a table in the style a systems paper
+// would report. cmd/braid-bench prints the tables; the package's tests assert
+// the parts of each table that repeat (counts, simulated costs, invariants).
+// Wall-clock columns are diagnostics of one host: numbers to compare across
+// commits come from bench/.
 package experiments
 
 import (
@@ -79,12 +81,41 @@ func onOff(v bool) string {
 	return "off"
 }
 
-// All runs every experiment with default parameters, in order.
-func All() []*Table {
-	return []*Table{
-		E1ICRange(), E2CachingStrategies(), E3LazyVsEager(), E4Prefetching(),
-		E5Generalization(), E6AttributeIndexing(), E7Replacement(),
-		E8ParallelSubqueries(), E9SubsumptionOverhead(), E10FeatureAblation(),
-		E11FaultTolerance(), E12ConcurrentScaling(),
-	}
+// failed is the table an experiment returns when its measurement could not
+// run (a listener or a temp directory it needs was unavailable), so one
+// environment problem does not take down the whole suite.
+func failed(id string, err error) *Table {
+	return &Table{ID: id, Title: "failed", Header: []string{"error"}, Rows: [][]string{{err.Error()}}}
+}
+
+// Experiment is one entry of the suite: braid-bench lists, selects and runs
+// experiments from Registry, and the tests check it is complete.
+type Experiment struct {
+	ID    string
+	Title string
+	Run   func() *Table
+}
+
+// Registry is the whole suite, in order. E17 (observability overhead) was
+// retired: its one reading sat below its own noise floor, and bench --trace 1
+// reports the same cost with a stated spread (EXPERIMENTS.md §E17).
+var Registry = []Experiment{
+	{"E1", "inference strategy along the I-C range", E1ICRange},
+	{"E2", "caching strategies on overlapping queries", E2CachingStrategies},
+	{"E3", "lazy vs eager evaluation", E3LazyVsEager},
+	{"E4", "path-expression prefetching", E4Prefetching},
+	{"E5", "query generalization", E5Generalization},
+	{"E6", "attribute indexing", E6AttributeIndexing},
+	{"E7", "advice-modified replacement", E7Replacement},
+	{"E8", "parallel cache/remote subqueries", E8ParallelSubqueries},
+	{"E9", "subsumption overhead", E9SubsumptionOverhead},
+	{"E10", "feature ablation (Figure 2)", E10FeatureAblation},
+	{"E11", "fault tolerance under an unreliable remote", E11FaultTolerance},
+	{"E12", "concurrent multi-session scaling", E12ConcurrentScaling},
+	{"E13", "admission control under overload", E13AdmissionControl},
+	{"E14", "stream transport: first-tuple latency and pooled throughput", E14StreamTransport},
+	{"E15", "mid-stream failure recovery: resumable streams", E15StreamRecovery},
+	{"E16", "cost-based optimizer: pipelined joins, plan cache", E16PlannerStreaming},
+	{"E18", "durability: write throughput by fsync policy; recovery time by log size", E18Durability},
+	{"E19", "morsel-driven parallel execution: parity across DOP", E19ParallelExecution},
 }

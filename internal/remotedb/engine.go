@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -64,16 +63,10 @@ type Engine struct {
 	// is the worker-pool bound for eligible plans (<= 1: serial); parMinRows
 	// is the optimizer's cost threshold — a plan whose driver scan is
 	// estimated below it stays serial, so tiny inputs never pay fan-out
-	// overhead; morselSize is the scan split granularity (and the chunk at
-	// which the simulated per-morsel stall applies on the serial path).
+	// overhead; morselSize is the scan split granularity.
 	parallelism atomic.Int32
 	parMinRows  atomic.Int64
 	morselSize  atomic.Int64
-	// morselStall is the per-morsel service-time model for experiments
-	// (E19), the same device E14 used for pooled QPS: each morsel charges a
-	// fixed simulated fetch latency on whichever executor reads it, so DOP
-	// scaling is measurable on any machine. Zero (the default) disables it.
-	morselStall atomic.Int64
 
 	// Parallel-execution counters (read-through metrics + ParallelStats).
 	parStreams   atomic.Int64 // executions that ran morsel-parallel
@@ -132,18 +125,6 @@ func (e *Engine) SetMorselSize(n int) {
 
 // MorselSize returns the scan split granularity in tuples.
 func (e *Engine) MorselSize() int { return int(e.morselSize.Load()) }
-
-// SetMorselStall installs the experiment service-time model: every morsel of
-// base-table rows charges d of simulated fetch latency on whichever executor
-// reads it — the serial scan sleeps per morselSize rows, parallel workers
-// sleep per claimed morsel — so both arms of a DOP sweep pay identical total
-// stall and the measured speedup is genuine overlap (E19; the analogue of
-// E14's 1ms service-time model). Zero disables it; production paths never
-// set it.
-func (e *Engine) SetMorselStall(d time.Duration) { e.morselStall.Store(int64(d)) }
-
-// MorselStall returns the per-morsel simulated fetch latency.
-func (e *Engine) MorselStall() time.Duration { return time.Duration(e.morselStall.Load()) }
 
 // ParallelStats are cumulative morsel-execution counters.
 type ParallelStats struct {
@@ -488,13 +469,18 @@ func (e *Engine) ExecuteSQL(src string) (*relation.Relation, int64, error) {
 // ExecuteSQLCtx parses and runs a statement under ctx (span parenting and
 // wire-adopted trace IDs flow through).
 func (e *Engine) ExecuteSQLCtx(ctx context.Context, src string) (*relation.Relation, int64, error) {
-	ctx, bind := e.tracer.Load().Start(ctx, "engine.bind")
-	st, err := ParseSQL(src)
-	bind.End()
+	st, err := e.bind(ctx, src)
 	if err != nil {
 		return nil, 0, err
 	}
 	return e.ExecuteCtx(ctx, st)
+}
+
+// bind parses src under the engine.bind span.
+func (e *Engine) bind(ctx context.Context, src string) (*Statement, error) {
+	_, sp := e.tracer.Load().Start(ctx, "engine.bind")
+	defer sp.End()
+	return ParseSQL(src)
 }
 
 // selScope is the resolved FROM/WHERE of one SELECT: alias bindings plus the

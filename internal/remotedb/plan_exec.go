@@ -19,13 +19,6 @@ import (
 type planRun struct {
 	ops   int64
 	scans map[*scanNode]scanBinding
-	// morsel is the scan split granularity; stall, when non-zero, is the
-	// simulated per-morsel fetch latency (Engine.SetMorselStall) experiments
-	// use as a service-time model. The serial scan pays the same stall per
-	// morselful of examined rows as a parallel worker pays per claimed
-	// morsel, so measured speedups isolate genuine overlap.
-	morsel int
-	stall  time.Duration
 	// analyze, when non-nil, collects per-node actuals (rows emitted,
 	// inclusive wall time, scan rows examined) for EXPLAIN ANALYZE. It is nil
 	// on ordinary executions, so the hot path pays nothing.
@@ -106,11 +99,7 @@ func (run *planRun) openNode(n planNode) relation.Iterator {
 // has a parallel section and the open-time DOP decision picks parallelism,
 // the stream carries a parExec.
 func (p *Plan) open(ctx context.Context, e *Engine, analyze, streamed bool) *PlanStream {
-	run := &planRun{
-		scans:  make(map[*scanNode]scanBinding),
-		morsel: e.MorselSize(),
-		stall:  e.MorselStall(),
-	}
+	run := &planRun{scans: make(map[*scanNode]scanBinding)}
 	if analyze {
 		run.analyze = make(map[planNode]*nodeActual)
 	}
@@ -130,7 +119,7 @@ func (p *Plan) open(ctx context.Context, e *Engine, analyze, streamed bool) *Pla
 			pctx, cancel := context.WithCancel(ctx)
 			ps.par = &parExec{
 				e: e, plan: p, run: run, sec: p.par,
-				dop: dop, morsel: run.morsel, stall: run.stall,
+				dop: dop, morsel: e.MorselSize(),
 				ctx: pctx, cancel: cancel,
 			}
 		} else {
@@ -180,22 +169,6 @@ func (n *scanNode) open(run *planRun) relation.Iterator {
 		src = relation.NewSliceIterator(b.ix.Lookup(n.idxVals))
 	} else {
 		src = relation.NewSliceIterator(b.rows)
-	}
-	if run.stall > 0 {
-		// Serial arm of the experiment service-time model: one simulated fetch
-		// stall per morselful of examined rows, the same total a parallel run
-		// pays across its workers (one stall per claimed morsel).
-		inner, n := src, 0
-		src = relation.IteratorFunc(func() (relation.Tuple, bool) {
-			t, ok := inner.Next()
-			if ok {
-				if n%run.morsel == 0 {
-					time.Sleep(run.stall)
-				}
-				n++
-			}
-			return t, ok
-		})
 	}
 	src = run.counted(src)
 	if na := run.actualFor(n); na != nil {

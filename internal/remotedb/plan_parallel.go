@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/relation"
 )
@@ -160,7 +159,6 @@ type parExec struct {
 	sec    *parSection
 	dop    int
 	morsel int
-	stall  time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -374,9 +372,6 @@ func (px *parExec) morselIter(ws *parWorkerStats) relation.Iterator {
 			hi := lo + px.morsel
 			if hi > len(px.rows) {
 				hi = len(px.rows)
-			}
-			if px.stall > 0 {
-				time.Sleep(px.stall) // experiment service-time model (SetMorselStall)
 			}
 			ws.morsels++
 			px.e.parMorselsCt.Add(1)

@@ -216,14 +216,13 @@ func TestParallelCloseAfterPartialDrainLeaksNothing(t *testing.T) {
 func TestParallelCancelMidStream(t *testing.T) {
 	e := newParallelEngine(t, 4000)
 	forcePar(e, 4)
-	// A stall slows morsel claims enough that cancellation always lands
-	// while workers are mid-flight.
-	e.SetMorselStall(2 * time.Millisecond)
-	defer e.SetMorselStall(0)
 	before := runtime.NumGoroutine()
 
 	// A streamed single-table scan is resumable and therefore serial, so the
-	// parallel exchange path needs a join shape.
+	// parallel exchange path needs a join shape. The exchange holds 2*dop
+	// batches of 128, far fewer than the join's 4000 tuples: after one pull
+	// the workers are parked on the send with work left, whatever the host's
+	// speed, so the cancel below always lands mid-flight.
 	ctx, cancel := context.WithCancel(context.Background())
 	ps, ok := e.ExecuteSQLPipelineCtx(ctx, "SELECT big.id, dim.dname FROM big, dim WHERE big.g = dim.g")
 	if !ok {
@@ -261,17 +260,33 @@ func TestParallelCancelMidStream(t *testing.T) {
 func TestParallelAggCancelYieldsErrorNotPartial(t *testing.T) {
 	e := newParallelEngine(t, 4000)
 	forcePar(e, 4)
-	e.SetMorselStall(2 * time.Millisecond)
-	defer e.SetMorselStall(0)
+	// Nothing parks an aggregating worker, so the cancel has to arrive while
+	// the pool is still running: a build side with 512 rows per key makes the
+	// workers aggregate two million joined tuples out of two small tables —
+	// tens of milliseconds on any host, and only for a run the cancel misses.
+	if _, _, err := e.ExecuteSQL("CREATE TABLE fat (g INT, k INT)"); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < 16; g++ {
+		var vals []string
+		for k := 0; k < 512; k++ {
+			vals = append(vals, fmt.Sprintf("(%d,%d)", g, k))
+		}
+		if _, _, err := e.ExecuteSQL("INSERT INTO fat VALUES " + strings.Join(vals, ",")); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	ps, ok := e.ExecuteSQLPipelineCtx(ctx, "SELECT g, COUNT(*), SUM(v) FROM big GROUP BY g")
+	ps, ok := e.ExecuteSQLPipelineCtx(ctx, "SELECT big.g, COUNT(*), SUM(big.v) FROM big, fat WHERE big.g = fat.g GROUP BY big.g")
 	if !ok {
 		t.Fatal("pipeline declined the agg")
 	}
-	// Cancel while the workers are still chewing morsels: the agg boundary
-	// blocks the first pull until the pool drains, so fire the cancel from a
-	// timer racing that first pull.
+	if ps.DOP() < 2 {
+		t.Fatalf("dop = %d, want parallel", ps.DOP())
+	}
+	// The agg boundary blocks the first pull until the pool drains, so fire
+	// the cancel from a timer racing that first pull.
 	timer := time.AfterFunc(3*time.Millisecond, cancel)
 	defer timer.Stop()
 	rows := 0
@@ -281,8 +296,11 @@ func TestParallelAggCancelYieldsErrorNotPartial(t *testing.T) {
 		}
 		rows++
 	}
-	if err := ps.Err(); err == nil && rows < 16 {
-		t.Fatalf("cancel produced a partial aggregate (%d of 16 groups) with nil Err", rows)
+	if err := ps.Err(); err == nil {
+		t.Fatalf("canceled aggregation reported a nil Err with %d of 16 groups", rows)
+	}
+	if rows != 0 {
+		t.Fatalf("canceled aggregation emitted %d groups before its error", rows)
 	}
 	ps.Close()
 }
@@ -315,32 +333,5 @@ func TestExplainAnalyzeShowsWorkers(t *testing.T) {
 	}
 	if !strings.Contains(rel.Tuple(0)[0].AsString(), "parallel dop 4") {
 		t.Fatalf("EXPLAIN header missing parallel decision: %s", rel.Tuple(0)[0].AsString())
-	}
-}
-
-// The serial morsel stall (the experiment's service-time model) must charge
-// the serial arm the same per-morsel latency the parallel arm pays, without
-// changing results or ops.
-func TestMorselStallPreservesResults(t *testing.T) {
-	e := newParallelEngine(t, 600)
-	e.SetParallelism(1)
-	want, wantOps, err := e.ExecuteSQL("SELECT g, COUNT(*) FROM big GROUP BY g ORDER BY g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetMorselSize(128)
-	e.SetMorselStall(time.Millisecond)
-	defer e.SetMorselStall(0)
-	t0 := time.Now()
-	got, gotOps, err := e.ExecuteSQL("SELECT g, COUNT(*) FROM big GROUP BY g ORDER BY g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.EqualAsBag(want) || gotOps != wantOps {
-		t.Fatalf("stall changed the result (ops %d vs %d)", gotOps, wantOps)
-	}
-	// 600 rows / 128-row morsels = 5 stalls of 1ms minimum.
-	if d := time.Since(t0); d < 4*time.Millisecond {
-		t.Fatalf("stall not applied on the serial scan: %v", d)
 	}
 }

@@ -66,12 +66,16 @@ func drainScan(sc *PlanStream) []string {
 // presents a resume token: ok=false when the engine does not honour the token
 // (the server then serves the stream it got as a fresh one).
 func resumeSQLStream(e *Engine, src string, tok ResumeToken, skip int64) (*PlanStream, bool) {
-	ps, resumed, ok := e.openStream(context.Background(), src, &tok, skip)
-	if ok && !resumed {
+	st, err := ParseSQL(src)
+	if err != nil || st.Select == nil {
+		return nil, false
+	}
+	ps, resumed, err := e.openStream(context.Background(), st.Select, src, &tok, skip)
+	if err == nil && !resumed {
 		ps.Close()
 		return nil, false
 	}
-	return ps, ok
+	return ps, err == nil
 }
 
 func drainTuples(st TupleStream) ([]string, error) {

@@ -358,20 +358,15 @@ func (s *Server) logSlow(start time.Time, sql string, cached bool, rows, frames 
 }
 
 // handle executes one request that the framed path does not stream: the
-// catalog ops, ping, and exec statements with no pipelined form.
-func (s *Server) handle(ctx context.Context, req *wireRequest) wireResponse {
+// catalog ops, ping, and exec statements with no pipelined form (st is the
+// parsed statement of an exec, nil for every other op).
+func (s *Server) handle(ctx context.Context, req *wireRequest, st *Statement) wireResponse {
 	switch req.Op {
 	case "exec":
-		start := s.slowClock()
-		rel, ops, err := s.engine.ExecuteSQLCtx(ctx, req.SQL)
+		rel, ops, err := s.engine.ExecuteCtx(ctx, st)
 		if err != nil {
 			return wireResponse{Err: err.Error()}
 		}
-		var rows int64
-		if rel != nil {
-			rows = int64(len(rel.Tuples()))
-		}
-		s.logSlow(start, req.SQL, false, rows, 0, 1)
 		return wireResponse{Rel: toWireRelation(rel), Ops: ops}
 	case "schema":
 		sch, err := s.engine.Schema(req.Name)

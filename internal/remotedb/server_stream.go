@@ -244,8 +244,8 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 	// SELECTs bypass materialization entirely: the engine yields tuples on
 	// demand and frames ship as the plan advances, so the client's first tuple
 	// costs the plan's blocking prefix plus one frame of work, not the whole
-	// result. Everything the engine does not stream — EXPLAIN, DDL/DML, errors —
-	// runs bounded and is framed post hoc.
+	// result. What the engine does not stream — EXPLAIN, DDL/DML — runs bounded
+	// and is framed post hoc.
 	if req.Op == "exec" {
 		start := s.slowClock()
 		// A re-issued request carries a resume token: the stream serves the
@@ -259,15 +259,27 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 				pin = &tok
 			}
 		}
-		if sc, resumed, ok := s.engine.openStream(ctx, req.SQL, pin, req.Skip); ok {
-			if resumed {
-				s.streamResumes.Add(1)
+		// The statement is parsed here, once, for both ways of running it. A
+		// parse or planning error is the answer: it needs no bounded run.
+		st, err := s.engine.bind(ctx, req.SQL)
+		if err == nil && st.Select != nil && !st.Explain {
+			sc, resumed, oerr := s.engine.openStream(ctx, st.Select, req.SQL, pin, req.Skip)
+			if oerr == nil {
+				if resumed {
+					s.streamResumes.Add(1)
+				}
+				rows, frames := fc.streamScan(ctx, id, sc, delay, release, resumed, killer)
+				s.logSlow(start, req.SQL, sc.Cached(), rows, frames, sc.DOP())
+				return
 			}
-			rows, frames := fc.streamScan(ctx, id, sc, delay, release, resumed, killer)
-			s.logSlow(start, req.SQL, sc.Cached(), rows, frames, sc.DOP())
+			err = oerr
+		}
+		if err != nil {
+			release()
+			fc.writeEnd(id, wireCodeNone, err.Error(), 0)
 			return
 		}
-		resp, canceled := s.runBounded(ctx, req, delay, release)
+		resp, canceled := s.runBounded(ctx, req, st, delay, release)
 		if canceled {
 			s.streamsCanceled.Add(1)
 			fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), 0)
@@ -282,7 +294,7 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 		return
 	}
 
-	resp, canceled := s.runBounded(ctx, req, delay, release)
+	resp, canceled := s.runBounded(ctx, req, nil, delay, release)
 	if canceled {
 		s.streamsCanceled.Add(1)
 		fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), 0)
@@ -361,14 +373,14 @@ func (k *streamKiller) afterWrite() (killed bool) {
 // running at the deadline or at cancellation is abandoned — it completes in
 // the background and releases its execution/admission slots then, so
 // abandoned work keeps counting against the limits while it burns CPU.
-func (s *Server) runBounded(ctx context.Context, req *wireRequest, delay time.Duration, release func()) (wireResponse, bool) {
+func (s *Server) runBounded(ctx context.Context, req *wireRequest, st *Statement, delay time.Duration, release func()) (wireResponse, bool) {
 	ch := make(chan wireResponse, 1)
 	go func() {
 		defer release()
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		ch <- s.handle(ctx, req)
+		ch <- s.handle(ctx, req, st)
 	}()
 	var timerC <-chan time.Time
 	if s.opts.RequestTimeout > 0 {

@@ -92,3 +92,41 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatalf("dur_ms missing: %v", rec)
 	}
 }
+
+// TestServerRunsStatementOnce: a statement that does not stream (an INSERT)
+// leaves exactly one slow-query record, and a SELECT that fails to resolve is
+// planned — and counted as a plan-cache miss — once, not once per execution
+// path the server could have taken.
+func TestServerRunsStatementOnce(t *testing.T) {
+	e := newTestEngine(t)
+	var buf syncBuffer
+	srv := NewServerWithOptions(e, ServerOptions{
+		SlowQuery: time.Nanosecond,
+		SlowLog:   slog.New(slog.NewJSONHandler(&buf, nil)),
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := dialTestPool(t, addr, PoolOptions{})
+
+	const insert = "INSERT INTO dept VALUES (40,'lab')"
+	if _, err := p.Exec(insert); err != nil {
+		t.Fatal(err)
+	}
+	before := e.PlanCacheStats().Misses
+	if _, err := p.Exec("SELECT nosuch FROM emp"); err == nil {
+		t.Fatal("SELECT of an unknown column succeeded")
+	}
+	if got := e.PlanCacheStats().Misses - before; got != 1 {
+		t.Errorf("failing SELECT moved plan-cache misses by %d, want 1", got)
+	}
+
+	// Close joins every handler, so no record is still on its way.
+	p.Close()
+	srv.Close()
+	if got := strings.Count(buf.String(), fmtHash(StatementHash(insert))); got != 1 {
+		t.Errorf("INSERT left %d slow-query records, want 1; log:\n%s", got, buf.String())
+	}
+}

@@ -198,39 +198,36 @@ func validate(e, q *caql.Query, assignment []int, needed map[string]bool) *Candi
 		}
 	}
 
-	// For each query variable matched by several distinct element variables,
-	// Q requires an equality the element does not intrinsically provide; it
-	// must be enforced as a residual selection between extension columns,
-	// which requires every such element variable to be an extension column.
-	var conds []relation.Cond
-	for _, evs := range qVarSources {
-		if len(evs) < 2 {
-			continue
-		}
-		first, ok := eCol[evs[0]]
-		if !ok {
-			return nil
-		}
-		for _, v := range evs[1:] {
-			c, ok := eCol[v]
-			if !ok {
+	// Two kinds of element variable need a residual selection, and therefore
+	// an extension column: one bound to a query constant (an equality with
+	// the constant), and one of several distinct element variables matched
+	// by the same query variable (Q requires an equality the element does
+	// not intrinsically provide).
+	for ev, t := range m {
+		if t.IsConst() || len(qVarSources[t.Var]) > 1 {
+			if _, ok := eCol[ev]; !ok {
 				return nil
 			}
-			conds = append(conds, relation.ColCol(first, relation.OpEq, c))
 		}
 	}
-
-	// Element variables bound to query constants become residual equality
-	// selections; the column must exist in the extension.
-	for ev, t := range m {
-		if !t.IsConst() {
+	// The map range above only rejects. The selections themselves are
+	// emitted in extension-column order, so the candidate is a function of
+	// (element, query): the CMS indexes the first equality it finds.
+	var conds []relation.Cond
+	for col, ht := range e.Head.Args {
+		if !ht.IsVar() || eCol[ht.Var] != col {
 			continue
 		}
-		col, ok := eCol[ev]
-		if !ok {
-			return nil
+		qt, ok := m[ht.Var]
+		switch {
+		case !ok:
+		case qt.IsConst():
+			conds = append(conds, relation.ColConst(col, relation.OpEq, qt.Const))
+		default:
+			if evs := qVarSources[qt.Var]; len(evs) > 1 && evs[0] != ht.Var {
+				conds = append(conds, relation.ColCol(eCol[evs[0]], relation.OpEq, col))
+			}
 		}
-		conds = append(conds, relation.ColConst(col, relation.OpEq, t.Const))
 	}
 
 	// Available query variables and their extension columns.

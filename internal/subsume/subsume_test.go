@@ -2,6 +2,7 @@ package subsume
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/caql"
@@ -473,5 +474,27 @@ func TestMatchCandidateOrdering(t *testing.T) {
 	cands := Match(e, q, map[string]bool{"X": true, "Z": true})
 	if len(cands) == 0 || len(cands[0].Cover) != 2 {
 		t.Fatalf("expected full-cover candidate first: %+v", cands)
+	}
+}
+
+// A derivation is a function of (element, query): the residual selections
+// come out in extension-column order however the maps inside validate
+// happen to iterate.
+func TestMatchCondsInColumnOrder(t *testing.T) {
+	e := caql.MustParse("e(X, Y, Z, W) :- r(X, Y) & s(Z, W)")
+	q := caql.MustParse(`q(Y) :- r(3, Y) & s(Y, "c2")`)
+	want := []relation.Cond{
+		relation.ColConst(0, relation.OpEq, relation.Int(3)),
+		relation.ColCol(1, relation.OpEq, 2),
+		relation.ColConst(3, relation.OpEq, relation.Str("c2")),
+	}
+	for i := 0; i < 100; i++ {
+		cands := Match(e, q, headVars(q))
+		if len(cands) != 1 {
+			t.Fatalf("run %d: %d candidates, want 1", i, len(cands))
+		}
+		if got := cands[0].Conds; !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: conds %v, want %v", i, got, want)
+		}
 	}
 }
