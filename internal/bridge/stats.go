@@ -62,15 +62,15 @@ func (c *StatsCounters) AddResponseSimMS(d float64) { addFloat(&c.responseSimBit
 // caller to fill.
 func (c *StatsCounters) Snapshot() SourceStats {
 	return SourceStats{
-		Queries:         c.Queries.Load(),
-		CacheHits:       c.CacheHits.Load(),
-		PartialHits:     c.PartialHits.Load(),
-		ExactHits:       c.ExactHits.Load(),
-		Prefetches:      c.Prefetches.Load(),
-		PrefetchHits:    c.PrefetchHits.Load(),
-		PrefetchDrops:   c.PrefetchDrops.Load(),
-		Generalizations: c.Generalizations.Load(),
-		IndexBuilds:     c.IndexBuilds.Load(),
+		Queries:            c.Queries.Load(),
+		CacheHits:          c.CacheHits.Load(),
+		PartialHits:        c.PartialHits.Load(),
+		ExactHits:          c.ExactHits.Load(),
+		Prefetches:         c.Prefetches.Load(),
+		PrefetchHits:       c.PrefetchHits.Load(),
+		PrefetchDrops:      c.PrefetchDrops.Load(),
+		Generalizations:    c.Generalizations.Load(),
+		IndexBuilds:        c.IndexBuilds.Load(),
 		LazyAnswers:        c.LazyAnswers.Load(),
 		DegradedHits:       c.DegradedHits.Load(),
 		EpochInvalidations: c.EpochInvalidations.Load(),

@@ -139,9 +139,12 @@ func (c *tupleCounter) add(t Tuple, d int) int {
 	return d
 }
 
-// tupleArena hands out tuple buffers carved from large shared blocks, cutting
-// the per-output-tuple allocation of the join kernels to ~one allocation per
-// block. Tuples returned by make escape freely: blocks are never reused.
+// tupleArena hands out tuple buffers carved from shared blocks, cutting the
+// per-output-tuple allocation of the join and projection kernels to ~one
+// allocation per block. Blocks double from the first tuple's size up to
+// arenaBlockValues, so a result of a few tuples costs about what it holds and
+// a large one an allocation per 4096 values. Tuples returned by make escape
+// freely: blocks are never reused.
 type tupleArena struct {
 	buf []Value
 }
@@ -149,11 +152,8 @@ type tupleArena struct {
 const arenaBlockValues = 4096
 
 func (a *tupleArena) make(n int) Tuple {
-	if n > arenaBlockValues {
-		return make(Tuple, 0, n)
-	}
 	if cap(a.buf)-len(a.buf) < n {
-		a.buf = make([]Value, 0, arenaBlockValues)
+		a.buf = make([]Value, 0, max(n, min(2*cap(a.buf), arenaBlockValues)))
 	}
 	off := len(a.buf)
 	a.buf = a.buf[:off+n]

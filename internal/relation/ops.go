@@ -30,14 +30,20 @@ func SelectRel(r *Relation, conds []Cond) *Relation {
 	return Drain(r.Name, r.schema, Select(r.Iter(), conds))
 }
 
-// Project lazily projects each tuple onto the given columns.
+// Project lazily projects each tuple onto the given columns. Output tuples
+// are allocated from a shared arena.
 func Project(in Iterator, cols []int) Iterator {
+	var arena tupleArena
 	return IteratorFunc(func() (Tuple, bool) {
 		t, ok := in.Next()
 		if !ok {
 			return nil, false
 		}
-		return t.Project(cols), true
+		out := arena.make(len(cols))
+		for _, c := range cols {
+			out = append(out, t[c])
+		}
+		return out, true
 	})
 }
 

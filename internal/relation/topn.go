@@ -73,10 +73,10 @@ type topNHeap struct {
 	cols  []int
 }
 
-func (h *topNHeap) Len() int            { return len(h.items) }
-func (h *topNHeap) Less(i, j int) bool  { return topNBefore(h.items[j], h.items[i], h.cols) }
-func (h *topNHeap) Swap(i, j int)       { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *topNHeap) Push(x any)          { h.items = append(h.items, x.(topNItem)) }
+func (h *topNHeap) Len() int           { return len(h.items) }
+func (h *topNHeap) Less(i, j int) bool { return topNBefore(h.items[j], h.items[i], h.cols) }
+func (h *topNHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *topNHeap) Push(x any)         { h.items = append(h.items, x.(topNItem)) }
 func (h *topNHeap) Pop() any {
 	last := h.items[len(h.items)-1]
 	h.items = h.items[:len(h.items)-1]

@@ -194,7 +194,7 @@ func (e *Engine) checkpointLocked() *walCheckpoint {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		ck.Tables = append(ck.Tables, toWireRelation(e.tables[n]))
+		ck.Tables = append(ck.Tables, toWALTable(e.tables[n]))
 	}
 	for n, ixs := range e.indexes {
 		for _, ix := range ixs {
@@ -237,11 +237,7 @@ func (e *Engine) CreateTable(name string, schema *relation.Schema) error {
 	if _, dup := e.tables[name]; dup {
 		return fmt.Errorf("remotedb: table %s already exists", name)
 	}
-	attrs := make([]wireAttr, 0, schema.Arity())
-	for _, a := range schema.Attrs() {
-		attrs = append(attrs, wireAttr{Name: a.Name, Kind: uint8(a.Kind)})
-	}
-	if err := e.logLocked(&walRecord{Kind: walCreateTable, Name: name, Attrs: attrs}); err != nil {
+	if err := e.logLocked(&walRecord{Kind: walCreateTable, Name: name, Attrs: toWireAttrs(schema)}); err != nil {
 		return err
 	}
 	e.applyCreateTable(name, schema)
@@ -264,7 +260,11 @@ func (e *Engine) applyCreateTable(name string, schema *relation.Schema) {
 func (e *Engine) LoadTable(r *relation.Relation) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.logLocked(&walRecord{Kind: walLoadTable, Rel: toWireRelation(r)}); err != nil {
+	rec := &walRecord{Kind: walLoadTable}
+	if e.wal != nil { // an in-memory engine logs nothing: encode nothing
+		rec.Rel = toWALTable(r)
+	}
+	if err := e.logLocked(rec); err != nil {
 		return
 	}
 	e.applyLoadTable(r)
@@ -305,7 +305,11 @@ func (e *Engine) Insert(table string, rows []relation.Tuple) error {
 		}
 		coerced[r] = crow
 	}
-	if err := e.logLocked(&walRecord{Kind: walInsert, Name: table, Rows: toWireTuples(coerced)}); err != nil {
+	rec := &walRecord{Kind: walInsert, Name: table}
+	if e.wal != nil {
+		rec.Rows = appendBatch(nil, schema.Arity(), coerced)
+	}
+	if err := e.logLocked(rec); err != nil {
 		return err
 	}
 	e.applyInsert(table, coerced)

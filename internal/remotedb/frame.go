@@ -7,13 +7,14 @@ import (
 	"io"
 )
 
-// Wire protocol v2: after the hello handshake (wire.go), a connection carries
+// Wire protocol v3: after the hello handshake (wire.go), a connection carries
 // gob-encoded wireFrame values in both directions on the SAME per-connection
-// gob encoder/decoder pair that carried the handshake.
-// Reusing the connection's encoder matters: gob transmits a type descriptor
-// the first time each type crosses an encoder, so a per-frame (or
-// per-request) encoder would resend descriptors on every message —
-// BenchmarkGobEncoderReuse in wire_bench_test.go measures the delta.
+// gob encoder/decoder pair that carried the handshake (gob transmits a type
+// descriptor the first time each type crosses an encoder, so a per-frame
+// encoder would resend descriptors on every message). gob is the envelope
+// only: the tuples of a batch frame travel as one opaque column batch
+// (batch.go), which the stream's consumer decodes, not the connection's
+// reader.
 //
 // Frames are tagged with a request ID, so any number of requests can be in
 // flight on one connection and responses interleave at frame granularity: a
@@ -24,7 +25,7 @@ import (
 // Client→server frames: frameReq (start a request), frameCancel (stop one
 // stream mid-flight; only that stream dies).
 // Server→client frames: frameHeader (result schema), frameBatch (a bounded
-// slice of tuples), frameEnd (terminal: ops count, or an error/code; also
+// number of tuples), frameEnd (terminal: ops count, or an error/code; also
 // carries the whole payload for the small catalog ops).
 
 // Frame kinds.
@@ -44,9 +45,9 @@ type wireFrame struct {
 
 	Req *wireRequest // frameReq
 
-	Name   string        // frameHeader: result relation name
-	Attrs  []wireAttr    // frameHeader; frameEnd for the "schema" op
-	Tuples [][]wireValue // frameBatch
+	Name  string     // frameHeader: result relation name
+	Attrs []wireAttr // frameHeader; frameEnd for the "schema" op
+	Batch []byte     // frameBatch: one column batch of the header's arity
 
 	// Resume, on a header frame, is the encoded resume token (resume.go) when
 	// this stream is resumable — empty for the materializing execution path.
@@ -105,8 +106,8 @@ func readFrame(dec *gob.Decoder) (*wireFrame, error) {
 }
 
 // clampFrameTuples bounds a frame-size request to sane limits: at least 1
-// tuple per frame, at most 64k (a frame is decoded as one allocation, so the
-// cap bounds peak decode memory per stream).
+// tuple per frame, at most 64k (a frame decodes into one arena of
+// tuples × arity values, so the cap bounds peak decode memory per stream).
 func clampFrameTuples(n, fallback int) int {
 	if n <= 0 {
 		n = fallback

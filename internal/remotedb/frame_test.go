@@ -2,98 +2,17 @@ package remotedb
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"io"
 	"math/rand"
+	"net"
+	"runtime"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/relation"
 )
-
-// randomValue draws one relation.Value covering every wire kind, including
-// Null.
-func randomValue(rng *rand.Rand) relation.Value {
-	switch rng.Intn(5) {
-	case 0:
-		return relation.Null()
-	case 1:
-		return relation.Int(rng.Int63() - rng.Int63())
-	case 2:
-		return relation.Float(rng.NormFloat64() * 1e6)
-	case 3:
-		n := rng.Intn(24)
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(rng.Intn(256)) // arbitrary bytes, not just printable
-		}
-		return relation.Str(string(b))
-	default:
-		return relation.Bool(rng.Intn(2) == 0)
-	}
-}
-
-// TestQuickWireValueRoundTrip: toWireValue/fromWireValue is the identity on
-// every value kind.
-func TestQuickWireValueRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := func() bool {
-		v := randomValue(rng)
-		got, err := fromWireValue(toWireValue(v))
-		return err == nil && got.Equal(v)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestWireValueAllKinds pins each kind explicitly (quick sampling aside), and
-// rejects unknown kinds with an error instead of guessing.
-func TestWireValueAllKinds(t *testing.T) {
-	for _, v := range []relation.Value{
-		relation.Null(),
-		relation.Int(-1 << 62),
-		relation.Float(3.5),
-		relation.Str(""),
-		relation.Str("héllo\x00wörld"),
-		relation.Bool(true),
-		relation.Bool(false),
-	} {
-		got, err := fromWireValue(toWireValue(v))
-		if err != nil || !got.Equal(v) {
-			t.Errorf("round trip of %v: got %v, err %v", v, got, err)
-		}
-	}
-	if _, err := fromWireValue(wireValue{Kind: 99}); err == nil {
-		t.Error("unknown wire kind must be rejected")
-	}
-}
-
-// TestQuickWireTupleRoundTrip: whole tuples survive batch conversion.
-func TestQuickWireTupleRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func() bool {
-		n := rng.Intn(6)
-		in := make(relation.Tuple, n)
-		for i := range in {
-			in[i] = randomValue(rng)
-		}
-		out, err := fromWireTuples([][]wireValue{toWireTuple(in)})
-		if err != nil || len(out) != 1 || len(out[0]) != n {
-			return false
-		}
-		for i := range in {
-			if !out[0][i].Equal(in[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
 
 // encodeFrames gob-encodes a handshake-free frame sequence the way a
 // connection would: one shared encoder.
@@ -112,7 +31,7 @@ func encodeFrames(t *testing.T, frames ...*wireFrame) []byte {
 func sampleFrames() []*wireFrame {
 	return []*wireFrame{
 		{ID: 1, Kind: frameHeader, Name: "result", Attrs: []wireAttr{{Name: "x", Kind: 1}}},
-		{ID: 1, Kind: frameBatch, Tuples: [][]wireValue{{{Kind: 1, I: 42}}, {{Kind: 0}}}},
+		{ID: 1, Kind: frameBatch, Batch: appendBatch(nil, 1, []relation.Tuple{{relation.Int(42)}, {relation.Null()}})},
 		{ID: 1, Kind: frameEnd, Ops: 2},
 	}
 }
@@ -203,5 +122,108 @@ func TestFrameRejectsUnknownKind(t *testing.T) {
 	raw = encodeFrames(t, &wireFrame{ID: 4, Kind: frameReq})
 	if _, err := readFrame(gob.NewDecoder(bytes.NewReader(raw))); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("req frame without request: got %v, want ErrProtocol", err)
+	}
+}
+
+// TestStreamRejectsBatchOfWrongArity: a batch frame is checked against the
+// header's schema before any tuple of it reaches the consumer — a peer that
+// ships rows wider than it announced ends the stream with ErrProtocol.
+func TestStreamRejectsBatchOfWrongArity(t *testing.T) {
+	addr, _ := startFakePeer(t, func(_ int, conn net.Conn) {
+		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+		var hello wireRequest
+		if dec.Decode(&hello) != nil || enc.Encode(wireResponse{Proto: protoV3}) != nil {
+			return
+		}
+		req, err := readFrame(dec)
+		if err != nil {
+			return
+		}
+		wide := appendBatch(nil, 2, []relation.Tuple{{relation.Int(1), relation.Int(2)}})
+		writeFrame(enc, &wireFrame{ID: req.ID, Kind: frameHeader, Name: "r", Attrs: []wireAttr{{Name: "x", Kind: 1}}})
+		writeFrame(enc, &wireFrame{ID: req.ID, Kind: frameBatch, Batch: wide})
+		writeFrame(enc, &wireFrame{ID: req.ID, Kind: frameEnd})
+	})
+	p := dialTestPool(t, addr, PoolOptions{Size: 1})
+	st, err := p.ExecStream(context.Background(), "SELECT x FROM r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tu, ok := st.Next(); ok {
+		t.Fatalf("delivered %v from a batch wider than the header", tu)
+	}
+	if !errors.Is(st.Err(), ErrProtocol) {
+		t.Fatalf("stream error %v, want ErrProtocol", st.Err())
+	}
+}
+
+// TestWireAllocsPerTuple: what the wire adds to a bulk result is a constant
+// per frame, not a cost per tuple. A 100 k-row SELECT * drained through
+// DialPool → ExecStream may allocate at most half an object per tuple more
+// than the same statement drained from the engine's own stream. Mallocs are
+// the whole process's, so the server's half of the connection counts too.
+func TestWireAllocsPerTuple(t *testing.T) {
+	const rows = 100_000
+	fact := relation.New("fact", relation.NewSchema(
+		relation.Attr{Name: "k", Kind: relation.KindInt},
+		relation.Attr{Name: "g", Kind: relation.KindString},
+		relation.Attr{Name: "v", Kind: relation.KindFloat}))
+	fact.Grow(rows)
+	for i, tu := range frameTuples(rows) {
+		tu[0] = relation.Int(int64(i))
+		fact.MustAppend(tu)
+	}
+	e := NewEngine()
+	e.LoadTable(fact)
+	srv := NewServer(e)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := dialTestPool(t, addr, PoolOptions{Size: 1})
+
+	const sql = "SELECT * FROM fact"
+	mallocs := func(drain func() int) float64 {
+		drain() // plan cache, gob type descriptors, connection buffers
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if n := drain(); n != rows {
+			t.Fatalf("drained %d tuples, want %d", n, rows)
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.Mallocs - m0.Mallocs)
+	}
+	count := func(it relation.Iterator) (n int) {
+		for {
+			if _, ok := it.Next(); !ok {
+				return n
+			}
+			n++
+		}
+	}
+	direct := mallocs(func() int {
+		ps, ok := e.ExecuteSQLPipelineCtx(context.Background(), sql)
+		if !ok {
+			t.Fatal("no pipeline for " + sql)
+		}
+		defer ps.Close()
+		return count(ps)
+	})
+	wire := mallocs(func() int {
+		st, err := p.ExecStream(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := count(st)
+		if st.Err() != nil {
+			t.Fatal(st.Err())
+		}
+		return n
+	})
+	if per := (wire - direct) / rows; per > 0.5 {
+		t.Fatalf("the wire costs %.3f allocations per tuple (%.0f over the wire, %.0f direct), want at most 0.5", per, wire, direct)
+	} else {
+		t.Logf("wire %.0f, direct %.0f: %.4f allocations per tuple", wire, direct, per)
 	}
 }

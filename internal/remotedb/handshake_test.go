@@ -73,7 +73,7 @@ func answerHello(conn net.Conn, resp wireResponse) {
 func TestPoolHandshakeMutePeerHonorsContext(t *testing.T) {
 	addr, hangUp := startFakePeer(t, func(n int, conn net.Conn) {
 		if n == 0 {
-			answerHello(conn, wireResponse{Proto: protoV2}) // let DialPool succeed
+			answerHello(conn, wireResponse{Proto: protoV3}) // let DialPool succeed
 		}
 	})
 	p := dialTestPool(t, addr, PoolOptions{Size: 1, Redial: true})
@@ -112,15 +112,18 @@ func TestPoolHandshakeMutePeerHonorsContext(t *testing.T) {
 	}
 }
 
-// TestServerRejectsPreV2Opener: a peer that opens with anything but hello at
-// version 2 gets exactly one error response naming the unsupported protocol,
-// then EOF — never a result, never a hang.
-func TestServerRejectsPreV2Opener(t *testing.T) {
+// TestServerRejectsOtherOpener: a peer that opens with anything but hello at
+// version 3 gets exactly one error response naming the unsupported protocol,
+// then EOF — never a result, never a hang. Version 2 matters most: its peer
+// would read this build's batch frames as empty results.
+func TestServerRejectsOtherOpener(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
 	openers := map[string]wireRequest{
 		"bare exec":     {Op: "exec", SQL: "SELECT * FROM dept"},
 		"hello proto 1": {Op: "hello", Proto: 1},
+		"hello proto 2": {Op: "hello", Proto: 2},
+		"hello proto 4": {Op: "hello", Proto: 4},
 	}
 	for name, opener := range openers {
 		t.Run(name, func(t *testing.T) {
@@ -141,7 +144,7 @@ func TestServerRejectsPreV2Opener(t *testing.T) {
 			if !strings.Contains(resp.Err, "unsupported protocol") {
 				t.Fatalf("response does not name the unsupported protocol: %+v", resp)
 			}
-			if resp.Rel != nil || resp.Proto != 0 {
+			if resp.Proto != 0 {
 				t.Fatalf("rejected opener still got an answer: %+v", resp)
 			}
 			var next wireResponse
@@ -152,11 +155,12 @@ func TestServerRejectsPreV2Opener(t *testing.T) {
 	}
 }
 
-// TestDialPoolRejectsPreV2Server: a server that answers hello with a lower
+// TestDialPoolRejectsOtherServer: a server that answers hello with another
 // version, or with an error, fails the dial with a typed hello ProtocolError.
-func TestDialPoolRejectsPreV2Server(t *testing.T) {
+func TestDialPoolRejectsOtherServer(t *testing.T) {
 	answers := map[string]wireResponse{
 		"proto 1":    {Proto: 1},
+		"proto 2":    {Proto: 2},
 		"unknown op": {Err: `remotedb: unknown op "hello"`},
 	}
 	for name, answer := range answers {
@@ -165,7 +169,7 @@ func TestDialPoolRejectsPreV2Server(t *testing.T) {
 			p, err := DialPool(addr, PoolOptions{Size: 1})
 			if err == nil {
 				p.Close()
-				t.Fatal("DialPool succeeded against a pre-v2 server")
+				t.Fatal("DialPool succeeded against a server of another version")
 			}
 			var pe *ProtocolError
 			if !errors.As(err, &pe) || pe.Op != "hello" {

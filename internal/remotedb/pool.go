@@ -372,11 +372,7 @@ func (p *PoolClient) RelationSchema(name string, arity int) (*relation.Schema, e
 	if err != nil {
 		return nil, err
 	}
-	attrs := make([]relation.Attr, len(resp.Attrs))
-	for i, a := range resp.Attrs {
-		attrs[i] = relation.Attr{Name: a.Name, Kind: relation.Kind(a.Kind)}
-	}
-	sch := relation.NewSchema(attrs...)
+	sch := fromWireAttrs(resp.Attrs)
 	if arity >= 0 && sch.Arity() != arity {
 		return nil, errArity(name, sch.Arity(), arity)
 	}
@@ -568,7 +564,7 @@ func (c *muxConn) handshake(ctx context.Context, conn net.Conn, enc *gob.Encoder
 	conn.SetDeadline(deadline)
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
 	var resp wireResponse
-	err := enc.Encode(&wireRequest{Op: "hello", Proto: protoV2, FrameTuples: opts.FrameTuples})
+	err := enc.Encode(&wireRequest{Op: "hello", Proto: protoV3, FrameTuples: opts.FrameTuples})
 	if err == nil {
 		err = dec.Decode(&resp)
 	}
@@ -588,8 +584,8 @@ func (c *muxConn) handshake(ctx context.Context, conn net.Conn, enc *gob.Encoder
 	if resp.Err != "" {
 		return &ProtocolError{Op: "hello", Err: errors.New(resp.Err)}
 	}
-	if resp.Proto < protoV2 {
-		return &ProtocolError{Op: "hello", Err: fmt.Errorf("server answered protocol %d, want %d", resp.Proto, protoV2)}
+	if resp.Proto != protoV3 {
+		return &ProtocolError{Op: "hello", Err: fmt.Errorf("server answered protocol %d, want %d", resp.Proto, protoV3)}
 	}
 	conn.SetDeadline(time.Time{})
 	return nil
@@ -723,11 +719,7 @@ func (c *muxConn) execStream(ctx context.Context, sql, resume string, skip int64
 	}
 	switch f.Kind {
 	case frameHeader:
-		attrs := make([]relation.Attr, len(f.Attrs))
-		for i, a := range f.Attrs {
-			attrs[i] = relation.Attr{Name: a.Name, Kind: relation.Kind(a.Kind)}
-		}
-		st.schema = relation.NewSchema(attrs...)
+		st.schema = fromWireAttrs(f.Attrs)
 		st.name = f.Name
 		st.resume, st.resumed = f.Resume, f.Resumed
 		return st, nil
@@ -890,7 +882,9 @@ func (st *muxStream) Next() (relation.Tuple, bool) {
 		switch f.Kind {
 		case frameBatch:
 			st.noteFirst()
-			tuples, derr := fromWireTuples(f.Tuples)
+			// Decoded here, on the consumer's goroutine: the connection's read
+			// loop only moved the bytes.
+			tuples, derr := decodeBatch(f.Batch, st.schema.Arity())
 			if derr != nil {
 				st.abort(&ProtocolError{Op: "exec", Err: derr})
 				return nil, false

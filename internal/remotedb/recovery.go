@@ -2,6 +2,7 @@ package remotedb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -78,7 +79,7 @@ func OpenEngine(d Durability) (*Engine, *RecoveryStats, error) {
 
 	if ck != nil {
 		for _, wr := range ck.Tables {
-			r, err := fromWireRelation(wr)
+			r, err := wr.relation()
 			if err != nil {
 				return nil, nil, &WALCorruptError{Path: walCheckpointPath(d.Dir, gen), Reason: fmt.Sprintf("checkpoint table %s: %v", wr.Name, err)}
 			}
@@ -171,39 +172,41 @@ func OpenEngine(d Durability) (*Engine, *RecoveryStats, error) {
 // replayRecord applies one logged mutation during recovery. Replay trusts
 // the log's validation (rows were coerced before logging) but still refuses
 // structurally impossible records — a decodable record referencing a table
-// that never existed means the log is not the one this state was written by.
+// that never existed, or rows that are not a batch of its arity, mean the log
+// is not the one this state was written by. scanWALSegment reports the error
+// as corruption at the record's offset.
 func (e *Engine) replayRecord(rec *walRecord) error {
 	switch rec.Kind {
 	case walCreateTable:
-		attrs := make([]relation.Attr, len(rec.Attrs))
-		for i, a := range rec.Attrs {
-			attrs[i] = relation.Attr{Name: a.Name, Kind: relation.Kind(a.Kind)}
-		}
-		e.applyCreateTable(rec.Name, relation.NewSchema(attrs...))
+		e.applyCreateTable(rec.Name, fromWireAttrs(rec.Attrs))
 	case walLoadTable:
-		r, err := fromWireRelation(rec.Rel)
+		if rec.Rel == nil {
+			return errors.New("replay load without a table")
+		}
+		r, err := rec.Rel.relation()
 		if err != nil {
-			return fmt.Errorf("%w: replay load: %v", ErrWALCorrupt, err)
+			return fmt.Errorf("replay load: %v", err)
 		}
 		e.applyLoadTable(r)
 	case walInsert:
-		if _, ok := e.tables[rec.Name]; !ok {
-			return fmt.Errorf("%w: replay insert into unknown table %s", ErrWALCorrupt, rec.Name)
+		t, ok := e.tables[rec.Name]
+		if !ok {
+			return fmt.Errorf("replay insert into unknown table %s", rec.Name)
 		}
-		rows, err := fromWireTuples(rec.Rows)
+		rows, err := decodeBatch(rec.Rows, t.Schema().Arity())
 		if err != nil {
-			return fmt.Errorf("%w: replay insert into %s: %v", ErrWALCorrupt, rec.Name, err)
+			return fmt.Errorf("replay insert into %s: %v", rec.Name, err)
 		}
 		e.applyInsert(rec.Name, rows)
 	case walCreateIndex:
 		if _, ok := e.tables[rec.Name]; !ok {
-			return fmt.Errorf("%w: replay index on unknown table %s", ErrWALCorrupt, rec.Name)
+			return fmt.Errorf("replay index on unknown table %s", rec.Name)
 		}
 		e.applyCreateIndex(rec.Name, rec.Cols)
 	case walRestart:
 		e.applyRestart()
 	default:
-		return fmt.Errorf("%w: replay of unknown record kind %d", ErrWALCorrupt, rec.Kind)
+		return fmt.Errorf("replay of unknown record kind %d", rec.Kind)
 	}
 	return nil
 }

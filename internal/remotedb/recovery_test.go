@@ -1,6 +1,8 @@
 package remotedb
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -409,5 +411,125 @@ func TestWALStickyError(t *testing.T) {
 	// ...and every later mutation fails fast on the sticky error.
 	if err := e.CreateIndex("t", []int{0}); err == nil {
 		t.Fatal("mutation accepted after a WAL failure")
+	}
+}
+
+// The record and checkpoint layouts this package wrote before rows became
+// column batches (walFormat 1): no Format field, rows as gob structs.
+type (
+	oldWireValue struct {
+		Kind uint8
+		I    int64
+		F    float64
+		S    string
+		B    bool
+	}
+	oldWireRelation struct {
+		Name   string
+		Attrs  []wireAttr
+		Tuples [][]oldWireValue
+	}
+	oldWALRecord struct {
+		Seq   uint64
+		Kind  uint8
+		Name  string
+		Attrs []wireAttr
+		Rel   *oldWireRelation
+		Rows  [][]oldWireValue
+		Cols  []int
+	}
+	oldWALCheckpoint struct {
+		Gen      uint64
+		Epoch    uint64
+		Versions map[string]uint64
+		Tables   []*oldWireRelation
+		Indexes  map[string][][]int
+	}
+)
+
+func gobFrame(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return encodeWALFrame(buf.Bytes())
+}
+
+// TestRecoveryRefusesOlderLogFormat: gob drops the fields a reader does not
+// declare, so a data directory written before the batch codec would replay
+// as tables and inserts of zero rows. It is refused whole — ErrWALCorrupt, no
+// engine — whether the old bytes are a segment or a checkpoint, and whichever
+// record of the segment comes first.
+func TestRecoveryRefusesOlderLogFormat(t *testing.T) {
+	attrs := []wireAttr{{Name: "k", Kind: uint8(relation.KindInt)}}
+	rows := [][]oldWireValue{{{Kind: 1, I: 7}}, {{Kind: 1, I: 8}}}
+	segments := map[string][]oldWALRecord{
+		"create then insert": {
+			{Seq: 1, Kind: walCreateTable, Name: "t", Attrs: attrs},
+			{Seq: 2, Kind: walInsert, Name: "t", Rows: rows},
+		},
+		"load": {
+			{Seq: 1, Kind: walLoadTable, Rel: &oldWireRelation{Name: "t", Attrs: attrs, Tuples: rows}},
+		},
+	}
+	for name, recs := range segments {
+		t.Run("segment/"+name, func(t *testing.T) {
+			dir := t.TempDir()
+			var data []byte
+			for i := range recs {
+				data = append(data, gobFrame(t, &recs[i])...)
+			}
+			if err := os.WriteFile(walSegmentPath(dir, 0), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e, _, err := OpenEngine(Durability{Dir: dir})
+			var ce *WALCorruptError
+			if !errors.Is(err, ErrWALCorrupt) || !errors.As(err, &ce) || e != nil {
+				t.Fatalf("OpenEngine on a format-1 segment: engine %v, err %v; want no engine and a *WALCorruptError", e, err)
+			}
+		})
+	}
+	t.Run("checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		ck := gobFrame(t, &oldWALCheckpoint{
+			Gen: 1, Epoch: 3, Versions: map[string]uint64{"t": 2},
+			Tables: []*oldWireRelation{{Name: "t", Attrs: attrs, Tuples: rows}},
+		})
+		if err := os.WriteFile(walCheckpointPath(dir, 1), ck, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, _, err := OpenEngine(Durability{Dir: dir})
+		var ce *WALCorruptError
+		if !errors.Is(err, ErrWALCorrupt) || !errors.As(err, &ce) || e != nil {
+			t.Fatalf("OpenEngine on a format-1 checkpoint: engine %v, err %v; want no engine and a *WALCorruptError", e, err)
+		}
+	})
+}
+
+// TestRecoveryRefusesRowsOfWrongArity: a record that passes its CRC and names
+// the current format but whose batch does not fit the table it targets is
+// corruption at that record, not rows of the wrong width in the table.
+func TestRecoveryRefusesRowsOfWrongArity(t *testing.T) {
+	dir := t.TempDir()
+	recs := []*walRecord{
+		{Seq: 1, Kind: walCreateTable, Name: "t", Attrs: []wireAttr{{Name: "k", Kind: 1}}},
+		{Seq: 2, Kind: walInsert, Name: "t", Rows: appendBatch(nil, 2, []relation.Tuple{{relation.Int(1), relation.Int(2)}})},
+	}
+	var data []byte
+	for _, rec := range recs {
+		frame, err := encodeWALRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, frame...)
+	}
+	if err := os.WriteFile(walSegmentPath(dir, 0), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := OpenEngine(Durability{Dir: dir})
+	var ce *WALCorruptError
+	if !errors.As(err, &ce) || ce.Offset == 0 {
+		t.Fatalf("OpenEngine: %v; want a *WALCorruptError at the second record", err)
 	}
 }

@@ -545,13 +545,13 @@ func (s *scriptedStream) Next() (relation.Tuple, bool) {
 	return t, true
 }
 
-func (s *scriptedStream) Schema() *relation.Schema        { return s.schema }
-func (s *scriptedStream) Name() string                    { return "result" }
-func (s *scriptedStream) Err() error                      { return s.err }
-func (s *scriptedStream) Ops() int64                      { return int64(s.pos) }
-func (s *scriptedStream) SimMS() float64                  { return 0.25 }
-func (s *scriptedStream) Close() error                    { s.closed = true; return nil }
-func (s *scriptedStream) ResumeState() (string, bool)     { return s.token, s.resumed }
+func (s *scriptedStream) Schema() *relation.Schema    { return s.schema }
+func (s *scriptedStream) Name() string                { return "result" }
+func (s *scriptedStream) Err() error                  { return s.err }
+func (s *scriptedStream) Ops() int64                  { return int64(s.pos) }
+func (s *scriptedStream) SimMS() float64              { return 0.25 }
+func (s *scriptedStream) Close() error                { s.closed = true; return nil }
+func (s *scriptedStream) ResumeState() (string, bool) { return s.token, s.resumed }
 
 // scriptedClient serves scripted streams over a fixed row set, injecting a
 // bounded number of mid-stream deaths and honoring resume tokens with

@@ -278,7 +278,7 @@ func (s *Server) rollFault() (keep bool, delay time.Duration) {
 	return true, 0
 }
 
-// serveConn reads the connection's opener. A hello at protoV2 or above is
+// serveConn reads the connection's opener. A hello at protoV3 is
 // acknowledged and the connection flips to framed mode on the same
 // encoder/decoder pair; anything else gets one error response and a close.
 func (s *Server) serveConn(conn net.Conn) {
@@ -302,12 +302,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		return
 	}
-	resp := wireResponse{Proto: protoV2}
-	framed := req.Op == "hello" && req.Proto >= protoV2
+	resp := wireResponse{Proto: protoV3}
+	framed := req.Op == "hello" && req.Proto == protoV3
 	if !framed {
 		resp = wireResponse{Err: fmt.Sprintf(
-			"remotedb: unsupported protocol: a connection opens with hello at version %d or above, got op %q at version %d",
-			protoV2, req.Op, req.Proto)}
+			"remotedb: unsupported protocol: a connection opens with hello at version %d, got op %q at version %d",
+			protoV3, req.Op, req.Proto)}
 	}
 	if s.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
@@ -367,17 +367,13 @@ func (s *Server) handle(ctx context.Context, req *wireRequest, st *Statement) wi
 		if err != nil {
 			return wireResponse{Err: err.Error()}
 		}
-		return wireResponse{Rel: toWireRelation(rel), Ops: ops}
+		return wireResponse{rel: rel, Ops: ops}
 	case "schema":
 		sch, err := s.engine.Schema(req.Name)
 		if err != nil {
 			return wireResponse{Err: err.Error()}
 		}
-		var attrs []wireAttr
-		for _, a := range sch.Attrs() {
-			attrs = append(attrs, wireAttr{Name: a.Name, Kind: uint8(a.Kind)})
-		}
-		return wireResponse{Attrs: attrs}
+		return wireResponse{Attrs: toWireAttrs(sch)}
 	case "stats":
 		st, err := s.engine.Stats(req.Name)
 		if err != nil {

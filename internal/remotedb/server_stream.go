@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
 // This file is the server half of the wire protocol (frame.go): after the
@@ -289,7 +290,19 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 			fc.writeEnd(id, resp.Code, resp.Err, resp.Ops)
 			return
 		}
-		rows, frames := fc.streamResult(ctx, id, &resp, killer)
+		// What ran bounded (EXPLAIN, DDL/DML) ships through the same writer,
+		// from the relation it materialized, with no deadline left to watch and
+		// no resume token: a client resuming it restarts and skips client-side.
+		hdr := &wireFrame{ID: id, Kind: frameHeader}
+		src := relation.Empty()
+		if resp.rel != nil {
+			hdr.Name, hdr.Attrs, src = resp.rel.Name, toWireAttrs(resp.rel.Schema()), resp.rel.Iter()
+		}
+		rows, frames, ok := fc.ship(ctx, hdr, src, nil, killer)
+		if ok {
+			fc.writeEnd(id, wireCodeNone, "", resp.Ops)
+			frames++
+		}
 		s.logSlow(start, req.SQL, false, rows, frames, 1)
 		return
 	}
@@ -434,10 +447,6 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 			return
 		}
 	}
-	var attrs []wireAttr
-	for _, a := range sc.Schema().Attrs() {
-		attrs = append(attrs, wireAttr{Name: a.Name, Kind: uint8(a.Kind)})
-	}
 	// The header of a resumable stream carries the resume token pinning its
 	// snapshot; a client that loses the connection mid-transfer re-issues the
 	// statement with it. Resumed acknowledges a honored token (server-side
@@ -449,50 +458,12 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 	if tok := sc.ResumeToken(); tok.Table != "" {
 		resume = tok.Encode()
 	}
-	if fc.write(&wireFrame{
-		ID: id, Kind: frameHeader, Name: sc.Name(), Attrs: attrs,
+	rows, frames, ok := fc.ship(ctx, &wireFrame{
+		ID: id, Kind: frameHeader, Name: sc.Name(), Attrs: toWireAttrs(sc.Schema()),
 		Resume: resume, Resumed: resumed,
-	}) != nil {
-		return
-	}
-	frames++
-	if killer.afterWrite() {
-		return
-	}
-	// The batch buffer is reused across frames: writeFrame serializes
-	// synchronously, so the tuples are on the wire before the next fill.
-	batch := make([][]wireValue, 0, fc.frameTuples)
-	for done := false; !done; {
-		batch = batch[:0]
-		for len(batch) < fc.frameTuples {
-			t, ok := sc.Next()
-			if !ok {
-				done = true
-				break
-			}
-			batch = append(batch, toWireTuple(t))
-		}
-		select {
-		case <-ctx.Done():
-			s.streamsCanceled.Add(1)
-			fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), 0)
-			return
-		case <-timerC:
-			s.timeouts.Add(1)
-			fc.writeEnd(id, wireCodeDeadline, ErrDeadlineExceeded.Error(), 0)
-			return
-		default:
-		}
-		if len(batch) > 0 {
-			if fc.write(&wireFrame{ID: id, Kind: frameBatch, Tuples: batch}) != nil {
-				return
-			}
-			rows += int64(len(batch))
-			frames++
-			if killer.afterWrite() {
-				return
-			}
-		}
+	}, sc, timerC, killer)
+	if !ok {
+		return rows, frames
 	}
 	// A stream that stopped early (a parallel worker hit its cancellation
 	// checkpoint) must not read as a complete result: report it as canceled,
@@ -500,55 +471,66 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 	if err := sc.Err(); err != nil {
 		s.streamsCanceled.Add(1)
 		fc.writeEnd(id, wireCodeCanceled, err.Error(), sc.Ops())
-		frames++
-		return rows, frames
+		return rows, frames + 1
 	}
 	fc.writeEnd(id, wireCodeNone, "", sc.Ops())
-	frames++
-	return rows, frames
+	return rows, frames + 1
 }
 
-// streamResult ships an exec result as header + tuple batches + end,
-// checking for cancellation between batches so a canceled stream stops
-// producing after at most one more frame. It returns the tuples and frames
-// shipped, for the slow-query log.
-func (fc *framedConn) streamResult(ctx context.Context, id uint64, resp *wireResponse, killer *streamKiller) (sent, frames int64) {
-	var (
-		name  string
-		attrs []wireAttr
-		rows  [][]wireValue
-	)
-	if resp.Rel != nil {
-		name, attrs, rows = resp.Rel.Name, resp.Rel.Attrs, resp.Rel.Tuples
-	}
-	// Materialized results carry no resume token: their tuple order is not
-	// guaranteed deterministic across executions (hash aggregation), so a
-	// skip-based resume could silently corrupt the result. A client resuming
-	// such a stream restarts it and skips client-side.
-	if fc.write(&wireFrame{ID: id, Kind: frameHeader, Name: name, Attrs: attrs}) != nil {
+// ship is the one writer of exec results, streamed or materialized: the
+// header frame, then src's tuples in batch frames of at most frameTuples,
+// checking between frames for cancellation and, when deadline is non-nil, for
+// the request deadline. ok reports that every tuple went out and the caller
+// owes the end frame; otherwise the stream is over (a write failed, a kill
+// fault fired, or ship wrote the terminal frame itself). It returns the
+// tuples and frames shipped, for the slow-query log.
+func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Iterator, deadline <-chan time.Time, killer *streamKiller) (rows, frames int64, ok bool) {
+	if fc.write(hdr) != nil {
 		return
 	}
 	frames++
 	if killer.afterWrite() {
 		return
 	}
-	for start := 0; start < len(rows); start += fc.frameTuples {
-		if ctx.Err() != nil {
+	// Both buffers belong to this stream and are refilled frame after frame:
+	// write serializes synchronously, so a batch is on the wire before the
+	// next fill. They die with the stream; an idle connection holds nothing.
+	var (
+		tuples []relation.Tuple
+		batch  []byte
+	)
+	for done := false; !done; {
+		tuples = tuples[:0]
+		for len(tuples) < fc.frameTuples {
+			t, more := src.Next()
+			if !more {
+				done = true
+				break
+			}
+			tuples = append(tuples, t)
+		}
+		select {
+		case <-ctx.Done():
 			fc.s.streamsCanceled.Add(1)
-			fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), 0)
+			fc.writeEnd(hdr.ID, wireCodeCanceled, context.Canceled.Error(), 0)
 			return
+		case <-deadline:
+			fc.s.timeouts.Add(1)
+			fc.writeEnd(hdr.ID, wireCodeDeadline, ErrDeadlineExceeded.Error(), 0)
+			return
+		default:
 		}
-		end := min(start+fc.frameTuples, len(rows))
-		if fc.write(&wireFrame{ID: id, Kind: frameBatch, Tuples: rows[start:end]}) != nil {
-			return
-		}
-		sent += int64(end - start)
-		frames++
-		if killer.afterWrite() {
-			return
+		if len(tuples) > 0 {
+			batch = appendBatch(batch[:0], len(hdr.Attrs), tuples)
+			if fc.write(&wireFrame{ID: hdr.ID, Kind: frameBatch, Batch: batch}) != nil {
+				return
+			}
+			rows += int64(len(tuples))
+			frames++
+			if killer.afterWrite() {
+				return
+			}
 		}
 	}
-	fc.writeEnd(id, wireCodeNone, "", resp.Ops)
-	frames++
-	return sent, frames
+	return rows, frames, true
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
 // Write-ahead log for the engine's mutations (CreateTable / LoadTable /
@@ -38,7 +39,15 @@ import (
 //
 // where the payload is one self-contained gob encoding of walRecord (a fresh
 // encoder per record: records must be individually decodable so a damaged
-// record does not desynchronize the rest of the file).
+// record does not desynchronize the rest of the file). gob is the envelope;
+// the rows a record or checkpoint carries are column batches (batch.go), the
+// same bytes a response frame ships.
+//
+// Format. Every record and checkpoint names its payload format in its Format
+// field, and recovery refuses — as ErrWALCorrupt, never by replaying — any
+// that names another. gob silently drops fields the reader does not declare,
+// so without it a log written before the batch codec (walFormat 1, rows as
+// gob structs) would replay as tables and inserts of zero rows.
 //
 // Torn tails vs corruption. A crashed writer leaves at most a *prefix* of its
 // final frame (the frame is written with one Write call). Recovery therefore
@@ -137,27 +146,56 @@ const (
 	walRestart uint8 = 5
 )
 
-// walRecord is one logged mutation. Which fields are meaningful depends on
-// Kind; the wire mirror types (wire.go) are reused so relation.Value's
-// unexported fields never meet gob directly.
-type walRecord struct {
-	Seq  uint64 // position in the segment, starting at 1; replay verifies contiguity
-	Kind uint8
+// walFormat is the payload format this build writes and the only one it
+// reads: 2, rows as column batches.
+const walFormat = 2
 
-	Name  string        // CreateTable/Insert/CreateIndex: table name
-	Attrs []wireAttr    // CreateTable: schema
-	Rel   *wireRelation // LoadTable: full extension
-	Rows  [][]wireValue // Insert: validated (coerced) rows
-	Cols  []int         // CreateIndex: indexed columns
+// walRecord is one logged mutation. Which fields are meaningful depends on
+// Kind.
+type walRecord struct {
+	Format uint8  // walFormat, stamped by encodeWALRecord
+	Seq    uint64 // position in the segment, starting at 1; replay verifies contiguity
+	Kind   uint8
+
+	Name  string     // CreateTable/Insert/CreateIndex: table name
+	Attrs []wireAttr // CreateTable: schema
+	Rel   *walTable  // LoadTable: full extension
+	Rows  []byte     // Insert: validated (coerced) rows, one batch of the table's arity
+	Cols  []int      // CreateIndex: indexed columns
+}
+
+// walTable is a whole table in the log: its schema and its rows as one batch.
+type walTable struct {
+	Name  string
+	Attrs []wireAttr
+	Rows  []byte
+}
+
+func toWALTable(r *relation.Relation) *walTable {
+	return &walTable{
+		Name:  r.Name,
+		Attrs: toWireAttrs(r.Schema()),
+		Rows:  appendBatch(nil, r.Schema().Arity(), r.Tuples()),
+	}
+}
+
+func (w *walTable) relation() (*relation.Relation, error) {
+	r := relation.New(w.Name, fromWireAttrs(w.Attrs))
+	rows, err := decodeBatch(w.Rows, len(w.Attrs))
+	if err != nil {
+		return nil, err
+	}
+	return r, r.AppendAll(rows)
 }
 
 // walCheckpoint is a full engine snapshot, written at segment rotation. It is
 // framed exactly like a log record (one frame per file).
 type walCheckpoint struct {
+	Format   uint8 // walFormat, stamped by writeCheckpoint
 	Gen      uint64
 	Epoch    uint64
 	Versions map[string]uint64
-	Tables   []*wireRelation
+	Tables   []*walTable
 	Indexes  map[string][][]int
 }
 
@@ -291,8 +329,10 @@ func encodeWALFrame(payload []byte) []byte {
 	return frame
 }
 
-// encodeWALRecord gob-encodes one record into a framed byte slice.
+// encodeWALRecord stamps the record with walFormat and gob-encodes it into a
+// framed byte slice.
 func encodeWALRecord(rec *walRecord) ([]byte, error) {
+	rec.Format = walFormat
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
 		return nil, err
@@ -311,6 +351,9 @@ func decodeWALRecord(payload []byte) (*walRecord, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
 		return nil, err
 	}
+	if rec.Format != walFormat {
+		return nil, fmt.Errorf("record format %d, this build reads %d", rec.Format, walFormat)
+	}
 	if rec.Kind < walCreateTable || rec.Kind > walRestart {
 		return nil, fmt.Errorf("unknown wal record kind %d", rec.Kind)
 	}
@@ -326,9 +369,10 @@ type walScanResult struct {
 }
 
 // scanWALSegment reads every record of one segment in order, delivering each
-// to apply. final marks the last (live) segment: only there may a damaged
-// frame at EOF be treated as a torn tail. The function never blocks beyond
-// the file and never delivers a partially validated record.
+// to apply; a record apply refuses is corruption at that record. final marks
+// the last (live) segment: only there may a damaged frame at EOF be treated
+// as a torn tail. The function never blocks beyond the file and never
+// delivers a partially validated record.
 func scanWALSegment(path string, final bool, apply func(*walRecord) error) (walScanResult, error) {
 	res := walScanResult{}
 	data, err := os.ReadFile(path)
@@ -387,7 +431,7 @@ func scanWALSegment(path string, final bool, apply func(*walRecord) error) (walS
 		}
 		wantSeq = rec.Seq + 1
 		if err := apply(rec); err != nil {
-			return res, err
+			return corrupt(err.Error())
 		}
 		off += walFrameHeader + length
 		res.records++
@@ -401,6 +445,7 @@ func scanWALSegment(path string, final bool, apply func(*walRecord) error) (walS
 // rename, directory fsync — a crash at any point leaves either the old state
 // or a complete new checkpoint, never a half-visible one.
 func writeCheckpoint(dir string, ck *walCheckpoint) error {
+	ck.Format = walFormat
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 		return err
@@ -450,6 +495,9 @@ func readCheckpoint(dir string, gen uint64) (*walCheckpoint, error) {
 	var ck walCheckpoint
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
 		return nil, &WALCorruptError{Path: path, Reason: fmt.Sprintf("undecodable checkpoint: %v", err)}
+	}
+	if ck.Format != walFormat {
+		return nil, &WALCorruptError{Path: path, Reason: fmt.Sprintf("checkpoint format %d, this build reads %d", ck.Format, walFormat)}
 	}
 	return &ck, nil
 }

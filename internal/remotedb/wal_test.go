@@ -1,11 +1,14 @@
 package remotedb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/relation"
 )
 
 // walTestRecords is one record of every kind, with the fields that kind uses
@@ -13,16 +16,17 @@ import (
 func walTestRecords() []*walRecord {
 	return []*walRecord{
 		{Kind: walCreateTable, Name: "emp", Attrs: []wireAttr{{Name: "id", Kind: 1}, {Name: "name", Kind: 3}}},
-		{Kind: walLoadTable, Rel: &wireRelation{
-			Name:   "dept",
-			Attrs:  []wireAttr{{Name: "d", Kind: 1}, {Name: "title", Kind: 3}},
-			Tuples: [][]wireValue{{{Kind: 1, I: 1}, {Kind: 3, S: "eng"}}, {{Kind: 1, I: 2}, {Kind: 3, S: "ops"}}},
+		{Kind: walLoadTable, Rel: &walTable{
+			Name:  "dept",
+			Attrs: []wireAttr{{Name: "d", Kind: 1}, {Name: "title", Kind: 3}},
+			Rows: appendBatch(nil, 2, []relation.Tuple{
+				{relation.Int(1), relation.Str("eng")}, {relation.Int(2), relation.Str("ops")}}),
 		}},
-		{Kind: walInsert, Name: "emp", Rows: [][]wireValue{
-			{{Kind: 1, I: 7}, {Kind: 3, S: "ada"}},
-			{{Kind: 1, I: 8}, {Kind: 3, S: "käte"}}, // non-ASCII survives framing
-			{{Kind: 1, I: -1}, {Kind: 0}},           // NULL value
-		}},
+		{Kind: walInsert, Name: "emp", Rows: appendBatch(nil, 2, []relation.Tuple{
+			{relation.Int(7), relation.Str("ada")},
+			{relation.Int(8), relation.Str("käte")}, // non-ASCII survives framing
+			{relation.Int(-1), relation.Null()},     // NULL value
+		})},
 		{Kind: walCreateIndex, Name: "emp", Cols: []int{0, 1}},
 		{Kind: walRestart},
 	}
@@ -82,12 +86,13 @@ func TestWALFrameRoundTripAllKinds(t *testing.T) {
 				t.Fatalf("CreateTable attrs mismatch: %+v", g.Attrs)
 			}
 		case walLoadTable:
-			if g.Rel == nil || g.Rel.Name != rec.Rel.Name || len(g.Rel.Tuples) != len(rec.Rel.Tuples) {
+			if g.Rel == nil || g.Rel.Name != rec.Rel.Name || !bytes.Equal(g.Rel.Rows, rec.Rel.Rows) {
 				t.Fatalf("LoadTable relation mismatch: %+v", g.Rel)
 			}
 		case walInsert:
-			if len(g.Rows) != len(rec.Rows) || g.Rows[1][1].S != rec.Rows[1][1].S || g.Rows[2][1].Kind != 0 {
-				t.Fatalf("Insert rows mismatch: %+v", g.Rows)
+			rows, err := decodeBatch(g.Rows, 2)
+			if err != nil || len(rows) != 3 || rows[1][1].AsString() != "käte" || !rows[2][1].IsNull() {
+				t.Fatalf("Insert rows mismatch: %v, %v", rows, err)
 			}
 		case walCreateIndex:
 			if len(g.Cols) != 2 || g.Cols[0] != 0 || g.Cols[1] != 1 {
@@ -301,10 +306,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Gen:      3,
 		Epoch:    17,
 		Versions: map[string]uint64{"emp": 4, "dept": 1},
-		Tables: []*wireRelation{{
-			Name:   "emp",
-			Attrs:  []wireAttr{{Name: "id", Kind: 1}},
-			Tuples: [][]wireValue{{{Kind: 1, I: 42}}},
+		Tables: []*walTable{{
+			Name:  "emp",
+			Attrs: []wireAttr{{Name: "id", Kind: 1}},
+			Rows:  appendBatch(nil, 1, []relation.Tuple{{relation.Int(42)}}),
 		}},
 		Indexes: map[string][][]int{"emp": {{0}}},
 	}
@@ -316,9 +321,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Gen != 3 || got.Epoch != 17 || got.Versions["emp"] != 4 ||
-		len(got.Tables) != 1 || got.Tables[0].Tuples[0][0].I != 42 ||
-		len(got.Indexes["emp"]) != 1 {
+		len(got.Tables) != 1 || len(got.Indexes["emp"]) != 1 {
 		t.Fatalf("checkpoint round trip mismatch: %+v", got)
+	}
+	if emp, err := got.Tables[0].relation(); err != nil || emp.Len() != 1 || emp.Tuples()[0][0].AsInt() != 42 {
+		t.Fatalf("checkpoint table round trip: %v, %v", emp, err)
 	}
 
 	path := walCheckpointPath(dir, 3)

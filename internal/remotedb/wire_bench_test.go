@@ -1,55 +1,52 @@
 package remotedb
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/relation"
 )
 
-// benchFrame builds a representative response frame: one batch of n tuples of
-// (int, int, string) — the shape the framed transport ships on every scan.
-func benchFrame(n int) *wireFrame {
-	tuples := make([][]wireValue, n)
-	for i := range tuples {
-		tuples[i] = []wireValue{
-			{Kind: 1, I: int64(i)},
-			{Kind: 1, I: int64(i % 97)},
-			{Kind: 3, S: fmt.Sprintf("tag-%03d", i%251)},
-		}
+// BenchmarkFrameRoundTrip is one response frame end to end: column batch
+// encode into the stream's reused buffer, the gob envelope on a connection's
+// long-lived encoder/decoder pair, batch decode into one arena. allocs/tuple
+// is the number to watch: it falls as the frame grows, because a frame costs
+// a constant.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	for _, n := range []int{64, 512, 4096} {
+		b.Run(fmt.Sprintf("tuples=%d", n), func(b *testing.B) {
+			tuples := frameTuples(n)
+			var pipe bytes.Buffer
+			enc, dec := gob.NewEncoder(&pipe), gob.NewDecoder(&pipe)
+			var batch []byte
+			roundTrip := func() {
+				batch = appendBatch(batch[:0], 3, tuples)
+				if err := writeFrame(enc, &wireFrame{ID: 7, Kind: frameBatch, Batch: batch}); err != nil {
+					b.Fatal(err)
+				}
+				f, err := readFrame(dec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out, err := decodeBatch(f.Batch, 3); err != nil || len(out) != n {
+					b.Fatalf("decoded %d tuples, %v", len(out), err)
+				}
+			}
+			roundTrip() // type descriptors cross once, up front
+			b.ReportAllocs()
+			b.ResetTimer()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < b.N; i++ {
+				roundTrip()
+			}
+			runtime.ReadMemStats(&m1)
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*n), "allocs/tuple")
+		})
 	}
-	return &wireFrame{ID: 7, Kind: frameBatch, Tuples: tuples}
-}
-
-// BenchmarkGobEncoderReuse measures why the transport keeps one gob encoder
-// per connection: gob sends a type descriptor the first time a type crosses
-// an encoder, so a fresh encoder per message re-pays descriptor encoding and
-// transmission on every frame.
-func BenchmarkGobEncoderReuse(b *testing.B) {
-	f := benchFrame(512)
-	b.Run("fresh-encoder-per-frame", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := gob.NewEncoder(io.Discard).Encode(f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reused-encoder", func(b *testing.B) {
-		b.ReportAllocs()
-		enc := gob.NewEncoder(io.Discard)
-		if err := enc.Encode(f); err != nil { // descriptors paid once, up front
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkRelationBulkAppend measures the frame-decode materialization path:
