@@ -550,7 +550,7 @@ func TestManagerExactAndPredIndex(t *testing.T) {
 	ext := relation.New("g", relation.NewSchema(
 		relation.Attr{Name: "X", Kind: relation.KindInt},
 		relation.Attr{Name: "Y", Kind: relation.KindInt}))
-	e := newExtensionElement(m.NewElementID(), def, ext)
+	e := newExtensionElement(m.NewElementID(), def, def.Canonical(), ext)
 	if !m.Insert(e) {
 		t.Fatal("insert failed")
 	}

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/caql"
 	"repro/internal/relation"
+	"repro/internal/subsume"
 )
 
 // Mode distinguishes the two representations of a relation in the cache
@@ -49,7 +50,8 @@ func (m Mode) String() string {
 // Elements are safe for concurrent use: mu guards the representation
 // (mode/extension/memo/indexes/sorted representations/selection counts), and
 // the replacement bookkeeping is atomic so Touch never needs a lock. An
-// element's Def and canonical form are immutable after construction.
+// element's Def, canonical form and signature are immutable after
+// construction.
 type Element struct {
 	ID  int
 	Def *caql.Query
@@ -60,6 +62,10 @@ type Element struct {
 	// canon caches Def.Canonical(); canonicalization is allocation-heavy and
 	// the manager keys its shards and exact-match index on it.
 	canon string
+	// sig is Def prepared for matching: what the manager's signature index
+	// filters on and what derivations from this element start from. Like Def
+	// and canon it is bookkeeping, not charged to the byte budget.
+	sig *subsume.Prepared
 
 	// mu guards the representation fields below. Element locks are leaves:
 	// code holding an element lock never acquires a shard lock (DESIGN.md
@@ -131,12 +137,14 @@ func (e *Element) hasIndex(col int) bool {
 	return e.indexes[col] != nil
 }
 
-// newExtensionElement builds an extension-mode element.
-func newExtensionElement(id int, def *caql.Query, ext *relation.Relation) *Element {
+// newExtensionElement builds an extension-mode element; canon is
+// def.Canonical(), which the caller has usually computed already.
+func newExtensionElement(id int, def *caql.Query, canon string, ext *relation.Relation) *Element {
 	return &Element{
 		ID:      id,
 		Def:     def,
-		canon:   def.Canonical(),
+		canon:   canon,
+		sig:     subsume.Prepare(def),
 		Mode:    ModeExtension,
 		schema:  ext.Schema(),
 		ext:     ext,
@@ -152,6 +160,7 @@ func newGeneratorElement(id int, def *caql.Query, schema *relation.Schema, src r
 		ID:      id,
 		Def:     def,
 		canon:   def.Canonical(),
+		sig:     subsume.Prepare(def),
 		Mode:    ModeGenerator,
 		schema:  schema,
 		memo:    relation.NewMemo(src),

@@ -1,11 +1,14 @@
 package cache
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/caql"
+	"repro/internal/logic"
 	"repro/internal/relation"
+	"repro/internal/subsume"
 )
 
 // Manager is the Cache Manager (Section 5.4): it stores and replaces cache
@@ -14,12 +17,27 @@ import (
 //
 // Concurrency design: the store is split into numShards shards keyed by the
 // FNV hash of an element definition's canonical form. Each shard holds the
-// elements homed there plus that shard's slice of the (predicate → elements)
-// index, under its own RWMutex — lookups (ExactMatch, CandidatesFor) take
-// read locks only, so concurrent sessions probing the cache never serialize;
-// insert/remove take one shard's write lock. Touch is entirely atomic (no
-// lock). Budget eviction is the one global operation: it serializes on
-// evictMu and takes shard locks one at a time, never holding two at once.
+// elements homed there plus that shard's slice of the signature index, under
+// its own RWMutex — lookups (ExactMatch, CandidatesFor) take read locks only,
+// so concurrent sessions probing the cache never serialize; insert/remove
+// take one shard's write lock. Touch is entirely atomic (no lock). Budget
+// eviction is the one global operation: it serializes on evictMu and takes
+// shard locks one at a time, never holding two at once.
+//
+// The signature index is the paper's "(predicate name, cache element)" index
+// for step 2, made selective. Subsumption needs every atom of an element to
+// find an atom of the query over the same relation with the same constant
+// wherever the element has one, so any one atom of the element is a sound
+// key. An element is filed once, under its first atom that carries a
+// constant — keyed by (relation, arity, position, constant) — or, having no
+// constant anywhere, under its first atom's (relation, arity). A query atom
+// can only be met by elements filed under its relation with no constant or
+// with one of its own constants at the same position, so a probe reads one
+// bucket per query atom plus one per constant in it. Elements that pin a
+// constant the query does not have are never looked at, however many are
+// resident; what a probe does walk — constant-free definitions (whole
+// relations, ranges) and the elements pinning one of the query's own
+// constants — it walks with subsume.MayDerive, which allocates nothing.
 type Manager struct {
 	budget int64
 	shards [numShards]managerShard
@@ -45,16 +63,50 @@ type managerShard struct {
 	mu       sync.RWMutex
 	elements map[int]*Element
 	byCanon  map[string]*Element // exact-match result cache index
-	byPred   map[string][]*Element
+	// bySig is the signature index: sigKey hash → the elements filed under
+	// it. Distinct keys that collide share a bucket, which costs a probe a
+	// few more MayDerive calls and nothing else.
+	bySig map[uint64][]*Element
 }
 
-func shardIndex(canon string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(canon); i++ {
-		h = (h ^ uint64(canon[i])) * 1099511628211
+// sigKey hashes an index key: an atom's relation and arity, and either one
+// constant position with its value or pos < 0 for "no constant". Value.Hash
+// agrees with Value.Equal (2 and 2.0 hash alike), as the matcher's constant
+// rule requires.
+func sigKey(a logic.Atom, pos int) uint64 {
+	h := fnvString(a.Pred)
+	h = (h ^ uint64(len(a.Args))) * fnvPrime
+	h = (h ^ uint64(pos+1)) * fnvPrime
+	if pos >= 0 {
+		h = (h ^ a.Args[pos].Const.Hash()) * fnvPrime
 	}
-	return int(h % numShards)
+	return h
 }
+
+// filingKey is the one key an element definition is indexed under.
+func filingKey(def *caql.Query) uint64 {
+	for _, a := range def.Rels {
+		for p, t := range a.Args {
+			if t.IsConst() {
+				return sigKey(a, p)
+			}
+		}
+	}
+	return sigKey(def.Rels[0], -1)
+}
+
+const fnvPrime = 1099511628211
+
+// fnvString is the 64-bit FNV-1a hash of s.
+func fnvString(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
+func shardIndex(canon string) int { return int(fnvString(canon) % numShards) }
 
 // NewManager creates a cache manager with the given byte budget (<= 0 means
 // unbounded).
@@ -64,7 +116,7 @@ func NewManager(budget int64) *Manager {
 		s := &m.shards[i]
 		s.elements = make(map[int]*Element)
 		s.byCanon = make(map[string]*Element)
-		s.byPred = make(map[string][]*Element)
+		s.bySig = make(map[uint64][]*Element)
 	}
 	return m
 }
@@ -160,9 +212,8 @@ func (m *Manager) Insert(e *Element) (stored bool) {
 	}
 	s.elements[e.ID] = e
 	s.byCanon[e.canon] = e
-	for _, p := range e.Def.Preds() {
-		s.byPred[p] = append(s.byPred[p], e)
-	}
+	k := filingKey(e.Def)
+	s.bySig[k] = append(s.bySig[k], e)
 	s.mu.Unlock()
 
 	if m.budget > 0 {
@@ -230,14 +281,15 @@ func (s *managerShard) removeLocked(e *Element) {
 	if cur, ok := s.byCanon[e.canon]; ok && cur.ID == e.ID {
 		delete(s.byCanon, e.canon)
 	}
-	for _, p := range e.Def.Preds() {
-		list := s.byPred[p]
-		for i, x := range list {
-			if x.ID == e.ID {
-				s.byPred[p] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
+	k := filingKey(e.Def)
+	list := s.bySig[k]
+	if i := slices.Index(list, e); i >= 0 {
+		list = slices.Delete(list, i, i+1)
+	}
+	if len(list) == 0 {
+		delete(s.bySig, k) // constants come and go; empty buckets must not pile up
+	} else {
+		s.bySig[k] = list
 	}
 }
 
@@ -261,12 +313,12 @@ func (m *Manager) Touch(e *Element) {
 
 // ExactMatch finds a published element whose definition exactly matches q up
 // to variable renaming (result caching).
-func (m *Manager) ExactMatch(q *caql.Query) *Element { return m.ExactMatchFor(q, 0) }
+func (m *Manager) ExactMatch(q *caql.Query) *Element { return m.ExactMatchFor(q.Canonical(), 0) }
 
-// ExactMatchFor is ExactMatch restricted to elements visible to the given
-// session: published elements plus the session's own in-flight prefetches.
-func (m *Manager) ExactMatchFor(q *caql.Query, sid int64) *Element {
-	canon := q.Canonical()
+// ExactMatchFor is ExactMatch, by canonical form, restricted to elements
+// visible to the given session: published elements plus the session's own
+// in-flight prefetches.
+func (m *Manager) ExactMatchFor(canon string, sid int64) *Element {
 	s := m.shardFor(canon)
 	s.mu.RLock()
 	e := s.byCanon[canon]
@@ -277,37 +329,53 @@ func (m *Manager) ExactMatchFor(q *caql.Query, sid int64) *Element {
 	return e
 }
 
-// CandidatesFor returns published elements sharing at least one predicate
-// with q — the paper's "(predicate name, cache element)" index for expediting
-// step 2.
-func (m *Manager) CandidatesFor(q *caql.Query) []*Element { return m.CandidatesForSession(q, 0) }
+// CandidatesFor returns the published elements that may derive q or a
+// conjunctive subquery of it.
+func (m *Manager) CandidatesFor(q *caql.Query) []*Element {
+	return m.CandidatesForSession(subsume.Prepare(q), 0)
+}
 
-// CandidatesForSession is CandidatesFor restricted to elements visible to the
-// given session. Every shard is probed under a read lock, so concurrent
-// lookups proceed in parallel.
-func (m *Manager) CandidatesForSession(q *caql.Query, sid int64) []*Element {
-	preds := q.Preds()
-	var out []*Element
-	contains := func(e *Element) bool {
-		for _, x := range out {
-			if x.ID == e.ID {
-				return true
+// CandidatesForSession is the one place elements are enumerated for a query:
+// it returns, in ascending ID order, the elements visible to the session that
+// pass subsume.MayDerive — a superset of those subsume.Match accepts. It
+// reads the signature index (see Manager), so its cost follows the number of
+// constant-free definitions over q's relations, not the number of elements
+// resident. Every shard is probed under a read lock, so concurrent lookups
+// proceed in parallel.
+func (m *Manager) CandidatesForSession(q *subsume.Prepared, sid int64) []*Element {
+	// Two atoms of q can ask for one bucket; visiting each once means no
+	// element is met twice, since each is filed once.
+	var buf [16]uint64
+	keys := buf[:0]
+	add := func(k uint64) {
+		if !slices.Contains(keys, k) {
+			keys = append(keys, k)
+		}
+	}
+	for _, a := range q.Query.Rels {
+		add(sigKey(a, -1))
+		for p, t := range a.Args {
+			if t.IsConst() {
+				add(sigKey(a, p))
 			}
 		}
-		return false
 	}
+	var out []*Element
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
-		for _, p := range preds {
-			for _, e := range s.byPred[p] {
-				if e.visibleTo(sid) && !contains(e) {
+		for _, k := range keys {
+			for _, e := range s.bySig[k] {
+				if e.visibleTo(sid) && subsume.MayDerive(e.sig, q) {
 					out = append(out, e)
 				}
 			}
 		}
 		s.mu.RUnlock()
 	}
+	// Ascending ID makes every choice among equals downstream independent of
+	// shard iteration order.
+	slices.SortFunc(out, func(a, b *Element) int { return a.ID - b.ID })
 	return out
 }
 

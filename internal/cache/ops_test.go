@@ -165,7 +165,7 @@ func TestElementSortedRepresentations(t *testing.T) {
 	for _, v := range []int64{3, 1, 2} {
 		ext.MustAppend(relation.Tuple{relation.Int(v), relation.Int(10 - v)})
 	}
-	e := newExtensionElement(1, def, ext)
+	e := newExtensionElement(1, def, def.Canonical(), ext)
 	byX := e.SortedBy(0)
 	if byX.Tuple(0)[0].AsInt() != 1 || byX.Tuple(2)[0].AsInt() != 3 {
 		t.Fatalf("sorted by X wrong: %v", byX)

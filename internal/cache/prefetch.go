@@ -113,7 +113,7 @@ func (j prefetchJob) run() {
 		return // prefetching is best-effort; failed fetches are not counted
 	}
 	c.stats.Prefetches.Add(1)
-	e := newExtensionElement(c.mgr.NewElementID(), j.q.Clone(), ext)
+	e := newExtensionElement(c.mgr.NewElementID(), j.q.Clone(), j.canon, ext)
 	if j.vs != nil {
 		e.AdviceName = j.vs.Name()
 	}
@@ -131,11 +131,11 @@ func (j prefetchJob) run() {
 	s.pmu.Unlock()
 }
 
-// enqueuePrefetch registers a predicted fetch with the pool, deduplicating
-// against this session's in-flight prefetches. Saturation drops are counted.
-func (s *Session) enqueuePrefetch(pq *caql.Query, vs *advice.ViewSpec) {
+// enqueuePrefetch registers a predicted fetch (canon is pq.Canonical()) with
+// the pool, deduplicating against this session's in-flight prefetches.
+// Saturation drops are counted.
+func (s *Session) enqueuePrefetch(pq *caql.Query, canon string, vs *advice.ViewSpec) {
 	c := s.cms
-	canon := pq.Canonical()
 	s.pmu.Lock()
 	if s.inflight == nil {
 		s.inflight = make(map[string]bool)

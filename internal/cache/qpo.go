@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -159,7 +160,10 @@ func (s *Session) dispatch(ctx context.Context, q *caql.Query) (*bridge.Stream, 
 		s.tracker.Observe(name)
 	}
 
-	stream, err := s.answer(ctx, q, vs)
+	// The query's prepared form and canonical form are computed here, once,
+	// for every lookup and insert the planning steps make.
+	pq, canon := subsume.Prepare(q), q.Canonical()
+	stream, err := s.answer(ctx, pq, canon, vs)
 	if err != nil {
 		return nil, err
 	}
@@ -173,12 +177,13 @@ func (s *Session) dispatch(ctx context.Context, q *caql.Query) (*bridge.Stream, 
 	return stream, nil
 }
 
-// answer runs the three planning steps for one query.
-func (s *Session) answer(ctx context.Context, q *caql.Query, vs *advice.ViewSpec) (*bridge.Stream, error) {
+// answer runs the three planning steps for one query, given prepared and in
+// canonical form.
+func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon string, vs *advice.ViewSpec) (*bridge.Stream, error) {
 	if err := bridge.CtxError(ctx); err != nil {
 		return nil, err
 	}
-	c := s.cms
+	c, q := s.cms, pq.Query
 	f := c.opts.Features
 	// Degraded mode (remote unavailable): cache-derived answers still work
 	// and are counted as DegradedHits; eager remote work (generalization) is
@@ -191,8 +196,8 @@ func (s *Session) answer(ctx context.Context, q *caql.Query, vs *advice.ViewSpec
 	// full subsumption but cheaper: a single map lookup).
 	if f.ExactMatch && f.ResultCaching {
 		_, probe := c.tracer.Start(ctx, "cms.cache_probe")
-		if e := c.mgr.ExactMatchFor(q, s.id); e != nil && !stale(e) {
-			if d, ok := subsume.DeriveFull(e.Def, q); ok {
+		if e := c.mgr.ExactMatchFor(canon, s.id); e != nil && !stale(e) {
+			if d, ok := e.sig.DeriveFull(pq); ok {
 				probe.Set("hit", "exact")
 				probe.End()
 				c.stats.CacheHits.Add(1)
@@ -211,22 +216,23 @@ func (s *Session) answer(ctx context.Context, q *caql.Query, vs *advice.ViewSpec
 	}
 
 	// Step 2b: full derivation from a single cache element via subsumption.
+	// The probe's survivors serve this step and, if it finds nothing, the
+	// decomposition below. Among elements that derive q the smallest wins,
+	// the lower ID on a tie (survivors come in ID order).
+	var survivors []*Element
 	if f.Subsumption {
 		_, sub := c.tracer.Start(ctx, "cms.subsume")
+		survivors = s.probe(pq, stale)
 		var bestE *Element
 		var bestD *subsume.Derivation
-		for _, e := range c.mgr.CandidatesForSession(q, s.id) {
-			// Subsumption matching over a large candidate set is the one CPU
-			// loop on the planning path: checkpoint it so a canceled query
-			// stops burning cycles.
+		for _, e := range survivors {
+			// Matching is the one CPU loop on the planning path: checkpoint
+			// it so a canceled query stops burning cycles.
 			if err := bridge.CtxError(ctx); err != nil {
 				sub.End()
 				return nil, err
 			}
-			if stale(e) {
-				continue
-			}
-			d, ok := subsume.DeriveFull(e.Def, q)
+			d, ok := e.sig.DeriveFull(pq)
 			if !ok {
 				continue
 			}
@@ -259,8 +265,8 @@ func (s *Session) answer(ctx context.Context, q *caql.Query, vs *advice.ViewSpec
 			gsp.End()
 			if err == nil {
 				s.advance(sim)
-				e := s.cacheResult(gq, ext, vs)
-				if d, ok := subsume.DeriveFull(gq, q); ok {
+				e := s.cacheResult(gq, gq.Canonical(), ext, vs)
+				if d, ok := e.sig.DeriveFull(pq); ok {
 					c.stats.Generalizations.Add(1)
 					return s.serveFromElement(e, d, q, vs)
 				}
@@ -277,7 +283,7 @@ func (s *Session) answer(ctx context.Context, q *caql.Query, vs *advice.ViewSpec
 	// residue remotely, join locally (in parallel when enabled).
 	if f.Subsumption {
 		dctx, dsp := c.tracer.Start(ctx, "cms.decompose")
-		stream, handled, err := s.answerDecomposed(dctx, q, vs)
+		stream, handled, err := s.answerDecomposed(dctx, pq, canon, vs, survivors)
 		dsp.Set("handled", fmt.Sprint(handled))
 		dsp.End()
 		if handled || err != nil {
@@ -300,7 +306,7 @@ func (s *Session) answer(ctx context.Context, q *caql.Query, vs *advice.ViewSpec
 	}
 	s.advance(sim)
 	if s.shouldCache(vs) {
-		s.cacheResult(q, ext, vs)
+		s.cacheResult(q, canon, ext, vs)
 	}
 	return bridge.NewEagerStream(ext), nil
 }
@@ -469,11 +475,8 @@ func (s *Session) generalizationOf(q *caql.Query, vs *advice.ViewSpec) *caql.Que
 	if len(positions) == 0 {
 		return nil
 	}
-	gq := caql.Generalize(q, positions)
-	if gq.Canonical() == q.Canonical() {
-		return nil
-	}
-	return gq
+	// Every listed position holds a constant, so the result differs from q.
+	return caql.Generalize(q, positions)
 }
 
 // repeatedInstance records the query's fully-generalized canonical form and
@@ -541,11 +544,12 @@ func (s *Session) shouldCache(vs *advice.ViewSpec) bool {
 }
 
 // cacheResult stores (budget permitting) and returns an element holding a
-// demand-fetched query result. (Prefetched elements are built by the worker
-// pool in prefetch.go, which also sets their visibility gate.)
-func (s *Session) cacheResult(def *caql.Query, ext *relation.Relation, vs *advice.ViewSpec) *Element {
+// demand-fetched query result; canon is def.Canonical(). (Prefetched elements
+// are built by the worker pool in prefetch.go, which also sets their
+// visibility gate.)
+func (s *Session) cacheResult(def *caql.Query, canon string, ext *relation.Relation, vs *advice.ViewSpec) *Element {
 	c := s.cms
-	e := newExtensionElement(c.mgr.NewElementID(), def.Clone(), ext)
+	e := newExtensionElement(c.mgr.NewElementID(), def.Clone(), canon, ext)
 	if vs != nil {
 		e.AdviceName = vs.Name()
 	}
@@ -561,11 +565,12 @@ func (s *Session) cacheResult(def *caql.Query, ext *relation.Relation, vs *advic
 }
 
 // answerDecomposed implements step 3 for partially cache-answerable queries:
-// greedy disjoint candidate covers become local pieces, the residue is
-// shipped to the remote DBMS as one conjunctive subquery, and the final join
-// runs locally. handled is false when no cache element covers anything.
-func (s *Session) answerDecomposed(ctx context.Context, q *caql.Query, vs *advice.ViewSpec) (*bridge.Stream, bool, error) {
-	c := s.cms
+// greedy disjoint candidate covers (tried over the probe's survivors, in ID
+// order) become local pieces, the residue is shipped to the remote DBMS as
+// one conjunctive subquery, and the final join runs locally. handled is false
+// when no cache element covers anything.
+func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, canon string, vs *advice.ViewSpec, survivors []*Element) (*bridge.Stream, bool, error) {
+	c, q := s.cms, pq.Query
 	needed := neededVars(q)
 
 	type pick struct {
@@ -575,18 +580,14 @@ func (s *Session) answerDecomposed(ctx context.Context, q *caql.Query, vs *advic
 	covered := make([]bool, len(q.Rels))
 	cmpCovered := make([]bool, len(q.Cmps))
 	var picks []pick
-	stale := s.staleChecker(!c.rdi.Available())
-	for _, e := range c.mgr.CandidatesForSession(q, s.id) {
+	for _, e := range survivors {
 		if err := bridge.CtxError(ctx); err != nil {
 			return nil, true, err
-		}
-		if stale(e) {
-			continue
 		}
 		if !e.Materialized() && s.readyRemainder(e) > 0 {
 			continue
 		}
-		for _, cand := range subsume.Match(e.Def, q, needed) {
+		for _, cand := range e.sig.Match(pq, needed) {
 			if overlapsCover(cand.Cover, covered) {
 				continue
 			}
@@ -746,7 +747,7 @@ func (s *Session) answerDecomposed(ctx context.Context, q *caql.Query, vs *advic
 		atoms = append(atoms, rq.Head)
 		if s.cms.opts.Features.ResultCaching {
 			// The residual result is itself reusable.
-			s.cacheResult(rq, residualExt, nil)
+			s.cacheResult(rq, rq.Canonical(), residualExt, nil)
 		}
 	}
 
@@ -771,7 +772,7 @@ func (s *Session) answerDecomposed(ctx context.Context, q *caql.Query, vs *advic
 		c.stats.PartialHits.Add(1)
 	}
 	if s.shouldCache(vs) {
-		s.cacheResult(q, out, vs)
+		s.cacheResult(q, canon, out, vs)
 	}
 	return bridge.NewEagerStream(out), true, nil
 }
@@ -788,6 +789,7 @@ func (s *Session) prefetchFollowers(q *caql.Query, vs *advice.ViewSpec) {
 		return
 	}
 	c := s.cms
+	stale := s.staleChecker(false) // prefetching runs only while the remote is available
 	binds := map[string]relation.Value{}
 	for _, i := range vs.ConsumerCols() {
 		if i < len(q.Head.Args) && vs.Query.Head.Args[i].IsVar() && q.Head.Args[i].IsConst() {
@@ -809,19 +811,28 @@ func (s *Session) prefetchFollowers(q *caql.Query, vs *advice.ViewSpec) {
 		if unresolved {
 			continue
 		}
-		if c.opts.Features.ResultCaching && c.mgr.ExactMatchFor(pq, s.id) != nil {
+		canon := pq.Canonical()
+		if c.opts.Features.ResultCaching && c.mgr.ExactMatchFor(canon, s.id) != nil {
 			continue
 		}
-		if c.opts.Features.Subsumption && s.derivableFromCache(pq) {
+		if c.opts.Features.Subsumption && s.derivableFromCache(subsume.Prepare(pq), stale) {
 			continue
 		}
-		s.enqueuePrefetch(pq, fvs)
+		s.enqueuePrefetch(pq, canon, fvs)
 	}
 }
 
-func (s *Session) derivableFromCache(q *caql.Query) bool {
-	for _, e := range s.cms.mgr.CandidatesForSession(q, s.id) {
-		if _, ok := subsume.DeriveFull(e.Def, q); ok {
+// probe is step 2's lookup, shared by everything that asks "what in the cache
+// could answer this": the elements visible to the session that may derive q
+// or a conjunctive part of it (Manager.CandidatesForSession), in ID order,
+// less the ones the stale check invalidates on the way.
+func (s *Session) probe(pq *subsume.Prepared, stale func(*Element) bool) []*Element {
+	return slices.DeleteFunc(s.cms.mgr.CandidatesForSession(pq, s.id), stale)
+}
+
+func (s *Session) derivableFromCache(pq *subsume.Prepared, stale func(*Element) bool) bool {
+	for _, e := range s.probe(pq, stale) {
+		if _, ok := e.sig.DeriveFull(pq); ok {
 			return true
 		}
 	}

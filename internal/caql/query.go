@@ -123,16 +123,6 @@ func (q *Query) VarSet() map[string]bool {
 	return s
 }
 
-// Preds returns the multiset of relational predicate indicators, sorted.
-func (q *Query) Preds() []string {
-	out := make([]string, len(q.Rels))
-	for i, a := range q.Rels {
-		out[i] = a.Key()
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ApplySubst returns the query with the substitution applied throughout.
 func (q *Query) ApplySubst(s logic.Subst) *Query {
 	out := &Query{Head: s.ApplyAtom(q.Head)}

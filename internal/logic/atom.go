@@ -25,14 +25,14 @@ func Cmp(l Term, op relation.CmpOp, r Term) Atom {
 
 // IsComparison reports whether the atom is a built-in comparison.
 func (a Atom) IsComparison() bool {
-	_, err := relation.ParseCmpOp(a.Pred)
-	return err == nil && len(a.Args) == 2
+	_, ok := relation.LookupCmpOp(a.Pred)
+	return ok && len(a.Args) == 2
 }
 
 // CmpOp returns the comparison operator of a comparison atom.
 func (a Atom) CmpOp() relation.CmpOp {
-	op, err := relation.ParseCmpOp(a.Pred)
-	if err != nil {
+	op, ok := relation.LookupCmpOp(a.Pred)
+	if !ok {
 		panic(fmt.Sprintf("logic: CmpOp on non-comparison atom %s", a))
 	}
 	return op
@@ -40,9 +40,6 @@ func (a Atom) CmpOp() relation.CmpOp {
 
 // Arity returns the number of arguments.
 func (a Atom) Arity() int { return len(a.Args) }
-
-// Key returns the predicate indicator "pred/arity".
-func (a Atom) Key() string { return fmt.Sprintf("%s/%d", a.Pred, len(a.Args)) }
 
 // Equal reports structural equality.
 func (a Atom) Equal(o Atom) bool {

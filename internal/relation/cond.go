@@ -95,24 +95,35 @@ func (op CmpOp) Eval(a, b Value) bool {
 	}
 }
 
-// ParseCmpOp parses a comparison operator token.
-func ParseCmpOp(s string) (CmpOp, error) {
+// LookupCmpOp maps a comparison operator token to its CmpOp; ok is false for
+// anything else. It allocates nothing, so callers that only ask "is this a
+// comparison?" (logic.Atom.IsComparison, per atom) pay no error value.
+func LookupCmpOp(s string) (op CmpOp, ok bool) {
 	switch s {
 	case "=", "==":
-		return OpEq, nil
+		return OpEq, true
 	case "!=", "<>", "\\=":
-		return OpNe, nil
+		return OpNe, true
 	case "<":
-		return OpLt, nil
+		return OpLt, true
 	case "<=", "=<":
-		return OpLe, nil
+		return OpLe, true
 	case ">":
-		return OpGt, nil
+		return OpGt, true
 	case ">=":
-		return OpGe, nil
+		return OpGe, true
 	default:
+		return 0, false
+	}
+}
+
+// ParseCmpOp parses a comparison operator token.
+func ParseCmpOp(s string) (CmpOp, error) {
+	op, ok := LookupCmpOp(s)
+	if !ok {
 		return 0, fmt.Errorf("relation: unknown comparison operator %q", s)
 	}
+	return op, nil
 }
 
 // Cond is a selection condition on a single tuple: either column-vs-constant

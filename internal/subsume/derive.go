@@ -2,6 +2,7 @@ package subsume
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/caql"
 	"repro/internal/relation"
@@ -25,54 +26,58 @@ type Derivation struct {
 }
 
 // DeriveFull attempts a whole-query derivation of q from element e. It
-// returns false when e cannot, by itself, produce q's full result.
+// returns false when e cannot, by itself, produce q's full result. Callers
+// that hold the prepared forms use (*Prepared).DeriveFull.
 func DeriveFull(e, q *caql.Query) (*Derivation, bool) {
-	// Statically-false constant comparisons make q empty; any element
-	// trivially derives it.
+	if len(e.Rels) != len(q.Rels) || !mayDerive(e, q, nil, nil) {
+		return nil, false
+	}
+	return Prepare(e).DeriveFull(Prepare(q))
+}
+
+// DeriveFull is the package-level DeriveFull on prepared forms.
+func (e *Prepared) DeriveFull(q *Prepared) (*Derivation, bool) {
+	// Every candidate uses all of e's atoms, so it covers all of q's exactly
+	// when the two have as many.
+	if len(e.Query.Rels) != len(q.Query.Rels) {
+		return nil, false
+	}
+	// A statically false constant comparison makes q empty; the element that
+	// derives the rest of it derives that too.
 	empty := false
-	for _, c := range q.Cmps {
-		if c.Args[0].IsConst() && c.Args[1].IsConst() && !c.CmpOp().Eval(c.Args[0].Const, c.Args[1].Const) {
+	for ci, c := range q.cmps {
+		if a := q.Query.Cmps[ci].Args; c.l < 0 && c.r < 0 && !c.op.Eval(a[0].Const, a[1].Const) {
 			empty = true
 		}
 	}
-
-	needed := make(map[string]bool)
-	for _, t := range q.Head.Args {
-		if t.IsVar() {
-			needed[t.Var] = true
+	var buf [32]bool
+	needed := carve(buf[:], q.nvars)
+	for _, t := range q.head {
+		if t >= 0 {
+			needed[t] = true
 		}
 	}
-	for _, cand := range Match(e, q, needed) {
-		if !cand.CoversAll(len(q.Rels)) {
-			continue
-		}
-		// Every non-static comparison must be accounted for.
-		handled := make(map[int]bool)
-		for _, ci := range cand.CoveredCmps {
-			handled[ci] = true
-		}
+	for _, cand := range e.match(q, needed) {
+		// Every comparison must be accounted for: covered by the candidate,
+		// or constant against constant and so decided statically above.
 		ok := true
-		for ci, c := range q.Cmps {
-			if handled[ci] {
-				continue
+		for ci, c := range q.cmps {
+			if (c.l >= 0 || c.r >= 0) && !slices.Contains(cand.CoveredCmps, ci) {
+				ok = false
+				break
 			}
-			if c.Args[0].IsConst() && c.Args[1].IsConst() {
-				continue // statically decided; false case handled via empty
-			}
-			ok = false
-			break
 		}
 		if !ok {
 			continue
 		}
 		d := &Derivation{
 			Candidate: cand,
-			OutCols:   make([]int, len(q.Head.Args)),
-			Consts:    make([]relation.Value, len(q.Head.Args)),
+			OutCols:   make([]int, len(q.head)),
+			Consts:    make([]relation.Value, len(q.head)),
 			Empty:     empty,
 		}
 		feasible := true
-		for i, t := range q.Head.Args {
+		for i, t := range q.Query.Head.Args {
 			if t.IsConst() {
 				d.OutCols[i] = -1
 				d.Consts[i] = t.Const

@@ -1,7 +1,6 @@
 package subsume
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/caql"
@@ -91,57 +90,116 @@ func (c *Candidate) PieceAtom(name string) logic.Atom {
 // residual atoms); candidates that cannot supply a needed *covered* variable
 // are rejected.
 //
-// Candidates are deduplicated by cover set (first valid assignment wins) and
-// sorted by descending cover size.
+// Candidates are deduplicated by cover set and sorted by descending cover
+// size. Every candidate covers exactly len(E.Rels) atoms, so all sizes tie,
+// and ties stand in search order: E's atoms are placed first to last, each on
+// Q's atoms first to last, and the first valid assignment of a cover set is
+// the one kept. The result is a function of (E, Q, needed) alone.
+//
+// This form takes unprepared queries: it refuses without allocating when some
+// atom of E has no compatible atom in Q, and prepares both sides otherwise.
+// Callers that hold the prepared forms use (*Prepared).Match.
 func Match(e, q *caql.Query, needed map[string]bool) []*Candidate {
-	if len(e.Rels) == 0 || len(e.Rels) > len(q.Rels) {
+	if !mayDerive(e, q, nil, nil) {
 		return nil
 	}
-	// Group Q atom indices by predicate key for fast candidate lookup.
-	byPred := make(map[string][]int)
-	for i, a := range q.Rels {
-		byPred[a.Key()] = append(byPred[a.Key()], i)
-	}
-	var out []*Candidate
-	seen := make(map[string]bool)
+	return Prepare(e).Match(Prepare(q), needed)
+}
 
-	assignment := make([]int, len(e.Rels)) // e atom index -> q atom index
-	used := make(map[int]bool)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(e.Rels) {
-			if cand := validate(e, q, assignment, needed); cand != nil {
-				key := fmt.Sprint(cand.Cover)
-				if !seen[key] {
-					seen[key] = true
-					out = append(out, cand)
-				}
+// Match is the package-level Match on prepared forms. It allocates only for
+// the candidates it returns.
+func (e *Prepared) Match(q *Prepared, needed map[string]bool) []*Candidate {
+	var buf [32]bool
+	nb := carve(buf[:], q.nvars)
+	for i, a := range q.Query.Rels {
+		for p, t := range a.Args {
+			if v := q.rels[i][p]; v >= 0 {
+				nb[v] = needed[t.Var]
 			}
-			return
-		}
-		for _, qi := range byPred[e.Rels[i].Key()] {
-			if used[qi] {
-				continue
-			}
-			// Quick per-atom directional check before recursing.
-			if !atomCompatible(e.Rels[i], q.Rels[qi]) {
-				continue
-			}
-			assignment[i] = qi
-			used[qi] = true
-			rec(i + 1)
-			used[qi] = false
 		}
 	}
-	rec(0)
-	sort.SliceStable(out, func(i, j int) bool { return len(out[i].Cover) > len(out[j].Cover) })
+	return e.match(q, nb)
+}
+
+// match runs the assignment search; needed is indexed by query variable.
+func (e *Prepared) match(q *Prepared, needed []bool) []*Candidate {
+	ne, nq := len(e.Query.Rels), len(q.Query.Rels)
+	if ne == 0 || ne > nq {
+		return nil
+	}
+	var assignBuf [8]int
+	var usedBuf [16]bool
+	s := search{e: e, q: q, needed: needed, assign: carve(assignBuf[:], ne), used: carve(usedBuf[:], nq)}
+	return s.place(0, nil)
+}
+
+// carve returns n zeroed elements, from buf when it is large enough.
+func carve[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// search is one depth-first assignment of E's atoms to distinct atoms of Q.
+type search struct {
+	e, q   *Prepared
+	needed []bool
+	assign []int  // e atom index -> q atom index
+	used   []bool // by q atom index
+}
+
+// place assigns E's atoms from the i-th on and returns out with the
+// candidates found appended. (out is threaded through rather than kept in
+// the struct so that the struct, and the stack buffers behind its slices,
+// never reach the heap.)
+func (s *search) place(i int, out []*Candidate) []*Candidate {
+	if i == len(s.assign) {
+		if !s.coverSeen(out) {
+			if cand := validate(s.e, s.q, s.assign, s.needed); cand != nil {
+				out = append(out, cand)
+			}
+		}
+		return out
+	}
+	ea := s.e.Query.Rels[i]
+	for qi, qa := range s.q.Query.Rels {
+		if s.used[qi] || !atomCompatible(ea, qa) {
+			continue
+		}
+		s.assign[i], s.used[qi] = qi, true
+		out = s.place(i+1, out)
+		s.used[qi] = false
+	}
 	return out
 }
 
-// atomCompatible applies the paper's one-directional term rule positionwise:
+// coverSeen reports whether a candidate in out already covers exactly the
+// atoms of the current assignment (all covers have the same size).
+func (s *search) coverSeen(out []*Candidate) bool {
+	for _, c := range out {
+		same := true
+		for _, qi := range s.assign {
+			if i := sort.SearchInts(c.Cover, qi); i == len(c.Cover) || c.Cover[i] != qi {
+				same = false
+				break
+			}
+		}
+		if same {
+			return true
+		}
+	}
+	return false
+}
+
+// atomCompatible reports whether a query atom is over the same relation as an
+// element atom and passes the paper's one-directional term rule positionwise:
 // a query constant matches the same element constant or an element variable;
 // a query variable matches only an element variable.
 func atomCompatible(eAtom, qAtom logic.Atom) bool {
+	if eAtom.Pred != qAtom.Pred || len(eAtom.Args) != len(qAtom.Args) {
+		return false
+	}
 	for i := range eAtom.Args {
 		et, qt := eAtom.Args[i], qAtom.Args[i]
 		switch {
@@ -156,45 +214,82 @@ func atomCompatible(eAtom, qAtom logic.Atom) bool {
 	return true
 }
 
-// validate checks a complete assignment and builds the candidate.
-func validate(e, q *caql.Query, assignment []int, needed map[string]bool) *Candidate {
-	// Element extension columns: position of each element head variable.
-	eCol := make(map[string]int)
-	for i, t := range e.Head.Args {
-		if t.IsVar() {
-			if _, dup := eCol[t.Var]; !dup {
-				eCol[t.Var] = i
+// unbound marks an element variable no atom of the assignment has met yet.
+const unbound = -1
+
+// binding is validate's view of one assignment: where each element variable
+// lands in Q, and which element variables each query variable collects. All
+// of it lives in one caller-provided scratch slice.
+type binding struct {
+	e, q *Prepared
+	// at[ev], pos[ev]: the atom of Q and the position in it of the term the
+	// element variable is bound to (at is unbound before the first meeting).
+	at, pos []int32
+	// Per query variable: how many distinct element variables are bound to
+	// it, the lowest-numbered of them, and the extension column it can be
+	// read from (-1: none of them is in the element's head).
+	nsrc, first, col []int32
+}
+
+// term returns the query term element variable ev is bound to: a variable
+// number, or constTerm with the constant.
+func (b *binding) term(ev int32) (int32, relation.Value) {
+	a, p := b.at[ev], b.pos[ev]
+	if t := b.q.rels[a][p]; t >= 0 {
+		return t, relation.Value{}
+	}
+	return constTerm, b.q.Query.Rels[a].Args[p].Const
+}
+
+// validate checks a complete assignment and builds the candidate. Nothing
+// reaches the heap until the candidate is certain.
+func validate(e, q *Prepared, assign []int, needed []bool) *Candidate {
+	nE, nQ := e.nvars, q.nvars
+	var buf [64]int32
+	scratch := carve(buf[:], 2*nE+3*nQ)
+	b := binding{e: e, q: q,
+		at: scratch[:nE], pos: scratch[nE : 2*nE],
+		nsrc: scratch[2*nE : 2*nE+nQ], first: scratch[2*nE+nQ : 2*nE+2*nQ], col: scratch[2*nE+2*nQ:]}
+	for i := range b.at {
+		b.at[i] = unbound
+	}
+	for i := range b.nsrc {
+		b.nsrc[i], b.col[i] = 0, -1
+	}
+
+	for ei, qi := range assign {
+		for p, ev := range e.rels[ei] {
+			if ev < 0 {
+				continue // compatibility already checked
+			}
+			if b.at[ev] == unbound {
+				b.at[ev], b.pos[ev] = int32(qi), int32(p)
+				continue
+			}
+			// The element equates two terms of Q. The equality holds in every
+			// ext(E) tuple, so unless Q's terms are the same the element
+			// constrains more than Q asks. Reject.
+			pt, pc := b.term(ev)
+			if qt := q.rels[qi][p]; qt != pt || (qt < 0 && !pc.Equal(q.Query.Rels[qi].Args[p].Const)) {
+				return nil
 			}
 		}
 	}
-
-	// Build m: element variable -> query term, and the inverse grouping.
-	m := make(map[string]logic.Term)
-	qVarSources := make(map[string][]string) // q var -> element vars mapping to it
-	for ei, qi := range assignment {
-		eAtom, qAtom := e.Rels[ei], q.Rels[qi]
-		for p := range eAtom.Args {
-			et, qt := eAtom.Args[p], qAtom.Args[p]
-			if et.IsConst() {
-				continue // compatibility already checked
+	// Element variables were numbered in the order the loop above met them,
+	// so ascending number is meeting order: first[qv] is the variable met
+	// first, and col[qv] belongs to the first one met that has a column.
+	for ev := int32(0); int(ev) < nE; ev++ {
+		if b.at[ev] == unbound {
+			continue
+		}
+		if qv, _ := b.term(ev); qv >= 0 {
+			if b.nsrc[qv] == 0 {
+				b.first[qv] = ev
 			}
-			prev, ok := m[et.Var]
-			if !ok {
-				m[et.Var] = qt
-				if qt.IsVar() {
-					qVarSources[qt.Var] = appendUnique(qVarSources[qt.Var], et.Var)
-				}
-				continue
+			b.nsrc[qv]++
+			if b.col[qv] < 0 {
+				b.col[qv] = e.headCol[ev]
 			}
-			if prev.Equal(qt) {
-				continue
-			}
-			// The element equates two query terms that Q does not equate:
-			// the element is more restricted unless we can enforce the
-			// equality... but the equality holds in *every* ext(E) tuple, so
-			// differing Q terms mean the element constrains more than Q
-			// asks. Reject.
-			return nil
 		}
 	}
 
@@ -203,227 +298,165 @@ func validate(e, q *caql.Query, assignment []int, needed map[string]bool) *Candi
 	// the constant), and one of several distinct element variables matched
 	// by the same query variable (Q requires an equality the element does
 	// not intrinsically provide).
-	for ev, t := range m {
-		if t.IsConst() || len(qVarSources[t.Var]) > 1 {
-			if _, ok := eCol[ev]; !ok {
-				return nil
-			}
-		}
-	}
-	// The map range above only rejects. The selections themselves are
-	// emitted in extension-column order, so the candidate is a function of
-	// (element, query): the CMS indexes the first equality it finds.
-	var conds []relation.Cond
-	for col, ht := range e.Head.Args {
-		if !ht.IsVar() || eCol[ht.Var] != col {
+	for ev := int32(0); int(ev) < nE; ev++ {
+		if b.at[ev] == unbound || e.headCol[ev] >= 0 {
 			continue
 		}
-		qt, ok := m[ht.Var]
-		switch {
-		case !ok:
-		case qt.IsConst():
-			conds = append(conds, relation.ColConst(col, relation.OpEq, qt.Const))
-		default:
-			if evs := qVarSources[qt.Var]; len(evs) > 1 && evs[0] != ht.Var {
-				conds = append(conds, relation.ColCol(eCol[evs[0]], relation.OpEq, col))
-			}
+		if qv, _ := b.term(ev); qv < 0 || b.nsrc[qv] > 1 {
+			return nil
+		}
+	}
+	// The selections are emitted in extension-column order, so the candidate
+	// is a function of (element, query): the CMS indexes the first equality
+	// it finds.
+	var condBuf [8]relation.Cond
+	conds := condBuf[:0]
+	for c, ev := range e.head {
+		if ev < 0 || e.headCol[ev] != int32(c) || b.at[ev] == unbound {
+			continue
+		}
+		switch qv, k := b.term(ev); {
+		case qv < 0:
+			conds = append(conds, relation.ColConst(c, relation.OpEq, k))
+		case b.nsrc[qv] > 1 && b.first[qv] != ev:
+			conds = append(conds, relation.ColCol(int(e.headCol[b.first[qv]]), relation.OpEq, c))
 		}
 	}
 
-	// Available query variables and their extension columns.
-	varCols := make(map[string]int)
-	for qv, evs := range qVarSources {
-		for _, ev := range evs {
-			if col, ok := eCol[ev]; ok {
-				varCols[qv] = col
-				break
-			}
+	// Needed covered variables must be available. A query variable is covered
+	// exactly when some element variable is bound to it. (Needed variables
+	// not occurring in the covered atoms are the residual part's concern.)
+	for qv := range b.nsrc {
+		if needed[qv] && b.nsrc[qv] > 0 && b.col[qv] < 0 {
+			return nil
 		}
 	}
 
-	// Needed covered variables must be available. (Needed variables not
-	// occurring in the covered atoms are the residual part's concern.)
-	coveredVars := make(map[string]bool)
-	for _, qi := range assignment {
-		for _, t := range q.Rels[qi].Args {
-			if t.IsVar() {
-				coveredVars[t.Var] = true
-			}
-		}
-	}
-	for v := range needed {
-		if coveredVars[v] {
-			if _, ok := varCols[v]; !ok {
-				return nil
-			}
-		}
-	}
-
-	// Element comparisons must be implied by the query's constraints mapped
-	// through m: ext(E) must not exclude tuples Q wants.
-	for _, ec := range e.Cmps {
-		if !elementCmpImplied(ec, m, q) {
+	// Element comparisons must be implied by the query's constraints under
+	// the binding: ext(E) must not exclude tuples Q wants.
+	for k := range e.cmps {
+		if !b.elementCmpImplied(k) {
 			return nil
 		}
 	}
 
 	// Query comparisons whose variables are all covered: drop when implied
-	// by the element's own comparisons (mapped), otherwise apply as residual
+	// by the element's own comparisons, otherwise apply as residual
 	// selections when the columns are available; if a covered-only variable
 	// lacks a column the candidate fails, and comparisons involving
 	// uncovered variables remain the residual query's responsibility.
-	var coveredCmps []int
-	for ci, qc := range q.Cmps {
-		vars := qc.VarSet()
-		allCovered := true
-		anyCovered := false
-		for v := range vars {
-			if coveredVars[v] {
-				anyCovered = true
-			} else {
-				allCovered = false
-			}
-		}
-		if !anyCovered {
+	var cmpBuf [8]int
+	coveredCmps := cmpBuf[:0]
+	for ci, qc := range q.cmps {
+		lCov, rCov := qc.l >= 0 && b.nsrc[qc.l] > 0, qc.r >= 0 && b.nsrc[qc.r] > 0
+		if !lCov && !rCov {
 			continue
 		}
-		if !allCovered {
+		if (qc.l >= 0 && !lCov) || (qc.r >= 0 && !rCov) {
 			continue // residual will handle it (its vars span both parts)
 		}
-		if queryCmpImpliedByElement(qc, e, m) {
-			coveredCmps = append(coveredCmps, ci)
-			continue
+		if !b.queryCmpImplied(ci) {
+			cond, ok := b.cmpToCond(ci)
+			if !ok {
+				return nil
+			}
+			conds = append(conds, cond)
 		}
-		cond, ok := cmpToCond(qc, varCols)
-		if !ok {
-			return nil
-		}
-		conds = append(conds, cond)
 		coveredCmps = append(coveredCmps, ci)
 	}
 
-	cover := append([]int(nil), assignment...)
-	sort.Ints(cover)
-	return &Candidate{
-		Element:     e,
-		Cover:       cover,
-		CoveredCmps: coveredCmps,
-		Conds:       conds,
-		VarCols:     varCols,
+	cand := &Candidate{Element: e.Query, Cover: append([]int(nil), assign...), VarCols: make(map[string]int)}
+	sort.Ints(cand.Cover)
+	if len(coveredCmps) > 0 {
+		cand.CoveredCmps = append([]int(nil), coveredCmps...)
 	}
-}
-
-func appendUnique(s []string, v string) []string {
-	for _, x := range s {
-		if x == v {
-			return s
+	if len(conds) > 0 {
+		cand.Conds = append([]relation.Cond(nil), conds...)
+	}
+	for i, a := range q.Query.Rels {
+		for p, t := range a.Args {
+			if v := q.rels[i][p]; v >= 0 && b.col[v] >= 0 {
+				cand.VarCols[t.Var] = int(b.col[v])
+			}
 		}
 	}
-	return append(s, v)
+	return cand
 }
 
-// elementCmpImplied checks that an element comparison, translated through m
-// into query terms, is guaranteed by the query's own constraints.
-func elementCmpImplied(ec logic.Atom, m map[string]logic.Term, q *caql.Query) bool {
-	op := ec.CmpOp()
-	l := translate(ec.Args[0], m)
-	r := translate(ec.Args[1], m)
+// elementCmpImplied checks that element comparison k, read through the
+// binding as a statement about Q's terms, is guaranteed by Q's own
+// constraints.
+func (b *binding) elementCmpImplied(k int) bool {
+	f, args := b.e.cmps[k], b.e.Query.Cmps[k].Args
+	l, lc, lok := b.through(f.l, args[0].Const)
+	r, rc, rok := b.through(f.r, args[1].Const)
 	switch {
-	case l.IsConst() && r.IsConst():
-		return op.Eval(l.Const, r.Const)
-	case l.IsVar() && r.IsConst():
-		return RangeOf(l.Var, q.Cmps).Implies(op, r.Const)
-	case l.IsConst() && r.IsVar():
-		return RangeOf(r.Var, q.Cmps).Implies(op.Flip(), l.Const)
-	default:
-		// var-vs-var: require the same comparison syntactically in Q.
-		for _, qc := range q.Cmps {
-			if qc.Pred == ec.Pred &&
-				qc.Args[0].Equal(l) && qc.Args[1].Equal(r) {
-				return true
-			}
-			if qc.Pred == op.Flip().String() &&
-				qc.Args[0].Equal(r) && qc.Args[1].Equal(l) {
-				return true
-			}
+	case !lok || !rok:
+		return false
+	case l < 0 && r < 0:
+		return f.op.Eval(lc, rc)
+	case r < 0:
+		return b.q.rangeOf(l).Implies(f.op, rc)
+	case l < 0:
+		return b.q.rangeOf(r).Implies(f.op.Flip(), lc)
+	}
+	// var-vs-var: require the same comparison syntactically in Q.
+	for _, qc := range b.q.cmps {
+		if (qc.op == f.op && qc.l == l && qc.r == r) || (qc.op == f.op.Flip() && qc.l == r && qc.r == l) {
+			return true
 		}
+	}
+	return false
+}
+
+// through reads one side of an element comparison as a term of Q: the
+// element's own constant, or what its variable is bound to. ok is false for
+// a variable no relational atom of E binds (an unsafe definition).
+func (b *binding) through(t int32, own relation.Value) (qv int32, c relation.Value, ok bool) {
+	switch {
+	case t < 0:
+		return constTerm, own, true
+	case b.at[t] == unbound:
+		return 0, own, false
+	}
+	qv, c = b.term(t)
+	return qv, c, true
+}
+
+// queryCmpImplied checks whether the element's comparisons already guarantee
+// query comparison ci (so no residual selection is required). When several
+// element variables are bound to the query variable, the first one met
+// speaks for it: the residual equalities make the others equal to it.
+func (b *binding) queryCmpImplied(ci int) bool {
+	v, op, c, ok := b.q.varConst(ci)
+	if !ok {
 		return false
 	}
+	return b.e.rangeOf(b.first[v]).Implies(op, c)
 }
 
-// queryCmpImpliedByElement checks whether the element's comparisons already
-// guarantee a query comparison (so no residual selection is required).
-func queryCmpImpliedByElement(qc logic.Atom, e *caql.Query, m map[string]logic.Term) bool {
-	// Invert m for the variables of qc: find element vars mapping to them.
-	inv := make(map[string]string)
-	for ev, t := range m {
-		if t.IsVar() {
-			if _, ok := inv[t.Var]; !ok {
-				inv[t.Var] = ev
-			}
-		}
-	}
-	op := qc.CmpOp()
-	l, r := qc.Args[0], qc.Args[1]
+// cmpToCond converts query comparison ci into a selection over the
+// extension's columns.
+func (b *binding) cmpToCond(ci int) (relation.Cond, bool) {
+	f, args := b.q.cmps[ci], b.q.Query.Cmps[ci].Args
 	switch {
-	case l.IsVar() && r.IsConst():
-		ev, ok := inv[l.Var]
-		if !ok {
-			return false
+	case f.l >= 0 && f.r >= 0:
+		if b.col[f.l] < 0 || b.col[f.r] < 0 {
+			return relation.Cond{}, false
 		}
-		return RangeOf(ev, e.Cmps).Implies(op, r.Const)
-	case l.IsConst() && r.IsVar():
-		ev, ok := inv[r.Var]
-		if !ok {
-			return false
+		return relation.ColCol(int(b.col[f.l]), f.op, int(b.col[f.r])), true
+	case f.l >= 0:
+		if b.col[f.l] < 0 {
+			return relation.Cond{}, false
 		}
-		return RangeOf(ev, e.Cmps).Implies(op.Flip(), l.Const)
+		return relation.ColConst(int(b.col[f.l]), f.op, args[1].Const), true
+	case f.r >= 0:
+		if b.col[f.r] < 0 {
+			return relation.Cond{}, false
+		}
+		return relation.ColConst(int(b.col[f.r]), f.op.Flip(), args[0].Const), true
 	default:
-		return false
-	}
-}
-
-// cmpToCond converts a query comparison over available columns into a
-// relation.Cond.
-func cmpToCond(qc logic.Atom, varCols map[string]int) (relation.Cond, bool) {
-	op := qc.CmpOp()
-	l, r := qc.Args[0], qc.Args[1]
-	switch {
-	case l.IsVar() && r.IsVar():
-		lc, lok := varCols[l.Var]
-		rc, rok := varCols[r.Var]
-		if !lok || !rok {
-			return relation.Cond{}, false
-		}
-		return relation.ColCol(lc, op, rc), true
-	case l.IsVar():
-		lc, ok := varCols[l.Var]
-		if !ok {
-			return relation.Cond{}, false
-		}
-		return relation.ColConst(lc, op, r.Const), true
-	case r.IsVar():
-		rc, ok := varCols[r.Var]
-		if !ok {
-			return relation.Cond{}, false
-		}
-		return relation.ColConst(rc, op.Flip(), l.Const), true
-	default:
-		// Constant-constant comparisons are statically decided; if false the
-		// query is empty — callers normalize that before matching.
-		if op.Eval(l.Const, r.Const) {
-			return relation.Cond{}, false
-		}
+		// Constant against constant: DeriveFull decides these before matching.
 		return relation.Cond{}, false
 	}
-}
-
-func translate(t logic.Term, m map[string]logic.Term) logic.Term {
-	if t.IsConst() {
-		return t
-	}
-	if mt, ok := m[t.Var]; ok {
-		return mt
-	}
-	return t
 }

@@ -1,0 +1,205 @@
+package subsume
+
+import (
+	"repro/internal/caql"
+	"repro/internal/logic"
+	"repro/internal/relation"
+)
+
+// Prepared is a conjunctive query analysed once for matching: its variables
+// numbered, every argument position resolved to a variable number or marked
+// constant, and the range its comparisons leave each variable. The CMS keeps
+// one per cache element (built with the definition) and builds one per
+// dispatched query, so that deciding "this element cannot help" — MayDerive —
+// and the matcher proper work on integers and allocate nothing to say no.
+//
+// The query must not be modified after Prepare; a Prepared is immutable and
+// safe for concurrent readers.
+type Prepared struct {
+	Query *caql.Query
+
+	// nvars counts the variables. Relational atoms are numbered first, in
+	// atom then position order: a matcher that walks an element's atoms in
+	// order meets its variables in ascending number.
+	nvars int
+	// rels[i][p] is the term at position p of Query.Rels[i] and head[p] the
+	// term at head position p: a variable number, or constTerm. Names and
+	// constant values stay in the atoms.
+	rels [][]int32
+	head []int32
+	// headCol is the first head position of each variable, -1 for a variable
+	// the head does not export: the column of the stored extension it can be
+	// read from.
+	headCol []int32
+	// cmps parallels Query.Cmps.
+	cmps []cmpForm
+	// ranges holds RangeOf for each variable some var-vs-constant comparison
+	// constrains (few; found by scan).
+	ranges []varRange
+}
+
+const constTerm = -1
+
+type cmpForm struct {
+	op   relation.CmpOp
+	l, r int32
+}
+
+type varRange struct {
+	v int32
+	r Range
+}
+
+var unconstrained Range
+
+// Prepare analyses q. It costs a handful of small allocations; everything
+// derived from it afterwards is read-only.
+func Prepare(q *caql.Query) *Prepared {
+	p := &Prepared{Query: q}
+	var names [16]string
+	vars := names[:0]
+	term := func(t logic.Term) int32 {
+		if t.IsConst() {
+			return constTerm
+		}
+		for i, v := range vars {
+			if v == t.Var {
+				return int32(i)
+			}
+		}
+		vars = append(vars, t.Var)
+		return int32(len(vars) - 1)
+	}
+	// First pass numbers the variables, second fills one backing array.
+	n := len(q.Head.Args)
+	for _, a := range q.Rels {
+		n += len(a.Args)
+		for _, t := range a.Args {
+			term(t)
+		}
+	}
+	for _, t := range q.Head.Args {
+		term(t)
+	}
+	if len(q.Cmps) > 0 {
+		p.cmps = make([]cmpForm, len(q.Cmps))
+		for i, c := range q.Cmps {
+			p.cmps[i] = cmpForm{op: c.CmpOp(), l: term(c.Args[0]), r: term(c.Args[1])}
+		}
+	}
+	p.nvars = len(vars)
+
+	ids := make([]int32, n+p.nvars)
+	p.rels = make([][]int32, len(q.Rels))
+	for i, a := range q.Rels {
+		p.rels[i], ids = ids[:len(a.Args)], ids[len(a.Args):]
+		for j, t := range a.Args {
+			p.rels[i][j] = term(t)
+		}
+	}
+	p.head, p.headCol = ids[:len(q.Head.Args)], ids[len(q.Head.Args):]
+	for i := range p.headCol {
+		p.headCol[i] = -1
+	}
+	for i, t := range q.Head.Args {
+		v := term(t)
+		p.head[i] = v
+		if v >= 0 && p.headCol[v] < 0 {
+			p.headCol[v] = int32(i)
+		}
+	}
+
+	for k := range p.cmps {
+		if v, _, _, ok := p.varConst(k); ok && p.rangeOf(v) == &unconstrained {
+			p.ranges = append(p.ranges, varRange{v, RangeOf(vars[v], q.Cmps)})
+		}
+	}
+	return p
+}
+
+// varConst reads comparison k as "variable op constant", flipping it when the
+// constant is written first; ok is false for any other shape.
+func (p *Prepared) varConst(k int) (v int32, op relation.CmpOp, c relation.Value, ok bool) {
+	f, args := p.cmps[k], p.Query.Cmps[k].Args
+	switch {
+	case f.l >= 0 && f.r < 0:
+		return f.l, f.op, args[1].Const, true
+	case f.l < 0 && f.r >= 0:
+		return f.r, f.op.Flip(), args[0].Const, true
+	}
+	return 0, 0, relation.Value{}, false
+}
+
+// rangeOf returns what the var-vs-constant comparisons say about variable v.
+func (p *Prepared) rangeOf(v int32) *Range {
+	for i := range p.ranges {
+		if p.ranges[i].v == v {
+			return &p.ranges[i].r
+		}
+	}
+	return &unconstrained
+}
+
+// MayDerive is a necessary condition for e.Match(q, ·) to return a candidate,
+// decided without allocating: every relational atom of the element needs an
+// atom of the query it is compatible with (same relation, the paper's
+// one-directional term rule at every position), and at that atom every
+// var-vs-constant comparison of the element must already follow from what the
+// query says about the term facing the variable — its range when that term is
+// a variable, the constant itself when it is one.
+//
+// It is sound because it asks less than the matcher does. A candidate assigns
+// every element atom to a distinct compatible query atom, binds each element
+// variable to the term it faces there, and is rejected unless each element
+// comparison is implied under that binding; MayDerive checks the same two
+// things atom by atom, dropping the requirements that the atoms be distinct
+// and the bindings agree with each other. So it never says no where Match
+// says yes, and the CMS may skip every element it refuses.
+func MayDerive(e, q *Prepared) bool {
+	return mayDerive(e.Query, q.Query, e, q)
+}
+
+// mayDerive is MayDerive; with pe and pq nil it checks the atoms only, which
+// is what Match can ask of two queries it has not prepared yet.
+func mayDerive(e, q *caql.Query, pe, pq *Prepared) bool {
+	if len(e.Rels) == 0 || len(e.Rels) > len(q.Rels) {
+		return false
+	}
+	for i, ea := range e.Rels {
+		found := false
+		for j, qa := range q.Rels {
+			if atomCompatible(ea, qa) && (pe == nil || pe.cmpsHoldAt(i, pq, j)) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// cmpsHoldAt reports whether, with e's atom i laid over q's atom j, q implies
+// every var-vs-constant comparison e makes on a variable of that atom.
+func (e *Prepared) cmpsHoldAt(i int, q *Prepared, j int) bool {
+	for k := range e.cmps {
+		v, op, c, ok := e.varConst(k)
+		if !ok {
+			continue
+		}
+		for p, t := range e.rels[i] {
+			if t != v {
+				continue
+			}
+			if qt := q.rels[j][p]; qt >= 0 {
+				if !q.rangeOf(qt).Implies(op, c) {
+					return false
+				}
+			} else if !op.Eval(q.Query.Rels[j].Args[p].Const, c) {
+				return false
+			}
+		}
+	}
+	return true
+}

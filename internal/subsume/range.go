@@ -13,6 +13,12 @@
 // are handled with interval implication (the element's range constraints
 // must be weaker than the query's), and the derivation accounts for which
 // element columns are actually available in its stored extension.
+//
+// Matching runs on prepared forms (prepared.go): Prepare numbers a query's
+// variables once, and Match, DeriveFull and the MayDerive pre-filter then
+// compare integers in stack scratch space, allocating only for a candidate
+// they return. The package-level Match and DeriveFull take plain queries and
+// prepare them on the way.
 package subsume
 
 import (
@@ -24,15 +30,14 @@ import (
 // from comparison atoms: an optional exact value, an optional interval, and
 // excluded values.
 type Range struct {
-	Eq       *relation.Value
-	HasLo    bool
-	Lo       relation.Value
-	LoOpen   bool
-	HasHi    bool
-	Hi       relation.Value
-	HiOpen   bool
-	Ne       []relation.Value
-	Infeasib bool // statically empty
+	Eq     *relation.Value
+	Lo, Hi relation.Value // meaningful when HasLo, HasHi
+	Ne     []relation.Value
+	// The flags sit together so the struct packs: the CMS keeps a Range per
+	// constrained variable of every cached range definition.
+	HasLo, LoOpen bool
+	HasHi, HiOpen bool
+	Infeasib      bool // statically empty
 }
 
 // RangeOf gathers the constraints on variable v from var-vs-constant
