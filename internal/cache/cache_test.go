@@ -382,21 +382,36 @@ func TestCacheModel(t *testing.T) {
 	}
 }
 
+// halfOfFill runs fill against an unbudgeted CMS over e and returns half of
+// the footprint it leaves: a budget the same fill cannot fit in, sized from
+// SizeBytes of what the test inserts rather than from a guess at the
+// per-value constant.
+func halfOfFill(t *testing.T, e *remotedb.Engine, fill func(*CMS)) int64 {
+	t.Helper()
+	cms := newCMS(t, e, Options{Features: AllFeatures()})
+	fill(cms)
+	return cms.Manager().SizeBytes() / 2
+}
+
 func TestBudgetEviction(t *testing.T) {
 	e, _ := fixtureEngine(t, 11, 100)
-	cms := newCMS(t, e, Options{Features: AllFeatures(), CacheBytes: 4000})
-	s := cms.BeginSession(nil).(*Session)
-	defer s.End()
-	for i := 0; i < 8; i++ {
-		q := caql.NewQuery(
-			logic.A("q", logic.V("Y")),
-			[]logic.Atom{logic.A("b2", logic.CInt(int64(i)), logic.V("Y"))})
-		if _, err := s.Query(q); err != nil {
-			t.Fatal(err)
+	fill := func(cms *CMS) {
+		s := cms.BeginSession(nil).(*Session)
+		defer s.End()
+		for i := 0; i < 8; i++ {
+			q := caql.NewQuery(
+				logic.A("q", logic.V("Y")),
+				[]logic.Atom{logic.A("b2", logic.CInt(int64(i)), logic.V("Y"))})
+			if _, err := s.Query(q); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if cms.Manager().SizeBytes() > 4000 {
-		t.Fatalf("cache exceeds budget: %d", cms.Manager().SizeBytes())
+	budget := halfOfFill(t, e, fill)
+	cms := newCMS(t, e, Options{Features: AllFeatures(), CacheBytes: budget})
+	fill(cms)
+	if got := cms.Manager().SizeBytes(); got > budget {
+		t.Fatalf("cache exceeds budget %d: %d", budget, got)
 	}
 	if cms.Stats().Evictions == 0 {
 		t.Fatal("expected evictions under pressure")

@@ -153,39 +153,43 @@ func TestConcurrentHitRateParity(t *testing.T) {
 }
 
 // TestConcurrentEvictionUnderInsert hammers insert+evict from many sessions
-// with a budget small enough that almost every insert sweeps, checking the
-// manager's bookkeeping stays consistent (no negative sizes, len matches
-// elements) — the lock-ordering stress for evictMu + shard locks.
+// with a budget half of what they insert, so that inserts keep sweeping,
+// checking the manager's bookkeeping stays consistent (no negative sizes,
+// len matches elements) — the lock-ordering stress for evictMu + shard locks.
 func TestConcurrentEvictionUnderInsert(t *testing.T) {
 	e, _ := fixtureEngine(t, 9, 30)
-	cms := newCMS(t, e, Options{Features: AllFeatures(), CacheBytes: 4096})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := cms.BeginSession(nil).(*Session)
-			defer s.End()
-			for j := 0; j < 10; j++ {
-				qs := fmt.Sprintf(`v%d_%d(X, Y) :- b3(X, "%c", Y)`, i, j, 'a'+byte((i+j)%4))
-				stream, err := s.QueryText(qs)
-				if err != nil {
-					t.Error(err)
-					return
+	fill := func(cms *CMS) {
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				s := cms.BeginSession(nil).(*Session)
+				defer s.End()
+				for j := 0; j < 10; j++ {
+					qs := fmt.Sprintf(`v%d_%d(X, Y) :- b3(X, "%c", Y)`, i, j, 'a'+byte((i+j)%4))
+					stream, err := s.QueryText(qs)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					stream.Drain("out")
 				}
-				stream.Drain("out")
-			}
-		}(i)
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	budget := halfOfFill(t, e, fill)
+	cms := newCMS(t, e, Options{Features: AllFeatures(), CacheBytes: budget})
+	fill(cms)
 	m := cms.Manager()
-	if got := m.SizeBytes(); got > 4096 {
-		t.Errorf("cache over budget: %d", got)
+	if got := m.SizeBytes(); got > budget {
+		t.Errorf("cache over its %d-byte budget: %d", budget, got)
 	}
 	if len(m.Elements()) != m.Len() {
 		t.Errorf("element snapshot (%d) disagrees with Len (%d)", len(m.Elements()), m.Len())
 	}
 	if m.Evictions() == 0 {
-		t.Error("expected evictions under 4KB budget")
+		t.Errorf("expected evictions under a %d-byte budget", budget)
 	}
 }

@@ -135,6 +135,8 @@ func (st *aggState) result(op AggOp) Value {
 // aggGroup is one group's key and per-spec running states.
 type aggGroup struct {
 	key    Tuple
+	hash   uint64 // key.Hash64()
+	next   int    // next group whose key hashes alike, or -1
 	states []aggState
 }
 
@@ -143,31 +145,48 @@ type aggGroup struct {
 // parallel worker, say) Merge into exactly the accumulator a single
 // sequential pass would have produced, because every supported aggregate is
 // decomposable (COUNT/SUM add, MIN/MAX fold, AVG carries sum+count).
-// Group emission order is first-seen order: Add order within an accumulator,
-// then Merge order across accumulators. Not safe for concurrent use; build
-// one per worker and merge on a single goroutine.
+// Groups are found by the 64-bit hash of their key and verified by value, as
+// in Distinct and the hash join, so a tuple that joins an existing group
+// allocates nothing. Group emission order is first-seen order: Add order
+// within an accumulator, then Merge order across accumulators. Not safe for
+// concurrent use; build one per worker and merge on a single goroutine.
 type AggAccum struct {
 	groupBy []int
 	specs   []AggSpec
-	groups  map[string]*aggGroup
-	order   []string
+	keyCols []int          // 0..len(groupBy)-1: the columns of a stored key
+	heads   map[uint64]int // key hash -> first group of its collision chain
+	groups  []aggGroup     // first-seen order
+	arena   tupleArena     // group keys and emitted rows
 }
 
 // NewAggAccum returns an empty accumulator for the given grouping columns
 // and aggregate specs.
 func NewAggAccum(groupBy []int, specs []AggSpec) *AggAccum {
-	return &AggAccum{groupBy: groupBy, specs: specs, groups: make(map[string]*aggGroup)}
+	return &AggAccum{groupBy: groupBy, specs: specs, keyCols: identity(len(groupBy)),
+		heads: make(map[uint64]int)}
+}
+
+// group returns the group keyed by t's cols (whose hash is h), creating it
+// at the end of the first-seen order when no group has that key yet.
+func (a *AggAccum) group(h uint64, t Tuple, cols []int) *aggGroup {
+	head, ok := a.heads[h]
+	if !ok {
+		head = -1
+	}
+	for i := head; i >= 0; i = a.groups[i].next {
+		if g := &a.groups[i]; equalOn(t, cols, g.key, a.keyCols) {
+			return g
+		}
+	}
+	a.heads[h] = len(a.groups)
+	a.groups = append(a.groups, aggGroup{key: a.arena.project(t, cols), hash: h, next: head,
+		states: make([]aggState, len(a.specs))})
+	return &a.groups[len(a.groups)-1]
 }
 
 // Add folds one input tuple into its group.
 func (a *AggAccum) Add(t Tuple) {
-	k := t.KeyOn(a.groupBy)
-	g := a.groups[k]
-	if g == nil {
-		g = &aggGroup{key: t.Project(a.groupBy), states: make([]aggState, len(a.specs))}
-		a.groups[k] = g
-		a.order = append(a.order, k)
-	}
+	g := a.group(t.Hash64On(a.groupBy), t, a.groupBy)
 	for i, spec := range a.specs {
 		if spec.Op == AggCount && spec.Col < 0 {
 			g.states[i].count++
@@ -178,18 +197,13 @@ func (a *AggAccum) Add(t Tuple) {
 }
 
 // Merge folds another accumulator (built with the same groupBy/specs) into
-// this one. Groups unseen here keep o's key tuple and append in o's order.
+// this one. Groups unseen here append in o's order.
 func (a *AggAccum) Merge(o *AggAccum) {
-	for _, k := range o.order {
-		og := o.groups[k]
-		g := a.groups[k]
-		if g == nil {
-			g = &aggGroup{key: og.key, states: make([]aggState, len(a.specs))}
-			a.groups[k] = g
-			a.order = append(a.order, k)
-		}
-		for i := range a.specs {
-			g.states[i].merge(og.states[i])
+	for i := range o.groups {
+		og := &o.groups[i]
+		g := a.group(og.hash, og.key, a.keyCols)
+		for j := range a.specs {
+			g.states[j].merge(og.states[j])
 		}
 	}
 }
@@ -200,16 +214,15 @@ func (a *AggAccum) Merge(o *AggAccum) {
 func (a *AggAccum) Emit() []Tuple {
 	if len(a.groupBy) == 0 && len(a.groups) == 0 {
 		// Global aggregate over empty input still yields one row.
-		a.groups[""] = &aggGroup{key: Tuple{}, states: make([]aggState, len(a.specs))}
-		a.order = append(a.order, "")
+		a.group(Tuple(nil).Hash64(), nil, nil)
 	}
-	out := make([]Tuple, 0, len(a.order))
-	for _, k := range a.order {
-		g := a.groups[k]
-		row := make(Tuple, 0, len(a.groupBy)+len(a.specs))
+	out := make([]Tuple, 0, len(a.groups))
+	for i := range a.groups {
+		g := &a.groups[i]
+		row := a.arena.make(len(g.key) + len(a.specs))
 		row = append(row, g.key...)
-		for i, spec := range a.specs {
-			row = append(row, g.states[i].result(spec.Op))
+		for j, spec := range a.specs {
+			row = append(row, g.states[j].result(spec.Op))
 		}
 		out = append(out, row)
 	}

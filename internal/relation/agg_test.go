@@ -61,6 +61,49 @@ func TestAggregateMinMaxStrings(t *testing.T) {
 	}
 }
 
+// Groups are found by hash and told apart by value: keys whose hashes collide
+// stay separate groups, in first-seen order, through Add-like lookups and
+// Merge.
+func TestAggAccumSeparatesCollidingKeys(t *testing.T) {
+	specs := []AggSpec{{Op: AggCount, Col: -1}}
+	keys := []Tuple{{Str("a")}, {Str("b")}, {Int(1)}, {Str("a")}, {Float(1)}}
+	fill := func() *AggAccum {
+		a := NewAggAccum([]int{0}, specs)
+		for _, k := range keys {
+			a.group(42, k, a.groupBy).states[0].count++ // one hash for every key
+		}
+		return a
+	}
+	a := fill()
+	a.Merge(fill())
+	got := a.Emit()
+	want := []Tuple{{Str("a"), Int(4)}, {Str("b"), Int(2)}, {Int(1), Int(4)}}
+	if len(got) != len(want) {
+		t.Fatalf("groups = %v, want %v", got, want)
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("groups = %v, want %v", got, want)
+		}
+	}
+}
+
+// A tuple that joins an existing group allocates nothing.
+func TestAggAccumAddAllocatesPerGroup(t *testing.T) {
+	tuples := benchTuples(4096, 3) // 512 distinct values in column 0
+	a := NewAggAccum([]int{0}, []AggSpec{{Op: AggCount, Col: -1}, {Op: AggSum, Col: 2}})
+	for _, tu := range tuples {
+		a.Add(tu)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for _, tu := range tuples {
+			a.Add(tu)
+		}
+	}); n != 0 {
+		t.Fatalf("%d tuples into existing groups: %v allocations, want 0", len(tuples), n)
+	}
+}
+
 func TestParseAggOp(t *testing.T) {
 	for _, s := range []string{"COUNT", "SUM", "MIN", "MAX", "AVG", "count", "avg"} {
 		if _, err := ParseAggOp(s); err != nil {

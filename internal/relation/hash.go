@@ -28,12 +28,12 @@ func fnvUint64(h uint64, v uint64) uint64 {
 // hashInto folds the value into a running FNV-1a hash, consistent with Equal:
 // numerically equal int/float values fold identically.
 func (v Value) hashInto(h uint64) uint64 {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return fnvByte(h, 0)
 	case KindBool:
 		h = fnvByte(h, 1)
-		if v.b {
+		if v.AsBool() {
 			return fnvByte(h, 1)
 		}
 		return fnvByte(h, 0)
@@ -42,8 +42,9 @@ func (v Value) hashInto(h uint64) uint64 {
 		return fnvUint64(h, math.Float64bits(v.AsFloat()))
 	default:
 		h = fnvByte(h, 3)
-		for i := 0; i < len(v.s); i++ {
-			h = fnvByte(h, v.s[i])
+		s := v.AsString()
+		for i := 0; i < len(s); i++ {
+			h = fnvByte(h, s[i])
 		}
 		return h
 	}
@@ -159,6 +160,15 @@ func (a *tupleArena) make(n int) Tuple {
 	a.buf = a.buf[:off+n]
 	// Zero-length, capacity-capped view: appends fill exactly this carve-out.
 	return Tuple(a.buf[off : off : off+n])
+}
+
+// project builds t restricted to cols in arena storage.
+func (a *tupleArena) project(t Tuple, cols []int) Tuple {
+	out := a.make(len(cols))
+	for _, c := range cols {
+		out = append(out, t[c])
+	}
+	return out
 }
 
 // concat builds the concatenation l ++ r in arena storage.

@@ -70,11 +70,13 @@ func (ix *Index) LookupIter(vals []Value) Iterator {
 	return NewSliceIterator(ix.Lookup(vals))
 }
 
-// SizeBytes estimates the index's memory footprint for cache accounting.
+// SizeBytes estimates the index's memory footprint for cache accounting:
+// per bucket the hash key, the position slice's header and its positions.
+// (The indexed tuples belong to the relation and are counted there.)
 func (ix *Index) SizeBytes() int64 {
 	var n int64
 	for _, v := range ix.buckets {
-		n += 8 + int64(8*len(v)) + 48
+		n += 8 + sliceHeaderBytes + int64(8*len(v))
 	}
 	return n
 }

@@ -39,11 +39,7 @@ func Project(in Iterator, cols []int) Iterator {
 		if !ok {
 			return nil, false
 		}
-		out := arena.make(len(cols))
-		for _, c := range cols {
-			out = append(out, t[c])
-		}
-		return out, true
+		return arena.project(t, cols), true
 	})
 }
 

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -65,15 +66,11 @@ func (r *Relation) AppendValues(vs ...Value) error { return r.Append(Tuple(vs)) 
 
 // Grow preallocates capacity for n additional tuples. Bulk loaders (wire
 // decoding, stream materialization) call it once per batch so the tuple slice
-// is not regrown tuple-by-tuple.
+// is not regrown tuple-by-tuple. Capacity grows geometrically, so a stream
+// drained batch by batch reallocates O(log N) times, not once per batch.
 func (r *Relation) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	if free := cap(r.tuples) - len(r.tuples); free < n {
-		grown := make([]Tuple, len(r.tuples), len(r.tuples)+n)
-		copy(grown, r.tuples)
-		r.tuples = grown
+	if n > 0 {
+		r.tuples = slices.Grow(r.tuples, n)
 	}
 }
 
@@ -159,16 +156,14 @@ func subsetOf(a, b []Tuple) bool {
 }
 
 // SizeBytes estimates the in-memory footprint of the extension, used by the
-// Cache Manager for resource accounting.
+// Cache Manager for resource accounting: a slice header per tuple, a Value
+// per cell, and each string's bytes (counted per cell, shared or not).
 func (r *Relation) SizeBytes() int64 {
 	var n int64
 	for _, t := range r.tuples {
-		n += 24 // slice header
+		n += sliceHeaderBytes + valueBytes*int64(len(t))
 		for _, v := range t {
-			n += 40 // Value struct
-			if v.Kind() == KindString {
-				n += int64(len(v.AsString()))
-			}
+			n += int64(len(v.AsString()))
 		}
 	}
 	return n

@@ -152,16 +152,6 @@ func (t Tuple) Key() string {
 	return b.String()
 }
 
-// KeyOn returns a map key over the given column subset.
-func (t Tuple) KeyOn(cols []int) string {
-	var b strings.Builder
-	for _, c := range cols {
-		b.WriteString(t[c].Key())
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
 // Project returns the tuple restricted to the given columns.
 func (t Tuple) Project(cols []int) Tuple {
 	out := make(Tuple, len(cols))

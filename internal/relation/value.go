@@ -9,9 +9,12 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -45,83 +48,140 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a dynamically typed scalar. The zero Value is the null value.
-// Values are small and passed by value everywhere.
+// Value is a dynamically typed scalar in two words. The zero Value is the
+// null value. Values are small and passed by value everywhere.
+//
+// p says what the value is and n carries the payload:
+//
+//	p == nil                 null
+//	p == &kindTags[k]        int, float or bool: n holds the int64, the
+//	                         float64's bits, or 0/1; the fourth tag is the
+//	                         empty string (n == 0)
+//	any other p              a string's data pointer, n its length
+//
+// A string Value keeps its backing array alive through p exactly as the
+// string did, and the tag bytes are package-level, so the garbage collector
+// needs no help. This file is the only one that imports unsafe; everything
+// else, hash.go included, goes through the accessors.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
-	s    string
-	b    bool
+	// The zero-size func array makes Value non-comparable: == and map
+	// keying would compare a string's data pointer instead of its bytes,
+	// so they must not compile. Use Equal, Compare, Hash or Key.
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }
+
+// kindTags are the addresses p takes for the kinds that carry no pointer.
+// They are laid out in Kind order from KindInt (the empty string stands in
+// KindString's place), so Kind is an offset, not a chain of comparisons.
+// No string's data can lie inside the array: it is never handed out.
+var kindTags [4]byte
+
+// valueBytes and sliceHeaderBytes are what the SizeBytes estimates charge
+// per cell and per tuple.
+const (
+	valueBytes       = int64(unsafe.Sizeof(Value{}))
+	sliceHeaderBytes = int64(unsafe.Sizeof([]Value(nil)))
+)
+
+func tag(k Kind) unsafe.Pointer { return unsafe.Pointer(&kindTags[k-KindInt]) }
 
 // Null returns the null value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{p: tag(KindInt), n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{p: tag(KindFloat), n: math.Float64bits(v)} }
 
 // String_ returns a string value. (Named with a trailing underscore because
-// String is the Stringer method.)
-func String_(v string) Value { return Value{kind: KindString, s: v} }
+// String is the Stringer method.) The value shares v's bytes.
+func String_(v string) Value {
+	if len(v) == 0 {
+		return Value{p: tag(KindString)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Str is shorthand for String_.
 func Str(v string) Value { return String_(v) }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
-
-// Kind reports the dynamic kind of the value.
-func (v Value) Kind() Kind { return v.kind }
-
-// IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
-
-// AsInt returns the integer payload; it is only meaningful when Kind is
-// KindInt.
-func (v Value) AsInt() int64 { return v.i }
-
-// AsFloat returns the numeric payload as a float64 for KindInt and KindFloat.
-func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+func Bool(v bool) Value {
+	if v {
+		return Value{p: tag(KindBool), n: 1}
 	}
-	return v.f
+	return Value{p: tag(KindBool)}
 }
 
-// AsString returns the string payload; only meaningful for KindString.
-func (v Value) AsString() string { return v.s }
+// Kind reports the dynamic kind of the value.
+func (v Value) Kind() Kind {
+	if v.p == nil {
+		return KindNull
+	}
+	if off := uintptr(v.p) - uintptr(unsafe.Pointer(&kindTags)); off < uintptr(len(kindTags)) {
+		return KindInt + Kind(off)
+	}
+	return KindString
+}
 
-// AsBool returns the boolean payload; only meaningful for KindBool.
-func (v Value) AsBool() bool { return v.b }
+// IsNull reports whether the value is null.
+func (v Value) IsNull() bool { return v.p == nil }
+
+// AsInt returns the integer payload; it is only meaningful when Kind is
+// KindInt (and zero otherwise).
+func (v Value) AsInt() int64 {
+	if v.p != tag(KindInt) {
+		return 0
+	}
+	return int64(v.n)
+}
+
+// AsFloat returns the numeric payload as a float64 for KindInt and KindFloat
+// (and zero otherwise).
+func (v Value) AsFloat() float64 {
+	switch v.p {
+	case tag(KindInt):
+		return float64(int64(v.n))
+	case tag(KindFloat):
+		return math.Float64frombits(v.n)
+	}
+	return 0
+}
+
+// AsString returns the string payload; only meaningful for KindString (and
+// empty otherwise).
+func (v Value) AsString() string {
+	if v.n == 0 || v.Kind() != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
+
+// AsBool returns the boolean payload; only meaningful for KindBool (and
+// false otherwise).
+func (v Value) AsBool() bool { return v.p == tag(KindBool) && v.n != 0 }
 
 // IsNumeric reports whether the value is an int or float.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
+func (v Value) IsNumeric() bool { return v.p == tag(KindInt) || v.p == tag(KindFloat) }
 
 // Equal reports whether two values are equal. Ints and floats compare
 // numerically across kinds; null equals only null.
 func (v Value) Equal(o Value) bool {
-	if v.IsNumeric() && o.IsNumeric() {
-		if v.kind == KindInt && o.kind == KindInt {
-			return v.i == o.i
-		}
+	vk, ok := v.Kind(), o.Kind()
+	switch {
+	case vk == KindInt && ok == KindInt:
+		return v.n == o.n
+	case v.IsNumeric() && o.IsNumeric():
 		return v.AsFloat() == o.AsFloat()
-	}
-	if v.kind != o.kind {
+	case vk != ok:
 		return false
-	}
-	switch v.kind {
-	case KindNull:
-		return true
-	case KindString:
-		return v.s == o.s
-	case KindBool:
-		return v.b == o.b
-	default:
-		return false
+	case vk == KindString:
+		return v.AsString() == o.AsString()
+	default: // null or bool
+		return v.n == o.n
 	}
 }
 
@@ -129,35 +189,18 @@ func (v Value) Equal(o Value) bool {
 // null < bool (false<true) < numeric < string; numerics compare numerically
 // across int/float.
 func (v Value) Compare(o Value) int {
-	vr, or := v.rank(), o.rank()
-	if vr != or {
-		if vr < or {
-			return -1
-		}
-		return 1
+	vk, ok := v.Kind(), o.Kind()
+	if vr, or := vk.rank(), ok.rank(); vr != or {
+		return cmp.Compare(vr, or)
 	}
-	switch {
-	case v.kind == KindNull:
+	switch vk {
+	case KindNull:
 		return 0
-	case v.kind == KindBool:
-		switch {
-		case v.b == o.b:
-			return 0
-		case !v.b:
-			return -1
-		default:
-			return 1
-		}
-	case v.IsNumeric():
-		if v.kind == KindInt && o.kind == KindInt {
-			switch {
-			case v.i < o.i:
-				return -1
-			case v.i > o.i:
-				return 1
-			default:
-				return 0
-			}
+	case KindBool:
+		return cmp.Compare(v.n, o.n)
+	case KindInt, KindFloat:
+		if vk == KindInt && ok == KindInt {
+			return cmp.Compare(int64(v.n), int64(o.n))
 		}
 		a, b := v.AsFloat(), o.AsFloat()
 		switch {
@@ -165,16 +208,16 @@ func (v Value) Compare(o Value) int {
 			return -1
 		case a > b:
 			return 1
-		default:
+		default: // equal, or a NaN on either side
 			return 0
 		}
 	default: // string
-		return strings.Compare(v.s, o.s)
+		return strings.Compare(v.AsString(), o.AsString())
 	}
 }
 
-func (v Value) rank() int {
-	switch v.kind {
+func (k Kind) rank() int {
+	switch k {
 	case KindNull:
 		return 0
 	case KindBool:
@@ -198,17 +241,17 @@ func (v Value) Hash() uint64 {
 // String renders the value in CAQL literal syntax: integers and floats bare,
 // strings double-quoted, booleans true/false, null as "null".
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "null"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.AsInt(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.AsString())
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.AsBool())
 	default:
 		return "?"
 	}
@@ -216,18 +259,18 @@ func (v Value) String() string {
 
 // Key returns a string usable as a map key, consistent with Equal.
 func (v Value) Key() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "n"
 	case KindBool:
-		if v.b {
+		if v.AsBool() {
 			return "bt"
 		}
 		return "bf"
 	case KindInt, KindFloat:
 		return "f" + strconv.FormatFloat(v.AsFloat(), 'b', -1, 64)
 	default:
-		return "s" + v.s
+		return "s" + v.AsString()
 	}
 }
 

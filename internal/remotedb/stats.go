@@ -14,15 +14,18 @@ import (
 // add-only, matching the engine's append-only extensions: deletes do not
 // exist, and wholesale replacement (LoadTable) rebuilds the accumulator.
 
-// statsNDVCap bounds the per-column distinct-value tracking set. Below the
-// cap NDV is exact; at the cap it saturates into a lower bound. 1<<16 keeps
-// the bench workloads (tens of thousands of rows) exact while bounding the
-// catalog to ~64k keys per column.
+// statsNDVCap bounds the per-column distinct-value tracking set. The set
+// holds Value.Hash, not the values: eight bytes a member and nothing rendered
+// per inserted value. Below the cap NDV is therefore exact up to a 64-bit
+// collision (two distinct values counted once: about 1e-10 for a column at
+// the cap); at the cap it saturates into a lower bound. 1<<16 keeps the
+// bench workloads (tens of thousands of rows) exact while bounding the
+// catalog to ~64k hashes per column.
 const statsNDVCap = 1 << 16
 
 // colAcc accumulates one column's statistics.
 type colAcc struct {
-	seen      map[string]struct{}
+	seen      map[uint64]struct{}
 	saturated bool
 	min, max  relation.Value
 	any       bool
@@ -31,9 +34,9 @@ type colAcc struct {
 func (c *colAcc) add(v relation.Value) {
 	if !c.saturated {
 		if c.seen == nil {
-			c.seen = make(map[string]struct{})
+			c.seen = make(map[uint64]struct{})
 		}
-		c.seen[v.Key()] = struct{}{}
+		c.seen[v.Hash()] = struct{}{}
 		if len(c.seen) >= statsNDVCap {
 			c.saturated = true
 		}
