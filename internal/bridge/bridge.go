@@ -114,10 +114,11 @@ type SourceStats struct {
 	BreakerOpens   int64 // circuit-breaker open transitions
 	StreamResumes  int64 // mid-stream failures repaired by resume re-dispatch
 
-	// EpochInvalidations counts cached views evicted because a fetch observed
-	// a newer backend catalog epoch than the view was built under — the
-	// stale-epoch defense refusing to serve a state the server has moved past
-	// (zero when the transport does not report epochs).
+	// EpochInvalidations counts cached views evicted because a request
+	// observed a newer version of a table the view reads than the epoch the
+	// view was built under — the staleness defense refusing to serve a state
+	// the server has moved past (zero when the transport does not report
+	// epochs).
 	EpochInvalidations int64
 
 	// Streamed-transport counters (populated when the remote client is the

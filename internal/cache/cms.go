@@ -158,8 +158,8 @@ func (c *CMS) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("braid_cms_lazy_answers_total", "Queries answered with a generator (lazy).", st.LazyAnswers.Load)
 	reg.CounterFunc("braid_cms_index_builds_total", "Attribute indexes built on cached extensions.", st.IndexBuilds.Load)
 	reg.CounterFunc("braid_cms_degraded_hits_total", "Cache hits served while the remote was unavailable.", st.DegradedHits.Load)
-	reg.CounterFunc("braid_cms_epoch_invalidations_total", "Cached views invalidated after a fetch observed a newer backend catalog epoch.", st.EpochInvalidations.Load)
-	reg.GaugeFunc("braid_cms_observed_epoch", "Highest backend catalog epoch observed on any fetch.", func() float64 { return float64(c.rdi.ObservedEpoch()) })
+	reg.CounterFunc("braid_cms_epoch_invalidations_total", "Cached views invalidated after a request observed a newer version of a table they read.", st.EpochInvalidations.Load)
+	reg.GaugeFunc("braid_cms_observed_epoch", "Highest backend clock observed on any request.", func() float64 { return float64(c.rdi.ObservedEpoch()) })
 	reg.CounterFunc("braid_cms_admitted_total", "Queries past the admission controller.", st.Admitted.Load)
 	reg.CounterFunc("braid_cms_queued_total", "Admitted queries that waited in the bounded queue.", st.Queued.Load)
 	reg.CounterFunc("braid_cms_shed_total", "Queries rejected with ErrOverloaded.", st.Shed.Load)

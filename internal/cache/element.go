@@ -99,11 +99,13 @@ type Element struct {
 	// prefetched marks elements loaded ahead of demand by path-expression
 	// advice. Immutable after construction.
 	prefetched bool
-	// builtEpoch is the backend catalog epoch the element's data was fetched
-	// under (the client's observed epoch when the fetch that built it began —
-	// conservative: never newer than the data). 0 means the transport does
-	// not report epochs, which disables the staleness defense for this
-	// element. Set before manager insertion, immutable after.
+	// builtEpoch stamps the element's data with the backend clock as the
+	// client had observed it just before the fetch that built it was issued
+	// — never newer than the data, whose server snapshot came later, so any
+	// change the data misses has a version above the stamp. The element is
+	// stale once a request observes such a version for a relation its
+	// definition names (staleChecker). Set before manager insertion,
+	// immutable after.
 	builtEpoch uint64
 	// ownerSID is the session that inserted the element while its data was
 	// still in (simulated) flight; 0 means published — visible to every

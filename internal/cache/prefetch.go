@@ -108,7 +108,7 @@ func (j prefetchJob) run() {
 	if s.ctx.Err() != nil {
 		return // session ended while the job sat in the queue
 	}
-	ext, sim, err := c.rdi.FetchCtx(s.ctx, j.q)
+	ext, sim, stamp, err := c.rdi.FetchCtx(s.ctx, j.q)
 	if err != nil {
 		return // prefetching is best-effort; failed fetches are not counted
 	}
@@ -118,7 +118,7 @@ func (j prefetchJob) run() {
 		e.AdviceName = j.vs.Name()
 	}
 	e.prefetched = true
-	e.builtEpoch = c.rdi.ObservedEpoch()
+	e.builtEpoch = stamp
 	// The fetch proceeds during IE think time: the element becomes ready sim
 	// ms after the issue point without charging response time.
 	e.readyAtSim = j.issueSim + sim

@@ -261,11 +261,11 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon string
 	if f.Generalization && !degraded && (s.predictsReuse(q.Name()) || s.repeatedInstance(q)) {
 		if gq := s.generalizationOf(q, vs); gq != nil {
 			gctx, gsp := c.tracer.Start(ctx, "cms.generalize")
-			ext, sim, err := c.rdi.FetchCtx(gctx, gq)
+			ext, sim, stamp, err := c.rdi.FetchCtx(gctx, gq)
 			gsp.End()
 			if err == nil {
 				s.advance(sim)
-				e := s.cacheResult(gq, gq.Canonical(), ext, vs)
+				e := s.cacheResult(gq, gq.Canonical(), ext, vs, stamp)
 				if d, ok := e.sig.DeriveFull(pq); ok {
 					c.stats.Generalizations.Add(1)
 					return s.serveFromElement(e, d, q, vs)
@@ -300,13 +300,13 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon string
 	if f.Lazy && c.rdi.StreamCapable() && !s.shouldCache(vs) {
 		return s.answerRemoteStream(q)
 	}
-	ext, sim, err := c.rdi.FetchCtx(ctx, q)
+	ext, sim, stamp, err := c.rdi.FetchCtx(ctx, q)
 	if err != nil {
 		return nil, err
 	}
 	s.advance(sim)
 	if s.shouldCache(vs) {
-		s.cacheResult(q, canon, ext, vs)
+		s.cacheResult(q, canon, ext, vs, stamp)
 	}
 	return bridge.NewEagerStream(ext), nil
 }
@@ -394,16 +394,18 @@ func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, q *caql.Qu
 		return bridge.NewStream(schema, it, true), nil
 	}
 
-	it, ops := s.derivedIter(e, d, vs)
-	out := relation.Drain(q.Name(), schema, it)
+	src, d, ops := s.derivedIter(e, d, vs)
+	out := d.Materialize(q.Name(), schema, src)
 	s.advanceLocal(c.opts.Costs.PerLocalOp * float64(ops+out.Len()))
 	return bridge.NewEagerStream(out), nil
 }
 
-// derivedIter builds the tuple pipeline for a derivation, using an attribute
-// index for an equality selection when available (or worth building), and
-// returns the estimated number of local tuple operations.
-func (s *Session) derivedIter(e *Element, d *subsume.Derivation, vs *advice.ViewSpec) (relation.Iterator, int) {
+// derivedIter picks the source a derivation reads: the rows an attribute
+// index returns for one of its equality selections when the index exists (or
+// is worth building), with that selection dropped from the derivation it
+// returns; otherwise the whole extension and d itself. It also returns the
+// estimated number of local tuple operations.
+func (s *Session) derivedIter(e *Element, d *subsume.Derivation, vs *advice.ViewSpec) (relation.Iterator, *subsume.Derivation, int) {
 	c := s.cms
 	if c.opts.Features.Indexing && !d.Empty {
 		for i, cond := range d.Candidate.Conds {
@@ -421,13 +423,13 @@ func (s *Session) derivedIter(e *Element, d *subsume.Derivation, vs *advice.View
 				cand.Conds = rest
 				d2 := *d
 				d2.Candidate = &cand
-				return d2.ApplyLazy(relation.NewSliceIterator(rows)), len(rows)
+				return relation.NewSliceIterator(rows), &d2, len(rows)
 			}
 			e.noteSelection(cond.Left)
 		}
 	}
 	ext := e.Extension()
-	return d.ApplyLazy(ext.Iter()), ext.Len()
+	return ext.Iter(), d, ext.Len()
 }
 
 // shouldIndex decides whether to build an index on the element column:
@@ -507,13 +509,16 @@ func (s *Session) predictsReuse(name string) bool {
 	return ok
 }
 
-// staleChecker returns the stale-epoch predicate for one planning pass: some
-// fetch has observed the backend at the RDI's epoch high-water mark, so any
-// view built under an older epoch describes a state the server has provably
-// moved past. A stale view is invalidated (removed + counted) and the caller
-// falls through to a refetch instead of serving it. While degraded, cached
-// answers are served regardless of epoch — stale data beats no data, and the
-// breaker already accounts those answers as DegradedHits.
+// staleChecker returns the staleness predicate for one planning pass. A view
+// is stale once some request has observed a version above its stamp
+// (Element.builtEpoch) for a relation its definition names: the server has
+// provably moved past the data for that relation. Writes to other tables
+// leave it alone, and while the observed epoch is still at or below the stamp
+// no version can be above it, so the common case reads one number. A stale
+// view is invalidated (removed + counted) and the caller falls through to a
+// refetch instead of serving it. While degraded, cached answers are served
+// regardless — stale data beats no data, and the breaker already accounts
+// those answers as DegradedHits.
 func (s *Session) staleChecker(degraded bool) func(*Element) bool {
 	c := s.cms
 	var remoteEpoch uint64
@@ -521,7 +526,7 @@ func (s *Session) staleChecker(degraded bool) func(*Element) bool {
 		remoteEpoch = c.rdi.ObservedEpoch()
 	}
 	return func(e *Element) bool {
-		if remoteEpoch == 0 || e.builtEpoch == 0 || e.builtEpoch >= remoteEpoch {
+		if remoteEpoch <= e.builtEpoch || !c.rdi.movedSince(e.Def, e.builtEpoch) {
 			return false
 		}
 		c.mgr.Remove(e)
@@ -544,20 +549,18 @@ func (s *Session) shouldCache(vs *advice.ViewSpec) bool {
 }
 
 // cacheResult stores (budget permitting) and returns an element holding a
-// demand-fetched query result; canon is def.Canonical(). (Prefetched elements
-// are built by the worker pool in prefetch.go, which also sets their
-// visibility gate.)
-func (s *Session) cacheResult(def *caql.Query, canon string, ext *relation.Relation, vs *advice.ViewSpec) *Element {
+// demand-fetched query result; canon is def.Canonical() and stamp the epoch
+// observed before the fetch behind ext was issued (Element.builtEpoch).
+// (Prefetched elements are built by the worker pool in prefetch.go, which
+// also sets their visibility gate.)
+func (s *Session) cacheResult(def *caql.Query, canon string, ext *relation.Relation, vs *advice.ViewSpec, stamp uint64) *Element {
 	c := s.cms
 	e := newExtensionElement(c.mgr.NewElementID(), def.Clone(), canon, ext)
 	if vs != nil {
 		e.AdviceName = vs.Name()
 	}
 	e.readyAtSim = s.simNow
-	// The fetch that produced ext observed the backend at (at least) the
-	// RDI's current epoch high-water mark; stamping it here (never newer than
-	// the data) is what later staleness comparisons are made against.
-	e.builtEpoch = c.rdi.ObservedEpoch()
+	e.builtEpoch = stamp
 	if c.opts.Features.ResultCaching {
 		c.mgr.Insert(e)
 	}
@@ -673,6 +676,7 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 
 	var residualExt *relation.Relation
 	var rq *caql.Query
+	var residualStamp uint64
 	remoteWork := func() error {
 		if len(residualIdx) == 0 {
 			return nil
@@ -708,7 +712,7 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 		}
 		rAtoms = append(rAtoms, shippedCmps...)
 		rq = caql.NewQuery(logic.A("__r", head...), rAtoms)
-		ext, sim, err := c.rdi.FetchCtx(ctx, rq)
+		ext, sim, stamp, err := c.rdi.FetchCtx(ctx, rq)
 		if err != nil {
 			return err
 		}
@@ -716,7 +720,7 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 			ext = relation.DistinctRel(ext)
 		}
 		remoteDur = sim
-		residualExt = ext
+		residualExt, residualStamp = ext, stamp
 		return nil
 	}
 
@@ -742,12 +746,19 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 		return nil, true, err
 	}
 
+	// The answer is as old as its oldest input: a change any piece or the
+	// residual misses has a version above that input's stamp.
+	stamp := ^uint64(0)
+	for _, p := range picks {
+		stamp = min(stamp, p.e.builtEpoch)
+	}
 	if residualExt != nil {
+		stamp = min(stamp, residualStamp)
 		overlay["__r"] = residualExt
 		atoms = append(atoms, rq.Head)
 		if s.cms.opts.Features.ResultCaching {
 			// The residual result is itself reusable.
-			s.cacheResult(rq, rq.Canonical(), residualExt, nil)
+			s.cacheResult(rq, rq.Canonical(), residualExt, nil, residualStamp)
 		}
 	}
 
@@ -772,7 +783,7 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 		c.stats.PartialHits.Add(1)
 	}
 	if s.shouldCache(vs) {
-		s.cacheResult(q, canon, out, vs)
+		s.cacheResult(q, canon, out, vs, stamp)
 	}
 	return bridge.NewEagerStream(out), true, nil
 }

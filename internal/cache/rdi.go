@@ -82,53 +82,52 @@ func (r *RDI) RelationSchema(name string, arity int) (*relation.Schema, error) {
 	return sch, nil
 }
 
-// Fetch evaluates a CAQL conjunctive query entirely on the remote DBMS:
-// translate, execute, reassemble. It returns the result extension and the
-// simulated time of the request.
-func (r *RDI) Fetch(q *caql.Query) (*relation.Relation, float64, error) {
-	return r.FetchCtx(context.Background(), q)
-}
-
-// FetchCtx is Fetch under a context: cancellation and deadlines propagate
+// FetchCtx evaluates a CAQL conjunctive query entirely on the remote DBMS:
+// translate, execute, reassemble. It returns the result extension, the
+// simulated time of the request, and the result's staleness stamp: the epoch
+// observed just before the request was issued — after translation, whose
+// schema lookups are requests too, so no fetch is stamped before the client
+// has heard from the backend. Cancellation and deadlines propagate
 // into the remote call (retry/backoff loops, dial, and socket reads when the
 // client supports remotedb.ContextClient; a pre-flight check otherwise).
 // On a stream-capable client the result is drained frame-by-frame through the
 // bulk append path, so peak memory during transfer is one frame plus the
 // growing result instead of two whole wire relations.
-func (r *RDI) FetchCtx(ctx context.Context, q *caql.Query) (*relation.Relation, float64, error) {
+func (r *RDI) FetchCtx(ctx context.Context, q *caql.Query) (ext *relation.Relation, sim float64, stamp uint64, err error) {
 	ctx, sp := r.tracer.Start(ctx, "cms.remote_fetch")
 	sp.Set("query", q.Name())
 	defer sp.End()
 	if r.StreamCapable() {
 		fs, err := r.FetchStreamCtx(ctx, q)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		out, err := remotedb.DrainStream(q.Name(), fs)
 		r.noteRemote(err)
 		if err != nil {
-			return nil, 0, fmt.Errorf("cache: remote execution of %q: %w", fs.sql, err)
+			return nil, 0, 0, fmt.Errorf("cache: remote execution of %q: %w", fs.sql, err)
 		}
-		return out, fs.SimMS(), nil
+		return out, fs.SimMS(), fs.stamp, nil
 	}
 	tr, err := remotedb.TranslateCAQL(q, r)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
+	stamp = r.ObservedEpoch()
 	res, err := remotedb.ExecContext(ctx, r.client, tr.SQL)
 	r.noteRemote(err)
 	if err != nil {
-		return nil, 0, fmt.Errorf("cache: remote execution of %q: %w", tr.SQL, err)
+		return nil, 0, 0, fmt.Errorf("cache: remote execution of %q: %w", tr.SQL, err)
 	}
 	schema, err := q.OutputSchema(r)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	out, err := tr.Reassemble(q.Name(), schema, res.Rel)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return out, res.SimMS, nil
+	return out, res.SimMS, stamp, nil
 }
 
 // StreamCapable reports whether the remote client can deliver exec results
@@ -160,12 +159,13 @@ func (r *RDI) FetchStreamCtx(ctx context.Context, q *caql.Query) (*FetchStream, 
 	if err != nil {
 		return nil, err
 	}
+	stamp := r.ObservedEpoch()
 	st, err := remotedb.ExecStreamContext(ctx, r.client, tr.SQL)
 	r.noteRemote(err)
 	if err != nil {
 		return nil, fmt.Errorf("cache: remote execution of %q: %w", tr.SQL, err)
 	}
-	return &FetchStream{rdi: r, inner: st, tr: tr, schema: schema, name: q.Name(), sql: tr.SQL}, nil
+	return &FetchStream{rdi: r, inner: st, tr: tr, schema: schema, name: q.Name(), sql: tr.SQL, stamp: stamp}, nil
 }
 
 // FetchStream is a remote CAQL result delivered incrementally: the wire
@@ -179,6 +179,7 @@ type FetchStream struct {
 	schema *relation.Schema
 	name   string
 	sql    string
+	stamp  uint64 // the epoch observed before the request was issued (FetchCtx)
 
 	done     bool
 	localErr error // reassembly failure (schema drift mid-stream)
@@ -242,11 +243,22 @@ func (r *RDI) Resilience() (remotedb.ResilienceStats, bool) {
 	return remotedb.ResilienceStats{}, false
 }
 
-// ObservedEpoch returns the highest backend catalog epoch any fetch through
-// this interface has observed (0: the transport predates epochs). The QPO
-// compares it against each cached element's build epoch to refuse serving
-// views of a backend state the server has provably moved past.
+// ObservedEpoch returns the highest backend clock any request through this
+// interface has observed (0: the transport reports none). It stamps fetched
+// views, and a view stamped at or above it is current without further
+// checks.
 func (r *RDI) ObservedEpoch() uint64 { return remotedb.ObservedEpoch(r.client) }
+
+// movedSince reports whether a request has observed a version above stamp
+// for a relation def names: a view of def stamped there may miss that change.
+func (r *RDI) movedSince(def *caql.Query, stamp uint64) bool {
+	for _, a := range def.Rels {
+		if remotedb.ObservedVersion(r.client, a.Pred) > stamp {
+			return true
+		}
+	}
+	return false
+}
 
 // Tables lists remote tables.
 func (r *RDI) Tables() ([]string, error) { return r.client.Tables() }

@@ -1,0 +1,218 @@
+package chaos
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/bridge"
+	"repro/internal/cache"
+	"repro/internal/caql"
+	"repro/internal/relation"
+	"repro/internal/remotedb"
+)
+
+// TestInsertWhileQuerying is the invisible-cache contract under concurrent
+// writes. N writers insert uniquely tagged batches into w through the CMS's
+// own client while M reader sessions query one view over w and one over the
+// untouched table u, over both transports and at engine dop {1, 4}. Every
+// answer over w must be a union of whole batches, holding every batch
+// acknowledged before the query began and none issued after it ended — the
+// extension of w at some moment inside the query. Every answer over u must
+// equal caql.Eval over u, from the element cached at warm-up: no write to w
+// may evict it.
+func TestInsertWhileQuerying(t *testing.T) {
+	writers, readers, batches := 3, 3, 25
+	if *chaosLong {
+		writers, readers, batches = 6, 6, 50
+	}
+	for _, transport := range []string{"inproc", "pool"} {
+		for _, dop := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/dop%d", transport, dop), func(t *testing.T) {
+				insertWhileQuerying(t, transport, dop, writers, readers, batches)
+			})
+		}
+	}
+}
+
+// batchRows is the size of every batch; row k of batch tag is (tag, k).
+const batchRows = 4
+
+func insertWhileQuerying(t *testing.T, transport string, dop, writers, readers, batches int) {
+	e := remotedb.NewEngine()
+	e.SetParallelism(dop)
+	e.SetParallelMinRows(1)
+	e.SetMorselSize(16)
+	w := relation.New("w", relation.NewSchema(
+		relation.Attr{Name: "tag", Kind: relation.KindInt}, relation.Attr{Name: "k", Kind: relation.KindInt}))
+	for k := 0; k < batchRows; k++ {
+		w.MustAppend(relation.Tuple{relation.Int(0), relation.Int(int64(k))}) // batch 0: preloaded
+	}
+	u := relation.New("u", relation.NewSchema(
+		relation.Attr{Name: "k", Kind: relation.KindInt}, relation.Attr{Name: "v", Kind: relation.KindString}))
+	for k := 0; k < 200; k++ {
+		u.MustAppend(relation.Tuple{relation.Int(int64(k)), relation.Str(fmt.Sprintf("u%03d", k))})
+	}
+	e.LoadTable(w)
+	e.LoadTable(u)
+
+	var client remotedb.Client = remotedb.NewInProcClient(e, remotedb.DefaultCosts())
+	if transport == "pool" {
+		srv := remotedb.NewServer(e)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		p, err := remotedb.DialPool(addr, remotedb.PoolOptions{Size: 2, Costs: remotedb.DefaultCosts()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		client = p
+	}
+	cms := cache.New(client, cache.Options{Features: cache.AllFeatures(), Costs: remotedb.DefaultCosts()})
+
+	const viewW, viewU = `vw(T, K) :- w(T, K)`, `vu(K, V) :- u(K, V)`
+	wantU, err := caql.Eval(caql.MustParse(viewU), caql.MapSource{"u": u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := cms.BeginSession(nil)
+	for _, v := range []string{viewW, viewU} {
+		st, err := warm.QueryText(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Drain("out")
+	}
+	warm.End()
+	elemU := cms.Manager().ExactMatch(caql.MustParse(viewU))
+	if elemU == nil {
+		t.Fatal("warm-up did not cache the view over u")
+	}
+
+	var (
+		issued  atomic.Int64 // tags handed out; a tag above it was issued later
+		ackMu   sync.Mutex
+		acked   []int64 // tags acknowledged, in acknowledgment order
+		writing sync.WaitGroup
+		readWG  sync.WaitGroup
+		done    atomic.Bool
+		start   = make(chan struct{}) // closed once every goroutine exists, so they overlap
+	)
+	ackedSoFar := func() []int64 {
+		ackMu.Lock()
+		defer ackMu.Unlock()
+		return acked[:len(acked):len(acked)]
+	}
+	for i := 0; i < writers; i++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			<-start
+			for b := 0; b < batches; b++ {
+				tag := issued.Add(1)
+				var sb strings.Builder
+				sb.WriteString("INSERT INTO w VALUES ")
+				for k := 0; k < batchRows; k++ {
+					if k > 0 {
+						sb.WriteByte(',')
+					}
+					fmt.Fprintf(&sb, "(%d,%d)", tag, k)
+				}
+				if _, err := client.Exec(sb.String()); err != nil {
+					t.Errorf("insert batch %d: %v", tag, err)
+					return
+				}
+				ackMu.Lock()
+				acked = append(acked, tag)
+				ackMu.Unlock()
+				runtime.Gosched() // let readers in between batches, even on the in-process transport
+			}
+		}()
+	}
+	for i := 0; i < readers; i++ {
+		readWG.Add(1)
+		go func() {
+			defer readWG.Done()
+			s := cms.BeginSession(nil)
+			defer s.End()
+			<-start
+			for n := 0; n < 5 || !done.Load(); n++ {
+				before := ackedSoFar()
+				got, err := drainView(s, viewW)
+				if err != nil {
+					t.Errorf("query over w: %v", err)
+					return
+				}
+				if msg := checkWholeBatches(got, before, issued.Load()); msg != "" {
+					t.Errorf("answer over w is no state w was in during the query: %s", msg)
+					return
+				}
+				if got, err = drainView(s, viewU); err != nil {
+					t.Errorf("query over u: %v", err)
+					return
+				}
+				if !got.EqualAsBag(wantU) {
+					t.Errorf("answer over u: %d rows, want caql.Eval's %d", got.Len(), wantU.Len())
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	writing.Wait()
+	done.Store(true)
+	readWG.Wait()
+
+	if cur := cms.Manager().ExactMatch(caql.MustParse(viewU)); cur != elemU {
+		t.Fatal("the view over u was evicted or refetched, though nothing wrote to u")
+	}
+	st := cms.Stats()
+	if st.EpochInvalidations == 0 {
+		t.Fatal("no invalidation of the view over w, though every batch moved its version")
+	}
+	t.Logf("%d batches acked; %d queries, %d hits, %d invalidations", len(ackedSoFar()), st.Queries, st.CacheHits, st.EpochInvalidations)
+}
+
+func drainView(s bridge.Session, src string) (*relation.Relation, error) {
+	st, err := s.QueryText(src)
+	if err != nil {
+		return nil, err
+	}
+	return st.DrainErr("out")
+}
+
+// checkWholeBatches returns "" when got is batch 0 plus whole batches only,
+// holds every batch in mustHave, and no tag above issued; otherwise what is
+// wrong.
+func checkWholeBatches(got *relation.Relation, mustHave []int64, issued int64) string {
+	rows := map[int64]int{}  // rows per tag
+	keys := map[int64]uint{} // bit k set: row k of the tag is present
+	for _, tu := range got.Tuples() {
+		tag := tu[0].AsInt()
+		rows[tag]++
+		keys[tag] |= 1 << tu[1].AsInt()
+	}
+	for tag, n := range rows {
+		if n != batchRows || keys[tag] != 1<<batchRows-1 {
+			return fmt.Sprintf("batch %d has %d rows (key mask %b), want its %d", tag, n, keys[tag], batchRows)
+		}
+		if tag > issued {
+			return fmt.Sprintf("batch %d was issued after the query ended (last issued %d)", tag, issued)
+		}
+	}
+	if rows[0] == 0 {
+		return "the preloaded batch is missing"
+	}
+	for _, tag := range mustHave {
+		if rows[tag] == 0 {
+			return fmt.Sprintf("batch %d, acknowledged before the query began, is missing", tag)
+		}
+	}
+	return ""
+}

@@ -28,11 +28,12 @@ import (
 //     present after recovery (fsync=always: ack implies synced);
 //   - batch atomicity: a batch is one WAL record, so an unacknowledged batch
 //     is either fully present or fully absent — never half-applied;
-//   - restart fencing: a resume token minted before the kill is refused by
-//     the recovered engine (the logged restart record bumps every version);
-//   - stale-epoch defense: a CMS view cached before the kill is invalidated
-//     (not served) once any fetch observes the recovered engine's higher
-//     catalog epoch, counted by EpochInvalidations.
+//   - restart fencing: every table's recovered version is past every version
+//     reported before the kill, and a resume token minted before the kill is
+//     refused (the logged restart record moves every version to a new tick);
+//   - staleness defense: a CMS view is invalidated (not served) once any
+//     fetch observes a newer version of the table it reads, counted by
+//     EpochInvalidations.
 
 // RestartStormConfig parameterizes one restart storm.
 type RestartStormConfig struct {
@@ -261,6 +262,7 @@ func RunRestartStorm(cfg RestartStormConfig) (RestartStormResult, error) {
 	var ledger []stormBatch
 	nextK := 0
 	var preKillToken string
+	var preKillEpoch uint64 // the newest clock any response told the parent before the last kill
 
 	for round := 0; round <= cfg.Rounds; round++ {
 		ch, err := spawnRestartChild(cfg)
@@ -322,6 +324,17 @@ func RunRestartStorm(cfg RestartStormConfig) (RestartStormResult, error) {
 				c.Close()
 				ch.kill()
 				return res, fmt.Errorf("round %d: recovered %d rows but only %d were ever issued", round, len(keys), nextK)
+			}
+
+			// ---- Restart fencing: every table's version (the read above
+			// reported them all on a fresh connection) is past every version
+			// reported before the kill, so nothing stamped then is current ----
+			for _, tbl := range []string{"big", "aux"} {
+				if v := c.ObservedVersion(tbl); v <= preKillEpoch {
+					c.Close()
+					ch.kill()
+					return res, fmt.Errorf("round %d: %s recovered at version %d, not past the pre-kill epoch %d", round, tbl, v, preKillEpoch)
+				}
 			}
 
 			// ---- Restart fencing: the pre-kill resume token is refused ----
@@ -391,6 +404,7 @@ func RunRestartStorm(cfg RestartStormConfig) (RestartStormResult, error) {
 			break
 		}
 		<-killed
+		preKillEpoch = c.ObservedEpoch()
 		res.Kills++
 		res.AckedBatches = 0
 		res.AckedRows = 0
@@ -448,10 +462,10 @@ func resumeState(st remotedb.TupleStream) (token string, resumed bool) {
 	return "", false
 }
 
-// runEpochPhase is the CMS leg: a view cached against the PREVIOUS epoch must
-// be invalidated — not served — once any fetch observes the recovered
-// engine's newer epoch. writer keeps inserting through the plain client so
-// the epoch actually moves under the cache.
+// runEpochPhase is the CMS leg: a view over big cached before an insert into
+// big must be invalidated — not served — once any fetch observes big's newer
+// version. writer inserts through the plain client so the version moves
+// under the cache without the CMS's own client seeing it.
 func runEpochPhase(addr string, writer *remotedb.PoolClient, res *RestartStormResult,
 	rowsPerBatch int, ledger *[]stormBatch, nextK *int) error {
 	cp, err := dialRestart(addr)
@@ -466,16 +480,16 @@ func runEpochPhase(addr string, writer *remotedb.PoolClient, res *RestartStormRe
 	qBig := caql.MustParse(`q(X, Y) :- big(X, Y)`)
 	qAux := caql.MustParse(`p(A) :- aux(A)`)
 
-	// 1. Cache the big view under the current epoch.
+	// 1. Cache the big view.
 	stream, err := s.Query(qBig)
 	if err != nil {
 		return fmt.Errorf("epoch phase: caching query: %v", err)
 	}
 	before := stream.Drain("out").Len()
 
-	// 2. Move the engine's epoch under the cache: durable inserts through the
+	// 2. Move big's version under the cache: a durable insert through the
 	// writer client (a different pool, so the CMS's own client has not seen
-	// the new epoch yet).
+	// the new version yet).
 	b := stormBatch{lo: *nextK, n: rowsPerBatch, acked: true}
 	*nextK += b.n
 	if _, err := writer.Exec(batchStmt(b.lo, b.n)); err != nil {
@@ -483,7 +497,8 @@ func runEpochPhase(addr string, writer *remotedb.PoolClient, res *RestartStormRe
 	}
 	*ledger = append(*ledger, b)
 
-	// 3. An unrelated fetch observes the newer epoch...
+	// 3. A fetch of another table observes big's newer version (its frames
+	// carry every version that moved since the connection last reported)...
 	if stream, err = s.Query(qAux); err != nil {
 		return fmt.Errorf("epoch phase: observing query: %v", err)
 	}

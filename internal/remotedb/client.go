@@ -56,6 +56,16 @@ type EpochReporter interface {
 	ObservedEpoch() uint64
 }
 
+// VersionReporter is implemented by clients that observe the server's table
+// versions on responses (PoolClient, InProcClient). Versions and epochs come
+// from one engine clock, so a view stamped with epoch E is stale for table t
+// exactly when ObservedVersion(t) > E.
+type VersionReporter interface {
+	// ObservedVersion returns the newest version of table seen on any
+	// response so far; it is complete up to ObservedEpoch.
+	ObservedVersion(table string) uint64
+}
+
 // InnerClient is implemented by decorating clients (FaultClient,
 // ResilientClient) so capability probes can reach the transport underneath.
 type InnerClient interface {
@@ -76,6 +86,62 @@ func ObservedEpoch(c Client) uint64 {
 		c = w.Inner()
 	}
 	return 0
+}
+
+// ObservedVersion unwraps decorators until it finds a VersionReporter. A
+// transport that reports an epoch but no versions answers with that epoch:
+// every table may have changed at the newest tick it saw.
+func ObservedVersion(c Client, table string) uint64 {
+	for d := c; d != nil; {
+		if r, ok := d.(VersionReporter); ok {
+			return r.ObservedVersion(table)
+		}
+		w, ok := d.(InnerClient)
+		if !ok {
+			break
+		}
+		d = w.Inner()
+	}
+	return ObservedEpoch(c)
+}
+
+// versionVec is a client's high-water view of the server's clock and table
+// versions. note folds a response's versions in before it raises the epoch,
+// so whoever reads epoch E finds every version reported up to E.
+type versionVec struct {
+	epoch atomic.Uint64
+
+	mu       sync.RWMutex
+	versions map[string]uint64
+}
+
+func (v *versionVec) note(epoch uint64, versions []wireVersion) {
+	if len(versions) > 0 {
+		v.mu.Lock()
+		if v.versions == nil {
+			v.versions = make(map[string]uint64, len(versions))
+		}
+		for _, tv := range versions {
+			if tv.Version > v.versions[tv.Table] {
+				v.versions[tv.Table] = tv.Version
+			}
+		}
+		v.mu.Unlock()
+	}
+	// Responses on pooled connections can arrive out of order relative to
+	// the mutations that stamped them: keep the high-water mark.
+	for {
+		old := v.epoch.Load()
+		if epoch <= old || v.epoch.CompareAndSwap(old, epoch) {
+			return
+		}
+	}
+}
+
+func (v *versionVec) version(table string) uint64 {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return v.versions[table]
 }
 
 // ExecContext issues sql through c, honoring ctx when the client supports it.
@@ -101,11 +167,12 @@ type InProcClient struct {
 	engine *Engine
 	costs  Costs
 
-	// epoch is the engine epoch as of this client's last fetch — NOT the
-	// engine's live epoch. The staleness defense is specified as "on
-	// observing a newer epoch from any fetch", and the in-process transport
-	// keeps that contract so its cache dynamics match the wire transports'.
-	epoch atomic.Uint64
+	// seen is the engine clock and versions as of this client's last
+	// request — NOT the engine's live state. The staleness defense is
+	// specified as "on observing a newer version from any request", and the
+	// in-process transport keeps that contract so its cache dynamics match
+	// the wire transports'.
+	seen versionVec
 
 	mu    sync.Mutex
 	stats Stats
@@ -138,22 +205,21 @@ func (c *InProcClient) ExecCtx(ctx context.Context, sql string) (*Result, error)
 }
 
 // ObservedEpoch implements EpochReporter.
-func (c *InProcClient) ObservedEpoch() uint64 { return c.epoch.Load() }
+func (c *InProcClient) ObservedEpoch() uint64 { return c.seen.epoch.Load() }
 
-func (c *InProcClient) noteEpoch() {
-	e := c.engine.Epoch()
-	for {
-		old := c.epoch.Load()
-		if e <= old || c.epoch.CompareAndSwap(old, e) {
-			return
-		}
-	}
+// ObservedVersion implements VersionReporter.
+func (c *InProcClient) ObservedVersion(table string) uint64 { return c.seen.version(table) }
+
+// observe copies the engine's clock and the versions that moved since this
+// client last looked, as a wire response would carry them.
+func (c *InProcClient) observe() {
+	c.seen.note(c.engine.versionsSince(c.seen.epoch.Load()))
 }
 
 // Exec implements Client.
 func (c *InProcClient) Exec(sql string) (*Result, error) {
 	rel, ops, err := c.engine.ExecuteSQL(sql)
-	defer c.noteEpoch()
+	defer c.observe()
 	if err != nil {
 		return nil, err
 	}
@@ -174,6 +240,7 @@ func (c *InProcClient) Exec(sql string) (*Result, error) {
 // RelationSchema implements Client.
 func (c *InProcClient) RelationSchema(name string, arity int) (*relation.Schema, error) {
 	sch, err := c.engine.Schema(name)
+	c.observe()
 	if err != nil {
 		return nil, err
 	}
@@ -185,11 +252,15 @@ func (c *InProcClient) RelationSchema(name string, arity int) (*relation.Schema,
 
 // TableStats implements Client.
 func (c *InProcClient) TableStats(name string) (TableStats, error) {
+	defer c.observe()
 	return c.engine.Stats(name)
 }
 
 // Tables implements Client.
-func (c *InProcClient) Tables() ([]string, error) { return c.engine.Tables(), nil }
+func (c *InProcClient) Tables() ([]string, error) {
+	defer c.observe()
+	return c.engine.Tables(), nil
+}
 
 // Stats implements Client.
 func (c *InProcClient) Stats() Stats {

@@ -21,24 +21,28 @@ type Engine struct {
 	mu      sync.RWMutex
 	tables  map[string]*relation.Relation
 	indexes map[string][]*relation.Index
-	// versions tracks each table's extension version for stream resume
-	// tokens: every durable mutation of a table — replacement AND append —
-	// bumps it, invalidating outstanding tokens. An in-flight stream's
-	// captured snapshot stays byte-stable regardless (the relation
-	// representation is append-only), but a token minted against the
-	// pre-mutation extension is refused rather than silently resumed against
-	// a different table state; the client-side-skip fallback re-reads the
-	// (identical) prefix instead.
+	// versions is each table's data version: the clock tick (see epoch) of
+	// the last change to its extension — create, load, insert, restart.
+	// Because versions and epochs come from one clock, anything stamped with
+	// an epoch E (a cached plan, a CMS view) is stale for table t exactly
+	// when versions[t] > E. A stream resume token pins (table, version), so a
+	// token minted against the pre-mutation extension is refused rather than
+	// silently resumed against a different table state; the client-side-skip
+	// fallback re-reads the (identical) prefix instead.
 	versions map[string]uint64
 	// meta holds per-table column statistics (NDV, min/max), maintained at
 	// CreateTable/LoadTable/Insert for the cost-based optimizer.
 	meta map[string]*tableMeta
 
-	// epoch is the catalog generation: any DDL/DML that could change a
-	// cached plan's validity (new rows shift statistics and invalidate
-	// indexes; new indexes open access paths) bumps it, and plan-cache
-	// lookups require an exact match.
+	// epoch is the engine clock: every mutation, data or DDL, takes its next
+	// tick, so it is the high-water mark of every version. It moves only
+	// under mu's write lock; readers that need no consistent view of versions
+	// load it without the lock.
 	epoch atomic.Uint64
+	// ddlEpoch is the tick of the last DDL (CreateTable, LoadTable,
+	// CreateIndex, restart): access paths and schemas a plan compiled before
+	// it may no longer exist. Guarded by mu.
+	ddlEpoch uint64
 
 	plans      *planCache
 	planHits   atomic.Int64
@@ -144,10 +148,30 @@ func (e *Engine) ParallelStats() ParallelStats {
 	}
 }
 
-// Epoch returns the current catalog generation. It rides wire responses so
-// clients (and through them the CMS) can detect that the backend has moved
-// past the state their cached views were built from.
+// Epoch returns the engine clock: the newest version of any table, or a
+// later DDL tick. It rides wire responses with the versions that moved
+// (versionsSince), so clients and through them the CMS can tell which cached
+// views the backend has moved past.
 func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
+
+// versionsSince returns the clock and the versions newer than since: what a
+// peer that last heard epoch since has not been told. It is nil when no
+// table's data changed after since, which on a read-only workload is every
+// call but a connection's first.
+func (e *Engine) versionsSince(since uint64) (uint64, []wireVersion) {
+	if ep := e.epoch.Load(); ep <= since {
+		return ep, nil
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var out []wireVersion
+	for t, v := range e.versions {
+		if v > since {
+			out = append(out, wireVersion{Table: t, Version: v})
+		}
+	}
+	return e.epoch.Load(), out
+}
 
 // logLocked appends one record to the WAL (a no-op for in-memory engines).
 // A failure is sticky: the engine refuses all further mutations rather than
@@ -247,9 +271,9 @@ func (e *Engine) CreateTable(name string, schema *relation.Schema) error {
 
 func (e *Engine) applyCreateTable(name string, schema *relation.Schema) {
 	e.tables[name] = relation.New(name, schema)
-	e.versions[name]++
 	e.meta[name] = newTableMeta(schema.Arity())
-	e.epoch.Add(1)
+	e.versions[name] = e.epoch.Add(1)
+	e.ddlEpoch = e.versions[name]
 }
 
 // LoadTable registers a table with its extension (replacing any previous
@@ -274,9 +298,9 @@ func (e *Engine) LoadTable(r *relation.Relation) {
 func (e *Engine) applyLoadTable(r *relation.Relation) {
 	e.tables[r.Name] = r
 	delete(e.indexes, r.Name)
-	e.versions[r.Name]++
 	e.meta[r.Name] = buildTableMeta(r)
-	e.epoch.Add(1)
+	e.versions[r.Name] = e.epoch.Add(1)
+	e.ddlEpoch = e.versions[r.Name]
 }
 
 // Insert appends rows to a table, validating kinds (ints coerce to float
@@ -330,8 +354,7 @@ func (e *Engine) applyInsert(table string, rows []relation.Tuple) {
 		}
 	}
 	delete(e.indexes, table) // indexes are snapshots; invalidate
-	e.versions[table]++      // a durable append invalidates outstanding resume tokens
-	e.epoch.Add(1)
+	e.versions[table] = e.epoch.Add(1)
 }
 
 func coerce(v relation.Value, kind relation.Kind) (relation.Value, error) {
@@ -362,19 +385,20 @@ func (e *Engine) CreateIndex(table string, cols []int) error {
 
 func (e *Engine) applyCreateIndex(table string, cols []int) {
 	e.indexes[table] = append(e.indexes[table], relation.BuildIndex(e.tables[table], cols))
-	e.epoch.Add(1)
+	e.ddlEpoch = e.epoch.Add(1)
 }
 
-// applyRestart is the walRestart record's effect: every table version (and
-// the epoch) moves past anything the pre-crash engine handed out, so resume
-// tokens and cached-plan epochs from before the crash are refused durably —
-// across any number of crash/recover cycles, because the record itself is in
-// the log.
+// applyRestart is the walRestart record's effect: every table version moves
+// to one new tick, past anything the pre-crash engine handed out, so resume
+// tokens and CMS views stamped before the crash are refused durably — across
+// any number of crash/recover cycles, because the record itself is in the
+// log.
 func (e *Engine) applyRestart() {
+	v := e.epoch.Add(1)
 	for name := range e.versions {
-		e.versions[name]++
+		e.versions[name] = v
 	}
-	e.epoch.Add(1)
+	e.ddlEpoch = v
 }
 
 // Tables returns the table names, sorted.

@@ -7,7 +7,7 @@ import (
 	"io"
 )
 
-// Wire protocol v3: after the hello handshake (wire.go), a connection carries
+// Wire protocol v4: after the hello handshake (wire.go), a connection carries
 // gob-encoded wireFrame values in both directions on the SAME per-connection
 // gob encoder/decoder pair that carried the handshake (gob transmits a type
 // descriptor the first time each type crosses an encoder, so a per-frame
@@ -40,8 +40,9 @@ const (
 // wireFrame is one framed protocol message. Which fields are meaningful
 // depends on Kind; everything else stays at its zero value on the wire.
 type wireFrame struct {
-	ID   uint64
-	Kind uint8
+	ID      uint64
+	Kind    uint8
+	Resumed bool // frameHeader (see Resume); declared here, where it packs into Kind's word
 
 	Req *wireRequest // frameReq
 
@@ -54,8 +55,7 @@ type wireFrame struct {
 	// Resumed reports that the server honored the token of a re-issued request
 	// by skipping already-delivered tuples itself; false on a resume request
 	// means full restart, and the client must skip its delivered prefix.
-	Resume  string // frameHeader
-	Resumed bool   // frameHeader
+	Resume string // frameHeader
 
 	Ops    int64      // frameEnd: server-side tuple operations
 	Err    string     // frameEnd: semantic or classified error
@@ -63,9 +63,24 @@ type wireFrame struct {
 	Stats  TableStats // frameEnd for the "stats" op
 	Tables []string   // frameEnd for the "tables" op
 
-	// Epoch, on header and end frames, is the server's catalog generation.
-	// The CMS uses it to detect that cached views predate the backend state.
-	Epoch uint64 // frameHeader, frameEnd
+	// Epoch, on header and end frames, is the engine clock; Versions are the
+	// tables whose data changed after the Epoch this connection last carried,
+	// each with its new version (nil when none did). Folded together they
+	// give a client every table's version as of the highest Epoch it has
+	// seen, which is what the CMS checks a cached view's stamp against.
+	// Versions is a pointer, not a slice, so it adds 8 bytes to every frame
+	// rather than 24, and a frame (decoded into a fresh wireFrame each time)
+	// stays in its 208-byte size class.
+	Epoch    uint64         // frameHeader, frameEnd
+	Versions *[]wireVersion // frameHeader, frameEnd
+}
+
+// versions returns the frame's version entries, nil when it carries none.
+func (f *wireFrame) versions() []wireVersion {
+	if f.Versions == nil {
+		return nil
+	}
+	return *f.Versions
 }
 
 // validFrameKind reports whether k is a kind this build understands.

@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/relation"
 )
@@ -132,7 +133,7 @@ func TestStreamRejectsBatchOfWrongArity(t *testing.T) {
 	addr, _ := startFakePeer(t, func(_ int, conn net.Conn) {
 		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
 		var hello wireRequest
-		if dec.Decode(&hello) != nil || enc.Encode(wireResponse{Proto: protoV3}) != nil {
+		if dec.Decode(&hello) != nil || enc.Encode(wireResponse{Proto: protoV4}) != nil {
 			return
 		}
 		req, err := readFrame(dec)
@@ -225,5 +226,77 @@ func TestWireAllocsPerTuple(t *testing.T) {
 		t.Fatalf("the wire costs %.3f allocations per tuple (%.0f over the wire, %.0f direct), want at most 0.5", per, wire, direct)
 	} else {
 		t.Logf("wire %.0f, direct %.0f: %.4f allocations per tuple", wire, direct, per)
+	}
+}
+
+// TestFrameVersionsAreAConnectionDelta: a connection's first header carries
+// every table's version; after that, header and end frames carry only the
+// tables whose data changed since the connection's previous report — none for
+// read-only traffic or a DDL-only tick — and computing "none" allocates
+// nothing.
+func TestFrameVersionsAreAConnectionDelta(t *testing.T) {
+	addr, e, cleanup := startTestServer(t)
+	defer cleanup()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	var hello wireResponse
+	if err := enc.Encode(&wireRequest{Op: "hello", Proto: protoV4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&hello); err != nil || hello.Proto != protoV4 {
+		t.Fatalf("hello: %v %+v", err, hello)
+	}
+	var id uint64
+	exec := func() (hdr, end []wireVersion) {
+		t.Helper()
+		id++
+		req := &wireRequest{Op: "exec", SQL: "SELECT id FROM dept"}
+		if err := writeFrame(enc, &wireFrame{ID: id, Kind: frameReq, Req: req}); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			f, err := readFrame(dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch f.Kind {
+			case frameHeader:
+				hdr = f.versions()
+			case frameEnd:
+				return hdr, f.versions()
+			}
+		}
+	}
+
+	hdr, end := exec()
+	first := map[string]uint64{}
+	for _, v := range hdr {
+		first[v.Table] = v.Version
+	}
+	if len(first) != 2 || first["emp"] == 0 || first["dept"] == 0 || end != nil {
+		t.Fatalf("first request: header %v, end %v; want both tables on the header and nothing after", hdr, end)
+	}
+	if hdr, end = exec(); hdr != nil || end != nil {
+		t.Fatalf("read-only request carried versions %v / %v", hdr, end)
+	}
+	if err := e.CreateIndex("dept", []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if hdr, end = exec(); hdr != nil || end != nil {
+		t.Fatalf("a DDL-only tick carried versions %v / %v", hdr, end)
+	}
+	if err := e.Insert("emp", []relation.Tuple{{relation.Int(5), relation.Str("eve"), relation.Int(20), relation.Float(90)}}); err != nil {
+		t.Fatal(err)
+	}
+	if hdr, end = exec(); len(hdr) != 1 || hdr[0].Table != "emp" || hdr[0].Version <= first["emp"] || end != nil {
+		t.Fatalf("after an insert into emp: header %v, end %v; want emp alone, past %d", hdr, end, first["emp"])
+	}
+	if n := testing.AllocsPerRun(100, func() { e.versionsSince(e.Epoch()) }); n != 0 {
+		t.Fatalf("versionsSince with nothing new allocates %.0f times, want 0", n)
 	}
 }

@@ -73,7 +73,7 @@ func answerHello(conn net.Conn, resp wireResponse) {
 func TestPoolHandshakeMutePeerHonorsContext(t *testing.T) {
 	addr, hangUp := startFakePeer(t, func(n int, conn net.Conn) {
 		if n == 0 {
-			answerHello(conn, wireResponse{Proto: protoV3}) // let DialPool succeed
+			answerHello(conn, wireResponse{Proto: protoV4}) // let DialPool succeed
 		}
 	})
 	p := dialTestPool(t, addr, PoolOptions{Size: 1, Redial: true})
@@ -113,9 +113,10 @@ func TestPoolHandshakeMutePeerHonorsContext(t *testing.T) {
 }
 
 // TestServerRejectsOtherOpener: a peer that opens with anything but hello at
-// version 3 gets exactly one error response naming the unsupported protocol,
-// then EOF — never a result, never a hang. Version 2 matters most: its peer
-// would read this build's batch frames as empty results.
+// version 4 gets exactly one error response naming the unsupported protocol,
+// then EOF — never a result, never a hang. Version 3 matters most: its client
+// would drop the table versions on this build's frames and keep serving views
+// the server has moved past; version 2 would read batch frames as empty.
 func TestServerRejectsOtherOpener(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
@@ -123,7 +124,8 @@ func TestServerRejectsOtherOpener(t *testing.T) {
 		"bare exec":     {Op: "exec", SQL: "SELECT * FROM dept"},
 		"hello proto 1": {Op: "hello", Proto: 1},
 		"hello proto 2": {Op: "hello", Proto: 2},
-		"hello proto 4": {Op: "hello", Proto: 4},
+		"hello proto 3": {Op: "hello", Proto: 3},
+		"hello proto 5": {Op: "hello", Proto: 5},
 	}
 	for name, opener := range openers {
 		t.Run(name, func(t *testing.T) {
@@ -159,8 +161,11 @@ func TestServerRejectsOtherOpener(t *testing.T) {
 // version, or with an error, fails the dial with a typed hello ProtocolError.
 func TestDialPoolRejectsOtherServer(t *testing.T) {
 	answers := map[string]wireResponse{
-		"proto 1":    {Proto: 1},
-		"proto 2":    {Proto: 2},
+		"proto 1": {Proto: 1},
+		"proto 2": {Proto: 2},
+		"proto 3": {Proto: 3},
+		// What a version-3 server answers this build's hello with.
+		"v3 refusal": {Err: `remotedb: unsupported protocol: a connection opens with hello at version 3, got op "hello" at version 4`},
 		"unknown op": {Err: `remotedb: unknown op "hello"`},
 	}
 	for name, answer := range answers {

@@ -59,8 +59,8 @@ type colKey struct {
 }
 
 // buildPlan compiles sel against the current catalog. The caller holds e.mu
-// (planFor), so the epoch stamped on the plan is the epoch of everything the
-// plan was resolved and costed against.
+// (planFor), so the clock tick stamped on the plan is at or past the version
+// of everything the plan was resolved and costed against.
 func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	epoch := e.epoch.Load()
 

@@ -362,8 +362,8 @@ func TestPlanCache(t *testing.T) {
 		t.Fatalf("hits = %d, want 9", hits)
 	}
 
-	// Any DML/DDL bumps the epoch and forces a replan.
-	if err := e.Insert("re", []relation.Tuple{{relation.Int(9), relation.Str("far")}}); err != nil {
+	// A data change to a table the plan reads, or any DDL, forces a replan.
+	if err := e.Insert("po", []relation.Tuple{{relation.Int(300), relation.Int(1), relation.Int(2), relation.Float(9.5)}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := e.ExecuteSQL(sql); err != nil {
@@ -394,21 +394,96 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
+// TestPlanCacheSurvivesInsertElsewhere: a cached plan depends on the versions
+// of the tables it reads and on the last DDL, nothing else. An insert into s
+// leaves the plan over p cached; an insert into p drops it (the insert also
+// dropped p's index snapshots, which the plan probed); CreateIndex on p drops
+// it again, and the replan uses the new index.
+func TestPlanCacheSurvivesInsertElsewhere(t *testing.T) {
+	e := NewEngine()
+	for _, sql := range []string{
+		"CREATE TABLE s (sid INT, name TEXT)",
+		"INSERT INTO s VALUES (1,'a'),(2,'b')",
+		"CREATE TABLE p (pid INT, sid INT, w INT)",
+		"INSERT INTO p VALUES (10,1,5),(11,2,6),(12,1,7),(13,2,8)",
+	} {
+		if _, _, err := e.ExecuteSQL(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	if err := e.CreateIndex("p", []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT pid, w FROM p WHERE sid = 1"
+	run := func() int {
+		t.Helper()
+		rel, _, err := e.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel.Len()
+	}
+	hits := func() int64 { return e.PlanCacheStats().Hits }
+	run()
+	run()
+	if h := hits(); h != 1 {
+		t.Fatalf("repeat: hits = %d, want 1", h)
+	}
+
+	if err := e.Insert("s", []relation.Tuple{{relation.Int(3), relation.Str("c")}}); err != nil {
+		t.Fatal(err)
+	}
+	run()
+	if h := hits(); h != 2 {
+		t.Fatalf("after an insert into s: hits = %d, want 2 (the plan over p must survive)", h)
+	}
+
+	if err := e.Insert("p", []relation.Tuple{{relation.Int(14), relation.Int(1), relation.Int(9)}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := run(); n != 3 {
+		t.Fatalf("after an insert into p: %d rows, want 3", n)
+	}
+	if h := hits(); h != 2 {
+		t.Fatalf("after an insert into p: hits = %d, want 2 (the plan over p must miss)", h)
+	}
+
+	if err := e.CreateIndex("p", []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	run()
+	if h := hits(); h != 2 {
+		t.Fatalf("after CreateIndex on p: hits = %d, want 2 (DDL must force a replan)", h)
+	}
+	rel, _, err := e.ExecuteSQL("EXPLAIN " + sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan strings.Builder
+	for _, tu := range rel.Tuples() {
+		plan.WriteString(tu[0].AsString() + "\n")
+	}
+	if !strings.Contains(plan.String(), "via index(sid)") {
+		t.Fatalf("replan after CreateIndex does not use the index:\n%s", plan.String())
+	}
+}
+
 // The cache key is a 64-bit hash of client-supplied text: a second statement
 // that collides with a cached one must miss, not be served the other's plan.
 func TestPlanCacheKeyCollision(t *testing.T) {
 	c := newPlanCache(4)
 	const key = 42
 	a, b := &Plan{epoch: 1}, &Plan{epoch: 1}
+	current := func(*Plan) bool { return true }
 	c.put(key, "SELECT a FROM t", a)
-	if got := c.get(key, "SELECT a FROM t", 1); got != a {
+	if got := c.get(key, "SELECT a FROM t", current); got != a {
 		t.Fatalf("same text, same key: got %p, want the cached plan", got)
 	}
-	if got := c.get(key, "SELECT b FROM t", 1); got != nil {
+	if got := c.get(key, "SELECT b FROM t", current); got != nil {
 		t.Fatal("different text under the same key was served the cached plan")
 	}
 	c.put(key, "SELECT b FROM t", b) // the miss's put replaces the entry
-	if c.get(key, "SELECT b FROM t", 1) != b || c.get(key, "SELECT a FROM t", 1) != nil || c.size() != 1 {
+	if c.get(key, "SELECT b FROM t", current) != b || c.get(key, "SELECT a FROM t", current) != nil || c.size() != 1 {
 		t.Fatal("colliding put did not replace the entry")
 	}
 }

@@ -22,7 +22,7 @@ import (
 type Plan struct {
 	root   planNode
 	schema *relation.Schema
-	epoch  uint64 // catalog epoch the plan was built against
+	epoch  uint64 // engine clock tick the plan was built at
 
 	estRows float64 // estimated result cardinality
 	estOps  float64 // estimated server-side tuple operations
@@ -96,8 +96,9 @@ type planNode interface {
 // scanNode reads one base table: a full snapshot scan or an index equality
 // lookup, with every pushed-down per-alias predicate applied in the same
 // pass. The node stores names, not snapshots: the extension and the index
-// are bound to the live catalog each run, and a mutation moves the epoch
-// past every cached plan (the next open replans), so plans never dangle.
+// are bound to the live catalog each run, and a mutation of the table (or
+// any DDL) makes every cached plan reading it stale (the next open replans),
+// so plans never dangle.
 type scanNode struct {
 	table, alias string
 	sch          *relation.Schema

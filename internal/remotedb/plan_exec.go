@@ -91,7 +91,7 @@ func (run *planRun) openNode(n planNode) relation.Iterator {
 }
 
 // open binds the plan to the catalog it was compiled against: the caller
-// holds e.mu and has just fetched or built p at the current epoch (openPlan),
+// holds e.mu and has just fetched a current p or built it (openPlan),
 // so every table the plan names exists and no mutation can fall between the
 // plan and the snapshots bound here. With analyze set, the run records
 // per-node actuals. A streamed open of a resumable plan is always serial and
@@ -375,21 +375,21 @@ func (s *PlanStream) Close() error {
 }
 
 // planFor returns the cached plan for sel, compiling (and caching) it on a
-// miss. Stale-epoch entries count as misses. hit reports a cache hit (the
-// slow-query log and EXPLAIN ANALYZE header surface it).
+// miss. Stale entries (planCurrentLocked) count as misses. hit reports a
+// cache hit (the slow-query log and EXPLAIN ANALYZE header surface it).
 func (e *Engine) planFor(ctx context.Context, sel *SelectStmt) (p *Plan, hit bool, err error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.planForLocked(ctx, sel)
 }
 
-// planForLocked is planFor for a caller that holds e.mu: the epoch cannot
+// planForLocked is planFor for a caller that holds e.mu: the catalog cannot
 // move, so the plan it returns is current until the caller lets go.
 func (e *Engine) planForLocked(ctx context.Context, sel *SelectStmt) (p *Plan, hit bool, err error) {
 	_, probe := e.tracer.Load().Start(ctx, "engine.plancache")
 	text := sel.String()
 	key := StatementHash(text)
-	if p := e.plans.get(key, text, e.epoch.Load()); p != nil {
+	if p := e.plans.get(key, text, e.planCurrentLocked); p != nil {
 		e.planHits.Add(1)
 		probe.Set("hit", "true")
 		probe.End()

@@ -3,12 +3,13 @@ package remotedb
 import "sync"
 
 // The plan cache maps canonical statement text (hashed with StatementHash)
-// to compiled Plans. Entries carry the catalog epoch they were built
-// against; any DDL or data mutation (CreateTable, LoadTable, Insert,
-// CreateIndex) bumps the engine epoch, which lazily invalidates every older
-// entry on its next lookup. Eviction is least-recently-used over a small
-// fixed capacity — the cache exists to make repeated statements cheap, not
-// to remember every statement ever seen.
+// to compiled Plans. A plan carries the clock tick it was built at and is
+// served while it is still current (Engine.planCurrentLocked): no DDL since,
+// and no table it reads at a newer version. An insert into one table
+// therefore drops, lazily on their next lookup, exactly the plans that read
+// it — their index snapshots and statistics moved — and no others. Eviction
+// is least-recently-used over a small fixed capacity — the cache exists to
+// make repeated statements cheap, not to remember every statement ever seen.
 
 // planCacheCap bounds the number of cached plans per engine.
 const planCacheCap = 256
@@ -33,17 +34,17 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, entries: make(map[uint64]*planEntry)}
 }
 
-// get returns the cached plan for text if it was built at the given epoch,
-// dropping (and missing on) any stale entry. A key collision with another
+// get returns the cached plan for text if current reports it still valid,
+// dropping (and missing on) a stale entry. A key collision with another
 // statement is a miss; the caller's put then replaces the entry.
-func (c *planCache) get(key uint64, text string, epoch uint64) *Plan {
+func (c *planCache) get(key uint64, text string, current func(*Plan) bool) *Plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	en := c.entries[key]
 	if en == nil || en.text != text {
 		return nil
 	}
-	if en.p.epoch != epoch {
+	if !current(en.p) {
 		delete(c.entries, key)
 		return nil
 	}
@@ -74,6 +75,26 @@ func (c *planCache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
+}
+
+// planCurrentLocked reports whether p may still be served: nothing it was
+// compiled against has moved. A DDL can drop an index p probes or replace a
+// table it scans; a data change to a table p reads drops that table's index
+// snapshots and shifts the statistics p was costed with. A change to any
+// other table touches nothing p depends on. The tables p reads are its scan
+// nodes, which nodeEst holds with every other node (buildPlan stamps each as
+// it is built), so checking them costs no field and no allocation. The
+// caller holds e.mu.
+func (e *Engine) planCurrentLocked(p *Plan) bool {
+	if e.ddlEpoch > p.epoch {
+		return false
+	}
+	for n := range p.nodeEst {
+		if sn, ok := n.(*scanNode); ok && e.versions[sn.table] > p.epoch {
+			return false
+		}
+	}
+	return true
 }
 
 // PlanCacheStats is a point-in-time snapshot of plan-cache effectiveness.

@@ -74,19 +74,7 @@ type statsRec struct {
 	probeFailures   atomic.Int64
 	reconnects      atomic.Int64
 	simMSBits       atomic.Uint64
-	epoch           atomic.Uint64
-}
-
-// noteEpoch records a server catalog epoch observed on a response, keeping
-// the high-water mark (responses from pooled connections can arrive out of
-// order relative to the server-side mutations that stamped them).
-func (r *statsRec) noteEpoch(e uint64) {
-	for {
-		old := r.epoch.Load()
-		if e <= old || r.epoch.CompareAndSwap(old, e) {
-			return
-		}
-	}
+	seen            versionVec // server clock and table versions, folded from every connection
 }
 
 func (r *statsRec) addSimMS(d float64) {
@@ -113,7 +101,7 @@ func (r *statsRec) snapshot() Stats {
 		HealthProbes:    r.healthProbes.Load(),
 		ProbeFailures:   r.probeFailures.Load(),
 		Reconnects:      r.reconnects.Load(),
-		Epoch:           r.epoch.Load(),
+		Epoch:           r.seen.epoch.Load(),
 	}
 }
 
@@ -296,9 +284,14 @@ func (p *PoolClient) Close() error {
 	return nil
 }
 
-// ObservedEpoch implements EpochReporter: the highest server catalog epoch
-// seen on any response through this pool.
-func (p *PoolClient) ObservedEpoch() uint64 { return p.stats.epoch.Load() }
+// ObservedEpoch implements EpochReporter: the highest server clock seen on
+// any response through this pool.
+func (p *PoolClient) ObservedEpoch() uint64 { return p.stats.seen.epoch.Load() }
+
+// ObservedVersion implements VersionReporter. Each connection's frames carry
+// every version that moved since that connection's previous report, so the
+// fold over all connections is complete up to ObservedEpoch.
+func (p *PoolClient) ObservedVersion(table string) uint64 { return p.stats.seen.version(table) }
 
 // breakConn tears down one pooled connection without closing the pool — the
 // fault-injection hook FaultClient uses to model a dropped connection, so the
@@ -564,7 +557,7 @@ func (c *muxConn) handshake(ctx context.Context, conn net.Conn, enc *gob.Encoder
 	conn.SetDeadline(deadline)
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
 	var resp wireResponse
-	err := enc.Encode(&wireRequest{Op: "hello", Proto: protoV3, FrameTuples: opts.FrameTuples})
+	err := enc.Encode(&wireRequest{Op: "hello", Proto: protoV4, FrameTuples: opts.FrameTuples})
 	if err == nil {
 		err = dec.Decode(&resp)
 	}
@@ -584,8 +577,8 @@ func (c *muxConn) handshake(ctx context.Context, conn net.Conn, enc *gob.Encoder
 	if resp.Err != "" {
 		return &ProtocolError{Op: "hello", Err: errors.New(resp.Err)}
 	}
-	if resp.Proto != protoV3 {
-		return &ProtocolError{Op: "hello", Err: fmt.Errorf("server answered protocol %d, want %d", resp.Proto, protoV3)}
+	if resp.Proto != protoV4 {
+		return &ProtocolError{Op: "hello", Err: fmt.Errorf("server answered protocol %d, want %d", resp.Proto, protoV4)}
 	}
 	conn.SetDeadline(time.Time{})
 	return nil
@@ -638,7 +631,9 @@ func (c *muxConn) readLoop(conn net.Conn, dec *gob.Decoder, gen uint64) {
 		}
 		c.p.stats.framesRecv.Add(1)
 		if f.Epoch > 0 {
-			c.p.stats.noteEpoch(f.Epoch)
+			// Folded before the frame is handed on, so a caller that sees its
+			// request's end has also seen the versions it reported.
+			c.p.stats.seen.note(f.Epoch, f.versions())
 		}
 		c.mu.Lock()
 		st := c.streams[f.ID]

@@ -68,12 +68,33 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	epochBefore := e.Epoch()
 	wantEmp := tableStrings(t, e, "emp")
 	wantDept := tableStrings(t, e, "dept")
+	// What a client was told before the crash: every version it observed is
+	// at most the epoch it observed.
+	before := NewInProcClient(e, DefaultCosts())
+	if _, err := before.Exec("SELECT * FROM emp"); err != nil {
+		t.Fatal(err)
+	}
+	if before.ObservedVersion("emp") == 0 || before.ObservedVersion("dept") == 0 || before.ObservedEpoch() != epochBefore {
+		t.Fatalf("pre-crash client observed emp %d, dept %d at epoch %d; want both set at epoch %d",
+			before.ObservedVersion("emp"), before.ObservedVersion("dept"), before.ObservedEpoch(), epochBefore)
+	}
 	if err := e.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
 
 	r, st2 := openDurable(t, dir, nil)
 	defer r.CloseWAL()
+	// Every table's version is past every version reported before the crash,
+	// so a CMS view or resume token stamped then is stale now.
+	after := NewInProcClient(r, DefaultCosts())
+	if _, err := after.Tables(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range []string{"emp", "dept"} {
+		if v := after.ObservedVersion(tbl); v <= before.ObservedEpoch() {
+			t.Fatalf("%s recovered at version %d, not past the pre-crash epoch %d", tbl, v, before.ObservedEpoch())
+		}
+	}
 	if st2.Replayed == 0 {
 		t.Fatalf("reopen replayed nothing: %+v", st2)
 	}

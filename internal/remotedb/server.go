@@ -278,7 +278,7 @@ func (s *Server) rollFault() (keep bool, delay time.Duration) {
 	return true, 0
 }
 
-// serveConn reads the connection's opener. A hello at protoV3 is
+// serveConn reads the connection's opener. A hello at protoV4 is
 // acknowledged and the connection flips to framed mode on the same
 // encoder/decoder pair; anything else gets one error response and a close.
 func (s *Server) serveConn(conn net.Conn) {
@@ -302,12 +302,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		return
 	}
-	resp := wireResponse{Proto: protoV3}
-	framed := req.Op == "hello" && req.Proto == protoV3
+	resp := wireResponse{Proto: protoV4}
+	framed := req.Op == "hello" && req.Proto == protoV4
 	if !framed {
 		resp = wireResponse{Err: fmt.Sprintf(
 			"remotedb: unsupported protocol: a connection opens with hello at version %d, got op %q at version %d",
-			protoV3, req.Op, req.Proto)}
+			protoV4, req.Op, req.Proto)}
 	}
 	if s.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))

@@ -33,6 +33,7 @@ type framedConn struct {
 	enc  *gob.Encoder
 
 	wmu         sync.Mutex // serializes frame writes on the shared encoder
+	reported    uint64     // the Epoch of the last header/end frame written; guarded by wmu
 	frameTuples int
 
 	mu      sync.Mutex
@@ -128,13 +129,21 @@ func (fc *framedConn) armIdleLocked() {
 // failed write desynchronizes the gob stream, so the connection is closed
 // (which also unblocks the read loop).
 func (fc *framedConn) write(f *wireFrame) error {
-	if f.Kind == frameHeader || f.Kind == frameEnd {
-		// The catalog epoch rides every header and end frame (batch frames
-		// skip it — gob omits the zero value, and once per stream suffices).
-		f.Epoch = fc.s.engine.Epoch()
-	}
 	fc.wmu.Lock()
 	defer fc.wmu.Unlock()
+	if f.Kind == frameHeader || f.Kind == frameEnd {
+		// The clock and the versions this connection has not reported yet
+		// ride every header and end frame (batch frames skip them — gob omits
+		// zero values, and once per stream suffices). Taken under wmu, so the
+		// frames leave in the order their deltas were computed and no delta
+		// is skipped.
+		epoch, vs := fc.s.engine.versionsSince(fc.reported)
+		if vs != nil {
+			moved := vs // declared here, so only a frame that carries versions allocates
+			f.Versions = &moved
+		}
+		f.Epoch, fc.reported = epoch, epoch
+	}
 	if fc.s.opts.WriteTimeout > 0 {
 		fc.conn.SetWriteDeadline(time.Now().Add(fc.s.opts.WriteTimeout))
 	}

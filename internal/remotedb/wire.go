@@ -36,7 +36,7 @@ func fromWireAttrs(attrs []wireAttr) *relation.Schema {
 // Proto and its preferred frame size in FrameTuples as a bare wireRequest, the
 // server answers with one bare wireResponse carrying its version, and from
 // then on the connection carries frames in both directions (frame.go). Any
-// other opener, or any version but protoV3, is answered with one error
+// other opener, or any version but protoV4, is answered with one error
 // response and a close.
 // Op "ping" is a liveness probe: the server answers with an empty frameEnd
 // without touching the engine.
@@ -64,11 +64,19 @@ type wireRequest struct {
 	Trace uint64
 }
 
-// protoV3 is the one protocol version this build speaks: framed, with
-// request-ID multiplexing and tuples streamed as column batches. Version 2
-// shipped tuples as gob rows in a frame field this build does not declare;
-// gob drops undeclared fields silently, so the two must never be mixed.
-const protoV3 = 3
+// wireVersion is one table's data version on a header or end frame.
+type wireVersion struct {
+	Table   string
+	Version uint64
+}
+
+// protoV4 is the one protocol version this build speaks: framed, with
+// request-ID multiplexing, tuples streamed as column batches, and table
+// versions on header and end frames. gob drops the fields a receiver does not
+// declare, so no other version may be mixed in: a version-3 client would
+// read this build's frames without their versions and keep serving views the
+// server has moved past; a version-2 peer would read batch frames as empty.
+const protoV4 = 4
 
 // Wire error codes: Err carries the human-readable message, Code the machine
 // classification, so clients can distinguish overload shedding, server

@@ -106,6 +106,48 @@ func (d *Derivation) Apply(name string, schema *relation.Schema, ext *relation.R
 	return relation.Drain(name, schema, d.ApplyLazy(ext.Iter())), nil
 }
 
+// Materialize is Apply over any source of ext(E) tuples, built for the
+// allocator: it collects the selected source tuples, then carves every
+// output row from one len × arity block and reuses the collected slice to
+// hold them. The rows are copies, so a consumer that mutates one cannot
+// reach the source. A source that hints its size and needs no selection is
+// collected into one exactly-sized slice; otherwise the slice doubles.
+func (d *Derivation) Materialize(name string, schema *relation.Schema, src relation.Iterator) *relation.Relation {
+	if d.Empty {
+		return relation.New(name, schema)
+	}
+	conds := d.Candidate.Conds
+	var sel []relation.Tuple
+	if h, ok := src.(relation.SizeHinter); ok && len(conds) == 0 {
+		sel = make([]relation.Tuple, 0, h.SizeHint())
+	}
+	for t, ok := src.Next(); ok; t, ok = src.Next() {
+		if !relation.EvalAll(conds, t) {
+			continue
+		}
+		if len(sel) == cap(sel) {
+			grown := make([]relation.Tuple, len(sel), max(2*len(sel), 8))
+			copy(grown, sel)
+			sel = grown
+		}
+		sel = append(sel, t)
+	}
+	arity := len(d.OutCols)
+	block := make([]relation.Value, len(sel)*arity)
+	for i, t := range sel {
+		row := relation.Tuple(block[i*arity : (i+1)*arity : (i+1)*arity])
+		for j, c := range d.OutCols {
+			if c < 0 {
+				row[j] = d.Consts[j]
+			} else {
+				row[j] = t[c]
+			}
+		}
+		sel[i] = row
+	}
+	return relation.FromTuples(name, schema, sel)
+}
+
 // ApplyLazy is the derivation as a lazy pipeline: selection on the element
 // extension followed by head expansion, producing one output tuple per
 // demand. It backs generator-form (lazy) answers from the cache.

@@ -145,6 +145,64 @@ func TestFullDerivationExactAndGeneralized(t *testing.T) {
 	}
 }
 
+// TestMaterializeMatchesApplyInFewAllocations: Materialize, the eager hit
+// path, answers exactly what Apply does — head constants, a residual
+// constant selection and a range condition included — in at most
+// ⌈log₂ n⌉ + 3 allocations for n answer rows, whose values are copies the
+// consumer may overwrite without touching the source.
+func TestMaterializeMatchesApplyInFewAllocations(t *testing.T) {
+	e := caql.MustParse("e(A, B, C) :- b3(A, B, C)")
+	ext := relation.New("e", relation.NewSchema(at("A", relation.KindInt), at("B", relation.KindInt), at("C", relation.KindInt)))
+	for i := 0; i < 3000; i++ {
+		ext.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Int(int64(i % 3)), relation.Int(int64(i % 10))})
+	}
+	for _, tc := range []struct {
+		q     string
+		conds int // residual conditions the derivation must apply
+	}{
+		{"q(X, 2, Y) :- b3(X, 2, Y) & Y < 5", 2},
+		{"q(Y, X) :- b3(X, Z, Y)", 0},
+	} {
+		q := caql.MustParse(tc.q)
+		d, ok := DeriveFull(e, q)
+		if !ok {
+			t.Fatalf("%s: not derivable", tc.q)
+		}
+		if len(d.Candidate.Conds) != tc.conds {
+			t.Fatalf("%s: %d residual conditions, want %d", tc.q, len(d.Candidate.Conds), tc.conds)
+		}
+		want, err := caql.Eval(q, caql.MapSource{"b3": ext})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := d.Apply("q", want.Schema(), ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := d.Materialize("q", want.Schema(), ext.Iter())
+		if !slices.EqualFunc(got.Tuples(), ref.Tuples(), relation.Tuple.Equal) || !got.EqualAsBag(want) {
+			t.Fatalf("%s: Materialize gave %d rows, Apply %d, Eval %d", tc.q, got.Len(), ref.Len(), want.Len())
+		}
+		n := got.Len()
+		bound := 3
+		for 1<<(bound-3) < n {
+			bound++
+		}
+		allocs := testing.AllocsPerRun(20, func() { d.Materialize("q", want.Schema(), ext.Iter()) })
+		if allocs > float64(bound) {
+			t.Fatalf("%s: %.0f allocations for %d rows, want at most ⌈log₂ n⌉ + 3 = %d", tc.q, allocs, n, bound)
+		}
+		for _, row := range got.Tuples() {
+			for i := range row {
+				row[i] = relation.Int(-1)
+			}
+		}
+		if ext.Tuple(0)[0].AsInt() != 0 || ext.Tuple(2999)[2].AsInt() != 9 {
+			t.Fatalf("%s: overwriting the answer reached the source extension", tc.q)
+		}
+	}
+}
+
 func TestExactMatch(t *testing.T) {
 	a := caql.MustParse("d(X, Y) :- b2(X, Z) & b3(Z, 2, Y)")
 	b := caql.MustParse("d(P, Q) :- b2(P, R) & b3(R, 2, Q)")
@@ -344,6 +402,9 @@ func TestDerivationSoundnessRandom(t *testing.T) {
 		if !got.EqualAsSet(want) {
 			t.Fatalf("trial %d unsound derivation:\nE: %s\nQ: %s\ngot %v\nwant %v",
 				trial, e, q, relation.DistinctRel(got).Sort(), relation.DistinctRel(want).Sort())
+		}
+		if mat := d.Materialize("q", want.Schema(), ext.Iter()); !slices.EqualFunc(mat.Tuples(), got.Tuples(), relation.Tuple.Equal) {
+			t.Fatalf("trial %d: Materialize differs from Apply:\nE: %s\nQ: %s\ngot %v\nwant %v", trial, e, q, mat, got)
 		}
 	}
 	if derived < 20 {
