@@ -120,6 +120,30 @@ func TestTrackerExample1(t *testing.T) {
 	}
 }
 
+// The CMS observes every query of a session and asks for the followers of
+// every view it answers: once the tracker's state sets have grown, neither
+// allocates to go on (SequenceFollowers allocates only its result).
+func TestObserveAllocatesNothing(t *testing.T) {
+	a := MustParse(paperExample1)
+	tr := NewTracker(a.Path)
+	tr.Observe("d1")
+	seq := []string{"d2", "d3"}
+	tr.Observe("d2") // grow both state sets
+	tr.Observe("d3")
+	i := 0
+	if n := testing.AllocsPerRun(50, func() {
+		if !tr.Observe(seq[i%2]) {
+			t.Fatalf("%s rejected", seq[i%2])
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("Observe allocates %v per query, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { SequenceFollowers(a.Path, "d3") }); n != 0 {
+		t.Errorf("SequenceFollowers allocates %v for a view with no followers, want 0", n)
+	}
+}
+
 // TestTrackerPaperTrackingExcerpt replays the Section 4.2.2 path expression
 // tracking example:
 //

@@ -21,13 +21,41 @@ import (
 // cache manager's predictor registry. The automaton itself (edges/eps) is
 // immutable after construction; mu guards the tracking state.
 type Tracker struct {
-	edges map[int][]tEdge
-	eps   map[int][]int
-	start int
+	edges   map[int][]tEdge
+	eps     map[int][]int
+	start   int
+	nstates int
 
-	mu      sync.Mutex
-	current map[int]bool
-	lost    bool
+	mu sync.Mutex
+	// current holds the states the automaton may be in. Observe builds their
+	// successors in next and the two trade places, so tracking a query
+	// allocates nothing.
+	current, next stateSet
+	lost          bool
+}
+
+// stateSet is a set of automaton states: in lists them, has marks them.
+type stateSet struct {
+	in  []int
+	has []bool
+}
+
+// reset empties the set, sizing it for n states.
+func (s *stateSet) reset(n int) {
+	for _, x := range s.in {
+		s.has[x] = false
+	}
+	s.in = s.in[:0]
+	if len(s.has) < n {
+		s.has = make([]bool, n)
+	}
+}
+
+func (s *stateSet) add(x int) {
+	if !s.has[x] {
+		s.has[x] = true
+		s.in = append(s.in, x)
+	}
 }
 
 type tEdge struct {
@@ -90,28 +118,20 @@ func NewTracker(e Expr) *Tracker {
 	if e != nil {
 		compile(e, t.start)
 	}
-	t.current = t.closure(map[int]bool{t.start: true})
+	t.nstates = next
+	t.current.reset(t.nstates)
+	t.current.add(t.start)
+	t.close(&t.current)
 	return t
 }
 
-func (t *Tracker) closure(states map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(states))
-	var stack []int
-	for s := range states {
-		out[s] = true
-		stack = append(stack, s)
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, n := range t.eps[s] {
-			if !out[n] {
-				out[n] = true
-				stack = append(stack, n)
-			}
+// close adds to s every state an epsilon path reaches from it.
+func (t *Tracker) close(s *stateSet) {
+	for i := 0; i < len(s.in); i++ {
+		for _, n := range t.eps[s.in[i]] {
+			s.add(n)
 		}
 	}
-	return out
 }
 
 // Lost reports whether an observed query fell outside the path expression;
@@ -131,19 +151,20 @@ func (t *Tracker) Observe(name string) bool {
 	if t.lost {
 		return false
 	}
-	next := make(map[int]bool)
-	for s := range t.current {
+	t.next.reset(t.nstates)
+	for _, s := range t.current.in {
 		for _, e := range t.edges[s] {
 			if e.label == name {
-				next[e.to] = true
+				t.next.add(e.to)
 			}
 		}
 	}
-	if len(next) == 0 {
+	if len(t.next.in) == 0 {
 		t.lost = true
 		return false
 	}
-	t.current = t.closure(next)
+	t.close(&t.next)
+	t.current, t.next = t.next, t.current
 	return true
 }
 
@@ -167,31 +188,33 @@ func (t *Tracker) predictWithinLocked(k int) map[string]int {
 		return nil
 	}
 	dist := make(map[string]int)
-	frontier := t.current
-	seen := make(map[int]bool)
-	for s := range frontier {
-		seen[s] = true
+	var seen, frontier, next stateSet
+	seen.reset(t.nstates)
+	frontier.reset(t.nstates)
+	for _, s := range t.current.in {
+		seen.add(s)
+		frontier.add(s)
 	}
 	for step := 1; step <= k; step++ {
-		next := make(map[int]bool)
-		for s := range frontier {
+		next.reset(t.nstates)
+		for _, s := range frontier.in {
 			for _, e := range t.edges[s] {
 				if _, ok := dist[e.label]; !ok {
 					dist[e.label] = step
 				}
-				next[e.to] = true
+				next.add(e.to)
 			}
 		}
-		next = t.closure(next)
+		t.close(&next)
 		// Stop early when no new states appear.
 		fresh := false
-		for s := range next {
-			if !seen[s] {
-				seen[s] = true
+		for _, s := range next.in {
+			if !seen.has[s] {
+				seen.add(s)
 				fresh = true
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 		if !fresh && step > 1 {
 			break
 		}
@@ -242,14 +265,6 @@ func SequenceFollowers(e Expr, name string) []string {
 			}
 		}
 	}
-	contains := func(x Expr) bool {
-		for _, n := range Names(x) {
-			if n == name {
-				return true
-			}
-		}
-		return false
-	}
 	var walk func(Expr)
 	walk = func(x Expr) {
 		switch v := x.(type) {
@@ -258,7 +273,7 @@ func SequenceFollowers(e Expr, name string) []string {
 			// later siblings. Recurse into that child for the innermost
 			// sequence semantics first.
 			for i, c := range v.Elems {
-				if contains(c) {
+				if mentions(c, name) {
 					walk(c)
 					for _, later := range v.Elems[i+1:] {
 						collect(later)
@@ -268,7 +283,7 @@ func SequenceFollowers(e Expr, name string) []string {
 			}
 		case *Alternation:
 			for _, c := range v.Elems {
-				if contains(c) {
+				if mentions(c, name) {
 					walk(c)
 					return
 				}
@@ -279,4 +294,24 @@ func SequenceFollowers(e Expr, name string) []string {
 		walk(e)
 	}
 	return out
+}
+
+// mentions reports whether a pattern named name occurs in x, allocating
+// nothing to say so.
+func mentions(x Expr, name string) bool {
+	var elems []Expr
+	switch v := x.(type) {
+	case *Pattern:
+		return v.Name == name
+	case *Sequence:
+		elems = v.Elems
+	case *Alternation:
+		elems = v.Elems
+	}
+	for _, c := range elems {
+		if mentions(c, name) {
+			return true
+		}
+	}
+	return false
 }

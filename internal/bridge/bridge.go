@@ -25,25 +25,26 @@ import (
 // complete one.
 type Stream struct {
 	schema *relation.Schema
-	next   func() (relation.Tuple, bool)
+	it     relation.Iterator
 	lazy   bool
-	errFn  func() error
+	// rows is it for an eager stream, held here so that the stream and its
+	// iterator are one allocation.
+	rows relation.SliceIterator
 }
 
 // NewStream builds a stream over an iterator. When the iterator reports
 // cancellation (it implements Err() error, e.g. relation.GuardIterator), the
 // stream's Err surfaces it.
 func NewStream(schema *relation.Schema, it relation.Iterator, lazy bool) *Stream {
-	s := &Stream{schema: schema, next: it.Next, lazy: lazy}
-	if e, ok := it.(interface{ Err() error }); ok {
-		s.errFn = e.Err
-	}
-	return s
+	return &Stream{schema: schema, it: it, lazy: lazy}
 }
 
 // NewEagerStream builds a stream over a materialized relation.
 func NewEagerStream(rel *relation.Relation) *Stream {
-	return NewStream(rel.Schema(), rel.Iter(), false)
+	s := &Stream{schema: rel.Schema()}
+	s.rows = *relation.NewSliceIterator(rel.Tuples())
+	s.it = &s.rows
+	return s
 }
 
 // Schema returns the result schema.
@@ -53,24 +54,24 @@ func (s *Stream) Schema() *relation.Schema { return s.schema }
 func (s *Stream) Lazy() bool { return s.lazy }
 
 // Next produces the next tuple; ok is false at end of stream.
-func (s *Stream) Next() (relation.Tuple, bool) { return s.next() }
+func (s *Stream) Next() (relation.Tuple, bool) { return s.it.Next() }
 
 // Err reports why the stream stopped early: ErrCanceled or
 // ErrDeadlineExceeded after a cooperative-cancellation checkpoint fired, nil
 // for a stream that ended (or is still running) normally. Check it after
 // draining a lazy stream.
 func (s *Stream) Err() error {
-	if s.errFn == nil {
-		return nil
+	if e, ok := s.it.(interface{ Err() error }); ok {
+		return e.Err()
 	}
-	return s.errFn()
+	return nil
 }
 
 // Drain materializes the remainder of the stream. A canceled stream drains to
 // its partial prefix; use Err (or DrainErr) to distinguish that from a
 // complete result.
 func (s *Stream) Drain(name string) *relation.Relation {
-	return relation.Drain(name, s.schema, relation.IteratorFunc(s.next))
+	return relation.Drain(name, s.schema, s.it)
 }
 
 // DrainErr materializes the remainder of the stream and surfaces the typed
@@ -82,7 +83,7 @@ func (s *Stream) DrainErr(name string) (*relation.Relation, error) {
 
 // Take consumes up to n tuples.
 func (s *Stream) Take(n int) []relation.Tuple {
-	return relation.Take(relation.IteratorFunc(s.next), n)
+	return relation.Take(s.it, n)
 }
 
 // SourceStats aggregates a data source's cost and behaviour counters. All

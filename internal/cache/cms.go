@@ -283,6 +283,13 @@ type Session struct {
 	// form; repeated instances trigger generalization even without a path
 	// expression (frequency-based fallback).
 	genSeen map[string]int
+	// Scratch the planning steps reuse from query to query: canon holds the
+	// canonical form being looked up, cands the probe's survivors.
+	canon []byte
+	cands []*Element
+	// followers memoises advice.SequenceFollowers per view name: the path
+	// expression is fixed for the session, and only view names are asked.
+	followers map[string][]string
 	// tcMemo memoizes per-session transitive closures (QueryFixpoint).
 	tcMemo map[string]*relation.Relation
 

@@ -59,8 +59,8 @@ type Element struct {
 	// generalizes, when known; it links the element to path-expression
 	// predictions.
 	AdviceName string
-	// canon caches Def.Canonical(); canonicalization is allocation-heavy and
-	// the manager keys its shards and exact-match index on it.
+	// canon caches Def.Canonical(): the manager keys its shards and
+	// exact-match index on it.
 	canon string
 	// sig is Def prepared for matching: what the manager's signature index
 	// filters on and what derivations from this element start from. Like Def

@@ -98,7 +98,7 @@ func filingKey(def *caql.Query) uint64 {
 const fnvPrime = 1099511628211
 
 // fnvString is the 64-bit FNV-1a hash of s.
-func fnvString(s string) uint64 {
+func fnvString[S string | []byte](s S) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime
@@ -106,7 +106,7 @@ func fnvString(s string) uint64 {
 	return h
 }
 
-func shardIndex(canon string) int { return int(fnvString(canon) % numShards) }
+func shardIndex[S string | []byte](canon S) int { return int(fnvString(canon) % numShards) }
 
 // NewManager creates a cache manager with the given byte budget (<= 0 means
 // unbounded).
@@ -313,15 +313,18 @@ func (m *Manager) Touch(e *Element) {
 
 // ExactMatch finds a published element whose definition exactly matches q up
 // to variable renaming (result caching).
-func (m *Manager) ExactMatch(q *caql.Query) *Element { return m.ExactMatchFor(q.Canonical(), 0) }
+func (m *Manager) ExactMatch(q *caql.Query) *Element {
+	return m.ExactMatchFor(q.AppendCanonical(nil), 0)
+}
 
-// ExactMatchFor is ExactMatch, by canonical form, restricted to elements
-// visible to the given session: published elements plus the session's own
-// in-flight prefetches.
-func (m *Manager) ExactMatchFor(canon string, sid int64) *Element {
-	s := m.shardFor(canon)
+// ExactMatchFor is ExactMatch, by the bytes of a canonical form, restricted
+// to elements visible to the given session: published elements plus the
+// session's own in-flight prefetches. It allocates nothing: the map index
+// converts the bytes without copying them.
+func (m *Manager) ExactMatchFor(canon []byte, sid int64) *Element {
+	s := &m.shards[shardIndex(canon)]
 	s.mu.RLock()
-	e := s.byCanon[canon]
+	e := s.byCanon[string(canon)]
 	s.mu.RUnlock()
 	if e != nil && !e.visibleTo(sid) {
 		return nil
@@ -343,6 +346,12 @@ func (m *Manager) CandidatesFor(q *caql.Query) []*Element {
 // resident. Every shard is probed under a read lock, so concurrent lookups
 // proceed in parallel.
 func (m *Manager) CandidatesForSession(q *subsume.Prepared, sid int64) []*Element {
+	return m.appendCandidates(nil, q, sid)
+}
+
+// appendCandidates is CandidatesForSession appending to dst, so that a caller
+// with a slice to reuse allocates nothing.
+func (m *Manager) appendCandidates(dst []*Element, q *subsume.Prepared, sid int64) []*Element {
 	// Two atoms of q can ask for one bucket; visiting each once means no
 	// element is met twice, since each is filed once.
 	var buf [16]uint64
@@ -360,7 +369,7 @@ func (m *Manager) CandidatesForSession(q *subsume.Prepared, sid int64) []*Elemen
 			}
 		}
 	}
-	var out []*Element
+	out := dst
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
@@ -375,7 +384,7 @@ func (m *Manager) CandidatesForSession(q *subsume.Prepared, sid int64) []*Elemen
 	}
 	// Ascending ID makes every choice among equals downstream independent of
 	// shard iteration order.
-	slices.SortFunc(out, func(a, b *Element) int { return a.ID - b.ID })
+	slices.SortFunc(out[len(dst):], func(a, b *Element) int { return a.ID - b.ID })
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/advice"
@@ -161,9 +162,11 @@ func (s *Session) dispatch(ctx context.Context, q *caql.Query) (*bridge.Stream, 
 	}
 
 	// The query's prepared form and canonical form are computed here, once,
-	// for every lookup and insert the planning steps make.
-	pq, canon := subsume.Prepare(q), q.Canonical()
-	stream, err := s.answer(ctx, pq, canon, vs)
+	// for every lookup and insert the planning steps make. The canonical form
+	// is rendered into the session's buffer; a string of it is made only
+	// where one is kept.
+	s.canon = q.AppendCanonical(s.canon[:0])
+	stream, err := s.answer(ctx, subsume.Prepare(q), s.canon, vs)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +182,7 @@ func (s *Session) dispatch(ctx context.Context, q *caql.Query) (*bridge.Stream, 
 
 // answer runs the three planning steps for one query, given prepared and in
 // canonical form.
-func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon string, vs *advice.ViewSpec) (*bridge.Stream, error) {
+func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon []byte, vs *advice.ViewSpec) (*bridge.Stream, error) {
 	if err := bridge.CtxError(ctx); err != nil {
 		return nil, err
 	}
@@ -190,13 +193,13 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon string
 	// skipped; the mandatory remote paths fail fast in the client.
 	degraded := !c.rdi.Available()
 
-	stale := s.staleChecker(degraded)
+	st := s.staleChecker(degraded)
 
 	// Step 2a: exact-match result cache ([IOAN88]-style reuse, subsumed by
 	// full subsumption but cheaper: a single map lookup).
 	if f.ExactMatch && f.ResultCaching {
 		_, probe := c.tracer.Start(ctx, "cms.cache_probe")
-		if e := c.mgr.ExactMatchFor(canon, s.id); e != nil && !stale(e) {
+		if e := c.mgr.ExactMatchFor(canon, s.id); e != nil && !st.stale(e) {
 			if d, ok := e.sig.DeriveFull(pq); ok {
 				probe.Set("hit", "exact")
 				probe.End()
@@ -222,7 +225,7 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon string
 	var survivors []*Element
 	if f.Subsumption {
 		_, sub := c.tracer.Start(ctx, "cms.subsume")
-		survivors = s.probe(pq, stale)
+		survivors = s.probe(pq, st)
 		var bestE *Element
 		var bestD *subsume.Derivation
 		for _, e := range survivors {
@@ -240,7 +243,7 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon string
 				bestE, bestD = e, d
 			}
 		}
-		sub.Set("hit", fmt.Sprint(bestE != nil))
+		sub.Set("hit", strconv.FormatBool(bestE != nil))
 		sub.End()
 		if bestE != nil {
 			c.stats.CacheHits.Add(1)
@@ -284,7 +287,7 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon string
 	if f.Subsumption {
 		dctx, dsp := c.tracer.Start(ctx, "cms.decompose")
 		stream, handled, err := s.answerDecomposed(dctx, pq, canon, vs, survivors)
-		dsp.Set("handled", fmt.Sprint(handled))
+		dsp.Set("handled", strconv.FormatBool(handled))
 		dsp.End()
 		if handled || err != nil {
 			return stream, err
@@ -306,7 +309,7 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon string
 	}
 	s.advance(sim)
 	if s.shouldCache(vs) {
-		s.cacheResult(q, canon, ext, vs, stamp)
+		s.cacheResult(q, string(canon), ext, vs, stamp)
 	}
 	return bridge.NewEagerStream(ext), nil
 }
@@ -394,18 +397,18 @@ func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, q *caql.Qu
 		return bridge.NewStream(schema, it, true), nil
 	}
 
-	src, d, ops := s.derivedIter(e, d, vs)
-	out := d.Materialize(q.Name(), schema, src)
+	rows, skip, ops := s.derivedRows(e, d)
+	out := d.Materialize(q.Name(), schema, rows, skip)
 	s.advanceLocal(c.opts.Costs.PerLocalOp * float64(ops+out.Len()))
 	return bridge.NewEagerStream(out), nil
 }
 
-// derivedIter picks the source a derivation reads: the rows an attribute
-// index returns for one of its equality selections when the index exists (or
-// is worth building), with that selection dropped from the derivation it
-// returns; otherwise the whole extension and d itself. It also returns the
-// estimated number of local tuple operations.
-func (s *Session) derivedIter(e *Element, d *subsume.Derivation, vs *advice.ViewSpec) (relation.Iterator, *subsume.Derivation, int) {
+// derivedRows picks the rows a derivation reads: the rows an attribute index
+// returns for one of its equality selections when the index exists (or is
+// worth building), with the position of that selection in the derivation's
+// conditions, which the rows already satisfy; otherwise the whole extension
+// and -1. It also returns the estimated number of local tuple operations.
+func (s *Session) derivedRows(e *Element, d *subsume.Derivation) (rows []relation.Tuple, skip, ops int) {
 	c := s.cms
 	if c.opts.Features.Indexing && !d.Empty {
 		for i, cond := range d.Candidate.Conds {
@@ -418,18 +421,13 @@ func (s *Session) derivedIter(e *Element, d *subsume.Derivation, vs *advice.View
 			}
 			if ix != nil {
 				rows := ix.Lookup([]relation.Value{cond.Const})
-				rest := append(append([]relation.Cond(nil), d.Candidate.Conds[:i]...), d.Candidate.Conds[i+1:]...)
-				cand := *d.Candidate
-				cand.Conds = rest
-				d2 := *d
-				d2.Candidate = &cand
-				return relation.NewSliceIterator(rows), &d2, len(rows)
+				return rows, i, len(rows)
 			}
 			e.noteSelection(cond.Left)
 		}
 	}
 	ext := e.Extension()
-	return ext.Iter(), d, ext.Len()
+	return ext.Tuples(), -1, ext.Len()
 }
 
 // shouldIndex decides whether to build an index on the element column:
@@ -509,8 +507,8 @@ func (s *Session) predictsReuse(name string) bool {
 	return ok
 }
 
-// staleChecker returns the staleness predicate for one planning pass. A view
-// is stale once some request has observed a version above its stamp
+// staleCheck is the staleness predicate for one planning pass. A view is
+// stale once some request has observed a version above its stamp
 // (Element.builtEpoch) for a relation its definition names: the server has
 // provably moved past the data for that relation. Writes to other tables
 // leave it alone, and while the observed epoch is still at or below the stamp
@@ -519,20 +517,30 @@ func (s *Session) predictsReuse(name string) bool {
 // refetch instead of serving it. While degraded, cached answers are served
 // regardless — stale data beats no data, and the breaker already accounts
 // those answers as DegradedHits.
-func (s *Session) staleChecker(degraded bool) func(*Element) bool {
-	c := s.cms
-	var remoteEpoch uint64
+type staleCheck struct {
+	c *CMS
+	// remoteEpoch is the epoch observed when the pass began; 0 while
+	// degraded, which no view is stale against.
+	remoteEpoch uint64
+}
+
+// staleChecker begins a planning pass's staleness check.
+func (s *Session) staleChecker(degraded bool) staleCheck {
+	st := staleCheck{c: s.cms}
 	if !degraded {
-		remoteEpoch = c.rdi.ObservedEpoch()
+		st.remoteEpoch = s.cms.rdi.ObservedEpoch()
 	}
-	return func(e *Element) bool {
-		if remoteEpoch <= e.builtEpoch || !c.rdi.movedSince(e.Def, e.builtEpoch) {
-			return false
-		}
-		c.mgr.Remove(e)
-		c.stats.EpochInvalidations.Add(1)
-		return true
+	return st
+}
+
+// stale reports whether e is stale, invalidating it if so.
+func (st staleCheck) stale(e *Element) bool {
+	if st.remoteEpoch <= e.builtEpoch || !st.c.rdi.movedSince(e.Def, e.builtEpoch) {
+		return false
 	}
+	st.c.mgr.Remove(e)
+	st.c.stats.EpochInvalidations.Add(1)
+	return true
 }
 
 // shouldCache decides result caching: strict-producer views with no
@@ -572,7 +580,7 @@ func (s *Session) cacheResult(def *caql.Query, canon string, ext *relation.Relat
 // order) become local pieces, the residue is shipped to the remote DBMS as
 // one conjunctive subquery, and the final join runs locally. handled is false
 // when no cache element covers anything.
-func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, canon string, vs *advice.ViewSpec, survivors []*Element) (*bridge.Stream, bool, error) {
+func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, canon []byte, vs *advice.ViewSpec, survivors []*Element) (*bridge.Stream, bool, error) {
 	c, q := s.cms, pq.Query
 	needed := neededVars(q)
 
@@ -783,7 +791,7 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 		c.stats.PartialHits.Add(1)
 	}
 	if s.shouldCache(vs) {
-		s.cacheResult(q, canon, out, vs, stamp)
+		s.cacheResult(q, string(canon), out, vs, stamp)
 	}
 	return bridge.NewEagerStream(out), true, nil
 }
@@ -800,49 +808,104 @@ func (s *Session) prefetchFollowers(q *caql.Query, vs *advice.ViewSpec) {
 		return
 	}
 	c := s.cms
-	stale := s.staleChecker(false) // prefetching runs only while the remote is available
-	binds := map[string]relation.Value{}
-	for _, i := range vs.ConsumerCols() {
-		if i < len(q.Head.Args) && vs.Query.Head.Args[i].IsVar() && q.Head.Args[i].IsConst() {
-			binds[vs.Query.Head.Args[i].Var] = q.Head.Args[i].Const
-		}
-	}
-	for _, fname := range advice.SequenceFollowers(s.adv.Path, q.Name()) {
+	// The bindings and the stale check are built for the first follower that
+	// is instantiated, if any is.
+	var binds map[string]relation.Value
+	var st staleCheck
+	for _, fname := range s.followersOf(q.Name()) {
 		fvs := s.adv.ViewByName(fname)
-		if fvs == nil {
+		if fvs == nil || !consumersBound(fvs, vs, q) {
 			continue
+		}
+		if binds == nil {
+			binds = consumerBindings(vs, q)
+			st = s.staleChecker(false) // prefetching runs only while the remote is available
 		}
 		pq := fvs.Query.Instantiate(binds)
-		unresolved := false
-		for _, i := range fvs.ConsumerCols() {
-			if i < len(pq.Head.Args) && pq.Head.Args[i].IsVar() {
-				unresolved = true
-			}
-		}
-		if unresolved {
+		s.canon = pq.AppendCanonical(s.canon[:0])
+		if c.opts.Features.ResultCaching && c.mgr.ExactMatchFor(s.canon, s.id) != nil {
 			continue
 		}
-		canon := pq.Canonical()
-		if c.opts.Features.ResultCaching && c.mgr.ExactMatchFor(canon, s.id) != nil {
+		if c.opts.Features.Subsumption && s.derivableFromCache(subsume.Prepare(pq), st) {
 			continue
 		}
-		if c.opts.Features.Subsumption && s.derivableFromCache(subsume.Prepare(pq), stale) {
-			continue
-		}
-		s.enqueuePrefetch(pq, canon, fvs)
+		s.enqueuePrefetch(pq, string(s.canon), fvs)
 	}
+}
+
+// followersOf is advice.SequenceFollowers of the session's path expression,
+// memoised per view name.
+func (s *Session) followersOf(name string) []string {
+	f, ok := s.followers[name]
+	if !ok {
+		f = advice.SequenceFollowers(s.adv.Path, name)
+		if s.followers == nil {
+			s.followers = make(map[string][]string)
+		}
+		s.followers[name] = f
+	}
+	return f
+}
+
+// consumerBindings maps each variable at a consumer position of vs to the
+// constant q, an instance of vs, has there: what a follower's consumer
+// arguments are instantiated from.
+func consumerBindings(vs *advice.ViewSpec, q *caql.Query) map[string]relation.Value {
+	binds := map[string]relation.Value{}
+	for i, b := range vs.Bindings {
+		if v, ok := consumerConst(vs, q, i, b); ok {
+			binds[vs.Query.Head.Args[i].Var] = v
+		}
+	}
+	return binds
+}
+
+// consumersBound reports whether consumerBindings(vs, q) binds every variable
+// at a consumer position of the follower fvs — whether instantiating fvs
+// would resolve all its consumers — without building the map.
+func consumersBound(fvs, vs *advice.ViewSpec, q *caql.Query) bool {
+	for i, b := range fvs.Bindings {
+		if b != advice.BindConsumer || i >= len(fvs.Query.Head.Args) {
+			continue
+		}
+		if t := fvs.Query.Head.Args[i]; t.IsVar() && !bindsVar(vs, q, t.Var) {
+			return false
+		}
+	}
+	return true
+}
+
+// bindsVar reports whether consumerBindings(vs, q) binds v.
+func bindsVar(vs *advice.ViewSpec, q *caql.Query, v string) bool {
+	for i, b := range vs.Bindings {
+		if _, ok := consumerConst(vs, q, i, b); ok && vs.Query.Head.Args[i].Var == v {
+			return true
+		}
+	}
+	return false
+}
+
+// consumerConst returns the constant q has at head position i of vs when i
+// is a consumer position (binding b) holding a variable in vs.
+func consumerConst(vs *advice.ViewSpec, q *caql.Query, i int, b advice.Binding) (relation.Value, bool) {
+	if b != advice.BindConsumer || i >= len(q.Head.Args) || !vs.Query.Head.Args[i].IsVar() || !q.Head.Args[i].IsConst() {
+		return relation.Value{}, false
+	}
+	return q.Head.Args[i].Const, true
 }
 
 // probe is step 2's lookup, shared by everything that asks "what in the cache
 // could answer this": the elements visible to the session that may derive q
 // or a conjunctive part of it (Manager.CandidatesForSession), in ID order,
-// less the ones the stale check invalidates on the way.
-func (s *Session) probe(pq *subsume.Prepared, stale func(*Element) bool) []*Element {
-	return slices.DeleteFunc(s.cms.mgr.CandidatesForSession(pq, s.id), stale)
+// less the ones the stale check invalidates on the way. The result lives in
+// the session's scratch until the next probe.
+func (s *Session) probe(pq *subsume.Prepared, st staleCheck) []*Element {
+	s.cands = slices.DeleteFunc(s.cms.mgr.appendCandidates(s.cands[:0], pq, s.id), st.stale)
+	return s.cands
 }
 
-func (s *Session) derivableFromCache(pq *subsume.Prepared, stale func(*Element) bool) bool {
-	for _, e := range s.probe(pq, stale) {
+func (s *Session) derivableFromCache(pq *subsume.Prepared, st staleCheck) bool {
+	for _, e := range s.probe(pq, st) {
 		if _, ok := e.sig.DeriveFull(pq); ok {
 			return true
 		}

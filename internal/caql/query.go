@@ -12,8 +12,10 @@
 package caql
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/logic"
@@ -163,48 +165,94 @@ func (q *Query) String() string {
 // that are identical up to variable renaming share a Canonical key. This is
 // the exact-match test used by result caching (and by the BERMUDA-style
 // baseline).
-func (q *Query) Canonical() string {
-	names := make(map[string]string)
-	ren := func(t logic.Term) logic.Term {
-		if !t.IsVar() {
-			return t
-		}
-		n, ok := names[t.Var]
-		if !ok {
-			n = fmt.Sprintf("V%d", len(names))
-			names[t.Var] = n
-		}
-		return logic.V(n)
-	}
-	renAtom := func(a logic.Atom) logic.Atom {
-		args := make([]logic.Term, len(a.Args))
-		for i, t := range a.Args {
-			args[i] = ren(t)
-		}
-		return logic.Atom{Pred: a.Pred, Args: args}
-	}
-	var b strings.Builder
+func (q *Query) Canonical() string { return string(q.AppendCanonical(nil)) }
+
+// AppendCanonical appends the bytes of Canonical to dst in one pass: the
+// variables are numbered in a stack array, and the comparisons are rendered
+// in place and sorted there. It allocates only to grow dst, so a caller that
+// keeps its buffer pays nothing for a key it only looks up.
+func (q *Query) AppendCanonical(dst []byte) []byte {
+	var names [16]string
+	vars := names[:0]
 	// The head predicate is a view identifier chosen by the caller; exact
 	// matching must ignore it (d2 and an alpha-variant j are the same query).
-	head := renAtom(q.Head)
-	head.Pred = "q"
-	b.WriteString(head.String())
-	b.WriteString(":-")
+	dst, vars = appendCanonAtom(dst, vars, logic.Atom{Pred: "q", Args: q.Head.Args})
+	dst = append(dst, ":-"...)
 	for _, a := range q.Rels {
-		b.WriteString(renAtom(a).String())
-		b.WriteByte('&')
+		dst, vars = appendCanonAtom(dst, vars, a)
+		dst = append(dst, '&')
 	}
 	// Comparisons participate sorted so syntactic order does not matter.
-	cmps := make([]string, 0, len(q.Cmps))
+	var boundBuf [9]int
+	bounds := append(boundBuf[:0], len(dst))
 	for _, c := range q.Cmps {
-		cmps = append(cmps, renAtom(c).String())
+		dst, vars = appendCanonAtom(dst, vars, c)
+		dst = append(dst, '&')
+		bounds = append(bounds, len(dst))
 	}
-	sort.Strings(cmps)
-	for _, c := range cmps {
-		b.WriteString(c)
-		b.WriteByte('&')
+	return sortRenderings(dst, bounds)
+}
+
+// appendCanonAtom appends a as Atom.String renders it, with each variable
+// renamed V<n> for its position in vars, which it extends with the variables
+// met for the first time.
+func appendCanonAtom(dst []byte, vars []string, a logic.Atom) ([]byte, []string) {
+	if a.IsComparison() {
+		dst, vars = appendCanonTerm(dst, vars, a.Args[0])
+		dst = append(append(append(dst, ' '), a.Pred...), ' ')
+		return appendCanonTerm(dst, vars, a.Args[1])
 	}
-	return b.String()
+	dst = append(dst, a.Pred...)
+	if len(a.Args) == 0 {
+		return dst, vars
+	}
+	dst = append(dst, '(')
+	for i, t := range a.Args {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst, vars = appendCanonTerm(dst, vars, t)
+	}
+	return append(dst, ')'), vars
+}
+
+func appendCanonTerm(dst []byte, vars []string, t logic.Term) ([]byte, []string) {
+	if !t.IsVar() {
+		return t.AppendString(dst), vars
+	}
+	n := slices.Index(vars, t.Var)
+	if n < 0 {
+		n = len(vars)
+		vars = append(vars, t.Var)
+	}
+	return strconv.AppendInt(append(dst, 'V'), int64(n), 10), vars
+}
+
+// sortRenderings sorts the renderings buf[bounds[i]:bounds[i+1]] in place,
+// ordering each by its bytes less the '&' it ends with: it lays them out in
+// order past the end of buf, then moves them back.
+func sortRenderings(buf []byte, bounds []int) []byte {
+	n := len(bounds) - 1
+	if n < 2 {
+		return buf
+	}
+	text := func(i int) []byte { return buf[bounds[i] : bounds[i+1]-1] }
+	var ordBuf [8]int
+	ord := ordBuf[:0]
+	for i := 0; i < n; i++ {
+		j := len(ord)
+		ord = append(ord, i)
+		for ; j > 0 && bytes.Compare(text(ord[j-1]), text(i)) > 0; j-- {
+			ord[j] = ord[j-1]
+		}
+		ord[j] = i
+	}
+	end := len(buf)
+	for _, i := range ord {
+		buf = append(buf, buf[bounds[i]:bounds[i+1]]...)
+	}
+	copy(buf[bounds[0]:], buf[end:])
+	return buf[:end]
 }
 
 // OutputSchema derives the relational schema of the query result, using the
@@ -226,7 +274,9 @@ func (q *Query) OutputSchema(catalog SchemaSource) (*relation.Schema, error) {
 			}
 		}
 	}
-	attrs := make([]relation.Attr, len(q.Head.Args))
+	// NewSchema copies attrs, so they can live on the stack.
+	var attrBuf [8]relation.Attr
+	attrs := attrBuf[:0]
 	used := make(map[string]bool)
 	for i, t := range q.Head.Args {
 		var name string
@@ -235,16 +285,27 @@ func (q *Query) OutputSchema(catalog SchemaSource) (*relation.Schema, error) {
 			name = t.Var
 			kind = kinds[t.Var]
 		} else {
-			name = fmt.Sprintf("c%d", i)
+			name = constColumnName(i)
 			kind = t.Const.Kind()
 		}
 		for used[name] {
 			name += "_"
 		}
 		used[name] = true
-		attrs[i] = relation.Attr{Name: name, Kind: kind}
+		attrs = append(attrs, relation.Attr{Name: name, Kind: kind})
 	}
 	return relation.NewSchema(attrs...), nil
+}
+
+var constColumnNames = [...]string{"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"}
+
+// constColumnName names the output column of a constant at head position i:
+// "c<i>".
+func constColumnName(i int) string {
+	if i < len(constColumnNames) {
+		return constColumnNames[i]
+	}
+	return "c" + strconv.Itoa(i)
 }
 
 // SchemaSource resolves base relation schemas; implemented by the remote

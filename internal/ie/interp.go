@@ -2,6 +2,8 @@ package ie
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"repro/internal/bridge"
 	"repro/internal/caql"
@@ -74,7 +76,7 @@ func (r *runner) run(items []bodyItem, ren map[string]string, s logic.Subst, dep
 	}
 	switch head.kind {
 	case itemCmp:
-		a := s.ApplyAtom(renameAtom(head.atom, ren))
+		_, a := instAtom(nil, head.atom, ren, s)
 		if !a.IsGround() {
 			return false, fmt.Errorf("ie: comparison %s not ground at evaluation time (ordering bug?)", a)
 		}
@@ -131,7 +133,7 @@ func (r *runner) run(items []bodyItem, ren map[string]string, s logic.Subst, dep
 		}
 
 	case itemCall:
-		goal := s.ApplyAtom(renameAtom(head.atom, ren))
+		_, goal := instAtom(nil, head.atom, ren, s)
 		key := canonicalGoal(goal)
 		for _, a := range anc {
 			if a == key {
@@ -205,20 +207,44 @@ func ruleIDOf(cc *compiledClause) string {
 
 // instantiate builds the CAQL query for a segment occurrence: the template
 // renamed into the current clause instance and closed under the current
-// substitution.
+// substitution, in one pass. The body atoms share one slice and every
+// argument one block of terms.
 func (r *runner) instantiate(vt *viewTemplate, ren map[string]string, s logic.Subst) *caql.Query {
-	q := vt.query.Clone()
-	apply := func(a logic.Atom) logic.Atom {
-		return s.ApplyAtom(renameAtom(a, ren))
+	tq := vt.query
+	n := len(tq.Head.Args)
+	for _, a := range tq.Rels {
+		n += len(a.Args)
 	}
-	q.Head = apply(q.Head)
-	for i := range q.Rels {
-		q.Rels[i] = apply(q.Rels[i])
+	for _, a := range tq.Cmps {
+		n += len(a.Args)
 	}
-	for i := range q.Cmps {
-		q.Cmps[i] = apply(q.Cmps[i])
+	terms := make([]logic.Term, 0, n)
+	body := make([]logic.Atom, len(tq.Rels)+len(tq.Cmps))
+	q := &caql.Query{Rels: body[:len(tq.Rels):len(tq.Rels)], Cmps: body[len(tq.Rels):]}
+	terms, q.Head = instAtom(terms, tq.Head, ren, s)
+	for i, a := range tq.Rels {
+		terms, q.Rels[i] = instAtom(terms, a, ren, s)
+	}
+	for i, a := range tq.Cmps {
+		terms, q.Cmps[i] = instAtom(terms, a, ren, s)
 	}
 	return q
+}
+
+// instAtom renames a into the current clause instance and closes it under s.
+// The arguments are appended to terms, which is returned, and the atom's
+// arguments are that window of it.
+func instAtom(terms []logic.Term, a logic.Atom, ren map[string]string, s logic.Subst) ([]logic.Term, logic.Atom) {
+	start := len(terms)
+	for _, t := range a.Args {
+		if t.IsVar() {
+			if n, ok := ren[t.Var]; ok {
+				t = logic.V(n)
+			}
+		}
+		terms = append(terms, s.Walk(t))
+	}
+	return terms, logic.Atom{Pred: a.Pred, Args: terms[start:len(terms):len(terms)]}
 }
 
 // renameClause renames a clause apart and returns the original→fresh
@@ -242,42 +268,28 @@ func renameClause(c logic.Clause) (logic.Clause, map[string]string) {
 	return renamed, mapping
 }
 
-func renameAtom(a logic.Atom, ren map[string]string) logic.Atom {
-	if ren == nil {
-		return a
-	}
-	args := make([]logic.Term, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsVar() {
-			if n, ok := ren[t.Var]; ok {
-				args[i] = logic.V(n)
-				continue
-			}
-		}
-		args[i] = t
-	}
-	return logic.Atom{Pred: a.Pred, Args: args}
-}
-
 // canonicalGoal renders a goal with variables numbered by first occurrence,
-// for variant-ancestor pruning.
+// for variant-ancestor pruning: "p(V0,sa,V0)". It is built in one pass on the
+// stack and allocates only the string.
 func canonicalGoal(a logic.Atom) string {
-	names := make(map[string]int)
-	out := a.Pred + "("
+	var buf [64]byte
+	var names [8]string
+	vars := names[:0]
+	out := append(append(buf[:0], a.Pred...), '(')
 	for i, t := range a.Args {
 		if i > 0 {
-			out += ","
+			out = append(out, ',')
 		}
-		if t.IsVar() {
-			n, ok := names[t.Var]
-			if !ok {
-				n = len(names)
-				names[t.Var] = n
-			}
-			out += fmt.Sprintf("V%d", n)
-		} else {
-			out += t.Const.Key()
+		if !t.IsVar() {
+			out = t.Const.AppendKey(out)
+			continue
 		}
+		n := slices.Index(vars, t.Var)
+		if n < 0 {
+			n = len(vars)
+			vars = append(vars, t.Var)
+		}
+		out = strconv.AppendInt(append(out, 'V'), int64(n), 10)
 	}
-	return out + ")"
+	return string(append(out, ')'))
 }

@@ -25,16 +25,24 @@ func TestTermBasics(t *testing.T) {
 
 func TestTermString(t *testing.T) {
 	cases := map[string]Term{
-		"X":      V("X"),
-		"tom":    CStr("tom"),
-		`"Tom"`:  CStr("Tom"), // uppercase needs quoting
-		`"a b"`:  CStr("a b"),
-		"42":     CInt(42),
-		`"true"`: CStr("true"), // reserved word needs quoting
+		"X":       V("X"),
+		"tom":     CStr("tom"),
+		`"Tom"`:   CStr("Tom"), // uppercase needs quoting
+		`"a b"`:   CStr("a b"),
+		"42":      CInt(42),
+		`"true"`:  CStr("true"), // reserved word needs quoting
+		"-7":      CInt(-7),
+		"2.5e-07": C(relation.Float(2.5e-7)),
+		"true":    C(relation.Bool(true)),
+		"null":    C(relation.Null()),
+		`""`:      CStr(""),
 	}
 	for want, term := range cases {
 		if got := term.String(); got != want {
 			t.Errorf("String(%#v) = %q, want %q", term, got, want)
+		}
+		if got := string(term.AppendString([]byte("|"))); got != "|"+want {
+			t.Errorf("AppendString(%#v) = %q, want %q", term, got, "|"+want)
 		}
 	}
 }

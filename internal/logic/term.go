@@ -64,6 +64,17 @@ func (t Term) String() string {
 	return t.Const.String()
 }
 
+// AppendString appends the bytes of String to dst.
+func (t Term) AppendString(dst []byte) []byte {
+	if t.IsVar() {
+		return append(dst, t.Var...)
+	}
+	if t.Const.Kind() == relation.KindString && isPlainAtom(t.Const.AsString()) {
+		return append(dst, t.Const.AsString()...)
+	}
+	return t.Const.AppendString(dst)
+}
+
 // isPlainAtom reports whether s can be written bare as a Prolog-style atom:
 // lowercase letter followed by letters, digits, underscores.
 func isPlainAtom(s string) bool {

@@ -26,7 +26,7 @@ func fnvUint64(h uint64, v uint64) uint64 {
 }
 
 // hashInto folds the value into a running FNV-1a hash, consistent with Equal:
-// numerically equal int/float values fold identically.
+// numerically equal int/float values fold identically, −0 and +0 included.
 func (v Value) hashInto(h uint64) uint64 {
 	switch v.Kind() {
 	case KindNull:
@@ -39,7 +39,7 @@ func (v Value) hashInto(h uint64) uint64 {
 		return fnvByte(h, 0)
 	case KindInt, KindFloat:
 		h = fnvByte(h, 2)
-		return fnvUint64(h, math.Float64bits(v.AsFloat()))
+		return fnvUint64(h, math.Float64bits(v.numericKey()))
 	default:
 		h = fnvByte(h, 3)
 		s := v.AsString()

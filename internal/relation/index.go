@@ -49,20 +49,27 @@ func (ix *Index) Covers(cols []int) bool {
 
 // Lookup returns the tuples whose indexed columns equal the given values.
 func (ix *Index) Lookup(vals []Value) []Tuple {
-	probe := Tuple(vals)
-	positions := ix.buckets[probe.Hash64()]
+	positions := ix.buckets[Tuple(vals).Hash64()]
 	if len(positions) == 0 {
 		return nil
 	}
-	all := identity(len(vals))
 	out := make([]Tuple, 0, len(positions))
 	for _, p := range positions {
-		t := ix.tuples[p]
-		if equalOn(t, ix.cols, probe, all) {
+		if t := ix.tuples[p]; ix.matches(t, vals) {
 			out = append(out, t)
 		}
 	}
 	return out
+}
+
+// matches reports whether t's indexed columns equal vals.
+func (ix *Index) matches(t Tuple, vals []Value) bool {
+	for i, c := range ix.cols {
+		if !t[c].Equal(vals[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // LookupIter returns an iterator over matching tuples.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -43,6 +44,24 @@ func TestIndexAgreesWithScan(t *testing.T) {
 			if !viaIndex.EqualAsBag(viaScan) {
 				t.Fatalf("index and scan disagree for key %d", k)
 			}
+		}
+	}
+}
+
+// TestIndexFindsNegativeZero: −0.0, +0.0 and 0 are Equal, so an index lookup
+// of any of them must return every row holding any of them, as the select
+// path does.
+func TestIndexFindsNegativeZero(t *testing.T) {
+	r := New("r", NewSchema(Attr{"x", KindFloat}, Attr{"y", KindInt}))
+	r.MustAppend(Tuple{Float(math.Copysign(0, -1)), Int(1)})
+	r.MustAppend(Tuple{Float(0), Int(2)})
+	r.MustAppend(Tuple{Float(1), Int(3)})
+	ix := BuildIndex(r, []int{0})
+	for _, k := range []Value{Int(0), Float(0), Float(math.Copysign(0, -1))} {
+		viaIndex := FromTuples("i", r.Schema(), ix.Lookup([]Value{k}))
+		viaScan := SelectRel(r, []Cond{ColConst(0, OpEq, k)})
+		if viaScan.Len() != 2 || !viaIndex.EqualAsBag(viaScan) {
+			t.Errorf("key %v: index finds %v, scan %v", k, viaIndex.Tuples(), viaScan.Tuples())
 		}
 	}
 }

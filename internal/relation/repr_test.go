@@ -88,6 +88,15 @@ func (v refValue) compare(o refValue) int {
 	}
 }
 
+// numericKey is asFloat with −0 read as +0: Equal says they are equal, so
+// Hash and Key must not tell them apart.
+func (v refValue) numericKey() float64 {
+	if f := v.asFloat(); f != 0 {
+		return f
+	}
+	return 0
+}
+
 func (v refValue) hash() uint64 {
 	h := uint64(fnvOffset64)
 	switch v.kind {
@@ -100,7 +109,7 @@ func (v refValue) hash() uint64 {
 		}
 		return fnvByte(h, 0)
 	case KindInt, KindFloat:
-		return fnvUint64(fnvByte(h, 2), math.Float64bits(v.asFloat()))
+		return fnvUint64(fnvByte(h, 2), math.Float64bits(v.numericKey()))
 	default:
 		h = fnvByte(h, 3)
 		for i := 0; i < len(v.s); i++ {
@@ -120,7 +129,7 @@ func (v refValue) key() string {
 		}
 		return "bf"
 	case KindInt, KindFloat:
-		return "f" + strconv.FormatFloat(v.asFloat(), 'b', -1, 64)
+		return "f" + strconv.FormatFloat(v.numericKey(), 'b', -1, 64)
 	default:
 		return "s" + v.s
 	}
@@ -195,6 +204,7 @@ func agrees(r refValue, v Value) string {
 // Compare, Hash, Key, String and ParseValue(String()) must agree, for any two
 // values whose strings are windows on one backing array — what decodeBatch
 // hands out, and the case where pointer identity and string equality part.
+// Two values Equal calls equal must also share Hash and Key.
 func FuzzValueOrder(f *testing.F) {
 	f.Add(uint8(0), uint8(0), int64(0), int64(0), 0.0, 0.0, "", uint8(0), uint8(0), uint8(0), uint8(0))  // null, null
 	f.Add(uint8(4), uint8(4), int64(1), int64(0), 0.0, 0.0, "", uint8(0), uint8(0), uint8(0), uint8(0))  // true, false
@@ -260,6 +270,11 @@ func FuzzValueOrder(f *testing.F) {
 		}
 		if got, want := vb.Equal(va), rb.equal(ra); got != want {
 			t.Fatalf("%v Equal %v = %v, want %v", rb, ra, got, want)
+		}
+		// Hash and index paths find a value by Hash and Key, the select path
+		// by Equal; they agree only if Equal values share both.
+		if va.Equal(vb) && (va.Hash() != vb.Hash() || va.Key() != vb.Key()) {
+			t.Fatalf("%v Equal %v, but Hash %x/%x, Key %q/%q", ra, rb, va.Hash(), vb.Hash(), va.Key(), vb.Key())
 		}
 		if got, want := va.Compare(vb), ra.compare(rb); got != want {
 			t.Fatalf("%v Compare %v = %d, want %d", ra, rb, got, want)

@@ -15,19 +15,17 @@ type Attr struct {
 // operations derive new schemas rather than mutating.
 type Schema struct {
 	attrs []Attr
-	index map[string]int
 }
 
 // NewSchema builds a schema from the given attributes. Attribute names must
 // be unique; NewSchema panics otherwise (schemas are constructed from code or
 // validated parse trees, so a duplicate is a programming error).
 func NewSchema(attrs ...Attr) *Schema {
-	s := &Schema{attrs: append([]Attr(nil), attrs...), index: make(map[string]int, len(attrs))}
+	s := &Schema{attrs: append([]Attr(nil), attrs...)}
 	for i, a := range attrs {
-		if _, dup := s.index[a.Name]; dup {
+		if s.ColIndex(a.Name) < i {
 			panic(fmt.Sprintf("relation: duplicate attribute %q in schema", a.Name))
 		}
-		s.index[a.Name] = i
 	}
 	return s
 }
@@ -42,9 +40,13 @@ func (s *Schema) Attr(i int) Attr { return s.attrs[i] }
 func (s *Schema) Attrs() []Attr { return append([]Attr(nil), s.attrs...) }
 
 // ColIndex returns the position of the named attribute, or -1 if absent.
+// Names are found by scanning: schemas are a handful of columns wide, and
+// only planning looks names up.
 func (s *Schema) ColIndex(name string) int {
-	if i, ok := s.index[name]; ok {
-		return i
+	for i, a := range s.attrs {
+		if a.Name == name {
+			return i
+		}
 	}
 	return -1
 }

@@ -233,7 +233,8 @@ func (k Kind) rank() int {
 func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
 
 // Hash returns a 64-bit hash of the value, consistent with Equal (numerically
-// equal int/float values hash identically). It allocates nothing.
+// equal int/float values, −0 and +0 among them, hash identically). It
+// allocates nothing.
 func (v Value) Hash() uint64 {
 	return v.hashInto(fnvOffset64)
 }
@@ -244,17 +245,36 @@ func (v Value) String() string {
 	switch v.Kind() {
 	case KindNull:
 		return "null"
-	case KindInt:
-		return strconv.FormatInt(v.AsInt(), 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
-	case KindString:
-		return strconv.Quote(v.AsString())
 	case KindBool:
 		return strconv.FormatBool(v.AsBool())
-	default:
-		return "?"
 	}
+	var buf [32]byte
+	return string(v.AppendString(buf[:0]))
+}
+
+// AppendString appends the bytes of String to dst.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.Kind() {
+	case KindNull:
+		return append(dst, "null"...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.AsInt(), 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
+	case KindString:
+		return strconv.AppendQuote(dst, v.AsString())
+	default:
+		return strconv.AppendBool(dst, v.AsBool())
+	}
+}
+
+// numericKey is AsFloat with −0 folded into +0: the number Hash and Key know
+// a numeric value by, so that values Equal calls equal share both.
+func (v Value) numericKey() float64 {
+	if f := v.AsFloat(); f != 0 {
+		return f
+	}
+	return 0
 }
 
 // Key returns a string usable as a map key, consistent with Equal.
@@ -267,10 +287,25 @@ func (v Value) Key() string {
 			return "bt"
 		}
 		return "bf"
+	}
+	var buf [32]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of Key to dst.
+func (v Value) AppendKey(dst []byte) []byte {
+	switch v.Kind() {
+	case KindNull:
+		return append(dst, 'n')
+	case KindBool:
+		if v.AsBool() {
+			return append(dst, "bt"...)
+		}
+		return append(dst, "bf"...)
 	case KindInt, KindFloat:
-		return "f" + strconv.FormatFloat(v.AsFloat(), 'b', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), v.numericKey(), 'b', -1, 64)
 	default:
-		return "s" + v.AsString()
+		return append(append(dst, 's'), v.AsString()...)
 	}
 }
 

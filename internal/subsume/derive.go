@@ -3,6 +3,7 @@ package subsume
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/caql"
 	"repro/internal/relation"
@@ -15,6 +16,8 @@ import (
 // (Section 5.1: lazy evaluation is possible only when all required data is
 // in the cache).
 type Derivation struct {
+	// Candidate carries the cover, the covered comparisons and the residual
+	// selections. Its VarCols is nil: read the output columns from OutCols.
 	Candidate *Candidate
 	// OutCols maps each Q head position to an ext(E) column, or -1 when the
 	// position is a constant held in Consts.
@@ -35,18 +38,22 @@ func DeriveFull(e, q *caql.Query) (*Derivation, bool) {
 	return Prepare(e).DeriveFull(Prepare(q))
 }
 
-// DeriveFull is the package-level DeriveFull on prepared forms.
+// DeriveFull is the package-level DeriveFull on prepared forms. It takes the
+// first assignment in Match's search order that validates — every candidate
+// covers all of q, so Match would keep that one alone — and builds the
+// derivation straight from its binding, without a VarCols map, in one
+// allocation while the query is small. Refusing allocates nothing.
 func (e *Prepared) DeriveFull(q *Prepared) (*Derivation, bool) {
 	// Every candidate uses all of e's atoms, so it covers all of q's exactly
 	// when the two have as many.
-	if len(e.Query.Rels) != len(q.Query.Rels) {
+	if len(e.Query.Rels) != len(q.Query.Rels) || !searchable(e, q) {
 		return nil, false
 	}
 	// A statically false constant comparison makes q empty; the element that
 	// derives the rest of it derives that too.
 	empty := false
-	for ci, c := range q.cmps {
-		if a := q.Query.Cmps[ci].Args; c.l < 0 && c.r < 0 && !c.op.Eval(a[0].Const, a[1].Const) {
+	for ci, a := range q.Query.Cmps {
+		if c := q.cmp(ci); c.l < 0 && c.r < 0 && !c.op.Eval(a.Args[0].Const, a.Args[1].Const) {
 			empty = true
 		}
 	}
@@ -57,44 +64,72 @@ func (e *Prepared) DeriveFull(q *Prepared) (*Derivation, bool) {
 			needed[t] = true
 		}
 	}
-	for _, cand := range e.match(q, needed) {
-		// Every comparison must be accounted for: covered by the candidate,
-		// or constant against constant and so decided statically above.
-		ok := true
-		for ci, c := range q.cmps {
-			if (c.l >= 0 || c.r >= 0) && !slices.Contains(cand.CoveredCmps, ci) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		d := &Derivation{
-			Candidate: cand,
-			OutCols:   make([]int, len(q.head)),
-			Consts:    make([]relation.Value, len(q.head)),
-			Empty:     empty,
-		}
-		feasible := true
-		for i, t := range q.Query.Head.Args {
-			if t.IsConst() {
-				d.OutCols[i] = -1
-				d.Consts[i] = t.Const
-				continue
-			}
-			col, ok := cand.VarCols[t.Var]
-			if !ok {
-				feasible = false
-				break
-			}
-			d.OutCols[i] = col
-		}
-		if feasible {
-			return d, true
+	var sc scratch
+	s := newSearch(e, q, needed, &sc)
+	v, ok := s.first(0, &sc)
+	if !ok {
+		return nil, false
+	}
+	// Every comparison must be accounted for: covered by the candidate, or
+	// constant against constant and so decided statically above.
+	for ci := range q.Query.Cmps {
+		if c := q.cmp(ci); (c.l >= 0 || c.r >= 0) && !slices.Contains(v.coveredCmps, ci) {
+			return nil, false
 		}
 	}
-	return nil, false
+	// Every head variable must be readable from a column.
+	for _, t := range q.head {
+		if t >= 0 && v.b.col[t] < 0 {
+			return nil, false
+		}
+	}
+	return v.derivation(s.assign, empty), true
+}
+
+// derivationBlock is a whole-query derivation in one allocation: the
+// Derivation, its Candidate, and the arrays their slices are carved from
+// while they fit.
+type derivationBlock struct {
+	d     Derivation
+	c     Candidate
+	ints  [8]int
+	conds [2]relation.Cond
+	vals  [4]relation.Value
+}
+
+// derivation builds the whole-query derivation for the validated assignment.
+// Its Candidate has no VarCols: the output columns come from the binding,
+// and nothing on the full-derivation path reads the map.
+func (v *validation) derivation(assign []int, empty bool) *Derivation {
+	q := v.b.q
+	blk := new(derivationBlock)
+	nc, ncov, nh := len(assign), len(v.coveredCmps), len(q.head)
+	ints := carve(blk.ints[:], nc+ncov+nh)
+	c := &blk.c
+	c.Element = v.b.e.Query
+	c.Cover = ints[:nc:nc]
+	copy(c.Cover, assign)
+	sort.Ints(c.Cover)
+	if ncov > 0 {
+		c.CoveredCmps = ints[nc : nc+ncov : nc+ncov]
+		copy(c.CoveredCmps, v.coveredCmps)
+	}
+	if len(v.conds) > 0 {
+		c.Conds = carve(blk.conds[:], len(v.conds))
+		copy(c.Conds, v.conds)
+	}
+	d := &blk.d
+	d.Candidate, d.Empty = c, empty
+	d.OutCols, d.Consts = ints[nc+ncov:], carve(blk.vals[:], nh)
+	for i, t := range q.head {
+		if t < 0 {
+			d.OutCols[i] = -1
+			d.Consts[i] = q.Query.Head.Args[i].Const
+		} else {
+			d.OutCols[i] = int(v.b.col[t])
+		}
+	}
+	return d
 }
 
 // Apply computes q's extension from ext(E) according to the derivation.
@@ -106,23 +141,29 @@ func (d *Derivation) Apply(name string, schema *relation.Schema, ext *relation.R
 	return relation.Drain(name, schema, d.ApplyLazy(ext.Iter())), nil
 }
 
-// Materialize is Apply over any source of ext(E) tuples, built for the
-// allocator: it collects the selected source tuples, then carves every
+// Materialize is Apply over rows of ext(E), built for the allocator: it
+// collects the rows that pass the derivation's selections, then carves every
 // output row from one len × arity block and reuses the collected slice to
-// hold them. The rows are copies, so a consumer that mutates one cannot
-// reach the source. A source that hints its size and needs no selection is
-// collected into one exactly-sized slice; otherwise the slice doubles.
-func (d *Derivation) Materialize(name string, schema *relation.Schema, src relation.Iterator) *relation.Relation {
+// hold them. The condition at index skip (-1: none) is not evaluated: the
+// caller has applied it already, as an index lookup that produced rows does.
+// The output rows are copies, so a consumer that mutates one cannot reach
+// the source. With nothing left to select the collected slice is exactly
+// sized; otherwise it doubles.
+func (d *Derivation) Materialize(name string, schema *relation.Schema, rows []relation.Tuple, skip int) *relation.Relation {
 	if d.Empty {
 		return relation.New(name, schema)
 	}
 	conds := d.Candidate.Conds
-	var sel []relation.Tuple
-	if h, ok := src.(relation.SizeHinter); ok && len(conds) == 0 {
-		sel = make([]relation.Tuple, 0, h.SizeHint())
+	active := len(conds)
+	if skip >= 0 {
+		active--
 	}
-	for t, ok := src.Next(); ok; t, ok = src.Next() {
-		if !relation.EvalAll(conds, t) {
+	var sel []relation.Tuple
+	if active == 0 {
+		sel = make([]relation.Tuple, 0, len(rows))
+	}
+	for _, t := range rows {
+		if !passes(conds, skip, t) {
 			continue
 		}
 		if len(sel) == cap(sel) {
@@ -146,6 +187,16 @@ func (d *Derivation) Materialize(name string, schema *relation.Schema, src relat
 		sel[i] = row
 	}
 	return relation.FromTuples(name, schema, sel)
+}
+
+// passes reports whether t satisfies every condition but the one at skip.
+func passes(conds []relation.Cond, skip int, t relation.Tuple) bool {
+	for i, c := range conds {
+		if i != skip && !c.Eval(t) {
+			return false
+		}
+	}
+	return true
 }
 
 // ApplyLazy is the derivation as a lazy pipeline: selection on the element

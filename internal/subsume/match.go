@@ -24,7 +24,11 @@ type Candidate struct {
 	// Conds are the residual selections over ext(E)'s columns.
 	Conds []relation.Cond
 	// VarCols maps each available query variable to a column of ext(E)
-	// (after Conds; no projection has been applied).
+	// (after Conds; no projection has been applied). Match fills it; the
+	// Candidate of a whole-query Derivation leaves it nil, and its columns
+	// are the Derivation's OutCols. InterfaceVars, Materialize,
+	// MaterializeLazy and PieceAtom read VarCols, so they are for Match's
+	// candidates only.
 	VarCols map[string]int
 }
 
@@ -113,30 +117,30 @@ func (e *Prepared) Match(q *Prepared, needed map[string]bool) []*Candidate {
 	nb := carve(buf[:], q.nvars)
 	for i, a := range q.Query.Rels {
 		for p, t := range a.Args {
-			if v := q.rels[i][p]; v >= 0 {
+			if v := q.rel(i)[p]; v >= 0 {
 				nb[v] = needed[t.Var]
 			}
 		}
 	}
-	return e.match(q, nb)
-}
-
-// match runs the assignment search; needed is indexed by query variable.
-func (e *Prepared) match(q *Prepared, needed []bool) []*Candidate {
-	ne, nq := len(e.Query.Rels), len(q.Query.Rels)
-	if ne == 0 || ne > nq {
+	if !searchable(e, q) {
 		return nil
 	}
-	var assignBuf [8]int
-	var usedBuf [16]bool
-	s := search{e: e, q: q, needed: needed, assign: carve(assignBuf[:], ne), used: carve(usedBuf[:], nq)}
-	return s.place(0, nil)
+	var sc scratch
+	s := newSearch(e, q, nb, &sc)
+	return s.place(0, nil, &sc)
 }
 
-// carve returns n zeroed elements, from buf when it is large enough.
+// searchable reports whether e has atoms and q at least as many.
+func searchable(e, q *Prepared) bool {
+	ne := len(e.Query.Rels)
+	return ne > 0 && ne <= len(q.Query.Rels)
+}
+
+// carve returns n zeroed elements, from buf when it is large enough, with
+// the capacity cut to n.
 func carve[T any](buf []T, n int) []T {
 	if n <= len(buf) {
-		return buf[:n]
+		return buf[:n:n]
 	}
 	return make([]T, n)
 }
@@ -149,15 +153,32 @@ type search struct {
 	used   []bool // by q atom index
 }
 
+// scratch is stack space for a search and its validations while the queries
+// are small. It is passed down, never stored in the search: a slice of it
+// kept in a struct reached through a pointer would move it to the heap.
+type scratch struct {
+	assign [8]int
+	used   [16]bool
+	bind   [64]int32
+	conds  [8]relation.Cond
+	cmps   [8]int
+}
+
+// newSearch sets up a search over the caller's scratch space.
+func newSearch(e, q *Prepared, needed []bool, sc *scratch) search {
+	return search{e: e, q: q, needed: needed,
+		assign: carve(sc.assign[:], len(e.Query.Rels)), used: carve(sc.used[:], len(q.Query.Rels))}
+}
+
 // place assigns E's atoms from the i-th on and returns out with the
 // candidates found appended. (out is threaded through rather than kept in
 // the struct so that the struct, and the stack buffers behind its slices,
 // never reach the heap.)
-func (s *search) place(i int, out []*Candidate) []*Candidate {
+func (s *search) place(i int, out []*Candidate, sc *scratch) []*Candidate {
 	if i == len(s.assign) {
 		if !s.coverSeen(out) {
-			if cand := validate(s.e, s.q, s.assign, s.needed); cand != nil {
-				out = append(out, cand)
+			if v, ok := validate(s.e, s.q, s.assign, s.needed, sc); ok {
+				out = append(out, v.candidate(s.assign))
 			}
 		}
 		return out
@@ -168,10 +189,31 @@ func (s *search) place(i int, out []*Candidate) []*Candidate {
 			continue
 		}
 		s.assign[i], s.used[qi] = qi, true
-		out = s.place(i+1, out)
+		out = s.place(i+1, out, sc)
 		s.used[qi] = false
 	}
 	return out
+}
+
+// first is place stopped at the first assignment that validates: it leaves
+// that assignment in s.assign and returns its validation.
+func (s *search) first(i int, sc *scratch) (validation, bool) {
+	if i == len(s.assign) {
+		return validate(s.e, s.q, s.assign, s.needed, sc)
+	}
+	ea := s.e.Query.Rels[i]
+	for qi, qa := range s.q.Query.Rels {
+		if s.used[qi] || !atomCompatible(ea, qa) {
+			continue
+		}
+		s.assign[i], s.used[qi] = qi, true
+		v, ok := s.first(i+1, sc)
+		s.used[qi] = false
+		if ok {
+			return v, true
+		}
+	}
+	return validation{}, false
 }
 
 // coverSeen reports whether a candidate in out already covers exactly the
@@ -235,21 +277,33 @@ type binding struct {
 // number, or constTerm with the constant.
 func (b *binding) term(ev int32) (int32, relation.Value) {
 	a, p := b.at[ev], b.pos[ev]
-	if t := b.q.rels[a][p]; t >= 0 {
+	if t := b.q.rel(int(a))[p]; t >= 0 {
 		return t, relation.Value{}
 	}
 	return constTerm, b.q.Query.Rels[a].Args[p].Const
 }
 
-// validate checks a complete assignment and builds the candidate. Nothing
-// reaches the heap until the candidate is certain.
-func validate(e, q *Prepared, assign []int, needed []bool) *Candidate {
+// validation is what validate establishes about one complete assignment:
+// its binding, the residual selections over ext(E), and the query
+// comparisons it accounts for. Its slices live in the caller's scratch while
+// they fit.
+type validation struct {
+	b           binding
+	conds       []relation.Cond
+	coveredCmps []int
+}
+
+// validate checks a complete assignment. Nothing reaches the heap while the
+// queries fit the scratch space; the caller builds what it needs from the
+// validation once the assignment is certain.
+func validate(e, q *Prepared, assign []int, needed []bool, sc *scratch) (validation, bool) {
 	nE, nQ := e.nvars, q.nvars
-	var buf [64]int32
-	scratch := carve(buf[:], 2*nE+3*nQ)
-	b := binding{e: e, q: q,
-		at: scratch[:nE], pos: scratch[nE : 2*nE],
-		nsrc: scratch[2*nE : 2*nE+nQ], first: scratch[2*nE+nQ : 2*nE+2*nQ], col: scratch[2*nE+2*nQ:]}
+	bind := carve(sc.bind[:], 2*nE+3*nQ)
+	v := validation{b: binding{e: e, q: q,
+		at: bind[:nE], pos: bind[nE : 2*nE],
+		nsrc: bind[2*nE : 2*nE+nQ], first: bind[2*nE+nQ : 2*nE+2*nQ], col: bind[2*nE+2*nQ:]},
+		conds: sc.conds[:0], coveredCmps: sc.cmps[:0]}
+	b := &v.b
 	for i := range b.at {
 		b.at[i] = unbound
 	}
@@ -258,7 +312,7 @@ func validate(e, q *Prepared, assign []int, needed []bool) *Candidate {
 	}
 
 	for ei, qi := range assign {
-		for p, ev := range e.rels[ei] {
+		for p, ev := range e.rel(ei) {
 			if ev < 0 {
 				continue // compatibility already checked
 			}
@@ -270,8 +324,8 @@ func validate(e, q *Prepared, assign []int, needed []bool) *Candidate {
 			// ext(E) tuple, so unless Q's terms are the same the element
 			// constrains more than Q asks. Reject.
 			pt, pc := b.term(ev)
-			if qt := q.rels[qi][p]; qt != pt || (qt < 0 && !pc.Equal(q.Query.Rels[qi].Args[p].Const)) {
-				return nil
+			if qt := q.rel(qi)[p]; qt != pt || (qt < 0 && !pc.Equal(q.Query.Rels[qi].Args[p].Const)) {
+				return validation{}, false
 			}
 		}
 	}
@@ -303,23 +357,21 @@ func validate(e, q *Prepared, assign []int, needed []bool) *Candidate {
 			continue
 		}
 		if qv, _ := b.term(ev); qv < 0 || b.nsrc[qv] > 1 {
-			return nil
+			return validation{}, false
 		}
 	}
 	// The selections are emitted in extension-column order, so the candidate
 	// is a function of (element, query): the CMS indexes the first equality
 	// it finds.
-	var condBuf [8]relation.Cond
-	conds := condBuf[:0]
 	for c, ev := range e.head {
 		if ev < 0 || e.headCol[ev] != int32(c) || b.at[ev] == unbound {
 			continue
 		}
 		switch qv, k := b.term(ev); {
 		case qv < 0:
-			conds = append(conds, relation.ColConst(c, relation.OpEq, k))
+			v.conds = append(v.conds, relation.ColConst(c, relation.OpEq, k))
 		case b.nsrc[qv] > 1 && b.first[qv] != ev:
-			conds = append(conds, relation.ColCol(int(e.headCol[b.first[qv]]), relation.OpEq, c))
+			v.conds = append(v.conds, relation.ColCol(int(e.headCol[b.first[qv]]), relation.OpEq, c))
 		}
 	}
 
@@ -328,15 +380,15 @@ func validate(e, q *Prepared, assign []int, needed []bool) *Candidate {
 	// not occurring in the covered atoms are the residual part's concern.)
 	for qv := range b.nsrc {
 		if needed[qv] && b.nsrc[qv] > 0 && b.col[qv] < 0 {
-			return nil
+			return validation{}, false
 		}
 	}
 
 	// Element comparisons must be implied by the query's constraints under
 	// the binding: ext(E) must not exclude tuples Q wants.
-	for k := range e.cmps {
+	for k := range e.Query.Cmps {
 		if !b.elementCmpImplied(k) {
-			return nil
+			return validation{}, false
 		}
 	}
 
@@ -345,9 +397,8 @@ func validate(e, q *Prepared, assign []int, needed []bool) *Candidate {
 	// selections when the columns are available; if a covered-only variable
 	// lacks a column the candidate fails, and comparisons involving
 	// uncovered variables remain the residual query's responsibility.
-	var cmpBuf [8]int
-	coveredCmps := cmpBuf[:0]
-	for ci, qc := range q.cmps {
+	for ci := range q.Query.Cmps {
+		qc := q.cmp(ci)
 		lCov, rCov := qc.l >= 0 && b.nsrc[qc.l] > 0, qc.r >= 0 && b.nsrc[qc.r] > 0
 		if !lCov && !rCov {
 			continue
@@ -358,24 +409,29 @@ func validate(e, q *Prepared, assign []int, needed []bool) *Candidate {
 		if !b.queryCmpImplied(ci) {
 			cond, ok := b.cmpToCond(ci)
 			if !ok {
-				return nil
+				return validation{}, false
 			}
-			conds = append(conds, cond)
+			v.conds = append(v.conds, cond)
 		}
-		coveredCmps = append(coveredCmps, ci)
+		v.coveredCmps = append(v.coveredCmps, ci)
 	}
+	return v, true
+}
 
-	cand := &Candidate{Element: e.Query, Cover: append([]int(nil), assign...), VarCols: make(map[string]int)}
+// candidate builds the Candidate for the validated assignment.
+func (v *validation) candidate(assign []int) *Candidate {
+	q, b := v.b.q, &v.b
+	cand := &Candidate{Element: v.b.e.Query, Cover: append([]int(nil), assign...), VarCols: make(map[string]int)}
 	sort.Ints(cand.Cover)
-	if len(coveredCmps) > 0 {
-		cand.CoveredCmps = append([]int(nil), coveredCmps...)
+	if len(v.coveredCmps) > 0 {
+		cand.CoveredCmps = append([]int(nil), v.coveredCmps...)
 	}
-	if len(conds) > 0 {
-		cand.Conds = append([]relation.Cond(nil), conds...)
+	if len(v.conds) > 0 {
+		cand.Conds = append([]relation.Cond(nil), v.conds...)
 	}
 	for i, a := range q.Query.Rels {
 		for p, t := range a.Args {
-			if v := q.rels[i][p]; v >= 0 && b.col[v] >= 0 {
+			if v := q.rel(i)[p]; v >= 0 && b.col[v] >= 0 {
 				cand.VarCols[t.Var] = int(b.col[v])
 			}
 		}
@@ -387,7 +443,7 @@ func validate(e, q *Prepared, assign []int, needed []bool) *Candidate {
 // binding as a statement about Q's terms, is guaranteed by Q's own
 // constraints.
 func (b *binding) elementCmpImplied(k int) bool {
-	f, args := b.e.cmps[k], b.e.Query.Cmps[k].Args
+	f, args := b.e.cmp(k), b.e.Query.Cmps[k].Args
 	l, lc, lok := b.through(f.l, args[0].Const)
 	r, rc, rok := b.through(f.r, args[1].Const)
 	switch {
@@ -401,8 +457,8 @@ func (b *binding) elementCmpImplied(k int) bool {
 		return b.q.rangeOf(r).Implies(f.op.Flip(), lc)
 	}
 	// var-vs-var: require the same comparison syntactically in Q.
-	for _, qc := range b.q.cmps {
-		if (qc.op == f.op && qc.l == l && qc.r == r) || (qc.op == f.op.Flip() && qc.l == r && qc.r == l) {
+	for k := range b.q.Query.Cmps {
+		if qc := b.q.cmp(k); (qc.op == f.op && qc.l == l && qc.r == r) || (qc.op == f.op.Flip() && qc.l == r && qc.r == l) {
 			return true
 		}
 	}
@@ -438,7 +494,7 @@ func (b *binding) queryCmpImplied(ci int) bool {
 // cmpToCond converts query comparison ci into a selection over the
 // extension's columns.
 func (b *binding) cmpToCond(ci int) (relation.Cond, bool) {
-	f, args := b.q.cmps[ci], b.q.Query.Cmps[ci].Args
+	f, args := b.q.cmp(ci), b.q.Query.Cmps[ci].Args
 	switch {
 	case f.l >= 0 && f.r >= 0:
 		if b.col[f.l] < 0 || b.col[f.r] < 0 {

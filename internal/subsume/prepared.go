@@ -22,17 +22,17 @@ type Prepared struct {
 	// atom then position order: a matcher that walks an element's atoms in
 	// order meets its variables in ascending number.
 	nvars int
-	// rels[i][p] is the term at position p of Query.Rels[i] and head[p] the
-	// term at head position p: a variable number, or constTerm. Names and
-	// constant values stay in the atoms.
-	rels [][]int32
-	head []int32
+	// terms holds the term at every position of Query.Rels, atom after atom
+	// (rel(i) is atom i's), and head[p] the term at head position p: a
+	// variable number, or constTerm. Names and constant values stay in the
+	// atoms. off[i] is where atom i starts in terms; off[len(Rels)] is the end.
+	terms, off, head []int32
 	// headCol is the first head position of each variable, -1 for a variable
 	// the head does not export: the column of the stored extension it can be
 	// read from.
 	headCol []int32
-	// cmps parallels Query.Cmps.
-	cmps []cmpForm
+	// cmps holds Query.Cmps[k] as op, l, r at 3k (see cmp).
+	cmps []int32
 	// ranges holds RangeOf for each variable some var-vs-constant comparison
 	// constrains (few; found by scan).
 	ranges []varRange
@@ -52,10 +52,10 @@ type varRange struct {
 
 var unconstrained Range
 
-// Prepare analyses q. It costs a handful of small allocations; everything
-// derived from it afterwards is read-only.
+// Prepare analyses q. Everything but the ranges of var-vs-constant
+// comparisons is one preparedBlock while its integers fit; everything derived
+// from it afterwards is read-only.
 func Prepare(q *caql.Query) *Prepared {
-	p := &Prepared{Query: q}
 	var names [16]string
 	vars := names[:0]
 	term := func(t logic.Term) int32 {
@@ -70,10 +70,10 @@ func Prepare(q *caql.Query) *Prepared {
 		vars = append(vars, t.Var)
 		return int32(len(vars) - 1)
 	}
-	// First pass numbers the variables, second fills one backing array.
-	n := len(q.Head.Args)
+	// First pass numbers the variables, second fills one block of integers.
+	nterms := 0
 	for _, a := range q.Rels {
-		n += len(a.Args)
+		nterms += len(a.Args)
 		for _, t := range a.Args {
 			term(t)
 		}
@@ -81,23 +81,28 @@ func Prepare(q *caql.Query) *Prepared {
 	for _, t := range q.Head.Args {
 		term(t)
 	}
-	if len(q.Cmps) > 0 {
-		p.cmps = make([]cmpForm, len(q.Cmps))
-		for i, c := range q.Cmps {
-			p.cmps[i] = cmpForm{op: c.CmpOp(), l: term(c.Args[0]), r: term(c.Args[1])}
-		}
+	for _, c := range q.Cmps {
+		term(c.Args[0])
+		term(c.Args[1])
 	}
-	p.nvars = len(vars)
+	nrels, nhead, nvars := len(q.Rels), len(q.Head.Args), len(vars)
 
-	ids := make([]int32, n+p.nvars)
-	p.rels = make([][]int32, len(q.Rels))
+	blk := new(preparedBlock)
+	p, ids := &blk.p, carve(blk.ids[:], nterms+nrels+1+nhead+nvars+3*len(q.Cmps))
+	p.Query, p.nvars = q, nvars
+	p.terms, ids = ids[:nterms], ids[nterms:]
+	p.off, ids = ids[:nrels+1], ids[nrels+1:]
+	p.head, ids = ids[:nhead], ids[nhead:]
+	p.headCol, p.cmps = ids[:nvars], ids[nvars:]
+	k := 0
 	for i, a := range q.Rels {
-		p.rels[i], ids = ids[:len(a.Args)], ids[len(a.Args):]
-		for j, t := range a.Args {
-			p.rels[i][j] = term(t)
+		p.off[i] = int32(k)
+		for _, t := range a.Args {
+			p.terms[k] = term(t)
+			k++
 		}
 	}
-	p.head, p.headCol = ids[:len(q.Head.Args)], ids[len(q.Head.Args):]
+	p.off[nrels] = int32(k)
 	for i := range p.headCol {
 		p.headCol[i] = -1
 	}
@@ -108,8 +113,11 @@ func Prepare(q *caql.Query) *Prepared {
 			p.headCol[v] = int32(i)
 		}
 	}
+	for i, c := range q.Cmps {
+		p.cmps[3*i], p.cmps[3*i+1], p.cmps[3*i+2] = int32(c.CmpOp()), term(c.Args[0]), term(c.Args[1])
+	}
 
-	for k := range p.cmps {
+	for k := range q.Cmps {
 		if v, _, _, ok := p.varConst(k); ok && p.rangeOf(v) == &unconstrained {
 			p.ranges = append(p.ranges, varRange{v, RangeOf(vars[v], q.Cmps)})
 		}
@@ -117,10 +125,28 @@ func Prepare(q *caql.Query) *Prepared {
 	return p
 }
 
+// preparedBlock is a Prepared and the integers its slices are carved from, in
+// one allocation. The benchmark workloads' queries need 5 to 20 integers
+// (ie_ask 5–8, caql_cold 9–20, write_mix 17); a query that needs more than 24
+// takes a second allocation for them.
+type preparedBlock struct {
+	p   Prepared
+	ids [24]int32
+}
+
+// rel returns the terms of relational atom i.
+func (p *Prepared) rel(i int) []int32 { return p.terms[p.off[i]:p.off[i+1]] }
+
+// cmp returns comparison k.
+func (p *Prepared) cmp(k int) cmpForm {
+	c := p.cmps[3*k : 3*k+3]
+	return cmpForm{op: relation.CmpOp(c[0]), l: c[1], r: c[2]}
+}
+
 // varConst reads comparison k as "variable op constant", flipping it when the
 // constant is written first; ok is false for any other shape.
 func (p *Prepared) varConst(k int) (v int32, op relation.CmpOp, c relation.Value, ok bool) {
-	f, args := p.cmps[k], p.Query.Cmps[k].Args
+	f, args := p.cmp(k), p.Query.Cmps[k].Args
 	switch {
 	case f.l >= 0 && f.r < 0:
 		return f.l, f.op, args[1].Const, true
@@ -183,16 +209,16 @@ func mayDerive(e, q *caql.Query, pe, pq *Prepared) bool {
 // cmpsHoldAt reports whether, with e's atom i laid over q's atom j, q implies
 // every var-vs-constant comparison e makes on a variable of that atom.
 func (e *Prepared) cmpsHoldAt(i int, q *Prepared, j int) bool {
-	for k := range e.cmps {
+	for k := range e.Query.Cmps {
 		v, op, c, ok := e.varConst(k)
 		if !ok {
 			continue
 		}
-		for p, t := range e.rels[i] {
+		for p, t := range e.rel(i) {
 			if t != v {
 				continue
 			}
-			if qt := q.rels[j][p]; qt >= 0 {
+			if qt := q.rel(j)[p]; qt >= 0 {
 				if !q.rangeOf(qt).Implies(op, c) {
 					return false
 				}

@@ -97,3 +97,49 @@ func TestNoAllocatesNothing(t *testing.T) {
 		t.Fatalf("shapes exercise too little: %d pairs accepted, %d refused", accepted, refused)
 	}
 }
+
+// Saying yes costs one allocation each for the shapes the cache sees: Prepare
+// holds its integers in the Prepared, and a whole-query derivation carves
+// its candidate and slices from one block.
+func TestPrepareAndDeriveFullAllocateOnce(t *testing.T) {
+	for _, tc := range []struct{ e, q string }{
+		{"all(S, P, Q) :- shipment(S, P, Q)", "q(P, Q) :- shipment(7, P, Q)"},
+		{`e(X, Y, Z) :- b3(X, Y, Z)`, `q(X, Z) :- b3(X, "a", Z) & X >= 3`},
+		{"sib(X, Y) :- parent(P, X) & parent(P, Y) & X != Y", `q(Y) :- parent(P, "p1") & parent(P, Y) & "p1" != Y`},
+	} {
+		e, q := caql.MustParse(tc.e), caql.MustParse(tc.q)
+		pe := Prepare(e)
+		if n := testing.AllocsPerRun(20, func() { Prepare(e) }); n != 1 {
+			t.Errorf("Prepare(%s) allocates %v, want 1", e, n)
+		}
+		pq := Prepare(q)
+		if _, ok := pe.DeriveFull(pq); !ok {
+			t.Fatalf("%s does not derive %s", e, q)
+		}
+		if n := testing.AllocsPerRun(20, func() { pe.DeriveFull(pq) }); n != 1 {
+			t.Errorf("DeriveFull(%s, %s) allocates %v, want 1", e, q, n)
+		}
+	}
+}
+
+// A preparedBlock holds 24 integers: a query that needs 24 is one allocation,
+// one that needs 25 takes a second for its integers.
+func TestPrepareBlockBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		q      string
+		ints   int
+		allocs float64
+	}{
+		{"q(A, B, C, D, E, F, G, A) :- r(A, B, C, D, E, F, G)", 24, 1},
+		{"q(A, B, C, D, E, F, G, A, B) :- r(A, B, C, D, E, F, G)", 25, 2},
+	} {
+		q := caql.MustParse(tc.q)
+		p := Prepare(q)
+		if n := len(p.terms) + len(p.off) + len(p.head) + len(p.headCol) + len(p.cmps); n != tc.ints {
+			t.Fatalf("Prepare(%s) needs %d integers, want %d", q, n, tc.ints)
+		}
+		if n := testing.AllocsPerRun(20, func() { Prepare(q) }); n != tc.allocs {
+			t.Errorf("Prepare(%s) allocates %v, want %v", q, n, tc.allocs)
+		}
+	}
+}

@@ -179,16 +179,29 @@ func TestMaterializeMatchesApplyInFewAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := d.Materialize("q", want.Schema(), ext.Iter())
+		got := d.Materialize("q", want.Schema(), ext.Tuples(), -1)
 		if !slices.EqualFunc(got.Tuples(), ref.Tuples(), relation.Tuple.Equal) || !got.EqualAsBag(want) {
 			t.Fatalf("%s: Materialize gave %d rows, Apply %d, Eval %d", tc.q, got.Len(), ref.Len(), want.Len())
+		}
+		// An index lookup that applied condition k hands over only the rows
+		// satisfying it; every other condition must still be evaluated.
+		for k, c := range d.Candidate.Conds {
+			var rows []relation.Tuple
+			for _, row := range ext.Tuples() {
+				if c.Eval(row) {
+					rows = append(rows, row)
+				}
+			}
+			if got := d.Materialize("q", want.Schema(), rows, k); !slices.EqualFunc(got.Tuples(), ref.Tuples(), relation.Tuple.Equal) {
+				t.Fatalf("%s: Materialize skipping condition %d gave %d rows, Apply %d", tc.q, k, got.Len(), ref.Len())
+			}
 		}
 		n := got.Len()
 		bound := 3
 		for 1<<(bound-3) < n {
 			bound++
 		}
-		allocs := testing.AllocsPerRun(20, func() { d.Materialize("q", want.Schema(), ext.Iter()) })
+		allocs := testing.AllocsPerRun(20, func() { d.Materialize("q", want.Schema(), ext.Tuples(), -1) })
 		if allocs > float64(bound) {
 			t.Fatalf("%s: %.0f allocations for %d rows, want at most ⌈log₂ n⌉ + 3 = %d", tc.q, allocs, n, bound)
 		}
@@ -382,7 +395,20 @@ func TestDerivationSoundnessRandom(t *testing.T) {
 		if _, ok := DeriveFull(e, e.Clone()); !ok {
 			t.Fatalf("self-derivation failed for %s", e)
 		}
-		d, ok := DeriveFull(e, q)
+		// The one-block build decides and derives exactly as Match-then-build,
+		// also with q's atoms in the other order (an unsorted assignment).
+		pe := Prepare(e)
+		rev := q.Clone()
+		slices.Reverse(rev.Rels)
+		for _, qq := range []*caql.Query{rev, q} {
+			pq := Prepare(qq)
+			got, _ := pe.DeriveFull(pq)
+			ref, _ := referenceDeriveFull(pe, pq)
+			if diff := sameDerivation(got, ref); diff != "" {
+				t.Fatalf("trial %d: DeriveFull departs from the reference: %s\nE: %s\nQ: %s", trial, diff, e, qq)
+			}
+		}
+		d, ok := pe.DeriveFull(Prepare(q))
 		if !ok {
 			continue
 		}
@@ -403,7 +429,7 @@ func TestDerivationSoundnessRandom(t *testing.T) {
 			t.Fatalf("trial %d unsound derivation:\nE: %s\nQ: %s\ngot %v\nwant %v",
 				trial, e, q, relation.DistinctRel(got).Sort(), relation.DistinctRel(want).Sort())
 		}
-		if mat := d.Materialize("q", want.Schema(), ext.Iter()); !slices.EqualFunc(mat.Tuples(), got.Tuples(), relation.Tuple.Equal) {
+		if mat := d.Materialize("q", want.Schema(), ext.Tuples(), -1); !slices.EqualFunc(mat.Tuples(), got.Tuples(), relation.Tuple.Equal) {
 			t.Fatalf("trial %d: Materialize differs from Apply:\nE: %s\nQ: %s\ngot %v\nwant %v", trial, e, q, mat, got)
 		}
 	}
