@@ -39,8 +39,8 @@ import (
 type Config struct {
 	// Sessions is the number of concurrent sessions replaying the workload.
 	Sessions int
-	// QueriesPerSession is how many queries each session issues (the shared
-	// sequence is cycled).
+	// QueriesPerSession is how many queries each session issues per round
+	// (the shared sequence is cycled).
 	QueriesPerSession int
 	// Seed seeds every deterministic stream (per-session rngs, fault stream).
 	Seed int64
@@ -100,6 +100,22 @@ type Result struct {
 	UntypedErrors []string
 	// Drained is the total number of tuples pulled from answer streams.
 	Drained int64
+	// rounds is how many rounds of sessions the storm took to fire every
+	// fault class (at most maxRounds).
+	rounds int
+}
+
+// maxRounds caps the rounds Run replays the session sequence for. A round is
+// Sessions sessions of QueriesPerSession queries each, over an emptied
+// cache; Run starts another while some fault class the soak must exercise
+// (transport error or drop, panic, cancel or deadline) has not fired, since
+// how many queries reach the remote, and which land inside a deadline,
+// depends on how the host schedules the sessions.
+const maxRounds = 8
+
+// fired reports whether every fault class the soak must exercise has fired.
+func fired(f remotedb.FaultCounts, s bridge.SourceStats) bool {
+	return f.Errors+f.Drops > 0 && f.Panics > 0 && s.Canceled+s.DeadlineExceeded > 0
 }
 
 // chaosAdvice is the Example 1 advice shape over the chain workload — the
@@ -166,51 +182,59 @@ func Run(cfg Config) (Result, error) {
 			res.UntypedErrors = append(res.UntypedErrors[:16], "...")
 		}
 	}
-	for i := 0; i < cfg.Sessions; i++ {
-		wg.Add(1)
-		go func(sid int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(sid)*7919))
-			s := cms.BeginSession(advice.MustParse(chaosAdvice)).(*cache.Session)
-			defer s.End()
-			for n := 0; n < cfg.QueriesPerSession; n++ {
-				q := seq[n%len(seq)]
-				base, cancel := context.WithCancel(context.Background())
-				ctx, cleanup := base, context.CancelFunc(func() {})
-				if rng.Float64() < cfg.DeadlineRate {
-					ctx, cleanup = context.WithTimeout(base, cfg.Deadline)
-				}
-				var racer sync.WaitGroup
-				if rng.Float64() < cfg.CancelRate {
-					delay := time.Duration(rng.Intn(400)) * time.Microsecond
-					racer.Add(1)
-					go func() {
-						defer racer.Done()
-						time.Sleep(delay)
-						cancel()
-					}()
-				}
-				stream, err := s.QueryCtx(ctx, q)
-				if err != nil {
-					if untypedCtxErr(err) {
-						noteUntyped("dispatch", err)
-					}
-				} else {
-					rows, derr := stream.DrainErr("out")
-					mu.Lock()
-					res.Drained += int64(rows.Len())
-					mu.Unlock()
-					if derr != nil && untypedCtxErr(derr) {
-						noteUntyped("drain", derr)
-					}
-				}
-				racer.Wait()
-				cleanup()
-				cancel()
+	session := func(sid int, seed int64) {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(seed + int64(sid)*7919))
+		s := cms.BeginSession(advice.MustParse(chaosAdvice)).(*cache.Session)
+		defer s.End()
+		for n := 0; n < cfg.QueriesPerSession; n++ {
+			q := seq[n%len(seq)]
+			base, cancel := context.WithCancel(context.Background())
+			ctx, cleanup := base, context.CancelFunc(func() {})
+			if rng.Float64() < cfg.DeadlineRate {
+				ctx, cleanup = context.WithTimeout(base, cfg.Deadline)
 			}
-		}(i)
+			var racer sync.WaitGroup
+			if rng.Float64() < cfg.CancelRate {
+				delay := time.Duration(rng.Intn(400)) * time.Microsecond
+				racer.Add(1)
+				go func() {
+					defer racer.Done()
+					time.Sleep(delay)
+					cancel()
+				}()
+			}
+			stream, err := s.QueryCtx(ctx, q)
+			if err != nil {
+				if untypedCtxErr(err) {
+					noteUntyped("dispatch", err)
+				}
+			} else {
+				rows, derr := stream.DrainErr("out")
+				mu.Lock()
+				res.Drained += int64(rows.Len())
+				mu.Unlock()
+				if derr != nil && untypedCtxErr(derr) {
+					noteUntyped("drain", derr)
+				}
+			}
+			racer.Wait()
+			cleanup()
+			cancel()
+		}
 	}
-	wg.Wait()
+	for ; res.rounds < maxRounds && (res.rounds == 0 || !fired(fault.Counts(), cms.Stats())); res.rounds++ {
+		// Each round starts cold, so its queries reach the faulty remote again
+		// instead of answering from what the previous round cached.
+		for _, el := range cms.Manager().Elements() {
+			cms.Manager().Remove(el)
+		}
+		wg.Add(cfg.Sessions)
+		for i := 0; i < cfg.Sessions; i++ {
+			go session(i, cfg.Seed+int64(res.rounds)*104729)
+		}
+		wg.Wait()
+	}
 	res.Elapsed = time.Since(started)
 	res.Stats = cms.Stats()
 	res.Faults = fault.Counts()
@@ -244,19 +268,36 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// probe runs a plain query on a fresh session with a generous deadline; it
-// fails if the CMS is wedged.
+// probe runs a plain query on a fresh session with a generous deadline and
+// fails unless some attempt drains without error. The remote still injects
+// faults, so a failed attempt is retried while the deadline allows; a wedged
+// CMS (a shard lock left held) or one that fails every query (a leaked
+// admission slot, a poisoned session registry) never gets a clean answer, and
+// the probe reports the last error an attempt got before the deadline.
 func probe(cms *cache.CMS) error {
 	s := cms.BeginSession(advice.MustParse(chaosAdvice)).(*cache.Session)
 	defer s.End()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	stream, err := s.QueryCtx(ctx, caql.MustParse(`d1(Y) :- b1("c1", Y)`))
-	if err != nil {
-		return err
+	q := caql.MustParse(`d1(Y) :- b1("c1", Y)`)
+	var last error
+	for {
+		stream, err := s.QueryCtx(ctx, q)
+		if err == nil {
+			_, err = stream.DrainErr("out")
+		}
+		if err == nil {
+			return nil
+		}
+		if ctx.Err() != nil {
+			if last != nil {
+				return fmt.Errorf("no clean answer within the deadline: %w", last)
+			}
+			return err
+		}
+		last = err
+		time.Sleep(time.Millisecond)
 	}
-	_, err = stream.DrainErr("out")
-	return err
 }
 
 // untypedCtxErr reports whether err is cancellation-related but carries no

@@ -26,7 +26,8 @@ func fnvUint64(h uint64, v uint64) uint64 {
 }
 
 // hashInto folds the value into a running FNV-1a hash, consistent with Equal:
-// numerically equal int/float values fold identically, −0 and +0 included.
+// numerically equal int/float values fold identically, −0 and +0 included,
+// and so does every NaN.
 func (v Value) hashInto(h uint64) uint64 {
 	switch v.Kind() {
 	case KindNull:

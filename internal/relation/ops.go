@@ -133,52 +133,12 @@ type JoinCond struct {
 }
 
 // HashJoin performs an equi-join of two inputs. The right input is drained
-// eagerly into a hash table (build side, 64-bit-hash keyed with equality
-// verification on probe); the left side streams (probe side), so the join is
-// lazy in its left input. Output tuples are the concatenation left ++ right,
-// allocated from a shared arena.
+// eagerly into a one-partition PartitionedTable (the build side); the left
+// side streams through its probe, so the join is lazy in its left input.
+// Output tuples are the concatenation left ++ right, allocated from a shared
+// arena.
 func HashJoin(left, right Iterator, conds []JoinCond) Iterator {
-	rightCols := make([]int, len(conds))
-	leftCols := make([]int, len(conds))
-	for i, c := range conds {
-		leftCols[i] = c.Left
-		rightCols[i] = c.Right
-	}
-	table := make(map[uint64][]Tuple)
-	for {
-		t, ok := right.Next()
-		if !ok {
-			break
-		}
-		h := t.Hash64On(rightCols)
-		table[h] = append(table[h], t)
-	}
-	var (
-		arena   tupleArena
-		cur     Tuple
-		matches []Tuple
-		idx     int
-	)
-	return IteratorFunc(func() (Tuple, bool) {
-		for {
-			for idx < len(matches) {
-				r := matches[idx]
-				idx++
-				// Verify the join columns: bucket membership only means the
-				// hashes collided.
-				if equalOn(cur, leftCols, r, rightCols) {
-					return arena.concat(cur, r), true
-				}
-			}
-			t, ok := left.Next()
-			if !ok {
-				return nil, false
-			}
-			cur = t
-			matches = table[t.Hash64On(leftCols)]
-			idx = 0
-		}
-	})
+	return NewPartitionedTable(right, conds, 1).Probe(left)
 }
 
 // NestedLoopJoin performs a theta-join with arbitrary conditions evaluated

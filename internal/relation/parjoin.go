@@ -1,112 +1,72 @@
 package relation
 
-// Partitioned hash-join build for parallel executors. The classic HashJoin
-// builds one map on the calling goroutine; at higher degrees of parallelism
-// the build becomes the serial fraction. PartitionedTable splits the build
-// side by join-key hash into P partitions whose per-partition tables can be
-// built by P goroutines with no shared state — each BuildPart touches only
-// its own partition — and is strictly read-only afterwards, so any number of
-// workers probe concurrently without a lock. Probe iterators carry their own
-// tupleArena, preserving the per-consumer allocation discipline of HashJoin.
-
-// hashedTuple stages a build-side tuple with its join-key hash so the
-// partitioning pass hashes exactly once.
-type hashedTuple struct {
-	h uint64
-	t Tuple
-}
+// Hash-join build tables. A PartitionedTable drains an equi-join's build side
+// into P partitions keyed by the 64-bit hash of the join columns, and is
+// read-only afterwards, so any number of goroutines probe it without a lock,
+// each probe iterator allocating its outputs from its own tupleArena. HashJoin
+// builds one partition; a parallel executor's join builds one per worker.
 
 // PartitionedTable is a hash-partitioned equi-join build table.
-//
-// Lifecycle: Add every build-side tuple (single goroutine), then BuildPart
-// for every partition index (one call per partition, calls may run on
-// different goroutines), then Probe freely from any number of goroutines.
 type PartitionedTable struct {
 	leftCols  []int // probe-side join columns
 	rightCols []int // build-side join columns
-	staged    [][]hashedTuple
-	tables    []map[uint64][]Tuple
-	rows      int
+	parts     []map[uint64][]Tuple
 }
 
-// NewPartitionedTable returns an empty build table with `parts` partitions
-// (<= 0 is clamped to 1) for the given equi-join conditions.
-func NewPartitionedTable(conds []JoinCond, parts int) *PartitionedTable {
-	if parts < 1 {
-		parts = 1
-	}
-	pt := &PartitionedTable{
-		leftCols:  make([]int, len(conds)),
-		rightCols: make([]int, len(conds)),
-		staged:    make([][]hashedTuple, parts),
-		tables:    make([]map[uint64][]Tuple, parts),
-	}
+// NewPartitionedTable drains build into a table of `parts` partitions (<= 0
+// is clamped to 1) for the given equi-join conditions. A build iterator that
+// stops early (a cancellation checkpoint, say) leaves a table of what it
+// delivered.
+func NewPartitionedTable(build Iterator, conds []JoinCond, parts int) *PartitionedTable {
+	parts = max(parts, 1)
+	cols := make([]int, 2*len(conds))
+	pt := &PartitionedTable{leftCols: cols[:len(conds)], rightCols: cols[len(conds):],
+		parts: make([]map[uint64][]Tuple, parts)}
 	for i, c := range conds {
-		pt.leftCols[i] = c.Left
-		pt.rightCols[i] = c.Right
+		pt.leftCols[i], pt.rightCols[i] = c.Left, c.Right
+	}
+	for i := range pt.parts {
+		pt.parts[i] = make(map[uint64][]Tuple)
+	}
+	for t, ok := build.Next(); ok; t, ok = build.Next() {
+		h := t.Hash64On(pt.rightCols)
+		p := pt.parts[h%uint64(parts)]
+		p[h] = append(p[h], t)
 	}
 	return pt
 }
 
-// Add stages one build-side tuple into its hash partition. Not safe for
-// concurrent use; the build side is drained by a single goroutine.
-func (pt *PartitionedTable) Add(t Tuple) {
-	h := t.Hash64On(pt.rightCols)
-	p := int(h % uint64(len(pt.staged)))
-	pt.staged[p] = append(pt.staged[p], hashedTuple{h: h, t: t})
-	pt.rows++
-}
-
-// Parts returns the partition count.
-func (pt *PartitionedTable) Parts() int { return len(pt.staged) }
-
-// Rows returns the number of staged build-side tuples.
-func (pt *PartitionedTable) Rows() int { return pt.rows }
-
-// BuildPart constructs partition i's hash table. Distinct partitions share
-// nothing, so BuildPart(0..Parts-1) may run concurrently — but each index
-// must be built exactly once, and all of them before any Probe.
-func (pt *PartitionedTable) BuildPart(i int) {
-	staged := pt.staged[i]
-	m := make(map[uint64][]Tuple, len(staged))
-	for _, ht := range staged {
-		m[ht.h] = append(m[ht.h], ht.t)
-	}
-	pt.tables[i] = m
-	pt.staged[i] = nil // the staging buffer is dead weight once the map exists
-}
-
 // Probe returns a streaming probe iterator over left: for each probe tuple
-// it emits one concatenated output per build tuple agreeing on the join
-// columns (bucket membership is verified with Equal, so hash collisions cost
-// a comparison, never correctness). The table must be fully built; probe
-// iterators are independent and safe to run on concurrent goroutines, each
-// allocating outputs from its own arena.
+// it emits one concatenation left ++ right per build tuple agreeing on the
+// join columns (bucket membership is verified with Equal, so hash collisions
+// cost a comparison, never correctness). Probe iterators are independent and
+// safe to run on concurrent goroutines.
 func (pt *PartitionedTable) Probe(left Iterator) Iterator {
-	parts := uint64(len(pt.tables))
-	var (
-		arena   tupleArena
-		cur     Tuple
-		matches []Tuple
-		idx     int
-	)
-	return IteratorFunc(func() (Tuple, bool) {
-		for {
-			for idx < len(matches) {
-				r := matches[idx]
-				idx++
-				if equalOn(cur, pt.leftCols, r, pt.rightCols) {
-					return arena.concat(cur, r), true
-				}
+	return &probeIter{pt: pt, left: left}
+}
+
+type probeIter struct {
+	pt      *PartitionedTable
+	left    Iterator
+	arena   tupleArena
+	cur     Tuple
+	matches []Tuple // cur's bucket, not yet verified
+}
+
+func (p *probeIter) Next() (Tuple, bool) {
+	for {
+		for len(p.matches) > 0 {
+			r := p.matches[0]
+			p.matches = p.matches[1:]
+			if equalOn(p.cur, p.pt.leftCols, r, p.pt.rightCols) {
+				return p.arena.concat(p.cur, r), true
 			}
-			t, ok := left.Next()
-			if !ok {
-				return nil, false
-			}
-			cur = t
-			h := t.Hash64On(pt.leftCols)
-			matches = pt.tables[h%parts][h]
-			idx = 0
 		}
-	})
+		t, ok := p.left.Next()
+		if !ok {
+			return nil, false
+		}
+		h := t.Hash64On(p.pt.leftCols)
+		p.cur, p.matches = t, p.pt.parts[h%uint64(len(p.pt.parts))][h]
+	}
 }

@@ -102,21 +102,22 @@ func (r *Relation) Sort() *Relation {
 	return r
 }
 
-// SortBy orders the tuples by the given columns in place and returns r.
+// SortBy orders the tuples stably by the given columns in place and returns
+// r.
 func (r *Relation) SortBy(cols []int) *Relation {
-	sort.SliceStable(r.tuples, func(i, j int) bool {
-		a, b := r.tuples[i], r.tuples[j]
-		for _, c := range cols {
-			switch a[c].Compare(b[c]) {
-			case -1:
-				return true
-			case 1:
-				return false
-			}
-		}
-		return false
-	})
+	sort.SliceStable(r.tuples, func(i, j int) bool { return compareOn(r.tuples[i], r.tuples[j], cols) < 0 })
 	return r
+}
+
+// compareOn orders a and b by cols: the first column on which they differ
+// decides.
+func compareOn(a, b Tuple, cols []int) int {
+	for _, c := range cols {
+		if d := a[c].Compare(b[c]); d != 0 {
+			return d
+		}
+	}
+	return 0
 }
 
 // EqualAsSet reports whether r and o contain the same set of tuples,

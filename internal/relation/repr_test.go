@@ -17,8 +17,9 @@ func TestValueIsTwoWords(t *testing.T) {
 }
 
 // refValue is the five-field layout Value had before it became two words,
-// with the semantics it had then. It exists so that FuzzValueOrder can hold
-// the packed representation to a plain one that needs no unsafe.
+// with the semantics Value has: NaN equals NaN and sorts after every other
+// number. It exists so that FuzzValueOrder can hold the packed representation
+// to a plain one that needs no unsafe.
 type refValue struct {
 	kind Kind
 	i    int64
@@ -41,7 +42,7 @@ func (v refValue) equal(o refValue) bool {
 		if v.kind == KindInt && o.kind == KindInt {
 			return v.i == o.i
 		}
-		return v.asFloat() == o.asFloat()
+		return sameFloat(v.asFloat(), o.asFloat())
 	}
 	if v.kind != o.kind {
 		return false
@@ -82,19 +83,26 @@ func (v refValue) compare(o refValue) int {
 			return sign(v.i < o.i, v.i > o.i)
 		}
 		a, b := v.asFloat(), o.asFloat()
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return sign(!math.IsNaN(a), !math.IsNaN(b))
+		}
 		return sign(a < b, a > b)
 	default:
 		return strings.Compare(v.s, o.s)
 	}
 }
 
-// numericKey is asFloat with −0 read as +0: Equal says they are equal, so
-// Hash and Key must not tell them apart.
+// numericKey is asFloat with −0 read as +0 and any NaN as math.NaN(): Equal
+// says they are equal, so Hash and Key must not tell them apart.
 func (v refValue) numericKey() float64 {
-	if f := v.asFloat(); f != 0 {
-		return f
+	f := v.asFloat()
+	switch {
+	case f == 0:
+		return 0
+	case math.IsNaN(f):
+		return math.NaN()
 	}
-	return 0
+	return f
 }
 
 func (v refValue) hash() uint64 {
@@ -204,7 +212,8 @@ func agrees(r refValue, v Value) string {
 // Compare, Hash, Key, String and ParseValue(String()) must agree, for any two
 // values whose strings are windows on one backing array — what decodeBatch
 // hands out, and the case where pointer identity and string equality part.
-// Two values Equal calls equal must also share Hash and Key.
+// Compare must return 0 exactly when Equal holds, and two values Equal calls
+// equal must also share Hash and Key.
 func FuzzValueOrder(f *testing.F) {
 	f.Add(uint8(0), uint8(0), int64(0), int64(0), 0.0, 0.0, "", uint8(0), uint8(0), uint8(0), uint8(0))  // null, null
 	f.Add(uint8(4), uint8(4), int64(1), int64(0), 0.0, 0.0, "", uint8(0), uint8(0), uint8(0), uint8(0))  // true, false
@@ -273,6 +282,9 @@ func FuzzValueOrder(f *testing.F) {
 		}
 		// Hash and index paths find a value by Hash and Key, the select path
 		// by Equal; they agree only if Equal values share both.
+		if va.Equal(vb) != (va.Compare(vb) == 0) {
+			t.Fatalf("%v Equal %v = %v, but Compare = %d", ra, rb, va.Equal(vb), va.Compare(vb))
+		}
 		if va.Equal(vb) && (va.Hash() != vb.Hash() || va.Key() != vb.Key()) {
 			t.Fatalf("%v Equal %v, but Hash %x/%x, Key %q/%q", ra, rb, va.Hash(), vb.Hash(), va.Key(), vb.Key())
 		}

@@ -55,13 +55,8 @@ type topNItem struct {
 // topNBefore reports whether a precedes b in the stable ascending order by
 // cols (column comparison first, encounter order breaking ties).
 func topNBefore(a, b topNItem, cols []int) bool {
-	for _, c := range cols {
-		switch a.t[c].Compare(b.t[c]) {
-		case -1:
-			return true
-		case 1:
-			return false
-		}
+	if d := compareOn(a.t, b.t, cols); d != 0 {
+		return d < 0
 	}
 	return a.seq < b.seq
 }

@@ -167,15 +167,17 @@ func (v Value) AsBool() bool { return v.p == tag(KindBool) && v.n != 0 }
 // IsNumeric reports whether the value is an int or float.
 func (v Value) IsNumeric() bool { return v.p == tag(KindInt) || v.p == tag(KindFloat) }
 
-// Equal reports whether two values are equal. Ints and floats compare
-// numerically across kinds; null equals only null.
+// Equal reports whether two values are equal: exactly when Compare returns
+// 0. Ints and floats compare numerically across kinds, NaN equals NaN (as in
+// PostgreSQL), and null equals only null.
 func (v Value) Equal(o Value) bool {
 	vk, ok := v.Kind(), o.Kind()
 	switch {
 	case vk == KindInt && ok == KindInt:
 		return v.n == o.n
 	case v.IsNumeric() && o.IsNumeric():
-		return v.AsFloat() == o.AsFloat()
+		a, b := v.AsFloat(), o.AsFloat()
+		return a == b || (a != a && b != b)
 	case vk != ok:
 		return false
 	case vk == KindString:
@@ -187,7 +189,8 @@ func (v Value) Equal(o Value) bool {
 
 // Compare returns -1, 0, or +1 ordering v relative to o. The total order is:
 // null < bool (false<true) < numeric < string; numerics compare numerically
-// across int/float.
+// across int/float, and NaN sorts after every other number (as in
+// PostgreSQL), so sorts, TopN, DISTINCT and GROUP BY all see one NaN.
 func (v Value) Compare(o Value) int {
 	vk, ok := v.Kind(), o.Kind()
 	if vr, or := vk.rank(), ok.rank(); vr != or {
@@ -204,11 +207,11 @@ func (v Value) Compare(o Value) int {
 		}
 		a, b := v.AsFloat(), o.AsFloat()
 		switch {
-		case a < b:
+		case a < b || (b != b && a == a):
 			return -1
-		case a > b:
+		case a > b || (a != a && b == b):
 			return 1
-		default: // equal, or a NaN on either side
+		default: // equal, or both NaN
 			return 0
 		}
 	default: // string
@@ -233,8 +236,8 @@ func (k Kind) rank() int {
 func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
 
 // Hash returns a 64-bit hash of the value, consistent with Equal (numerically
-// equal int/float values, −0 and +0 among them, hash identically). It
-// allocates nothing.
+// equal int/float values, −0 and +0 among them, hash identically, as do all
+// NaNs). It allocates nothing.
 func (v Value) Hash() uint64 {
 	return v.hashInto(fnvOffset64)
 }
@@ -268,13 +271,18 @@ func (v Value) AppendString(dst []byte) []byte {
 	}
 }
 
-// numericKey is AsFloat with −0 folded into +0: the number Hash and Key know
-// a numeric value by, so that values Equal calls equal share both.
+// numericKey is AsFloat with −0 folded into +0 and every NaN payload into
+// one: the number Hash and Key know a numeric value by, so that values Equal
+// calls equal share both.
 func (v Value) numericKey() float64 {
-	if f := v.AsFloat(); f != 0 {
+	switch f := v.AsFloat(); {
+	case f == 0:
+		return 0
+	case f != f:
+		return math.NaN()
+	default:
 		return f
 	}
-	return 0
 }
 
 // Key returns a string usable as a map key, consistent with Equal.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -46,7 +47,7 @@ func TestValueEqualCrossNumeric(t *testing.T) {
 }
 
 func TestValueCompareTotalOrder(t *testing.T) {
-	ordered := []Value{Null(), Bool(false), Bool(true), Int(-5), Float(-1.5), Int(0), Float(2.5), Int(3), Str(""), Str("a"), Str("b")}
+	ordered := []Value{Null(), Bool(false), Bool(true), Int(-5), Float(-1.5), Int(0), Float(2.5), Int(3), Float(math.Inf(1)), Float(math.NaN()), Str(""), Str("a"), Str("b")}
 	for i := range ordered {
 		for j := range ordered {
 			got := ordered[i].Compare(ordered[j])
@@ -82,6 +83,9 @@ func randomValue(r *rand.Rand) Value {
 	case 1:
 		return Int(int64(r.Intn(20) - 10))
 	case 2:
+		if r.Intn(10) == 0 {
+			return Float(math.NaN())
+		}
 		return Float(float64(r.Intn(20)-10) / 2)
 	case 3:
 		return Str(string(rune('a' + r.Intn(5))))

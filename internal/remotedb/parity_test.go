@@ -84,6 +84,13 @@ var parityCorpus = []parityCase{
 // 300 rows) -> cu (customers, 20) -> re (regions, 4).
 func newParityEngine(t *testing.T, indexed bool) *Engine {
 	t.Helper()
+	return loadParityEngine(t, indexed, 300)
+}
+
+// loadParityEngine is newParityEngine with poRows orders; order i is the
+// same whatever poRows is.
+func loadParityEngine(t *testing.T, indexed bool, poRows int) *Engine {
+	t.Helper()
 	e := NewEngine()
 	mustExec := func(sql string) {
 		t.Helper()
@@ -102,7 +109,7 @@ func newParityEngine(t *testing.T, indexed bool) *Engine {
 	mustExec("CREATE TABLE po (id INT, cust INT, grp INT, amt FLOAT)")
 	var po []string
 	rng := uint64(42)
-	for i := 0; i < 300; i++ {
+	for i := 0; i < poRows; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		cust := int(rng>>33) % 20
 		grp := int(rng>>21) % 5

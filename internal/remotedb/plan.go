@@ -305,7 +305,7 @@ func (e *Engine) explainAnalyzeSelect(ctx context.Context, sel *SelectStmt) (*re
 	if ps.DOP() > 1 {
 		// Per-worker actuals: skewed partitions show up here as unbalanced
 		// rows/ops across workers, which node-level wall time cannot reveal.
-		lines = append(lines, ps.par.workerLines()...)
+		lines = append(lines, ps.run.par.workerLines()...)
 	}
 	lines = append(lines, p.explainAnalyze(ps.run)...)
 	return planLinesRelation(lines), ps.Ops(), nil

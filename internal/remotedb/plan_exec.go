@@ -2,7 +2,6 @@ package remotedb
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"repro/internal/relation"
@@ -23,6 +22,13 @@ type planRun struct {
 	// inclusive wall time, scan rows examined) for EXPLAIN ANALYZE. It is nil
 	// on ordinary executions, so the hot path pays nothing.
 	analyze map[planNode]*nodeActual
+	// par is the run's morsel-parallel execution (plan_parallel.go), nil on a
+	// serial run. The stream's own run opens par's gather in place of the
+	// section boundary. A worker's run (worker non-nil, the worker's
+	// accounting) reads the driver scan from the morsels it claims and
+	// probes the section's equi-joins through par's prebuilt tables.
+	par    *parExec
+	worker *parWorkerStats
 }
 
 // nodeActual is what one plan node actually did during an analyzed run.
@@ -73,11 +79,11 @@ func (run *planRun) counted(in relation.Iterator) relation.Iterator {
 // children, PostgreSQL-style.
 func (run *planRun) openNode(n planNode) relation.Iterator {
 	if run.analyze == nil {
-		return n.open(run)
+		return run.open(n)
 	}
 	na := run.actualFor(n)
 	t0 := time.Now()
-	it := n.open(run)
+	it := run.open(n)
 	na.wallNS += time.Since(t0).Nanoseconds()
 	return relation.IteratorFunc(func() (relation.Tuple, bool) {
 		p0 := time.Now()
@@ -90,6 +96,15 @@ func (run *planRun) openNode(n planNode) relation.Iterator {
 	})
 }
 
+// open opens n's iterator; on a parallel stream's own run, the section
+// boundary opens as the workers' output.
+func (run *planRun) open(n planNode) relation.Iterator {
+	if px := run.par; px != nil && run.worker == nil && n == px.sec.boundary() {
+		return px.gather()
+	}
+	return n.open(run)
+}
+
 // open binds the plan to the catalog it was compiled against: the caller
 // holds e.mu and has just fetched a current p or built it (openPlan),
 // so every table the plan names exists and no mutation can fall between the
@@ -97,7 +112,7 @@ func (run *planRun) openNode(n planNode) relation.Iterator {
 // per-node actuals. A streamed open of a resumable plan is always serial and
 // mints the resume token for the snapshot it bound; otherwise, when the plan
 // has a parallel section and the open-time DOP decision picks parallelism,
-// the stream carries a parExec.
+// the run carries a parExec.
 func (p *Plan) open(ctx context.Context, e *Engine, analyze, streamed bool) *PlanStream {
 	run := &planRun{scans: make(map[*scanNode]scanBinding)}
 	if analyze {
@@ -117,8 +132,8 @@ func (p *Plan) open(ctx context.Context, e *Engine, analyze, streamed bool) *Pla
 				ctx = context.Background()
 			}
 			pctx, cancel := context.WithCancel(ctx)
-			ps.par = &parExec{
-				e: e, plan: p, run: run, sec: p.par,
+			run.par = &parExec{
+				e: e, run: run, sec: p.par,
 				dop: dop, morsel: e.MorselSize(),
 				ctx: pctx, cancel: cancel,
 			}
@@ -160,15 +175,24 @@ func sameCols(a, b []int) bool {
 	return true
 }
 
+// boundRows is what scan n reads on this run: the index lookup when the
+// access path survived binding, else the whole snapshot.
+func (run *planRun) boundRows(n *scanNode) []relation.Tuple {
+	b := run.scans[n]
+	if b.ix != nil {
+		return b.ix.Lookup(n.idxVals)
+	}
+	return b.rows
+}
+
 // --- Node iterators ---
 
 func (n *scanNode) open(run *planRun) relation.Iterator {
-	b := run.scans[n]
 	var src relation.Iterator
-	if b.ix != nil {
-		src = relation.NewSliceIterator(b.ix.Lookup(n.idxVals))
+	if run.worker != nil {
+		src = run.par.morsels(run.worker) // a worker's only scan is the driver
 	} else {
-		src = relation.NewSliceIterator(b.rows)
+		src = relation.NewSliceIterator(run.boundRows(n))
 	}
 	src = run.counted(src)
 	if na := run.actualFor(n); na != nil {
@@ -184,17 +208,24 @@ func (n *scanNode) open(run *planRun) relation.Iterator {
 	return relation.Select(src, n.conds)
 }
 
+// open probes a worker's prebuilt table (built once for the pool, so the
+// build side is not opened here) and otherwise builds from the right input.
 func (n *joinNode) open(run *planRun) relation.Iterator {
 	left := run.counted(run.openNode(n.left))
-	right := run.counted(run.openNode(n.right))
-	if len(n.eq) > 0 {
-		it := relation.HashJoin(left, right, n.eq)
-		if len(n.post) > 0 {
-			it = relation.Select(it, n.post)
-		}
-		return it
+	if len(n.eq) == 0 {
+		right := run.counted(run.openNode(n.right))
+		return relation.NestedLoopJoin(left, right, n.left.Schema().Arity(), n.post)
 	}
-	return relation.NestedLoopJoin(left, right, n.left.Schema().Arity(), n.post)
+	var it relation.Iterator
+	if run.worker != nil {
+		it = run.par.tables[n].Probe(left)
+	} else {
+		it = relation.HashJoin(left, run.counted(run.openNode(n.right)), n.eq)
+	}
+	if len(n.post) > 0 {
+		it = relation.Select(it, n.post)
+	}
+	return it
 }
 
 func (n *projectNode) open(run *planRun) relation.Iterator {
@@ -202,13 +233,9 @@ func (n *projectNode) open(run *planRun) relation.Iterator {
 	if n.counted {
 		in = run.counted(in)
 	}
-	return n.project(in)
-}
-
-// project applies the projection to in. The identity over the child's arity
-// (SELECT * over one table) ships the child's tuples as they are: the op is
-// still charged by the caller, only the per-tuple copy is skipped.
-func (n *projectNode) project(in relation.Iterator) relation.Iterator {
+	// The identity over the child's arity (SELECT * over one table) ships the
+	// child's tuples as they are: the op is still charged, only the per-tuple
+	// copy is skipped.
 	identity := len(n.cols) == n.child.Schema().Arity()
 	for i, c := range n.cols {
 		identity = identity && c == i
@@ -228,52 +255,22 @@ func (n *aggNode) open(run *planRun) relation.Iterator {
 	return relation.NewSliceIterator(rows)
 }
 
+// open sorts stably by n.cols, through Relation.SortBy, or keeps the first
+// n.limit rows of that order in a bounded heap.
 func (n *sortNode) open(run *planRun) relation.Iterator {
-	return n.openOn(run.counted(run.openNode(n.child)))
-}
-
-// openOn runs the sort over an explicit input iterator; the parallel
-// consumer chain substitutes the exchange here.
-func (n *sortNode) openOn(in relation.Iterator) relation.Iterator {
+	in := run.counted(run.openNode(n.child))
 	if n.limit >= 0 {
 		return relation.NewSliceIterator(relation.TopN(in, n.cols, n.limit))
 	}
-	var rows []relation.Tuple
-	for {
-		t, ok := in.Next()
-		if !ok {
-			break
-		}
-		rows = append(rows, t)
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, c := range n.cols {
-			switch rows[i][c].Compare(rows[j][c]) {
-			case -1:
-				return true
-			case 1:
-				return false
-			}
-		}
-		return false
-	})
-	return relation.NewSliceIterator(rows)
+	return relation.Drain("sorted", n.Schema(), in).SortBy(n.cols).Iter()
 }
 
 func (n *distinctNode) open(run *planRun) relation.Iterator {
-	return n.openOn(run.counted(run.openNode(n.child)))
-}
-
-func (n *distinctNode) openOn(in relation.Iterator) relation.Iterator {
-	return relation.Distinct(in)
+	return relation.Distinct(run.counted(run.openNode(n.child)))
 }
 
 func (n *limitNode) open(run *planRun) relation.Iterator {
-	return n.openOn(run.openNode(n.child))
-}
-
-func (n *limitNode) openOn(in relation.Iterator) relation.Iterator {
-	return relation.Limit(in, n.n)
+	return relation.Limit(run.openNode(n.child), n.n)
 }
 
 // PlanStream executes a bound plan as a pull stream: Next drives the
@@ -285,9 +282,6 @@ type PlanStream struct {
 	run    *planRun
 	it     relation.Iterator
 	cached bool // the plan came out of the plan cache (slow-query log field)
-	// par, when non-nil, executes the plan's parallel section on a morsel
-	// worker pool (plan_parallel.go); nil means the ordinary serial tree.
-	par *parExec
 	// token pins the bound snapshot of a streamed resumable plan for
 	// mid-stream resume (resume.go); zero otherwise.
 	token ResumeToken
@@ -308,8 +302,8 @@ func (s *PlanStream) Name() string { return "result" }
 // Ops returns the server-side tuple operations performed so far (for a
 // parallel run: the consumer chain's plus every finished worker's).
 func (s *PlanStream) Ops() int64 {
-	if s.par != nil {
-		return s.run.ops + s.par.ops()
+	if px := s.run.par; px != nil {
+		return s.run.ops + px.workerOps.Load()
 	}
 	return s.run.ops
 }
@@ -326,11 +320,9 @@ func (s *PlanStream) Cached() bool { return s.cached }
 func (s *PlanStream) ResumeToken() ResumeToken { return s.token }
 
 // Next returns the next result tuple. The iterator tree is built on the
-// first call; hash-join builds and sorts run then.
+// first call; hash-join builds, sorts and a parallel run's worker pool start
+// then.
 func (s *PlanStream) Next() (relation.Tuple, bool) {
-	if s.par != nil {
-		return s.par.next()
-	}
 	if s.it == nil {
 		s.it = s.run.openNode(s.plan.root)
 		for ; s.skip > 0; s.skip-- {
@@ -339,7 +331,11 @@ func (s *PlanStream) Next() (relation.Tuple, bool) {
 			}
 		}
 	}
-	return s.it.Next()
+	t, ok := s.it.Next()
+	if !ok && s.run.par != nil {
+		s.run.par.finish()
+	}
+	return t, ok
 }
 
 // Err reports why the stream stopped before delivering every tuple — a
@@ -349,8 +345,8 @@ func (s *PlanStream) Next() (relation.Tuple, bool) {
 // token, so this is what keeps an interrupted run from reading as a
 // silently truncated one.
 func (s *PlanStream) Err() error {
-	if s.par != nil {
-		return s.par.err()
+	if px := s.run.par; px != nil {
+		return px.failErr
 	}
 	return nil
 }
@@ -358,8 +354,8 @@ func (s *PlanStream) Err() error {
 // DOP returns the degree of parallelism the stream executes with (1 for the
 // serial tree).
 func (s *PlanStream) DOP() int {
-	if s.par != nil {
-		return s.par.dop
+	if px := s.run.par; px != nil {
+		return px.dop
 	}
 	return 1
 }
@@ -368,8 +364,8 @@ func (s *PlanStream) DOP() int {
 // joins every morsel worker — abandoning a partially-drained stream leaks no
 // goroutines. Serial streams have nothing to release. Idempotent.
 func (s *PlanStream) Close() error {
-	if s.par != nil {
-		s.par.shutdown()
+	if px := s.run.par; px != nil {
+		px.shutdown()
 	}
 	return nil
 }

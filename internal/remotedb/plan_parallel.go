@@ -10,27 +10,27 @@ import (
 	"repro/internal/relation"
 )
 
-// Morsel-driven parallel execution. A compiled Plan stays a single immutable
-// tree; what parallelizes is a *section* of it — the driver scan at the
-// bottom of the left (probe) spine, the equi-join/filter/project chain above
-// it, and optionally the aggregation that tops the chain. The driver's bound
-// snapshot is split into fixed-size morsels claimed from an atomic cursor by
-// a bounded pool of workers; each worker runs a private copy of the section
-// pipeline (per-worker arenas, per-worker op counters, per-worker
-// cancellation checkpoints) and feeds a bounded exchange channel the
-// single-threaded consumer pulls from. Join build sides are drained once on
-// the consumer, hash-partitioned, and their per-partition tables built in
-// parallel; the finished table is read-only, so probes take no lock.
-// Aggregations run as per-worker partial accumulators merged at the final
-// exchange (relation.AggAccum).
+// Morsel-driven parallel execution. A compiled Plan stays one immutable tree,
+// and serial and parallel runs open the same operators on it; what runs on
+// several goroutines is a *section*: the driver scan at the bottom of the left
+// (probe) spine, the equi-join/filter/project chain above it, and optionally
+// the aggregation that tops the chain. The driver's bound rows are split into
+// fixed-size morsels claimed from an atomic cursor by a bounded pool of
+// workers. Each worker opens the section top on a planRun of its own (its op
+// counter, its cancellation checkpoint): its scan reads the morsels it
+// claims, and each equi-join probes a table built once, before the pool
+// starts, from its build side (relation.PartitionedTable: a partition per
+// worker, read-only afterwards). Workers feed a bounded
+// exchange, or per-worker aggregation partials (relation.AggAccum) merged in
+// worker order. The stream's own run opens the plan root as a serial run
+// would, reading the exchange or the merged aggregate in place of the
+// section. Both sides charge ops at the same sites, so a statement's ops do
+// not depend on the dop.
 //
-// The optimizer decides serial vs parallel: LIMIT/TopN-dominated shapes
-// (where pull-based short-circuiting beats fan-out) and plans whose driver
-// is estimated under Engine.ParallelMinRows stay serial. Parallel plans keep
-// the v2 streaming contract but carry no resume token — their emission order
-// is nondeterministic — so a mid-stream failure surfaces as an error rather
-// than a corrupt skip-based resume (resilient_stream.go leaves tokenless
-// streams unwrapped by design).
+// Parallel plans keep the streaming contract but carry no resume token —
+// their emission order is nondeterministic — so a mid-stream failure
+// surfaces as an error rather than a corrupt skip-based resume
+// (resilient_stream.go leaves tokenless streams unwrapped by design).
 
 const (
 	// defaultMorselTuples is the scan split granularity: large enough that
@@ -60,11 +60,28 @@ type parSection struct {
 	estRows float64
 }
 
+// boundary is the node whose output the stream's run reads from the workers
+// instead of opening it: the aggregate (merged partials) when the section has
+// one, else the section top (the exchange).
+func (s *parSection) boundary() planNode {
+	if s.agg != nil {
+		return s.agg
+	}
+	return s.top
+}
+
 // findParSection walks the plan and returns its parallel section, or nil
-// when the shape must stay serial: LIMIT/TopN without a blocking aggregate
-// underneath (short-circuiting beats fan-out), non-equi join spines, or any
-// operator the worker pipeline does not mirror (e.g. a wide sort below the
-// projection).
+// when the shape must stay serial. The rules are about blocking operators and
+// short-circuiting LIMITs. The section is the pipeline from the driver scan
+// up to the first blocking operator (filters, projections, equi-join probes),
+// optionally topped by an aggregate, which splits into per-worker partials;
+// above it the consumer may run sort, DISTINCT and LIMIT. A LIMIT or TopN
+// directly over the pipeline keeps the plan serial: the pull model stops the
+// scan after about LIMIT matches, which no degree of parallelism beats. Over
+// an aggregate it cannot short-circuit, so fan-out still pays. A nested-loop
+// join keeps the plan serial too (its build side has no key to partition
+// by), and so does a blocking operator inside the chain (a wide sort below
+// the projection), which would end the pipeline below its top.
 func findParSection(root planNode, examine map[*scanNode]float64) *parSection {
 	n := root
 	sawLimit := false
@@ -91,10 +108,6 @@ unwrap:
 		n = a.child
 	}
 	if sawLimit && sec.agg == nil {
-		// A LIMIT/TopN over a streaming pipeline short-circuits: the pull
-		// model stops the scan after ~LIMIT matches, which no degree of
-		// parallelism beats. Over an aggregate the limit cannot short-circuit
-		// through the blocking agg, so parallelism still applies.
 		return nil
 	}
 	sec.top = n
@@ -154,8 +167,7 @@ type parWorkerStats struct {
 // parExec is the per-execution state of a morsel-parallel plan run.
 type parExec struct {
 	e      *Engine
-	plan   *Plan
-	run    *planRun
+	run    *planRun // the stream's own run: bound scans, build-side accounting
 	sec    *parSection
 	dop    int
 	morsel int
@@ -163,78 +175,77 @@ type parExec struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	rows   []relation.Tuple // bound driver snapshot (or index lookup result)
+	rows   []relation.Tuple // bound driver rows (snapshot or index lookup)
 	cursor atomic.Int64     // next morsel offset
 
 	tables map[*joinNode]*relation.PartitionedTable
 
 	out         chan []relation.Tuple
 	wg          sync.WaitGroup
-	started     bool
 	interrupted atomic.Bool  // a worker stopped at a cancellation checkpoint
 	workerOps   atomic.Int64 // per-worker ops, flushed at worker exit
 	workers     []parWorkerStats
 	aggs        []*relation.AggAccum
-
-	tail     relation.Iterator // consumer chain above the section
-	curBatch []relation.Tuple
-	curIdx   int
-	done     bool
-	failErr  error
+	failErr     error
 }
 
-// start binds the driver rows, runs the partitioned join builds, and
-// launches the worker pool. Called lazily on the first pull, like the serial
-// path's blocking prefix.
-func (px *parExec) start() error {
-	px.started = true
-	px.e.parStreams.Add(1)
-
-	// Bind the driver exactly as the serial scan would: index lookup when
-	// the access path survived binding, else the full snapshot.
-	b := px.run.scans[px.sec.driver]
-	if b.ix != nil {
-		px.rows = b.ix.Lookup(px.sec.driver.idxVals)
-	} else {
-		px.rows = b.rows
+// gather is what the stream's run opens in place of the section boundary:
+// it starts the pool, then reads the merged aggregate (once every worker's
+// partial is in) or the exchange. An interrupted pool yields nothing here;
+// finish turns that into the stream's error.
+func (px *parExec) gather() relation.Iterator {
+	if err := px.start(); err != nil {
+		px.failErr = err
+		return relation.Empty()
 	}
+	if agg := px.sec.agg; agg != nil {
+		px.wg.Wait()
+		if px.interrupted.Load() {
+			return relation.Empty()
+		}
+		merged := relation.NewAggAccum(agg.groupCols, agg.specs)
+		for _, acc := range px.aggs {
+			merged.Merge(acc)
+		}
+		return relation.NewSliceIterator(merged.Emit())
+	}
+	// The channel is closed after wg.Wait, so exhaustion means every worker
+	// has exited and their stats and interrupted flags are visible.
+	var batch []relation.Tuple
+	return relation.IteratorFunc(func() (relation.Tuple, bool) {
+		for len(batch) == 0 {
+			b, ok := <-px.out
+			if !ok {
+				return nil, false
+			}
+			batch = b
+		}
+		t := batch[0]
+		batch = batch[1:]
+		return t, true
+	})
+}
+
+// start binds the driver rows, builds the section's join tables, and
+// launches the worker pool.
+func (px *parExec) start() error {
+	px.e.parStreams.Add(1)
+	px.rows = px.run.boundRows(px.sec.driver)
 	// Clamp the pool to the morsel count: fewer morsels than workers would
 	// leave goroutines idle from birth.
 	if m := (len(px.rows) + px.morsel - 1) / px.morsel; m > 0 && m < px.dop {
 		px.dop = m
 	}
-	if px.dop < 1 {
-		px.dop = 1
-	}
-
-	// Partitioned parallel builds, bottom-up. The build subtree itself runs
-	// serially on this goroutine with the plan's ordinary accounting (it may
-	// contain anything, including its own joins); only the hash-table
-	// construction fans out, one goroutine per partition, each touching only
-	// its own partition. The finished tables are read-only — probes by any
-	// number of workers take no lock.
+	// Builds run bottom-up, as a serial open would run them, on this
+	// goroutine with the stream's accounting (a build subtree may contain
+	// anything, its own joins included), into a partition per worker.
 	px.tables = make(map[*joinNode]*relation.PartitionedTable, len(px.sec.joins))
 	for _, jn := range px.sec.joins {
-		pt := relation.NewPartitionedTable(jn.eq, px.dop)
-		build := relation.NewGuardIterator(
-			px.run.counted(px.run.openNode(jn.right)), 0,
-			func() error { return px.ctx.Err() })
-		for t, ok := build.Next(); ok; t, ok = build.Next() {
-			pt.Add(t)
-		}
+		build := relation.NewGuardIterator(px.run.counted(px.run.openNode(jn.right)), 0, px.ctx.Err)
+		px.tables[jn] = relation.NewPartitionedTable(build, jn.eq, px.dop)
 		if err := build.Err(); err != nil {
 			return err
 		}
-		var bwg sync.WaitGroup
-		for i := 0; i < pt.Parts(); i++ {
-			bwg.Add(1)
-			go func(i int) {
-				defer bwg.Done()
-				pt.BuildPart(i)
-			}(i)
-		}
-		bwg.Wait()
-		px.tables[jn] = pt
 	}
 
 	px.workers = make([]parWorkerStats, px.dop)
@@ -257,111 +268,69 @@ func (px *parExec) start() error {
 	return nil
 }
 
-// runWorker is one worker: a private pipeline over claimed morsels, guarded
-// by a per-worker cancellation checkpoint every DefaultGuardEvery tuples (the
-// guard-iterator contract holds per worker, not per plan), feeding either the
-// exchange or a per-worker aggregation partial.
+// runWorker is one worker: the section opened on a run of its own, guarded
+// by a cancellation checkpoint every DefaultGuardEvery tuples (the
+// guard-iterator contract holds per worker, not per plan), feeding either
+// the exchange or a per-worker aggregation partial.
 func (px *parExec) runWorker(w int) {
 	defer px.wg.Done()
 	_, sp := px.e.tracer.Load().Start(px.ctx, "engine.parallel_worker")
 	sp.Set("worker", strconv.Itoa(w))
 	defer sp.End()
 	ws := &px.workers[w]
-	guard := relation.NewGuardIterator(px.workerIter(ws, px.sec.top), relation.DefaultGuardEvery,
-		func() error { return px.ctx.Err() })
-
-	if px.sec.agg != nil {
-		acc := relation.NewAggAccum(px.sec.agg.groupCols, px.sec.agg.specs)
-		for {
-			t, ok := guard.Next()
-			if !ok {
-				break
-			}
-			ws.ops++ // serial parity: the agg charges one op per input tuple
-			ws.rows++
-			acc.Add(t)
-		}
+	run := &planRun{scans: px.run.scans, par: px, worker: ws}
+	var in relation.Iterator = relation.NewGuardIterator(run.openNode(px.sec.top), relation.DefaultGuardEvery, px.ctx.Err)
+	var acc *relation.AggAccum
+	if agg := px.sec.agg; agg != nil {
+		acc = relation.NewAggAccum(agg.groupCols, agg.specs)
 		px.aggs[w] = acc
-	} else {
-		batch := make([]relation.Tuple, 0, parBatchTuples)
-		send := func() bool {
-			if len(batch) == 0 {
-				return true
-			}
-			select {
-			case px.out <- batch:
-				batch = make([]relation.Tuple, 0, parBatchTuples)
-				return true
-			case <-px.ctx.Done():
-				return false
-			}
+		in = run.counted(in) // charged as aggNode.open charges its input
+	}
+	var batch []relation.Tuple
+	for t, ok := in.Next(); ok; t, ok = in.Next() {
+		ws.rows++
+		if acc != nil {
+			acc.Add(t)
+			continue
 		}
-		for {
-			t, ok := guard.Next()
-			if !ok {
+		if batch == nil {
+			batch = make([]relation.Tuple, 0, parBatchTuples)
+		}
+		if batch = append(batch, t); len(batch) == parBatchTuples {
+			if !px.send(batch) {
 				break
 			}
-			ws.rows++
-			batch = append(batch, t)
-			if len(batch) == parBatchTuples && !send() {
-				break
-			}
+			batch = nil
 		}
-		send()
+	}
+	if len(batch) > 0 {
+		px.send(batch)
 	}
 	if px.ctx.Err() != nil {
 		px.interrupted.Store(true)
 	}
-	px.workerOps.Add(ws.ops)
+	ws.ops = run.ops
+	px.workerOps.Add(run.ops)
 }
 
-// workerIter builds worker w's private pipeline for the section: morsel scan
-// at the bottom, lock-free probes of the shared partitioned tables above,
-// filters/projections in between. Op accounting mirrors the serial
-// operators' exactly (each operator charges its input), so a parallel run's
-// total ops equal the serial run's.
-func (px *parExec) workerIter(ws *parWorkerStats, n planNode) relation.Iterator {
-	switch t := n.(type) {
-	case *scanNode:
-		return px.morselIter(ws)
-	case *projectNode:
-		in := px.workerIter(ws, t.child)
-		if t.counted {
-			in = countInto(ws, in)
-		}
-		return t.project(in)
-	case *filterNode:
-		return relation.Select(countInto(ws, px.workerIter(ws, t.child)), t.conds)
-	case *joinNode:
-		left := countInto(ws, px.workerIter(ws, t.left))
-		it := px.tables[t].Probe(left)
-		if len(t.post) > 0 {
-			it = relation.Select(it, t.post)
-		}
-		return it
-	default:
-		panic(fmt.Sprintf("remotedb: parallel worker pipeline reached %T, which findParSection excludes", n))
+// send hands a batch to the consumer; false when the run was canceled first.
+func (px *parExec) send(batch []relation.Tuple) bool {
+	select {
+	case px.out <- batch:
+		return true
+	case <-px.ctx.Done():
+		return false
 	}
 }
 
-// morselIter claims morsels from the shared cursor and scans them with the
-// driver's pushed-down predicates, charging one op per examined row like the
-// serial scan. The claim loop checks the context, so cancellation latency is
-// bounded by one morsel even before the guard's checkpoint fires.
-func (px *parExec) morselIter(ws *parWorkerStats) relation.Iterator {
-	sn := px.sec.driver
+// morsels is the driver scan's input on worker ws's run: the rows of each
+// morsel the worker claims from the shared cursor, one after another. A
+// claim checks the context first, so a canceled run stops within one morsel
+// even before the guard's checkpoint fires.
+func (px *parExec) morsels(ws *parWorkerStats) relation.Iterator {
 	var cur []relation.Tuple
-	pos := 0
 	return relation.IteratorFunc(func() (relation.Tuple, bool) {
-		for {
-			for pos < len(cur) {
-				t := cur[pos]
-				pos++
-				ws.ops++
-				if relation.EvalAll(sn.conds, t) {
-					return t, true
-				}
-			}
+		for len(cur) == 0 {
 			if px.ctx.Err() != nil {
 				return nil, false
 			}
@@ -369,142 +338,35 @@ func (px *parExec) morselIter(ws *parWorkerStats) relation.Iterator {
 			if lo >= len(px.rows) {
 				return nil, false
 			}
-			hi := lo + px.morsel
-			if hi > len(px.rows) {
-				hi = len(px.rows)
-			}
 			ws.morsels++
 			px.e.parMorselsCt.Add(1)
-			cur, pos = px.rows[lo:hi], 0
+			cur = px.rows[lo:min(lo+px.morsel, len(px.rows))]
 		}
+		t := cur[0]
+		cur = cur[1:]
+		return t, true
 	})
 }
 
-// countInto charges one worker op per pulled tuple, the parallel counterpart
-// of planRun.counted.
-func countInto(ws *parWorkerStats, in relation.Iterator) relation.Iterator {
-	return relation.IteratorFunc(func() (relation.Tuple, bool) {
-		t, ok := in.Next()
-		if ok {
-			ws.ops++
-		}
-		return t, ok
-	})
-}
-
-// next is the consumer side: it lazily starts the pool, then drives the
-// consumer chain (the plan nodes above the section — sort, distinct, limit —
-// run single-threaded here, pulling from the exchange or the merged
-// aggregate). A cancellation never truncates silently: the stream ends and
-// err() reports why.
-func (px *parExec) next() (relation.Tuple, bool) {
-	if px.done {
-		return nil, false
+// finish ends a stream that ran dry. Every worker has exited by then (the
+// boundary was read to its end), so an interrupted pool is final: it becomes
+// the stream's error, never a silently truncated result. The derived context
+// is released on natural completion too.
+func (px *parExec) finish() {
+	if px.failErr == nil && px.interrupted.Load() {
+		px.failErr = px.ctx.Err()
 	}
-	if !px.started {
-		if err := px.start(); err != nil {
-			px.done, px.failErr = true, err
-			px.cancel()
-			return nil, false
-		}
-	}
-	if px.tail == nil {
-		px.tail = px.consumerIter(px.plan.root)
-	}
-	t, ok := px.tail.Next()
-	if !ok {
-		px.done = true
-		if px.failErr == nil && px.interrupted.Load() {
-			px.failErr = px.ctx.Err()
-			if px.failErr == nil {
-				px.failErr = context.Canceled
-			}
-		}
-		px.cancel() // release the derived context on natural completion too
-	}
-	return t, ok
-}
-
-// consumerIter mirrors the serial open for the nodes above the section,
-// substituting the exchange (or the merged aggregate) at the boundary. Op
-// accounting matches the serial operators': sort and distinct charge their
-// input, limit does not.
-func (px *parExec) consumerIter(n planNode) relation.Iterator {
-	var boundary planNode = px.sec.top
-	if px.sec.agg != nil {
-		boundary = px.sec.agg
-	}
-	if n == boundary {
-		if px.sec.agg != nil {
-			return px.aggMergeIter()
-		}
-		return px.exchangeIter()
-	}
-	switch t := n.(type) {
-	case *limitNode:
-		return t.openOn(px.consumerIter(t.child))
-	case *sortNode:
-		return t.openOn(px.run.counted(px.consumerIter(t.child)))
-	case *distinctNode:
-		return t.openOn(px.run.counted(px.consumerIter(t.child)))
-	default:
-		panic(fmt.Sprintf("remotedb: parallel consumer chain reached %T, which findParSection excludes", n))
-	}
-}
-
-// aggMergeIter waits for every worker's partial and merges them in worker
-// order. An interrupted pool emits nothing — next() surfaces the
-// cancellation as an error instead of a partial aggregate.
-func (px *parExec) aggMergeIter() relation.Iterator {
-	px.wg.Wait()
-	if px.interrupted.Load() {
-		return relation.NewSliceIterator(nil)
-	}
-	merged := relation.NewAggAccum(px.sec.agg.groupCols, px.sec.agg.specs)
-	for _, acc := range px.aggs {
-		merged.Merge(acc)
-	}
-	return relation.NewSliceIterator(merged.Emit())
-}
-
-// exchangeIter pulls batches off the bounded exchange. The channel is closed
-// after wg.Wait, so exhaustion means every worker has exited and their stats
-// and interrupted flags are visible.
-func (px *parExec) exchangeIter() relation.Iterator {
-	return relation.IteratorFunc(func() (relation.Tuple, bool) {
-		for {
-			if px.curIdx < len(px.curBatch) {
-				t := px.curBatch[px.curIdx]
-				px.curIdx++
-				return t, true
-			}
-			b, ok := <-px.out
-			if !ok {
-				return nil, false
-			}
-			px.curBatch, px.curIdx = b, 0
-		}
-	})
+	px.cancel()
 }
 
 // shutdown tears the pool down: cancel unparks every worker (they select on
 // the exchange send vs ctx.Done, and their guards checkpoint every 64
-// tuples), then wait for all of them. Idempotent; safe before the first pull.
+// tuples), then wait for all of them. Idempotent; safe before the pool
+// starts.
 func (px *parExec) shutdown() {
-	px.done = true
-	if !px.started {
-		px.cancel()
-		return
-	}
 	px.cancel()
 	px.wg.Wait()
 }
-
-// err reports why the stream stopped early (nil for a complete delivery).
-func (px *parExec) err() error { return px.failErr }
-
-// ops returns the workers' accumulated tuple operations.
-func (px *parExec) ops() int64 { return px.workerOps.Load() }
 
 // workerLines renders the per-worker actuals for EXPLAIN ANALYZE: skewed
 // partitions show up as unbalanced rows/ops across workers. Call after the

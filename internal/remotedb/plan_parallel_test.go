@@ -3,10 +3,14 @@ package remotedb
 import (
 	"context"
 	"fmt"
+	"math"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/relation"
 )
 
 // Tests for morsel-driven parallel execution (plan_parallel.go): section
@@ -334,4 +338,274 @@ func TestExplainAnalyzeShowsWorkers(t *testing.T) {
 	if !strings.Contains(rel.Tuple(0)[0].AsString(), "parallel dop 4") {
 		t.Fatalf("EXPLAIN header missing parallel decision: %s", rel.Tuple(0)[0].AsString())
 	}
+}
+
+// At dop > 1 the operators above the parallel section run on the stream's
+// own run, opened like a serial run's, so EXPLAIN ANALYZE reports their
+// actuals, and the section boundary's (the rows the workers delivered), with
+// the same rows as the dop-1 run, under a header charging the same ops.
+func TestExplainAnalyzeParallelReportsConsumerSide(t *testing.T) {
+	e := newParallelEngine(t, 4000)
+	forcePar(e, 4)
+	actualRows := regexp.MustCompile(`\(actual rows (\d+),`)
+	headerOps := regexp.MustCompile(`\| ops (\d+) \|`)
+	analyze := func(sql string, dop int) (header string, nodes []string) {
+		t.Helper()
+		e.SetParallelism(dop)
+		rel, _, err := e.ExecuteSQL("EXPLAIN ANALYZE " + sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header = rel.Tuple(0)[0].AsString()
+		for _, tu := range rel.Tuples()[1:] {
+			line := tu[0].AsString()
+			if !strings.HasPrefix(line, "parallel: ") && !strings.HasPrefix(line, "  worker ") {
+				nodes = append(nodes, line)
+			}
+		}
+		return header, nodes
+	}
+	for _, sql := range []string{
+		"SELECT g, COUNT(*) FROM big GROUP BY g ORDER BY g LIMIT 5",
+		"SELECT DISTINCT dim.dname FROM big, dim WHERE big.g = dim.g",
+	} {
+		t.Run(sql, func(t *testing.T) {
+			p, err := e.PlanForSQL(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.par == nil {
+				t.Fatal("shape not parallel eligible")
+			}
+			// The nodes above the section form a chain from the root, so they
+			// and the boundary are the first plan lines.
+			above := 0
+			for n := p.root; n != p.par.boundary(); n = n.children()[0] {
+				above++
+			}
+			if above == 0 {
+				t.Fatal("no operator above the section")
+			}
+			serialHeader, serial := analyze(sql, 1)
+			parHeader, par := analyze(sql, 4)
+			if !strings.Contains(parHeader, "| dop 4") {
+				t.Fatalf("not parallel: %s", parHeader)
+			}
+			if got, want := headerOps.FindString(parHeader), headerOps.FindString(serialHeader); got == "" || got != want {
+				t.Fatalf("header ops: dop 4 %q, dop 1 %q", got, want)
+			}
+			for i := 0; i <= above; i++ {
+				got, want := actualRows.FindStringSubmatch(par[i]), actualRows.FindStringSubmatch(serial[i])
+				if got == nil {
+					t.Fatalf("dop 4 line %q carries no actuals", par[i])
+				}
+				if want == nil || got[1] != want[1] {
+					t.Fatalf("dop 4 line %q, dop 1 line %q: rows differ", par[i], serial[i])
+				}
+			}
+		})
+	}
+}
+
+// NaN has one place in the engine's order: after every number, equal to
+// itself. ORDER BY puts NaN rows last, LIMIT keeps a prefix of that order,
+// and DISTINCT and GROUP BY see one NaN, serial and parallel.
+func TestNaNOrdersLastAndGroupsOnce(t *testing.T) {
+	e := NewEngine()
+	if _, _, err := e.ExecuteSQL("CREATE TABLE fl (id INT, v FLOAT)"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 400
+	var rows []relation.Tuple
+	nans := 0
+	for i := 0; i < n; i++ {
+		v := float64(i%23) + 0.5
+		if i%7 == 0 {
+			v = math.NaN()
+			nans++
+		}
+		rows = append(rows, relation.Tuple{relation.Int(int64(i)), relation.Float(v)})
+	}
+	if err := e.Insert("fl", rows); err != nil {
+		t.Fatal(err)
+	}
+	query := func(sql string) []relation.Tuple {
+		t.Helper()
+		rel, _, err := e.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return rel.Tuples()
+	}
+	isNaN := func(tu relation.Tuple, col int) bool { return math.IsNaN(tu[col].AsFloat()) }
+	for _, dop := range []int{1, 4} {
+		t.Run(fmt.Sprintf("dop%d", dop), func(t *testing.T) {
+			forcePar(e, dop)
+			sorted := query("SELECT id, v FROM fl ORDER BY v")
+			if len(sorted) != n {
+				t.Fatalf("ORDER BY: %d rows, want %d", len(sorted), n)
+			}
+			for i := 1; i < n; i++ {
+				prev, cur := sorted[i-1][1].AsFloat(), sorted[i][1].AsFloat()
+				if math.IsNaN(prev) && !math.IsNaN(cur) || !math.IsNaN(prev) && !math.IsNaN(cur) && prev > cur {
+					t.Fatalf("ORDER BY v: row %d is %v after %v", i, cur, prev)
+				}
+			}
+			if !isNaN(sorted[n-nans], 1) || isNaN(sorted[n-nans-1], 1) {
+				t.Fatalf("ORDER BY v: the %d NaN rows are not the last ones", nans)
+			}
+			for _, k := range []int{5, n - nans + 3} {
+				top := query(fmt.Sprintf("SELECT id, v FROM fl ORDER BY v LIMIT %d", k))
+				if len(top) != k {
+					t.Fatalf("LIMIT %d: %d rows", k, len(top))
+				}
+				for i := range top {
+					if !top[i][1].Equal(sorted[i][1]) {
+						t.Fatalf("LIMIT %d: row %d is %v, the full sort's is %v", k, i, top[i][1], sorted[i][1])
+					}
+				}
+			}
+			distinctNaN := 0
+			for _, tu := range query("SELECT DISTINCT v FROM fl") {
+				if isNaN(tu, 0) {
+					distinctNaN++
+				}
+			}
+			if distinctNaN != 1 {
+				t.Fatalf("DISTINCT: %d NaN rows, want 1", distinctNaN)
+			}
+			groups := query("SELECT v, COUNT(*) FROM fl GROUP BY v")
+			nanGroups := 0
+			for _, tu := range groups {
+				if isNaN(tu, 0) {
+					nanGroups++
+					if tu[1].AsInt() != int64(nans) {
+						t.Fatalf("GROUP BY: the NaN group counts %d rows, want %d", tu[1].AsInt(), nans)
+					}
+				}
+			}
+			if nanGroups != 1 || len(groups) != 24 {
+				t.Fatalf("GROUP BY: %d groups, %d of them NaN; want 24, one NaN", len(groups), nanGroups)
+			}
+		})
+	}
+}
+
+// NaN sorts after every number, but it must not become a float column's
+// catalog max: a range predicate over a column holding NaNs is estimated, and
+// its DOP decided, exactly as over the same column with each NaN replaced by a
+// number inside its range.
+func TestNaNRangeEstimateMatchesNaNFree(t *testing.T) {
+	e := NewEngine()
+	var withNaN, numeric []relation.Tuple
+	for i := 0; i < 400; i++ {
+		id, v := relation.Int(int64(i)), relation.Float(float64(i%23)+0.5)
+		numeric = append(numeric, relation.Tuple{id, v})
+		if i%7 == 0 {
+			v = relation.Float(math.NaN())
+		}
+		withNaN = append(withNaN, relation.Tuple{id, v})
+	}
+	for name, rows := range map[string][]relation.Tuple{"fnan": withNaN, "fnum": numeric} {
+		if _, _, err := e.ExecuteSQL("CREATE TABLE " + name + " (id INT, v FLOAT)"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Insert(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.SetParallelism(4)
+	e.SetParallelMinRows(100)
+	for _, sql := range []string{
+		"SELECT id FROM %s WHERE v < 3",
+		"SELECT id, v FROM %s WHERE v >= 20",
+		"SELECT COUNT(*) FROM %s WHERE v > 4 AND v < 9",
+	} {
+		nan, err := e.PlanForSQL(fmt.Sprintf(sql, "fnan"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		num, err := e.PlanForSQL(fmt.Sprintf(sql, "fnum"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est := nan.EstRows(); math.IsNaN(est) || math.IsInf(est, 0) || est != num.EstRows() {
+			t.Errorf("%s: est rows %v with NaNs, %v without", sql, est, num.EstRows())
+		}
+		if a, b := e.planDOP(nan), e.planDOP(num); a != b {
+			t.Errorf("%s: dop %d with NaNs, %d without", sql, a, b)
+		}
+		got := strings.ReplaceAll(strings.Join(nan.Explain(), "\n"), "fnan", "fnum")
+		if want := strings.Join(num.Explain(), "\n"); got != want {
+			t.Errorf("%s: EXPLAIN with NaNs\n%s\nwithout\n%s", sql, got, want)
+		}
+	}
+}
+
+// FuzzParallelParity holds a morsel-parallel run to the serial run of the
+// same statement on the same engine: a parity-corpus statement over a
+// fixture of scaled size, at any morsel size and dop, must return the same
+// bag of rows, charge the same ops, end with a nil Err, and, when its plan
+// has a parallel section, run on the pool (with more than one worker once
+// the driver spans two morsels).
+func FuzzParallelParity(f *testing.F) {
+	for _, seed := range []struct {
+		stmt, scale uint8
+		morsel      uint16
+		dop         uint8
+	}{
+		{0, 6, 31, 2},   // SELECT *: resumable shape, parallel when not streamed
+		{3, 0, 0, 2},    // DISTINCT over a scan, one-row morsels
+		{10, 15, 63, 1}, // equi-join
+		{15, 7, 16, 2},  // three-table chain: two partitioned builds
+		{24, 3, 7, 0},   // grouped aggregate over a join on two columns
+		{25, 9, 255, 1}, // grouped, ordered aggregate
+		{26, 1, 5, 0},   // global aggregate
+		{27, 12, 40, 2}, // ORDER BY ... LIMIT over an aggregate
+		{30, 4, 9, 1},   // DISTINCT over a join
+		{17, 2, 3, 2},   // self-join with a theta residual
+		{18, 5, 11, 1},  // cross product: stays serial
+	} {
+		f.Add(seed.stmt, seed.scale, seed.morsel, seed.dop)
+	}
+	f.Fuzz(func(t *testing.T, stmt, scale uint8, morselIn uint16, dopIn uint8) {
+		tc := parityCorpus[int(stmt)%len(parityCorpus)]
+		morsel, dop := 1+int(morselIn)%256, 2+int(dopIn)%3
+		e := loadParityEngine(t, false, 40+40*int(scale%16))
+		e.SetParallelMinRows(0)
+		e.SetMorselSize(morsel)
+		sel := mustParseSelect(t, tc.sql)
+		run := func(dop int) (*relation.Relation, *PlanStream) {
+			t.Helper()
+			e.SetParallelism(dop)
+			ps, err := e.openPlan(context.Background(), sel, false, false)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.sql, err)
+			}
+			defer ps.Close()
+			rel := relation.Drain("result", ps.Schema(), ps)
+			if err := ps.Err(); err != nil {
+				t.Fatalf("%s at dop %d: %v", tc.sql, dop, err)
+			}
+			return rel, ps
+		}
+		serial, sps := run(1)
+		par, pps := run(dop)
+		if !par.EqualAsBag(serial) {
+			t.Fatalf("%s: dop %d returned %d rows, serial %d, bags differ", tc.sql, dop, par.Len(), serial.Len())
+		}
+		if pps.Ops() != sps.Ops() {
+			t.Fatalf("%s: ops at dop %d = %d, serial %d", tc.sql, dop, pps.Ops(), sps.Ops())
+		}
+		if pps.plan.par == nil {
+			return
+		}
+		px := pps.run.par
+		if px == nil {
+			t.Fatalf("%s: plan has a parallel section but ran serially", tc.sql)
+		}
+		if len(px.rows) > morsel && pps.DOP() < 2 {
+			t.Fatalf("%s: driver of %d rows in %d-row morsels ran at dop %d", tc.sql, len(px.rows), morsel, pps.DOP())
+		}
+	})
 }

@@ -2,6 +2,7 @@ package remotedb
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/relation"
 )
@@ -10,7 +11,7 @@ import (
 // Insert so the cost-based optimizer (optimizer.go) never has to scan a table
 // to plan a query against it. Each column tracks an exact distinct-value set
 // up to statsNDVCap values (beyond which the NDV becomes a saturated lower
-// bound) and the min/max of everything ever inserted. The accumulators are
+// bound) and the min/max of every non-NaN value inserted. The accumulators are
 // add-only, matching the engine's append-only extensions: deletes do not
 // exist, and wholesale replacement (LoadTable) rebuilds the accumulator.
 
@@ -40,6 +41,11 @@ func (c *colAcc) add(v relation.Value) {
 		if len(c.seen) >= statsNDVCap {
 			c.saturated = true
 		}
+	}
+	// NaN sorts after every number, so a NaN max would leave range
+	// interpolation nothing to divide by; the bounds cover the numbers only.
+	if v.IsNumeric() && math.IsNaN(v.AsFloat()) {
+		return
 	}
 	if !c.any {
 		c.min, c.max, c.any = v, v, true
@@ -112,7 +118,8 @@ type ColStats struct {
 	// Exact is false (tracking saturated at statsNDVCap).
 	NDV   int
 	Exact bool
-	// Min and Max bound the observed values; valid when HasMinMax.
+	// Min and Max bound the observed values other than NaN; valid when
+	// HasMinMax.
 	Min, Max  relation.Value
 	HasMinMax bool
 }
