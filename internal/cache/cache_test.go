@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -295,6 +296,41 @@ func TestLazyStrictProducer(t *testing.T) {
 	allCost := cms.Stats().LocalSimMS - before
 	if oneCost >= allCost {
 		t.Fatalf("lazy single-tuple cost %.4f should be < full drain %.4f", oneCost, allCost)
+	}
+}
+
+// TestLazyRemoteAnswerCostsWhatEagerDoes: a remote-only answer drained
+// lazily advances the session clock exactly as the same answer fetched
+// eagerly does — round trip, shipped tuples and the server's work — on a
+// bare in-process client and behind a decorator alike.
+func TestLazyRemoteAnswerCostsWhatEagerDoes(t *testing.T) {
+	e, _ := fixtureEngine(t, 3, 60)
+	const q = `d(X, Y) :- b2(X, Z) & b3(Z, "a", Y)`
+	wraps := []func(remotedb.Client) remotedb.Client{
+		func(c remotedb.Client) remotedb.Client { return c },
+		func(c remotedb.Client) remotedb.Client { return remotedb.NewResilientClient(c, remotedb.Resilience{}) },
+	}
+	for i, wrap := range wraps {
+		clock := func(lazy bool) float64 {
+			costs := remotedb.DefaultCosts()
+			cms := New(wrap(remotedb.NewInProcClient(e, costs)), Options{Features: Features{Lazy: lazy}, Costs: costs})
+			s := cms.BeginSession(nil).(*Session)
+			defer s.End()
+			st, err := s.QueryText(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Lazy() != lazy {
+				t.Fatalf("client %d: answer lazy = %v, want %v", i, st.Lazy(), lazy)
+			}
+			if st.Drain("out").Len() == 0 {
+				t.Fatal("fixture query answered nothing")
+			}
+			return s.SimNow()
+		}
+		if lazy, eager := clock(true), clock(false); math.Abs(lazy-eager) > 1e-9 {
+			t.Fatalf("client %d: drained lazily the session clock reads %.4f ms, eagerly %.4f ms", i, lazy, eager)
+		}
 	}
 }
 

@@ -15,13 +15,13 @@ import (
 	"repro/internal/remotedb"
 )
 
-// blockingClient wraps an inner client; Exec calls park until the context is
-// canceled or release is closed, either always (arm) or only for
+// blockingClient wraps an inner client; ExecStream calls park until the
+// context is canceled or release is closed, either always (arm) or only for
 // context-bearing calls (blockCancelable — the shape of the prefetch path,
 // which runs under the session context while demand queries may not carry a
 // cancelable one).
 type blockingClient struct {
-	inner   remotedb.Client
+	remotedb.Client
 	entered chan struct{} // one token per parked call
 	release chan struct{}
 
@@ -31,7 +31,7 @@ type blockingClient struct {
 }
 
 func newBlockingClient(inner remotedb.Client) *blockingClient {
-	return &blockingClient{inner: inner, entered: make(chan struct{}, 64), release: make(chan struct{})}
+	return &blockingClient{Client: inner, entered: make(chan struct{}, 64), release: make(chan struct{})}
 }
 
 func (b *blockingClient) arm() {
@@ -40,11 +40,7 @@ func (b *blockingClient) arm() {
 	b.mu.Unlock()
 }
 
-func (b *blockingClient) Exec(sql string) (*remotedb.Result, error) {
-	return b.ExecCtx(context.Background(), sql)
-}
-
-func (b *blockingClient) ExecCtx(ctx context.Context, sql string) (*remotedb.Result, error) {
+func (b *blockingClient) ExecStream(ctx context.Context, sql string) (remotedb.TupleStream, error) {
 	b.mu.Lock()
 	block := b.armed || (b.blockCancelable && ctx.Done() != nil)
 	b.mu.Unlock()
@@ -56,18 +52,8 @@ func (b *blockingClient) ExecCtx(ctx context.Context, sql string) (*remotedb.Res
 		case <-b.release:
 		}
 	}
-	return remotedb.ExecContext(ctx, b.inner, sql)
+	return b.Client.ExecStream(ctx, sql)
 }
-
-func (b *blockingClient) RelationSchema(name string, arity int) (*relation.Schema, error) {
-	return b.inner.RelationSchema(name, arity)
-}
-func (b *blockingClient) TableStats(name string) (remotedb.TableStats, error) {
-	return b.inner.TableStats(name)
-}
-func (b *blockingClient) Tables() ([]string, error) { return b.inner.Tables() }
-func (b *blockingClient) Stats() remotedb.Stats     { return b.inner.Stats() }
-func (b *blockingClient) Close() error              { return b.inner.Close() }
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -349,16 +335,16 @@ func TestQueryPanicIsolated(t *testing.T) {
 	}
 }
 
-// panicOnceClient panics on the first Exec and behaves normally after.
+// panicOnceClient panics on the first exec and behaves normally after.
 type panicOnceClient struct {
 	remotedb.Client
 	panicked bool
 }
 
-func (p *panicOnceClient) Exec(sql string) (*remotedb.Result, error) {
+func (p *panicOnceClient) ExecStream(ctx context.Context, sql string) (remotedb.TupleStream, error) {
 	if !p.panicked {
 		p.panicked = true
 		panic("injected: exec blew up")
 	}
-	return p.Client.Exec(sql)
+	return p.Client.ExecStream(ctx, sql)
 }

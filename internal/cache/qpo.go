@@ -294,13 +294,12 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon []byte
 		}
 	}
 
-	// Fallback: the whole query goes to the remote DBMS. When the transport
-	// can stream and the result will not be cached (a cached result must be
-	// materialized anyway), the answer is handed to the IE as a lazy remote
-	// stream: the first tuple is available after one wire frame instead of
-	// after the whole transfer, and an abandoned consumer cancels the remote
-	// producer mid-flight.
-	if f.Lazy && c.rdi.StreamCapable() && !s.shouldCache(vs) {
+	// Fallback: the whole query goes to the remote DBMS. When the result will
+	// not be cached (a cached result must be materialized anyway), the answer
+	// is handed to the IE as a lazy remote stream: the first tuple is
+	// available after one wire frame instead of after the whole transfer, and
+	// an abandoned consumer cancels the remote producer mid-flight.
+	if f.Lazy && !s.shouldCache(vs) {
 		return s.answerRemoteStream(q)
 	}
 	ext, sim, stamp, err := c.rdi.FetchCtx(ctx, q)
@@ -320,36 +319,52 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon []byte
 // the stream is still being consumed (same rule as streamCheck). The fixed
 // round-trip cost is charged at establishment; each shipped tuple is charged
 // as the consumer pulls it on the session thread, mirroring how cache-local
-// lazy answers charge per tuple produced.
+// lazy answers charge per tuple produced; a stream that runs to its end is
+// charged the rest of the request's cost (the server's work), so a drained
+// lazy answer costs what the same answer fetched eagerly does.
 func (s *Session) answerRemoteStream(q *caql.Query) (*bridge.Stream, error) {
 	c := s.cms
 	fs, err := c.rdi.FetchStreamCtx(s.callerCtx, q)
 	if err != nil {
 		return nil, err
 	}
-	s.advance(c.opts.Costs.PerRequest)
-	per := c.opts.Costs.PerTuple
-	src := chargeIter(fs, func(n int) { s.advance(per * float64(n)) })
-	guard := relation.NewGuardIterator(src, relation.DefaultGuardEvery, s.streamCheck())
+	it := &remoteStreamIter{guard: relation.NewGuardIterator(fs, relation.DefaultGuardEvery, s.streamCheck()), fs: fs, s: s}
+	it.charge(c.opts.Costs.PerRequest)
 	c.stats.LazyAnswers.Add(1)
-	return bridge.NewStream(fs.Schema(), &remoteStreamIter{guard: guard, fs: fs}, true), nil
+	return bridge.NewStream(fs.Schema(), it, true), nil
 }
 
 // remoteStreamIter splices cooperative cancellation (the guard, polling the
 // caller/session contexts) with the remote stream's own termination status:
 // whichever side stops the stream, the consumer sees a typed error from
 // bridge.Stream.Err, and a guard trip tears down the remote producer so the
-// server stops shipping frames nobody reads.
+// server stops shipping frames nobody reads. It also keeps the session clock:
+// a tuple is charged as it is pulled, the rest of the request at a clean end.
 type remoteStreamIter struct {
-	guard *relation.GuardIterator
-	fs    *FetchStream
+	guard   *relation.GuardIterator
+	fs      *FetchStream
+	s       *Session
+	charged float64 // simulated ms advanced for this stream so far
+	ended   bool
+}
+
+func (r *remoteStreamIter) charge(d float64) {
+	r.charged += d
+	r.s.advance(d)
 }
 
 // Next implements relation.Iterator.
 func (r *remoteStreamIter) Next() (relation.Tuple, bool) {
 	t, ok := r.guard.Next()
-	if !ok && r.guard.Err() != nil {
-		r.fs.Close()
+	if ok {
+		r.charge(r.s.cms.opts.Costs.PerTuple)
+	} else if !r.ended {
+		r.ended = true
+		if r.guard.Err() != nil {
+			r.fs.Close()
+		} else if rest := r.fs.SimMS() - r.charged; rest > 0 && r.fs.Err() == nil {
+			r.charge(rest)
+		}
 	}
 	return t, ok
 }

@@ -87,54 +87,24 @@ func (r *RDI) RelationSchema(name string, arity int) (*relation.Schema, error) {
 // simulated time of the request, and the result's staleness stamp: the epoch
 // observed just before the request was issued — after translation, whose
 // schema lookups are requests too, so no fetch is stamped before the client
-// has heard from the backend. Cancellation and deadlines propagate
-// into the remote call (retry/backoff loops, dial, and socket reads when the
-// client supports remotedb.ContextClient; a pre-flight check otherwise).
-// On a stream-capable client the result is drained frame-by-frame through the
-// bulk append path, so peak memory during transfer is one frame plus the
-// growing result instead of two whole wire relations.
+// has heard from the backend. Cancellation and deadlines propagate into the
+// remote call (retry/backoff loops, dial, socket reads). The result is
+// drained frame-by-frame through the bulk append path, so peak memory during
+// transfer is one frame plus the growing result.
 func (r *RDI) FetchCtx(ctx context.Context, q *caql.Query) (ext *relation.Relation, sim float64, stamp uint64, err error) {
 	ctx, sp := r.tracer.Start(ctx, "cms.remote_fetch")
 	sp.Set("query", q.Name())
 	defer sp.End()
-	if r.StreamCapable() {
-		fs, err := r.FetchStreamCtx(ctx, q)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		out, err := remotedb.DrainStream(q.Name(), fs)
-		r.noteRemote(err)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("cache: remote execution of %q: %w", fs.sql, err)
-		}
-		return out, fs.SimMS(), fs.stamp, nil
-	}
-	tr, err := remotedb.TranslateCAQL(q, r)
+	fs, err := r.FetchStreamCtx(ctx, q)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	stamp = r.ObservedEpoch()
-	res, err := remotedb.ExecContext(ctx, r.client, tr.SQL)
+	out, err := remotedb.DrainStream(q.Name(), fs)
 	r.noteRemote(err)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("cache: remote execution of %q: %w", tr.SQL, err)
+		return nil, 0, 0, fmt.Errorf("cache: remote execution of %q: %w", fs.tr.SQL, err)
 	}
-	schema, err := q.OutputSchema(r)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	out, err := tr.Reassemble(q.Name(), schema, res.Rel)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return out, res.SimMS, stamp, nil
-}
-
-// StreamCapable reports whether the remote client can deliver exec results
-// incrementally (remotedb.StreamClient, i.e. the pooled v2 transport).
-func (r *RDI) StreamCapable() bool {
-	_, ok := r.client.(remotedb.StreamClient)
-	return ok
+	return out, fs.SimMS(), fs.stamp, nil
 }
 
 // FetchStreamCtx evaluates a CAQL conjunctive query remotely and returns the
@@ -160,12 +130,12 @@ func (r *RDI) FetchStreamCtx(ctx context.Context, q *caql.Query) (*FetchStream, 
 		return nil, err
 	}
 	stamp := r.ObservedEpoch()
-	st, err := remotedb.ExecStreamContext(ctx, r.client, tr.SQL)
+	st, err := r.client.ExecStream(ctx, tr.SQL)
 	r.noteRemote(err)
 	if err != nil {
 		return nil, fmt.Errorf("cache: remote execution of %q: %w", tr.SQL, err)
 	}
-	return &FetchStream{rdi: r, inner: st, tr: tr, schema: schema, name: q.Name(), sql: tr.SQL, stamp: stamp}, nil
+	return &FetchStream{rdi: r, inner: st, tr: tr, schema: schema, name: q.Name(), stamp: stamp}, nil
 }
 
 // FetchStream is a remote CAQL result delivered incrementally: the wire
@@ -178,7 +148,6 @@ type FetchStream struct {
 	tr     *remotedb.Translation
 	schema *relation.Schema
 	name   string
-	sql    string
 	stamp  uint64 // the epoch observed before the request was issued (FetchCtx)
 
 	done     bool
@@ -244,10 +213,9 @@ func (r *RDI) Resilience() (remotedb.ResilienceStats, bool) {
 }
 
 // ObservedEpoch returns the highest backend clock any request through this
-// interface has observed (0: the transport reports none). It stamps fetched
-// views, and a view stamped at or above it is current without further
-// checks.
-func (r *RDI) ObservedEpoch() uint64 { return remotedb.ObservedEpoch(r.client) }
+// interface has observed (0: none yet). It stamps fetched views, and a view
+// stamped at or above it is current without further checks.
+func (r *RDI) ObservedEpoch() uint64 { return r.client.ObservedEpoch() }
 
 // movedSince reports whether a request has observed a version above stamp
 // for a relation def names: a view of def stamped there may miss that change.

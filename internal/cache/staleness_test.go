@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -113,10 +114,10 @@ type racingClient struct {
 
 func (c *racingClient) Inner() remotedb.Client { return c.Client }
 
-func (c *racingClient) Exec(sql string) (*remotedb.Result, error) {
-	res, err := c.Client.Exec(sql)
+func (c *racingClient) ExecStream(ctx context.Context, sql string) (remotedb.TupleStream, error) {
+	st, err := c.Client.ExecStream(ctx, sql)
 	if err != nil || !c.armed || !strings.Contains(sql, "FROM s") {
-		return res, err
+		return st, err
 	}
 	c.armed = false
 	if err := c.e.Insert("s", []relation.Tuple{{relation.Int(99), relation.Str("late")}}); err != nil {
@@ -125,7 +126,7 @@ func (c *racingClient) Exec(sql string) (*remotedb.Result, error) {
 	if _, err := c.Client.Exec("SELECT pid FROM p WHERE pid = 1"); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return st, nil
 }
 
 // TestStampTakenBeforeTheFetch: a view's stamp is the epoch observed before

@@ -107,3 +107,39 @@ func TestStrategyOverride(t *testing.T) {
 		t.Fatal(sol.Err())
 	}
 }
+
+// TestFirstAnswerRequestsAreDeterministic: the IE searches only while a
+// Next call waits, so asking, taking one answer and closing issues the same
+// CAQL queries every time, whatever the scheduler does after the close.
+func TestFirstAnswerRequestsAreDeterministic(t *testing.T) {
+	w := workload.Kinship(11, 60)
+	for _, strat := range []ie.Strategy{ie.StrategyInterpreted, ie.StrategyConjunction} {
+		var first int64
+		for run := 0; run < 20; run++ {
+			cfg := DefaultConfig()
+			cfg.Comparator = ComparatorLoose
+			cfg.IE.Strategy = strat
+			sys, err := NewSystem(w.KB, remotedb.NewInProcClient(w.Engine(), remotedb.DefaultCosts()), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range w.Queries {
+				sol, err := sys.Ask(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sol.Next()
+				sol.Close()
+				if sol.Err() != nil {
+					t.Fatalf("%s: %v", q, sol.Err())
+				}
+			}
+			got := sys.Stats().RemoteRequests
+			if run == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s run %d: %d remote requests, run 0 issued %d", strat, run, got, first)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -31,11 +32,11 @@ type e13SlowClient struct {
 	service time.Duration
 }
 
-func (c *e13SlowClient) Exec(sql string) (*remotedb.Result, error) {
+func (c *e13SlowClient) ExecStream(ctx context.Context, sql string) (remotedb.TupleStream, error) {
 	c.mu.Lock()
 	time.Sleep(c.service)
 	c.mu.Unlock()
-	return c.Client.Exec(sql)
+	return c.Client.ExecStream(ctx, sql)
 }
 
 // E13Result is one configuration's measurement.

@@ -111,10 +111,13 @@ type answer struct {
 
 // Solutions is the lazy stream of answers to an AI query: a single solution
 // is produced on demand (the paper's single-solution strategy), and Close
-// abandons the remaining search.
+// abandons the remaining search. The producer searches only while a Next call
+// waits for an answer, so how many CAQL queries a consumer causes depends on
+// how many answers it took, never on scheduling.
 type Solutions struct {
 	vars []string
 
+	want    chan struct{} // one token per Next call: permission to search for one answer
 	ch      chan answer
 	errCh   chan error
 	stop    chan struct{}
@@ -139,6 +142,7 @@ func (s *Solutions) NextProof() (logic.Subst, *Proof, bool) {
 	if s.done {
 		return nil, nil, false
 	}
+	s.want <- struct{}{}
 	select {
 	case a, ok := <-s.ch:
 		if !ok {
@@ -152,6 +156,28 @@ func (s *Solutions) NextProof() (logic.Subst, *Proof, bool) {
 		s.err = err
 		return nil, nil, false
 	}
+}
+
+// demanded blocks the producer until the consumer asks for an answer; false
+// when it closed instead.
+func (s *Solutions) demanded() bool {
+	select {
+	case <-s.want:
+		return true
+	case <-s.stop:
+		return false
+	}
+}
+
+// deliver hands a to the consumer and waits for the next demand; false stops
+// the search (consumer closed).
+func (s *Solutions) deliver(a answer) bool {
+	select {
+	case s.ch <- a:
+	case <-s.stop:
+		return false
+	}
+	return s.demanded()
 }
 
 // All drains the remaining answers.
@@ -241,6 +267,7 @@ func (e *Engine) Ask(goal logic.Atom) (*Solutions, error) {
 
 	sol := &Solutions{
 		vars:  prog.goalVars,
+		want:  make(chan struct{}, 1),
 		ch:    make(chan answer),
 		errCh: make(chan error, 1),
 		stop:  make(chan struct{}),
@@ -249,7 +276,10 @@ func (e *Engine) Ask(goal logic.Atom) (*Solutions, error) {
 	case StrategyCompiled:
 		go func() {
 			defer close(sol.ch)
-			err := e.runCompiled(prog, session, sol)
+			var err error
+			if sol.demanded() {
+				err = e.runCompiled(prog, session, sol)
+			}
 			session.End()
 			sol.errCh <- err
 		}()
@@ -262,7 +292,10 @@ func (e *Engine) Ask(goal logic.Atom) (*Solutions, error) {
 		}
 		go func() {
 			defer close(sol.ch)
-			err := r.runAll()
+			var err error
+			if sol.demanded() {
+				err = r.runAll()
+			}
 			session.End()
 			sol.errCh <- err
 		}()

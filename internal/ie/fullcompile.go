@@ -66,9 +66,7 @@ func (e *Engine) runCompiled(prog *program, session bridge.Session, sol *Solutio
 			proof = ProofRoot(prog.goal.String(),
 				[]*Proof{{Kind: "rule", Detail: "derived set-at-a-time by bottom-up fixpoint evaluation"}})
 		}
-		select {
-		case sol.ch <- answer{sub: s.Restrict(sol.vars), proof: proof}:
-		case <-sol.stop:
+		if !sol.deliver(answer{sub: s.Restrict(sol.vars), proof: proof}) {
 			return nil
 		}
 	}

@@ -30,12 +30,7 @@ func (r *runner) emit(s logic.Subst, proofs []*Proof) bool {
 	if r.engine.opts.Explain {
 		root = ProofRoot(r.prog.goal.String(), proofs)
 	}
-	select {
-	case r.sol.ch <- answer{sub: s.Restrict(r.sol.vars), proof: root}:
-		return true
-	case <-r.sol.stop:
-		return false
-	}
+	return r.sol.deliver(answer{sub: s.Restrict(r.sol.vars), proof: root})
 }
 
 func (r *runner) stopRequested() bool {

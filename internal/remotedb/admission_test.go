@@ -56,6 +56,36 @@ func TestServerShedsOverMaxInflight(t *testing.T) {
 	}
 }
 
+// TestServerFreesSlotsBeforeAnswering: a finished request releases its
+// admission slot before its terminal frame is written, so a request sent on
+// another connection the moment an answer lands is never shed by the request
+// that answer finished — streamed SELECTs, bounded statements and catalog ops
+// alike.
+func TestServerFreesSlotsBeforeAnswering(t *testing.T) {
+	srv := NewServerWithOptions(newTestEngine(t), ServerOptions{MaxInflight: 1})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conns := []*PoolClient{dialTestPool(t, addr, PoolOptions{Size: 1}), dialTestPool(t, addr, PoolOptions{Size: 1})}
+	for i := 0; i < 1000; i++ {
+		c := conns[i%2]
+		for _, sql := range []string{"SELECT * FROM emp", "EXPLAIN SELECT * FROM emp"} {
+			if _, err := c.Exec(sql); err != nil {
+				t.Fatalf("request %d (%s): %v", i, sql, err)
+			}
+			c = conns[(i+1)%2]
+		}
+		if _, err := c.Tables(); err != nil {
+			t.Fatalf("request %d (tables): %v", i, err)
+		}
+	}
+	if shed := srv.ServerStats().Shed; shed != 0 {
+		t.Fatalf("%d back-to-back requests shed, want 0", shed)
+	}
+}
+
 // TestServerRequestTimeout checks that a request still executing at the
 // server's deadline is abandoned and answered with the typed deadline wire
 // code, quickly.

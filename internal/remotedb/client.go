@@ -15,13 +15,32 @@ type Result struct {
 	SimMS float64
 }
 
-// Client is the connection surface the CMS's Remote DBMS Interface uses.
-// Implementations: InProcClient (direct engine calls with simulated costs)
-// and PoolClient (the wire protocol over TCP). Both account identical
-// request/tuple statistics so experiments can run on either transport.
+// Client is the one connection surface the CMS's Remote DBMS Interface uses.
+// Implementations: InProcClient (direct engine calls with simulated costs),
+// PoolClient (the framed wire protocol over TCP), and the FaultClient and
+// ResilientClient decorators over either. Every implementation streams and
+// accounts identical request/tuple statistics, so the CMS runs one fetch path
+// whatever the transport.
 type Client interface {
 	// Exec parses and executes one DML statement.
 	Exec(sql string) (*Result, error)
+	// ExecCtx is Exec bounded by ctx: a done context aborts the request (dial,
+	// write, read, backoff sleeps) with a transient TransportError wrapping
+	// ctx.Err().
+	ExecCtx(ctx context.Context, sql string) (*Result, error)
+	// ExecStream issues sql and returns its result as a TupleStream once the
+	// header is known; ctx governs the whole life of the stream.
+	ExecStream(ctx context.Context, sql string) (TupleStream, error)
+	// ExecStreamResume re-issues a streamed sql whose earlier stream died
+	// after skip tuples reached the caller's consumer, carrying that stream's
+	// resume token. When the returned stream reports ResumeState resumed=true
+	// the prefix was skipped for the caller; otherwise — including streams
+	// without a ResumeReporter — the caller skips it itself.
+	ExecStreamResume(ctx context.Context, sql, token string, skip int64) (TupleStream, error)
+	// ObservedEpoch returns the highest backend clock seen on any response so
+	// far; 0 means no response has carried one yet. The CMS uses it to detect
+	// that cached views were built against a state the server has moved past.
+	ObservedEpoch() uint64
 	// RelationSchema resolves a base relation schema (caql.SchemaSource).
 	RelationSchema(name string, arity int) (*relation.Schema, error)
 	// TableStats returns catalog statistics for a table.
@@ -34,32 +53,21 @@ type Client interface {
 	Close() error
 }
 
-// ContextClient is implemented by clients whose requests honor a caller
-// context: cancellation or deadline expiry aborts the request (dial, write,
-// read, backoff sleeps) instead of letting it run to completion. All the
-// package's clients implement it; ExecContext is the uniform entry point that
-// degrades gracefully for clients that do not.
-type ContextClient interface {
-	Client
-	// ExecCtx is Exec bounded by ctx: a done context aborts the request with
-	// a transient TransportError wrapping ctx.Err().
-	ExecCtx(ctx context.Context, sql string) (*Result, error)
-}
-
-// EpochReporter is implemented by clients that observe the server's catalog
-// epoch on responses (PoolClient, InProcClient). The CMS uses the
-// high-water mark to detect that cached views were built against a backend
-// state the server has since moved past.
-type EpochReporter interface {
-	// ObservedEpoch returns the highest catalog epoch seen on any response
-	// so far; 0 means no response has carried one yet.
-	ObservedEpoch() uint64
-}
+// The former capability interfaces, now all of Client; kept only while the
+// benchmark harness still names them.
+type (
+	ContextClient   = Client
+	StreamClient    = Client
+	ResumableClient = Client
+	EpochReporter   = Client
+)
 
 // VersionReporter is implemented by clients that observe the server's table
 // versions on responses (PoolClient, InProcClient). Versions and epochs come
 // from one engine clock, so a view stamped with epoch E is stale for table t
-// exactly when ObservedVersion(t) > E.
+// exactly when ObservedVersion(t) > E. It is not part of Client because the
+// benchmark harness's client decorator does not forward it; ObservedVersion
+// reaches it through InnerClient.
 type VersionReporter interface {
 	// ObservedVersion returns the newest version of table seen on any
 	// response so far; it is complete up to ObservedEpoch.
@@ -67,25 +75,9 @@ type VersionReporter interface {
 }
 
 // InnerClient is implemented by decorating clients (FaultClient,
-// ResilientClient) so capability probes can reach the transport underneath.
+// ResilientClient) so ObservedVersion can reach the transport underneath.
 type InnerClient interface {
 	Inner() Client
-}
-
-// ObservedEpoch unwraps decorators until it finds an EpochReporter; 0 for
-// transports that never report (the defense degrades to off).
-func ObservedEpoch(c Client) uint64 {
-	for c != nil {
-		if r, ok := c.(EpochReporter); ok {
-			return r.ObservedEpoch()
-		}
-		w, ok := c.(InnerClient)
-		if !ok {
-			return 0
-		}
-		c = w.Inner()
-	}
-	return 0
 }
 
 // ObservedVersion unwraps decorators until it finds a VersionReporter. A
@@ -102,7 +94,7 @@ func ObservedVersion(c Client, table string) uint64 {
 		}
 		d = w.Inner()
 	}
-	return ObservedEpoch(c)
+	return c.ObservedEpoch()
 }
 
 // versionVec is a client's high-water view of the server's clock and table
@@ -144,22 +136,6 @@ func (v *versionVec) version(table string) uint64 {
 	return v.versions[table]
 }
 
-// ExecContext issues sql through c, honoring ctx when the client supports it.
-// For a plain Client the context is checked before dispatch only (the request
-// itself cannot be interrupted).
-func ExecContext(ctx context.Context, c Client, sql string) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cc, ok := c.(ContextClient); ok {
-		return cc.ExecCtx(ctx, sql)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, &TransportError{Op: "exec", Err: err}
-	}
-	return c.Exec(sql)
-}
-
 // InProcClient is a Client bound directly to an Engine in the same process,
 // charging the virtual cost model for every request. It is the default
 // transport for deterministic experiments.
@@ -189,22 +165,7 @@ func (c *InProcClient) Engine() *Engine { return c.engine }
 // Costs returns the client's cost model.
 func (c *InProcClient) Costs() Costs { return c.costs }
 
-// ExecCtx implements ContextClient. The in-process engine is synchronous and
-// CPU-bound, so the context is checked before dispatch and after completion
-// (a request canceled mid-execution returns the cancellation, not the
-// now-unwanted result, matching the remote transports' semantics).
-func (c *InProcClient) ExecCtx(ctx context.Context, sql string) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, &TransportError{Op: "exec", Err: err}
-	}
-	res, err := c.Exec(sql)
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, &TransportError{Op: "exec", Err: cerr}
-	}
-	return res, err
-}
-
-// ObservedEpoch implements EpochReporter.
+// ObservedEpoch implements Client.
 func (c *InProcClient) ObservedEpoch() uint64 { return c.seen.epoch.Load() }
 
 // ObservedVersion implements VersionReporter.
@@ -218,10 +179,44 @@ func (c *InProcClient) observe() {
 
 // Exec implements Client.
 func (c *InProcClient) Exec(sql string) (*Result, error) {
-	rel, ops, err := c.engine.ExecuteSQL(sql)
-	defer c.observe()
+	return c.ExecCtx(context.Background(), sql)
+}
+
+// ExecCtx implements Client.
+func (c *InProcClient) ExecCtx(ctx context.Context, sql string) (*Result, error) {
+	res, _, err := c.exec(ctx, sql)
+	return res, err
+}
+
+// ExecStream implements Client: the result is materialized by the engine and
+// replayed through the stream surface, charged once, as Exec charges it.
+func (c *InProcClient) ExecStream(ctx context.Context, sql string) (TupleStream, error) {
+	res, ops, err := c.exec(ctx, sql)
 	if err != nil {
 		return nil, err
+	}
+	return newMaterializedStream(res, ops), nil
+}
+
+// ExecStreamResume implements Client. The in-process transport cannot pin a
+// snapshot, so it ignores the token and serves the whole result on a stream
+// without resume state: the caller skips its delivered prefix itself.
+func (c *InProcClient) ExecStreamResume(ctx context.Context, sql, _ string, _ int64) (TupleStream, error) {
+	return c.ExecStream(ctx, sql)
+}
+
+// exec runs one request and charges it. The engine is synchronous and
+// CPU-bound, so ctx is checked before dispatch and after completion: a
+// request canceled mid-execution returns the cancellation, not the
+// now-unwanted result, matching the remote transports' semantics.
+func (c *InProcClient) exec(ctx context.Context, sql string) (*Result, int64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, &TransportError{Op: "exec", Err: err}
+	}
+	rel, ops, err := c.engine.ExecuteSQL(sql)
+	c.observe()
+	if err != nil {
+		return nil, 0, err
 	}
 	var tuples int64
 	if rel != nil {
@@ -234,7 +229,10 @@ func (c *InProcClient) Exec(sql string) (*Result, error) {
 	c.stats.ServerOps += ops
 	c.stats.SimMS += sim
 	c.mu.Unlock()
-	return &Result{Rel: rel, SimMS: sim}, nil
+	if err := ctx.Err(); err != nil {
+		return nil, 0, &TransportError{Op: "exec", Err: err}
+	}
+	return &Result{Rel: rel, SimMS: sim}, ops, nil
 }
 
 // RelationSchema implements Client.

@@ -1,7 +1,8 @@
 // Package remotedb implements BrAID's remote DBMS substrate: a from-scratch
 // relational engine with a SQL subset, a catalog with statistics, and two
-// transports (in-process and TCP). It stands in for the INGRES / Britton-Lee
-// IDM-500 servers of the paper's prototype.
+// transports (in-process and TCP) behind one streaming Client contract. It
+// stands in for the INGRES / Britton-Lee IDM-500 servers of the paper's
+// prototype.
 //
 // Because the experiments measure *relative* costs (requests issued, tuples
 // shipped, response time), the package includes a deterministic virtual cost
@@ -48,8 +49,10 @@ func (c Costs) RequestCost(tuples, ops int64) float64 {
 }
 
 // Stats accumulates transfer statistics for a client connection. All fields
-// are cumulative since the connection opened. The frame/stream counters are
-// populated by the framed transport (PoolClient) and stay zero in-process.
+// are cumulative since the connection opened. Requests, tuples, server ops
+// and simulated time are counted alike by every transport, streamed or not;
+// the frame/stream counters exist on the framed wire only (PoolClient) and
+// stay zero in-process.
 type Stats struct {
 	// Requests is the number of DML requests issued.
 	Requests int64

@@ -300,15 +300,29 @@ func TestEngineAgainstCAQLEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("execute %q: %v", tr.SQL, err)
 		}
-		got, err := tr.Reassemble("q", want.Schema(), sqlRes)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := reassemble(t, tr, "q", want.Schema(), sqlRes)
 		if !got.EqualAsBag(want) {
 			t.Fatalf("trial %d: SQL path disagrees with CAQL eval\nquery: %s\nsql: %s\ngot: %v\nwant: %v",
 				trial, q, tr.SQL, got, want)
 		}
 	}
+}
+
+// reassemble rebuilds a CAQL extension from a SQL result row by row, as the
+// CMS's fetch stream does.
+func reassemble(t *testing.T, tr *Translation, name string, schema *relation.Schema, rows *relation.Relation) *relation.Relation {
+	t.Helper()
+	out := relation.New(name, schema)
+	for _, row := range rows.Tuples() {
+		tu, err := tr.ReassembleTuple(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := out.Append(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 func TestTranslateConstOnlyHead(t *testing.T) {
@@ -327,10 +341,7 @@ func TestTranslateConstOnlyHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := tr.Reassemble("d", relation.NewSchema(relation.Attr{Name: "c0", Kind: relation.KindInt}), res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := reassemble(t, tr, "d", relation.NewSchema(relation.Attr{Name: "c0", Kind: relation.KindInt}), res)
 	if out.Len() != 3 {
 		t.Fatalf("const head rows = %d, want 3", out.Len())
 	}

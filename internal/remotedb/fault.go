@@ -191,35 +191,32 @@ func (f *FaultClient) sleep(d time.Duration) {
 
 // Exec implements Client.
 func (f *FaultClient) Exec(sql string) (*Result, error) {
-	if err := f.maybeFault("exec"); err != nil {
-		return nil, err
-	}
-	return f.inner.Exec(sql)
+	return f.ExecCtx(context.Background(), sql)
 }
 
-// ExecCtx implements ContextClient, so cancellation survives the wrapper.
+// ExecCtx implements Client, so cancellation survives the wrapper.
 func (f *FaultClient) ExecCtx(ctx context.Context, sql string) (*Result, error) {
 	if err := f.maybeFault("exec"); err != nil {
 		return nil, err
 	}
-	return ExecContext(ctx, f.inner, sql)
+	return f.inner.ExecCtx(ctx, sql)
 }
 
-// ExecStream implements StreamClient: establishment is faulted exactly like a
+// ExecStream implements Client: establishment is faulted exactly like a
 // materialized Exec; an established stream then rolls once against the
 // per-stream fault dimension (kill/stall/corrupt after N tuples).
 func (f *FaultClient) ExecStream(ctx context.Context, sql string) (TupleStream, error) {
 	if err := f.maybeFault("exec"); err != nil {
 		return nil, err
 	}
-	st, err := ExecStreamContext(ctx, f.inner, sql)
+	st, err := f.inner.ExecStream(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
 	return f.maybeFaultStream(st), nil
 }
 
-// ExecStreamResume implements ResumableClient by passing resume state through
+// ExecStreamResume implements Client by passing resume state through
 // to the inner client. The re-issue is faulted like any request — including
 // the stream dimension, so a resumed stream can be killed again, exercising
 // repeated-recovery paths.
@@ -227,7 +224,7 @@ func (f *FaultClient) ExecStreamResume(ctx context.Context, sql, token string, s
 	if err := f.maybeFault("exec"); err != nil {
 		return nil, err
 	}
-	st, err := ExecStreamResumeContext(ctx, f.inner, sql, token, skip)
+	st, err := f.inner.ExecStreamResume(ctx, sql, token, skip)
 	if err != nil {
 		return nil, err
 	}
@@ -372,6 +369,9 @@ func (f *FaultClient) Tables() ([]string, error) {
 	}
 	return f.inner.Tables()
 }
+
+// ObservedEpoch implements Client (never faulted).
+func (f *FaultClient) ObservedEpoch() uint64 { return f.inner.ObservedEpoch() }
 
 // Stats implements Client (never faulted).
 func (f *FaultClient) Stats() Stats { return f.inner.Stats() }

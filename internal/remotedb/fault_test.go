@@ -1,6 +1,7 @@
 package remotedb
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -329,6 +330,16 @@ func TestResilientFaultMatrix(t *testing.T) {
 type clientStub struct{ s *flakyStub }
 
 func (c clientStub) Exec(sql string) (*Result, error) { return c.s.Exec(sql) }
+func (c clientStub) ExecCtx(_ context.Context, sql string) (*Result, error) {
+	return c.s.Exec(sql)
+}
+func (c clientStub) ExecStream(context.Context, string) (TupleStream, error) {
+	return nil, errors.New("unused")
+}
+func (c clientStub) ExecStreamResume(context.Context, string, string, int64) (TupleStream, error) {
+	return nil, errors.New("unused")
+}
+func (c clientStub) ObservedEpoch() uint64 { return 0 }
 func (c clientStub) RelationSchema(string, int) (*relation.Schema, error) {
 	return nil, errors.New("unused")
 }

@@ -284,7 +284,7 @@ func (p *PoolClient) Close() error {
 	return nil
 }
 
-// ObservedEpoch implements EpochReporter: the highest server clock seen on
+// ObservedEpoch implements Client: the highest server clock seen on
 // any response through this pool.
 func (p *PoolClient) ObservedEpoch() uint64 { return p.stats.seen.epoch.Load() }
 
@@ -312,7 +312,7 @@ func (p *PoolClient) Exec(sql string) (*Result, error) {
 	return p.ExecCtx(context.Background(), sql)
 }
 
-// ExecCtx implements ContextClient by draining the stream into a materialized
+// ExecCtx implements Client by draining the stream into a materialized
 // Result — callers that want incremental delivery use ExecStream.
 func (p *PoolClient) ExecCtx(ctx context.Context, sql string) (*Result, error) {
 	st, err := p.ExecStream(ctx, sql)
@@ -326,7 +326,7 @@ func (p *PoolClient) ExecCtx(ctx context.Context, sql string) (*Result, error) {
 	return &Result{Rel: rel, SimMS: st.SimMS()}, nil
 }
 
-// ExecStream implements StreamClient: it returns once the result header (or
+// ExecStream implements Client: it returns once the result header (or
 // a terminal error) arrives; tuples then stream in frames. The context
 // governs the whole stream life: cancellation mid-stream sends a cancel frame
 // and surfaces the typed context error from the stream's Err.
@@ -334,7 +334,7 @@ func (p *PoolClient) ExecStream(ctx context.Context, sql string) (TupleStream, e
 	return p.ExecStreamResume(ctx, sql, "", 0)
 }
 
-// ExecStreamResume implements ResumableClient: it re-issues sql carrying the
+// ExecStreamResume implements Client: it re-issues sql carrying the
 // resume token of a stream that died after delivering skip tuples. The pool's
 // pick naturally lands the re-issue on a different (healthy) connection,
 // because the one that died is quarantined. An empty token is a plain

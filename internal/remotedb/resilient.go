@@ -385,27 +385,26 @@ func (r *ResilientClient) Exec(sql string) (*Result, error) {
 	return r.ExecCtx(context.Background(), sql)
 }
 
-// ExecCtx implements ContextClient: the context bounds every attempt, the
-// backoff sleeps between them, and flows through to a ctx-aware inner client.
+// ExecCtx implements Client: the context bounds every attempt, the backoff
+// sleeps between them, and flows through to the inner client.
 func (r *ResilientClient) ExecCtx(ctx context.Context, sql string) (*Result, error) {
-	v, err := r.doCtx(ctx, "exec", func() (any, error) { return ExecContext(ctx, r.inner, sql) })
+	v, err := r.doCtx(ctx, "exec", func() (any, error) { return r.inner.ExecCtx(ctx, sql) })
 	if err != nil {
 		return nil, err
 	}
 	return v.(*Result), nil
 }
 
-// ExecStream implements StreamClient. The resilience policy — breaker,
-// deadline, retries — applies to stream establishment as before
-// (establishment failures are exactly the transient class the retry loop and
-// breaker exist for), and now extends PAST it: a stream whose header carried
-// a resume token is wrapped in a ResilientStream, which repairs mid-stream
-// transport failures by re-dispatching with the token — through this same
-// client, so the breaker and backoff govern re-dispatches too. Tokenless
-// streams (materialized results) keep the old surface-the-error
-// behavior, as does cfg.DisableStreamResume.
+// ExecStream implements Client. The resilience policy — breaker, deadline,
+// retries — applies to stream establishment (establishment failures are
+// exactly the transient class the retry loop and breaker exist for), and
+// extends PAST it: a stream whose header carried a resume token is wrapped in
+// a ResilientStream, which repairs mid-stream transport failures by
+// re-dispatching with the token — through this same client, so the breaker
+// and backoff govern re-dispatches too. Tokenless streams keep the
+// surface-the-error behavior, as does cfg.DisableStreamResume.
 func (r *ResilientClient) ExecStream(ctx context.Context, sql string) (TupleStream, error) {
-	v, err := r.doCtx(ctx, "exec", func() (any, error) { return ExecStreamContext(ctx, r.inner, sql) })
+	v, err := r.doCtx(ctx, "exec", func() (any, error) { return r.inner.ExecStream(ctx, sql) })
 	if err != nil {
 		return nil, err
 	}
@@ -414,6 +413,18 @@ func (r *ResilientClient) ExecStream(ctx context.Context, sql string) (TupleStre
 		return st, nil
 	}
 	return newResilientStream(r, ctx, sql, st), nil
+}
+
+// ExecStreamResume implements Client: the re-issue is one request under the
+// policy — the one a ResilientStream makes to repair itself. The stream comes
+// back as the inner client served it, so its resume state tells the caller
+// whether to skip, and the resuming caller repairs it.
+func (r *ResilientClient) ExecStreamResume(ctx context.Context, sql, token string, skip int64) (TupleStream, error) {
+	v, err := r.doCtx(ctx, "exec", func() (any, error) { return r.inner.ExecStreamResume(ctx, sql, token, skip) })
+	if err != nil {
+		return nil, err
+	}
+	return v.(TupleStream), nil
 }
 
 // noteStreamResume counts one repaired mid-stream failure.
@@ -449,6 +460,9 @@ func (r *ResilientClient) Tables() ([]string, error) {
 	}
 	return v.([]string), nil
 }
+
+// ObservedEpoch implements Client.
+func (r *ResilientClient) ObservedEpoch() uint64 { return r.inner.ObservedEpoch() }
 
 // Stats implements Client.
 func (r *ResilientClient) Stats() Stats { return r.inner.Stats() }

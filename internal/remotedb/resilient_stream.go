@@ -29,9 +29,8 @@ import (
 //     once, in order, across any number of connection deaths.
 //
 // Only streams that carry a resume token are repaired. A tokenless stream
-// (materialized execution path) has no determinism guarantee to skip against,
-// so its mid-stream failure still surfaces as Err — exactly the old
-// behavior.
+// has no determinism guarantee to skip against, so its mid-stream failure
+// surfaces as Err.
 //
 // Termination: each successful resume must make progress (the finite result
 // shrinks), so delivery completes even under repeated kills. A resume that
@@ -146,13 +145,10 @@ func (rs *ResilientStream) resume(cause error) error {
 		rs.noProgress = 0
 	}
 	skip := rs.delivered
-	v, err := rs.r.doCtx(rs.ctx, "exec", func() (any, error) {
-		return ExecStreamResumeContext(rs.ctx, rs.r.inner, rs.sql, rs.token, skip)
-	})
+	st, err := rs.r.ExecStreamResume(rs.ctx, rs.sql, rs.token, skip)
 	if err != nil {
 		return err
 	}
-	st := v.(TupleStream)
 	rs.inner = st
 	rs.r.noteStreamResume()
 

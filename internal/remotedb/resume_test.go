@@ -593,6 +593,10 @@ func (c *scriptedClient) ExecStreamResume(ctx context.Context, sql, token string
 }
 
 func (c *scriptedClient) Exec(sql string) (*Result, error) { return nil, errors.New("unused") }
+func (c *scriptedClient) ExecCtx(context.Context, string) (*Result, error) {
+	return nil, errors.New("unused")
+}
+func (c *scriptedClient) ObservedEpoch() uint64 { return 0 }
 func (c *scriptedClient) RelationSchema(name string, arity int) (*relation.Schema, error) {
 	return c.schema, nil
 }

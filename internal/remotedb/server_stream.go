@@ -307,7 +307,7 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 		if resp.rel != nil {
 			hdr.Name, hdr.Attrs, src = resp.rel.Name, toWireAttrs(resp.rel.Schema()), resp.rel.Iter()
 		}
-		rows, frames, ok := fc.ship(ctx, hdr, src, nil, killer)
+		rows, frames, ok := fc.ship(ctx, hdr, src, nil, killer, func() {})
 		if ok {
 			fc.writeEnd(id, wireCodeNone, "", resp.Ops)
 			frames++
@@ -395,14 +395,19 @@ func (k *streamKiller) afterWrite() (killed bool) {
 // running at the deadline or at cancellation is abandoned — it completes in
 // the background and releases its execution/admission slots then, so
 // abandoned work keeps counting against the limits while it burns CPU.
+// Finished work releases them before its response is handed over, so the
+// answer's terminal frame is never written while they are held: a client
+// that sends its next request the moment an answer lands is not shed by the
+// request that answer finished.
 func (s *Server) runBounded(ctx context.Context, req *wireRequest, st *Statement, delay time.Duration, release func()) (wireResponse, bool) {
 	ch := make(chan wireResponse, 1)
 	go func() {
-		defer release()
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		ch <- s.handle(ctx, req, st)
+		resp := s.handle(ctx, req, st)
+		release()
+		ch <- resp
 	}()
 	var timerC <-chan time.Time
 	if s.opts.RequestTimeout > 0 {
@@ -429,11 +434,20 @@ func (s *Server) runBounded(ctx context.Context, req *wireRequest, st *Statement
 // slow-query log.
 func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream, delay time.Duration, release func(), resumed bool, killer *streamKiller) (rows, frames int64) {
 	s := fc.s
-	defer release()
 	// Parallel plan streams own worker goroutines; closing on every exit path
 	// (deadline, cancel, write failure, kill fault, normal end) joins them, so
 	// an abandoned stream leaks nothing. Serial streams have a no-op Close.
-	defer sc.Close()
+	// The slots go with them, before any terminal frame is written (see
+	// runBounded).
+	settled := false
+	settle := func() {
+		if !settled {
+			settled = true
+			sc.Close()
+			release()
+		}
+	}
+	defer settle()
 	var timerC <-chan time.Time
 	if s.opts.RequestTimeout > 0 {
 		timer := time.NewTimer(s.opts.RequestTimeout)
@@ -447,11 +461,13 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 		case <-timerC:
 			dt.Stop()
 			s.timeouts.Add(1)
+			settle()
 			fc.writeEnd(id, wireCodeDeadline, ErrDeadlineExceeded.Error(), 0)
 			return
 		case <-ctx.Done():
 			dt.Stop()
 			s.streamsCanceled.Add(1)
+			settle()
 			fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), 0)
 			return
 		}
@@ -470,13 +486,14 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 	rows, frames, ok := fc.ship(ctx, &wireFrame{
 		ID: id, Kind: frameHeader, Name: sc.Name(), Attrs: toWireAttrs(sc.Schema()),
 		Resume: resume, Resumed: resumed,
-	}, sc, timerC, killer)
+	}, sc, timerC, killer, settle)
 	if !ok {
 		return rows, frames
 	}
 	// A stream that stopped early (a parallel worker hit its cancellation
 	// checkpoint) must not read as a complete result: report it as canceled,
 	// never as a silently truncated ok-end.
+	settle()
 	if err := sc.Err(); err != nil {
 		s.streamsCanceled.Add(1)
 		fc.writeEnd(id, wireCodeCanceled, err.Error(), sc.Ops())
@@ -491,9 +508,9 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 // checking between frames for cancellation and, when deadline is non-nil, for
 // the request deadline. ok reports that every tuple went out and the caller
 // owes the end frame; otherwise the stream is over (a write failed, a kill
-// fault fired, or ship wrote the terminal frame itself). It returns the
-// tuples and frames shipped, for the slow-query log.
-func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Iterator, deadline <-chan time.Time, killer *streamKiller) (rows, frames int64, ok bool) {
+// fault fired, or ship wrote the terminal frame itself, after calling
+// settle). It returns the tuples and frames shipped, for the slow-query log.
+func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Iterator, deadline <-chan time.Time, killer *streamKiller, settle func()) (rows, frames int64, ok bool) {
 	if fc.write(hdr) != nil {
 		return
 	}
@@ -521,10 +538,12 @@ func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Ite
 		select {
 		case <-ctx.Done():
 			fc.s.streamsCanceled.Add(1)
+			settle()
 			fc.writeEnd(hdr.ID, wireCodeCanceled, context.Canceled.Error(), 0)
 			return
 		case <-deadline:
 			fc.s.timeouts.Add(1)
+			settle()
 			fc.writeEnd(hdr.ID, wireCodeDeadline, ErrDeadlineExceeded.Error(), 0)
 			return
 		default:

@@ -1,10 +1,6 @@
 package remotedb
 
-import (
-	"context"
-
-	"repro/internal/relation"
-)
+import "repro/internal/relation"
 
 // TupleStream is an incrementally delivered exec result: the paper's "stream
 // interface with buffering and pipelining" between the CMS and the remote
@@ -42,25 +38,6 @@ type TupleStream interface {
 	SimMS() float64
 }
 
-// StreamClient is implemented by clients that can deliver exec results
-// incrementally (PoolClient). ExecStream returns once the result
-// header arrives; tuples then stream in frames.
-type StreamClient interface {
-	Client
-	ExecStream(ctx context.Context, sql string) (TupleStream, error)
-}
-
-// ResumableClient is implemented by stream clients that can re-issue a
-// streamed exec carrying a resume token (PoolClient; FaultClient passes
-// through). Skip is the number of result tuples the caller already
-// delivered to its consumer: the server skips them when the pinned snapshot
-// survives, and otherwise serves a fresh stream whose header reports
-// Resumed=false so the caller skips them itself.
-type ResumableClient interface {
-	StreamClient
-	ExecStreamResume(ctx context.Context, sql, token string, skip int64) (TupleStream, error)
-}
-
 // ResumeReporter is implemented by streams whose header carried resume state:
 // the token pinning this stream's snapshot (empty for non-resumable results)
 // and whether the server honored a token by skipping server-side.
@@ -68,61 +45,27 @@ type ResumeReporter interface {
 	ResumeState() (token string, resumed bool)
 }
 
-// ExecStreamResumeContext re-issues sql with a resume token through c when it
-// supports resumption; otherwise it opens a plain stream — which never
-// implements ResumeReporter, so the caller treats it as a full restart and
-// skips its delivered prefix client-side.
-func ExecStreamResumeContext(ctx context.Context, c Client, sql, token string, skip int64) (TupleStream, error) {
-	if rc, ok := c.(ResumableClient); ok && token != "" {
-		return rc.ExecStreamResume(ctx, sql, token, skip)
-	}
-	return ExecStreamContext(ctx, c, sql)
-}
-
-// ExecStreamContext issues sql through c as a stream when the client supports
-// it, and otherwise falls back to a materialized ExecContext whose result is
-// replayed through the same TupleStream surface — so the CMS consumes every
-// transport uniformly and streaming composes with the resilience and fault
-// wrappers even when an inner layer is not stream-aware.
-func ExecStreamContext(ctx context.Context, c Client, sql string) (TupleStream, error) {
-	if sc, ok := c.(StreamClient); ok {
-		return sc.ExecStream(ctx, sql)
-	}
-	res, err := ExecContext(ctx, c, sql)
-	if err != nil {
-		return nil, err
-	}
-	return NewMaterializedStream(res), nil
-}
-
-// materializedStream adapts a fully materialized Result to the TupleStream
-// surface (the in-process fallback).
+// materializedStream replays a fully materialized Result through the stream
+// surface (the in-process transport).
 type materializedStream struct {
 	res    *Result
+	ops    int64
 	it     relation.Iterator
 	schema *relation.Schema
 	name   string
-	closed bool
 	err    error
 }
 
-// NewMaterializedStream wraps an already-materialized exec result in the
-// stream surface. Ops is unknown at this layer (the wrapped client already
-// accounted it) and reported as 0.
-func NewMaterializedStream(res *Result) TupleStream {
-	m := &materializedStream{res: res}
+func newMaterializedStream(res *Result, ops int64) TupleStream {
+	m := &materializedStream{res: res, ops: ops, it: relation.Empty()}
 	if res.Rel != nil {
-		m.schema = res.Rel.Schema()
-		m.name = res.Rel.Name
-		m.it = res.Rel.Iter()
-	} else {
-		m.it = relation.Empty()
+		m.schema, m.name, m.it = res.Rel.Schema(), res.Rel.Name, res.Rel.Iter()
 	}
 	return m
 }
 
 func (m *materializedStream) Next() (relation.Tuple, bool) {
-	if m.closed {
+	if m.err != nil {
 		return nil, false
 	}
 	return m.it.Next()
@@ -131,12 +74,11 @@ func (m *materializedStream) Next() (relation.Tuple, bool) {
 func (m *materializedStream) Schema() *relation.Schema { return m.schema }
 func (m *materializedStream) Name() string             { return m.name }
 func (m *materializedStream) Err() error               { return m.err }
-func (m *materializedStream) Ops() int64               { return 0 }
+func (m *materializedStream) Ops() int64               { return m.ops }
 func (m *materializedStream) SimMS() float64           { return m.res.SimMS }
 
 func (m *materializedStream) Close() error {
-	if !m.closed {
-		m.closed = true
+	if m.err == nil {
 		m.err = ErrStreamClosed
 	}
 	return nil

@@ -142,9 +142,8 @@ func TranslateCAQL(q *caql.Query, src caql.SchemaSource) (*Translation, error) {
 }
 
 // ReassembleTuple rebuilds one CAQL head row from one SQL result row using
-// the translation's head recipe. It is the per-tuple kernel of Reassemble,
-// exposed so streamed results can be reassembled lazily as frames arrive
-// instead of after full materialization.
+// the translation's head recipe, so streamed results are reassembled lazily
+// as frames arrive instead of after full materialization.
 func (tr *Translation) ReassembleTuple(row relation.Tuple) (relation.Tuple, error) {
 	t := make(relation.Tuple, len(tr.HeadIdx))
 	for i, idx := range tr.HeadIdx {
@@ -158,24 +157,4 @@ func (tr *Translation) ReassembleTuple(row relation.Tuple) (relation.Tuple, erro
 		}
 	}
 	return t, nil
-}
-
-// Reassemble rebuilds the CAQL result extension from the SQL result using
-// the translation's head recipe.
-func (tr *Translation) Reassemble(name string, schema *relation.Schema, sqlResult *relation.Relation) (*relation.Relation, error) {
-	if schema.Arity() != len(tr.HeadIdx) {
-		return nil, fmt.Errorf("remotedb: reassembly schema arity %d != head arity %d", schema.Arity(), len(tr.HeadIdx))
-	}
-	out := relation.New(name, schema)
-	out.Grow(sqlResult.Len())
-	for _, row := range sqlResult.Tuples() {
-		t, err := tr.ReassembleTuple(row)
-		if err != nil {
-			return nil, err
-		}
-		if err := out.Append(t); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
