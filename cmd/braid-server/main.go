@@ -36,7 +36,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	idle := flag.Duration("idle-timeout", 5*time.Minute, "drop connections idle for this long (0: never)")
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "drop connections whose peer stops reading a response (0: never)")
-	queryTimeout := flag.Duration("query-timeout", 0, "abandon requests still executing after this long (0: unbounded)")
+	queryTimeout := flag.Duration("query-timeout", 0, "answer a request not begun, or a SELECT still streaming, after this long with a deadline error (0: unbounded)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently executing requests; excess is shed with an overload error (0: unbounded)")
 	grace := flag.Duration("grace", 5*time.Second, "shutdown drain period for in-flight requests")
 	flakyDrop := flag.Float64("flaky-drop", 0, "fault injection: per-request probability of dropping the connection")

@@ -569,32 +569,6 @@ func randomCacheQuery(rng *rand.Rand) *caql.Query {
 	return q
 }
 
-func TestGeneratorElementUpgrade(t *testing.T) {
-	def := caql.MustParse("g(X) :- b2(X, Y)")
-	produced := 0
-	src := relation.IteratorFunc(func() (relation.Tuple, bool) {
-		if produced >= 5 {
-			return nil, false
-		}
-		produced++
-		return relation.Tuple{relation.Int(int64(produced))}, true
-	})
-	schema := relation.NewSchema(relation.Attr{Name: "X", Kind: relation.KindInt})
-	e := newGeneratorElement(1, def, schema, src)
-	if e.Mode != ModeGenerator || e.Materialized() {
-		t.Fatal("fresh generator element state wrong")
-	}
-	it := e.Iter()
-	it.Next()
-	if produced != 1 {
-		t.Fatalf("generator should be lazy, produced %d", produced)
-	}
-	ext := e.Extension()
-	if e.Mode != ModeExtension || ext.Len() != 5 || produced != 5 {
-		t.Fatalf("upgrade wrong: mode=%v len=%d produced=%d", e.Mode, ext.Len(), produced)
-	}
-}
-
 func TestManagerExactAndPredIndex(t *testing.T) {
 	m := NewManager(0)
 	def := caql.MustParse("g(X, Y) :- b2(X, Y)")

@@ -348,3 +348,43 @@ func (p *panicOnceClient) ExecStream(ctx context.Context, sql string) (remotedb.
 	}
 	return p.Client.ExecStream(ctx, sql)
 }
+
+// TestDecompositionPanicIsolated: with Parallel on, a decomposed query's
+// remote residual runs on a helper goroutine beside the local pieces. A panic
+// in that fetch is relayed to the query's goroutine and isolated there like
+// any other: the query fails, the process and the session survive.
+func TestDecompositionPanicIsolated(t *testing.T) {
+	e, _ := fixtureEngine(t, 8, 20)
+	costs := remotedb.DefaultCosts()
+	client := panicOnTableClient{Client: remotedb.NewInProcClient(e, costs), table: "b2"}
+	cms := New(client, Options{Features: AllFeatures(), Costs: costs})
+	s := cms.BeginSession(nil).(*Session)
+	defer s.End()
+
+	drainQ(t, s, "c1(X, Y) :- b1(X, Y)") // b1 cached: the join decomposes
+	_, err := s.QueryText("q2(X, Z) :- b1(X, Y) & b2(Y, Z)")
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("query whose residual fetch panicked returned %v, want a panic-describing error", err)
+	}
+	drainQ(t, s, "c1(X, Y) :- b1(X, Y)")
+	st := cms.Stats()
+	if st.PanicsRecovered != 1 || st.Failed != 1 || st.Completed != 2 {
+		t.Fatalf("panic accounting wrong: %+v", st)
+	}
+	if !st.DispatchConserved() {
+		t.Fatalf("conservation violated: %+v", st)
+	}
+}
+
+// panicOnTableClient panics on every exec whose SQL reads table.
+type panicOnTableClient struct {
+	remotedb.Client
+	table string
+}
+
+func (p panicOnTableClient) ExecStream(ctx context.Context, sql string) (remotedb.TupleStream, error) {
+	if strings.Contains(sql, p.table) {
+		panic("injected: exec of " + p.table + " blew up")
+	}
+	return p.Client.ExecStream(ctx, sql)
+}

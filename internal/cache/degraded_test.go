@@ -35,7 +35,6 @@ func newResilientTCPCMS(t *testing.T, seed int64) (*CMS, *remotedb.Server, strin
 		t.Fatal(err)
 	}
 	rc := remotedb.NewResilientClient(tcp, remotedb.Resilience{
-		Deadline:        time.Second,
 		MaxRetries:      1,
 		BaseBackoff:     time.Millisecond,
 		MaxBackoff:      5 * time.Millisecond,

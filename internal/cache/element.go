@@ -24,34 +24,15 @@ import (
 	"repro/internal/subsume"
 )
 
-// Mode distinguishes the two representations of a relation in the cache
-// (Section 5.1): a full extension, or a generator producing tuples on
-// demand.
-type Mode uint8
-
-// Element representation modes.
-const (
-	ModeExtension Mode = iota
-	ModeGenerator
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	if m == ModeGenerator {
-		return "generator"
-	}
-	return "extension"
-}
-
 // Element is one cache element: a relation defined by a CAQL expression,
-// stored as an extension or a (memoized) generator, with optional attribute
-// indexes and bookkeeping for replacement decisions.
+// stored as its extension, with optional attribute indexes and bookkeeping
+// for replacement decisions.
 //
-// Elements are safe for concurrent use: mu guards the representation
-// (mode/extension/memo/indexes/sorted representations/selection counts), and
+// Elements are safe for concurrent use: mu guards the derived
+// representations (indexes, sorted representations, selection counts), and
 // the replacement bookkeeping is atomic so Touch never needs a lock. An
-// element's Def, canonical form and signature are immutable after
-// construction.
+// element's Def, canonical form, signature and extension are immutable
+// after construction.
 type Element struct {
 	ID  int
 	Def *caql.Query
@@ -67,17 +48,13 @@ type Element struct {
 	// and canon it is bookkeeping, not charged to the byte budget.
 	sig *subsume.Prepared
 
-	// mu guards the representation fields below. Element locks are leaves:
-	// code holding an element lock never acquires a shard lock (DESIGN.md
-	// §10 lock ordering: shard → element, never the reverse).
-	mu sync.Mutex
-	// Mode is guarded by mu; read it via Materialized/String (or under a
-	// single-session test where no concurrent upgrade can run).
-	Mode   Mode
-	schema *relation.Schema
-	ext    *relation.Relation // valid in ModeExtension
-	memo   *relation.Memo     // valid in ModeGenerator
+	ext  *relation.Relation
+	size int64 // ext's bytes
 
+	// mu guards the fields below. Element locks are leaves: code holding an
+	// element lock never acquires a shard lock (DESIGN.md §10 lock ordering:
+	// shard → element, never the reverse).
+	mu      sync.Mutex
 	indexes map[int]*relation.Index // by column
 	// sorted holds co-existing, alternative representations of the same
 	// extension (Section 5.2: "the case where alternative sortings are
@@ -86,12 +63,10 @@ type Element struct {
 	// selUses counts equality selections per column, driving heuristic
 	// index builds on unadvised columns.
 	selUses map[int]int
-	size    int64
 
 	// Replacement bookkeeping (Section 5.4: LRU modified by advice).
 	lastUse atomic.Int64
 	hits    atomic.Int64
-	pinned  bool
 	// readyAtSim is the owning session's virtual time at which the element's
 	// data is fully present (prefetched elements may still be "in flight").
 	// Immutable once the element is inserted into the manager.
@@ -139,7 +114,7 @@ func (e *Element) hasIndex(col int) bool {
 	return e.indexes[col] != nil
 }
 
-// newExtensionElement builds an extension-mode element; canon is
+// newExtensionElement builds an element over its extension; canon is
 // def.Canonical(), which the caller has usually computed already.
 func newExtensionElement(id int, def *caql.Query, canon string, ext *relation.Relation) *Element {
 	return &Element{
@@ -147,26 +122,9 @@ func newExtensionElement(id int, def *caql.Query, canon string, ext *relation.Re
 		Def:     def,
 		canon:   canon,
 		sig:     subsume.Prepare(def),
-		Mode:    ModeExtension,
-		schema:  ext.Schema(),
 		ext:     ext,
 		indexes: make(map[int]*relation.Index),
 		size:    ext.SizeBytes(),
-	}
-}
-
-// newGeneratorElement builds a generator-mode element over a source
-// iterator; tuples are memoized as they are demanded.
-func newGeneratorElement(id int, def *caql.Query, schema *relation.Schema, src relation.Iterator) *Element {
-	return &Element{
-		ID:      id,
-		Def:     def,
-		canon:   def.Canonical(),
-		sig:     subsume.Prepare(def),
-		Mode:    ModeGenerator,
-		schema:  schema,
-		memo:    relation.NewMemo(src),
-		indexes: make(map[int]*relation.Index),
 	}
 }
 
@@ -174,7 +132,7 @@ func newGeneratorElement(id int, def *caql.Query, schema *relation.Schema, src r
 func (e *Element) Canonical() string { return e.canon }
 
 // Schema returns the element's schema.
-func (e *Element) Schema() *relation.Schema { return e.schema }
+func (e *Element) Schema() *relation.Schema { return e.ext.Schema() }
 
 // visibleTo reports whether the element may be served to the given session:
 // either it is published (owner 0) or that session owns it.
@@ -186,57 +144,22 @@ func (e *Element) visibleTo(sid int64) bool {
 // publish makes the element visible to every session.
 func (e *Element) publish() { e.ownerSID.Store(0) }
 
-// Iter returns an iterator over the element's tuples. For generator-mode
-// elements this re-reads memoized tuples and produces further ones on
-// demand.
-func (e *Element) Iter() relation.Iterator {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.Mode == ModeGenerator {
-		return e.memo.Iter()
-	}
-	return e.ext.Iter()
-}
+// Iter returns an iterator over the element's tuples.
+func (e *Element) Iter() relation.Iterator { return e.ext.Iter() }
 
-// Extension forces materialization and returns the full extension, flipping
-// a generator-mode element to extension mode (eager upgrade).
-func (e *Element) Extension() *relation.Relation {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.extensionLocked()
-}
+// Extension returns the element's extension.
+func (e *Element) Extension() *relation.Relation { return e.ext }
 
-func (e *Element) extensionLocked() *relation.Relation {
-	if e.Mode == ModeGenerator {
-		tuples := e.memo.DrainAll()
-		e.ext = relation.FromTuples(e.Def.Name(), e.schema, tuples)
-		e.Mode = ModeExtension
-		e.memo = nil
-		e.size = e.ext.SizeBytes()
-	}
-	return e.ext
-}
-
-// Materialized reports whether the element's data is fully present.
-func (e *Element) Materialized() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.Mode == ModeExtension || e.memo.Exhausted()
-}
+// Materialized reports whether the element's data is fully present — always,
+// since every element holds its extension.
+func (e *Element) Materialized() bool { return true }
 
 // SizeBytes returns the current resource accounting for the element,
 // including indexes.
 func (e *Element) SizeBytes() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.sizeLocked()
-}
-
-func (e *Element) sizeLocked() int64 {
 	n := e.size
-	if e.Mode == ModeGenerator && e.memo != nil {
-		n += int64(e.memo.Produced()) * 64
-	}
 	for _, ix := range e.indexes {
 		n += ix.SizeBytes()
 	}
@@ -248,8 +171,7 @@ func (e *Element) sizeLocked() int64 {
 
 // SortedBy returns the extension ordered by the given column — a
 // co-existing alternative representation of the same data, memoized so one
-// build serves every later ordered use (Section 5.2). It forces
-// materialization.
+// build serves every later ordered use (Section 5.2).
 func (e *Element) SortedBy(col int) *relation.Relation {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -259,7 +181,7 @@ func (e *Element) SortedBy(col int) *relation.Relation {
 	if e.sorted == nil {
 		e.sorted = make(map[int]*relation.Relation)
 	}
-	r := e.extensionLocked().Clone().SortBy([]int{col})
+	r := e.ext.Clone().SortBy([]int{col})
 	e.sorted[col] = r
 	return r
 }
@@ -272,7 +194,7 @@ func (e *Element) Index(col int, build bool) *relation.Index {
 }
 
 // indexBuilt is Index plus a report of whether this call performed the build.
-// Index building requires materialization. Concurrent callers racing to build
+// Concurrent callers racing to build
 // the same index serialize on the element lock; the first build wins (built
 // is true for it alone) and later callers reuse it.
 func (e *Element) indexBuilt(col int, build bool) (ix *relation.Index, built bool) {
@@ -284,17 +206,13 @@ func (e *Element) indexBuilt(col int, build bool) (ix *relation.Index, built boo
 	if !build {
 		return nil, false
 	}
-	ix = relation.BuildIndex(e.extensionLocked(), []int{col})
+	ix = relation.BuildIndex(e.ext, []int{col})
 	e.indexes[col] = ix
 	return ix, true
 }
 
 // String renders a cache-model row for humans.
 func (e *Element) String() string {
-	size := e.SizeBytes()
-	e.mu.Lock()
-	mode := e.Mode
-	e.mu.Unlock()
-	return fmt.Sprintf("E%d[%s, %s, %dB, hits=%d] %s",
-		e.ID, mode, e.AdviceName, size, e.hits.Load(), strings.TrimSuffix(e.Def.String(), "."))
+	return fmt.Sprintf("E%d[extension, %s, %dB, hits=%d] %s",
+		e.ID, e.AdviceName, e.SizeBytes(), e.hits.Load(), strings.TrimSuffix(e.Def.String(), "."))
 }

@@ -139,18 +139,6 @@ func (m *Manager) UnregisterPredictor(sid int64) {
 	m.pmu.Unlock()
 }
 
-// SetPredictor installs a single advice-driven replacement predictor (nil
-// clears). It is the single-session convenience form of RegisterPredictor.
-func (m *Manager) SetPredictor(f func(e *Element) (int, bool)) {
-	m.pmu.Lock()
-	if f == nil {
-		delete(m.predictors, 0)
-	} else {
-		m.predictors[0] = f
-	}
-	m.pmu.Unlock()
-}
-
 // predictDistance returns the minimum predicted reuse distance for e across
 // all registered session predictors; ok is false when no session predicts it.
 func (m *Manager) predictDistance(e *Element) (int, bool) {
@@ -248,9 +236,6 @@ func (m *Manager) ensureSpace() {
 			s := &m.shards[i]
 			s.mu.RLock()
 			for _, e := range s.elements {
-				if e.pinned {
-					continue
-				}
 				dist := farAway
 				if d, ok := m.predictDistance(e); ok {
 					dist = d
@@ -417,13 +402,10 @@ func (m *Manager) Model() *relation.Relation {
 	)
 	out := relation.New("cache_model", schema)
 	for _, e := range m.Elements() {
-		e.mu.Lock()
-		mode := e.Mode
-		e.mu.Unlock()
 		out.MustAppend(relation.Tuple{
 			relation.Int(int64(e.ID)),
 			relation.Str(e.Def.String()),
-			relation.Str(mode.String()),
+			relation.Str("extension"),
 			relation.Int(e.SizeBytes()),
 			relation.Int(e.hits.Load()),
 			relation.Int(e.lastUse.Load()),

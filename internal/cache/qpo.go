@@ -454,9 +454,6 @@ func (s *Session) shouldIndex(e *Element, col int) bool {
 	if e.hasIndex(col) {
 		return true
 	}
-	if !e.Materialized() {
-		return false
-	}
 	if e.AdviceName != "" && s.adv != nil {
 		if vs := s.adv.ViewByName(e.AdviceName); vs != nil {
 			for _, cc := range vs.ConsumerCols() {
@@ -610,9 +607,6 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 		if err := bridge.CtxError(ctx); err != nil {
 			return nil, true, err
 		}
-		if !e.Materialized() && s.readyRemainder(e) > 0 {
-			continue
-		}
 		for _, cand := range e.sig.Match(pq, needed) {
 			if overlapsCover(cand.Cover, covered) {
 				continue
@@ -749,10 +743,19 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 
 	var err error
 	if c.opts.Features.Parallel && len(residualIdx) > 0 {
-		done := make(chan error, 1)
-		go func() { done <- remoteWork() }()
+		// The residual fetch overlaps the local pieces on a helper goroutine.
+		// A panic there is carried back and re-raised here, after the join, so
+		// QueryCtx isolates it like a panic on the query's own goroutine.
+		var rerr error
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			rerr = remoteWork()
+		}()
 		lerr := localWork()
-		rerr := <-done
+		if p := <-done; p != nil {
+			panic(p)
+		}
 		if lerr != nil {
 			err = lerr
 		} else {

@@ -6,7 +6,7 @@ package relation
 //
 // Next returns the next tuple and true, or a nil tuple and false when the
 // stream is exhausted. Iterators are single-consumer and not safe for
-// concurrent use; Memo provides a resettable, shareable wrapper.
+// concurrent use.
 type Iterator interface {
 	Next() (Tuple, bool)
 }
@@ -89,67 +89,6 @@ func Count(it Iterator) int {
 		}
 		n++
 	}
-}
-
-// Memo wraps a generator so that its output can be consumed multiple times:
-// tuples are produced lazily from the source on first demand and memoized.
-// This is how the CMS keeps a generator-form cache element consistent across
-// repeated partial consumptions (Section 5.2's "co-existing, alternative
-// representations": a single underlying production feeding several uses).
-type Memo struct {
-	src    Iterator
-	buf    []Tuple
-	closed bool
-}
-
-// NewMemo wraps src in a memoizing buffer.
-func NewMemo(src Iterator) *Memo { return &Memo{src: src} }
-
-// Produced returns how many tuples have been materialized so far.
-func (m *Memo) Produced() int { return len(m.buf) }
-
-// Exhausted reports whether the underlying source has been fully consumed.
-func (m *Memo) Exhausted() bool { return m.closed }
-
-// fill ensures at least n tuples are buffered (or the source is exhausted).
-func (m *Memo) fill(n int) {
-	for !m.closed && len(m.buf) < n {
-		t, ok := m.src.Next()
-		if !ok {
-			m.closed = true
-			return
-		}
-		m.buf = append(m.buf, t)
-	}
-}
-
-// At returns the i-th tuple of the stream, producing lazily as needed.
-// The boolean is false if the stream has fewer than i+1 tuples.
-func (m *Memo) At(i int) (Tuple, bool) {
-	m.fill(i + 1)
-	if i < len(m.buf) {
-		return m.buf[i], true
-	}
-	return nil, false
-}
-
-// Iter returns a fresh iterator reading through the memo from the start.
-func (m *Memo) Iter() Iterator {
-	pos := 0
-	return IteratorFunc(func() (Tuple, bool) {
-		t, ok := m.At(pos)
-		if !ok {
-			return nil, false
-		}
-		pos++
-		return t, true
-	})
-}
-
-// DrainAll forces full materialization and returns the complete tuple list.
-func (m *Memo) DrainAll() []Tuple {
-	m.fill(1 << 30)
-	return m.buf
 }
 
 // Chain concatenates iterators in order.

@@ -222,37 +222,6 @@ func TestSortBy(t *testing.T) {
 	}
 }
 
-func TestMemo(t *testing.T) {
-	produced := 0
-	src := IteratorFunc(func() (Tuple, bool) {
-		if produced >= 5 {
-			return nil, false
-		}
-		produced++
-		return Tuple{Int(int64(produced))}, true
-	})
-	m := NewMemo(src)
-	it1 := m.Iter()
-	t1, _ := it1.Next()
-	t2, _ := it1.Next()
-	if t1[0].AsInt() != 1 || t2[0].AsInt() != 2 || produced != 2 {
-		t.Fatalf("memo lazy production broken: produced=%d", produced)
-	}
-	// Second reader re-reads from the start without re-producing.
-	it2 := m.Iter()
-	u1, _ := it2.Next()
-	if u1[0].AsInt() != 1 || produced != 2 {
-		t.Fatalf("memo should replay buffered tuples; produced=%d", produced)
-	}
-	all := m.DrainAll()
-	if len(all) != 5 || !m.Exhausted() {
-		t.Fatalf("memo drain got %d", len(all))
-	}
-	if n := Count(m.Iter()); n != 5 {
-		t.Fatalf("memo re-iter got %d", n)
-	}
-}
-
 func TestChainAndEmpty(t *testing.T) {
 	a := mkRel(t, "a", []any{1})
 	b := mkRel(t, "b", []any{2})

@@ -140,18 +140,14 @@ func TestResilientSemanticErrorsPassThrough(t *testing.T) {
 type flakyStub struct {
 	mu      sync.Mutex
 	failing bool
-	hang    time.Duration
 	calls   int
 }
 
 func (s *flakyStub) Exec(string) (*Result, error) {
 	s.mu.Lock()
 	s.calls++
-	failing, hang := s.failing, s.hang
+	failing := s.failing
 	s.mu.Unlock()
-	if hang > 0 {
-		time.Sleep(hang)
-	}
 	if failing {
 		return nil, &TransportError{Op: "exec", Err: errors.New("stub down")}
 	}
@@ -245,41 +241,53 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestResilientDeadlineCatchesHangs: a hung transport is bounded by its own
+// RequestTimeout, whose transient deadline error is a remote failure — it
+// opens the breaker, and the next call fails fast without touching the wire.
 func TestResilientDeadlineCatchesHangs(t *testing.T) {
-	stub := &flakyStub{hang: 2 * time.Second}
-	rc := NewResilientClient(clientStub{stub}, Resilience{
-		Deadline:        30 * time.Millisecond,
+	srv := NewServerWithOptions(newTestEngine(t), ServerOptions{
+		Faults: &ListenerFaults{Seed: 1, DelayRate: 1, Delay: 2 * time.Second},
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := dialTestPool(t, addr, PoolOptions{Size: 1, RequestTimeout: 30 * time.Millisecond})
+	rc := NewResilientClient(p, Resilience{
 		MaxRetries:      -1,
 		BreakerFailures: 1,
 		BreakerCooldown: time.Minute,
 		Sleep:           func(time.Duration) {},
 	})
 	start := time.Now()
-	_, err := rc.Exec("x")
+	_, err = rc.Exec("SELECT * FROM emp")
 	elapsed := time.Since(start)
 	if !IsUnavailable(err) || !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("want unavailable wrapping deadline, got %v", err)
 	}
 	if elapsed > time.Second {
-		t.Fatalf("deadline did not bound the hang: %v", elapsed)
+		t.Fatalf("RequestTimeout did not bound the hang: %v", elapsed)
 	}
 	st := rc.ResilienceStats()
-	if st.DeadlinesExceeded != 1 || st.Failures != 1 {
-		t.Fatalf("stats = %+v", st)
+	if st.Failures != 1 || st.BreakerOpens != 1 || rc.Breaker() != BreakerOpen {
+		t.Fatalf("hang did not open the breaker: %+v", st)
 	}
 	// Breaker opened on the hang: the next call fails instantly.
+	requests := p.Stats().Requests
 	start = time.Now()
-	if _, err := rc.Exec("x"); !IsUnavailable(err) {
+	if _, err := rc.Exec("SELECT * FROM emp"); !IsUnavailable(err) {
 		t.Fatalf("want fail-fast, got %v", err)
 	}
-	if time.Since(start) > 10*time.Millisecond {
+	if time.Since(start) > 10*time.Millisecond || p.Stats().Requests != requests {
 		t.Fatal("fail-fast was not fast")
 	}
 }
 
 // TestResilientFaultMatrix exercises the resilient client against every
-// injected fault kind at once: errors, drops, latency spikes, and hangs
-// caught by the deadline.
+// injected fault kind at once. Errors and drops are retried; latency spikes
+// pass; hangs run into the caller's per-request deadline, which is the
+// caller's verdict — neither retried nor counted as a remote failure.
 func TestResilientFaultMatrix(t *testing.T) {
 	e := newTestEngine(t)
 	fc := NewFaultClient(NewInProcClient(e, DefaultCosts()), FaultConfig{
@@ -292,36 +300,47 @@ func TestResilientFaultMatrix(t *testing.T) {
 		Latency:     time.Millisecond,
 	})
 	rc := NewResilientClient(fc, Resilience{
-		Deadline:        60 * time.Millisecond,
 		MaxRetries:      5,
 		BaseBackoff:     time.Microsecond,
 		BreakerFailures: -1,
 		Sleep:           func(time.Duration) {},
 	})
-	failed := 0
+	unavailable, deadlines := 0, 0
 	for i := 0; i < 60; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 		start := time.Now()
-		_, err := rc.Exec("SELECT * FROM emp")
-		if err != nil {
-			failed++
-			if !IsUnavailable(err) {
-				t.Fatalf("request %d: unexpected error class: %v", i, err)
-			}
+		_, err := rc.ExecCtx(ctx, "SELECT * FROM emp")
+		cancel()
+		switch {
+		case err == nil:
+		case errors.Is(err, context.DeadlineExceeded):
+			deadlines++
+		case IsUnavailable(err):
+			unavailable++
+		default:
+			t.Fatalf("request %d: unexpected error class: %v", i, err)
 		}
 		if d := time.Since(start); d > 2*time.Second {
-			t.Fatalf("request %d took %v despite deadline", i, d)
+			t.Fatalf("request %d took %v despite its deadline", i, d)
 		}
 	}
 	st := rc.ResilienceStats()
 	counts := fc.Counts()
-	if counts.Errors == 0 || counts.Latencies == 0 {
+	if counts.Errors == 0 || counts.Latencies == 0 || counts.Hangs == 0 {
 		t.Fatalf("fault mix not exercised: %+v", counts)
+	}
+	if int64(deadlines) < counts.Hangs {
+		t.Fatalf("%d hangs injected but only %d requests ended at their deadline", counts.Hangs, deadlines)
+	}
+	if st.Failures != int64(unavailable) {
+		t.Fatalf("breaker failures %d, want the %d unavailable requests only (%d caller deadlines)",
+			st.Failures, unavailable, deadlines)
 	}
 	if st.Retries == 0 {
 		t.Fatal("no retries under a 25% fault rate")
 	}
-	if failed > 5 {
-		t.Fatalf("%d/60 failed despite retries (stats %+v)", failed, st)
+	if unavailable > 5 {
+		t.Fatalf("%d/60 failed despite retries (stats %+v)", unavailable, st)
 	}
 }
 

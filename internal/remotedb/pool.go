@@ -800,7 +800,7 @@ func (c *muxConn) request(ctx context.Context, req *wireRequest) (*wireResponse,
 	if f.Err != "" {
 		return nil, errors.New(f.Err)
 	}
-	return &wireResponse{Attrs: f.Attrs, Stats: f.Stats, Tables: f.Tables, Ops: f.Ops}, nil
+	return &wireResponse{Attrs: f.Attrs, Stats: f.Stats, Tables: f.Tables}, nil
 }
 
 // muxStream is one in-flight request's client side. Not safe for

@@ -10,11 +10,16 @@ import (
 )
 
 // ResilientClient wraps any Client with the fault-tolerance policy the CMS
-// relies on: per-request deadlines, bounded retries with exponential backoff
-// and jitter for transient (transport) failures, and a circuit breaker that
-// converts a persistently failing remote into instant typed
-// ErrRemoteUnavailable failures — so a degraded CMS fails fast instead of
-// hanging, and probes the remote again after a cooldown (half-open).
+// relies on: bounded retries with exponential backoff and jitter for
+// transient (transport) failures, and a circuit breaker that converts a
+// persistently failing remote into instant typed ErrRemoteUnavailable
+// failures — so a degraded CMS fails fast instead of hanging, and probes the
+// remote again after a cooldown (half-open).
+//
+// Every attempt calls the inner client on the caller's goroutine under the
+// caller's context: a deadline or cancel ends the attempt inside the inner
+// client, and a transport that hangs is bounded by its own timeout
+// (PoolOptions.RequestTimeout), whose transient error moves the breaker.
 //
 // Semantic errors (the server answered and said no) pass through untouched:
 // they are not retried and do not move the breaker.
@@ -56,9 +61,6 @@ func (s BreakerState) String() string {
 
 // Resilience parameterizes a ResilientClient. Zero values take defaults.
 type Resilience struct {
-	// Deadline bounds each attempt; an attempt still running when it expires
-	// is abandoned with ErrDeadlineExceeded (0: no deadline).
-	Deadline time.Duration
 	// MaxRetries is how many times a transiently failed request is retried
 	// after the first attempt (default 2; negative: no retries).
 	MaxRetries int
@@ -76,7 +78,7 @@ type Resilience struct {
 	// half-opening to probe the remote (default 1s).
 	BreakerCooldown time.Duration
 	// Sleep is the backoff delay implementation (tests and fast experiments
-	// stub it). Nil means time.Sleep.
+	// stub it). Nil means a real wait that the caller's context cuts short.
 	Sleep func(time.Duration)
 	// Now is the clock (tests stub it). Nil means time.Now.
 	Now func() time.Time
@@ -86,10 +88,6 @@ type Resilience struct {
 	// the switch exists for E15's control arm and for consumers that prefer
 	// to restart whole statements themselves.
 	DisableStreamResume bool
-
-	// stubbedSleep records that Sleep was caller-supplied, so ctx-aware
-	// backoff keeps calling the stub instead of a real timer.
-	stubbedSleep bool
 }
 
 func (r Resilience) withDefaults() Resilience {
@@ -111,11 +109,6 @@ func (r Resilience) withDefaults() Resilience {
 	if r.BreakerCooldown == 0 {
 		r.BreakerCooldown = time.Second
 	}
-	if r.Sleep == nil {
-		r.Sleep = time.Sleep
-	} else {
-		r.stubbedSleep = true
-	}
 	if r.Now == nil {
 		r.Now = time.Now
 	}
@@ -124,13 +117,12 @@ func (r Resilience) withDefaults() Resilience {
 
 // ResilienceStats are the cumulative fault-handling counters.
 type ResilienceStats struct {
-	Retries           int64        // retry attempts issued
-	Failures          int64        // requests that failed after all retries (or failed fast)
-	BreakerOpens      int64        // closed/half-open -> open transitions
-	DeadlinesExceeded int64        // attempts abandoned at the deadline
-	FastFails         int64        // requests rejected instantly by an open breaker
-	StreamResumes     int64        // mid-stream failures repaired by resume re-dispatch
-	State             BreakerState // breaker state at sampling time
+	Retries       int64        // retry attempts issued
+	Failures      int64        // requests that failed after all retries (or failed fast)
+	BreakerOpens  int64        // closed/half-open -> open transitions
+	FastFails     int64        // requests rejected instantly by an open breaker
+	StreamResumes int64        // mid-stream failures repaired by resume re-dispatch
+	State         BreakerState // breaker state at sampling time
 }
 
 // NewResilientClient wraps inner with the given policy.
@@ -245,97 +237,32 @@ func (r *ResilientClient) backoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * jitter)
 }
 
-// attempt runs one call under the per-attempt deadline and the caller's
-// context. A timed-out or canceled call is abandoned: its goroutine completes
-// (or errors) in the background into a buffered channel.
-func (r *ResilientClient) attempt(ctx context.Context, op string, call func() (any, error)) (any, error) {
-	if r.cfg.Deadline <= 0 && ctx.Done() == nil {
-		return call()
-	}
-	type outcome struct {
-		v        any
-		err      error
-		panicked any
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		// A panicking inner call must not kill the process from this helper
-		// goroutine: capture it and re-raise in the caller, preserving panic
-		// semantics across the async boundary so per-query isolation layers
-		// above can recover it. An abandoned attempt's panic is discarded
-		// with the rest of its outcome.
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- outcome{panicked: p}
-			}
-		}()
-		v, err := call()
-		ch <- outcome{v: v, err: err}
-	}()
-	var timerC <-chan time.Time
-	if r.cfg.Deadline > 0 {
-		timer := time.NewTimer(r.cfg.Deadline)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	select {
-	case out := <-ch:
-		if out.panicked != nil {
-			panic(out.panicked)
-		}
-		return out.v, out.err
-	case <-timerC:
-		r.mu.Lock()
-		r.stats.DeadlinesExceeded++
-		r.mu.Unlock()
-		return nil, &TransportError{Op: op, Err: ErrDeadlineExceeded}
-	case <-ctx.Done():
-		return nil, &TransportError{Op: op, Err: ctx.Err()}
-	}
-}
-
-// sleepCtx waits the backoff delay, aborted early when ctx is done. A custom
-// Sleep stub (tests, fast experiments) is honored as-is.
-func (r *ResilientClient) sleepCtx(ctx context.Context, d time.Duration) error {
-	if ctx.Done() == nil {
-		r.cfg.Sleep(d)
-		return nil
-	}
-	if r.cfg.stubbedSleep {
+// pause waits the backoff delay, aborted early when ctx ends. A custom Sleep
+// stub (tests, fast experiments) is honored as-is.
+func (r *ResilientClient) pause(ctx context.Context, d time.Duration) error {
+	if r.cfg.Sleep != nil {
 		r.cfg.Sleep(d)
 		return ctx.Err()
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return sleepCtx(ctx, d)
 }
 
-// do runs one request through breaker, deadline, and retry policy without a
-// caller context.
-func (r *ResilientClient) do(op string, call func() (any, error)) (any, error) {
-	return r.doCtx(context.Background(), op, call)
-}
-
-// doCtx runs one request through breaker, context, deadline, and retry
-// policy. A canceled or expired context stops the retry loop immediately —
-// cancellation is the caller's verdict, not a remote failure, so it does not
-// move the breaker.
-func (r *ResilientClient) doCtx(ctx context.Context, op string, call func() (any, error)) (any, error) {
+// doCtx runs one request through breaker and retry policy, calling the inner
+// client in place. A canceled or expired context stops the retry loop
+// immediately — cancellation is the caller's verdict, not a remote failure,
+// so it does not move the breaker.
+func doCtx[T any](r *ResilientClient, ctx context.Context, op string, call func() (T, error)) (T, error) {
+	var zero T
 	if err := ctx.Err(); err != nil {
-		return nil, &TransportError{Op: op, Err: err}
+		return zero, &TransportError{Op: op, Err: err}
 	}
 	probe, err := r.admit()
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	var lastErr error
 	for i := 0; ; i++ {
-		v, err := r.attempt(ctx, op, call)
+		v, err := call()
 		if err == nil {
 			r.settle(probe, true)
 			return v, nil
@@ -344,13 +271,13 @@ func (r *ResilientClient) doCtx(ctx context.Context, op string, call func() (any
 			// Canceled mid-attempt: neither a success nor a remote failure.
 			// Release the probe slot without moving the breaker state.
 			r.settleCanceled(probe)
-			return nil, &TransportError{Op: op, Err: ctx.Err()}
+			return zero, &TransportError{Op: op, Err: ctx.Err()}
 		}
 		if !IsTransient(err) {
 			// Semantic error: the remote is up and answered. Not a failure
 			// for breaker purposes.
 			r.settle(probe, true)
-			return nil, err
+			return zero, err
 		}
 		lastErr = err
 		if i >= r.cfg.MaxRetries || probe {
@@ -360,13 +287,13 @@ func (r *ResilientClient) doCtx(ctx context.Context, op string, call func() (any
 		r.mu.Lock()
 		r.stats.Retries++
 		r.mu.Unlock()
-		if err := r.sleepCtx(ctx, r.backoff(i)); err != nil {
+		if err := r.pause(ctx, r.backoff(i)); err != nil {
 			r.settleCanceled(probe)
-			return nil, &TransportError{Op: op, Err: err}
+			return zero, &TransportError{Op: op, Err: err}
 		}
 	}
 	r.settle(probe, false)
-	return nil, &UnavailableError{Reason: "retries exhausted", Cause: lastErr}
+	return zero, &UnavailableError{Reason: "retries exhausted", Cause: lastErr}
 }
 
 // settleCanceled releases a half-open probe slot after a caller-canceled
@@ -388,29 +315,21 @@ func (r *ResilientClient) Exec(sql string) (*Result, error) {
 // ExecCtx implements Client: the context bounds every attempt, the backoff
 // sleeps between them, and flows through to the inner client.
 func (r *ResilientClient) ExecCtx(ctx context.Context, sql string) (*Result, error) {
-	v, err := r.doCtx(ctx, "exec", func() (any, error) { return r.inner.ExecCtx(ctx, sql) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Result), nil
+	return doCtx(r, ctx, "exec", func() (*Result, error) { return r.inner.ExecCtx(ctx, sql) })
 }
 
-// ExecStream implements Client. The resilience policy — breaker, deadline,
-// retries — applies to stream establishment (establishment failures are
-// exactly the transient class the retry loop and breaker exist for), and
-// extends PAST it: a stream whose header carried a resume token is wrapped in
-// a ResilientStream, which repairs mid-stream transport failures by
+// ExecStream implements Client. The resilience policy — breaker, retries —
+// applies to stream establishment (establishment failures are exactly the
+// transient class the retry loop and breaker exist for), and extends PAST it:
+// a stream whose header carried a resume token is wrapped in a
+// ResilientStream, which repairs mid-stream transport failures by
 // re-dispatching with the token — through this same client, so the breaker
 // and backoff govern re-dispatches too. Tokenless streams keep the
 // surface-the-error behavior, as does cfg.DisableStreamResume.
 func (r *ResilientClient) ExecStream(ctx context.Context, sql string) (TupleStream, error) {
-	v, err := r.doCtx(ctx, "exec", func() (any, error) { return r.inner.ExecStream(ctx, sql) })
-	if err != nil {
-		return nil, err
-	}
-	st := v.(TupleStream)
-	if r.cfg.DisableStreamResume {
-		return st, nil
+	st, err := doCtx(r, ctx, "exec", func() (TupleStream, error) { return r.inner.ExecStream(ctx, sql) })
+	if err != nil || r.cfg.DisableStreamResume {
+		return st, err
 	}
 	return newResilientStream(r, ctx, sql, st), nil
 }
@@ -420,11 +339,7 @@ func (r *ResilientClient) ExecStream(ctx context.Context, sql string) (TupleStre
 // back as the inner client served it, so its resume state tells the caller
 // whether to skip, and the resuming caller repairs it.
 func (r *ResilientClient) ExecStreamResume(ctx context.Context, sql, token string, skip int64) (TupleStream, error) {
-	v, err := r.doCtx(ctx, "exec", func() (any, error) { return r.inner.ExecStreamResume(ctx, sql, token, skip) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(TupleStream), nil
+	return doCtx(r, ctx, "exec", func() (TupleStream, error) { return r.inner.ExecStreamResume(ctx, sql, token, skip) })
 }
 
 // noteStreamResume counts one repaired mid-stream failure.
@@ -436,29 +351,17 @@ func (r *ResilientClient) noteStreamResume() {
 
 // RelationSchema implements Client.
 func (r *ResilientClient) RelationSchema(name string, arity int) (*relation.Schema, error) {
-	v, err := r.do("schema", func() (any, error) { return r.inner.RelationSchema(name, arity) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*relation.Schema), nil
+	return doCtx(r, context.Background(), "schema", func() (*relation.Schema, error) { return r.inner.RelationSchema(name, arity) })
 }
 
 // TableStats implements Client.
 func (r *ResilientClient) TableStats(name string) (TableStats, error) {
-	v, err := r.do("stats", func() (any, error) { return r.inner.TableStats(name) })
-	if err != nil {
-		return TableStats{}, err
-	}
-	return v.(TableStats), nil
+	return doCtx(r, context.Background(), "stats", func() (TableStats, error) { return r.inner.TableStats(name) })
 }
 
 // Tables implements Client.
 func (r *ResilientClient) Tables() ([]string, error) {
-	v, err := r.do("tables", func() (any, error) { return r.inner.Tables() })
-	if err != nil {
-		return nil, err
-	}
-	return v.([]string), nil
+	return doCtx(r, context.Background(), "tables", r.inner.Tables)
 }
 
 // ObservedEpoch implements Client.

@@ -1,7 +1,6 @@
 package remotedb
 
 import (
-	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -61,10 +60,11 @@ type ServerOptions struct {
 	// connections; excess requests are shed immediately with a distinct wire
 	// code (overloaded), which clients surface as ErrOverloaded (0: no bound).
 	MaxInflight int
-	// RequestTimeout bounds one request's engine execution; a request still
-	// running at the deadline is abandoned (it finishes in the background;
-	// its result is discarded) and answered with a deadline wire code
-	// (0: no bound).
+	// RequestTimeout bounds one request from the moment it holds its slot
+	// and admission. A request the deadline catches before its engine work
+	// begins never runs and is answered with the deadline wire code; a
+	// streamed SELECT is cut there the same way; DDL, DML and EXPLAIN, once
+	// begun, run to completion and report their own outcome (0: no bound).
 	RequestTimeout time.Duration
 	// Faults, when non-nil, makes the listener flaky for fault-tolerance
 	// experiments: requests are delayed or their connection dropped from a
@@ -101,7 +101,7 @@ type ServerOptions struct {
 // ServerStats are cumulative admission/deadline/streaming counters.
 type ServerStats struct {
 	Shed     int64 // requests rejected by the MaxInflight admission limit
-	Timeouts int64 // requests abandoned at RequestTimeout
+	Timeouts int64 // requests answered with the deadline code at RequestTimeout
 	// FramesSent counts protocol frames written (headers, batches, ends).
 	FramesSent int64
 	// StreamsCanceled counts streams torn down mid-flight by a client
@@ -165,7 +165,7 @@ func NewServerWithOptions(engine *Engine, opts ServerOptions) *Server {
 		reg.CounterFunc("braid_server_shed_total",
 			"Requests rejected by the MaxInflight admission limit.", s.shed.Load)
 		reg.CounterFunc("braid_server_timeouts_total",
-			"Requests abandoned at the server request deadline.", s.timeouts.Load)
+			"Requests answered with the deadline code at the server request deadline.", s.timeouts.Load)
 		reg.CounterFunc("braid_server_frames_sent_total",
 			"Wire v2 response frames written (headers, batches, ends).", s.framesSent.Load)
 		reg.CounterFunc("braid_server_streams_canceled_total",
@@ -259,8 +259,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 // rollFault decides the fate of one request on a flaky listener. The drop
 // decision is made synchronously (the caller closes the connection) while the
-// delay is returned for the caller to serve inside its deadline-bounded
-// execution, so injected delays model slow server work under the request clock.
+// delay is returned for the caller to wait out under the request's context,
+// so injected delays model slow server work under the request clock.
 func (s *Server) rollFault() (keep bool, delay time.Duration) {
 	f := s.opts.Faults
 	if f == nil {
@@ -357,17 +357,9 @@ func (s *Server) logSlow(start time.Time, sql string, cached bool, rows, frames 
 	)
 }
 
-// handle executes one request that the framed path does not stream: the
-// catalog ops, ping, and exec statements with no pipelined form (st is the
-// parsed statement of an exec, nil for every other op).
-func (s *Server) handle(ctx context.Context, req *wireRequest, st *Statement) wireResponse {
+// handle answers one catalog request: schema, stats, tables, ping.
+func (s *Server) handle(req *wireRequest) wireResponse {
 	switch req.Op {
-	case "exec":
-		rel, ops, err := s.engine.ExecuteCtx(ctx, st)
-		if err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{rel: rel, Ops: ops}
 	case "schema":
 		sch, err := s.engine.Schema(req.Name)
 		if err != nil {

@@ -3,6 +3,7 @@ package remotedb
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"net"
 	"runtime"
 	"sync"
@@ -176,9 +177,10 @@ func (fc *framedConn) writeEnd(id uint64, code int, errMsg string, ops int64) {
 	fc.write(&wireFrame{ID: id, Kind: frameEnd, Code: code, Err: errMsg, Ops: ops})
 }
 
-// handleStream runs one framed request end to end: per-connection execution
-// slot, admission control, fault injection, deadline-bounded engine execution,
-// then streamed (exec) or single-frame (catalog) response.
+// handleStream runs one framed request end to end, on this goroutine:
+// per-connection execution slot, admission control, fault injection, the
+// request deadline, then the engine work and its streamed (exec) or
+// single-frame (catalog) response.
 func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequest) {
 	s := fc.s
 	defer fc.wg.Done()
@@ -211,8 +213,7 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 	select {
 	case fc.sem <- struct{}{}:
 	case <-ctx.Done():
-		s.streamsCanceled.Add(1)
-		fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), 0)
+		fc.writeStopped(ctx, id, 0)
 		return
 	}
 	release := func() { <-fc.sem }
@@ -251,88 +252,107 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 		}
 	}
 
-	// SELECTs bypass materialization entirely: the engine yields tuples on
-	// demand and frames ship as the plan advances, so the client's first tuple
-	// costs the plan's blocking prefix plus one frame of work, not the whole
-	// result. What the engine does not stream — EXPLAIN, DDL/DML — runs bounded
-	// and is framed post hoc.
-	if req.Op == "exec" {
-		start := s.slowClock()
-		// A re-issued request carries a resume token: the stream serves the
-		// remainder of the pinned snapshot when it still exists. Any failure —
-		// malformed token, statement mismatch, table mutated — yields a fresh
-		// stream whose header says Resumed=false, and the client skips its
-		// delivered prefix itself.
-		var pin *ResumeToken
-		if req.Resume != "" {
-			if tok, err := ParseResumeToken(req.Resume); err == nil {
-				pin = &tok
-			}
-		}
-		// The statement is parsed here, once, for both ways of running it. A
-		// parse or planning error is the answer: it needs no bounded run.
-		st, err := s.engine.bind(ctx, req.SQL)
-		if err == nil && st.Select != nil && !st.Explain {
-			sc, resumed, oerr := s.engine.openStream(ctx, st.Select, req.SQL, pin, req.Skip)
-			if oerr == nil {
-				if resumed {
-					s.streamResumes.Add(1)
-				}
-				rows, frames := fc.streamScan(ctx, id, sc, delay, release, resumed, killer)
-				s.logSlow(start, req.SQL, sc.Cached(), rows, frames, sc.DOP())
-				return
-			}
-			err = oerr
-		}
-		if err != nil {
-			release()
-			fc.writeEnd(id, wireCodeNone, err.Error(), 0)
-			return
-		}
-		resp, canceled := s.runBounded(ctx, req, st, delay, release)
-		if canceled {
-			s.streamsCanceled.Add(1)
-			fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), 0)
-			return
-		}
-		if resp.Err != "" {
-			fc.writeEnd(id, resp.Code, resp.Err, resp.Ops)
-			return
-		}
-		// What ran bounded (EXPLAIN, DDL/DML) ships through the same writer,
-		// from the relation it materialized, with no deadline left to watch and
-		// no resume token: a client resuming it restarts and skips client-side.
-		hdr := &wireFrame{ID: id, Kind: frameHeader}
-		src := relation.Empty()
-		if resp.rel != nil {
-			hdr.Name, hdr.Attrs, src = resp.rel.Name, toWireAttrs(resp.rel.Schema()), resp.rel.Iter()
-		}
-		rows, frames, ok := fc.ship(ctx, hdr, src, nil, killer, func() {})
-		if ok {
-			fc.writeEnd(id, wireCodeNone, "", resp.Ops)
-			frames++
-		}
-		s.logSlow(start, req.SQL, false, rows, frames, 1)
+	// ctx is the request's one context: the client's cancel frame and the
+	// connection's teardown end it, and so does the request deadline, armed
+	// here once the slot and admission are held. Every wait below ends with
+	// it, and context.Cause tells which of them ended it.
+	if s.opts.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, s.opts.RequestTimeout, ErrDeadlineExceeded)
+		defer cancel()
+	}
+	// An injected delay models slow server work before the engine's: a
+	// request the deadline or a cancel ends here is answered as never run.
+	if delay > 0 && sleepCtx(ctx, delay) != nil {
+		release()
+		fc.writeStopped(ctx, id, 0)
 		return
 	}
 
-	resp, canceled := s.runBounded(ctx, req, nil, delay, release)
-	if canceled {
-		s.streamsCanceled.Add(1)
-		fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), 0)
+	if req.Op != "exec" {
+		resp := s.handle(req)
+		release()
+		// Errors and the small catalog ops fit in the terminal frame.
+		fc.write(&wireFrame{
+			ID:     id,
+			Kind:   frameEnd,
+			Err:    resp.Err,
+			Attrs:  resp.Attrs,
+			Stats:  resp.Stats,
+			Tables: resp.Tables,
+		})
 		return
 	}
-	// Errors and the small catalog ops fit in the terminal frame.
-	fc.write(&wireFrame{
-		ID:     id,
-		Kind:   frameEnd,
-		Code:   resp.Code,
-		Err:    resp.Err,
-		Ops:    resp.Ops,
-		Attrs:  resp.Attrs,
-		Stats:  resp.Stats,
-		Tables: resp.Tables,
-	})
+
+	start := s.slowClock()
+	// A re-issued request carries a resume token: the stream serves the
+	// remainder of the pinned snapshot when it still exists. Any failure —
+	// malformed token, statement mismatch, table mutated — yields a fresh
+	// stream whose header says Resumed=false, and the client skips its
+	// delivered prefix itself.
+	var pin *ResumeToken
+	if req.Resume != "" {
+		if tok, err := ParseResumeToken(req.Resume); err == nil {
+			pin = &tok
+		}
+	}
+	// SELECTs bypass materialization entirely: the engine yields tuples on
+	// demand and frames ship as the plan advances, so the client's first tuple
+	// costs the plan's blocking prefix plus one frame of work, not the whole
+	// result.
+	st, err := s.engine.bind(ctx, req.SQL)
+	if err == nil && st.Select != nil && !st.Explain {
+		sc, resumed, oerr := s.engine.openStream(ctx, st.Select, req.SQL, pin, req.Skip)
+		if oerr == nil {
+			if resumed {
+				s.streamResumes.Add(1)
+			}
+			rows, frames := fc.streamScan(ctx, id, sc, release, resumed, killer)
+			s.logSlow(start, req.SQL, sc.Cached(), rows, frames, sc.DOP())
+			return
+		}
+		err = oerr
+	}
+	// What the engine does not stream — EXPLAIN, DDL/DML — runs in place and
+	// reports its own outcome: an INSERT that began is answered with its
+	// result, never with the deadline code while it commits.
+	var rel *relation.Relation
+	var ops int64
+	if err == nil {
+		rel, ops, err = s.engine.ExecuteCtx(ctx, st)
+	}
+	release()
+	if err != nil {
+		fc.writeEnd(id, wireCodeNone, err.Error(), 0)
+		return
+	}
+	// The materialized result ships through the same writer, whole — neither
+	// the deadline nor a cancel cuts an outcome short — and with no resume
+	// token: a client resuming it restarts and skips client-side.
+	hdr := &wireFrame{ID: id, Kind: frameHeader}
+	src := relation.Empty()
+	if rel != nil {
+		hdr.Name, hdr.Attrs, src = rel.Name, toWireAttrs(rel.Schema()), rel.Iter()
+	}
+	rows, frames, ok := fc.ship(context.Background(), hdr, src, killer, func() {})
+	if ok {
+		fc.writeEnd(id, wireCodeNone, "", ops)
+		frames++
+	}
+	s.logSlow(start, req.SQL, false, rows, frames, 1)
+}
+
+// writeStopped answers a request whose context ended first: with the
+// deadline code when the request deadline ended it, with the cancel code
+// when a cancel frame or the connection's teardown did.
+func (fc *framedConn) writeStopped(ctx context.Context, id uint64, ops int64) {
+	if errors.Is(context.Cause(ctx), ErrDeadlineExceeded) {
+		fc.s.timeouts.Add(1)
+		fc.writeEnd(id, wireCodeDeadline, ErrDeadlineExceeded.Error(), ops)
+		return
+	}
+	fc.s.streamsCanceled.Add(1)
+	fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), ops)
 }
 
 // rollStreamFault decides whether one stream's connection dies mid-transfer
@@ -390,55 +410,16 @@ func (k *streamKiller) afterWrite() (killed bool) {
 	return true
 }
 
-// runBounded executes one request under the request deadline and the stream
-// context, honoring an injected fault delay as slow server work. Work still
-// running at the deadline or at cancellation is abandoned — it completes in
-// the background and releases its execution/admission slots then, so
-// abandoned work keeps counting against the limits while it burns CPU.
-// Finished work releases them before its response is handed over, so the
-// answer's terminal frame is never written while they are held: a client
-// that sends its next request the moment an answer lands is not shed by the
-// request that answer finished.
-func (s *Server) runBounded(ctx context.Context, req *wireRequest, st *Statement, delay time.Duration, release func()) (wireResponse, bool) {
-	ch := make(chan wireResponse, 1)
-	go func() {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		resp := s.handle(ctx, req, st)
-		release()
-		ch <- resp
-	}()
-	var timerC <-chan time.Time
-	if s.opts.RequestTimeout > 0 {
-		timer := time.NewTimer(s.opts.RequestTimeout)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	select {
-	case resp := <-ch:
-		return resp, false
-	case <-timerC:
-		s.timeouts.Add(1)
-		return wireResponse{Code: wireCodeDeadline, Err: ErrDeadlineExceeded.Error()}, false
-	case <-ctx.Done():
-		return wireResponse{}, true
-	}
-}
-
 // streamScan pipelines a streamed SELECT, shipping tuples in frames as they
-// are produced. The request deadline bounds production, checked at frame
-// granularity; an injected delay fault models slow server work before the
-// first tuple, interruptible by the deadline and by cancellation as on the
-// materialized path. It returns the tuples and frames shipped, for the
-// slow-query log.
-func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream, delay time.Duration, release func(), resumed bool, killer *streamKiller) (rows, frames int64) {
-	s := fc.s
+// are produced until ctx ends. It returns the tuples and frames shipped, for
+// the slow-query log.
+func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream, release func(), resumed bool, killer *streamKiller) (rows, frames int64) {
 	// Parallel plan streams own worker goroutines; closing on every exit path
 	// (deadline, cancel, write failure, kill fault, normal end) joins them, so
 	// an abandoned stream leaks nothing. Serial streams have a no-op Close.
-	// The slots go with them, before any terminal frame is written (see
-	// runBounded).
+	// The slots go with them, before any terminal frame is written, so a
+	// client that sends its next request the moment an answer lands is not
+	// shed by the request that answer finished.
 	settled := false
 	settle := func() {
 		if !settled {
@@ -448,30 +429,6 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 		}
 	}
 	defer settle()
-	var timerC <-chan time.Time
-	if s.opts.RequestTimeout > 0 {
-		timer := time.NewTimer(s.opts.RequestTimeout)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	if delay > 0 {
-		dt := time.NewTimer(delay)
-		select {
-		case <-dt.C:
-		case <-timerC:
-			dt.Stop()
-			s.timeouts.Add(1)
-			settle()
-			fc.writeEnd(id, wireCodeDeadline, ErrDeadlineExceeded.Error(), 0)
-			return
-		case <-ctx.Done():
-			dt.Stop()
-			s.streamsCanceled.Add(1)
-			settle()
-			fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), 0)
-			return
-		}
-	}
 	// The header of a resumable stream carries the resume token pinning its
 	// snapshot; a client that loses the connection mid-transfer re-issues the
 	// statement with it. Resumed acknowledges a honored token (server-side
@@ -486,17 +443,16 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 	rows, frames, ok := fc.ship(ctx, &wireFrame{
 		ID: id, Kind: frameHeader, Name: sc.Name(), Attrs: toWireAttrs(sc.Schema()),
 		Resume: resume, Resumed: resumed,
-	}, sc, timerC, killer, settle)
+	}, sc, killer, settle)
 	if !ok {
 		return rows, frames
 	}
 	// A stream that stopped early (a parallel worker hit its cancellation
-	// checkpoint) must not read as a complete result: report it as canceled,
-	// never as a silently truncated ok-end.
+	// checkpoint) must not read as a complete result: report why it stopped,
+	// never a silently truncated ok-end.
 	settle()
-	if err := sc.Err(); err != nil {
-		s.streamsCanceled.Add(1)
-		fc.writeEnd(id, wireCodeCanceled, err.Error(), sc.Ops())
+	if sc.Err() != nil {
+		fc.writeStopped(ctx, id, sc.Ops())
 		return rows, frames + 1
 	}
 	fc.writeEnd(id, wireCodeNone, "", sc.Ops())
@@ -505,12 +461,12 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 
 // ship is the one writer of exec results, streamed or materialized: the
 // header frame, then src's tuples in batch frames of at most frameTuples,
-// checking between frames for cancellation and, when deadline is non-nil, for
-// the request deadline. ok reports that every tuple went out and the caller
-// owes the end frame; otherwise the stream is over (a write failed, a kill
-// fault fired, or ship wrote the terminal frame itself, after calling
-// settle). It returns the tuples and frames shipped, for the slow-query log.
-func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Iterator, deadline <-chan time.Time, killer *streamKiller, settle func()) (rows, frames int64, ok bool) {
+// checking between frames whether ctx has ended. ok reports that every tuple
+// went out and the caller owes the end frame; otherwise the stream is over (a
+// write failed, a kill fault fired, or ship wrote the terminal frame itself,
+// after calling settle). It returns the tuples and frames shipped, for the
+// slow-query log.
+func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Iterator, killer *streamKiller, settle func()) (rows, frames int64, ok bool) {
 	if fc.write(hdr) != nil {
 		return
 	}
@@ -537,14 +493,8 @@ func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Ite
 		}
 		select {
 		case <-ctx.Done():
-			fc.s.streamsCanceled.Add(1)
 			settle()
-			fc.writeEnd(hdr.ID, wireCodeCanceled, context.Canceled.Error(), 0)
-			return
-		case <-deadline:
-			fc.s.timeouts.Add(1)
-			settle()
-			fc.writeEnd(hdr.ID, wireCodeDeadline, ErrDeadlineExceeded.Error(), 0)
+			fc.writeStopped(ctx, hdr.ID, 0)
 			return
 		default:
 		}

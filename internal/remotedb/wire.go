@@ -85,19 +85,14 @@ const protoV4 = 4
 const (
 	wireCodeNone       = 0 // no error, or a semantic error (Err set)
 	wireCodeOverloaded = 1 // request shed by the server's admission limit
-	wireCodeDeadline   = 2 // request abandoned at the server's deadline
+	wireCodeDeadline   = 2 // request stopped at the server's deadline
 	wireCodeCanceled   = 3 // stream stopped by a client cancel frame
 )
 
-// wireResponse is the answer to hello on the wire, and the in-process result
-// of Server.handle that the framed path ships as header/batch/end frames.
+// wireResponse is the answer to hello on the wire, and the in-process answer
+// of Server.handle that the framed path ships in a terminal frame.
 type wireResponse struct {
-	Err  string
-	Code int // wireCode* classification of Err
-	// rel is the materialized result of an exec, in-process only (gob skips
-	// unexported fields).
-	rel    *relation.Relation
-	Ops    int64
+	Err    string
 	Attrs  []wireAttr
 	Stats  TableStats
 	Tables []string
