@@ -9,6 +9,8 @@ package ie
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"repro/internal/logic"
 )
@@ -78,8 +80,9 @@ func Extract(kb *logic.KB, query logic.Atom, sh *Shaper) (*Graph, error) {
 	}
 	g := &Graph{Query: query}
 	seenBase := make(map[logic.PredRef]bool)
-	var build func(goal logic.Atom, path map[logic.PredRef]bool) *ORNode
-	build = func(goal logic.Atom, path map[logic.PredRef]bool) *ORNode {
+	var b logic.Bindings
+	var build func(goal logic.Atom, path map[logic.PredRef]bool, depth int) *ORNode
+	build = func(goal logic.Atom, path map[logic.PredRef]bool, depth int) *ORNode {
 		node := &ORNode{Goal: goal}
 		if goal.IsComparison() {
 			node.Builtin = true
@@ -100,13 +103,13 @@ func Extract(kb *logic.KB, query logic.Atom, sh *Shaper) (*Graph, error) {
 		}
 		path[ref] = true
 		defer delete(path, ref)
+		var goalVars logic.Numbering
+		ngoal := goalVars.Number(goal)
 		for idx, clause := range kb.Rules(ref) {
-			renamed := logic.RenameApart(clause)
-			s, ok := logic.Unify(renamed.Head, goal, logic.NewSubst())
+			body, ok := applyRule(&b, clause, ngoal, goalVars, depth)
 			if !ok {
 				continue
 			}
-			body := s.ApplyAtoms(renamed.Body)
 			and := &ANDNode{
 				RuleID:    fmt.Sprintf("r%d", idx+1),
 				ClauseKey: ClauseKey{Pred: ref, Index: idx},
@@ -121,14 +124,57 @@ func Extract(kb *logic.KB, query logic.Atom, sh *Shaper) (*Graph, error) {
 				}
 			}
 			for _, a := range and.Body {
-				and.Subgoals = append(and.Subgoals, build(a, path))
+				and.Subgoals = append(and.Subgoals, build(a, path, depth+1))
 			}
 			node.Rules = append(node.Rules, and)
 		}
 		return node
 	}
-	g.Root = build(query, map[logic.PredRef]bool{})
+	g.Root = build(query, map[logic.PredRef]bool{}, 1)
 	return g, nil
+}
+
+// applyRule unifies c's head with goal, whose variables goalVars names, and
+// returns c's body under the unifier: constants propagate into it. A free
+// variable is named after its root, the goal's variable or c's own; one of
+// c's that shares a name with a goal variable is renamed apart with the
+// suffix "#depth".
+func applyRule(b *logic.Bindings, c logic.Clause, goal logic.NumAtom, goalVars logic.Numbering, depth int) ([]logic.Atom, bool) {
+	m := b.Mark()
+	defer b.Undo(m)
+	var vars logic.Numbering
+	head := vars.Number(c.Head)
+	var nums []int32
+	for _, a := range c.Body {
+		nums = vars.AppendNums(nums, a)
+	}
+	gbase := b.Push(len(goalVars))
+	cbase := b.Push(len(vars))
+	if !b.Unify(head, cbase, goal, gbase) {
+		return nil, false
+	}
+	body := make([]logic.Atom, len(c.Body))
+	for i, a := range c.Body {
+		args := make([]logic.Term, len(a.Args))
+		for j, t := range a.Args {
+			if n := nums[j]; n >= 0 {
+				switch root, v, ok := b.Resolve(cbase + int(n)); {
+				case ok:
+					t = logic.C(v)
+				case root < cbase:
+					t = logic.V(goalVars[root-gbase])
+				case slices.Contains(goalVars, vars[root-cbase]):
+					t = logic.V(vars[root-cbase] + "#" + strconv.Itoa(depth))
+				default:
+					t = logic.V(vars[root-cbase])
+				}
+			}
+			args[j] = t
+		}
+		nums = nums[len(a.Args):]
+		body[i] = logic.Atom{Pred: a.Pred, Args: args}
+	}
+	return body, true
 }
 
 // Walk visits every OR node of the graph depth-first.

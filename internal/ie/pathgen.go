@@ -103,7 +103,7 @@ func (p *program) exprForPred(ref logic.PredRef, visited map[logic.PredRef]bool)
 		for _, it := range cc.items {
 			if it.kind == itemCall {
 				guarded = true
-				guards = append(guards, it.atom)
+				guards = append(guards, it.atom.Atom)
 			}
 			if it.kind == itemSegment {
 				break

@@ -2,6 +2,7 @@ package ie
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/advice"
 	"repro/internal/caql"
@@ -26,15 +27,18 @@ const (
 type bodyItem struct {
 	kind itemKind
 	seg  *viewTemplate // itemSegment
-	atom logic.Atom    // itemCall / itemCmp (clause-variable space)
+	atom logic.NumAtom // itemCall / itemCmp, numbered in the clause
 }
 
 // viewTemplate is a view specification in clause-variable space; execution
-// instantiates it under the current substitution and advice renders it with
-// binding annotations.
+// instantiates it in the clause's frame and advice renders it with binding
+// annotations.
 type viewTemplate struct {
-	name     string
-	query    *caql.Query
+	name  string
+	query *caql.Query
+	// nums numbers the variables of the query's head, relational and
+	// comparison arguments, in that order, in the clause.
+	nums     []int32
 	bindings []advice.Binding
 	ruleID   string
 	// annotated marks that the first-occurrence bound-set analysis has
@@ -42,11 +46,13 @@ type viewTemplate struct {
 	annotated bool
 }
 
-// compiledClause is a shaped, segmented clause.
+// compiledClause is a shaped, segmented clause whose variables are numbered:
+// applying it pushes a frame of nvars cells.
 type compiledClause struct {
-	key    ClauseKey
-	clause logic.Clause // body in shaped order
-	items  []bodyItem
+	key   ClauseKey
+	head  logic.NumAtom
+	nvars int
+	items []bodyItem
 }
 
 // program is a compiled knowledge base slice for one AI query.
@@ -54,7 +60,8 @@ type program struct {
 	kb      *logic.KB
 	clauses map[logic.PredRef][]*compiledClause
 	views   []*viewTemplate
-	// goal execution: pseudo-clause items for the AI query.
+	// goal execution: pseudo-clause items for the AI query, whose variable
+	// i is goalVars[i].
 	goalItems []bodyItem
 	goalVars  []string
 	goal      logic.Atom
@@ -100,8 +107,8 @@ func compile(kb *logic.KB, goal logic.Atom, opts Options, ds StatsSource) (*prog
 		return fmt.Sprintf("d%d", nameCounter)
 	}
 
-	var segmentBody func(key ClauseKey, ruleID string, head logic.Atom, body []logic.Atom) []bodyItem
-	segmentBody = func(key ClauseKey, ruleID string, head logic.Atom, body []logic.Atom) []bodyItem {
+	var segmentBody func(key ClauseKey, ruleID string, vars *logic.Numbering, head logic.Atom, body []logic.Atom) []bodyItem
+	segmentBody = func(key ClauseKey, ruleID string, vars *logic.Numbering, head logic.Atom, body []logic.Atom) []bodyItem {
 		var items []bodyItem
 		var run []logic.Atom // current base-atom run
 		flush := func(after []logic.Atom) {
@@ -139,6 +146,13 @@ func compile(kb *logic.KB, goal logic.Atom, opts Options, ds StatsSource) (*prog
 				bindings: make([]advice.Binding, len(headVars)),
 				ruleID:   ruleID,
 			}
+			vt.nums = vars.AppendNums(vt.nums, q.Head)
+			for _, a := range q.Rels {
+				vt.nums = vars.AppendNums(vt.nums, a)
+			}
+			for _, a := range q.Cmps {
+				vt.nums = vars.AppendNums(vt.nums, a)
+			}
 			p.views = append(p.views, vt)
 			items = append(items, bodyItem{kind: itemSegment, seg: vt})
 			// Comparisons folded into the segment are consumed.
@@ -153,7 +167,7 @@ func compile(kb *logic.KB, goal logic.Atom, opts Options, ds StatsSource) (*prog
 				// item; defer the decision to flush by checking consumption.
 				flush(body[i:])
 				if !cmpConsumed(key, a) {
-					items = append(items, bodyItem{kind: itemCmp, atom: a})
+					items = append(items, bodyItem{kind: itemCmp, atom: vars.Number(a)})
 				}
 			case kb.IsBase(a.Ref()):
 				run = append(run, a)
@@ -162,7 +176,7 @@ func compile(kb *logic.KB, goal logic.Atom, opts Options, ds StatsSource) (*prog
 				}
 			default:
 				flush(body[i:])
-				items = append(items, bodyItem{kind: itemCall, atom: a})
+				items = append(items, bodyItem{kind: itemCall, atom: vars.Number(a)})
 				compilePred(a.Ref())
 			}
 		}
@@ -181,12 +195,14 @@ func compile(kb *logic.KB, goal logic.Atom, opts Options, ds StatsSource) (*prog
 			if !ok {
 				continue // statically culled
 			}
+			var vars logic.Numbering
 			cc := &compiledClause{
-				key:    ClauseKey{Pred: ref, Index: idx},
-				clause: shaped,
+				key:  ClauseKey{Pred: ref, Index: idx},
+				head: vars.Number(shaped.Head),
 			}
 			consumedCmps[cc.key] = nil
-			cc.items = segmentBody(cc.key, fmt.Sprintf("r%d", idx+1), shaped.Head, shaped.Body)
+			cc.items = segmentBody(cc.key, fmt.Sprintf("r%d", idx+1), &vars, shaped.Head, shaped.Body)
+			cc.nvars = len(vars)
 			p.clauses[ref] = append(p.clauses[ref], cc)
 		}
 	}
@@ -207,7 +223,8 @@ func compile(kb *logic.KB, goal logic.Atom, opts Options, ds StatsSource) (*prog
 	}
 	goalKey := ClauseKey{Pred: logic.PredRef{Name: "__goal__", Arity: len(goalVars)}}
 	consumedCmps[goalKey] = nil
-	p.goalItems = segmentBody(goalKey, "q", logic.A("__goal__", headTerms...), []logic.Atom{goal})
+	vars := logic.Numbering(slices.Clip(goalVars))
+	p.goalItems = segmentBody(goalKey, "q", &vars, logic.A("__goal__", headTerms...), []logic.Atom{goal})
 
 	p.annotate(opts)
 	return p, nil
@@ -330,7 +347,7 @@ func (p *program) annotate(opts Options) {
 		visited[key] = true
 		for _, cc := range p.clauses[ref] {
 			bound := make(map[string]bool)
-			for i, t := range cc.clause.Head.Args {
+			for i, t := range cc.head.Args {
 				if i < len(boundPos) && boundPos[i] && t.IsVar() {
 					bound[t.Var] = true
 				}

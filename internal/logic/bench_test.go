@@ -1,24 +1,48 @@
 package logic
 
-import "testing"
+import (
+	"testing"
 
-func BenchmarkUnify(b *testing.B) {
-	x := A("p", V("X"), CInt(1), V("Y"), CStr("a"), V("Z"))
-	y := A("p", CStr("q"), V("A"), CInt(2), V("B"), V("C"))
+	"repro/internal/relation"
+)
+
+// BenchmarkBindingsUnify is one clause try: push the clause's frame, unify
+// its head with a call in the caller's frame, and undo.
+func BenchmarkBindingsUnify(b *testing.B) {
+	var caller, clause Numbering
+	call := caller.Number(A("p", V("X"), CInt(1), V("Y"), CStr("a"), V("Z")))
+	head := clause.Number(A("p", CStr("q"), V("A"), CInt(2), V("B"), V("C")))
+	var bs Bindings
+	base := bs.Push(len(caller))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Unify(x, y, NewSubst())
+		m := bs.Mark()
+		if !bs.Unify(head, bs.Push(len(clause)), call, base) {
+			b.Fatal("no unifier")
+		}
+		bs.Undo(m)
 	}
 }
 
-func BenchmarkRenameApart(b *testing.B) {
-	c, err := ParseClause("p(X, Y) :- q(X, Z), r(Z, W), s(W, Y), X != Y.")
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkBindingsUndo is backtracking out of a recursion eight calls deep:
+// each call's frame links its argument to its caller's, the innermost binds
+// it to a constant, and one Undo frees it all.
+func BenchmarkBindingsUndo(b *testing.B) {
+	var vars Numbering
+	call := vars.Number(A("anc", V("X"), V("Y")))
+	var bs Bindings
+	base := bs.Push(len(vars))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RenameApart(c)
+		m := bs.Mark()
+		caller := base
+		for d := 0; d < 8; d++ {
+			callee := bs.Push(len(vars))
+			bs.Unify(call, callee, call, caller)
+			caller = callee
+		}
+		bs.UnifyConst(caller, relation.Str("p001"))
+		bs.Undo(m)
 	}
 }
 

@@ -241,40 +241,58 @@ func TestMatchOneWayPaperExample(t *testing.T) {
 	}
 }
 
-func TestRenameApart(t *testing.T) {
+// Two applications of one clause are two frames: binding a variable in one
+// leaves the other's free, the clause's shared variables stay shared within
+// each, and undoing the second leaves the first as it was.
+func TestFramesRenameApart(t *testing.T) {
 	c, err := ParseClause("p(X, Y) :- q(X, Z), r(Z, Y).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := RenameApart(c)
-	r2 := RenameApart(c)
-	v1 := r1.Vars()
-	v2 := r2.Vars()
-	for v := range v1 {
-		if v2[v] {
-			t.Fatalf("renamed clauses share variable %s", v)
-		}
-		if c.Vars()[v] {
-			t.Fatalf("renamed clause shares variable %s with original", v)
-		}
+	var vars Numbering
+	head := vars.Number(c.Head)
+	q, r := vars.Number(c.Body[0]), vars.Number(c.Body[1])
+	if len(vars) != 3 || q.Nums[1] != r.Nums[0] {
+		t.Fatalf("numbering %v: q %v, r %v", vars, q.Nums, r.Nums)
 	}
-	// Structure is preserved.
-	if r1.Head.Pred != "p" || len(r1.Body) != 2 {
-		t.Fatal("rename changed structure")
+	var b Bindings
+	var goalVars Numbering
+	goal := goalVars.Number(A("p", CInt(1), V("Y")))
+	gbase := b.Push(len(goalVars))
+	first := b.Push(len(vars))
+	if !b.Unify(head, first, goal, gbase) {
+		t.Fatal("head does not unify with the goal")
 	}
-	// Shared variables remain shared.
-	if r1.Body[0].Args[1].Var != r1.Body[1].Args[0].Var {
-		t.Fatal("rename broke variable sharing")
+	// Z is shared by q and r within an application, not across them.
+	if !b.UnifyConst(first+int(q.Nums[1]), relation.Int(7)) {
+		t.Fatal("binding the first Z failed")
 	}
-	// Repeated renaming does not grow names unboundedly.
-	rn := c
-	for i := 0; i < 50; i++ {
-		rn = RenameApart(rn)
+	if _, v, _ := b.Resolve(first + int(r.Nums[0])); !v.Equal(relation.Int(7)) {
+		t.Fatal("q's Z and r's Z are different cells")
 	}
-	for v := range rn.Vars() {
-		if len(v) > 25 {
-			t.Fatalf("renamed variable name grew: %q", v)
-		}
+	m := b.Mark()
+	var otherVars Numbering
+	other := otherVars.Number(A("p", CInt(2), V("W")))
+	obase := b.Push(len(otherVars))
+	second := b.Push(len(vars))
+	if !b.Unify(head, second, other, obase) {
+		t.Fatal("second application does not unify")
+	}
+	if _, v, ok := b.Resolve(first); !ok || !v.Equal(relation.Int(1)) {
+		t.Fatalf("first application's X = %v (bound %v), want 1", v, ok)
+	}
+	if _, v, ok := b.Resolve(second); !ok || !v.Equal(relation.Int(2)) {
+		t.Fatalf("second application's X = %v (bound %v), want 2", v, ok)
+	}
+	if _, _, ok := b.Resolve(second + int(r.Nums[0])); ok {
+		t.Fatal("binding the first application's Z bound the second's")
+	}
+	b.Undo(m)
+	if len(b.cells) != obase || len(b.trail) != m.trail {
+		t.Fatalf("undo kept %d cells and %d trail entries, want %d and %d", len(b.cells), len(b.trail), obase, m.trail)
+	}
+	if _, v, ok := b.Resolve(first + int(r.Nums[0])); !ok || !v.Equal(relation.Int(7)) {
+		t.Fatal("undo freed a binding made before the mark")
 	}
 }
 

@@ -6,23 +6,14 @@ import (
 	"strings"
 )
 
-// Subst is a substitution: a finite mapping from variable names to terms.
-// Substitutions are persistent in spirit: Bind returns a new binding layered
-// view by copying (bindings are small in SLD resolution over function-free
-// programs).
+// Subst is a substitution: a finite mapping from variable names to terms,
+// bound in place. It is the public form of an answer and of a one-off
+// rewrite; an SLD search binds in a Bindings instead and builds a Subst only
+// for the answers it delivers.
 type Subst map[string]Term
 
 // NewSubst returns an empty substitution.
 func NewSubst() Subst { return make(Subst) }
-
-// Clone returns a copy of the substitution.
-func (s Subst) Clone() Subst {
-	out := make(Subst, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
 
 // Walk resolves a term through the substitution until it reaches a constant
 // or an unbound variable. Binding chains that cycle (possible when two
@@ -40,18 +31,8 @@ func (s Subst) Walk(t Term) Term {
 	return t
 }
 
-// Bind returns s extended with v -> t. It does not mutate s.
-func (s Subst) Bind(v string, t Term) Subst {
-	out := s.Clone()
-	out[v] = t
-	return out
-}
-
 // BindInPlace adds v -> t to s, mutating it.
 func (s Subst) BindInPlace(v string, t Term) { s[v] = t }
-
-// Apply rewrites a term, resolving variables to their bindings (transitively).
-func (s Subst) Apply(t Term) Term { return s.Walk(t) }
 
 // ApplyAtom rewrites all arguments of an atom.
 func (s Subst) ApplyAtom(a Atom) Atom {
@@ -82,16 +63,6 @@ func (s Subst) Restrict(vars []string) Subst {
 		}
 	}
 	return out
-}
-
-// Ground reports whether every binding resolves to a constant.
-func (s Subst) Ground() bool {
-	for v := range s {
-		if s.Walk(V(v)).IsVar() {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports whether two substitutions denote the same mapping over their

@@ -1,51 +1,5 @@
 package logic
 
-import "sync/atomic"
-
-// Unification for function-free terms. Without function symbols there is no
-// occurs-check problem: a variable can only be bound to a constant or another
-// variable, so unification is a union-find-style walk.
-
-// UnifyTerms extends s so that a and b become equal, returning the extended
-// substitution and true, or nil and false if they cannot be unified. s is not
-// mutated.
-func UnifyTerms(a, b Term, s Subst) (Subst, bool) {
-	a, b = s.Walk(a), s.Walk(b)
-	switch {
-	case a.IsVar() && b.IsVar():
-		if a.Var == b.Var {
-			return s, true
-		}
-		return s.Bind(a.Var, b), true
-	case a.IsVar():
-		return s.Bind(a.Var, b), true
-	case b.IsVar():
-		return s.Bind(b.Var, a), true
-	default:
-		if a.Const.Equal(b.Const) {
-			return s, true
-		}
-		return nil, false
-	}
-}
-
-// Unify unifies two atoms under s. The atoms must have the same predicate and
-// arity to unify.
-func Unify(a, b Atom, s Subst) (Subst, bool) {
-	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
-		return nil, false
-	}
-	out := s
-	for i := range a.Args {
-		var ok bool
-		out, ok = UnifyTerms(a.Args[i], b.Args[i], out)
-		if !ok {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
 // MatchOneWay extends the raw mapping m so that pattern maps onto target,
 // binding only variables of the pattern. Constants in the pattern must match
 // the target exactly; target variables never get bound. This is the
@@ -89,63 +43,4 @@ func MatchOneWay(pattern, target Atom, m map[string]Term) (map[string]Term, bool
 		}
 	}
 	return out, true
-}
-
-var renameCounter atomic.Int64
-
-// RenameApart returns a copy of the clause with all its variables renamed to
-// fresh names (standardize-apart), so that resolution never confuses
-// variables from different rule applications.
-func RenameApart(c Clause) Clause {
-	suffix := int(renameCounter.Add(1))
-	mapping := make(map[string]string)
-	ren := func(t Term) Term {
-		if !t.IsVar() {
-			return t
-		}
-		n, ok := mapping[t.Var]
-		if !ok {
-			n = freshName(t.Var, suffix)
-			mapping[t.Var] = n
-		}
-		return V(n)
-	}
-	renAtom := func(a Atom) Atom {
-		args := make([]Term, len(a.Args))
-		for i, t := range a.Args {
-			args[i] = ren(t)
-		}
-		return Atom{Pred: a.Pred, Args: args}
-	}
-	out := Clause{Head: renAtom(c.Head)}
-	out.Body = make([]Atom, len(c.Body))
-	for i, a := range c.Body {
-		out.Body[i] = renAtom(a)
-	}
-	return out
-}
-
-func freshName(base string, n int) string {
-	// Strip a previous rename suffix so names do not grow unboundedly.
-	for i := len(base) - 1; i > 0; i-- {
-		if base[i] == '#' {
-			base = base[:i]
-			break
-		}
-	}
-	return base + "#" + itoa(n)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
