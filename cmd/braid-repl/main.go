@@ -48,12 +48,12 @@ func (r *sqlRunner) exec(sql string) (string, error) {
 		return r.db.Exec(sql)
 	}
 	if r.c == nil {
-		// Redial: the side connection must survive server restarts the same
-		// way the session's pooled transport does.
+		// A pooled connection is redialed by the next request after it
+		// breaks, so the side connection survives server restarts the same
+		// way the session's transport does.
 		c, err := remotedb.DialPool(r.remote, remotedb.PoolOptions{
-			Size:   1,
-			Costs:  remotedb.DefaultCosts(),
-			Redial: true,
+			Size:  1,
+			Costs: remotedb.DefaultCosts(),
 		})
 		if err != nil {
 			return "", err

@@ -182,9 +182,6 @@ func (c *CMS) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("braid_pool_frames_recv_total", "Wire v2 frames received from the remote DBMS.", func() int64 { return c.rdi.Stats().FramesRecv })
 	reg.CounterFunc("braid_pool_streams_total", "Streamed exec results opened.", func() int64 { return c.rdi.Stats().Streams })
 	reg.CounterFunc("braid_pool_streams_canceled_total", "Remote streams torn down mid-flight.", func() int64 { return c.rdi.Stats().StreamsCanceled })
-	reg.CounterFunc("braid_pool_health_probes_total", "Connection health probes sent.", func() int64 { return c.rdi.Stats().HealthProbes })
-	reg.CounterFunc("braid_pool_probe_failures_total", "Health probes that found a dead connection.", func() int64 { return c.rdi.Stats().ProbeFailures })
-	reg.CounterFunc("braid_pool_reconnects_total", "Pool connections re-dialed after death.", func() int64 { return c.rdi.Stats().Reconnects })
 	c.queryLat = reg.Histogram("braid_cms_query_us", "End-to-end CAQL query latency, microseconds.")
 }
 

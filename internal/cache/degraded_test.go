@@ -27,7 +27,6 @@ func newResilientTCPCMS(t *testing.T, seed int64) (*CMS, *remotedb.Server, strin
 	tcp, err := remotedb.DialPool(addr, remotedb.PoolOptions{
 		Size:           1,
 		Costs:          costs,
-		Redial:         true,
 		DialTimeout:    500 * time.Millisecond,
 		RequestTimeout: 2 * time.Second,
 	})

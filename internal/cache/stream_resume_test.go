@@ -38,7 +38,6 @@ func TestStreamKillNeverCachesTruncatedResult(t *testing.T) {
 	pool, err := remotedb.DialPool(addr, remotedb.PoolOptions{
 		Size:        1,
 		FrameTuples: 4,
-		Redial:      true,
 		Costs:       remotedb.DefaultCosts(),
 	})
 	if err != nil {
@@ -92,7 +91,6 @@ func TestStreamKillRepairedFetchIsCacheable(t *testing.T) {
 	pool, err := remotedb.DialPool(addr, remotedb.PoolOptions{
 		Size:        2,
 		FrameTuples: 4,
-		Redial:      true,
 		Costs:       remotedb.DefaultCosts(),
 	})
 	if err != nil {

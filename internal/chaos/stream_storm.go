@@ -453,26 +453,10 @@ func runParallelStormLeg(cfg StormConfig, res *StormResult) error {
 		return err
 	}
 	defer psrv.Close()
-	// No health manager on this client: background probes would consume
-	// kill-roll RNG draws at timer-dependent points, making the leg's
-	// completed/failed split nondeterministic. Redial-on-use alone recovers
-	// the connection after each kill.
-	pp, err := remotedb.DialPool(paddr, remotedb.PoolOptions{
-		Size:        2,
-		FrameTuples: cfg.FrameTuples,
-		Redial:      true,
-		Costs:       remotedb.DefaultCosts(),
-	})
+	prc, err := stormClient(paddr, cfg, 13)
 	if err != nil {
 		return err
 	}
-	prc := remotedb.NewResilientClient(pp, remotedb.Resilience{
-		JitterSeed:      cfg.Seed + 13,
-		MaxRetries:      50,
-		BreakerFailures: -1,
-		BaseBackoff:     200 * time.Microsecond,
-		MaxBackoff:      2 * time.Millisecond,
-	})
 	defer prc.Close()
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 31337))
@@ -531,8 +515,10 @@ func tupleLine(tup relation.Tuple) string {
 	return sb.String()
 }
 
-// stormClient is the storm's standard client stack: a health-managed pool of
-// two connections under the full resilience policy. MaxRetries bounds
+// stormClient is the storm's one client stack, shared by every leg (seedOff
+// keeps their jitter streams apart): a pool of PoolSize connections, each
+// redialed by the request that finds it dead, under the full resilience
+// policy. MaxRetries bounds
 // consecutive ZERO-progress lives, not total kills: a severed connection can
 // discard frames the client had not drained yet, so individual lives may
 // strand nothing — the bound only needs to exceed any plausible run of them.
@@ -546,12 +532,9 @@ func stormClient(addr string, cfg StormConfig, seedOff int64) (*remotedb.Resilie
 		maxRetries = 50
 	}
 	p, err := remotedb.DialPool(addr, remotedb.PoolOptions{
-		Size:           poolSize,
-		FrameTuples:    cfg.FrameTuples,
-		Redial:         true,
-		Costs:          remotedb.DefaultCosts(),
-		HealthInterval: 10 * time.Millisecond,
-		HealthSeed:     cfg.Seed + seedOff,
+		Size:        poolSize,
+		FrameTuples: cfg.FrameTuples,
+		Costs:       remotedb.DefaultCosts(),
 	})
 	if err != nil {
 		return nil, err

@@ -82,12 +82,9 @@ func e15MeasureArm(scanRows, streams int, killRate float64, resume bool) (E15Arm
 	defer srv.Close()
 
 	p, err := remotedb.DialPool(addr, remotedb.PoolOptions{
-		Size:           2,
-		FrameTuples:    e15FrameTuples,
-		Redial:         true,
-		Costs:          remotedb.DefaultCosts(),
-		HealthInterval: 10 * time.Millisecond,
-		HealthSeed:     15,
+		Size:        2,
+		FrameTuples: e15FrameTuples,
+		Costs:       remotedb.DefaultCosts(),
 	})
 	if err != nil {
 		return arm, err

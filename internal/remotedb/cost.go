@@ -78,37 +78,8 @@ type Stats struct {
 	// mean first-tuple latency.
 	FirstTupleNS int64
 
-	// HealthProbes is the number of liveness pings issued by the pool's
-	// active health loop (PoolOptions.HealthInterval).
-	HealthProbes int64
-	// ProbeFailures is how many probes found a dead connection, evicting it
-	// before any request had to discover the death.
-	ProbeFailures int64
-	// Reconnects is the number of background re-dial attempts for broken
-	// connections (successful or not; failures re-quarantine).
-	Reconnects int64
-
-	// Epoch is the highest server catalog epoch this client has observed on
-	// any response (0: the peer predates epochs). It is a high-water mark,
-	// not a sum: Add keeps the max.
+	// Epoch is the highest server clock this client has observed on any
+	// response (0 until a response has carried one). It is a high-water
+	// mark, not a sum.
 	Epoch uint64
-}
-
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Requests += o.Requests
-	s.TuplesReturned += o.TuplesReturned
-	s.ServerOps += o.ServerOps
-	s.SimMS += o.SimMS
-	s.FramesSent += o.FramesSent
-	s.FramesRecv += o.FramesRecv
-	s.Streams += o.Streams
-	s.StreamsCanceled += o.StreamsCanceled
-	s.FirstTupleNS += o.FirstTupleNS
-	s.HealthProbes += o.HealthProbes
-	s.ProbeFailures += o.ProbeFailures
-	s.Reconnects += o.Reconnects
-	if o.Epoch > s.Epoch {
-		s.Epoch = o.Epoch
-	}
 }

@@ -76,7 +76,7 @@ func TestPoolHandshakeMutePeerHonorsContext(t *testing.T) {
 			answerHello(conn, wireResponse{Proto: protoV4}) // let DialPool succeed
 		}
 	})
-	p := dialTestPool(t, addr, PoolOptions{Size: 1, Redial: true})
+	p := dialTestPool(t, addr, PoolOptions{Size: 1})
 	p.breakConn() // every later dial meets the mute peer
 
 	type result struct {

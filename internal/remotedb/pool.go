@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -44,15 +43,9 @@ type PoolClient struct {
 	closed bool
 	// shut mirrors closed as an atomic so muxConn.ensure / dialLocked can
 	// refuse to (re)dial after Close without taking p.mu under c.mu.
-	// Without this check, pick or a health probe racing Close can
-	// redial a connection Close already tore down, leaking the socket and
-	// its read-loop goroutine.
+	// Without this check, a pick racing Close can redial a connection Close
+	// already tore down, leaking the socket and its read-loop goroutine.
 	shut atomic.Bool
-
-	// done stops the background health loop; wg waits for it on Close so the
-	// pool provably leaks no goroutines (asserted in pool_test.go).
-	done     chan struct{}
-	healthWg sync.WaitGroup
 
 	stats statsRec
 }
@@ -70,9 +63,6 @@ type statsRec struct {
 	streams         atomic.Int64
 	streamsCanceled atomic.Int64
 	firstTupleNS    atomic.Int64
-	healthProbes    atomic.Int64
-	probeFailures   atomic.Int64
-	reconnects      atomic.Int64
 	simMSBits       atomic.Uint64
 	seen            versionVec // server clock and table versions, folded from every connection
 }
@@ -98,9 +88,6 @@ func (r *statsRec) snapshot() Stats {
 		Streams:         r.streams.Load(),
 		StreamsCanceled: r.streamsCanceled.Load(),
 		FirstTupleNS:    r.firstTupleNS.Load(),
-		HealthProbes:    r.healthProbes.Load(),
-		ProbeFailures:   r.probeFailures.Load(),
-		Reconnects:      r.reconnects.Load(),
 		Epoch:           r.seen.epoch.Load(),
 	}
 }
@@ -118,24 +105,11 @@ type PoolOptions struct {
 	StreamWindow int
 	// Costs is the virtual cost model charged per request.
 	Costs Costs
-	// Redial re-establishes broken connections on the next request instead of
-	// failing fast forever.
-	Redial bool
 	// DialTimeout bounds connection establishment (0: no bound).
 	DialTimeout time.Duration
 	// RequestTimeout bounds the hello handshake and each wait for the next
 	// frame of a stream (0: no bound).
 	RequestTimeout time.Duration
-	// HealthInterval enables active health management (0: disabled, death is
-	// discovered lazily per request). Every interval a background loop probes
-	// each live connection with a lightweight ping, evicts connections whose
-	// probe fails, and (when Redial is set) re-dials broken connections in
-	// the background. Re-dial attempts honor the same jittered per-connection
-	// backoff that quarantines flapping connections from pick, so a dead
-	// server is probed, not hammered.
-	HealthInterval time.Duration
-	// HealthSeed seeds the quarantine backoff jitter stream.
-	HealthSeed int64
 }
 
 func (o PoolOptions) withDefaults() PoolOptions {
@@ -153,105 +127,36 @@ func (o PoolOptions) withDefaults() PoolOptions {
 // (so an unreachable address fails fast); the rest are dialed on demand.
 func DialPool(addr string, opts PoolOptions) (*PoolClient, error) {
 	opts = opts.withDefaults()
-	p := &PoolClient{addr: addr, opts: opts, done: make(chan struct{})}
+	p := &PoolClient{addr: addr, opts: opts}
 	p.conns = make([]*muxConn, opts.Size)
 	for i := range p.conns {
-		p.conns[i] = &muxConn{p: p, broken: true, jitter: rand.New(rand.NewSource(opts.HealthSeed + int64(i)))}
+		p.conns[i] = &muxConn{p: p, broken: true}
 	}
 	if err := p.conns[0].ensure(context.Background()); err != nil {
 		return nil, err
 	}
-	if opts.HealthInterval > 0 {
-		p.healthWg.Add(1)
-		go p.healthLoop()
-	}
 	return p, nil
 }
 
-// healthLoop is the pool's active health manager: it periodically probes live
-// connections and re-dials broken ones, so `pick` finds connections already
-// known good instead of rediscovering death one failed request at a time.
-func (p *PoolClient) healthLoop() {
-	defer p.healthWg.Done()
-	ticker := time.NewTicker(p.opts.HealthInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.done:
-			return
-		case <-ticker.C:
-			p.healthPass()
-		}
-	}
-}
-
-// healthPass runs one round of probes and background reconnections.
-func (p *PoolClient) healthPass() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	conns := append([]*muxConn(nil), p.conns...)
-	p.mu.Unlock()
-	now := time.Now()
-	for _, c := range conns {
-		c.mu.Lock()
-		broken := c.broken || c.conn == nil
-		c.mu.Unlock()
-		if broken {
-			// Background reconnection, throttled by the connection's failure
-			// backoff: a request arriving later finds the socket warm instead
-			// of paying the dial.
-			if !p.opts.Redial || c.quarantined(now) {
-				continue
-			}
-			p.stats.reconnects.Add(1)
-			c.ensure(context.Background()) // a failed dial re-quarantines (dialLocked)
-			continue
-		}
-		p.stats.healthProbes.Add(1)
-		if err := c.probe(); err != nil {
-			// The connection is dead but nothing was in flight to notice:
-			// evict it now so pick never dispatches onto it.
-			p.stats.probeFailures.Add(1)
-			c.teardown(&TransportError{Op: "ping", Err: err})
-		}
-	}
-}
-
-// pick returns the live (or redialable) connection with the fewest in-flight
-// requests — the pool's fair dispatch: sessions hashing onto a hot connection
-// migrate to idle ones instead of convoying. Connections in failure
-// quarantine (recent consecutive transport failures, muxConn.noteFailure) are
-// passed over so a flapping connection doesn't eat a request per flap; when
-// every connection is quarantined the least-loaded one is used anyway, since
-// failing the request outright would be strictly worse than trying.
+// pick returns the connection with the fewest in-flight requests — the
+// pool's fair dispatch: sessions hashing onto a hot connection migrate to
+// idle ones instead of convoying. A connection is found dead only by the
+// request that meets it (its read loop or a write tears it down); once its
+// failed streams settle it carries no load, so a pick lands on it and
+// redials it.
 func (p *PoolClient) pick(ctx context.Context) (*muxConn, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return nil, errors.New("remotedb: client closed")
 	}
-	now := time.Now()
-	var best, bestAny *muxConn
-	var bestLoad, bestAnyLoad int64
-	for _, c := range p.conns {
-		l := c.load.Load()
-		if bestAny == nil || l < bestAnyLoad {
-			bestAny, bestAnyLoad = c, l
-		}
-		if c.quarantined(now) {
-			continue
-		}
-		if best == nil || l < bestLoad {
+	best, bestLoad := p.conns[0], p.conns[0].load.Load()
+	for _, c := range p.conns[1:] {
+		if l := c.load.Load(); l < bestLoad {
 			best, bestLoad = c, l
 		}
 	}
 	p.mu.Unlock()
-	if best == nil {
-		best = bestAny
-	}
 	if err := best.ensure(ctx); err != nil {
 		return nil, err
 	}
@@ -276,8 +181,6 @@ func (p *PoolClient) Close() error {
 	p.shut.Store(true)
 	conns := append([]*muxConn(nil), p.conns...)
 	p.mu.Unlock()
-	close(p.done)
-	p.healthWg.Wait()
 	for _, c := range conns {
 		c.teardown(&TransportError{Op: "close", Err: net.ErrClosed})
 	}
@@ -335,9 +238,9 @@ func (p *PoolClient) ExecStream(ctx context.Context, sql string) (TupleStream, e
 }
 
 // ExecStreamResume implements Client: it re-issues sql carrying the
-// resume token of a stream that died after delivering skip tuples. The pool's
-// pick naturally lands the re-issue on a different (healthy) connection,
-// because the one that died is quarantined. An empty token is a plain
+// resume token of a stream that died after delivering skip tuples. The
+// re-issue goes through pick like any request: if it lands on the connection
+// that died, that connection is redialed first. An empty token is a plain
 // ExecStream.
 func (p *PoolClient) ExecStreamResume(ctx context.Context, sql, token string, skip int64) (TupleStream, error) {
 	if err := ctx.Err(); err != nil {
@@ -412,80 +315,11 @@ type muxConn struct {
 	// socket would tear down the fresh connection it never owned.
 	gen uint64
 
-	// Failure accounting for health management: consecutive transport
-	// failures back the connection off (jittered exponential quarantine, so
-	// pick and the background re-dialer avoid a flapping connection), reset
-	// only by a COMPLETED request or probe — a successful dial is not
-	// evidence of health, or a connection that dials fine and dies mid-request
-	// would never stop flapping.
-	healthMu  sync.Mutex
-	failures  int
-	quarUntil time.Time // quarantined until this instant
-	jitter    *rand.Rand
-
 	wmu sync.Mutex // serializes frame writes
 }
 
-// Quarantine backoff bounds: the first failure backs a connection off ~10ms,
-// each consecutive failure doubles it, capped at 2s — long enough that a dead
-// server isn't hammered, short enough that recovery is noticed fast.
-const (
-	quarBase = 10 * time.Millisecond
-	quarMax  = 2 * time.Second
-)
-
-// noteFailure records one transport-level failure: the connection enters (or
-// extends) quarantine with jittered exponential backoff.
-func (c *muxConn) noteFailure() {
-	c.healthMu.Lock()
-	defer c.healthMu.Unlock()
-	d := quarBase << uint(min(c.failures, 20))
-	if d <= 0 || d > quarMax {
-		d = quarMax
-	}
-	c.failures++
-	frac := 1.0
-	if c.jitter != nil {
-		frac = 0.5 + 0.5*c.jitter.Float64() // [0.5, 1.0)
-	}
-	c.quarUntil = time.Now().Add(time.Duration(float64(d) * frac))
-}
-
-// noteSuccess records a completed request or probe, clearing quarantine.
-func (c *muxConn) noteSuccess() {
-	c.healthMu.Lock()
-	c.failures = 0
-	c.quarUntil = time.Time{}
-	c.healthMu.Unlock()
-}
-
-// quarantined reports whether the connection is inside its failure backoff.
-func (c *muxConn) quarantined(now time.Time) bool {
-	c.healthMu.Lock()
-	defer c.healthMu.Unlock()
-	return now.Before(c.quarUntil)
-}
-
-// probe checks liveness with a "ping" round trip (request clears the failure
-// quarantine when the answer arrives). The probe is bounded by RequestTimeout
-// when set, else by the health interval, so a wedged connection cannot stall
-// the health loop forever.
-func (c *muxConn) probe() error {
-	timeout := c.p.opts.RequestTimeout
-	if timeout <= 0 {
-		timeout = c.p.opts.HealthInterval
-	}
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	_, err := c.request(ctx, &wireRequest{Op: "ping"})
-	return err
-}
-
-// ensure makes the connection usable, dialing or redialing as allowed.
+// ensure makes the connection usable, dialing it if it was never dialed or
+// redialing it if a teardown broke it.
 func (c *muxConn) ensure(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -497,9 +331,6 @@ func (c *muxConn) ensure(ctx context.Context) error {
 	}
 	if !c.broken && c.conn != nil {
 		return nil
-	}
-	if c.conn != nil && !c.p.opts.Redial {
-		return ErrBrokenConn
 	}
 	return c.dialLocked(ctx)
 }
@@ -515,13 +346,11 @@ func (c *muxConn) dialLocked(ctx context.Context) error {
 	d := net.Dialer{Timeout: c.p.opts.DialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.p.addr)
 	if err != nil {
-		c.noteFailure()
 		return err
 	}
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
 	if err := c.handshake(ctx, conn, enc, dec); err != nil {
 		conn.Close()
-		c.noteFailure()
 		return err
 	}
 	if c.p.shut.Load() {
@@ -543,7 +372,7 @@ func (c *muxConn) dialLocked(ctx context.Context) error {
 // response frame size. It is the one blocking exchange outside the read loop
 // and it runs under c.mu, so it is bounded by the earlier of ctx's deadline
 // and RequestTimeout and woken by cancellation: a peer that accepts TCP and
-// then says nothing must not wedge pick and healthPass behind the lock.
+// then says nothing must not wedge pick behind the lock.
 func (c *muxConn) handshake(ctx context.Context, conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error {
 	opts := c.p.opts
 	var deadline time.Time
@@ -584,11 +413,9 @@ func (c *muxConn) handshake(ctx context.Context, conn net.Conn, enc *gob.Encoder
 	return nil
 }
 
-// teardown breaks the connection and fails every in-flight stream with err.
-// A torn-down connection enters failure quarantine so pick steers around it
-// until it proves itself with a completed request.
+// teardown breaks the connection and fails every in-flight stream with err;
+// the next request that picks it redials.
 func (c *muxConn) teardown(err error) {
-	c.noteFailure()
 	c.mu.Lock()
 	if c.conn != nil {
 		c.conn.Close()
@@ -793,7 +620,6 @@ func (c *muxConn) request(ctx context.Context, req *wireRequest) (*wireResponse,
 		st.abort(err)
 		return nil, err
 	}
-	c.noteSuccess()
 	if err := endError(f); err != nil {
 		return nil, err
 	}
@@ -913,15 +739,13 @@ func (st *muxStream) ResumeState() (token string, resumed bool) {
 }
 
 // finish settles a naturally terminated stream (clean end or server-reported
-// terminal error). Either way the server answered, which is proof the
-// connection works: clear its failure quarantine.
+// terminal error).
 func (st *muxStream) finish(err error) {
 	if st.done {
 		return
 	}
 	st.done = true
 	st.termErr = err
-	st.c.noteSuccess()
 	st.settle()
 }
 

@@ -7,12 +7,12 @@ import (
 	"time"
 )
 
-// TestPoolCloseNoGoroutineLeak brackets the pool's background machinery:
-// Close racing the HealthInterval probe/redial loop, in-flight requests, and
-// injected connection breaks must leave no goroutine behind — not the health
-// loop, not a readLoop resurrected by a background redial that lost the race
-// with Close. Run under -race this also shakes out the teardown/redial
-// ordering (the generation guard in teardownGen).
+// TestPoolCloseNoGoroutineLeak brackets the pool's only goroutines, one read
+// loop per live connection: Close racing in-flight requests and the redials
+// they make after injected connection breaks must leave no goroutine behind —
+// not a readLoop resurrected by a redial that lost the race with Close. Run
+// under -race this also shakes out the teardown/redial ordering (the
+// generation guard in teardownGen).
 func TestPoolCloseNoGoroutineLeak(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
@@ -37,8 +37,8 @@ func TestPoolCloseNoGoroutineLeak(t *testing.T) {
 				}
 			}()
 		}
-		// Break connections mid-flight so the health loop's background redial
-		// is active exactly when Close arrives.
+		// Break connections mid-flight so the workers' next requests are
+		// redialing exactly when Close arrives.
 		p.breakConn()
 		if round%2 == 0 {
 			// Close while requests are still in flight: the nastier ordering.
@@ -75,8 +75,6 @@ func dialLeakPool(t *testing.T, addr string) *PoolClient {
 	t.Helper()
 	p, err := DialPool(addr, PoolOptions{
 		Size:           3,
-		Redial:         true,
-		HealthInterval: time.Millisecond,
 		RequestTimeout: 2 * time.Second,
 		Costs:          DefaultCosts(),
 	})

@@ -236,7 +236,7 @@ func TestPoolRedial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := dialTestPool(t, addr, PoolOptions{Redial: true, DialTimeout: time.Second, RequestTimeout: 2 * time.Second})
+	p := dialTestPool(t, addr, PoolOptions{DialTimeout: time.Second, RequestTimeout: 2 * time.Second})
 	if _, err := p.Exec("SELECT * FROM dept"); err != nil {
 		t.Fatal(err)
 	}
@@ -328,90 +328,48 @@ func (b *flagBool) get() bool {
 	return b.v
 }
 
-// TestPoolHealthBackgroundReconnect: with active health management on, a
-// broken connection is repaired in the BACKGROUND — no request has to trip
-// over it first — and the health loop's goroutines all drain on Close.
-func TestPoolHealthBackgroundReconnect(t *testing.T) {
-	addr, _, cleanup := startTestServer(t)
-	defer cleanup()
-	before := runtime.NumGoroutine() // after server start: bracket the pool side only
-	p := dialTestPool(t, addr, PoolOptions{
-		Size:           2,
-		Redial:         true,
-		HealthInterval: 5 * time.Millisecond,
-		HealthSeed:     1,
-	})
-	p.breakConn()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		st := p.Stats()
-		if st.Reconnects >= 1 && st.HealthProbes >= 1 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	st := p.Stats()
-	if st.Reconnects < 1 {
-		t.Fatalf("health loop never redialed the broken connection: %+v", st)
-	}
-	if st.HealthProbes < 1 {
-		t.Fatalf("health loop never probed a live connection: %+v", st)
-	}
-	// The repaired pool serves requests without a request-path redial stall.
-	if _, err := p.Exec("SELECT * FROM dept"); err != nil {
-		t.Fatalf("exec after background repair: %v", err)
-	}
-
-	p.Close()
-	leakDeadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(leakDeadline) && runtime.NumGoroutine() > before {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before {
-		buf := make([]byte, 1<<16)
-		n := runtime.Stack(buf, true)
-		t.Fatalf("goroutine leak after health-managed pool close: before=%d now=%d\n%s", before, now, buf[:n])
-	}
-}
-
-// TestPoolHealthEvictsUnresponsiveConn: a connection that still accepts bytes
-// but answers nothing (here: a server stalling every request far past the
-// probe budget) is detected by the probe timeout and torn down proactively.
-func TestPoolHealthEvictsUnresponsiveConn(t *testing.T) {
-	srv := NewServerWithOptions(newTestEngine(t), ServerOptions{
-		Faults: &ListenerFaults{Seed: 9, DelayRate: 1.0, Delay: 300 * time.Millisecond},
-	})
+// TestPoolPausedConsumerKeepsStream: a slow consumer is not a dead
+// connection. With one connection, one-tuple frames and a one-frame window,
+// the server's writer is stalled behind the paused consumer for the whole
+// pause; the stream must still deliver every tuple on the connection it
+// started on, with no re-issue and no redial.
+func TestPoolPausedConsumerKeepsStream(t *testing.T) {
+	e := newTestEngine(t)
+	const rows = 2000
+	loadBigTable(t, e, rows)
+	srv := NewServerWithOptions(e, ServerOptions{FrameTuples: 1})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	before := runtime.NumGoroutine() // after server start: bracket the pool side only
-	// Redial off: once evicted, the conn stays down, so ProbeFailures is
-	// observable without racing a background repair.
-	p := dialTestPool(t, addr, PoolOptions{
-		Size:           1,
-		HealthInterval: 20 * time.Millisecond,
-		HealthSeed:     2,
-	})
+	p := dialTestPool(t, addr, PoolOptions{Size: 1, FrameTuples: 1, StreamWindow: 1})
 
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && p.Stats().ProbeFailures == 0 {
-		time.Sleep(5 * time.Millisecond)
+	st, err := p.ExecStream(context.Background(), "SELECT k FROM big")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := p.Stats(); st.ProbeFailures < 1 {
-		t.Fatalf("probe never evicted the unresponsive connection: %+v", st)
+	n := 0
+	for _, ok := st.Next(); ok; _, ok = st.Next() {
+		n++
+		if n == 1 {
+			time.Sleep(100 * time.Millisecond)
+		}
 	}
-
-	p.Close()
-	leakDeadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(leakDeadline) && runtime.NumGoroutine() > before {
-		time.Sleep(5 * time.Millisecond)
+	if err := st.Err(); err != nil {
+		t.Fatalf("paused stream failed after %d of %d tuples: %v", n, rows, err)
 	}
-	if now := runtime.NumGoroutine(); now > before {
-		buf := make([]byte, 1<<16)
-		n := runtime.Stack(buf, true)
-		t.Fatalf("goroutine leak after probe eviction: before=%d now=%d\n%s", before, now, buf[:n])
+	if n != rows {
+		t.Fatalf("paused stream delivered %d of %d tuples", n, rows)
+	}
+	if got := p.Stats().Requests; got != 1 {
+		t.Fatalf("Requests = %d, want 1", got)
+	}
+	c := p.conns[0]
+	c.mu.Lock()
+	gen := c.gen
+	c.mu.Unlock()
+	if gen != 1 {
+		t.Fatalf("connection generation = %d, want 1 (the stream's connection was redialed)", gen)
 	}
 }

@@ -18,8 +18,8 @@ import (
 //   - on a transient inner failure, the statement is re-dispatched through
 //     the owning ResilientClient's doCtx (breaker, backoff, retries — a
 //     re-dispatch is a request like any other) carrying the stream's resume
-//     token and the delivered count, landing on another pooled connection
-//     (the dead one is quarantined);
+//     token and the delivered count, landing on the least-loaded pooled
+//     connection (redialed first if it is the one that died);
 //   - when the server honored the token (header Resumed=true), it already
 //     skipped the delivered prefix; when it could not (snapshot gone — the
 //     table was replaced), it served a fresh stream and the wrapper skips the

@@ -402,7 +402,7 @@ func TestPoolStreamResumeServerSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := dialTestPool(t, addr, PoolOptions{FrameTuples: 8, Redial: true})
+	p := dialTestPool(t, addr, PoolOptions{FrameTuples: 8})
 
 	const src = "SELECT v FROM big WHERE k < 100"
 	baseline, err := p.ExecStream(context.Background(), src)
@@ -476,7 +476,7 @@ func TestPoolStreamResumeFallbackFreshStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := dialTestPool(t, addr, PoolOptions{FrameTuples: 8, Redial: true})
+	p := dialTestPool(t, addr, PoolOptions{FrameTuples: 8})
 
 	const src = "SELECT v FROM big"
 	st, err := p.ExecStream(context.Background(), src)
@@ -693,7 +693,7 @@ func TestResilientStreamSurvivesKillStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := dialTestPool(t, addr, PoolOptions{Size: 2, FrameTuples: 4, Redial: true, HealthSeed: 3})
+	p := dialTestPool(t, addr, PoolOptions{Size: 2, FrameTuples: 4})
 	// MaxRetries is generous: a killed connection can discard the response
 	// frames the client had not yet drained, so individual lives may deliver
 	// nothing — the storm only needs the bound to exceed any plausible run of
@@ -754,7 +754,7 @@ func TestResilientStreamDisableResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := dialTestPool(t, addr, PoolOptions{Size: 2, FrameTuples: 4, Redial: true})
+	p := dialTestPool(t, addr, PoolOptions{Size: 2, FrameTuples: 4})
 	rc := NewResilientClient(p, Resilience{
 		MaxRetries:          4,
 		Sleep:               func(time.Duration) {},
@@ -791,7 +791,7 @@ func TestResilientStreamNoProgressBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := dialTestPool(t, addr, PoolOptions{Size: 2, FrameTuples: 4, Redial: true})
+	p := dialTestPool(t, addr, PoolOptions{Size: 2, FrameTuples: 4})
 	rc := NewResilientClient(p, Resilience{
 		MaxRetries: 2,
 		Sleep:      func(time.Duration) {},

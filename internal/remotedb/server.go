@@ -357,7 +357,7 @@ func (s *Server) logSlow(start time.Time, sql string, cached bool, rows, frames 
 	)
 }
 
-// handle answers one catalog request: schema, stats, tables, ping.
+// handle answers one catalog request: schema, stats, tables.
 func (s *Server) handle(req *wireRequest) wireResponse {
 	switch req.Op {
 	case "schema":
@@ -374,9 +374,6 @@ func (s *Server) handle(req *wireRequest) wireResponse {
 		return wireResponse{Stats: st}
 	case "tables":
 		return wireResponse{Tables: s.engine.Tables()}
-	case "ping":
-		// Liveness probe: succeed without touching the engine.
-		return wireResponse{}
 	default:
 		return wireResponse{Err: fmt.Sprintf("remotedb: unknown op %q", req.Op)}
 	}

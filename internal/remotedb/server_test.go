@@ -73,8 +73,8 @@ func TestTCPConcurrentClients(t *testing.T) {
 func TestTCPClosedClient(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
-	// Redial on: Close must win over it.
-	c, err := DialPool(addr, PoolOptions{Size: 1, Costs: DefaultCosts(), Redial: true})
+	// A broken connection redials on use: Close must win over it.
+	c, err := DialPool(addr, PoolOptions{Size: 1, Costs: DefaultCosts()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestStreamResumeKeepsTraceID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := dialTestPool(t, addr, PoolOptions{FrameTuples: 8, Redial: true})
+	p := dialTestPool(t, addr, PoolOptions{FrameTuples: 8})
 
 	const traceID = 0xBEEF
 	ctx := obs.WithTraceID(context.Background(), traceID)

@@ -38,10 +38,8 @@ func fromWireAttrs(attrs []wireAttr) *relation.Schema {
 // then on the connection carries frames in both directions (frame.go). Any
 // other opener, or any version but protoV4, is answered with one error
 // response and a close.
-// Op "ping" is a liveness probe: the server answers with an empty frameEnd
-// without touching the engine.
 type wireRequest struct {
-	Op   string // "exec", "schema", "stats", "tables", "hello", "ping"
+	Op   string // "exec", "schema", "stats", "tables", "hello"
 	SQL  string
 	Name string
 	// Proto is the client's protocol version (hello only).
