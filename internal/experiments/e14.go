@@ -139,7 +139,7 @@ func e14Measure(addr, transport string, frameTuples, iters int, run e14Query) (E
 		return E14Frame{}, err
 	}
 	defer p.Close()
-	if _, _, _, err := run(p); err != nil { // warm up (connection, gob types)
+	if _, _, _, err := run(p); err != nil { // warm up (connection, plan cache)
 		return E14Frame{}, err
 	}
 	firsts := make([]time.Duration, 0, iters)

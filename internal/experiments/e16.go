@@ -132,7 +132,7 @@ func e16Measure(p *remotedb.PoolClient, sql string, iters int) (first, drain tim
 		}
 		return f, time.Since(t0), n, st.Err()
 	}
-	if _, _, _, err := run(); err != nil { // warm up (gob types, pool conn)
+	if _, _, _, err := run(); err != nil { // warm up (plan cache, pool conn)
 		return 0, 0, 0, err
 	}
 	firsts := make([]time.Duration, 0, iters)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -62,6 +63,10 @@ type Engine struct {
 	// fails, every subsequent mutation returns it rather than silently
 	// diverging memory from the log. Guarded by mu.
 	walErr error
+	// rowBuf is the column batch of the insert being logged, reused from
+	// insert to insert (and dropped when one grew it past reuseLimit).
+	// Guarded by mu.
+	rowBuf []byte
 
 	// Morsel-driven parallel execution knobs (plan_parallel.go). parallelism
 	// is the worker-pool bound for eligible plans (<= 1: serial); parMinRows
@@ -306,6 +311,10 @@ func (e *Engine) applyLoadTable(r *relation.Relation) {
 // Insert appends rows to a table, validating kinds (ints coerce to float
 // columns). Validation happens before logging: a rejected batch mutates
 // nothing — not the table, not the epoch, not the log.
+//
+// The stored rows are the batch's own: one value arena, and one blob holding
+// every string's bytes, so they pin neither the caller's tuples nor the
+// statement text those were parsed from.
 func (e *Engine) Insert(table string, rows []relation.Tuple) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -314,26 +323,43 @@ func (e *Engine) Insert(table string, rows []relation.Tuple) error {
 		return fmt.Errorf("remotedb: unknown table %s", table)
 	}
 	schema := t.Schema()
+	arity := schema.Arity()
+	vals := make([]relation.Value, len(rows)*arity)
 	coerced := make([]relation.Tuple, len(rows))
+	text := 0
 	for r, row := range rows {
-		if len(row) != schema.Arity() {
+		if len(row) != arity {
 			return fmt.Errorf("remotedb: insert arity %d into %s%s", len(row), table, schema)
 		}
-		crow := make(relation.Tuple, len(row))
+		crow := vals[r*arity : (r+1)*arity : (r+1)*arity]
 		for i, v := range row {
 			cv, err := coerce(v, schema.Attr(i).Kind)
 			if err != nil {
 				return fmt.Errorf("remotedb: column %s of %s: %w", schema.Attr(i).Name, table, err)
 			}
 			crow[i] = cv
+			text += len(cv.AsString())
 		}
 		coerced[r] = crow
 	}
-	rec := &walRecord{Kind: walInsert, Name: table}
-	if e.wal != nil {
-		rec.Rows = appendBatch(nil, schema.Arity(), coerced)
+	var blob strings.Builder
+	blob.Grow(text)
+	for _, v := range vals {
+		blob.WriteString(v.AsString())
 	}
-	if err := e.logLocked(rec); err != nil {
+	for k, s := 0, blob.String(); k < len(vals); k++ {
+		if n := len(vals[k].AsString()); n > 0 {
+			vals[k], s = relation.Str(s[:n]), s[n:]
+		}
+	}
+	rec := walRecord{Kind: walInsert, Name: table}
+	if e.wal != nil {
+		e.rowBuf = appendBatch(e.rowBuf[:0], arity, coerced)
+		rec.Rows = e.rowBuf
+	}
+	err := e.logLocked(&rec)
+	e.rowBuf = reuse(e.rowBuf)
+	if err != nil {
 		return err
 	}
 	e.applyInsert(table, coerced)
@@ -353,8 +379,8 @@ func (e *Engine) applyInsert(table string, rows []relation.Tuple) {
 			m.addRow(row)
 		}
 	}
-	delete(e.indexes, table) // indexes are snapshots; invalidate
-	e.versions[table] = e.epoch.Add(1)
+	delete(e.indexes, table)            // indexes are snapshots; invalidate
+	e.versions[t.Name] = e.epoch.Add(1) // t.Name, not table: a map store keeps the key it is given
 }
 
 func coerce(v relation.Value, kind relation.Kind) (relation.Value, error) {

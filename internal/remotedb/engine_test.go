@@ -1,8 +1,10 @@
 package remotedb
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/caql"
 	"repro/internal/logic"
@@ -368,5 +370,104 @@ func TestTranslateStaticallyFalse(t *testing.T) {
 	}
 	if res.Len() != 0 {
 		t.Fatalf("statically false query returned %d rows", res.Len())
+	}
+}
+
+// TestFloatConstantsOverTheWire: a float constant of a CAQL query reaches the
+// server as a literal that parses back to the same float, whatever its
+// magnitude — 0.00001 prints as 1e-05 and 1e21 as 1e+21 — and 50.0 stays a
+// float rather than coming back as the int 50. Each query's answer over the
+// wire equals caql.Eval's. NaN and ±Inf have no SQL literal and are refused
+// at translation, as the semantic error they are.
+func TestFloatConstantsOverTheWire(t *testing.T) {
+	m := relation.New("m", relation.NewSchema(
+		relation.Attr{Name: "x", Kind: relation.KindInt},
+		relation.Attr{Name: "w", Kind: relation.KindFloat}))
+	for i, w := range []float64{-1e-05, 0.000005, 0.00001, 0.00002, 50, 50.5, 1e21, 2e21} {
+		m.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Float(w)})
+	}
+	e := NewEngine()
+	e.LoadTable(m)
+	src := caql.MapSource{"m": m}
+	srv := NewServer(e)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := dialTestPool(t, addr, PoolOptions{Size: 1})
+
+	x, w := logic.V("X"), logic.V("W")
+	head := logic.A("q", x, w)
+	cmp := func(op relation.CmpOp, f float64) []logic.Atom {
+		return []logic.Atom{logic.A("m", x, w), logic.Cmp(w, op, logic.C(relation.Float(f)))}
+	}
+	queries := map[string]*caql.Query{
+		"W >= 0.00001": caql.NewQuery(head, cmp(relation.OpGe, 0.00001)),
+		"W < 1e21":     caql.NewQuery(head, cmp(relation.OpLt, 1e21)),
+		"W = 1e21":     caql.NewQuery(head, cmp(relation.OpEq, 1e21)),
+		"W > -1e-05":   caql.NewQuery(head, cmp(relation.OpGt, -1e-05)),
+		"m(X, 50.0)":   caql.NewQuery(logic.A("q", x), []logic.Atom{logic.A("m", x, logic.C(relation.Float(50)))}),
+		"0.00002 > W":  caql.NewQuery(head, []logic.Atom{logic.A("m", x, w), logic.Cmp(logic.C(relation.Float(0.00002)), relation.OpGt, w)}),
+	}
+	for name, q := range queries {
+		want, err := caql.Eval(q, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := TranslateCAQL(q, src)
+		if err != nil {
+			t.Fatalf("%s: translate: %v", name, err)
+		}
+		res, err := p.Exec(tr.SQL)
+		if err != nil {
+			t.Fatalf("%s: %q over the wire: %v", name, tr.SQL, err)
+		}
+		if got := reassemble(t, tr, "q", want.Schema(), res.Rel); !got.EqualAsBag(want) || want.Len() == 0 {
+			t.Fatalf("%s: %q answered %v, caql.Eval %v", name, tr.SQL, got, want)
+		}
+	}
+	st, err := ParseSQL("SELECT x FROM m WHERE w = " + sqlLiteral(relation.Float(50)))
+	if err != nil || st.Select.Where[0].RightVal.Kind() != relation.KindFloat {
+		t.Fatalf("50.0 reads back as %v, %v; want a float", st.Select.Where[0].RightVal, err)
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := TranslateCAQL(caql.NewQuery(head, cmp(relation.OpLt, f)), src)
+		if err == nil || IsTransient(err) {
+			t.Fatalf("a %v constant translated (err %v); want a semantic error", f, err)
+		}
+	}
+}
+
+// TestInsertRowsOwnTheirBytes: a parsed string literal without a doubled
+// quote is a substring of the statement, but the rows Insert stores are not:
+// their strings share one blob of the batch's own.
+func TestInsertRowsOwnTheirBytes(t *testing.T) {
+	within := func(s, in string) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(in)))
+		return p >= lo && p < lo+uintptr(len(in))
+	}
+	e := NewEngine()
+	if _, _, err := e.ExecuteSQL("CREATE TABLE t (k INT, s TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	src := "INSERT INTO t VALUES (1, 'alpha'), (2, 'it''s'), (3, 'gamma')"
+	st, err := ParseSQL(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := st.Insert.Rows
+	if !within(rows[0][1].AsString(), src) || within(rows[1][1].AsString(), src) || rows[1][1].AsString() != "it's" {
+		t.Fatalf("parsed literals %v: want the plain one a substring of the statement, the doubled-quote one unescaped", rows)
+	}
+	if err := e.Insert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	stored := e.tables["t"].Tuples()
+	blob := unsafe.String(unsafe.StringData(stored[0][1].AsString()), len("alpha")+len("it's")+len("gamma"))
+	for _, row := range stored {
+		if s := row[1].AsString(); within(s, src) || !within(s, blob) {
+			t.Fatalf("stored %q is not in the batch's one blob", s)
+		}
 	}
 }

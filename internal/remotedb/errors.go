@@ -43,10 +43,11 @@ var ErrBrokenConn = errors.New("remotedb: connection broken")
 // response, and ResilientClient does exactly that.
 var ErrOverloaded = errors.New("remotedb: server overloaded, request shed")
 
-// ErrProtocol is the sentinel for wire-protocol violations on the framed (v2)
-// transport: a corrupted or truncated frame, an unknown frame kind, a frame
-// for the wrong direction. A protocol error always desynchronizes the gob
-// stream, so the connection is torn down. Match with errors.Is.
+// ErrProtocol is the sentinel for wire-protocol violations on the framed
+// transport: a refused hello, a corrupted or truncated frame, an unknown
+// frame kind, a frame for the wrong direction. After one the connection's
+// frame boundaries cannot be trusted, so it is torn down. Match with
+// errors.Is.
 var ErrProtocol = errors.New("remotedb: wire protocol violation")
 
 // ErrStreamClosed reports a read from a tuple stream that was explicitly

@@ -1,20 +1,26 @@
 package remotedb
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
-// Wire protocol v4: after the hello handshake (wire.go), a connection carries
-// gob-encoded wireFrame values in both directions on the SAME per-connection
-// gob encoder/decoder pair that carried the handshake (gob transmits a type
-// descriptor the first time each type crosses an encoder, so a per-frame
-// encoder would resend descriptors on every message). gob is the envelope
-// only: the tuples of a batch frame travel as one opaque column batch
+// Wire protocol v5: after the hello (wire.go), a connection carries frames in
+// both directions, each one write of
+//
+//	[4B little-endian payload length][payload]
+//	payload = [kind byte][request ID uvarint] then the kind's fields
+//
+// in the primitives of wire.go. A frame is self-contained: no state carries
+// from one to the next, so the writer of each side keeps only a byte buffer.
+// The tuples of a batch frame are the payload's tail, one opaque column batch
 // (batch.go), which the stream's consumer decodes, not the connection's
-// reader.
+// reader: the reader decodes each frame into a fresh payload that the batch
+// aliases.
 //
 // Frames are tagged with a request ID, so any number of requests can be in
 // flight on one connection and responses interleave at frame granularity: a
@@ -28,17 +34,21 @@ import (
 // number of tuples), frameEnd (terminal: ops count, or an error/code; also
 // carries the whole payload for the small catalog ops).
 
-// Frame kinds.
+// Frame kinds, and the fields each carries after its ID.
 const (
-	frameReq    uint8 = 1 // client→server: wireRequest under an ID
-	frameCancel uint8 = 2 // client→server: abandon stream ID
-	frameHeader uint8 = 3 // server→client: result relation name + schema
-	frameBatch  uint8 = 4 // server→client: one batch of tuples
-	frameEnd    uint8 = 5 // server→client: terminal frame (ops, error, payload)
+	frameReq    uint8 = 1 // Op, SQL, Name, Resume, Skip, Trace
+	frameCancel uint8 = 2 // nothing
+	frameHeader uint8 = 3 // Name, Attrs, Resume, Resumed, Epoch, Versions
+	frameBatch  uint8 = 4 // Batch, to the end of the payload
+	frameEnd    uint8 = 5 // Ops, Code, Err, Attrs, Stats, Tables, Epoch, Versions
 )
 
+// maxFrame bounds one frame's payload: a length above it is refused, and the
+// writer never produces one.
+const maxFrame = 256 << 20
+
 // wireFrame is one framed protocol message. Which fields are meaningful
-// depends on Kind; everything else stays at its zero value on the wire.
+// depends on Kind; the rest stay at their zero values and are not sent.
 type wireFrame struct {
 	ID      uint64
 	Kind    uint8
@@ -83,41 +93,131 @@ func (f *wireFrame) versions() []wireVersion {
 	return *f.Versions
 }
 
-// validFrameKind reports whether k is a kind this build understands.
-func validFrameKind(k uint8) bool { return k >= frameReq && k <= frameEnd }
+// appendFrame appends f's payload to dst.
+func appendFrame(dst []byte, f *wireFrame) []byte {
+	dst = binary.AppendUvarint(append(dst, f.Kind), f.ID)
+	switch f.Kind {
+	case frameReq:
+		r := f.Req
+		dst = appendString(appendString(appendString(appendString(dst, r.Op), r.SQL), r.Name), r.Resume)
+		dst = binary.AppendUvarint(binary.AppendVarint(dst, r.Skip), r.Trace)
+	case frameHeader:
+		dst = appendAttrs(appendString(dst, f.Name), f.Attrs)
+		dst = appendBool(appendString(dst, f.Resume), f.Resumed)
+		dst = appendVersions(binary.AppendUvarint(dst, f.Epoch), f.versions())
+	case frameBatch:
+		dst = append(dst, f.Batch...)
+	case frameEnd:
+		dst = append(binary.AppendVarint(dst, f.Ops), uint8(f.Code))
+		dst = appendAttrs(appendString(dst, f.Err), f.Attrs)
+		dst = appendInts(binary.AppendVarint(dst, int64(f.Stats.Rows)), f.Stats.Distinct)
+		dst = binary.AppendUvarint(dst, uint64(len(f.Tables)))
+		for _, t := range f.Tables {
+			dst = appendString(dst, t)
+		}
+		dst = appendVersions(binary.AppendUvarint(dst, f.Epoch), f.versions())
+	}
+	return dst
+}
 
-// writeFrame encodes one frame onto the connection's shared encoder. Any
-// failure means the gob stream may be desynchronized, so callers must treat
-// it as fatal for the connection.
-func writeFrame(enc *gob.Encoder, f *wireFrame) error {
-	if err := enc.Encode(f); err != nil {
+// decodeFrame decodes one payload. The input is not trusted: every failure is
+// a *ProtocolError, never a panic. A batch frame's Batch aliases payload.
+func decodeFrame(payload []byte) (*wireFrame, error) {
+	d := wireDec{b: payload}
+	f := &wireFrame{Kind: d.u8(), ID: d.uvarint()}
+	switch f.Kind {
+	case frameReq:
+		f.Req = &wireRequest{Op: d.string(), SQL: d.string(), Name: d.string(), Resume: d.string(), Skip: d.varint(), Trace: d.uvarint()}
+	case frameCancel:
+	case frameHeader:
+		f.Name, f.Attrs, f.Resume, f.Resumed = d.string(), d.attrs(), d.string(), d.bool()
+		f.Epoch, f.Versions = d.uvarint(), versionsRef(d.versions())
+	case frameBatch:
+		f.Batch = d.rest()
+	case frameEnd:
+		f.Ops, f.Code, f.Err, f.Attrs = d.varint(), int(d.u8()), d.string(), d.attrs()
+		f.Stats = TableStats{Rows: int(d.varint()), Distinct: d.ints()}
+		if n := d.count(1); n > 0 {
+			f.Tables = make([]string, n)
+			for i := range f.Tables {
+				f.Tables[i] = d.string()
+			}
+		}
+		f.Epoch, f.Versions = d.uvarint(), versionsRef(d.versions())
+	default:
+		d.fail("unknown frame kind %d", f.Kind)
+	}
+	if err := d.done(); err != nil {
+		return nil, &ProtocolError{Op: "read frame", Err: err}
+	}
+	return f, nil
+}
+
+func versionsRef(vs []wireVersion) *[]wireVersion {
+	if vs == nil {
+		return nil
+	}
+	return &vs
+}
+
+// writeFrame frames f in *buf, the writer's buffer reused from frame to
+// frame, and writes it with one Write. The caller serializes writes; a failed
+// one may have left part of a frame on the wire, so the caller must treat it
+// as fatal for the connection.
+func writeFrame(w io.Writer, buf *[]byte, f *wireFrame) error {
+	// Sized for the batch up front: a frame past reuseLimit is one allocation.
+	b := slices.Grow((*buf)[:0], 4+1+binary.MaxVarintLen64+len(f.Batch))
+	b = appendFrame(append(b, 0, 0, 0, 0), f)
+	*buf = reuse(b)
+	if len(b)-4 > maxFrame {
+		return &ProtocolError{Op: "write frame", Err: fmt.Errorf("frame of %d bytes exceeds the %d limit", len(b)-4, maxFrame)}
+	}
+	le.PutUint32(b, uint32(len(b)-4))
+	if _, err := w.Write(b); err != nil {
 		return &ProtocolError{Op: "write frame", Err: err}
 	}
 	return nil
 }
 
-// readFrame decodes one frame from the connection's shared decoder and
-// validates it. Every failure is a typed *ProtocolError (matching ErrProtocol
-// under errors.Is) except clean EOF, which is returned as io.EOF so callers
-// can distinguish an orderly close from a truncated or corrupted stream.
-// Decoding never blocks beyond the underlying reader: truncated input
-// surfaces as io.ErrUnexpectedEOF from gob, corrupt input as a gob error —
-// both fail fast, wrapped and classified.
-func readFrame(dec *gob.Decoder) (*wireFrame, error) {
-	var f wireFrame
-	if err := dec.Decode(&f); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
+// readFrame reads and decodes the next frame. Every failure is a typed
+// *ProtocolError (matching ErrProtocol under errors.Is) except a clean EOF at
+// a frame boundary, which is returned as io.EOF so callers can distinguish an
+// orderly close from a truncated or corrupted stream.
+func readFrame(r *bufio.Reader) (*wireFrame, error) {
+	h, err := r.Peek(4)
+	if len(h) == 0 && errors.Is(err, io.EOF) {
+		return nil, io.EOF
+	}
+	if err != nil {
+		return nil, readError(err)
+	}
+	n := int(le.Uint32(h))
+	if n == 0 || n > maxFrame {
+		return nil, &ProtocolError{Op: "read frame", Err: fmt.Errorf("frame length %d", n)}
+	}
+	r.Discard(4)
+	// Past 1 MiB the payload grows as its bytes arrive, doubling: a length
+	// the peer does not follow with bytes costs what it sent, not what it
+	// claimed.
+	payload := make([]byte, min(n, 1<<20))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			return nil, readError(err)
 		}
-		return nil, &ProtocolError{Op: "read frame", Err: err}
+		if read = len(payload); read == n {
+			return decodeFrame(payload)
+		}
+		payload = append(payload, make([]byte, min(n-read, read))...)
 	}
-	if !validFrameKind(f.Kind) {
-		return nil, &ProtocolError{Op: "read frame", Err: fmt.Errorf("unknown frame kind %d", f.Kind)}
+}
+
+// readError classifies a failed read inside a frame: an end of input there
+// is a truncated frame.
+func readError(err error) error {
+	if errors.Is(err, io.EOF) {
+		err = io.ErrUnexpectedEOF
 	}
-	if f.Kind == frameReq && f.Req == nil {
-		return nil, &ProtocolError{Op: "read frame", Err: errors.New("request frame without a request")}
-	}
-	return &f, nil
+	return &ProtocolError{Op: "read frame", Err: err}
 }
 
 // clampFrameTuples bounds a frame-size request to sane limits: at least 1

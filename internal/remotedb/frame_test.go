@@ -1,11 +1,12 @@
 package remotedb
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -15,19 +16,22 @@ import (
 	"repro/internal/relation"
 )
 
-// encodeFrames gob-encodes a handshake-free frame sequence the way a
-// connection would: one shared encoder.
-func encodeFrames(t *testing.T, frames ...*wireFrame) []byte {
+// encodeFrames frames a handshake-free frame sequence the way a connection's
+// writer would: one reused buffer.
+func encodeFrames(t testing.TB, frames ...*wireFrame) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	var out bytes.Buffer
+	var buf []byte
 	for _, f := range frames {
-		if err := writeFrame(enc, f); err != nil {
+		if err := writeFrame(&out, &buf, f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return buf.Bytes()
+	return out.Bytes()
 }
+
+// frameReader reads frames from b as a connection's reader would.
+func frameReader(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(b)) }
 
 func sampleFrames() []*wireFrame {
 	return []*wireFrame{
@@ -44,7 +48,7 @@ func sampleFrames() []*wireFrame {
 func TestFrameDecodeTruncated(t *testing.T) {
 	full := encodeFrames(t, sampleFrames()...)
 	for cut := 0; cut < len(full); cut++ {
-		dec := gob.NewDecoder(bytes.NewReader(full[:cut]))
+		dec := frameReader(full[:cut])
 		for i := 0; ; i++ {
 			f, err := readFrame(dec)
 			if err == nil {
@@ -76,7 +80,7 @@ func TestFrameDecodeCorrupted(t *testing.T) {
 	for pos := 0; pos < len(full); pos++ {
 		mut := append([]byte(nil), full...)
 		mut[pos] ^= 0xff
-		dec := gob.NewDecoder(bytes.NewReader(mut))
+		dec := frameReader(mut)
 		for i := 0; i < 8; i++ { // a corrupted stream yields at most the 3 originals
 			_, err := readFrame(dec)
 			if err == nil {
@@ -91,8 +95,8 @@ func TestFrameDecodeCorrupted(t *testing.T) {
 	}
 }
 
-// TestFrameDecodeGarbage: arbitrary bytes that never were a gob stream fail
-// fast with a typed error.
+// TestFrameDecodeGarbage: arbitrary bytes that never were a frame stream
+// fail fast with a typed error.
 func TestFrameDecodeGarbage(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -100,7 +104,7 @@ func TestFrameDecodeGarbage(t *testing.T) {
 		for i := range junk {
 			junk[i] = byte(rng.Intn(256))
 		}
-		_, err := readFrame(gob.NewDecoder(bytes.NewReader(junk)))
+		_, err := readFrame(frameReader(junk))
 		if err == nil {
 			t.Fatalf("trial %d: garbage decoded as a frame", trial)
 		}
@@ -111,19 +115,73 @@ func TestFrameDecodeGarbage(t *testing.T) {
 	}
 }
 
-// TestFrameRejectsUnknownKind: a structurally valid gob message with an
-// out-of-range frame kind is a protocol violation, not a decodable frame.
+// TestFrameRejectsUnknownKind: a frame of a kind this build does not know is
+// a protocol violation, not a decodable frame; so is a valid frame followed by
+// bytes inside its length.
 func TestFrameRejectsUnknownKind(t *testing.T) {
-	raw := encodeFrames(t, &wireFrame{ID: 3, Kind: 200})
-	_, err := readFrame(gob.NewDecoder(bytes.NewReader(raw)))
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("unknown kind: got %v, want ErrProtocol", err)
+	for name, payload := range map[string][]byte{
+		"kind 0":             {0, 3},
+		"kind 200":           {200, 3},
+		"cancel with tail":   {frameCancel, 3, 0},
+		"header bool byte 2": append(appendFrame(nil, &wireFrame{ID: 3, Kind: frameHeader})[:5], 2, 0, 0),
+		"empty request":      {frameReq, 4},
+	} {
+		raw := le.AppendUint32(nil, uint32(len(payload)))
+		if _, err := readFrame(frameReader(append(raw, payload...))); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: got %v, want ErrProtocol", name, err)
+		}
 	}
-	// A request frame must carry a request payload.
-	raw = encodeFrames(t, &wireFrame{ID: 4, Kind: frameReq})
-	if _, err := readFrame(gob.NewDecoder(bytes.NewReader(raw))); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("req frame without request: got %v, want ErrProtocol", err)
+}
+
+// TestFrameRoundTripAllKinds: every kind survives write → read with every
+// field it carries, and a reader's batch is the writer's bytes.
+func TestFrameRoundTripAllKinds(t *testing.T) {
+	moved := []wireVersion{{Table: "emp", Version: 9}, {Table: "dept", Version: 1 << 40}}
+	frames := []*wireFrame{
+		{ID: 1, Kind: frameReq, Req: &wireRequest{Op: "exec", SQL: "SELECT * FROM t WHERE s = 'käte'", Resume: "tok", Skip: 7, Trace: math.MaxUint64}},
+		{ID: 1 << 62, Kind: frameCancel},
+		{ID: 2, Kind: frameHeader, Name: "r", Attrs: []wireAttr{{"x", 1}, {"", 3}}, Resume: "t", Resumed: true, Epoch: 12, Versions: &moved},
+		{ID: 3, Kind: frameBatch, Batch: appendBatch(nil, 1, []relation.Tuple{{relation.Str("a")}})},
+		{ID: 4, Kind: frameEnd, Ops: -5, Code: wireCodeDeadline, Err: "late", Attrs: []wireAttr{{"y", 2}},
+			Stats: TableStats{Rows: 3, Distinct: []int{1, 2}}, Tables: []string{"a", "b"}, Epoch: 13, Versions: &moved},
 	}
+	dec := frameReader(encodeFrames(t, frames...))
+	for _, want := range frames {
+		got, err := readFrame(dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(appendFrame(nil, got), appendFrame(nil, want)) {
+			t.Fatalf("kind %d: read %+v, wrote %+v", want.Kind, got, want)
+		}
+	}
+	if _, err := readFrame(dec); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+}
+
+// FuzzDecodeFrame: arbitrary bytes decode to a typed error or to a frame that
+// re-encodes to exactly those bytes; never a panic.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, fr := range sampleFrames() {
+		f.Add(appendFrame(nil, fr))
+	}
+	f.Add(appendFrame(nil, &wireFrame{ID: 9, Kind: frameReq, Req: &wireRequest{Op: "exec", SQL: "SELECT 1", Skip: -1}}))
+	f.Add(appendFrame(nil, &wireFrame{ID: 9, Kind: frameCancel}))
+	f.Add(appendFrame(nil, &wireFrame{ID: 9, Kind: frameEnd, Err: "no", Stats: TableStats{Rows: 2, Distinct: []int{2}}, Tables: []string{"t"}}))
+	f.Add([]byte{frameHeader, 0x80, 0x00, 0, 0, 0, 0, 0, 0}) // ID in two bytes where one does
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		fr, err := decodeFrame(payload)
+		if err != nil {
+			if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("untyped decode error %v", err)
+			}
+			return
+		}
+		if again := appendFrame(nil, fr); !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoded %x, decoded from %x", again, payload)
+		}
+	})
 }
 
 // TestStreamRejectsBatchOfWrongArity: a batch frame is checked against the
@@ -131,19 +189,19 @@ func TestFrameRejectsUnknownKind(t *testing.T) {
 // ships rows wider than it announced ends the stream with ErrProtocol.
 func TestStreamRejectsBatchOfWrongArity(t *testing.T) {
 	addr, _ := startFakePeer(t, func(_ int, conn net.Conn) {
-		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-		var hello wireRequest
-		if dec.Decode(&hello) != nil || enc.Encode(wireResponse{Proto: protoV4}) != nil {
+		dec, ok := acceptHello(conn)
+		if !ok {
 			return
 		}
 		req, err := readFrame(dec)
 		if err != nil {
 			return
 		}
+		var buf []byte
 		wide := appendBatch(nil, 2, []relation.Tuple{{relation.Int(1), relation.Int(2)}})
-		writeFrame(enc, &wireFrame{ID: req.ID, Kind: frameHeader, Name: "r", Attrs: []wireAttr{{Name: "x", Kind: 1}}})
-		writeFrame(enc, &wireFrame{ID: req.ID, Kind: frameBatch, Batch: wide})
-		writeFrame(enc, &wireFrame{ID: req.ID, Kind: frameEnd})
+		writeFrame(conn, &buf, &wireFrame{ID: req.ID, Kind: frameHeader, Name: "r", Attrs: []wireAttr{{Name: "x", Kind: 1}}})
+		writeFrame(conn, &buf, &wireFrame{ID: req.ID, Kind: frameBatch, Batch: wide})
+		writeFrame(conn, &buf, &wireFrame{ID: req.ID, Kind: frameEnd})
 	})
 	p := dialTestPool(t, addr, PoolOptions{Size: 1})
 	st, err := p.ExecStream(context.Background(), "SELECT x FROM r")
@@ -186,7 +244,7 @@ func TestWireAllocsPerTuple(t *testing.T) {
 
 	const sql = "SELECT * FROM fact"
 	mallocs := func(drain func() int) float64 {
-		drain() // plan cache, gob type descriptors, connection buffers
+		drain() // plan cache, connection buffers
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		if n := drain(); n != rows {
@@ -243,20 +301,14 @@ func TestFrameVersionsAreAConnectionDelta(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	var hello wireResponse
-	if err := enc.Encode(&wireRequest{Op: "hello", Proto: protoV4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&hello); err != nil || hello.Proto != protoV4 {
-		t.Fatalf("hello: %v %+v", err, hello)
-	}
+	dec := sayHello(t, conn)
+	var buf []byte
 	var id uint64
 	exec := func() (hdr, end []wireVersion) {
 		t.Helper()
 		id++
 		req := &wireRequest{Op: "exec", SQL: "SELECT id FROM dept"}
-		if err := writeFrame(enc, &wireFrame{ID: id, Kind: frameReq, Req: req}); err != nil {
+		if err := writeFrame(conn, &buf, &wireFrame{ID: id, Kind: frameReq, Req: req}); err != nil {
 			t.Fatal(err)
 		}
 		for {

@@ -1,8 +1,9 @@
 package remotedb
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -254,7 +255,7 @@ func (p *PoolClient) ExecStreamResume(ctx context.Context, sql, token string, sk
 }
 
 // roundTrip dispatches one non-exec catalog request.
-func (p *PoolClient) roundTrip(req *wireRequest) (*wireResponse, error) {
+func (p *PoolClient) roundTrip(req *wireRequest) (*wireFrame, error) {
 	conn, err := p.pick(context.Background())
 	if err != nil {
 		return nil, &TransportError{Op: req.Op, Err: err}
@@ -304,8 +305,6 @@ type muxConn struct {
 
 	mu      sync.Mutex // connection state + stream registry
 	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
 	broken  bool
 	streams map[uint64]*muxStream
 	// gen counts successful dials. Teardown requests that originate from a
@@ -315,7 +314,8 @@ type muxConn struct {
 	// socket would tear down the fresh connection it never owned.
 	gen uint64
 
-	wmu sync.Mutex // serializes frame writes
+	wmu  sync.Mutex // serializes frame writes
+	wbuf []byte     // the frame being written; guarded by wmu
 }
 
 // ensure makes the connection usable, dialing it if it was never dialed or
@@ -341,15 +341,15 @@ func (c *muxConn) dialLocked(ctx context.Context) error {
 	if c.conn != nil {
 		c.conn.Close()
 	}
-	c.conn, c.enc, c.dec = nil, nil, nil
+	c.conn = nil
 	c.broken = true
 	d := net.Dialer{Timeout: c.p.opts.DialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.p.addr)
 	if err != nil {
 		return err
 	}
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := c.handshake(ctx, conn, enc, dec); err != nil {
+	br, err := c.handshake(ctx, conn)
+	if err != nil {
 		conn.Close()
 		return err
 	}
@@ -360,20 +360,21 @@ func (c *muxConn) dialLocked(ctx context.Context) error {
 		conn.Close()
 		return errors.New("remotedb: client closed")
 	}
-	c.conn, c.enc, c.dec = conn, enc, dec
+	c.conn = conn
 	c.broken = false
 	c.streams = make(map[uint64]*muxStream)
 	c.gen++
-	go c.readLoop(conn, dec, c.gen)
+	go c.readLoop(br, c.gen)
 	return nil
 }
 
-// handshake opens a fresh connection with the hello exchange that fixes the
-// response frame size. It is the one blocking exchange outside the read loop
-// and it runs under c.mu, so it is bounded by the earlier of ctx's deadline
-// and RequestTimeout and woken by cancellation: a peer that accepts TCP and
-// then says nothing must not wedge pick behind the lock.
-func (c *muxConn) handshake(ctx context.Context, conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error {
+// handshake opens a fresh connection with the hello (wire.go) and returns
+// the reader the connection's frames are read through. It is the one blocking
+// exchange outside the read loop and it runs under c.mu, so it is bounded by
+// the earlier of ctx's deadline and RequestTimeout and woken by cancellation:
+// a peer that accepts TCP and then says nothing must not wedge pick behind the
+// lock.
+func (c *muxConn) handshake(ctx context.Context, conn net.Conn) (*bufio.Reader, error) {
 	opts := c.p.opts
 	var deadline time.Time
 	if opts.RequestTimeout > 0 {
@@ -385,32 +386,43 @@ func (c *muxConn) handshake(ctx context.Context, conn net.Conn, enc *gob.Encoder
 	}
 	conn.SetDeadline(deadline)
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
-	var resp wireResponse
-	err := enc.Encode(&wireRequest{Op: "hello", Proto: protoV4, FrameTuples: opts.FrameTuples})
+	hello := append([]byte(helloMagic), protoV5)
+	hello = binary.AppendUvarint(hello, uint64(max(opts.FrameTuples, 0)))
+	br := bufio.NewReader(conn)
+	_, err := conn.Write(hello)
+	var answer []byte
 	if err == nil {
-		err = dec.Decode(&resp)
+		answer, err = br.Peek(len(helloMagic) + 1)
 	}
 	if !stop() {
 		// ctx ended during the exchange and its watcher owns the socket
 		// deadline now, so the connection is unusable even if hello got through.
-		return &TransportError{Op: "hello", Err: ctx.Err()}
+		return nil, &TransportError{Op: "hello", Err: ctx.Err()}
 	}
-	if err != nil {
-		if ctxOwns && isTimeout(err) {
-			// The socket deadline was ctx's own: its timer can fire a hair
-			// before ctx.Err() turns non-nil.
-			return &TransportError{Op: "hello", Err: context.DeadlineExceeded}
+	if err != nil && ctxOwns && isTimeout(err) {
+		// The socket deadline was ctx's own: its timer can fire a hair
+		// before ctx.Err() turns non-nil.
+		return nil, &TransportError{Op: "hello", Err: context.DeadlineExceeded}
+	}
+	if err == nil && string(answer[:len(helloMagic)]) == helloMagic {
+		if v := answer[len(helloMagic)]; v != protoV5 {
+			return nil, &ProtocolError{Op: "hello", Err: fmt.Errorf("server answered protocol %d, want %d", v, protoV5)}
 		}
-		return &ProtocolError{Op: "hello", Err: err}
+		br.Discard(len(answer))
+		conn.SetDeadline(time.Time{})
+		return br, nil
 	}
-	if resp.Err != "" {
-		return &ProtocolError{Op: "hello", Err: errors.New(resp.Err)}
+	// Not the accepting bytes: a refusal, which is one short error frame, or
+	// a peer that speaks another protocol altogether.
+	if h, perr := br.Peek(4); perr == nil && le.Uint32(h) <= 1<<10 {
+		if f, ferr := readFrame(br); ferr == nil && f.Kind == frameEnd && f.Err != "" {
+			return nil, &ProtocolError{Op: "hello", Err: errors.New(f.Err)}
+		}
 	}
-	if resp.Proto != protoV4 {
-		return &ProtocolError{Op: "hello", Err: fmt.Errorf("server answered protocol %d, want %d", resp.Proto, protoV4)}
+	if err == nil {
+		err = fmt.Errorf("the server does not answer hello at protocol %d", protoV5)
 	}
-	conn.SetDeadline(time.Time{})
-	return nil
+	return nil, &ProtocolError{Op: "hello", Err: err}
 }
 
 // teardown breaks the connection and fails every in-flight stream with err;
@@ -420,7 +432,7 @@ func (c *muxConn) teardown(err error) {
 	if c.conn != nil {
 		c.conn.Close()
 	}
-	c.conn, c.enc, c.dec = nil, nil, nil
+	c.conn = nil
 	c.broken = true
 	streams := c.streams
 	c.streams = nil
@@ -449,9 +461,9 @@ func (c *muxConn) teardownGen(err error, gen uint64) {
 // full — that is the client half of end-to-end backpressure (the stalled
 // reader stops draining the socket, TCP fills, the server's writer blocks).
 // A dead stream never blocks the loop: its gone channel drops late frames.
-func (c *muxConn) readLoop(conn net.Conn, dec *gob.Decoder, gen uint64) {
+func (c *muxConn) readLoop(br *bufio.Reader, gen uint64) {
 	for {
-		f, err := readFrame(dec)
+		f, err := readFrame(br)
 		if err != nil {
 			c.teardownGen(&TransportError{Op: "read", Err: err}, gen)
 			return
@@ -478,18 +490,18 @@ func (c *muxConn) readLoop(conn net.Conn, dec *gob.Decoder, gen uint64) {
 	}
 }
 
-// writeFrame writes one frame on the shared encoder; an encode error means
-// the gob stream is desynchronized, so the whole connection is torn down.
+// writeFrame writes one frame; a failed write may have left part of it on
+// the wire, so the whole connection is torn down.
 func (c *muxConn) writeFrame(f *wireFrame) error {
 	c.wmu.Lock()
 	c.mu.Lock()
-	conn, enc, broken, gen := c.conn, c.enc, c.broken, c.gen
+	conn, broken, gen := c.conn, c.broken, c.gen
 	c.mu.Unlock()
 	if broken || conn == nil {
 		c.wmu.Unlock()
 		return ErrBrokenConn
 	}
-	err := writeFrame(enc, f)
+	err := writeFrame(conn, &c.wbuf, f)
 	c.wmu.Unlock()
 	if err != nil {
 		c.teardownGen(&TransportError{Op: "write", Err: err}, gen)
@@ -586,8 +598,9 @@ func (c *muxConn) unregister(id uint64) {
 	c.mu.Unlock()
 }
 
-// request performs one non-exec catalog round trip.
-func (c *muxConn) request(ctx context.Context, req *wireRequest) (*wireResponse, error) {
+// request performs one non-exec catalog round trip, returning the terminal
+// frame that carries the answer.
+func (c *muxConn) request(ctx context.Context, req *wireRequest) (*wireFrame, error) {
 	id := c.p.nextID.Add(1)
 	st := &muxStream{
 		c:      c,
@@ -623,10 +636,7 @@ func (c *muxConn) request(ctx context.Context, req *wireRequest) (*wireResponse,
 	if err := endError(f); err != nil {
 		return nil, err
 	}
-	if f.Err != "" {
-		return nil, errors.New(f.Err)
-	}
-	return &wireResponse{Attrs: f.Attrs, Stats: f.Stats, Tables: f.Tables}, nil
+	return f, nil
 }
 
 // muxStream is one in-flight request's client side. Not safe for

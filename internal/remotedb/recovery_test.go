@@ -1,12 +1,11 @@
 package remotedb
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -435,97 +434,38 @@ func TestWALStickyError(t *testing.T) {
 	}
 }
 
-// The record and checkpoint layouts this package wrote before rows became
-// column batches (walFormat 1): no Format field, rows as gob structs.
-type (
-	oldWireValue struct {
-		Kind uint8
-		I    int64
-		F    float64
-		S    string
-		B    bool
-	}
-	oldWireRelation struct {
-		Name   string
-		Attrs  []wireAttr
-		Tuples [][]oldWireValue
-	}
-	oldWALRecord struct {
-		Seq   uint64
-		Kind  uint8
-		Name  string
-		Attrs []wireAttr
-		Rel   *oldWireRelation
-		Rows  [][]oldWireValue
-		Cols  []int
-	}
-	oldWALCheckpoint struct {
-		Gen      uint64
-		Epoch    uint64
-		Versions map[string]uint64
-		Tables   []*oldWireRelation
-		Indexes  map[string][][]int
-	}
-)
-
-func gobFrame(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return encodeWALFrame(buf.Bytes())
-}
-
-// TestRecoveryRefusesOlderLogFormat: gob drops the fields a reader does not
-// declare, so a data directory written before the batch codec would replay
-// as tables and inserts of zero rows. It is refused whole — ErrWALCorrupt, no
-// engine — whether the old bytes are a segment or a checkpoint, and whichever
-// record of the segment comes first.
+// TestRecoveryRefusesOlderLogFormat: testdata/walformat1 and walformat2 hold
+// two segments (a create and an insert; a load) and a checkpoint as the gob
+// builds wrote them — format 1 with rows as gob structs, format 2 with rows as
+// column batches. Each is refused whole — ErrWALCorrupt naming the format this
+// build reads, no engine — not replayed and not migrated.
 func TestRecoveryRefusesOlderLogFormat(t *testing.T) {
-	attrs := []wireAttr{{Name: "k", Kind: uint8(relation.KindInt)}}
-	rows := [][]oldWireValue{{{Kind: 1, I: 7}}, {{Kind: 1, I: 8}}}
-	segments := map[string][]oldWALRecord{
-		"create then insert": {
-			{Seq: 1, Kind: walCreateTable, Name: "t", Attrs: attrs},
-			{Seq: 2, Kind: walInsert, Name: "t", Rows: rows},
-		},
-		"load": {
-			{Seq: 1, Kind: walLoadTable, Rel: &oldWireRelation{Name: "t", Attrs: attrs, Tuples: rows}},
-		},
-	}
-	for name, recs := range segments {
-		t.Run("segment/"+name, func(t *testing.T) {
-			dir := t.TempDir()
-			var data []byte
-			for i := range recs {
-				data = append(data, gobFrame(t, &recs[i])...)
-			}
-			if err := os.WriteFile(walSegmentPath(dir, 0), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			e, _, err := OpenEngine(Durability{Dir: dir})
-			var ce *WALCorruptError
-			if !errors.Is(err, ErrWALCorrupt) || !errors.As(err, &ce) || e != nil {
-				t.Fatalf("OpenEngine on a format-1 segment: engine %v, err %v; want no engine and a *WALCorruptError", e, err)
+	for name, files := range map[string][2]string{
+		"segment/create then insert": {"create-then-insert.log", "wal-000000.log"},
+		"segment/load":               {"load.log", "wal-000000.log"},
+		"checkpoint":                 {"checkpoint.ckpt", "checkpoint-000001.ckpt"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, format := range []string{"walformat1", "walformat2"} {
+				data, err := os.ReadFile(filepath.Join("testdata", format, files[0]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir := t.TempDir()
+				if err := os.WriteFile(filepath.Join(dir, files[1]), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				e, _, err := OpenEngine(Durability{Dir: dir})
+				var ce *WALCorruptError
+				if !errors.Is(err, ErrWALCorrupt) || !errors.As(err, &ce) || e != nil {
+					t.Fatalf("%s: OpenEngine: engine %v, err %v; want no engine and a *WALCorruptError", format, e, err)
+				}
+				if !strings.Contains(err.Error(), "walFormat 3") {
+					t.Fatalf("%s: the refusal does not name the format this build reads: %v", format, err)
+				}
 			}
 		})
 	}
-	t.Run("checkpoint", func(t *testing.T) {
-		dir := t.TempDir()
-		ck := gobFrame(t, &oldWALCheckpoint{
-			Gen: 1, Epoch: 3, Versions: map[string]uint64{"t": 2},
-			Tables: []*oldWireRelation{{Name: "t", Attrs: attrs, Tuples: rows}},
-		})
-		if err := os.WriteFile(walCheckpointPath(dir, 1), ck, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		e, _, err := OpenEngine(Durability{Dir: dir})
-		var ce *WALCorruptError
-		if !errors.Is(err, ErrWALCorrupt) || !errors.As(err, &ce) || e != nil {
-			t.Fatalf("OpenEngine on a format-1 checkpoint: engine %v, err %v; want no engine and a *WALCorruptError", e, err)
-		}
-	})
 }
 
 // TestRecoveryRefusesRowsOfWrongArity: a record that passes its CRC and names
@@ -539,11 +479,10 @@ func TestRecoveryRefusesRowsOfWrongArity(t *testing.T) {
 	}
 	var data []byte
 	for _, rec := range recs {
-		frame, err := encodeWALRecord(rec)
-		if err != nil {
+		var err error
+		if data, err = encodeWALRecord(data, rec); err != nil {
 			t.Fatal(err)
 		}
-		data = append(data, frame...)
 	}
 	if err := os.WriteFile(walSegmentPath(dir, 0), data, 0o644); err != nil {
 		t.Fatal(err)
@@ -553,4 +492,77 @@ func TestRecoveryRefusesRowsOfWrongArity(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Offset == 0 {
 		t.Fatalf("OpenEngine: %v; want a *WALCorruptError at the second record", err)
 	}
+}
+
+// TestInsertAllocs: a durable INSERT pays per statement, not per row or
+// token: ParseSQL and Engine.Insert of 250 rows allocate as many objects as of
+// 25, give or take two. The values repeat, so the per-column distinct sets
+// stop growing after the first statement.
+func TestInsertAllocs(t *testing.T) {
+	e, _ := openDurable(t, t.TempDir(), func(d *Durability) { d.Fsync = FsyncOff })
+	defer e.CloseWAL()
+	if _, _, err := e.ExecuteSQL("CREATE TABLE log (sid INT, pid INT, qty FLOAT, note TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(rows int) float64 {
+		var b strings.Builder
+		b.WriteString("INSERT INTO log VALUES ")
+		for r := 0; r < rows; r++ {
+			if r > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "(%d,%d,%d,'n%06d')", r%7, r%5, r%3, r%11) // qty: an int coerced to float
+		}
+		src := b.String()
+		return testing.AllocsPerRun(50, func() {
+			st, err := ParseSQL(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Insert(st.Insert.Table, st.Insert.Rows); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(25), allocs(250)
+	if large > small+2 || large < small-2 {
+		t.Fatalf("a 25-row INSERT allocates %.0f objects, a 250-row one %.0f; want equal within 2", small, large)
+	}
+	t.Logf("%.0f allocations at 25 rows, %.0f at 250", small, large)
+}
+
+// TestEncodeBuffersDropPastReuseLimit: the WAL's frame buffer and the
+// engine's row batch are reused from write to write, but one that a large
+// record grew is dropped: after a LoadTable of more than 1 MiB, and after an
+// INSERT past the limit, neither keeps more than reuseLimit.
+func TestEncodeBuffersDropPastReuseLimit(t *testing.T) {
+	e, _ := openDurable(t, t.TempDir(), func(d *Durability) { d.Fsync = FsyncOff })
+	defer e.CloseWAL()
+	kept := func(when string) {
+		t.Helper()
+		if w, r := cap(e.wal.buf), cap(e.rowBuf); w > reuseLimit || r > reuseLimit {
+			t.Fatalf("%s: the WAL keeps %d bytes of frame buffer and the engine %d of row batch; want at most %d each", when, w, r, reuseLimit)
+		}
+	}
+	schema := relation.NewSchema(relation.Attr{Name: "k", Kind: relation.KindInt}, relation.Attr{Name: "s", Kind: relation.KindString})
+	big := relation.New("big", schema)
+	for i := 0; i < 40_000; i++ {
+		big.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Str(fmt.Sprintf("%024d", i))})
+	}
+	e.LoadTable(big)
+	if n := e.WALStats().Bytes; n < 1<<20 {
+		t.Fatalf("the load logged %d bytes, want more than 1 MiB", n)
+	}
+	kept("after a 1 MiB LoadTable")
+	if err := e.Insert("big", big.Tuples()[:5000]); err != nil {
+		t.Fatal(err)
+	}
+	kept("after a 5000-row INSERT")
+	if err := e.Insert("big", big.Tuples()[:10]); err != nil {
+		t.Fatal(err)
+	}
+	if cap(e.wal.buf) == 0 || cap(e.rowBuf) == 0 {
+		t.Fatal("a small INSERT did not leave its buffers for the next")
+	}
+	kept("after a small INSERT")
 }

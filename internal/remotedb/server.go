@@ -1,10 +1,10 @@
 package remotedb
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"net"
@@ -13,9 +13,10 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
-// Server exposes an Engine over TCP with a gob-encoded framed protocol. This
+// Server exposes an Engine over TCP with a framed protocol (frame.go). This
 // realizes the paper's deployment: the DBMS "is realized on a separate system
 // (database server)" reached via "a standard communication protocol"
 // (Section 5.5). Each accepted connection is served concurrently.
@@ -278,9 +279,9 @@ func (s *Server) rollFault() (keep bool, delay time.Duration) {
 	return true, 0
 }
 
-// serveConn reads the connection's opener. A hello at protoV4 is
-// acknowledged and the connection flips to framed mode on the same
-// encoder/decoder pair; anything else gets one error response and a close.
+// serveConn reads the connection's opener (wire.go). A hello at protoV5 is
+// accepted and the connection flips to framed mode; anything else gets one
+// error frame and a close.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -289,36 +290,42 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
 	if s.opts.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
-	var req wireRequest
-	if err := dec.Decode(&req); err != nil {
-		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
-			// Protocol error: best effort to report, then drop.
-			_ = enc.Encode(wireResponse{Err: fmt.Sprintf("protocol: %v", err)})
-		}
-		return
+	br := bufio.NewReader(conn)
+	opener, err := br.Peek(len(helloMagic) + 1)
+	if err != nil {
+		return // the peer left, or said too little before the idle timeout
 	}
-	resp := wireResponse{Proto: protoV4}
-	framed := req.Op == "hello" && req.Proto == protoV4
-	if !framed {
-		resp = wireResponse{Err: fmt.Sprintf(
-			"remotedb: unsupported protocol: a connection opens with hello at version %d, got op %q at version %d",
-			protoV4, req.Op, req.Proto)}
+	refusal := ""
+	var frameTuples uint64
+	switch v := opener[len(helloMagic)]; {
+	case string(opener[:len(helloMagic)]) != helloMagic:
+		refusal = fmt.Sprintf("remotedb: unsupported protocol: a connection opens with the hello of protocol %d", protoV5)
+	case v != protoV5:
+		refusal = fmt.Sprintf("remotedb: unsupported protocol: a connection opens with hello at version %d, got version %d", protoV5, v)
+	default:
+		br.Discard(len(opener))
+		if frameTuples, err = binary.ReadUvarint(br); err != nil {
+			return
+		}
 	}
 	if s.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 	}
-	if err := enc.Encode(resp); err != nil || !framed {
+	if refusal != "" {
+		var buf []byte
+		writeFrame(conn, &buf, &wireFrame{Kind: frameEnd, Err: refusal})
+		return
+	}
+	if _, err := conn.Write(append([]byte(helloMagic), protoV5)); err != nil {
 		return
 	}
 	if s.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Time{})
 	}
-	s.serveFramed(conn, enc, dec, clampFrameTuples(req.FrameTuples, s.opts.FrameTuples))
+	s.serveFramed(conn, br, clampFrameTuples(int(min(frameTuples, 1<<17)), s.opts.FrameTuples))
 }
 
 func isTimeout(err error) bool {
@@ -357,26 +364,28 @@ func (s *Server) logSlow(start time.Time, sql string, cached bool, rows, frames 
 	)
 }
 
-// handle answers one catalog request: schema, stats, tables.
-func (s *Server) handle(req *wireRequest) wireResponse {
+// handle answers one catalog request — schema, stats, tables — with the
+// terminal frame that carries the answer.
+func (s *Server) handle(id uint64, req *wireRequest) *wireFrame {
+	f := &wireFrame{ID: id, Kind: frameEnd}
+	var err error
 	switch req.Op {
 	case "schema":
-		sch, err := s.engine.Schema(req.Name)
-		if err != nil {
-			return wireResponse{Err: err.Error()}
+		var sch *relation.Schema
+		if sch, err = s.engine.Schema(req.Name); err == nil {
+			f.Attrs = toWireAttrs(sch)
 		}
-		return wireResponse{Attrs: toWireAttrs(sch)}
 	case "stats":
-		st, err := s.engine.Stats(req.Name)
-		if err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{Stats: st}
+		f.Stats, err = s.engine.Stats(req.Name)
 	case "tables":
-		return wireResponse{Tables: s.engine.Tables()}
+		f.Tables = s.engine.Tables()
 	default:
-		return wireResponse{Err: fmt.Sprintf("remotedb: unknown op %q", req.Op)}
+		err = fmt.Errorf("remotedb: unknown op %q", req.Op)
 	}
+	if err != nil {
+		f.Err = err.Error()
+	}
+	return f
 }
 
 // Close stops accepting, closes all connections immediately, and waits for

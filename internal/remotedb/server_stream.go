@@ -1,8 +1,8 @@
 package remotedb
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"runtime"
@@ -31,9 +31,9 @@ import (
 type framedConn struct {
 	s    *Server
 	conn net.Conn
-	enc  *gob.Encoder
 
-	wmu         sync.Mutex // serializes frame writes on the shared encoder
+	wmu         sync.Mutex // serializes frame writes
+	wbuf        []byte     // the frame being written; guarded by wmu
 	reported    uint64     // the Epoch of the last header/end frame written; guarded by wmu
 	frameTuples int
 
@@ -49,7 +49,7 @@ type framedConn struct {
 // or violates the protocol. On return, in-flight streams are canceled and their
 // handlers drained (on server shutdown they are instead allowed to finish, so
 // responses in flight are written before the connection drops).
-func (s *Server) serveFramed(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, frameTuples int) {
+func (s *Server) serveFramed(conn net.Conn, br *bufio.Reader, frameTuples int) {
 	connStreams := s.opts.ConnStreams
 	if connStreams <= 0 {
 		connStreams = 1
@@ -58,7 +58,6 @@ func (s *Server) serveFramed(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, 
 	fc := &framedConn{
 		s:           s,
 		conn:        conn,
-		enc:         enc,
 		frameTuples: frameTuples,
 		cancels:     make(map[uint64]context.CancelFunc),
 		sem:         make(chan struct{}, connStreams),
@@ -71,7 +70,7 @@ func (s *Server) serveFramed(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, 
 		fc.mu.Lock()
 		fc.armIdleLocked()
 		fc.mu.Unlock()
-		f, err := readFrame(dec)
+		f, err := readFrame(br)
 		if err != nil {
 			s.mu.Lock()
 			draining := s.closed
@@ -126,16 +125,16 @@ func (fc *framedConn) armIdleLocked() {
 	fc.s.mu.Unlock()
 }
 
-// write sends one frame on the shared encoder under the write timeout. A
-// failed write desynchronizes the gob stream, so the connection is closed
-// (which also unblocks the read loop).
+// write sends one frame under the write timeout. A failed write may have
+// left part of a frame on the wire, so the connection is closed (which also
+// unblocks the read loop).
 func (fc *framedConn) write(f *wireFrame) error {
 	fc.wmu.Lock()
 	defer fc.wmu.Unlock()
 	if f.Kind == frameHeader || f.Kind == frameEnd {
 		// The clock and the versions this connection has not reported yet
-		// ride every header and end frame (batch frames skip them — gob omits
-		// zero values, and once per stream suffices). Taken under wmu, so the
+		// ride every header and end frame (batch frames carry no such fields,
+		// and once per stream suffices). Taken under wmu, so the
 		// frames leave in the order their deltas were computed and no delta
 		// is skipped.
 		epoch, vs := fc.s.engine.versionsSince(fc.reported)
@@ -152,7 +151,7 @@ func (fc *framedConn) write(f *wireFrame) error {
 	if fc.s.frameLat != nil {
 		t0 = time.Now()
 	}
-	err := writeFrame(fc.enc, f)
+	err := writeFrame(fc.conn, &fc.wbuf, f)
 	if fc.s.frameLat != nil {
 		fc.s.frameLat.Observe(time.Since(t0).Microseconds())
 	}
@@ -270,17 +269,10 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 	}
 
 	if req.Op != "exec" {
-		resp := s.handle(req)
+		f := s.handle(id, req)
 		release()
 		// Errors and the small catalog ops fit in the terminal frame.
-		fc.write(&wireFrame{
-			ID:     id,
-			Kind:   frameEnd,
-			Err:    resp.Err,
-			Attrs:  resp.Attrs,
-			Stats:  resp.Stats,
-			Tables: resp.Tables,
-		})
+		fc.write(f)
 		return
 	}
 

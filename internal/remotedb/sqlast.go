@@ -2,6 +2,7 @@ package remotedb
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/relation"
@@ -116,16 +117,25 @@ func (c SQLCond) String() string {
 	return fmt.Sprintf("%s %s %s", c.Left, op, sqlLiteral(c.RightVal))
 }
 
-// sqlLiteral renders a value as a SQL literal (single-quoted strings).
+// sqlLiteral renders a value as a SQL literal that ParseSQL reads back as the
+// same value: strings single-quoted, and a float always with a point or an
+// exponent, so 50.0 does not come back as the int 50. A NaN or infinite float
+// has no literal; TranslateCAQL refuses one before it gets here.
 func sqlLiteral(v relation.Value) string {
-	if v.Kind() == relation.KindString {
+	switch v.Kind() {
+	case relation.KindString:
 		return "'" + strings.ReplaceAll(v.AsString(), "'", "''") + "'"
-	}
-	if v.Kind() == relation.KindBool {
+	case relation.KindBool:
 		if v.AsBool() {
 			return "TRUE"
 		}
 		return "FALSE"
+	case relation.KindFloat:
+		s := strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
+		if !strings.ContainsAny(s, ".e") {
+			s += ".0"
+		}
+		return s
 	}
 	return v.String()
 }

@@ -8,19 +8,23 @@ import (
 	"repro/internal/relation"
 )
 
-// ParseSQL parses one DML statement.
+// ParseSQL parses one DML statement. It lexes on demand, one token ahead of
+// the parser, so a statement costs no token slice; a string literal without a
+// doubled quote is a substring of src; and an INSERT's rows are one value
+// arena and one tuple slice, sized by a counting pass over the VALUES list.
 func ParseSQL(src string) (*Statement, error) {
-	toks, err := sqlLex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &sqlParser{toks: toks}
+	p := sqlParser{src: src}
+	p.advance()
 	st, err := p.parseStatement()
+	if p.err != nil {
+		// The parser met the end of input where a token failed to lex.
+		return nil, p.err
+	}
 	if err != nil {
 		return nil, err
 	}
 	if !p.atEOF() && !p.atPunct(";") {
-		return nil, fmt.Errorf("remotedb: trailing input at %q", p.cur().text)
+		return nil, fmt.Errorf("remotedb: trailing input at %q", p.tok.text)
 	}
 	return st, nil
 }
@@ -37,105 +41,111 @@ const (
 
 type sqlToken struct {
 	kind sqlTokKind
-	text string // words are uppercased; raw preserved for identifiers via orig
-	orig string
+	// text is the token's source text, for a string literal the text between
+	// its quotes. Keywords are matched case-insensitively.
+	text string
+	// esc marks a string literal whose doubled quotes are still to be undone.
+	esc bool
 }
 
-func sqlLex(src string) ([]sqlToken, error) {
-	var toks []sqlToken
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			for {
-				if j >= len(src) {
-					return nil, fmt.Errorf("remotedb: unterminated string literal")
-				}
-				if src[j] == '\'' {
-					if j+1 < len(src) && src[j+1] == '\'' { // doubled quote escape
-						sb.WriteByte('\'')
-						j += 2
-						continue
-					}
-					break
-				}
-				sb.WriteByte(src[j])
+// sqlLex lexes the token that starts at or after src[i:], returning it and
+// the offset after it.
+func sqlLex(src string, i int) (sqlToken, int, error) {
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
+	}
+	if i == len(src) {
+		return sqlToken{kind: sqlEOF}, i, nil
+	}
+	switch c := src[i]; {
+	case c == '\'':
+		esc := false
+		for j := i + 1; j < len(src); j++ {
+			if src[j] != '\'' {
+				continue
+			}
+			if j+1 < len(src) && src[j+1] == '\'' { // doubled quote escape
+				esc = true
 				j++
+				continue
 			}
-			toks = append(toks, sqlToken{kind: sqlString, text: sb.String()})
-			i = j + 1
-		case c >= '0' && c <= '9' || (c == '-' && i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9'):
-			j := i + 1
-			for j < len(src) && (src[j] >= '0' && src[j] <= '9' || src[j] == '.' || src[j] == 'e' || src[j] == 'E') {
-				j++
-			}
-			toks = append(toks, sqlToken{kind: sqlNumber, text: src[i:j]})
-			i = j
-		case isSQLWordStart(c):
-			j := i + 1
-			for j < len(src) && isSQLWordPart(src[j]) {
-				j++
-			}
-			w := src[i:j]
-			toks = append(toks, sqlToken{kind: sqlWord, text: strings.ToUpper(w), orig: w})
-			i = j
-		default:
-			for _, p := range []string{"<=", ">=", "<>", "!="} {
-				if strings.HasPrefix(src[i:], p) {
-					toks = append(toks, sqlToken{kind: sqlPunct, text: p})
-					i += len(p)
-					goto next
-				}
-			}
-			switch c {
-			case '(', ')', ',', '*', '.', '=', '<', '>', ';':
-				toks = append(toks, sqlToken{kind: sqlPunct, text: string(c)})
-				i++
-			default:
-				return nil, fmt.Errorf("remotedb: unexpected character %q", string(c))
-			}
-		next:
+			return sqlToken{kind: sqlString, text: src[i+1 : j], esc: esc}, j + 1, nil
+		}
+		return sqlToken{}, len(src), fmt.Errorf("remotedb: unterminated string literal")
+	case isDigit(c) || c == '-' && i+1 < len(src) && isDigit(src[i+1]):
+		// Digits, points and exponents; a sign only right after an exponent.
+		j := i + 1
+		for j < len(src) && (isDigit(src[j]) || src[j] == '.' || src[j] == 'e' || src[j] == 'E' ||
+			(src[j] == '+' || src[j] == '-') && (src[j-1] == 'e' || src[j-1] == 'E')) {
+			j++
+		}
+		return sqlToken{kind: sqlNumber, text: src[i:j]}, j, nil
+	case isSQLWordStart(c):
+		j := i + 1
+		for j < len(src) && isSQLWordPart(src[j]) {
+			j++
+		}
+		return sqlToken{kind: sqlWord, text: src[i:j]}, j, nil
+	}
+	if i+1 < len(src) {
+		switch two := src[i : i+2]; two {
+		case "<=", ">=", "<>", "!=":
+			return sqlToken{kind: sqlPunct, text: two}, i + 2, nil
 		}
 	}
-	toks = append(toks, sqlToken{kind: sqlEOF})
-	return toks, nil
+	switch src[i] {
+	case '(', ')', ',', '*', '.', '=', '<', '>', ';':
+		return sqlToken{kind: sqlPunct, text: src[i : i+1]}, i + 1, nil
+	}
+	return sqlToken{}, len(src), fmt.Errorf("remotedb: unexpected character %q", string(src[i]))
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isSQLWordStart(c byte) bool {
 	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
 
 func isSQLWordPart(c byte) bool {
-	return isSQLWordStart(c) || c >= '0' && c <= '9'
+	return isSQLWordStart(c) || isDigit(c)
 }
 
 type sqlParser struct {
-	toks []sqlToken
-	pos  int
+	src  string
+	tok  sqlToken // the current token
+	next int      // the offset after tok
+	err  error    // the first lexing failure; the token that failed reads as sqlEOF
 }
 
-func (p *sqlParser) cur() sqlToken { return p.toks[p.pos] }
-func (p *sqlParser) advance()      { p.pos++ }
-func (p *sqlParser) atEOF() bool   { return p.cur().kind == sqlEOF }
+func (p *sqlParser) advance() { p.tok, p.next = p.lexAt(p.next) }
+
+func (p *sqlParser) atEOF() bool { return p.tok.kind == sqlEOF }
+
+func (p *sqlParser) lexAt(i int) (sqlToken, int) {
+	t, j, err := sqlLex(p.src, i)
+	if err != nil && p.err == nil {
+		p.err = err
+	}
+	return t, j
+}
 
 func (p *sqlParser) atWord(w string) bool {
-	t := p.cur()
-	return t.kind == sqlWord && t.text == w
+	return p.tok.kind == sqlWord && strings.EqualFold(p.tok.text, w)
 }
 
 func (p *sqlParser) atPunct(s string) bool {
-	t := p.cur()
+	return p.tok.kind == sqlPunct && p.tok.text == s
+}
+
+// peekPunct reports whether the token after the current one is punctuation s.
+func (p *sqlParser) peekPunct(s string) bool {
+	t, _ := p.lexAt(p.next)
 	return t.kind == sqlPunct && t.text == s
 }
 
 func (p *sqlParser) expectWord(w string) error {
 	if !p.atWord(w) {
-		return fmt.Errorf("remotedb: expected %s, found %q", w, p.cur().text)
+		return fmt.Errorf("remotedb: expected %s, found %q", w, p.tok.text)
 	}
 	p.advance()
 	return nil
@@ -143,19 +153,19 @@ func (p *sqlParser) expectWord(w string) error {
 
 func (p *sqlParser) expectPunct(s string) error {
 	if !p.atPunct(s) {
-		return fmt.Errorf("remotedb: expected %q, found %q", s, p.cur().text)
+		return fmt.Errorf("remotedb: expected %q, found %q", s, p.tok.text)
 	}
 	p.advance()
 	return nil
 }
 
 func (p *sqlParser) identifier() (string, error) {
-	t := p.cur()
+	t := p.tok
 	if t.kind != sqlWord {
 		return "", fmt.Errorf("remotedb: expected identifier, found %q", t.text)
 	}
 	p.advance()
-	return strings.ToLower(t.orig), nil
+	return strings.ToLower(t.text), nil
 }
 
 func (p *sqlParser) parseStatement() (*Statement, error) {
@@ -168,7 +178,7 @@ func (p *sqlParser) parseStatement() (*Statement, error) {
 			analyze = true
 		}
 		if !p.atWord("SELECT") {
-			return nil, fmt.Errorf("remotedb: EXPLAIN expects SELECT, found %q", p.cur().text)
+			return nil, fmt.Errorf("remotedb: EXPLAIN expects SELECT, found %q", p.tok.text)
 		}
 		sel, err := p.parseSelect()
 		if err != nil {
@@ -194,7 +204,7 @@ func (p *sqlParser) parseStatement() (*Statement, error) {
 		}
 		return &Statement{Select: sel}, nil
 	default:
-		return nil, fmt.Errorf("remotedb: expected CREATE, INSERT, or SELECT, found %q", p.cur().text)
+		return nil, fmt.Errorf("remotedb: expected CREATE, INSERT, or SELECT, found %q", p.tok.text)
 	}
 }
 
@@ -216,12 +226,12 @@ func (p *sqlParser) parseCreate() (*CreateStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := p.cur()
+		t := p.tok
 		if t.kind != sqlWord {
 			return nil, fmt.Errorf("remotedb: expected type for column %s", col)
 		}
 		var kind relation.Kind
-		switch t.text {
+		switch strings.ToUpper(t.text) {
 		case "INT", "INTEGER", "BIGINT":
 			kind = relation.KindInt
 		case "FLOAT", "REAL", "DOUBLE":
@@ -231,13 +241,13 @@ func (p *sqlParser) parseCreate() (*CreateStmt, error) {
 		case "BOOL", "BOOLEAN":
 			kind = relation.KindBool
 		default:
-			return nil, fmt.Errorf("remotedb: unknown column type %q", t.orig)
+			return nil, fmt.Errorf("remotedb: unknown column type %q", t.text)
 		}
 		p.advance()
 		// Ignore an optional length like VARCHAR(20).
 		if p.atPunct("(") {
 			p.advance()
-			if p.cur().kind != sqlNumber {
+			if p.tok.kind != sqlNumber {
 				return nil, fmt.Errorf("remotedb: expected length after type")
 			}
 			p.advance()
@@ -270,18 +280,20 @@ func (p *sqlParser) parseInsert() (*InsertStmt, error) {
 	if err := p.expectWord("VALUES"); err != nil {
 		return nil, err
 	}
-	ins := &InsertStmt{Table: name}
+	nrows, nvals := p.countValues()
+	vals := make([]relation.Value, 0, nvals)
+	ins := &InsertStmt{Table: name, Rows: make([]relation.Tuple, 0, nrows)}
 	for {
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
 		}
-		var row relation.Tuple
+		start := len(vals)
 		for {
 			v, err := p.parseLiteral()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, v)
+			vals = append(vals, v)
 			if p.atPunct(",") {
 				p.advance()
 				continue
@@ -291,7 +303,7 @@ func (p *sqlParser) parseInsert() (*InsertStmt, error) {
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}
-		ins.Rows = append(ins.Rows, row)
+		ins.Rows = append(ins.Rows, vals[start:len(vals):len(vals)])
 		if p.atPunct(",") {
 			p.advance()
 			continue
@@ -301,11 +313,44 @@ func (p *sqlParser) parseInsert() (*InsertStmt, error) {
 	return ins, nil
 }
 
+// countValues sizes the VALUES list that starts at the current token: its
+// parenthesized rows, and its values (one per row plus one per comma inside
+// a row). It only sizes what the parse fills; input it miscounts is the
+// parse's to refuse.
+func (p *sqlParser) countValues() (rows, vals int) {
+	depth := 0
+	for t, i := p.tok, p.next; t.kind != sqlEOF; t, i, _ = sqlLex(p.src, i) {
+		if t.kind != sqlPunct {
+			continue
+		}
+		switch t.text {
+		case "(":
+			if depth == 0 {
+				rows++
+				vals++
+			}
+			depth++
+		case ")":
+			depth--
+		case ",":
+			if depth == 1 {
+				vals++
+			}
+		default:
+			return rows, vals
+		}
+	}
+	return rows, vals
+}
+
 func (p *sqlParser) parseLiteral() (relation.Value, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.kind {
 	case sqlString:
 		p.advance()
+		if t.esc {
+			return relation.Str(strings.ReplaceAll(t.text, "''", "'")), nil
+		}
 		return relation.Str(t.text), nil
 	case sqlNumber:
 		p.advance()
@@ -318,14 +363,14 @@ func (p *sqlParser) parseLiteral() (relation.Value, error) {
 		}
 		return relation.Float(f), nil
 	case sqlWord:
-		switch t.text {
-		case "TRUE":
+		switch {
+		case strings.EqualFold(t.text, "TRUE"):
 			p.advance()
 			return relation.Bool(true), nil
-		case "FALSE":
+		case strings.EqualFold(t.text, "FALSE"):
 			p.advance()
 			return relation.Bool(false), nil
-		case "NULL":
+		case strings.EqualFold(t.text, "NULL"):
 			p.advance()
 			return relation.Null(), nil
 		}
@@ -369,7 +414,7 @@ func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 				return nil, err
 			}
 			ref.Alias = alias
-		} else if p.cur().kind == sqlWord && !isSQLKeyword(p.cur().text) {
+		} else if p.tok.kind == sqlWord && !isSQLKeyword(p.tok.text) {
 			alias, _ := p.identifier()
 			ref.Alias = alias
 		}
@@ -433,7 +478,7 @@ func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 	}
 	if p.atWord("LIMIT") {
 		p.advance()
-		t := p.cur()
+		t := p.tok
 		if t.kind != sqlNumber {
 			return nil, fmt.Errorf("remotedb: expected LIMIT count")
 		}
@@ -447,10 +492,13 @@ func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 	return sel, nil
 }
 
+var sqlKeywords = []string{"SELECT", "FROM", "WHERE", "AND", "GROUP", "ORDER", "BY", "LIMIT", "AS", "DISTINCT", "INSERT", "INTO", "VALUES", "CREATE", "TABLE", "EXPLAIN"}
+
 func isSQLKeyword(w string) bool {
-	switch w {
-	case "SELECT", "FROM", "WHERE", "AND", "GROUP", "ORDER", "BY", "LIMIT", "AS", "DISTINCT", "INSERT", "INTO", "VALUES", "CREATE", "TABLE", "EXPLAIN":
-		return true
+	for _, k := range sqlKeywords {
+		if strings.EqualFold(w, k) {
+			return true
+		}
 	}
 	return false
 }
@@ -460,9 +508,8 @@ func (p *sqlParser) parseSelectItem() (SelectItem, error) {
 		p.advance()
 		return SelectItem{Star: true}, nil
 	}
-	t := p.cur()
-	if t.kind == sqlWord {
-		if op, err := relation.ParseAggOp(t.text); err == nil && p.toks[p.pos+1].kind == sqlPunct && p.toks[p.pos+1].text == "(" {
+	if t := p.tok; t.kind == sqlWord && p.peekPunct("(") {
+		if op, err := relation.ParseAggOp(strings.ToUpper(t.text)); err == nil {
 			p.advance() // agg name
 			p.advance() // (
 			item := SelectItem{IsAgg: true, Agg: op}
@@ -513,7 +560,7 @@ func (p *sqlParser) parseCond() (SQLCond, error) {
 	if err != nil {
 		return SQLCond{}, err
 	}
-	t := p.cur()
+	t := p.tok
 	if t.kind != sqlPunct {
 		return SQLCond{}, fmt.Errorf("remotedb: expected comparison operator, found %q", t.text)
 	}
@@ -523,8 +570,7 @@ func (p *sqlParser) parseCond() (SQLCond, error) {
 	}
 	p.advance()
 	cond := SQLCond{Left: left, Op: op}
-	rt := p.cur()
-	if rt.kind == sqlWord && rt.text != "TRUE" && rt.text != "FALSE" && rt.text != "NULL" {
+	if rt := p.tok; rt.kind == sqlWord && !strings.EqualFold(rt.text, "TRUE") && !strings.EqualFold(rt.text, "FALSE") && !strings.EqualFold(rt.text, "NULL") {
 		col, err := p.parseColRef()
 		if err != nil {
 			return SQLCond{}, err

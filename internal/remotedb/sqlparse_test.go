@@ -1,6 +1,7 @@
 package remotedb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -107,4 +108,88 @@ func TestSQLCondString(t *testing.T) {
 	if !strings.Contains((&SelectStmt{Items: []SelectItem{{Star: true}}, From: []TableRef{{Table: "t", Alias: "t"}}, Limit: -1}).String(), "SELECT * FROM t") {
 		t.Error("select star string wrong")
 	}
+}
+
+// TestParseSignedExponents: a number may carry a signed exponent, which is
+// how Go prints small and large floats; a sign elsewhere is not part of it.
+func TestParseSignedExponents(t *testing.T) {
+	for src, want := range map[string]float64{"1e-05": 1e-05, "1e+21": 1e21, "-2.5E-3": -2.5e-3, "3e2": 300} {
+		st, err := ParseSQL("SELECT x FROM t WHERE x > " + src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if v := st.Select.Where[0].RightVal; v.Kind() != relation.KindFloat || v.AsFloat() != want {
+			t.Fatalf("%s parsed as %v, want the float %v", src, v, want)
+		}
+	}
+	if _, err := ParseSQL("SELECT x FROM t WHERE x > 1+2"); err == nil {
+		t.Fatal("a sign outside an exponent was taken into the number")
+	}
+}
+
+// FuzzParseSQL: any text parses to an error, or to a SELECT whose String()
+// parses back to the same String(), or to an INSERT whose rows, rendered as
+// literals and parsed again, are the same values of the same kinds — floats
+// to the bit. Never a panic.
+func FuzzParseSQL(f *testing.F) {
+	var rows strings.Builder
+	rows.WriteString("INSERT INTO shipment_log VALUES ")
+	for r := 0; r < 25; r++ {
+		if r > 0 {
+			rows.WriteByte(',')
+		}
+		fmt.Fprintf(&rows, "(%d,%d,%d,'n%06d')", r*37%50, r*11%100, r%500, r*7919)
+	}
+	for _, seed := range []string{
+		rows.String(),
+		"INSERT INTO t VALUES (1, 'bo''b', 9.0, FALSE, NULL), (-2, '''', 1e-05, TRUE, 'x')",
+		"INSERT INTO t VALUES (0.00001, 1e+21, -0.0, 50.0, 99999999999999999999)",
+		"SELECT t0.a, t1.w FROM m AS t0, n AS t1 WHERE t0.w >= 1e-05 AND t1.w < 1e+21 AND t0.w = 50.0",
+		"SELECT DISTINCT a.x, COUNT(*), sum(y) FROM emp a WHERE a.x <> 'it''s' GROUP BY a.x ORDER BY x LIMIT 10",
+		"EXPLAIN ANALYZE SELECT * FROM t WHERE x != -3 AND y = TRUE AND z = null",
+		"CREATE TABLE t (a INT, b VARCHAR(20))",
+		"SELECT * FROM t WHERE x = 'unterminated",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		st, err := ParseSQL(src)
+		if err != nil {
+			return
+		}
+		switch {
+		case st.Select != nil:
+			text := st.Select.String()
+			again, err := ParseSQL(text)
+			if err != nil || again.Select == nil {
+				t.Fatalf("%q printed as %q, which does not parse back: %v", src, text, err)
+			}
+			if got := again.Select.String(); got != text {
+				t.Fatalf("%q printed as %q, which prints back as %q", src, text, got)
+			}
+		case st.Insert != nil:
+			var b strings.Builder
+			b.WriteString("INSERT INTO " + st.Insert.Table + " VALUES ")
+			for i, row := range st.Insert.Rows {
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				b.WriteByte('(')
+				for j, v := range row {
+					if j > 0 {
+						b.WriteByte(',')
+					}
+					b.WriteString(sqlLiteral(v))
+				}
+				b.WriteByte(')')
+			}
+			again, err := ParseSQL(b.String())
+			if err != nil || again.Insert == nil {
+				t.Fatalf("%q rendered as %q, which does not parse back: %v", src, b.String(), err)
+			}
+			if !sameTuples(again.Insert.Rows, st.Insert.Rows) {
+				t.Fatalf("%q: rows %v came back as %v", src, st.Insert.Rows, again.Insert.Rows)
+			}
+		}
+	})
 }

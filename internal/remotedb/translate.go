@@ -2,6 +2,7 @@ package remotedb
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/caql"
 	"repro/internal/relation"
@@ -52,6 +53,9 @@ func TranslateCAQL(q *caql.Query, src caql.SchemaSource) (*Translation, error) {
 			colName := sch.Attr(i).Name
 			ref := ColRef{Qualifier: alias, Column: colName}
 			if t.IsConst() {
+				if err := sqlConst(t.Const); err != nil {
+					return nil, err
+				}
 				sel.Where = append(sel.Where, SQLCond{Left: ref, Op: relation.OpEq, RightVal: t.Const})
 				continue
 			}
@@ -81,11 +85,17 @@ func TranslateCAQL(q *caql.Query, src caql.SchemaSource) (*Translation, error) {
 				RightCol:   ColRef{Qualifier: rs.alias, Column: rs.col},
 			})
 		case l.IsVar():
+			if err := sqlConst(r.Const); err != nil {
+				return nil, err
+			}
 			ls := varSite[l.Var]
 			sel.Where = append(sel.Where, SQLCond{
 				Left: ColRef{Qualifier: ls.alias, Column: ls.col}, Op: op, RightVal: r.Const,
 			})
 		case r.IsVar():
+			if err := sqlConst(l.Const); err != nil {
+				return nil, err
+			}
 			rs := varSite[r.Var]
 			sel.Where = append(sel.Where, SQLCond{
 				Left: ColRef{Qualifier: rs.alias, Column: rs.col}, Op: op.Flip(), RightVal: l.Const,
@@ -139,6 +149,15 @@ func TranslateCAQL(q *caql.Query, src caql.SchemaSource) (*Translation, error) {
 	}
 	tr.SQL = sel.String()
 	return tr, nil
+}
+
+// sqlConst refuses a constant the SQL subset cannot spell: a NaN or infinite
+// float has no literal, and rendered bare it would read as a column name.
+func sqlConst(v relation.Value) error {
+	if f := v.AsFloat(); v.Kind() == relation.KindFloat && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		return fmt.Errorf("remotedb: the float constant %v has no SQL literal", v)
+	}
+	return nil
 }
 
 // ReassembleTuple rebuilds one CAQL head row from one SQL result row using

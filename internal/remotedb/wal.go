@@ -1,9 +1,7 @@
 package remotedb
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -30,24 +28,25 @@ import (
 // On-disk format. A data directory holds at most one checkpoint and one live
 // segment per generation:
 //
-//	wal-<gen>.log          length-prefixed CRC32-framed gob records
+//	wal-<gen>.log          length-prefixed CRC32-framed records
 //	checkpoint-<gen>.ckpt  full engine snapshot as of the START of wal-<gen>
 //
 // Each log record is framed as
 //
 //	[4B big-endian payload length][4B CRC32-IEEE of payload][payload]
+//	payload = [format byte][seq uvarint][kind byte] then the kind's fields
 //
-// where the payload is one self-contained gob encoding of walRecord (a fresh
-// encoder per record: records must be individually decodable so a damaged
-// record does not desynchronize the rest of the file). gob is the envelope;
-// the rows a record or checkpoint carries are column batches (batch.go), the
-// same bytes a response frame ships.
+// in the primitives of wire.go: a record is individually decodable, so a
+// damaged one does not desynchronize the rest of the file. The rows a record
+// or checkpoint carries are column batches (batch.go), the same bytes a
+// response frame ships. Append encodes each record straight into the WAL's
+// frame buffer, reused from record to record (and dropped when a record grew
+// it past reuseLimit, so a bulk load does not stay resident).
 //
-// Format. Every record and checkpoint names its payload format in its Format
-// field, and recovery refuses — as ErrWALCorrupt, never by replaying — any
-// that names another. gob silently drops fields the reader does not declare,
-// so without it a log written before the batch codec (walFormat 1, rows as
-// gob structs) would replay as tables and inserts of zero rows.
+// Format. Every record and checkpoint begins with the payload format byte,
+// and recovery refuses — as ErrWALCorrupt, never by replaying — any other.
+// Formats 1 and 2 were gob; a directory written in them is not read, and not
+// migrated: it is reloaded from its source.
 //
 // Torn tails vs corruption. A crashed writer leaves at most a *prefix* of its
 // final frame (the frame is written with one Write call). Recovery therefore
@@ -147,15 +146,20 @@ const (
 )
 
 // walFormat is the payload format this build writes and the only one it
-// reads: 2, rows as column batches.
-const walFormat = 2
+// reads: 3, the envelopes in wire.go's primitives, rows as column batches.
+const walFormat = 3
 
 // walRecord is one logged mutation. Which fields are meaningful depends on
-// Kind.
+// Kind:
+//
+//	walCreateTable  Name, Attrs
+//	walLoadTable    Rel
+//	walInsert       Name, Rows (to the end of the payload)
+//	walCreateIndex  Name, Cols
+//	walRestart      nothing
 type walRecord struct {
-	Format uint8  // walFormat, stamped by encodeWALRecord
-	Seq    uint64 // position in the segment, starting at 1; replay verifies contiguity
-	Kind   uint8
+	Seq  uint64 // position in the segment, starting at 1; replay verifies contiguity
+	Kind uint8
 
 	Name  string     // CreateTable/Insert/CreateIndex: table name
 	Attrs []wireAttr // CreateTable: schema
@@ -188,10 +192,24 @@ func (w *walTable) relation() (*relation.Relation, error) {
 	return r, r.AppendAll(rows)
 }
 
+func appendWALTable(dst []byte, t *walTable) []byte {
+	dst = appendAttrs(appendString(dst, t.Name), t.Attrs)
+	dst = binary.AppendUvarint(dst, uint64(len(t.Rows)))
+	return append(dst, t.Rows...)
+}
+
+func (d *wireDec) walTable() *walTable {
+	return &walTable{Name: d.string(), Attrs: d.attrs(), Rows: d.bytes()}
+}
+
 // walCheckpoint is a full engine snapshot, written at segment rotation. It is
-// framed exactly like a log record (one frame per file).
+// framed exactly like a log record (one frame per file):
+//
+//	[format byte][gen uvarint][epoch uvarint]
+//	[versions: count, then table name, version]
+//	[tables: count, then walTable]
+//	[indexes: count, then table name, count of column sets, each a count of columns]
 type walCheckpoint struct {
-	Format   uint8 // walFormat, stamped by writeCheckpoint
 	Gen      uint64
 	Epoch    uint64
 	Versions map[string]uint64
@@ -268,6 +286,8 @@ type WAL struct {
 	rng     *rand.Rand
 	crashed bool
 
+	buf []byte // the frame being appended, reused from record to record
+
 	appends   atomic.Int64
 	syncs     atomic.Int64
 	rotations atomic.Int64
@@ -320,44 +340,68 @@ func walGens(dir string) (segs, ckpts []uint64, err error) {
 	return segs, ckpts, nil
 }
 
-// encodeWALFrame frames one gob payload: length, CRC, payload.
-func encodeWALFrame(payload []byte) []byte {
-	frame := make([]byte, walFrameHeader+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[walFrameHeader:], payload)
-	return frame
+// sealWALFrame fills in the header of the frame at dst[start:], whose payload
+// is everything after the header.
+func sealWALFrame(dst []byte, start int) error {
+	payload := dst[start+walFrameHeader:]
+	if len(payload) > maxWALRecord {
+		return fmt.Errorf("remotedb: wal record of %d bytes exceeds the %d limit", len(payload), maxWALRecord)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return nil
 }
 
-// encodeWALRecord stamps the record with walFormat and gob-encodes it into a
-// framed byte slice.
-func encodeWALRecord(rec *walRecord) ([]byte, error) {
-	rec.Format = walFormat
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, err
+// encodeWALRecord appends rec to dst as one frame.
+func encodeWALRecord(dst []byte, rec *walRecord) ([]byte, error) {
+	start := len(dst)
+	dst = appendWALRecord(append(dst, make([]byte, walFrameHeader)...), rec)
+	return dst, sealWALFrame(dst, start)
+}
+
+// appendWALRecord appends rec's payload to dst.
+func appendWALRecord(dst []byte, rec *walRecord) []byte {
+	dst = append(binary.AppendUvarint(append(dst, walFormat), rec.Seq), rec.Kind)
+	switch rec.Kind {
+	case walCreateTable:
+		dst = appendAttrs(appendString(dst, rec.Name), rec.Attrs)
+	case walLoadTable:
+		dst = appendWALTable(dst, rec.Rel)
+	case walInsert:
+		dst = append(appendString(dst, rec.Name), rec.Rows...)
+	case walCreateIndex:
+		dst = appendInts(appendString(dst, rec.Name), rec.Cols)
 	}
-	if buf.Len() > maxWALRecord {
-		return nil, fmt.Errorf("remotedb: wal record of %d bytes exceeds the %d limit", buf.Len(), maxWALRecord)
-	}
-	return encodeWALFrame(buf.Bytes()), nil
+	return dst
 }
 
 // decodeWALRecord decodes one CRC-validated payload. A payload that passes its
-// CRC but fails gob decoding is corruption (the bytes are provably what the
-// writer wrote, so the record itself is damaged or alien).
+// CRC but does not decode is corruption (the bytes are provably what the
+// writer wrote, so the record itself is damaged or alien). The record's byte
+// fields alias payload.
 func decodeWALRecord(payload []byte) (*walRecord, error) {
-	var rec walRecord
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+	d := wireDec{b: payload}
+	if f := d.u8(); d.err == nil && f != walFormat {
+		return nil, errWALFormat("record", f)
+	}
+	rec := &walRecord{Seq: d.uvarint(), Kind: d.u8()}
+	switch rec.Kind {
+	case walCreateTable:
+		rec.Name, rec.Attrs = d.string(), d.attrs()
+	case walLoadTable:
+		rec.Rel = d.walTable()
+	case walInsert:
+		rec.Name, rec.Rows = d.string(), d.rest()
+	case walCreateIndex:
+		rec.Name, rec.Cols = d.string(), d.ints()
+	case walRestart:
+	default:
+		d.fail("unknown wal record kind %d", rec.Kind)
+	}
+	if err := d.done(); err != nil {
 		return nil, err
 	}
-	if rec.Format != walFormat {
-		return nil, fmt.Errorf("record format %d, this build reads %d", rec.Format, walFormat)
-	}
-	if rec.Kind < walCreateTable || rec.Kind > walRestart {
-		return nil, fmt.Errorf("unknown wal record kind %d", rec.Kind)
-	}
-	return &rec, nil
+	return rec, nil
 }
 
 // walScanResult is one segment's replay outcome.
@@ -441,16 +485,70 @@ func scanWALSegment(path string, final bool, apply func(*walRecord) error) (walS
 	return res, nil
 }
 
+// errWALFormat refuses a payload whose first byte is not walFormat.
+func errWALFormat(what string, f uint8) error {
+	return fmt.Errorf("%s format byte %d: this build reads only walFormat %d (formats 1 and 2 were gob and are not read)", what, f, walFormat)
+}
+
+// appendWALCheckpoint appends ck's payload to dst.
+func appendWALCheckpoint(dst []byte, ck *walCheckpoint) []byte {
+	dst = append(dst, walFormat)
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, ck.Gen), ck.Epoch)
+	dst = binary.AppendUvarint(dst, uint64(len(ck.Versions)))
+	for n, v := range ck.Versions {
+		dst = binary.AppendUvarint(appendString(dst, n), v)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(ck.Tables)))
+	for _, t := range ck.Tables {
+		dst = appendWALTable(dst, t)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(ck.Indexes)))
+	for n, sets := range ck.Indexes {
+		dst = binary.AppendUvarint(appendString(dst, n), uint64(len(sets)))
+		for _, cols := range sets {
+			dst = appendInts(dst, cols)
+		}
+	}
+	return dst
+}
+
+// decodeWALCheckpoint decodes one CRC-validated checkpoint payload.
+func decodeWALCheckpoint(payload []byte) (*walCheckpoint, error) {
+	d := wireDec{b: payload}
+	if f := d.u8(); d.err == nil && f != walFormat {
+		return nil, errWALFormat("checkpoint", f)
+	}
+	ck := &walCheckpoint{Gen: d.uvarint(), Epoch: d.uvarint(), Versions: map[string]uint64{}, Indexes: map[string][][]int{}}
+	for n := d.count(2); n > 0; n-- {
+		name := d.string()
+		ck.Versions[name] = d.uvarint()
+	}
+	ck.Tables = make([]*walTable, d.count(3))
+	for i := range ck.Tables {
+		ck.Tables[i] = d.walTable()
+	}
+	for n := d.count(2); n > 0; n-- {
+		name := d.string()
+		sets := make([][]int, d.count(1))
+		for i := range sets {
+			sets[i] = d.ints()
+		}
+		ck.Indexes[name] = sets
+	}
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return ck, nil
+}
+
 // writeCheckpoint atomically writes one checkpoint file: temp file, fsync,
 // rename, directory fsync — a crash at any point leaves either the old state
 // or a complete new checkpoint, never a half-visible one.
 func writeCheckpoint(dir string, ck *walCheckpoint) error {
-	ck.Format = walFormat
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+	frame := appendWALCheckpoint(make([]byte, walFrameHeader), ck)
+	if err := sealWALFrame(frame, 0); err != nil {
 		return err
 	}
-	frame := encodeWALFrame(buf.Bytes())
 	tmp, err := os.CreateTemp(dir, "checkpoint-*.tmp")
 	if err != nil {
 		return err
@@ -492,14 +590,11 @@ func readCheckpoint(dir string, gen uint64) (*walCheckpoint, error) {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, &WALCorruptError{Path: path, Reason: "checkpoint CRC mismatch"}
 	}
-	var ck walCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
+	ck, err := decodeWALCheckpoint(payload)
+	if err != nil {
 		return nil, &WALCorruptError{Path: path, Reason: fmt.Sprintf("undecodable checkpoint: %v", err)}
 	}
-	if ck.Format != walFormat {
-		return nil, &WALCorruptError{Path: path, Reason: fmt.Sprintf("checkpoint format %d, this build reads %d", ck.Format, walFormat)}
-	}
-	return &ck, nil
+	return ck, nil
 }
 
 // syncDir fsyncs a directory so renames/creates within it are durable.
@@ -554,7 +649,8 @@ func (w *WAL) Append(rec *walRecord) error {
 		return ErrWALCrashed
 	}
 	rec.Seq = w.seq + 1
-	frame, err := encodeWALRecord(rec)
+	frame, err := encodeWALRecord(w.buf[:0], rec)
+	w.buf = reuse(frame)
 	if err != nil {
 		return err
 	}

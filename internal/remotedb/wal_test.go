@@ -40,11 +40,10 @@ func writeWALFile(t *testing.T, recs []*walRecord) string {
 	var data []byte
 	for i, rec := range recs {
 		rec.Seq = uint64(i + 1)
-		frame, err := encodeWALRecord(rec)
-		if err != nil {
+		var err error
+		if data, err = encodeWALRecord(data, rec); err != nil {
 			t.Fatalf("encode record %d: %v", i, err)
 		}
-		data = append(data, frame...)
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -258,11 +257,20 @@ func TestWALScanGarbageLength(t *testing.T) {
 	}
 }
 
+// walFrame frames payload as Append would, with a valid length and CRC.
+func walFrame(payload []byte) []byte {
+	frame := append(make([]byte, walFrameHeader), payload...)
+	if err := sealWALFrame(frame, 0); err != nil {
+		panic(err)
+	}
+	return frame
+}
+
 // TestWALScanUndecodablePayload: a payload whose CRC is valid but whose bytes
-// do not gob-decode to a walRecord is corruption (the bytes are provably what
-// the writer wrote, so the record is alien).
+// do not decode to a walRecord is corruption (the bytes are provably what the
+// writer wrote, so the record is alien).
 func TestWALScanUndecodablePayload(t *testing.T) {
-	junk := encodeWALFrame([]byte("not a gob stream at all"))
+	junk := walFrame([]byte("not a record at all"))
 	path := filepath.Join(t.TempDir(), "wal-000000.log")
 	if err := os.WriteFile(path, junk, 0o644); err != nil {
 		t.Fatal(err)
@@ -361,11 +369,10 @@ func FuzzScanWALSegment(f *testing.F) {
 	var valid []byte
 	for i, rec := range recs {
 		rec.Seq = uint64(i + 1)
-		frame, err := encodeWALRecord(rec)
-		if err != nil {
+		var err error
+		if valid, err = encodeWALRecord(valid, rec); err != nil {
 			f.Fatal(err)
 		}
-		valid = append(valid, frame...)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
@@ -384,7 +391,7 @@ func FuzzScanWALSegment(f *testing.F) {
 				if rec.Kind < walCreateTable || rec.Kind > walRestart {
 					t.Fatalf("delivered record with invalid kind %d", rec.Kind)
 				}
-				if _, err := encodeWALRecord(rec); err != nil {
+				if _, err := encodeWALRecord(nil, rec); err != nil {
 					t.Fatalf("delivered record does not re-encode: %v", err)
 				}
 				return nil
@@ -401,6 +408,35 @@ func FuzzScanWALSegment(f *testing.F) {
 			if !final && res.truncated != 0 {
 				t.Fatal("non-final scan reported a torn tail instead of corruption")
 			}
+		}
+	})
+}
+
+// FuzzDecodeWALRecord: arbitrary payload bytes decode to an error or to a
+// record that re-encodes to exactly those bytes; never a panic. Scanning
+// wraps a decode error as ErrWALCorrupt at the record's offset.
+func FuzzDecodeWALRecord(f *testing.F) {
+	for i, rec := range walTestRecords() {
+		rec.Seq = uint64(i + 1)
+		f.Add(appendWALRecord(nil, rec))
+	}
+	f.Add([]byte{walFormat, 1, walCreateIndex, 1, 't', 2, 1, 0x7f}) // a negative column
+	f.Add([]byte{2, 1, walRestart})                                 // another format
+	f.Add([]byte{walFormat, 0x81, 0x00, walRestart})                // a sequence in two bytes where one does
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := decodeWALRecord(payload)
+		if err != nil {
+			path := filepath.Join(t.TempDir(), "wal-000000.log")
+			if err := os.WriteFile(path, walFrame(payload), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := scanAll(t, path, true); !errors.Is(err, ErrWALCorrupt) {
+				t.Fatalf("scan of an undecodable record: %v, want ErrWALCorrupt", err)
+			}
+			return
+		}
+		if again := appendWALRecord(nil, rec); !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoded %x, decoded from %x", again, payload)
 		}
 	})
 }

@@ -1,10 +1,21 @@
 package remotedb
 
-import "repro/internal/relation"
+import (
+	"encoding/binary"
+	"fmt"
 
-// Envelope types of the TCP protocol, encoded with encoding/gob: requests,
-// the hello answer and schema attributes. Tuples never meet gob — they travel
-// as column batches (batch.go).
+	"repro/internal/relation"
+)
+
+// Envelope types of the TCP protocol and the WAL, and the primitives both
+// encode them with: unsigned and zigzag varints, single bytes, and strings or
+// byte runs prefixed by their varint length. Tuples travel as column batches
+// (batch.go) inside these envelopes.
+//
+// Every encoding is canonical, so a decoded message re-encodes to the bytes it
+// came from: the decoder refuses a varint with superfluous high bytes, a bool
+// byte other than 0 or 1, and bytes after the last field. Every length and
+// count is checked against the bytes present before anything is sized by it.
 
 type wireAttr struct {
 	Name string
@@ -30,23 +41,12 @@ func fromWireAttrs(attrs []wireAttr) *relation.Schema {
 	return relation.NewSchema(out...)
 }
 
-// wireRequest is one protocol request. Op selects the action.
-//
-// Op "hello" opens every connection: the client sends its protocol version in
-// Proto and its preferred frame size in FrameTuples as a bare wireRequest, the
-// server answers with one bare wireResponse carrying its version, and from
-// then on the connection carries frames in both directions (frame.go). Any
-// other opener, or any version but protoV4, is answered with one error
-// response and a close.
+// wireRequest is one protocol request, carried by a frameReq frame. Op
+// selects the action: "exec", "schema", "stats" or "tables".
 type wireRequest struct {
-	Op   string // "exec", "schema", "stats", "tables", "hello"
+	Op   string
 	SQL  string
 	Name string
-	// Proto is the client's protocol version (hello only).
-	Proto int
-	// FrameTuples is the client's preferred response frame size in tuples
-	// (hello only; 0 lets the server choose). The server clamps it.
-	FrameTuples int
 	// Resume is the encoded resume token of a re-issued streamed request
 	// ("exec" only): the client saw the original stream die after
 	// delivering Skip tuples and asks the server to serve the remainder of
@@ -68,13 +68,26 @@ type wireVersion struct {
 	Version uint64
 }
 
-// protoV4 is the one protocol version this build speaks: framed, with
-// request-ID multiplexing, tuples streamed as column batches, and table
-// versions on header and end frames. gob drops the fields a receiver does not
-// declare, so no other version may be mixed in: a version-3 client would
-// read this build's frames without their versions and keep serving views the
-// server has moved past; a version-2 peer would read batch frames as empty.
-const protoV4 = 4
+// The hello. Every connection opens with helloMagic, the client's protocol
+// version byte and its preferred response frame size in tuples (a uvarint; 0
+// lets the server choose, and the server clamps it). The server accepts with
+// helloMagic and its own version byte, and from then on the connection
+// carries frames in both directions (frame.go). Any other opener, or any
+// version but protoV5, is answered with one error frame and a close; a client
+// whose hello is answered with anything but the accepting bytes fails the
+// dial with a ProtocolError{Op: "hello"}.
+//
+// The magic's first byte is not ASCII and, read as a gob message length, is
+// out of range: a protocol-4 peer, which speaks gob, refuses this build's
+// hello at its first byte, as this build refuses its gob opener at the magic.
+const helloMagic = "\x89BrAID"
+
+// protoV5 is the one protocol version this build speaks: framed, with
+// request-ID multiplexing, tuples streamed as column batches, table versions
+// on header and end frames, and every envelope in the primitives of this
+// file. Version 4 carried the same frames in gob; it is refused, not
+// translated.
+const protoV5 = 5
 
 // Wire error codes: Err carries the human-readable message, Code the machine
 // classification, so clients can distinguish overload shedding, server
@@ -87,13 +100,184 @@ const (
 	wireCodeCanceled   = 3 // stream stopped by a client cancel frame
 )
 
-// wireResponse is the answer to hello on the wire, and the in-process answer
-// of Server.handle that the framed path ships in a terminal frame.
-type wireResponse struct {
-	Err    string
-	Attrs  []wireAttr
-	Stats  TableStats
-	Tables []string
-	// Proto is the server's protocol version (hello response only).
-	Proto int
+// reuseLimit bounds the encode buffers kept between uses — the WAL's frame
+// buffer, the engine's row batch, each connection's write buffer: one that a
+// larger message grew is dropped, so a bulk load or a wide frame does not stay
+// resident after it.
+const reuseLimit = 64 << 10
+
+// reuse returns b emptied for the next message, or nil if it grew past
+// reuseLimit.
+func reuse(b []byte) []byte {
+	if cap(b) > reuseLimit {
+		return nil
+	}
+	return b[:0]
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func appendAttrs(dst []byte, attrs []wireAttr) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(attrs)))
+	for _, a := range attrs {
+		dst = append(appendString(dst, a.Name), a.Kind)
+	}
+	return dst
+}
+
+func appendInts(dst []byte, xs []int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(xs)))
+	for _, x := range xs {
+		dst = binary.AppendVarint(dst, int64(x))
+	}
+	return dst
+}
+
+func appendVersions(dst []byte, vs []wireVersion) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	for _, v := range vs {
+		dst = binary.AppendUvarint(appendString(dst, v.Table), v.Version)
+	}
+	return dst
+}
+
+// wireDec reads the primitives back from one message. The first failure
+// sticks: every later read returns a zero value, and err reports the first.
+type wireDec struct {
+	b   []byte
+	err error
+}
+
+func (d *wireDec) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+	d.b = nil
+}
+
+func (d *wireDec) u8() uint8 {
+	if len(d.b) == 0 {
+		d.fail("message ends early")
+		return 0
+	}
+	v := d.b[0]
+	d.b = d.b[1:]
+	return v
+}
+
+func (d *wireDec) bool() bool {
+	v := d.u8()
+	if v > 1 {
+		d.fail("bool byte %d", v)
+	}
+	return v == 1
+}
+
+// varintLen checks the result of binary.Uvarint or Varint on d.b: the varint
+// must be complete, fit 64 bits and have no superfluous high byte.
+func (d *wireDec) varintLen(n int) bool {
+	if n <= 0 || n > 1 && d.b[n-1] == 0 {
+		d.fail("malformed varint")
+		return false
+	}
+	d.b = d.b[n:]
+	return true
+}
+
+func (d *wireDec) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if !d.varintLen(n) {
+		return 0
+	}
+	return v
+}
+
+func (d *wireDec) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if !d.varintLen(n) {
+		return 0
+	}
+	return v
+}
+
+// count reads a list length whose every element takes at least least bytes,
+// so a lying count is refused before anything is allocated for it.
+func (d *wireDec) count(least int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/least) {
+		d.fail("count %d past the end of the message", n)
+		return 0
+	}
+	return int(n)
+}
+
+// bytes reads a length-prefixed byte run; the result aliases the message.
+func (d *wireDec) bytes() []byte {
+	n := d.count(1)
+	out := d.b[:n:n]
+	d.b = d.b[n:]
+	return out
+}
+
+func (d *wireDec) string() string { return string(d.bytes()) }
+
+// rest takes every byte left: the last field of a message needs no length.
+func (d *wireDec) rest() []byte {
+	out := d.b
+	d.b = d.b[len(d.b):]
+	return out
+}
+
+func (d *wireDec) attrs() []wireAttr {
+	n := d.count(2)
+	if n == 0 {
+		return nil
+	}
+	attrs := make([]wireAttr, n)
+	for i := range attrs {
+		attrs[i] = wireAttr{Name: d.string(), Kind: d.u8()}
+	}
+	return attrs
+}
+
+func (d *wireDec) ints() []int {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = int(d.varint())
+	}
+	return xs
+}
+
+func (d *wireDec) versions() []wireVersion {
+	n := d.count(2)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]wireVersion, n)
+	for i := range vs {
+		vs[i] = wireVersion{Table: d.string(), Version: d.uvarint()}
+	}
+	return vs
+}
+
+// done reports the first failure, or bytes left after the last field.
+func (d *wireDec) done() error {
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("%d bytes after the last field", len(d.b))
+	}
+	return d.err
 }

@@ -1,8 +1,8 @@
 package remotedb
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"runtime"
 	"testing"
@@ -11,20 +11,20 @@ import (
 )
 
 // BenchmarkFrameRoundTrip is one response frame end to end: column batch
-// encode into the stream's reused buffer, the gob envelope on a connection's
-// long-lived encoder/decoder pair, batch decode into one arena. allocs/tuple
-// is the number to watch: it falls as the frame grows, because a frame costs
-// a constant.
+// encode into the stream's reused buffer, the frame written from the
+// connection's reused write buffer and read into a fresh payload, batch decode
+// into one arena. allocs/tuple is the number to watch: it falls as the frame
+// grows, because a frame costs a constant.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	for _, n := range []int{64, 512, 4096} {
 		b.Run(fmt.Sprintf("tuples=%d", n), func(b *testing.B) {
 			tuples := frameTuples(n)
 			var pipe bytes.Buffer
-			enc, dec := gob.NewEncoder(&pipe), gob.NewDecoder(&pipe)
-			var batch []byte
+			dec := bufio.NewReader(&pipe)
+			var batch, wbuf []byte
 			roundTrip := func() {
 				batch = appendBatch(batch[:0], 3, tuples)
-				if err := writeFrame(enc, &wireFrame{ID: 7, Kind: frameBatch, Batch: batch}); err != nil {
+				if err := writeFrame(&pipe, &wbuf, &wireFrame{ID: 7, Kind: frameBatch, Batch: batch}); err != nil {
 					b.Fatal(err)
 				}
 				f, err := readFrame(dec)
@@ -35,7 +35,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 					b.Fatalf("decoded %d tuples, %v", len(out), err)
 				}
 			}
-			roundTrip() // type descriptors cross once, up front
+			roundTrip() // buffers grow once, up front
 			b.ReportAllocs()
 			b.ResetTimer()
 			var m0, m1 runtime.MemStats
