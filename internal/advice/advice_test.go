@@ -297,3 +297,34 @@ func TestBoundString(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse: any text parses to an error, or to advice whose String() parses
+// back to the same String(). Never a panic.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		paperExample1,
+		"view d(X^, Y?) :- b(X, Y) & Y >= 2.5 [r1, r2].\nbase b/2.",
+		`view d(X?) :- b(X, "a.b") & X != "it's".`,
+		"path [d1(X^), d2(X?)]^1.\nview d1(X^) :- b(X).\nview d2(X?) :- c(X).",
+		"path (d1(Y^))<0,*>.\nview d1(Y^) :- b1(Y).",
+		"view d :- b(X).",
+		"base b/x.",
+		`base "/0`, // a base name that is no predicate printed as an unterminated string
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		a, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := a.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%q printed as %q, which does not parse back: %v", src, text, err)
+		}
+		if got := again.String(); got != text {
+			t.Fatalf("%q printed as %q, which prints back as %q", src, text, got)
+		}
+	})
+}

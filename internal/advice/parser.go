@@ -221,7 +221,11 @@ func parseBaseList(src string) ([]logic.PredRef, error) {
 		if err != nil || arity < 0 {
 			return nil, fmt.Errorf("advice: bad arity in %q", part)
 		}
-		out = append(out, logic.PredRef{Name: strings.TrimSpace(part[:slash]), Arity: arity})
+		name := strings.TrimSpace(part[:slash])
+		if a, err := logic.ParseAtom(name); err != nil || a.Pred != name || len(a.Args) > 0 {
+			return nil, fmt.Errorf("advice: base entry %q does not name a predicate", part)
+		}
+		out = append(out, logic.PredRef{Name: name, Arity: arity})
 	}
 	return out, nil
 }

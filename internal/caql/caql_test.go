@@ -531,3 +531,38 @@ func TestCanonicalAlphaInvariance(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse: any text parses to an error, or to a query whose String() parses
+// back to the same String(). Never a panic.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		`d2(X, Y) :- b2(X, Z) & b3(Z, "c2", Y)`,
+		"d(X) :- b2(X, Z), Z > 5.",
+		"q(S, P, Q) :- shipment(S, P, Q) & S >= 3 & S < 9 & Q >= 300",
+		`q(P, Q, C, W) :- shipment(17, P, Q) & part(P, C, W) & W >= 50.0`,
+		`d(X, 42) :- b2(X, Z) & Z = 10 & X != "it's \"q\""`,
+		"d(X) :- b(X, Y) & Y =< 2.5 & Y > -1e-05 & Y <> 7",
+		"d(X, Y) :- b(X, Y) & X = true & Y = null",
+		"loop(X) :- e(X, X)",
+		"d(X) :- nosuch(X)",
+		"d(X, W) :- b2(X, Z)",
+		"d(X) :- b(X) & 3 < 4",
+		"a:-a(10000000000000000000)", // prints 1e+19, which the lexer once cut at its sign
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := q.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%q printed as %q, which does not parse back: %v", src, text, err)
+		}
+		if got := again.String(); got != text {
+			t.Fatalf("%q printed as %q, which prints back as %q", src, text, got)
+		}
+	})
+}

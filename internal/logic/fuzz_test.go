@@ -63,3 +63,37 @@ func TestParserNoPanicOnMutations(t *testing.T) {
 		}()
 	}
 }
+
+// FuzzParseProgram: any text parses to an error, or to a KB whose String()
+// parses back to the same String(). Never a panic.
+func FuzzParseProgram(f *testing.F) {
+	for _, seed := range []string{
+		`
+		:- base(b1/2).
+		:- mutex(m/1, f/1).
+		:- fd(b1/2, [1] -> [2]).
+		k1(X, Y) :- b1(c1, Y), k2(X, Y), X != Y, Y >= 3.
+		`,
+		"anc(X, Y) :- parent(X, Y).\nanc(X, Y) :- parent(X, Z), anc(Z, Y).\n:- recursive(anc/2).",
+		`likes(tom, "red wine"). likes(ann, 'x'). p(1.5, -2, 1e-05, true, null).`,
+		`p(X) :- q(X, "it's \"quoted\""), X =< 2.0, X <> 3.`,
+		"p :- q. q.",
+		`p(a) :- "unclosed.`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		kb, err := ParseProgram(src)
+		if err != nil {
+			return
+		}
+		text := kb.String()
+		again, err := ParseProgram(text)
+		if err != nil {
+			t.Fatalf("%q printed as %q, which does not parse back: %v", src, text, err)
+		}
+		if got := again.String(); got != text {
+			t.Fatalf("%q printed as %q, which prints back as %q", src, text, got)
+		}
+	})
+}

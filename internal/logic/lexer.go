@@ -100,8 +100,17 @@ body:
 		}
 		return token{}, l.errorf("unterminated string literal")
 	case c >= '0' && c <= '9' || (c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9'):
+		// Digits, points before a digit, and exponents, signed or not: every
+		// float Value.String renders (1e+19 among them) lexes back.
 		l.pos++
-		for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]) || l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
+		for l.pos < len(l.src) {
+			d := l.src[l.pos]
+			exp := d == 'e' || d == 'E'
+			point := d == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])
+			sign := (d == '+' || d == '-') && (l.src[l.pos-1] == 'e' || l.src[l.pos-1] == 'E')
+			if !isDigit(d) && !exp && !point && !sign {
+				break
+			}
 			l.pos++
 		}
 		text := l.src[start:l.pos]

@@ -489,7 +489,8 @@ func (e *Engine) Stats(name string) (TableStats, error) {
 
 // Execute runs a parsed statement, returning the result relation (nil for
 // DDL/DML) and the number of server-side tuple operations performed (the
-// cost-model input).
+// cost-model input). A SELECT's statement may stay in the plan cache as the
+// shape its plan serves, so the caller must not modify it afterwards.
 func (e *Engine) Execute(st *Statement) (*relation.Relation, int64, error) {
 	return e.ExecuteCtx(context.Background(), st)
 }
@@ -537,53 +538,64 @@ func (e *Engine) bind(ctx context.Context, src string) (*Statement, error) {
 	return ParseSQL(src)
 }
 
-// selScope is the resolved FROM/WHERE of one SELECT: alias bindings plus the
-// WHERE conjuncts classified into per-alias filters, index-usable equality
-// constants, and cross-alias conditions. The planner and the tests' reference
+// selScope is the resolved FROM/WHERE of one SELECT, indexed by FROM
+// position: alias bindings plus the WHERE conjuncts classified into per-alias
+// filters and cross-alias conditions. The planner and the tests' reference
 // evaluator (reference_test.go) share it so both report identical resolution
 // errors.
 type selScope struct {
-	aliases  map[string]*relation.Relation
-	order    []string // aliases in FROM order
-	perAlias map[string][]relation.Cond
-	eqConsts map[string][][2]any // alias -> (col, value) equality pairs, for index use
-	cross    []crossCond
+	aliases  []string
+	tables   []*relation.Relation
+	perAlias [][]relation.Cond
+	// slots parallels perAlias: for a column-vs-literal conjunct, the index in
+	// the statement's WHERE of the conjunct whose literal it compares against;
+	// -1 for a column-vs-column one. A plan keeps the slots, not the literals.
+	slots [][]int
+	cross []crossCond
 }
 
-// crossCond is a WHERE conjunct spanning two aliases.
+// crossCond is a WHERE conjunct spanning two aliases, given by FROM position.
 type crossCond struct {
-	la string
-	lc int
-	op relation.CmpOp
-	ra string
-	rc int
+	lp, lc int
+	op     relation.CmpOp
+	rp, rc int
 }
 
-// resolve binds a possibly-qualified column reference to (alias, column).
-func (sc *selScope) resolve(c ColRef) (string, int, error) {
+// position returns alias's FROM position, or -1.
+func (sc *selScope) position(alias string) int {
+	for p, a := range sc.aliases {
+		if a == alias {
+			return p
+		}
+	}
+	return -1
+}
+
+// resolve binds a possibly-qualified column reference to (FROM position,
+// column).
+func (sc *selScope) resolve(c ColRef) (int, int, error) {
 	if c.Qualifier != "" {
-		t, ok := sc.aliases[c.Qualifier]
-		if !ok {
-			return "", 0, fmt.Errorf("remotedb: unknown alias %s", c.Qualifier)
+		p := sc.position(c.Qualifier)
+		if p < 0 {
+			return 0, 0, fmt.Errorf("remotedb: unknown alias %s", c.Qualifier)
 		}
-		i := t.Schema().ColIndex(c.Column)
+		i := sc.tables[p].Schema().ColIndex(c.Column)
 		if i < 0 {
-			return "", 0, fmt.Errorf("remotedb: no column %s in %s", c.Column, c.Qualifier)
+			return 0, 0, fmt.Errorf("remotedb: no column %s in %s", c.Column, c.Qualifier)
 		}
-		return c.Qualifier, i, nil
+		return p, i, nil
 	}
-	found := ""
-	idx := -1
-	for a, t := range sc.aliases {
+	found, idx := -1, -1
+	for p, t := range sc.tables {
 		if i := t.Schema().ColIndex(c.Column); i >= 0 {
-			if found != "" {
-				return "", 0, fmt.Errorf("remotedb: ambiguous column %s", c.Column)
+			if found >= 0 {
+				return 0, 0, fmt.Errorf("remotedb: ambiguous column %s", c.Column)
 			}
-			found, idx = a, i
+			found, idx = p, i
 		}
 	}
-	if found == "" {
-		return "", 0, fmt.Errorf("remotedb: unknown column %s", c.Column)
+	if found < 0 {
+		return 0, 0, fmt.Errorf("remotedb: unknown column %s", c.Column)
 	}
 	return found, idx, nil
 }
@@ -595,43 +607,40 @@ func (e *Engine) analyzeSelect(sel *SelectStmt) (*selScope, error) {
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("remotedb: SELECT without FROM")
 	}
-	sc := &selScope{
-		aliases:  make(map[string]*relation.Relation, len(sel.From)),
-		perAlias: make(map[string][]relation.Cond),
-		eqConsts: make(map[string][][2]any),
-	}
+	sc := &selScope{}
 	for _, ref := range sel.From {
 		t, ok := e.tables[ref.Table]
 		if !ok {
 			return nil, fmt.Errorf("remotedb: unknown table %s", ref.Table)
 		}
-		if _, dup := sc.aliases[ref.Alias]; dup {
+		if sc.position(ref.Alias) >= 0 {
 			return nil, fmt.Errorf("remotedb: duplicate alias %s", ref.Alias)
 		}
-		sc.aliases[ref.Alias] = t
-		sc.order = append(sc.order, ref.Alias)
+		sc.aliases = append(sc.aliases, ref.Alias)
+		sc.tables = append(sc.tables, t)
 	}
-	for _, c := range sel.Where {
-		la, lc, err := sc.resolve(c.Left)
+	sc.perAlias = make([][]relation.Cond, len(sc.aliases))
+	sc.slots = make([][]int, len(sc.aliases))
+	for w, c := range sel.Where {
+		lp, lc, err := sc.resolve(c.Left)
 		if err != nil {
 			return nil, err
 		}
 		if !c.RightIsCol {
-			sc.perAlias[la] = append(sc.perAlias[la], relation.ColConst(lc, c.Op, c.RightVal))
-			if c.Op == relation.OpEq {
-				sc.eqConsts[la] = append(sc.eqConsts[la], [2]any{lc, c.RightVal})
-			}
+			sc.perAlias[lp] = append(sc.perAlias[lp], relation.ColConst(lc, c.Op, c.RightVal))
+			sc.slots[lp] = append(sc.slots[lp], w)
 			continue
 		}
-		ra, rc, err := sc.resolve(c.RightCol)
+		rp, rc, err := sc.resolve(c.RightCol)
 		if err != nil {
 			return nil, err
 		}
-		if la == ra {
-			sc.perAlias[la] = append(sc.perAlias[la], relation.ColCol(lc, c.Op, rc))
+		if lp == rp {
+			sc.perAlias[lp] = append(sc.perAlias[lp], relation.ColCol(lc, c.Op, rc))
+			sc.slots[lp] = append(sc.slots[lp], -1)
 			continue
 		}
-		sc.cross = append(sc.cross, crossCond{la: la, lc: lc, op: c.Op, ra: ra, rc: rc})
+		sc.cross = append(sc.cross, crossCond{lp: lp, lc: lc, op: c.Op, rp: rp, rc: rc})
 	}
 	return sc, nil
 }

@@ -1,10 +1,10 @@
 package remotedb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/relation"
 )
@@ -29,6 +29,18 @@ import (
 //     TopN sort; a bare LIMIT short-circuits naturally because execution is
 //     pull-based.
 //
+// A plan is compiled per statement shape, not per constant (plancache.go).
+// Every decision above but one reads only the shape and the catalog: the
+// index choice reads which conjuncts are equalities, pruning which columns
+// are named, parallel eligibility and the DOP threshold the tree and each
+// access path's examine estimate (rows, or rows/NDV). The join order alone
+// reads a literal's value, through each alias's output estimate (1/NDV, 0
+// outside min/max, or a range interpolation). So the tree holds its WHERE
+// literals as slots that each run fills (Plan.bind), and a cached plan with
+// two or more aliases is served to a binding only when that binding's
+// estimates choose the same order (Plan.orderHolds). The invariant: the plan
+// a binding runs is the plan that binding compiles on a fresh engine.
+//
 // The golden parity suite (parity_test.go) holds the planner to the semantics
 // of the tests' reference evaluator (reference_test.go) exactly, including its
 // resolution error messages, via the shared analyzeSelect.
@@ -36,31 +48,18 @@ import (
 // joinEnumLimit caps exhaustive join-order enumeration (n! permutations).
 const joinEnumLimit = 6
 
-// aliasAccess is the chosen access path and cardinality estimates for one
-// FROM alias.
-type aliasAccess struct {
-	alias string
-	table string
-	sch   *relation.Schema
-	conds []relation.Cond
-	meta  *tableMeta
-
-	idxCols []int
-	idxVals []relation.Value
-
-	examineEst float64 // rows the access path reads
-	outEst     float64 // rows surviving the pushed-down predicates
-}
-
-// colKey names one resolved column: (alias, column offset in its base table).
+// colKey names one resolved column: (FROM position, column offset in its
+// base table).
 type colKey struct {
-	alias string
-	col   int
+	pos int
+	col int
 }
 
 // buildPlan compiles sel against the current catalog. The caller holds e.mu
-// (planFor), so the clock tick stamped on the plan is at or past the version
-// of everything the plan was resolved and costed against.
+// (planForLocked), so the clock tick stamped on the plan is at or past the
+// version of everything the plan was resolved and costed against. The plan's
+// estimates are sel's; its tree serves every statement of sel's shape whose
+// binding chooses the same join order.
 func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	epoch := e.epoch.Load()
 
@@ -90,11 +89,11 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 
 	if hasAgg {
 		for _, g := range sel.GroupBy {
-			a, i, err := scope.resolve(g)
+			p, i, err := scope.resolve(g)
 			if err != nil {
 				return nil, err
 			}
-			groupRefs = append(groupRefs, colKey{a, i})
+			groupRefs = append(groupRefs, colKey{p, i})
 		}
 		for _, it := range sel.Items {
 			if !it.IsAgg {
@@ -102,11 +101,11 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			}
 			ai := aggItem{op: it.Agg, star: it.AggStar}
 			if !it.AggStar {
-				a, i, err := scope.resolve(it.Col)
+				p, i, err := scope.resolve(it.Col)
 				if err != nil {
 					return nil, err
 				}
-				ai.ref = colKey{a, i}
+				ai.ref = colKey{p, i}
 			}
 			aggItems = append(aggItems, ai)
 		}
@@ -116,9 +115,9 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	} else {
 		star = len(sel.Items) == 1 && sel.Items[0].Star
 		if star {
-			for _, a := range scope.order {
-				for i := 0; i < scope.aliases[a].Schema().Arity(); i++ {
-					itemRefs = append(itemRefs, colKey{a, i})
+			for p, t := range scope.tables {
+				for i := 0; i < t.Schema().Arity(); i++ {
+					itemRefs = append(itemRefs, colKey{p, i})
 				}
 			}
 		} else {
@@ -126,11 +125,11 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 				if it.Star {
 					return nil, fmt.Errorf("remotedb: * must be the only select item")
 				}
-				a, i, err := scope.resolve(it.Col)
+				p, i, err := scope.resolve(it.Col)
 				if err != nil {
 					return nil, err
 				}
-				itemRefs = append(itemRefs, colKey{a, i})
+				itemRefs = append(itemRefs, colKey{p, i})
 			}
 			if err := scope.distinctOutput(itemRefs); err != nil {
 				return nil, err
@@ -157,33 +156,35 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 				continue
 			}
 			needWide = true
-			a, i, err := scope.resolve(c)
+			p, i, err := scope.resolve(c)
 			if err != nil {
 				return nil, err
 			}
-			sortWideRefs = append(sortWideRefs, colKey{a, i})
+			sortWideRefs = append(sortWideRefs, colKey{p, i})
 		}
 	}
 
-	// --- Access paths and per-alias estimates ---
-	accs := make(map[string]*aliasAccess, len(scope.order))
-	for _, a := range scope.order {
-		accs[a] = e.accessFor(scope, a)
+	// --- Access paths, per-alias estimates and the join order ---
+	n := len(scope.aliases)
+	scans := make([]*scanNode, n)
+	for p := range scans {
+		scans[p] = e.accessFor(scope, p)
 	}
-
-	// --- Join order ---
-	best := e.chooseJoinOrder(scope, accs)
-	estOps, wideEst := joinOrderCost(scope, accs, best)
+	var bufs joinBufs
+	js := newJoinSearch(scans, scope.cross, sel.Where, &bufs)
+	order := append([]int(nil), js.choose()...)
+	estOps, wideEst := js.cost(order)
+	outs := js.outs
 
 	// --- Column pruning: which base columns does anything above the joins
 	// read? (Only meaningful with 2+ aliases; single-table plans prune via
 	// the final projection itself.) ---
-	needed := make(map[string]map[int]bool, len(scope.order))
+	needed := make([][]bool, n)
 	mark := func(k colKey) {
-		if needed[k.alias] == nil {
-			needed[k.alias] = make(map[int]bool)
+		if needed[k.pos] == nil {
+			needed[k.pos] = make([]bool, scans[k.pos].sch.Arity())
 		}
-		needed[k.alias][k.col] = true
+		needed[k.pos][k.col] = true
 	}
 	for _, r := range itemRefs {
 		mark(r)
@@ -200,8 +201,8 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		mark(r)
 	}
 	for _, c := range scope.cross {
-		mark(colKey{c.la, c.lc})
-		mark(colKey{c.ra, c.rc})
+		mark(colKey{c.lp, c.lc})
+		mark(colKey{c.rp, c.rc})
 	}
 
 	// nodeEst stamps the optimizer's output-cardinality estimate on every
@@ -209,54 +210,27 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	nodeEst := make(map[planNode]float64)
 
 	// --- Per-alias subtrees: scan (+ prune) ---
-	subtree := make(map[string]planNode, len(scope.order))
-	prunedCols := make(map[string][]int, len(scope.order))
-	scanExamine := make(map[*scanNode]float64, len(scope.order))
-	for _, a := range scope.order {
-		acc := accs[a]
-		sn := &scanNode{
-			table:   acc.table,
-			alias:   a,
-			sch:     acc.sch,
-			conds:   acc.conds,
-			idxCols: acc.idxCols,
-			idxVals: acc.idxVals,
-			desc:    scanDesc(acc),
-		}
-		scanExamine[sn] = acc.examineEst
+	subtree := make([]planNode, n)
+	prunedCols := make([][]int, n)
+	for p, sn := range scans {
 		var node planNode = sn
-		arity := acc.sch.Arity()
+		arity := sn.sch.Arity()
 		keep := make([]int, 0, arity)
-		if len(scope.order) > 1 && len(needed[a]) < arity {
-			for i := 0; i < arity; i++ {
-				if needed[a][i] {
-					keep = append(keep, i)
-				}
-			}
-			names := make([]string, len(keep))
-			for i, c := range keep {
-				names[i] = acc.sch.Attr(c).Name
-			}
-			node = &projectNode{
-				child: sn,
-				cols:  keep,
-				sch:   acc.sch.Project(keep),
-				desc:  fmt.Sprintf("prune %s to (%s)", a, strings.Join(names, ", ")),
-			}
-		} else {
-			for i := 0; i < arity; i++ {
+		for i := 0; i < arity; i++ {
+			if n == 1 || needed[p] != nil && needed[p][i] {
 				keep = append(keep, i)
 			}
 		}
-		nodeEst[sn] = acc.outEst
-		if node != planNode(sn) {
-			nodeEst[node] = acc.outEst
+		if len(keep) < arity {
+			node = &projectNode{child: sn, cols: keep, sch: sn.sch.Project(keep), alias: sn.alias}
+			nodeEst[node] = outs[p]
 		}
-		prunedCols[a] = keep
-		subtree[a] = node
+		nodeEst[sn] = outs[p]
+		prunedCols[p] = keep
+		subtree[p] = node
 	}
 	rankIn := func(k colKey) int {
-		for i, c := range prunedCols[k.alias] {
+		for i, c := range prunedCols[k.pos] {
 			if c == k.col {
 				return i
 			}
@@ -267,50 +241,44 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	// --- Left-deep join tree in the chosen order; each cross-alias conjunct
 	// folds into the join that completes it (equi-joins into the hash join's
 	// key, theta conditions as post-filters). ---
-	offs := map[string]int{best[0]: 0}
-	joined := map[string]bool{best[0]: true}
-	cur := subtree[best[0]]
-	wideArity := len(prunedCols[best[0]])
+	offs := make([]int, n)
+	joined := make([]bool, n)
+	joined[order[0]] = true
+	cur := subtree[order[0]]
+	wideArity := len(prunedCols[order[0]])
 	consumed := make([]bool, len(scope.cross))
-	leftEst := accs[best[0]].outEst
-	for _, a := range best[1:] {
+	leftEst := outs[order[0]]
+	for _, a := range order[1:] {
 		right := subtree[a]
-		// Per-step output estimate, mirroring joinOrderCost's recurrence
+		// Per-step output estimate, mirroring joinSearch.cost's recurrence
 		// (joined does not yet include a here).
-		stepOut := leftEst * accs[a].outEst * joinStepSelectivity(scope, accs, joined, a)
+		stepOut := leftEst * outs[a] * js.step(joined, a)
 		var eq []relation.JoinCond
 		var post []relation.Cond
-		var condStrs []string
+		var on []crossCond
 		for ci, c := range scope.cross {
 			if consumed[ci] {
 				continue
 			}
-			lk, rk := colKey{c.la, c.lc}, colKey{c.ra, c.rc}
+			lk, rk := colKey{c.lp, c.lc}, colKey{c.rp, c.rc}
 			switch {
-			case c.la == a && joined[c.ra]:
+			case c.lp == a && joined[c.rp]:
 				if c.op == relation.OpEq {
-					eq = append(eq, relation.JoinCond{Left: offs[c.ra] + rankIn(rk), Right: rankIn(lk)})
+					eq = append(eq, relation.JoinCond{Left: offs[c.rp] + rankIn(rk), Right: rankIn(lk)})
 				} else {
-					post = append(post, relation.Cond{Left: wideArity + rankIn(lk), Op: c.op, Right: offs[c.ra] + rankIn(rk)})
+					post = append(post, relation.Cond{Left: wideArity + rankIn(lk), Op: c.op, Right: offs[c.rp] + rankIn(rk)})
 				}
-			case c.ra == a && joined[c.la]:
+			case c.rp == a && joined[c.lp]:
 				if c.op == relation.OpEq {
-					eq = append(eq, relation.JoinCond{Left: offs[c.la] + rankIn(lk), Right: rankIn(rk)})
+					eq = append(eq, relation.JoinCond{Left: offs[c.lp] + rankIn(lk), Right: rankIn(rk)})
 				} else {
-					post = append(post, relation.Cond{Left: offs[c.la] + rankIn(lk), Op: c.op, Right: wideArity + rankIn(rk)})
+					post = append(post, relation.Cond{Left: offs[c.lp] + rankIn(lk), Op: c.op, Right: wideArity + rankIn(rk)})
 				}
 			default:
 				continue
 			}
 			consumed[ci] = true
-			condStrs = append(condStrs, fmt.Sprintf("%s.%s %s %s.%s", c.la, attrName(lk), c.op, c.ra, attrName(rk)))
-		}
-		kind := "hash join"
-		if len(eq) == 0 {
-			kind = "nested-loop join"
-			if len(post) == 0 {
-				condStrs = append(condStrs, "cross")
-			}
+			on = append(on, c)
 		}
 		jn := &joinNode{
 			left:  cur,
@@ -318,7 +286,8 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			eq:    eq,
 			post:  post,
 			sch:   cur.Schema().Concat(right.Schema()),
-			desc:  fmt.Sprintf("%s [%s] (build %s, probe streams)", kind, strings.Join(condStrs, " AND "), a),
+			on:    on,
+			build: a,
 		}
 		nodeEst[jn] = stepOut
 		leftEst = stepOut
@@ -333,18 +302,18 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	for ci, c := range scope.cross {
 		if !consumed[ci] {
 			leftover = append(leftover, relation.Cond{
-				Left:  offs[c.la] + rankIn(colKey{c.la, c.lc}),
+				Left:  offs[c.lp] + rankIn(colKey{c.lp, c.lc}),
 				Op:    c.op,
-				Right: offs[c.ra] + rankIn(colKey{c.ra, c.rc}),
+				Right: offs[c.rp] + rankIn(colKey{c.rp, c.rc}),
 			})
 		}
 	}
 	if len(leftover) > 0 {
-		cur = &filterNode{child: cur, conds: leftover, desc: fmt.Sprintf("filter (%d residual conds)", len(leftover))}
+		cur = &filterNode{child: cur, conds: leftover}
 		nodeEst[cur] = wideEst
 	}
 
-	pos := func(k colKey) int { return offs[k.alias] + rankIn(k) }
+	pos := func(k colKey) int { return offs[k.pos] + rankIn(k) }
 
 	// --- Tail: aggregation or projection, then distinct / sort / limit ---
 	est := wideEst
@@ -352,23 +321,24 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	if hasAgg {
 		var groupCols []int
 		groupNDV := 1.0
+		names := make([]string, 0, len(groupRefs)+len(aggItems))
 		for _, r := range groupRefs {
 			groupCols = append(groupCols, pos(r))
-			groupNDV *= float64(colNDV(accs[r.alias].meta, r.col))
+			groupNDV *= float64(colNDV(scans[r.pos].meta, r.col))
+			names = append(names, attrName(r))
 		}
 		var specs []relation.AggSpec
-		var attrs []relation.Attr
-		var specStrs []string
 		for _, ai := range aggItems {
 			spec := relation.AggSpec{Op: ai.op, Col: -1}
+			name := ""
 			if !ai.star {
 				spec.Col = pos(ai.ref)
-				specStrs = append(specStrs, fmt.Sprintf("%s(%s)", ai.op, attrName(ai.ref)))
-			} else {
-				specStrs = append(specStrs, fmt.Sprintf("%s(*)", ai.op))
+				name = attrName(ai.ref)
 			}
 			specs = append(specs, spec)
+			names = append(names, name)
 		}
+		var attrs []relation.Attr
 		for i, s := range specs {
 			kind := relation.KindFloat
 			if s.Op == relation.AggCount {
@@ -379,24 +349,17 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			attrs = append(attrs, relation.Attr{Name: fmt.Sprintf("agg%d", i), Kind: kind})
 		}
 		aggSch := scope.outputSchema(groupRefs, attrs...)
-		groupNames := make([]string, len(groupRefs))
-		for i, r := range groupRefs {
-			groupNames[i] = attrName(r)
-		}
 		estOps += est
 		if len(groupCols) > 0 {
 			est = math.Min(est, groupNDV)
 		} else {
 			est = 1
 		}
-		cur = &aggNode{
-			child: cur, groupCols: groupCols, specs: specs, sch: aggSch,
-			desc: fmt.Sprintf("aggregate group by (%s) [%s]", strings.Join(groupNames, ", "), strings.Join(specStrs, ", ")),
-		}
+		cur = &aggNode{child: cur, groupCols: groupCols, specs: specs, sch: aggSch, names: names}
 		nodeEst[cur] = est
 		if sel.Distinct {
 			estOps += est
-			cur = &distinctNode{child: cur, desc: "distinct"}
+			cur = &distinctNode{child: cur}
 			nodeEst[cur] = est
 		}
 		if len(sel.OrderBy) > 0 {
@@ -411,10 +374,9 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 				names = append(names, c.Column)
 			}
 			estOps += est
-			sn := &sortNode{child: cur, cols: cols, limit: -1, desc: "sort (" + strings.Join(names, ", ") + ")"}
+			sn := &sortNode{child: cur, cols: cols, limit: -1, names: names}
 			if sel.Limit >= 0 { // distinct runs below the sort, so TopN fusing is safe
 				sn.limit = sel.Limit
-				sn.desc = fmt.Sprintf("topn (%s) limit %d", strings.Join(names, ", "), sel.Limit)
 			}
 			cur = sn
 			nodeEst[cur] = est
@@ -425,12 +387,6 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		for i, r := range itemRefs {
 			cols[i] = pos(r)
 		}
-		projNames := make([]string, projSch.Arity())
-		for i := range projNames {
-			projNames[i] = projSch.Attr(i).Name
-		}
-		projDesc := "project (" + strings.Join(projNames, ", ") + ")"
-
 		if needWide {
 			// Satellite semantics: ORDER BY names a non-projected column, so
 			// the sort runs below the projection, over the wide tuples.
@@ -441,28 +397,27 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 				names[i] = attrName(r)
 			}
 			estOps += est
-			sn := &sortNode{child: cur, cols: widePoss, limit: -1, desc: "sort wide (" + strings.Join(names, ", ") + ")"}
+			sn := &sortNode{child: cur, cols: widePoss, limit: -1, names: names, wide: true}
 			if sel.Limit >= 0 && !sel.Distinct { // projection is 1-1, so TopN below it is safe
 				sn.limit = sel.Limit
-				sn.desc = fmt.Sprintf("topn wide (%s) limit %d", strings.Join(names, ", "), sel.Limit)
 			}
 			cur = sn
 			nodeEst[cur] = est
 			estOps += est
-			cur = &projectNode{child: cur, cols: cols, sch: projSch, counted: true, desc: projDesc}
+			cur = &projectNode{child: cur, cols: cols, sch: projSch, counted: true}
 			nodeEst[cur] = est
 			if sel.Distinct {
 				estOps += est
-				cur = &distinctNode{child: cur, desc: "distinct"}
+				cur = &distinctNode{child: cur}
 				nodeEst[cur] = est
 			}
 		} else {
 			estOps += est
-			cur = &projectNode{child: cur, cols: cols, sch: projSch, counted: true, desc: projDesc}
+			cur = &projectNode{child: cur, cols: cols, sch: projSch, counted: true}
 			nodeEst[cur] = est
 			if sel.Distinct {
 				estOps += est
-				cur = &distinctNode{child: cur, desc: "distinct"}
+				cur = &distinctNode{child: cur}
 				nodeEst[cur] = est
 			}
 			if len(sortResIdx) > 0 {
@@ -471,10 +426,9 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 					names[i] = projSch.Attr(p).Name
 				}
 				estOps += est
-				sn := &sortNode{child: cur, cols: sortResIdx, limit: -1, desc: "sort (" + strings.Join(names, ", ") + ")"}
+				sn := &sortNode{child: cur, cols: sortResIdx, limit: -1, names: names}
 				if sel.Limit >= 0 { // distinct (if any) runs below the sort
 					sn.limit = sel.Limit
-					sn.desc = fmt.Sprintf("topn (%s) limit %d", strings.Join(names, ", "), sel.Limit)
 				}
 				cur = sn
 				nodeEst[cur] = est
@@ -484,7 +438,7 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	}
 	if sel.Limit >= 0 {
 		est = math.Min(est, float64(sel.Limit))
-		cur = &limitNode{child: cur, n: sel.Limit, desc: fmt.Sprintf("limit %d", sel.Limit)}
+		cur = &limitNode{child: cur, n: sel.Limit}
 		nodeEst[cur] = est
 	}
 
@@ -492,13 +446,17 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		root:    cur,
 		schema:  schema,
 		epoch:   epoch,
+		stmt:    sel,
 		estRows: est,
 		estOps:  estOps,
 		nodeEst: nodeEst,
+		scans:   scans,
+		cross:   scope.cross,
+		order:   order,
 		// Parallel eligibility is a pure shape property, so it is decided
 		// here, once per plan; the per-execution DOP decision stays at open
 		// time where the engine's settings are known.
-		par:       findParSection(cur, scanExamine),
+		par:       findParSection(cur),
 		resumable: resumableScan(cur),
 	}, nil
 }
@@ -517,7 +475,7 @@ func resumableScan(n planNode) *scanNode {
 }
 
 // attr returns the base-table attribute a resolved column names.
-func (sc *selScope) attr(k colKey) relation.Attr { return sc.aliases[k.alias].Schema().Attr(k.col) }
+func (sc *selScope) attr(k colKey) relation.Attr { return sc.tables[k.pos].Schema().Attr(k.col) }
 
 // distinctOutput rejects an output list (select items, or GROUP BY columns)
 // that names one column twice: a result schema cannot hold both.
@@ -553,65 +511,72 @@ func (sc *selScope) outputSchema(refs []colKey, extra ...relation.Attr) *relatio
 	return relation.NewSchema(attrs...)
 }
 
-// accessFor picks the access path for one alias: the most selective covering
-// hash index when an equality-constant conjunct matches one, else a full
-// scan. The caller holds e.mu.
-func (e *Engine) accessFor(scope *selScope, a string) *aliasAccess {
-	base := scope.aliases[a]
-	m := e.meta[base.Name]
-	rows := float64(base.Len())
-	conds := scope.perAlias[a]
-	selv := 1.0
-	for _, c := range conds {
-		selv *= condSelectivity(m, c)
+// accessFor builds the scan of the alias at FROM position p: its pushed-down
+// conjuncts, with each literal replaced by its slot, and its access path — the
+// most selective covering hash index when equality-literal conjuncts match
+// one, else a full scan. The caller holds e.mu.
+func (e *Engine) accessFor(scope *selScope, p int) *scanNode {
+	base := scope.tables[p]
+	sn := &scanNode{
+		table: base.Name,
+		alias: scope.aliases[p],
+		pos:   p,
+		sch:   base.Schema(),
+		conds: scope.perAlias[p],
+		slots: scope.slots[p],
+		meta:  e.meta[base.Name],
+		rows:  float64(base.Len()),
 	}
-	acc := &aliasAccess{
-		alias: a, table: base.Name, sch: base.Schema(), conds: conds, meta: m,
-		examineEst: rows,
-		outEst:     math.Max(rows*selv, 0),
+	sn.examine = sn.rows
+	eqs := false
+	for k, c := range sn.conds {
+		if sn.slots[k] >= 0 {
+			sn.conds[k].Const = relation.Value{}
+			eqs = eqs || c.Op == relation.OpEq
+		}
 	}
-	pairs := scope.eqConsts[a]
-	if len(pairs) == 0 {
-		return acc
+	if !eqs {
+		return sn
 	}
 	var best *relation.Index
 	bestNDV := 0.0
 	for _, ix := range e.indexes[base.Name] {
-		if !indexCovered(ix, pairs) {
+		if !sn.eqCovers(ix.Cols()) {
 			continue
 		}
 		nd := 1.0
 		for _, col := range ix.Cols() {
-			nd *= float64(colNDV(m, col))
+			nd *= float64(colNDV(sn.meta, col))
 		}
 		if best == nil || nd > bestNDV {
 			best, bestNDV = ix, nd
 		}
 	}
 	if best == nil {
-		return acc
+		return sn
 	}
-	acc.idxCols = append([]int(nil), best.Cols()...)
-	acc.idxVals = make([]relation.Value, len(acc.idxCols))
-	for i, col := range acc.idxCols {
-		for _, p := range pairs {
-			if p[0].(int) == col {
-				acc.idxVals[i] = p[1].(relation.Value)
+	sn.idxCols = append([]int(nil), best.Cols()...)
+	sn.idxSlots = make([]int, len(sn.idxCols))
+	for i, col := range sn.idxCols {
+		for k, c := range sn.conds {
+			if sn.slots[k] >= 0 && c.Op == relation.OpEq && c.Left == col {
+				sn.idxSlots[i] = sn.slots[k]
 			}
 		}
 	}
 	if bestNDV > 0 {
-		acc.examineEst = rows / bestNDV
+		sn.examine = sn.rows / bestNDV
 	}
-	return acc
+	return sn
 }
 
-// indexCovered reports whether every indexed column has an equality pair.
-func indexCovered(ix *relation.Index, pairs [][2]any) bool {
-	for _, col := range ix.Cols() {
+// eqCovers reports whether every one of cols has an equality-literal
+// conjunct.
+func (n *scanNode) eqCovers(cols []int) bool {
+	for _, col := range cols {
 		found := false
-		for _, p := range pairs {
-			if p[0].(int) == col {
+		for k, c := range n.conds {
+			if n.slots[k] >= 0 && c.Op == relation.OpEq && c.Left == col {
 				found = true
 				break
 			}
@@ -621,6 +586,25 @@ func indexCovered(ix *relation.Index, pairs [][2]any) bool {
 		}
 	}
 	return true
+}
+
+// cond returns the scan's k-th conjunct with where's literal in its slot.
+func (n *scanNode) cond(k int, where []SQLCond) relation.Cond {
+	c := n.conds[k]
+	if s := n.slots[k]; s >= 0 {
+		c.Const = where[s].RightVal
+	}
+	return c
+}
+
+// outEst is the rows the scan emits under where's literals: its examined
+// extension times each pushed-down conjunct's selectivity.
+func (n *scanNode) outEst(where []SQLCond) float64 {
+	selv := 1.0
+	for k := range n.conds {
+		selv *= condSelectivity(n.meta, n.cond(k, where))
+	}
+	return math.Max(n.rows*selv, 0)
 }
 
 // colNDV returns the column's distinct-value estimate (a default guess of 10
@@ -696,17 +680,57 @@ func rangeSelectivity(acc *colAcc, op relation.CmpOp, v relation.Value) float64 
 	return 1.0 / 3
 }
 
-// joinStepSelectivity estimates the selectivity of the cross-alias conjuncts
-// that joining `next` into `joined` completes: 1/max(NDV) per equi-join, 1/3
-// per theta condition.
-func joinStepSelectivity(scope *selScope, accs map[string]*aliasAccess, joined map[string]bool, next string) float64 {
+// joinSearch is the join-order choice for one binding: each alias's examine
+// estimate (its scan's, a property of the shape) and output estimate (under
+// the binding's literals), indexed by FROM position. buildPlan makes the
+// choice and Plan.orderHolds repeats it for a later binding, through the same
+// code, so the two agree exactly.
+type joinSearch struct {
+	scans []*scanNode
+	cross []crossCond
+	outs  []float64
+
+	// Scratch: the aliases an order has joined so far, the order under
+	// consideration, and the best order found.
+	joined      []bool
+	order, best []int
+
+	bestCost, bestProbe float64
+}
+
+// joinBufs backs a joinSearch over up to joinEnumLimit aliases, so that
+// repeating the choice for a cache hit allocates nothing.
+type joinBufs struct {
+	outs        [joinEnumLimit]float64
+	joined      [joinEnumLimit]bool
+	order, best [joinEnumLimit]int
+}
+
+func newJoinSearch(scans []*scanNode, cross []crossCond, where []SQLCond, b *joinBufs) joinSearch {
+	n := len(scans)
+	js := joinSearch{scans: scans, cross: cross}
+	if n <= joinEnumLimit {
+		js.outs, js.joined, js.order, js.best = b.outs[:n], b.joined[:n], b.order[:n], b.best[:n]
+	} else {
+		js.outs, js.joined, js.order, js.best = make([]float64, n), make([]bool, n), make([]int, n), make([]int, n)
+	}
+	for p, sn := range scans {
+		js.outs[p] = sn.outEst(where)
+	}
+	return js
+}
+
+// step estimates the selectivity of the cross-alias conjuncts that joining
+// next into the joined aliases completes: 1/max(NDV) per equi-join, 1/3 per
+// theta condition.
+func (js *joinSearch) step(joined []bool, next int) float64 {
 	s := 1.0
-	for _, c := range scope.cross {
-		if !((c.la == next && joined[c.ra]) || (c.ra == next && joined[c.la])) {
+	for _, c := range js.cross {
+		if !((c.lp == next && joined[c.rp]) || (c.rp == next && joined[c.lp])) {
 			continue
 		}
 		if c.op == relation.OpEq {
-			d := float64(maxInt(colNDV(accs[c.la].meta, c.lc), colNDV(accs[c.ra].meta, c.rc)))
+			d := float64(maxInt(colNDV(js.scans[c.lp].meta, c.lc), colNDV(js.scans[c.rp].meta, c.rc)))
 			if d < 1 {
 				d = 1
 			}
@@ -718,61 +742,58 @@ func joinStepSelectivity(scope *selScope, accs map[string]*aliasAccess, joined m
 	return s
 }
 
-// joinOrderCost costs one left-deep order: each step pays the new alias's
-// access path, the probe stream, the build, and the estimated output.
-func joinOrderCost(scope *selScope, accs map[string]*aliasAccess, order []string) (cost, outRows float64) {
-	joined := map[string]bool{order[0]: true}
-	cost = accs[order[0]].examineEst
-	left := accs[order[0]].outEst
+// cost costs one left-deep order: each step pays the new alias's access
+// path, the probe stream, the build, and the estimated output.
+func (js *joinSearch) cost(order []int) (cost, outRows float64) {
+	clear(js.joined)
+	js.joined[order[0]] = true
+	cost = js.scans[order[0]].examine
+	left := js.outs[order[0]]
 	for _, a := range order[1:] {
-		b := accs[a]
-		out := left * b.outEst * joinStepSelectivity(scope, accs, joined, a)
-		cost += b.examineEst + left + b.outEst + out
+		out := left * js.outs[a] * js.step(js.joined, a)
+		cost += js.scans[a].examine + left + js.outs[a] + out
 		left = out
-		joined[a] = true
+		js.joined[a] = true
 	}
 	return cost, left
 }
 
-// chooseJoinOrder picks the cheapest left-deep order: exhaustively for up to
+// choose returns the cheapest left-deep order: exhaustively for up to
 // joinEnumLimit aliases, greedily beyond. Cost ties break toward the larger
-// first (probe) side so the big relation streams and small ones build.
-func (e *Engine) chooseJoinOrder(scope *selScope, accs map[string]*aliasAccess) []string {
-	n := len(scope.order)
+// first (probe) side so the big relation streams and small ones build. The
+// result is scratch, valid until the search is used again.
+func (js *joinSearch) choose() []int {
+	n := len(js.scans)
+	for p := range js.order {
+		js.order[p] = p
+	}
+	copy(js.best, js.order)
 	if n <= 1 {
-		return scope.order
+		return js.best
 	}
 	if n <= joinEnumLimit {
-		best := append([]string(nil), scope.order...)
-		bestCost, _ := joinOrderCost(scope, accs, best)
-		bestProbe := accs[best[0]].outEst
-		permutations(scope.order, func(p []string) {
-			c, _ := joinOrderCost(scope, accs, p)
-			probe := accs[p[0]].outEst
-			const eps = 1e-9
-			if c < bestCost-eps || (math.Abs(c-bestCost) <= eps && probe > bestProbe) {
-				bestCost, bestProbe = c, probe
-				copy(best, p)
-			}
-		})
-		return best
+		js.bestCost, _ = js.cost(js.best)
+		js.bestProbe = js.outs[js.best[0]]
+		js.permute(0)
+		return js.best
 	}
 	// Greedy: start from the largest filtered alias (it streams as the probe
 	// side), then repeatedly add the cheapest next step.
-	rest := append([]string(nil), scope.order...)
-	sort.SliceStable(rest, func(i, j int) bool { return accs[rest[i]].outEst > accs[rest[j]].outEst })
-	order := []string{rest[0]}
-	joined := map[string]bool{rest[0]: true}
-	left := accs[rest[0]].outEst
+	rest, outs := js.order, js.outs
+	slices.SortStableFunc(rest, func(a, b int) int { return cmp.Compare(outs[b], outs[a]) })
+	order := js.best[:0]
+	clear(js.joined)
+	order = append(order, rest[0])
+	js.joined[rest[0]] = true
+	left := js.outs[rest[0]]
 	rest = rest[1:]
 	for len(rest) > 0 {
 		bestI := 0
 		bestStep := math.Inf(1)
 		bestOut := 0.0
 		for i, a := range rest {
-			b := accs[a]
-			out := left * b.outEst * joinStepSelectivity(scope, accs, joined, a)
-			step := b.examineEst + left + b.outEst + out
+			out := left * js.outs[a] * js.step(js.joined, a)
+			step := js.scans[a].examine + left + js.outs[a] + out
 			if step < bestStep {
 				bestI, bestStep, bestOut = i, step, out
 			}
@@ -780,53 +801,31 @@ func (e *Engine) chooseJoinOrder(scope *selScope, accs map[string]*aliasAccess) 
 		a := rest[bestI]
 		rest = append(rest[:bestI], rest[bestI+1:]...)
 		order = append(order, a)
-		joined[a] = true
+		js.joined[a] = true
 		left = bestOut
 	}
 	return order
 }
 
-// permutations visits every permutation of items (the identity first).
-func permutations(items []string, visit func([]string)) {
-	perm := append([]string(nil), items...)
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(perm) {
-			visit(perm)
-			return
+// permute visits every order of js.order[k:] (the identity first), keeping
+// the cheapest in js.best.
+func (js *joinSearch) permute(k int) {
+	perm := js.order
+	if k == len(perm) {
+		c, _ := js.cost(perm)
+		probe := js.outs[perm[0]]
+		const eps = 1e-9
+		if c < js.bestCost-eps || (math.Abs(c-js.bestCost) <= eps && probe > js.bestProbe) {
+			js.bestCost, js.bestProbe = c, probe
+			copy(js.best, perm)
 		}
-		for i := k; i < len(perm); i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			rec(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
-		}
+		return
 	}
-	rec(0)
-}
-
-// scanDesc renders a scan node's EXPLAIN line.
-func scanDesc(acc *aliasAccess) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "scan %s", acc.table)
-	if acc.alias != acc.table {
-		fmt.Fprintf(&b, " AS %s", acc.alias)
+	for i := k; i < len(perm); i++ {
+		perm[k], perm[i] = perm[i], perm[k]
+		js.permute(k + 1)
+		perm[k], perm[i] = perm[i], perm[k]
 	}
-	if len(acc.idxCols) > 0 {
-		names := make([]string, len(acc.idxCols))
-		for i, c := range acc.idxCols {
-			names[i] = acc.sch.Attr(c).Name
-		}
-		fmt.Fprintf(&b, " via index(%s)", strings.Join(names, ", "))
-	}
-	if len(acc.conds) > 0 {
-		strs := make([]string, len(acc.conds))
-		for i, c := range acc.conds {
-			strs[i] = c.String(acc.sch)
-		}
-		fmt.Fprintf(&b, " where [%s]", strings.Join(strs, " AND "))
-	}
-	fmt.Fprintf(&b, " (examine~%.0f, emit~%.0f)", acc.examineEst, acc.outEst)
-	return b.String()
 }
 
 func maxInt(a, b int) int {

@@ -390,14 +390,32 @@ func TestPlanCache(t *testing.T) {
 		t.Fatalf("create index did not invalidate: misses %d -> %d", st2.Misses, st3.Misses)
 	}
 
-	// LRU: the cache never exceeds its capacity.
+	// Statements that differ only in a literal share one plan: one miss, then
+	// hits.
+	st3 := e.PlanCacheStats()
 	for i := 0; i < planCacheCap+20; i++ {
 		if _, _, err := e.ExecuteSQL(fmt.Sprintf("SELECT id FROM po WHERE id = %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := e.PlanCacheStats().Entries; n > planCacheCap {
-		t.Fatalf("cache entries = %d > cap %d", n, planCacheCap)
+	st4 := e.PlanCacheStats()
+	if misses, hits := st4.Misses-st3.Misses, st4.Hits-st3.Hits; misses != 1 || hits != planCacheCap+19 {
+		t.Fatalf("%d bindings of one shape: %d misses, %d hits; want 1 and %d", planCacheCap+20, misses, hits, planCacheCap+19)
+	}
+
+	// LRU: the cache never exceeds its capacity. LIMIT's count is part of
+	// the shape, so these are planCacheCap+20 shapes.
+	for i := 0; i < planCacheCap+20; i++ {
+		if _, _, err := e.ExecuteSQL(fmt.Sprintf("SELECT id FROM po LIMIT %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st5 := e.PlanCacheStats()
+	if misses := st5.Misses - st4.Misses; misses != planCacheCap+20 {
+		t.Fatalf("%d shapes: %d misses", planCacheCap+20, misses)
+	}
+	if st5.Entries > planCacheCap {
+		t.Fatalf("cache entries = %d > cap %d", st5.Entries, planCacheCap)
 	}
 }
 
@@ -475,23 +493,78 @@ func TestPlanCacheSurvivesInsertElsewhere(t *testing.T) {
 	}
 }
 
-// The cache key is a 64-bit hash of client-supplied text: a second statement
-// that collides with a cached one must miss, not be served the other's plan.
+// The cache key is a 64-bit hash of client-supplied statements: a statement
+// of another shape that collides with a cached one must miss, not be served
+// the other's plan, while one of the same shape with other literals is served
+// it.
 func TestPlanCacheKeyCollision(t *testing.T) {
 	c := newPlanCache(4)
 	const key = 42
-	a, b := &Plan{epoch: 1}, &Plan{epoch: 1}
-	current := func(*Plan) bool { return true }
-	c.put(key, "SELECT a FROM t", a)
-	if got := c.get(key, "SELECT a FROM t", current); got != a {
-		t.Fatalf("same text, same key: got %p, want the cached plan", got)
+	a := &Plan{epoch: 1, stmt: mustParseSelect(t, "SELECT a FROM t WHERE a = 1")}
+	b := &Plan{epoch: 1, stmt: mustParseSelect(t, "SELECT b FROM t WHERE a = 1")}
+	usable := func(*Plan) bool { return true }
+	c.put(key, a)
+	if got := c.get(key, mustParseSelect(t, "SELECT a FROM t WHERE a = 2"), usable); got != a {
+		t.Fatalf("same shape, same key: got %p, want the cached plan", got)
 	}
-	if got := c.get(key, "SELECT b FROM t", current); got != nil {
-		t.Fatal("different text under the same key was served the cached plan")
+	if got := c.get(key, b.stmt, usable); got != nil {
+		t.Fatal("a different shape under the same key was served the cached plan")
 	}
-	c.put(key, "SELECT b FROM t", b) // the miss's put replaces the entry
-	if c.get(key, "SELECT b FROM t", current) != b || c.get(key, "SELECT a FROM t", current) != nil || c.size() != 1 {
+	c.put(key, b) // the miss's put replaces the entry
+	if c.get(key, b.stmt, usable) != b || c.get(key, a.stmt, usable) != nil || c.size() != 1 {
 		t.Fatal("colliding put did not replace the entry")
+	}
+}
+
+// Shapes that differ in any part but a literal's value — the literal's kind,
+// LIMIT's count, an alias, a qualifier, an operator, a literal against a
+// column, DISTINCT, the order of items — have different shape keys, and
+// forced onto one key they never serve each other's plan.
+func TestPlanCacheShapeKeyCollision(t *testing.T) {
+	shapes := []string{
+		"SELECT a FROM t WHERE a = 1",
+		"SELECT a FROM t WHERE a = 1.5",
+		"SELECT a FROM t WHERE a = '1'",
+		"SELECT a FROM t WHERE a = NULL",
+		"SELECT a FROM t WHERE a = TRUE",
+		"SELECT a FROM t WHERE a = b",
+		"SELECT a FROM t WHERE a < 1",
+		"SELECT a FROM t WHERE t.a = 1",
+		"SELECT a FROM t WHERE a = 1 LIMIT 3",
+		"SELECT a FROM t WHERE a = 1 LIMIT 4",
+		"SELECT a FROM t AS u WHERE a = 1",
+		"SELECT DISTINCT a FROM t WHERE a = 1",
+		"SELECT a, b FROM t WHERE a = 1",
+		"SELECT b, a FROM t WHERE a = 1",
+		"SELECT a FROM t WHERE a = 1 AND b = 1",
+		"SELECT a FROM t WHERE a = 1 ORDER BY a",
+		"SELECT a, COUNT(*) FROM t WHERE a = 1 GROUP BY a",
+		"SELECT a, COUNT(a) FROM t WHERE a = 1 GROUP BY a",
+		"SELECT ab FROM t WHERE a = 1",
+		"SELECT a FROM tb WHERE a = 1",
+	}
+	keys := make(map[uint64]string)
+	for _, sql := range shapes {
+		k := mustParseSelect(t, sql).shapeKey()
+		if prev, dup := keys[k]; dup {
+			t.Fatalf("%q and %q share the shape key %x", prev, sql, k)
+		}
+		keys[k] = sql
+	}
+	usable := func(*Plan) bool { return true }
+	for i, si := range shapes {
+		c := newPlanCache(4)
+		p := &Plan{stmt: mustParseSelect(t, si)}
+		c.put(7, p)
+		for j, sj := range shapes {
+			got := c.get(7, mustParseSelect(t, sj), usable)
+			if i == j && got != p {
+				t.Fatalf("%q was not served its own plan", si)
+			}
+			if i != j && got != nil {
+				t.Fatalf("%q was served the plan of %q", sj, si)
+			}
+		}
 	}
 }
 

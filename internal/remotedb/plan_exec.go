@@ -8,16 +8,17 @@ import (
 )
 
 // Plan execution. A Plan is a reusable template; each execution gets a
-// planRun holding the base-table snapshots bound under the engine lock and
-// the server-op counter. The iterator tree itself is built lazily on the
-// first pull (outside the lock — snapshots are immutable), so opening a
-// stream is cheap and first-tuple latency pays only for the blocking prefix
-// (hash-join builds, sorts, aggregation) the plan actually contains.
+// planRun holding the base-table snapshots and the statement's literals bound
+// under the engine lock, and the server-op counter. The iterator tree itself
+// is built lazily on the first pull (outside the lock — snapshots are
+// immutable), so opening a stream is cheap and first-tuple latency pays only
+// for the blocking prefix (hash-join builds, sorts, aggregation) the plan
+// actually contains.
 
 // planRun is the per-execution state of a plan.
 type planRun struct {
 	ops   int64
-	scans map[*scanNode]scanBinding
+	scans []scanBinding // by FROM position (scanNode.pos)
 	// analyze, when non-nil, collects per-node actuals (rows emitted,
 	// inclusive wall time, scan rows examined) for EXPLAIN ANALYZE. It is nil
 	// on ordinary executions, so the hot path pays nothing.
@@ -51,14 +52,17 @@ func (run *planRun) actualFor(n planNode) *nodeActual {
 	return na
 }
 
-// scanBinding is a scan's snapshot of the live catalog: the table extension
-// and, for an index access path, the index (nil when it has been
-// invalidated — the scan then falls back to filtering the full extension,
-// which is always correct because the scan's conds include the equality
-// predicates the index served).
+// scanBinding is a scan's snapshot of the live catalog and its literals:
+// the table extension; for an index access path, the index (nil when it has
+// been invalidated — the scan then falls back to filtering the full
+// extension, which is always correct because the scan's conds include the
+// equality predicates the index served) and its key; and the scan's
+// conditions with the statement's literals in their slots.
 type scanBinding struct {
-	rows []relation.Tuple
-	ix   *relation.Index
+	rows  []relation.Tuple
+	ix    *relation.Index
+	key   []relation.Value
+	conds []relation.Cond
 }
 
 // counted wraps an iterator so every pulled tuple counts as one server-side
@@ -105,26 +109,26 @@ func (run *planRun) open(n planNode) relation.Iterator {
 	return n.open(run)
 }
 
-// open binds the plan to the catalog it was compiled against: the caller
-// holds e.mu and has just fetched a current p or built it (openPlan),
-// so every table the plan names exists and no mutation can fall between the
-// plan and the snapshots bound here. With analyze set, the run records
-// per-node actuals. A streamed open of a resumable plan is always serial and
-// mints the resume token for the snapshot it bound; otherwise, when the plan
-// has a parallel section and the open-time DOP decision picks parallelism,
-// the run carries a parExec.
-func (p *Plan) open(ctx context.Context, e *Engine, analyze, streamed bool) *PlanStream {
-	run := &planRun{scans: make(map[*scanNode]scanBinding)}
+// open binds the plan to the catalog it was compiled against and to where,
+// the WHERE of a statement of its shape whose binding chooses its join order:
+// the caller holds e.mu and has just fetched a current p or built it
+// (openPlan), so every table the plan names exists and no mutation can fall
+// between the plan and the snapshots bound here. With analyze set, the run
+// records per-node actuals. A streamed open of a resumable plan is always
+// serial and mints the resume token for the snapshot it bound; otherwise, when
+// the plan has a parallel section and the open-time DOP decision picks
+// parallelism, the run carries a parExec.
+func (p *Plan) open(ctx context.Context, e *Engine, where []SQLCond, analyze, streamed bool) *PlanStream {
+	run := &planRun{scans: p.bind(e, where)}
 	if analyze {
 		run.analyze = make(map[planNode]*nodeActual)
 	}
-	bindScans(p.root, e, run)
 	ps := &PlanStream{plan: p, run: run}
 	if sn := p.resumable; sn != nil && streamed {
 		ps.token = ResumeToken{
 			Table:   sn.table,
 			Version: e.versions[sn.table],
-			SnapLen: int64(len(run.scans[sn].rows)),
+			SnapLen: int64(len(run.scans[sn.pos].rows)),
 		}
 	} else if p.par != nil {
 		if dop := e.planDOP(p); dop > 1 {
@@ -144,43 +148,49 @@ func (p *Plan) open(ctx context.Context, e *Engine, analyze, streamed bool) *Pla
 	return ps
 }
 
-func bindScans(n planNode, e *Engine, run *planRun) {
-	if sn, ok := n.(*scanNode); ok {
-		b := scanBinding{rows: e.tables[sn.table].Tuples()}
-		if len(sn.idxCols) > 0 {
-			for _, ix := range e.indexes[sn.table] {
-				if sameCols(ix.Cols(), sn.idxCols) {
-					b.ix = ix
-					break
-				}
+// bind resolves every scan against the catalog and where's literals. Serial
+// runs and morsel workers read the same bindings. The conditions of all scans
+// share one arena and their index keys another, so a run binds in at most
+// three allocations however many scans its plan has.
+func (p *Plan) bind(e *Engine, where []SQLCond) []scanBinding {
+	bs := make([]scanBinding, len(p.scans))
+	nconds, nkeys := 0, 0
+	for _, sn := range p.scans {
+		nconds += len(sn.conds)
+		nkeys += len(sn.idxSlots)
+	}
+	conds := make([]relation.Cond, 0, nconds)
+	keys := make([]relation.Value, 0, nkeys)
+	for i, sn := range p.scans {
+		b := &bs[i]
+		b.rows = e.tables[sn.table].Tuples()
+		for k := range sn.conds {
+			conds = append(conds, sn.cond(k, where))
+		}
+		b.conds = conds[len(conds)-len(sn.conds) : len(conds) : len(conds)]
+		if len(sn.idxCols) == 0 {
+			continue
+		}
+		for _, ix := range e.indexes[sn.table] {
+			if ix.Covers(sn.idxCols) {
+				b.ix = ix
+				break
 			}
 		}
-		run.scans[sn] = b
-		return
-	}
-	for _, c := range n.children() {
-		bindScans(c, e, run)
-	}
-}
-
-func sameCols(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		for _, s := range sn.idxSlots {
+			keys = append(keys, where[s].RightVal)
 		}
+		b.key = keys[len(keys)-len(sn.idxSlots) : len(keys) : len(keys)]
 	}
-	return true
+	return bs
 }
 
 // boundRows is what scan n reads on this run: the index lookup when the
 // access path survived binding, else the whole snapshot.
 func (run *planRun) boundRows(n *scanNode) []relation.Tuple {
-	b := run.scans[n]
+	b := run.scans[n.pos]
 	if b.ix != nil {
-		return b.ix.Lookup(n.idxVals)
+		return b.ix.Lookup(b.key)
 	}
 	return b.rows
 }
@@ -205,7 +215,7 @@ func (n *scanNode) open(run *planRun) relation.Iterator {
 			return t, ok
 		})
 	}
-	return relation.Select(src, n.conds)
+	return relation.Select(src, run.scans[n.pos].conds)
 }
 
 // open probes a worker's prebuilt table (built once for the pool, so the
@@ -370,22 +380,17 @@ func (s *PlanStream) Close() error {
 	return nil
 }
 
-// planFor returns the cached plan for sel, compiling (and caching) it on a
-// miss. Stale entries (planCurrentLocked) count as misses. hit reports a
-// cache hit (the slow-query log and EXPLAIN ANALYZE header surface it).
-func (e *Engine) planFor(ctx context.Context, sel *SelectStmt) (p *Plan, hit bool, err error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.planForLocked(ctx, sel)
-}
-
-// planForLocked is planFor for a caller that holds e.mu: the catalog cannot
-// move, so the plan it returns is current until the caller lets go.
+// planForLocked returns the plan for sel's shape, compiling (and caching) it
+// on a miss, for a caller that holds e.mu: the catalog cannot move, so the
+// plan it returns is current until the caller lets go. A cached plan is
+// served when it is current (planCurrentLocked) and sel's binding chooses its
+// join order (Plan.orderHolds); either failing counts as a miss, and the
+// plan compiled for sel replaces it. hit reports a cache hit (the slow-query
+// log and EXPLAIN ANALYZE header surface it).
 func (e *Engine) planForLocked(ctx context.Context, sel *SelectStmt) (p *Plan, hit bool, err error) {
 	_, probe := e.tracer.Load().Start(ctx, "engine.plancache")
-	text := sel.String()
-	key := StatementHash(text)
-	if p := e.plans.get(key, text, e.planCurrentLocked); p != nil {
+	key := sel.shapeKey()
+	if p := e.plans.get(key, sel, func(p *Plan) bool { return e.planCurrentLocked(p) && p.orderHolds(sel.Where) }); p != nil {
 		e.planHits.Add(1)
 		probe.Set("hit", "true")
 		probe.End()
@@ -400,14 +405,40 @@ func (e *Engine) planForLocked(ctx context.Context, sel *SelectStmt) (p *Plan, h
 	if err != nil {
 		return nil, false, err
 	}
-	e.plans.put(key, text, p)
+	e.plans.put(key, p)
 	return p, false, nil
+}
+
+// ownPlanLocked returns the plan sel runs, carrying sel's own estimates and
+// literals, for the reports that show them (EXPLAIN, EXPLAIN ANALYZE,
+// PlanForSQL): on a miss the plan just compiled from sel; on a hit a private
+// compile of sel, the same tree by the plan-per-shape invariant, stamped with
+// the served plan's tick. The caller holds e.mu.
+func (e *Engine) ownPlanLocked(ctx context.Context, sel *SelectStmt) (p *Plan, hit bool, err error) {
+	p, hit, err = e.planForLocked(ctx, sel)
+	if err != nil || !hit {
+		return p, hit, err
+	}
+	own, err := e.buildPlan(sel)
+	if err != nil {
+		return nil, false, err
+	}
+	own.epoch = p.epoch
+	return own, true, nil
+}
+
+// planFor is ownPlanLocked under the read lock.
+func (e *Engine) planFor(sel *SelectStmt) (*Plan, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	p, _, err := e.ownPlanLocked(context.Background(), sel)
+	return p, err
 }
 
 // PlanForSQL compiles (or fetches from the plan cache) the plan for a
 // SELECT statement without executing it. It is the programmatic face of
 // EXPLAIN: experiments and tooling use it to read the optimizer's cost
-// estimate and plan shape.
+// estimate and plan shape, which are the estimates of src itself.
 func (e *Engine) PlanForSQL(src string) (*Plan, error) {
 	st, err := ParseSQL(src)
 	if err != nil {
@@ -416,24 +447,30 @@ func (e *Engine) PlanForSQL(src string) (*Plan, error) {
 	if st.Select == nil {
 		return nil, errNotSelect
 	}
-	p, _, err := e.planFor(context.Background(), st.Select)
-	return p, err
+	return e.planFor(st.Select)
 }
 
-// openPlan fetches-or-builds the plan for sel and binds it to the catalog
-// under one hold of the read lock, so a concurrent mutation lands before the
-// plan or after the bind, never between them: an open cannot lose a race with
-// writers however fast they come. With analyze set the returned stream
-// records per-node actuals; streamed marks an open whose consumer pulls the
-// stream itself (Plan.open).
+// openPlan fetches-or-builds the plan for sel and binds it to the catalog and
+// sel's literals under one hold of the read lock, so a concurrent mutation
+// lands before the plan or after the bind, never between them: an open cannot
+// lose a race with writers however fast they come. With analyze set the
+// returned stream records per-node actuals against sel's own estimates;
+// streamed marks an open whose consumer pulls the stream itself (Plan.open).
 func (e *Engine) openPlan(ctx context.Context, sel *SelectStmt, analyze, streamed bool) (*PlanStream, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	p, hit, err := e.planForLocked(ctx, sel)
+	var p *Plan
+	var hit bool
+	var err error
+	if analyze {
+		p, hit, err = e.ownPlanLocked(ctx, sel)
+	} else {
+		p, hit, err = e.planForLocked(ctx, sel)
+	}
 	if err != nil {
 		return nil, err
 	}
-	ps := p.open(ctx, e, analyze, streamed)
+	ps := p.open(ctx, e, sel.Where, analyze, streamed)
 	ps.cached = hit
 	return ps, nil
 }

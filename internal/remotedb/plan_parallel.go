@@ -55,9 +55,6 @@ type parSection struct {
 	joins  []*joinNode // equi-joins along the spine, bottom-up (build sides partition-built)
 	top    planNode    // top of the worker pipeline (excluding agg)
 	agg    *aggNode    // non-nil: workers accumulate partials, the consumer merges
-	// estRows is the driver's examine estimate at plan time, the input to
-	// the optimizer's serial/parallel threshold.
-	estRows float64
 }
 
 // boundary is the node whose output the stream's run reads from the workers
@@ -82,7 +79,7 @@ func (s *parSection) boundary() planNode {
 // join keeps the plan serial too (its build side has no key to partition
 // by), and so does a blocking operator inside the chain (a wide sort below
 // the projection), which would end the pipeline below its top.
-func findParSection(root planNode, examine map[*scanNode]float64) *parSection {
+func findParSection(root planNode) *parSection {
 	n := root
 	sawLimit := false
 unwrap:
@@ -125,7 +122,6 @@ unwrap:
 			n = t.left
 		case *scanNode:
 			sec.driver = t
-			sec.estRows = examine[t]
 			for i, j := 0, len(sec.joins)-1; i < j; i, j = i+1, j-1 {
 				sec.joins[i], sec.joins[j] = sec.joins[j], sec.joins[i]
 			}
@@ -137,8 +133,9 @@ unwrap:
 }
 
 // planDOP is the open-time half of the DOP decision: the configured worker
-// bound, gated by the optimizer's row threshold. The morsel count clamps it
-// further once the driver snapshot is bound (parExec.start).
+// bound, gated by the optimizer's row threshold on the driver's examine
+// estimate (rows, or rows/NDV: no literal moves it). The morsel count clamps
+// it further once the driver snapshot is bound (parExec.start).
 func (e *Engine) planDOP(p *Plan) int {
 	if p.par == nil {
 		return 1
@@ -147,7 +144,7 @@ func (e *Engine) planDOP(p *Plan) int {
 	if dop <= 1 {
 		return 1
 	}
-	if p.par.estRows < float64(e.ParallelMinRows()) {
+	if p.par.driver.examine < float64(e.ParallelMinRows()) {
 		return 1
 	}
 	return dop
@@ -157,11 +154,13 @@ func (e *Engine) planDOP(p *Plan) int {
 // read by the consumer after the worker pool has drained (the exchange close
 // and the merge both happen after wg.Wait, so the reads are ordered). They
 // feed EXPLAIN ANALYZE's per-worker lines, where partition skew shows up as
-// unbalanced rows/ops across workers.
+// unbalanced rows/ops across workers, and, on an analyzed run, its per-node
+// actuals inside the section (mergeActuals).
 type parWorkerStats struct {
 	rows    int64 // tuples the worker's pipeline emitted
 	ops     int64 // tuple operations charged by the worker
 	morsels int64 // morsels claimed
+	analyze map[planNode]*nodeActual
 }
 
 // parExec is the per-execution state of a morsel-parallel plan run.
@@ -279,7 +278,19 @@ func (px *parExec) runWorker(w int) {
 	defer sp.End()
 	ws := &px.workers[w]
 	run := &planRun{scans: px.run.scans, par: px, worker: ws}
-	var in relation.Iterator = relation.NewGuardIterator(run.openNode(px.sec.top), relation.DefaultGuardEvery, px.ctx.Err)
+	if px.run.analyze != nil {
+		run.analyze = make(map[planNode]*nodeActual)
+		ws.analyze = run.analyze
+	}
+	var top relation.Iterator
+	if px.sec.agg != nil {
+		top = run.openNode(px.sec.top)
+	} else {
+		// The top is the boundary: its actuals are what the exchange
+		// delivered, recorded on the stream's run.
+		top = run.open(px.sec.top)
+	}
+	var in relation.Iterator = relation.NewGuardIterator(top, relation.DefaultGuardEvery, px.ctx.Err)
 	var acc *relation.AggAccum
 	if agg := px.sec.agg; agg != nil {
 		acc = relation.NewAggAccum(agg.groupCols, agg.specs)
@@ -366,6 +377,20 @@ func (px *parExec) finish() {
 func (px *parExec) shutdown() {
 	px.cancel()
 	px.wg.Wait()
+}
+
+// mergeActuals adds every worker's per-node actuals into the stream's run, so
+// a node inside the section reports the rows and ops it would at dop 1. Call
+// after the pool has drained.
+func (px *parExec) mergeActuals() {
+	for i := range px.workers {
+		for n, wa := range px.workers[i].analyze {
+			na := px.run.actualFor(n)
+			na.rows += wa.rows
+			na.examined += wa.examined
+			na.wallNS += wa.wallNS
+		}
+	}
 }
 
 // workerLines renders the per-worker actuals for EXPLAIN ANALYZE: skewed

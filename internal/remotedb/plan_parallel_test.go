@@ -79,20 +79,23 @@ func leakBracket(t *testing.T, before int) {
 	}
 }
 
+// parallelCorpus is the morsel-parallel suite's statements over
+// newParallelEngine's tables; only the first has a resumable shape.
+var parallelCorpus = []string{
+	"SELECT id, v FROM big WHERE g < 11",
+	"SELECT big.id, dim.dname FROM big, dim WHERE big.g = dim.g AND big.v < 700.0",
+	"SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM big GROUP BY g ORDER BY g",
+	"SELECT COUNT(*), SUM(v) FROM big",
+	"SELECT DISTINCT g FROM big WHERE v > 100.0",
+	"SELECT dim.dname, COUNT(*) FROM big, dim WHERE big.g = dim.g GROUP BY dim.dname ORDER BY dname",
+}
+
 // Parallel scan/join/agg results must equal the serial planner's on a table
 // big enough for genuine multi-morsel concurrency, and the parallel-stream
 // counters must move.
 func TestParallelExecutionMatchesSerial(t *testing.T) {
 	e := newParallelEngine(t, 4000)
-	queries := []string{
-		"SELECT id, v FROM big WHERE g < 11",
-		"SELECT big.id, dim.dname FROM big, dim WHERE big.g = dim.g AND big.v < 700.0",
-		"SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM big GROUP BY g ORDER BY g",
-		"SELECT COUNT(*), SUM(v) FROM big",
-		"SELECT DISTINCT g FROM big WHERE v > 100.0",
-		"SELECT dim.dname, COUNT(*) FROM big, dim WHERE big.g = dim.g GROUP BY dim.dname ORDER BY dname",
-	}
-	for _, sql := range queries {
+	for _, sql := range parallelCorpus {
 		t.Run(sql, func(t *testing.T) {
 			e.SetParallelism(1)
 			want, serialOps, err := e.ExecuteSQL(sql)
@@ -126,7 +129,7 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 				t.Fatal("pipeline declined")
 			}
 			defer ps.Close()
-			resumable := sql == queries[0]
+			resumable := sql == parallelCorpus[0]
 			if hasToken := ps.ResumeToken().Table != ""; hasToken != resumable || (ps.DOP() == 1) != resumable {
 				t.Fatalf("streamed: token=%v dop=%d, want resumable=%v", hasToken, ps.DOP(), resumable)
 			}
@@ -341,13 +344,15 @@ func TestExplainAnalyzeShowsWorkers(t *testing.T) {
 }
 
 // At dop > 1 the operators above the parallel section run on the stream's
-// own run, opened like a serial run's, so EXPLAIN ANALYZE reports their
-// actuals, and the section boundary's (the rows the workers delivered), with
-// the same rows as the dop-1 run, under a header charging the same ops.
+// own run, opened like a serial run's, and those inside it on the workers'
+// runs, whose actuals merge into the stream's once the pool drains. So
+// EXPLAIN ANALYZE reports every node — above the section, its boundary, and
+// inside it down to the driver scan — with the same rows and ops as the dop-1
+// run, under a header charging the same ops.
 func TestExplainAnalyzeParallelReportsConsumerSide(t *testing.T) {
 	e := newParallelEngine(t, 4000)
 	forcePar(e, 4)
-	actualRows := regexp.MustCompile(`\(actual rows (\d+),`)
+	actuals := regexp.MustCompile(`\(actual rows (\d+), ops (\d+),`)
 	headerOps := regexp.MustCompile(`\| ops (\d+) \|`)
 	analyze := func(sql string, dop int) (header string, nodes []string) {
 		t.Helper()
@@ -368,6 +373,8 @@ func TestExplainAnalyzeParallelReportsConsumerSide(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT g, COUNT(*) FROM big GROUP BY g ORDER BY g LIMIT 5",
 		"SELECT DISTINCT dim.dname FROM big, dim WHERE big.g = dim.g",
+		"SELECT g, COUNT(*) FROM big WHERE id >= 100 GROUP BY g",
+		"SELECT big.id, dim.dname FROM big, dim WHERE big.g = dim.g AND big.v < 700.0",
 	} {
 		t.Run(sql, func(t *testing.T) {
 			p, err := e.PlanForSQL(sql)
@@ -377,15 +384,6 @@ func TestExplainAnalyzeParallelReportsConsumerSide(t *testing.T) {
 			if p.par == nil {
 				t.Fatal("shape not parallel eligible")
 			}
-			// The nodes above the section form a chain from the root, so they
-			// and the boundary are the first plan lines.
-			above := 0
-			for n := p.root; n != p.par.boundary(); n = n.children()[0] {
-				above++
-			}
-			if above == 0 {
-				t.Fatal("no operator above the section")
-			}
 			serialHeader, serial := analyze(sql, 1)
 			parHeader, par := analyze(sql, 4)
 			if !strings.Contains(parHeader, "| dop 4") {
@@ -394,13 +392,16 @@ func TestExplainAnalyzeParallelReportsConsumerSide(t *testing.T) {
 			if got, want := headerOps.FindString(parHeader), headerOps.FindString(serialHeader); got == "" || got != want {
 				t.Fatalf("header ops: dop 4 %q, dop 1 %q", got, want)
 			}
-			for i := 0; i <= above; i++ {
-				got, want := actualRows.FindStringSubmatch(par[i]), actualRows.FindStringSubmatch(serial[i])
+			if len(par) != len(serial) {
+				t.Fatalf("dop 4 renders %d nodes, dop 1 %d", len(par), len(serial))
+			}
+			for i := range par {
+				got, want := actuals.FindStringSubmatch(par[i]), actuals.FindStringSubmatch(serial[i])
 				if got == nil {
 					t.Fatalf("dop 4 line %q carries no actuals", par[i])
 				}
-				if want == nil || got[1] != want[1] {
-					t.Fatalf("dop 4 line %q, dop 1 line %q: rows differ", par[i], serial[i])
+				if want == nil || got[1] != want[1] || got[2] != want[2] {
+					t.Fatalf("dop 4 line %q, dop 1 line %q: rows or ops differ", par[i], serial[i])
 				}
 			}
 		})

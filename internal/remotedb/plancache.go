@@ -2,14 +2,25 @@ package remotedb
 
 import "sync"
 
-// The plan cache maps canonical statement text (hashed with StatementHash)
-// to compiled Plans. A plan carries the clock tick it was built at and is
-// served while it is still current (Engine.planCurrentLocked): no DDL since,
-// and no table it reads at a newer version. An insert into one table
-// therefore drops, lazily on their next lookup, exactly the plans that read
-// it — their index snapshots and statistics moved — and no others. Eviction
-// is least-recently-used over a small fixed capacity — the cache exists to
-// make repeated statements cheap, not to remember every statement ever seen.
+// The plan cache holds one compiled Plan per statement shape: the statement
+// with each WHERE literal replaced by its kind (SelectStmt.shapeKey, an FNV
+// hash over the AST, so a lookup renders nothing). Statements that differ only
+// in their constants share an entry; each execution binds its own literals
+// into the shared, immutable plan (Plan.bind). An entry is served to a
+// statement when
+//
+//   - its shape is the statement's (sameShape: a 64-bit key collision is a
+//     miss, found without allocating);
+//   - it is still current (Engine.planCurrentLocked): no DDL since its clock
+//     tick, and no table it reads at a newer version — an insert into one
+//     table drops, lazily on their next lookup, exactly the plans that read
+//     it, since their index snapshots and statistics moved;
+//   - the statement's literals choose the plan's join order
+//     (Plan.orderHolds), the one plan decision a literal's value can move.
+//
+// Anything else is a miss, whose compile replaces the entry. Eviction is
+// least-recently-used over a small fixed capacity — the cache exists to make
+// repeated shapes cheap, not to remember every shape ever seen.
 
 // planCacheCap bounds the number of cached plans per engine.
 const planCacheCap = 256
@@ -22,11 +33,7 @@ type planCache struct {
 }
 
 type planEntry struct {
-	p *Plan
-	// text is the canonical statement the plan was compiled from. The key is
-	// a 64-bit hash of client-supplied text, so a hit must compare it: two
-	// statements that collide would otherwise be served each other's plan.
-	text string
+	p    *Plan
 	used uint64
 }
 
@@ -34,17 +41,17 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, entries: make(map[uint64]*planEntry)}
 }
 
-// get returns the cached plan for text if current reports it still valid,
-// dropping (and missing on) a stale entry. A key collision with another
-// statement is a miss; the caller's put then replaces the entry.
-func (c *planCache) get(key uint64, text string, current func(*Plan) bool) *Plan {
+// get returns the cached plan for sel's shape if usable accepts it, dropping
+// (and missing on) an entry it refuses. A key collision with another shape is
+// a miss; the caller's put then replaces the entry.
+func (c *planCache) get(key uint64, sel *SelectStmt, usable func(*Plan) bool) *Plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	en := c.entries[key]
-	if en == nil || en.text != text {
+	if en == nil || !sameShape(en.p.stmt, sel) {
 		return nil
 	}
-	if !current(en.p) {
+	if !usable(en.p) {
 		delete(c.entries, key)
 		return nil
 	}
@@ -53,7 +60,9 @@ func (c *planCache) get(key uint64, text string, current func(*Plan) bool) *Plan
 	return en.p
 }
 
-func (c *planCache) put(key uint64, text string, p *Plan) {
+// put caches p under key, the shape key of the statement it was compiled
+// from.
+func (c *planCache) put(key uint64, p *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok && len(c.entries) >= c.cap {
@@ -68,7 +77,7 @@ func (c *planCache) put(key uint64, text string, p *Plan) {
 		delete(c.entries, lruKey)
 	}
 	c.tick++
-	c.entries[key] = &planEntry{p: p, text: text, used: c.tick}
+	c.entries[key] = &planEntry{p: p, used: c.tick}
 }
 
 func (c *planCache) size() int {
@@ -81,16 +90,13 @@ func (c *planCache) size() int {
 // compiled against has moved. A DDL can drop an index p probes or replace a
 // table it scans; a data change to a table p reads drops that table's index
 // snapshots and shifts the statistics p was costed with. A change to any
-// other table touches nothing p depends on. The tables p reads are its scan
-// nodes, which nodeEst holds with every other node (buildPlan stamps each as
-// it is built), so checking them costs no field and no allocation. The
-// caller holds e.mu.
+// other table touches nothing p depends on. The caller holds e.mu.
 func (e *Engine) planCurrentLocked(p *Plan) bool {
 	if e.ddlEpoch > p.epoch {
 		return false
 	}
-	for n := range p.nodeEst {
-		if sn, ok := n.(*scanNode); ok && e.versions[sn.table] > p.epoch {
+	for _, sn := range p.scans {
+		if e.versions[sn.table] > p.epoch {
 			return false
 		}
 	}

@@ -31,12 +31,11 @@ func (e *Engine) referenceSelect(sel *SelectStmt) (*relation.Relation, int64, er
 	var ops int64
 	var wide *relation.Relation
 	var wideAttrs []relation.Attr // base attributes by wide position
-	offset := make(map[string]int, len(scope.order))
-	for _, a := range scope.order {
-		base := scope.aliases[a]
+	offset := make([]int, len(scope.tables))
+	for p, base := range scope.tables {
 		ops += int64(base.Len())
-		rows := relation.SelectRel(base, scope.perAlias[a])
-		offset[a] = len(wideAttrs)
+		rows := relation.SelectRel(base, scope.perAlias[p])
+		offset[p] = len(wideAttrs)
 		wideAttrs = append(wideAttrs, base.Schema().Attrs()...)
 		if wide == nil {
 			wide = rows
@@ -46,13 +45,13 @@ func (e *Engine) referenceSelect(sel *SelectStmt) (*relation.Relation, int64, er
 	}
 	var conds []relation.Cond
 	for _, c := range scope.cross {
-		conds = append(conds, relation.ColCol(offset[c.la]+c.lc, c.op, offset[c.ra]+c.rc))
+		conds = append(conds, relation.ColCol(offset[c.lp]+c.lc, c.op, offset[c.rp]+c.rc))
 	}
 	wide = relation.SelectRel(wide, conds)
 
 	widePos := func(c ColRef) (int, error) {
-		a, i, err := scope.resolve(c)
-		return offset[a] + i, err
+		p, i, err := scope.resolve(c)
+		return offset[p] + i, err
 	}
 	// outputSchema names the columns at the given wide positions, then extra,
 	// the way a join materialized in that order would: a repeated name takes

@@ -68,14 +68,10 @@ var ErrResumeToken = errors.New("remotedb: bad resume token")
 
 // StatementHash hashes a statement's text (FNV-1a) for resume-token identity.
 func StatementHash(sql string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(sql); i++ {
 		h ^= uint64(sql[i])
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return h
 }

@@ -389,6 +389,45 @@ func TestResumeSQLStreamRefusals(t *testing.T) {
 	}
 }
 
+// A resume token belongs to its statement's text, literals included: two
+// statements of one shape share a cached plan, but a token minted for
+// sid = 7 is refused for sid = 8 (the plan cache hit notwithstanding), and
+// honoured for sid = 7.
+func TestResumeTokenRefusedForAnotherLiteral(t *testing.T) {
+	e := NewEngine()
+	if _, _, err := e.ExecuteSQL("CREATE TABLE sh (sid INT, qty INT)"); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for i := 0; i < 40; i++ {
+		rows = append(rows, fmt.Sprintf("(%d,%d)", 7+i%2, i))
+	}
+	if _, _, err := e.ExecuteSQL("INSERT INTO sh VALUES " + strings.Join(rows, ",")); err != nil {
+		t.Fatal(err)
+	}
+	const seven, eight = "SELECT qty FROM sh WHERE sid = 7", "SELECT qty FROM sh WHERE sid = 8"
+	sc, ok := e.ExecuteSQLStream(seven)
+	if !ok {
+		t.Fatalf("%q not streamable", seven)
+	}
+	want := drainScan(sc)
+	tok := sc.ResumeToken()
+	hits := e.PlanCacheStats().Hits
+	if _, ok := resumeSQLStream(e, eight, tok, 5); ok {
+		t.Fatal("a token minted for sid = 7 was honoured for sid = 8")
+	}
+	if e.PlanCacheStats().Hits != hits+1 {
+		t.Fatal("sid = 8 did not share the plan of sid = 7")
+	}
+	resumed, ok := resumeSQLStream(e, seven, tok, 5)
+	if !ok {
+		t.Fatal("the token was refused for its own statement")
+	}
+	if got := drainScan(resumed); !equalStrings(got, want[5:]) {
+		t.Fatalf("resumed sid = 7 delivered %v, want %v", got, want[5:])
+	}
+}
+
 // TestPoolStreamResumeServerSide drives the wire path by hand: establish a
 // stream, consume part of it, sever the connection, then re-issue with the
 // header's token — the server must skip the delivered prefix (Resumed=true)

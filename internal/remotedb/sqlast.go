@@ -2,6 +2,7 @@ package remotedb
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -138,6 +139,118 @@ func sqlLiteral(v relation.Value) string {
 		return s
 	}
 	return v.String()
+}
+
+// shapeKey hashes the statement's shape, FNV-1a over a walk of the AST:
+// everything but the values of its WHERE literals, each of which contributes
+// only its kind. LIMIT's count is part of the shape. Two statements of one
+// shape compile to one plan up to the join order (Plan.orderHolds); sameShape
+// is the exact test the 64-bit key stands in for.
+func (s *SelectStmt) shapeKey() uint64 {
+	h := shapeHash(fnvOffset64)
+	h.flag(s.Distinct)
+	h.int(s.Limit)
+	h.int(len(s.Items))
+	for _, it := range s.Items {
+		h.flag(it.Star)
+		h.flag(it.IsAgg)
+		h.int(int(it.Agg))
+		h.flag(it.AggStar)
+		h.col(it.Col)
+	}
+	h.int(len(s.From))
+	for _, t := range s.From {
+		h.str(t.Table)
+		h.str(t.Alias)
+	}
+	h.int(len(s.Where))
+	for _, c := range s.Where {
+		h.col(c.Left)
+		h.int(int(c.Op))
+		h.flag(c.RightIsCol)
+		if c.RightIsCol {
+			h.col(c.RightCol)
+		} else {
+			h.int(int(c.RightVal.Kind()))
+		}
+	}
+	h.cols(s.GroupBy)
+	h.cols(s.OrderBy)
+	return uint64(h)
+}
+
+// sameShape reports whether a and b differ at most in the values of their
+// WHERE literals: it compares exactly what shapeKey hashes.
+func sameShape(a, b *SelectStmt) bool {
+	if a.Distinct != b.Distinct || a.Limit != b.Limit || len(a.Items) != len(b.Items) ||
+		len(a.From) != len(b.From) || len(a.Where) != len(b.Where) ||
+		!slices.Equal(a.GroupBy, b.GroupBy) || !slices.Equal(a.OrderBy, b.OrderBy) {
+		return false
+	}
+	for i := range a.Items {
+		if a.Items[i] != b.Items[i] {
+			return false
+		}
+	}
+	for i := range a.From {
+		if a.From[i] != b.From[i] {
+			return false
+		}
+	}
+	for i, c := range a.Where {
+		d := b.Where[i]
+		if c.Left != d.Left || c.Op != d.Op || c.RightIsCol != d.RightIsCol {
+			return false
+		}
+		if c.RightIsCol && c.RightCol != d.RightCol || !c.RightIsCol && c.RightVal.Kind() != d.RightVal.Kind() {
+			return false
+		}
+	}
+	return true
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// shapeHash is an FNV-1a state. Strings are length-prefixed, so no two
+// different walks feed it the same bytes.
+type shapeHash uint64
+
+func (h *shapeHash) byte(b byte) { *h = (*h ^ shapeHash(b)) * fnvPrime64 }
+
+func (h *shapeHash) int(n int) {
+	for i := 0; i < 64; i += 8 {
+		h.byte(byte(uint64(n) >> i))
+	}
+}
+
+func (h *shapeHash) flag(b bool) {
+	if b {
+		h.byte(1)
+	} else {
+		h.byte(0)
+	}
+}
+
+func (h *shapeHash) str(s string) {
+	h.int(len(s))
+	for i := 0; i < len(s); i++ {
+		h.byte(s[i])
+	}
+}
+
+func (h *shapeHash) col(c ColRef) {
+	h.str(c.Qualifier)
+	h.str(c.Column)
+}
+
+func (h *shapeHash) cols(cs []ColRef) {
+	h.int(len(cs))
+	for _, c := range cs {
+		h.col(c)
+	}
 }
 
 // String renders the statement back to SQL text.

@@ -128,7 +128,8 @@ func TestParseSignedExponents(t *testing.T) {
 }
 
 // FuzzParseSQL: any text parses to an error, or to a SELECT whose String()
-// parses back to the same String(), or to an INSERT whose rows, rendered as
+// parses back to the same String() and the same plan-cache shape, or to an
+// INSERT whose rows, rendered as
 // literals and parsed again, are the same values of the same kinds — floats
 // to the bit. Never a panic.
 func FuzzParseSQL(f *testing.F) {
@@ -166,6 +167,9 @@ func FuzzParseSQL(f *testing.F) {
 			}
 			if got := again.Select.String(); got != text {
 				t.Fatalf("%q printed as %q, which prints back as %q", src, text, got)
+			}
+			if again.Select.shapeKey() != st.Select.shapeKey() || !sameShape(again.Select, st.Select) {
+				t.Fatalf("%q printed as %q, which parses to another shape", src, text)
 			}
 		case st.Insert != nil:
 			var b strings.Builder
