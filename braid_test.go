@@ -1,8 +1,10 @@
 package braid
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 func quickstartSystem(t *testing.T, opts ...Option) *System {
@@ -89,8 +91,9 @@ func TestPublicAPIAdviceAndStats(t *testing.T) {
 	if s := st.String(); !strings.Contains(s, "remote=") {
 		t.Errorf("stats string = %q", s)
 	}
-	if cm := sys.CacheModel(); cm == "" {
-		t.Error("cache model should be non-empty after queries")
+	cm := sys.CacheModel()
+	if !strings.HasPrefix(cm, "cache_model(e_id int, e_def string, size_bytes int, hits int, last_use int, advice_name string)") {
+		t.Errorf("cache model rendering:\n%s", cm)
 	}
 }
 
@@ -171,6 +174,60 @@ func TestPublicAPIEarlyClose(t *testing.T) {
 	ans.Close()
 	if _, ok := ans.Next(); ok {
 		t.Fatal("Next after Close")
+	}
+}
+
+// TestPublicAPICloseReleasesRemoteStream: Answers.Close cancels the lazy
+// remote stream the search still reads, so the next request on a
+// one-connection pool is not stuck behind it.
+func TestPublicAPICloseReleasesRemoteStream(t *testing.T) {
+	db := NewDB()
+	db.MustExec(`CREATE TABLE p (a INT, b INT)`)
+	for batch := 0; batch < 10; batch++ {
+		var sql strings.Builder
+		sql.WriteString("INSERT INTO p VALUES ")
+		for i := 0; i < 5000; i++ {
+			if i > 0 {
+				sql.WriteString(", ")
+			}
+			fmt.Fprintf(&sql, "(%d, %d)", batch*5000+i, i%97)
+		}
+		db.MustExec(sql.String())
+	}
+	srv, err := db.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	kb := MustParseKB(":- base(p/2).\nq(X, Y) :- p(X, Y).")
+	sys, err := New(kb, nil, WithRemote(srv.Addr()), WithPool(1), WithFeature("result-caching", false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, err := sys.Ask("q(X, Y)?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ans.Next(); !ok {
+		t.Fatalf("no first answer: %v", ans.Err())
+	}
+	ans.Close()
+
+	next := make(chan error, 1)
+	go func() {
+		_, err := sys.QueryCAQL(`r(Y) :- p(7, Y)`)
+		next <- err
+	}()
+	select {
+	case err := <-next:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the next request is still waiting after 2 s")
+	}
+	if got := sys.Stats().StreamsCanceled; got != 1 {
+		t.Fatalf("StreamsCanceled = %d, want 1", got)
 	}
 }
 

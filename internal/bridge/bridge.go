@@ -67,6 +67,15 @@ func (s *Stream) Err() error {
 	return nil
 }
 
+// Close abandons the rest of the stream: an iterator with a Close method (a
+// lazy remote answer) is told to release its producer. Closing a stream that
+// ran to its end is harmless.
+func (s *Stream) Close() {
+	if c, ok := s.it.(interface{ Close() error }); ok {
+		c.Close()
+	}
+}
+
 // Drain materializes the remainder of the stream. A canceled stream drains to
 // its partial prefix; use Err (or DrainErr) to distinguish that from a
 // complete result.

@@ -413,8 +413,15 @@ func TestCacheModel(t *testing.T) {
 	if model.Len() != 2 {
 		t.Fatalf("cache model rows = %d, want 2", model.Len())
 	}
-	if model.Schema().ColIndex("e_def") != 1 {
-		t.Fatal("cache model schema wrong")
+	want := []string{"e_id", "e_def", "size_bytes", "hits", "last_use", "advice_name"}
+	schema := model.Schema()
+	if schema.Arity() != len(want) {
+		t.Fatalf("cache model has %d columns, want %v", schema.Arity(), want)
+	}
+	for i, name := range want {
+		if got := schema.Attr(i).Name; got != name {
+			t.Fatalf("cache model column %d = %q, want %q", i, got, name)
+		}
 	}
 }
 

@@ -394,7 +394,6 @@ func (m *Manager) Model() *relation.Relation {
 	schema := relation.NewSchema(
 		relation.Attr{Name: "e_id", Kind: relation.KindInt},
 		relation.Attr{Name: "e_def", Kind: relation.KindString},
-		relation.Attr{Name: "mode", Kind: relation.KindString},
 		relation.Attr{Name: "size_bytes", Kind: relation.KindInt},
 		relation.Attr{Name: "hits", Kind: relation.KindInt},
 		relation.Attr{Name: "last_use", Kind: relation.KindInt},
@@ -405,7 +404,6 @@ func (m *Manager) Model() *relation.Relation {
 		out.MustAppend(relation.Tuple{
 			relation.Int(int64(e.ID)),
 			relation.Str(e.Def.String()),
-			relation.Str("extension"),
 			relation.Int(e.SizeBytes()),
 			relation.Int(e.hits.Load()),
 			relation.Int(e.lastUse.Load()),

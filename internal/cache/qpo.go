@@ -321,7 +321,8 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon []byte
 // as the consumer pulls it on the session thread, mirroring how cache-local
 // lazy answers charge per tuple produced; a stream that runs to its end is
 // charged the rest of the request's cost (the server's work), so a drained
-// lazy answer costs what the same answer fetched eagerly does.
+// lazy answer costs what the same answer fetched eagerly does. A stream closed
+// before its end cancels the remote producer and is charged only what it read.
 func (s *Session) answerRemoteStream(q *caql.Query) (*bridge.Stream, error) {
 	c := s.cms
 	fs, err := c.rdi.FetchStreamCtx(s.callerCtx, q)
@@ -367,6 +368,13 @@ func (r *remoteStreamIter) Next() (relation.Tuple, bool) {
 		}
 	}
 	return t, ok
+}
+
+// Close abandons the stream: the remote producer is canceled with a cancel
+// frame, and the unread rest of the request is never charged.
+func (r *remoteStreamIter) Close() error {
+	r.ended = true
+	return r.fs.Close()
 }
 
 // Err implements the bridge's error convention, preferring the guard's typed

@@ -3,7 +3,6 @@ package ie
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/advice"
 	"repro/internal/bridge"
@@ -111,19 +110,14 @@ type answer struct {
 
 // Solutions is the lazy stream of answers to an AI query: a single solution
 // is produced on demand (the paper's single-solution strategy), and Close
-// abandons the remaining search. The producer searches only while a Next call
-// waits for an answer, so how many CAQL queries a consumer causes depends on
-// how many answers it took, never on scheduling.
+// abandons the remaining search. The search runs inside Next, on the caller's
+// goroutine, so how many CAQL queries a consumer causes depends on how many
+// answers it took, never on scheduling.
 type Solutions struct {
-	vars []string
-
-	want    chan struct{} // one token per Next call: permission to search for one answer
-	ch      chan answer
-	errCh   chan error
-	stop    chan struct{}
-	stopped sync.Once
-	err     error
-	done    bool
+	vars   []string
+	search *runner
+	err    error
+	done   bool
 }
 
 // Vars returns the AI query's variable names, in order of appearance.
@@ -142,42 +136,12 @@ func (s *Solutions) NextProof() (logic.Subst, *Proof, bool) {
 	if s.done {
 		return nil, nil, false
 	}
-	s.want <- struct{}{}
-	select {
-	case a, ok := <-s.ch:
-		if !ok {
-			s.done = true
-			s.err = <-s.errCh
-			return nil, nil, false
-		}
-		return a.sub, a.proof, true
-	case err := <-s.errCh:
-		s.done = true
+	a, ok, err := s.search.next()
+	if !ok {
+		s.Close()
 		s.err = err
-		return nil, nil, false
 	}
-}
-
-// demanded blocks the producer until the consumer asks for an answer; false
-// when it closed instead.
-func (s *Solutions) demanded() bool {
-	select {
-	case <-s.want:
-		return true
-	case <-s.stop:
-		return false
-	}
-}
-
-// deliver hands a to the consumer and waits for the next demand; false stops
-// the search (consumer closed).
-func (s *Solutions) deliver(a answer) bool {
-	select {
-	case s.ch <- a:
-	case <-s.stop:
-		return false
-	}
-	return s.demanded()
+	return a.sub, a.proof, ok
 }
 
 // All drains the remaining answers.
@@ -195,19 +159,12 @@ func (s *Solutions) All() []logic.Subst {
 // Err reports a search error (after Next returned false).
 func (s *Solutions) Err() error { return s.err }
 
-// Close abandons the search and releases the producer.
+// Close abandons the search: the streams it still has open are closed and
+// its session ends. Closing a finished search does nothing.
 func (s *Solutions) Close() {
-	s.stopped.Do(func() { close(s.stop) })
-	// Drain so the producer unblocks and exits.
-	for {
-		_, ok := <-s.ch
-		if !ok {
-			break
-		}
-	}
 	if !s.done {
 		s.done = true
-		s.err = <-s.errCh
+		s.search.close()
 	}
 }
 
@@ -263,44 +220,10 @@ func (e *Engine) Ask(goal logic.Atom) (*Solutions, error) {
 			return nil, fmt.Errorf("ie: generated invalid advice: %w", err)
 		}
 	}
-	session := e.ds.BeginSession(adv)
-
-	sol := &Solutions{
-		vars:  prog.goalVars,
-		want:  make(chan struct{}, 1),
-		ch:    make(chan answer),
-		errCh: make(chan error, 1),
-		stop:  make(chan struct{}),
-	}
-	switch e.opts.Strategy {
-	case StrategyCompiled:
-		go func() {
-			defer close(sol.ch)
-			var err error
-			if sol.demanded() {
-				err = e.runCompiled(prog, session, sol)
-			}
-			session.End()
-			sol.errCh <- err
-		}()
-	default:
-		r := &runner{
-			engine:  e,
-			prog:    prog,
-			session: session,
-			sol:     sol,
-		}
-		go func() {
-			defer close(sol.ch)
-			var err error
-			if sol.demanded() {
-				err = r.runAll()
-			}
-			session.End()
-			sol.errCh <- err
-		}()
-	}
-	return sol, nil
+	r := &runner{engine: e, prog: prog, session: e.ds.BeginSession(adv), live: true}
+	r.g = cont{items: prog.goalItems, base: r.b.Push(len(prog.goalVars)), anc: -1, next: -1}
+	r.choices = r.buf[:0]
+	return &Solutions{vars: prog.goalVars, search: r}, nil
 }
 
 // Advice compiles and returns the advice bundle for a query without running

@@ -3,74 +3,75 @@ package ie
 import (
 	"fmt"
 
-	"repro/internal/bridge"
 	"repro/internal/caql"
 	"repro/internal/logic"
-	"repro/internal/relation"
 )
 
-// The fully-compiled strategy (the compiled extreme of the I-C range,
-// Section 2): the relevant portion of the knowledge base is compiled into
+// nextCompiled hands out the answers of the fully-compiled strategy (the
+// compiled extreme of the I-C range, Section 2), all derived by its first
+// call: the relevant portion of the knowledge base is compiled into
 // set-at-a-time data access — each relevant base relation is requested once
 // as a whole (one large request per relation rather than one per binding) —
-// and the rule set is evaluated bottom-up to a fixpoint, producing all
-// solutions. Recursion is handled by the fixpoint itself (the role the paper
-// assigns to second-order templates with a fixed-point operator).
-func (e *Engine) runCompiled(prog *program, session bridge.Session, sol *Solutions) error {
+// and the rule set is evaluated bottom-up to a fixpoint. Recursion is handled
+// by the fixpoint itself (the role the paper assigns to second-order
+// templates with a fixed-point operator).
+func (r *runner) nextCompiled() (a answer, ok bool, err error) {
+	if !r.built {
+		r.built = true
+		r.answers, err = r.compiled()
+	}
+	if ok = len(r.answers) > 0; ok {
+		a, r.answers = r.answers[0], r.answers[1:]
+	}
+	return a, ok, err
+}
+
+// compiled fetches the relevant base relations and derives every answer.
+func (r *runner) compiled() ([]answer, error) {
 	// Fetch every relevant base relation, set-at-a-time. Constants that
 	// appear in *every* occurrence of a relation at the same position are
 	// pushed into the fetch (a cheap magic-set-like restriction); otherwise
-	// the full extension is requested.
+	// the full extension is requested. A stream that stops on an error fails
+	// the ask rather than leave a prefix behind.
+	prog := r.prog
 	fetched := caql.MapSource{}
 	for _, ref := range prog.graph.BaseRels {
 		q, err := fetchQueryFor(prog, ref)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		stream, err := session.Query(q)
+		stream, err := r.session.Query(q)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rel := stream.Drain(ref.Name)
-		rel.Name = ref.Name
-		fetched[ref.Name] = rel
+		if fetched[ref.Name], err = stream.DrainErr(ref.Name); err != nil {
+			return nil, err
+		}
 	}
 
+	// A base goal is one of the fetched relations; a derived one is derived.
 	goalRef := prog.goal.Ref()
-	var ext *relation.Relation
-	if prog.kb.IsBase(goalRef) {
-		ext = fetched[goalRef.Name]
-		if ext == nil {
-			// The goal relation itself (base query with no rules).
-			q := caql.NewQuery(logic.A("d0", prog.goal.Args...), []logic.Atom{prog.goal})
-			stream, err := session.Query(q)
-			if err != nil {
-				return err
-			}
-			ext = stream.Drain(goalRef.Name)
-		}
-	} else {
+	ext := fetched[goalRef.Name]
+	if !prog.kb.IsBase(goalRef) {
 		derived, err := BottomUp(prog.kb, fetched, []logic.PredRef{goalRef})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		ext = derived[goalRef]
-		if ext == nil {
-			return fmt.Errorf("ie: goal predicate %s not derivable", goalRef)
+		if ext = derived[goalRef]; ext == nil {
+			return nil, fmt.Errorf("ie: goal predicate %s not derivable", goalRef)
 		}
 	}
 
-	for _, s := range Answers(prog.goal, ext) {
-		var proof *Proof
-		if e.opts.Explain {
-			proof = ProofRoot(prog.goal.String(),
+	subs := Answers(prog.goal, ext)
+	out := make([]answer, len(subs))
+	for i, s := range subs {
+		out[i].sub = s.Restrict(prog.goalVars)
+		if r.engine.opts.Explain {
+			out[i].proof = ProofRoot(prog.goal.String(),
 				[]*Proof{{Kind: "rule", Detail: "derived set-at-a-time by bottom-up fixpoint evaluation"}})
 		}
-		if !sol.deliver(answer{sub: s.Restrict(sol.vars), proof: proof}) {
-			return nil
-		}
 	}
-	return nil
+	return out, nil
 }
 
 // fetchQueryFor builds the set-at-a-time fetch for a base relation: a full

@@ -2,8 +2,10 @@ package ie
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -18,10 +20,40 @@ import (
 
 // mapDS is a minimal bridge.DataSource over in-memory extensions: every
 // query is evaluated directly (no caching, no remote). It isolates IE tests
-// from the CMS.
+// from the CMS. It counts the sessions ended and the streams closed, and with
+// cutAfter > 0 every stream stops after that many tuples with errCut.
 type mapDS struct {
-	src     caql.MapSource
-	queries []string
+	src      caql.MapSource
+	queries  []string
+	cutAfter int
+	ends     int
+	closes   int
+}
+
+var errCut = errors.New("stream cut mid-transfer")
+
+// mapIter is a mapDS stream.
+type mapIter struct {
+	it  relation.Iterator
+	ds  *mapDS
+	n   int
+	err error
+}
+
+func (m *mapIter) Next() (relation.Tuple, bool) {
+	if m.ds.cutAfter > 0 && m.n == m.ds.cutAfter {
+		m.err = errCut
+		return nil, false
+	}
+	m.n++
+	return m.it.Next()
+}
+
+func (m *mapIter) Err() error { return m.err }
+
+func (m *mapIter) Close() error {
+	m.ds.closes++
+	return nil
 }
 
 func (m *mapDS) BeginSession(adv *advice.Advice) bridge.Session { return &mapSession{ds: m} }
@@ -58,7 +90,7 @@ func (s *mapSession) Query(q *caql.Query) (*bridge.Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bridge.NewStream(schema, it, true), nil
+	return bridge.NewStream(schema, &mapIter{it: it, ds: s.ds}, true), nil
 }
 
 func (s *mapSession) QueryCtx(ctx context.Context, q *caql.Query) (*bridge.Stream, error) {
@@ -77,7 +109,7 @@ func (s *mapSession) QueryTextCtx(ctx context.Context, src string) (*bridge.Stre
 	return s.QueryText(src)
 }
 
-func (s *mapSession) End() {}
+func (s *mapSession) End() { s.ds.ends++ }
 
 // example1KB is the paper's Example 1 (Section 4.2.2).
 const example1KB = `
@@ -646,19 +678,91 @@ func TestAskErrors(t *testing.T) {
 	}
 }
 
+// TestSolutionsCloseEarly: Close closes the segment streams the search still
+// has open and ends the session exactly once, whenever it is called; an
+// answer dropped without Close leaves no goroutine behind.
 func TestSolutionsCloseEarly(t *testing.T) {
 	kb := mustKB(t, example1KB)
 	src := example1Data(rand.New(rand.NewSource(7)), 40)
-	eng := New(kb, &mapDS{src: src}, Options{Strategy: StrategyInterpreted})
-	for i := 0; i < 20; i++ {
+	ds := &mapDS{src: src}
+	eng := New(kb, ds, Options{Strategy: StrategyInterpreted})
+	ask := func() *Solutions {
+		t.Helper()
 		sol, err := eng.AskText("k1(X, Y)?")
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol.Next()
-		sol.Close() // must not deadlock or leak
+		return sol
+	}
+	for i := 0; i < 20; i++ {
+		ds.ends, ds.closes = 0, 0
+		sol := ask()
+		if _, ok := sol.Next(); !ok {
+			t.Fatal("expected an answer")
+		}
+		sol.Close()
 		if _, ok := sol.Next(); ok {
 			t.Fatal("Next after Close should report exhaustion")
+		}
+		if ds.ends != 1 || ds.closes == 0 {
+			t.Fatalf("Close after an answer: %d sessions ended, %d streams closed; want 1 and some", ds.ends, ds.closes)
+		}
+	}
+
+	ds.ends = 0
+	sol := ask()
+	sol.Close() // before the first Next
+	sol.Close() // and again
+	if _, ok := sol.Next(); ok || ds.ends != 1 {
+		t.Fatalf("Close twice before Next: ok=%v, %d sessions ended, want 1", ok, ds.ends)
+	}
+
+	failing := &mapDS{src: caql.MapSource{}} // no relations: the first query fails
+	sol, err := New(kb, failing, Options{Strategy: StrategyInterpreted}).AskText("k1(X, Y)?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sol.Next(); ok || sol.Err() == nil {
+		t.Fatalf("expected a failed search, got ok=%v err=%v", ok, sol.Err())
+	}
+	sol.Close()
+	if failing.ends != 1 {
+		t.Fatalf("Close after an error: %d sessions ended, want 1", failing.ends)
+	}
+
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		ask().Next() // dropped without Close
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("100 dropped asks left %d goroutines behind", after-before)
+	}
+}
+
+// TestStreamErrorFailsTheSearch: a segment stream that stops on an error
+// fails the ask in every strategy; its prefix is not a complete answer.
+func TestStreamErrorFailsTheSearch(t *testing.T) {
+	kb := mustKB(t, ":- base(p/2).\nq(X, Y) :- p(X, Y).")
+	p := make([][2]int64, 10)
+	for i := range p {
+		p[i] = [2]int64{int64(i), int64(i % 3)}
+	}
+	for _, strat := range []Strategy{StrategyInterpreted, StrategyConjunction, StrategyCompiled} {
+		for _, goal := range []string{"q(X, Y)?", "p(X, Y)?"} {
+			ds := &mapDS{src: caql.MapSource{"p": relationOfPairs("p", p)}}
+			eng := New(kb, ds, Options{Strategy: strat})
+			if got := eng.mustAsk(t, goal).Len(); got != len(p) {
+				t.Fatalf("%s %s: %d answers from a whole stream, want %d", strat, goal, got, len(p))
+			}
+			ds.cutAfter, ds.ends = 3, 0
+			sol, err := eng.AskText(goal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(sol.All())
+			if !errors.Is(sol.Err(), errCut) || ds.ends != 1 {
+				t.Errorf("%s %s: %d answers, Err() = %v, %d sessions ended; want errCut and 1", strat, goal, n, sol.Err(), ds.ends)
+			}
 		}
 	}
 }

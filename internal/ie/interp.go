@@ -11,30 +11,56 @@ import (
 	"repro/internal/relation"
 )
 
-// runner executes the interpreted and conjunction-compiled strategies:
+// runner is an ask's search, run one answer at a time on the consumer's
+// goroutine. The interpreted and conjunction-compiled strategies are
 // depth-first SLD resolution with chronological backtracking (Section 4's
 // "well-known depth-first with chronological backtracking strategy of
 // Prolog"), where base-atom segments become CAQL queries whose result
 // streams are consumed tuple-at-a-time. Variant-ancestor pruning guards
 // against rule-level loops (like Prolog, cyclic *data* under recursive rules
-// is the fully-compiled strategy's territory).
+// is the fully-compiled strategy's territory; see nextCompiled).
 //
-// A search binds in one logic.Bindings: applying a clause pushes its frame,
-// and everything it bound is undone when the search backtracks past it. What
-// runs after a called clause's body succeeds is a cont on a stack, and the
-// open calls' variant keys are entries of one byte arena, each linked to its
-// caller's; both stacks are cut back when a call has tried its last clause.
+// The search resumes from a stack of choices, its open alternatives: a
+// segment's open stream or a call's next clause. It binds in one
+// logic.Bindings: applying a clause pushes its frame, and everything bound
+// since a choice was pushed is undone when the search backtracks into it.
+// What runs after a called clause's body succeeds is a cont on a stack, and
+// the open calls' variant keys are entries of one byte arena, each linked to
+// its caller's; backtracking cuts both back to the choice's heights.
 type runner struct {
 	engine  *Engine
 	prog    *program
 	session bridge.Session
-	sol     *Solutions
+
+	g       cont // the goal: what is left of a clause, then conts[g.next]
+	live    bool // false once g failed or was answered: next backtracks first
+	choices []choice
+	buf     [8]choice // choices' first backing: most searches are shallower
 
 	b     logic.Bindings
 	conts []cont
 	anc   []ancestor
 	keys  []byte
 	roots []rootName // scratch: free roots in order of first occurrence
+
+	answers []answer // the compiled strategy's, derived by the first next
+	built   bool
+}
+
+// choice is an open alternative. A segment's is its open stream for query q:
+// each further tuple binds the head of seg and resumes goal, the rest of the
+// clause. A call's is its clauses not yet tried; the call is conts[conts-1]
+// and its ancestor entry anc[anc-1]. The bindings mark and the stack heights
+// are the search's state when the choice was pushed, restored by every retry.
+type choice struct {
+	goal    cont
+	stream  *bridge.Stream
+	q       *caql.Query
+	seg     *viewTemplate
+	clauses []*compiledClause
+
+	mark             logic.Mark
+	conts, anc, keys int
 }
 
 // rootName is a free root and the variable that reached it first.
@@ -43,11 +69,11 @@ type rootName struct {
 	v    logic.Term
 }
 
-// cont is the rest of a caller's body, run each time the clause it called
-// succeeds: its items in the caller's frame at base, under the caller's
-// ancestors, depth and own continuation. With Options.Explain it also keeps
-// what the rule step cites: the call, the clause being tried and the
-// caller's proof steps so far.
+// cont is the rest of a clause: its items in the frame at base, under the
+// ancestors anc, at depth, continued by conts[next] when they succeed (-1:
+// the goal is answered), with the clause's proof steps so far in acc. On the
+// conts stack it is what runs each time a called clause succeeds, and keeps
+// what the rule step cites: the call and the clause being tried.
 type cont struct {
 	items                  []bodyItem
 	base, anc, depth, next int
@@ -60,144 +86,190 @@ type cont struct {
 // the index of its caller's entry (-1 at the goal).
 type ancestor struct{ start, end, parent int }
 
-// emit delivers a solution; false stops the whole search (consumer closed).
-// The answer is the goal variables' constants, the goal's frame being the
-// first.
-func (r *runner) emit(proofs []*Proof) bool {
+// next produces the search's next answer in depth-first order: it backtracks
+// into the newest choice while the goal is spent, and proves the goal's items
+// until none is left. ok is false once no choice is left.
+func (r *runner) next() (a answer, ok bool, err error) {
+	if r.engine.opts.Strategy == StrategyCompiled {
+		return r.nextCompiled()
+	}
+	for {
+		switch {
+		case !r.live:
+			if len(r.choices) == 0 {
+				return answer{}, false, nil
+			}
+			r.live, err = r.retry()
+		case len(r.g.items) == 0 && r.g.next < 0:
+			r.live = false
+			return r.emit(), true, nil
+		default:
+			r.live, err = r.step()
+		}
+		if err != nil {
+			return answer{}, false, err
+		}
+	}
+}
+
+// emit is the answer the goal reached: the goal variables' constants, the
+// goal's frame being the first.
+func (r *runner) emit() answer {
 	var root *Proof
 	if r.engine.opts.Explain {
-		root = ProofRoot(r.prog.goal.String(), proofs)
+		root = ProofRoot(r.prog.goal.String(), r.g.acc)
 	}
-	sub := make(logic.Subst, len(r.sol.vars))
-	for i, v := range r.sol.vars {
+	sub := make(logic.Subst, len(r.prog.goalVars))
+	for i, v := range r.prog.goalVars {
 		if _, c, ok := r.b.Resolve(i); ok {
 			sub[v] = logic.C(c)
 		}
 	}
-	return r.sol.deliver(answer{sub: sub, proof: root})
+	return answer{sub: sub, proof: root}
 }
 
-func (r *runner) stopRequested() bool {
-	select {
-	case <-r.sol.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// runAll runs the goal items and emits every solution.
-func (r *runner) runAll() error {
-	base := r.b.Push(len(r.prog.goalVars))
-	_, err := r.run(r.prog.goalItems, base, -1, 0, -1, nil)
-	return err
-}
-
-// run solves items left to right in the clause frame at base, then continues
-// with conts[next] (emitting a solution when next is -1). anc is the
-// innermost open call's ancestor entry and acc the proof steps of the
-// current clause so far. The bool result is false when the search was
-// aborted by the consumer.
-func (r *runner) run(items []bodyItem, base, anc, depth, next int, acc []*Proof) (bool, error) {
-	if r.stopRequested() {
-		return false, nil
-	}
-	if depth > r.engine.opts.MaxDepth {
-		return false, fmt.Errorf("ie: SLD depth limit %d exceeded (non-terminating recursion?)", r.engine.opts.MaxDepth)
-	}
-	explain := r.engine.opts.Explain
-	for len(items) == 0 {
-		if next < 0 {
-			return r.emit(acc), nil
+// close closes the streams still open on the choice stack, newest first,
+// and ends the session.
+func (r *runner) close() {
+	for i := len(r.choices) - 1; i >= 0; i-- {
+		if st := r.choices[i].stream; st != nil {
+			st.Close()
 		}
-		k := &r.conts[next]
+	}
+	r.session.End()
+}
+
+// push records c with the search's state, which every retry of c restores.
+func (r *runner) push(c choice) {
+	c.mark = r.b.Mark()
+	c.conts, c.anc, c.keys = len(r.conts), len(r.anc), len(r.keys)
+	r.choices = append(r.choices, c)
+}
+
+// retry backtracks into the newest choice and makes its next alternative the
+// goal; a choice with none left is popped (false).
+func (r *runner) retry() (ok bool, err error) {
+	c := &r.choices[len(r.choices)-1]
+	r.conts, r.anc, r.keys = r.conts[:c.conts], r.anc[:c.anc], r.keys[:c.keys]
+	if c.stream != nil {
+		ok, err = r.nextTuple(c)
+	} else {
+		ok, err = r.nextClause(c)
+	}
+	if !ok {
+		r.choices = r.choices[:len(r.choices)-1]
+	}
+	return ok, err
+}
+
+// nextTuple resumes a segment's goal with the next tuple that binds its head.
+// A stream that stopped on an error fails the search.
+func (r *runner) nextTuple(c *choice) (bool, error) {
+	for {
+		r.b.Undo(c.mark)
+		tu, ok := c.stream.Next()
+		if !ok {
+			return false, c.stream.Err()
+		}
+		bound := true
+		for i, n := range c.seg.nums[:len(c.q.Head.Args)] {
+			if n >= 0 && !r.b.UnifyConst(c.goal.base+int(n), tu[i]) {
+				bound = false
+				break
+			}
+		}
+		if bound {
+			r.g = c.goal
+			if r.engine.opts.Explain {
+				r.g.acc = appendProof(c.goal.acc, &Proof{Kind: "query", Detail: c.q.String(), Tuple: tu})
+			}
+			return true, nil
+		}
+	}
+}
+
+// nextClause makes the body of the call's next clause whose head unifies the
+// goal.
+func (r *runner) nextClause(c *choice) (bool, error) {
+	k := c.conts - 1
+	call := &r.conts[k]
+	for len(c.clauses) > 0 {
+		r.b.Undo(c.mark)
+		cc := c.clauses[0]
+		c.clauses = c.clauses[1:]
+		callee := r.b.Push(cc.nvars)
+		if !r.b.Unify(cc.head, callee, *call.call, call.base) {
+			continue
+		}
+		if call.depth+1 > r.engine.opts.MaxDepth {
+			return false, fmt.Errorf("ie: SLD depth limit %d exceeded (non-terminating recursion?)", r.engine.opts.MaxDepth)
+		}
+		call.cc = cc
+		r.g = cont{items: cc.items, base: callee, anc: c.anc - 1, depth: call.depth + 1, next: k}
+		return true, nil
+	}
+	return false, nil
+}
+
+// step proves the goal's first item, or continues its caller when the
+// clause has none left; false when the goal failed. A segment or a call
+// pushes a choice and takes its first alternative.
+func (r *runner) step() (bool, error) {
+	g := &r.g
+	explain := r.engine.opts.Explain
+	if len(g.items) == 0 {
+		k := &r.conts[g.next]
+		acc := g.acc
 		if explain {
 			acc = appendProof(k.acc, &Proof{
 				Kind:     "rule",
 				Detail:   fmt.Sprintf("%s by rule %s of %s", r.resolveAtom(k.call, k.base), ruleIDOf(k.cc), k.cc.key.Pred),
-				Children: acc,
+				Children: g.acc,
 			})
 		}
-		items, base, anc, depth, next = k.items, k.base, k.anc, k.depth, k.next
+		*g = cont{items: k.items, base: k.base, anc: k.anc, depth: k.depth, next: k.next, acc: acc}
+		return true, nil
 	}
-	it, rest := &items[0], items[1:]
+	it := &g.items[0]
+	g.items = g.items[1:]
 	switch it.kind {
 	case itemCmp:
-		l, lok := r.value(&it.atom, 0, base)
-		rv, rok := r.value(&it.atom, 1, base)
+		l, lok := r.value(&it.atom, 0, g.base)
+		rv, rok := r.value(&it.atom, 1, g.base)
 		if !lok || !rok {
-			return false, fmt.Errorf("ie: comparison %s not ground at evaluation time (ordering bug?)", r.resolveAtom(&it.atom, base))
+			return false, fmt.Errorf("ie: comparison %s not ground at evaluation time (ordering bug?)", r.resolveAtom(&it.atom, g.base))
 		}
 		if !it.atom.CmpOp().Eval(l, rv) {
-			return true, nil
+			return false, nil
 		}
 		if explain {
-			acc = appendProof(acc, &Proof{Kind: "cmp", Detail: r.resolveAtom(&it.atom, base).String()})
+			g.acc = appendProof(g.acc, &Proof{Kind: "cmp", Detail: r.resolveAtom(&it.atom, g.base).String()})
 		}
-		return r.run(rest, base, anc, depth, next, acc)
+		return true, nil
 
 	case itemSegment:
-		q := r.instantiate(it.seg, base)
+		q := r.instantiate(it.seg, g.base)
 		stream, err := r.session.Query(q)
 		if err != nil {
 			return false, err
 		}
-		head := it.seg.nums[:len(q.Head.Args)]
-		m := r.b.Mark()
-		for {
-			if r.stopRequested() {
-				return false, nil
-			}
-			tu, ok := stream.Next()
-			if !ok {
-				return true, nil
-			}
-			bound := true
-			for i, n := range head {
-				if n >= 0 && !r.b.UnifyConst(base+int(n), tu[i]) {
-					bound = false
-					break
-				}
-			}
-			if bound {
-				acc2 := acc
-				if explain {
-					acc2 = appendProof(acc, &Proof{Kind: "query", Detail: q.String(), Tuple: tu})
-				}
-				alive, err := r.run(rest, base, anc, depth, next, acc2)
-				if err != nil || !alive {
-					return alive, err
-				}
-			}
-			r.b.Undo(m)
-		}
+		r.push(choice{goal: *g, stream: stream, q: q, seg: it.seg})
+		return r.retry()
 
 	case itemCall:
 		start := len(r.keys)
-		r.keys = r.appendKey(r.keys, &it.atom, base)
-		for a := anc; a >= 0; a = r.anc[a].parent {
+		r.keys = r.appendKey(r.keys, &it.atom, g.base)
+		for a := g.anc; a >= 0; a = r.anc[a].parent {
 			if bytes.Equal(r.keys[r.anc[a].start:r.anc[a].end], r.keys[start:]) {
-				r.keys = r.keys[:start]
-				return true, nil // variant ancestor: prune this branch
+				return false, nil // variant ancestor: prune this branch
 			}
 		}
-		self, k := len(r.anc), len(r.conts)
-		r.anc = append(r.anc, ancestor{start: start, end: len(r.keys), parent: anc})
-		r.conts = append(r.conts, cont{items: rest, base: base, anc: anc, depth: depth, next: next, call: &it.atom, acc: acc})
-		for _, cc := range r.prog.clauses[it.atom.Ref()] {
-			m := r.b.Mark()
-			callee := r.b.Push(cc.nvars)
-			if r.b.Unify(cc.head, callee, it.atom, base) {
-				r.conts[k].cc = cc
-				alive, err := r.run(cc.items, callee, self, depth+1, k, nil)
-				if err != nil || !alive {
-					return alive, err
-				}
-			}
-			r.b.Undo(m)
-		}
-		r.conts, r.anc, r.keys = r.conts[:k], r.anc[:self], r.keys[:start]
-		return true, nil
+		r.anc = append(r.anc, ancestor{start: start, end: len(r.keys), parent: g.anc})
+		k := *g
+		k.call = &it.atom
+		r.conts = append(r.conts, k)
+		r.push(choice{clauses: r.prog.clauses[it.atom.Ref()]})
+		return r.retry()
 
 	default:
 		return false, fmt.Errorf("ie: unknown body item kind")
