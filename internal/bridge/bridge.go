@@ -188,7 +188,8 @@ type DataSource interface {
 	RelationSchema(name string, arity int) (*relation.Schema, error)
 	// RelationStats returns catalog statistics (cardinality, per-column
 	// distinct counts) for a base relation; the IE's problem-graph shaper
-	// consumes these for conjunct ordering (Section 4.1).
+	// consumes these for conjunct ordering (Section 4.1). The returned
+	// Distinct slice may be shared with later calls: read it, never write it.
 	RelationStats(name string) (remotedb.TableStats, error)
 	// Stats returns cumulative counters.
 	Stats() SourceStats

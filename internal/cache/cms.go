@@ -177,6 +177,7 @@ func (c *CMS) registerMetrics(reg *obs.Registry) {
 		return float64(st.CacheHits.Load()) / float64(q)
 	})
 	reg.CounterFunc("braid_pool_requests_total", "Requests issued to the remote DBMS.", func() int64 { return c.rdi.Stats().Requests })
+	reg.CounterFunc("braid_pool_catalog_requests_total", "Catalog requests (schema, stats, tables) issued to the remote DBMS.", func() int64 { return c.rdi.Stats().CatalogRequests })
 	reg.CounterFunc("braid_pool_tuples_total", "Tuples shipped from the remote DBMS.", func() int64 { return c.rdi.Stats().TuplesReturned })
 	reg.CounterFunc("braid_pool_frames_sent_total", "Wire v2 frames written to the remote DBMS.", func() int64 { return c.rdi.Stats().FramesSent })
 	reg.CounterFunc("braid_pool_frames_recv_total", "Wire v2 frames received from the remote DBMS.", func() int64 { return c.rdi.Stats().FramesRecv })
@@ -352,7 +353,8 @@ func (s *Session) advanceLocal(d float64) {
 	s.cms.stats.AddLocalSimMS(d)
 }
 
-// RelationStats implements bridge.DataSource by proxying the remote catalog.
+// RelationStats implements bridge.DataSource from the RDI's copy of the
+// remote catalog's statistics.
 func (c *CMS) RelationStats(name string) (remotedb.TableStats, error) {
 	return c.rdi.TableStats(name)
 }

@@ -63,6 +63,11 @@ type Element struct {
 	// selUses counts equality selections per column, driving heuristic
 	// index builds on unadvised columns.
 	selUses map[int]int
+	// served remembers the last output schemas hits were answered under,
+	// newest first, so a hit of a shape served before builds none
+	// (servedSchema). The few shapes one element serves — the same query
+	// under its callers' variable names — fit.
+	served [4]*relation.Schema
 
 	// Replacement bookkeeping (Section 5.4: LRU modified by advice).
 	lastUse atomic.Int64
@@ -112,6 +117,22 @@ func (e *Element) hasIndex(col int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.indexes[col] != nil
+}
+
+// servedSchema is derivedSchema(q, d, e), reusing a schema the element has
+// served before when one fits.
+func (e *Element) servedSchema(q *caql.Query, d *subsume.Derivation) *relation.Schema {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, sch := range e.served {
+		if sch != nil && fitsSchema(sch, q, d, e) {
+			return sch
+		}
+	}
+	sch := derivedSchema(q, d, e)
+	copy(e.served[1:], e.served[:])
+	e.served[0] = sch
+	return sch
 }
 
 // newExtensionElement builds an element over its extension; canon is

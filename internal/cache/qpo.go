@@ -399,12 +399,7 @@ func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, q *caql.Qu
 		// the owner's clock passing readyAtSim.)
 		s.advance(rem)
 	}
-	schema, err := q.OutputSchema(c.rdi)
-	if err != nil {
-		// Element-backed queries can involve piece relations unknown to the
-		// remote catalog; fall back to the element-derived schema.
-		schema = derivedSchema(q, d, e)
-	}
+	schema := e.servedSchema(q, d)
 
 	lazy := c.opts.Features.Lazy && vs != nil && vs.StrictProducer()
 	if lazy {
@@ -1020,29 +1015,64 @@ func chargeIter(it relation.Iterator, charge func(n int)) relation.Iterator {
 	})
 }
 
-// derivedSchema builds a fallback output schema for q from the element's
-// column kinds through the derivation.
+// derivedSchema is the output schema of q derived from e through d: a head
+// variable names its column and takes the kind of the element column d reads
+// it from, a head constant is named by caql.ConstColumnName and typed by its
+// value, and a name already taken gets '_' appended until it is not — the
+// rule caql's OutputSchema applies.
 func derivedSchema(q *caql.Query, d *subsume.Derivation, e *Element) *relation.Schema {
-	attrs := make([]relation.Attr, len(d.OutCols))
-	used := make(map[string]bool)
-	for i, col := range d.OutCols {
-		var name string
-		var kind relation.Kind
-		if col < 0 {
-			name = fmt.Sprintf("c%d", i)
-			kind = d.Consts[i].Kind()
-		} else {
-			name = e.Schema().Attr(col).Name
-			kind = e.Schema().Attr(col).Kind
-			if t := q.Head.Args[i]; t.IsVar() {
-				name = t.Var
-			}
-		}
-		for used[name] {
+	// NewSchema copies attrs, so they can live on the stack.
+	var buf [8]relation.Attr
+	attrs := buf[:0]
+	for i := range d.OutCols {
+		name, kind := headColumn(q, d, e, i)
+		for taken(attrs, name) {
 			name += "_"
 		}
-		used[name] = true
-		attrs[i] = relation.Attr{Name: name, Kind: kind}
+		attrs = append(attrs, relation.Attr{Name: name, Kind: kind})
 	}
 	return relation.NewSchema(attrs...)
+}
+
+// headColumn is the name before deduplication and the kind of q's head
+// position i answered from e through d.
+func headColumn(q *caql.Query, d *subsume.Derivation, e *Element, i int) (string, relation.Kind) {
+	if col := d.OutCols[i]; col >= 0 {
+		return q.Head.Args[i].Var, e.Schema().Attr(col).Kind
+	}
+	return caql.ConstColumnName(i), d.Consts[i].Kind()
+}
+
+// taken reports whether an attribute in attrs is named name.
+func taken(attrs []relation.Attr, name string) bool {
+	for _, a := range attrs {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// fitsSchema reports whether sch is derivedSchema(q, d, e), without building
+// it: every column has its position's kind and its name, which is the
+// position's name followed by the fewest '_' that no column before it has.
+func fitsSchema(sch *relation.Schema, q *caql.Query, d *subsume.Derivation, e *Element) bool {
+	if sch.Arity() != len(d.OutCols) {
+		return false
+	}
+	for i := range d.OutCols {
+		base, kind := headColumn(q, d, e, i)
+		a := sch.Attr(i)
+		if a.Kind != kind || len(a.Name) < len(base) || a.Name[:len(base)] != base {
+			return false
+		}
+		// Each shorter spelling a.Name passed over must be an earlier column's
+		// name; a.Name itself is not, since a schema's names are distinct.
+		for n := len(base); n < len(a.Name); n++ {
+			if j := sch.ColIndex(a.Name[:n]); a.Name[n] != '_' || j < 0 || j >= i {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -15,7 +15,8 @@ import (
 // RDI is the Remote DBMS Interface (Figure 5): it translates CAQL queries to
 // the remote DML, issues them over a Client, buffers results, and keeps a
 // local copy of the remote database schema (Section 3: "the Cache Manager
-// manages ... (a copy of) the remote database schema").
+// manages ... (a copy of) the remote database schema") and of the catalog
+// statistics the IE's shaper orders bodies by (Section 4.1).
 type RDI struct {
 	client remotedb.Client
 	// tracer records remote-fetch spans (nil: untraced). The span's context
@@ -25,12 +26,22 @@ type RDI struct {
 
 	mu      sync.Mutex
 	schemas map[string]*relation.Schema
+	stats   map[string]statsEntry
 	down    bool // last remote call failed at the transport level
+}
+
+// statsEntry is one table's catalog statistics, stamped like a view
+// (Element.builtEpoch) with the epoch observed before the fetch that got
+// them: they are due for a refetch once a request observes a newer version
+// of the table.
+type statsEntry struct {
+	st    remotedb.TableStats
+	stamp uint64
 }
 
 // NewRDI wraps a remote client.
 func NewRDI(client remotedb.Client) *RDI {
-	return &RDI{client: client, schemas: make(map[string]*relation.Schema)}
+	return &RDI{client: client, schemas: make(map[string]*relation.Schema), stats: make(map[string]statsEntry)}
 }
 
 // Available reports whether the remote DBMS is believed reachable. When the
@@ -231,7 +242,29 @@ func (r *RDI) movedSince(def *caql.Query, stamp uint64) bool {
 // Tables lists remote tables.
 func (r *RDI) Tables() ([]string, error) { return r.client.Tables() }
 
-// TableStats returns remote catalog statistics.
+// TableStats returns the table's catalog statistics from the RDI's copy,
+// fetching them only when the copy is missing or a request has observed a
+// version of the table above its stamp. While the remote is unavailable, or
+// when the refetch fails at the transport level, a copy answers as it is.
+// The Distinct slice is shared between callers.
 func (r *RDI) TableStats(name string) (remotedb.TableStats, error) {
-	return r.client.TableStats(name)
+	r.mu.Lock()
+	ent, ok := r.stats[name]
+	r.mu.Unlock()
+	if ok && (remotedb.ObservedVersion(r.client, name) <= ent.stamp || !r.Available()) {
+		return ent.st, nil
+	}
+	stamp := r.ObservedEpoch()
+	st, err := r.client.TableStats(name)
+	r.noteRemote(err)
+	if err != nil {
+		if ok && (remotedb.IsTransient(err) || remotedb.IsUnavailable(err)) {
+			return ent.st, nil
+		}
+		return remotedb.TableStats{}, err
+	}
+	r.mu.Lock()
+	r.stats[name] = statsEntry{st: st, stamp: stamp}
+	r.mu.Unlock()
+	return st, nil
 }

@@ -127,7 +127,7 @@ func EvalLazy(q *Query, src RelationSource) (relation.Iterator, *relation.Schema
 		} else {
 			headCols[i] = -1
 			headConst[i] = t.Const
-			name = fmt.Sprintf("c%d", i)
+			name = ConstColumnName(i)
 			attrs[i] = relation.Attr{Name: name, Kind: t.Const.Kind()}
 		}
 		for used[attrs[i].Name] {

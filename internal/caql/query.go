@@ -285,7 +285,7 @@ func (q *Query) OutputSchema(catalog SchemaSource) (*relation.Schema, error) {
 			name = t.Var
 			kind = kinds[t.Var]
 		} else {
-			name = constColumnName(i)
+			name = ConstColumnName(i)
 			kind = t.Const.Kind()
 		}
 		for used[name] {
@@ -299,9 +299,9 @@ func (q *Query) OutputSchema(catalog SchemaSource) (*relation.Schema, error) {
 
 var constColumnNames = [...]string{"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"}
 
-// constColumnName names the output column of a constant at head position i:
-// "c<i>".
-func constColumnName(i int) string {
+// ConstColumnName names the output column of a constant at head position i:
+// "c<i>". Every builder of a query's output schema names constants by it.
+func ConstColumnName(i int) string {
 	if i < len(constColumnNames) {
 		return constColumnNames[i]
 	}

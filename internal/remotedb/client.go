@@ -177,6 +177,14 @@ func (c *InProcClient) observe() {
 	c.seen.note(c.engine.versionsSince(c.seen.epoch.Load()))
 }
 
+// observeCatalog is observe for a catalog request, which it counts.
+func (c *InProcClient) observeCatalog() {
+	c.observe()
+	c.mu.Lock()
+	c.stats.CatalogRequests++
+	c.mu.Unlock()
+}
+
 // Exec implements Client.
 func (c *InProcClient) Exec(sql string) (*Result, error) {
 	return c.ExecCtx(context.Background(), sql)
@@ -238,7 +246,7 @@ func (c *InProcClient) exec(ctx context.Context, sql string) (*Result, int64, er
 // RelationSchema implements Client.
 func (c *InProcClient) RelationSchema(name string, arity int) (*relation.Schema, error) {
 	sch, err := c.engine.Schema(name)
-	c.observe()
+	c.observeCatalog()
 	if err != nil {
 		return nil, err
 	}
@@ -250,13 +258,13 @@ func (c *InProcClient) RelationSchema(name string, arity int) (*relation.Schema,
 
 // TableStats implements Client.
 func (c *InProcClient) TableStats(name string) (TableStats, error) {
-	defer c.observe()
+	defer c.observeCatalog()
 	return c.engine.Stats(name)
 }
 
 // Tables implements Client.
 func (c *InProcClient) Tables() ([]string, error) {
-	defer c.observe()
+	defer c.observeCatalog()
 	return c.engine.Tables(), nil
 }
 

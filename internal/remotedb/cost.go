@@ -56,6 +56,9 @@ func (c Costs) RequestCost(tuples, ops int64) float64 {
 type Stats struct {
 	// Requests is the number of DML requests issued.
 	Requests int64
+	// CatalogRequests is the number of catalog requests issued: schema,
+	// stats and table-list lookups.
+	CatalogRequests int64
 	// TuplesReturned is the total number of result tuples shipped.
 	TuplesReturned int64
 	// ServerOps is the total number of server-side tuple operations.

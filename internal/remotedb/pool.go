@@ -57,6 +57,7 @@ type PoolClient struct {
 // CAS on its bit pattern.
 type statsRec struct {
 	requests        atomic.Int64
+	catalogRequests atomic.Int64
 	tuplesReturned  atomic.Int64
 	serverOps       atomic.Int64
 	framesSent      atomic.Int64
@@ -81,6 +82,7 @@ func (r *statsRec) addSimMS(d float64) {
 func (r *statsRec) snapshot() Stats {
 	return Stats{
 		Requests:        r.requests.Load(),
+		CatalogRequests: r.catalogRequests.Load(),
 		TuplesReturned:  r.tuplesReturned.Load(),
 		ServerOps:       r.serverOps.Load(),
 		SimMS:           math.Float64frombits(r.simMSBits.Load()),
@@ -623,6 +625,7 @@ func (c *muxConn) request(ctx context.Context, req *wireRequest) (*wireFrame, er
 		c.unregister(id)
 		return nil, &TransportError{Op: req.Op, Err: err}
 	}
+	c.p.stats.catalogRequests.Add(1)
 	f, err := st.wait()
 	if err != nil {
 		st.abort(err)

@@ -54,7 +54,7 @@ func TestPoolRoundTrip(t *testing.T) {
 	}
 
 	stats := p.Stats()
-	if stats.Requests != 1 || stats.TuplesReturned != 2 {
+	if stats.Requests != 1 || stats.CatalogRequests != 3 || stats.TuplesReturned != 2 {
 		t.Fatalf("pool stats wrong: %+v", stats)
 	}
 	if stats.Streams != 1 || stats.FramesSent == 0 || stats.FramesRecv == 0 {
