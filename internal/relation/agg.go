@@ -147,9 +147,11 @@ type aggGroup struct {
 // decomposable (COUNT/SUM add, MIN/MAX fold, AVG carries sum+count).
 // Groups are found by the 64-bit hash of their key and verified by value, as
 // in Distinct and the hash join, so a tuple that joins an existing group
-// allocates nothing. Group emission order is first-seen order: Add order
-// within an accumulator, then Merge order across accumulators. Not safe for
-// concurrent use; build one per worker and merge on a single goroutine.
+// allocates nothing, and a new group takes its key from a tupleArena and its
+// states from a block of them, so neither costs an allocation of its own.
+// Group emission order is first-seen order: Add order within an accumulator,
+// then Merge order across accumulators. Not safe for concurrent use; build
+// one per worker and merge on a single goroutine.
 type AggAccum struct {
 	groupBy []int
 	specs   []AggSpec
@@ -157,7 +159,12 @@ type AggAccum struct {
 	heads   map[uint64]int // key hash -> first group of its collision chain
 	groups  []aggGroup     // first-seen order
 	arena   tupleArena     // group keys and emitted rows
+	states  []aggState     // the current state block; new groups carve its tail
 }
+
+// aggBlockStates caps the state blocks. Like tupleArena's they double from
+// the first group's size and are never copied, so a group's states stay put.
+const aggBlockStates = 1024
 
 // NewAggAccum returns an empty accumulator for the given grouping columns
 // and aggregate specs.
@@ -180,8 +187,19 @@ func (a *AggAccum) group(h uint64, t Tuple, cols []int) *aggGroup {
 	}
 	a.heads[h] = len(a.groups)
 	a.groups = append(a.groups, aggGroup{key: a.arena.project(t, cols), hash: h, next: head,
-		states: make([]aggState, len(a.specs))})
+		states: a.newStates()})
 	return &a.groups[len(a.groups)-1]
+}
+
+// newStates carves one group's zeroed states from the current block.
+func (a *AggAccum) newStates() []aggState {
+	n := len(a.specs)
+	if cap(a.states)-len(a.states) < n {
+		a.states = make([]aggState, 0, max(n, min(2*cap(a.states), aggBlockStates)))
+	}
+	off := len(a.states)
+	a.states = a.states[:off+n]
+	return a.states[off : off+n : off+n]
 }
 
 // Add folds one input tuple into its group.

@@ -89,7 +89,7 @@ func TestAggAccumSeparatesCollidingKeys(t *testing.T) {
 }
 
 // A tuple that joins an existing group allocates nothing.
-func TestAggAccumAddAllocatesPerGroup(t *testing.T) {
+func TestAggAccumAddToExistingGroupAllocatesNothing(t *testing.T) {
 	tuples := benchTuples(4096, 3) // 512 distinct values in column 0
 	a := NewAggAccum([]int{0}, []AggSpec{{Op: AggCount, Col: -1}, {Op: AggSum, Col: 2}})
 	for _, tu := range tuples {
@@ -101,6 +101,72 @@ func TestAggAccumAddAllocatesPerGroup(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("%d tuples into existing groups: %v allocations, want 0", len(tuples), n)
+	}
+}
+
+// New groups allocate per block: 5 000 groups of three specs cost the key
+// arena's blocks, the state blocks and the growth of the group slice and the
+// heads map, not an allocation per group (5 079 when each group made its
+// own states).
+func TestAggAccumNewGroupAllocs(t *testing.T) {
+	tuples := make([]Tuple, 5000)
+	for i := range tuples {
+		tuples[i] = Tuple{Int(int64(i)), Float(float64(i) / 3)}
+	}
+	specs := []AggSpec{{Op: AggCount, Col: -1}, {Op: AggSum, Col: 1}, {Op: AggMax, Col: 1}}
+	n := testing.AllocsPerRun(10, func() {
+		a := NewAggAccum([]int{0}, specs)
+		for _, tu := range tuples {
+			a.Add(tu)
+		}
+	})
+	if n > 128 {
+		t.Fatalf("%d new groups: %v allocations, budget 128", len(tuples), n)
+	}
+}
+
+// A parallel aggregate merges partials 1..k into partial 0. That must emit
+// what merging 0..k into a fresh accumulator emits: the same rows in the same
+// order, float sums equal to the bit. 1 200 groups of five specs span
+// several state blocks.
+func TestAggAccumMergeIntoPartial(t *testing.T) {
+	specs := []AggSpec{{Op: AggCount, Col: -1}, {Op: AggSum, Col: 1}, {Op: AggMin, Col: 1}, {Op: AggMax, Col: 1}, {Op: AggAvg, Col: 1}}
+	const k, rows = 4, 6000
+	partials := func() []*AggAccum {
+		ps := make([]*AggAccum, k)
+		for w := range ps {
+			ps[w] = NewAggAccum([]int{0}, specs)
+		}
+		for i := 0; i < rows; i++ {
+			// Worker w sees keys 0..600+200w-1, in an order of its own, so
+			// merges both add groups and fold them.
+			w, j := i%k, i/k
+			key := (j*7919 + w*301) % (600 + 200*w)
+			ps[w].Add(Tuple{Int(int64(key)), Float(float64(i)*0.1 + 1e9/float64(i+1))})
+		}
+		return ps
+	}
+	ps := partials()
+	fresh := NewAggAccum([]int{0}, specs)
+	for _, p := range ps {
+		fresh.Merge(p)
+	}
+	want := fresh.Emit()
+	ps = partials()
+	for _, p := range ps[1:] {
+		ps[0].Merge(p)
+	}
+	got := ps[0].Emit()
+	if len(want) != 1200 || len(got) != len(want) {
+		t.Fatalf("in place: %d groups, fresh: %d, want 1200", len(got), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			g, w := got[i][j], want[i][j]
+			if g.Kind() != w.Kind() || !g.Equal(w) || g.Kind() == KindFloat && g.n != w.n {
+				t.Fatalf("row %d col %d: in place %v, fresh %v", i, j, g, w)
+			}
+		}
 	}
 }
 

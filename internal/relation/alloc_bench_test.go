@@ -63,6 +63,29 @@ func BenchmarkDistinct(b *testing.B) {
 	}
 }
 
+// BenchmarkAggAccum builds two 2 500-group partials of a GROUP BY and merges
+// the second into the first, as a dop-2 parallel aggregate does.
+func BenchmarkAggAccum(b *testing.B) {
+	tuples := make([]Tuple, 10000)
+	for i := range tuples {
+		tuples[i] = Tuple{Int(int64(i % 2500)), Float(float64(i) / 3)}
+	}
+	specs := []AggSpec{{Op: AggCount, Col: -1}, {Op: AggSum, Col: 1}, {Op: AggMax, Col: 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p0, p1 := NewAggAccum([]int{0}, specs), NewAggAccum([]int{0}, specs)
+		for _, tu := range tuples[:5000] {
+			p0.Add(tu)
+		}
+		for _, tu := range tuples[5000:] {
+			p1.Add(tu)
+		}
+		p0.Merge(p1)
+		p0.Emit()
+	}
+}
+
 // BenchmarkHashJoin joins 8k x 8k rows on a skewed key (512 distinct values).
 func BenchmarkHashJoin(b *testing.B) {
 	mk := func(n int, name string) *Relation {

@@ -179,7 +179,9 @@ type parExec struct {
 
 	tables map[*joinNode]*relation.PartitionedTable
 
-	out         chan []relation.Tuple
+	// out is the exchange; free carries drained batches back to the
+	// workers, with room for every batch out can hold.
+	out, free   chan []relation.Tuple
 	wg          sync.WaitGroup
 	interrupted atomic.Bool  // a worker stopped at a cancellation checkpoint
 	workerOps   atomic.Int64 // per-worker ops, flushed at worker exit
@@ -202,25 +204,34 @@ func (px *parExec) gather() relation.Iterator {
 		if px.interrupted.Load() {
 			return relation.Empty()
 		}
-		merged := relation.NewAggAccum(agg.groupCols, agg.specs)
-		for _, acc := range px.aggs {
+		// Merging worker 0's partial into an empty accumulator would copy
+		// it exactly, so the others merge into it in place.
+		merged := px.aggs[0]
+		for _, acc := range px.aggs[1:] {
 			merged.Merge(acc)
 		}
 		return relation.NewSliceIterator(merged.Emit())
 	}
 	// The channel is closed after wg.Wait, so exhaustion means every worker
-	// has exited and their stats and interrupted flags are visible.
+	// has exited and their stats and interrupted flags are visible. A batch
+	// goes back to the workers once its last tuple has been read.
 	var batch []relation.Tuple
+	next := 0
 	return relation.IteratorFunc(func() (relation.Tuple, bool) {
-		for len(batch) == 0 {
+		for next == len(batch) {
 			b, ok := <-px.out
 			if !ok {
 				return nil, false
 			}
-			batch = b
+			batch, next = b, 0
 		}
-		t := batch[0]
-		batch = batch[1:]
+		t := batch[next]
+		if next++; next == len(batch) {
+			select {
+			case px.free <- batch:
+			default:
+			}
+		}
 		return t, true
 	})
 }
@@ -252,6 +263,7 @@ func (px *parExec) start() error {
 		px.aggs = make([]*relation.AggAccum, px.dop)
 	} else {
 		px.out = make(chan []relation.Tuple, px.dop*2)
+		px.free = make(chan []relation.Tuple, px.dop*2)
 	}
 	px.wg.Add(px.dop)
 	for w := 0; w < px.dop; w++ {
@@ -305,7 +317,12 @@ func (px *parExec) runWorker(w int) {
 			continue
 		}
 		if batch == nil {
-			batch = make([]relation.Tuple, 0, parBatchTuples)
+			select {
+			case b := <-px.free:
+				batch = b[:0]
+			default:
+				batch = make([]relation.Tuple, 0, parBatchTuples)
+			}
 		}
 		if batch = append(batch, t); len(batch) == parBatchTuples {
 			if !px.send(batch) {

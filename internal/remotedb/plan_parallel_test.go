@@ -262,6 +262,62 @@ func TestParallelCancelMidStream(t *testing.T) {
 	leakBracket(t, before)
 }
 
+// Drained exchange batches go back to the workers, which refill them. The
+// consumer hands a batch back only after reading its last tuple, so one that
+// yields every 100 tuples, letting the workers run ahead, still reads every
+// tuple once: the bag equals the serial result. Canceled mid-way, the stream
+// still fails visibly.
+func TestParallelExchangeRecyclesBatches(t *testing.T) {
+	e := newParallelEngine(t, 4000)
+	const sql = "SELECT big.id, big.v, dim.dname FROM big, dim WHERE big.g = dim.g"
+	e.SetParallelism(1)
+	want, _, err := e.ExecuteSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forcePar(e, 4)
+	drain := func(ps *PlanStream, stopAt int, cancel func()) []relation.Tuple {
+		var got []relation.Tuple
+		for tu, ok := ps.Next(); ok; tu, ok = ps.Next() {
+			if got = append(got, tu); len(got)%100 == 0 {
+				runtime.Gosched()
+			}
+			if len(got) == stopAt {
+				cancel()
+			}
+		}
+		return got
+	}
+
+	ps, ok := e.ExecuteSQLPipelineCtx(context.Background(), sql)
+	if !ok {
+		t.Fatal("pipeline declined the join")
+	}
+	if ps.DOP() < 2 {
+		t.Fatalf("dop = %d, want parallel", ps.DOP())
+	}
+	got := drain(ps, -1, nil)
+	if err := ps.Err(); err != nil {
+		t.Fatalf("complete stream: %v", err)
+	}
+	ps.Close()
+	if rel := relation.FromTuples("result", ps.Schema(), got); !rel.EqualAsBag(want) {
+		t.Fatalf("bag mismatch: parallel %d rows, serial %d rows", rel.Len(), want.Len())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ps, ok = e.ExecuteSQLPipelineCtx(ctx, sql)
+	if !ok {
+		t.Fatal("pipeline declined the join")
+	}
+	got = drain(ps, 300, cancel)
+	if err := ps.Err(); err == nil {
+		t.Fatalf("canceled stream reported a complete (nil-Err) result of %d rows", len(got))
+	}
+	ps.Close()
+}
+
 // A canceled parallel aggregation must surface an error, not a partial
 // aggregate built from whichever morsels finished.
 func TestParallelAggCancelYieldsErrorNotPartial(t *testing.T) {
