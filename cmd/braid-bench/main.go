@@ -9,8 +9,8 @@
 //	braid-bench                  # run every experiment
 //	braid-bench E2 E5            # run selected experiments
 //	braid-bench -list            # list experiments
-//	braid-bench -cpuprofile cpu.out -memprofile mem.out E12
-//	braid-bench -admin 127.0.0.1:9900 E12   # watch /metrics + pprof while it runs
+//	braid-bench -cpuprofile cpu.out -memprofile mem.out E10
+//	braid-bench -admin 127.0.0.1:9900 E10   # watch /metrics + pprof while it runs
 package main
 
 import (

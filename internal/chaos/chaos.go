@@ -3,9 +3,8 @@
 // client injects transport errors, hangs, latency spikes, and panics, and the
 // callers themselves cancel queries at random and impose deadline storms.
 //
-// The harness is the robustness counterpart of the E12 scaling experiment: it
-// does not measure speed, it asserts *invariants* that must survive any fault
-// interleaving:
+// The harness does not measure speed: it asserts *invariants* that must
+// survive any fault interleaving:
 //
 //   - stats conservation: every issued query resolves to exactly one outcome
 //     (Completed, Canceled, DeadlineExceeded, Shed, or Failed);
@@ -119,7 +118,7 @@ func fired(f remotedb.FaultCounts, s bridge.SourceStats) bool {
 }
 
 // chaosAdvice is the Example 1 advice shape over the chain workload — the
-// same session shape as E10/E12, so prefetch, generalization, subsumption,
+// same session shape as E10, so prefetch, generalization, subsumption,
 // and lazy generators all participate in the storm.
 const chaosAdvice = `
 	view d1(Y^) :- b1("c1", Y) [r1].

@@ -42,9 +42,6 @@ type StormConfig struct {
 	FrameTuples int
 	// Rows sizes the scanned table: more rows, more frames, more kills.
 	Rows int
-	// DisableResume turns the repair machinery off — the control arm: under
-	// a storm the raw failure rate must then become visible to consumers.
-	DisableResume bool
 	// Sessions and QueriesPerSession size the CMS leg, which replays CAQL
 	// queries through a pooled remote client against the same hostile
 	// listener and asserts the dispatch-conservation invariant.
@@ -184,9 +181,10 @@ func stormEngine(rows int) (*remotedb.Engine, error) {
 //
 //   - exactly-once: every COMPLETED stream's delivery is byte-identical to
 //     the uninterrupted delivery — no duplicates, no gaps, order preserved —
-//     however many times its connections died (holds with resume on OR off);
-//   - availability: with resume on and KillAfter >= 2, every stream
-//     completes (the repair machinery hides every kill);
+//     however many times its connections died;
+//   - availability: with KillAfter >= 2, every stream completes (the repair
+//     machinery hides every kill), and a storm that kills anything is seen
+//     to resume;
 //   - conservation: the CMS leg's dispatch accounting balances and the CMS
 //     still answers a fresh session afterwards.
 //
@@ -340,14 +338,12 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 	if res.Mismatched > 0 {
 		return res, fmt.Errorf("storm: %d completed streams were not byte-identical to the uninterrupted delivery", res.Mismatched)
 	}
-	if !cfg.DisableResume {
-		if res.Failed > 0 {
-			return res, fmt.Errorf("storm: %d/%d streams failed despite resume being enabled, e.g. %s",
-				res.Failed, res.Streams, strings.Join(res.Errors, "; "))
-		}
-		if cfg.KillRate > 0 && res.Resumes == 0 {
-			return res, fmt.Errorf("storm: kill rate %.2f produced zero resumes — the storm did not bite", cfg.KillRate)
-		}
+	if res.Failed > 0 {
+		return res, fmt.Errorf("storm: %d/%d streams failed despite resume, e.g. %s",
+			res.Failed, res.Streams, strings.Join(res.Errors, "; "))
+	}
+	if cfg.KillRate > 0 && res.Resumes == 0 {
+		return res, fmt.Errorf("storm: kill rate %.2f produced zero resumes — the storm did not bite", cfg.KillRate)
 	}
 	return res, nil
 }
@@ -549,11 +545,10 @@ func stormClient(addr string, cfg StormConfig, seedOff int64) (*remotedb.Resilie
 	// mid-teardown prove nothing. Microsecond-scale spacing lets redials
 	// land between kills while keeping the whole storm sub-second.
 	return remotedb.NewResilientClient(p, remotedb.Resilience{
-		JitterSeed:          cfg.Seed + seedOff,
-		MaxRetries:          maxRetries,
-		BreakerFailures:     -1,
-		BaseBackoff:         200 * time.Microsecond,
-		MaxBackoff:          2 * time.Millisecond,
-		DisableStreamResume: cfg.DisableResume,
+		JitterSeed:      cfg.Seed + seedOff,
+		MaxRetries:      maxRetries,
+		BreakerFailures: -1,
+		BaseBackoff:     200 * time.Microsecond,
+		MaxBackoff:      2 * time.Millisecond,
 	}), nil
 }

@@ -54,8 +54,7 @@ func E10FeatureAblation() *Table {
 
 // e10Sequence is the ablation session's query list: d1 once, then (d2, d3)
 // instance pairs (prefetch + generalization territory), an exact repeat, and
-// decomposable joins (subsumption + parallel territory). E12 replays the same
-// sequence from concurrent sessions.
+// decomposable joins (subsumption + parallel territory).
 func e10Sequence() []*caql.Query {
 	qs := []*caql.Query{caql.MustParse(`d1(Y) :- b1("c1", Y)`)}
 	d2t := caql.MustParse(`d2(X, Y) :- b2(X, Z) & b3(Z, "c2", Y)`)

@@ -1,11 +1,35 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// run looks id up in Registry and runs it: the table braid-bench prints is
+// the one the shape tests check.
+func run(t *testing.T, id string) *Table {
+	t.Helper()
+	for _, e := range Registry {
+		if e.ID != id {
+			continue
+		}
+		tab := e.Run()
+		if tab.ID != id {
+			t.Fatalf("registry entry %s produced table %s", id, tab.ID)
+		}
+		if len(tab.Rows) == 0 {
+			t.Fatalf("%s produced no rows", id)
+		}
+		return tab
+	}
+	t.Fatalf("no experiment %s in Registry", id)
+	return nil
+}
 
 // cell parses a numeric table cell.
 func cell(t *testing.T, tab *Table, row, col int) float64 {
@@ -30,7 +54,7 @@ func colIndex(t *testing.T, tab *Table, name string) int {
 }
 
 func TestE1Shape(t *testing.T) {
-	tab := E1ICRange()
+	tab := run(t, "E1")
 	if len(tab.Rows) != 10 {
 		t.Fatalf("E1 rows = %d", len(tab.Rows))
 	}
@@ -73,7 +97,7 @@ func TestE2ShapeAndConsistency(t *testing.T) {
 	if err := verifyE2Consistency(); err != nil {
 		t.Fatal(err)
 	}
-	tab := E2CachingStrategies()
+	tab := run(t, "E2")
 	remote := colIndex(t, tab, "remote")
 	hits := colIndex(t, tab, "full-hits")
 	// Rows: loose, exact, singlerel, braid.
@@ -92,7 +116,7 @@ func TestE2ShapeAndConsistency(t *testing.T) {
 }
 
 func TestE3Shape(t *testing.T) {
-	tab := E3LazyVsEager()
+	tab := run(t, "E3")
 	local := colIndex(t, tab, "localSim(ms)")
 	// Rows: eager/1, eager/10, eager/all, lazy/1, lazy/10, lazy/all.
 	if !(cell(t, tab, 3, local) < cell(t, tab, 0, local)) {
@@ -108,7 +132,7 @@ func TestE3Shape(t *testing.T) {
 }
 
 func TestE4Shape(t *testing.T) {
-	tab := E4Prefetching()
+	tab := run(t, "E4")
 	resp := colIndex(t, tab, "simResp(ms)")
 	hits := colIndex(t, tab, "pf-hits")
 	// Pairs per latency: off, on.
@@ -124,7 +148,7 @@ func TestE4Shape(t *testing.T) {
 }
 
 func TestE5Shape(t *testing.T) {
-	tab := E5Generalization()
+	tab := run(t, "E5")
 	remote := colIndex(t, tab, "remote")
 	gens := colIndex(t, tab, "generalized")
 	// Pairs per instance count: off, on. With generalization, remote
@@ -143,7 +167,7 @@ func TestE5Shape(t *testing.T) {
 }
 
 func TestE6Shape(t *testing.T) {
-	tab := E6AttributeIndexing()
+	tab := run(t, "E6")
 	local := colIndex(t, tab, "localSim(ms)")
 	builds := colIndex(t, tab, "idx-builds")
 	for p := 0; p < 2; p++ {
@@ -179,7 +203,7 @@ func TestE6Repeats(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	tab := E7Replacement()
+	tab := run(t, "E7")
 	ref := colIndex(t, tab, "d1-refetches")
 	// Rows: off, on.
 	if !(cell(t, tab, 1, ref) < cell(t, tab, 0, ref)) {
@@ -191,7 +215,7 @@ func TestE7Shape(t *testing.T) {
 }
 
 func TestE8Shape(t *testing.T) {
-	tab := E8ParallelSubqueries()
+	tab := run(t, "E8")
 	resp := colIndex(t, tab, "simResp(ms)")
 	partial := colIndex(t, tab, "partial-hits")
 	for p := 0; p < 3; p++ {
@@ -206,7 +230,7 @@ func TestE8Shape(t *testing.T) {
 }
 
 func TestE9Shape(t *testing.T) {
-	tab := E9SubsumptionOverhead()
+	tab := run(t, "E9")
 	if len(tab.Rows) != 3 {
 		t.Fatalf("E9 rows = %d", len(tab.Rows))
 	}
@@ -234,111 +258,60 @@ func TestE9Shape(t *testing.T) {
 	}
 }
 
-// TestAllRuns runs the registry braid-bench prints from, except the
-// experiments that have a reduced-scale test of their own below, and pins
-// what the suite is: E1..E19 without the retired E17, each id once.
+// TestAllRuns pins what the suite is: E1..E11, each id once, in order. Each
+// experiment runs once per go test, from its own TestE*Shape.
 func TestAllRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite in short mode")
-	}
-	ownTest := map[string]bool{"E14": true, "E15": true, "E16": true, "E18": true, "E19": true}
 	var ids, want []string
-	for n := 1; n <= 19; n++ {
-		if n != 17 {
-			want = append(want, "E"+strconv.Itoa(n))
-		}
+	for n := 1; n <= 11; n++ {
+		want = append(want, "E"+strconv.Itoa(n))
 	}
 	for _, e := range Registry {
 		ids = append(ids, e.ID)
-		if ownTest[e.ID] {
-			continue
-		}
-		tab := e.Run()
-		if tab.ID != e.ID {
-			t.Errorf("registry entry %s produced table %s", e.ID, tab.ID)
-		}
-		if len(tab.Rows) == 0 || tab.String() == "" {
-			t.Errorf("%s produced no rows", e.ID)
-		}
 	}
 	if !reflect.DeepEqual(ids, want) {
 		t.Errorf("registry ids = %v, want %v", ids, want)
 	}
 }
 
-// TestE12Shape: concurrent sessions over one shared CMS must answer every
-// query (accounted exactly once) and hit at least as often as the serial
-// session — wall-clock speed is environment-dependent and not asserted.
-func TestE12Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("concurrent replay in short mode")
+// TestDocsMatchRegistry: EXPERIMENTS.md reports, and DESIGN.md Section 5
+// indexes, exactly the experiments of Registry, in its order.
+func TestDocsMatchRegistry(t *testing.T) {
+	var want []string
+	for _, e := range Registry {
+		want = append(want, e.ID)
 	}
-	perSession := int64(len(e10Sequence()))
-	serial := RunE12(1)
-	if serial.Stats.Queries != perSession {
-		t.Fatalf("serial queries = %d, want %d", serial.Stats.Queries, perSession)
-	}
-	serialRate := float64(serial.Stats.CacheHits+serial.Stats.PartialHits) / float64(serial.Stats.Queries)
-	conc := RunE12(8)
-	if conc.Stats.Queries != 8*perSession {
-		t.Fatalf("concurrent queries = %d, want %d", conc.Stats.Queries, 8*perSession)
-	}
-	concRate := float64(conc.Stats.CacheHits+conc.Stats.PartialHits) / float64(conc.Stats.Queries)
-	// Sessions racing on a cold cache can each miss the same query before the
-	// first insert lands (at most ~one duplicate fetch per session per view),
-	// so parity holds up to a one-query-per-session tolerance.
-	if tol := 1.0 / float64(perSession); concRate < serialRate-tol {
-		t.Errorf("shared-cache hit rate %.3f below serial %.3f (tolerance %.3f)", concRate, serialRate, tol)
-	}
-	if conc.QPS <= 0 || conc.P50 <= 0 || conc.P99 < conc.P50 {
-		t.Errorf("degenerate latency aggregation: %+v", conc)
-	}
-}
-
-// TestE14Shape runs the stream-transport experiment at a reduced scale and
-// checks the directional claims: streaming beats the materialized arm on
-// first-tuple latency, and pooled throughput grows with the pool against the
-// session-serial 1ms-per-request remote. Both ratios are wall-clock, so a
-// loaded CI host gets a conservative floor.
-func TestE14Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real TCP measurement in short mode")
-	}
-	d, err := RunE14(20000, 3, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.FirstTuple) != 4 || len(d.Throughput) != 3 {
-		t.Fatalf("unexpected shape: %+v", d)
-	}
-	if d.FirstTuple[0].Transport != "materialized" {
-		t.Fatalf("row 0 should be the materialized arm, got %+v", d.FirstTuple[0])
-	}
-	for _, f := range d.FirstTuple {
-		if f.Tuples != 20000 {
-			t.Errorf("%s/%d returned %d tuples, want 20000", f.Transport, f.FrameTuples, f.Tuples)
+	ids := func(file, section string, re *regexp.Regexp) []string {
+		b, err := os.ReadFile(filepath.Join("..", "..", file))
+		if err != nil {
+			t.Fatal(err)
 		}
+		text := string(b)
+		if section != "" {
+			i := strings.Index(text, section)
+			if i < 0 {
+				t.Fatalf("%s has no %q", file, section)
+			}
+			text = text[i+len(section):]
+			if j := strings.Index(text, "\n## "); j >= 0 {
+				text = text[:j]
+			}
+		}
+		var got []string
+		for _, m := range re.FindAllStringSubmatch(text, -1) {
+			got = append(got, m[1])
+		}
+		return got
 	}
-	if raceEnabled {
-		t.Logf("race detector on: skipping ratio floors (speedup %.2fx, scaling %.2fx)",
-			d.FirstTupleSpeedup, d.PoolScalingQPS)
-	} else {
-		if !(d.FirstTupleSpeedup > 1.5) {
-			t.Errorf("streaming first-tuple speedup %.2fx, want > 1.5x", d.FirstTupleSpeedup)
-		}
-		if !(d.PoolScalingQPS > 1.5) {
-			t.Errorf("pool 1->8 QPS scaling %.2fx, want > 1.5x", d.PoolScalingQPS)
-		}
+	if got := ids("EXPERIMENTS.md", "", regexp.MustCompile(`(?m)^## (E\d+)\b`)); !reflect.DeepEqual(got, want) {
+		t.Errorf("EXPERIMENTS.md sections = %v, registry = %v", got, want)
 	}
-	for _, p := range d.Throughput {
-		if p.Queries != int64(p.Sessions*10) {
-			t.Errorf("pool %d completed %d queries, want %d", p.PoolSize, p.Queries, p.Sessions*10)
-		}
+	if got := ids("DESIGN.md", "\n## 5. ", regexp.MustCompile(`(?m)^\| (E\d+) \|`)); !reflect.DeepEqual(got, want) {
+		t.Errorf("DESIGN.md Section 5 rows = %v, registry = %v", got, want)
 	}
 }
 
 func TestE11Shape(t *testing.T) {
-	tab := E11FaultTolerance()
+	tab := run(t, "E11")
 	if len(tab.Rows) != 5 {
 		t.Fatalf("E11 rows = %d", len(tab.Rows))
 	}
@@ -367,7 +340,7 @@ func TestE11Shape(t *testing.T) {
 }
 
 func TestE10Shape(t *testing.T) {
-	tab := E10FeatureAblation()
+	tab := run(t, "E10")
 	if len(tab.Rows) != 9 {
 		t.Fatalf("E10 rows = %d", len(tab.Rows))
 	}
@@ -386,132 +359,5 @@ func TestE10Shape(t *testing.T) {
 		if cell(t, tab, r, resp) < full-0.5 {
 			t.Errorf("ablation row %d (%s) beats the full configuration\n%s", r, tab.Rows[r][0], tab)
 		}
-	}
-}
-
-// TestE15Shape: at a kill rate that severs every streamed connection two
-// frames in, resume tokens keep completion at 100% and the non-resuming
-// control completes strictly less — otherwise the storm is not biting and the
-// experiment proves nothing. A fault-free arm repairs nothing.
-func TestE15Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real TCP measurement in short mode")
-	}
-	d, err := RunE15(1000, 6) // integrity (cardinality of every completed stream) is checked inside
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Arms) != 5 {
-		t.Fatalf("unexpected arm count %d: %+v", len(d.Arms), d)
-	}
-	for _, a := range d.Arms {
-		if a.Resume && a.Completed != a.Streams {
-			t.Errorf("resume on at kill rate %.1f completed %d/%d", a.KillRate, a.Completed, a.Streams)
-		}
-		if a.KillRate == 0 && (a.Resumes != 0 || a.ServerKills != 0) {
-			t.Errorf("fault-free arm repaired %d streams, server killed %d", a.Resumes, a.ServerKills)
-		}
-		if a.KillRate == 1 && a.Resume && a.Resumes == 0 {
-			t.Errorf("kill rate 1 with resume on repaired nothing: %+v", a)
-		}
-	}
-	if d.ResumeCompletionPct != 100 || d.NoResumeCompletionPct >= d.ResumeCompletionPct {
-		t.Errorf("completion at kill rate 1: resume on %.0f%%, off %.0f%%; want 100%% and strictly less",
-			d.ResumeCompletionPct, d.NoResumeCompletionPct)
-	}
-}
-
-// TestE16Shape checks the parts of E16 that are counts: every order joins
-// exactly one customer, the aggregate has 50 groups, LIMIT over the join
-// charges fewer ops than the join, and a workload of 8 statements repeated
-// compiles each once (hit rate >= 90%). Latencies are not asserted.
-func TestE16Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real TCP measurement in short mode")
-	}
-	d, err := RunE16(8000, 200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Shapes) != 3 || d.Shapes[1].Shape != "join" || d.Shapes[2].Shape != "agg" {
-		t.Fatalf("unexpected shapes: %+v", d.Shapes)
-	}
-	if d.Shapes[1].Tuples != 8000 || d.Shapes[2].Tuples != 50 {
-		t.Errorf("join returned %d tuples (want 8000), agg %d (want 50)", d.Shapes[1].Tuples, d.Shapes[2].Tuples)
-	}
-	if !(d.LimitJoinOpsCut > 1) {
-		t.Errorf("LIMIT 10 over the join charged %d ops, the full join %d: no short-circuit",
-			d.LimitJoinOpsOn, d.FullJoinOpsOn)
-	}
-	if d.PlanCacheHitRate < 0.9 {
-		t.Errorf("plan-cache hit rate %.1f%%, want >= 90%%", 100*d.PlanCacheHitRate)
-	}
-}
-
-// TestE18Shape: every fsync policy, on every round, recovers exactly the rows
-// it acknowledged, fsync=always syncs at least once per acknowledged batch,
-// and a cold recovery replays the log it is given. Rows/s is not asserted.
-func TestE18Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("writes and fsyncs real files in short mode")
-	}
-	const batches = 20
-	d, err := RunE18(batches, 2, []int{500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.RecoveryCorrect {
-		t.Errorf("recovery lost or duplicated acknowledged rows: %+v", d)
-	}
-	if len(d.Arms) != 4 || len(d.Recoveries) != 1 {
-		t.Fatalf("unexpected shape: %+v", d)
-	}
-	for _, a := range d.Arms {
-		if !a.RowsOK {
-			t.Errorf("fsync=%s: reopen did not recover the %d acknowledged rows", a.Policy, a.Rows)
-		}
-		if a.Policy == "always" && a.Syncs < batches {
-			t.Errorf("fsync=always synced %d times for %d acknowledged batches", a.Syncs, batches)
-		}
-	}
-	if r := d.Recoveries[0]; !r.RowsOK || r.Replayed == 0 {
-		t.Errorf("cold recovery of %d rows: %+v", r.Rows, r)
-	}
-}
-
-// TestE19Shape runs the morsel-parallelism sweep at a reduced scale: the
-// result must carry every (shape, dop) arm with dop-invariant cardinality
-// and server ops (parallel execution may not change what a query returns or
-// how much work it charges), and the engine counters must show the pool
-// engaging for dop > 1 and falling back for dop 1. Drain and first-tuple
-// times are not asserted.
-func TestE19Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real TCP measurement in short mode")
-	}
-	d, err := RunE19(12000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Shapes) != 12 { // 3 shapes x dop {1,2,4,8}
-		t.Fatalf("unexpected shape count %d: %+v", len(d.Shapes), d)
-	}
-	base := map[string]E19Shape{}
-	for _, s := range d.Shapes {
-		if s.DOP == 1 {
-			base[s.Shape] = s
-			continue
-		}
-		b := base[s.Shape]
-		if s.Tuples != b.Tuples || s.Ops != b.Ops {
-			t.Errorf("%s at dop %d: %d tuples / %d ops, serial returned %d / %d",
-				s.Shape, s.DOP, s.Tuples, s.Ops, b.Tuples, b.Ops)
-		}
-	}
-	if d.ParStreams == 0 || d.ParMorsels == 0 || d.ParWorkers == 0 {
-		t.Errorf("parallel counters never moved: %+v", d)
-	}
-	if d.ParFallbacks == 0 {
-		t.Errorf("dop-1 arms should count as serial fallbacks: %+v", d)
 	}
 }

@@ -4,7 +4,9 @@
 // would report. cmd/braid-bench prints the tables; the package's tests assert
 // the parts of each table that repeat (counts, simulated costs, invariants).
 // Wall-clock columns are diagnostics of one host: numbers to compare across
-// commits come from bench/.
+// commits come from bench/. Engineering properties the paper does not claim
+// (concurrency, stream transport and recovery, durability, parallel
+// execution) are asserted by the tests of the packages that own them.
 package experiments
 
 import (
@@ -81,13 +83,6 @@ func onOff(v bool) string {
 	return "off"
 }
 
-// failed is the table an experiment returns when its measurement could not
-// run (a listener or a temp directory it needs was unavailable), so one
-// environment problem does not take down the whole suite.
-func failed(id string, err error) *Table {
-	return &Table{ID: id, Title: "failed", Header: []string{"error"}, Rows: [][]string{{err.Error()}}}
-}
-
 // Experiment is one entry of the suite: braid-bench lists, selects and runs
 // experiments from Registry, and the tests check it is complete.
 type Experiment struct {
@@ -96,9 +91,8 @@ type Experiment struct {
 	Run   func() *Table
 }
 
-// Registry is the whole suite, in order. E17 (observability overhead) was
-// retired: its one reading sat below its own noise floor, and bench --trace 1
-// reports the same cost with a stated spread (EXPERIMENTS.md §E17).
+// Registry is the whole suite, in order: E1..E11, one entry per claim of the
+// paper (DESIGN.md Section 5 indexes them, EXPERIMENTS.md reports them).
 var Registry = []Experiment{
 	{"E1", "inference strategy along the I-C range", E1ICRange},
 	{"E2", "caching strategies on overlapping queries", E2CachingStrategies},
@@ -111,11 +105,4 @@ var Registry = []Experiment{
 	{"E9", "subsumption overhead", E9SubsumptionOverhead},
 	{"E10", "feature ablation (Figure 2)", E10FeatureAblation},
 	{"E11", "fault tolerance under an unreliable remote", E11FaultTolerance},
-	{"E12", "concurrent multi-session scaling", E12ConcurrentScaling},
-	{"E13", "admission control under overload", E13AdmissionControl},
-	{"E14", "stream transport: first-tuple latency and pooled throughput", E14StreamTransport},
-	{"E15", "mid-stream failure recovery: resumable streams", E15StreamRecovery},
-	{"E16", "cost-based optimizer: pipelined joins, plan cache", E16PlannerStreaming},
-	{"E18", "durability: write throughput by fsync policy; recovery time by log size", E18Durability},
-	{"E19", "morsel-driven parallel execution: parity across DOP", E19ParallelExecution},
 }

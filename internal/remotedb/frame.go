@@ -238,5 +238,5 @@ func clampFrameTuples(n, fallback int) int {
 
 // DefaultFrameTuples is the response frame size used when neither side
 // configures one. Frames trade first-tuple latency and peak memory (small
-// frames) against per-frame overhead (large frames); E14 measures the curve.
+// frames) against per-frame overhead (large frames).
 const DefaultFrameTuples = 512

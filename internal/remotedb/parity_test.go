@@ -199,7 +199,24 @@ func checkParity(t *testing.T, e *Engine, tc parityCase) int64 {
 	if analyzeOps != ops || !strings.Contains(header, fmt.Sprintf("| ops %d |", ops)) {
 		t.Errorf("explain analyze ops = %d, planned run ops = %d; header %q", analyzeOps, ops, header)
 	}
+	assertLimitShortCircuits(t, e, tc, ops)
 	return ops
+}
+
+// assertLimitShortCircuits: a LIMIT stops the pipeline once it has its rows,
+// so a case with an unlimited form charges strictly fewer ops than it.
+func assertLimitShortCircuits(t *testing.T, e *Engine, tc parityCase, ops int64) {
+	t.Helper()
+	if tc.unlimited == "" {
+		return
+	}
+	_, fullOps, err := e.ExecuteSQL(tc.unlimited)
+	if err != nil {
+		t.Fatalf("unlimited: %v", err)
+	}
+	if ops >= fullOps {
+		t.Errorf("LIMIT charged %d ops, the unlimited statement %d: no short-circuit", ops, fullOps)
+	}
 }
 
 func runParity(t *testing.T, indexed bool) {

@@ -91,16 +91,20 @@ var parallelCorpus = []string{
 }
 
 // Parallel scan/join/agg results must equal the serial planner's on a table
-// big enough for genuine multi-morsel concurrency, and the parallel-stream
-// counters must move.
+// big enough for genuine multi-morsel concurrency, the parallel-stream
+// counters must move, and the dop-1 run must count a serial fallback.
 func TestParallelExecutionMatchesSerial(t *testing.T) {
 	e := newParallelEngine(t, 4000)
 	for _, sql := range parallelCorpus {
 		t.Run(sql, func(t *testing.T) {
 			e.SetParallelism(1)
+			before := e.ParallelStats()
 			want, serialOps, err := e.ExecuteSQL(sql)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
+			}
+			if fb := e.ParallelStats().SerialFallbacks; fb != before.SerialFallbacks+1 {
+				t.Fatalf("serial run: fallbacks %d -> %d, want +1", before.SerialFallbacks, fb)
 			}
 			forcePar(e, 4)
 			base := e.ParallelStats()
@@ -604,7 +608,8 @@ func TestNaNRangeEstimateMatchesNaNFree(t *testing.T) {
 // fixture of scaled size, at any morsel size and dop, must return the same
 // bag of rows, charge the same ops, end with a nil Err, and, when its plan
 // has a parallel section, run on the pool (with more than one worker once
-// the driver spans two morsels).
+// the driver spans two morsels). A LIMIT case charges fewer ops than its
+// unlimited form.
 func FuzzParallelParity(f *testing.F) {
 	for _, seed := range []struct {
 		stmt, scale uint8
@@ -622,6 +627,7 @@ func FuzzParallelParity(f *testing.F) {
 		{30, 4, 9, 1},   // DISTINCT over a join
 		{17, 2, 3, 2},   // self-join with a theta residual
 		{18, 5, 11, 1},  // cross product: stays serial
+		{32, 3, 16, 2},  // LIMIT over a join: short-circuits, stays serial
 	} {
 		f.Add(seed.stmt, seed.scale, seed.morsel, seed.dop)
 	}
@@ -654,6 +660,7 @@ func FuzzParallelParity(f *testing.F) {
 		if pps.Ops() != sps.Ops() {
 			t.Fatalf("%s: ops at dop %d = %d, serial %d", tc.sql, dop, pps.Ops(), sps.Ops())
 		}
+		assertLimitShortCircuits(t, e, tc, pps.Ops())
 		if pps.plan.par == nil {
 			return
 		}

@@ -387,7 +387,8 @@ func TestRecoveryRotationBoundsLog(t *testing.T) {
 }
 
 // TestRecoveryFsyncPolicies: interval and off policies still recover a cleanly
-// closed log (Close syncs); the flag parser round-trips every policy.
+// closed log (Close syncs); always syncs at least once per acknowledged
+// mutation; the flag parser round-trips every policy.
 func TestRecoveryFsyncPolicies(t *testing.T) {
 	for _, pol := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncOff} {
 		parsed, err := ParseFsyncPolicy(pol.String())
@@ -396,11 +397,15 @@ func TestRecoveryFsyncPolicies(t *testing.T) {
 		}
 		dir := t.TempDir()
 		e, _ := openDurable(t, dir, func(d *Durability) { d.Fsync = pol })
-		if _, _, err := e.ExecuteSQL("CREATE TABLE t (k INT)"); err != nil {
-			t.Fatal(err)
+		base := e.WALStats().Syncs
+		mutations := []string{"CREATE TABLE t (k INT)", "INSERT INTO t VALUES (1),(2)"}
+		for _, sql := range mutations {
+			if _, _, err := e.ExecuteSQL(sql); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, _, err := e.ExecuteSQL("INSERT INTO t VALUES (1),(2)"); err != nil {
-			t.Fatal(err)
+		if syncs := e.WALStats().Syncs - base; pol == FsyncAlways && syncs < int64(len(mutations)) {
+			t.Fatalf("fsync=always synced %d times for %d acknowledged mutations", syncs, len(mutations))
 		}
 		e.CloseWAL()
 		r, _ := openDurable(t, dir, nil)

@@ -82,12 +82,6 @@ type Resilience struct {
 	Sleep func(time.Duration)
 	// Now is the clock (tests stub it). Nil means time.Now.
 	Now func() time.Time
-	// DisableStreamResume turns off transparent mid-stream recovery: streams
-	// surface mid-stream transport failures to the consumer, as before resume
-	// tokens existed. The zero value (resume ON) is the production posture;
-	// the switch exists for E15's control arm and for consumers that prefer
-	// to restart whole statements themselves.
-	DisableStreamResume bool
 }
 
 func (r Resilience) withDefaults() Resilience {
@@ -325,10 +319,10 @@ func (r *ResilientClient) ExecCtx(ctx context.Context, sql string) (*Result, err
 // ResilientStream, which repairs mid-stream transport failures by
 // re-dispatching with the token — through this same client, so the breaker
 // and backoff govern re-dispatches too. Tokenless streams keep the
-// surface-the-error behavior, as does cfg.DisableStreamResume.
+// surface-the-error behavior.
 func (r *ResilientClient) ExecStream(ctx context.Context, sql string) (TupleStream, error) {
 	st, err := doCtx(r, ctx, "exec", func() (TupleStream, error) { return r.inner.ExecStream(ctx, sql) })
-	if err != nil || r.cfg.DisableStreamResume {
+	if err != nil {
 		return st, err
 	}
 	return newResilientStream(r, ctx, sql, st), nil

@@ -779,9 +779,10 @@ func TestResilientStreamSurvivesKillStorm(t *testing.T) {
 	}
 }
 
-// TestResilientStreamDisableResume is E15's control arm in miniature: the same
-// kill storm with resume off must surface the mid-stream failure.
-func TestResilientStreamDisableResume(t *testing.T) {
+// TestBarePoolStreamSurfacesKill is the control for the kill-storm tests: a
+// bare PoolClient never resumes, so the same storm surfaces the mid-stream
+// failure to the consumer as a transport-classed error.
+func TestBarePoolStreamSurfacesKill(t *testing.T) {
 	e := NewEngine()
 	loadBigTable(t, e, 150)
 	srv := NewServerWithOptions(e, ServerOptions{
@@ -794,24 +795,19 @@ func TestResilientStreamDisableResume(t *testing.T) {
 	}
 	defer srv.Close()
 	p := dialTestPool(t, addr, PoolOptions{Size: 2, FrameTuples: 4})
-	rc := NewResilientClient(p, Resilience{
-		MaxRetries:          4,
-		Sleep:               func(time.Duration) {},
-		DisableStreamResume: true,
-	})
-	st, err := rc.ExecStream(context.Background(), "SELECT v FROM big")
+	st, err := p.ExecStream(context.Background(), "SELECT v FROM big")
 	if err != nil {
 		return // establishment itself may die under the storm: also a surfaced failure
 	}
 	rows, err := drainTuples(st)
 	if err == nil {
-		t.Fatalf("resume disabled, yet a kill-every-stream storm delivered %d tuples cleanly", len(rows))
+		t.Fatalf("a kill-every-stream storm delivered %d tuples cleanly to a bare pool", len(rows))
 	}
 	if !IsTransient(err) && !IsUnavailable(err) {
 		t.Fatalf("surfaced error is not transport-classed: %v", err)
 	}
-	if rc.ResilienceStats().StreamResumes != 0 {
-		t.Fatal("resume disabled but StreamResumes counted")
+	if n := srv.ServerStats().StreamResumes; n != 0 {
+		t.Fatalf("a bare pool resumed %d streams", n)
 	}
 }
 
