@@ -32,11 +32,12 @@ import (
 // row costs at least one bit per column and the decoder can refuse a row
 // count the payload could not hold before it allocates for it.
 //
-// Decoding builds one []relation.Value arena and one []relation.Tuple for
-// the whole batch, and one string per string-bearing column that every string
-// cell of the column is a substring of: the allocation count does not depend
-// on nrows. A tuple kept by the consumer therefore pins its batch's arena and
-// blobs, as a kept join output pins its arena block.
+// Decoding builds one []relation.Value arena for the whole batch, rows laid
+// end to end, and one string per string-bearing column that every string cell
+// of the column is a substring of: the allocation count does not depend on
+// nrows, and nothing decoded aliases the input. A stream hands out tuples as
+// slices of the arena, so a tuple kept by the consumer pins its batch's arena
+// and blobs, as a kept join output pins its arena block.
 
 const (
 	batchFormat = 1
@@ -159,20 +160,34 @@ func take(b *[]byte, n uint64) ([]byte, error) {
 	return out, nil
 }
 
-// decodeBatch decodes b, which must be exactly one batch of arity ncols (the
-// arity the result header or the table schema announced). The input is not
-// trusted: every count and offset is checked against the bytes present before
-// anything is sized by it, and a malformed batch is an error, never a panic.
-// The returned tuples do not alias b.
+// decodeBatch decodes b, which must be exactly one batch of arity ncols, into
+// tuples over one arena (decodeBatchValues).
 func decodeBatch(b []byte, ncols int) ([]relation.Tuple, error) {
+	vals, n, err := decodeBatchValues(b, ncols)
+	if err != nil {
+		return nil, err
+	}
+	tuples := make([]relation.Tuple, n)
+	for i := range tuples {
+		tuples[i] = vals[i*ncols : (i+1)*ncols : (i+1)*ncols]
+	}
+	return tuples, nil
+}
+
+// decodeBatchValues decodes b, which must be exactly one batch of arity ncols
+// (the arity the result header or the table schema announced), into its rows'
+// values end to end, ncols per row. The input is not trusted: every count and
+// offset is checked against the bytes present before anything is sized by it,
+// and a malformed batch is an error, never a panic. vals does not alias b.
+func decodeBatchValues(b []byte, ncols int) (vals []relation.Value, rows int, err error) {
 	if len(b) < batchHeader {
-		return nil, errBatchShort
+		return nil, 0, errBatchShort
 	}
 	if b[0] != batchFormat {
-		return nil, fmt.Errorf("unknown batch format %d", b[0])
+		return nil, 0, fmt.Errorf("unknown batch format %d", b[0])
 	}
 	if nc := le.Uint32(b[1:]); uint64(nc) != uint64(ncols) {
-		return nil, fmt.Errorf("batch of %d columns where %d were announced", nc, ncols)
+		return nil, 0, fmt.Errorf("batch of %d columns where %d were announced", nc, ncols)
 	}
 	nrows := uint64(le.Uint32(b[5:]))
 	b = b[batchHeader:]
@@ -185,41 +200,37 @@ func decodeBatch(b []byte, ncols int) ([]relation.Tuple, error) {
 		least = uint64(ncols) * (1 + bits)
 	}
 	if least > uint64(len(b)) {
-		return nil, errBatchShort
+		return nil, 0, errBatchShort
 	}
 	n := int(nrows)
-	vals := make([]relation.Value, n*ncols)
-	tuples := make([]relation.Tuple, n)
-	for i := range tuples {
-		tuples[i] = vals[i*ncols : (i+1)*ncols : (i+1)*ncols]
-	}
+	vals = make([]relation.Value, n*ncols)
 	if ncols == 0 {
 		b = b[bits:]
 	}
 	for c := 0; c < ncols; c++ {
 		tag, err := take(&b, 1)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if tag[0] == colMixed {
 			if err := decodeMixedColumn(&b, vals, c, ncols); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			continue
 		}
 		if tag[0] < colInt || tag[0] > colBool {
-			return nil, fmt.Errorf("unknown column tag %d", tag[0])
+			return nil, 0, fmt.Errorf("unknown column tag %d", tag[0])
 		}
 		nulls, err := take(&b, bits)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		null := func(i int) bool { return nulls[i/8]&(1<<(i%8)) != 0 }
 		switch tag[0] {
 		case colInt, colFloat:
 			vec, err := take(&b, 8*nrows)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			for i := 0; i < n; i++ {
 				if null(i) {
@@ -234,7 +245,7 @@ func decodeBatch(b []byte, ncols int) ([]relation.Tuple, error) {
 		case colBool:
 			vec, err := take(&b, bits)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			for i := 0; i < n; i++ {
 				if !null(i) {
@@ -244,7 +255,7 @@ func decodeBatch(b []byte, ncols int) ([]relation.Tuple, error) {
 		case colString:
 			ends, err := take(&b, 4*nrows)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			var size uint32
 			if n > 0 {
@@ -252,13 +263,13 @@ func decodeBatch(b []byte, ncols int) ([]relation.Tuple, error) {
 			}
 			raw, err := take(&b, uint64(size))
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			blob, start := string(raw), uint32(0)
 			for i := 0; i < n; i++ {
 				end := le.Uint32(ends[4*i:])
 				if end < start || end > size {
-					return nil, fmt.Errorf("string offset %d outside [%d, %d]", end, start, size)
+					return nil, 0, fmt.Errorf("string offset %d outside [%d, %d]", end, start, size)
 				}
 				if !null(i) {
 					vals[i*ncols+c] = relation.Str(blob[start:end])
@@ -268,9 +279,9 @@ func decodeBatch(b []byte, ncols int) ([]relation.Tuple, error) {
 		}
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%d bytes after the last column", len(b))
+		return nil, 0, fmt.Errorf("%d bytes after the last column", len(b))
 	}
-	return tuples, nil
+	return vals, n, nil
 }
 
 // decodeMixedColumn decodes a per-cell-tagged column into column c of vals,

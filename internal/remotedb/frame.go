@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 )
 
 // Wire protocol v5: after the hello (wire.go), a connection carries frames in
@@ -19,8 +20,10 @@ import (
 // from one to the next, so the writer of each side keeps only a byte buffer.
 // The tuples of a batch frame are the payload's tail, one opaque column batch
 // (batch.go), which the stream's consumer decodes, not the connection's
-// reader: the reader decodes each frame into a fresh payload that the batch
-// aliases.
+// reader. The reader takes a frame of at most reuseLimit bytes from
+// framePool and decodes it in place over the payload buffer the frame keeps;
+// the batch aliases that buffer until the consumer decodes it and releases
+// the frame.
 //
 // Frames are tagged with a request ID, so any number of requests can be in
 // flight on one connection and responses interleave at frame granularity: a
@@ -78,11 +81,33 @@ type wireFrame struct {
 	// each with its new version (nil when none did). Folded together they
 	// give a client every table's version as of the highest Epoch it has
 	// seen, which is what the CMS checks a cached view's stamp against.
-	// Versions is a pointer, not a slice, so it adds 8 bytes to every frame
-	// rather than 24, and a frame (decoded into a fresh wireFrame each time)
-	// stays in its 208-byte size class.
+	// Versions is a pointer, not a slice: 8 bytes on every frame rather than
+	// 24, for the frames that are not pooled (the ones a side writes, and the
+	// requests a server reads).
 	Epoch    uint64         // frameHeader, frameEnd
 	Versions *[]wireVersion // frameHeader, frameEnd
+
+	// buf is the payload buffer of a frame readFrame took from framePool; it
+	// outlives the frame's fields, which release clears.
+	buf []byte
+}
+
+// framePool holds the frames readFrame decodes, each with the payload buffer
+// it keeps between uses. A sync.Pool rather than a free list: what it holds
+// does not outlive a collection, so an idle client keeps no payload resident.
+var framePool = sync.Pool{New: func() any { return new(wireFrame) }}
+
+// release hands a frame readFrame returned back to framePool, keeping its
+// payload buffer; nothing of the frame may be used after. Decoded fields
+// never alias the buffer except Batch (strings are copied), so only a batch
+// must be decoded first. A frame that was not pooled (one past reuseLimit)
+// is left to the collector.
+func (f *wireFrame) release() {
+	if f.buf == nil {
+		return
+	}
+	*f = wireFrame{buf: f.buf[:0]}
+	framePool.Put(f)
 }
 
 // versions returns the frame's version entries, nil when it carries none.
@@ -120,11 +145,21 @@ func appendFrame(dst []byte, f *wireFrame) []byte {
 	return dst
 }
 
-// decodeFrame decodes one payload. The input is not trusted: every failure is
-// a *ProtocolError, never a panic. A batch frame's Batch aliases payload.
+// decodeFrame decodes one payload into a fresh frame.
 func decodeFrame(payload []byte) (*wireFrame, error) {
+	f := new(wireFrame)
+	if err := f.decode(payload); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// decode decodes one payload into f, whose fields must be zero. The input is
+// not trusted: every failure is a *ProtocolError, never a panic. A batch
+// frame's Batch aliases payload.
+func (f *wireFrame) decode(payload []byte) error {
 	d := wireDec{b: payload}
-	f := &wireFrame{Kind: d.u8(), ID: d.uvarint()}
+	f.Kind, f.ID = d.u8(), d.uvarint()
 	switch f.Kind {
 	case frameReq:
 		f.Req = &wireRequest{Op: d.string(), SQL: d.string(), Name: d.string(), Resume: d.string(), Skip: d.varint(), Trace: d.uvarint()}
@@ -148,9 +183,9 @@ func decodeFrame(payload []byte) (*wireFrame, error) {
 		d.fail("unknown frame kind %d", f.Kind)
 	}
 	if err := d.done(); err != nil {
-		return nil, &ProtocolError{Op: "read frame", Err: err}
+		return &ProtocolError{Op: "read frame", Err: err}
 	}
-	return f, nil
+	return nil
 }
 
 func versionsRef(vs []wireVersion) *[]wireVersion {
@@ -182,7 +217,8 @@ func writeFrame(w io.Writer, buf *[]byte, f *wireFrame) error {
 // readFrame reads and decodes the next frame. Every failure is a typed
 // *ProtocolError (matching ErrProtocol under errors.Is) except a clean EOF at
 // a frame boundary, which is returned as io.EOF so callers can distinguish an
-// orderly close from a truncated or corrupted stream.
+// orderly close from a truncated or corrupted stream. A frame of at most
+// reuseLimit bytes comes from framePool, and the caller may release it.
 func readFrame(r *bufio.Reader) (*wireFrame, error) {
 	h, err := r.Peek(4)
 	if len(h) == 0 && errors.Is(err, io.EOF) {
@@ -196,6 +232,19 @@ func readFrame(r *bufio.Reader) (*wireFrame, error) {
 		return nil, &ProtocolError{Op: "read frame", Err: fmt.Errorf("frame length %d", n)}
 	}
 	r.Discard(4)
+	if n <= reuseLimit {
+		f := framePool.Get().(*wireFrame)
+		f.buf = slices.Grow(f.buf[:0], n)[:n]
+		if _, err := io.ReadFull(r, f.buf); err != nil {
+			f.release()
+			return nil, readError(err)
+		}
+		if err := f.decode(f.buf); err != nil {
+			f.release()
+			return nil, err
+		}
+		return f, nil
+	}
 	// Past 1 MiB the payload grows as its bytes arrive, doubling: a length
 	// the peer does not follow with bytes costs what it sent, not what it
 	// claimed.

@@ -483,11 +483,13 @@ func (c *muxConn) readLoop(br *bufio.Reader, gen uint64) {
 		}
 		c.mu.Unlock()
 		if st == nil {
-			continue // canceled stream's late frames
+			f.release() // a canceled stream's late frame
+			continue
 		}
 		select {
 		case st.frames <- f:
 		case <-st.gone:
+			f.release()
 		}
 	}
 }
@@ -556,8 +558,10 @@ func (c *muxConn) execStream(ctx context.Context, sql, resume string, skip int64
 	switch f.Kind {
 	case frameHeader:
 		st.schema = fromWireAttrs(f.Attrs)
+		st.arity = st.schema.Arity()
 		st.name = f.Name
 		st.resume, st.resumed = f.Resume, f.Resumed
+		f.release()
 		return st, nil
 	case frameEnd:
 		err := endError(f)
@@ -621,6 +625,7 @@ func (c *muxConn) request(ctx context.Context, req *wireRequest) (*wireFrame, er
 	c.mu.Unlock()
 	c.load.Add(1)
 	defer c.load.Add(-1)
+	defer st.stopTimer()
 	if err := c.writeFrame(&wireFrame{ID: id, Kind: frameReq, Req: req}); err != nil {
 		c.unregister(id)
 		return nil, &TransportError{Op: req.Op, Err: err}
@@ -664,8 +669,14 @@ type muxStream struct {
 	resume  string
 	resumed bool
 
-	cur []relation.Tuple
-	pos int
+	// vals holds the current batch's rows end to end, arity values each;
+	// Next hands out rows [pos, rows) as slices of it.
+	vals             []relation.Value
+	arity, rows, pos int
+
+	// timer bounds each wait for a frame when RequestTimeout is set; one per
+	// stream, re-armed by every wait.
+	timer *time.Timer
 
 	tuples    int64
 	ops       int64
@@ -681,9 +692,20 @@ type muxStream struct {
 func (st *muxStream) wait() (*wireFrame, error) {
 	var timerC <-chan time.Time
 	if rt := st.c.p.opts.RequestTimeout; rt > 0 {
-		timer := time.NewTimer(rt)
-		defer timer.Stop()
-		timerC = timer.C
+		if st.timer == nil {
+			st.timer = time.NewTimer(rt)
+		} else {
+			// Under go 1.22 timer semantics a tick that fired while the last
+			// frame was arriving stays in the channel through Reset: drain it.
+			if !st.timer.Stop() {
+				select {
+				case <-st.timer.C:
+				default:
+				}
+			}
+			st.timer.Reset(rt)
+		}
+		timerC = st.timer.C
 	}
 	select {
 	case f := <-st.frames:
@@ -700,10 +722,12 @@ func (st *muxStream) wait() (*wireFrame, error) {
 // Next implements relation.Iterator.
 func (st *muxStream) Next() (relation.Tuple, bool) {
 	for {
-		if st.pos < len(st.cur) {
-			t := st.cur[st.pos]
+		if st.pos < st.rows {
+			lo, hi := st.pos*st.arity, (st.pos+1)*st.arity
 			st.pos++
-			return t, true
+			// Capped at its own row, so a consumer's append never writes over
+			// the next tuple.
+			return st.vals[lo:hi:hi], true
 		}
 		if st.done {
 			return nil, false
@@ -717,18 +741,21 @@ func (st *muxStream) Next() (relation.Tuple, bool) {
 		case frameBatch:
 			st.noteFirst()
 			// Decoded here, on the consumer's goroutine: the connection's read
-			// loop only moved the bytes.
-			tuples, derr := decodeBatch(f.Batch, st.schema.Arity())
+			// loop only moved the bytes. The values do not alias the payload,
+			// so the frame goes back to the pool at once.
+			vals, rows, derr := decodeBatchValues(f.Batch, st.arity)
+			f.release()
 			if derr != nil {
 				st.abort(&ProtocolError{Op: "exec", Err: derr})
 				return nil, false
 			}
-			st.tuples += int64(len(tuples))
-			st.cur, st.pos = tuples, 0
+			st.tuples += int64(rows)
+			st.vals, st.rows, st.pos = vals, rows, 0
 		case frameEnd:
 			st.noteFirst()
 			st.ops = f.Ops
 			st.finish(endError(f))
+			f.release()
 			return nil, false
 		default:
 			st.abort(&ProtocolError{Op: "exec", Err: fmt.Errorf("unexpected mid-stream frame kind %d", f.Kind)})
@@ -792,12 +819,20 @@ func (st *muxStream) fail(err error) {
 	})
 }
 
+// stopTimer stops the stream's wait timer, if it has one.
+func (st *muxStream) stopTimer() {
+	if st.timer != nil {
+		st.timer.Stop()
+	}
+}
+
 // settle charges the virtual cost model once, for what was actually shipped.
 func (st *muxStream) settle() {
 	if st.settled {
 		return
 	}
 	st.settled = true
+	st.stopTimer()
 	st.c.load.Add(-1)
 	st.sim = st.c.p.opts.Costs.RequestCost(st.tuples, st.ops)
 	st.c.p.stats.tuplesReturned.Add(st.tuples)

@@ -373,3 +373,34 @@ func TestPoolPausedConsumerKeepsStream(t *testing.T) {
 		t.Fatalf("connection generation = %d, want 1 (the stream's connection was redialed)", gen)
 	}
 }
+
+// TestStreamTimerFiredBetweenFrames: one timer bounds every wait of a stream.
+// When it fires after a frame arrived but before the next wait, that wait
+// re-arms it and still gets its frame: the stale tick is not a timeout.
+func TestStreamTimerFiredBetweenFrames(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	st := &muxStream{
+		c:      &muxConn{p: &PoolClient{opts: PoolOptions{RequestTimeout: timeout}}},
+		ctx:    context.Background(),
+		frames: make(chan *wireFrame, 1),
+		gone:   make(chan struct{}),
+	}
+	defer st.stopTimer()
+	st.frames <- &wireFrame{Kind: frameBatch}
+	if _, err := st.wait(); err != nil {
+		t.Fatal(err)
+	}
+	timer := st.timer
+	time.Sleep(2 * timeout) // the tick lands with nobody waiting
+	go func() { st.frames <- &wireFrame{Kind: frameEnd} }()
+	f, err := st.wait()
+	if err != nil {
+		t.Fatalf("the wait after a stale tick failed: %v", err)
+	}
+	if f.Kind != frameEnd || st.timer != timer {
+		t.Fatalf("got frame kind %d, timer replaced %v; want the end frame and the stream's one timer", f.Kind, st.timer != timer)
+	}
+	if _, err := st.wait(); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("a wait with no frame coming: %v, want ErrDeadlineExceeded", err)
+	}
+}

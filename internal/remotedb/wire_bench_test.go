@@ -10,11 +10,13 @@ import (
 	"repro/internal/relation"
 )
 
-// BenchmarkFrameRoundTrip is one response frame end to end: column batch
-// encode into the stream's reused buffer, the frame written from the
-// connection's reused write buffer and read into a fresh payload, batch decode
-// into one arena. allocs/tuple is the number to watch: it falls as the frame
-// grows, because a frame costs a constant.
+// BenchmarkFrameRoundTrip is one response frame end to end, as a stream
+// takes it: column batch encode into the stream's reused buffer, the frame
+// written from the connection's reused write buffer and read into a pooled
+// frame's payload, batch decode into one value arena, and the frame released.
+// allocs/tuple is the number to watch: it falls as the frame grows, because a
+// frame costs a constant: the arena and one string, plus the write buffer,
+// payload and frame once the frame is past reuseLimit (4096 tuples is).
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	for _, n := range []int{64, 512, 4096} {
 		b.Run(fmt.Sprintf("tuples=%d", n), func(b *testing.B) {
@@ -31,8 +33,10 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if out, err := decodeBatch(f.Batch, 3); err != nil || len(out) != n {
-					b.Fatalf("decoded %d tuples, %v", len(out), err)
+				_, rows, err := decodeBatchValues(f.Batch, 3)
+				f.release()
+				if err != nil || rows != n {
+					b.Fatalf("decoded %d tuples, %v", rows, err)
 				}
 			}
 			roundTrip() // buffers grow once, up front
