@@ -27,10 +27,33 @@ type Stream struct {
 	schema *relation.Schema
 	it     relation.Iterator
 	lazy   bool
-	// rows is it for an eager stream, held here so that the stream and its
-	// iterator are one allocation.
-	rows relation.SliceIterator
+	// rows or block is it for an eager stream, held here so that the stream
+	// and its iterator are one allocation.
+	rows  relation.SliceIterator
+	block valueBlock
 }
+
+// valueBlock iterates over n rows of arity values each, laid end to end in
+// vals. Each row it hands out is a capacity-capped view of vals, so a
+// consumer's append never reaches the next row, and stays valid for ever:
+// nothing writes to vals once the stream has it.
+type valueBlock struct {
+	vals        []relation.Value
+	arity, n, i int
+}
+
+// Next implements relation.Iterator.
+func (b *valueBlock) Next() (relation.Tuple, bool) {
+	if b.i >= b.n {
+		return nil, false
+	}
+	lo, hi := b.i*b.arity, (b.i+1)*b.arity
+	b.i++
+	return relation.Tuple(b.vals[lo:hi:hi]), true
+}
+
+// SizeHint implements relation.SizeHinter.
+func (b *valueBlock) SizeHint() int { return b.n - b.i }
 
 // NewStream builds a stream over an iterator. When the iterator reports
 // cancellation (it implements Err() error, e.g. relation.GuardIterator), the
@@ -44,6 +67,15 @@ func NewEagerStream(rel *relation.Relation) *Stream {
 	s := &Stream{schema: rel.Schema()}
 	s.rows = *relation.NewSliceIterator(rel.Tuples())
 	s.it = &s.rows
+	return s
+}
+
+// NewBlockStream builds an eager stream over n rows of arity values each,
+// laid end to end in vals (as subsume.Derivation.Materialize fills them). The
+// stream owns vals: the caller must not write to it afterwards.
+func NewBlockStream(schema *relation.Schema, vals []relation.Value, arity, n int) *Stream {
+	s := &Stream{schema: schema, block: valueBlock{vals: vals, arity: arity, n: n}}
+	s.it = &s.block
 	return s
 }
 

@@ -2,9 +2,11 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/caql"
 	"repro/internal/relation"
 	"repro/internal/remotedb"
 )
@@ -210,6 +212,53 @@ func TestStatsConcurrentReaders(t *testing.T) {
 		wg.Wait()
 		if n := relationRows(t, cms, "p"); n != 20+inserts {
 			t.Fatalf("p has %d rows after the writer, want %d", n, 20+inserts)
+		}
+	})
+}
+
+// TestSchemaFollowsReplacedTable: the CMS keeps its copy of a table's schema
+// as it keeps the table's statistics, so once a request has observed a
+// LoadTable that replaced s, with another arity and then with another kind
+// in one column, RelationSchema returns the new schema and a query over the
+// new table is answered as caql.Eval answers it.
+func TestSchemaFollowsReplacedTable(t *testing.T) {
+	overBothTransports(t, func(t *testing.T, e *remotedb.Engine, client remotedb.Client) {
+		cms := New(client, Options{Features: AllFeatures(), Costs: remotedb.DefaultCosts()})
+		s := cms.BeginSession(nil).(*Session)
+		defer s.End()
+		if got := drainQ(t, s, viewOverS); got.Len() != 10 {
+			t.Fatalf("s has %d rows, want 10", got.Len())
+		}
+		for _, w := range []relation.Kind{relation.KindFloat, relation.KindString} {
+			next := relation.New("s", relation.NewSchema(
+				relation.Attr{Name: "sid", Kind: relation.KindInt}, relation.Attr{Name: "name", Kind: relation.KindString},
+				relation.Attr{Name: "w", Kind: w}))
+			for i := 0; i < 4; i++ {
+				v := relation.Float(float64(i) / 2)
+				if w == relation.KindString {
+					v = relation.Str(fmt.Sprint(i))
+				}
+				next.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Str("n"), v})
+			}
+			e.LoadTable(next)
+			if _, err := client.Exec("SELECT pid FROM p WHERE pid = 1"); err != nil { // observes the new version of s
+				t.Fatal(err)
+			}
+			sch, err := cms.RelationSchema("s", 3)
+			if err != nil {
+				t.Fatalf("after replacing s with a %v column: %v", w, err)
+			}
+			if !slices.Equal(sch.Attrs(), next.Schema().Attrs()) {
+				t.Fatalf("RelationSchema(s) = %v, want %v", sch.Attrs(), next.Schema().Attrs())
+			}
+			q := "s3(S, N, W) :- s(S, N, W)"
+			want, err := caql.Eval(caql.MustParse(q), caql.MapSource{"s": next})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := drainQ(t, s, q); !got.EqualAsBag(want) || !slices.Equal(got.Schema().Attrs(), want.Schema().Attrs()) {
+				t.Fatalf("%s over the new s: got %v %v, want %v %v", q, got.Schema().Attrs(), got.Tuples(), want.Schema().Attrs(), want.Tuples())
+			}
 		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/remotedb"
+	"repro/internal/subsume"
 )
 
 // Features toggles the CMS's optimization techniques. Every feature has a
@@ -282,9 +283,13 @@ type Session struct {
 	// expression (frequency-based fallback).
 	genSeen map[string]int
 	// Scratch the planning steps reuse from query to query: canon holds the
-	// canonical form being looked up, cands the probe's survivors.
+	// canonical form being looked up, prep the query's prepared form, cands
+	// the probe's survivors, and rows the index lookup's rows. No answer
+	// points into any of them.
 	canon []byte
+	prep  subsume.PreparedBlock
 	cands []*Element
+	rows  []relation.Tuple
 	// followers memoises advice.SequenceFollowers per view name: the path
 	// expression is fixed for the session, and only view names are asked.
 	followers map[string][]string

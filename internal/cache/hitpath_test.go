@@ -3,10 +3,12 @@ package cache
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/advice"
+	"repro/internal/bridge"
 	"repro/internal/caql"
 	"repro/internal/relation"
 	"repro/internal/remotedb"
@@ -43,17 +45,18 @@ func TestHitPathAllocs(t *testing.T) {
 		name, query string
 		budget      float64
 	}{
-		// The prepared query, the derivation, the index lookup's rows, the
-		// slice of rows that pass the other selection, their one block of
-		// values, the answer relation and its stream. The output schema is
-		// one the element served before.
-		{"indexed subsumed eager", `di(3, Z) :- b3(3, "a", Z)`, 7},
-		// As above, less the index lookup: every row passes.
-		{"exact eager", "dx(X, Y) :- b2(X, Y)", 6},
-		// The prepared query, the derivation, and the stream with its
-		// iterators: the element's, the cost charger and its callback, the
-		// selection, the projection, the guard and its check.
-		{"subsumed lazy", `dg(X, "a", Z) :- b3(X, "a", Z)`, 10},
+		// The derivation, the one block of answer values and the stream
+		// over it. The query is prepared into the session's block, the
+		// index lookup's rows go to the session's scratch, and the output
+		// schema is one the element served before.
+		{"indexed subsumed eager", `di(3, Z) :- b3(3, "a", Z)`, 3},
+		// As above, without the index lookup: every row passes.
+		{"exact eager", "dx(X, Y) :- b2(X, Y)", 3},
+		// The derivation, and the stream with its iterators: the element's,
+		// the cost charger and its callback, the selection, the projection,
+		// the guard and its check. The projection's row blocks are made as
+		// the stream is drained.
+		{"subsumed lazy", `dg(X, "a", Z) :- b3(X, "a", Z)`, 9},
 	} {
 		q := caql.MustParse(tc.query)
 		for i := 0; i < 3; i++ { // build the index, grow the session's scratch
@@ -86,6 +89,185 @@ func TestHitPathAllocs(t *testing.T) {
 	}
 	if st := cms.Stats(); st.ExactHits == 0 || st.LazyAnswers == 0 || st.IndexBuilds == 0 {
 		t.Errorf("the cases did not take the paths they name: %+v", st)
+	}
+}
+
+// TestLazyHitDrainAllocs: a lazy hit's rows are carved from blocks that
+// double from 8 rows to 1 024, so draining 5 000 of them costs a dozen
+// allocations, not one per row, and every row handed out keeps its values
+// while the stream goes on filling later blocks.
+func TestLazyHitDrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const rows = 5000
+	big := relation.New("big", relation.NewSchema(
+		relation.Attr{Name: "x", Kind: relation.KindInt}, relation.Attr{Name: "y", Kind: relation.KindString}))
+	for i := 0; i < rows+rows/4; i++ {
+		y := "a"
+		if i%5 == 4 {
+			y = "b"
+		}
+		big.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Str(y)})
+	}
+	e := remotedb.NewEngine()
+	e.LoadTable(big)
+	cms := newCMS(t, e, Options{Features: AllFeatures()})
+	s := cms.BeginSession(advice.MustParse(`view dg(X^, Y^) :- big(X, Y).`)).(*Session)
+	defer s.End()
+	drainQ(t, s, "dg(X, Y) :- big(X, Y)")
+
+	q := `dg(X, "a") :- big(X, "a")`
+	st, err := s.QueryText(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Lazy() || cms.Stats().CacheHits != 1 {
+		t.Fatalf("%s is not a lazy hit: %+v", q, cms.Stats())
+	}
+	kept := make([]relation.Tuple, 0, rows)
+	copies := make([]relation.Value, 0, 2*rows)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for tu, ok := st.Next(); ok; tu, ok = st.Next() {
+		kept = append(kept, tu)
+		copies = append(copies, tu...)
+	}
+	runtime.ReadMemStats(&after)
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != rows {
+		t.Fatalf("drained %d rows, want %d", len(kept), rows)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d rows drained in %d allocations", rows, allocs)
+	if allocs > 16 {
+		t.Errorf("draining %d rows made %d allocations, budget 16", rows, allocs)
+	}
+	for i, tu := range kept {
+		if !tu.Equal(relation.Tuple(copies[2*i : 2*i+2])) {
+			t.Fatalf("row %d is %v, was %v when it was handed out", i, tu, copies[2*i:2*i+2])
+		}
+	}
+}
+
+// TestHitAnswersSurviveScratchReuse: a session prepares every query into one
+// block and reads index rows into one scratch slice, reusing both from query
+// to query, so no answer may point into either. One answer of each kind of
+// hit (indexed eager, exact eager, lazy, decomposed and generalized) is half
+// read, with a copy of each tuple taken as it is handed out, and left open
+// while 200 further queries run on the session. Then every kept tuple must
+// still equal its copy, and the rest of each stream must complete the answer
+// caql.Eval gives.
+func TestHitAnswersSurviveScratchReuse(t *testing.T) {
+	e, src := fixtureEngine(t, 21, 60)
+	cms := newCMS(t, e, Options{Features: AllFeatures()})
+	s := cms.BeginSession(advice.MustParse(hitPathAdvice)).(*Session)
+	defer s.End()
+
+	drainQ(t, s, "dg(X, Y, Z) :- b3(X, Y, Z)")
+	drainQ(t, s, "dx(X, Y) :- b2(X, Y)")
+	for i := 0; i < 3; i++ { // the third equality selection earns di its index
+		drainQ(t, s, `di(3, Z) :- b3(3, "a", Z)`)
+	}
+	drainQ(t, s, `g("a", Y) :- b1("a", Y)`) // the next sibling instance is generalized
+	if cms.Stats().IndexBuilds != 1 {
+		t.Fatalf("no index built: %+v", cms.Stats())
+	}
+
+	type open struct {
+		query  string
+		st     *bridge.Stream
+		kept   []relation.Tuple
+		copies []relation.Tuple
+	}
+	var answers []*open
+	for _, tc := range []struct {
+		kind, query string
+		took        func(before, after bridge.SourceStats) bool
+	}{
+		{"indexed eager", `di(3, Z) :- b3(3, "a", Z)`, func(b, a bridge.SourceStats) bool { return a.CacheHits == b.CacheHits+1 }},
+		{"exact eager", "dx(X, Y) :- b2(X, Y)", func(b, a bridge.SourceStats) bool { return a.ExactHits == b.ExactHits+1 }},
+		{"lazy", `dg(X, "a", Z) :- b3(X, "a", Z)`, func(b, a bridge.SourceStats) bool { return a.LazyAnswers == b.LazyAnswers+1 }},
+		{"decomposed", `j(X, Y, Z) :- b2(X, Y) & b3(Y, "a", Z)`, func(b, a bridge.SourceStats) bool {
+			return a.CacheHits == b.CacheHits+1 && a.ExactHits == b.ExactHits && a.RemoteRequests == b.RemoteRequests
+		}},
+		{"generalized", `g("b", Y) :- b1("b", Y)`, func(b, a bridge.SourceStats) bool { return a.Generalizations == b.Generalizations+1 }},
+	} {
+		before := cms.Stats()
+		st, err := s.QueryText(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tc.took(before, cms.Stats()) {
+			t.Fatalf("%s: %s did not take its path: %+v", tc.kind, tc.query, cms.Stats())
+		}
+		want, err := caql.Eval(caql.MustParse(tc.query), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() < 2 {
+			t.Fatalf("%s: %d answers, too few to leave any unread", tc.kind, want.Len())
+		}
+		a := &open{query: tc.query, st: st}
+		for len(a.kept) < want.Len()/2 {
+			tu, ok := st.Next()
+			if !ok {
+				t.Fatalf("%s: stream ended after %d of %d tuples", tc.kind, len(a.kept), want.Len())
+			}
+			a.kept, a.copies = append(a.kept, tu), append(a.copies, slices.Clone(tu))
+		}
+		answers = append(answers, a)
+	}
+
+	// Hits that reuse the prepared block (ranges included) and the index
+	// rows; the last is an exact hit with no head constant.
+	remote := cms.Stats().RemoteRequests
+	for i := 0; i < 200; i++ {
+		k, y := i%8, string(rune('a'+i%4))
+		var q string
+		switch i % 5 {
+		case 0:
+			q = fmt.Sprintf(`di(%d, Z) :- b3(%d, "a", Z)`, k, k)
+		case 1:
+			q = fmt.Sprintf(`dg(X, "%s", Z) :- b3(X, "%s", Z)`, y, y)
+		case 2:
+			q = fmt.Sprintf(`r(X, Z) :- b3(X, "%s", Z) & Z > %d & X <= %d`, y, k, 7-k)
+		case 3:
+			q = fmt.Sprintf(`g("%s", Y) :- b1("%s", Y)`, y, y)
+		default:
+			q = "dx(X, Y) :- b2(X, Y)"
+		}
+		want, err := caql.Eval(caql.MustParse(q), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainQ(t, s, q); !got.EqualAsBag(want) {
+			t.Fatalf("query %d, %s: got %v, want %v", i, q, got.Tuples(), want.Tuples())
+		}
+	}
+
+	for _, a := range answers {
+		for i, tu := range a.kept {
+			if !tu.Equal(a.copies[i]) {
+				t.Fatalf("%s: kept tuple %d is %v, was %v", a.query, i, tu, a.copies[i])
+			}
+		}
+		got := relation.FromTuples("out", a.st.Schema(), append(a.kept, a.st.Drain("rest").Tuples()...))
+		if err := a.st.Err(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := caql.Eval(caql.MustParse(a.query), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.EqualAsBag(want) {
+			t.Fatalf("%s: kept and drained %v, want %v", a.query, got.Tuples(), want.Tuples())
+		}
+	}
+	if n := cms.Stats().RemoteRequests - remote; n != 0 {
+		t.Fatalf("%d of the further queries went to the remote; all should be hits", n)
 	}
 }
 

@@ -162,11 +162,11 @@ func (s *Session) dispatch(ctx context.Context, q *caql.Query) (*bridge.Stream, 
 	}
 
 	// The query's prepared form and canonical form are computed here, once,
-	// for every lookup and insert the planning steps make. The canonical form
-	// is rendered into the session's buffer; a string of it is made only
-	// where one is kept.
+	// for every lookup and insert the planning steps make, into the
+	// session's scratch. A string of the canonical form is made only where
+	// one is kept.
 	s.canon = q.AppendCanonical(s.canon[:0])
-	stream, err := s.answer(ctx, subsume.Prepare(q), s.canon, vs)
+	stream, err := s.answer(ctx, subsume.PrepareInto(&s.prep, q), s.canon, vs)
 	if err != nil {
 		return nil, err
 	}
@@ -416,16 +416,17 @@ func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, q *caql.Qu
 	}
 
 	rows, skip, ops := s.derivedRows(e, d)
-	out := d.Materialize(q.Name(), schema, rows, skip)
-	s.advanceLocal(c.opts.Costs.PerLocalOp * float64(ops+out.Len()))
-	return bridge.NewEagerStream(out), nil
+	vals, n := d.Materialize(rows, skip)
+	s.advanceLocal(c.opts.Costs.PerLocalOp * float64(ops+n))
+	return bridge.NewBlockStream(schema, vals, len(d.OutCols), n), nil
 }
 
 // derivedRows picks the rows a derivation reads: the rows an attribute index
 // returns for one of its equality selections when the index exists (or is
-// worth building), with the position of that selection in the derivation's
-// conditions, which the rows already satisfy; otherwise the whole extension
-// and -1. It also returns the estimated number of local tuple operations.
+// worth building), in the session's scratch, with the position of that
+// selection in the derivation's conditions, which the rows already satisfy;
+// otherwise the whole extension and -1. It also returns the estimated number
+// of local tuple operations.
 func (s *Session) derivedRows(e *Element, d *subsume.Derivation) (rows []relation.Tuple, skip, ops int) {
 	c := s.cms
 	if c.opts.Features.Indexing && !d.Empty {
@@ -438,8 +439,8 @@ func (s *Session) derivedRows(e *Element, d *subsume.Derivation) (rows []relatio
 				c.stats.IndexBuilds.Add(1)
 			}
 			if ix != nil {
-				rows := ix.Lookup([]relation.Value{cond.Const})
-				return rows, i, len(rows)
+				s.rows = ix.AppendLookup(s.rows[:0], []relation.Value{cond.Const})
+				return s.rows, i, len(s.rows)
 			}
 			e.noteSelection(cond.Left)
 		}

@@ -25,23 +25,24 @@ type RDI struct {
 	tracer *obs.Tracer
 
 	mu      sync.Mutex
-	schemas map[string]*relation.Schema
-	stats   map[string]statsEntry
+	schemas map[string]catalogEntry[*relation.Schema]
+	stats   map[string]catalogEntry[remotedb.TableStats]
 	down    bool // last remote call failed at the transport level
 }
 
-// statsEntry is one table's catalog statistics, stamped like a view
-// (Element.builtEpoch) with the epoch observed before the fetch that got
-// them: they are due for a refetch once a request observes a newer version
-// of the table.
-type statsEntry struct {
-	st    remotedb.TableStats
+// catalogEntry is one table's schema or catalog statistics, stamped like a
+// view (Element.builtEpoch) with the epoch observed before the fetch that
+// got it: it is due for a refetch once a request observes a newer version of
+// the table. A LoadTable that replaces the table with another schema is such
+// a version.
+type catalogEntry[T any] struct {
+	v     T
 	stamp uint64
 }
 
 // NewRDI wraps a remote client.
 func NewRDI(client remotedb.Client) *RDI {
-	return &RDI{client: client, schemas: make(map[string]*relation.Schema), stats: make(map[string]statsEntry)}
+	return &RDI{client: client, schemas: make(map[string]catalogEntry[*relation.Schema]), stats: make(map[string]catalogEntry[remotedb.TableStats])}
 }
 
 // Available reports whether the remote DBMS is believed reachable. When the
@@ -71,21 +72,12 @@ func (r *RDI) noteRemote(err error) {
 	r.mu.Unlock()
 }
 
-// RelationSchema implements caql.SchemaSource with a schema cache.
+// RelationSchema implements caql.SchemaSource from the RDI's copy of the
+// schema, kept as TableStats keeps the statistics.
 func (r *RDI) RelationSchema(name string, arity int) (*relation.Schema, error) {
-	r.mu.Lock()
-	sch, ok := r.schemas[name]
-	r.mu.Unlock()
-	if !ok {
-		var err error
-		sch, err = r.client.RelationSchema(name, -1)
-		r.noteRemote(err)
-		if err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		r.schemas[name] = sch
-		r.mu.Unlock()
+	sch, err := catalogLookup(r, r.schemas, name, func() (*relation.Schema, error) { return r.client.RelationSchema(name, -1) })
+	if err != nil {
+		return nil, err
 	}
 	if arity >= 0 && sch.Arity() != arity {
 		return nil, fmt.Errorf("cache: relation %s has arity %d, query uses %d", name, sch.Arity(), arity)
@@ -242,29 +234,35 @@ func (r *RDI) movedSince(def *caql.Query, stamp uint64) bool {
 // Tables lists remote tables.
 func (r *RDI) Tables() ([]string, error) { return r.client.Tables() }
 
-// TableStats returns the table's catalog statistics from the RDI's copy,
-// fetching them only when the copy is missing or a request has observed a
-// version of the table above its stamp. While the remote is unavailable, or
-// when the refetch fails at the transport level, a copy answers as it is.
+// TableStats returns the table's catalog statistics from the RDI's copy.
 // The Distinct slice is shared between callers.
 func (r *RDI) TableStats(name string) (remotedb.TableStats, error) {
+	return catalogLookup(r, r.stats, name, func() (remotedb.TableStats, error) { return r.client.TableStats(name) })
+}
+
+// catalogLookup answers from the copy of name's entry in m, fetching it only
+// when the copy is missing or a request has observed a version of the table
+// above its stamp. While the remote is unavailable, or when the refetch fails
+// at the transport level, a copy answers as it is.
+func catalogLookup[T any](r *RDI, m map[string]catalogEntry[T], name string, fetch func() (T, error)) (T, error) {
 	r.mu.Lock()
-	ent, ok := r.stats[name]
+	ent, ok := m[name]
 	r.mu.Unlock()
 	if ok && (remotedb.ObservedVersion(r.client, name) <= ent.stamp || !r.Available()) {
-		return ent.st, nil
+		return ent.v, nil
 	}
 	stamp := r.ObservedEpoch()
-	st, err := r.client.TableStats(name)
+	v, err := fetch()
 	r.noteRemote(err)
 	if err != nil {
 		if ok && (remotedb.IsTransient(err) || remotedb.IsUnavailable(err)) {
-			return ent.st, nil
+			return ent.v, nil
 		}
-		return remotedb.TableStats{}, err
+		var zero T
+		return zero, err
 	}
 	r.mu.Lock()
-	r.stats[name] = statsEntry{st: st, stamp: stamp}
+	m[name] = catalogEntry[T]{v: v, stamp: stamp}
 	r.mu.Unlock()
-	return st, nil
+	return v, nil
 }

@@ -300,13 +300,16 @@ func (r *runner) value(a *logic.NumAtom, i, base int) (c relation.Value, ok bool
 
 // instantiate builds the CAQL query for a segment occurrence in the clause
 // frame at base: a bound variable becomes its constant, and each free root is
-// named after the first template variable that reaches it. The body atoms
-// share one slice and every argument one block of terms.
+// named after the first template variable that reaches it. The query, its
+// body atoms and its terms are one queryBlock while the template fits.
 func (r *runner) instantiate(vt *viewTemplate, base int) *caql.Query {
 	tq := vt.query
-	terms := make([]logic.Term, len(vt.nums))
-	body := make([]logic.Atom, len(tq.Rels)+len(tq.Cmps))
-	q := &caql.Query{Rels: body[:len(tq.Rels):len(tq.Rels)], Cmps: body[len(tq.Rels):]}
+	blk := new(queryBlock)
+	terms := carve(blk.terms[:], len(vt.nums))
+	nrels := len(tq.Rels)
+	body := carve(blk.atoms[:], nrels+len(tq.Cmps))
+	q := &blk.q
+	q.Rels, q.Cmps = body[:nrels:nrels], body[nrels:]
 	r.roots = r.roots[:0]
 	var at int
 	q.Head, at = r.resolveArgs(terms, at, tq.Head, vt.nums, base)
@@ -317,6 +320,28 @@ func (r *runner) instantiate(vt *viewTemplate, base int) *caql.Query {
 		q.Cmps[i], at = r.resolveArgs(terms, at, a, vt.nums, base)
 	}
 	return q
+}
+
+// queryBlock is an instantiated query and the atoms and terms its slices are
+// carved from, in one allocation. The arrays fit the common segment, one
+// binary atom under a head of at most two columns (every query of the ie_ask
+// benchmark), and no more, so the block costs no more bytes than the three
+// allocations it replaces; a larger template takes an allocation more for
+// each array it overflows. Blocks are never reused: the session a query is
+// asked of may keep it.
+type queryBlock struct {
+	q     caql.Query
+	atoms [1]logic.Atom
+	terms [4]logic.Term
+}
+
+// carve returns n zeroed elements, from buf when it is large enough, with
+// the capacity cut to n.
+func carve[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n:n]
+	}
+	return make([]T, n)
 }
 
 // resolveAtom is a in the frame at base, named as instantiate names a query.

@@ -84,9 +84,9 @@ func (d *replayDS) QueryTextCtx(context.Context, string) (*bridge.Stream, error)
 func (d *replayDS) End() {}
 
 // TestInterpretedSearchAllocs holds the interpreted strategy to what it
-// allocates per CAQL query it issues: the query (its struct, its body atoms
-// and one block of terms), with the binding frames, the continuation stack
-// and the ancestor keys reused across the search. The data source replays
+// allocates per CAQL query it issues: the query, one block with its body
+// atoms and terms, with the binding frames, the continuation stack and the
+// ancestor keys reused across the search. The data source replays
 // streams built beforehand, so the count is the IE's own, and a search of
 // 402 queries for one answer makes the ask's fixed cost (compiling the
 // program, the session, the answer) small beside it.
@@ -132,8 +132,8 @@ func TestInterpretedSearchAllocs(t *testing.T) {
 	}
 	perQuery := allocs / float64(queries)
 	t.Logf("%v allocations per ask of %d queries, %.2f per query", allocs, queries, perQuery)
-	if perQuery > 4 {
-		t.Errorf("interpreted search allocates %.2f objects per CAQL query, budget 4", perQuery)
+	if perQuery > 2 {
+		t.Errorf("interpreted search allocates %.2f objects per CAQL query, budget 2", perQuery)
 	}
 }
 
@@ -151,4 +151,127 @@ func (e *Engine) askAll(t *testing.T, goal logic.Atom) int {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestInstantiateMatchesTemplate: a segment's query, built in one block while
+// its template fits (one atom, up to four arguments) and with what overflows
+// allocated apart when it does not (more arguments, two atoms, a three-atom
+// join with two comparisons), is the template with the frame's bindings
+// applied: the same canonical form, whichever variables are bound. Two
+// queries from one template share no storage, so writing to one leaves the
+// other as it was.
+func TestInstantiateMatchesTemplate(t *testing.T) {
+	kb := mustKB(t, `
+		:- base(e/2).
+		:- base(f/3).
+		all(X, W) :- p(X, W), u(X), w(X, W), q(X, W), r(X, W).
+		p(X, Y) :- e(X, Y).
+		u(X) :- e(X, 5).
+		w(X, Z) :- f(X, Y, Z).
+		q(X, W) :- e(X, Y), f(Y, 3, W).
+		r(X, W) :- e(X, Y), e(Y, Z), f(Z, V, W), X < W, Y != V.
+	`)
+	prog, err := compile(kb, logic.A("all", logic.V("X"), logic.V("W")), Options{Strategy: StrategyConjunction}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ref logic.PredRef
+		fit bool
+	}{
+		{logic.PredRef{Name: "p", Arity: 2}, true},
+		{logic.PredRef{Name: "u", Arity: 1}, true},
+		{logic.PredRef{Name: "w", Arity: 2}, false}, // five arguments
+		{logic.PredRef{Name: "q", Arity: 2}, false}, // two atoms, seven arguments
+		{logic.PredRef{Name: "r", Arity: 2}, false}, // five atoms
+	} {
+		name, fit := tc.ref.Name, tc.fit
+		cc := prog.clauses[tc.ref][0]
+		if len(cc.items) != 1 || cc.items[0].kind != itemSegment {
+			t.Fatalf("%s: body compiled to %d items, want one segment", name, len(cc.items))
+		}
+		vt := cc.items[0].seg
+		tq := vt.query
+		if n := len(tq.Rels) + len(tq.Cmps); (n <= 1 && len(vt.nums) <= 4) != fit {
+			t.Fatalf("%s: %d atoms and %d arguments; the test expects it to fit the block: %v", name, n, len(vt.nums), fit)
+		}
+		r := &runner{engine: New(kb, nil, Options{}), prog: prog}
+		base := r.b.Push(cc.nvars)
+		// instantiateWith binds every template variable numbered n with
+		// n%2 == parity (none for parity < 0) and instantiates vt; it also
+		// returns the template with the same bindings applied.
+		instantiateWith := func(parity int) (got, want *caql.Query) {
+			mark := r.b.Mark()
+			defer r.b.Undo(mark)
+			binds := map[string]relation.Value{}
+			for i, a := range templateTerms(tq) {
+				if n := vt.nums[i]; a.IsVar() && int(n)%2 == parity {
+					v := relation.Int(100 + int64(n))
+					if !r.b.UnifyConst(base+int(n), v) {
+						t.Fatalf("%s: cannot bind %s", name, a.Var)
+					}
+					binds[a.Var] = v
+				}
+			}
+			return r.instantiate(vt, base), tq.Instantiate(binds)
+		}
+		var kept []*caql.Query
+		var canons []string
+		for _, parity := range []int{-1, 0, 1} {
+			got, want := instantiateWith(parity)
+			if got.Canonical() != want.Canonical() {
+				t.Fatalf("%s, parity %d: instantiated %s, template with bindings %s", name, parity, got, want)
+			}
+			kept, canons = append(kept, got), append(canons, got.Canonical())
+		}
+		// Appending to the relational atoms must not reach the comparisons.
+		cmps := fmt.Sprint(kept[2].Cmps)
+		_ = append(kept[2].Rels, logic.A("zz"))
+		if fmt.Sprint(kept[2].Cmps) != cmps {
+			t.Fatalf("%s: appending to Rels overwrote Cmps", name)
+		}
+		// Overwrite every atom and term of the first query.
+		for _, a := range append(append([]*logic.Atom{&kept[0].Head}, atomPtrs(kept[0].Rels)...), atomPtrs(kept[0].Cmps)...) {
+			a.Pred = "zz"
+			for i := range a.Args {
+				a.Args[i] = logic.CInt(-1)
+			}
+		}
+		for i := 1; i < len(kept); i++ {
+			if c := kept[i].Canonical(); c != canons[i] {
+				t.Fatalf("%s: writing to one query changed another: %s, was %s", name, c, canons[i])
+			}
+		}
+		if !raceEnabled {
+			want := 1.0 // the block, and an allocation for each array it overflows
+			if len(tq.Rels)+len(tq.Cmps) > 1 {
+				want++
+			}
+			if len(vt.nums) > 4 {
+				want++
+			}
+			if allocs := testing.AllocsPerRun(20, func() { r.instantiate(vt, base) }); allocs != want {
+				t.Errorf("%s: instantiate makes %v allocations, want %v", name, allocs, want)
+			}
+		}
+	}
+}
+
+// templateTerms is tq's terms in the order viewTemplate.nums numbers them:
+// head, relational atoms, comparisons.
+func templateTerms(tq *caql.Query) []logic.Term {
+	out := append([]logic.Term(nil), tq.Head.Args...)
+	for _, a := range append(append([]logic.Atom(nil), tq.Rels...), tq.Cmps...) {
+		out = append(out, a.Args...)
+	}
+	return out
+}
+
+// atomPtrs points at each atom of as.
+func atomPtrs(as []logic.Atom) []*logic.Atom {
+	out := make([]*logic.Atom, len(as))
+	for i := range as {
+		out[i] = &as[i]
+	}
+	return out
 }

@@ -1,5 +1,7 @@
 package relation
 
+import "slices"
+
 // Index is a hash index over a column subset of a relation extension. The
 // Cache Manager builds indexes on consumer-annotated attributes (advice "?"
 // annotations, Section 4.2.1) to speed repeated random access, and the remote
@@ -48,18 +50,24 @@ func (ix *Index) Covers(cols []int) bool {
 }
 
 // Lookup returns the tuples whose indexed columns equal the given values.
-func (ix *Index) Lookup(vals []Value) []Tuple {
+func (ix *Index) Lookup(vals []Value) []Tuple { return ix.AppendLookup(nil, vals) }
+
+// AppendLookup appends the tuples whose indexed columns equal the given
+// values to dst and returns the extended slice. The tuples are the indexed
+// extension's own: a caller that reuses dst from lookup to lookup (the CMS
+// session does) must copy what it keeps of them, not the slice.
+func (ix *Index) AppendLookup(dst []Tuple, vals []Value) []Tuple {
 	positions := ix.buckets[Tuple(vals).Hash64()]
 	if len(positions) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]Tuple, 0, len(positions))
+	dst = slices.Grow(dst, len(positions))
 	for _, p := range positions {
 		if t := ix.tuples[p]; ix.matches(t, vals) {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	return out
+	return dst
 }
 
 // matches reports whether t's indexed columns equal vals.

@@ -142,51 +142,52 @@ func (d *Derivation) Apply(name string, schema *relation.Schema, ext *relation.R
 }
 
 // Materialize is Apply over rows of ext(E), built for the allocator: it
-// collects the rows that pass the derivation's selections, then carves every
-// output row from one len × arity block and reuses the collected slice to
-// hold them. The condition at index skip (-1: none) is not evaluated: the
-// caller has applied it already, as an index lookup that produced rows does.
-// The output rows are copies, so a consumer that mutates one cannot reach
-// the source. With nothing left to select the collected slice is exactly
-// sized; otherwise it doubles.
-func (d *Derivation) Materialize(name string, schema *relation.Schema, rows []relation.Tuple, skip int) *relation.Relation {
+// counts the rows that pass the derivation's selections, then copies each
+// one's output values into one n × arity block, row after row, which is its
+// only allocation. The condition at index skip (-1: none) is not evaluated:
+// the caller has applied it already, as an index lookup that produced rows
+// does. The values are copies, so a consumer that overwrites one cannot
+// reach the source, and rows may be the caller's scratch.
+func (d *Derivation) Materialize(rows []relation.Tuple, skip int) (vals []relation.Value, n int) {
 	if d.Empty {
-		return relation.New(name, schema)
+		return nil, 0
 	}
 	conds := d.Candidate.Conds
 	active := len(conds)
 	if skip >= 0 {
 		active--
 	}
-	var sel []relation.Tuple
-	if active == 0 {
-		sel = make([]relation.Tuple, 0, len(rows))
-	}
-	for _, t := range rows {
-		if !passes(conds, skip, t) {
-			continue
-		}
-		if len(sel) == cap(sel) {
-			grown := make([]relation.Tuple, len(sel), max(2*len(sel), 8))
-			copy(grown, sel)
-			sel = grown
-		}
-		sel = append(sel, t)
-	}
-	arity := len(d.OutCols)
-	block := make([]relation.Value, len(sel)*arity)
-	for i, t := range sel {
-		row := relation.Tuple(block[i*arity : (i+1)*arity : (i+1)*arity])
-		for j, c := range d.OutCols {
-			if c < 0 {
-				row[j] = d.Consts[j]
-			} else {
-				row[j] = t[c]
+	n = len(rows)
+	if active > 0 {
+		n = 0
+		for _, t := range rows {
+			if passes(conds, skip, t) {
+				n++
 			}
 		}
-		sel[i] = row
 	}
-	return relation.FromTuples(name, schema, sel)
+	arity := len(d.OutCols)
+	vals = make([]relation.Value, n*arity)
+	at := 0
+	for _, t := range rows {
+		if active > 0 && !passes(conds, skip, t) {
+			continue
+		}
+		d.project(vals[at:at+arity], t)
+		at += arity
+	}
+	return vals, n
+}
+
+// project writes the output row the derivation makes of t into row.
+func (d *Derivation) project(row []relation.Value, t relation.Tuple) {
+	for j, c := range d.OutCols {
+		if c < 0 {
+			row[j] = d.Consts[j]
+		} else {
+			row[j] = t[c]
+		}
+	}
 }
 
 // passes reports whether t satisfies every condition but the one at skip.
@@ -201,28 +202,47 @@ func passes(conds []relation.Cond, skip int, t relation.Tuple) bool {
 
 // ApplyLazy is the derivation as a lazy pipeline: selection on the element
 // extension followed by head expansion, producing one output tuple per
-// demand. It backs generator-form (lazy) answers from the cache.
+// demand. It backs generator-form (lazy) answers from the cache. The output
+// rows are carved from blocks that start at lazyBlockRows rows and double up
+// to lazyMaxBlockRows (relation's tupleArena rule), so a long stream costs an
+// allocation per block, not per row. A block is never reused, so every row
+// handed out stays valid.
 func (d *Derivation) ApplyLazy(src relation.Iterator) relation.Iterator {
 	if d.Empty {
 		return relation.Empty()
 	}
-	sel := relation.Select(src, d.Candidate.Conds)
-	return relation.IteratorFunc(func() (relation.Tuple, bool) {
-		t, ok := sel.Next()
-		if !ok {
-			return nil, false
-		}
-		row := make(relation.Tuple, len(d.OutCols))
-		for i, c := range d.OutCols {
-			if c < 0 {
-				row[i] = d.Consts[i]
-			} else {
-				row[i] = t[c]
-			}
-		}
-		return row, true
-	})
+	return &lazyRows{d: d, sel: relation.Select(src, d.Candidate.Conds)}
 }
+
+// lazyRows is ApplyLazy's iterator. block is what is left of the current
+// block, and rows the number of rows that block was made for.
+type lazyRows struct {
+	d     *Derivation
+	sel   relation.Iterator
+	block []relation.Value
+	rows  int
+}
+
+// Next implements relation.Iterator.
+func (l *lazyRows) Next() (relation.Tuple, bool) {
+	t, ok := l.sel.Next()
+	if !ok {
+		return nil, false
+	}
+	arity := len(l.d.OutCols)
+	if len(l.block) < arity {
+		l.rows = min(max(2*l.rows, lazyBlockRows), lazyMaxBlockRows)
+		l.block = make([]relation.Value, l.rows*arity)
+	}
+	row := l.block[:arity:arity]
+	l.block = l.block[arity:]
+	l.d.project(row, t)
+	return relation.Tuple(row), true
+}
+
+// The lazy answer's row blocks: the first holds lazyBlockRows rows, and each
+// next one twice as many, up to lazyMaxBlockRows.
+const lazyBlockRows, lazyMaxBlockRows = 8, 1024
 
 // ExactMatch reports whether q is identical to the element definition up to
 // variable renaming (the [SELL87]/[IOAN88] reuse condition the paper

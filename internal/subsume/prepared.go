@@ -52,10 +52,18 @@ type varRange struct {
 
 var unconstrained Range
 
-// Prepare analyses q. Everything but the ranges of var-vs-constant
-// comparisons is one preparedBlock while its integers fit; everything derived
-// from it afterwards is read-only.
-func Prepare(q *caql.Query) *Prepared {
+// Prepare analyses q into a PreparedBlock of its own. Everything but the
+// ranges of var-vs-constant comparisons is that one allocation while its
+// integers fit; everything derived from it afterwards is read-only.
+func Prepare(q *caql.Query) *Prepared { return PrepareInto(new(PreparedBlock), q) }
+
+// PrepareInto is Prepare into blk, which it overwrites: the Prepared it
+// returns, and every slice of it, lives in blk until blk is prepared again.
+// A caller that reuses one block from query to query (the CMS session does)
+// allocates nothing here for a query whose integers fit, beyond the ranges
+// of its var-vs-constant comparisons, and must hand out nothing that points
+// into blk. Nothing Match, DeriveFull or MayDerive returns does.
+func PrepareInto(blk *PreparedBlock, q *caql.Query) *Prepared {
 	var names [16]string
 	vars := names[:0]
 	term := func(t logic.Term) int32 {
@@ -87,9 +95,8 @@ func Prepare(q *caql.Query) *Prepared {
 	}
 	nrels, nhead, nvars := len(q.Rels), len(q.Head.Args), len(vars)
 
-	blk := new(preparedBlock)
 	p, ids := &blk.p, carve(blk.ids[:], nterms+nrels+1+nhead+nvars+3*len(q.Cmps))
-	p.Query, p.nvars = q, nvars
+	*p = Prepared{Query: q, nvars: nvars, ranges: p.ranges[:0]}
 	p.terms, ids = ids[:nterms], ids[nterms:]
 	p.off, ids = ids[:nrels+1], ids[nrels+1:]
 	p.head, ids = ids[:nhead], ids[nhead:]
@@ -125,11 +132,12 @@ func Prepare(q *caql.Query) *Prepared {
 	return p
 }
 
-// preparedBlock is a Prepared and the integers its slices are carved from, in
+// PreparedBlock is a Prepared and the integers its slices are carved from, in
 // one allocation. The benchmark workloads' queries need 5 to 20 integers
 // (ie_ask 5–8, caql_cold 9–20, write_mix 17); a query that needs more than 24
-// takes a second allocation for them.
-type preparedBlock struct {
+// takes a second allocation for them. Its zero value is ready for
+// PrepareInto.
+type PreparedBlock struct {
 	p   Prepared
 	ids [24]int32
 }
