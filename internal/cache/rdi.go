@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/caql"
+	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/remotedb"
@@ -27,7 +28,8 @@ type RDI struct {
 	mu      sync.Mutex
 	schemas map[string]catalogEntry[*relation.Schema]
 	stats   map[string]catalogEntry[remotedb.TableStats]
-	down    bool // last remote call failed at the transport level
+	shapes  map[uint64]*shapeEntry // by remotedb.CAQLShape
+	down    bool                   // last remote call failed at the transport level
 }
 
 // catalogEntry is one table's schema or catalog statistics, stamped like a
@@ -42,8 +44,29 @@ type catalogEntry[T any] struct {
 
 // NewRDI wraps a remote client.
 func NewRDI(client remotedb.Client) *RDI {
-	return &RDI{client: client, schemas: make(map[string]catalogEntry[*relation.Schema]), stats: make(map[string]catalogEntry[remotedb.TableStats])}
+	return &RDI{
+		client:  client,
+		schemas: make(map[string]catalogEntry[*relation.Schema]),
+		stats:   make(map[string]catalogEntry[remotedb.TableStats]),
+		shapes:  make(map[uint64]*shapeEntry),
+	}
 }
+
+// shapeEntry is one CAQL shape's translation: the template, the output
+// schema, and the base schema of each relational atom both were built
+// against. It is current while the RDI's copy of every atom's schema is Equal
+// to the recorded one. That copy follows table versions, so a replaced table
+// retires the entry, and an insert, which refetches an unchanged schema, does
+// not.
+type shapeEntry struct {
+	tmpl   *remotedb.ShapeTemplate
+	schema *relation.Schema
+	bases  []*relation.Schema
+}
+
+// shapeCacheCap bounds the shapes an RDI keeps; a new shape past it replaces
+// an arbitrary one. A workload's queries come in a few shapes.
+const shapeCacheCap = 256
 
 // Available reports whether the remote DBMS is believed reachable. When the
 // client tracks its own health (remotedb.ResilientClient's circuit breaker),
@@ -124,11 +147,7 @@ func (r *RDI) FetchStreamCtx(ctx context.Context, q *caql.Query) (*FetchStream, 
 	ctx, sp := r.tracer.Start(ctx, "cms.remote_stream")
 	sp.Set("query", q.Name())
 	defer sp.End()
-	tr, err := remotedb.TranslateCAQL(q, r)
-	if err != nil {
-		return nil, err
-	}
-	schema, err := q.OutputSchema(r)
+	tr, schema, err := r.translate(q)
 	if err != nil {
 		return nil, err
 	}
@@ -139,6 +158,93 @@ func (r *RDI) FetchStreamCtx(ctx context.Context, q *caql.Query) (*FetchStream, 
 		return nil, fmt.Errorf("cache: remote execution of %q: %w", tr.SQL, err)
 	}
 	return &FetchStream{rdi: r, inner: st, tr: tr, schema: schema, name: q.Name(), stamp: stamp}, nil
+}
+
+// translate returns q's translation and output schema, as TranslateCAQL and
+// OutputSchema give them against the RDI's copy of the schema. A query with a
+// shape is spliced from its shape's entry, which a miss (re)builds.
+func (r *RDI) translate(q *caql.Query) (*remotedb.Translation, *relation.Schema, error) {
+	key, ok := remotedb.CAQLShape(q)
+	if !ok {
+		tr, err := remotedb.TranslateCAQL(q, r)
+		if err != nil {
+			return nil, nil, err
+		}
+		schema, err := q.OutputSchema(r)
+		return tr, schema, err
+	}
+	r.mu.Lock()
+	en := r.shapes[key]
+	r.mu.Unlock()
+	if en == nil || !en.tmpl.Fits(q) || !r.basesCurrent(q, en.bases) {
+		rec := &schemaRecorder{r: r, rels: q.Rels, bases: make([]*relation.Schema, len(q.Rels))}
+		tmpl, err := remotedb.NewShapeTemplate(q, rec)
+		if err != nil {
+			return nil, nil, err
+		}
+		schema, err := q.OutputSchema(rec)
+		if err != nil {
+			return nil, nil, err
+		}
+		en = &shapeEntry{tmpl: tmpl, schema: schema, bases: rec.bases}
+		if !rec.mixed {
+			r.mu.Lock()
+			if _, ok := r.shapes[key]; !ok && len(r.shapes) >= shapeCacheCap {
+				for k := range r.shapes {
+					delete(r.shapes, k)
+					break
+				}
+			}
+			r.shapes[key] = en
+			r.mu.Unlock()
+		}
+	}
+	tr, err := en.tmpl.Translate(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr, en.schema, nil
+}
+
+// basesCurrent reports whether the RDI's copy of each of q's atoms' schemas
+// is Equal to the one recorded for it.
+func (r *RDI) basesCurrent(q *caql.Query, bases []*relation.Schema) bool {
+	for i, a := range q.Rels {
+		sch, err := r.RelationSchema(a.Pred, len(a.Args))
+		if err != nil || !sch.Equal(bases[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// schemaRecorder answers RelationSchema through the RDI and records each
+// relational atom's answer, so a shape entry holds exactly the schemas its
+// template and output schema were built against. Two answers for one table
+// that differ (a replacement observed mid-build) mark the build mixed, and it
+// is not kept.
+type schemaRecorder struct {
+	r     *RDI
+	rels  []logic.Atom
+	bases []*relation.Schema
+	mixed bool
+}
+
+func (s *schemaRecorder) RelationSchema(name string, arity int) (*relation.Schema, error) {
+	sch, err := s.r.RelationSchema(name, arity)
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range s.rels {
+		switch {
+		case a.Pred != name:
+		case s.bases[i] == nil:
+			s.bases[i] = sch
+		case !s.bases[i].Equal(sch):
+			s.mixed = true
+		}
+	}
+	return sch, nil
 }
 
 // FetchStream is a remote CAQL result delivered incrementally: the wire

@@ -1,10 +1,9 @@
 package remotedb
 
 import (
-	"fmt"
+	"bytes"
 	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/relation"
 )
@@ -84,6 +83,13 @@ func (c ColRef) String() string {
 	return c.Qualifier + "." + c.Column
 }
 
+func (c ColRef) appendSQL(dst []byte) []byte {
+	if c.Qualifier != "" {
+		dst = append(append(dst, c.Qualifier...), '.')
+	}
+	return append(dst, c.Column...)
+}
+
 // SelectItem is one output column: a column reference, a star, or an
 // aggregate.
 type SelectItem struct {
@@ -107,38 +113,56 @@ type SQLCond struct {
 }
 
 // String renders the condition in SQL syntax.
-func (c SQLCond) String() string {
+func (c SQLCond) String() string { return string(c.appendSQL(nil, appendSQLLiteral)) }
+
+// appendSQL appends the condition's SQL text to dst, its literal, if any,
+// written by lit (see SelectStmt.appendSQL).
+func (c SQLCond) appendSQL(dst []byte, lit func([]byte, relation.Value) []byte) []byte {
 	op := c.Op.String()
 	if op == "!=" {
 		op = "<>"
 	}
+	dst = append(append(append(c.Left.appendSQL(dst), ' '), op...), ' ')
 	if c.RightIsCol {
-		return fmt.Sprintf("%s %s %s", c.Left, op, c.RightCol)
+		return c.RightCol.appendSQL(dst)
 	}
-	return fmt.Sprintf("%s %s %s", c.Left, op, sqlLiteral(c.RightVal))
+	return lit(dst, c.RightVal)
 }
 
-// sqlLiteral renders a value as a SQL literal that ParseSQL reads back as the
+// sqlLiteral renders a value as a SQL literal (appendSQLLiteral).
+func sqlLiteral(v relation.Value) string { return string(appendSQLLiteral(nil, v)) }
+
+// appendSQLLiteral appends v as a SQL literal that ParseSQL reads back as the
 // same value: strings single-quoted, and a float always with a point or an
 // exponent, so 50.0 does not come back as the int 50. A NaN or infinite float
-// has no literal; TranslateCAQL refuses one before it gets here.
-func sqlLiteral(v relation.Value) string {
+// has no literal; TranslateCAQL and ShapeTemplate.Translate refuse one before
+// it gets here.
+func appendSQLLiteral(dst []byte, v relation.Value) []byte {
 	switch v.Kind() {
 	case relation.KindString:
-		return "'" + strings.ReplaceAll(v.AsString(), "'", "''") + "'"
+		s := v.AsString()
+		dst = append(dst, '\'')
+		for i := 0; i < len(s); i++ {
+			if s[i] == '\'' {
+				dst = append(dst, '\'')
+			}
+			dst = append(dst, s[i])
+		}
+		return append(dst, '\'')
 	case relation.KindBool:
 		if v.AsBool() {
-			return "TRUE"
+			return append(dst, "TRUE"...)
 		}
-		return "FALSE"
+		return append(dst, "FALSE"...)
 	case relation.KindFloat:
-		s := strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
-		if !strings.ContainsAny(s, ".e") {
-			s += ".0"
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
+		if !bytes.ContainsAny(dst[start:], ".e") {
+			dst = append(dst, ".0"...)
 		}
-		return s
+		return dst
 	}
-	return v.String()
+	return v.AppendString(dst)
 }
 
 // shapeKey hashes the statement's shape, FNV-1a over a walk of the AST:
@@ -254,67 +278,68 @@ func (h *shapeHash) cols(cs []ColRef) {
 }
 
 // String renders the statement back to SQL text.
-func (s *SelectStmt) String() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
+func (s *SelectStmt) String() string { return string(s.appendSQL(nil, appendSQLLiteral)) }
+
+// appendSQL appends the statement's SQL text to dst, each WHERE literal
+// written by lit. String passes appendSQLLiteral; a shape template passes a
+// cut that writes nothing and notes where the literal goes, so the text and
+// the template come from one walk.
+func (s *SelectStmt) appendSQL(dst []byte, lit func([]byte, relation.Value) []byte) []byte {
+	dst = append(dst, "SELECT "...)
 	if s.Distinct {
-		b.WriteString("DISTINCT ")
+		dst = append(dst, "DISTINCT "...)
 	}
 	for i, it := range s.Items {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
 		switch {
 		case it.Star:
-			b.WriteByte('*')
+			dst = append(dst, '*')
 		case it.IsAgg && it.AggStar:
-			fmt.Fprintf(&b, "%s(*)", it.Agg)
+			dst = append(append(dst, it.Agg.String()...), "(*)"...)
 		case it.IsAgg:
-			fmt.Fprintf(&b, "%s(%s)", it.Agg, it.Col)
+			dst = append(it.Col.appendSQL(append(append(dst, it.Agg.String()...), '(')), ')')
 		default:
-			b.WriteString(it.Col.String())
+			dst = it.Col.appendSQL(dst)
 		}
 	}
-	b.WriteString(" FROM ")
+	dst = append(dst, " FROM "...)
 	for i, t := range s.From {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(t.Table)
+		dst = append(dst, t.Table...)
 		if t.Alias != "" && t.Alias != t.Table {
-			b.WriteString(" AS ")
-			b.WriteString(t.Alias)
+			dst = append(append(dst, " AS "...), t.Alias...)
 		}
 	}
-	if len(s.Where) > 0 {
-		b.WriteString(" WHERE ")
-		for i, c := range s.Where {
-			if i > 0 {
-				b.WriteString(" AND ")
-			}
-			b.WriteString(c.String())
+	for i, c := range s.Where {
+		if i == 0 {
+			dst = append(dst, " WHERE "...)
+		} else {
+			dst = append(dst, " AND "...)
 		}
+		dst = c.appendSQL(dst, lit)
 	}
-	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, c := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(c.String())
-		}
-	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, c := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(c.String())
-		}
-	}
+	dst = appendColList(dst, " GROUP BY ", s.GroupBy)
+	dst = appendColList(dst, " ORDER BY ", s.OrderBy)
 	if s.Limit >= 0 {
-		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
+		dst = strconv.AppendInt(append(dst, " LIMIT "...), int64(s.Limit), 10)
 	}
-	return b.String()
+	return dst
+}
+
+// appendColList appends clause and the columns, comma-separated, unless
+// there are none.
+func appendColList(dst []byte, clause string, cols []ColRef) []byte {
+	for i, c := range cols {
+		if i == 0 {
+			dst = append(dst, clause...)
+		} else {
+			dst = append(dst, ", "...)
+		}
+		dst = c.appendSQL(dst)
+	}
+	return dst
 }

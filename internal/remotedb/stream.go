@@ -9,6 +9,10 @@ import "repro/internal/relation"
 // relation, and peak memory is bounded by the in-flight frames rather than
 // the result size.
 //
+// A tuple handed out by Next stays valid and may be kept: no later Next, and
+// no later request, writes into it. DrainStream keeps batches of tuples
+// across Next calls, and the RDI hands a wire row on as its head row.
+//
 // A TupleStream is single-consumer and not safe for concurrent use. It
 // implements relation.Iterator plus the Err() error convention of
 // relation.GuardIterator, so bridge.NewStream surfaces a mid-stream
