@@ -2,6 +2,7 @@ package caql
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -460,18 +461,53 @@ func bruteForce(q *Query, src MapSource) *relation.Relation {
 	return relation.DistinctRel(out)
 }
 
-func TestSplitClauses(t *testing.T) {
-	parts := splitClauses(`a(X) :- b(X). c(Y) :- d(Y, "dot . inside").`)
-	if len(parts) != 2 {
-		t.Fatalf("splitClauses got %d parts: %q", len(parts), parts)
-	}
-	if !strings.Contains(parts[1], "dot . inside") {
-		t.Errorf("string content mangled: %q", parts[1])
-	}
-	// Decimal points must not split.
-	parts = splitClauses("a(X) :- b(X, 3.5).")
-	if len(parts) != 1 {
-		t.Fatalf("decimal split wrong: %q", parts)
+// ParseUnion reads clause after clause from one parser, so a period ends a
+// clause only where the lexer sees punctuation: not in a comment, a quoted
+// string or a decimal. Identifiers are ASCII, and a lexing failure the parser
+// reaches is reported on its own line.
+func TestParseUnionClauses(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		want      []string // the queries, printed; nil when err is set
+		err       string
+	}{
+		{"period in a comment", "d(X) :- b(X, Y). d(X) :- c(X, Y). % done.",
+			[]string{"d(X) :- b(X, Y).", "d(X) :- c(X, Y)."}, ""},
+		{"period in a shell comment", "d(X) :- b(X, Y). # b. c.\nd(X) :- c(X, Y)",
+			[]string{"d(X) :- b(X, Y).", "d(X) :- c(X, Y)."}, ""},
+		{"period in a string", `a(X) :- b(X). a(Y) :- d(Y, "dot . inside").`,
+			[]string{"a(X) :- b(X).", `a(Y) :- d(Y, "dot . inside").`}, ""},
+		{"decimal points", "a(X) :- b(X, 3.5). a(X) :- b(X, Y) & Y < 2.5",
+			[]string{"a(X) :- b(X, 3.5).", "a(X) :- b(X, Y) & Y < 2.5."}, ""},
+		{"non-ASCII in a string", `a(X) :- b(X, "café ñ").`, []string{`a(X) :- b(X, "café ñ").`}, ""},
+		{"missing period between clauses", "a(X) :- b(X) a(X) :- c(X)", nil, `line 1: expected ".", found "a"`},
+		{"non-ASCII identifier", "a(X) :- b(X, café).", nil, `line 1: unexpected character "é"`},
+		{"non-ASCII identifier start", "a(X) :- b(X, ñ).", nil, `line 1: unexpected character "ñ"`},
+		{"invalid UTF-8", "a(X) :- b(X, \xc3\xc3).", nil, `line 1: unexpected character "\xc3"`},
+		{"unterminated string on line 3", "a(X) :- b(X).\na(X) :- c(X).\na(X) :- d(X, \"oops).", nil,
+			"line 3: unterminated string literal"},
+		{"bad number on line 3", "a(X) :- b(X).\na(X) :- c(X).\na(X) :- d(X, 1e).", nil, `line 3: bad number "1e"`},
+		{"stray character on line 3", "a(X) :- b(X).\na(X) :- c(X).\na(X) :- d(X) $ e(X).", nil,
+			`line 3: unexpected character "$"`},
+	} {
+		u, err := ParseUnion(c.src)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("%s: ParseUnion(%q) = %v, want an error with %q", c.name, c.src, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: ParseUnion(%q): %v", c.name, c.src, err)
+			continue
+		}
+		var got []string
+		for _, q := range u.Queries {
+			got = append(got, q.String())
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: ParseUnion(%q) = %q, want %q", c.name, c.src, got, c.want)
+		}
 	}
 }
 
@@ -533,7 +569,10 @@ func TestCanonicalAlphaInvariance(t *testing.T) {
 }
 
 // FuzzParse: any text parses to an error, or to a query whose String() parses
-// back to the same String(). Never a panic.
+// back to the same String(). Never a panic. The query also equals NewQuery
+// over logic.ParseClause of the same text, and it owns its block: appending
+// to any of its slices changes no other atom, and scribbling over it leaves a
+// second parse of the text alone.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		`d2(X, Y) :- b2(X, Z) & b3(Z, "c2", Y)`,
@@ -548,6 +587,14 @@ func FuzzParse(f *testing.F) {
 		"d(X, W) :- b2(X, Z)",
 		"d(X) :- b(X) & 3 < 4",
 		"a:-a(10000000000000000000)", // prints 1e+19, which the lexer once cut at its sign
+		// Comparisons first: the partition into Rels and Cmps is stable.
+		"d(X) :- X > 1 & X < 9 & b(X, Y) & Y != 2 & c(Y) & Y < X",
+		// Overflows the parse block's atoms and terms.
+		"o(A, B, C, D) :- r(A, B, C, D) & s(D, C, B, A) & t(A) & A < 1 & B < 2 & C < 3",
+		"d(X) :- b(X, Y) % a comment. with periods.\n# and another.",
+		`d(X) :- b(X, "café ñ") & X != "\u00e9"`,
+		"d(X) :- b(X, café)",
+		"d(X, 2.5) :- b(X, Y) & Y >= 1.5e3 & Y < 1E+4",
 	} {
 		f.Add(seed)
 	}
@@ -557,6 +604,16 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		text := q.String()
+		c, err := logic.ParseClause(src)
+		if err != nil { // the final period may be left off
+			c, err = logic.ParseClause(src + "\n.")
+		}
+		if err != nil {
+			t.Fatalf("Parse accepts %q, ParseClause does not: %v", src, err)
+		}
+		if want := NewQuery(c.Head, c.Body); !sameQuery(q, want) {
+			t.Fatalf("Parse(%q) = %s, NewQuery over ParseClause = %s", src, q, want)
+		}
 		again, err := Parse(text)
 		if err != nil {
 			t.Fatalf("%q printed as %q, which does not parse back: %v", src, text, err)
@@ -564,5 +621,83 @@ func FuzzParse(f *testing.F) {
 		if got := again.String(); got != text {
 			t.Fatalf("%q printed as %q, which prints back as %q", src, text, got)
 		}
+		scribble := logic.CStr("scribble")
+		for _, a := range queryAtoms(q) {
+			_ = append(a.Args, scribble)
+			if got := q.String(); got != text {
+				t.Fatalf("appending to the arguments of %s turned %q into %q", a, text, got)
+			}
+		}
+		_ = append(q.Rels, logic.A("scribble", scribble))
+		_ = append(q.Cmps, logic.A("scribble", scribble))
+		if got := q.String(); got != text {
+			t.Fatalf("appending to Rels or Cmps turned %q into %q", text, got)
+		}
+		second, _ := Parse(src)
+		for _, a := range queryAtoms(q) {
+			a.Pred = "scribble"
+			for i := range a.Args {
+				a.Args[i] = scribble
+			}
+		}
+		if got := second.String(); got != text {
+			t.Fatalf("scribbling over the first parse of %q turned the second into %q", src, got)
+		}
 	})
+}
+
+// queryAtoms points at the head, relational and comparison atoms of q.
+func queryAtoms(q *Query) []*logic.Atom {
+	out := []*logic.Atom{&q.Head}
+	for i := range q.Rels {
+		out = append(out, &q.Rels[i])
+	}
+	for i := range q.Cmps {
+		out = append(out, &q.Cmps[i])
+	}
+	return out
+}
+
+func sameQuery(a, b *Query) bool {
+	return a.Head.Equal(b.Head) && slices.EqualFunc(a.Rels, b.Rels, logic.Atom.Equal) &&
+		slices.EqualFunc(a.Cmps, b.Cmps, logic.Atom.Equal)
+}
+
+// TestParseAllocs holds a parse to one allocation, its block, for every query
+// form of the caql_cold and write_mix benchmarks; a query that overflows the
+// block's atoms or terms takes one allocation more for each. ParseAtom takes
+// one, the atom's arguments.
+func TestParseAllocs(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want float64
+	}{
+		// caql_cold: point, range, join, and a repeat narrowed by a comparison.
+		{"q0(P, Q) :- shipment(17, P, Q)", 1},
+		{"q1(C, W) :- part(17, C, W)", 1},
+		{"q4(S, P, Q) :- shipment(S, P, Q) & S >= 10 & S < 15 & Q >= 300", 1},
+		{"q6(P, Q, C, W) :- shipment(17, P, Q) & part(P, C, W)", 1},
+		{"n8(P, Q) :- shipment(17, P, Q) & Q >= 250", 1},
+		{"n8(C, W) :- part(17, C, W) & W >= 50.0", 1},
+		{"n8(S, P, Q) :- shipment(S, P, Q) & S >= 10 & S < 15 & Q >= 460", 1},
+		{"n8(P, Q, C, W) :- shipment(17, P, Q) & part(P, C, W) & W >= 50.0", 1},
+		// write_mix's two views.
+		{"va(S, N, C) :- supplier(S, N, C) & S >= 10 & S < 60", 1},
+		{"vb(P, C, W) :- part(P, C, W) & P >= 20 & P < 120", 1},
+		// Overflows: the terms; the atoms; both.
+		{"o(A, B, C, D) :- r(A, B, C, D) & s(D, C, B, A) & A < 1", 2},
+		{"o(A) :- r(A) & r(A) & r(A) & r(A) & r(A)", 2},
+		{"o(A, B, C, D) :- r(A, B, C, D) & s(D, C, B, A) & A < 1 & B < 2 & C < 3", 3},
+	} {
+		if got := testing.AllocsPerRun(100, func() { MustParse(c.src) }); got > c.want {
+			t.Errorf("Parse(%q): %.0f allocations, want at most %.0f", c.src, got, c.want)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := logic.ParseAtom("brother(X, p001)"); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("ParseAtom: %.0f allocations, want at most 1", got)
+	}
 }

@@ -2,7 +2,6 @@ package caql
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/logic"
 )
@@ -11,14 +10,17 @@ import (
 //
 //	d2(X, Y) :- b2(X, Z) & b3(Z, c2, Y) & X < 10.
 //
-// Commas and ampersands are both accepted as conjunction separators. The
-// query is validated for safety.
+// Commas and ampersands are both accepted as conjunction separators, and the
+// final period may be left off. The query is validated for safety.
 func Parse(src string) (*Query, error) {
-	c, err := logic.ParseClause(ensurePeriod(src))
+	r := logic.NewClauseReader(src)
+	q, err := parseQuery(&r)
+	if err == nil {
+		err = r.End()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("caql: %w", err)
 	}
-	q := NewQuery(c.Head, c.Body)
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -26,12 +28,15 @@ func Parse(src string) (*Query, error) {
 }
 
 // ParseUnion parses one or more conjunctive queries (a union when several
-// share the head predicate).
+// share the head predicate), read clause after clause from one text.
 func ParseUnion(src string) (*Union, error) {
 	u := &Union{}
-	for _, part := range splitClauses(src) {
-		q, err := Parse(part)
+	for r := logic.NewClauseReader(src); r.More(); {
+		q, err := parseQuery(&r)
 		if err != nil {
+			return nil, fmt.Errorf("caql: %w", err)
+		}
+		if err := q.Validate(); err != nil {
 			return nil, err
 		}
 		u.Queries = append(u.Queries, q)
@@ -51,51 +56,45 @@ func MustParse(src string) *Query {
 	return q
 }
 
-func ensurePeriod(src string) string {
-	s := strings.TrimSpace(src)
-	if !strings.HasSuffix(s, ".") {
-		s += "."
-	}
-	return s
+// parseBlock is a parsed query and the atoms and terms its slices are carved
+// from, in one allocation. The arrays fit every query of the caql_cold and
+// write_mix benchmarks (at most four body atoms and twelve terms) and no
+// more, so the block allocates fewer bytes than a parse into slices of their
+// own; a query that overflows an array takes an allocation more for it (one
+// up to twice the array's length, as append grows). A block is never reused:
+// the query is the caller's to keep.
+type parseBlock struct {
+	q     Query
+	atoms [4]logic.Atom
+	terms [12]logic.Term
 }
 
-// splitClauses splits on periods that terminate clauses (periods inside
-// quoted strings are preserved).
-func splitClauses(src string) []string {
-	var parts []string
-	var cur strings.Builder
-	inStr := false
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		switch {
-		case inStr:
-			cur.WriteByte(c)
-			if c == '\\' && i+1 < len(src) {
-				i++
-				cur.WriteByte(src[i])
-			} else if c == '"' {
-				inStr = false
-			}
-		case c == '"':
-			inStr = true
-			cur.WriteByte(c)
-		case c == '.':
-			// A period followed by a digit is a decimal point.
-			if i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9' {
-				cur.WriteByte(c)
-				continue
-			}
-			cur.WriteByte(c)
-			if s := strings.TrimSpace(cur.String()); s != "." {
-				parts = append(parts, s)
-			}
-			cur.Reset()
-		default:
-			cur.WriteByte(c)
+// parseQuery reads r's next clause into a parseBlock. The body keeps its text
+// order within Rels and within Cmps.
+func parseQuery(r *logic.ClauseReader) (*Query, error) {
+	blk := new(parseBlock)
+	c, err := r.Next(blk.atoms[:0], blk.terms[:0])
+	if err != nil {
+		return nil, err
+	}
+	q := &blk.q
+	q.Head = c.Head
+	body := c.Body
+	// Move the relational atoms to the front, stably: a comparison written
+	// before them shifts right past each.
+	n := 0
+	for i, a := range body {
+		if !a.IsComparison() {
+			copy(body[n+1:i+1], body[n:i])
+			body[n] = a
+			n++
 		}
 	}
-	if s := strings.TrimSpace(cur.String()); s != "" {
-		parts = append(parts, s)
+	if n > 0 {
+		q.Rels = body[:n:n]
 	}
-	return parts
+	if n < len(body) {
+		q.Cmps = body[n:]
+	}
+	return q, nil
 }

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -65,7 +66,8 @@ func TestParserNoPanicOnMutations(t *testing.T) {
 }
 
 // FuzzParseProgram: any text parses to an error, or to a KB whose String()
-// parses back to the same String(). Never a panic.
+// parses back to the same String(), and each of whose clauses prints as a
+// clause that ParseClause reads back equal. Never a panic.
 func FuzzParseProgram(f *testing.F) {
 	for _, seed := range []string{
 		`
@@ -79,6 +81,11 @@ func FuzzParseProgram(f *testing.F) {
 		`p(X) :- q(X, "it's \"quoted\""), X =< 2.0, X <> 3.`,
 		"p :- q. q.",
 		`p(a) :- "unclosed.`,
+		"p(X) :- q(X). % a comment. with periods.\n# another. one.\nq(1).",
+		`p(X) :- q(X, "café ñ"). r(café).`,
+		"p(X) :- q(X, \xc3\xc3).",
+		"p(X) :- X < 2.5e3, q(X, Y), Y >= -0.5, 3 < 4.\nq(1E+2, 99999999999999999999).",
+		"p(A, B, C, D, E, F, G, H, I) :- q(A, B, C, D, E, F, G, H, I).",
 	} {
 		f.Add(seed)
 	}
@@ -94,6 +101,17 @@ func FuzzParseProgram(f *testing.F) {
 		}
 		if got := again.String(); got != text {
 			t.Fatalf("%q printed as %q, which prints back as %q", src, text, got)
+		}
+		for _, ref := range kb.Preds() {
+			for _, c := range kb.Rules(ref) {
+				re, err := ParseClause(c.String())
+				if err != nil {
+					t.Fatalf("clause %s of %q does not parse back: %v", c, src, err)
+				}
+				if !re.Head.Equal(c.Head) || !slices.EqualFunc(re.Body, c.Body, Atom.Equal) {
+					t.Fatalf("clause %s of %q parses back as %s", c, src, re)
+				}
+			}
 		}
 	})
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
+	"unicode/utf8"
+
+	"repro/internal/relation"
 )
 
 // tokKind enumerates lexical token kinds of the rule/query surface syntax.
@@ -19,87 +21,66 @@ const (
 	tokPunct          // punctuation or operator: ( ) , . :- -> [ ] / & ? ^ and comparisons
 )
 
+// token is one lexical token. Its text is a substring of the source, so
+// lexing allocates nothing.
 type token struct {
 	kind tokKind
 	text string
-	pos  int // byte offset, for error messages
 	line int
+	num  relation.Value // a tokNumber's value
 }
 
-// lexer tokenizes the Datalog/CAQL-style surface syntax.
+// lexer tokenizes the Datalog/CAQL-style surface syntax on demand, one token
+// per call to next.
 type lexer struct {
 	src  string
-	pos  int
-	line int
-	toks []token
+	pos  int // the offset after the last token lexed
+	line int // the line at pos
 }
 
-// lex tokenizes src fully, returning the token stream.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
-	for {
-		tok, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		l.toks = append(l.toks, tok)
-		if tok.kind == tokEOF {
-			return l.toks, nil
-		}
-	}
+func (l *lexer) errorf(line int, format string, args ...any) error {
+	l.pos = len(l.src) // a failed token ends the input
+	return fmt.Errorf("line %d: %s", line, fmt.Sprintf(format, args...))
 }
 
-func (l *lexer) errorf(format string, args ...any) error {
-	return fmt.Errorf("line %d: %s", l.line, fmt.Sprintf(format, args...))
-}
-
+// next lexes the token at or after pos. A token that fails to lex reads as
+// EOF, with the error beside it.
 func (l *lexer) next() (token, error) {
-	// Skip whitespace and comments.
+	// Skip whitespace and comments; '#' starts a shell-style comment too.
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
-		switch {
-		case c == '\n':
+		if c == '\n' {
 			l.line++
-			l.pos++
-		case c == ' ' || c == '\t' || c == '\r':
-			l.pos++
-		case c == '%':
+		} else if c == '%' || c == '#' {
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
-		case c == '#': // shell-style comments accepted too
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
-			}
-		default:
-			goto body
+			continue
+		} else if c != ' ' && c != '\t' && c != '\r' {
+			break
 		}
-	}
-body:
-	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, pos: l.pos, line: l.line}, nil
+		l.pos++
 	}
 	start, line := l.pos, l.line
-	c := l.src[l.pos]
-	switch {
+	eof := token{kind: tokEOF, line: line}
+	if start >= len(l.src) {
+		return eof, nil
+	}
+	switch c := l.src[start]; {
 	case c == '"':
-		l.pos++
-		for l.pos < len(l.src) {
-			if l.src[l.pos] == '\\' {
-				l.pos += 2
-				continue
-			}
-			if l.src[l.pos] == '"' {
-				l.pos++
-				return token{kind: tokString, text: l.src[start:l.pos], pos: start, line: line}, nil
-			}
-			if l.src[l.pos] == '\n' {
+		for i := start + 1; i < len(l.src); i++ {
+			switch l.src[i] {
+			case '\\':
+				i++
+			case '\n':
 				l.line++
+			case '"':
+				l.pos = i + 1
+				return token{kind: tokString, text: l.src[start:l.pos], line: line}, nil
 			}
-			l.pos++
 		}
-		return token{}, l.errorf("unterminated string literal")
-	case c >= '0' && c <= '9' || (c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9'):
+		return eof, l.errorf(line, "unterminated string literal")
+	case isDigit(c) || c == '-' && start+1 < len(l.src) && isDigit(l.src[start+1]):
 		// Digits, points before a digit, and exponents, signed or not: every
 		// float Value.String renders (1e+19 among them) lexes back.
 		l.pos++
@@ -114,44 +95,52 @@ body:
 			l.pos++
 		}
 		text := l.src[start:l.pos]
-		if _, err := strconv.ParseFloat(text, 64); err != nil {
-			return token{}, l.errorf("bad number %q", text)
+		// Only a text without a point or exponent can be an integer; one too
+		// large for int64 is read as a float.
+		if !strings.ContainsAny(text, ".eE") {
+			if i, err := strconv.ParseInt(text, 10, 64); err == nil {
+				return token{kind: tokNumber, text: text, line: line, num: relation.Int(i)}, nil
+			}
 		}
-		return token{kind: tokNumber, text: text, pos: start, line: line}, nil
-	case isIdentStart(rune(c)):
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return eof, l.errorf(line, "bad number %q", text)
+		}
+		return token{kind: tokNumber, text: text, line: line, num: relation.Float(f)}, nil
+	case isIdentStart(c):
 		l.pos++
-		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 			l.pos++
 		}
 		text := l.src[start:l.pos]
 		if IsVarName(text) {
-			return token{kind: tokVar, text: text, pos: start, line: line}, nil
+			return token{kind: tokVar, text: text, line: line}, nil
 		}
-		return token{kind: tokIdent, text: text, pos: start, line: line}, nil
-	default:
-		// Multi-char punctuation first.
-		rest := l.src[l.pos:]
-		for _, p := range []string{":-", "->", "<=", ">=", "=<", "!=", "<>", "\\=", "=="} {
-			if strings.HasPrefix(rest, p) {
-				l.pos += len(p)
-				return token{kind: tokPunct, text: p, pos: start, line: line}, nil
-			}
-		}
-		switch c {
-		case '(', ')', ',', '.', '[', ']', '/', '&', '?', '^', '<', '>', '=', '|':
-			l.pos++
-			return token{kind: tokPunct, text: string(c), pos: start, line: line}, nil
-		}
-		return token{}, l.errorf("unexpected character %q", string(c))
+		return token{kind: tokIdent, text: text, line: line}, nil
 	}
+	if start+1 < len(l.src) {
+		switch two := l.src[start : start+2]; two {
+		case ":-", "->", "<=", ">=", "=<", "!=", "<>", "\\=", "==":
+			l.pos += 2
+			return token{kind: tokPunct, text: two, line: line}, nil
+		}
+	}
+	switch l.src[start] {
+	case '(', ')', ',', '.', '[', ']', '/', '&', '?', '^', '<', '>', '=', '|':
+		l.pos++
+		return token{kind: tokPunct, text: l.src[start:l.pos], line: line}, nil
+	}
+	// Name the character, or the byte when the text is not UTF-8 there.
+	_, n := utf8.DecodeRuneInString(l.src[start:])
+	return eof, l.errorf(line, "unexpected character %q", l.src[start:start+n])
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// Identifiers are ASCII, as isPlainAtom and IsVarName assume; a quoted
+// string takes any text.
+func isIdentStart(c byte) bool {
+	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
 
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
-}
+func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }

@@ -421,6 +421,25 @@ func TestKBErrors(t *testing.T) {
 	}
 }
 
+// A lexing failure the parser reaches is reported on its own line.
+// Identifiers are ASCII: the error names the character, or the byte where the
+// text is not UTF-8.
+func TestProgramLexErrors(t *testing.T) {
+	head := "p(X) :- q(X).\nq(1).\n"
+	for _, c := range []struct{ src, err string }{
+		{head + `q("oops).`, "line 3: unterminated string literal"},
+		{head + "q(1e).", `line 3: bad number "1e"`},
+		{head + "q(2) $ q(3).", `line 3: unexpected character "$"`},
+		{head + "q(café).", `line 3: unexpected character "é"`},
+		{head + "q(ñ).", `line 3: unexpected character "ñ"`},
+		{head + "q(\xc3\xc3).", `line 3: unexpected character "\xc3"`},
+	} {
+		if _, err := ParseProgram(c.src); err == nil || err.Error() != c.err {
+			t.Errorf("ParseProgram(%q) = %v, want %q", c.src, err, c.err)
+		}
+	}
+}
+
 func TestParseClauseRoundTrip(t *testing.T) {
 	srcs := []string{
 		"p(X, Y) :- q(X, Z), r(Z, Y).",

@@ -25,65 +25,117 @@ import (
 // typed constants. Comparison atoms are written infix: X < 5, X != Y.
 
 type parser struct {
-	toks []token
-	pos  int
+	lexer
+	tok token // the current token
+	err error // the first lexing failure; the token that failed reads as EOF
 }
 
-func (p *parser) cur() token { return p.toks[p.pos] }
-func (p *parser) advance()   { p.pos++ }
+func newParser(src string) parser {
+	p := parser{lexer: lexer{src: src, line: 1}}
+	p.advance()
+	return p
+}
+
+func (p *parser) advance() {
+	t, err := p.next()
+	if err != nil && p.err == nil {
+		p.err = err
+	}
+	p.tok = t
+}
+
 func (p *parser) at(text string) bool {
-	t := p.cur()
-	return t.kind == tokPunct && t.text == text
+	return p.tok.kind == tokPunct && p.tok.text == text
 }
 
 func (p *parser) expect(text string) error {
 	if !p.at(text) {
-		return fmt.Errorf("line %d: expected %q, found %q", p.cur().line, text, p.cur().text)
+		return fmt.Errorf("line %d: expected %q, found %q", p.tok.line, text, p.tok.text)
 	}
 	p.advance()
 	return nil
 }
 
-// ParseProgram parses a whole knowledge-base source into a KB.
-func ParseProgram(src string) (*KB, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+// end is the error of a parse that stopped with err: the first lexing
+// failure, since the parser met it as EOF; else err; else trailing input
+// when the parse stopped short of EOF.
+func (p *parser) end(err error, what string) error {
+	if p.err != nil {
+		return p.err
 	}
-	p := &parser{toks: toks}
+	if err == nil && p.tok.kind != tokEOF {
+		return fmt.Errorf("line %d: trailing input after %s", p.tok.line, what)
+	}
+	return err
+}
+
+// ParseProgram parses a whole knowledge-base source into a KB. Each clause
+// is parsed into scratch arrays reused from clause to clause, and the KB
+// keeps a copy of exactly its size.
+func ParseProgram(src string) (*KB, error) {
+	p := newParser(src)
 	kb := NewKB()
-	for p.cur().kind != tokEOF {
+	var atoms []Atom
+	var terms []Term
+	for p.tok.kind != tokEOF {
 		if p.at(":-") {
 			p.advance()
 			if err := p.parseDirective(kb); err != nil {
-				return nil, err
+				return nil, p.end(err, "")
 			}
 			continue
 		}
-		c, err := p.parseClause()
+		var c Clause
+		var err error
+		c, atoms, terms, err = p.clause(atoms[:0], terms[:0])
+		if err == nil {
+			err = p.expect(".")
+		}
+		if err == nil {
+			if err = kb.AddClause(c.owned()); err != nil {
+				err = fmt.Errorf("line %d: %w", p.tok.line, err)
+			}
+		}
 		if err != nil {
-			return nil, err
+			return nil, p.end(err, "")
 		}
-		if err := kb.AddClause(c); err != nil {
-			return nil, fmt.Errorf("line %d: %w", p.cur().line, err)
-		}
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	return kb, nil
 }
 
+// owned is c with its body and arguments copied into arrays of exactly their
+// size, its own.
+func (c Clause) owned() Clause {
+	n := len(c.Head.Args)
+	for _, a := range c.Body {
+		n += len(a.Args)
+	}
+	terms := append(make([]Term, 0, n), c.Head.Args...)
+	c.Head.Args = window(terms, 0)
+	if c.Body != nil {
+		body := make([]Atom, len(c.Body))
+		for i, a := range c.Body {
+			start := len(terms)
+			terms = append(terms, a.Args...)
+			body[i] = Atom{Pred: a.Pred, Args: window(terms, start)}
+		}
+		c.Body = body
+	}
+	return c
+}
+
 // ParseClause parses a single clause (rule or fact) from src.
 func ParseClause(src string) (Clause, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return Clause{}, err
+	p := newParser(src)
+	c, _, _, err := p.clause(nil, nil)
+	if err == nil {
+		err = p.expect(".")
 	}
-	p := &parser{toks: toks}
-	c, err := p.parseClause()
-	if err != nil {
+	if err = p.end(err, "clause"); err != nil {
 		return Clause{}, err
-	}
-	if p.cur().kind != tokEOF {
-		return Clause{}, fmt.Errorf("line %d: trailing input after clause", p.cur().line)
 	}
 	return c, nil
 }
@@ -93,118 +145,171 @@ func ParseClause(src string) (Clause, error) {
 func ParseAtom(src string) (Atom, error) {
 	src = strings.TrimSpace(src)
 	src = strings.TrimSuffix(src, "?")
-	toks, err := lex(src)
-	if err != nil {
-		return Atom{}, err
-	}
-	p := &parser{toks: toks}
-	a, err := p.parseAtom()
-	if err != nil {
-		return Atom{}, err
-	}
-	if p.at(".") {
+	p := newParser(src)
+	// The arguments are parsed onto the stack, and the atom gets a copy of
+	// exactly their size: one allocation for an atom of up to len(buf).
+	var buf [8]Term
+	pred, start, terms, err := p.atomArgs(buf[:0])
+	if err == nil && p.at(".") {
 		p.advance()
 	}
-	if p.cur().kind != tokEOF {
-		return Atom{}, fmt.Errorf("line %d: trailing input after atom", p.cur().line)
+	if err = p.end(err, "atom"); err != nil {
+		return Atom{}, err
+	}
+	a := Atom{Pred: pred}
+	if args := terms[start:]; len(args) > 0 {
+		a.Args = make([]Term, len(args))
+		copy(a.Args, args)
 	}
 	return a, nil
 }
 
-func (p *parser) parseClause() (Clause, error) {
-	head, err := p.parseAtom()
+// A ClauseReader parses clauses one after another from one text, as CAQL
+// writes them: each ends with a period, except that the last one's may be
+// left off.
+type ClauseReader struct{ p parser }
+
+// NewClauseReader returns a reader at the start of src.
+func NewClauseReader(src string) ClauseReader { return ClauseReader{p: newParser(src)} }
+
+// More reports whether anything but whitespace and comments is left.
+func (r *ClauseReader) More() bool { return r.p.tok.kind != tokEOF || r.p.err != nil }
+
+// Next parses the next clause. Its body atoms are appended to atoms and its
+// arguments to terms: Body and every Args are capacity-capped windows of
+// them, so a caller can carve a clause from arrays it owns, and appending to
+// one copies it rather than overwrite its neighbour.
+func (r *ClauseReader) Next(atoms []Atom, terms []Term) (Clause, error) {
+	p := &r.p
+	c, _, _, err := p.clause(atoms, terms)
+	if err == nil && p.tok.kind != tokEOF {
+		err = p.expect(".")
+	}
+	if p.err != nil {
+		err = p.err
+	}
 	if err != nil {
-		return Clause{}, err
-	}
-	if head.IsComparison() {
-		return Clause{}, fmt.Errorf("line %d: clause head cannot be a comparison", p.cur().line)
-	}
-	c := Clause{Head: head}
-	if p.at(":-") {
-		p.advance()
-		for {
-			a, err := p.parseAtom()
-			if err != nil {
-				return Clause{}, err
-			}
-			c.Body = append(c.Body, a)
-			if p.at(",") || p.at("&") {
-				p.advance()
-				continue
-			}
-			break
-		}
-	}
-	if err := p.expect("."); err != nil {
 		return Clause{}, err
 	}
 	return c, nil
 }
 
-// parseAtom parses either pred(args...) possibly followed by an infix
-// comparison, or term cmp term.
-func (p *parser) parseAtom() (Atom, error) {
-	// An atom starting with a variable/number/string must be a comparison.
-	t := p.cur()
-	if t.kind == tokVar || t.kind == tokNumber || t.kind == tokString {
-		left, err := p.parseTerm()
-		if err != nil {
-			return Atom{}, err
+// End reports anything left after the clauses read so far.
+func (r *ClauseReader) End() error { return r.p.end(nil, "clause") }
+
+// clause parses a clause up to its period. Body atoms are appended to atoms
+// and arguments to terms, and Body and each Args is a window of them; the
+// grown slices are returned for the next clause.
+func (p *parser) clause(atoms []Atom, terms []Term) (Clause, []Atom, []Term, error) {
+	head, terms, err := p.atom(terms)
+	if err != nil {
+		return Clause{}, atoms, terms, err
+	}
+	if head.IsComparison() {
+		return Clause{}, atoms, terms, fmt.Errorf("line %d: clause head cannot be a comparison", p.tok.line)
+	}
+	c := Clause{Head: head}
+	if p.at(":-") {
+		p.advance()
+		start := len(atoms)
+		for {
+			var a Atom
+			if a, terms, err = p.atom(terms); err != nil {
+				return Clause{}, atoms, terms, err
+			}
+			atoms = append(atoms, a)
+			if !p.at(",") && !p.at("&") {
+				break
+			}
+			p.advance()
 		}
-		return p.parseComparisonRest(left)
+		c.Body = window(atoms, start)
+	}
+	return c, atoms, terms, nil
+}
+
+// atom parses either pred(args...), possibly followed by an infix
+// comparison, or term cmp term. Its arguments are appended to terms, and
+// Args is their window.
+func (p *parser) atom(terms []Term) (Atom, []Term, error) {
+	pred, start, terms, err := p.atomArgs(terms)
+	if err != nil {
+		return Atom{}, terms, err
+	}
+	return Atom{Pred: pred, Args: window(terms, start)}, terms, nil
+}
+
+// atomArgs parses an atom as atom does, returning its predicate and the
+// offset in terms where its arguments start. It returns no Atom so that a
+// caller's stack buffer does not escape with the predicate: escape analysis
+// sees an Atom's fields as one.
+func (p *parser) atomArgs(terms []Term) (pred string, start int, _ []Term, _ error) {
+	start = len(terms)
+	// An atom starting with a variable/number/string must be a comparison.
+	t := p.tok
+	if t.kind == tokVar || t.kind == tokNumber || t.kind == tokString {
+		left, err := p.term()
+		if err != nil {
+			return "", start, terms, err
+		}
+		return p.comparison(left, terms)
 	}
 	if t.kind != tokIdent {
-		return Atom{}, fmt.Errorf("line %d: expected atom, found %q", t.line, t.text)
+		return "", start, terms, fmt.Errorf("line %d: expected atom, found %q", t.line, t.text)
 	}
-	pred := t.text
 	p.advance()
 	if !p.at("(") {
 		// Could be a bare constant followed by a comparison (e.g. a != b),
 		// or a 0-ary predicate.
-		if cmpTok := p.cur(); cmpTok.kind == tokPunct && isCmpPunct(cmpTok.text) {
-			return p.parseComparisonRest(CStr(pred))
+		if p.tok.kind == tokPunct && isCmpPunct(p.tok.text) {
+			return p.comparison(CStr(t.text), terms)
 		}
-		return Atom{Pred: pred}, nil
+		return t.text, start, terms, nil
 	}
 	p.advance()
-	var args []Term
 	if !p.at(")") {
 		for {
-			arg, err := p.parseTerm()
+			arg, err := p.term()
 			if err != nil {
-				return Atom{}, err
+				return "", start, terms, err
 			}
-			args = append(args, arg)
-			if p.at(",") {
-				p.advance()
-				continue
+			terms = append(terms, arg)
+			if !p.at(",") {
+				break
 			}
-			break
+			p.advance()
 		}
 	}
-	if err := p.expect(")"); err != nil {
-		return Atom{}, err
-	}
-	return Atom{Pred: pred, Args: args}, nil
+	return t.text, start, terms, p.expect(")")
 }
 
-func (p *parser) parseComparisonRest(left Term) (Atom, error) {
-	t := p.cur()
+// comparison parses the operator and right operand of a comparison whose
+// left operand was left, and appends both operands to terms.
+func (p *parser) comparison(left Term, terms []Term) (pred string, start int, _ []Term, _ error) {
+	start = len(terms)
+	t := p.tok
 	if t.kind != tokPunct || !isCmpPunct(t.text) {
-		return Atom{}, fmt.Errorf("line %d: expected comparison operator, found %q", t.line, t.text)
+		return "", start, terms, fmt.Errorf("line %d: expected comparison operator, found %q", t.line, t.text)
 	}
-	op := t.text
 	p.advance()
-	right, err := p.parseTerm()
+	right, err := p.term()
 	if err != nil {
-		return Atom{}, err
+		return "", start, terms, err
 	}
 	// Normalize operator spelling through relation.ParseCmpOp.
-	cmp, err := parseCmp(op)
-	if err != nil {
-		return Atom{}, fmt.Errorf("line %d: %w", t.line, err)
+	if pred, err = parseCmp(t.text); err != nil {
+		return "", start, terms, fmt.Errorf("line %d: %w", t.line, err)
 	}
-	return Atom{Pred: cmp, Args: []Term{left, right}}, nil
+	return pred, start, append(terms, left, right), nil
+}
+
+// window is buf[start:] with its capacity capped, so that appending to it
+// copies; nil when empty, as a 0-ary atom's Args and a fact's Body are.
+func window[T any](buf []T, start int) []T {
+	if len(buf) == start {
+		return nil
+	}
+	return buf[start:len(buf):len(buf)]
 }
 
 func isCmpPunct(s string) bool {
@@ -223,8 +328,8 @@ func parseCmp(s string) (string, error) {
 	return op.String(), nil
 }
 
-func (p *parser) parseTerm() (Term, error) {
-	t := p.cur()
+func (p *parser) term() (Term, error) {
+	t := p.tok
 	switch t.kind {
 	case tokVar:
 		p.advance()
@@ -234,14 +339,7 @@ func (p *parser) parseTerm() (Term, error) {
 		return CStr(t.text), nil
 	case tokNumber:
 		p.advance()
-		if i, err := strconv.ParseInt(t.text, 10, 64); err == nil {
-			return CInt(i), nil
-		}
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return Term{}, fmt.Errorf("line %d: bad number %q", t.line, t.text)
-		}
-		return C(relation.Float(f)), nil
+		return C(t.num), nil
 	case tokString:
 		p.advance()
 		u, err := strconv.Unquote(t.text)
@@ -255,7 +353,7 @@ func (p *parser) parseTerm() (Term, error) {
 }
 
 func (p *parser) parseDirective(kb *KB) error {
-	t := p.cur()
+	t := p.tok
 	if t.kind != tokIdent {
 		return fmt.Errorf("line %d: expected directive name, found %q", t.line, t.text)
 	}
@@ -331,7 +429,7 @@ func (p *parser) parseDirective(kb *KB) error {
 }
 
 func (p *parser) parsePredRef() (PredRef, error) {
-	t := p.cur()
+	t := p.tok
 	if t.kind != tokIdent {
 		return PredRef{}, fmt.Errorf("line %d: expected predicate name, found %q", t.line, t.text)
 	}
@@ -340,7 +438,7 @@ func (p *parser) parsePredRef() (PredRef, error) {
 	if err := p.expect("/"); err != nil {
 		return PredRef{}, err
 	}
-	n := p.cur()
+	n := p.tok
 	if n.kind != tokNumber {
 		return PredRef{}, fmt.Errorf("line %d: expected arity, found %q", n.line, n.text)
 	}
@@ -359,7 +457,7 @@ func (p *parser) parsePosList() ([]int, error) {
 	}
 	var out []int
 	for !p.at("]") {
-		t := p.cur()
+		t := p.tok
 		if t.kind != tokNumber {
 			return nil, fmt.Errorf("line %d: expected position, found %q", t.line, t.text)
 		}
