@@ -23,6 +23,11 @@ import (
 // (relation.GuardIterator checkpoints); Next then reports end-of-stream and
 // Err returns the typed reason, so a canceled stream is never mistaken for a
 // complete one.
+//
+// The tuples a stream hands out are shared and read-only: an answer from the
+// cache may be the cached element's own rows, as a miss's answer always was
+// the rows the cache keeps. A consumer may keep a tuple, but must not write
+// into it.
 type Stream struct {
 	schema *relation.Schema
 	it     relation.Iterator
@@ -63,9 +68,13 @@ func NewStream(schema *relation.Schema, it relation.Iterator, lazy bool) *Stream
 }
 
 // NewEagerStream builds a stream over a materialized relation.
-func NewEagerStream(rel *relation.Relation) *Stream {
-	s := &Stream{schema: rel.Schema()}
-	s.rows = *relation.NewSliceIterator(rel.Tuples())
+func NewEagerStream(rel *relation.Relation) *Stream { return NewRowsStream(rel.Schema(), rel.Tuples()) }
+
+// NewRowsStream builds an eager stream that hands out tuples themselves, in
+// one allocation.
+func NewRowsStream(schema *relation.Schema, tuples []relation.Tuple) *Stream {
+	s := &Stream{schema: schema}
+	s.rows = *relation.NewSliceIterator(tuples)
 	s.it = &s.rows
 	return s
 }

@@ -50,8 +50,9 @@ func TestHitPathAllocs(t *testing.T) {
 		// index lookup's rows go to the session's scratch, and the output
 		// schema is one the element served before.
 		{"indexed subsumed eager", `di(3, Z) :- b3(3, "a", Z)`, 3},
-		// As above, without the index lookup: every row passes.
-		{"exact eager", "dx(X, Y) :- b2(X, Y)", 3},
+		// The derivation and the stream: the derivation is the identity,
+		// so the stream hands out the element's own rows.
+		{"exact eager", "dx(X, Y) :- b2(X, Y)", 2},
 		// The derivation, and the stream with its iterators: the element's,
 		// the cost charger and its callback, the selection, the projection,
 		// the guard and its check. The projection's row blocks are made as
@@ -155,8 +156,8 @@ func TestLazyHitDrainAllocs(t *testing.T) {
 // TestHitAnswersSurviveScratchReuse: a session prepares every query into one
 // block and reads index rows into one scratch slice, reusing both from query
 // to query, so no answer may point into either. One answer of each kind of
-// hit (indexed eager, exact eager, lazy, decomposed and generalized) is half
-// read, with a copy of each tuple taken as it is handed out, and left open
+// hit (indexed eager, exact eager, which shares the element's rows, lazy,
+// lazy identity, decomposed and generalized) is half read, with a copy of each tuple taken as it is handed out, and left open
 // while 200 further queries run on the session. Then every kept tuple must
 // still equal its copy, and the rest of each stream must complete the answer
 // caql.Eval gives.
@@ -188,8 +189,11 @@ func TestHitAnswersSurviveScratchReuse(t *testing.T) {
 		took        func(before, after bridge.SourceStats) bool
 	}{
 		{"indexed eager", `di(3, Z) :- b3(3, "a", Z)`, func(b, a bridge.SourceStats) bool { return a.CacheHits == b.CacheHits+1 }},
-		{"exact eager", "dx(X, Y) :- b2(X, Y)", func(b, a bridge.SourceStats) bool { return a.ExactHits == b.ExactHits+1 }},
+		{"exact eager shared", "dx(X, Y) :- b2(X, Y)", func(b, a bridge.SourceStats) bool { return a.ExactHits == b.ExactHits+1 }},
 		{"lazy", `dg(X, "a", Z) :- b3(X, "a", Z)`, func(b, a bridge.SourceStats) bool { return a.LazyAnswers == b.LazyAnswers+1 }},
+		{"lazy identity", "dg(X, Y, Z) :- b3(X, Y, Z)", func(b, a bridge.SourceStats) bool {
+			return a.LazyAnswers == b.LazyAnswers+1 && a.ExactHits == b.ExactHits+1
+		}},
 		{"decomposed", `j(X, Y, Z) :- b2(X, Y) & b3(Y, "a", Z)`, func(b, a bridge.SourceStats) bool {
 			return a.CacheHits == b.CacheHits+1 && a.ExactHits == b.ExactHits && a.RemoteRequests == b.RemoteRequests
 		}},
@@ -268,6 +272,113 @@ func TestHitAnswersSurviveScratchReuse(t *testing.T) {
 	}
 	if n := cms.Stats().RemoteRequests - remote; n != 0 {
 		t.Fatalf("%d of the further queries went to the remote; all should be hits", n)
+	}
+}
+
+// TestIdentityAnswersSurviveEvictionAndReload: an identity hit hands out its
+// element's own rows, so a kept tuple must outlive the element. An exact
+// eager and a lazy identity answer are half read, with a copy of each tuple
+// taken as it is handed out; then, under a budget half the size of what the
+// test caches, later misses evict both elements, and both base tables are
+// replaced through LoadTable and read again. Every kept tuple must still
+// equal its copy, and kept plus drained must be the answer caql.Eval gives
+// over the tables the two queries were asked of.
+func TestIdentityAnswersSurviveEvictionAndReload(t *testing.T) {
+	e, src := fixtureEngine(t, 21, 60)
+	adv := advice.MustParse(`view lz(X^, Y^) :- b2(X, Y).`)
+	const eager, lazy = "ex(X, Y) :- b1(X, Y)", "lz(X, Y) :- b2(X, Y)"
+	fillers := []string{"p1(X, Y) :- b3(X, Y, Z)", "p2(Y, Z) :- b3(X, Y, Z)"}
+	fill := func(cms *CMS) {
+		s := cms.BeginSession(adv).(*Session)
+		defer s.End()
+		for _, q := range append([]string{eager, lazy}, fillers...) {
+			drainQ(t, s, q)
+		}
+	}
+	budget := halfOfFill(t, e, fill)
+	cms := newCMS(t, e, Options{Features: AllFeatures(), CacheBytes: budget})
+	s := cms.BeginSession(adv).(*Session)
+	defer s.End()
+
+	type open struct {
+		query        string
+		st           *bridge.Stream
+		kept, copies []relation.Tuple
+	}
+	var answers []*open
+	var elements []*Element
+	for _, q := range []string{eager, lazy} {
+		drainQ(t, s, q)
+		el := cms.Manager().ExactMatch(caql.MustParse(q))
+		hits := cms.Stats().ExactHits
+		st, err := s.QueryText(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if el == nil || cms.Stats().ExactHits != hits+1 || st.Lazy() != (q == lazy) {
+			t.Fatalf("%s: not an exact hit of the kind it names under a %d-byte budget: %+v", q, budget, cms.Stats())
+		}
+		want, err := caql.Eval(caql.MustParse(q), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &open{query: q, st: st}
+		for len(a.kept) < want.Len()/2 {
+			tu, ok := st.Next()
+			if !ok || &tu[0] != &el.Extension().Tuples()[len(a.kept)][0] {
+				t.Fatalf("%s: tuple %d is not the element's own", q, len(a.kept))
+			}
+			a.kept, a.copies = append(a.kept, tu), append(a.copies, slices.Clone(tu))
+		}
+		answers, elements = append(answers, a), append(elements, el)
+	}
+
+	for _, q := range fillers {
+		drainQ(t, s, q)
+	}
+	for i, el := range elements {
+		if cms.Manager().ExactMatch(el.Def) != nil {
+			t.Fatalf("%s: still cached after the fill; want it evicted (budget %d, %d resident)",
+				answers[i].query, budget, cms.Manager().SizeBytes())
+		}
+	}
+	if cms.Stats().Evictions == 0 {
+		t.Fatalf("no evictions under a %d-byte budget", budget)
+	}
+	next := caql.MapSource{"b3": src["b3"]}
+	for _, name := range []string{"b1", "b2"} {
+		old := src[name]
+		r := relation.New(name, old.Schema())
+		for _, tu := range old.Tuples()[:old.Len()/2] {
+			r.MustAppend(relation.Tuple{tu[0], relation.Int(tu[1].AsInt() + 100)})
+		}
+		e.LoadTable(r)
+		next[name] = r
+	}
+	for _, q := range []string{eager, lazy} {
+		want, err := caql.Eval(caql.MustParse(q), next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainQ(t, s, q); !got.EqualAsBag(want) {
+			t.Fatalf("%s over the replaced table: got %v, want %v", q, got.Tuples(), want.Tuples())
+		}
+	}
+
+	for _, a := range answers {
+		for i, tu := range a.kept {
+			if !tu.Equal(a.copies[i]) {
+				t.Fatalf("%s: kept tuple %d is %v, was %v", a.query, i, tu, a.copies[i])
+			}
+		}
+		got := relation.FromTuples("out", a.st.Schema(), append(a.kept, a.st.Drain("rest").Tuples()...))
+		want, err := caql.Eval(caql.MustParse(a.query), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.EqualAsBag(want) {
+			t.Fatalf("%s: kept and drained %v, want %v", a.query, got.Tuples(), want.Tuples())
+		}
 	}
 }
 
@@ -404,5 +515,78 @@ func TestNegativeZeroIndexedHit(t *testing.T) {
 	}
 	if st := cms.Stats(); st.IndexBuilds != 1 || st.RemoteRequests != 1 {
 		t.Fatalf("want one index build and every query after the first a hit: %+v", st)
+	}
+}
+
+// TestIdentityHitSharesRows: a hit whose derivation is the identity hands
+// out the element's own tuples, in order, eager or lazy; every other hit
+// hands out values of its own, none of them inside the element.
+func TestIdentityHitSharesRows(t *testing.T) {
+	e, src := fixtureEngine(t, 21, 60)
+	cms := newCMS(t, e, Options{Features: AllFeatures()})
+	s := cms.BeginSession(advice.MustParse(hitPathAdvice)).(*Session)
+	defer s.End()
+
+	const dg, dx = "dg(X, Y, Z) :- b3(X, Y, Z)", "dx(X, Y) :- b2(X, Y)"
+	drainQ(t, s, dg)
+	drainQ(t, s, dx)
+	for i := 0; i < 3; i++ { // the third equality selection earns di its index
+		drainQ(t, s, `di(3, Z) :- b3(3, "a", Z)`)
+	}
+	for _, tc := range []struct {
+		kind, query, element string
+		lazy, shared         bool
+	}{
+		{"exact eager", dx, dx, false, true},
+		{"exact, other names", "dx(A, B) :- b2(A, B)", dx, false, true},
+		{"lazy identity", dg, dg, true, true},
+		{"head constant", "c(X, Y, 7) :- b2(X, Y)", dx, false, false},
+		{"repeated head variable", "h(X, Y, X) :- b2(X, Y)", dx, false, false},
+		{"permutation", "p(Y, X) :- b2(X, Y)", dx, false, false},
+		{"subset", "s(X) :- b2(X, Y)", dx, false, false},
+		{"narrowed", "n(X, Y) :- b2(X, Y) & X < 3", dx, false, false},
+		{"indexed eager", `di(3, Z) :- b3(3, "a", Z)`, dg, false, false},
+		{"subsumed lazy", `dg(X, "a", Z) :- b3(X, "a", Z)`, dg, true, false},
+	} {
+		el := cms.Manager().ExactMatch(caql.MustParse(tc.element))
+		if el == nil {
+			t.Fatalf("%s: %s is not cached", tc.kind, tc.element)
+		}
+		ext := el.Extension().Tuples()
+		inside := map[*relation.Value]bool{}
+		for _, row := range ext {
+			for j := range row {
+				inside[&row[j]] = true
+			}
+		}
+		before := cms.Stats()
+		st, err := s.QueryText(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := cms.Stats(); after.CacheHits != before.CacheHits+1 || st.Lazy() != tc.lazy {
+			t.Fatalf("%s: %s is not a hit of the kind it names (lazy %v): %+v", tc.kind, tc.query, st.Lazy(), after)
+		}
+		var got []relation.Tuple
+		for tu, ok := st.Next(); ok; tu, ok = st.Next() {
+			got = append(got, tu)
+		}
+		want, err := caql.Eval(caql.MustParse(tc.query), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relation.FromTuples("out", st.Schema(), got).EqualAsBag(want) || len(got) == 0 {
+			t.Fatalf("%s: got %v, want %v", tc.kind, got, want.Tuples())
+		}
+		for i, tu := range got {
+			if tc.shared && (len(got) != len(ext) || &tu[0] != &ext[i][0]) {
+				t.Fatalf("%s: tuple %d is not the element's tuple %d", tc.kind, i, i)
+			}
+			for j := range tu {
+				if !tc.shared && inside[&tu[j]] {
+					t.Fatalf("%s: value %d of tuple %d is the element's, not a copy", tc.kind, j, i)
+				}
+			}
+		}
 	}
 }

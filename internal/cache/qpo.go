@@ -416,6 +416,12 @@ func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, q *caql.Qu
 	}
 
 	rows, skip, ops := s.derivedRows(e, d)
+	if d.Identity() {
+		// An identity selects nothing, so rows are the extension itself, not
+		// index rows in session scratch, and no one writes to them.
+		s.advanceLocal(c.opts.Costs.PerLocalOp * float64(ops+len(rows)))
+		return bridge.NewRowsStream(schema, rows), nil
+	}
 	vals, n := d.Materialize(rows, skip)
 	s.advanceLocal(c.opts.Costs.PerLocalOp * float64(ops+n))
 	return bridge.NewBlockStream(schema, vals, len(d.OutCols), n), nil

@@ -3,11 +3,13 @@ package chaos
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/advice"
 	"repro/internal/bridge"
 	"repro/internal/cache"
 	"repro/internal/caql"
@@ -46,11 +48,7 @@ func insertWhileQuerying(t *testing.T, transport string, dop, writers, readers, 
 	e.SetParallelism(dop)
 	e.SetParallelMinRows(1)
 	e.SetMorselSize(16)
-	w := relation.New("w", relation.NewSchema(
-		relation.Attr{Name: "tag", Kind: relation.KindInt}, relation.Attr{Name: "k", Kind: relation.KindInt}))
-	for k := 0; k < batchRows; k++ {
-		w.MustAppend(relation.Tuple{relation.Int(0), relation.Int(int64(k))}) // batch 0: preloaded
-	}
+	w := tableW()
 	u := relation.New("u", relation.NewSchema(
 		relation.Attr{Name: "k", Kind: relation.KindInt}, relation.Attr{Name: "v", Kind: relation.KindString}))
 	for k := 0; k < 200; k++ {
@@ -96,43 +94,18 @@ func insertWhileQuerying(t *testing.T, transport string, dop, writers, readers, 
 	}
 
 	var (
-		issued  atomic.Int64 // tags handed out; a tag above it was issued later
-		ackMu   sync.Mutex
-		acked   []int64 // tags acknowledged, in acknowledgment order
+		log     batchLog
 		writing sync.WaitGroup
 		readWG  sync.WaitGroup
 		done    atomic.Bool
 		start   = make(chan struct{}) // closed once every goroutine exists, so they overlap
 	)
-	ackedSoFar := func() []int64 {
-		ackMu.Lock()
-		defer ackMu.Unlock()
-		return acked[:len(acked):len(acked)]
-	}
 	for i := 0; i < writers; i++ {
 		writing.Add(1)
 		go func() {
 			defer writing.Done()
 			<-start
-			for b := 0; b < batches; b++ {
-				tag := issued.Add(1)
-				var sb strings.Builder
-				sb.WriteString("INSERT INTO w VALUES ")
-				for k := 0; k < batchRows; k++ {
-					if k > 0 {
-						sb.WriteByte(',')
-					}
-					fmt.Fprintf(&sb, "(%d,%d)", tag, k)
-				}
-				if _, err := client.Exec(sb.String()); err != nil {
-					t.Errorf("insert batch %d: %v", tag, err)
-					return
-				}
-				ackMu.Lock()
-				acked = append(acked, tag)
-				ackMu.Unlock()
-				runtime.Gosched() // let readers in between batches, even on the in-process transport
-			}
+			log.write(t, client, batches)
 		}()
 	}
 	for i := 0; i < readers; i++ {
@@ -143,17 +116,11 @@ func insertWhileQuerying(t *testing.T, transport string, dop, writers, readers, 
 			defer s.End()
 			<-start
 			for n := 0; n < 5 || !done.Load(); n++ {
-				before := ackedSoFar()
-				got, err := drainView(s, viewW)
+				if log.query(t, s, viewW) == nil {
+					return
+				}
+				got, err := drainView(s, viewU)
 				if err != nil {
-					t.Errorf("query over w: %v", err)
-					return
-				}
-				if msg := checkWholeBatches(got, before, issued.Load()); msg != "" {
-					t.Errorf("answer over w is no state w was in during the query: %s", msg)
-					return
-				}
-				if got, err = drainView(s, viewU); err != nil {
 					t.Errorf("query over u: %v", err)
 					return
 				}
@@ -176,7 +143,138 @@ func insertWhileQuerying(t *testing.T, transport string, dop, writers, readers, 
 	if st.EpochInvalidations == 0 {
 		t.Fatal("no invalidation of the view over w, though every batch moved its version")
 	}
-	t.Logf("%d batches acked; %d queries, %d hits, %d invalidations", len(ackedSoFar()), st.Queries, st.CacheHits, st.EpochInvalidations)
+	t.Logf("%d batches acked; %d queries, %d hits, %d invalidations", len(log.acked), st.Queries, st.CacheHits, st.EpochInvalidations)
+}
+
+// TestIdentityHitConcurrent: a view that is the identity of its element is
+// answered with the element's own rows, so those rows must stay whole while
+// a write invalidates the element and a later query refetches it. Four
+// sessions drain one such view over w, two eagerly and two lazily, while a
+// writer inserts batches into w. Every answer must be a state w was in
+// during the query, and each session's first answer, kept to the end, must
+// still hold the values it was handed.
+func TestIdentityHitConcurrent(t *testing.T) {
+	e := remotedb.NewEngine()
+	e.LoadTable(tableW())
+	client := remotedb.NewInProcClient(e, remotedb.DefaultCosts())
+	cms := cache.New(client, cache.Options{Features: cache.AllFeatures(), Costs: remotedb.DefaultCosts()})
+	const view = `vw(T, K) :- w(T, K)`
+	lazy := advice.MustParse(`view vw(T^, K^) :- w(T, K).`)
+
+	var (
+		log     batchLog
+		readWG  sync.WaitGroup
+		done    atomic.Bool
+		start   = make(chan struct{})
+		writing = make(chan struct{})
+	)
+	go func() {
+		defer close(writing)
+		<-start
+		log.write(t, client, 40)
+	}()
+	for i := 0; i < 4; i++ {
+		readWG.Add(1)
+		go func() {
+			defer readWG.Done()
+			var adv *advice.Advice
+			if i%2 == 1 {
+				adv = lazy
+			}
+			s := cms.BeginSession(adv)
+			defer s.End()
+			<-start
+			var kept, copies []relation.Tuple
+			for n := 0; n < 5 || !done.Load(); n++ {
+				got := log.query(t, s, view)
+				if got == nil {
+					return
+				}
+				if kept == nil {
+					kept = got.Tuples()
+					for _, tu := range kept {
+						copies = append(copies, slices.Clone(tu))
+					}
+				}
+			}
+			for j, tu := range kept {
+				if !tu.Equal(copies[j]) {
+					t.Errorf("kept tuple %d is %v, was %v", j, tu, copies[j])
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	<-writing
+	done.Store(true)
+	readWG.Wait()
+
+	st := cms.Stats()
+	if st.ExactHits == 0 || st.LazyAnswers == 0 || st.EpochInvalidations == 0 {
+		t.Fatalf("want eager and lazy identity hits and invalidations of the element: %+v", st)
+	}
+	t.Logf("%d queries, %d exact hits, %d lazy, %d invalidations", st.Queries, st.ExactHits, st.LazyAnswers, st.EpochInvalidations)
+}
+
+// tableW is w holding batch 0.
+func tableW() *relation.Relation {
+	w := relation.New("w", relation.NewSchema(
+		relation.Attr{Name: "tag", Kind: relation.KindInt}, relation.Attr{Name: "k", Kind: relation.KindInt}))
+	for k := 0; k < batchRows; k++ {
+		w.MustAppend(relation.Tuple{relation.Int(0), relation.Int(int64(k))})
+	}
+	return w
+}
+
+// batchLog hands out batch tags to writers and records the ones
+// acknowledged, which tells a reader what states of w its query may see.
+type batchLog struct {
+	issued atomic.Int64 // tags handed out; a tag above it was issued later
+	mu     sync.Mutex
+	acked  []int64 // tags acknowledged, in acknowledgment order
+}
+
+// write inserts n batches into w through client, one statement each.
+func (l *batchLog) write(t *testing.T, client remotedb.Client, n int) {
+	for b := 0; b < n; b++ {
+		tag := l.issued.Add(1)
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO w VALUES ")
+		for k := 0; k < batchRows; k++ {
+			if k > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "(%d,%d)", tag, k)
+		}
+		if _, err := client.Exec(sb.String()); err != nil {
+			t.Errorf("insert batch %d: %v", tag, err)
+			return
+		}
+		l.mu.Lock()
+		l.acked = append(l.acked, tag)
+		l.mu.Unlock()
+		runtime.Gosched() // let readers in between batches, even on the in-process transport
+	}
+}
+
+// query drains view, a view of all of w, on s. It returns the answer, or
+// reports on t and returns nil when the query fails or its answer is no
+// state w was in during the query.
+func (l *batchLog) query(t *testing.T, s bridge.Session, view string) *relation.Relation {
+	l.mu.Lock()
+	before := l.acked[:len(l.acked):len(l.acked)]
+	l.mu.Unlock()
+	got, err := drainView(s, view)
+	if err != nil {
+		t.Errorf("query over w: %v", err)
+		return nil
+	}
+	if msg := checkWholeBatches(got, before, l.issued.Load()); msg != "" {
+		t.Errorf("answer over w is no state w was in during the query: %s", msg)
+		return nil
+	}
+	return got
 }
 
 func drainView(s bridge.Session, src string) (*relation.Relation, error) {

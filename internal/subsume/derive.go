@@ -141,13 +141,31 @@ func (d *Derivation) Apply(name string, schema *relation.Schema, ext *relation.R
 	return relation.Drain(name, schema, d.ApplyLazy(ext.Iter())), nil
 }
 
+// Identity reports whether the derivation's answer is ext(E)'s rows as they
+// are: the query is not empty, nothing is left to select, and the output
+// columns are the element's columns, each once and in order.
+func (d *Derivation) Identity() bool {
+	if d.Empty || len(d.Candidate.Conds) > 0 || len(d.OutCols) != len(d.Candidate.Element.Head.Args) {
+		return false
+	}
+	for i, c := range d.OutCols {
+		if c != i {
+			return false
+		}
+	}
+	return true
+}
+
 // Materialize is Apply over rows of ext(E), built for the allocator: it
 // counts the rows that pass the derivation's selections, then copies each
 // one's output values into one n × arity block, row after row, which is its
 // only allocation. The condition at index skip (-1: none) is not evaluated:
 // the caller has applied it already, as an index lookup that produced rows
 // does. The values are copies, so a consumer that overwrites one cannot
-// reach the source, and rows may be the caller's scratch.
+// reach the source, and rows may be the caller's scratch. An answer's values
+// are copies when the derivation is not the identity: the identity's answer
+// is rows itself, which a caller whose rows are not scratch serves without
+// Materialize.
 func (d *Derivation) Materialize(rows []relation.Tuple, skip int) (vals []relation.Value, n int) {
 	if d.Empty {
 		return nil, 0
@@ -206,10 +224,13 @@ func passes(conds []relation.Cond, skip int, t relation.Tuple) bool {
 // rows are carved from blocks that start at lazyBlockRows rows and double up
 // to lazyMaxBlockRows (relation's tupleArena rule), so a long stream costs an
 // allocation per block, not per row. A block is never reused, so every row
-// handed out stays valid.
+// handed out stays valid. The identity derivation hands out src's own rows.
 func (d *Derivation) ApplyLazy(src relation.Iterator) relation.Iterator {
 	if d.Empty {
 		return relation.Empty()
+	}
+	if d.Identity() {
+		return src
 	}
 	return &lazyRows{d: d, sel: relation.Select(src, d.Candidate.Conds)}
 }

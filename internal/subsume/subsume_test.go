@@ -209,6 +209,39 @@ func TestMaterializeMatchesApplyInFewAllocations(t *testing.T) {
 	}
 }
 
+// TestIdentity: a derivation is the identity only when it selects nothing,
+// adds no constant and reads every element column once, in order; then
+// ApplyLazy hands out its source's rows itself.
+func TestIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		e, q string
+		want bool
+	}{
+		{"e(A, B) :- b2(A, B)", "q(X, Y) :- b2(X, Y)", true},
+		{"e(A, B, C) :- b2(A, B) & b3(B, 2, C)", "q(X, Y, Z) :- b2(X, Y) & b3(Y, 2, Z)", true},
+		{"e(A, B) :- b2(A, B)", "q(Y, X) :- b2(X, Y)", false},
+		{"e(A, B) :- b2(A, B)", "q(X) :- b2(X, Y)", false},
+		{"e(A, B) :- b2(A, B)", "q(X, Y, X) :- b2(X, Y)", false},
+		{"e(A, B) :- b2(A, B)", "q(X, Y, 7) :- b2(X, Y)", false},
+		{"e(A, B) :- b2(A, B)", "q(X, X) :- b2(X, X)", false},
+		{"e(A, B) :- b2(A, B)", "q(X, Y) :- b2(X, Y) & X < 3", false},
+		{"e(A, B) :- b2(A, B)", "q(X, Y) :- b2(X, Y) & 1 > 2", false},
+		{"e(A, B, C) :- b3(A, B, C)", "q(X, Y) :- b3(X, Y, Z)", false},
+	} {
+		d, ok := DeriveFull(caql.MustParse(tc.e), caql.MustParse(tc.q))
+		if !ok {
+			t.Fatalf("%s from %s: not derivable", tc.q, tc.e)
+		}
+		if d.Identity() != tc.want {
+			t.Errorf("%s from %s: Identity() = %v, want %v", tc.q, tc.e, !tc.want, tc.want)
+		}
+		src := relation.NewSliceIterator(nil)
+		if tc.want && d.ApplyLazy(src) != relation.Iterator(src) {
+			t.Errorf("%s from %s: ApplyLazy wraps its source", tc.q, tc.e)
+		}
+	}
+}
+
 // materialized is d.Materialize(rows, skip) as a relation.
 func materialized(d *Derivation, schema *relation.Schema, rows []relation.Tuple, skip int) *relation.Relation {
 	vals, n := d.Materialize(rows, skip)
