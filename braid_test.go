@@ -309,3 +309,41 @@ func TestPublicAPIDirectCAQLAndClosure(t *testing.T) {
 		t.Error("parse error should propagate")
 	}
 }
+
+// TestClosureFollowsInsert: a closure reads its base view as any query does,
+// so once a request has observed an insert into the view's table, the next
+// closure is computed over the new rows, and every hit it counts is a query.
+func TestClosureFollowsInsert(t *testing.T) {
+	kb := MustParseKB(`:- base(edge/2). :- base(other/1).`)
+	db := NewDB()
+	db.MustExec(`CREATE TABLE edge (a INT, b INT)`)
+	db.MustExec(`CREATE TABLE other (a INT)`)
+	db.MustExec(`INSERT INTO edge VALUES (1,2), (2,3), (3,4)`)
+	db.MustExec(`INSERT INTO other VALUES (1)`)
+	sys, err := New(kb, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const view = "r(X, Y) :- edge(X, Y)"
+	if closure, err := sys.Closure(view); err != nil || len(closure) != 6 {
+		t.Fatalf("first closure: %d rows (%v), want 6", len(closure), err)
+	}
+	db.MustExec(`INSERT INTO edge VALUES (4,5)`)
+	// A miss on another table observes the insert's version.
+	if _, err := sys.QueryCAQL("o(X) :- other(X)"); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := sys.QueryCAQL("q(X, Y) :- edge(X, Y)"); err != nil || len(rows) != 4 {
+		t.Fatalf("edge after the insert: %d rows (%v), want 4", len(rows), err)
+	}
+	closure, err := sys.Closure(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(closure) != 10 {
+		t.Fatalf("closure after the insert: %d rows, want 10: %v", len(closure), closure)
+	}
+	if st := sys.Stats(); st.CacheHits+st.PartialHits > st.Queries {
+		t.Fatalf("%d hits and %d partial hits in %d queries", st.CacheHits, st.PartialHits, st.Queries)
+	}
+}

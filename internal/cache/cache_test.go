@@ -222,6 +222,49 @@ func TestPrefetchFollowers(t *testing.T) {
 	}
 }
 
+// TestPrefetchReplacesStaleFollower: prefetch asks the planner's own step 2
+// whether the cache answers a follower, stale check included, so a follower
+// whose element a write has made stale is prefetched again, and its demand
+// query hits the new element instead of refetching on its own path.
+func TestPrefetchReplacesStaleFollower(t *testing.T) {
+	e, src := fixtureEngine(t, 5, 40)
+	cms := newCMS(t, e, Options{Features: AllFeatures(), ThinkTimeMS: 1000})
+	s := cms.BeginSession(advice.MustParse(example1Advice)).(*Session)
+	defer s.End()
+	const d2, d3 = `d2(X, 3) :- b2(X, Z) & b3(Z, "a", 3)`, `d3(X, 3) :- b3(X, "b", Z) & b1(Z, 3)`
+
+	drainQ(t, s, `d1(Y) :- b1("a", Y)`)
+	drainQ(t, s, d2) // prefetches d3(X, 3)
+	drainQ(t, s, d3)
+	if st := cms.Stats(); st.Prefetches != 1 || st.PrefetchHits != 1 {
+		t.Fatalf("warm-up: %d prefetches, %d prefetch hits, want 1 and 1", st.Prefetches, st.PrefetchHits)
+	}
+
+	// The insert is made on another client, so the CMS sees it only through
+	// the version the next response carries.
+	if _, err := remotedb.NewInProcClient(e, remotedb.DefaultCosts()).Exec(`INSERT INTO b1 VALUES ('z', 3)`); err != nil {
+		t.Fatal(err)
+	}
+	b1 := src["b1"].Clone()
+	b1.MustAppend(relation.Tuple{relation.Str("z"), relation.Int(3)})
+	src["b1"] = b1
+	drainQ(t, s, `m(X, Y) :- b2(X, Y)`) // a miss observes b1's new version
+	drainQ(t, s, d2)                    // d3(X, 3) is stale: prefetched again
+	got := drainQ(t, s, d3)
+	want, err := caql.Eval(caql.MustParse(d3), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualAsSet(want) {
+		t.Fatalf("d3 after the insert:\ngot %v\nwant %v", got.Sort(), want.Sort())
+	}
+	st := cms.Stats()
+	if st.Prefetches != 2 || st.PrefetchHits != 2 || st.RemoteRequests != 5 {
+		t.Fatalf("%d prefetches, %d prefetch hits, %d remote requests; want 2, 2 and 5",
+			st.Prefetches, st.PrefetchHits, st.RemoteRequests)
+	}
+}
+
 func TestGeneralization(t *testing.T) {
 	e, src := fixtureEngine(t, 6, 60)
 	adv := advice.MustParse(example1Advice)

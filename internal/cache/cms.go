@@ -293,8 +293,6 @@ type Session struct {
 	// followers memoises advice.SequenceFollowers per view name: the path
 	// expression is fixed for the session, and only view names are asked.
 	followers map[string][]string
-	// tcMemo memoizes per-session transitive closures (QueryFixpoint).
-	tcMemo map[string]*relation.Relation
 
 	// Async prefetch bookkeeping (prefetch.go): pfWG tracks in-flight
 	// prefetch jobs, pmu guards the dedup set and the private (not yet

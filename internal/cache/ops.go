@@ -82,8 +82,8 @@ func (s *Session) QueryAggCtx(ctx context.Context, a *caql.AggQuery) (*bridge.St
 
 // QueryFixpoint computes the transitive closure of a binary view: the least
 // fixpoint of R ∪ (R ∘ TC). The base view is answered through the planner;
-// the semi-naive iteration runs in the CMS, and the closure is memoized per
-// session under the view's canonical form.
+// the semi-naive iteration runs in the CMS. A repeat reads the base view as
+// any query does, so the closure follows the data the view reads.
 func (s *Session) QueryFixpoint(q *caql.Query) (*bridge.Stream, error) {
 	return s.QueryFixpointCtx(context.Background(), q)
 }
@@ -97,15 +97,6 @@ func (s *Session) QueryFixpointCtx(ctx context.Context, q *caql.Query) (*bridge.
 	if len(q.Head.Args) != 2 {
 		return nil, fmt.Errorf("cache: fixpoint requires a binary view, got arity %d", len(q.Head.Args))
 	}
-	key := "tc:" + q.Canonical()
-	if s.tcMemo == nil {
-		s.tcMemo = make(map[string]*relation.Relation)
-	}
-	if memo, ok := s.tcMemo[key]; ok {
-		s.cms.stats.CacheHits.Add(1)
-		return bridge.NewEagerStream(memo), nil
-	}
-
 	stream, err := s.QueryCtx(ctx, q)
 	if err != nil {
 		return nil, err
@@ -146,6 +137,5 @@ func (s *Session) QueryFixpointCtx(ctx context.Context, q *caql.Query) (*bridge.
 		delta = next
 	}
 	s.advanceLocal(s.cms.opts.Costs.PerLocalOp * float64(ops))
-	s.tcMemo[key] = closure
 	return bridge.NewEagerStream(closure), nil
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/bridge"
 	"repro/internal/caql"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/subsume"
 )
@@ -180,11 +181,97 @@ func (s *Session) dispatch(ctx context.Context, q *caql.Query) (*bridge.Stream, 
 	return stream, nil
 }
 
-// answer runs the three planning steps for one query, given prepared and in
-// canonical form.
+// answer plans the query, given prepared and in canonical form, executes the
+// plan, and counts the answer once it is made.
 func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon []byte, vs *advice.ViewSpec) (*bridge.Stream, error) {
-	if err := bridge.CtxError(ctx); err != nil {
+	v, err := s.plan(ctx, pq, canon, vs)
+	if err != nil {
 		return nil, err
+	}
+	obs.SpanFromContext(ctx).Set("answer", kindNames[v.kind])
+	var stream *bridge.Stream
+	switch v.kind {
+	case exact, subsumed, generalized:
+		stream, err = s.serveFromElement(v.e, v.d, pq.Query, vs)
+	case covered, partial:
+		stream, err = s.answerDecomposition(ctx, pq.Query, canon, vs, v.dec)
+	default:
+		stream, err = s.answerRemote(ctx, pq.Query, canon, vs)
+	}
+	if err == nil {
+		s.cms.count(&v)
+	}
+	return stream, err
+}
+
+// answerKind is what planning decided a query's answer is made of.
+type answerKind uint8
+
+const (
+	remote      answerKind = iota // the whole query, fetched
+	exact                         // the element whose canonical form is the query's
+	subsumed                      // the smallest element that derives the query
+	generalized                   // a widened query, fetched now, that derives it
+	covered                       // cached pieces joined, nothing fetched
+	partial                       // cached pieces joined with a fetched residual
+)
+
+var kindNames = [...]string{"remote", "exact", "subsumed", "generalized", "covered", "partial"}
+
+// verdict is planning's one decision for a query and what execution needs to
+// make its answer. It is passed by value: a pointer to it that escapes costs
+// every hit an allocation (TestHitPathAllocs).
+type verdict struct {
+	kind     answerKind
+	degraded bool                // the remote was unavailable when the pass began
+	e        *Element            // exact, subsumed, generalized: the element
+	d        *subsume.Derivation // and the derivation that answers from it
+	dec      decomposition       // covered, partial
+}
+
+// decomposition is step 3's plan: local pieces, the residual's atoms and
+// variables, and the comparisons shipped with it or left for the join.
+type decomposition struct {
+	picks             []pick
+	residualIdx       []int
+	residualVars      map[string]bool
+	shipped, leftover []logic.Atom
+}
+
+type pick struct {
+	e    *Element
+	cand *subsume.Candidate
+}
+
+// count moves the answer-kind counters for an answer v has been executed
+// into. Nothing else moves them.
+func (c *CMS) count(v *verdict) {
+	st := &c.stats
+	switch v.kind {
+	case exact, subsumed, covered:
+		st.CacheHits.Add(1)
+		if v.kind == exact {
+			st.ExactHits.Add(1)
+		}
+		if v.e != nil && v.e.prefetched {
+			st.PrefetchHits.Add(1)
+		}
+		if v.degraded {
+			st.DegradedHits.Add(1)
+		}
+	case generalized:
+		st.Generalizations.Add(1)
+	case partial:
+		st.PartialHits.Add(1)
+	}
+}
+
+// plan decides what the query's answer is made of: step 2's exact match or
+// full derivation, step 1's generalization (fetched here, as only the fetch
+// decides that kind), then step 3's decomposition over a greedy cover.
+func (s *Session) plan(ctx context.Context, pq *subsume.Prepared, canon []byte, vs *advice.ViewSpec) (verdict, error) {
+	if err := bridge.CtxError(ctx); err != nil {
+		return verdict{}, err
 	}
 	c, q := s.cms, pq.Query
 	f := c.opts.Features
@@ -193,68 +280,10 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon []byte
 	// skipped; the mandatory remote paths fail fast in the client.
 	degraded := !c.rdi.Available()
 
-	st := s.staleChecker(degraded)
-
-	// Step 2a: exact-match result cache ([IOAN88]-style reuse, subsumed by
-	// full subsumption but cheaper: a single map lookup).
-	if f.ExactMatch && f.ResultCaching {
-		_, probe := c.tracer.Start(ctx, "cms.cache_probe")
-		if e := c.mgr.ExactMatchFor(canon, s.id); e != nil && !st.stale(e) {
-			if d, ok := e.sig.DeriveFull(pq); ok {
-				probe.Set("hit", "exact")
-				probe.End()
-				c.stats.CacheHits.Add(1)
-				c.stats.ExactHits.Add(1)
-				if e.prefetched {
-					c.stats.PrefetchHits.Add(1)
-				}
-				if degraded {
-					c.stats.DegradedHits.Add(1)
-				}
-				return s.serveFromElement(e, d, q, vs)
-			}
-		}
-		probe.Set("hit", "miss")
-		probe.End()
-	}
-
-	// Step 2b: full derivation from a single cache element via subsumption.
-	// The probe's survivors serve this step and, if it finds nothing, the
-	// decomposition below. Among elements that derive q the smallest wins,
-	// the lower ID on a tie (survivors come in ID order).
-	var survivors []*Element
-	if f.Subsumption {
-		_, sub := c.tracer.Start(ctx, "cms.subsume")
-		survivors = s.probe(pq, st)
-		var bestE *Element
-		var bestD *subsume.Derivation
-		for _, e := range survivors {
-			// Matching is the one CPU loop on the planning path: checkpoint
-			// it so a canceled query stops burning cycles.
-			if err := bridge.CtxError(ctx); err != nil {
-				sub.End()
-				return nil, err
-			}
-			d, ok := e.sig.DeriveFull(pq)
-			if !ok {
-				continue
-			}
-			if bestE == nil || e.SizeBytes() < bestE.SizeBytes() {
-				bestE, bestD = e, d
-			}
-		}
-		sub.Set("hit", strconv.FormatBool(bestE != nil))
-		sub.End()
-		if bestE != nil {
-			c.stats.CacheHits.Add(1)
-			if bestE.prefetched {
-				c.stats.PrefetchHits.Add(1)
-			}
-			if degraded {
-				c.stats.DegradedHits.Add(1)
-			}
-			return s.serveFromElement(bestE, bestD, q, vs)
-		}
+	v, survivors, err := s.fromCache(ctx, c.tracer, pq, canon, s.staleChecker(degraded))
+	v.degraded = degraded
+	if err != nil || v.kind != remote {
+		return v, err
 	}
 
 	// Step 1: consider generalizing the query before remote execution, when
@@ -270,37 +299,95 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon []byte
 				s.advance(sim)
 				e := s.cacheResult(gq, gq.Canonical(), ext, vs, stamp)
 				if d, ok := e.sig.DeriveFull(pq); ok {
-					c.stats.Generalizations.Add(1)
-					return s.serveFromElement(e, d, q, vs)
+					v.kind, v.e, v.d = generalized, e, d
+					return v, nil
 				}
 			} else if cerr := bridge.CtxError(ctx); cerr != nil {
 				// The caller is gone: abort instead of falling through to
 				// another doomed remote attempt.
-				return nil, cerr
+				return v, cerr
 			}
 			// On any other failure fall through to the normal paths.
 		}
 	}
 
-	// Step 2c/3: decomposition — cover what we can from the cache, fetch the
-	// residue remotely, join locally (in parallel when enabled).
+	// Step 2c/3: decomposition over what the cache covers.
 	if f.Subsumption {
-		dctx, dsp := c.tracer.Start(ctx, "cms.decompose")
-		stream, handled, err := s.answerDecomposed(dctx, pq, canon, vs, survivors)
-		dsp.Set("handled", strconv.FormatBool(handled))
-		dsp.End()
-		if handled || err != nil {
-			return stream, err
+		if v.dec, err = s.cover(ctx, pq, survivors); err == nil && len(v.dec.picks) > 0 {
+			v.kind = partial
+			if len(v.dec.residualIdx) == 0 {
+				v.kind = covered
+			}
 		}
 	}
+	return v, err
+}
 
-	// Fallback: the whole query goes to the remote DBMS. When the result will
-	// not be cached (a cached result must be materialized anyway), the answer
-	// is handed to the IE as a lazy remote stream: the first tuple is
-	// available after one wire frame instead of after the whole transfer, and
-	// an abandoned consumer cancels the remote producer mid-flight.
-	if f.Lazy && !s.shouldCache(vs) {
-		return s.answerRemoteStream(q)
+// fromCache is step 2, which planning and prefetch both ask: does one
+// element answer pq, by exact match (2a) or as the smallest survivor of the
+// probe that derives it (2b; the lower ID on a tie)? Stale elements are
+// invalidated on the way. The survivors are returned for the decomposition;
+// prefetch passes a nil tracer.
+func (s *Session) fromCache(ctx context.Context, tr *obs.Tracer, pq *subsume.Prepared, canon []byte, st staleCheck) (v verdict, survivors []*Element, err error) {
+	c := s.cms
+	f := c.opts.Features
+	// Step 2a: exact-match result cache ([IOAN88]-style reuse, subsumed by
+	// full subsumption but cheaper: a single map lookup).
+	if f.ExactMatch && f.ResultCaching {
+		_, probe := tr.Start(ctx, "cms.cache_probe")
+		if e := c.mgr.ExactMatchFor(canon, s.id); e != nil && !st.stale(e) {
+			if d, ok := e.sig.DeriveFull(pq); ok {
+				probe.Set("hit", "exact")
+				probe.End()
+				return verdict{kind: exact, e: e, d: d}, nil, nil
+			}
+		}
+		probe.Set("hit", "miss")
+		probe.End()
+	}
+	// Step 2b: full derivation from a single cache element via subsumption.
+	if f.Subsumption {
+		_, sub := tr.Start(ctx, "cms.subsume")
+		defer sub.End()
+		survivors = s.probe(pq, st)
+		for _, e := range survivors {
+			// Matching is the one CPU loop on the planning path: checkpoint
+			// it so a canceled query stops burning cycles.
+			if err := bridge.CtxError(ctx); err != nil {
+				return verdict{}, nil, err
+			}
+			if d, ok := e.sig.DeriveFull(pq); ok && (v.e == nil || e.SizeBytes() < v.e.SizeBytes()) {
+				v = verdict{kind: subsumed, e: e, d: d}
+			}
+		}
+		sub.Set("hit", strconv.FormatBool(v.e != nil))
+	}
+	return v, survivors, nil
+}
+
+// answerRemote sends the whole query to the remote DBMS. When the result
+// will not be cached (a cached result must be materialized anyway), the
+// answer is handed to the IE as a lazy remote stream: the first tuple is
+// available after one wire frame instead of after the whole transfer, and an
+// abandoned consumer cancels the remote producer mid-flight. The stream is
+// established under the session's *caller* context — not the per-query
+// deadline context, which dies when QueryCtx returns while the stream is
+// still being consumed (same rule as streamCheck). The fixed round-trip cost
+// is charged at establishment and each tuple as the consumer pulls it; a
+// stream that runs to its end is charged the rest of the request's cost, so
+// a drained lazy answer costs what the same answer fetched eagerly does, and
+// one closed early only what it read.
+func (s *Session) answerRemote(ctx context.Context, q *caql.Query, canon []byte, vs *advice.ViewSpec) (*bridge.Stream, error) {
+	c := s.cms
+	if c.opts.Features.Lazy && !s.shouldCache(vs) {
+		fs, err := c.rdi.FetchStreamCtx(s.callerCtx, q)
+		if err != nil {
+			return nil, err
+		}
+		it := &remoteStreamIter{guard: relation.NewGuardIterator(fs, relation.DefaultGuardEvery, s.streamCheck()), fs: fs, s: s}
+		it.charge(c.opts.Costs.PerRequest)
+		c.stats.LazyAnswers.Add(1)
+		return bridge.NewStream(fs.Schema(), it, true), nil
 	}
 	ext, sim, stamp, err := c.rdi.FetchCtx(ctx, q)
 	if err != nil {
@@ -311,28 +398,6 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon []byte
 		s.cacheResult(q, string(canon), ext, vs, stamp)
 	}
 	return bridge.NewEagerStream(ext), nil
-}
-
-// answerRemoteStream serves a remote-only query lazily over the streamed
-// transport. The stream is established under the session's *caller* context —
-// not the per-query deadline context, which dies when QueryCtx returns while
-// the stream is still being consumed (same rule as streamCheck). The fixed
-// round-trip cost is charged at establishment; each shipped tuple is charged
-// as the consumer pulls it on the session thread, mirroring how cache-local
-// lazy answers charge per tuple produced; a stream that runs to its end is
-// charged the rest of the request's cost (the server's work), so a drained
-// lazy answer costs what the same answer fetched eagerly does. A stream closed
-// before its end cancels the remote producer and is charged only what it read.
-func (s *Session) answerRemoteStream(q *caql.Query) (*bridge.Stream, error) {
-	c := s.cms
-	fs, err := c.rdi.FetchStreamCtx(s.callerCtx, q)
-	if err != nil {
-		return nil, err
-	}
-	it := &remoteStreamIter{guard: relation.NewGuardIterator(fs, relation.DefaultGuardEvery, s.streamCheck()), fs: fs, s: s}
-	it.charge(c.opts.Costs.PerRequest)
-	c.stats.LazyAnswers.Add(1)
-	return bridge.NewStream(fs.Schema(), it, true), nil
 }
 
 // remoteStreamIter splices cooperative cancellation (the guard, polling the
@@ -597,31 +662,24 @@ func (s *Session) cacheResult(def *caql.Query, canon string, ext *relation.Relat
 	return e
 }
 
-// answerDecomposed implements step 3 for partially cache-answerable queries:
-// greedy disjoint candidate covers (tried over the probe's survivors, in ID
-// order) become local pieces, the residue is shipped to the remote DBMS as
-// one conjunctive subquery, and the final join runs locally. handled is false
-// when no cache element covers anything.
-func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, canon []byte, vs *advice.ViewSpec, survivors []*Element) (*bridge.Stream, bool, error) {
-	c, q := s.cms, pq.Query
+// cover plans step 3 for a query the cache may answer in part: greedy
+// disjoint candidate covers, tried over the probe's survivors in ID order,
+// become local pieces, and the atoms left over the residual. It picks
+// nothing when no survivor covers anything.
+func (s *Session) cover(ctx context.Context, pq *subsume.Prepared, survivors []*Element) (dec decomposition, err error) {
+	q := pq.Query
 	needed := neededVars(q)
-
-	type pick struct {
-		e    *Element
-		cand *subsume.Candidate
-	}
 	covered := make([]bool, len(q.Rels))
 	cmpCovered := make([]bool, len(q.Cmps))
-	var picks []pick
 	for _, e := range survivors {
 		if err := bridge.CtxError(ctx); err != nil {
-			return nil, true, err
+			return dec, err
 		}
 		for _, cand := range e.sig.Match(pq, needed) {
 			if overlapsCover(cand.Cover, covered) {
 				continue
 			}
-			picks = append(picks, pick{e, cand})
+			dec.picks = append(dec.picks, pick{e, cand})
 			for _, i := range cand.Cover {
 				covered[i] = true
 			}
@@ -631,52 +689,50 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 			break
 		}
 	}
-	if len(picks) == 0 {
-		return nil, false, nil
+	if len(dec.picks) == 0 {
+		return dec, nil
 	}
 
-	var residualIdx []int
+	dec.residualVars = make(map[string]bool)
 	for i, cov := range covered {
 		if !cov {
-			residualIdx = append(residualIdx, i)
-		}
-	}
-
-	// Variables produced by the pieces.
-	pieceVars := make(map[string]bool)
-	for _, p := range picks {
-		for _, v := range p.cand.InterfaceVars() {
-			pieceVars[v] = true
+			dec.residualIdx = append(dec.residualIdx, i)
+			for _, t := range q.Rels[i].Args {
+				if t.IsVar() {
+					dec.residualVars[t.Var] = true
+				}
+			}
 		}
 	}
 
 	// Classify comparisons: shipped with the residual when fully inside it,
 	// leftover when they span parts or were not covered.
-	residualVarSet := make(map[string]bool)
-	for _, i := range residualIdx {
-		for _, t := range q.Rels[i].Args {
-			if t.IsVar() {
-				residualVarSet[t.Var] = true
-			}
-		}
-	}
-	var shippedCmps, leftoverCmps []logic.Atom
 	for ci, cmp := range q.Cmps {
 		if cmpCovered[ci] {
 			continue
 		}
-		inResidual := len(residualIdx) > 0
+		inResidual := len(dec.residualIdx) > 0
 		for _, t := range cmp.Args {
-			if t.IsVar() && !residualVarSet[t.Var] {
+			if t.IsVar() && !dec.residualVars[t.Var] {
 				inResidual = false
 			}
 		}
 		if inResidual {
-			shippedCmps = append(shippedCmps, cmp)
+			dec.shipped = append(dec.shipped, cmp)
 		} else {
-			leftoverCmps = append(leftoverCmps, cmp)
+			dec.leftover = append(dec.leftover, cmp)
 		}
 	}
+	return dec, nil
+}
+
+// answerDecomposition executes a decomposition: the local pieces are
+// materialized and the residual, if any, is shipped to the remote DBMS as
+// one conjunctive subquery, then the final join runs locally.
+func (s *Session) answerDecomposition(ctx context.Context, q *caql.Query, canon []byte, vs *advice.ViewSpec, dec decomposition) (*bridge.Stream, error) {
+	c := s.cms
+	ctx, sp := c.tracer.Start(ctx, "cms.decompose")
+	defer sp.End()
 
 	// Assemble the plan: local piece materialization and the remote residual
 	// fetch, run in parallel when enabled (Section 5: "parallel execution of
@@ -687,7 +743,7 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 
 	localWork := func() error {
 		var ops int
-		for i, p := range picks {
+		for i, p := range dec.picks {
 			name := fmt.Sprintf("__p%d", i)
 			c.mgr.Touch(p.e)
 			localDur += s.readyRemainder(p.e)
@@ -705,20 +761,22 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 	var rq *caql.Query
 	var residualStamp uint64
 	remoteWork := func() error {
-		if len(residualIdx) == 0 {
+		if len(dec.residualIdx) == 0 {
 			return nil
 		}
 		// Export set: residual variables needed by the head, the pieces, or
 		// leftover comparisons.
-		export := make(map[string]bool)
-		for v := range residualVarSet {
-			if neededForJoin(v, q, pieceVars, leftoverCmps) {
-				export[v] = true
+		pieceVars := make(map[string]bool)
+		for _, p := range dec.picks {
+			for _, v := range p.cand.InterfaceVars() {
+				pieceVars[v] = true
 			}
 		}
 		var exportList []string
-		for v := range export {
-			exportList = append(exportList, v)
+		for v := range dec.residualVars {
+			if neededForJoin(v, q, pieceVars, dec.leftover) {
+				exportList = append(exportList, v)
+			}
 		}
 		sort.Strings(exportList)
 		var head []logic.Term
@@ -734,10 +792,10 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 			head = []logic.Term{logic.CInt(1)}
 		}
 		var rAtoms []logic.Atom
-		for _, i := range residualIdx {
+		for _, i := range dec.residualIdx {
 			rAtoms = append(rAtoms, q.Rels[i])
 		}
-		rAtoms = append(rAtoms, shippedCmps...)
+		rAtoms = append(rAtoms, dec.shipped...)
 		rq = caql.NewQuery(logic.A("__r", head...), rAtoms)
 		ext, sim, stamp, err := c.rdi.FetchCtx(ctx, rq)
 		if err != nil {
@@ -752,7 +810,7 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 	}
 
 	var err error
-	if c.opts.Features.Parallel && len(residualIdx) > 0 {
+	if c.opts.Features.Parallel && len(dec.residualIdx) > 0 {
 		// The residual fetch overlaps the local pieces on a helper goroutine.
 		// A panic there is carried back and re-raised here, after the join, so
 		// QueryCtx isolates it like a panic on the query's own goroutine.
@@ -771,7 +829,7 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 		} else {
 			err = rerr
 		}
-		s.advance(maxF(localDur, remoteDur))
+		s.advance(max(localDur, remoteDur))
 	} else {
 		if err = localWork(); err == nil {
 			err = remoteWork()
@@ -779,49 +837,40 @@ func (s *Session) answerDecomposed(ctx context.Context, pq *subsume.Prepared, ca
 		s.advance(localDur + remoteDur)
 	}
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 
 	// The answer is as old as its oldest input: a change any piece or the
 	// residual misses has a version above that input's stamp.
 	stamp := ^uint64(0)
-	for _, p := range picks {
+	for _, p := range dec.picks {
 		stamp = min(stamp, p.e.builtEpoch)
 	}
 	if residualExt != nil {
 		stamp = min(stamp, residualStamp)
 		overlay["__r"] = residualExt
 		atoms = append(atoms, rq.Head)
-		if s.cms.opts.Features.ResultCaching {
+		if c.opts.Features.ResultCaching {
 			// The residual result is itself reusable.
 			s.cacheResult(rq, rq.Canonical(), residualExt, nil, residualStamp)
 		}
 	}
 
-	atoms = append(atoms, leftoverCmps...)
+	atoms = append(atoms, dec.leftover...)
 	rew := caql.NewQuery(q.Head, atoms)
 	out, err := caql.Eval(rew, overlay)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	var inputs int
 	for _, rel := range overlay {
 		inputs += rel.Len()
 	}
 	s.advanceLocal(c.opts.Costs.PerLocalOp * float64(inputs+out.Len()))
-
-	if len(residualIdx) == 0 {
-		c.stats.CacheHits.Add(1)
-		if !c.rdi.Available() {
-			c.stats.DegradedHits.Add(1)
-		}
-	} else {
-		c.stats.PartialHits.Add(1)
-	}
 	if s.shouldCache(vs) {
 		s.cacheResult(q, string(canon), out, vs, stamp)
 	}
-	return bridge.NewEagerStream(out), true, nil
+	return bridge.NewEagerStream(out), nil
 }
 
 // prefetchFollowers plans predicted follow-up queries after answering q: the
@@ -835,7 +884,6 @@ func (s *Session) prefetchFollowers(q *caql.Query, vs *advice.ViewSpec) {
 	if vs == nil {
 		return
 	}
-	c := s.cms
 	// The bindings and the stale check are built for the first follower that
 	// is instantiated, if any is.
 	var binds map[string]relation.Value
@@ -849,15 +897,14 @@ func (s *Session) prefetchFollowers(q *caql.Query, vs *advice.ViewSpec) {
 			binds = consumerBindings(vs, q)
 			st = s.staleChecker(false) // prefetching runs only while the remote is available
 		}
-		pq := fvs.Query.Instantiate(binds)
-		s.canon = pq.AppendCanonical(s.canon[:0])
-		if c.opts.Features.ResultCaching && c.mgr.ExactMatchFor(s.canon, s.id) != nil {
+		fq := fvs.Query.Instantiate(binds)
+		s.canon = fq.AppendCanonical(s.canon[:0])
+		// A follower step 2 answers from the cache is not fetched, and no
+		// follower is once the session has ended (fromCache fails).
+		if v, _, err := s.fromCache(s.ctx, nil, subsume.PrepareInto(&s.prep, fq), s.canon, st); err != nil || v.kind != remote {
 			continue
 		}
-		if c.opts.Features.Subsumption && s.derivableFromCache(subsume.Prepare(pq), st) {
-			continue
-		}
-		s.enqueuePrefetch(pq, string(s.canon), fvs)
+		s.enqueuePrefetch(fq, string(s.canon), fvs)
 	}
 }
 
@@ -932,15 +979,6 @@ func (s *Session) probe(pq *subsume.Prepared, st staleCheck) []*Element {
 	return s.cands
 }
 
-func (s *Session) derivableFromCache(pq *subsume.Prepared, st staleCheck) bool {
-	for _, e := range s.probe(pq, st) {
-		if _, ok := e.sig.DeriveFull(pq); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // neededVars is the conservative variable set the decomposition must be able
 // to recover from covered pieces: head variables, comparison variables, and
 // join variables (those in two or more relational atoms).
@@ -1002,13 +1040,6 @@ func overlapsCover(cover []int, covered []bool) bool {
 		}
 	}
 	return false
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // chargeIter charges a cost callback per tuple pulled from the iterator.

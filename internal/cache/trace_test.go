@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +39,8 @@ func TestCrossTierTrace(t *testing.T) {
 
 	// A 2-subgoal conjunction translates to a join SQL: remote miss, planned
 	// execution, every tier instruments it.
-	drainQ(t, s, `d(X, Y) :- b2(X, Z) & b3(Z, "a", Y)`)
+	const q = `d(X, Y) :- b2(X, Z) & b3(Z, "a", Y)`
+	drainQ(t, s, q)
 
 	// Find the cms.query root, then collect every span in its trace. The
 	// server commits its stream span asynchronously after the client drains.
@@ -60,12 +62,30 @@ func TestCrossTierTrace(t *testing.T) {
 		}
 		if byName["cms.query"] && byName["cms.remote_fetch"] && byName["server.stream"] &&
 			(byName["engine.plancache"] || byName["engine.optimize"] || byName["engine.execute"]) {
-			return
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("cross-tier trace incomplete; trace %x has %v", root, byName)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The root span names the planner's verdict: the miss went remote, and
+	// a repeat is an exact hit.
+	drainQ(t, s, q)
+	var answers []string
+	for _, sp := range tr.Spans() {
+		if sp.Name != "cms.query" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "answer" {
+				answers = append(answers, a.Val)
+			}
+		}
+	}
+	if !slices.Equal(answers, []string{"remote", "exact"}) {
+		t.Fatalf("cms.query answers %v, want [remote exact]", answers)
 	}
 }
 
