@@ -40,10 +40,3 @@ func CtxError(ctx context.Context) error {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
 }
-
-// IsCancellation reports whether err is a cooperative-cancellation outcome
-// (canceled or deadline-exceeded) rather than a genuine failure.
-func IsCancellation(err error) bool {
-	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}

@@ -74,9 +74,6 @@ type Options struct {
 	// PredictHorizon is how many queries ahead advice-based predictions
 	// look (replacement protection, reuse prediction). Default 8.
 	PredictHorizon int
-	// PrefetchWorkers bounds the asynchronous prefetch pool shared by every
-	// session of this CMS. Default 4.
-	PrefetchWorkers int
 	// QueryTimeout is the default per-query deadline applied when the caller's
 	// context carries none (0: no default deadline). A query that exceeds it
 	// fails with bridge.ErrDeadlineExceeded.
@@ -125,14 +122,11 @@ func New(client remotedb.Client, opts Options) *CMS {
 	if opts.PredictHorizon <= 0 {
 		opts.PredictHorizon = 8
 	}
-	if opts.PrefetchWorkers <= 0 {
-		opts.PrefetchWorkers = 4
-	}
 	c := &CMS{
 		opts:   opts,
 		rdi:    NewRDI(client),
 		mgr:    NewManager(opts.CacheBytes),
-		pf:     newPrefetchPool(opts.PrefetchWorkers),
+		pf:     newPrefetchPool(),
 		adm:    newAdmission(opts.MaxInflight, opts.MaxQueue),
 		tracer: opts.Tracer,
 	}

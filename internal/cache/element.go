@@ -29,7 +29,7 @@ import (
 // for replacement decisions.
 //
 // Elements are safe for concurrent use: mu guards the derived
-// representations (indexes, sorted representations, selection counts), and
+// representations (indexes, selection counts, served schemas), and
 // the replacement bookkeeping is atomic so Touch never needs a lock. An
 // element's Def, canonical form, signature and extension are immutable
 // after construction.
@@ -56,10 +56,6 @@ type Element struct {
 	// shard → element, never the reverse).
 	mu      sync.Mutex
 	indexes map[int]*relation.Index // by column
-	// sorted holds co-existing, alternative representations of the same
-	// extension (Section 5.2: "the case where alternative sortings are
-	// required"); keyed by sort column, built on demand and memoized.
-	sorted map[int]*relation.Relation
 	// selUses counts equality selections per column, driving heuristic
 	// index builds on unadvised columns.
 	selUses map[int]int
@@ -184,27 +180,7 @@ func (e *Element) SizeBytes() int64 {
 	for _, ix := range e.indexes {
 		n += ix.SizeBytes()
 	}
-	for _, r := range e.sorted {
-		n += int64(8 * r.Len()) // shared tuples; count the slice overhead
-	}
 	return n
-}
-
-// SortedBy returns the extension ordered by the given column — a
-// co-existing alternative representation of the same data, memoized so one
-// build serves every later ordered use (Section 5.2).
-func (e *Element) SortedBy(col int) *relation.Relation {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if r, ok := e.sorted[col]; ok {
-		return r
-	}
-	if e.sorted == nil {
-		e.sorted = make(map[int]*relation.Relation)
-	}
-	r := e.ext.Clone().SortBy([]int{col})
-	e.sorted[col] = r
-	return r
 }
 
 // Index returns the element's index on the given column, building it if

@@ -156,33 +156,3 @@ func newEngineWithWeightedEdges(t *testing.T, edges [][3]int64) *remotedb.Engine
 	e.LoadTable(rel)
 	return e
 }
-
-func TestElementSortedRepresentations(t *testing.T) {
-	def := caql.MustParse("g(X, Y) :- b2(X, Y)")
-	ext := relation.New("g", relation.NewSchema(
-		relation.Attr{Name: "X", Kind: relation.KindInt},
-		relation.Attr{Name: "Y", Kind: relation.KindInt}))
-	for _, v := range []int64{3, 1, 2} {
-		ext.MustAppend(relation.Tuple{relation.Int(v), relation.Int(10 - v)})
-	}
-	e := newExtensionElement(1, def, def.Canonical(), ext)
-	byX := e.SortedBy(0)
-	if byX.Tuple(0)[0].AsInt() != 1 || byX.Tuple(2)[0].AsInt() != 3 {
-		t.Fatalf("sorted by X wrong: %v", byX)
-	}
-	byY := e.SortedBy(1)
-	if byY.Tuple(0)[1].AsInt() != 7 {
-		t.Fatalf("sorted by Y wrong: %v", byY)
-	}
-	// The original extension order is untouched (co-existing reps).
-	if e.Extension().Tuple(0)[0].AsInt() != 3 {
-		t.Fatal("sorting must not disturb the primary representation")
-	}
-	// Memoized: same instance returned.
-	if e.SortedBy(0) != byX {
-		t.Fatal("sorted representation should be memoized")
-	}
-	if e.SizeBytes() <= ext.SizeBytes() {
-		t.Fatal("alternative representations must be accounted in size")
-	}
-}

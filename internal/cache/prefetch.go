@@ -30,19 +30,22 @@ type prefetchJob struct {
 	canon    string
 }
 
+// prefetchWorkers bounds the worker pool every session of a CMS shares; its
+// queue holds four jobs per worker.
+const prefetchWorkers = 4
+
 // prefetchPool is a bounded, dynamically-sized worker pool. Workers are
-// spawned on demand up to max and exit when the queue drains, so an idle CMS
-// holds no goroutines.
+// spawned on demand up to prefetchWorkers and exit when the queue drains, so
+// an idle CMS holds no goroutines.
 type prefetchPool struct {
 	jobs chan prefetchJob
 
 	mu     sync.Mutex
 	active int
-	max    int
 }
 
-func newPrefetchPool(workers int) *prefetchPool {
-	return &prefetchPool{jobs: make(chan prefetchJob, 4*workers), max: workers}
+func newPrefetchPool() *prefetchPool {
+	return &prefetchPool{jobs: make(chan prefetchJob, 4*prefetchWorkers)}
 }
 
 // submit enqueues a job, spawning a worker if below the cap. It reports false
@@ -54,7 +57,7 @@ func (p *prefetchPool) submit(j prefetchJob) bool {
 		return false
 	}
 	p.mu.Lock()
-	if p.active < p.max {
+	if p.active < prefetchWorkers {
 		p.active++
 		go p.worker()
 	}

@@ -60,8 +60,6 @@ type Options struct {
 	// PathExpression additionally transmits a path expression (requires
 	// Advice).
 	PathExpression bool
-	// MaxDepth bounds SLD recursion depth as a runaway guard (default 4096).
-	MaxDepth int
 	// Explain records a justification (derivation tree) for each solution;
 	// available through Solutions.NextProof. Compiled-strategy answers carry
 	// a bottom-up summary instead of a full tree.
@@ -75,7 +73,6 @@ func DefaultOptions() Options {
 		Reorder:        true,
 		Advice:         true,
 		PathExpression: true,
-		MaxDepth:       4096,
 	}
 }
 
@@ -90,9 +87,6 @@ type Engine struct {
 
 // New builds an engine.
 func New(kb *logic.KB, ds bridge.DataSource, opts Options) *Engine {
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 4096
-	}
 	if opts.Strategy == StrategyInterpreted {
 		opts.MaxConjSize = 1
 	}
@@ -234,12 +228,6 @@ func (e *Engine) Advice(goal logic.Atom) (*advice.Advice, error) {
 		return nil, err
 	}
 	return prog.adviceBundle(e.opts), nil
-}
-
-// Graph extracts and shapes the problem graph for a query (diagnostics).
-func (e *Engine) Graph(goal logic.Atom) (*Graph, error) {
-	sh := &Shaper{Reorder: e.opts.Reorder, Stats: e.ds}
-	return Extract(e.kb, goal, sh)
 }
 
 // SortedVars is a test helper ordering variable names.

@@ -30,9 +30,6 @@ type ORNode struct {
 	Rules        []*ANDNode
 }
 
-// Leaf reports whether the node has no rule expansion.
-func (o *ORNode) Leaf() bool { return o.Base || o.Builtin || o.RecursiveCut }
-
 // ANDNode is one rule application: the rule's head unifies with the parent
 // goal, and the (shaped) body antecedents are its successor OR nodes.
 type ANDNode struct {

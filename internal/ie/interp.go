@@ -11,6 +11,9 @@ import (
 	"repro/internal/relation"
 )
 
+// maxDepth bounds SLD call depth as a runaway guard.
+const maxDepth = 4096
+
 // runner is an ask's search, run one answer at a time on the consumer's
 // goroutine. The interpreted and conjunction-compiled strategies are
 // depth-first SLD resolution with chronological backtracking (Section 4's
@@ -201,8 +204,8 @@ func (r *runner) nextClause(c *choice) (bool, error) {
 		if !r.b.Unify(cc.head, callee, *call.call, call.base) {
 			continue
 		}
-		if call.depth+1 > r.engine.opts.MaxDepth {
-			return false, fmt.Errorf("ie: SLD depth limit %d exceeded (non-terminating recursion?)", r.engine.opts.MaxDepth)
+		if call.depth+1 > maxDepth {
+			return false, fmt.Errorf("ie: SLD depth limit %d exceeded (non-terminating recursion?)", maxDepth)
 		}
 		call.cc = cc
 		r.g = cont{items: cc.items, base: callee, anc: c.anc - 1, depth: call.depth + 1, next: k}

@@ -1,8 +1,6 @@
 package ie
 
 import (
-	"sort"
-
 	"repro/internal/logic"
 	"repro/internal/remotedb"
 )
@@ -201,17 +199,4 @@ func (sh *Shaper) estimate(kb *logic.KB, a logic.Atom, bound map[string]bool) fl
 		est = 1
 	}
 	return est
-}
-
-// SelectivityRank orders predicate references by ascending estimated
-// cardinality; a helper for diagnostics and tests.
-func (sh *Shaper) SelectivityRank(kb *logic.KB, atoms []logic.Atom) []int {
-	idx := make([]int, len(atoms))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		return sh.estimate(kb, atoms[idx[i]], nil) < sh.estimate(kb, atoms[idx[j]], nil)
-	})
-	return idx
 }

@@ -2,7 +2,6 @@ package logic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -80,30 +79,12 @@ func (kb *KB) Rules(ref PredRef) []Clause { return kb.rules[ref] }
 // Preds returns all predicates that have rules, in first-definition order.
 func (kb *KB) Preds() []PredRef { return append([]PredRef(nil), kb.order...) }
 
-// BasePreds returns the declared base predicates, sorted.
-func (kb *KB) BasePreds() []PredRef {
-	out := make([]PredRef, 0, len(kb.base))
-	for r := range kb.base {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Arity < out[j].Arity
-	})
-	return out
-}
-
 // NumClauses returns the number of clauses in the KB.
 func (kb *KB) NumClauses() int { return kb.clauses }
 
 // AddMutex records a mutual-exclusion SOA: p and q cannot both hold of the
 // same arguments. The problem graph shaper uses these to cull OR branches.
 func (kb *KB) AddMutex(p, q PredRef) { kb.mutex = append(kb.mutex, MutexSOA{P: p, Q: q}) }
-
-// Mutexes returns the recorded mutual-exclusion SOAs.
-func (kb *KB) Mutexes() []MutexSOA { return kb.mutex }
 
 // MutuallyExclusive reports whether p and q are declared mutually exclusive.
 func (kb *KB) MutuallyExclusive(p, q PredRef) bool {

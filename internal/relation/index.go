@@ -80,11 +80,6 @@ func (ix *Index) matches(t Tuple, vals []Value) bool {
 	return true
 }
 
-// LookupIter returns an iterator over matching tuples.
-func (ix *Index) LookupIter(vals []Value) Iterator {
-	return NewSliceIterator(ix.Lookup(vals))
-}
-
 // SizeBytes estimates the index's memory footprint for cache accounting:
 // per bucket the hash key, the position slice's header and its positions.
 // (The indexed tuples belong to the relation and are counted there.)

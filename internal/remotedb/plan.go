@@ -63,9 +63,6 @@ type Plan struct {
 // EstRows is the optimizer's estimate of the result cardinality.
 func (p *Plan) EstRows() float64 { return p.estRows }
 
-// EstOps is the optimizer's estimate of server-side tuple operations.
-func (p *Plan) EstOps() float64 { return p.estOps }
-
 // EstCost is the plan's simulated cost under the virtual cost model: one
 // round trip, the estimated result tuples shipped, the estimated server ops.
 func (p *Plan) EstCost(c Costs) float64 {

@@ -26,8 +26,8 @@ type Candidate struct {
 	// VarCols maps each available query variable to a column of ext(E)
 	// (after Conds; no projection has been applied). Match fills it; the
 	// Candidate of a whole-query Derivation leaves it nil, and its columns
-	// are the Derivation's OutCols. InterfaceVars, Materialize,
-	// MaterializeLazy and PieceAtom read VarCols, so they are for Match's
+	// are the Derivation's OutCols. InterfaceVars, Materialize
+	// and PieceAtom read VarCols, so they are for Match's
 	// candidates only.
 	VarCols map[string]int
 }
@@ -60,17 +60,6 @@ func (c *Candidate) Materialize(name string, ext *relation.Relation) *relation.R
 	}
 	it := relation.Project(relation.Select(ext.Iter(), c.Conds), cols)
 	return relation.Drain(name, relation.NewSchema(attrs...), it)
-}
-
-// MaterializeLazy is Materialize as a lazy pipeline over an iterator of
-// ext(E) tuples.
-func (c *Candidate) MaterializeLazy(src relation.Iterator) relation.Iterator {
-	vars := c.InterfaceVars()
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		cols[i] = c.VarCols[v]
-	}
-	return relation.Project(relation.Select(src, c.Conds), cols)
 }
 
 // PieceAtom returns the relational atom that stands for this candidate's
