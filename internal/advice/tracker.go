@@ -18,13 +18,17 @@ import (
 //
 // Trackers are safe for concurrent use: the owning session observes queries
 // while other sessions' eviction sweeps consult its predictions through the
-// cache manager's predictor registry. The automaton itself (edges/eps) is
-// immutable after construction; mu guards the tracking state.
+// cache manager's predictor registry. The automaton itself is immutable
+// after construction; mu guards the tracking state.
 type Tracker struct {
-	edges   map[int][]tEdge
-	eps     map[int][]int
-	start   int
-	nstates int
+	// The automaton: state s's labelled edges are
+	// edges[edgeAt[s]:edgeAt[s+1]] and its epsilon successors
+	// eps[epsAt[s]:epsAt[s+1]].
+	edgeAt, epsAt []int32
+	edges         []tEdge
+	eps           []int32
+	start         int32
+	nstates       int
 
 	mu sync.Mutex
 	// current holds the states the automaton may be in. Observe builds their
@@ -36,7 +40,7 @@ type Tracker struct {
 
 // stateSet is a set of automaton states: in lists them, has marks them.
 type stateSet struct {
-	in  []int
+	in  []int32
 	has []bool
 }
 
@@ -51,7 +55,7 @@ func (s *stateSet) reset(n int) {
 	}
 }
 
-func (s *stateSet) add(x int) {
+func (s *stateSet) add(x int32) {
 	if !s.has[x] {
 		s.has[x] = true
 		s.in = append(s.in, x)
@@ -60,75 +64,142 @@ func (s *stateSet) add(x int) {
 
 type tEdge struct {
 	label string
-	to    int
+	to    int32
 }
 
 // NewTracker compiles the expression; a nil expression yields a tracker that
-// predicts nothing.
+// predicts nothing. The automaton is laid out in flat slices, built in three
+// walks of the expression: the first counts states and moves, the second
+// each state's moves, and the third places them.
 func NewTracker(e Expr) *Tracker {
-	t := &Tracker{edges: map[int][]tEdge{}, eps: map[int][]int{}}
-	next := 0
-	newState := func() int { next++; return next - 1 }
-	t.start = newState()
-	var compile func(e Expr, from int) int
-	compile = func(e Expr, from int) int {
-		switch v := e.(type) {
-		case *Pattern:
-			to := newState()
-			t.edges[from] = append(t.edges[from], tEdge{label: v.Name, to: to})
-			return to
-		case *Sequence:
-			accept := newState()
-			cur := from
-			for i, el := range v.Elems {
-				cur = compile(el, cur)
-				// Sequences are prefix-closed: the paper's own valid-sequence
-				// list for the tracking example includes "d1, d4, d1, ..." —
-				// a branch abandoned after its first element (the IE failed
-				// partway). Every intermediate point may therefore exit.
-				if i < len(v.Elems)-1 {
-					t.eps[cur] = append(t.eps[cur], accept)
-				}
-			}
-			t.eps[cur] = append(t.eps[cur], accept)
-			if v.Lo == 0 {
-				t.eps[from] = append(t.eps[from], accept)
-			}
-			if v.Hi.Unbounded() || v.Hi.N > 1 {
-				t.eps[cur] = append(t.eps[cur], from) // repeat
-			}
-			return accept
-		case *Alternation:
-			accept := newState()
-			for _, el := range v.Elems {
-				end := compile(el, from)
-				t.eps[end] = append(t.eps[end], accept)
-				if v.Select != 1 {
-					// More than one alternative may fire per occurrence.
-					t.eps[end] = append(t.eps[end], from)
-				}
-			}
-			// Zero alternatives may fire ("some members may never appear").
-			t.eps[from] = append(t.eps[from], accept)
-			return accept
-		default:
-			return from
-		}
+	t := &Tracker{}
+	b := builder{t: t}
+	b.run(e)
+	n, ne, nx := b.states, b.edges, b.eps
+	ints := make([]int32, 2*(n+1)+nx+2*n)
+	t.edgeAt, ints = ints[:n+1:n+1], ints[n+1:]
+	t.epsAt, ints = ints[:n+1:n+1], ints[n+1:]
+	t.eps, ints = ints[:nx:nx], ints[nx:]
+	edgeCur, epsCur := ints[:n:n], ints[n:]
+	t.edges = make([]tEdge, ne)
+
+	b = builder{t: t, counting: true}
+	b.run(e)
+	for s := 0; s < int(n); s++ {
+		t.edgeAt[s+1] += t.edgeAt[s]
+		t.epsAt[s+1] += t.epsAt[s]
 	}
-	if e != nil {
-		compile(e, t.start)
-	}
-	t.nstates = next
-	t.current.reset(t.nstates)
+	copy(edgeCur, t.edgeAt)
+	copy(epsCur, t.epsAt)
+	b = builder{t: t, edgeCur: edgeCur, epsCur: epsCur}
+	b.run(e)
+
+	// The cursors are spent; their storage lists the tracking states.
+	has := make([]bool, 2*n)
+	t.nstates = int(n)
+	t.current = stateSet{in: edgeCur[:0], has: has[:n:n]}
+	t.next = stateSet{in: epsCur[:0], has: has[n:]}
 	t.current.add(t.start)
 	t.close(&t.current)
 	return t
 }
 
+// builder walks an expression making the tracker's automaton: sizing it
+// when it has no cursors and is not counting, counting each state's moves
+// into edgeAt and epsAt, or placing the moves at the cursors.
+type builder struct {
+	t                  *Tracker
+	states, edges, eps int32
+	counting           bool
+	edgeCur, epsCur    []int32
+}
+
+func (b *builder) run(e Expr) {
+	b.t.start = b.state()
+	if e != nil {
+		b.compile(e, b.t.start)
+	}
+}
+
+func (b *builder) state() int32 {
+	b.states++
+	return b.states - 1
+}
+
+func (b *builder) edge(from int32, label string, to int32) {
+	b.edges++
+	switch {
+	case b.counting:
+		b.t.edgeAt[from+1]++
+	case b.edgeCur != nil:
+		b.t.edges[b.edgeCur[from]] = tEdge{label: label, to: to}
+		b.edgeCur[from]++
+	}
+}
+
+func (b *builder) epsilon(from, to int32) {
+	b.eps++
+	switch {
+	case b.counting:
+		b.t.epsAt[from+1]++
+	case b.epsCur != nil:
+		b.t.eps[b.epsCur[from]] = to
+		b.epsCur[from]++
+	}
+}
+
+// compile makes e's automaton from state from and returns its accepting
+// state.
+func (b *builder) compile(e Expr, from int32) int32 {
+	switch v := e.(type) {
+	case *Pattern:
+		to := b.state()
+		b.edge(from, v.Name, to)
+		return to
+	case *Sequence:
+		accept := b.state()
+		cur := from
+		for i, el := range v.Elems {
+			cur = b.compile(el, cur)
+			// Sequences are prefix-closed: the paper's own valid-sequence
+			// list for the tracking example includes "d1, d4, d1, ..." —
+			// a branch abandoned after its first element (the IE failed
+			// partway). Every intermediate point may therefore exit.
+			if i < len(v.Elems)-1 {
+				b.epsilon(cur, accept)
+			}
+		}
+		b.epsilon(cur, accept)
+		if v.Lo == 0 {
+			b.epsilon(from, accept)
+		}
+		if v.Hi.Unbounded() || v.Hi.N > 1 {
+			b.epsilon(cur, from) // repeat
+		}
+		return accept
+	case *Alternation:
+		accept := b.state()
+		for _, el := range v.Elems {
+			end := b.compile(el, from)
+			b.epsilon(end, accept)
+			if v.Select != 1 {
+				// More than one alternative may fire per occurrence.
+				b.epsilon(end, from)
+			}
+		}
+		// Zero alternatives may fire ("some members may never appear").
+		b.epsilon(from, accept)
+		return accept
+	default:
+		return from
+	}
+}
+
 // close adds to s every state an epsilon path reaches from it.
 func (t *Tracker) close(s *stateSet) {
 	for i := 0; i < len(s.in); i++ {
-		for _, n := range t.eps[s.in[i]] {
+		x := s.in[i]
+		for _, n := range t.eps[t.epsAt[x]:t.epsAt[x+1]] {
 			s.add(n)
 		}
 	}
@@ -153,7 +224,7 @@ func (t *Tracker) Observe(name string) bool {
 	}
 	t.next.reset(t.nstates)
 	for _, s := range t.current.in {
-		for _, e := range t.edges[s] {
+		for _, e := range t.edges[t.edgeAt[s]:t.edgeAt[s+1]] {
 			if e.label == name {
 				t.next.add(e.to)
 			}
@@ -198,7 +269,7 @@ func (t *Tracker) predictWithinLocked(k int) map[string]int {
 	for step := 1; step <= k; step++ {
 		next.reset(t.nstates)
 		for _, s := range frontier.in {
-			for _, e := range t.edges[s] {
+			for _, e := range t.edges[t.edgeAt[s]:t.edgeAt[s+1]] {
 				if _, ok := dist[e.label]; !ok {
 					dist[e.label] = step
 				}

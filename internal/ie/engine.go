@@ -2,7 +2,8 @@ package ie
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/advice"
 	"repro/internal/bridge"
@@ -78,11 +79,16 @@ func DefaultOptions() Options {
 
 // Engine is the inference engine: a knowledge base plus a data source (the
 // CMS or a baseline). Engines are safe for concurrent Ask calls; each Ask
-// opens its own session.
+// opens its own session. An engine compiles per goal shape: the asks of one
+// shape share one compile, and all shapes share the compiled clauses, until
+// the KB or a statistic the shaper read changes.
 type Engine struct {
 	kb   *logic.KB
 	ds   bridge.DataSource
 	opts Options
+
+	mu sync.Mutex
+	ck *compiledKB
 }
 
 // New builds an engine.
@@ -196,46 +202,96 @@ func (e *Engine) AskText(src string) (*Solutions, error) {
 	return e.Ask(goal)
 }
 
-// Ask answers an AI query: compile the problem graph and advice, open a
-// session (transmitting the advice), and run the configured strategy. The
-// result is a lazy solution stream.
+// Ask answers an AI query: find its goal shape's compile, assemble the
+// advice, open a session (transmitting the advice), and run the configured
+// strategy with the goal's constants bound. The result is a lazy solution
+// stream.
 func (e *Engine) Ask(goal logic.Atom) (*Solutions, error) {
-	if goal.IsComparison() {
-		return nil, fmt.Errorf("ie: AI query cannot be a comparison")
-	}
-	prog, err := compile(e.kb, goal, e.opts, e.ds)
+	sh, err := e.shape(goal)
 	if err != nil {
 		return nil, err
 	}
 	var adv *advice.Advice
 	if e.opts.Advice {
-		adv = prog.adviceBundle(e.opts)
-		if err := adv.Validate(); err != nil {
-			return nil, fmt.Errorf("ie: generated invalid advice: %w", err)
+		adv = sh.advice(e.kb, e.opts)
+	}
+	vars := make([]string, 0, len(goal.Args))
+	for _, t := range goal.Args {
+		if t.IsVar() && !slices.Contains(vars, t.Var) {
+			vars = append(vars, t.Var)
 		}
 	}
-	r := &runner{engine: e, prog: prog, session: e.ds.BeginSession(adv), live: true}
-	r.g = cont{items: prog.goalItems, base: r.b.Push(len(prog.goalVars)), anc: -1, next: -1}
+	r := &runner{engine: e, sh: sh, vars: vars, session: e.ds.BeginSession(adv), live: true}
+	r.goalAtom.Atom, r.goal[0] = goal, sh.goal
+	if sh.goal.kind == itemCall {
+		r.goalAtom.Nums = sh.goal.atom.Nums
+		r.goal[0].atom = &r.goalAtom
+	}
+	r.g = cont{items: r.goal[:], base: r.b.Push(len(vars)), anc: -1, next: -1}
 	r.choices = r.buf[:0]
-	return &Solutions{vars: prog.goalVars, search: r}, nil
+	return &Solutions{vars: vars, search: r}, nil
+}
+
+// shape returns the compile of goal's shape. A shape the engine has not
+// asked since its KB or the statistics its shaper read last changed is
+// compiled now, and so is every clause it reaches that is not compiled yet.
+func (e *Engine) shape(goal logic.Atom) (*shape, error) {
+	if goal.IsComparison() {
+		return nil, fmt.Errorf("ie: AI query cannot be a comparison")
+	}
+	if e.kb.IsBase(goal.Ref()) {
+		// A base goal's view carries its constants, so its compile is its own.
+		return newCompiledKB(e.kb, e.ds, e.opts).checkedShape(goal)
+	}
+	e.mu.Lock()
+	ck := e.ck
+	var reads []statsRead
+	if ck != nil {
+		reads = ck.stats
+	}
+	e.mu.Unlock()
+	fresh := ck != nil && ck.gen == e.kb.Generation() && statsCurrent(e.ds, reads)
+
+	var buf [64]byte
+	key := appendShapeKey(buf[:0], goal)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !fresh && e.ck == ck {
+		e.ck = newCompiledKB(e.kb, e.ds, e.opts)
+	}
+	ck = e.ck
+	if sh := ck.shapes[string(key)]; sh != nil {
+		return sh, nil
+	}
+	sh, err := ck.checkedShape(goal)
+	if err == nil {
+		ck.shapes[string(key)] = sh
+	}
+	return sh, err
+}
+
+// checkedShape compiles goal's shape and checks the advice it generates.
+func (ck *compiledKB) checkedShape(goal logic.Atom) (*shape, error) {
+	sh := ck.compileShape(goal)
+	if err := sh.advice(ck.kb, Options{}).Validate(); err != nil {
+		return nil, fmt.Errorf("ie: generated invalid advice: %w", err)
+	}
+	return sh, nil
 }
 
 // Advice compiles and returns the advice bundle for a query without running
-// it (diagnostics, tests, cmd tools).
+// it (diagnostics, tests, cmd tools). The bundle is the caller's to change.
 func (e *Engine) Advice(goal logic.Atom) (*advice.Advice, error) {
-	prog, err := compile(e.kb, goal, e.opts, e.ds)
+	sh, err := e.shape(goal)
 	if err != nil {
 		return nil, err
 	}
-	return prog.adviceBundle(e.opts), nil
-}
-
-// SortedVars is a test helper ordering variable names.
-func SortedVars(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for v := range m {
-		out = append(out, v)
+	adv := sh.advice(e.kb, e.opts)
+	adv.BaseRels = slices.Clone(adv.BaseRels)
+	for _, v := range adv.Views {
+		v.Query = v.Query.Clone()
+		v.Bindings = slices.Clone(v.Bindings)
+		v.Rules = slices.Clone(v.Rules)
 	}
-	sort.Strings(out)
-	return out
+	return adv, nil
 }

@@ -33,10 +33,14 @@ func (r *runner) compiled() ([]answer, error) {
 	// pushed into the fetch (a cheap magic-set-like restriction); otherwise
 	// the full extension is requested. A stream that stops on an error fails
 	// the ask rather than leave a prefix behind.
-	prog := r.prog
+	e := r.engine
+	graph, err := Extract(e.kb, r.goalAtom.Atom, &Shaper{Reorder: e.opts.Reorder, Stats: e.ds})
+	if err != nil {
+		return nil, err
+	}
 	fetched := caql.MapSource{}
-	for _, ref := range prog.graph.BaseRels {
-		q, err := fetchQueryFor(prog, ref)
+	for _, ref := range graph.BaseRels {
+		q, err := fetchQueryFor(graph, ref)
 		if err != nil {
 			return nil, err
 		}
@@ -50,10 +54,10 @@ func (r *runner) compiled() ([]answer, error) {
 	}
 
 	// A base goal is one of the fetched relations; a derived one is derived.
-	goalRef := prog.goal.Ref()
+	goalRef := r.goalAtom.Ref()
 	ext := fetched[goalRef.Name]
-	if !prog.kb.IsBase(goalRef) {
-		derived, err := BottomUp(prog.kb, fetched, []logic.PredRef{goalRef})
+	if !e.kb.IsBase(goalRef) {
+		derived, err := BottomUp(e.kb, fetched, []logic.PredRef{goalRef})
 		if err != nil {
 			return nil, err
 		}
@@ -62,12 +66,12 @@ func (r *runner) compiled() ([]answer, error) {
 		}
 	}
 
-	subs := Answers(prog.goal, ext)
+	subs := Answers(r.goalAtom.Atom, ext)
 	out := make([]answer, len(subs))
 	for i, s := range subs {
-		out[i].sub = s.Restrict(prog.goalVars)
-		if r.engine.opts.Explain {
-			out[i].proof = ProofRoot(prog.goal.String(),
+		out[i].sub = s.Restrict(r.vars)
+		if e.opts.Explain {
+			out[i].proof = ProofRoot(r.goalAtom.String(),
 				[]*Proof{{Kind: "rule", Detail: "derived set-at-a-time by bottom-up fixpoint evaluation"}})
 		}
 	}
@@ -80,10 +84,10 @@ func (r *runner) compiled() ([]answer, error) {
 // recursive cut — a cut hides deeper occurrences whose bindings differ from
 // the visible ones (e.g. transitive closure walks past the query's seed
 // constant).
-func fetchQueryFor(prog *program, ref logic.PredRef) (*caql.Query, error) {
+func fetchQueryFor(graph *Graph, ref logic.PredRef) (*caql.Query, error) {
 	var occs []logic.Atom
 	recursive := false
-	prog.graph.Walk(func(n *ORNode) {
+	graph.Walk(func(n *ORNode) {
 		if n.Base && n.Goal.Ref() == ref {
 			occs = append(occs, n.Goal)
 		}

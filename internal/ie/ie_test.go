@@ -21,16 +21,21 @@ import (
 // mapDS is a minimal bridge.DataSource over in-memory extensions: every
 // query is evaluated directly (no caching, no remote). It isolates IE tests
 // from the CMS. It counts the sessions ended and the streams closed, and with
-// cutAfter > 0 every stream stops after that many tuples with errCut.
+// cutAfter > 0 every stream stops after that many tuples with errCut; with
+// limit > 0 a query asked after that many fails with errLimit.
 type mapDS struct {
 	src      caql.MapSource
 	queries  []string
 	cutAfter int
+	limit    int
 	ends     int
 	closes   int
 }
 
-var errCut = errors.New("stream cut mid-transfer")
+var (
+	errCut   = errors.New("stream cut mid-transfer")
+	errLimit = errors.New("query limit reached")
+)
 
 // mapIter is a mapDS stream.
 type mapIter struct {
@@ -85,6 +90,9 @@ func (m *mapDS) Stats() bridge.SourceStats {
 type mapSession struct{ ds *mapDS }
 
 func (s *mapSession) Query(q *caql.Query) (*bridge.Stream, error) {
+	if s.ds.limit > 0 && len(s.ds.queries) >= s.ds.limit {
+		return nil, errLimit
+	}
 	s.ds.queries = append(s.ds.queries, q.String())
 	it, schema, err := caql.EvalLazy(q, s.ds.src)
 	if err != nil {
@@ -621,8 +629,18 @@ func TestViewSpecMinimalArgSet(t *testing.T) {
 		vars[tm.Var] = true
 	}
 	if len(vars) != 2 || !vars["Z"] || !vars["V"] {
-		t.Fatalf("minimal argument set wrong: %v (want Z, V)", SortedVars(vars))
+		t.Fatalf("minimal argument set wrong: %v (want Z, V)", sortedVars(vars))
 	}
+}
+
+// sortedVars orders variable names.
+func sortedVars(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for v := range m {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestInterpretedIssuesPerAtomQueries(t *testing.T) {

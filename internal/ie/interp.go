@@ -31,9 +31,12 @@ const maxDepth = 4096
 // the open calls' variant keys are entries of one byte arena, each linked to
 // its caller's; backtracking cuts both back to the choice's heights.
 type runner struct {
-	engine  *Engine
-	prog    *program
-	session bridge.Session
+	engine   *Engine
+	sh       *shape
+	goal     [1]bodyItem   // the goal pseudo-clause's body
+	goalAtom logic.NumAtom // the ask's goal, a derived goal's call atom
+	vars     []string      // the goal's variables: variable i of its frame
+	session  bridge.Session
 
 	g       cont // the goal: what is left of a clause, then conts[g.next]
 	live    bool // false once g failed or was answered: next backtracks first
@@ -120,10 +123,10 @@ func (r *runner) next() (a answer, ok bool, err error) {
 func (r *runner) emit() answer {
 	var root *Proof
 	if r.engine.opts.Explain {
-		root = ProofRoot(r.prog.goal.String(), r.g.acc)
+		root = ProofRoot(r.goalAtom.String(), r.g.acc)
 	}
-	sub := make(logic.Subst, len(r.prog.goalVars))
-	for i, v := range r.prog.goalVars {
+	sub := make(logic.Subst, len(r.vars))
+	for i, v := range r.vars {
 		if _, c, ok := r.b.Resolve(i); ok {
 			sub[v] = logic.C(c)
 		}
@@ -237,16 +240,16 @@ func (r *runner) step() (bool, error) {
 	g.items = g.items[1:]
 	switch it.kind {
 	case itemCmp:
-		l, lok := r.value(&it.atom, 0, g.base)
-		rv, rok := r.value(&it.atom, 1, g.base)
+		l, lok := r.value(it.atom, 0, g.base)
+		rv, rok := r.value(it.atom, 1, g.base)
 		if !lok || !rok {
-			return false, fmt.Errorf("ie: comparison %s not ground at evaluation time (ordering bug?)", r.resolveAtom(&it.atom, g.base))
+			return false, fmt.Errorf("ie: comparison %s not ground at evaluation time (ordering bug?)", r.resolveAtom(it.atom, g.base))
 		}
 		if !it.atom.CmpOp().Eval(l, rv) {
 			return false, nil
 		}
 		if explain {
-			g.acc = appendProof(g.acc, &Proof{Kind: "cmp", Detail: r.resolveAtom(&it.atom, g.base).String()})
+			g.acc = appendProof(g.acc, &Proof{Kind: "cmp", Detail: r.resolveAtom(it.atom, g.base).String()})
 		}
 		return true, nil
 
@@ -261,7 +264,7 @@ func (r *runner) step() (bool, error) {
 
 	case itemCall:
 		start := len(r.keys)
-		r.keys = r.appendKey(r.keys, &it.atom, g.base)
+		r.keys = r.appendKey(r.keys, it.atom, g.base)
 		for a := g.anc; a >= 0; a = r.anc[a].parent {
 			if bytes.Equal(r.keys[r.anc[a].start:r.anc[a].end], r.keys[start:]) {
 				return false, nil // variant ancestor: prune this branch
@@ -269,9 +272,9 @@ func (r *runner) step() (bool, error) {
 		}
 		r.anc = append(r.anc, ancestor{start: start, end: len(r.keys), parent: g.anc})
 		k := *g
-		k.call = &it.atom
+		k.call = it.atom
 		r.conts = append(r.conts, k)
-		r.push(choice{clauses: r.prog.clauses[it.atom.Ref()]})
+		r.push(choice{clauses: it.callee.clauses})
 		return r.retry()
 
 	default:
@@ -302,11 +305,12 @@ func (r *runner) value(a *logic.NumAtom, i, base int) (c relation.Value, ok bool
 }
 
 // instantiate builds the CAQL query for a segment occurrence in the clause
-// frame at base: a bound variable becomes its constant, and each free root is
-// named after the first template variable that reaches it. The query, its
-// body atoms and its terms are one queryBlock while the template fits.
+// frame at base: the view is named as the shape names it, a bound variable
+// becomes its constant, and each free root is named after the first template
+// variable that reaches it. The query, its body atoms and its terms are one
+// queryBlock while the template fits.
 func (r *runner) instantiate(vt *viewTemplate, base int) *caql.Query {
-	tq := vt.query
+	tq := &vt.query
 	blk := new(queryBlock)
 	terms := carve(blk.terms[:], len(vt.nums))
 	nrels := len(tq.Rels)
@@ -316,6 +320,7 @@ func (r *runner) instantiate(vt *viewTemplate, base int) *caql.Query {
 	r.roots = r.roots[:0]
 	var at int
 	q.Head, at = r.resolveArgs(terms, at, tq.Head, vt.nums, base)
+	q.Head.Pred = r.sh.name(vt)
 	for i, a := range tq.Rels {
 		q.Rels[i], at = r.resolveArgs(terms, at, a, vt.nums, base)
 	}

@@ -171,10 +171,8 @@ func TestInstantiateMatchesTemplate(t *testing.T) {
 		q(X, W) :- e(X, Y), f(Y, 3, W).
 		r(X, W) :- e(X, Y), e(Y, Z), f(Z, V, W), X < W, Y != V.
 	`)
-	prog, err := compile(kb, logic.A("all", logic.V("X"), logic.V("W")), Options{Strategy: StrategyConjunction}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := newCompiledKB(kb, nil, Options{Strategy: StrategyConjunction})
+	sh := ck.compileShape(logic.A("all", logic.V("X"), logic.V("W")))
 	for _, tc := range []struct {
 		ref logic.PredRef
 		fit bool
@@ -186,16 +184,16 @@ func TestInstantiateMatchesTemplate(t *testing.T) {
 		{logic.PredRef{Name: "r", Arity: 2}, false}, // five atoms
 	} {
 		name, fit := tc.ref.Name, tc.fit
-		cc := prog.clauses[tc.ref][0]
+		cc := ck.preds[tc.ref].clauses[0]
 		if len(cc.items) != 1 || cc.items[0].kind != itemSegment {
 			t.Fatalf("%s: body compiled to %d items, want one segment", name, len(cc.items))
 		}
 		vt := cc.items[0].seg
-		tq := vt.query
+		tq := &vt.query
 		if n := len(tq.Rels) + len(tq.Cmps); (n <= 1 && len(vt.nums) <= 4) != fit {
 			t.Fatalf("%s: %d atoms and %d arguments; the test expects it to fit the block: %v", name, n, len(vt.nums), fit)
 		}
-		r := &runner{engine: New(kb, nil, Options{}), prog: prog}
+		r := &runner{engine: New(kb, nil, Options{}), sh: sh}
 		base := r.b.Push(cc.nvars)
 		// instantiateWith binds every template variable numbered n with
 		// n%2 == parity (none for parity < 0) and instantiates vt; it also

@@ -17,6 +17,7 @@ type KB struct {
 	fds     []FDSOA
 	recur   map[PredRef]bool
 	clauses int
+	gen     uint64
 }
 
 // NewKB returns an empty knowledge base.
@@ -47,6 +48,7 @@ func (kb *KB) AddClause(c Clause) error {
 	}
 	kb.rules[ref] = append(kb.rules[ref], c)
 	kb.clauses++
+	kb.gen++
 	return nil
 }
 
@@ -57,6 +59,7 @@ func (kb *KB) DeclareBase(ref PredRef) error {
 		return fmt.Errorf("logic: %s already has rules; cannot declare base", ref)
 	}
 	kb.base[ref] = true
+	kb.gen++
 	return nil
 }
 
@@ -79,12 +82,20 @@ func (kb *KB) Rules(ref PredRef) []Clause { return kb.rules[ref] }
 // Preds returns all predicates that have rules, in first-definition order.
 func (kb *KB) Preds() []PredRef { return append([]PredRef(nil), kb.order...) }
 
+// Generation counts the KB's changes: every successful call of a method
+// that adds to it moves it on, so what was derived from the KB at one
+// generation still holds while the generation reads the same.
+func (kb *KB) Generation() uint64 { return kb.gen }
+
 // NumClauses returns the number of clauses in the KB.
 func (kb *KB) NumClauses() int { return kb.clauses }
 
 // AddMutex records a mutual-exclusion SOA: p and q cannot both hold of the
 // same arguments. The problem graph shaper uses these to cull OR branches.
-func (kb *KB) AddMutex(p, q PredRef) { kb.mutex = append(kb.mutex, MutexSOA{P: p, Q: q}) }
+func (kb *KB) AddMutex(p, q PredRef) {
+	kb.mutex = append(kb.mutex, MutexSOA{P: p, Q: q})
+	kb.gen++
+}
 
 // MutuallyExclusive reports whether p and q are declared mutually exclusive.
 func (kb *KB) MutuallyExclusive(p, q PredRef) bool {
@@ -98,7 +109,10 @@ func (kb *KB) MutuallyExclusive(p, q PredRef) bool {
 
 // AddFD records a functional-dependency SOA on a predicate: the attribute
 // positions From (0-based) determine the positions To.
-func (kb *KB) AddFD(fd FDSOA) { kb.fds = append(kb.fds, fd) }
+func (kb *KB) AddFD(fd FDSOA) {
+	kb.fds = append(kb.fds, fd)
+	kb.gen++
+}
 
 // FDs returns the functional dependencies declared for a predicate.
 func (kb *KB) FDs(ref PredRef) []FDSOA {
@@ -113,7 +127,10 @@ func (kb *KB) FDs(ref PredRef) []FDSOA {
 
 // DeclareRecursive records a recursive-structure SOA (cf. [OHAR87]): the
 // predicate is known to be a recursive structure over other relations.
-func (kb *KB) DeclareRecursive(ref PredRef) { kb.recur[ref] = true }
+func (kb *KB) DeclareRecursive(ref PredRef) {
+	kb.recur[ref] = true
+	kb.gen++
+}
 
 // DeclaredRecursive reports whether the predicate carries a
 // recursive-structure SOA.

@@ -518,3 +518,30 @@ func TestSubstEqualAndString(t *testing.T) {
 		t.Fatal("clone aliases original")
 	}
 }
+
+// TestGenerationCountsChanges: every method that changes a KB moves its
+// generation, and a rejected change does not.
+func TestGenerationCountsChanges(t *testing.T) {
+	kb := NewKB()
+	p, b := PredRef{Name: "p", Arity: 1}, PredRef{Name: "b", Arity: 1}
+	clause := Clause{Head: A("p", V("X")), Body: []Atom{A("b", V("X"))}}
+	for _, step := range []struct {
+		name   string
+		change func() error
+		moves  bool
+	}{
+		{"DeclareBase", func() error { return kb.DeclareBase(b) }, true},
+		{"AddClause", func() error { return kb.AddClause(clause) }, true},
+		{"AddClause on a base relation", func() error { return kb.AddClause(Clause{Head: A("b", CInt(1))}) }, false},
+		{"DeclareBase on a derived predicate", func() error { return kb.DeclareBase(p) }, false},
+		{"AddMutex", func() error { kb.AddMutex(p, b); return nil }, true},
+		{"AddFD", func() error { kb.AddFD(FDSOA{Pred: b, From: []int{0}, To: []int{0}}); return nil }, true},
+		{"DeclareRecursive", func() error { kb.DeclareRecursive(p); return nil }, true},
+	} {
+		gen := kb.Generation()
+		err := step.change()
+		if moved := kb.Generation() != gen; moved != step.moves || (err == nil) != step.moves {
+			t.Errorf("%s: error %v, generation %d -> %d", step.name, err, gen, kb.Generation())
+		}
+	}
+}
