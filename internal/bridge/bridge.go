@@ -27,11 +27,16 @@ import (
 // The tuples a stream hands out are shared and read-only: an answer from the
 // cache may be the cached element's own rows, as a miss's answer always was
 // the rows the cache keeps. A consumer may keep a tuple, but must not write
-// into it.
+// into it. Closing the stream does not end the life of its tuples: an eager
+// stream from a StreamPool goes back to the pool on Close, but its tuples'
+// values are never reused.
 type Stream struct {
 	schema *relation.Schema
 	it     relation.Iterator
 	lazy   bool
+	// pool is the pool the stream goes back to on Close: nil for an
+	// unpooled stream, and for a pooled one once it has gone back.
+	pool *StreamPool
 	// rows or block is it for an eager stream, held here so that the stream
 	// and its iterator are one allocation.
 	rows  relation.SliceIterator
@@ -67,23 +72,51 @@ func NewStream(schema *relation.Schema, it relation.Iterator, lazy bool) *Stream
 	return &Stream{schema: schema, it: it, lazy: lazy}
 }
 
-// NewEagerStream builds a stream over a materialized relation.
-func NewEagerStream(rel *relation.Relation) *Stream { return NewRowsStream(rel.Schema(), rel.Tuples()) }
+// NewEagerStream builds an unpooled stream over a materialized relation.
+func NewEagerStream(rel *relation.Relation) *Stream {
+	return (*StreamPool)(nil).Rows(rel.Schema(), rel.Tuples())
+}
 
-// NewRowsStream builds an eager stream that hands out tuples themselves, in
-// one allocation.
-func NewRowsStream(schema *relation.Schema, tuples []relation.Tuple) *Stream {
-	s := &Stream{schema: schema}
+// StreamPool recycles eager streams: a stream it hands out comes back to it
+// when its consumer closes it, and is handed out again for a later answer.
+// Only the stream is recycled, never the tuples or values it handed out. A
+// pool has no lock: it belongs to one CMS session, whose methods are serial,
+// and a stream from it must be closed on the goroutine that queries the
+// session. The zero value is ready for use; a nil pool hands out unpooled
+// streams.
+type StreamPool struct {
+	free []*Stream
+}
+
+// get returns a stream with schema, recycled when the pool has one.
+func (p *StreamPool) get(schema *relation.Schema) *Stream {
+	if p == nil {
+		return &Stream{schema: schema}
+	}
+	var s *Stream
+	if n := len(p.free); n > 0 {
+		s, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		s = new(Stream)
+	}
+	s.schema, s.pool = schema, p
+	return s
+}
+
+// Rows returns an eager stream that hands out tuples themselves.
+func (p *StreamPool) Rows(schema *relation.Schema, tuples []relation.Tuple) *Stream {
+	s := p.get(schema)
 	s.rows = *relation.NewSliceIterator(tuples)
 	s.it = &s.rows
 	return s
 }
 
-// NewBlockStream builds an eager stream over n rows of arity values each,
-// laid end to end in vals (as subsume.Derivation.Materialize fills them). The
-// stream owns vals: the caller must not write to it afterwards.
-func NewBlockStream(schema *relation.Schema, vals []relation.Value, arity, n int) *Stream {
-	s := &Stream{schema: schema, block: valueBlock{vals: vals, arity: arity, n: n}}
+// Block returns an eager stream over n rows of arity values each, laid end to
+// end in vals (as subsume.Derivation.Materialize fills them). The stream
+// owns vals: the caller must not write to it afterwards.
+func (p *StreamPool) Block(schema *relation.Schema, vals []relation.Value, arity, n int) *Stream {
+	s := p.get(schema)
+	s.block = valueBlock{vals: vals, arity: arity, n: n}
 	s.it = &s.block
 	return s
 }
@@ -110,10 +143,17 @@ func (s *Stream) Err() error {
 
 // Close abandons the rest of the stream: an iterator with a Close method (a
 // lazy remote answer) is told to release its producer. Closing a stream that
-// ran to its end is harmless.
+// ran to its end is harmless. A stream from a StreamPool goes back to its
+// pool, once, and the tuples read from it stay valid. Using it after Close is
+// the caller's bug, a second Close included: once the pool has handed the
+// stream out again, that Close would recycle someone else's answer.
 func (s *Stream) Close() {
 	if c, ok := s.it.(interface{ Close() error }); ok {
 		c.Close()
+	}
+	if p := s.pool; p != nil {
+		*s = Stream{} // the pool keeps no schema, row or value of the answer
+		p.free = append(p.free, s)
 	}
 }
 
@@ -204,6 +244,11 @@ func (s SourceStats) DispatchConserved() bool {
 // Session is one advice-then-queries interaction (Section 3: "a session ...
 // consists of a set of advice. This is followed by a sequence of CAQL
 // queries").
+//
+// A session keeps no reference into a query once Query or QueryCtx returns:
+// what it keeps, it copies (the CMS clones a cached view's definition), so
+// the caller may overwrite the query's atoms and terms for its next query
+// while the answer is still open.
 type Session interface {
 	// Query answers one CAQL query (no cancellation: context.Background).
 	Query(q *caql.Query) (*Stream, error)

@@ -277,13 +277,19 @@ type Session struct {
 	// expression (frequency-based fallback).
 	genSeen map[string]int
 	// Scratch the planning steps reuse from query to query: canon holds the
-	// canonical form being looked up, prep the query's prepared form, cands
-	// the probe's survivors, and rows the index lookup's rows. No answer
-	// points into any of them.
+	// canonical form being looked up, prep the query's prepared form, deriv
+	// the derivation step 2 found, cands the probe's survivors, and rows the
+	// index lookup's rows. No answer points into any of them: a lazy answer
+	// copies its derivation. prep's Query is the last one prepared, until the
+	// next query replaces it; nothing reads it between queries, so the
+	// session makes no use of a query the caller has got back.
 	canon []byte
 	prep  subsume.PreparedBlock
+	deriv subsume.DerivationBlock
 	cands []*Element
 	rows  []relation.Tuple
+	// streams recycles the session's eager hit streams as the IE closes them.
+	streams bridge.StreamPool
 	// followers memoises advice.SequenceFollowers per view name: the path
 	// expression is fixed for the session, and only view names are asked.
 	followers map[string][]string

@@ -28,7 +28,8 @@ const hitPathAdvice = `
 // TestHitPathAllocs holds the CMS's hit path to the allocations it makes for
 // the answer it returns, on a warm cache: an indexed subsumed eager hit, an
 // exact hit, and a lazy hit, each answered without a remote request and as
-// caql.Eval answers it. The budgets are what the path measures today; a
+// caql.Eval answers it, with the stream left open and closed by the consumer
+// as the IE closes it. The budgets are what the path measures today; a
 // change that allocates more per hit has to say why here.
 func TestHitPathAllocs(t *testing.T) {
 	if raceEnabled {
@@ -43,27 +44,40 @@ func TestHitPathAllocs(t *testing.T) {
 	drainQ(t, s, "dx(X, Y) :- b2(X, Y)")       // the element the exact hit matches
 	for _, tc := range []struct {
 		name, query string
+		closed      bool
 		budget      float64
 	}{
-		// The derivation, the one block of answer values and the stream
-		// over it. The query is prepared into the session's block, the
-		// index lookup's rows go to the session's scratch, and the output
-		// schema is one the element served before.
-		{"indexed subsumed eager", `di(3, Z) :- b3(3, "a", Z)`, 3},
-		// The derivation and the stream: the derivation is the identity,
-		// so the stream hands out the element's own rows.
-		{"exact eager", "dx(X, Y) :- b2(X, Y)", 2},
-		// The derivation, and the stream with its iterators: the element's,
-		// the cost charger and its callback, the selection, the projection,
-		// the guard and its check. The projection's row blocks are made as
-		// the stream is drained.
-		{"subsumed lazy", `dg(X, "a", Z) :- b3(X, "a", Z)`, 9},
+		// The derivation is built in the session's block, the query is
+		// prepared into the session's, the index lookup's rows go to the
+		// session's scratch, and the output schema is one the element served
+		// before. What is left is the one block of answer values, and the
+		// stream over it unless the consumer closes it and the session hands
+		// it out again.
+		{"indexed subsumed eager", `di(3, Z) :- b3(3, "a", Z)`, false, 2},
+		{"indexed subsumed eager, closed", `di(3, Z) :- b3(3, "a", Z)`, true, 1},
+		// The derivation is the identity, so the stream hands out the
+		// element's own rows: the stream is all, and nothing once closed.
+		{"exact eager", "dx(X, Y) :- b2(X, Y)", false, 1},
+		{"exact eager, closed", "dx(X, Y) :- b2(X, Y)", true, 0},
+		// The stream with its iterators: the element's, the cost charger and
+		// its callback, the selection, the projection with its copy of the
+		// derivation, the guard and its check. The projection's row blocks
+		// are made as the stream is drained. A lazy stream is not recycled.
+		{"subsumed lazy", `dg(X, "a", Z) :- b3(X, "a", Z)`, false, 8},
+		{"subsumed lazy, closed", `dg(X, "a", Z) :- b3(X, "a", Z)`, true, 8},
 	} {
 		q := caql.MustParse(tc.query)
-		for i := 0; i < 3; i++ { // build the index, grow the session's scratch
-			if _, err := s.Query(q); err != nil {
+		ask := func() {
+			st, err := s.Query(q)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.closed {
+				st.Close()
+			}
+		}
+		for i := 0; i < 3; i++ { // build the index, grow the session's scratch
+			ask()
 		}
 		want, err := caql.Eval(q, src)
 		if err != nil {
@@ -73,11 +87,7 @@ func TestHitPathAllocs(t *testing.T) {
 			t.Fatalf("%s: got %v, want %v", tc.name, got.Tuples(), want.Tuples())
 		}
 		before := cms.Stats()
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := s.Query(q); err != nil {
-				t.Fatal(err)
-			}
-		})
+		allocs := testing.AllocsPerRun(50, ask)
 		after := cms.Stats()
 		if after.RemoteRequests != before.RemoteRequests || after.CacheHits-before.CacheHits != 51 {
 			t.Fatalf("%s: not a cache hit every time: %d remote requests, %d hits in 51 queries",
@@ -154,13 +164,17 @@ func TestLazyHitDrainAllocs(t *testing.T) {
 }
 
 // TestHitAnswersSurviveScratchReuse: a session prepares every query into one
-// block and reads index rows into one scratch slice, reusing both from query
-// to query, so no answer may point into either. One answer of each kind of
-// hit (indexed eager, exact eager, which shares the element's rows, lazy,
-// lazy identity, decomposed and generalized) is half read, with a copy of each tuple taken as it is handed out, and left open
-// while 200 further queries run on the session. Then every kept tuple must
-// still equal its copy, and the rest of each stream must complete the answer
-// caql.Eval gives.
+// block, builds its derivation in another and reads index rows into one
+// scratch slice, reusing all three from query to query, and hands a closed
+// eager stream out again, so no answer may point into any of them. One
+// answer of each kind of hit (indexed eager, exact eager, which shares the
+// element's rows, lazy, lazy identity, decomposed and generalized) is half
+// read, with a copy of each tuple taken as it is handed out, and left open
+// while 200 further queries run on the session, each drained and closed, so
+// that their streams are recycled. Then every kept tuple must still equal its
+// copy, the rest of each open stream must complete the answer caql.Eval
+// gives, and every tuple drained from a closed stream must still be what it
+// was when it was read.
 func TestHitAnswersSurviveScratchReuse(t *testing.T) {
 	e, src := fixtureEngine(t, 21, 60)
 	cms := newCMS(t, e, Options{Features: AllFeatures()})
@@ -225,9 +239,11 @@ func TestHitAnswersSurviveScratchReuse(t *testing.T) {
 		answers = append(answers, a)
 	}
 
-	// Hits that reuse the prepared block (ranges included) and the index
-	// rows; the last is an exact hit with no head constant.
+	// Hits that reuse the prepared block (ranges included), the derivation
+	// block, the index rows and the closed streams; the last is an exact hit
+	// with no head constant.
 	remote := cms.Stats().RemoteRequests
+	var closed, closedCopies [][]relation.Tuple
 	for i := 0; i < 200; i++ {
 		k, y := i%8, string(rune('a'+i%4))
 		var q string
@@ -247,11 +263,29 @@ func TestHitAnswersSurviveScratchReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := drainQ(t, s, q); !got.EqualAsBag(want) {
+		st, err := s.QueryText(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := st.Drain("out")
+		st.Close()
+		if !got.EqualAsBag(want) {
 			t.Fatalf("query %d, %s: got %v, want %v", i, q, got.Tuples(), want.Tuples())
 		}
+		copies := make([]relation.Tuple, got.Len())
+		for j, tu := range got.Tuples() {
+			copies[j] = slices.Clone(tu)
+		}
+		closed, closedCopies = append(closed, got.Tuples()), append(closedCopies, copies)
 	}
 
+	for i, rows := range closed {
+		for j, tu := range rows {
+			if !tu.Equal(closedCopies[i][j]) {
+				t.Fatalf("further query %d: tuple %d read before Close is %v, was %v", i, j, tu, closedCopies[i][j])
+			}
+		}
+	}
 	for _, a := range answers {
 		for i, tu := range a.kept {
 			if !tu.Equal(a.copies[i]) {
@@ -589,4 +623,152 @@ func TestIdentityHitSharesRows(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStreamPoolHandsOutOnce: a session recycles an eager hit's stream when
+// its consumer closes it, and hands it out again only after that. With k
+// streams open at once over 50 queries, no two open streams are one object,
+// each answers as caql.Eval does, and the session needs no more than k+1
+// streams. A stream closed twice in a row goes back to the pool once, so the
+// next two hits get two streams. Close on a lazy or an unpooled stream
+// leaves it as it was, readable to its end, and puts nothing in the pool.
+func TestStreamPoolHandsOutOnce(t *testing.T) {
+	e, src := fixtureEngine(t, 21, 60)
+	cms := newCMS(t, e, Options{Features: AllFeatures()})
+	s := cms.BeginSession(advice.MustParse(hitPathAdvice)).(*Session)
+	defer s.End()
+	drainQ(t, s, "dg(X, Y, Z) :- b3(X, Y, Z)")
+	drainQ(t, s, "dx(X, Y) :- b2(X, Y)")
+
+	eager := []string{"dx(X, Y) :- b2(X, Y)", `di(3, Z) :- b3(3, "a", Z)`, `di(5, Z) :- b3(5, "a", Z)`}
+	ask := func(q string, lazy bool) *bridge.Stream {
+		t.Helper()
+		st, err := s.QueryText(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Lazy() != lazy {
+			t.Fatalf("%s: answer lazy = %v, want %v", q, st.Lazy(), lazy)
+		}
+		return st
+	}
+	// check drains st and compares kept plus drained with q's answer.
+	check := func(st *bridge.Stream, q string, kept []relation.Tuple) {
+		t.Helper()
+		want, err := caql.Eval(caql.MustParse(q), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := relation.FromTuples("out", st.Schema(), append(kept, st.Drain("rest").Tuples()...))
+		if !got.EqualAsBag(want) {
+			t.Fatalf("%s: got %v, want %v", q, got.Tuples(), want.Tuples())
+		}
+	}
+
+	for _, k := range []int{1, 2, 3, 5} {
+		type open struct {
+			q  string
+			st *bridge.Stream
+		}
+		var opened []open
+		seen := map[*bridge.Stream]bool{}
+		for i := 0; i < 50; i++ {
+			q := eager[i%len(eager)]
+			st := ask(q, false)
+			for _, o := range opened {
+				if o.st == st {
+					t.Fatalf("k=%d, query %d: the stream handed out is still open for %s", k, i, o.q)
+				}
+			}
+			seen[st] = true
+			opened = append(opened, open{q, st})
+			if len(opened) > k {
+				check(opened[0].st, opened[0].q, nil)
+				opened[0].st.Close()
+				opened = opened[1:]
+			}
+		}
+		for _, o := range opened {
+			check(o.st, o.q, nil)
+			o.st.Close()
+		}
+		if len(seen) > k+1 {
+			t.Errorf("k=%d: %d streams for 50 queries with %d open at once; closed streams are not reused", k, len(seen), k)
+		}
+	}
+
+	twice := ask(eager[0], false)
+	twice.Close()
+	twice.Close()
+	a, b := ask(eager[0], false), ask(eager[1], false)
+	if a == b {
+		t.Fatal("a stream closed twice was handed out twice")
+	}
+	check(a, eager[0], nil)
+	check(b, eager[1], nil)
+	a.Close()
+	b.Close()
+
+	lq := `dg(X, "a", Z) :- b3(X, "a", Z)`
+	lazy := ask(lq, true)
+	kept := lazy.Take(1)
+	lazy.Close()
+	c, d := ask(eager[0], false), ask(eager[1], false)
+	if c == lazy || d == lazy {
+		t.Fatal("a closed lazy stream was handed out again")
+	}
+	check(lazy, lq, kept)
+	c.Close()
+	d.Close()
+
+	rel := drainQ(t, s, eager[1])
+	unpooled := bridge.NewEagerStream(rel)
+	kept = unpooled.Take(1)
+	unpooled.Close()
+	unpooled.Close()
+	check(unpooled, eager[1], kept)
+}
+
+// TestClosingAnEndedStreamIsFree: the IE closes every segment stream it has
+// read to its end, lazy remote answers included. Over the in-process client
+// and a PoolClient, closing a drained lazy remote answer, once or twice,
+// cancels no remote stream, sends no frame and advances the session clock
+// by nothing, where closing one half read cancels its stream.
+func TestClosingAnEndedStreamIsFree(t *testing.T) {
+	overBothTransports(t, func(t *testing.T, e *remotedb.Engine, client remotedb.Client) {
+		cms := New(client, Options{Features: Features{Lazy: true}, Costs: remotedb.DefaultCosts()})
+		s := cms.BeginSession(nil).(*Session)
+		defer s.End()
+		st, err := s.QueryText(viewOverS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Lazy() {
+			t.Fatal("the answer is not a lazy remote stream")
+		}
+		rows, err := st.DrainErr("out")
+		if err != nil || rows.Len() != 10 {
+			t.Fatalf("drained %d rows (err %v), want 10", rows.Len(), err)
+		}
+		before, clock := cms.Stats(), s.SimNow()
+		st.Close()
+		st.Close()
+		after := cms.Stats()
+		if after.StreamsCanceled != before.StreamsCanceled || after.FramesSent != before.FramesSent || s.SimNow() != clock {
+			t.Fatalf("closing a drained stream canceled %d streams, sent %d frames and charged %.4f ms",
+				after.StreamsCanceled-before.StreamsCanceled, after.FramesSent-before.FramesSent, s.SimNow()-clock)
+		}
+		// Over the pool, the counters do see a Close that abandons a stream.
+		if _, ok := client.(*remotedb.PoolClient); ok {
+			st, err = s.QueryText(viewOverS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Take(1)
+			st.Close()
+			if cms.Stats().StreamsCanceled != after.StreamsCanceled+1 {
+				t.Fatalf("closing a half-read stream canceled %d streams, want 1", cms.Stats().StreamsCanceled-after.StreamsCanceled)
+			}
+		}
+	})
 }

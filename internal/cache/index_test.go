@@ -192,7 +192,7 @@ func TestProbeFlatInResidentElements(t *testing.T) {
 			t.Fatalf("n=%d: %d survivors for a point query, want at most 2 (its own element and the whole relation)", n, len(got))
 		}
 		for _, e := range got {
-			if _, ok := e.sig.DeriveFull(known); !ok {
+			if _, ok := e.sig.DeriveFull(known, nil); !ok {
 				t.Errorf("n=%d: survivor %s does not derive the query", n, e.Def)
 			}
 		}

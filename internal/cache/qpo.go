@@ -298,7 +298,7 @@ func (s *Session) plan(ctx context.Context, pq *subsume.Prepared, canon []byte, 
 			if err == nil {
 				s.advance(sim)
 				e := s.cacheResult(gq, gq.Canonical(), ext, vs, stamp)
-				if d, ok := e.sig.DeriveFull(pq); ok {
+				if d, ok := e.sig.DeriveFull(pq, &s.deriv); ok {
 					v.kind, v.e, v.d = generalized, e, d
 					return v, nil
 				}
@@ -326,8 +326,10 @@ func (s *Session) plan(ctx context.Context, pq *subsume.Prepared, canon []byte, 
 // fromCache is step 2, which planning and prefetch both ask: does one
 // element answer pq, by exact match (2a) or as the smallest survivor of the
 // probe that derives it (2b; the lower ID on a tie)? Stale elements are
-// invalidated on the way. The survivors are returned for the decomposition;
-// prefetch passes a nil tracer.
+// invalidated on the way. The derivation is built in the session's block,
+// where the next query's step 2 overwrites it, so 2b derives a survivor only
+// when it is smaller than the best so far. The survivors are returned for the
+// decomposition; prefetch passes a nil tracer.
 func (s *Session) fromCache(ctx context.Context, tr *obs.Tracer, pq *subsume.Prepared, canon []byte, st staleCheck) (v verdict, survivors []*Element, err error) {
 	c := s.cms
 	f := c.opts.Features
@@ -336,7 +338,7 @@ func (s *Session) fromCache(ctx context.Context, tr *obs.Tracer, pq *subsume.Pre
 	if f.ExactMatch && f.ResultCaching {
 		_, probe := tr.Start(ctx, "cms.cache_probe")
 		if e := c.mgr.ExactMatchFor(canon, s.id); e != nil && !st.stale(e) {
-			if d, ok := e.sig.DeriveFull(pq); ok {
+			if d, ok := e.sig.DeriveFull(pq, &s.deriv); ok {
 				probe.Set("hit", "exact")
 				probe.End()
 				return verdict{kind: exact, e: e, d: d}, nil, nil
@@ -356,7 +358,10 @@ func (s *Session) fromCache(ctx context.Context, tr *obs.Tracer, pq *subsume.Pre
 			if err := bridge.CtxError(ctx); err != nil {
 				return verdict{}, nil, err
 			}
-			if d, ok := e.sig.DeriveFull(pq); ok && (v.e == nil || e.SizeBytes() < v.e.SizeBytes()) {
+			if v.e != nil && e.SizeBytes() >= v.e.SizeBytes() {
+				continue
+			}
+			if d, ok := e.sig.DeriveFull(pq, &s.deriv); ok {
 				v = verdict{kind: subsumed, e: e, d: d}
 			}
 		}
@@ -485,11 +490,11 @@ func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, q *caql.Qu
 		// An identity selects nothing, so rows are the extension itself, not
 		// index rows in session scratch, and no one writes to them.
 		s.advanceLocal(c.opts.Costs.PerLocalOp * float64(ops+len(rows)))
-		return bridge.NewRowsStream(schema, rows), nil
+		return s.streams.Rows(schema, rows), nil
 	}
 	vals, n := d.Materialize(rows, skip)
 	s.advanceLocal(c.opts.Costs.PerLocalOp * float64(ops+n))
-	return bridge.NewBlockStream(schema, vals, len(d.OutCols), n), nil
+	return s.streams.Block(schema, vals, len(d.OutCols), n), nil
 }
 
 // derivedRows picks the rows a derivation reads: the rows an attribute index

@@ -228,7 +228,7 @@ func (e *Engine) Ask(goal logic.Atom) (*Solutions, error) {
 		r.goal[0].atom = &r.goalAtom
 	}
 	r.g = cont{items: r.goal[:], base: r.b.Push(len(vars)), anc: -1, next: -1}
-	r.choices = r.buf[:0]
+	r.choices, r.free = r.buf[:0], r.freeBuf[:0]
 	return &Solutions{vars: vars, search: r}, nil
 }
 

@@ -42,6 +42,10 @@ type runner struct {
 	live    bool // false once g failed or was answered: next backtracks first
 	choices []choice
 	buf     [8]choice // choices' first backing: most searches are shallower
+	// free holds the query blocks of segments whose choices have popped, for
+	// instantiate to reuse; freeBuf is its first backing.
+	free    []*queryBlock
+	freeBuf [8]*queryBlock
 
 	b     logic.Bindings
 	conts []cont
@@ -53,15 +57,16 @@ type runner struct {
 	built   bool
 }
 
-// choice is an open alternative. A segment's is its open stream for query q:
-// each further tuple binds the head of seg and resumes goal, the rest of the
-// clause. A call's is its clauses not yet tried; the call is conts[conts-1]
-// and its ancestor entry anc[anc-1]. The bindings mark and the stack heights
-// are the search's state when the choice was pushed, restored by every retry.
+// choice is an open alternative. A segment's is its open stream for the
+// query in blk: each further tuple binds the head of seg and resumes goal,
+// the rest of the clause. A call's is its clauses not yet tried; the call is
+// conts[conts-1] and its ancestor entry anc[anc-1]. The bindings mark and the
+// stack heights are the search's state when the choice was pushed, restored
+// by every retry.
 type choice struct {
 	goal    cont
 	stream  *bridge.Stream
-	q       *caql.Query
+	blk     *queryBlock
 	seg     *viewTemplate
 	clauses []*compiledClause
 
@@ -153,7 +158,9 @@ func (r *runner) push(c choice) {
 }
 
 // retry backtracks into the newest choice and makes its next alternative the
-// goal; a choice with none left is popped (false).
+// goal; a choice with none left is popped (false). A segment's choice pops
+// once its stream has ended and its Err is read: the stream is closed, and
+// its query block goes back on the free list.
 func (r *runner) retry() (ok bool, err error) {
 	c := &r.choices[len(r.choices)-1]
 	r.conts, r.anc, r.keys = r.conts[:c.conts], r.anc[:c.anc], r.keys[:c.keys]
@@ -163,6 +170,10 @@ func (r *runner) retry() (ok bool, err error) {
 		ok, err = r.nextClause(c)
 	}
 	if !ok {
+		if c.stream != nil {
+			c.stream.Close()
+			r.free = append(r.free, c.blk)
+		}
 		r.choices = r.choices[:len(r.choices)-1]
 	}
 	return ok, err
@@ -171,6 +182,7 @@ func (r *runner) retry() (ok bool, err error) {
 // nextTuple resumes a segment's goal with the next tuple that binds its head.
 // A stream that stopped on an error fails the search.
 func (r *runner) nextTuple(c *choice) (bool, error) {
+	q := &c.blk.q
 	for {
 		r.b.Undo(c.mark)
 		tu, ok := c.stream.Next()
@@ -178,7 +190,7 @@ func (r *runner) nextTuple(c *choice) (bool, error) {
 			return false, c.stream.Err()
 		}
 		bound := true
-		for i, n := range c.seg.nums[:len(c.q.Head.Args)] {
+		for i, n := range c.seg.nums[:len(q.Head.Args)] {
 			if n >= 0 && !r.b.UnifyConst(c.goal.base+int(n), tu[i]) {
 				bound = false
 				break
@@ -187,7 +199,7 @@ func (r *runner) nextTuple(c *choice) (bool, error) {
 		if bound {
 			r.g = c.goal
 			if r.engine.opts.Explain {
-				r.g.acc = appendProof(c.goal.acc, &Proof{Kind: "query", Detail: c.q.String(), Tuple: tu})
+				r.g.acc = appendProof(c.goal.acc, &Proof{Kind: "query", Detail: q.String(), Tuple: tu})
 			}
 			return true, nil
 		}
@@ -254,12 +266,12 @@ func (r *runner) step() (bool, error) {
 		return true, nil
 
 	case itemSegment:
-		q := r.instantiate(it.seg, g.base)
-		stream, err := r.session.Query(q)
+		blk := r.instantiate(it.seg, g.base)
+		stream, err := r.session.Query(&blk.q)
 		if err != nil {
 			return false, err
 		}
-		r.push(choice{goal: *g, stream: stream, q: q, seg: it.seg})
+		r.push(choice{goal: *g, stream: stream, blk: blk, seg: it.seg})
 		return r.retry()
 
 	case itemCall:
@@ -308,10 +320,16 @@ func (r *runner) value(a *logic.NumAtom, i, base int) (c relation.Value, ok bool
 // frame at base: the view is named as the shape names it, a bound variable
 // becomes its constant, and each free root is named after the first template
 // variable that reaches it. The query, its body atoms and its terms are one
-// queryBlock while the template fits.
-func (r *runner) instantiate(vt *viewTemplate, base int) *caql.Query {
+// queryBlock while the template fits: one from the free list, or a new one
+// when the list is empty.
+func (r *runner) instantiate(vt *viewTemplate, base int) *queryBlock {
 	tq := &vt.query
-	blk := new(queryBlock)
+	var blk *queryBlock
+	if n := len(r.free); n > 0 {
+		blk, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		blk = new(queryBlock)
+	}
 	terms := carve(blk.terms[:], len(vt.nums))
 	nrels := len(tq.Rels)
 	body := carve(blk.atoms[:], nrels+len(tq.Cmps))
@@ -327,7 +345,7 @@ func (r *runner) instantiate(vt *viewTemplate, base int) *caql.Query {
 	for i, a := range tq.Cmps {
 		q.Cmps[i], at = r.resolveArgs(terms, at, a, vt.nums, base)
 	}
-	return q
+	return blk
 }
 
 // queryBlock is an instantiated query and the atoms and terms its slices are
@@ -335,8 +353,9 @@ func (r *runner) instantiate(vt *viewTemplate, base int) *caql.Query {
 // binary atom under a head of at most two columns (every query of the ie_ask
 // benchmark), and no more, so the block costs no more bytes than the three
 // allocations it replaces; a larger template takes an allocation more for
-// each array it overflows. Blocks are never reused: the session a query is
-// asked of may keep it.
+// each array it overflows. A block is reused once its segment's choice has
+// popped, which bridge.Session allows: a session keeps no reference into a
+// query once it has answered it.
 type queryBlock struct {
 	q     caql.Query
 	atoms [1]logic.Atom

@@ -35,15 +35,19 @@ func DeriveFull(e, q *caql.Query) (*Derivation, bool) {
 	if len(e.Rels) != len(q.Rels) || !mayDerive(e, q, nil, nil) {
 		return nil, false
 	}
-	return Prepare(e).DeriveFull(Prepare(q))
+	return Prepare(e).DeriveFull(Prepare(q), nil)
 }
 
 // DeriveFull is the package-level DeriveFull on prepared forms. It takes the
 // first assignment in Match's search order that validates — every candidate
 // covers all of q, so Match would keep that one alone — and builds the
-// derivation straight from its binding, without a VarCols map, in one
-// allocation while the query is small. Refusing allocates nothing.
-func (e *Prepared) DeriveFull(q *Prepared) (*Derivation, bool) {
+// derivation straight from its binding, without a VarCols map, in blk, or in
+// a new block when blk is nil. The derivation lives in blk, its slices too
+// while they fit, until blk is built into again: a caller that reuses one
+// block from query to query (the CMS session does) allocates nothing here,
+// and must not keep the derivation past the block's next use. Refusing
+// allocates nothing and leaves blk as it was.
+func (e *Prepared) DeriveFull(q *Prepared, blk *DerivationBlock) (*Derivation, bool) {
 	// Every candidate uses all of e's atoms, so it covers all of q's exactly
 	// when the two have as many.
 	if len(e.Query.Rels) != len(q.Query.Rels) || !searchable(e, q) {
@@ -83,13 +87,16 @@ func (e *Prepared) DeriveFull(q *Prepared) (*Derivation, bool) {
 			return nil, false
 		}
 	}
-	return v.derivation(s.assign, empty), true
+	if blk == nil {
+		blk = new(DerivationBlock)
+	}
+	return v.derivation(s.assign, empty, blk), true
 }
 
-// derivationBlock is a whole-query derivation in one allocation: the
+// DerivationBlock is a whole-query derivation in one allocation: the
 // Derivation, its Candidate, and the arrays their slices are carved from
-// while they fit.
-type derivationBlock struct {
+// while they fit. Its zero value is ready for DeriveFull.
+type DerivationBlock struct {
 	d     Derivation
 	c     Candidate
 	ints  [8]int
@@ -97,30 +104,39 @@ type derivationBlock struct {
 	vals  [4]relation.Value
 }
 
-// derivation builds the whole-query derivation for the validated assignment.
-// Its Candidate has no VarCols: the output columns come from the binding,
-// and nothing on the full-derivation path reads the map.
-func (v *validation) derivation(assign []int, empty bool) *Derivation {
-	q := v.b.q
-	blk := new(derivationBlock)
-	nc, ncov, nh := len(assign), len(v.coveredCmps), len(q.head)
+// layout clears blk and lays out in it a derivation of nc covered atoms,
+// ncov covered comparisons, nconds conditions and nh head positions, whose
+// slices the caller fills.
+func (blk *DerivationBlock) layout(nc, ncov, nconds, nh int) *Derivation {
+	*blk = DerivationBlock{}
 	ints := carve(blk.ints[:], nc+ncov+nh)
 	c := &blk.c
-	c.Element = v.b.e.Query
 	c.Cover = ints[:nc:nc]
-	copy(c.Cover, assign)
-	sort.Ints(c.Cover)
 	if ncov > 0 {
 		c.CoveredCmps = ints[nc : nc+ncov : nc+ncov]
-		copy(c.CoveredCmps, v.coveredCmps)
 	}
-	if len(v.conds) > 0 {
-		c.Conds = carve(blk.conds[:], len(v.conds))
-		copy(c.Conds, v.conds)
+	if nconds > 0 {
+		c.Conds = carve(blk.conds[:], nconds)
 	}
 	d := &blk.d
-	d.Candidate, d.Empty = c, empty
+	d.Candidate = c
 	d.OutCols, d.Consts = ints[nc+ncov:], carve(blk.vals[:], nh)
+	return d
+}
+
+// derivation builds the whole-query derivation for the validated assignment
+// in blk. Its Candidate has no VarCols: the output columns come from the
+// binding, and nothing on the full-derivation path reads the map.
+func (v *validation) derivation(assign []int, empty bool, blk *DerivationBlock) *Derivation {
+	q := v.b.q
+	d := blk.layout(len(assign), len(v.coveredCmps), len(v.conds), len(q.head))
+	c := d.Candidate
+	c.Element = v.b.e.Query
+	copy(c.Cover, assign)
+	sort.Ints(c.Cover)
+	copy(c.CoveredCmps, v.coveredCmps)
+	copy(c.Conds, v.conds)
+	d.Empty = empty
 	for i, t := range q.head {
 		if t < 0 {
 			d.OutCols[i] = -1
@@ -130,6 +146,20 @@ func (v *validation) derivation(assign []int, empty bool) *Derivation {
 		}
 	}
 	return d
+}
+
+// copyInto copies d into blk, which it overwrites, and returns the copy.
+func (d *Derivation) copyInto(blk *DerivationBlock) *Derivation {
+	c := d.Candidate
+	out := blk.layout(len(c.Cover), len(c.CoveredCmps), len(c.Conds), len(d.OutCols))
+	out.Candidate.Element = c.Element
+	copy(out.Candidate.Cover, c.Cover)
+	copy(out.Candidate.CoveredCmps, c.CoveredCmps)
+	copy(out.Candidate.Conds, c.Conds)
+	copy(out.OutCols, d.OutCols)
+	copy(out.Consts, d.Consts)
+	out.Empty = d.Empty
+	return out
 }
 
 // Apply computes q's extension from ext(E) according to the derivation.
@@ -225,6 +255,8 @@ func passes(conds []relation.Cond, skip int, t relation.Tuple) bool {
 // to lazyMaxBlockRows (relation's tupleArena rule), so a long stream costs an
 // allocation per block, not per row. A block is never reused, so every row
 // handed out stays valid. The identity derivation hands out src's own rows.
+// The pipeline keeps a copy of d, in its own allocation, so d's block may be
+// built into again while the stream is read.
 func (d *Derivation) ApplyLazy(src relation.Iterator) relation.Iterator {
 	if d.Empty {
 		return relation.Empty()
@@ -232,13 +264,16 @@ func (d *Derivation) ApplyLazy(src relation.Iterator) relation.Iterator {
 	if d.Identity() {
 		return src
 	}
-	return &lazyRows{d: d, sel: relation.Select(src, d.Candidate.Conds)}
+	l := new(lazyRows)
+	l.sel = relation.Select(src, d.copyInto(&l.own).Candidate.Conds)
+	return l
 }
 
-// lazyRows is ApplyLazy's iterator. block is what is left of the current
-// block, and rows the number of rows that block was made for.
+// lazyRows is ApplyLazy's iterator over its copy of the derivation, held in
+// own. block is what is left of the current block, and rows the number of
+// rows that block was made for.
 type lazyRows struct {
-	d     *Derivation
+	own   DerivationBlock
 	sel   relation.Iterator
 	block []relation.Value
 	rows  int
@@ -250,14 +285,15 @@ func (l *lazyRows) Next() (relation.Tuple, bool) {
 	if !ok {
 		return nil, false
 	}
-	arity := len(l.d.OutCols)
+	d := &l.own.d
+	arity := len(d.OutCols)
 	if len(l.block) < arity {
 		l.rows = min(max(2*l.rows, lazyBlockRows), lazyMaxBlockRows)
 		l.block = make([]relation.Value, l.rows*arity)
 	}
 	row := l.block[:arity:arity]
 	l.block = l.block[arity:]
-	l.d.project(row, t)
+	d.project(row, t)
 	return relation.Tuple(row), true
 }
 

@@ -83,7 +83,7 @@ func TestNoAllocatesNothing(t *testing.T) {
 				continue
 			}
 			refused++
-			if n := testing.AllocsPerRun(5, func() { pe.Match(pq, needed); pe.DeriveFull(pq) }); n != 0 {
+			if n := testing.AllocsPerRun(5, func() { pe.Match(pq, needed); pe.DeriveFull(pq, nil) }); n != 0 {
 				t.Errorf("prepared Match/DeriveFull allocate %v to refuse\nE: %s\nQ: %s", n, e, q)
 			}
 			if !mayDerive(e, q, nil, nil) {
@@ -113,10 +113,10 @@ func TestPrepareAndDeriveFullAllocateOnce(t *testing.T) {
 			t.Errorf("Prepare(%s) allocates %v, want 1", e, n)
 		}
 		pq := Prepare(q)
-		if _, ok := pe.DeriveFull(pq); !ok {
+		if _, ok := pe.DeriveFull(pq, nil); !ok {
 			t.Fatalf("%s does not derive %s", e, q)
 		}
-		if n := testing.AllocsPerRun(20, func() { pe.DeriveFull(pq) }); n != 1 {
+		if n := testing.AllocsPerRun(20, func() { pe.DeriveFull(pq, nil) }); n != 1 {
 			t.Errorf("DeriveFull(%s, %s) allocates %v, want 1", e, q, n)
 		}
 	}

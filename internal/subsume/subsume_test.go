@@ -2,6 +2,7 @@ package subsume
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -438,13 +439,13 @@ func TestDerivationSoundnessRandom(t *testing.T) {
 		slices.Reverse(rev.Rels)
 		for _, qq := range []*caql.Query{rev, q} {
 			pq := Prepare(qq)
-			got, _ := pe.DeriveFull(pq)
+			got, _ := pe.DeriveFull(pq, nil)
 			ref, _ := referenceDeriveFull(pe, pq)
 			if diff := sameDerivation(got, ref); diff != "" {
 				t.Fatalf("trial %d: DeriveFull departs from the reference: %s\nE: %s\nQ: %s", trial, diff, e, qq)
 			}
 		}
-		d, ok := pe.DeriveFull(Prepare(q))
+		d, ok := pe.DeriveFull(Prepare(q), nil)
 		if !ok {
 			continue
 		}
@@ -623,6 +624,53 @@ func TestMatchCondsInColumnOrder(t *testing.T) {
 		}
 		if got := cands[0].Conds; !slices.EqualFunc(got, want, same) {
 			t.Fatalf("run %d: conds %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestDeriveFullIntoBlock: a derivation built into a reused block is the one
+// a new block gets, and costs no allocation; a refusal leaves the block's
+// derivation as it was; and a lazy answer keeps its own copy, so building
+// into the block again while the answer is read changes nothing it hands
+// out.
+func TestDeriveFullIntoBlock(t *testing.T) {
+	e := caql.MustParse("e(A, B, C) :- b3(A, B, C)")
+	ext := relation.New("e", relation.NewSchema(at("A", relation.KindInt), at("B", relation.KindInt), at("C", relation.KindInt)))
+	for i := 0; i < 300; i++ {
+		ext.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Int(int64(i % 3)), relation.Int(int64(i % 10))})
+	}
+	pe := Prepare(e)
+	var blk DerivationBlock
+	for _, tc := range []struct{ q, other string }{
+		{"q(A, 7) :- b3(A, B, 7) & A > 20", "r(C, B, 5) :- b3(4, B, C)"},
+		{"r(C, B, 5) :- b3(4, B, C)", "q(A, 7) :- b3(A, B, 7) & A > 20"},
+	} {
+		q, other := caql.MustParse(tc.q), caql.MustParse(tc.other)
+		pq, po := Prepare(q), Prepare(other)
+		d, ok := pe.DeriveFull(pq, &blk)
+		fresh, _ := pe.DeriveFull(pq, nil)
+		if !ok || !reflect.DeepEqual(d, fresh) {
+			t.Fatalf("%s: into a reused block %+v, into a new one %+v", tc.q, d, fresh)
+		}
+		if n := testing.AllocsPerRun(20, func() { pe.DeriveFull(pq, &blk) }); n != 0 {
+			t.Errorf("%s: DeriveFull into a reused block allocates %v, want 0", tc.q, n)
+		}
+		if _, ok := Prepare(caql.MustParse("w(X) :- b2(X, X)")).DeriveFull(pq, &blk); ok || !reflect.DeepEqual(d, fresh) {
+			t.Fatalf("%s: a refusal changed the block's derivation to %+v", tc.q, d)
+		}
+
+		want, err := caql.Eval(q, caql.MapSource{"b3": ext})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy := d.ApplyLazy(ext.Iter())
+		kept := relation.Take(lazy, want.Len()/2)
+		if _, ok := pe.DeriveFull(po, &blk); !ok {
+			t.Fatalf("%s does not derive %s", e, other)
+		}
+		got := relation.FromTuples("out", want.Schema(), append(kept, relation.Drain("rest", want.Schema(), lazy).Tuples()...))
+		if !got.EqualAsBag(want) {
+			t.Fatalf("%s: lazy answer read across a rebuild of its block: got %v, want %v", tc.q, got.Tuples(), want.Tuples())
 		}
 	}
 }
