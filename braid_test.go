@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/caql"
+	"repro/internal/relation"
 )
 
 func quickstartSystem(t *testing.T, opts ...Option) *System {
@@ -307,6 +310,62 @@ func TestPublicAPIDirectCAQLAndClosure(t *testing.T) {
 	}
 	if _, err := sys.QueryCAQL("broken("); err == nil {
 		t.Error("parse error should propagate")
+	}
+}
+
+// TestQueryCAQLUnion: a CAQL text of two clauses is their union, answered
+// through the CMS as caql.EvalUnion answers it over the same rows; a repeat
+// is served from the cache.
+func TestQueryCAQLUnion(t *testing.T) {
+	kb := MustParseKB(`:- base(edge/2).`)
+	db := NewDB()
+	db.MustExec(`CREATE TABLE edge (a INT, b INT)`)
+	db.MustExec(`INSERT INTO edge VALUES (1,2), (2,3), (3,4), (4,1)`)
+	sys, err := New(kb, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const text = `
+		q(X, Y) :- edge(X, Y) & X < 3.
+		q(X, Y) :- edge(X, Y) & Y > 2.`
+	edge := relation.New("edge", relation.NewSchema(
+		relation.Attr{Name: "a", Kind: relation.KindInt}, relation.Attr{Name: "b", Kind: relation.KindInt}))
+	for _, e := range [][2]int64{{1, 2}, {2, 3}, {3, 4}, {4, 1}} {
+		edge.MustAppend(relation.Tuple{relation.Int(e[0]), relation.Int(e[1])})
+	}
+	u, err := caql.ParseUnion(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := caql.EvalUnion(u, caql.MapSource{"edge": edge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := map[string]bool{}
+	for _, tu := range want.Tuples() {
+		wantRows[fmt.Sprint(map[string]any{"X": goValue(tu[0]), "Y": goValue(tu[1])})] = true
+	}
+	for pass := 0; pass < 2; pass++ {
+		before := sys.Stats().RemoteRequests
+		rows, err := sys.QueryCAQL(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]bool{}
+		for _, r := range rows {
+			got[fmt.Sprint(r)] = true
+		}
+		if len(rows) != len(wantRows) || len(got) != len(wantRows) {
+			t.Fatalf("pass %d: union rows %v, want caql.EvalUnion's %v", pass, rows, want.Sort())
+		}
+		for r := range got {
+			if !wantRows[r] {
+				t.Fatalf("pass %d: union row %s is not caql.EvalUnion's", pass, r)
+			}
+		}
+		if pass == 1 && sys.Stats().RemoteRequests != before {
+			t.Fatal("a repeated union should be served from the cache")
+		}
 	}
 }
 

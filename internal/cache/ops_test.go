@@ -1,8 +1,12 @@
 package cache
 
 import (
+	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/bridge"
 	"repro/internal/caql"
 	"repro/internal/relation"
 	"repro/internal/remotedb"
@@ -43,35 +47,6 @@ func TestQueryUnion(t *testing.T) {
 	// Invalid unions propagate errors.
 	if _, err := s.QueryUnion(&caql.Union{}); err == nil {
 		t.Fatal("empty union should error")
-	}
-}
-
-func TestQueryAgg(t *testing.T) {
-	e, src := fixtureEngine(t, 62, 40)
-	cms := newCMS(t, e, Options{Features: AllFeatures()})
-	s := cms.BeginSession(nil).(*Session)
-	defer s.End()
-
-	a := &caql.AggQuery{
-		Inner:   caql.MustParse("d(X, Y) :- b2(X, Y)"),
-		GroupBy: []int{0},
-		Specs:   []relation.AggSpec{{Op: relation.AggCount, Col: -1}, {Op: relation.AggMax, Col: 1}},
-	}
-	stream, err := s.QueryAgg(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := stream.Drain("got")
-	want, err := caql.EvalAgg(a, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.EqualAsSet(want) {
-		t.Fatalf("agg wrong:\ngot %v\nwant %v", got.Sort(), want.Sort())
-	}
-	bad := &caql.AggQuery{Inner: a.Inner, GroupBy: []int{9}}
-	if _, err := s.QueryAgg(bad); err == nil {
-		t.Fatal("out-of-range group-by should error")
 	}
 }
 
@@ -155,4 +130,72 @@ func newEngineWithWeightedEdges(t *testing.T, edges [][3]int64) *remotedb.Engine
 	}
 	e.LoadTable(rel)
 	return e
+}
+
+// TestQueryFixpointChecksContext: the closure checks its context every
+// round, after its base view has answered. A context canceled or expired
+// there fails the closure with the typed error; an error the evaluator
+// returns that is no context error comes back as it is.
+func TestQueryFixpointChecksContext(t *testing.T) {
+	var chain [][2]int64
+	for i := int64(0); i < 20; i++ {
+		chain = append(chain, [2]int64{i, i + 1})
+	}
+	q := caql.MustParse("r(X, Y) :- edge(X, Y)")
+	fresh := func() *Session {
+		return newCMS(t, newEngineWithEdges(t, chain), Options{Features: AllFeatures()}).BeginSession(nil).(*Session)
+	}
+
+	// How often the base view's query reads the context, and the closure.
+	bg := context.Background()
+	view, all := &flipCtx{Context: bg}, &flipCtx{Context: bg}
+	s := fresh()
+	if st, err := s.QueryCtx(view, q); err != nil {
+		t.Fatal(err)
+	} else if _, err := st.DrainErr("view"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh().QueryFixpointCtx(all, q); err != nil {
+		t.Fatal(err)
+	}
+	if rounds := all.calls.Load() - view.calls.Load(); rounds < 20 {
+		t.Fatalf("the closure of a 20-edge chain read its context %d times past its base view, want once a round", rounds)
+	}
+
+	errBroken := errors.New("broken evaluator")
+	for _, c := range []struct {
+		after int64
+		fail  error
+		want  error
+	}{
+		{0, context.Canceled, bridge.ErrCanceled},
+		{10, context.Canceled, bridge.ErrCanceled},
+		{0, context.DeadlineExceeded, bridge.ErrDeadlineExceeded},
+		{5, errBroken, errBroken},
+	} {
+		ctx := &flipCtx{Context: bg, after: view.calls.Load() + c.after, err: c.fail}
+		stream, err := fresh().QueryFixpointCtx(ctx, q)
+		if stream != nil || !errors.Is(err, c.want) {
+			t.Fatalf("%v after %d rounds: got %v, %v; want %v", c.fail, c.after, stream, err, c.want)
+		}
+		if c.fail == errBroken && errors.Is(err, bridge.ErrCanceled) {
+			t.Fatalf("an evaluator error came back as a cancellation: %v", err)
+		}
+	}
+}
+
+// flipCtx is a context whose Err returns nil for its first after calls and
+// err from then on; it counts the calls.
+type flipCtx struct {
+	context.Context
+	after int64
+	err   error
+	calls atomic.Int64
+}
+
+func (c *flipCtx) Err() error {
+	if c.calls.Add(1) > c.after && c.err != nil {
+		return c.err
+	}
+	return nil
 }

@@ -190,26 +190,6 @@ func TestEvalUnion(t *testing.T) {
 	}
 }
 
-func TestEvalAgg(t *testing.T) {
-	src := fixtureSource()
-	a := &AggQuery{
-		Inner:   MustParse("d(Z, X) :- b2(X, Z)"),
-		GroupBy: []int{0},
-		Specs:   []relation.AggSpec{{Op: relation.AggCount, Col: -1}},
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := EvalAgg(a, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Z=10 has 2 rows, Z=20 has 1.
-	if out.Len() != 2 {
-		t.Fatalf("agg groups = %d", out.Len())
-	}
-}
-
 func TestCanonicalRenamingInvariance(t *testing.T) {
 	a := MustParse("d(X, Y) :- b2(X, Z) & b3(Z, Y, W) & X < 3")
 	b := MustParse("d(P, Q) :- b2(P, R) & b3(R, Q, S) & P < 3")

@@ -170,15 +170,6 @@ func EvalUnion(u *Union, src RelationSource) (*relation.Relation, error) {
 	return relation.Drain(u.Queries[0].Name(), schema, relation.Distinct(relation.Chain(its...))), nil
 }
 
-// EvalAgg evaluates an aggregation query eagerly.
-func EvalAgg(a *AggQuery, src RelationSource) (*relation.Relation, error) {
-	inner, err := Eval(a.Inner, src)
-	if err != nil {
-		return nil, err
-	}
-	return relation.AggregateRel(a.Inner.Name(), inner, a.GroupBy, a.Specs), nil
-}
-
 // MapSource is a RelationSource over a map of extensions; primarily a test
 // and example fixture.
 type MapSource map[string]*relation.Relation

@@ -6,9 +6,9 @@
 // predicate calculus. Following Section 5.3.2, the core form handled by the
 // subsumption machinery is the PSJ (project-select-join) conjunctive query:
 // a head (projection) over a conjunction of relational atoms plus comparison
-// atoms. Unions of conjunctive queries and second-order aggregation (the
-// AGG/BAGOF/SETOF predicates) are layered on top; the CMS evaluates them even
-// though the remote DBMS's DML may not support them.
+// atoms. Unions of conjunctive queries and a semi-naive fixed-point operator
+// over rules in that form (Fixpoint) are layered on top; the CMS evaluates
+// them even though the remote DBMS's DML may not support them.
 package caql
 
 import (
@@ -345,32 +345,4 @@ func (u *Union) String() string {
 		parts[i] = q.String()
 	}
 	return strings.Join(parts, "\n")
-}
-
-// AggQuery is a second-order aggregation over a conjunctive query (the AGG
-// special predicate of Section 5): group the inner query's result by the
-// GroupBy head positions and aggregate the Specs.
-type AggQuery struct {
-	Inner   *Query
-	GroupBy []int
-	Specs   []relation.AggSpec
-}
-
-// Validate checks the inner query and position bounds.
-func (a *AggQuery) Validate() error {
-	if err := a.Inner.Validate(); err != nil {
-		return err
-	}
-	arity := len(a.Inner.Head.Args)
-	for _, g := range a.GroupBy {
-		if g < 0 || g >= arity {
-			return fmt.Errorf("caql: AGG group-by position %d out of range", g)
-		}
-	}
-	for _, s := range a.Specs {
-		if s.Col >= arity || (s.Col < 0 && s.Op != relation.AggCount) {
-			return fmt.Errorf("caql: AGG spec column %d out of range", s.Col)
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -150,9 +151,10 @@ func insertWhileQuerying(t *testing.T, transport string, dop, writers, readers, 
 // answered with the element's own rows, so those rows must stay whole while
 // a write invalidates the element and a later query refetches it. Four
 // sessions drain one such view over w, two eagerly and two lazily, while a
-// writer inserts batches into w. Every answer must be a state w was in
-// during the query, and each session's first answer, kept to the end, must
-// still hold the values it was handed.
+// writer inserts batches into w; after each batch it waits until every
+// session has queried again, so the element is invalidated. Every answer
+// must be a state w was in during the query, and each session's first
+// answer, kept to the end, must still hold the values it was handed.
 func TestIdentityHitConcurrent(t *testing.T) {
 	e := remotedb.NewEngine()
 	e.LoadTable(tableW())
@@ -161,22 +163,38 @@ func TestIdentityHitConcurrent(t *testing.T) {
 	const view = `vw(T, K) :- w(T, K)`
 	lazy := advice.MustParse(`view vw(T^, K^) :- w(T, K).`)
 
+	const readers = 4
 	var (
 		log     batchLog
 		readWG  sync.WaitGroup
 		done    atomic.Bool
 		start   = make(chan struct{})
 		writing = make(chan struct{})
+		// seen[i] is the number of batches acknowledged before reader i
+		// began the last query it finished; a reader that stops sets it to
+		// MaxInt64. Between batches the writer waits until every reader has
+		// queried since the last one, so a query meets each batch's version.
+		seen [readers]atomic.Int64
 	)
 	go func() {
 		defer close(writing)
 		<-start
-		log.write(t, client, 40)
+		for b := int64(1); b <= 40; b++ {
+			if !log.write(t, client, 1) {
+				return
+			}
+			for i := range seen {
+				for seen[i].Load() < b {
+					runtime.Gosched()
+				}
+			}
+		}
 	}()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < readers; i++ {
 		readWG.Add(1)
 		go func() {
 			defer readWG.Done()
+			defer seen[i].Store(math.MaxInt64)
 			var adv *advice.Advice
 			if i%2 == 1 {
 				adv = lazy
@@ -186,10 +204,13 @@ func TestIdentityHitConcurrent(t *testing.T) {
 			<-start
 			var kept, copies []relation.Tuple
 			for n := 0; n < 5 || !done.Load(); n++ {
+				acked := log.ackedCount()
 				got := log.query(t, s, view)
 				if got == nil {
 					return
 				}
+				seen[i].Store(acked)
+				runtime.Gosched() // let the waiting writer and the other readers in
 				if kept == nil {
 					kept = got.Tuples()
 					for _, tu := range kept {
@@ -235,8 +256,9 @@ type batchLog struct {
 	acked  []int64 // tags acknowledged, in acknowledgment order
 }
 
-// write inserts n batches into w through client, one statement each.
-func (l *batchLog) write(t *testing.T, client remotedb.Client, n int) {
+// write inserts n batches into w through client, one statement each, and
+// reports whether every insert succeeded.
+func (l *batchLog) write(t *testing.T, client remotedb.Client, n int) bool {
 	for b := 0; b < n; b++ {
 		tag := l.issued.Add(1)
 		var sb strings.Builder
@@ -249,13 +271,21 @@ func (l *batchLog) write(t *testing.T, client remotedb.Client, n int) {
 		}
 		if _, err := client.Exec(sb.String()); err != nil {
 			t.Errorf("insert batch %d: %v", tag, err)
-			return
+			return false
 		}
 		l.mu.Lock()
 		l.acked = append(l.acked, tag)
 		l.mu.Unlock()
 		runtime.Gosched() // let readers in between batches, even on the in-process transport
 	}
+	return true
+}
+
+// ackedCount is the number of batches acknowledged so far.
+func (l *batchLog) ackedCount() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return int64(len(l.acked))
 }
 
 // query drains view, a view of all of w, on s. It returns the answer, or

@@ -271,7 +271,12 @@ func bottomUpAnswers(t *testing.T, kb *logic.KB, src caql.MapSource, goal string
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := derived[g.Ref()]
+	return answerRel(g, derived[g.Ref()])
+}
+
+// answerRel is the distinct answers to g over the derived extension ext, one
+// column per variable of g in order of first occurrence.
+func answerRel(g logic.Atom, ext *relation.Relation) *relation.Relation {
 	var vars []string
 	seen := map[string]bool{}
 	for _, tm := range g.Args {
