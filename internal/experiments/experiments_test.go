@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,10 +12,20 @@ import (
 	"testing"
 )
 
-// run looks id up in Registry and runs it: the table braid-bench prints is
-// the one the shape tests check.
+// update rewrites the golden files from the tables instead of comparing.
+var update = flag.Bool("update", false, "rewrite testdata/E<n>.golden from the experiments' tables")
+
+// tables memoises run: every test that reads an experiment's table reads the
+// one run of it this test binary made.
+var tables = map[string]*Table{}
+
+// run looks id up in Registry and runs it, once per test binary: the table
+// braid-bench prints is the one the shape and golden tests check.
 func run(t *testing.T, id string) *Table {
 	t.Helper()
+	if tab, ok := tables[id]; ok {
+		return tab
+	}
 	for _, e := range Registry {
 		if e.ID != id {
 			continue
@@ -25,10 +37,76 @@ func run(t *testing.T, id string) *Table {
 		if len(tab.Rows) == 0 {
 			t.Fatalf("%s produced no rows", id)
 		}
+		tables[id] = tab
 		return tab
 	}
 	t.Fatalf("no experiment %s in Registry", id)
 	return nil
+}
+
+// TestExperimentsGolden holds every experiment's table to
+// testdata/<id>.golden: the requests, tuples shipped, simulated times and
+// hit ratios E1–E11 report repeat exactly, so any change to them shows up
+// here. Columns the table marks WallClock are left out. go test -update
+// rewrites the files.
+func TestExperimentsGolden(t *testing.T) {
+	for _, e := range Registry {
+		t.Run(e.ID, func(t *testing.T) {
+			got := withoutWallClock(run(t, e.ID)).String()
+			path := filepath.Join("testdata", e.ID+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (go test -update writes it)", err)
+			}
+			if got != string(want) {
+				t.Errorf("%s differs from %s (go test -update rewrites it):\n%s", e.ID, path, lineDiff(string(want), got))
+			}
+		})
+	}
+}
+
+// withoutWallClock is tab without the columns it marks WallClock.
+func withoutWallClock(tab *Table) *Table {
+	keep := func(cells []string) []string {
+		var out []string
+		for i, c := range cells {
+			if i >= len(tab.WallClock) || !tab.WallClock[i] {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	out := *tab
+	out.Header, out.Rows, out.WallClock = keep(tab.Header), nil, nil
+	for _, row := range tab.Rows {
+		out.Rows = append(out.Rows, keep(row))
+	}
+	return &out
+}
+
+// lineDiff lists the lines of want and got that differ, by line number.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < max(len(w), len(g)); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d\n  want %s\n  got  %s\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
 }
 
 // cell parses a numeric table cell.
@@ -55,9 +133,6 @@ func colIndex(t *testing.T, tab *Table, name string) int {
 
 func TestE1Shape(t *testing.T) {
 	tab := run(t, "E1")
-	if len(tab.Rows) != 10 {
-		t.Fatalf("E1 rows = %d", len(tab.Rows))
-	}
 	remote := colIndex(t, tab, "remote")
 	tuples := colIndex(t, tab, "tuples")
 	// Row order: interp-loose/{all,first}, conj-loose/{all,first},
@@ -231,9 +306,6 @@ func TestE8Shape(t *testing.T) {
 
 func TestE9Shape(t *testing.T) {
 	tab := run(t, "E9")
-	if len(tab.Rows) != 3 {
-		t.Fatalf("E9 rows = %d", len(tab.Rows))
-	}
 	// Counts, which repeat. Every definition is resident as an element of its
 	// own, and what the index hands the matcher does not grow with the cache:
 	// of E9Elements only e0 can derive the probe query, at every size (the
@@ -259,7 +331,7 @@ func TestE9Shape(t *testing.T) {
 }
 
 // TestAllRuns pins what the suite is: E1..E11, each id once, in order. Each
-// experiment runs once per go test, from its own TestE*Shape.
+// experiment runs once per test binary, through run.
 func TestAllRuns(t *testing.T) {
 	var ids, want []string
 	for n := 1; n <= 11; n++ {
@@ -312,9 +384,6 @@ func TestDocsMatchRegistry(t *testing.T) {
 
 func TestE11Shape(t *testing.T) {
 	tab := run(t, "E11")
-	if len(tab.Rows) != 5 {
-		t.Fatalf("E11 rows = %d", len(tab.Rows))
-	}
 	failedC := colIndex(t, tab, "failed")
 	retriesC := colIndex(t, tab, "retries")
 	hitsC := colIndex(t, tab, "hits")
@@ -341,9 +410,6 @@ func TestE11Shape(t *testing.T) {
 
 func TestE10Shape(t *testing.T) {
 	tab := run(t, "E10")
-	if len(tab.Rows) != 9 {
-		t.Fatalf("E10 rows = %d", len(tab.Rows))
-	}
 	resp := colIndex(t, tab, "simResp(ms)")
 	// Full braid has the minimum response time; every ablation costs at
 	// least as much, and all-off costs strictly more. (Request counts are

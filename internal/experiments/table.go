@@ -23,6 +23,10 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// WallClock marks, by column index, the columns that read a clock on
+	// this host. Every other cell repeats from run to run, and the golden
+	// files under testdata hold the tables without these columns.
+	WallClock []bool
 }
 
 // AddRow appends a row of formatted cells.

@@ -135,8 +135,8 @@ func (st *aggState) result(op AggOp) Value {
 // aggGroup is one group's key and per-spec running states.
 type aggGroup struct {
 	key    Tuple
-	hash   uint64 // key.Hash64()
-	next   int    // next group whose key hashes alike, or -1
+	hash   uint64    // key.Hash64()
+	next   *aggGroup // next group whose key hashes alike
 	states []aggState
 }
 
@@ -147,48 +147,73 @@ type aggGroup struct {
 // decomposable (COUNT/SUM add, MIN/MAX fold, AVG carries sum+count).
 // Groups are found by the 64-bit hash of their key and verified by value, as
 // in Distinct and the hash join, so a tuple that joins an existing group
-// allocates nothing, and a new group takes its key from a tupleArena and its
-// states from a block of them, so neither costs an allocation of its own.
+// allocates nothing. A new group is carved from a block of groups, takes its
+// key from a tupleArena and its states from a block of them, so none of the
+// three costs an allocation of its own, and the group table grows by adding
+// a block, never by copying the groups it holds.
 // Group emission order is first-seen order: Add order within an accumulator,
 // then Merge order across accumulators. Not safe for concurrent use; build
 // one per worker and merge on a single goroutine.
 type AggAccum struct {
 	groupBy []int
 	specs   []AggSpec
-	keyCols []int          // 0..len(groupBy)-1: the columns of a stored key
-	heads   map[uint64]int // key hash -> first group of its collision chain
-	groups  []aggGroup     // first-seen order
-	arena   tupleArena     // group keys and emitted rows
-	states  []aggState     // the current state block; new groups carve its tail
+	keyCols []int                // 0..len(groupBy)-1: the columns of a stored key
+	heads   map[uint64]*aggGroup // key hash -> first group of its collision chain
+	blocks  [][]aggGroup         // the groups in first-seen order; the last is being filled
+	n       int                  // groups, over every block
+	spine   [16][]aggGroup       // blocks' first backing array: 10 232 groups
+	arena   tupleArena           // group keys and emitted rows
+	states  []aggState           // the current state block; new groups carve its tail
 }
 
 // aggBlockStates caps the state blocks. Like tupleArena's they double from
 // the first group's size and are never copied, so a group's states stay put.
-const aggBlockStates = 1024
+// aggBlockGroups caps the group blocks, which double from 8 in the same way.
+const (
+	aggBlockStates = 1024
+	aggBlockGroups = 1024
+)
 
 // NewAggAccum returns an empty accumulator for the given grouping columns
 // and aggregate specs.
 func NewAggAccum(groupBy []int, specs []AggSpec) *AggAccum {
-	return &AggAccum{groupBy: groupBy, specs: specs, keyCols: identity(len(groupBy)),
-		heads: make(map[uint64]int)}
+	a := &AggAccum{groupBy: groupBy, specs: specs, keyCols: identity(len(groupBy)),
+		heads: make(map[uint64]*aggGroup)}
+	a.blocks = a.spine[:0]
+	return a
 }
 
 // group returns the group keyed by t's cols (whose hash is h), creating it
 // at the end of the first-seen order when no group has that key yet.
 func (a *AggAccum) group(h uint64, t Tuple, cols []int) *aggGroup {
-	head, ok := a.heads[h]
-	if !ok {
-		head = -1
-	}
-	for i := head; i >= 0; i = a.groups[i].next {
-		if g := &a.groups[i]; equalOn(t, cols, g.key, a.keyCols) {
+	head := a.heads[h]
+	for g := head; g != nil; g = g.next {
+		if equalOn(t, cols, g.key, a.keyCols) {
 			return g
 		}
 	}
-	a.heads[h] = len(a.groups)
-	a.groups = append(a.groups, aggGroup{key: a.arena.project(t, cols), hash: h, next: head,
-		states: a.newStates()})
-	return &a.groups[len(a.groups)-1]
+	g := a.newGroup()
+	*g = aggGroup{key: a.arena.project(t, cols), hash: h, next: head, states: a.newStates()}
+	a.heads[h] = g
+	return g
+}
+
+// newGroup carves the next group from the last block, starting a block
+// twice its size (up to aggBlockGroups) when it is full.
+func (a *AggAccum) newGroup() *aggGroup {
+	last := len(a.blocks) - 1
+	if last < 0 || len(a.blocks[last]) == cap(a.blocks[last]) {
+		size := 8
+		if last >= 0 {
+			size = min(2*cap(a.blocks[last]), aggBlockGroups)
+		}
+		a.blocks = append(a.blocks, make([]aggGroup, 0, size))
+		last++
+	}
+	b := a.blocks[last]
+	a.blocks[last] = b[:len(b)+1]
+	a.n++
+	return &a.blocks[last][len(b)]
 }
 
 // newStates carves one group's zeroed states from the current block.
@@ -217,11 +242,13 @@ func (a *AggAccum) Add(t Tuple) {
 // Merge folds another accumulator (built with the same groupBy/specs) into
 // this one. Groups unseen here append in o's order.
 func (a *AggAccum) Merge(o *AggAccum) {
-	for i := range o.groups {
-		og := &o.groups[i]
-		g := a.group(og.hash, og.key, a.keyCols)
-		for j := range a.specs {
-			g.states[j].merge(og.states[j])
+	for _, b := range o.blocks {
+		for i := range b {
+			og := &b[i]
+			g := a.group(og.hash, og.key, a.keyCols)
+			for j := range a.specs {
+				g.states[j].merge(og.states[j])
+			}
 		}
 	}
 }
@@ -230,19 +257,21 @@ func (a *AggAccum) Merge(o *AggAccum) {
 // in specification order. With no groupBy columns a single output tuple is
 // produced even over empty input, matching SQL.
 func (a *AggAccum) Emit() []Tuple {
-	if len(a.groupBy) == 0 && len(a.groups) == 0 {
+	if len(a.groupBy) == 0 && a.n == 0 {
 		// Global aggregate over empty input still yields one row.
 		a.group(Tuple(nil).Hash64(), nil, nil)
 	}
-	out := make([]Tuple, 0, len(a.groups))
-	for i := range a.groups {
-		g := &a.groups[i]
-		row := a.arena.make(len(g.key) + len(a.specs))
-		row = append(row, g.key...)
-		for j, spec := range a.specs {
-			row = append(row, g.states[j].result(spec.Op))
+	out := make([]Tuple, 0, a.n)
+	for _, b := range a.blocks {
+		for i := range b {
+			g := &b[i]
+			row := a.arena.make(len(g.key) + len(a.specs))
+			row = append(row, g.key...)
+			for j, spec := range a.specs {
+				row = append(row, g.states[j].result(spec.Op))
+			}
+			out = append(out, row)
 		}
-		out = append(out, row)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -105,24 +106,43 @@ func TestAggAccumAddToExistingGroupAllocatesNothing(t *testing.T) {
 }
 
 // New groups allocate per block: 5 000 groups of three specs cost the key
-// arena's blocks, the state blocks and the growth of the group slice and the
-// heads map, not an allocation per group (5 079 when each group made its
-// own states).
+// arena's blocks, the state blocks, the group blocks and the growth of the
+// heads map, not an allocation per group (5 079 when each group made its own
+// states). Nor does the group table copy itself as it grows: the keys,
+// states, groups and heads map of the 5 000 groups take at most 1.8 MB.
+// When the groups lived in one slice that append regrew, they took 2.49 MB;
+// carved from blocks, 1.66 MB.
 func TestAggAccumNewGroupAllocs(t *testing.T) {
 	tuples := make([]Tuple, 5000)
 	for i := range tuples {
 		tuples[i] = Tuple{Int(int64(i)), Float(float64(i) / 3)}
 	}
 	specs := []AggSpec{{Op: AggCount, Col: -1}, {Op: AggSum, Col: 1}, {Op: AggMax, Col: 1}}
-	n := testing.AllocsPerRun(10, func() {
+	fill := func() {
 		a := NewAggAccum([]int{0}, specs)
 		for _, tu := range tuples {
 			a.Add(tu)
 		}
-	})
-	if n > 128 {
+	}
+	if n := testing.AllocsPerRun(10, fill); n > 128 {
 		t.Fatalf("%d new groups: %v allocations, budget 128", len(tuples), n)
 	}
+	if b := bytesPerRun(10, fill); b > 1.8e6 {
+		t.Fatalf("%d new groups: %.0f bytes, budget 1.8 MB", len(tuples), b)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
 }
 
 // A parallel aggregate merges partials 1..k into partial 0. That must emit

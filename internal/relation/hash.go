@@ -142,11 +142,13 @@ func (c *tupleCounter) add(t Tuple, d int) int {
 }
 
 // tupleArena hands out tuple buffers carved from shared blocks, cutting the
-// per-output-tuple allocation of the join and projection kernels to ~one
-// allocation per block. Blocks double from the first tuple's size up to
-// arenaBlockValues, so a result of a few tuples costs about what it holds and
-// a large one an allocation per 4096 values. Tuples returned by make escape
-// freely: blocks are never reused.
+// per-output-tuple allocation of the join, projection and aggregation kernels
+// to ~one allocation per block. Blocks double from the first tuple's size up
+// to arenaBlockValues, so a result of a few tuples costs about what it holds
+// and a large one an allocation per 4096 values. Tuples returned by make
+// escape freely: blocks are never reused. A join writes its output rows here
+// already projected (joinRows), so a projection over a join costs one row,
+// not a concatenation and then its copy.
 type tupleArena struct {
 	buf []Value
 }
@@ -178,4 +180,43 @@ func (a *tupleArena) concat(l, r Tuple) Tuple {
 	out = append(out, l...)
 	out = append(out, r...)
 	return out
+}
+
+// projectConcat builds the cols projection of l ++ r in arena storage
+// without building the concatenation: column c < len(l) is l's, the rest r's.
+func (a *tupleArena) projectConcat(l, r Tuple, cols []int) Tuple {
+	out := a.make(len(cols))
+	for _, c := range cols {
+		if c < len(l) {
+			out = append(out, l[c])
+		} else {
+			out = append(out, r[c-len(l)])
+		}
+	}
+	return out
+}
+
+// joinRows writes a join's accepted rows: a pair (l, r) passes when every
+// post condition holds on l ++ r, evaluated on a reused scratch
+// concatenation, and is written to the arena as l ++ r, or, with cols
+// non-nil, as that row's cols projection.
+type joinRows struct {
+	post    []Cond
+	cols    []int
+	scratch Tuple
+	arena   tupleArena
+}
+
+// emit returns the output row for (l, r), or false when post rejects it.
+func (j *joinRows) emit(l, r Tuple) (Tuple, bool) {
+	if len(j.post) > 0 {
+		j.scratch = append(append(j.scratch[:0], l...), r...)
+		if !EvalAll(j.post, j.scratch) {
+			return nil, false
+		}
+	}
+	if j.cols == nil {
+		return j.arena.concat(l, r), true
+	}
+	return j.arena.projectConcat(l, r, j.cols), true
 }

@@ -136,16 +136,19 @@ type JoinCond struct {
 // eagerly into a one-partition PartitionedTable (the build side); the left
 // side streams through its probe, so the join is lazy in its left input.
 // Output tuples are the concatenation left ++ right, allocated from a shared
-// arena.
+// arena. A consumer that keeps only some columns probes the table itself
+// (PartitionedTable.Probe with cols), which writes the projected row alone.
 func HashJoin(left, right Iterator, conds []JoinCond) Iterator {
-	return NewPartitionedTable(right, conds, 1).Probe(left)
+	return NewPartitionedTable(right, conds, 1).Probe(left, nil, nil)
 }
 
 // NestedLoopJoin performs a theta-join with arbitrary conditions evaluated
 // over the concatenated tuple (left columns first, then right, with right
 // column indexes offset by the left arity). The right input is drained
-// eagerly; the left side streams.
-func NestedLoopJoin(left, right Iterator, leftArity int, conds []Cond) Iterator {
+// eagerly; the left side streams. The conditions read a reused scratch
+// concatenation; an accepted pair is written as left ++ right when cols is
+// nil, else as that row's cols projection, never as both.
+func NestedLoopJoin(left, right Iterator, leftArity int, conds []Cond, cols []int) Iterator {
 	var rights []Tuple
 	for {
 		t, ok := right.Next()
@@ -154,38 +157,23 @@ func NestedLoopJoin(left, right Iterator, leftArity int, conds []Cond) Iterator 
 		}
 		rights = append(rights, t)
 	}
-	var (
-		arena tupleArena
-		cur   Tuple
-		idx   int
-		// scratch is the reusable concatenation buffer conditions are
-		// evaluated against; only accepted tuples graduate to arena storage.
-		scratch Tuple
-	)
-	haveCur := false
+	out := joinRows{post: conds, cols: cols}
+	var cur Tuple
+	idx := len(rights) // cur's pairs are done: pull the next left tuple
 	return IteratorFunc(func() (Tuple, bool) {
 		for {
-			if haveCur {
-				for idx < len(rights) {
-					r := rights[idx]
-					idx++
-					scratch = append(scratch[:0], cur...)
-					scratch = append(scratch, r...)
-					if EvalAll(conds, scratch) {
-						out := arena.make(len(scratch))
-						out = append(out, scratch...)
-						return out, true
-					}
+			for idx < len(rights) {
+				r := rights[idx]
+				idx++
+				if t, ok := out.emit(cur, r); ok {
+					return t, true
 				}
-				haveCur = false
 			}
 			t, ok := left.Next()
 			if !ok {
 				return nil, false
 			}
-			cur = t
-			idx = 0
-			haveCur = true
+			cur, idx = t, 0
 		}
 	})
 }
@@ -199,7 +187,7 @@ func JoinRel(name string, a, b *Relation, conds []JoinCond) *Relation {
 // CrossRel eagerly computes the cross product.
 func CrossRel(name string, a, b *Relation) *Relation {
 	schema := a.schema.Concat(b.schema)
-	return Drain(name, schema, NestedLoopJoin(a.Iter(), b.Iter(), a.schema.Arity(), nil))
+	return Drain(name, schema, NestedLoopJoin(a.Iter(), b.Iter(), a.schema.Arity(), nil, nil))
 }
 
 // Rename returns a renamed shallow view of the relation.

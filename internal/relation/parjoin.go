@@ -3,8 +3,9 @@ package relation
 // Hash-join build tables. A PartitionedTable drains an equi-join's build side
 // into P partitions keyed by the 64-bit hash of the join columns, and is
 // read-only afterwards, so any number of goroutines probe it without a lock,
-// each probe iterator allocating its outputs from its own tupleArena. HashJoin
-// builds one partition; a parallel executor's join builds one per worker.
+// each probe iterator writing its outputs to its own tupleArena, projected
+// when its consumer keeps only some columns. HashJoin builds one partition; a
+// parallel executor's join builds one per worker.
 
 // PartitionedTable is a hash-partitioned equi-join build table. Each
 // partition maps a key hash to the head of that hash's chain of build rows.
@@ -69,18 +70,21 @@ func NewPartitionedTable(build Iterator, conds []JoinCond, parts int) *Partition
 }
 
 // Probe returns a streaming probe iterator over left: for each probe tuple
-// it emits one concatenation left ++ right per build tuple agreeing on the
-// join columns, in build order (chain membership is verified with Equal, so
-// hash collisions cost a comparison, never correctness). Probe iterators are
-// independent and safe to run on concurrent goroutines.
-func (pt *PartitionedTable) Probe(left Iterator) Iterator {
-	return &probeIter{pt: pt, left: left}
+// it emits one row per build tuple agreeing on the join columns, in build
+// order (chain membership is verified with Equal, so hash collisions cost a
+// comparison, never correctness). A row is emitted when every post condition
+// holds on the concatenation left ++ right, and is that concatenation when
+// cols is nil, else its cols projection, written straight from the two
+// tuples: the concatenation of an accepted pair is never built. Probe
+// iterators are independent and safe to run on concurrent goroutines.
+func (pt *PartitionedTable) Probe(left Iterator, post []Cond, cols []int) Iterator {
+	return &probeIter{pt: pt, left: left, out: joinRows{post: post, cols: cols}}
 }
 
 type probeIter struct {
 	pt    *PartitionedTable
 	left  Iterator
-	arena tupleArena
+	out   joinRows
 	cur   Tuple
 	match *buildRow // rest of cur's chain, not yet verified
 }
@@ -88,9 +92,12 @@ type probeIter struct {
 func (p *probeIter) Next() (Tuple, bool) {
 	for {
 		for r := p.match; r != nil; r = r.next {
-			if equalOn(p.cur, p.pt.leftCols, r.t, p.pt.rightCols) {
+			if !equalOn(p.cur, p.pt.leftCols, r.t, p.pt.rightCols) {
+				continue
+			}
+			if t, ok := p.out.emit(p.cur, r.t); ok {
 				p.match = r.next
-				return p.arena.concat(p.cur, r.t), true
+				return t, true
 			}
 		}
 		t, ok := p.left.Next()

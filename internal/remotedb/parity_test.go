@@ -68,6 +68,14 @@ var parityCorpus = []parityCase{
 	{sql: "SELECT cust, COUNT(*) FROM po GROUP BY cust ORDER BY cust LIMIT 4", ordered: true},
 	{sql: "SELECT cu.region, COUNT(*) FROM po, cu WHERE po.cust = cu.id GROUP BY cu.region ORDER BY region", ordered: true},
 	{sql: "SELECT grp, MAX(amt) FROM po WHERE amt < 800.0 GROUP BY grp ORDER BY grp", ordered: true},
+	// A projection over a join is written by the join: select lists that
+	// reorder columns across the two sides, over an equi-join, a theta join
+	// and a 3-way join; and an aggregate over a join, which reads the
+	// concatenated row, so nothing fuses.
+	{sql: "SELECT cu.cname, po.amt, cu.id, po.id FROM po, cu WHERE po.cust = cu.id"},
+	{sql: "SELECT b.cname, a.tier FROM cu a, cu b WHERE a.tier < b.tier AND a.region != b.region"},
+	{sql: "SELECT re.rname, po.amt, cu.cname FROM po, cu, re WHERE po.cust = cu.id AND cu.region = re.id AND po.grp = 1"},
+	{sql: "SELECT cu.tier, SUM(po.amt), MAX(cu.cname) FROM po, cu WHERE po.cust = cu.id GROUP BY cu.tier ORDER BY tier", ordered: true},
 	// DISTINCT interactions.
 	{sql: "SELECT DISTINCT cu.region FROM po, cu WHERE po.cust = cu.id"},
 	{sql: "SELECT DISTINCT grp FROM po ORDER BY grp LIMIT 3", ordered: true},

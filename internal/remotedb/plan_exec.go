@@ -82,12 +82,18 @@ func (run *planRun) counted(in relation.Iterator) relation.Iterator {
 // rows and pull time accrue to the node. Wall times are inclusive of
 // children, PostgreSQL-style.
 func (run *planRun) openNode(n planNode) relation.Iterator {
+	return run.analyzed(n, func() relation.Iterator { return run.open(n) })
+}
+
+// analyzed runs open, n's opener, and when analyzing charges its time and
+// its iterator's emitted rows and pull time to n.
+func (run *planRun) analyzed(n planNode, open func() relation.Iterator) relation.Iterator {
 	if run.analyze == nil {
-		return run.open(n)
+		return open()
 	}
 	na := run.actualFor(n)
 	t0 := time.Now()
-	it := run.open(n)
+	it := open()
 	na.wallNS += time.Since(t0).Nanoseconds()
 	return relation.IteratorFunc(func() (relation.Tuple, bool) {
 		p0 := time.Now()
@@ -103,10 +109,17 @@ func (run *planRun) openNode(n planNode) relation.Iterator {
 // open opens n's iterator; on a parallel stream's own run, the section
 // boundary opens as the workers' output.
 func (run *planRun) open(n planNode) relation.Iterator {
-	if px := run.par; px != nil && run.worker == nil && n == px.sec.boundary() {
-		return px.gather()
+	if run.isBoundary(n) {
+		return run.par.gather()
 	}
 	return n.open(run)
+}
+
+// isBoundary reports whether n is the parallel section boundary the stream's
+// own run reads from the workers.
+func (run *planRun) isBoundary(n planNode) bool {
+	px := run.par
+	return px != nil && run.worker == nil && n == px.sec.boundary()
 }
 
 // open binds the plan to the catalog it was compiled against and to where,
@@ -218,31 +231,32 @@ func (n *scanNode) open(run *planRun) relation.Iterator {
 	return relation.Select(src, run.scans[n.pos].conds)
 }
 
-// open probes a worker's prebuilt table (built once for the pool, so the
+func (n *joinNode) open(run *planRun) relation.Iterator { return n.openCols(run, nil) }
+
+// openCols probes a worker's prebuilt table (built once for the pool, so the
 // build side is not opened here) and otherwise builds from the right input.
-func (n *joinNode) open(run *planRun) relation.Iterator {
+// The join writes each accepted row as the cols projection of left ++ right,
+// or, with cols nil, as the concatenation itself.
+func (n *joinNode) openCols(run *planRun, cols []int) relation.Iterator {
 	left := run.counted(run.openNode(n.left))
 	if len(n.eq) == 0 {
 		right := run.counted(run.openNode(n.right))
-		return relation.NestedLoopJoin(left, right, n.left.Schema().Arity(), n.post)
+		return relation.NestedLoopJoin(left, right, n.left.Schema().Arity(), n.post, cols)
 	}
-	var it relation.Iterator
+	var pt *relation.PartitionedTable
 	if run.worker != nil {
-		it = run.par.tables[n].Probe(left)
+		pt = run.par.tables[n]
 	} else {
-		it = relation.HashJoin(left, run.counted(run.openNode(n.right)), n.eq)
+		pt = relation.NewPartitionedTable(run.counted(run.openNode(n.right)), n.eq, 1)
 	}
-	if len(n.post) > 0 {
-		it = relation.Select(it, n.post)
-	}
-	return it
+	return pt.Probe(left, n.post, cols)
 }
 
+// open projects the child's rows onto n.cols. Over a join (not a parallel
+// section's boundary, which opens through gather) the join writes the
+// projected rows itself; its actuals are the projection's rows, which a 1-1
+// projection leaves equal to its own, and their inclusive time.
 func (n *projectNode) open(run *planRun) relation.Iterator {
-	in := run.openNode(n.child)
-	if n.counted {
-		in = run.counted(in)
-	}
 	// The identity over the child's arity (SELECT * over one table) ships the
 	// child's tuples as they are: the op is still charged, only the per-tuple
 	// copy is skipped.
@@ -250,7 +264,18 @@ func (n *projectNode) open(run *planRun) relation.Iterator {
 	for i, c := range n.cols {
 		identity = identity && c == i
 	}
-	if identity {
+	j, overJoin := n.child.(*joinNode)
+	fused := overJoin && !identity && !run.isBoundary(j)
+	var in relation.Iterator
+	if fused {
+		in = run.analyzed(j, func() relation.Iterator { return j.openCols(run, n.cols) })
+	} else {
+		in = run.openNode(n.child)
+	}
+	if n.counted {
+		in = run.counted(in)
+	}
+	if identity || fused {
 		return in
 	}
 	return relation.Project(in, n.cols)

@@ -180,8 +180,10 @@ type parExec struct {
 	tables map[*joinNode]*relation.PartitionedTable
 
 	// out is the exchange; free carries drained batches back to the
-	// workers, with room for every batch out can hold.
+	// workers, with room for every batch out can hold, and batches counts
+	// the batches the workers have made (parExec.batch).
 	out, free   chan []relation.Tuple
+	batches     atomic.Int64
 	wg          sync.WaitGroup
 	interrupted atomic.Bool  // a worker stopped at a cancellation checkpoint
 	workerOps   atomic.Int64 // per-worker ops, flushed at worker exit
@@ -317,11 +319,8 @@ func (px *parExec) runWorker(w int) {
 			continue
 		}
 		if batch == nil {
-			select {
-			case b := <-px.free:
-				batch = b[:0]
-			default:
-				batch = make([]relation.Tuple, 0, parBatchTuples)
+			if batch = px.batch(); batch == nil {
+				break
 			}
 		}
 		if batch = append(batch, t); len(batch) == parBatchTuples {
@@ -339,6 +338,30 @@ func (px *parExec) runWorker(w int) {
 	}
 	ws.ops = run.ops
 	px.workerOps.Add(run.ops)
+}
+
+// batch returns an empty exchange batch for a worker: one the consumer has
+// drained, a new one while fewer than cap(free) exist, or else the next one
+// the consumer drains, so a stream allocates at most cap(free) batches
+// however fast its consumer reads; nil when the run is canceled first.
+// Handing every batch back never overflows free, and since out holds them
+// all, a send never blocks: a consumer that stops reading parks the workers
+// here.
+func (px *parExec) batch() []relation.Tuple {
+	select {
+	case b := <-px.free:
+		return b[:0]
+	default:
+	}
+	if px.batches.Add(1) <= int64(cap(px.free)) {
+		return make([]relation.Tuple, 0, parBatchTuples)
+	}
+	select {
+	case b := <-px.free:
+		return b[:0]
+	case <-px.ctx.Done():
+		return nil
+	}
 }
 
 // send hands a batch to the consumer; false when the run was canceled first.

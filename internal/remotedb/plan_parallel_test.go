@@ -6,6 +6,8 @@ import (
 	"math"
 	"regexp"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -401,6 +403,54 @@ func TestExplainAnalyzeShowsWorkers(t *testing.T) {
 	if !strings.Contains(rel.Tuple(0)[0].AsString(), "parallel dop 4") {
 		t.Fatalf("EXPLAIN header missing parallel decision: %s", rel.Tuple(0)[0].AsString())
 	}
+
+	// A projection over a join is written by the join, on the workers' runs
+	// here as on a serial run. EXPLAIN ANALYZE still reports the project and
+	// the join apart, each with the rows and ops the executor reported when
+	// the join wrote the concatenation and a projection copied it (the
+	// figures below, read then), at dop 1 and 4.
+	type nodeRows struct {
+		node      string
+		rows, ops int
+	}
+	actuals := regexp.MustCompile(`^ *(.*?) \(est rows \d+\) \(actual rows (\d+), ops (\d+),`)
+	for _, tc := range []struct {
+		sql   string
+		nodes []nodeRows
+	}{
+		{"SELECT dim.dname, big.id FROM big, dim WHERE big.g = dim.g AND big.v < 700.0", []nodeRows{
+			{"project (dname, id)", 2698, 2698},
+			{"hash join [big.g = dim.g] (build dim, probe streams)", 2698, 2714},
+			{"prune big to (id, g)", 2698, 2698},
+			{"scan big where [v < 700] (examine~4000, emit~2802)", 2698, 4000},
+			{"scan dim (examine~16, emit~16)", 16, 16},
+		}},
+		{"SELECT big.v, dim.dname FROM big, dim WHERE big.g = dim.g AND big.id > dim.g", []nodeRows{
+			{"project (v, dname)", 3995, 3995},
+			{"hash join [big.g = dim.g AND big.id > dim.g] (build dim, probe streams)", 3995, 4016},
+			{"scan big (examine~4000, emit~4000)", 4000, 4000},
+			{"scan dim (examine~16, emit~16)", 16, 16},
+		}},
+	} {
+		for _, dop := range []int{1, 4} {
+			e.SetParallelism(dop)
+			rel, _, err := e.ExecuteSQL("EXPLAIN ANALYZE " + tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []nodeRows
+			for _, tu := range rel.Tuples()[1:] {
+				if m := actuals.FindStringSubmatch(tu[0].AsString()); m != nil {
+					rows, _ := strconv.Atoi(m[2])
+					ops, _ := strconv.Atoi(m[3])
+					got = append(got, nodeRows{m[1], rows, ops})
+				}
+			}
+			if !slices.Equal(got, tc.nodes) {
+				t.Errorf("%s at dop %d:\n got  %v\n want %v", tc.sql, dop, got, tc.nodes)
+			}
+		}
+	}
 }
 
 // At dop > 1 the operators above the parallel section run on the stream's
@@ -672,4 +722,56 @@ func FuzzParallelParity(f *testing.F) {
 			t.Fatalf("%s: driver of %d rows in %d-row morsels ran at dop %d", tc.sql, len(px.rows), morsel, pps.DOP())
 		}
 	})
+}
+
+// TestJoinProjectBytes: a projection over a hash join is written by the join,
+// so draining a 10 000-row join with a 3-column projection through PlanStream
+// allocates at most 64 B per output row, build side, scans, exchange and
+// statement parse included, serial and at dop 2. Before the join wrote the
+// projected row, it wrote the 5-value concatenation and then its projection,
+// 128 B a row on those two copies alone, and this read 130.5 B per row serial
+// and 152.6 at dop 2 (the exchange allocating a batch whenever a fast
+// consumer had not yet handed one back); now 50.0 and 59.3.
+func TestJoinProjectBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	const sql = "SELECT big.id, big.v, dim.dname FROM big, dim WHERE big.g = dim.g"
+	e := newParallelEngine(t, 10000)
+	e.SetParallelMinRows(1)
+	drain := func() (rows, dop int) {
+		t.Helper()
+		ps, ok := e.ExecuteSQLPipelineCtx(context.Background(), sql)
+		if !ok {
+			t.Fatalf("pipeline declined %q", sql)
+		}
+		defer ps.Close()
+		for _, ok := ps.Next(); ok; _, ok = ps.Next() {
+			rows++
+		}
+		if err := ps.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return rows, ps.DOP()
+	}
+	for _, dop := range []int{1, 2} {
+		e.SetParallelism(dop)
+		drain() // compiles and caches the plan
+		const runs = 5
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rows, got := 0, 0
+		for i := 0; i < runs; i++ {
+			rows, got = drain()
+		}
+		runtime.ReadMemStats(&m1)
+		if rows != 10000 || got != dop {
+			t.Fatalf("dop %d: %d rows at dop %d, want 10000 at dop %d", dop, rows, got, dop)
+		}
+		perRow := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs*rows)
+		t.Logf("dop %d: %.1f B per output row", dop, perRow)
+		if perRow > 64 {
+			t.Errorf("dop %d: %.1f B allocated per output row, budget 64", dop, perRow)
+		}
+	}
 }
