@@ -27,9 +27,12 @@ import (
 // The tuples a stream hands out are shared and read-only: an answer from the
 // cache may be the cached element's own rows, as a miss's answer always was
 // the rows the cache keeps. A consumer may keep a tuple, but must not write
-// into it. Closing the stream does not end the life of its tuples: an eager
-// stream from a StreamPool goes back to the pool on Close, but its tuples'
-// values are never reused.
+// into it. The tuples of a pooled block stream (StreamPool.Block, the CMS's
+// non-identity eager hits) are valid until the stream is closed: Close gives
+// the stream and its block of values back to the pool, which hands the block
+// to a later answer. Every other stream's tuples outlive Close: a pooled rows
+// stream hands out rows it does not own, and a lazy or unpooled stream never
+// goes back to a pool.
 type Stream struct {
 	schema *relation.Schema
 	it     relation.Iterator
@@ -45,8 +48,9 @@ type Stream struct {
 
 // valueBlock iterates over n rows of arity values each, laid end to end in
 // vals. Each row it hands out is a capacity-capped view of vals, so a
-// consumer's append never reaches the next row, and stays valid for ever:
-// nothing writes to vals once the stream has it.
+// consumer's append never reaches the next row. Nothing writes to vals while
+// the stream has it; once a pooled stream is closed, the pool clears vals and
+// hands it out again (StreamPool.Values).
 type valueBlock struct {
 	vals        []relation.Value
 	arity, n, i int
@@ -78,17 +82,20 @@ func NewEagerStream(rel *relation.Relation) *Stream {
 }
 
 // StreamPool recycles eager streams: a stream it hands out comes back to it
-// when its consumer closes it, and is handed out again for a later answer.
-// Only the stream is recycled, never the tuples or values it handed out. A
-// pool has no lock: it belongs to one CMS session, whose methods are serial,
-// and a stream from it must be closed on the goroutine that queries the
-// session. The zero value is ready for use; a nil pool hands out unpooled
-// streams.
+// when its consumer closes it, and is handed out again for a later answer. A
+// block stream's value block comes back with it, cleared, and Values hands it
+// to the next block answer to fill, so the pool's blocks grow to the largest
+// answers the session has had open at once; a rows stream's tuples are never
+// the pool's. A pool has no lock: it belongs to one CMS session, whose methods
+// are serial, and a stream from it must be closed on the goroutine that
+// queries the session. The zero value is ready for use; a nil pool hands out
+// unpooled streams.
 type StreamPool struct {
 	free []*Stream
 }
 
-// get returns a stream with schema, recycled when the pool has one.
+// get returns a stream with schema, recycled when the pool has one. A
+// recycled stream keeps its cleared value block for Values and Block.
 func (p *StreamPool) get(schema *relation.Schema) *Stream {
 	if p == nil {
 		return &Stream{schema: schema}
@@ -103,7 +110,19 @@ func (p *StreamPool) get(schema *relation.Schema) *Stream {
 	return s
 }
 
-// Rows returns an eager stream that hands out tuples themselves.
+// Values returns the empty, cleared value block of the stream the pool hands
+// out next, for the caller to append a block answer's values to and pass to
+// Block; nil when that stream will be new. A caller that outgrows its
+// capacity passes Block a new slice, and the old block is dropped.
+func (p *StreamPool) Values() []relation.Value {
+	if p == nil || len(p.free) == 0 {
+		return nil
+	}
+	return p.free[len(p.free)-1].block.vals[:0]
+}
+
+// Rows returns an eager stream that hands out tuples themselves, which
+// outlive the stream.
 func (p *StreamPool) Rows(schema *relation.Schema, tuples []relation.Tuple) *Stream {
 	s := p.get(schema)
 	s.rows = *relation.NewSliceIterator(tuples)
@@ -112,8 +131,10 @@ func (p *StreamPool) Rows(schema *relation.Schema, tuples []relation.Tuple) *Str
 }
 
 // Block returns an eager stream over n rows of arity values each, laid end to
-// end in vals (as subsume.Derivation.Materialize fills them). The stream
-// owns vals: the caller must not write to it afterwards.
+// end in vals (as subsume.Derivation.Materialize fills them), which is
+// Values' block or a new one. The stream owns vals: the caller must not write
+// to it afterwards, and a pooled stream's consumer must not read a tuple
+// from it after Close.
 func (p *StreamPool) Block(schema *relation.Schema, vals []relation.Value, arity, n int) *Stream {
 	s := p.get(schema)
 	s.block = valueBlock{vals: vals, arity: arity, n: n}
@@ -144,15 +165,20 @@ func (s *Stream) Err() error {
 // Close abandons the rest of the stream: an iterator with a Close method (a
 // lazy remote answer) is told to release its producer. Closing a stream that
 // ran to its end is harmless. A stream from a StreamPool goes back to its
-// pool, once, and the tuples read from it stay valid. Using it after Close is
-// the caller's bug, a second Close included: once the pool has handed the
-// stream out again, that Close would recycle someone else's answer.
+// pool, once, with its value block, whose tuples end there (see Stream).
+// Using it after Close is the caller's bug, a second Close included: once the
+// pool has handed the stream out again, that Close would recycle someone
+// else's answer.
 func (s *Stream) Close() {
 	if c, ok := s.it.(interface{ Close() error }); ok {
 		c.Close()
 	}
 	if p := s.pool; p != nil {
-		*s = Stream{} // the pool keeps no schema, row or value of the answer
+		// The pool keeps no schema, row or value of the answer: the block is
+		// cleared, so it holds no element's strings alive.
+		vals := s.block.vals
+		clear(vals)
+		*s = Stream{block: valueBlock{vals: vals[:0]}}
 		p.free = append(p.free, s)
 	}
 }

@@ -288,8 +288,11 @@ type Session struct {
 	deriv subsume.DerivationBlock
 	cands []*Element
 	rows  []relation.Tuple
-	// streams recycles the session's eager hit streams as the IE closes them.
+	// streams recycles the session's eager hit streams, and their blocks of
+	// answer values, as the IE closes them.
 	streams bridge.StreamPool
+	// follower is the block prefetch instantiates each follower into.
+	follower followerBlock
 	// followers memoises advice.SequenceFollowers per view name: the path
 	// expression is fixed for the session, and only view names are asked.
 	followers map[string][]string

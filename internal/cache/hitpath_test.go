@@ -50,11 +50,11 @@ func TestHitPathAllocs(t *testing.T) {
 		// The derivation is built in the session's block, the query is
 		// prepared into the session's, the index lookup's rows go to the
 		// session's scratch, and the output schema is one the element served
-		// before. What is left is the one block of answer values, and the
-		// stream over it unless the consumer closes it and the session hands
-		// it out again.
+		// before. What is left is the one block of answer values and the
+		// stream over it, unless the consumer closes it and the session hands
+		// both out again (1 closed before blocks were recycled).
 		{"indexed subsumed eager", `di(3, Z) :- b3(3, "a", Z)`, false, 2},
-		{"indexed subsumed eager, closed", `di(3, Z) :- b3(3, "a", Z)`, true, 1},
+		{"indexed subsumed eager, closed", `di(3, Z) :- b3(3, "a", Z)`, true, 0},
 		// The derivation is the identity, so the stream hands out the
 		// element's own rows: the stream is all, and nothing once closed.
 		{"exact eager", "dx(X, Y) :- b2(X, Y)", false, 1},
@@ -103,10 +103,122 @@ func TestHitPathAllocs(t *testing.T) {
 	}
 }
 
+// followerAdvice gives dk a sequence follower, dm, whose consumer every dk
+// query binds and which the cached b2 element answers: each dk hit
+// instantiates dm and finds it resident.
+const followerAdvice = `
+	view dg(X^, Y^, Z^) :- b3(X, Y, Z).
+	view dk(X?, Z^) :- b3(X, "a", Z).
+	view dm(X?, Y^) :- b2(X, Y).
+	view dx(X^, Y^) :- b2(X, Y).
+	path [dg(X^, Y^, Z^), dx(X^, Y^), (dk(X?, Z^), dm(X?, Y^))<0,*>].
+`
+
+// TestFollowerProbeAllocs: a hit whose sequence follower has its consumers
+// bound instantiates the follower into the session's follower block and
+// probes the cache with it there. Once the session's scratch has grown, a
+// follower found resident costs nothing, and neither does the closed hit
+// that probed it: the probe enqueues no fetch and sends no request. Before
+// the follower block, the probe made 6 allocations per hit (its bindings
+// map, and the instantiated follower with its substitution), and the closed
+// hit 7, its block of answer values being the seventh.
+func TestFollowerProbeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e, src := fixtureEngine(t, 21, 60)
+	cms := newCMS(t, e, Options{Features: AllFeatures()})
+	adv := advice.MustParse(followerAdvice)
+	s := cms.BeginSession(adv).(*Session)
+	defer s.End()
+	drainQ(t, s, "dg(X, Y, Z) :- b3(X, Y, Z)")
+	drainQ(t, s, "dx(X, Y) :- b2(X, Y)")
+
+	const text = `dk(3, Z) :- b3(3, "a", Z)`
+	q := caql.MustParse(text)
+	ask := func() {
+		st, err := s.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	}
+	for i := 0; i < 3; i++ { // build the index, grow the session's scratch
+		ask()
+	}
+	want, err := caql.Eval(q, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drainQ(t, s, text); !got.EqualAsBag(want) {
+		t.Fatalf("got %v, want %v", got.Tuples(), want.Tuples())
+	}
+	if got, want := s.follower.q.Canonical(), caql.MustParse("dm(3, Y) :- b2(3, Y)").Canonical(); got != want {
+		t.Fatalf("the follower probed is %s, want %s", got, want)
+	}
+
+	before := cms.Stats()
+	probe := testing.AllocsPerRun(50, func() { s.prefetchFollowers(q, adv.ViewByName("dk")) })
+	hit := testing.AllocsPerRun(50, ask)
+	after := cms.Stats()
+	if after.RemoteRequests != before.RemoteRequests || after.CacheHits-before.CacheHits != 51 ||
+		after.Prefetches != before.Prefetches || after.PrefetchDrops != before.PrefetchDrops {
+		t.Fatalf("the follower was not found resident, or the hits were not hits: %+v, was %+v", after, before)
+	}
+	t.Logf("follower probe: %v allocations; closed hit with its probe: %v", probe, hit)
+	if probe > 0 {
+		t.Errorf("a resident follower's probe makes %v allocations, budget 0", probe)
+	}
+	if hit > 0 {
+		t.Errorf("a closed hit with a resident follower makes %v allocations, budget 0", hit)
+	}
+}
+
+// TestPrefetchedFollowerKeepsItsQuery: prefetch probes each follower in the
+// session's follower block, which the next probe overwrites, so what it
+// enqueues is a clone. Five dk hits whose dm followers are not cached each
+// prefetch one; every prefetched element's definition must still be the
+// follower it was fetched for once later probes have reused the block, and
+// must answer it as caql.Eval does.
+func TestPrefetchedFollowerKeepsItsQuery(t *testing.T) {
+	e, src := fixtureEngine(t, 21, 60)
+	cms := newCMS(t, e, Options{Features: AllFeatures()})
+	s := cms.BeginSession(advice.MustParse(followerAdvice)).(*Session)
+	drainQ(t, s, "dg(X, Y, Z) :- b3(X, Y, Z)")
+	for k := 3; k < 8; k++ {
+		drainQ(t, s, fmt.Sprintf(`dk(%d, Z) :- b3(%d, "a", Z)`, k, k))
+	}
+	s.waitPrefetches() // End would cancel the last
+	s.End()
+	var prefetched int
+	for _, el := range cms.Manager().Elements() {
+		if !el.prefetched {
+			continue
+		}
+		prefetched++
+		if got := el.Def.Canonical(); got != el.Canonical() {
+			t.Fatalf("a prefetched element's definition is %s, but it was fetched for %s", got, el.Canonical())
+		}
+		want, err := caql.Eval(el.Def, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !el.Extension().EqualAsBag(want) {
+			t.Fatalf("%s: the element holds %v, want %v", el.Def, el.Extension().Tuples(), want.Tuples())
+		}
+	}
+	if prefetched != 5 {
+		t.Fatalf("%d followers prefetched, want 5: %+v", prefetched, cms.Stats())
+	}
+}
+
 // TestLazyHitDrainAllocs: a lazy hit's rows are carved from blocks that
 // double from 8 rows to 1 024, so draining 5 000 of them costs a dozen
 // allocations, not one per row, and every row handed out keeps its values
-// while the stream goes on filling later blocks.
+// while the stream goes on filling later blocks. The count is process-wide,
+// and an allocation elsewhere in the process can only add to it, so the
+// same lazy hit is drained three times, each checked row by row, and the
+// fewest allocations are held to the budget.
 func TestLazyHitDrainAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -129,37 +241,42 @@ func TestLazyHitDrainAllocs(t *testing.T) {
 	drainQ(t, s, "dg(X, Y) :- big(X, Y)")
 
 	q := `dg(X, "a") :- big(X, "a")`
-	st, err := s.QueryText(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Lazy() || cms.Stats().CacheHits != 1 {
-		t.Fatalf("%s is not a lazy hit: %+v", q, cms.Stats())
-	}
+	fewest := uint64(math.MaxUint64)
 	kept := make([]relation.Tuple, 0, rows)
 	copies := make([]relation.Value, 0, 2*rows)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for tu, ok := st.Next(); ok; tu, ok = st.Next() {
-		kept = append(kept, tu)
-		copies = append(copies, tu...)
-	}
-	runtime.ReadMemStats(&after)
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != rows {
-		t.Fatalf("drained %d rows, want %d", len(kept), rows)
-	}
-	allocs := after.Mallocs - before.Mallocs
-	t.Logf("%d rows drained in %d allocations", rows, allocs)
-	if allocs > 16 {
-		t.Errorf("draining %d rows made %d allocations, budget 16", rows, allocs)
-	}
-	for i, tu := range kept {
-		if !tu.Equal(relation.Tuple(copies[2*i : 2*i+2])) {
-			t.Fatalf("row %d is %v, was %v when it was handed out", i, tu, copies[2*i:2*i+2])
+	for drain := 1; drain <= 3; drain++ {
+		st, err := s.QueryText(q)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !st.Lazy() || cms.Stats().CacheHits != int64(drain) {
+			t.Fatalf("%s is not a lazy hit: %+v", q, cms.Stats())
+		}
+		kept, copies = kept[:0], copies[:0]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for tu, ok := st.Next(); ok; tu, ok = st.Next() {
+			kept = append(kept, tu)
+			copies = append(copies, tu...)
+		}
+		runtime.ReadMemStats(&after)
+		if err := st.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if len(kept) != rows {
+			t.Fatalf("drain %d: drained %d rows, want %d", drain, len(kept), rows)
+		}
+		for i, tu := range kept {
+			if !tu.Equal(relation.Tuple(copies[2*i : 2*i+2])) {
+				t.Fatalf("drain %d: row %d is %v, was %v when it was handed out", drain, i, tu, copies[2*i:2*i+2])
+			}
+		}
+		allocs := after.Mallocs - before.Mallocs
+		t.Logf("drain %d: %d rows in %d allocations", drain, rows, allocs)
+		fewest = min(fewest, allocs)
+	}
+	if fewest > 16 {
+		t.Errorf("draining %d rows made at least %d allocations, budget 16", rows, fewest)
 	}
 }
 
@@ -170,11 +287,14 @@ func TestLazyHitDrainAllocs(t *testing.T) {
 // answer of each kind of hit (indexed eager, exact eager, which shares the
 // element's rows, lazy, lazy identity, decomposed and generalized) is half
 // read, with a copy of each tuple taken as it is handed out, and left open
-// while 200 further queries run on the session, each drained and closed, so
-// that their streams are recycled. Then every kept tuple must still equal its
-// copy, the rest of each open stream must complete the answer caql.Eval
-// gives, and every tuple drained from a closed stream must still be what it
-// was when it was read.
+// while 200 further queries run on the session, each drained, checked and
+// closed, so that their streams are recycled. Then every kept tuple must
+// still equal its copy, and the rest of each open stream must complete the
+// answer caql.Eval gives. A closed stream's tuples part two ways. Those of a
+// closed identity or lazy stream must still be what they were when read. A
+// closed materialized stream's block of values is the next materialized
+// hit's, exactly when that hit's values fit in it: its first tuple starts
+// where the closed one's did, and a hit that does not fit gets a new block.
 func TestHitAnswersSurviveScratchReuse(t *testing.T) {
 	e, src := fixtureEngine(t, 21, 60)
 	cms := newCMS(t, e, Options{Features: AllFeatures()})
@@ -240,10 +360,15 @@ func TestHitAnswersSurviveScratchReuse(t *testing.T) {
 	}
 
 	// Hits that reuse the prepared block (ranges included), the derivation
-	// block, the index rows and the closed streams; the last is an exact hit
-	// with no head constant.
+	// block, the index rows and the closed streams and blocks; the second is
+	// lazy, and the last an exact hit with no head constant. The others are
+	// materialized, and block and capacity follow the one the last of them
+	// was served in: a block Materialize makes has the capacity of its
+	// answer, and goes to the next materialized hit once its stream is closed.
 	remote := cms.Stats().RemoteRequests
 	var closed, closedCopies [][]relation.Tuple
+	var block *relation.Value
+	var blockCap, reused, fresh int
 	for i := 0; i < 200; i++ {
 		k, y := i%8, string(rune('a'+i%4))
 		var q string
@@ -268,21 +393,40 @@ func TestHitAnswersSurviveScratchReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := st.Drain("out")
-		st.Close()
 		if !got.EqualAsBag(want) {
 			t.Fatalf("query %d, %s: got %v, want %v", i, q, got.Tuples(), want.Tuples())
 		}
-		copies := make([]relation.Tuple, got.Len())
-		for j, tu := range got.Tuples() {
-			copies[j] = slices.Clone(tu)
+		if i%5 == 1 || i%5 == 4 {
+			copies := make([]relation.Tuple, got.Len())
+			for j, tu := range got.Tuples() {
+				copies[j] = slices.Clone(tu)
+			}
+			closed, closedCopies = append(closed, got.Tuples()), append(closedCopies, copies)
+		} else if size := got.Len() * got.Schema().Arity(); size > 0 {
+			first := &got.Tuple(0)[0]
+			switch {
+			case size <= blockCap && first != block:
+				t.Fatalf("query %d, %s: %d values fit the %d-value block closed before, but were served in another", i, q, size, blockCap)
+			case size > blockCap && first == block:
+				t.Fatalf("query %d, %s: %d values served in a closed block of %d", i, q, size, blockCap)
+			case first == block:
+				reused++
+			default:
+				block, blockCap = first, size
+				fresh++
+			}
 		}
-		closed, closedCopies = append(closed, got.Tuples()), append(closedCopies, copies)
+		st.Close()
 	}
+	if reused == 0 || fresh == 0 {
+		t.Fatalf("materialized hits: %d served in a closed block, %d in a new one; want both", reused, fresh)
+	}
+	t.Logf("materialized hits: %d served in a closed block, %d in a new one", reused, fresh)
 
 	for i, rows := range closed {
 		for j, tu := range rows {
 			if !tu.Equal(closedCopies[i][j]) {
-				t.Fatalf("further query %d: tuple %d read before Close is %v, was %v", i, j, tu, closedCopies[i][j])
+				t.Fatalf("further identity or lazy answer %d: tuple %d read before Close is %v, was %v", i, j, tu, closedCopies[i][j])
 			}
 		}
 	}
@@ -629,8 +773,9 @@ func TestIdentityHitSharesRows(t *testing.T) {
 // its consumer closes it, and hands it out again only after that. With k
 // streams open at once over 50 queries, no two open streams are one object,
 // each answers as caql.Eval does, and the session needs no more than k+1
-// streams. A stream closed twice in a row goes back to the pool once, so the
-// next two hits get two streams. Close on a lazy or an unpooled stream
+// streams. A closed materialized hit's block of values comes back cleared.
+// A stream closed twice in a row goes back to the pool once, so the next two
+// hits get two streams. Close on a lazy or an unpooled stream
 // leaves it as it was, readable to its end, and puts nothing in the pool.
 func TestStreamPoolHandsOutOnce(t *testing.T) {
 	e, src := fixtureEngine(t, 21, 60)
@@ -694,6 +839,19 @@ func TestStreamPoolHandsOutOnce(t *testing.T) {
 		}
 		if len(seen) > k+1 {
 			t.Errorf("k=%d: %d streams for 50 queries with %d open at once; closed streams are not reused", k, len(seen), k)
+		}
+	}
+
+	blk := ask(eager[1], false)
+	check(blk, eager[1], nil)
+	blk.Close()
+	if vals := s.streams.Values(); cap(vals) == 0 {
+		t.Fatal("a closed materialized hit gave no block back")
+	} else {
+		for i, v := range vals[:cap(vals)] {
+			if !v.IsNull() {
+				t.Fatalf("value %d of a closed block is %v; the pool keeps no value of an answer", i, v)
+			}
 		}
 	}
 

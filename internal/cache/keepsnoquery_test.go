@@ -183,10 +183,10 @@ func TestSessionKeepsNoQuery(t *testing.T) {
 			for _, text := range append(append([]string(nil), tc.warm...), tc.asks[len(tc.asks)-1].query) {
 				st := query(text)
 				got := st.Drain("again")
-				st.Close()
 				if want := answer(text); !got.EqualAsBag(want) {
 					t.Fatalf("%s asked again: got %v, want %v", text, got.Tuples(), want.Tuples())
 				}
+				st.Close()
 			}
 			for _, o := range answers {
 				for i, tu := range o.kept {

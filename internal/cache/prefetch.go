@@ -20,8 +20,9 @@ import (
 // the top of its next query (think time is when the fetches were "running"),
 // so per-session stats and sim-clock accounting match the serial execution.
 
-// prefetchJob is one predicted fetch: the query, the view spec it
-// instantiates, and the issuing session's clock at issue time.
+// prefetchJob is one predicted fetch: the query, which the job owns and the
+// element it makes keeps, the view spec it instantiates, and the issuing
+// session's clock at issue time.
 type prefetchJob struct {
 	s        *Session
 	q        *caql.Query
@@ -116,7 +117,7 @@ func (j prefetchJob) run() {
 		return // prefetching is best-effort; failed fetches are not counted
 	}
 	c.stats.Prefetches.Add(1)
-	e := newExtensionElement(c.mgr.NewElementID(), j.q.Clone(), j.canon, ext)
+	e := newExtensionElement(c.mgr.NewElementID(), j.q, j.canon, ext)
 	if j.vs != nil {
 		e.AdviceName = j.vs.Name()
 	}
@@ -134,27 +135,29 @@ func (j prefetchJob) run() {
 	s.pmu.Unlock()
 }
 
-// enqueuePrefetch registers a predicted fetch (canon is pq.Canonical()) with
-// the pool, deduplicating against this session's in-flight prefetches.
-// Saturation drops are counted.
-func (s *Session) enqueuePrefetch(pq *caql.Query, canon string, vs *advice.ViewSpec) {
+// enqueuePrefetch registers a predicted fetch (canon is pq.AppendCanonical's)
+// with the pool, deduplicating against this session's in-flight prefetches.
+// pq may be the caller's scratch: the job keeps a clone. Saturation drops are
+// counted.
+func (s *Session) enqueuePrefetch(pq *caql.Query, canon []byte, vs *advice.ViewSpec) {
 	c := s.cms
 	s.pmu.Lock()
-	if s.inflight == nil {
-		s.inflight = make(map[string]bool)
-	}
-	if s.inflight[canon] {
+	if s.inflight[string(canon)] {
 		s.pmu.Unlock()
 		return
 	}
-	s.inflight[canon] = true
+	if s.inflight == nil {
+		s.inflight = make(map[string]bool)
+	}
+	key := string(canon)
+	s.inflight[key] = true
 	s.pmu.Unlock()
 
 	s.pfWG.Add(1)
-	job := prefetchJob{s: s, q: pq, vs: vs, issueSim: s.simNow, canon: canon}
+	job := prefetchJob{s: s, q: pq.Clone(), vs: vs, issueSim: s.simNow, canon: key}
 	if !c.pf.submit(job) {
 		s.pmu.Lock()
-		delete(s.inflight, canon)
+		delete(s.inflight, key)
 		s.pmu.Unlock()
 		s.pfWG.Done()
 		c.stats.PrefetchDrops.Add(1)

@@ -492,7 +492,7 @@ func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, q *caql.Qu
 		s.advanceLocal(c.opts.Costs.PerLocalOp * float64(ops+len(rows)))
 		return s.streams.Rows(schema, rows), nil
 	}
-	vals, n := d.Materialize(rows, skip)
+	vals, n := d.Materialize(s.streams.Values(), rows, skip)
 	s.advanceLocal(c.opts.Costs.PerLocalOp * float64(ops+n))
 	return s.streams.Block(schema, vals, len(d.OutCols), n), nil
 }
@@ -882,35 +882,85 @@ func (s *Session) answerDecomposition(ctx context.Context, q *caql.Query, canon 
 // items following q's view in its sequence grouping are "likely to be
 // evaluated when the first item is evaluated" (Section 5.3.1). Consumer
 // arguments are instantiated from the current query's constants; followers
-// with unresolved consumers are skipped. The selected fetches are handed to
-// the asynchronous worker pool (prefetch.go) so they overlap the IE's think
-// time in wall-clock terms, not just on the simulated clock.
+// with unresolved consumers are skipped. Each follower is instantiated into
+// the session's follower block and probed there, so a follower the cache
+// answers costs nothing; the selected fetches are handed to the asynchronous
+// worker pool (prefetch.go) so they overlap the IE's think time in
+// wall-clock terms, not just on the simulated clock.
 func (s *Session) prefetchFollowers(q *caql.Query, vs *advice.ViewSpec) {
 	if vs == nil {
 		return
 	}
-	// The bindings and the stale check are built for the first follower that
-	// is instantiated, if any is.
-	var binds map[string]relation.Value
+	// The stale check is built for the first follower that is instantiated,
+	// if any is.
 	var st staleCheck
 	for _, fname := range s.followersOf(q.Name()) {
 		fvs := s.adv.ViewByName(fname)
 		if fvs == nil || !consumersBound(fvs, vs, q) {
 			continue
 		}
-		if binds == nil {
-			binds = consumerBindings(vs, q)
+		if st.c == nil {
 			st = s.staleChecker(false) // prefetching runs only while the remote is available
 		}
-		fq := fvs.Query.Instantiate(binds)
+		fq := s.follower.instantiate(fvs.Query, vs, q)
 		s.canon = fq.AppendCanonical(s.canon[:0])
 		// A follower step 2 answers from the cache is not fetched, and no
 		// follower is once the session has ended (fromCache fails).
 		if v, _, err := s.fromCache(s.ctx, nil, subsume.PrepareInto(&s.prep, fq), s.canon, st); err != nil || v.kind != remote {
 			continue
 		}
-		s.enqueuePrefetch(fq, string(s.canon), fvs)
+		s.enqueuePrefetch(fq, s.canon, fvs)
 	}
+}
+
+// followerBlock is the query prefetchFollowers instantiates a follower into,
+// and the atoms and terms its slices are carved from, reused from follower
+// to follower and grown to the largest the session has instantiated. Nothing
+// keeps a reference into it: enqueuePrefetch clones what it keeps.
+type followerBlock struct {
+	q     caql.Query
+	atoms []logic.Atom
+	terms []logic.Term
+}
+
+// instantiate is tq.Instantiate with each variable at a consumer position of
+// vs bound to the constant q, an instance of vs, has there, built in b.
+func (b *followerBlock) instantiate(tq *caql.Query, vs *advice.ViewSpec, q *caql.Query) *caql.Query {
+	nterms := len(tq.Head.Args)
+	for _, a := range tq.Rels {
+		nterms += len(a.Args)
+	}
+	for _, a := range tq.Cmps {
+		nterms += len(a.Args)
+	}
+	b.terms = slices.Grow(b.terms[:0], nterms)
+	b.atoms = slices.Grow(b.atoms[:0], len(tq.Rels)+len(tq.Cmps))
+	b.q.Head = b.bind(tq.Head, vs, q)
+	for _, a := range tq.Rels {
+		b.atoms = append(b.atoms, b.bind(a, vs, q))
+	}
+	for _, a := range tq.Cmps {
+		b.atoms = append(b.atoms, b.bind(a, vs, q))
+	}
+	n := len(tq.Rels)
+	b.q.Rels, b.q.Cmps = b.atoms[:n:n], b.atoms[n:]
+	return &b.q
+}
+
+// bind is a with its bound variables replaced, its arguments carved from the
+// tail of b.terms.
+func (b *followerBlock) bind(a logic.Atom, vs *advice.ViewSpec, q *caql.Query) logic.Atom {
+	at := len(b.terms)
+	for _, t := range a.Args {
+		if t.IsVar() {
+			if c, ok := consumerBinding(vs, q, t.Var); ok {
+				t = logic.C(c)
+			}
+		}
+		b.terms = append(b.terms, t)
+	}
+	end := len(b.terms)
+	return logic.Atom{Pred: a.Pred, Args: b.terms[at:end:end]}
 }
 
 // followersOf is advice.SequenceFollowers of the session's path expression,
@@ -927,51 +977,34 @@ func (s *Session) followersOf(name string) []string {
 	return f
 }
 
-// consumerBindings maps each variable at a consumer position of vs to the
-// constant q, an instance of vs, has there: what a follower's consumer
-// arguments are instantiated from.
-func consumerBindings(vs *advice.ViewSpec, q *caql.Query) map[string]relation.Value {
-	binds := map[string]relation.Value{}
-	for i, b := range vs.Bindings {
-		if v, ok := consumerConst(vs, q, i, b); ok {
-			binds[vs.Query.Head.Args[i].Var] = v
-		}
-	}
-	return binds
-}
-
-// consumersBound reports whether consumerBindings(vs, q) binds every variable
-// at a consumer position of the follower fvs — whether instantiating fvs
-// would resolve all its consumers — without building the map.
+// consumersBound reports whether every variable at a consumer position of
+// the follower fvs has a consumerBinding from vs and q: whether
+// instantiating fvs resolves all its consumers.
 func consumersBound(fvs, vs *advice.ViewSpec, q *caql.Query) bool {
 	for i, b := range fvs.Bindings {
 		if b != advice.BindConsumer || i >= len(fvs.Query.Head.Args) {
 			continue
 		}
-		if t := fvs.Query.Head.Args[i]; t.IsVar() && !bindsVar(vs, q, t.Var) {
-			return false
+		if t := fvs.Query.Head.Args[i]; t.IsVar() {
+			if _, ok := consumerBinding(vs, q, t.Var); !ok {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// bindsVar reports whether consumerBindings(vs, q) binds v.
-func bindsVar(vs *advice.ViewSpec, q *caql.Query, v string) bool {
-	for i, b := range vs.Bindings {
-		if _, ok := consumerConst(vs, q, i, b); ok && vs.Query.Head.Args[i].Var == v {
-			return true
+// consumerBinding is the constant a follower's variable v is instantiated
+// with: the one q, an instance of vs, has at the last consumer position of vs
+// that holds v and where q has a constant.
+func consumerBinding(vs *advice.ViewSpec, q *caql.Query, v string) (relation.Value, bool) {
+	for i := len(vs.Bindings) - 1; i >= 0; i-- {
+		if vs.Bindings[i] == advice.BindConsumer && i < len(q.Head.Args) &&
+			vs.Query.Head.Args[i].IsVar() && vs.Query.Head.Args[i].Var == v && q.Head.Args[i].IsConst() {
+			return q.Head.Args[i].Const, true
 		}
 	}
-	return false
-}
-
-// consumerConst returns the constant q has at head position i of vs when i
-// is a consumer position (binding b) holding a variable in vs.
-func consumerConst(vs *advice.ViewSpec, q *caql.Query, i int, b advice.Binding) (relation.Value, bool) {
-	if b != advice.BindConsumer || i >= len(q.Head.Args) || !vs.Query.Head.Args[i].IsVar() || !q.Head.Args[i].IsConst() {
-		return relation.Value{}, false
-	}
-	return q.Head.Args[i].Const, true
+	return relation.Value{}, false
 }
 
 // probe is step 2's lookup, shared by everything that asks "what in the cache

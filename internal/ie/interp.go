@@ -199,7 +199,8 @@ func (r *runner) nextTuple(c *choice) (bool, error) {
 		if bound {
 			r.g = c.goal
 			if r.engine.opts.Explain {
-				r.g.acc = appendProof(c.goal.acc, &Proof{Kind: "query", Detail: q.String(), Tuple: tu})
+				// A copy: a hit's block of values goes back to its pool on Close.
+				r.g.acc = appendProof(c.goal.acc, &Proof{Kind: "query", Detail: q.String(), Tuple: append(relation.Tuple(nil), tu...)})
 			}
 			return true, nil
 		}

@@ -1,13 +1,16 @@
 package ie
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/caql"
 	"repro/internal/logic"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 // relationOfPairs builds a small binary integer relation.
@@ -128,4 +131,69 @@ func TestProofPerSolutionIsolation(t *testing.T) {
 	if seen != 2 {
 		t.Fatalf("solutions = %d, want 2", seen)
 	}
+}
+
+// TestProofTuplesSurviveClose: a proof's query step cites the tuple that
+// witnessed it, and the IE closes the segment's stream when its choice pops,
+// after which the CMS hands a materialized hit's block of values to a later
+// hit. Over a warm CMS, so that every query is a hit and the non-identity
+// ones are materialized, the proofs of Explain asks are rendered and their
+// query tuples copied; further asks then run on the same engine, and every
+// proof's query tuples and rendering must be unchanged.
+func TestProofTuplesSurviveClose(t *testing.T) {
+	w := workload.Kinship(1, 60)
+	cms := kinshipCMS(w)
+	opts := DefaultOptions()
+	opts.Explain = true
+	eng := New(w.KB, cms, opts)
+	askForms(t, eng, "p005")
+	askForms(t, eng, "p006")
+
+	type step struct{ tuple, copy relation.Tuple }
+	var steps []step
+	var proofs []*Proof
+	var texts []string
+	var walk func(p *Proof)
+	walk = func(p *Proof) {
+		if p.Kind == "query" {
+			steps = append(steps, step{p.Tuple, slices.Clone(p.Tuple)})
+		}
+		for _, c := range p.Children {
+			walk(c)
+		}
+	}
+	before := cms.Stats()
+	for _, f := range kinshipForms {
+		sol, err := eng.AskText(fmt.Sprintf(f, "p005"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p, ok := sol.NextProof(); ok; _, p, ok = sol.NextProof() {
+			proofs, texts = append(proofs, p), append(texts, p.String())
+			walk(p)
+		}
+		if err := sol.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := cms.Stats()
+	if len(steps) == 0 || after.RemoteRequests != before.RemoteRequests || after.CacheHits == before.CacheHits {
+		t.Fatalf("%d query steps; want some, all of them hits: %d remote requests, %d hits",
+			len(steps), after.RemoteRequests-before.RemoteRequests, after.CacheHits-before.CacheHits)
+	}
+
+	for p := 6; p <= 9; p++ {
+		askForms(t, eng, fmt.Sprintf("p%03d", p))
+	}
+	for i, s := range steps {
+		if !s.tuple.Equal(s.copy) {
+			t.Fatalf("query step %d: tuple is %v, was %v", i, s.tuple, s.copy)
+		}
+	}
+	for i, p := range proofs {
+		if got := p.String(); got != texts[i] {
+			t.Fatalf("proof %d now renders\n%s\nwas\n%s", i, got, texts[i])
+		}
+	}
+	t.Logf("%d proofs, %d query steps", len(proofs), len(steps))
 }

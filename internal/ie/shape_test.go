@@ -454,3 +454,54 @@ func TestCachedShapeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmAskAllocs holds a warm ask to its allocations, end to end: the
+// interpreted strategy over a CMS holding its whole working set, on a chain
+// of 50 edges, asks path(0, Y), which has 50 answers, in 102 CAQL queries,
+// all of them hits. A hit's derivation, query block, stream and block of
+// answer values are the session's, recycled as the search closes each
+// segment, and a follower the path expression predicts is probed in the
+// session's scratch. What is left is the session and its advice, the
+// answers (2 each), and a query block, stream and value block for each of
+// the 51 segments the right-linear search holds open at its deepest, which
+// a new session's pools make afresh: 334 today. Before closed hits gave
+// their value blocks back and followers were probed in scratch, the ask made
+// 688.
+func TestWarmAskAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n, budget = 50, 340
+	kb := mustKB(t, `
+		:- base(e/2).
+		path(X, Y) :- e(X, Y).
+		path(X, Y) :- e(X, Z), path(Z, Y).
+	`)
+	chain := make([][2]int64, n)
+	for i := range chain {
+		chain[i] = [2]int64{int64(i), int64(i + 1)}
+	}
+	e := remotedb.NewEngine()
+	e.LoadTable(relationOfPairs("e", chain))
+	cms := cache.New(remotedb.NewInProcClient(e, remotedb.DefaultCosts()),
+		cache.Options{Features: cache.AllFeatures(), Costs: remotedb.DefaultCosts()})
+	eng := New(kb, cms, DefaultOptions())
+	goal := logic.A("path", logic.CInt(0), logic.V("Y"))
+	for i := 0; i < 3; i++ {
+		if got := eng.askAll(t, goal); got != n {
+			t.Fatalf("path(0, Y) has %d answers, want %d", got, n)
+		}
+	}
+	before := cms.Stats()
+	allocs := testing.AllocsPerRun(20, func() { eng.askAll(t, goal) })
+	after := cms.Stats()
+	queries := (after.Queries - before.Queries) / 21
+	if after.RemoteRequests != before.RemoteRequests || after.CacheHits-before.CacheHits != after.Queries-before.Queries {
+		t.Fatalf("not a warm ask: %d remote requests, %d hits in %d queries", after.RemoteRequests-before.RemoteRequests,
+			after.CacheHits-before.CacheHits, after.Queries-before.Queries)
+	}
+	t.Logf("a warm ask of %d queries makes %v allocations", queries, allocs)
+	if allocs > budget {
+		t.Errorf("a warm ask makes %v allocations, budget %d", allocs, budget)
+	}
+}

@@ -188,17 +188,17 @@ func (d *Derivation) Identity() bool {
 
 // Materialize is Apply over rows of ext(E), built for the allocator: it
 // counts the rows that pass the derivation's selections, then copies each
-// one's output values into one n × arity block, row after row, which is its
-// only allocation. The condition at index skip (-1: none) is not evaluated:
-// the caller has applied it already, as an index lookup that produced rows
-// does. The values are copies, so a consumer that overwrites one cannot
-// reach the source, and rows may be the caller's scratch. An answer's values
-// are copies when the derivation is not the identity: the identity's answer
-// is rows itself, which a caller whose rows are not scratch serves without
-// Materialize.
-func (d *Derivation) Materialize(rows []relation.Tuple, skip int) (vals []relation.Value, n int) {
+// one's output values into one n × arity block, row after row. The block is
+// dst[:0] when dst has the capacity, and otherwise its only allocation. The
+// condition at index skip (-1: none) is not evaluated: the caller has applied
+// it already, as an index lookup that produced rows does. The values are
+// copies, so a consumer that overwrites one cannot reach the source, and rows
+// may be the caller's scratch. An answer's values are copies when the
+// derivation is not the identity: the identity's answer is rows itself,
+// which a caller whose rows are not scratch serves without Materialize.
+func (d *Derivation) Materialize(dst []relation.Value, rows []relation.Tuple, skip int) (vals []relation.Value, n int) {
 	if d.Empty {
-		return nil, 0
+		return dst[:0], 0
 	}
 	conds := d.Candidate.Conds
 	active := len(conds)
@@ -215,7 +215,10 @@ func (d *Derivation) Materialize(rows []relation.Tuple, skip int) (vals []relati
 		}
 	}
 	arity := len(d.OutCols)
-	vals = make([]relation.Value, n*arity)
+	if vals = dst[:0]; cap(vals) < n*arity {
+		vals = make([]relation.Value, 0, n*arity)
+	}
+	vals = vals[:n*arity]
 	at := 0
 	for _, t := range rows {
 		if active > 0 && !passes(conds, skip, t) {

@@ -197,10 +197,18 @@ func TestMaterializeMatchesApplyInFewAllocations(t *testing.T) {
 				t.Fatalf("%s: Materialize skipping condition %d gave %d rows, Apply %d", tc.q, k, got.Len(), ref.Len())
 			}
 		}
-		if allocs := testing.AllocsPerRun(20, func() { d.Materialize(ext.Tuples(), -1) }); allocs > 1 {
+		if allocs := testing.AllocsPerRun(20, func() { d.Materialize(nil, ext.Tuples(), -1) }); allocs > 1 {
 			t.Fatalf("%s: %.0f allocations for %d rows, want 1", tc.q, allocs, got.Len())
 		}
-		vals, _ := d.Materialize(ext.Tuples(), -1)
+		// A destination with the capacity is the block, and costs nothing.
+		dst := make([]relation.Value, 1, max(1, got.Len()*want.Schema().Arity()))
+		if allocs := testing.AllocsPerRun(20, func() { d.Materialize(dst, ext.Tuples(), -1) }); allocs != 0 {
+			t.Fatalf("%s: %.0f allocations into a block that fits, want 0", tc.q, allocs)
+		}
+		if vals, n := d.Materialize(dst, ext.Tuples(), -1); n > 0 && &vals[0] != &dst[:1][0] {
+			t.Fatalf("%s: a block that fits was not used", tc.q)
+		}
+		vals, _ := d.Materialize(nil, ext.Tuples(), -1)
 		for i := range vals {
 			vals[i] = relation.Int(-1)
 		}
@@ -243,9 +251,9 @@ func TestIdentity(t *testing.T) {
 	}
 }
 
-// materialized is d.Materialize(rows, skip) as a relation.
+// materialized is d.Materialize(nil, rows, skip) as a relation.
 func materialized(d *Derivation, schema *relation.Schema, rows []relation.Tuple, skip int) *relation.Relation {
-	vals, n := d.Materialize(rows, skip)
+	vals, n := d.Materialize(nil, rows, skip)
 	out := relation.New("q", schema)
 	for i := 0; i < n; i++ {
 		out.MustAppend(relation.Tuple(vals[i*schema.Arity() : (i+1)*schema.Arity()]))
