@@ -1,6 +1,8 @@
 package braid
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -52,6 +54,31 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("missing ann/cal: %v", rows)
+	}
+}
+
+// TestPublicAPIAskCtx: an ask whose context is already canceled answers
+// nothing and reports an error that matches context.Canceled, under every
+// strategy; the same ask under a live context answers in full.
+func TestPublicAPIAskCtx(t *testing.T) {
+	for _, strat := range []string{"interpreted", "conjunction", "compiled"} {
+		sys := quickstartSystem(t, WithStrategy(strat))
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		ans, err := sys.AskCtx(ctx, "grandparent(X, Z)?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := ans.All(); len(rows) != 0 || !errors.Is(ans.Err(), context.Canceled) {
+			t.Fatalf("%s: a canceled ask answered %v, Err %v", strat, rows, ans.Err())
+		}
+		ans, err = sys.AskCtx(context.Background(), "grandparent(X, Z)?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ans.Count(); n != 3 || ans.Err() != nil {
+			t.Fatalf("%s: the next ask answered %d of 3: %v", strat, n, ans.Err())
+		}
 	}
 }
 

@@ -29,7 +29,8 @@ var (
 )
 
 // TestDocNamesExist holds what the documents cite to the tree. In DESIGN.md,
-// README.md and EXPERIMENTS.md, every code span that reads as a Go name
+// README.md, EXPERIMENTS.md and INVARIANTS.md (whose table names the tests
+// that hold each invariant), every code span that reads as a Go name
 // (X, pkg.X, (*T).M, X()) must be a string some Go file spells, or each of
 // its parts must be declared: in a .go file of the tree (tests and the bench
 // module included), as a Go builtin, as a name in BENCHMARK.json, or, after
@@ -47,7 +48,7 @@ func TestDocNamesExist(t *testing.T) {
 	}
 	std := stdNames{}
 
-	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", "INVARIANTS.md"} {
 		text := fence.ReplaceAllStringFunc(readDoc(t, doc), func(s string) string {
 			return strings.Repeat("\n", strings.Count(s, "\n"))
 		})

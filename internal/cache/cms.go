@@ -113,6 +113,9 @@ type CMS struct {
 
 	nextSID atomic.Int64
 	stats   bridge.StatsCounters
+
+	// idle holds the scratch ended sessions left for later ones.
+	idle sync.Pool
 }
 
 var _ bridge.DataSource = (*CMS)(nil)
@@ -227,25 +230,24 @@ func (c *CMS) Degraded() bool { return !c.rdi.Available() }
 // unique ID; advice-driven replacement predictors are registered per session
 // so concurrent sessions' advice compose (the eviction victim is the element
 // no session predicts a near reuse for).
+//
+// A session runs on the scratch of one that has ended, when the CMS kept one
+// (see scratch), and hands out again the streams that session's consumer
+// closed before End. It starts with a new ID, context, tracker and clock,
+// and keeps nothing of the ended session but the capacity of its buffers.
 func (c *CMS) BeginSession(adv *advice.Advice) bridge.Session {
-	s := &Session{
-		cms:     c,
-		id:      c.nextSID.Add(1),
-		adv:     adv,
-		genSeen: make(map[string]int),
+	sc, _ := c.idle.Get().(*scratch)
+	if sc == nil {
+		sc = c.newScratch()
 	}
+	s := &Session{cms: c, id: c.nextSID.Add(1), adv: adv, scratch: sc}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
+	s.streams, sc.freeStreams = sc.freeStreams, bridge.StreamPool{}
 	if adv != nil && adv.Path != nil {
-		s.tracker = advice.NewTracker(adv.Path)
+		sc.tracker = advice.NewTracker(adv.Path)
 	}
-	if c.opts.Features.AdviceReplacement && s.tracker != nil {
-		c.mgr.RegisterPredictor(s.id, func(e *Element) (int, bool) {
-			if e.AdviceName == "" || s.tracker.Lost() {
-				return 0, false
-			}
-			d, ok := s.tracker.PredictWithin(c.opts.PredictHorizon)[e.AdviceName]
-			return d, ok
-		})
+	if c.opts.Features.AdviceReplacement && sc.tracker != nil {
+		c.mgr.RegisterPredictor(s.id, sc.predict)
 	}
 	return s
 }
@@ -253,11 +255,17 @@ func (c *CMS) BeginSession(adv *advice.Advice) bridge.Session {
 // Session is a CMS session. A session models a single IE's query sequence, so
 // its own methods are not safe for concurrent use — but any number of
 // sessions may run against one CMS concurrently; open one session per client.
+//
+// A Session is the handle of one session and holds what is that session's
+// alone: its ID, context, clock and stream pool. What it reuses it borrows
+// from the CMS (scratch) and gives back at End. A stream the session handed
+// out keeps pointing at the handle, never at the scratch, so a stream closed
+// or read after End goes back to, or charges, the ended session, never the
+// session that borrows the scratch next.
 type Session struct {
-	cms     *CMS
-	id      int64
-	adv     *advice.Advice
-	tracker *advice.Tracker
+	cms *CMS
+	id  int64
+	adv *advice.Advice
 
 	// ctx is the session's lifetime context: End cancels it, which aborts the
 	// session's in-flight prefetches and poisons its outstanding lazy streams.
@@ -271,6 +279,26 @@ type Session struct {
 	simNow  float64
 	queries int64
 	ended   bool
+
+	// streams recycles the session's eager hit streams, and their blocks of
+	// answer values, as the IE closes them. The free ones come from the
+	// scratch at BeginSession and go back to it at End.
+	streams bridge.StreamPool
+
+	// scratch is nil once the session has ended.
+	*scratch
+}
+
+// scratch is what a session reuses from query to query, and what the CMS
+// keeps of an ended session for the next one: its buffers, its free streams,
+// and its memos, emptied. The CMS keeps it in a sync.Pool, not a free list,
+// so that what it keeps is the collector's to drop: kept scratch costs no
+// live heap once two collections pass it by.
+type scratch struct {
+	// tracker follows the session's path expression; predict is the
+	// replacement predictor that reads it, made once per scratch.
+	tracker *advice.Tracker
+	predict func(e *Element) (int, bool)
 
 	// genSeen counts occurrences of each query's fully-generalized canonical
 	// form; repeated instances trigger generalization even without a path
@@ -288,9 +316,8 @@ type Session struct {
 	deriv subsume.DerivationBlock
 	cands []*Element
 	rows  []relation.Tuple
-	// streams recycles the session's eager hit streams, and their blocks of
-	// answer values, as the IE closes them.
-	streams bridge.StreamPool
+	// freeStreams is the stream pool of the session that ended last.
+	freeStreams bridge.StreamPool
 	// follower is the block prefetch instantiates each follower into.
 	follower followerBlock
 	// followers memoises advice.SequenceFollowers per view name: the path
@@ -306,14 +333,30 @@ type Session struct {
 	private  []*Element
 }
 
+// newScratch makes a session's scratch, with the predictor that reads
+// whichever tracker the session using the scratch has.
+func (c *CMS) newScratch() *scratch {
+	sc := &scratch{genSeen: make(map[string]int)}
+	sc.predict = func(e *Element) (int, bool) {
+		if e.AdviceName == "" || sc.tracker.Lost() {
+			return 0, false
+		}
+		d, ok := sc.tracker.PredictWithin(c.opts.PredictHorizon)[e.AdviceName]
+		return d, ok
+	}
+	return sc
+}
+
 // SimNow returns the session's virtual clock (milliseconds).
 func (s *Session) SimNow() float64 { return s.simNow }
 
 // End implements bridge.Session. It cancels the session context first — so
 // in-flight prefetch workers abort their remote calls instead of being waited
 // out — then waits for those workers, publishes the private elements that did
-// materialize (a departing session has no clock left to wait on), and
-// withdraws its replacement predictor.
+// materialize (a departing session has no clock left to wait on), withdraws
+// its replacement predictor, and gives its scratch back to the CMS for the
+// next session. The free streams go with it: a stream closed before End is
+// reused by a later session, one closed after End is not.
 func (s *Session) End() {
 	if s.ended {
 		return
@@ -325,9 +368,19 @@ func (s *Session) End() {
 	for _, e := range s.private {
 		e.publish()
 	}
-	s.private = nil
 	s.pmu.Unlock()
 	s.cms.mgr.UnregisterPredictor(s.id)
+
+	sc := s.scratch
+	s.scratch = nil
+	sc.freeStreams, s.streams = s.streams, bridge.StreamPool{}
+	sc.tracker = nil
+	clear(sc.genSeen)
+	clear(sc.followers)
+	clear(sc.inflight)
+	clear(sc.private)
+	sc.private = sc.private[:0]
+	s.cms.idle.Put(sc)
 }
 
 // QueryText parses and answers a CAQL query.

@@ -99,3 +99,28 @@ func TestChaosDeterministicOutcomes(t *testing.T) {
 		t.Fatalf("outcomes diverged:\n%+v\n%+v", a.Stats, b.Stats)
 	}
 }
+
+// TestChaosAskStorm storms one engine's asks with caller cancels and
+// deadlines over a faulty remote: every ask fails visibly with a typed error
+// or answers in full, the dispatch books balance, and no goroutine outlives
+// the storm.
+func TestChaosAskStorm(t *testing.T) {
+	cfg := DefaultConfig()
+	if *chaosShort || testing.Short() {
+		cfg.Sessions = 4
+		cfg.QueriesPerSession = 12
+		cfg.CancelRate = 0.20
+		cfg.DeadlineRate = 0.25
+	}
+	before := runtime.NumGoroutine()
+	res, err := runAskStorm(cfg)
+	if err != nil {
+		t.Fatalf("ask storm invariant violated: %v\n%+v", err, res)
+	}
+	if res.Completed == 0 || res.Canceled+res.DeadlineExceeded == 0 {
+		t.Fatalf("the storm did not exercise both outcomes in %d rounds: %+v", res.rounds, res)
+	}
+	t.Logf("ask storm: %d asks in %d rounds: completed=%d canceled=%d deadline=%d shed=%d failed=%d; %d CAQL queries",
+		res.Asks, res.rounds, res.Completed, res.Canceled, res.DeadlineExceeded, res.Shed, res.Failed, res.Stats.Queries)
+	stormLeakCheck(t, before)
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ie"
@@ -24,7 +25,7 @@ func TestWorkloadsStrategiesComparatorsAgree(t *testing.T) {
 			// Reference answers per query.
 			want := make(map[string]map[string]bool)
 			for _, q := range w.Queries {
-				derived, err := ie.BottomUp(w.KB, w.Source(), []logic.PredRef{q.Ref()})
+				derived, err := ie.BottomUp(context.Background(), w.KB, w.Source(), []logic.PredRef{q.Ref()})
 				if err != nil {
 					t.Fatalf("reference %s: %v", q, err)
 				}

@@ -14,8 +14,8 @@ import (
 // them on caql.Fixpoint. It is the substrate of the fully-compiled strategy
 // (set-at-a-time, all solutions) and the semantic reference the other
 // strategies are differentially tested against; FuzzFixpoint holds it to the
-// naive evaluation in naive_test.go.
-func BottomUp(kb *logic.KB, base caql.RelationSource, roots []logic.PredRef) (map[logic.PredRef]*relation.Relation, error) {
+// naive evaluation in naive_test.go. caql.Fixpoint checks ctx every round.
+func BottomUp(ctx context.Context, kb *logic.KB, base caql.RelationSource, roots []logic.PredRef) (map[logic.PredRef]*relation.Relation, error) {
 	var rules []*caql.Query
 	reach := make(map[logic.PredRef]bool)
 	var visit func(ref logic.PredRef)
@@ -36,7 +36,7 @@ func BottomUp(kb *logic.KB, base caql.RelationSource, roots []logic.PredRef) (ma
 	for _, r := range roots {
 		visit(r)
 	}
-	derived, _, err := caql.Fixpoint(context.TODO(), rules, base)
+	derived, _, err := caql.Fixpoint(ctx, rules, base)
 	return derived, err
 }
 

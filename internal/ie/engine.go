@@ -1,6 +1,7 @@
 package ie
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -78,10 +79,12 @@ func DefaultOptions() Options {
 }
 
 // Engine is the inference engine: a knowledge base plus a data source (the
-// CMS or a baseline). Engines are safe for concurrent Ask calls; each Ask
-// opens its own session. An engine compiles per goal shape: the asks of one
-// shape share one compile, and all shapes share the compiled clauses, until
-// the KB or a statistic the shaper read changes.
+// CMS or a baseline). Engines are safe for concurrent asks. Each ask opens a
+// session of its own and runs its search on a runner of its own; a runner
+// whose ask has closed is kept, with the scratch its stacks grew, for a later
+// ask. An engine compiles per goal shape: the asks of one shape share one
+// compile, and all shapes share the compiled clauses, until the KB or a
+// statistic the shaper read changes.
 type Engine struct {
 	kb   *logic.KB
 	ds   bridge.DataSource
@@ -89,6 +92,11 @@ type Engine struct {
 
 	mu sync.Mutex
 	ck *compiledKB
+
+	// runners holds the runners of closed asks. It is a sync.Pool, not a
+	// free list, so that what it holds is the collector's to drop: a kept
+	// runner costs no live heap once two collections pass it by.
+	runners sync.Pool
 }
 
 // New builds an engine.
@@ -112,7 +120,9 @@ type answer struct {
 // is produced on demand (the paper's single-solution strategy), and Close
 // abandons the remaining search. The search runs inside Next, on the caller's
 // goroutine, so how many CAQL queries a consumer causes depends on how many
-// answers it took, never on scheduling.
+// answers it took, never on scheduling. Once the search is closed or spent,
+// its runner goes back to the engine for another ask, and the Solutions
+// keeps only its variables and its error.
 type Solutions struct {
 	vars   []string
 	search *runner
@@ -156,15 +166,19 @@ func (s *Solutions) All() []logic.Subst {
 	}
 }
 
-// Err reports a search error (after Next returned false).
+// Err reports a search error (after Next returned false). An ask whose
+// context was canceled or expired reports bridge.ErrCanceled or
+// bridge.ErrDeadlineExceeded.
 func (s *Solutions) Err() error { return s.err }
 
-// Close abandons the search: the streams it still has open are closed and
-// its session ends. Closing a finished search does nothing.
+// Close abandons the search: the streams it still has open are closed, its
+// session ends and its runner goes back to the engine. Closing a finished
+// search does nothing.
 func (s *Solutions) Close() {
 	if !s.done {
 		s.done = true
 		s.search.close()
+		s.search = nil
 	}
 }
 
@@ -199,14 +213,23 @@ func (e *Engine) AskText(src string) (*Solutions, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Ask(goal)
+	return e.AskCtx(context.Background(), goal)
 }
 
-// Ask answers an AI query: find its goal shape's compile, assemble the
-// advice, open a session (transmitting the advice), and run the configured
-// strategy with the goal's constants bound. The result is a lazy solution
-// stream.
+// Ask is AskCtx without cancellation.
 func (e *Engine) Ask(goal logic.Atom) (*Solutions, error) {
+	return e.AskCtx(context.Background(), goal)
+}
+
+// AskCtx answers an AI query: find its goal shape's compile, assemble the
+// advice, open a session (transmitting the advice), and run the configured
+// strategy with the goal's constants bound, on a runner the engine kept from
+// an earlier ask or a new one. The result is a lazy solution stream. ctx
+// governs the whole ask: every CAQL query the search issues runs under it,
+// and once it is canceled or expired the search stops with
+// bridge.ErrCanceled or bridge.ErrDeadlineExceeded, closing every stream it
+// holds open.
+func (e *Engine) AskCtx(ctx context.Context, goal logic.Atom) (*Solutions, error) {
 	sh, err := e.shape(goal)
 	if err != nil {
 		return nil, err
@@ -221,14 +244,19 @@ func (e *Engine) Ask(goal logic.Atom) (*Solutions, error) {
 			vars = append(vars, t.Var)
 		}
 	}
-	r := &runner{engine: e, sh: sh, vars: vars, session: e.ds.BeginSession(adv), live: true}
-	r.goalAtom.Atom, r.goal[0] = goal, sh.goal
+	r, _ := e.runners.Get().(*runner)
+	if r == nil {
+		r = &runner{engine: e}
+		r.choices, r.free = r.buf[:0], r.freeBuf[:0]
+	}
+	r.ctx, r.sh, r.vars, r.live = ctx, sh, vars, true
+	r.session = e.ds.BeginSession(adv)
+	r.goalAtom, r.goal[0] = logic.NumAtom{Atom: goal}, sh.goal
 	if sh.goal.kind == itemCall {
 		r.goalAtom.Nums = sh.goal.atom.Nums
 		r.goal[0].atom = &r.goalAtom
 	}
 	r.g = cont{items: r.goal[:], base: r.b.Push(len(vars)), anc: -1, next: -1}
-	r.choices, r.free = r.buf[:0], r.freeBuf[:0]
 	return &Solutions{vars: vars, search: r}, nil
 }
 

@@ -3,6 +3,7 @@ package ie
 import (
 	"fmt"
 
+	"repro/internal/bridge"
 	"repro/internal/caql"
 	"repro/internal/logic"
 )
@@ -44,11 +45,13 @@ func (r *runner) compiled() ([]answer, error) {
 		if err != nil {
 			return nil, err
 		}
-		stream, err := r.session.Query(q)
+		stream, err := r.session.QueryCtx(r.ctx, q)
 		if err != nil {
 			return nil, err
 		}
+		// A drained stream stays open: a pooled answer's tuples end at Close.
 		if fetched[ref.Name], err = stream.DrainErr(ref.Name); err != nil {
+			stream.Close()
 			return nil, err
 		}
 	}
@@ -57,7 +60,10 @@ func (r *runner) compiled() ([]answer, error) {
 	goalRef := r.goalAtom.Ref()
 	ext := fetched[goalRef.Name]
 	if !e.kb.IsBase(goalRef) {
-		derived, err := BottomUp(e.kb, fetched, []logic.PredRef{goalRef})
+		derived, err := BottomUp(r.ctx, e.kb, fetched, []logic.PredRef{goalRef})
+		if cerr := bridge.CtxError(r.ctx); err != nil && cerr != nil {
+			return nil, cerr // Fixpoint returns the context's own error
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -267,7 +267,7 @@ func bottomUpAnswers(t *testing.T, kb *logic.KB, src caql.MapSource, goal string
 	if err != nil {
 		t.Fatal(err)
 	}
-	derived, err := BottomUp(kb, src, []logic.PredRef{g.Ref()})
+	derived, err := BottomUp(context.Background(), kb, src, []logic.PredRef{g.Ref()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -802,7 +802,7 @@ func TestBottomUpComparisons(t *testing.T) {
 	for i := int64(0); i < 6; i++ {
 		n.MustAppend(relation.Tuple{relation.Int(i)})
 	}
-	derived, err := BottomUp(kb, caql.MapSource{"n": n}, []logic.PredRef{{Name: "small", Arity: 1}})
+	derived, err := BottomUp(context.Background(), kb, caql.MapSource{"n": n}, []logic.PredRef{{Name: "small", Arity: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

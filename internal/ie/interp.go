@@ -2,6 +2,7 @@ package ie
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strconv"
 
@@ -30,8 +31,13 @@ const maxDepth = 4096
 // What runs after a called clause's body succeeds is a cont on a stack, and
 // the open calls' variant keys are entries of one byte arena, each linked to
 // its caller's; backtracking cuts both back to the choice's heights.
+//
+// A runner outlives its ask: close resets it and gives it back to its engine,
+// which hands it to a later ask with every stack's capacity and its free
+// query blocks, so a warm ask grows none of them again.
 type runner struct {
 	engine   *Engine
+	ctx      context.Context // the ask's: every query runs under it
 	sh       *shape
 	goal     [1]bodyItem   // the goal pseudo-clause's body
 	goalAtom logic.NumAtom // the ask's goal, a derived goal's call atom
@@ -99,8 +105,12 @@ type ancestor struct{ start, end, parent int }
 
 // next produces the search's next answer in depth-first order: it backtracks
 // into the newest choice while the goal is spent, and proves the goal's items
-// until none is left. ok is false once no choice is left.
+// until none is left. ok is false once no choice is left, or once the ask's
+// context is done.
 func (r *runner) next() (a answer, ok bool, err error) {
+	if err := bridge.CtxError(r.ctx); err != nil {
+		return answer{}, false, err
+	}
 	if r.engine.opts.Strategy == StrategyCompiled {
 		return r.nextCompiled()
 	}
@@ -140,14 +150,24 @@ func (r *runner) emit() answer {
 }
 
 // close closes the streams still open on the choice stack, newest first,
-// and ends the session.
+// ends the session, and gives the runner back to its engine, emptied: its
+// stacks keep their capacity and its query blocks, and nothing of the ask.
 func (r *runner) close() {
 	for i := len(r.choices) - 1; i >= 0; i-- {
-		if st := r.choices[i].stream; st != nil {
-			st.Close()
+		if c := &r.choices[i]; c.stream != nil {
+			c.stream.Close()
+			r.free = append(r.free, c.blk)
 		}
 	}
 	r.session.End()
+	clear(r.choices)
+	clear(r.conts)
+	r.choices, r.conts, r.anc, r.keys = r.choices[:0], r.conts[:0], r.anc[:0], r.keys[:0]
+	r.b.Undo(logic.Mark{})
+	r.answers, r.built = nil, false
+	r.ctx, r.sh, r.vars, r.session = nil, nil, nil, nil
+	r.g, r.goal, r.goalAtom = cont{}, [1]bodyItem{}, logic.NumAtom{}
+	r.engine.runners.Put(r)
 }
 
 // push records c with the search's state, which every retry of c restores.
@@ -268,8 +288,9 @@ func (r *runner) step() (bool, error) {
 
 	case itemSegment:
 		blk := r.instantiate(it.seg, g.base)
-		stream, err := r.session.Query(&blk.q)
+		stream, err := r.session.QueryCtx(r.ctx, &blk.q)
 		if err != nil {
+			r.free = append(r.free, blk)
 			return false, err
 		}
 		r.push(choice{goal: *g, stream: stream, blk: blk, seg: it.seg})

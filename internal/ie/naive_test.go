@@ -142,7 +142,7 @@ func FuzzFixpoint(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := BottomUp(kb, src, []logic.PredRef{goal.Ref()})
+		got, err := BottomUp(context.Background(), kb, src, []logic.PredRef{goal.Ref()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -373,6 +373,53 @@ func TestConcurrentAsksShareShapes(t *testing.T) {
 	wg.Wait()
 }
 
+// TestClosedSolutionsSurviveRunnerReuse: a closed or spent Solutions gives
+// its runner back to the engine and keeps only its variables and its error.
+// Four goroutines ask at once, each closing half its asks after one answer
+// and draining the rest, and then call Next, Err, Close and Vars on every
+// Solutions it has finished while the others' asks run on the runners those
+// gave back: none of them reaches a runner (the race detector would see it),
+// and each says what it said when it was finished.
+func TestClosedSolutionsSurviveRunnerReuse(t *testing.T) {
+	w := workload.Kinship(1, 40)
+	eng := New(w.KB, kinshipCMS(w), DefaultOptions())
+	var wg sync.WaitGroup
+	for k := 0; k < 4; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			var done []*Solutions
+			for i := 0; i < 40; i++ {
+				goal := fmt.Sprintf(kinshipForms[(i+k)%len(kinshipForms)], fmt.Sprintf("p%03d", 1+(i+k)%6))
+				sol, err := eng.AskText(goal)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 0 {
+					sol.Next()
+					sol.Close()
+				} else {
+					sol.All()
+				}
+				done = append(done, sol)
+				for _, d := range done {
+					if sub, ok := d.Next(); ok || sub != nil || d.Err() != nil {
+						t.Errorf("%s: a finished search answered %v (%v), Err %v", goal, sub, ok, d.Err())
+						return
+					}
+					d.Close()
+					if vars := d.Vars(); len(vars) != 1 {
+						t.Errorf("%s: a finished search has variables %v", goal, vars)
+						return
+					}
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+}
+
 // liveHeap is the heap's live bytes after two collections.
 func liveHeap() int64 {
 	runtime.GC()
@@ -418,14 +465,17 @@ func TestShapeCacheRetained(t *testing.T) {
 
 // TestCachedShapeAllocs holds an ask of a shape the engine has compiled,
 // short of its search, to the allocations it makes: binding the goal (its
-// variables, the runner, the solutions), assembling the advice, and opening
-// and ending the CMS session, whose path tracker is laid out in four
-// allocations.
+// variables and the solutions; the runner is one the engine kept),
+// assembling the advice, and opening and ending the CMS session. The
+// session's share is 7: its handle, its context and cancel function, and its
+// path tracker, laid out in four allocations; its scratch is one an ended
+// session left. Before runners and session scratch were kept, an ask made up
+// to 21 and its session 9.
 func TestCachedShapeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const askBudget, sessionBudget = 21, 9
+	const askBudget, sessionBudget = 17, 7
 	w := workload.Kinship(1, 60)
 	cms := kinshipCMS(w)
 	eng := New(w.KB, cms, DefaultOptions())
@@ -461,17 +511,18 @@ func TestCachedShapeAllocs(t *testing.T) {
 // all of them hits. A hit's derivation, query block, stream and block of
 // answer values are the session's, recycled as the search closes each
 // segment, and a follower the path expression predicts is probed in the
-// session's scratch. What is left is the session and its advice, the
-// answers (2 each), and a query block, stream and value block for each of
-// the 51 segments the right-linear search holds open at its deepest, which
-// a new session's pools make afresh: 334 today. Before closed hits gave
-// their value blocks back and followers were probed in scratch, the ask made
-// 688.
+// session's scratch. The runner, with its stacks and query blocks, is one
+// the engine kept from an earlier ask, and the session's scratch, with its
+// free streams and their value blocks, one an ended session left, so the 51
+// segments the right-linear search holds open at its deepest cost nothing.
+// What is left is the session and its advice, and the answers (2 each): 115
+// today. Before runners and session scratch were kept, the ask made 334, and
+// before closed hits gave their value blocks back, 688.
 func TestWarmAskAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const n, budget = 50, 340
+	const n, budget = 50, 126
 	kb := mustKB(t, `
 		:- base(e/2).
 		path(X, Y) :- e(X, Y).

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ie"
@@ -41,7 +42,7 @@ func TestKinshipSemanticsSane(t *testing.T) {
 		}
 	}
 	// grandparent answers exist and match bottom-up evaluation counts.
-	derived, err := ie.BottomUp(w.KB, w.Source(), []logic.PredRef{{Name: "grandparent", Arity: 2}})
+	derived, err := ie.BottomUp(context.Background(), w.KB, w.Source(), []logic.PredRef{{Name: "grandparent", Arity: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestKinshipSemanticsSane(t *testing.T) {
 		t.Fatal("no grandparents in a 60-person forest (suspicious)")
 	}
 	// anc is acyclic: nobody is their own ancestor.
-	derived, err = ie.BottomUp(w.KB, w.Source(), []logic.PredRef{{Name: "anc", Arity: 2}})
+	derived, err = ie.BottomUp(context.Background(), w.KB, w.Source(), []logic.PredRef{{Name: "anc", Arity: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestKinshipSemanticsSane(t *testing.T) {
 func TestSuppliersQueriesAnswerable(t *testing.T) {
 	w := Suppliers(5, 20)
 	for _, q := range w.Queries {
-		derived, err := ie.BottomUp(w.KB, w.Source(), []logic.PredRef{q.Ref()})
+		derived, err := ie.BottomUp(context.Background(), w.KB, w.Source(), []logic.PredRef{q.Ref()})
 		if err != nil {
 			t.Fatalf("query %s: %v", q, err)
 		}
