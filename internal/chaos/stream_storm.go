@@ -410,10 +410,15 @@ func runParallelStormLeg(cfg StormConfig, res *StormResult) error {
 	if err != nil {
 		return err
 	}
+	// The server writes the join's rows in place and its workers copy them
+	// into recycled exchange blocks; under ORDER BY and DISTINCT the
+	// consumer keeps rows, so the workers write them into their arenas.
 	stmts := []string{
 		"SELECT fact.v, dim.dname FROM fact, dim WHERE fact.g = dim.g",
 		"SELECT g, COUNT(*) FROM fact GROUP BY g",
 		"SELECT dim.dname, COUNT(*) FROM fact, dim WHERE fact.g = dim.g GROUP BY dim.dname",
+		"SELECT fact.id, dim.dname FROM fact, dim WHERE fact.g = dim.g ORDER BY fact.id",
+		"SELECT DISTINCT g, v FROM fact WHERE id >= 100",
 	}
 	want := make(map[string]string, len(stmts))
 	for _, s := range stmts {

@@ -148,7 +148,7 @@ type aggGroup struct {
 // Groups are found by the 64-bit hash of their key and verified by value, as
 // in Distinct and the hash join, so a tuple that joins an existing group
 // allocates nothing. A new group is carved from a block of groups, takes its
-// key from a tupleArena and its states from a block of them, so none of the
+// key from an Arena and its states from a block of them, so none of the
 // three costs an allocation of its own, and the group table grows by adding
 // a block, never by copying the groups it holds.
 // Group emission order is first-seen order: Add order within an accumulator,
@@ -162,11 +162,11 @@ type AggAccum struct {
 	blocks  [][]aggGroup         // the groups in first-seen order; the last is being filled
 	n       int                  // groups, over every block
 	spine   [16][]aggGroup       // blocks' first backing array: 10 232 groups
-	arena   tupleArena           // group keys and emitted rows
+	arena   Arena                // group keys and emitted rows
 	states  []aggState           // the current state block; new groups carve its tail
 }
 
-// aggBlockStates caps the state blocks. Like tupleArena's they double from
+// aggBlockStates caps the state blocks. Like an Arena's they double from
 // the first group's size and are never copied, so a group's states stay put.
 // aggBlockGroups caps the group blocks, which double from 8 in the same way.
 const (

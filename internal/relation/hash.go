@@ -141,21 +141,23 @@ func (c *tupleCounter) add(t Tuple, d int) int {
 	return d
 }
 
-// tupleArena hands out tuple buffers carved from shared blocks, cutting the
-// per-output-tuple allocation of the join, projection and aggregation kernels
-// to ~one allocation per block. Blocks double from the first tuple's size up
-// to arenaBlockValues, so a result of a few tuples costs about what it holds
-// and a large one an allocation per 4096 values. Tuples returned by make
-// escape freely: blocks are never reused. A join writes its output rows here
+// Arena hands out rows carved from shared blocks, cutting the per-row
+// allocation of the join, projection and aggregation kernels to about one
+// allocation per block. Blocks double from the first row's size up to
+// arenaBlockValues, so a result of a few rows costs about what it holds and
+// a large one an allocation per 4096 values. An arena never reuses a block,
+// so its rows stay valid as long as anything refers to them: a consumer that
+// keeps the rows of a writer (Probe, NestedLoopJoin, Project) passes the
+// writer its arena, and one that does not passes nil. A join writes its rows
 // already projected (joinRows), so a projection over a join costs one row,
-// not a concatenation and then its copy.
-type tupleArena struct {
+// not a concatenation and then its copy. The zero Arena is ready to use.
+type Arena struct {
 	buf []Value
 }
 
 const arenaBlockValues = 4096
 
-func (a *tupleArena) make(n int) Tuple {
+func (a *Arena) make(n int) Tuple {
 	if cap(a.buf)-len(a.buf) < n {
 		a.buf = make([]Value, 0, max(n, min(2*cap(a.buf), arenaBlockValues)))
 	}
@@ -166,7 +168,7 @@ func (a *tupleArena) make(n int) Tuple {
 }
 
 // project builds t restricted to cols in arena storage.
-func (a *tupleArena) project(t Tuple, cols []int) Tuple {
+func (a *Arena) project(t Tuple, cols []int) Tuple {
 	out := a.make(len(cols))
 	for _, c := range cols {
 		out = append(out, t[c])
@@ -174,37 +176,33 @@ func (a *tupleArena) project(t Tuple, cols []int) Tuple {
 	return out
 }
 
-// concat builds the concatenation l ++ r in arena storage.
-func (a *tupleArena) concat(l, r Tuple) Tuple {
-	out := a.make(len(l) + len(r))
-	out = append(out, l...)
-	out = append(out, r...)
-	return out
+// rowWriter is where a writer puts the rows it emits: carved from dst when
+// the consumer keeps them, else one reused row, valid until the next pull.
+type rowWriter struct {
+	dst *Arena
+	row Tuple
 }
 
-// projectConcat builds the cols projection of l ++ r in arena storage
-// without building the concatenation: column c < len(l) is l's, the rest r's.
-func (a *tupleArena) projectConcat(l, r Tuple, cols []int) Tuple {
-	out := a.make(len(cols))
-	for _, c := range cols {
-		if c < len(l) {
-			out = append(out, l[c])
-		} else {
-			out = append(out, r[c-len(l)])
-		}
+// next returns an empty row of capacity n to append the next output row to.
+func (w *rowWriter) next(n int) Tuple {
+	if w.dst != nil {
+		return w.dst.make(n)
 	}
-	return out
+	if cap(w.row) < n {
+		w.row = make(Tuple, 0, n)
+	}
+	return w.row[:0:n]
 }
 
 // joinRows writes a join's accepted rows: a pair (l, r) passes when every
 // post condition holds on l ++ r, evaluated on a reused scratch
-// concatenation, and is written to the arena as l ++ r, or, with cols
-// non-nil, as that row's cols projection.
+// concatenation, and is written as l ++ r, or, with cols non-nil, as that
+// row's cols projection, never as both.
 type joinRows struct {
+	rowWriter
 	post    []Cond
 	cols    []int
 	scratch Tuple
-	arena   tupleArena
 }
 
 // emit returns the output row for (l, r), or false when post rejects it.
@@ -216,7 +214,15 @@ func (j *joinRows) emit(l, r Tuple) (Tuple, bool) {
 		}
 	}
 	if j.cols == nil {
-		return j.arena.concat(l, r), true
+		return append(append(j.next(len(l)+len(r)), l...), r...), true
 	}
-	return j.arena.projectConcat(l, r, j.cols), true
+	out := j.next(len(j.cols))
+	for _, c := range j.cols {
+		if c < len(l) {
+			out = append(out, l[c])
+		} else {
+			out = append(out, r[c-len(l)])
+		}
+	}
+	return out, true
 }

@@ -7,6 +7,12 @@ package relation
 // Next returns the next tuple and true, or a nil tuple and false when the
 // stream is exhausted. Iterators are single-consumer and not safe for
 // concurrent use.
+//
+// A tuple is valid until the next call to Next. A consumer that keeps tuples
+// past it gets them from iterators that promise more: a relation's, or a
+// writer's (Probe, NestedLoopJoin, Project) given the consumer's Arena. A
+// writer given no Arena hands out one reused row, so its consumer must read
+// or copy each row before the next pull.
 type Iterator interface {
 	Next() (Tuple, bool)
 }

@@ -30,22 +30,35 @@ func SelectRel(r *Relation, conds []Cond) *Relation {
 	return Drain(r.Name, r.schema, Select(r.Iter(), conds))
 }
 
-// Project lazily projects each tuple onto the given columns. Output tuples
-// are allocated from a shared arena.
-func Project(in Iterator, cols []int) Iterator {
-	var arena tupleArena
-	return IteratorFunc(func() (Tuple, bool) {
-		t, ok := in.Next()
-		if !ok {
-			return nil, false
-		}
-		return arena.project(t, cols), true
-	})
+// Project lazily projects each tuple onto the given columns, writing each
+// row into dst, or, with dst nil, into one reused row that is valid until the
+// next pull.
+func Project(in Iterator, cols []int, dst *Arena) Iterator {
+	return &projectIter{rowWriter: rowWriter{dst: dst}, in: in, cols: cols}
+}
+
+type projectIter struct {
+	rowWriter
+	in   Iterator
+	cols []int
+}
+
+func (p *projectIter) Next() (Tuple, bool) {
+	t, ok := p.in.Next()
+	if !ok {
+		return nil, false
+	}
+	out := p.next(len(p.cols))
+	for _, c := range p.cols {
+		out = append(out, t[c])
+	}
+	return out, true
 }
 
 // ProjectRel eagerly projects a relation, deriving the output schema.
 func ProjectRel(r *Relation, cols []int) *Relation {
-	return Drain(r.Name, r.schema.Project(cols), Project(r.Iter(), cols))
+	var arena Arena
+	return Drain(r.Name, r.schema.Project(cols), Project(r.Iter(), cols, &arena))
 }
 
 // Distinct lazily removes duplicate tuples (set semantics). It buffers seen
@@ -135,20 +148,31 @@ type JoinCond struct {
 // HashJoin performs an equi-join of two inputs. The right input is drained
 // eagerly into a one-partition PartitionedTable (the build side); the left
 // side streams through its probe, so the join is lazy in its left input.
-// Output tuples are the concatenation left ++ right, allocated from a shared
-// arena. A consumer that keeps only some columns probes the table itself
-// (PartitionedTable.Probe with cols), which writes the projected row alone.
+// Output tuples are the concatenation left ++ right, carved from the join's
+// own arena, so they stay valid. A consumer that keeps only some columns, or
+// keeps no row past the next pull, probes the table itself
+// (PartitionedTable.Probe), which writes the projected row alone.
 func HashJoin(left, right Iterator, conds []JoinCond) Iterator {
-	return NewPartitionedTable(right, conds, 1).Probe(left, nil, nil)
+	j := &keptProbe{probeIter: probeIter{pt: NewPartitionedTable(right, conds, 1), left: left}}
+	j.out.dst = &j.arena
+	return j
+}
+
+// keptProbe is a probe that writes its rows into an arena of its own.
+type keptProbe struct {
+	probeIter
+	arena Arena
 }
 
 // NestedLoopJoin performs a theta-join with arbitrary conditions evaluated
 // over the concatenated tuple (left columns first, then right, with right
 // column indexes offset by the left arity). The right input is drained
-// eagerly; the left side streams. The conditions read a reused scratch
+// eagerly and kept; the left side streams, and each left row is read only
+// until the next left pull. The conditions read a reused scratch
 // concatenation; an accepted pair is written as left ++ right when cols is
-// nil, else as that row's cols projection, never as both.
-func NestedLoopJoin(left, right Iterator, leftArity int, conds []Cond, cols []int) Iterator {
+// nil, else as that row's cols projection, never as both, into dst, or with
+// dst nil into one reused row that is valid until the next pull.
+func NestedLoopJoin(left, right Iterator, leftArity int, conds []Cond, cols []int, dst *Arena) Iterator {
 	var rights []Tuple
 	for {
 		t, ok := right.Next()
@@ -157,7 +181,7 @@ func NestedLoopJoin(left, right Iterator, leftArity int, conds []Cond, cols []in
 		}
 		rights = append(rights, t)
 	}
-	out := joinRows{post: conds, cols: cols}
+	out := joinRows{rowWriter: rowWriter{dst: dst}, post: conds, cols: cols}
 	var cur Tuple
 	idx := len(rights) // cur's pairs are done: pull the next left tuple
 	return IteratorFunc(func() (Tuple, bool) {
@@ -186,8 +210,9 @@ func JoinRel(name string, a, b *Relation, conds []JoinCond) *Relation {
 
 // CrossRel eagerly computes the cross product.
 func CrossRel(name string, a, b *Relation) *Relation {
+	var arena Arena
 	schema := a.schema.Concat(b.schema)
-	return Drain(name, schema, NestedLoopJoin(a.Iter(), b.Iter(), a.schema.Arity(), nil, nil))
+	return Drain(name, schema, NestedLoopJoin(a.Iter(), b.Iter(), a.schema.Arity(), nil, nil, &arena))
 }
 
 // Rename returns a renamed shallow view of the relation.

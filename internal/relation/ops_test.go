@@ -175,7 +175,7 @@ func TestNestedLoopJoinMatchesHashJoin(t *testing.T) {
 		}
 		schema := a.Schema().Concat(b.Schema())
 		hj := Drain("hj", schema, HashJoin(a.Iter(), b.Iter(), []JoinCond{{Left: 1, Right: 0}}))
-		nl := Drain("nl", schema, NestedLoopJoin(a.Iter(), b.Iter(), 2, []Cond{ColCol(1, OpEq, 2)}, nil))
+		nl := Drain("nl", schema, NestedLoopJoin(a.Iter(), b.Iter(), 2, []Cond{ColCol(1, OpEq, 2)}, nil, new(Arena)))
 		if !hj.EqualAsBag(nl) {
 			t.Fatalf("trial %d: hash join != nested loop join\n%v\n%v", trial, hj, nl)
 		}

@@ -3,8 +3,8 @@ package relation
 // Hash-join build tables. A PartitionedTable drains an equi-join's build side
 // into P partitions keyed by the 64-bit hash of the join columns, and is
 // read-only afterwards, so any number of goroutines probe it without a lock,
-// each probe iterator writing its outputs to its own tupleArena, projected
-// when its consumer keeps only some columns. HashJoin builds one partition; a
+// each probe iterator writing its outputs where its consumer asks, projected
+// when the consumer keeps only some columns. HashJoin builds one partition; a
 // parallel executor's join builds one per worker.
 
 // PartitionedTable is a hash-partitioned equi-join build table. Each
@@ -75,10 +75,12 @@ func NewPartitionedTable(build Iterator, conds []JoinCond, parts int) *Partition
 // comparison, never correctness). A row is emitted when every post condition
 // holds on the concatenation left ++ right, and is that concatenation when
 // cols is nil, else its cols projection, written straight from the two
-// tuples: the concatenation of an accepted pair is never built. Probe
+// tuples: the concatenation of an accepted pair is never built. Rows are
+// written into dst, or, with dst nil, into one reused row that is valid until
+// the next pull. A left row is read only until the next left pull. Probe
 // iterators are independent and safe to run on concurrent goroutines.
-func (pt *PartitionedTable) Probe(left Iterator, post []Cond, cols []int) Iterator {
-	return &probeIter{pt: pt, left: left, out: joinRows{post: post, cols: cols}}
+func (pt *PartitionedTable) Probe(left Iterator, post []Cond, cols []int, dst *Arena) Iterator {
+	return &probeIter{pt: pt, left: left, out: joinRows{rowWriter: rowWriter{dst: dst}, post: post, cols: cols}}
 }
 
 type probeIter struct {

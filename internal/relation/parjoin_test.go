@@ -79,7 +79,7 @@ func TestPartitionedTableProbesInBuildOrder(t *testing.T) {
 	check := func(name string, pt *PartitionedTable, want []Tuple) {
 		t.Helper()
 		var got []Tuple
-		it := pt.Probe(NewSliceIterator(probe), nil, nil)
+		it := pt.Probe(NewSliceIterator(probe), nil, nil, new(Arena))
 		for tu, ok := it.Next(); ok; tu, ok = it.Next() {
 			got = append(got, tu)
 		}
@@ -115,8 +115,10 @@ func TestPartitionedTableProbesInBuildOrder(t *testing.T) {
 // FuzzJoinProject holds the fused join kernels to the unfused pipeline:
 // Probe(left, post, cols) and NestedLoopJoin(…, post, cols) must emit exactly
 // the rows, in the order, that Project(Select(concatenation, post), cols)
-// emits, kinds included, and every emitted row must survive later pulls. The
-// hash join's concatenation must also be the nested-loop join on Equal keys.
+// emits, kinds included. Each seed runs both ways a writer can be read: with
+// no destination, copying each reused row as it arrives, and into an arena,
+// where every emitted row must survive later pulls. The hash join's
+// concatenation must also be the nested-loop join on Equal keys.
 //
 // Every seed emits at least three rows from both kernels.
 //
@@ -219,7 +221,7 @@ func checkJoinProject(t *testing.T, seed int64, form uint8, colSpec, postSpec []
 	unfused := func(concat Iterator, post []Cond) []Tuple {
 		it := Select(concat, post)
 		if cols != nil {
-			it = Project(it, cols)
+			it = Project(it, cols, new(Arena))
 		}
 		return Take(it, math.MaxInt)
 	}
@@ -241,24 +243,48 @@ func checkJoinProject(t *testing.T, seed int64, form uint8, colSpec, postSpec []
 	} else {
 		pt = NewPartitionedTable(NewSliceIterator(right), conds, 1+int(form>>1&3)%3)
 	}
-	probe := func(post []Cond, cols []int) Iterator { return pt.Probe(NewSliceIterator(left), post, cols) }
-	got := Take(probe(post, cols), math.MaxInt)
-	check("Probe", got, unfused(probe(nil, nil), post))
-	probed = len(got)
-
 	keyed := make([]Cond, 0, len(conds)+len(post))
 	for _, c := range conds {
 		keyed = append(keyed, ColCol(c.Left, OpEq, la+c.Right))
 	}
-	loop := func(conds []Cond, cols []int) Iterator {
-		return NestedLoopJoin(NewSliceIterator(left), NewSliceIterator(right), la, conds, cols)
+	// The references keep their rows in an arena.
+	probe := func(post []Cond, cols []int, dst *Arena) Iterator {
+		return pt.Probe(NewSliceIterator(left), post, cols, dst)
 	}
-	check("hash join against nested loop", Take(probe(nil, nil), math.MaxInt), Take(loop(keyed, nil), math.MaxInt))
+	loop := func(conds []Cond, cols []int, dst *Arena) Iterator {
+		return NestedLoopJoin(NewSliceIterator(left), NewSliceIterator(right), la, conds, cols, dst)
+	}
+	check("hash join against nested loop", Take(probe(nil, nil, new(Arena)), math.MaxInt), Take(loop(keyed, nil, new(Arena)), math.MaxInt))
 	// The nested-loop kernel joins on the keys as post conditions.
-	keyed = append(keyed, post...)
-	got = Take(loop(keyed, cols), math.MaxInt)
-	check("NestedLoopJoin", got, unfused(loop(nil, nil), keyed))
-	return probed, len(got)
+	nestedPost := append(keyed, post...)
+	wantProbed := unfused(probe(nil, nil, new(Arena)), post)
+	wantNested := unfused(loop(nil, nil, new(Arena)), nestedPost)
+	for _, way := range []struct {
+		name  string
+		dst   func() *Arena
+		drain func(Iterator) []Tuple
+	}{
+		{"reused row", func() *Arena { return nil }, takeCopies},
+		{"arena", func() *Arena { return new(Arena) }, func(it Iterator) []Tuple { return Take(it, math.MaxInt) }},
+	} {
+		got := way.drain(probe(post, cols, way.dst()))
+		check("Probe, "+way.name, got, wantProbed)
+		probed = len(got)
+		got = way.drain(loop(nestedPost, cols, way.dst()))
+		check("NestedLoopJoin, "+way.name, got, wantNested)
+		nested = len(got)
+	}
+	return probed, nested
+}
+
+// takeCopies drains it, copying each row as it arrives: what a consumer that
+// keeps no row a writer hands out does.
+func takeCopies(it Iterator) []Tuple {
+	var out []Tuple
+	for t, ok := it.Next(); ok; t, ok = it.Next() {
+		out = append(out, append(Tuple(nil), t...))
+	}
+	return out
 }
 
 // collidingTable is NewPartitionedTable(build, conds, 1) with every hash
@@ -286,4 +312,64 @@ func sameRow(a, b Tuple) bool {
 		}
 	}
 	return true
+}
+
+// TestWritersReuseOneRow pins the writer contract. With no destination,
+// Probe, NestedLoopJoin and Project hand back one reused row, right at the
+// pull that returns it; into an arena, every row they hand out survives the
+// 1 000 pulls after it unchanged.
+func TestWritersReuseOneRow(t *testing.T) {
+	const n = 1001
+	left := make([]Tuple, n)
+	for i := range left {
+		left[i] = Tuple{Int(0), Int(int64(i))}
+	}
+	right := []Tuple{{Int(0), Str("r")}}
+	pt := NewPartitionedTable(NewSliceIterator(right), []JoinCond{{Left: 0, Right: 0}}, 1)
+	writers := []struct {
+		name string
+		open func(dst *Arena) Iterator
+		want func(i int) Tuple
+	}{
+		{"Probe", func(dst *Arena) Iterator {
+			return pt.Probe(NewSliceIterator(left), nil, []int{3, 1}, dst)
+		}, func(i int) Tuple { return Tuple{Str("r"), Int(int64(i))} }},
+		{"Probe, concatenation", func(dst *Arena) Iterator {
+			return pt.Probe(NewSliceIterator(left), nil, nil, dst)
+		}, func(i int) Tuple { return Tuple{Int(0), Int(int64(i)), Int(0), Str("r")} }},
+		{"NestedLoopJoin", func(dst *Arena) Iterator {
+			return NestedLoopJoin(NewSliceIterator(left), NewSliceIterator(right), 2, []Cond{ColCol(0, OpEq, 2)}, []int{1, 3}, dst)
+		}, func(i int) Tuple { return Tuple{Int(int64(i)), Str("r")} }},
+		{"Project", func(dst *Arena) Iterator {
+			return Project(NewSliceIterator(left), []int{1}, dst)
+		}, func(i int) Tuple { return Tuple{Int(int64(i))} }},
+	}
+	for _, w := range writers {
+		var first *Value
+		i := 0
+		it := w.open(nil)
+		for row, ok := it.Next(); ok; row, ok = it.Next() {
+			if !sameRow(row, w.want(i)) {
+				t.Fatalf("%s, no destination: row %d is %v, want %v", w.name, i, row, w.want(i))
+			}
+			if first == nil {
+				first = &row[0]
+			} else if &row[0] != first {
+				t.Fatalf("%s, no destination: row %d has a backing array of its own", w.name, i)
+			}
+			i++
+		}
+		if i != n {
+			t.Fatalf("%s, no destination: %d rows, want %d", w.name, i, n)
+		}
+		kept := Take(w.open(new(Arena)), math.MaxInt)
+		if len(kept) != n {
+			t.Fatalf("%s, arena: %d rows, want %d", w.name, len(kept), n)
+		}
+		for i, row := range kept {
+			if !sameRow(row, w.want(i)) {
+				t.Fatalf("%s, arena: row %d is %v after the pulls that followed it, want %v", w.name, i, row, w.want(i))
+			}
+		}
+	}
 }

@@ -86,6 +86,19 @@ var parityCorpus = []parityCase{
 	// Indexed-equality shapes (exercise index access under the indexed run).
 	{sql: "SELECT id, amt FROM po WHERE cust = 7"},
 	{sql: "SELECT po.id FROM po, cu WHERE po.cust = cu.id AND po.cust = 7"},
+	// Each consumer that keeps rows reads a writer: a join or a projection,
+	// which writes into one reused row for a consumer that keeps none. The
+	// sort, TopN, DISTINCT and the nested-loop join's inner side must get
+	// rows that outlive the next pull; the group table copies its keys.
+	{sql: "SELECT cu.cname, po.amt, po.id FROM po, cu WHERE po.cust = cu.id ORDER BY po.amt, po.id", ordered: true},
+	{sql: "SELECT cu.cname, po.amt FROM po, cu WHERE po.cust = cu.id ORDER BY po.id"},
+	{sql: "SELECT cu.cname, po.id FROM po, cu WHERE po.cust = cu.id ORDER BY po.id LIMIT 25", ordered: true},
+	{sql: "SELECT DISTINCT cu.cname, po.grp FROM po, cu WHERE po.cust = cu.id"},
+	{sql: "SELECT DISTINCT grp, cust FROM po WHERE amt > 100.0"},
+	{sql: "SELECT amt, id FROM po WHERE grp != 1 ORDER BY amt, id", ordered: true},
+	{sql: "SELECT cu.cname, po.grp, COUNT(*), SUM(po.amt) FROM po, cu WHERE po.cust = cu.id GROUP BY cu.cname, po.grp"},
+	{sql: "SELECT a.id, b.cname, b.tier FROM cu a, cu b WHERE a.tier < b.tier ORDER BY a.id, b.cname", ordered: true},
+	{sql: "SELECT po.id, re.rname FROM po, cu, re WHERE po.cust = cu.id AND cu.region > re.id ORDER BY po.id, re.rname", ordered: true},
 }
 
 // newParityEngine loads a deterministic three-table workload: po (orders,
@@ -136,10 +149,30 @@ func loadParityEngine(t *testing.T, indexed bool, poRows int) *Engine {
 	return e
 }
 
+// parityWire is the wire leg of a parity run: pools dialed to a server over
+// the engine, one asking for 3-tuple frames and one taking the default 512.
+// At 512-row frames over 128-row exchange batches, one frame spans several
+// batches.
+type parityWire []*PoolClient
+
+// serveParity serves e and dials the wire leg's pools; the test's cleanup
+// closes them.
+func serveParity(t *testing.T, e *Engine) parityWire {
+	t.Helper()
+	srv := NewServer(e)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return parityWire{dialTestPool(t, addr, PoolOptions{FrameTuples: 3}), dialTestPool(t, addr, PoolOptions{})}
+}
+
 // checkParity holds one corpus statement to the reference on every path the
-// engine offers it — materialized, streamed, EXPLAIN, EXPLAIN ANALYZE — at
-// the engine's current settings, and returns the materialized run's ops.
-func checkParity(t *testing.T, e *Engine, tc parityCase) int64 {
+// engine offers it — materialized, streamed, over the wire, EXPLAIN, EXPLAIN
+// ANALYZE — at the engine's current settings, and returns the materialized
+// run's ops.
+func checkParity(t *testing.T, e *Engine, wire parityWire, tc parityCase) int64 {
 	t.Helper()
 	sel := mustParseSelect(t, tc.sql)
 	want, _, err := e.referenceSelect(sel)
@@ -187,6 +220,17 @@ func checkParity(t *testing.T, e *Engine, tc parityCase) int64 {
 		t.Fatalf("streamed: resume token present = %v, want %v", got, resumable)
 	}
 
+	// The server's frame writer reads the stream in place: every row it
+	// ships must still be the reference's.
+	for _, p := range wire {
+		label := fmt.Sprintf("wire, %d-tuple frames", clampFrameTuples(p.opts.FrameTuples, DefaultFrameTuples))
+		res, err := p.Exec(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		check(label, res.Rel)
+	}
+
 	// EXPLAIN must render for every corpus statement, and EXPLAIN ANALYZE must
 	// report the ops of the run it made: the same as the materialized run's.
 	plan, _, err := e.ExecuteSQL("EXPLAIN " + tc.sql)
@@ -229,8 +273,9 @@ func assertLimitShortCircuits(t *testing.T, e *Engine, tc parityCase, ops int64)
 
 func runParity(t *testing.T, indexed bool) {
 	e := newParityEngine(t, indexed)
+	wire := serveParity(t, e)
 	for _, tc := range parityCorpus {
-		t.Run(tc.sql, func(t *testing.T) { checkParity(t, e, tc) })
+		t.Run(tc.sql, func(t *testing.T) { checkParity(t, e, wire, tc) })
 	}
 }
 
@@ -249,8 +294,8 @@ func TestParityCorpusIndexed(t *testing.T) { runParity(t, true) }
 // TestParityCorpusParallel runs the whole corpus with morsel-parallel
 // execution forced on (row threshold 1, 32-tuple morsels, so the 300-row po
 // splits into ~10 morsels and a dop-4 pool gets real concurrency) at DOP 1
-// and 4. Every statement must match the reference on the planned, streamed
-// and EXPLAIN ANALYZE paths, report no stream error, and charge exactly the
+// and 4. Every statement must match the reference on the planned, streamed,
+// wire and EXPLAIN ANALYZE paths, report no stream error, and charge exactly the
 // serial planned run's op count — the parallel agg merge and the partitioned
 // join build are the high-risk paths this pins down.
 func TestParityCorpusParallel(t *testing.T) {
@@ -259,6 +304,7 @@ func TestParityCorpusParallel(t *testing.T) {
 			e := newParityEngine(t, false)
 			e.SetParallelMinRows(1)
 			e.SetMorselSize(32)
+			wire := serveParity(t, e)
 			for _, tc := range parityCorpus {
 				t.Run(tc.sql, func(t *testing.T) {
 					e.SetParallelism(1)
@@ -267,7 +313,7 @@ func TestParityCorpusParallel(t *testing.T) {
 						t.Fatalf("serial planned: %v", err)
 					}
 					e.SetParallelism(dop)
-					if parOps := checkParity(t, e, tc); parOps != serialOps {
+					if parOps := checkParity(t, e, wire, tc); parOps != serialOps {
 						t.Errorf("ops diverge: parallel %d, serial %d", parOps, serialOps)
 					}
 				})

@@ -107,8 +107,9 @@ type planNode interface {
 	// snapshots. Blocking operators (hash-join build, sort, aggregation) do
 	// their blocking work when opened, which happens on the first pull of
 	// the root — so a streamed plan's first-tuple latency includes exactly
-	// the blocking prefix the plan could not avoid.
-	open(run *planRun) relation.Iterator
+	// the blocking prefix the plan could not avoid. keep tells it whether
+	// its consumer keeps rows past the next pull (plan_exec.go).
+	open(run *planRun, keep bool) relation.Iterator
 	// describe renders the operator's EXPLAIN line, with p's literals and
 	// estimates. Nothing renders it but EXPLAIN.
 	describe(p *Plan) string

@@ -14,6 +14,13 @@ import (
 // immutable), so opening a stream is cheap and first-tuple latency pays only
 // for the blocking prefix (hash-join builds, sorts, aggregation) the plan
 // actually contains.
+//
+// Each node opens knowing whether its consumer keeps rows past the next pull
+// (keep). The keepers are the hash-join build and the nested-loop inner side,
+// sort, TopN, DISTINCT and PlanStream.Next. A writer (a join or a projection)
+// opened for a keeper carves its rows from the run's arena; opened for any
+// other consumer it hands out one reused row, valid until the next pull, so a
+// stream read in place (the frame writer) allocates nothing per row.
 
 // planRun is the per-execution state of a plan.
 type planRun struct {
@@ -30,6 +37,18 @@ type planRun struct {
 	// probes the section's equi-joins through par's prebuilt tables.
 	par    *parExec
 	worker *parWorkerStats
+	// arena holds the rows this run's writers write for consumers that keep
+	// them.
+	arena relation.Arena
+}
+
+// dst is where a writer opened for a consumer that keeps rows (keep) or not
+// writes them.
+func (run *planRun) dst(keep bool) *relation.Arena {
+	if keep {
+		return &run.arena
+	}
+	return nil
 }
 
 // nodeActual is what one plan node actually did during an analyzed run.
@@ -77,12 +96,12 @@ func (run *planRun) counted(in relation.Iterator) relation.Iterator {
 	})
 }
 
-// openNode opens a node's iterator, and — when analyzing — times the open
-// (where blocking operators do their work) and wraps the iterator so emitted
-// rows and pull time accrue to the node. Wall times are inclusive of
-// children, PostgreSQL-style.
-func (run *planRun) openNode(n planNode) relation.Iterator {
-	return run.analyzed(n, func() relation.Iterator { return run.open(n) })
+// openNode opens a node's iterator for a consumer that keeps its rows or
+// not, and — when analyzing — times the open (where blocking operators do
+// their work) and wraps the iterator so emitted rows and pull time accrue to
+// the node. Wall times are inclusive of children, PostgreSQL-style.
+func (run *planRun) openNode(n planNode, keep bool) relation.Iterator {
+	return run.analyzed(n, func() relation.Iterator { return run.open(n, keep) })
 }
 
 // analyzed runs open, n's opener, and when analyzing charges its time and
@@ -108,11 +127,11 @@ func (run *planRun) analyzed(n planNode, open func() relation.Iterator) relation
 
 // open opens n's iterator; on a parallel stream's own run, the section
 // boundary opens as the workers' output.
-func (run *planRun) open(n planNode) relation.Iterator {
+func (run *planRun) open(n planNode, keep bool) relation.Iterator {
 	if run.isBoundary(n) {
-		return run.par.gather()
+		return run.par.gather(keep)
 	}
-	return n.open(run)
+	return n.open(run, keep)
 }
 
 // isBoundary reports whether n is the parallel section boundary the stream's
@@ -210,7 +229,9 @@ func (run *planRun) boundRows(n *scanNode) []relation.Tuple {
 
 // --- Node iterators ---
 
-func (n *scanNode) open(run *planRun) relation.Iterator {
+// open reads the bound snapshot, whose rows outlive any pull: keep changes
+// nothing.
+func (n *scanNode) open(run *planRun, _ bool) relation.Iterator {
 	var src relation.Iterator
 	if run.worker != nil {
 		src = run.par.morsels(run.worker) // a worker's only scan is the driver
@@ -231,32 +252,35 @@ func (n *scanNode) open(run *planRun) relation.Iterator {
 	return relation.Select(src, run.scans[n.pos].conds)
 }
 
-func (n *joinNode) open(run *planRun) relation.Iterator { return n.openCols(run, nil) }
+func (n *joinNode) open(run *planRun, keep bool) relation.Iterator {
+	return n.openCols(run, nil, keep)
+}
 
 // openCols probes a worker's prebuilt table (built once for the pool, so the
-// build side is not opened here) and otherwise builds from the right input.
-// The join writes each accepted row as the cols projection of left ++ right,
-// or, with cols nil, as the concatenation itself.
-func (n *joinNode) openCols(run *planRun, cols []int) relation.Iterator {
-	left := run.counted(run.openNode(n.left))
+// build side is not opened here) and otherwise builds from the right input,
+// which the build keeps. The join writes each accepted row as the cols
+// projection of left ++ right, or, with cols nil, as the concatenation
+// itself, into the run's arena when keep is set.
+func (n *joinNode) openCols(run *planRun, cols []int, keep bool) relation.Iterator {
+	left := run.counted(run.openNode(n.left, false))
 	if len(n.eq) == 0 {
-		right := run.counted(run.openNode(n.right))
-		return relation.NestedLoopJoin(left, right, n.left.Schema().Arity(), n.post, cols)
+		right := run.counted(run.openNode(n.right, true))
+		return relation.NestedLoopJoin(left, right, n.left.Schema().Arity(), n.post, cols, run.dst(keep))
 	}
 	var pt *relation.PartitionedTable
 	if run.worker != nil {
 		pt = run.par.tables[n]
 	} else {
-		pt = relation.NewPartitionedTable(run.counted(run.openNode(n.right)), n.eq, 1)
+		pt = relation.NewPartitionedTable(run.counted(run.openNode(n.right, true)), n.eq, 1)
 	}
-	return pt.Probe(left, n.post, cols)
+	return pt.Probe(left, n.post, cols, run.dst(keep))
 }
 
 // open projects the child's rows onto n.cols. Over a join (not a parallel
 // section's boundary, which opens through gather) the join writes the
 // projected rows itself; its actuals are the projection's rows, which a 1-1
 // projection leaves equal to its own, and their inclusive time.
-func (n *projectNode) open(run *planRun) relation.Iterator {
+func (n *projectNode) open(run *planRun, keep bool) relation.Iterator {
 	// The identity over the child's arity (SELECT * over one table) ships the
 	// child's tuples as they are: the op is still charged, only the per-tuple
 	// copy is skipped.
@@ -267,10 +291,13 @@ func (n *projectNode) open(run *planRun) relation.Iterator {
 	j, overJoin := n.child.(*joinNode)
 	fused := overJoin && !identity && !run.isBoundary(j)
 	var in relation.Iterator
-	if fused {
-		in = run.analyzed(j, func() relation.Iterator { return j.openCols(run, n.cols) })
-	} else {
-		in = run.openNode(n.child)
+	switch {
+	case fused:
+		in = run.analyzed(j, func() relation.Iterator { return j.openCols(run, n.cols, keep) })
+	case identity:
+		in = run.openNode(n.child, keep)
+	default:
+		in = run.openNode(n.child, false)
 	}
 	if n.counted {
 		in = run.counted(in)
@@ -278,34 +305,38 @@ func (n *projectNode) open(run *planRun) relation.Iterator {
 	if identity || fused {
 		return in
 	}
-	return relation.Project(in, n.cols)
+	return relation.Project(in, n.cols, run.dst(keep))
 }
 
-func (n *filterNode) open(run *planRun) relation.Iterator {
-	return relation.Select(run.counted(run.openNode(n.child)), n.conds)
+func (n *filterNode) open(run *planRun, keep bool) relation.Iterator {
+	return relation.Select(run.counted(run.openNode(n.child, keep)), n.conds)
 }
 
-func (n *aggNode) open(run *planRun) relation.Iterator {
-	rows := relation.Aggregate(run.counted(run.openNode(n.child)), n.groupCols, n.specs)
+// open aggregates the child's rows, which the group table copies what it
+// keeps of. Its own rows outlive any pull.
+func (n *aggNode) open(run *planRun, _ bool) relation.Iterator {
+	rows := relation.Aggregate(run.counted(run.openNode(n.child, false)), n.groupCols, n.specs)
 	return relation.NewSliceIterator(rows)
 }
 
 // open sorts stably by n.cols, through Relation.SortBy, or keeps the first
 // n.limit rows of that order in a bounded heap.
-func (n *sortNode) open(run *planRun) relation.Iterator {
-	in := run.counted(run.openNode(n.child))
+func (n *sortNode) open(run *planRun, _ bool) relation.Iterator {
+	in := run.counted(run.openNode(n.child, true))
 	if n.limit >= 0 {
 		return relation.NewSliceIterator(relation.TopN(in, n.cols, n.limit))
 	}
 	return relation.Drain("sorted", n.Schema(), in).SortBy(n.cols).Iter()
 }
 
-func (n *distinctNode) open(run *planRun) relation.Iterator {
-	return relation.Distinct(run.counted(run.openNode(n.child)))
+// open passes on the rows it sees first, which it keeps to compare later
+// rows with, so they outlive any pull.
+func (n *distinctNode) open(run *planRun, _ bool) relation.Iterator {
+	return relation.Distinct(run.counted(run.openNode(n.child, true)))
 }
 
-func (n *limitNode) open(run *planRun) relation.Iterator {
-	return relation.Limit(run.openNode(n.child), n.n)
+func (n *limitNode) open(run *planRun, keep bool) relation.Iterator {
+	return relation.Limit(run.openNode(n.child, keep), n.n)
 }
 
 // PlanStream executes a bound plan as a pull stream: Next drives the
@@ -354,12 +385,27 @@ func (s *PlanStream) Cached() bool { return s.cached }
 // resumable: any shape but a serial single-table pipeline.
 func (s *PlanStream) ResumeToken() ResumeToken { return s.token }
 
-// Next returns the next result tuple. The iterator tree is built on the
-// first call; hash-join builds, sorts and a parallel run's worker pool start
-// then.
-func (s *PlanStream) Next() (relation.Tuple, bool) {
+// Next returns the next result tuple, which stays valid after later pulls.
+// The iterator tree is built on the first call; hash-join builds, sorts and
+// a parallel run's worker pool start then.
+func (s *PlanStream) Next() (relation.Tuple, bool) { return s.next(true) }
+
+// inPlace reads s for a consumer that reads each row before the next pull and
+// keeps none (the frame writer): a join or projection at the top writes every
+// row into one reused row. Only a stream not yet pulled can be read in place,
+// since the first pull builds the tree.
+func (s *PlanStream) inPlace() relation.Iterator { return inPlaceRows{s} }
+
+type inPlaceRows struct{ s *PlanStream }
+
+func (r inPlaceRows) Next() (relation.Tuple, bool) { return r.s.next(false) }
+
+// next pulls the next result row. The first pull builds the iterator tree for
+// a consumer that keeps its rows or not (keep), and every later pull reads
+// that tree.
+func (s *PlanStream) next(keep bool) (relation.Tuple, bool) {
 	if s.it == nil {
-		s.it = s.run.openNode(s.plan.root)
+		s.it = s.run.openNode(s.plan.root, keep)
 		for ; s.skip > 0; s.skip-- {
 			if _, ok := s.it.Next(); !ok {
 				break

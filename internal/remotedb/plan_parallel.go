@@ -181,8 +181,11 @@ type parExec struct {
 
 	// out is the exchange; free carries drained batches back to the
 	// workers, with room for every batch out can hold, and batches counts
-	// the batches the workers have made (parExec.batch).
-	out, free   chan []relation.Tuple
+	// the batches the workers have made (parExec.batch). keep is whether
+	// the boundary's consumer keeps rows; when it does not, the workers copy
+	// each row into its batch's value block (gather).
+	out, free   chan parBatch
+	keep        bool
 	batches     atomic.Int64
 	wg          sync.WaitGroup
 	interrupted atomic.Bool  // a worker stopped at a cancellation checkpoint
@@ -192,11 +195,27 @@ type parExec struct {
 	failErr     error
 }
 
-// gather is what the stream's run opens in place of the section boundary:
-// it starts the pool, then reads the merged aggregate (once every worker's
-// partial is in) or the exchange. An interrupted pool yields nothing here;
-// finish turns that into the stream's error.
-func (px *parExec) gather() relation.Iterator {
+// parBatch is one exchange batch: rows, and when the workers copy them, the
+// block their values live in.
+type parBatch struct {
+	rows []relation.Tuple
+	vals []relation.Value
+}
+
+// gather is what the stream's run opens in place of the section boundary,
+// for a consumer that keeps rows or not: it starts the pool, then reads the
+// merged aggregate (once every worker's partial is in) or the exchange. An
+// interrupted pool yields nothing here; finish turns that into the stream's
+// error.
+//
+// Workers open the section top for the same consumer. When it keeps rows,
+// they are carved from each worker's arena; when it does not, the top's row
+// may be reused at the worker's next pull, so each worker copies it into the
+// batch's own value block. Either way the consumer hands a batch, with its
+// block, back to the workers on the pull after the one that read its last
+// row, so a row it reads is valid until its next pull.
+func (px *parExec) gather(keep bool) relation.Iterator {
+	px.keep = keep
 	if err := px.start(); err != nil {
 		px.failErr = err
 		return relation.Empty()
@@ -215,26 +234,26 @@ func (px *parExec) gather() relation.Iterator {
 		return relation.NewSliceIterator(merged.Emit())
 	}
 	// The channel is closed after wg.Wait, so exhaustion means every worker
-	// has exited and their stats and interrupted flags are visible. A batch
-	// goes back to the workers once its last tuple has been read.
-	var batch []relation.Tuple
+	// has exited and their stats and interrupted flags are visible.
+	var batch parBatch
 	next := 0
 	return relation.IteratorFunc(func() (relation.Tuple, bool) {
-		for next == len(batch) {
+		for next == len(batch.rows) {
+			if batch.rows != nil {
+				select {
+				case px.free <- batch:
+				default:
+				}
+				batch = parBatch{}
+			}
 			b, ok := <-px.out
 			if !ok {
 				return nil, false
 			}
 			batch, next = b, 0
 		}
-		t := batch[next]
-		if next++; next == len(batch) {
-			select {
-			case px.free <- batch:
-			default:
-			}
-		}
-		return t, true
+		next++
+		return batch.rows[next-1], true
 	})
 }
 
@@ -253,7 +272,7 @@ func (px *parExec) start() error {
 	// anything, its own joins included), into a partition per worker.
 	px.tables = make(map[*joinNode]*relation.PartitionedTable, len(px.sec.joins))
 	for _, jn := range px.sec.joins {
-		build := relation.NewGuardIterator(px.run.counted(px.run.openNode(jn.right)), 0, px.ctx.Err)
+		build := relation.NewGuardIterator(px.run.counted(px.run.openNode(jn.right, true)), 0, px.ctx.Err)
 		px.tables[jn] = relation.NewPartitionedTable(build, jn.eq, px.dop)
 		if err := build.Err(); err != nil {
 			return err
@@ -264,8 +283,8 @@ func (px *parExec) start() error {
 	if px.sec.agg != nil {
 		px.aggs = make([]*relation.AggAccum, px.dop)
 	} else {
-		px.out = make(chan []relation.Tuple, px.dop*2)
-		px.free = make(chan []relation.Tuple, px.dop*2)
+		px.out = make(chan parBatch, px.dop*2)
+		px.free = make(chan parBatch, px.dop*2)
 	}
 	px.wg.Add(px.dop)
 	for w := 0; w < px.dop; w++ {
@@ -298,11 +317,11 @@ func (px *parExec) runWorker(w int) {
 	}
 	var top relation.Iterator
 	if px.sec.agg != nil {
-		top = run.openNode(px.sec.top)
+		top = run.openNode(px.sec.top, false) // the partial copies what it keeps
 	} else {
 		// The top is the boundary: its actuals are what the exchange
 		// delivered, recorded on the stream's run.
-		top = run.open(px.sec.top)
+		top = run.open(px.sec.top, px.keep)
 	}
 	var in relation.Iterator = relation.NewGuardIterator(top, relation.DefaultGuardEvery, px.ctx.Err)
 	var acc *relation.AggAccum
@@ -311,26 +330,31 @@ func (px *parExec) runWorker(w int) {
 		px.aggs[w] = acc
 		in = run.counted(in) // charged as aggNode.open charges its input
 	}
-	var batch []relation.Tuple
+	var batch parBatch
 	for t, ok := in.Next(); ok; t, ok = in.Next() {
 		ws.rows++
 		if acc != nil {
 			acc.Add(t)
 			continue
 		}
-		if batch == nil {
-			if batch = px.batch(); batch == nil {
+		if batch.rows == nil {
+			if batch = px.batch(); batch.rows == nil {
 				break
 			}
 		}
-		if batch = append(batch, t); len(batch) == parBatchTuples {
+		if !px.keep {
+			off := len(batch.vals)
+			batch.vals = append(batch.vals, t...)
+			t = batch.vals[off:len(batch.vals):len(batch.vals)]
+		}
+		if batch.rows = append(batch.rows, t); len(batch.rows) == parBatchTuples {
 			if !px.send(batch) {
 				break
 			}
-			batch = nil
+			batch = parBatch{}
 		}
 	}
-	if len(batch) > 0 {
+	if len(batch.rows) > 0 {
 		px.send(batch)
 	}
 	if px.ctx.Err() != nil {
@@ -341,31 +365,36 @@ func (px *parExec) runWorker(w int) {
 }
 
 // batch returns an empty exchange batch for a worker: one the consumer has
-// drained, a new one while fewer than cap(free) exist, or else the next one
-// the consumer drains, so a stream allocates at most cap(free) batches
-// however fast its consumer reads; nil when the run is canceled first.
-// Handing every batch back never overflows free, and since out holds them
-// all, a send never blocks: a consumer that stops reading parks the workers
-// here.
-func (px *parExec) batch() []relation.Tuple {
+// handed back, a new one while fewer than cap(free) exist, or else the next
+// one the consumer hands back, so a stream allocates at most cap(free)
+// batches however fast its consumer reads; a batch with nil rows when the
+// run is canceled first. Handing every batch back never overflows free, and
+// since out holds them all, a send never blocks: a consumer that stops
+// reading parks the workers here. A new batch for a consumer that keeps no
+// rows comes with a value block sized for its rows.
+func (px *parExec) batch() parBatch {
 	select {
 	case b := <-px.free:
-		return b[:0]
+		return parBatch{rows: b.rows[:0], vals: b.vals[:0]}
 	default:
 	}
 	if px.batches.Add(1) <= int64(cap(px.free)) {
-		return make([]relation.Tuple, 0, parBatchTuples)
+		b := parBatch{rows: make([]relation.Tuple, 0, parBatchTuples)}
+		if !px.keep {
+			b.vals = make([]relation.Value, 0, parBatchTuples*px.sec.top.Schema().Arity())
+		}
+		return b
 	}
 	select {
 	case b := <-px.free:
-		return b[:0]
+		return parBatch{rows: b.rows[:0], vals: b.vals[:0]}
 	case <-px.ctx.Done():
-		return nil
+		return parBatch{}
 	}
 }
 
 // send hands a batch to the consumer; false when the run was canceled first.
-func (px *parExec) send(batch []relation.Tuple) bool {
+func (px *parExec) send(batch parBatch) bool {
 	select {
 	case px.out <- batch:
 		return true

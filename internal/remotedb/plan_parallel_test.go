@@ -775,3 +775,42 @@ func TestJoinProjectBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestExchangeRowsLiveUntilNextPull reads a parallel join in place, as the
+// frame writer does: each worker copies its reused row into its exchange
+// batch's value block, and the consumer hands a batch back to the workers
+// only at the pull after the one that read its last row. So every row must
+// still hold its values after the consumer pauses with it, whatever the
+// workers do meanwhile with the batches they have. The pause falls on each
+// batch's last row (batches are 128 rows but for a worker's last), where a
+// batch handed back at the read would be refilled under the consumer.
+func TestExchangeRowsLiveUntilNextPull(t *testing.T) {
+	const sql = "SELECT big.id, big.v, dim.dname FROM big, dim WHERE big.g = dim.g"
+	e := newParallelEngine(t, 2048)
+	e.SetParallelMinRows(1)
+	e.SetMorselSize(256)
+	e.SetParallelism(2)
+	ps, ok := e.ExecuteSQLPipelineCtx(context.Background(), sql)
+	if !ok {
+		t.Fatalf("pipeline declined %q", sql)
+	}
+	defer ps.Close()
+	it := ps.inPlace()
+	rows := 0
+	for row, ok := it.Next(); ok; row, ok = it.Next() {
+		want := slices.Clone(row)
+		if rows%parBatchTuples == parBatchTuples-1 {
+			time.Sleep(time.Millisecond) // the workers run on
+		}
+		if !slices.EqualFunc(row, want, relation.Value.Equal) {
+			t.Fatalf("row %d changed before the next pull: %v, read as %v", rows, row, want)
+		}
+		rows++
+	}
+	if err := ps.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rows != 2048 || ps.DOP() != 2 {
+		t.Fatalf("%d rows at dop %d, want 2048 at dop 2", rows, ps.DOP())
+	}
+}

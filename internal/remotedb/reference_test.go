@@ -181,7 +181,7 @@ func (e *Engine) referenceSelect(sel *SelectStmt) (*relation.Relation, int64, er
 		wide.SortBy(sortCols)
 	}
 	ops += int64(wide.Len())
-	result := relation.Drain("result", sch, relation.Project(wide.Iter(), cols))
+	result := relation.Drain("result", sch, relation.Project(wide.Iter(), cols, new(relation.Arena)))
 	if sel.Distinct {
 		ops += int64(result.Len())
 		result = relation.DistinctRel(result)

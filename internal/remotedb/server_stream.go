@@ -435,7 +435,7 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 	rows, frames, ok := fc.ship(ctx, &wireFrame{
 		ID: id, Kind: frameHeader, Name: sc.Name(), Attrs: toWireAttrs(sc.Schema()),
 		Resume: resume, Resumed: resumed,
-	}, sc, killer, settle)
+	}, sc.inPlace(), killer, settle)
 	if !ok {
 		return rows, frames
 	}
@@ -458,6 +458,10 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 // write failed, a kill fault fired, or ship wrote the terminal frame itself,
 // after calling settle). It returns the tuples and frames shipped, for the
 // slow-query log.
+//
+// ship copies each row's values into its staging buffer as it pulls the row,
+// so it holds no row src hands out: src may reuse its row from one pull to
+// the next (PlanStream.inPlace).
 func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Iterator, killer *streamKiller, settle func()) (rows, frames int64, ok bool) {
 	if fc.write(hdr) != nil {
 		return
@@ -466,22 +470,26 @@ func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Ite
 	if killer.afterWrite() {
 		return
 	}
-	// Both buffers belong to this stream and are refilled frame after frame:
 	// write serializes synchronously, so a batch is on the wire before the
-	// next fill. They die with the stream; an idle connection holds nothing.
-	var (
-		tuples []relation.Tuple
-		batch  []byte
-	)
+	// next fill.
+	buf := shipBufs.Get().(*shipBuf)
+	defer buf.release()
+	ncols := len(hdr.Attrs)
 	for done := false; !done; {
-		tuples = tuples[:0]
-		for len(tuples) < fc.frameTuples {
+		buf.reset()
+		n := 0
+		for ; n < fc.frameTuples; n++ {
 			t, more := src.Next()
 			if !more {
 				done = true
 				break
 			}
-			tuples = append(tuples, t)
+			// Value by value: a bulk append goes through typedslicecopy,
+			// whose write barrier costs more per row than the inline one
+			// while the collector marks.
+			for _, v := range t[:ncols] {
+				buf.vals = append(buf.vals, v)
+			}
 		}
 		select {
 		case <-ctx.Done():
@@ -490,12 +498,13 @@ func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Ite
 			return
 		default:
 		}
-		if len(tuples) > 0 {
-			batch = appendBatch(batch[:0], len(hdr.Attrs), tuples)
-			if fc.write(&wireFrame{ID: hdr.ID, Kind: frameBatch, Batch: batch}) != nil {
+		if n > 0 {
+			buf.stage(n, ncols)
+			buf.batch = appendBatch(buf.batch[:0], ncols, buf.tuples)
+			if fc.write(&wireFrame{ID: hdr.ID, Kind: frameBatch, Batch: buf.batch}) != nil {
 				return
 			}
-			rows += int64(len(tuples))
+			rows += int64(n)
 			frames++
 			if killer.afterWrite() {
 				return
@@ -503,4 +512,43 @@ func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Ite
 		}
 	}
 	return rows, frames, true
+}
+
+// shipBuf is ship's staging for one frame at a time: the values of the rows
+// it copied, the rows over them that appendBatch reads, and the encoded
+// batch. dirty is how much of vals the frames so far have filled, which
+// release clears.
+type shipBuf struct {
+	vals   []relation.Value
+	tuples []relation.Tuple
+	batch  []byte
+	dirty  int
+}
+
+// shipBufs keeps ship's buffers between streams, server-wide. A sync.Pool,
+// like framePool: the collector empties it after two collections, so kept
+// buffers cost no live heap.
+var shipBufs = sync.Pool{New: func() any { return new(shipBuf) }}
+
+// reset empties the staging for the next frame.
+func (b *shipBuf) reset() {
+	b.dirty = max(b.dirty, len(b.vals))
+	b.vals, b.tuples = b.vals[:0], b.tuples[:0]
+}
+
+// stage sets tuples to the n copied rows, ncols values each, over vals.
+func (b *shipBuf) stage(n, ncols int) {
+	for i := 0; i < n; i++ {
+		b.tuples = append(b.tuples, b.vals[i*ncols:(i+1)*ncols:(i+1)*ncols])
+	}
+}
+
+// release clears the values the stream filled, so a pooled buffer keeps no
+// string alive, and puts b back in shipBufs. The rows over them need no
+// clearing: they point only into values a release has cleared.
+func (b *shipBuf) release() {
+	b.reset()
+	clear(b.vals[:b.dirty])
+	b.dirty = 0
+	shipBufs.Put(b)
 }

@@ -255,7 +255,7 @@ func passes(conds []relation.Cond, skip int, t relation.Tuple) bool {
 // extension followed by head expansion, producing one output tuple per
 // demand. It backs generator-form (lazy) answers from the cache. The output
 // rows are carved from blocks that start at lazyBlockRows rows and double up
-// to lazyMaxBlockRows (relation's tupleArena rule), so a long stream costs an
+// to lazyMaxBlockRows (relation's Arena rule), so a long stream costs an
 // allocation per block, not per row. A block is never reused, so every row
 // handed out stays valid. The identity derivation hands out src's own rows.
 // The pipeline keeps a copy of d, in its own allocation, so d's block may be

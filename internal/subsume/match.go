@@ -58,7 +58,7 @@ func (c *Candidate) Materialize(name string, ext *relation.Relation) *relation.R
 		cols[i] = c.VarCols[v]
 		attrs[i] = relation.Attr{Name: v, Kind: ext.Schema().Attr(cols[i]).Kind}
 	}
-	it := relation.Project(relation.Select(ext.Iter(), c.Conds), cols)
+	it := relation.Project(relation.Select(ext.Iter(), c.Conds), cols, new(relation.Arena))
 	return relation.Drain(name, relation.NewSchema(attrs...), it)
 }
 
