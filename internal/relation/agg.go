@@ -161,24 +161,30 @@ type AggAccum struct {
 	heads   map[uint64]*aggGroup // key hash -> first group of its collision chain
 	blocks  [][]aggGroup         // the groups in first-seen order; the last is being filled
 	n       int                  // groups, over every block
-	spine   [16][]aggGroup       // blocks' first backing array: 10 232 groups
+	spine   [16][]aggGroup       // blocks' first backing array: 10 232 groups or more
 	arena   Arena                // group keys and emitted rows
 	states  []aggState           // the current state block; new groups carve its tail
+	groups  int                  // the groups expected (0: unknown)
 }
 
 // aggBlockStates caps the state blocks. Like an Arena's they double from
 // the first group's size and are never copied, so a group's states stay put.
 // aggBlockGroups caps the group blocks, which double from 8 in the same way.
+// Given the groups expected, the first blocks are sized for them (up to the
+// caps) instead.
 const (
 	aggBlockStates = 1024
 	aggBlockGroups = 1024
 )
 
 // NewAggAccum returns an empty accumulator for the given grouping columns
-// and aggregate specs.
-func NewAggAccum(groupBy []int, specs []AggSpec) *AggAccum {
+// and aggregate specs. groups is the number of groups the caller expects (an
+// optimizer's estimate, capped at 1<<16; 0 when it has none): the group
+// table starts sized for them, and grows from there.
+func NewAggAccum(groupBy []int, specs []AggSpec, groups int) *AggAccum {
+	groups = min(max(groups, 0), maxSizeHint)
 	a := &AggAccum{groupBy: groupBy, specs: specs, keyCols: identity(len(groupBy)),
-		heads: make(map[uint64]*aggGroup)}
+		heads: make(map[uint64]*aggGroup, groups), groups: groups}
 	a.blocks = a.spine[:0]
 	return a
 }
@@ -206,6 +212,8 @@ func (a *AggAccum) newGroup() *aggGroup {
 		size := 8
 		if last >= 0 {
 			size = min(2*cap(a.blocks[last]), aggBlockGroups)
+		} else if a.groups > 0 {
+			size = min(a.groups, aggBlockGroups)
 		}
 		a.blocks = append(a.blocks, make([]aggGroup, 0, size))
 		last++
@@ -220,7 +228,11 @@ func (a *AggAccum) newGroup() *aggGroup {
 func (a *AggAccum) newStates() []aggState {
 	n := len(a.specs)
 	if cap(a.states)-len(a.states) < n {
-		a.states = make([]aggState, 0, max(n, min(2*cap(a.states), aggBlockStates)))
+		size := 2 * cap(a.states)
+		if size == 0 {
+			size = a.groups * n
+		}
+		a.states = make([]aggState, 0, max(n, min(size, aggBlockStates)))
 	}
 	off := len(a.states)
 	a.states = a.states[:off+n]
@@ -283,7 +295,7 @@ func (a *AggAccum) Emit() []Tuple {
 //
 // Aggregation is a blocking operator: the input is drained eagerly.
 func Aggregate(in Iterator, groupBy []int, specs []AggSpec) []Tuple {
-	acc := NewAggAccum(groupBy, specs)
+	acc := NewAggAccum(groupBy, specs, 0)
 	for {
 		t, ok := in.Next()
 		if !ok {

@@ -74,7 +74,7 @@ func BenchmarkAggAccum(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p0, p1 := NewAggAccum([]int{0}, specs), NewAggAccum([]int{0}, specs)
+		p0, p1 := NewAggAccum([]int{0}, specs, 0), NewAggAccum([]int{0}, specs, 0)
 		for _, tu := range tuples[:5000] {
 			p0.Add(tu)
 		}

@@ -153,7 +153,7 @@ type JoinCond struct {
 // keeps no row past the next pull, probes the table itself
 // (PartitionedTable.Probe), which writes the projected row alone.
 func HashJoin(left, right Iterator, conds []JoinCond) Iterator {
-	j := &keptProbe{probeIter: probeIter{pt: NewPartitionedTable(right, conds, 1), left: left}}
+	j := &keptProbe{probeIter: probeIter{pt: NewPartitionedTable(right, conds, 1, 0), left: left}}
 	j.out.dst = &j.arena
 	return j
 }

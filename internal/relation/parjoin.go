@@ -25,17 +25,25 @@ type buildRow struct {
 // buildBlockRows caps the blocks a build carves its rows from.
 const buildBlockRows = 1024
 
+// maxSizeHint caps the estimate a hash table is sized from: a wrong estimate
+// costs at most this many entries of map.
+const maxSizeHint = 1 << 16
+
 // NewPartitionedTable drains build into a table of `parts` partitions (<= 0
 // is clamped to 1) for the given equi-join conditions. A build iterator that
 // stops early (a cancellation checkpoint, say) leaves a table of what it
-// delivered.
+// delivered. keys is the number of distinct build keys the caller expects
+// (an optimizer's estimate, capped at 1<<16; 0 when it has none): each
+// partition's map starts sized for its share of them, and grows from there.
+// It is not the build's row count, which duplicate keys would overstate.
 //
 // Rows are carved from blocks that double from 8 to buildBlockRows and are
 // never copied, so a build allocates per block, not per key. The chains are
 // linked once the build is drained, back to front, so each lists its rows in
 // build order: the order a probe emits its matches in.
-func NewPartitionedTable(build Iterator, conds []JoinCond, parts int) *PartitionedTable {
+func NewPartitionedTable(build Iterator, conds []JoinCond, parts, keys int) *PartitionedTable {
 	parts = max(parts, 1)
+	keys = min(max(keys, 0), maxSizeHint)
 	cols := make([]int, 2*len(conds))
 	pt := &PartitionedTable{leftCols: cols[:len(conds)], rightCols: cols[len(conds):],
 		parts: make([]map[uint64]*buildRow, parts)}
@@ -43,7 +51,7 @@ func NewPartitionedTable(build Iterator, conds []JoinCond, parts int) *Partition
 		pt.leftCols[i], pt.rightCols[i] = c.Left, c.Right
 	}
 	for i := range pt.parts {
-		pt.parts[i] = make(map[uint64]*buildRow)
+		pt.parts[i] = make(map[uint64]*buildRow, (keys+parts-1)/parts)
 	}
 	var spine [16][]buildRow // 10 232 rows before the block list needs the heap
 	blocks := spine[:0]

@@ -64,23 +64,13 @@ func appendBatch(dst []byte, ncols int, tuples []relation.Tuple) []byte {
 		return append(dst, make([]byte, bits)...)
 	}
 	for c := 0; c < ncols; c++ {
-		kind, uniform := relation.KindNull, true
-		for _, t := range tuples {
-			k := t[c].Kind()
-			if k == relation.KindNull || k == kind {
-				continue
-			}
-			if kind != relation.KindNull {
-				uniform = false
-				break
-			}
-			kind = k
-		}
-		if !uniform || kind == relation.KindNull {
+		tag := columnTag(c, tuples)
+		if tag == colMixed {
 			dst = appendMixedColumn(dst, c, tuples)
 			continue
 		}
-		dst = append(dst, uint8(kind))
+		kind := relation.Kind(tag)
+		dst = append(dst, tag)
 		nulls := len(dst)
 		dst = append(dst, make([]byte, bits)...)
 		for i, t := range tuples {
@@ -117,6 +107,56 @@ func appendBatch(dst []byte, ncols int, tuples []relation.Tuple) []byte {
 		}
 	}
 	return dst
+}
+
+// columnTag is the tag appendBatch encodes column c under: the kind of its
+// non-null cells when they share one, else colMixed.
+func columnTag(c int, tuples []relation.Tuple) uint8 {
+	kind := relation.KindNull
+	for _, t := range tuples {
+		k := t[c].Kind()
+		if k == relation.KindNull || k == kind {
+			continue
+		}
+		if kind != relation.KindNull {
+			return colMixed
+		}
+		kind = k
+	}
+	if kind == relation.KindNull {
+		return colMixed
+	}
+	return uint8(kind)
+}
+
+// batchSize is len(appendBatch(nil, ncols, tuples)), found without encoding,
+// so that a caller can make room for a batch before appending it.
+func batchSize(ncols int, tuples []relation.Tuple) int {
+	n := len(tuples)
+	bits := (n + 7) / 8
+	if ncols == 0 {
+		return batchHeader + bits
+	}
+	size := batchHeader + ncols // a tag a column
+	for c := 0; c < ncols; c++ {
+		tag := columnTag(c, tuples)
+		if tag == colString || tag == colMixed {
+			for _, t := range tuples {
+				size += len(t[c].AsString())
+			}
+		}
+		switch tag {
+		case colMixed:
+			size += 9 * n
+		case colInt, colFloat:
+			size += bits + 8*n
+		case colBool:
+			size += 2 * bits
+		case colString:
+			size += bits + 4*n
+		}
+	}
+	return size
 }
 
 func appendMixedColumn(dst []byte, c int, tuples []relation.Tuple) []byte {

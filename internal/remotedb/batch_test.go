@@ -95,7 +95,11 @@ func batchSeeds() []struct {
 
 func TestBatchSeedsRoundTrip(t *testing.T) {
 	for i, s := range batchSeeds() {
-		got, err := decodeBatch(appendBatch(nil, s.ncols, s.tuples), s.ncols)
+		b := appendBatch(nil, s.ncols, s.tuples)
+		if n := batchSize(s.ncols, s.tuples); n != len(b) {
+			t.Fatalf("seed %d: batchSize %d, encoded %d bytes", i, n, len(b))
+		}
+		got, err := decodeBatch(b, s.ncols)
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
@@ -106,7 +110,8 @@ func TestBatchSeedsRoundTrip(t *testing.T) {
 }
 
 // TestQuickBatchRoundTrip: decode ∘ encode is the identity on batches of
-// random shape whose columns are uniform, nullable or mixed at random.
+// random shape whose columns are uniform, nullable or mixed at random, and
+// batchSize is the encoding's length.
 func TestQuickBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func() bool {
@@ -126,8 +131,9 @@ func TestQuickBatchRoundTrip(t *testing.T) {
 				in[i][c] = v
 			}
 		}
-		out, err := decodeBatch(appendBatch(nil, ncols, in), ncols)
-		return err == nil && sameTuples(out, in)
+		b := appendBatch(nil, ncols, in)
+		out, err := decodeBatch(b, ncols)
+		return err == nil && sameTuples(out, in) && batchSize(ncols, in) == len(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -454,14 +454,16 @@ func (e *Engine) Schema(name string) (*relation.Schema, error) {
 // consumes ("cardinality and selectivity information from the DBMS schema",
 // Section 4.1).
 type TableStats struct {
-	Rows     int
-	Distinct []int // per-column distinct value counts
+	Rows int
+	// Distinct is each column's distinct-value count: exact up to 4 096,
+	// a bottom-k sketch's estimate above (ColStats says which).
+	Distinct []int
 }
 
-// Stats computes catalog statistics for a table. When the maintained
-// per-column accumulators (stats.go) are exact they are served in O(columns);
-// the full-scan fallback covers saturated NDV tracking and relations mutated
-// behind the engine's back.
+// Stats returns a table's catalog statistics in O(columns), from the
+// sketches stats.go maintains. A relation appended to behind the engine's
+// back no longer matches its sketches' row count; for it, Stats sketches the
+// table afresh.
 func (e *Engine) Stats(name string) (TableStats, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -469,20 +471,13 @@ func (e *Engine) Stats(name string) (TableStats, error) {
 	if !ok {
 		return TableStats{}, fmt.Errorf("remotedb: unknown table %s", name)
 	}
-	if m := e.meta[name]; m.exact(t.Len()) {
-		st := TableStats{Rows: m.rows, Distinct: make([]int, len(m.cols))}
-		for i := range m.cols {
-			st.Distinct[i] = len(m.cols[i].seen)
-		}
-		return st, nil
+	m := e.meta[name]
+	if m == nil || m.rows != t.Len() {
+		m = buildTableMeta(t)
 	}
-	st := TableStats{Rows: t.Len(), Distinct: make([]int, t.Schema().Arity())}
-	for c := 0; c < t.Schema().Arity(); c++ {
-		seen := make(map[string]bool)
-		for _, tu := range t.Tuples() {
-			seen[tu[c].Key()] = true
-		}
-		st.Distinct[c] = len(seen)
+	st := TableStats{Rows: m.rows, Distinct: make([]int, len(m.cols))}
+	for i := range m.cols {
+		st.Distinct[i] = m.cols[i].ndv()
 	}
 	return st, nil
 }

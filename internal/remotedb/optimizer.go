@@ -27,7 +27,12 @@ import (
 //     intermediates;
 //   - LIMIT/TopN pushdown: a LIMIT over an ORDER BY fuses into a bounded-heap
 //     TopN sort; a bare LIMIT short-circuits naturally because execution is
-//     pull-based.
+//     pull-based;
+//   - hash-table sizing: a join build starts sized for min(build rows, the
+//     product of its key columns' NDVs) keys, and a GROUP BY table for the
+//     group estimate, so that neither grows as it fills. Like the estimates
+//     EXPLAIN shows, a cached plan keeps those of the binding that compiled
+//     it: they size tables and change no row, op or order.
 //
 // A plan is compiled per statement shape, not per constant (plancache.go).
 // Every decision above but one reads only the shape and the catalog: the
@@ -256,6 +261,7 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		var eq []relation.JoinCond
 		var post []relation.Cond
 		var on []crossCond
+		keyNDV := 1.0 // the product of the build's key columns' NDVs
 		for ci, c := range scope.cross {
 			if consumed[ci] {
 				continue
@@ -265,12 +271,14 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			case c.lp == a && joined[c.rp]:
 				if c.op == relation.OpEq {
 					eq = append(eq, relation.JoinCond{Left: offs[c.rp] + rankIn(rk), Right: rankIn(lk)})
+					keyNDV *= float64(colNDV(scans[a].meta, c.lc))
 				} else {
 					post = append(post, relation.Cond{Left: wideArity + rankIn(lk), Op: c.op, Right: offs[c.rp] + rankIn(rk)})
 				}
 			case c.rp == a && joined[c.lp]:
 				if c.op == relation.OpEq {
 					eq = append(eq, relation.JoinCond{Left: offs[c.lp] + rankIn(lk), Right: rankIn(rk)})
+					keyNDV *= float64(colNDV(scans[a].meta, c.rc))
 				} else {
 					post = append(post, relation.Cond{Left: offs[c.lp] + rankIn(lk), Op: c.op, Right: wideArity + rankIn(rk)})
 				}
@@ -288,6 +296,7 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			sch:   cur.Schema().Concat(right.Schema()),
 			on:    on,
 			build: a,
+			keys:  sizeHint(math.Min(outs[a], keyNDV)),
 		}
 		nodeEst[jn] = stepOut
 		leftEst = stepOut
@@ -355,7 +364,7 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		} else {
 			est = 1
 		}
-		cur = &aggNode{child: cur, groupCols: groupCols, specs: specs, sch: aggSch, names: names}
+		cur = &aggNode{child: cur, groupCols: groupCols, specs: specs, sch: aggSch, names: names, groups: sizeHint(est)}
 		nodeEst[cur] = est
 		if sel.Distinct {
 			estOps += est
@@ -605,6 +614,13 @@ func (n *scanNode) outEst(where []SQLCond) float64 {
 		selv *= condSelectivity(n.meta, n.cond(k, where))
 	}
 	return math.Max(n.rows*selv, 0)
+}
+
+// sizeHint turns an estimate into a hash table's size hint, at most the
+// 1<<16 the executor caps hints at (an estimate over a cross product may
+// not fit an int).
+func sizeHint(est float64) int {
+	return int(math.Min(est, 1<<16))
 }
 
 // colNDV returns the column's distinct-value estimate (a default guess of 10

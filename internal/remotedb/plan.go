@@ -185,6 +185,7 @@ type joinNode struct {
 	sch         *relation.Schema
 	on          []crossCond // the conjuncts eq and post came from, for EXPLAIN
 	build       int         // FROM position of the build side's alias
+	keys        int         // distinct build keys the optimizer expects: the build table's size hint
 }
 
 func (n *joinNode) Schema() *relation.Schema { return n.sch }
@@ -263,6 +264,8 @@ type aggNode struct {
 	// column ("" for COUNT(*)), for EXPLAIN: the input schema may have
 	// renamed a column a join repeated.
 	names []string
+	// groups is the optimizer's group estimate: the group table's size hint.
+	groups int
 }
 
 func (n *aggNode) Schema() *relation.Schema { return n.sch }

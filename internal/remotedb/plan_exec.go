@@ -271,7 +271,7 @@ func (n *joinNode) openCols(run *planRun, cols []int, keep bool) relation.Iterat
 	if run.worker != nil {
 		pt = run.par.tables[n]
 	} else {
-		pt = relation.NewPartitionedTable(run.counted(run.openNode(n.right, true)), n.eq, 1)
+		pt = relation.NewPartitionedTable(run.counted(run.openNode(n.right, true)), n.eq, 1, n.keys)
 	}
 	return pt.Probe(left, n.post, cols, run.dst(keep))
 }
@@ -315,8 +315,12 @@ func (n *filterNode) open(run *planRun, keep bool) relation.Iterator {
 // open aggregates the child's rows, which the group table copies what it
 // keeps of. Its own rows outlive any pull.
 func (n *aggNode) open(run *planRun, _ bool) relation.Iterator {
-	rows := relation.Aggregate(run.counted(run.openNode(n.child, false)), n.groupCols, n.specs)
-	return relation.NewSliceIterator(rows)
+	acc := relation.NewAggAccum(n.groupCols, n.specs, n.groups)
+	in := run.counted(run.openNode(n.child, false))
+	for t, ok := in.Next(); ok; t, ok = in.Next() {
+		acc.Add(t)
+	}
+	return relation.NewSliceIterator(acc.Emit())
 }
 
 // open sorts stably by n.cols, through Relation.SortBy, or keeps the first

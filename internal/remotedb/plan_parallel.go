@@ -273,7 +273,7 @@ func (px *parExec) start() error {
 	px.tables = make(map[*joinNode]*relation.PartitionedTable, len(px.sec.joins))
 	for _, jn := range px.sec.joins {
 		build := relation.NewGuardIterator(px.run.counted(px.run.openNode(jn.right, true)), 0, px.ctx.Err)
-		px.tables[jn] = relation.NewPartitionedTable(build, jn.eq, px.dop)
+		px.tables[jn] = relation.NewPartitionedTable(build, jn.eq, px.dop, jn.keys)
 		if err := build.Err(); err != nil {
 			return err
 		}
@@ -326,7 +326,7 @@ func (px *parExec) runWorker(w int) {
 	var in relation.Iterator = relation.NewGuardIterator(top, relation.DefaultGuardEvery, px.ctx.Err)
 	var acc *relation.AggAccum
 	if agg := px.sec.agg; agg != nil {
-		acc = relation.NewAggAccum(agg.groupCols, agg.specs)
+		acc = relation.NewAggAccum(agg.groupCols, agg.specs, agg.groups)
 		px.aggs[w] = acc
 		in = run.counted(in) // charged as aggNode.open charges its input
 	}

@@ -169,18 +169,34 @@ type walRecord struct {
 }
 
 // walTable is a whole table in the log: its schema and its rows as one batch.
+// A decoded table holds the batch in Rows. One bound for the log holds its
+// relation instead, which is encoded straight into the frame: rowBytes, the
+// batch's size, lets the frame make room for it once.
 type walTable struct {
 	Name  string
 	Attrs []wireAttr
 	Rows  []byte
+
+	rel      *relation.Relation
+	rowBytes int
 }
 
 func toWALTable(r *relation.Relation) *walTable {
 	return &walTable{
-		Name:  r.Name,
-		Attrs: toWireAttrs(r.Schema()),
-		Rows:  appendBatch(nil, r.Schema().Arity(), r.Tuples()),
+		Name:     r.Name,
+		Attrs:    toWireAttrs(r.Schema()),
+		rel:      r,
+		rowBytes: batchSize(r.Schema().Arity(), r.Tuples()),
 	}
+}
+
+// maxSize bounds t's encoding: its rows exactly, every count at its widest.
+func (t *walTable) maxSize() int {
+	n := len(t.Name) + len(t.Rows) + t.rowBytes + 3*binary.MaxVarintLen64
+	for _, a := range t.Attrs {
+		n += len(a.Name) + binary.MaxVarintLen64 + 1
+	}
+	return n
 }
 
 func (w *walTable) relation() (*relation.Relation, error) {
@@ -193,9 +209,16 @@ func (w *walTable) relation() (*relation.Relation, error) {
 }
 
 func appendWALTable(dst []byte, t *walTable) []byte {
+	if n := t.maxSize(); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = appendAttrs(appendString(dst, t.Name), t.Attrs)
-	dst = binary.AppendUvarint(dst, uint64(len(t.Rows)))
-	return append(dst, t.Rows...)
+	if t.rel == nil {
+		dst = binary.AppendUvarint(dst, uint64(len(t.Rows)))
+		return append(dst, t.Rows...)
+	}
+	dst = binary.AppendUvarint(dst, uint64(t.rowBytes))
+	return appendBatch(dst, len(t.Attrs), t.rel.Tuples())
 }
 
 func (d *wireDec) walTable() *walTable {
@@ -490,6 +513,25 @@ func errWALFormat(what string, f uint8) error {
 	return fmt.Errorf("%s format byte %d: this build reads only walFormat %d (formats 1 and 2 were gob and are not read)", what, f, walFormat)
 }
 
+// maxSize bounds ck's payload: its tables' rows exactly, every count and
+// every other field at its widest.
+func (ck *walCheckpoint) maxSize() int {
+	n := 1 + 5*binary.MaxVarintLen64
+	for name := range ck.Versions {
+		n += len(name) + 2*binary.MaxVarintLen64
+	}
+	for _, t := range ck.Tables {
+		n += t.maxSize()
+	}
+	for name, sets := range ck.Indexes {
+		n += len(name) + 2*binary.MaxVarintLen64
+		for _, cols := range sets {
+			n += (1 + len(cols)) * binary.MaxVarintLen64
+		}
+	}
+	return n
+}
+
 // appendWALCheckpoint appends ck's payload to dst.
 func appendWALCheckpoint(dst []byte, ck *walCheckpoint) []byte {
 	dst = append(dst, walFormat)
@@ -545,7 +587,7 @@ func decodeWALCheckpoint(payload []byte) (*walCheckpoint, error) {
 // rename, directory fsync — a crash at any point leaves either the old state
 // or a complete new checkpoint, never a half-visible one.
 func writeCheckpoint(dir string, ck *walCheckpoint) error {
-	frame := appendWALCheckpoint(make([]byte, walFrameHeader), ck)
+	frame := appendWALCheckpoint(make([]byte, walFrameHeader, walFrameHeader+ck.maxSize()), ck)
 	if err := sealWALFrame(frame, 0); err != nil {
 		return err
 	}
