@@ -5,9 +5,9 @@ import "math"
 // Allocation-free 64-bit hashing for tuples and values, and the small
 // collision-safe containers built on it. The string Tuple.Key remains the
 // human-readable/order-stable form; the hot paths (Distinct, Difference,
-// hash-join build sides, attribute indexes) key their maps on Hash64 and
-// verify candidates with Equal, so hash collisions cost a comparison, never
-// correctness.
+// hash-join build sides, attribute indexes) key their maps or buckets on
+// Hash64 and verify candidates with Equal, so hash collisions cost a
+// comparison, never correctness.
 
 const (
 	fnvOffset64 = 0xcbf29ce484222325

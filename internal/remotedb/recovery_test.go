@@ -106,6 +106,27 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	if len(r.indexes["emp"]) != 1 || r.indexes["emp"][0].Cols()[0] != 0 {
 		t.Fatal("index on emp(id) did not survive recovery")
 	}
+	// The recovered index answers every key, and an absent one, with the
+	// rows, in the order, that an index built afresh over the recovered table
+	// does.
+	emp := r.tables["emp"]
+	fresh := relation.BuildIndex(emp, []int{0})
+	keys := []relation.Value{relation.Int(99)}
+	for _, tu := range emp.Tuples() {
+		keys = append(keys, tu[0])
+	}
+	for _, k := range keys {
+		got := r.indexes["emp"][0].AppendLookup(nil, []relation.Value{k})
+		want := fresh.AppendLookup(nil, []relation.Value{k})
+		if len(got) != len(want) {
+			t.Fatalf("recovered index finds %v for %v, a fresh one %v", got, k, want)
+		}
+		for i := range got {
+			if &got[i][0] != &want[i][0] {
+				t.Fatalf("recovered index finds %v for %v, a fresh one %v", got, k, want)
+			}
+		}
+	}
 	if st2.Epoch <= epochBefore {
 		t.Fatalf("recovery epoch %d not past pre-restart epoch %d", st2.Epoch, epochBefore)
 	}
