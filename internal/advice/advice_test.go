@@ -2,6 +2,7 @@ package advice
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -141,6 +142,54 @@ func TestObserveAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() { SequenceFollowers(a.Path, "d3") }); n != 0 {
 		t.Errorf("SequenceFollowers allocates %v for a view with no followers, want 0", n)
+	}
+}
+
+// TestTrackerResetAllocs: a tracker reset to an expression no larger than
+// the last it held allocates nothing, and then tracks and predicts as a new
+// tracker of that expression does, whatever it tracked before and however
+// far it got. AppendSequenceFollowers into a slice with room allocates
+// nothing either, and appends what SequenceFollowers returns.
+func TestTrackerResetAllocs(t *testing.T) {
+	big, err := ParsePath("((d1(X?, Y^), [(d2(Z^, Y?), d3(Z?)), (d4(U^, Y?), d5(U?))]^1)<0,|X|>)<0,1>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := MustParse(paperExample1).Path
+	tr := NewTracker(big)
+	for _, q := range []string{"d1", "d4", "d1", "d9"} { // ends lost
+		tr.Observe(q)
+	}
+	tr.Reset(small)
+	fresh := NewTracker(small)
+	for _, q := range []string{"d1", "d2", "d3", "d2"} {
+		if got, want := tr.PredictWithin(8), fresh.PredictWithin(8); !reflect.DeepEqual(got, want) {
+			t.Fatalf("before %s: a reset tracker predicts %v, a new one %v", q, got, want)
+		}
+		if got, want := tr.Observe(q), fresh.Observe(q); got != want {
+			t.Fatalf("%s: a reset tracker observes %v, a new one %v", q, got, want)
+		}
+	}
+	exprs := []Expr{small, big, nil, small}
+	i := 0
+	if n := testing.AllocsPerRun(50, func() {
+		tr.Reset(exprs[i%len(exprs)])
+		i++
+	}); n != 0 {
+		t.Errorf("Reset to an expression no larger than the last allocates %v, want 0", n)
+	}
+
+	dst := make([]string, 0, 8)
+	for _, name := range []string{"d1", "d2", "d3", "d4"} {
+		for _, e := range []Expr{small, big} {
+			got := AppendSequenceFollowers(dst[:1], e, name)[1:]
+			if want := SequenceFollowers(e, name); !slices.Equal(got, want) {
+				t.Errorf("followers of %s in %s: appended %v, returned %v", name, e, got, want)
+			}
+			if n := testing.AllocsPerRun(50, func() { AppendSequenceFollowers(dst[:0], e, name) }); n != 0 {
+				t.Errorf("followers of %s in %s: appending into room allocates %v, want 0", name, e, n)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package advice
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -18,8 +19,8 @@ import (
 //
 // Trackers are safe for concurrent use: the owning session observes queries
 // while other sessions' eviction sweeps consult its predictions through the
-// cache manager's predictor registry. The automaton itself is immutable
-// after construction; mu guards the tracking state.
+// cache manager's predictor registry. mu guards the tracking state, and the
+// automaton, which only Reset changes.
 type Tracker struct {
 	// The automaton: state s's labelled edges are
 	// edges[edgeAt[s]:edgeAt[s+1]] and its epsilon successors
@@ -29,6 +30,10 @@ type Tracker struct {
 	eps           []int32
 	start         int32
 	nstates       int
+	// ints and has back the int32 slices and the state sets' marks; Reset
+	// reuses them, and edges, with their capacity.
+	ints []int32
+	has  []bool
 
 	mu sync.Mutex
 	// current holds the states the automaton may be in. Observe builds their
@@ -68,24 +73,39 @@ type tEdge struct {
 }
 
 // NewTracker compiles the expression; a nil expression yields a tracker that
-// predicts nothing. The automaton is laid out in flat slices, built in three
-// walks of the expression: the first counts states and moves, the second
-// each state's moves, and the third places them.
+// predicts nothing.
 func NewTracker(e Expr) *Tracker {
 	t := &Tracker{}
+	t.Reset(e)
+	return t
+}
+
+// Reset recompiles t for e, as NewTracker would, into the storage t's earlier
+// automata grew: reset to an expression no larger than one it held before, it
+// allocates nothing, and it keeps nothing of the old expression but that
+// storage's capacity. The automaton is laid out in flat slices, built in
+// three walks of the expression: the first counts states and moves, the
+// second each state's moves, and the third places them.
+func (t *Tracker) Reset(e Expr) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	b := builder{t: t}
 	b.run(e)
-	n, ne, nx := b.states, b.edges, b.eps
-	ints := make([]int32, 2*(n+1)+nx+2*n)
+	n, ne, nx := int(b.states), int(b.edges), int(b.eps)
+	m := 2*(n+1) + nx + 2*n
+	ints := slices.Grow(t.ints[:0], m)[:m]
+	clear(ints)
+	t.ints = ints
 	t.edgeAt, ints = ints[:n+1:n+1], ints[n+1:]
 	t.epsAt, ints = ints[:n+1:n+1], ints[n+1:]
 	t.eps, ints = ints[:nx:nx], ints[nx:]
 	edgeCur, epsCur := ints[:n:n], ints[n:]
-	t.edges = make([]tEdge, ne)
+	clear(t.edges) // drops the old labels: placing writes only the new ones
+	t.edges = slices.Grow(t.edges[:0], ne)[:ne]
 
 	b = builder{t: t, counting: true}
 	b.run(e)
-	for s := 0; s < int(n); s++ {
+	for s := 0; s < n; s++ {
 		t.edgeAt[s+1] += t.edgeAt[s]
 		t.epsAt[s+1] += t.epsAt[s]
 	}
@@ -95,13 +115,13 @@ func NewTracker(e Expr) *Tracker {
 	b.run(e)
 
 	// The cursors are spent; their storage lists the tracking states.
-	has := make([]bool, 2*n)
-	t.nstates = int(n)
+	has := slices.Grow(t.has[:0], 2*n)[:2*n]
+	clear(has)
+	t.has, t.nstates, t.lost = has, n, false
 	t.current = stateSet{in: edgeCur[:0], has: has[:n:n]}
 	t.next = stateSet{in: epsCur[:0], has: has[n:]}
 	t.current.add(t.start)
 	t.close(&t.current)
-	return t
 }
 
 // builder walks an expression making the tracker's automaton: sizing it
@@ -313,58 +333,64 @@ func (t *Tracker) keysWithin(k int) []string {
 // than from tracker state, so it is usable even when the CMS chooses not to
 // track.
 func SequenceFollowers(e Expr, name string) []string {
-	var out []string
-	seen := make(map[string]bool)
-	add := func(n string) {
-		if !seen[n] && n != name {
-			seen[n] = true
-			out = append(out, n)
-		}
+	return AppendSequenceFollowers(nil, e, name)
+}
+
+// AppendSequenceFollowers appends SequenceFollowers(e, name) to dst and
+// returns the extended slice. It allocates only to grow dst.
+func AppendSequenceFollowers(dst []string, e Expr, name string) []string {
+	if e == nil {
+		return dst
 	}
-	var collect func(Expr)
-	collect = func(x Expr) {
-		switch v := x.(type) {
-		case *Pattern:
-			add(v.Name)
-		case *Sequence:
-			for _, c := range v.Elems {
-				collect(c)
-			}
-		case *Alternation:
-			for _, c := range v.Elems {
-				collect(c)
-			}
-		}
+	return appendFollowers(dst, len(dst), e, name)
+}
+
+// appendFollowers appends name's followers in x to dst, whose list of them
+// starts at from: it descends into the first child that mentions name, for
+// the innermost sequence's followers first, and in a sequence then appends
+// that child's later siblings' names.
+func appendFollowers(dst []string, from int, x Expr, name string) []string {
+	var elems []Expr
+	_, seq := x.(*Sequence)
+	switch v := x.(type) {
+	case *Sequence:
+		elems = v.Elems
+	case *Alternation:
+		elems = v.Elems
 	}
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch v := x.(type) {
-		case *Sequence:
-			// Find the direct child containing name; followers are the
-			// later siblings. Recurse into that child for the innermost
-			// sequence semantics first.
-			for i, c := range v.Elems {
-				if mentions(c, name) {
-					walk(c)
-					for _, later := range v.Elems[i+1:] {
-						collect(later)
-					}
-					return
-				}
-			}
-		case *Alternation:
-			for _, c := range v.Elems {
-				if mentions(c, name) {
-					walk(c)
-					return
-				}
+	for i, c := range elems {
+		if !mentions(c, name) {
+			continue
+		}
+		dst = appendFollowers(dst, from, c, name)
+		if seq {
+			for _, later := range elems[i+1:] {
+				dst = appendNames(dst, from, later, name)
 			}
 		}
+		return dst
 	}
-	if e != nil {
-		walk(e)
+	return dst
+}
+
+// appendNames appends to dst the names of x's patterns that are not name and
+// not yet in dst[from:].
+func appendNames(dst []string, from int, x Expr, name string) []string {
+	var elems []Expr
+	switch v := x.(type) {
+	case *Pattern:
+		if v.Name != name && !slices.Contains(dst[from:], v.Name) {
+			dst = append(dst, v.Name)
+		}
+	case *Sequence:
+		elems = v.Elems
+	case *Alternation:
+		elems = v.Elems
 	}
-	return out
+	for _, c := range elems {
+		dst = appendNames(dst, from, c, name)
+	}
+	return dst
 }
 
 // mentions reports whether a pattern named name occurs in x, allocating

@@ -295,6 +295,9 @@ type Session interface {
 // comparators.
 type DataSource interface {
 	// BeginSession starts a session; adv may be nil (advice is optional).
+	// The session may read adv until its End and must keep no pointer into
+	// it afterwards: the caller may rebuild its next advice in the same
+	// storage.
 	BeginSession(adv *advice.Advice) Session
 	// RelationSchema resolves a base relation schema (caql.SchemaSource).
 	RelationSchema(name string, arity int) (*relation.Schema, error)

@@ -233,8 +233,10 @@ func (c *CMS) Degraded() bool { return !c.rdi.Available() }
 //
 // A session runs on the scratch of one that has ended, when the CMS kept one
 // (see scratch), and hands out again the streams that session's consumer
-// closed before End. It starts with a new ID, context, tracker and clock,
-// and keeps nothing of the ended session but the capacity of its buffers.
+// closed before End. It starts with a new ID, context and clock, compiles
+// its tracker and memoises its followers into the scratch's storage, and
+// keeps nothing of the ended session but the capacity of its buffers. The
+// session reads adv until End and keeps no pointer into it after.
 func (c *CMS) BeginSession(adv *advice.Advice) bridge.Session {
 	sc, _ := c.idle.Get().(*scratch)
 	if sc == nil {
@@ -244,7 +246,8 @@ func (c *CMS) BeginSession(adv *advice.Advice) bridge.Session {
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.streams, sc.freeStreams = sc.freeStreams, bridge.StreamPool{}
 	if adv != nil && adv.Path != nil {
-		sc.tracker = advice.NewTracker(adv.Path)
+		sc.trk.Reset(adv.Path)
+		sc.tracker = &sc.trk
 	}
 	if c.opts.Features.AdviceReplacement && sc.tracker != nil {
 		c.mgr.RegisterPredictor(s.id, sc.predict)
@@ -295,9 +298,11 @@ type Session struct {
 // so that what it keeps is the collector's to drop: kept scratch costs no
 // live heap once two collections pass it by.
 type scratch struct {
-	// tracker follows the session's path expression; predict is the
+	// tracker follows the session's path expression: it is trk, recompiled
+	// for the session, or nil when the session has none. predict is the
 	// replacement predictor that reads it, made once per scratch.
 	tracker *advice.Tracker
+	trk     advice.Tracker
 	predict func(e *Element) (int, bool)
 
 	// genSeen counts occurrences of each query's fully-generalized canonical
@@ -322,7 +327,9 @@ type scratch struct {
 	follower followerBlock
 	// followers memoises advice.SequenceFollowers per view name: the path
 	// expression is fixed for the session, and only view names are asked.
-	followers map[string][]string
+	// Its lists are carved from followerNames.
+	followers     map[string][]string
+	followerNames []string
 
 	// Async prefetch bookkeeping (prefetch.go): pfWG tracks in-flight
 	// prefetch jobs, pmu guards the dedup set and the private (not yet
@@ -354,9 +361,9 @@ func (s *Session) SimNow() float64 { return s.simNow }
 // in-flight prefetch workers abort their remote calls instead of being waited
 // out — then waits for those workers, publishes the private elements that did
 // materialize (a departing session has no clock left to wait on), withdraws
-// its replacement predictor, and gives its scratch back to the CMS for the
-// next session. The free streams go with it: a stream closed before End is
-// reused by a later session, one closed after End is not.
+// its replacement predictor, drops its advice, and gives its scratch back to
+// the CMS for the next session. The free streams go with it: a stream closed
+// before End is reused by a later session, one closed after End is not.
 func (s *Session) End() {
 	if s.ended {
 		return
@@ -372,11 +379,16 @@ func (s *Session) End() {
 	s.cms.mgr.UnregisterPredictor(s.id)
 
 	sc := s.scratch
-	s.scratch = nil
+	s.scratch, s.adv = nil, nil
 	sc.freeStreams, s.streams = s.streams, bridge.StreamPool{}
-	sc.tracker = nil
+	if sc.tracker != nil {
+		sc.trk.Reset(nil) // drops the view names it held
+		sc.tracker = nil
+	}
 	clear(sc.genSeen)
 	clear(sc.followers)
+	clear(sc.followerNames)
+	sc.followerNames = sc.followerNames[:0]
 	clear(sc.inflight)
 	clear(sc.private)
 	sc.private = sc.private[:0]

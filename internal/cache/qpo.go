@@ -964,11 +964,13 @@ func (b *followerBlock) bind(a logic.Atom, vs *advice.ViewSpec, q *caql.Query) l
 }
 
 // followersOf is advice.SequenceFollowers of the session's path expression,
-// memoised per view name.
+// memoised per view name in the scratch's followerNames.
 func (s *Session) followersOf(name string) []string {
 	f, ok := s.followers[name]
 	if !ok {
-		f = advice.SequenceFollowers(s.adv.Path, name)
+		at := len(s.followerNames)
+		s.followerNames = advice.AppendSequenceFollowers(s.followerNames, s.adv.Path, name)
+		f = s.followerNames[at:len(s.followerNames):len(s.followerNames)]
 		if s.followers == nil {
 			s.followers = make(map[string][]string)
 		}

@@ -145,3 +145,38 @@ func fixtureSource(t *testing.T) caql.MapSource {
 	_, src := fixtureEngine(t, 5, 40)
 	return src
 }
+
+// TestSessionAdviceAllocs: once warm, a session that opens with a path
+// expression, memoises followers and ends allocates its handle, its context
+// and its cancel function, nothing more: its tracker is compiled, and its
+// follower lists carved, into the scratch an ended session left, and End
+// drops the advice from the handle.
+func TestSessionAdviceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e, _ := fixtureEngine(t, 5, 40)
+	cms := newCMS(t, e, Options{Features: AllFeatures()})
+	adv := advice.MustParse(example1Advice)
+	run := func() {
+		s := cms.BeginSession(adv).(*Session)
+		if len(s.followersOf("d1")) != 2 || len(s.followersOf("d2")) != 1 || !slices.Equal(s.tracker.PredictNext(), []string{"d1"}) {
+			t.Fatalf("followers of d1 %v, of d2 %v, predicted %v", s.followersOf("d1"), s.followersOf("d2"), s.tracker.PredictNext())
+		}
+		s.End()
+		if s.adv != nil {
+			t.Fatal("an ended session holds its advice")
+		}
+	}
+	run()
+	allocs := testing.AllocsPerRun(100, func() {
+		s := cms.BeginSession(adv).(*Session)
+		s.followersOf("d1")
+		s.followersOf("d2")
+		s.End()
+	})
+	t.Logf("a session with a path expression makes %v allocations", allocs)
+	if allocs > 3 {
+		t.Errorf("a session with a path expression makes %v allocations, budget 3", allocs)
+	}
+}

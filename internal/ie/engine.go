@@ -221,22 +221,18 @@ func (e *Engine) Ask(goal logic.Atom) (*Solutions, error) {
 	return e.AskCtx(context.Background(), goal)
 }
 
-// AskCtx answers an AI query: find its goal shape's compile, assemble the
-// advice, open a session (transmitting the advice), and run the configured
-// strategy with the goal's constants bound, on a runner the engine kept from
-// an earlier ask or a new one. The result is a lazy solution stream. ctx
-// governs the whole ask: every CAQL query the search issues runs under it,
-// and once it is canceled or expired the search stops with
-// bridge.ErrCanceled or bridge.ErrDeadlineExceeded, closing every stream it
-// holds open.
+// AskCtx answers an AI query: find its goal shape's compile, take a runner
+// the engine kept from an earlier ask or a new one, assemble the advice in
+// the runner's advice block, open a session (transmitting the advice), and
+// run the configured strategy with the goal's constants bound. The result is
+// a lazy solution stream. ctx governs the whole ask: every CAQL query the
+// search issues runs under it, and once it is canceled or expired the search
+// stops with bridge.ErrCanceled or bridge.ErrDeadlineExceeded, closing every
+// stream it holds open.
 func (e *Engine) AskCtx(ctx context.Context, goal logic.Atom) (*Solutions, error) {
 	sh, err := e.shape(goal)
 	if err != nil {
 		return nil, err
-	}
-	var adv *advice.Advice
-	if e.opts.Advice {
-		adv = sh.advice(e.kb, e.opts)
 	}
 	vars := make([]string, 0, len(goal.Args))
 	for _, t := range goal.Args {
@@ -248,6 +244,10 @@ func (e *Engine) AskCtx(ctx context.Context, goal logic.Atom) (*Solutions, error
 	if r == nil {
 		r = &runner{engine: e}
 		r.choices, r.free = r.buf[:0], r.freeBuf[:0]
+	}
+	var adv *advice.Advice
+	if e.opts.Advice {
+		adv = sh.advice(&r.adv, e.kb, e.opts)
 	}
 	r.ctx, r.sh, r.vars, r.live = ctx, sh, vars, true
 	r.session = e.ds.BeginSession(adv)
@@ -298,12 +298,15 @@ func (e *Engine) shape(goal logic.Atom) (*shape, error) {
 	return sh, err
 }
 
-// checkedShape compiles goal's shape and checks the advice it generates.
+// checkedShape compiles goal's shape, checks the advice it generates, and
+// sizes the shape's path expression from it.
 func (ck *compiledKB) checkedShape(goal logic.Atom) (*shape, error) {
 	sh := ck.compileShape(goal)
-	if err := sh.advice(ck.kb, Options{}).Validate(); err != nil {
+	var blk adviceBlock
+	if err := sh.advice(&blk, ck.kb, Options{PathExpression: true}).Validate(); err != nil {
 		return nil, fmt.Errorf("ie: generated invalid advice: %w", err)
 	}
+	sh.path = pathSize{seqs: len(blk.seqs), alts: len(blk.alts), exprs: len(blk.exprs)}
 	return sh, nil
 }
 
@@ -314,7 +317,7 @@ func (e *Engine) Advice(goal logic.Atom) (*advice.Advice, error) {
 	if err != nil {
 		return nil, err
 	}
-	adv := sh.advice(e.kb, e.opts)
+	adv := sh.advice(new(adviceBlock), e.kb, e.opts)
 	adv.BaseRels = slices.Clone(adv.BaseRels)
 	for _, v := range adv.Views {
 		v.Query = v.Query.Clone()

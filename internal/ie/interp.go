@@ -61,6 +61,8 @@ type runner struct {
 
 	answers []answer // the compiled strategy's, derived by the first next
 	built   bool
+
+	adv adviceBlock // the ask's advice, built at AskCtx, emptied by close
 }
 
 // choice is an open alternative. A segment's is its open stream for the
@@ -160,6 +162,7 @@ func (r *runner) close() {
 		}
 	}
 	r.session.End()
+	r.adv.empty()
 	clear(r.choices)
 	clear(r.conts)
 	r.choices, r.conts, r.anc, r.keys = r.choices[:0], r.conts[:0], r.anc[:0], r.keys[:0]

@@ -23,35 +23,84 @@ type viewBlock struct {
 	pat  advice.Pattern
 }
 
-// advice assembles an ask's session advice: view specifications, the path
-// expression, and the base relation list. Its queries' atoms, bindings, rule
-// lists and base relations are the shape's, which nothing writes.
-func (sh *shape) advice(kb *logic.KB, opts Options) *advice.Advice {
-	blocks := make([]viewBlock, len(sh.views))
-	a := &advice.Advice{Views: make([]*advice.ViewSpec, len(sh.views)), BaseRels: sh.baseRels}
+// adviceBlock is the storage an ask's advice is built in: the bundle, its
+// view list, each view's block, the patterns' arguments, and the path
+// expression's sequences and alternations, with exprs the elements of
+// alternations and of sequences longer than two. A runner keeps one and
+// rebuilds each ask's advice in it, grown to the shape's size, so that once
+// warm an ask's advice allocates nothing. Past its lengths it holds only
+// zero values, so it keeps nothing of an advice it has been emptied of.
+type adviceBlock struct {
+	adv    advice.Advice
+	views  []*advice.ViewSpec
+	blocks []viewBlock
+	args   []advice.PatArg
+	seqs   []seqNode
+	alts   []advice.Alternation
+	exprs  []advice.Expr
+}
+
+// pathSize counts the sequences, alternations and carved elements of a
+// shape's path expression, so that a block can be grown for it before the
+// build.
+type pathSize struct{ seqs, alts, exprs int }
+
+// empty drops b's advice, keeping the capacity of its storage.
+func (b *adviceBlock) empty() {
+	b.adv = advice.Advice{}
+	clear(b.views)
+	clear(b.blocks)
+	clear(b.args)
+	clear(b.seqs)
+	clear(b.alts)
+	clear(b.exprs)
+	b.views, b.blocks, b.args = b.views[:0], b.blocks[:0], b.args[:0]
+	b.seqs, b.alts, b.exprs = b.seqs[:0], b.alts[:0], b.exprs[:0]
+}
+
+// carve copies elems into b's exprs and returns the copy.
+func (b *adviceBlock) carve(elems []advice.Expr) []advice.Expr {
+	at := len(b.exprs)
+	b.exprs = append(b.exprs, elems...)
+	return b.exprs[at:len(b.exprs):len(b.exprs)]
+}
+
+// advice assembles an ask's session advice in blk, which it empties first:
+// view specifications, the path expression, and the base relation list. Its
+// queries' atoms, bindings, rule lists and base relations are the shape's,
+// which nothing writes.
+func (sh *shape) advice(blk *adviceBlock, kb *logic.KB, opts Options) *advice.Advice {
+	blk.empty()
+	n := len(sh.views)
+	blk.views = slices.Grow(blk.views, n)[:n]
+	blk.blocks = slices.Grow(blk.blocks, n)[:n]
+	blk.args = slices.Grow(blk.args, len(sh.binds))
+	blk.adv = advice.Advice{Views: blk.views, BaseRels: sh.baseRels}
 	at := 0
 	for i, vt := range sh.views {
-		b := &blocks[i]
+		b := &blk.blocks[i]
 		b.q = vt.query
 		b.q.Head.Pred = sh.names[i]
 		end := at + len(b.q.Head.Args)
 		b.spec = advice.ViewSpec{Query: &b.q, Bindings: sh.binds[at:end:end], Rules: vt.rules}
-		a.Views[i] = &b.spec
+		blk.views[i] = &b.spec
 		at = end
 	}
 	if opts.PathExpression {
-		p := pathBuilder{sh: sh, kb: kb, blocks: blocks}
-		a.Path = p.pathExpression()
+		blk.seqs = slices.Grow(blk.seqs, sh.path.seqs)
+		blk.alts = slices.Grow(blk.alts, sh.path.alts)
+		blk.exprs = slices.Grow(blk.exprs, sh.path.exprs)
+		p := pathBuilder{sh: sh, kb: kb, blk: blk}
+		blk.adv.Path = p.pathExpression()
 	}
-	return a
+	return &blk.adv
 }
 
 // pathBuilder builds one ask's path expression.
 type pathBuilder struct {
-	sh     *shape
-	kb     *logic.KB
-	blocks []viewBlock
-	args   []advice.PatArg // what the patterns' arguments are carved from
+	sh  *shape
+	kb  *logic.KB
+	blk *adviceBlock
 }
 
 // pathExpression builds the session's path expression.
@@ -65,7 +114,7 @@ func (p *pathBuilder) pathExpression() advice.Expr {
 	if seq, ok := expr.(*advice.Sequence); ok && seq.Lo == 1 && seq.Hi.N == 1 && !seq.Hi.Unbounded() {
 		return seq
 	}
-	return sequence(expr)
+	return p.sequence(expr)
 }
 
 // exprForItems renders a rule body (or the goal) as a sequence: the first
@@ -100,13 +149,13 @@ func (p *pathBuilder) exprForItems(items []bodyItem, open []*predCode) advice.Ex
 	// Fold: head, then tail repeated per binding of head's producer.
 	tail, ok := exprs[1].(*advice.Sequence)
 	if len(exprs) > 2 || !ok {
-		tail = sequence(exprs[1:]...)
+		tail = p.sequence(exprs[1:]...)
 	}
 	tail.Lo, tail.Hi = 1, advice.Bound{N: 1}
 	if producer != "" {
 		tail.Lo, tail.Hi = 0, advice.Bound{Sym: producer}
 	}
-	return sequence(exprs[0], tail)
+	return p.sequence(exprs[0], tail)
 }
 
 // exprForPred renders the alternatives of a derived predicate. When any
@@ -157,30 +206,34 @@ func (p *pathBuilder) exprForPred(pc *predCode, open []*predCode) advice.Expr {
 		return elems[0]
 	}
 	if conditional {
-		alt := &advice.Alternation{Elems: slices.Clone(elems)}
+		b := p.blk
+		b.alts = append(b.alts, advice.Alternation{Elems: b.carve(elems)})
+		alt := &b.alts[len(b.alts)-1]
 		if allGuarded && guardsMutex(p.kb, guards) {
 			alt.Select = 1
 		}
 		return alt
 	}
-	return sequence(elems...)
+	return p.sequence(elems...)
 }
 
-// seqNode is a sequence and the storage of up to two elements, in one
-// allocation.
+// seqNode is a sequence and the storage of up to two elements.
 type seqNode struct {
 	seq   advice.Sequence
 	elems [2]advice.Expr
 }
 
-// sequence is the sequence <1,1> of elems.
-func sequence(elems ...advice.Expr) *advice.Sequence {
-	n := &seqNode{seq: advice.Sequence{Lo: 1, Hi: advice.Bound{N: 1}}}
+// sequence is the sequence <1,1> of elems, in the next of the block's
+// sequence nodes.
+func (p *pathBuilder) sequence(elems ...advice.Expr) *advice.Sequence {
+	b := p.blk
+	b.seqs = append(b.seqs, seqNode{seq: advice.Sequence{Lo: 1, Hi: advice.Bound{N: 1}}})
+	n := &b.seqs[len(b.seqs)-1]
 	if len(elems) <= len(n.elems) {
 		n.seq.Elems = n.elems[:len(elems):len(elems)]
 		copy(n.seq.Elems, elems)
 	} else {
-		n.seq.Elems = slices.Clone(elems)
+		n.seq.Elems = b.carve(elems)
 	}
 	return &n.seq
 }
@@ -208,19 +261,17 @@ func guardsMutex(kb *logic.KB, guards []logic.Atom) bool {
 // patternFor renders a view as a query pattern with annotations, the same
 // node at every occurrence.
 func (p *pathBuilder) patternFor(vt *viewTemplate) *advice.Pattern {
-	b := &p.blocks[p.sh.num[vt.id]-1]
+	b := &p.blk.blocks[p.sh.num[vt.id]-1]
 	if b.pat.Name != "" {
 		return &b.pat
 	}
 	b.pat.Name = b.q.Head.Pred
-	if n := len(b.q.Head.Args); n > 0 {
-		if p.args == nil {
-			p.args = make([]advice.PatArg, len(p.sh.binds))
-		}
-		b.pat.Args, p.args = p.args[:n:n], p.args[n:]
+	if len(b.q.Head.Args) > 0 {
+		at := len(p.blk.args)
 		for i, t := range b.q.Head.Args {
-			b.pat.Args[i] = advice.PatArg{Name: t.String(), Binding: b.spec.Bindings[i]}
+			p.blk.args = append(p.blk.args, advice.PatArg{Name: t.String(), Binding: b.spec.Bindings[i]})
 		}
+		b.pat.Args = p.blk.args[at:len(p.blk.args):len(p.blk.args)]
 	}
 	return &b.pat
 }

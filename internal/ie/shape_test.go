@@ -3,6 +3,7 @@ package ie
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -465,17 +466,18 @@ func TestShapeCacheRetained(t *testing.T) {
 
 // TestCachedShapeAllocs holds an ask of a shape the engine has compiled,
 // short of its search, to the allocations it makes: binding the goal (its
-// variables and the solutions; the runner is one the engine kept),
-// assembling the advice, and opening and ending the CMS session. The
-// session's share is 7: its handle, its context and cancel function, and its
-// path tracker, laid out in four allocations; its scratch is one an ended
-// session left. Before runners and session scratch were kept, an ask made up
-// to 21 and its session 9.
+// variables and the solutions), and opening and ending the CMS session,
+// whose share is 3: its handle, its context and its cancel function. The
+// runner is one the engine kept, and the advice is rebuilt in its block; the
+// session's scratch, where its path tracker is recompiled, is one an ended
+// session left. Before the advice and the tracker were rebuilt in kept
+// storage, an ask made up to 17 and its session 7; before runners and
+// session scratch were kept, 21 and 9.
 func TestCachedShapeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const askBudget, sessionBudget = 17, 7
+	const askBudget, sessionBudget = 5, 3
 	w := workload.Kinship(1, 60)
 	cms := kinshipCMS(w)
 	eng := New(w.KB, cms, DefaultOptions())
@@ -493,7 +495,7 @@ func TestCachedShapeAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adv := sh.advice(eng.kb, eng.opts)
+		adv := sh.advice(new(adviceBlock), eng.kb, eng.opts)
 		session := testing.AllocsPerRun(50, func() { cms.BeginSession(adv).End() })
 		t.Logf("%s: %v allocations to ask and close, %v of them the session", goal, allocs, session)
 		if allocs > askBudget {
@@ -512,17 +514,20 @@ func TestCachedShapeAllocs(t *testing.T) {
 // answer values are the session's, recycled as the search closes each
 // segment, and a follower the path expression predicts is probed in the
 // session's scratch. The runner, with its stacks and query blocks, is one
-// the engine kept from an earlier ask, and the session's scratch, with its
-// free streams and their value blocks, one an ended session left, so the 51
-// segments the right-linear search holds open at its deepest cost nothing.
-// What is left is the session and its advice, and the answers (2 each): 115
-// today. Before runners and session scratch were kept, the ask made 334, and
-// before closed hits gave their value blocks back, 688.
+// the engine kept from an earlier ask, with its stacks, query blocks and
+// advice block, and the session's scratch, with its free streams and their
+// value blocks, its tracker and its follower lists, one an ended session
+// left, so the 51 segments the right-linear search holds open at its deepest
+// cost nothing. What is left is the session's handle, context and cancel
+// function, and the answers (2 each): 105 today. Before the advice, tracker
+// and followers were rebuilt in kept storage, the ask made 115; before
+// runners and session scratch were kept, 334; and before closed hits gave
+// their value blocks back, 688.
 func TestWarmAskAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const n, budget = 50, 126
+	const n, budget = 50, 105
 	kb := mustKB(t, `
 		:- base(e/2).
 		path(X, Y) :- e(X, Y).
@@ -554,5 +559,144 @@ func TestWarmAskAllocs(t *testing.T) {
 	t.Logf("a warm ask of %d queries makes %v allocations", queries, allocs)
 	if allocs > budget {
 		t.Errorf("a warm ask makes %v allocations, budget %d", allocs, budget)
+	}
+}
+
+// adviceRecorder is a CMS that renders the advice each session opens with
+// and keeps each session's handle.
+type adviceRecorder struct {
+	*cache.CMS
+	mu       sync.Mutex
+	advice   []string
+	sessions []bridge.Session
+}
+
+func (d *adviceRecorder) BeginSession(adv *advice.Advice) bridge.Session {
+	s := d.CMS.BeginSession(adv)
+	d.mu.Lock()
+	d.advice = append(d.advice, adv.String())
+	d.sessions = append(d.sessions, s)
+	d.mu.Unlock()
+	return s
+}
+
+// last is the advice and the handle of the session begun last.
+func (d *adviceRecorder) last() (string, bridge.Session) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.advice[len(d.advice)-1], d.sessions[len(d.sessions)-1]
+}
+
+// elementRecords renders every cached element's ID, advice name and
+// definition.
+func elementRecords(cms *cache.CMS) map[int]string {
+	out := make(map[int]string)
+	for _, e := range cms.Manager().Elements() {
+		out[e.ID] = e.AdviceName + " " + e.Def.String()
+	}
+	return out
+}
+
+// TestAdviceBlockReuse: an ask's advice is rebuilt in its runner's advice
+// block, so the CMS must keep nothing that points into it once the session
+// ends. A cold ask of shape A fills the cache; then shape B, with fewer
+// views, is asked on A's runner. B's session opens with exactly the advice a
+// fresh block renders for B, B answers as the reference does, every element
+// made under A keeps its advice name and definition, and A's ended session
+// holds no advice. Then four goroutines ask all seven kinship forms of one
+// engine at once (run under the race detector too): every answer set equals
+// the serial one, and every session opens with its form's advice.
+func TestAdviceBlockReuse(t *testing.T) {
+	w := workload.Kinship(1, 40)
+	ref := New(w.KB, &mapDS{src: w.Source()}, DefaultOptions())
+	adviceOf := func(goal string) string {
+		adv, err := ref.Advice(mustAtom(t, goal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return adv.String()
+	}
+	const a, b = "cousin(p003, Y)?", "grandparent(p005, Y)?"
+	reused := false
+	for try := 0; try < 20 && !reused; try++ {
+		// A sync.Pool may drop what it is given (under the race detector, a
+		// quarter of it), so a new engine tries again until B gets A's runner.
+		rec := &adviceRecorder{CMS: kinshipCMS(w)}
+		eng := New(w.KB, rec, DefaultOptions())
+		solA, err := eng.AskText(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runnerA := solA.search
+		if got := fmt.Sprint(solA.Tuples().Sort().Tuples()); got != answerSet(t, ref, a) {
+			t.Fatalf("%s answers %s, the reference %s", a, got, answerSet(t, ref, a))
+		}
+		advA, sessA := rec.last()
+		if advA != adviceOf(a) {
+			t.Fatalf("%s opened with\n%s\nwant\n%s", a, advA, adviceOf(a))
+		}
+		made := elementRecords(rec.CMS)
+		if len(made) == 0 {
+			t.Fatalf("%s made no cache elements", a)
+		}
+
+		solB, err := eng.AskText(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused = solB.search == runnerA
+		if got := fmt.Sprint(solB.Tuples().Sort().Tuples()); got != answerSet(t, ref, b) {
+			t.Fatalf("%s answers %s, the reference %s", b, got, answerSet(t, ref, b))
+		}
+		if advB, _ := rec.last(); advB != adviceOf(b) {
+			t.Fatalf("%s, on A's runner %v, opened with\n%s\nwant\n%s", b, reused, advB, adviceOf(b))
+		}
+		now := elementRecords(rec.CMS)
+		for id, was := range made {
+			if is, ok := now[id]; ok && is != was {
+				t.Fatalf("element %d was %q under %s and is %q after %s", id, was, a, is, b)
+			}
+		}
+		if adv := reflect.ValueOf(sessA).Elem().FieldByName("adv"); !adv.IsNil() {
+			t.Fatalf("%s's ended session still holds its advice", a)
+		}
+	}
+	if !reused {
+		t.Fatal("no ask reused the runner of the one before in 20 tries")
+	}
+
+	var goals []string
+	for p := 1; p <= 4; p++ {
+		for _, f := range kinshipForms {
+			goals = append(goals, fmt.Sprintf(f, fmt.Sprintf("p%03d", p)))
+		}
+	}
+	want := make(map[string]string, len(goals))
+	forms := make(map[string]bool)
+	for _, g := range goals {
+		want[g] = answerSet(t, ref, g)
+		forms[adviceOf(g)] = true
+	}
+	rec := &adviceRecorder{CMS: kinshipCMS(w)}
+	eng := New(w.KB, rec, DefaultOptions())
+	var wg sync.WaitGroup
+	for k := 0; k < 4; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for i := range goals {
+				g := goals[(i+k*9)%len(goals)]
+				if got := answerSet(t, eng, g); got != want[g] {
+					t.Errorf("goroutine %d, %s: %s, serially %s", k, g, got, want[g])
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	for _, adv := range rec.advice {
+		if !forms[adv] {
+			t.Fatalf("a session opened with advice no kinship form has:\n%s", adv)
+		}
 	}
 }

@@ -258,6 +258,8 @@ type shape struct {
 	// order.
 	binds    []advice.Binding
 	baseRels []logic.PredRef
+	// path sizes the path expression an ask's advice block is grown for.
+	path pathSize
 }
 
 // name is vt's view name in the shape.

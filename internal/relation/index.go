@@ -84,14 +84,36 @@ func (ix *Index) Covers(cols []int) bool {
 
 // Lookup returns the tuples whose indexed columns equal the given values, in
 // a slice of exactly their number: a bucket can hold other keys' rows too.
-func (ix *Index) Lookup(vals []Value) []Tuple {
+func (ix *Index) Lookup(vals []Value) []Tuple { return ix.LookupIn(ix.tuples, vals) }
+
+// Rows is the number of rows the index was built over: the first Rows of its
+// relation's extension, however many were appended since.
+func (ix *Index) Rows() int { return len(ix.tuples) }
+
+// LookupIn is Lookup over rows, an extension whose first Rows() rows the
+// index was built over: the index's matches, then the equal rows of those
+// appended since the build, in row order, in a slice of exactly their number.
+// The appended rows are compared by the index's own equality.
+func (ix *Index) LookupIn(rows []Tuple, vals []Value) []Tuple {
+	tail := rows[len(ix.tuples):]
 	n := 0
 	for _, p := range ix.candidates(vals) {
 		if ix.matches(ix.tuples[p], vals) {
 			n++
 		}
 	}
-	return ix.AppendLookup(make([]Tuple, 0, n), vals)
+	for _, t := range tail {
+		if ix.matches(t, vals) {
+			n++
+		}
+	}
+	out := ix.AppendLookup(make([]Tuple, 0, n), vals)
+	for _, t := range tail {
+		if ix.matches(t, vals) {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // AppendLookup appends the tuples whose indexed columns equal the given

@@ -131,6 +131,10 @@ func TestIndexFootprint(t *testing.T) {
 // Lookup as many, in a slice of their exact size. The domains hold the values
 // Equal treats specially: Int(0), +0.0 and −0.0 are equal, and so are NaNs of
 // any payload. Each row's own key is probed too, so that most probes hit.
+// Then an index over the first half of the rows is probed with every key
+// again while the other half is appended, one row before each probe:
+// LookupIn over the grown extension must return the rows the scan of it
+// returns, in a slice of their exact number.
 func FuzzIndexAgreesWithScan(f *testing.F) {
 	f.Add([]byte{})                                                      // one int column, no rows
 	f.Add([]byte{0, 0, 8, 0, 1, 0, 1, 2, 3, 2, 1, 0, 9})                 // ints, repeated keys
@@ -160,6 +164,31 @@ func FuzzIndexAgreesWithScan(f *testing.F) {
 			for i := range got {
 				if &got[i][0] != &want[i][0] {
 					t.Fatalf("%v on %v: row %d is %v, scan has %v", key, cols, i, got[i], want[i])
+				}
+			}
+		}
+
+		rows := r.Tuples()
+		live := New("r", r.Schema())
+		live.AppendAll(rows[:len(rows)/2])
+		ix = BuildIndex(live, cols)
+		for _, key := range keys {
+			if n := live.Len(); n < len(rows) {
+				live.MustAppend(rows[n])
+			}
+			conds := make([]Cond, len(cols))
+			for i, c := range cols {
+				conds[i] = ColConst(c, OpEq, key[i])
+			}
+			want := SelectRel(live, conds).Tuples()
+			got := ix.LookupIn(live.Tuples(), key)
+			if len(got) != len(want) || cap(got) != len(got) {
+				t.Fatalf("%v on %v, %d rows indexed of %d: LookupIn returns %d rows in a slice of %d, scan %d",
+					key, cols, ix.Rows(), live.Len(), len(got), cap(got), len(want))
+			}
+			for i := range got {
+				if &got[i][0] != &want[i][0] {
+					t.Fatalf("%v on %v, %d rows indexed of %d: row %d is %v, scan has %v", key, cols, ix.Rows(), live.Len(), i, got[i], want[i])
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -379,7 +380,15 @@ func (e *Engine) applyInsert(table string, rows []relation.Tuple) {
 			m.addRow(row)
 		}
 	}
-	delete(e.indexes, table)            // indexes are snapshots; invalidate
+	// An index covers the rows it was built over, and a lookup scans the
+	// rows appended since (Index.LookupIn). Once they pass an eighth of the
+	// covered rows, the index is rebuilt over all of them.
+	ixs := e.indexes[table]
+	for i, ix := range ixs {
+		if t.Len()-ix.Rows() > ix.Rows()/8 {
+			ixs[i] = relation.BuildIndex(t, ix.Cols())
+		}
+	}
 	e.versions[t.Name] = e.epoch.Add(1) // t.Name, not table: a map store keeps the key it is given
 }
 
@@ -409,8 +418,15 @@ func (e *Engine) CreateIndex(table string, cols []int) error {
 	return nil
 }
 
+// applyCreateIndex builds the index, replacing one on the same columns.
 func (e *Engine) applyCreateIndex(table string, cols []int) {
-	e.indexes[table] = append(e.indexes[table], relation.BuildIndex(e.tables[table], cols))
+	ix := relation.BuildIndex(e.tables[table], cols)
+	ixs := e.indexes[table]
+	if i := slices.IndexFunc(ixs, func(o *relation.Index) bool { return o.Covers(cols) }); i >= 0 {
+		ixs[i] = ix
+	} else {
+		e.indexes[table] = append(ixs, ix)
+	}
 	e.ddlEpoch = e.epoch.Add(1)
 }
 

@@ -170,7 +170,7 @@ func TestEngineIndexUse(t *testing.T) {
 	if opsIdx >= opsScan {
 		t.Fatalf("index should reduce ops: scan=%d idx=%d", opsScan, opsIdx)
 	}
-	// Index invalidated by insert; results stay correct.
+	// The index survives an insert, which it answers from its tail.
 	if err := e.Insert("big", []relation.Tuple{{relation.Int(7), relation.Int(9999)}}); err != nil {
 		t.Fatal(err)
 	}

@@ -492,9 +492,8 @@ func TestPlanCache(t *testing.T) {
 
 // TestPlanCacheSurvivesInsertElsewhere: a cached plan depends on the versions
 // of the tables it reads and on the last DDL, nothing else. An insert into s
-// leaves the plan over p cached; an insert into p drops it (the insert also
-// dropped p's index snapshots, which the plan probed); CreateIndex on p drops
-// it again, and the replan uses the new index.
+// leaves the plan over p cached; an insert into p drops it; CreateIndex on p
+// drops it again, and the replan uses the rebuilt index.
 func TestPlanCacheSurvivesInsertElsewhere(t *testing.T) {
 	e := NewEngine()
 	for _, sql := range []string{

@@ -217,12 +217,13 @@ func (p *Plan) bind(e *Engine, where []SQLCond) []scanBinding {
 	return bs
 }
 
-// boundRows is what scan n reads on this run: the index lookup when the
+// boundRows is what scan n reads on this run: the index lookup over the
+// snapshot, its rows appended since the index was built included, when the
 // access path survived binding, else the whole snapshot.
 func (run *planRun) boundRows(n *scanNode) []relation.Tuple {
 	b := run.scans[n.pos]
 	if b.ix != nil {
-		return b.ix.Lookup(b.key)
+		return b.ix.LookupIn(b.rows, b.key)
 	}
 	return b.rows
 }

@@ -107,12 +107,15 @@ func TestColStatsEstimate(t *testing.T) {
 	t.Logf("largest relative error: %.2f %%", 100*worst)
 }
 
-// retained returns the heap bytes build's result keeps alive.
+// retained returns the heap bytes build's result keeps alive. Each reading
+// follows two collections: one can leave garbage the sweep has not freed.
 func retained(build func() any) float64 {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	kept := build()
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	runtime.KeepAlive(kept)
