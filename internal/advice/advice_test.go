@@ -377,3 +377,53 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// TestPredictWithinAllocs: a warm tracker predicts with no allocation, walks
+// its automaton once per observation however many names are asked, and
+// predicts after each observation what a new tracker fed the same
+// observations predicts.
+func TestPredictWithinAllocs(t *testing.T) {
+	a := MustParse(paperExample1)
+	names := []string{"d1", "d2", "d3", "d4"}
+	seq := []string{"d1", "d2", "d3", "d2", "d3"}
+	tr := NewTracker(a.Path)
+	for i := 0; i <= len(seq); i++ {
+		fresh := NewTracker(a.Path)
+		for _, q := range seq[:i] {
+			fresh.Observe(q)
+		}
+		walks := tr.Walks()
+		for _, k := range []int{8, 8, 8} {
+			want := fresh.PredictWithin(k)
+			for _, name := range names {
+				wd, wok := want[name]
+				if d, ok := tr.Distance(k, name); d != wd || ok != wok {
+					t.Fatalf("after %v: Distance(%d, %s) = %d, %v; a new tracker predicts %d, %v", seq[:i], k, name, d, ok, wd, wok)
+				}
+			}
+		}
+		if got := tr.Walks() - walks; got != 1 {
+			t.Fatalf("after %v: %d walks for 12 predictions, want 1", seq[:i], got)
+		}
+		if i < len(seq) {
+			tr.Observe(seq[i])
+		}
+	}
+	if d, ok := tr.Distance(2, "d2"); !ok || d != 1 {
+		t.Fatalf("Distance over another horizon = %d, %v; want 1, true", d, ok)
+	}
+
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Reset(a.Path)
+		for _, q := range seq[:1+i%len(seq)] {
+			tr.Observe(q)
+			for _, name := range names {
+				tr.Distance(8, name)
+			}
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("a warm tracker's predictions allocate %v times a round, want 0", n)
+	}
+}

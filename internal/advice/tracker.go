@@ -1,6 +1,7 @@
 package advice
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -41,6 +42,18 @@ type Tracker struct {
 	// allocates nothing.
 	current, next stateSet
 	lost          bool
+
+	// within is the prediction for current over withinK observations, valid
+	// while fresh: an Observe or a Reset makes it stale, and the next
+	// prediction walks the automaton again (walks counts the walks) with the
+	// walk's seen, frontier and next sets. All of them are kept, so once warm
+	// a prediction allocates nothing, and an eviction sweep that asks about
+	// every resident element walks once.
+	within  map[string]int
+	withinK int
+	fresh   bool
+	walks   int
+	walk    [3]stateSet
 }
 
 // stateSet is a set of automaton states: in lists them, has marks them.
@@ -122,6 +135,8 @@ func (t *Tracker) Reset(e Expr) {
 	t.next = stateSet{in: epsCur[:0], has: has[n:]}
 	t.current.add(t.start)
 	t.close(&t.current)
+	t.fresh = false
+	clear(t.within) // drops the old labels
 }
 
 // builder walks an expression making the tracker's automaton: sizing it
@@ -256,6 +271,7 @@ func (t *Tracker) Observe(name string) bool {
 	}
 	t.close(&t.next)
 	t.current, t.next = t.next, t.current
+	t.fresh = false
 	return true
 }
 
@@ -271,15 +287,43 @@ func (t *Tracker) PredictNext() []string {
 func (t *Tracker) PredictWithin(k int) map[string]int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.predictWithinLocked(k)
+	return maps.Clone(t.predictWithinLocked(k))
 }
 
+// Distance is PredictWithin(k)[name] without the map: the minimum number of
+// observations before a query against name can occur, and whether that is
+// within k. It walks the automaton at most once per observation and k,
+// however many names are asked, and allocates nothing once warm.
+func (t *Tracker) Distance(k int, name string) (int, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	d, ok := t.predictWithinLocked(k)[name]
+	return d, ok
+}
+
+// Walks is the number of times t has walked its automaton to predict.
+func (t *Tracker) Walks() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.walks
+}
+
+// predictWithinLocked returns the prediction for k, t's own map, which the
+// next observation or walk overwrites; nil when lost or k <= 0.
 func (t *Tracker) predictWithinLocked(k int) map[string]int {
 	if t.lost || k <= 0 {
 		return nil
 	}
-	dist := make(map[string]int)
-	var seen, frontier, next stateSet
+	if t.fresh && t.withinK == k {
+		return t.within
+	}
+	if t.within == nil {
+		t.within = make(map[string]int)
+	}
+	dist := t.within
+	clear(dist)
+	t.walks++
+	seen, frontier, next := &t.walk[0], &t.walk[1], &t.walk[2]
 	seen.reset(t.nstates)
 	frontier.reset(t.nstates)
 	for _, s := range t.current.in {
@@ -296,27 +340,28 @@ func (t *Tracker) predictWithinLocked(k int) map[string]int {
 				next.add(e.to)
 			}
 		}
-		t.close(&next)
+		t.close(next)
 		// Stop early when no new states appear.
-		fresh := false
+		grew := false
 		for _, s := range next.in {
 			if !seen.has[s] {
 				seen.add(s)
-				fresh = true
+				grew = true
 			}
 		}
 		frontier, next = next, frontier
-		if !fresh && step > 1 {
+		if !grew && step > 1 {
 			break
 		}
 	}
+	t.withinK, t.fresh = k, true
 	return dist
 }
 
 func (t *Tracker) keysWithin(k int) []string {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	m := t.predictWithinLocked(k)
-	t.mu.Unlock()
 	out := make([]string, 0, len(m))
 	for n := range m {
 		out = append(out, n)

@@ -345,11 +345,10 @@ type scratch struct {
 func (c *CMS) newScratch() *scratch {
 	sc := &scratch{genSeen: make(map[string]int)}
 	sc.predict = func(e *Element) (int, bool) {
-		if e.AdviceName == "" || sc.tracker.Lost() {
+		if e.AdviceName == "" {
 			return 0, false
 		}
-		d, ok := sc.tracker.PredictWithin(c.opts.PredictHorizon)[e.AdviceName]
-		return d, ok
+		return sc.tracker.Distance(c.opts.PredictHorizon, e.AdviceName)
 	}
 	return sc
 }

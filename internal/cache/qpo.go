@@ -592,10 +592,10 @@ func (s *Session) repeatedInstance(q *caql.Query) bool {
 // predictsReuse reports whether the path expression predicts another query
 // against the same view within the horizon.
 func (s *Session) predictsReuse(name string) bool {
-	if s.tracker == nil || s.tracker.Lost() {
+	if s.tracker == nil {
 		return false
 	}
-	_, ok := s.tracker.PredictWithin(s.cms.opts.PredictHorizon)[name]
+	_, ok := s.tracker.Distance(s.cms.opts.PredictHorizon, name)
 	return ok
 }
 

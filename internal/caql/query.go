@@ -61,22 +61,32 @@ func (q *Query) Body() []logic.Atom {
 	return out
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy in three allocations, however many atoms q has:
+// the Query, one block for Rels and Cmps, and one for every atom's Args.
+// Each slice is capped at its length, so an append to one copies it instead
+// of writing over its neighbour.
 func (q *Query) Clone() *Query {
-	out := &Query{Head: cloneAtom(q.Head)}
-	out.Rels = cloneAtoms(q.Rels)
-	out.Cmps = cloneAtoms(q.Cmps)
-	return out
-}
-
-func cloneAtom(a logic.Atom) logic.Atom {
-	return logic.Atom{Pred: a.Pred, Args: append([]logic.Term(nil), a.Args...)}
-}
-
-func cloneAtoms(as []logic.Atom) []logic.Atom {
-	out := make([]logic.Atom, len(as))
-	for i, a := range as {
-		out[i] = cloneAtom(a)
+	nterms := len(q.Head.Args)
+	for _, as := range [2][]logic.Atom{q.Rels, q.Cmps} {
+		for _, a := range as {
+			nterms += len(a.Args)
+		}
+	}
+	terms := make([]logic.Term, 0, nterms)
+	clone := func(a logic.Atom) logic.Atom {
+		if len(a.Args) == 0 {
+			return logic.Atom{Pred: a.Pred}
+		}
+		terms = append(terms, a.Args...)
+		return logic.Atom{Pred: a.Pred, Args: terms[len(terms)-len(a.Args) : len(terms) : len(terms)]}
+	}
+	atoms := make([]logic.Atom, len(q.Rels)+len(q.Cmps))
+	out := &Query{Head: clone(q.Head), Rels: atoms[:len(q.Rels):len(q.Rels)], Cmps: atoms[len(q.Rels):]}
+	for i, a := range q.Rels {
+		out.Rels[i] = clone(a)
+	}
+	for i, a := range q.Cmps {
+		out.Cmps[i] = clone(a)
 	}
 	return out
 }

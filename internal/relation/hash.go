@@ -183,6 +183,12 @@ type rowWriter struct {
 	row Tuple
 }
 
+// reset points w at dst and clears the values its reused row holds.
+func (w *rowWriter) reset(dst *Arena) {
+	clear(w.row[:cap(w.row)])
+	w.dst = dst
+}
+
 // next returns an empty row of capacity n to append the next output row to.
 func (w *rowWriter) next(n int) Tuple {
 	if w.dst != nil {

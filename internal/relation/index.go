@@ -107,13 +107,19 @@ func (ix *Index) LookupIn(rows []Tuple, vals []Value) []Tuple {
 			n++
 		}
 	}
-	out := ix.AppendLookup(make([]Tuple, 0, n), vals)
-	for _, t := range tail {
+	return ix.AppendLookupIn(make([]Tuple, 0, n), rows, vals)
+}
+
+// AppendLookupIn is LookupIn appending to dst, as AppendLookup does: the
+// index's matches, then the equal rows of rows[Rows():], in row order.
+func (ix *Index) AppendLookupIn(dst, rows []Tuple, vals []Value) []Tuple {
+	dst = ix.AppendLookup(dst, vals)
+	for _, t := range rows[len(ix.tuples):] {
 		if ix.matches(t, vals) {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	return out
+	return dst
 }
 
 // AppendLookup appends the tuples whose indexed columns equal the given

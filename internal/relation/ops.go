@@ -12,17 +12,33 @@ func Select(in Iterator, conds []Cond) Iterator {
 	if len(conds) == 0 {
 		return in
 	}
-	return IteratorFunc(func() (Tuple, bool) {
-		for {
-			t, ok := in.Next()
-			if !ok {
-				return nil, false
-			}
-			if EvalAll(conds, t) {
-				return t, true
-			}
+	s := new(SelectIter)
+	s.Reset(in, conds)
+	return s
+}
+
+// SelectIter is Select's iterator. A caller that filters again and again
+// keeps one and re-arms it with Reset.
+type SelectIter struct {
+	in    Iterator
+	conds []Cond
+}
+
+// Reset re-arms s to pass on the tuples of in that satisfy every condition.
+// Reset(nil, nil) leaves s holding nothing of any input.
+func (s *SelectIter) Reset(in Iterator, conds []Cond) { s.in, s.conds = in, conds }
+
+// Next implements Iterator.
+func (s *SelectIter) Next() (Tuple, bool) {
+	for {
+		t, ok := s.in.Next()
+		if !ok {
+			return nil, false
 		}
-	})
+		if EvalAll(s.conds, t) {
+			return t, true
+		}
+	}
 }
 
 // SelectRel eagerly filters a relation.
@@ -34,16 +50,30 @@ func SelectRel(r *Relation, conds []Cond) *Relation {
 // row into dst, or, with dst nil, into one reused row that is valid until the
 // next pull.
 func Project(in Iterator, cols []int, dst *Arena) Iterator {
-	return &projectIter{rowWriter: rowWriter{dst: dst}, in: in, cols: cols}
+	p := new(ProjectIter)
+	p.Reset(in, cols, dst)
+	return p
 }
 
-type projectIter struct {
+// ProjectIter is Project's iterator. A caller that projects again and again
+// keeps one and re-arms it with Reset, so only its first projection allocates
+// the reused row.
+type ProjectIter struct {
 	rowWriter
 	in   Iterator
 	cols []int
 }
 
-func (p *projectIter) Next() (Tuple, bool) {
+// Reset re-arms p to project in onto cols, into dst or its reused row, which
+// keeps its storage and loses the values the previous input left in it.
+// Reset(nil, nil, nil) leaves p holding nothing of any input.
+func (p *ProjectIter) Reset(in Iterator, cols []int, dst *Arena) {
+	p.rowWriter.reset(dst)
+	p.in, p.cols = in, cols
+}
+
+// Next implements Iterator.
+func (p *ProjectIter) Next() (Tuple, bool) {
 	t, ok := p.in.Next()
 	if !ok {
 		return nil, false
@@ -86,18 +116,33 @@ func DistinctRel(r *Relation) *Relation {
 
 // Limit lazily truncates the input to at most n tuples.
 func Limit(in Iterator, n int) Iterator {
-	count := 0
-	return IteratorFunc(func() (Tuple, bool) {
-		if count >= n {
-			return nil, false
-		}
-		t, ok := in.Next()
-		if !ok {
-			return nil, false
-		}
-		count++
-		return t, true
-	})
+	l := new(LimitIter)
+	l.Reset(in, n)
+	return l
+}
+
+// LimitIter is Limit's iterator. A caller that truncates again and again
+// keeps one and re-arms it with Reset.
+type LimitIter struct {
+	in   Iterator
+	left int
+}
+
+// Reset re-arms l to pass on at most n tuples of in. Reset(nil, 0) leaves l
+// holding nothing of any input.
+func (l *LimitIter) Reset(in Iterator, n int) { l.in, l.left = in, n }
+
+// Next implements Iterator. Once n tuples have passed it pulls no more.
+func (l *LimitIter) Next() (Tuple, bool) {
+	if l.left <= 0 {
+		return nil, false
+	}
+	t, ok := l.in.Next()
+	if !ok {
+		return nil, false
+	}
+	l.left--
+	return t, true
 }
 
 // Union lazily concatenates two inputs (bag union).
@@ -153,14 +198,14 @@ type JoinCond struct {
 // keeps no row past the next pull, probes the table itself
 // (PartitionedTable.Probe), which writes the projected row alone.
 func HashJoin(left, right Iterator, conds []JoinCond) Iterator {
-	j := &keptProbe{probeIter: probeIter{pt: NewPartitionedTable(right, conds, 1, 0), left: left}}
-	j.out.dst = &j.arena
+	j := new(keptProbe)
+	j.Reset(NewPartitionedTable(right, conds, 1, 0), left, nil, nil, &j.arena)
 	return j
 }
 
 // keptProbe is a probe that writes its rows into an arena of its own.
 type keptProbe struct {
-	probeIter
+	ProbeIter
 	arena Arena
 }
 

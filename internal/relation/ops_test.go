@@ -145,6 +145,31 @@ func TestSelectLaziness(t *testing.T) {
 	}
 }
 
+// TestIterReset: a SelectIter and a LimitIter re-armed over a new input
+// answer as a new Select and Limit would, whatever the last input left.
+func TestIterReset(t *testing.T) {
+	r := mkRel(t, "r", []any{1, "x"}, []any{2, "y"}, []any{3, "x"}, []any{4, "x"})
+	var sel SelectIter
+	var lim LimitIter
+	for _, c := range []struct {
+		conds []Cond
+		n     int
+	}{{[]Cond{ColConst(1, OpEq, Str("x"))}, 2}, {[]Cond{ColConst(0, OpGt, Int(1))}, 5}, {nil, 0}} {
+		sel.Reset(r.Iter(), c.conds)
+		lim.Reset(&sel, c.n)
+		got := Drain("got", r.Schema(), &lim)
+		want := Drain("want", r.Schema(), Limit(Select(r.Iter(), c.conds), c.n))
+		if !got.EqualAsBag(want) || got.Len() != min(c.n, SelectRel(r, c.conds).Len()) {
+			t.Fatalf("re-armed over %v limit %d: %v, want %v", c.conds, c.n, got, want)
+		}
+	}
+	sel.Reset(nil, nil)
+	lim.Reset(nil, 0)
+	if sel.in != nil || sel.conds != nil || lim != (LimitIter{}) {
+		t.Fatalf("reset to nothing: %+v, %+v", sel, lim)
+	}
+}
+
 func TestHashJoin(t *testing.T) {
 	emp := mkRel(t, "emp", []any{1, "alice"}, []any{2, "bob"}, []any{3, "carol"})
 	dept := mkRel(t, "dept", []any{1, "eng"}, []any{2, "ops"}, []any{2, "hr"})

@@ -13,6 +13,10 @@ type PartitionedTable struct {
 	leftCols  []int // probe-side join columns
 	rightCols []int // build-side join columns
 	parts     []map[uint64]*buildRow
+	// cols and one back leftCols, rightCols and parts for a join on at most
+	// two columns built into one partition, which then allocates no slice.
+	cols [4]int
+	one  [1]map[uint64]*buildRow
 }
 
 // buildRow is one build tuple, linked to the next build tuple of its hash.
@@ -44,9 +48,16 @@ const maxSizeHint = 1 << 16
 func NewPartitionedTable(build Iterator, conds []JoinCond, parts, keys int) *PartitionedTable {
 	parts = max(parts, 1)
 	keys = min(max(keys, 0), maxSizeHint)
-	cols := make([]int, 2*len(conds))
-	pt := &PartitionedTable{leftCols: cols[:len(conds)], rightCols: cols[len(conds):],
-		parts: make([]map[uint64]*buildRow, parts)}
+	pt := &PartitionedTable{}
+	cols := pt.cols[:]
+	if 2*len(conds) > len(cols) {
+		cols = make([]int, 2*len(conds))
+	}
+	pt.leftCols, pt.rightCols = cols[:len(conds):len(conds)], cols[len(conds):2*len(conds)]
+	pt.parts = pt.one[:]
+	if parts > 1 {
+		pt.parts = make([]map[uint64]*buildRow, parts)
+	}
 	for i, c := range conds {
 		pt.leftCols[i], pt.rightCols[i] = c.Left, c.Right
 	}
@@ -88,10 +99,15 @@ func NewPartitionedTable(build Iterator, conds []JoinCond, parts, keys int) *Par
 // the next pull. A left row is read only until the next left pull. Probe
 // iterators are independent and safe to run on concurrent goroutines.
 func (pt *PartitionedTable) Probe(left Iterator, post []Cond, cols []int, dst *Arena) Iterator {
-	return &probeIter{pt: pt, left: left, out: joinRows{rowWriter: rowWriter{dst: dst}, post: post, cols: cols}}
+	p := new(ProbeIter)
+	p.Reset(pt, left, post, cols, dst)
+	return p
 }
 
-type probeIter struct {
+// ProbeIter is Probe's iterator. A caller that probes again and again keeps
+// one and re-arms it with Reset, so only its first probe allocates the
+// reused row and the scratch concatenation.
+type ProbeIter struct {
 	pt    *PartitionedTable
 	left  Iterator
 	out   joinRows
@@ -99,7 +115,19 @@ type probeIter struct {
 	match *buildRow // rest of cur's chain, not yet verified
 }
 
-func (p *probeIter) Next() (Tuple, bool) {
+// Reset re-arms p as pt.Probe(left, post, cols, dst) would make it. The
+// reused row and the scratch concatenation keep their storage and lose the
+// values the previous probe left in them. Reset(nil, nil, nil, nil, nil)
+// leaves p holding nothing of any table or input.
+func (p *ProbeIter) Reset(pt *PartitionedTable, left Iterator, post []Cond, cols []int, dst *Arena) {
+	p.out.reset(dst)
+	clear(p.out.scratch[:cap(p.out.scratch)])
+	p.out.post, p.out.cols = post, cols
+	p.pt, p.left, p.cur, p.match = pt, left, nil, nil
+}
+
+// Next implements Iterator.
+func (p *ProbeIter) Next() (Tuple, bool) {
 	for {
 		for r := p.match; r != nil; r = r.next {
 			if !equalOn(p.cur, p.pt.leftCols, r.t, p.pt.rightCols) {

@@ -451,7 +451,16 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		nodeEst[cur] = est
 	}
 
+	nconds, nkeys := 0, 0
+	for _, sn := range scans {
+		nconds += len(sn.conds)
+		nkeys += len(sn.idxSlots)
+	}
 	return &Plan{
+		attrs:   toWireAttrs(schema),
+		nodes:   numberNodes(cur, 0),
+		nconds:  nconds,
+		nkeys:   nkeys,
 		root:    cur,
 		schema:  schema,
 		epoch:   epoch,

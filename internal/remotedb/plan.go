@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/relation"
@@ -16,8 +17,9 @@ import (
 // scans, pipelined hash joins, filters, projections, aggregation, sort/TopN,
 // distinct, and limit. A Plan is immutable once built and safe for concurrent
 // reuse out of the plan cache (plancache.go): all per-execution state lives
-// in a planRun, and base-table snapshots are bound at open time under the
-// engine lock (plan_exec.go). EXPLAIN renders the tree one node per line.
+// in a planRun, which the plan keeps for reuse once its stream closes, and
+// base-table snapshots are bound at open time under the engine lock
+// (plan_exec.go). EXPLAIN renders the tree one node per line.
 
 // Plan is a compiled, optimizer-chosen execution strategy for one SELECT
 // shape. The tree holds no literal: a scan's conditions and index key name
@@ -58,6 +60,33 @@ type Plan struct {
 	// snapshot, so its streamed executions carry a resume token (resume.go).
 	// Nil for every other shape.
 	resumable *scanNode
+
+	// attrs is the result schema as the header frame carries it, rendered
+	// once. nodes, nconds and nkeys size a run: its node states, and its
+	// scans' bound conditions and index keys.
+	attrs                []wireAttr
+	nodes, nconds, nkeys int
+
+	// kept is the plan's closed serial run (plan_exec.go), the one part of a
+	// Plan that changes after buildPlan.
+	kept atomic.Pointer[planRun]
+}
+
+// nodeSlot is embedded in every plan node: id is the node's position in its
+// plan's pre-order, where a run keeps the node's iterator struct.
+type nodeSlot struct{ id int }
+
+func (s *nodeSlot) slotted() *nodeSlot { return s }
+
+// numberNodes gives n and its subtree the slots from next on, in pre-order,
+// and returns the next free slot.
+func numberNodes(n planNode, next int) int {
+	n.slotted().id = next
+	next++
+	for _, c := range n.children() {
+		next = numberNodes(c, next)
+	}
+	return next
 }
 
 // EstRows is the optimizer's estimate of the result cardinality.
@@ -114,6 +143,7 @@ type planNode interface {
 	// estimates. Nothing renders it but EXPLAIN.
 	describe(p *Plan) string
 	children() []planNode
+	slotted() *nodeSlot
 }
 
 // scanNode reads one base table: a full snapshot scan or an index equality
@@ -123,6 +153,7 @@ type planNode interface {
 // mutation of the table (or any DDL) makes every cached plan reading it stale
 // (the next open replans), so plans never dangle.
 type scanNode struct {
+	nodeSlot
 	table, alias string
 	pos          int // FROM position
 	sch          *relation.Schema
@@ -179,6 +210,7 @@ func (n *scanNode) describe(p *Plan) string {
 // streams; the right side is the build input, drained into a hash table
 // (equi-join) or a buffer (cross/theta join) when the node opens.
 type joinNode struct {
+	nodeSlot
 	left, right planNode
 	eq          []relation.JoinCond // probe position = Left, build position = Right
 	post        []relation.Cond     // residual theta conditions over the concatenated tuple
@@ -213,6 +245,7 @@ func (n *joinNode) describe(p *Plan) string {
 // optimizer inserted; the join's own input accounting already covers it),
 // which narrows alias's scan.
 type projectNode struct {
+	nodeSlot
 	child   planNode
 	cols    []int
 	sch     *relation.Schema
@@ -243,6 +276,7 @@ func attrNames(s *relation.Schema) string {
 // filterNode applies residual conditions (defensive; ordinarily residuals
 // fold into the join that completes them).
 type filterNode struct {
+	nodeSlot
 	child planNode
 	conds []relation.Cond
 }
@@ -256,6 +290,7 @@ func (n *filterNode) describe(*Plan) string {
 // aggNode drains its input into grouped aggregation and emits the group rows
 // incrementally.
 type aggNode struct {
+	nodeSlot
 	child     planNode
 	groupCols []int
 	specs     []relation.AggSpec
@@ -290,6 +325,7 @@ func (n *aggNode) describe(*Plan) string {
 // projection, over the joined tuples; names are the sort columns' names for
 // EXPLAIN.
 type sortNode struct {
+	nodeSlot
 	child planNode
 	cols  []int
 	limit int // -1: full sort; else TopN
@@ -317,6 +353,7 @@ func (n *sortNode) describe(*Plan) string {
 
 // distinctNode deduplicates, streaming first occurrences through.
 type distinctNode struct {
+	nodeSlot
 	child planNode
 }
 
@@ -327,6 +364,7 @@ func (n *distinctNode) describe(*Plan) string    { return "distinct" }
 // limitNode truncates the stream after n tuples; because execution is
 // pull-based, upstream operators simply stop being asked for more.
 type limitNode struct {
+	nodeSlot
 	child planNode
 	n     int
 }

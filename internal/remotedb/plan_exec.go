@@ -21,11 +21,55 @@ import (
 // opened for a keeper carves its rows from the run's arena; opened for any
 // other consumer it hands out one reused row, valid until the next pull, so a
 // stream read in place (the frame writer) allocates nothing per row.
+//
+// A run owns one iterator struct per plan node (planRun.states), made on the
+// run's first open of the node and re-armed by every later one: the scan with
+// its conditions, counting its own ops; the filter, the projection with its
+// reused row, the limit and the join probe; and a counter for each input the
+// blocking operators charge for. Its bindings' conditions and keys, and each
+// index scan's lookup buffer, are the run's too. A plan keeps one closed
+// serial run (Plan.putRun), so a statement whose shape is cached opens,
+// streams and closes with no per-node allocation: a fresh run and a kept one
+// open through the same structs. A stream that opens while the kept run is
+// out takes a fresh one, and of two runs closing, the later is kept.
+// Parallel and EXPLAIN ANALYZE runs are not kept.
+
+// keptLookupRows bounds the lookup buffer a kept run keeps: a run back on its
+// plan holds nothing sized by rows beyond it.
+const keptLookupRows = 64
+
+// getRun returns p's kept run, or a new one.
+func (p *Plan) getRun() *planRun {
+	if run := p.kept.Swap(nil); run != nil {
+		return run
+	}
+	return &planRun{
+		plan:   p,
+		scans:  make([]scanBinding, len(p.scans)),
+		conds:  make([]relation.Cond, p.nconds),
+		keys:   make([]relation.Value, p.nkeys),
+		states: make([]nodeState, p.nodes),
+	}
+}
+
+// putRun clears a closed serial run, so it pins nothing of its statement, and
+// keeps it.
+func (p *Plan) putRun(run *planRun) {
+	run.release()
+	p.kept.Store(run)
+}
 
 // planRun is the per-execution state of a plan.
 type planRun struct {
+	plan  *Plan
 	ops   int64
 	scans []scanBinding // by FROM position (scanNode.pos)
+	// conds and keys hold every scan's bound conditions and index key
+	// (scanBinding carves them), sized for the plan.
+	conds []relation.Cond
+	keys  []relation.Value
+	// states are the nodes' iterator structs, by node slot.
+	states []nodeState
 	// analyze, when non-nil, collects per-node actuals (rows emitted,
 	// inclusive wall time, scan rows examined) for EXPLAIN ANALYZE. It is nil
 	// on ordinary executions, so the hot path pays nothing.
@@ -40,6 +84,51 @@ type planRun struct {
 	// arena holds the rows this run's writers write for consumers that keep
 	// them.
 	arena relation.Arena
+}
+
+// release clears what run bound and read, keeping its storage: the lookup
+// buffers up to keptLookupRows rows each.
+func (run *planRun) release() {
+	for i := range run.scans {
+		b := &run.scans[i]
+		clear(b.lookup)
+		lookup := b.lookup[:0]
+		if cap(lookup) > keptLookupRows {
+			lookup = nil
+		}
+		*b = scanBinding{lookup: lookup}
+	}
+	clear(run.conds)
+	clear(run.keys)
+	for _, st := range run.states {
+		if st != nil {
+			st.release()
+		}
+	}
+	run.arena = relation.Arena{}
+	run.ops = 0
+}
+
+// nodeState is a node's iterator struct on one run.
+type nodeState interface {
+	// release drops every row, input, table and condition the struct holds,
+	// keeping its storage.
+	release()
+}
+
+// state returns run's iterator struct of type T for n, made on the run's
+// first open of n.
+func state[T any, PT interface {
+	*T
+	nodeState
+}](run *planRun, n planNode) PT {
+	i := n.slotted().id
+	st, ok := run.states[i].(PT)
+	if !ok {
+		st = new(T)
+		run.states[i] = st
+	}
+	return st
 }
 
 // dst is where a writer opened for a consumer that keeps rows (keep) or not
@@ -76,24 +165,37 @@ func (run *planRun) actualFor(n planNode) *nodeActual {
 // been invalidated — the scan then falls back to filtering the full
 // extension, which is always correct because the scan's conds include the
 // equality predicates the index served) and its key; and the scan's
-// conditions with the statement's literals in their slots.
+// conditions with the statement's literals in their slots. lookup is the
+// buffer the index's matches are read into, kept from run to run.
 type scanBinding struct {
-	rows  []relation.Tuple
-	ix    *relation.Index
-	key   []relation.Value
-	conds []relation.Cond
+	rows   []relation.Tuple
+	ix     *relation.Index
+	key    []relation.Value
+	conds  []relation.Cond
+	lookup []relation.Tuple
 }
 
-// counted wraps an iterator so every pulled tuple counts as one server-side
-// operation, the unit the virtual cost model charges.
-func (run *planRun) counted(in relation.Iterator) relation.Iterator {
-	return relation.IteratorFunc(func() (relation.Tuple, bool) {
-		t, ok := in.Next()
-		if ok {
-			run.ops++
-		}
-		return t, ok
-	})
+// counter passes its input on, charging every tuple pulled as one
+// server-side operation, the unit the virtual cost model charges.
+type counter struct {
+	run *planRun
+	in  relation.Iterator
+}
+
+func (c *counter) Next() (relation.Tuple, bool) {
+	t, ok := c.in.Next()
+	if ok {
+		c.run.ops++
+	}
+	return t, ok
+}
+
+func (c *counter) release() { c.in = nil }
+
+// counted re-arms c to charge in's tuples to run, and returns it.
+func (c *counter) counted(run *planRun, in relation.Iterator) relation.Iterator {
+	c.run, c.in = run, in
+	return c
 }
 
 // openNode opens a node's iterator for a consumer that keeps its rows or
@@ -151,7 +253,8 @@ func (run *planRun) isBoundary(n planNode) bool {
 // the plan has a parallel section and the open-time DOP decision picks
 // parallelism, the run carries a parExec.
 func (p *Plan) open(ctx context.Context, e *Engine, where []SQLCond, analyze, streamed bool) *PlanStream {
-	run := &planRun{scans: p.bind(e, where)}
+	run := p.getRun()
+	run.bind(e, where)
 	if analyze {
 		run.analyze = make(map[planNode]*nodeActual)
 	}
@@ -180,26 +283,18 @@ func (p *Plan) open(ctx context.Context, e *Engine, where []SQLCond, analyze, st
 	return ps
 }
 
-// bind resolves every scan against the catalog and where's literals. Serial
-// runs and morsel workers read the same bindings. The conditions of all scans
-// share one arena and their index keys another, so a run binds in at most
-// three allocations however many scans its plan has.
-func (p *Plan) bind(e *Engine, where []SQLCond) []scanBinding {
-	bs := make([]scanBinding, len(p.scans))
-	nconds, nkeys := 0, 0
-	for _, sn := range p.scans {
-		nconds += len(sn.conds)
-		nkeys += len(sn.idxSlots)
-	}
-	conds := make([]relation.Cond, 0, nconds)
-	keys := make([]relation.Value, 0, nkeys)
-	for i, sn := range p.scans {
-		b := &bs[i]
+// bind resolves every scan against the catalog and where's literals, into
+// the run's own bindings, conditions and keys. Serial runs and morsel workers
+// read the same bindings.
+func (run *planRun) bind(e *Engine, where []SQLCond) {
+	conds, keys := run.conds, run.keys
+	for i, sn := range run.plan.scans {
+		b := &run.scans[i]
 		b.rows = e.tables[sn.table].Tuples()
 		for k := range sn.conds {
-			conds = append(conds, sn.cond(k, where))
+			conds[k] = sn.cond(k, where)
 		}
-		b.conds = conds[len(conds)-len(sn.conds) : len(conds) : len(conds)]
+		b.conds, conds = conds[:len(sn.conds):len(sn.conds)], conds[len(sn.conds):]
 		if len(sn.idxCols) == 0 {
 			continue
 		}
@@ -209,48 +304,88 @@ func (p *Plan) bind(e *Engine, where []SQLCond) []scanBinding {
 				break
 			}
 		}
-		for _, s := range sn.idxSlots {
-			keys = append(keys, where[s].RightVal)
+		for k, s := range sn.idxSlots {
+			keys[k] = where[s].RightVal
 		}
-		b.key = keys[len(keys)-len(sn.idxSlots) : len(keys) : len(keys)]
+		b.key, keys = keys[:len(sn.idxSlots):len(sn.idxSlots)], keys[len(sn.idxSlots):]
 	}
-	return bs
 }
 
 // boundRows is what scan n reads on this run: the index lookup over the
-// snapshot, its rows appended since the index was built included, when the
-// access path survived binding, else the whole snapshot.
+// snapshot, its rows appended since the index was built included, read into
+// the binding's lookup buffer, when the access path survived binding, else the
+// whole snapshot.
 func (run *planRun) boundRows(n *scanNode) []relation.Tuple {
-	b := run.scans[n.pos]
-	if b.ix != nil {
-		return b.ix.LookupIn(b.rows, b.key)
+	b := &run.scans[n.pos]
+	if b.ix == nil {
+		return b.rows
 	}
-	return b.rows
+	b.lookup = b.ix.AppendLookupIn(b.lookup[:0], b.rows, b.key)
+	return b.lookup
 }
 
 // --- Node iterators ---
 
+// scanIter reads a scan's bound rows — the snapshot, the index's matches, or
+// on a worker's run each morsel the worker claims — charging every row read
+// as one op and passing on the rows its conditions accept.
+type scanIter struct {
+	run   *planRun
+	rows  []relation.Tuple
+	next  int
+	conds []relation.Cond
+	na    *nodeActual // analyzing: counts the rows examined
+}
+
+func (s *scanIter) Next() (relation.Tuple, bool) {
+	for {
+		if s.next == len(s.rows) {
+			ws := s.run.worker
+			if ws == nil {
+				return nil, false
+			}
+			if s.rows = s.run.par.claim(ws); s.rows == nil {
+				return nil, false
+			}
+			s.next = 0
+		}
+		t := s.rows[s.next]
+		s.next++
+		s.run.ops++
+		if s.na != nil {
+			s.na.examined++
+		}
+		if relation.EvalAll(s.conds, t) {
+			return t, true
+		}
+	}
+}
+
+func (s *scanIter) release() { *s = scanIter{} }
+
 // open reads the bound snapshot, whose rows outlive any pull: keep changes
 // nothing.
 func (n *scanNode) open(run *planRun, _ bool) relation.Iterator {
-	var src relation.Iterator
-	if run.worker != nil {
-		src = run.par.morsels(run.worker) // a worker's only scan is the driver
+	s := state[scanIter](run, n)
+	s.run, s.next, s.conds, s.na = run, 0, run.scans[n.pos].conds, run.actualFor(n)
+	if run.worker == nil {
+		s.rows = run.boundRows(n)
 	} else {
-		src = relation.NewSliceIterator(run.boundRows(n))
+		s.rows = nil // a worker's only scan is the driver: it claims morsels
 	}
-	src = run.counted(src)
-	if na := run.actualFor(n); na != nil {
-		inner := src
-		src = relation.IteratorFunc(func() (relation.Tuple, bool) {
-			t, ok := inner.Next()
-			if ok {
-				na.examined++
-			}
-			return t, ok
-		})
-	}
-	return relation.Select(src, run.scans[n.pos].conds)
+	return s
+}
+
+// joinState is a join's counted inputs and its probe.
+type joinState struct {
+	left, right counter
+	probe       relation.ProbeIter
+}
+
+func (st *joinState) release() {
+	st.left.release()
+	st.right.release()
+	st.probe.Reset(nil, nil, nil, nil, nil)
 }
 
 func (n *joinNode) open(run *planRun, keep bool) relation.Iterator {
@@ -263,18 +398,31 @@ func (n *joinNode) open(run *planRun, keep bool) relation.Iterator {
 // projection of left ++ right, or, with cols nil, as the concatenation
 // itself, into the run's arena when keep is set.
 func (n *joinNode) openCols(run *planRun, cols []int, keep bool) relation.Iterator {
-	left := run.counted(run.openNode(n.left, false))
+	st := state[joinState](run, n)
+	left := st.left.counted(run, run.openNode(n.left, false))
 	if len(n.eq) == 0 {
-		right := run.counted(run.openNode(n.right, true))
+		right := st.right.counted(run, run.openNode(n.right, true))
 		return relation.NestedLoopJoin(left, right, n.left.Schema().Arity(), n.post, cols, run.dst(keep))
 	}
 	var pt *relation.PartitionedTable
 	if run.worker != nil {
 		pt = run.par.tables[n]
 	} else {
-		pt = relation.NewPartitionedTable(run.counted(run.openNode(n.right, true)), n.eq, 1, n.keys)
+		pt = relation.NewPartitionedTable(st.right.counted(run, run.openNode(n.right, true)), n.eq, 1, n.keys)
 	}
-	return pt.Probe(left, n.post, cols, run.dst(keep))
+	st.probe.Reset(pt, left, n.post, cols, run.dst(keep))
+	return &st.probe
+}
+
+// projectState is a projection's counted input and its projector.
+type projectState struct {
+	in   counter
+	proj relation.ProjectIter
+}
+
+func (st *projectState) release() {
+	st.in.release()
+	st.proj.Reset(nil, nil, nil)
 }
 
 // open projects the child's rows onto n.cols. Over a join (not a parallel
@@ -291,6 +439,7 @@ func (n *projectNode) open(run *planRun, keep bool) relation.Iterator {
 	}
 	j, overJoin := n.child.(*joinNode)
 	fused := overJoin && !identity && !run.isBoundary(j)
+	st := state[projectState](run, n)
 	var in relation.Iterator
 	switch {
 	case fused:
@@ -301,23 +450,37 @@ func (n *projectNode) open(run *planRun, keep bool) relation.Iterator {
 		in = run.openNode(n.child, false)
 	}
 	if n.counted {
-		in = run.counted(in)
+		in = st.in.counted(run, in)
 	}
 	if identity || fused {
 		return in
 	}
-	return relation.Project(in, n.cols, run.dst(keep))
+	st.proj.Reset(in, n.cols, run.dst(keep))
+	return &st.proj
+}
+
+// filterState is a filter's counted input and its selection.
+type filterState struct {
+	in  counter
+	sel relation.SelectIter
+}
+
+func (st *filterState) release() {
+	st.in.release()
+	st.sel.Reset(nil, nil)
 }
 
 func (n *filterNode) open(run *planRun, keep bool) relation.Iterator {
-	return relation.Select(run.counted(run.openNode(n.child, keep)), n.conds)
+	st := state[filterState](run, n)
+	st.sel.Reset(st.in.counted(run, run.openNode(n.child, keep)), n.conds)
+	return &st.sel
 }
 
 // open aggregates the child's rows, which the group table copies what it
 // keeps of. Its own rows outlive any pull.
 func (n *aggNode) open(run *planRun, _ bool) relation.Iterator {
 	acc := relation.NewAggAccum(n.groupCols, n.specs, n.groups)
-	in := run.counted(run.openNode(n.child, false))
+	in := state[counter](run, n).counted(run, run.openNode(n.child, false))
 	for t, ok := in.Next(); ok; t, ok = in.Next() {
 		acc.Add(t)
 	}
@@ -327,7 +490,7 @@ func (n *aggNode) open(run *planRun, _ bool) relation.Iterator {
 // open sorts stably by n.cols, through Relation.SortBy, or keeps the first
 // n.limit rows of that order in a bounded heap.
 func (n *sortNode) open(run *planRun, _ bool) relation.Iterator {
-	in := run.counted(run.openNode(n.child, true))
+	in := state[counter](run, n).counted(run, run.openNode(n.child, true))
 	if n.limit >= 0 {
 		return relation.NewSliceIterator(relation.TopN(in, n.cols, n.limit))
 	}
@@ -337,11 +500,18 @@ func (n *sortNode) open(run *planRun, _ bool) relation.Iterator {
 // open passes on the rows it sees first, which it keeps to compare later
 // rows with, so they outlive any pull.
 func (n *distinctNode) open(run *planRun, _ bool) relation.Iterator {
-	return relation.Distinct(run.counted(run.openNode(n.child, true)))
+	return relation.Distinct(state[counter](run, n).counted(run, run.openNode(n.child, true)))
 }
 
+// limitState is a limit's truncation.
+type limitState struct{ lim relation.LimitIter }
+
+func (st *limitState) release() { st.lim.Reset(nil, 0) }
+
 func (n *limitNode) open(run *planRun, keep bool) relation.Iterator {
-	return relation.Limit(run.openNode(n.child, keep), n.n)
+	st := state[limitState](run, n)
+	st.lim.Reset(run.openNode(n.child, keep), n.n)
+	return &st.lim
 }
 
 // PlanStream executes a bound plan as a pull stream: Next drives the
@@ -349,8 +519,12 @@ func (n *limitNode) open(run *planRun, keep bool) relation.Iterator {
 // plan's blocking prefix allows — no full materialization. It is single
 // consumer and must not be shared between goroutines.
 type PlanStream struct {
-	plan   *Plan
+	plan *Plan
+	// run is the stream's execution, nil once Close has given it back to the
+	// plan; ops is then what it counted. A kept run is serial, so its stream
+	// then reads Err nil and DOP 1.
 	run    *planRun
+	ops    int64
 	it     relation.Iterator
 	cached bool // the plan came out of the plan cache (slow-query log field)
 	// token pins the bound snapshot of a streamed resumable plan for
@@ -373,6 +547,9 @@ func (s *PlanStream) Name() string { return "result" }
 // Ops returns the server-side tuple operations performed so far (for a
 // parallel run: the consumer chain's plus every finished worker's).
 func (s *PlanStream) Ops() int64 {
+	if s.run == nil {
+		return s.ops
+	}
 	if px := s.run.par; px != nil {
 		return s.run.ops + px.workerOps.Load()
 	}
@@ -409,6 +586,9 @@ func (r inPlaceRows) Next() (relation.Tuple, bool) { return r.s.next(false) }
 // a consumer that keeps its rows or not (keep), and every later pull reads
 // that tree.
 func (s *PlanStream) next(keep bool) (relation.Tuple, bool) {
+	if s.run == nil {
+		return nil, false
+	}
 	if s.it == nil {
 		s.it = s.run.openNode(s.plan.root, keep)
 		for ; s.skip > 0; s.skip-- {
@@ -431,8 +611,8 @@ func (s *PlanStream) next(keep bool) (relation.Tuple, bool) {
 // token, so this is what keeps an interrupted run from reading as a
 // silently truncated one.
 func (s *PlanStream) Err() error {
-	if px := s.run.par; px != nil {
-		return px.failErr
+	if s.run != nil && s.run.par != nil {
+		return s.run.par.failErr
 	}
 	return nil
 }
@@ -440,19 +620,31 @@ func (s *PlanStream) Err() error {
 // DOP returns the degree of parallelism the stream executes with (1 for the
 // serial tree).
 func (s *PlanStream) DOP() int {
-	if px := s.run.par; px != nil {
-		return px.dop
+	if s.run != nil && s.run.par != nil {
+		return s.run.par.dop
 	}
 	return 1
 }
 
 // Close releases the stream's resources. For a parallel run it cancels and
 // joins every morsel worker — abandoning a partially-drained stream leaks no
-// goroutines. Serial streams have nothing to release. Idempotent.
+// goroutines. A serial run goes back to its plan for a later stream of the
+// shape, its ops copied into the stream first, so Ops, Err and DOP read as
+// before Close. A parallel or analyzing run is not kept: the stream holds
+// it, and its workers' stats and actuals stay readable. Idempotent.
 func (s *PlanStream) Close() error {
-	if px := s.run.par; px != nil {
+	run := s.run
+	if run == nil {
+		return nil
+	}
+	if px := run.par; px != nil {
 		px.shutdown()
 	}
+	if run.par != nil || run.analyze != nil {
+		return nil
+	}
+	s.ops, s.run, s.it = run.ops, nil, nil
+	s.plan.putRun(run)
 	return nil
 }
 

@@ -272,7 +272,7 @@ func (px *parExec) start() error {
 	// anything, its own joins included), into a partition per worker.
 	px.tables = make(map[*joinNode]*relation.PartitionedTable, len(px.sec.joins))
 	for _, jn := range px.sec.joins {
-		build := relation.NewGuardIterator(px.run.counted(px.run.openNode(jn.right, true)), 0, px.ctx.Err)
+		build := relation.NewGuardIterator(&counter{run: px.run, in: px.run.openNode(jn.right, true)}, 0, px.ctx.Err)
 		px.tables[jn] = relation.NewPartitionedTable(build, jn.eq, px.dop, jn.keys)
 		if err := build.Err(); err != nil {
 			return err
@@ -310,7 +310,7 @@ func (px *parExec) runWorker(w int) {
 	sp.Set("worker", strconv.Itoa(w))
 	defer sp.End()
 	ws := &px.workers[w]
-	run := &planRun{scans: px.run.scans, par: px, worker: ws}
+	run := &planRun{plan: px.run.plan, scans: px.run.scans, states: make([]nodeState, len(px.run.states)), par: px, worker: ws}
 	if px.run.analyze != nil {
 		run.analyze = make(map[planNode]*nodeActual)
 		ws.analyze = run.analyze
@@ -328,7 +328,7 @@ func (px *parExec) runWorker(w int) {
 	if agg := px.sec.agg; agg != nil {
 		acc = relation.NewAggAccum(agg.groupCols, agg.specs, agg.groups)
 		px.aggs[w] = acc
-		in = run.counted(in) // charged as aggNode.open charges its input
+		in = &counter{run: run, in: in} // charged as aggNode.open charges its input
 	}
 	var batch parBatch
 	for t, ok := in.Next(); ok; t, ok = in.Next() {
@@ -403,29 +403,21 @@ func (px *parExec) send(batch parBatch) bool {
 	}
 }
 
-// morsels is the driver scan's input on worker ws's run: the rows of each
-// morsel the worker claims from the shared cursor, one after another. A
-// claim checks the context first, so a canceled run stops within one morsel
-// even before the guard's checkpoint fires.
-func (px *parExec) morsels(ws *parWorkerStats) relation.Iterator {
-	var cur []relation.Tuple
-	return relation.IteratorFunc(func() (relation.Tuple, bool) {
-		for len(cur) == 0 {
-			if px.ctx.Err() != nil {
-				return nil, false
-			}
-			lo := int(px.cursor.Add(int64(px.morsel))) - px.morsel
-			if lo >= len(px.rows) {
-				return nil, false
-			}
-			ws.morsels++
-			px.e.parMorselsCt.Add(1)
-			cur = px.rows[lo:min(lo+px.morsel, len(px.rows))]
-		}
-		t := cur[0]
-		cur = cur[1:]
-		return t, true
-	})
+// claim is the next morsel of the driver scan for worker ws, claimed from the
+// shared cursor, or nil when none is left. A claim checks the context first,
+// so a canceled run stops within one morsel even before the guard's
+// checkpoint fires.
+func (px *parExec) claim(ws *parWorkerStats) []relation.Tuple {
+	if px.ctx.Err() != nil {
+		return nil
+	}
+	lo := int(px.cursor.Add(int64(px.morsel))) - px.morsel
+	if lo >= len(px.rows) {
+		return nil
+	}
+	ws.morsels++
+	px.e.parMorselsCt.Add(1)
+	return px.rows[lo:min(lo+px.morsel, len(px.rows))]
 }
 
 // finish ends a stream that ran dry. Every worker has exited by then (the

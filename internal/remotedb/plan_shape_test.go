@@ -115,8 +115,7 @@ func runBinding(t *testing.T, e *Engine, sel *SelectStmt) shapeRun {
 	if err := ps.Err(); err != nil {
 		t.Fatalf("%s: %v", sel, err)
 	}
-	tree := *ps.plan
-	tree.stmt, tree.nodeEst = sel, nil
+	tree := Plan{root: ps.plan.root, scans: ps.plan.scans, stmt: sel}
 	rel, _, err := e.explainSelect(sel)
 	if err != nil {
 		t.Fatalf("EXPLAIN %s: %v", sel, err)
@@ -290,45 +289,51 @@ func newSuppliersEngine(t *testing.T) *Engine {
 	return e
 }
 
-// TestPlanHitAllocs: for each statement shape of the suppliers workload's
-// cache misses — a point query on shipment, one on part, the range query and
-// the shipment ⋈ part join, translated from CAQL as the CMS translates them —
-// a statement whose shape is cached finds its plan and binds its literals in
-// at most three allocations (the parse excluded).
+// hitShapes are the statement shapes of the suppliers workload's cache
+// misses — a point query on shipment, one on part, the range query and the
+// shipment ⋈ part join — as CAQL with the one constant that varies left as %d.
+var hitShapes = []string{
+	"q(P, Q) :- shipment(%d, P, Q)",
+	"q(C, W) :- part(%d, C, W)",
+	"q(S, P, Q) :- shipment(S, P, Q) & S >= %d & S < 14 & Q >= 300",
+	"q(P, Q, C, W) :- shipment(%d, P, Q) & part(P, C, W)",
+}
+
+// translateShape is the SQL the CMS sends for shape with k as its constant.
+func translateShape(t *testing.T, e *Engine, shape string, k int) string {
+	t.Helper()
+	q, err := caql.Parse(fmt.Sprintf(shape, k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := TranslateCAQL(q, NewInProcClient(e, DefaultCosts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.SQL
+}
+
+// TestPlanHitAllocs: for each of hitShapes, translated from CAQL as the CMS
+// translates them, a statement whose shape is cached finds its plan and
+// binds its literals in at most three allocations (the parse excluded).
 func TestPlanHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	e := newSuppliersEngine(t)
-	src := NewInProcClient(e, DefaultCosts())
-	for _, shape := range []string{
-		"q(P, Q) :- shipment(%d, P, Q)",
-		"q(C, W) :- part(%d, C, W)",
-		"q(S, P, Q) :- shipment(S, P, Q) & S >= %d & S < 14 & Q >= 300",
-		"q(P, Q, C, W) :- shipment(%d, P, Q) & part(P, C, W)",
-	} {
-		translate := func(k int) string {
-			t.Helper()
-			q, err := caql.Parse(fmt.Sprintf(shape, k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := TranslateCAQL(q, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr.SQL
-		}
-		if _, _, err := e.ExecuteSQL(translate(7)); err != nil {
+	for _, shape := range hitShapes {
+		if _, _, err := e.ExecuteSQL(translateShape(t, e, shape, 7)); err != nil {
 			t.Fatal(err)
 		}
-		sel := mustParseSelect(t, translate(11))
+		sel := mustParseSelect(t, translateShape(t, e, shape, 11))
 		hit := true
 		allocs := testing.AllocsPerRun(100, func() {
 			e.mu.RLock()
 			p, h, err := e.planForLocked(context.Background(), sel)
 			if err == nil {
-				p.bind(e, sel.Where)
+				run := p.getRun()
+				run.bind(e, sel.Where)
+				p.putRun(run)
 			}
 			e.mu.RUnlock()
 			hit = hit && h && err == nil

@@ -14,7 +14,8 @@ import "sync"
 //   - it is still current (Engine.planCurrentLocked): no DDL since its clock
 //     tick, and no table it reads at a newer version — an insert into one
 //     table drops, lazily on their next lookup, exactly the plans that read
-//     it, since their index snapshots and statistics moved;
+//     it, since the statistics they were costed with moved (the table's
+//     indexes survive the insert);
 //   - the statement's literals choose the plan's join order
 //     (Plan.orderHolds), the one plan decision a literal's value can move.
 //
@@ -88,9 +89,9 @@ func (c *planCache) size() int {
 
 // planCurrentLocked reports whether p may still be served: nothing it was
 // compiled against has moved. A DDL can drop an index p probes or replace a
-// table it scans; a data change to a table p reads drops that table's index
-// snapshots and shifts the statistics p was costed with. A change to any
-// other table touches nothing p depends on. The caller holds e.mu.
+// table it scans; a data change to a table p reads keeps that table's
+// indexes but shifts the statistics p was costed with. A change to any other
+// table touches nothing p depends on. The caller holds e.mu.
 func (e *Engine) planCurrentLocked(p *Plan) bool {
 	if e.ddlEpoch > p.epoch {
 		return false

@@ -37,7 +37,9 @@ import (
 // that were truncated, corrupted, or forged in transit: a version tag, a
 // field checksum, and strict field validation make ParseResumeToken reject
 // malformed input with a typed error instead of resuming the wrong scan
-// (fuzzed in resume_test.go).
+// (fuzzed in resume_test.go). Encode appends the fields with strconv, not
+// fmt, and takes the checksum over the bytes it appended: a header's token
+// costs the one string it is rendered into.
 
 // ResumeToken identifies the snapshot one resumable stream reads. The zero
 // token (empty Table) stands for "not resumable"; the codec rejects it.
@@ -67,19 +69,54 @@ const resumeTokenPrefix = "brt1"
 var ErrResumeToken = errors.New("remotedb: bad resume token")
 
 // StatementHash hashes a statement's text (FNV-1a) for resume-token identity.
-func StatementHash(sql string) uint64 {
+func StatementHash(sql string) uint64 { return fnv1a(sql) }
+
+// fnv1a is the FNV-1a hash of b's bytes.
+func fnv1a[B string | []byte](b B) uint64 {
 	h := uint64(fnvOffset64)
-	for i := 0; i < len(sql); i++ {
-		h ^= uint64(sql[i])
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
 		h *= fnvPrime64
 	}
 	return h
 }
 
 // checksum guards the encoded fields against corruption in transit. It is an
-// integrity check, not authentication: FNV-1a over the payload.
+// integrity check, not authentication: FNV-1a over the payload, the four
+// fields in hex separated by '|'.
 func (t ResumeToken) checksum() uint64 {
-	return StatementHash(fmt.Sprintf("%x|%s|%x|%x", t.StmtHash, t.Table, t.Version, t.SnapLen))
+	var buf [80]byte
+	_, sum := t.appendFields(buf[:0])
+	return sum
+}
+
+// appendFields appends the token's fields to dst in hex (the table as it
+// is), separated by ':', and returns dst with the checksum, taken over the
+// same bytes with '|' for each separator.
+func (t ResumeToken) appendFields(dst []byte) ([]byte, uint64) {
+	start := len(dst)
+	dst = strconv.AppendUint(dst, t.StmtHash, 16)
+	seps := [3]int{len(dst)}
+	dst = append(append(dst, ':'), t.Table...)
+	seps[1] = len(dst)
+	dst = strconv.AppendUint(append(dst, ':'), t.Version, 16)
+	seps[2] = len(dst)
+	dst = strconv.AppendInt(append(dst, ':'), t.SnapLen, 16)
+	for _, i := range seps {
+		dst[i] = '|'
+	}
+	sum := fnv1a(dst[start:])
+	for _, i := range seps {
+		dst[i] = ':'
+	}
+	return dst, sum
+}
+
+// appendEncode appends Encode's text to dst.
+func (t ResumeToken) appendEncode(dst []byte) []byte {
+	dst = append(dst, resumeTokenPrefix+":"...)
+	dst, sum := t.appendFields(dst)
+	return strconv.AppendUint(append(dst, ':'), sum, 16)
 }
 
 // Encode renders the token as the opaque string carried on header frames.
@@ -87,8 +124,8 @@ func (t ResumeToken) checksum() uint64 {
 // does not rely on that: Parse splits from the fixed-position ends so a
 // hostile table name cannot shift fields.
 func (t ResumeToken) Encode() string {
-	return fmt.Sprintf("%s:%x:%s:%x:%x:%x",
-		resumeTokenPrefix, t.StmtHash, t.Table, t.Version, t.SnapLen, t.checksum())
+	var buf [96]byte
+	return string(t.appendEncode(buf[:0]))
 }
 
 // ParseResumeToken decodes and validates an encoded token. Every failure is a

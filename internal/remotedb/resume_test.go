@@ -141,6 +141,35 @@ func TestResumeTokenRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzResumeTokenText: Encode renders every token, table names with
+// separators and negative lengths included, byte for byte as its fmt
+// rendering did, checksum included, and ParseResumeToken reads back every
+// token it renders with a non-empty table and a length >= 0.
+func FuzzResumeTokenText(f *testing.F) {
+	f.Add(uint64(0), "t", uint64(0), int64(0))
+	f.Add(StatementHash("SELECT v FROM big"), "big", uint64(2), int64(1000))
+	f.Add(^uint64(0), "a:b|c", ^uint64(0), int64(-1))
+	f.Add(uint64(1)<<63, strings.Repeat("shipment", 20), uint64(7), int64(1)<<62)
+	f.Add(uint64(42), "", uint64(3), int64(9))
+	f.Fuzz(func(t *testing.T, stmt uint64, table string, version uint64, snapLen int64) {
+		tok := ResumeToken{StmtHash: stmt, Table: table, Version: version, SnapLen: snapLen}
+		sum := StatementHash(fmt.Sprintf("%x|%s|%x|%x", stmt, table, version, snapLen))
+		want := fmt.Sprintf("%s:%x:%s:%x:%x:%x", resumeTokenPrefix, stmt, table, version, snapLen, sum)
+		if got := tok.Encode(); got != want {
+			t.Fatalf("%+v encodes as %q, fmt rendered %q", tok, got, want)
+		}
+		if tok.checksum() != sum {
+			t.Fatalf("%+v: checksum %x, fmt's %x", tok, tok.checksum(), sum)
+		}
+		if table == "" || snapLen < 0 {
+			return
+		}
+		if got, err := ParseResumeToken(want); err != nil || got != tok {
+			t.Fatalf("%q parses as %+v, %v; want %+v", want, got, err, tok)
+		}
+	})
+}
+
 func FuzzParseResumeToken(f *testing.F) {
 	valid := ResumeToken{StmtHash: StatementHash("SELECT v FROM big WHERE k < 100"), Table: "big", Version: 2, SnapLen: 1000}
 	enc := valid.Encode()

@@ -408,7 +408,8 @@ func (k *streamKiller) afterWrite() (killed bool) {
 func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream, release func(), resumed bool, killer *streamKiller) (rows, frames int64) {
 	// Parallel plan streams own worker goroutines; closing on every exit path
 	// (deadline, cancel, write failure, kill fault, normal end) joins them, so
-	// an abandoned stream leaks nothing. Serial streams have a no-op Close.
+	// an abandoned stream leaks nothing; a serial stream's Close gives its run
+	// back to the plan, after which Ops, Err and DOP read what it ended with.
 	// The slots go with them, before any terminal frame is written, so a
 	// client that sends its next request the moment an answer lands is not
 	// shed by the request that answer finished.
@@ -428,14 +429,8 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 	// Every other stream carries no token: its emission order is not a
 	// function of the snapshot alone (hash joins, aggregation, parallel
 	// workers), so a resuming client restarts and skips locally.
-	resume := ""
-	if tok := sc.ResumeToken(); tok.Table != "" {
-		resume = tok.Encode()
-	}
-	rows, frames, ok := fc.ship(ctx, &wireFrame{
-		ID: id, Kind: frameHeader, Name: sc.Name(), Attrs: toWireAttrs(sc.Schema()),
-		Resume: resume, Resumed: resumed,
-	}, sc.inPlace(), killer, settle)
+	hdr := streamHeader(id, sc, resumed)
+	rows, frames, ok := fc.ship(ctx, &hdr, sc.inPlace(), killer, settle)
 	if !ok {
 		return rows, frames
 	}
@@ -449,6 +444,16 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 	}
 	fc.writeEnd(id, wireCodeNone, "", sc.Ops())
 	return rows, frames + 1
+}
+
+// streamHeader is the header frame of stream id: the plan's attrs, rendered
+// when it was compiled, and a resumable stream's token, its one allocation.
+func streamHeader(id uint64, sc *PlanStream, resumed bool) wireFrame {
+	hdr := wireFrame{ID: id, Kind: frameHeader, Name: sc.Name(), Attrs: sc.plan.attrs, Resumed: resumed}
+	if tok := sc.ResumeToken(); tok.Table != "" {
+		hdr.Resume = tok.Encode()
+	}
+	return hdr
 }
 
 // ship is the one writer of exec results, streamed or materialized: the

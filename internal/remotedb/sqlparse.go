@@ -385,22 +385,31 @@ func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 		sel.Distinct = true
 		p.advance()
 	}
-	// Select items.
+	// The items, FROM tables and WHERE conjuncts collect in buffers on the
+	// stack; each list is allocated once, at its length.
+	var (
+		itemBuf  [8]SelectItem
+		fromBuf  [4]TableRef
+		whereBuf [8]SQLCond
+	)
+	items := itemBuf[:0]
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
 			return nil, err
 		}
-		sel.Items = append(sel.Items, item)
+		items = append(items, item)
 		if p.atPunct(",") {
 			p.advance()
 			continue
 		}
 		break
 	}
+	sel.Items = exactly(items)
 	if err := p.expectWord("FROM"); err != nil {
 		return nil, err
 	}
+	from := fromBuf[:0]
 	for {
 		table, err := p.identifier()
 		if err != nil {
@@ -418,27 +427,30 @@ func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 			alias, _ := p.identifier()
 			ref.Alias = alias
 		}
-		sel.From = append(sel.From, ref)
+		from = append(from, ref)
 		if p.atPunct(",") {
 			p.advance()
 			continue
 		}
 		break
 	}
+	sel.From = exactly(from)
 	if p.atWord("WHERE") {
 		p.advance()
+		where := whereBuf[:0]
 		for {
 			cond, err := p.parseCond()
 			if err != nil {
 				return nil, err
 			}
-			sel.Where = append(sel.Where, cond)
+			where = append(where, cond)
 			if p.atWord("AND") {
 				p.advance()
 				continue
 			}
 			break
 		}
+		sel.Where = exactly(where)
 	}
 	if p.atWord("GROUP") {
 		p.advance()
@@ -490,6 +502,14 @@ func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 		p.advance()
 	}
 	return sel, nil
+}
+
+// exactly returns a copy of s with no spare capacity, nil when s is empty.
+func exactly[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 var sqlKeywords = []string{"SELECT", "FROM", "WHERE", "AND", "GROUP", "ORDER", "BY", "LIMIT", "AS", "DISTINCT", "INSERT", "INTO", "VALUES", "CREATE", "TABLE", "EXPLAIN"}

@@ -197,3 +197,52 @@ func FuzzParseSQL(f *testing.F) {
 		}
 	})
 }
+
+// TestSQLParseAllocs: ParseSQL collects each list of a SELECT on the stack
+// and allocates it once, at its length, so a statement of each of hitShapes
+// parses in at most 5 allocations: the statement, the SELECT, and its items,
+// FROM and WHERE lists.
+func TestSQLParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	e := newSuppliersEngine(t)
+	for _, shape := range hitShapes {
+		src := translateShape(t, e, shape, 11)
+		st, err := ParseSQL(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := st.Select
+		if len(sel.Items) != cap(sel.Items) || len(sel.From) != cap(sel.From) || len(sel.Where) != cap(sel.Where) {
+			t.Errorf("%s: lists of %d/%d items, %d/%d tables, %d/%d conjuncts: not sized once", src,
+				len(sel.Items), cap(sel.Items), len(sel.From), cap(sel.From), len(sel.Where), cap(sel.Where))
+		}
+		if n := testing.AllocsPerRun(100, func() { ParseSQL(src) }); n > 5 {
+			t.Errorf("%s: parses in %.0f allocations, want at most 5", src, n)
+		}
+	}
+	// Lists longer than their stack buffers keep every element, in order.
+	var items, from, where []string
+	for i := 0; i < 12; i++ {
+		items = append(items, fmt.Sprintf("t0.c%d", i))
+		from = append(from, fmt.Sprintf("r%d AS t%d", i, i))
+		where = append(where, fmt.Sprintf("t%d.c%d = %d", i, i, i))
+	}
+	src := "SELECT " + strings.Join(items, ", ") + " FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
+	st, err := ParseSQL(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := st.Select
+	if len(sel.Items) != 12 || len(sel.From) != 12 || len(sel.Where) != 12 ||
+		cap(sel.Items) != 12 || cap(sel.From) != 12 || cap(sel.Where) != 12 {
+		t.Fatalf("%s: lists of %d/%d items, %d/%d tables, %d/%d conjuncts", src,
+			len(sel.Items), cap(sel.Items), len(sel.From), cap(sel.From), len(sel.Where), cap(sel.Where))
+	}
+	for i := 0; i < 12; i++ {
+		if got := fmt.Sprintf("%s %s %s", sel.Items[i].Col, sel.From[i].Alias, sel.Where[i]); got != fmt.Sprintf("t0.c%d t%d %s", i, i, where[i]) {
+			t.Errorf("element %d reads %q", i, got)
+		}
+	}
+}

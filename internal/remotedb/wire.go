@@ -27,7 +27,8 @@ func toWireAttrs(sch *relation.Schema) []wireAttr {
 		return nil
 	}
 	attrs := make([]wireAttr, sch.Arity())
-	for i, a := range sch.Attrs() {
+	for i := range attrs {
+		a := sch.Attr(i)
 		attrs[i] = wireAttr{Name: a.Name, Kind: uint8(a.Kind)}
 	}
 	return attrs
