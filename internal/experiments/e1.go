@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ie"
 	"repro/internal/logic"
+	"repro/internal/relation"
 	"repro/internal/remotedb"
 	"repro/internal/workload"
 )
@@ -63,9 +64,52 @@ func E1ICRange() *Table {
 		st, answers := RunE1Queries(strat, false, false, ancOnly)
 		t.AddRow(strat.String(), "loose", "anc/first", fi(int64(answers)), fi(st.RemoteRequests), fi(st.RemoteTuples), ff(st.ResponseSimMS))
 	}
+	// Recursion in each of its forms: every strategy answers what the
+	// fixpoint derives, the SLD strategies by tabling recursive calls.
+	for _, form := range e1ChainForms {
+		for _, args := range []string{"0,Y", "X,Y"} {
+			for _, strat := range []ie.Strategy{ie.StrategyInterpreted, ie.StrategyConjunction, ie.StrategyCompiled} {
+				st, answers := RunE1Chain(strat, form.rec, "anc("+args+")")
+				t.AddRow(strat.String(), "loose", form.name+"("+args+")", fi(int64(answers)), fi(st.RemoteRequests), fi(st.RemoteTuples), ff(st.ResponseSimMS))
+			}
+		}
+	}
 	t.Notes = append(t.Notes,
-		"loose layer: compiled wins all-solutions, interpreted wins selective first-solution transfer; the BrAID layer closes most of the gap for the interpreted strategy")
+		"loose layer: compiled wins all-solutions, interpreted wins selective first-solution transfer; the BrAID layer closes most of the gap for the interpreted strategy",
+		fmt.Sprintf("ancL, ancR, ancN: all distinct answers of left-linear, right-linear and non-linear anc on a %d-edge chain", e1ChainEdges))
 	return t
+}
+
+// e1ChainEdges is the length of the chain E1's recursion rows ask anc over.
+const e1ChainEdges = 50
+
+// e1ChainForms are anc's recursive clause in its left-linear, right-linear
+// and non-linear forms, with the names E1's rows give them.
+var e1ChainForms = []struct{ name, rec string }{
+	{"ancL", "anc(X, Y) :- anc(X, Z), e(Z, Y)."},
+	{"ancR", "anc(X, Y) :- e(X, Z), anc(Z, Y)."},
+	{"ancN", "anc(X, Y) :- anc(X, Z), anc(Z, Y)."},
+}
+
+// RunE1Chain asks goal of anc, defined by e(X, Y) and the recursive clause
+// rec, over a chain 0 → 1 → … → e1ChainEdges under loose coupling, and
+// counts its distinct answers.
+func RunE1Chain(strat ie.Strategy, rec, goal string) (stats statsView, answers int) {
+	e := relation.New("e", relation.NewSchema(
+		relation.Attr{Name: "a", Kind: relation.KindInt},
+		relation.Attr{Name: "b", Kind: relation.KindInt}))
+	for i := int64(0); i < e1ChainEdges; i++ {
+		e.MustAppend(relation.Tuple{relation.Int(i), relation.Int(i + 1)})
+	}
+	kb, err := logic.ParseProgram(":- base(e/2).\nanc(X, Y) :- e(X, Y).\n" + rec)
+	if err != nil {
+		panic(err)
+	}
+	q, err := logic.ParseAtom(goal)
+	if err != nil {
+		panic(err)
+	}
+	return runE1(&workload.Workload{Name: "chain", KB: kb, Tables: []*relation.Relation{e}, Queries: []logic.Atom{q}}, strat, false, true)
 }
 
 // RunE1 runs the kinship session for one strategy/layer/demand cell.
@@ -77,6 +121,15 @@ func RunE1(strat ie.Strategy, braidLayer, allSolutions bool) (stats statsView, a
 // workload mix).
 func RunE1Queries(strat ie.Strategy, braidLayer, allSolutions bool, only []logic.Atom) (stats statsView, answers int) {
 	w := workload.Kinship(11, 120)
+	if only != nil {
+		w.Queries = only
+	}
+	return runE1(w, strat, braidLayer, allSolutions)
+}
+
+// runE1 asks w's queries under one strategy and layer, consuming every
+// distinct answer of each or only its first, and counts the answers.
+func runE1(w *workload.Workload, strat ie.Strategy, braidLayer, allSolutions bool) (stats statsView, answers int) {
 	client := remotedb.NewInProcClient(w.Engine(), remotedb.DefaultCosts())
 	cfg := core.Config{
 		Comparator: core.ComparatorLoose,
@@ -90,11 +143,7 @@ func RunE1Queries(strat ie.Strategy, braidLayer, allSolutions bool, only []logic
 	if err != nil {
 		panic(err)
 	}
-	queries := w.Queries
-	if only != nil {
-		queries = only
-	}
-	for _, q := range queries {
+	for _, q := range w.Queries {
 		sol, err := sys.Ask(q)
 		if err != nil {
 			panic(fmt.Sprintf("E1 %s: %v", q, err))

@@ -137,7 +137,9 @@ func TestE1Shape(t *testing.T) {
 	tuples := colIndex(t, tab, "tuples")
 	// Row order: interp-loose/{all,first}, conj-loose/{all,first},
 	// compiled-loose/{all,first}, interp-braid/{all,first},
-	// interp-loose/anc-first, compiled-loose/anc-first.
+	// interp-loose/anc-first, compiled-loose/anc-first, then the chain rows:
+	// for each recursive form and each of a bound and a free goal, the
+	// interpreted, conjunction and compiled strategies.
 	// Claim 1: compiled issues far fewer remote requests than interpreted
 	// for all-solutions under loose coupling.
 	if !(cell(t, tab, 4, remote) < cell(t, tab, 0, remote)) {
@@ -165,6 +167,20 @@ func TestE1Shape(t *testing.T) {
 	ans := colIndex(t, tab, "answers")
 	if cell(t, tab, 0, ans) != cell(t, tab, 2, ans) || cell(t, tab, 2, ans) != cell(t, tab, 4, ans) || cell(t, tab, 4, ans) != cell(t, tab, 6, ans) {
 		t.Errorf("strategies disagree on answer count\n%s", tab)
+	}
+	// Every strategy answers each chain row's recursion as the compiled one,
+	// the fixpoint, does, in every form: 50 answers bound and 1 275 free.
+	const chain = 10
+	if len(tab.Rows) != chain+3*2*3 {
+		t.Fatalf("E1 has %d rows, want %d\n%s", len(tab.Rows), chain+3*2*3, tab)
+	}
+	for r := chain; r < len(tab.Rows); r += 3 {
+		want := map[bool]float64{true: 50, false: 50 * 51 / 2}[(r-chain)/3%2 == 0]
+		for k := 0; k < 3; k++ {
+			if got := cell(t, tab, r+k, ans); got != cell(t, tab, r+2, ans) || got != want {
+				t.Errorf("%s %s: %v answers, compiled %v, want %v\n%s", tab.Rows[r+k][0], tab.Rows[r+k][2], got, cell(t, tab, r+2, ans), want, tab)
+			}
+		}
 	}
 }
 

@@ -95,7 +95,14 @@ type Engine struct {
 
 	// runners holds the runners of closed asks. It is a sync.Pool, not a
 	// free list, so that what it holds is the collector's to drop: a kept
-	// runner costs no live heap once two collections pass it by.
+	// runner costs no live heap once two collections pass it by. An ask
+	// takes no runner that a collection finished on while it waited,
+	// though. The pool keeps such a runner for one more collection, in a
+	// slot of the P that gave it back, so whether the next ask finds it
+	// would depend on the P the ask runs on, and with it which ask regrows
+	// a runner's storage, its answer tables most of all. Dropped at the
+	// first collection, a runner is regrown where the asks and the
+	// collections alone put it.
 	runners sync.Pool
 }
 
@@ -241,6 +248,9 @@ func (e *Engine) AskCtx(ctx context.Context, goal logic.Atom) (*Solutions, error
 		}
 	}
 	r, _ := e.runners.Get().(*runner)
+	if r != nil && r.gcs.read() != r.closedAt {
+		r = nil // a collection finished while it waited: see runners
+	}
 	if r == nil {
 		r = &runner{engine: e}
 		r.choices, r.free = r.buf[:0], r.freeBuf[:0]

@@ -303,48 +303,80 @@ func answerRel(g logic.Atom, ext *relation.Relation) *relation.Relation {
 	return relation.DistinctRel(out)
 }
 
-// TestRecursionAncestor checks a right-linear recursive program across
-// strategies. The program's shape, not its data, is what limits the test:
-// the interpreted and conjunction strategies prune a call that is a variant
-// of an open ancestor, which is safe for right-linear recursion but loses
-// answers of left-linear and non-linear recursion even on acyclic data
-// (ROADMAP items 3 and 7).
+// TestRecursionAncestor asks anc in its left-linear, right-linear and
+// non-linear forms, free and with its first argument bound, under every
+// strategy, over a small tree and over a 200-edge chain: each strategy
+// answers what naiveBottomUp derives. The three forms define one relation,
+// so the reference is derived once a dataset, from the left-linear form;
+// FuzzFixpoint's seeds derive the chain's from the non-linear form too. The
+// interpreted and conjunction strategies table anc's calls; before they did,
+// they pruned a call that was a variant of an open ancestor, which lost the
+// answers of left-linear and non-linear recursion (1 of the chain's 200 to
+// anc(0, Y)). Tabled, the interpreted strategy answers left-linear
+// anc(0, Y) on the chain in at most n + 2 CAQL queries: e(0, Y), and
+// e(Z, Y) once for each of the table's answers as its follower reads them.
 func TestRecursionAncestor(t *testing.T) {
-	kb := mustKB(t, `
-		:- base(parent/2).
-		anc(X, Y) :- parent(X, Y).
-		anc(X, Y) :- parent(X, Z), anc(Z, Y).
-	`)
-	parent := relation.New("parent", relation.NewSchema(
+	tree := relation.New("e", relation.NewSchema(
 		relation.Attr{Name: "p", Kind: relation.KindString},
 		relation.Attr{Name: "c", Kind: relation.KindString}))
 	for _, pc := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "e"}, {"e", "f"}} {
-		parent.MustAppend(relation.Tuple{relation.Str(pc[0]), relation.Str(pc[1])})
+		tree.MustAppend(relation.Tuple{relation.Str(pc[0]), relation.Str(pc[1])})
 	}
-	src := caql.MapSource{"parent": parent}
-	want := bottomUpAnswers(t, kb, src, "anc(X, Y)?")
-	if want.Len() != 9 {
-		t.Fatalf("bottom-up anc count = %d, want 9", want.Len())
-	}
-	for _, strat := range []Strategy{StrategyInterpreted, StrategyConjunction, StrategyCompiled} {
-		eng := New(kb, &mapDS{src: src}, Options{Strategy: strat})
-		got := answersOf(t, eng, "anc(X, Y)?")
-		if !got.EqualAsSet(want) {
-			t.Fatalf("strategy %s anc wrong:\ngot %v\nwant %v", strat, got.Sort(), want.Sort())
+	const n = 200
+	chain, _ := fixpointData(nil, 0, n)
+	const program = ":- base(e/2).\nanc(X, Y) :- e(X, Y).\n"
+	anc := logic.PredRef{Name: "anc", Arity: 2}
+	for _, data := range []struct {
+		name        string
+		src         caql.MapSource
+		root        logic.Term
+		bound, free int
+	}{
+		{"tree", caql.MapSource{"e": tree}, logic.CStr("a"), 5, 9},
+		{"chain", chain, logic.CInt(0), n, n * (n + 1) / 2},
+	} {
+		want, _, err := naiveBottomUp(mustKB(t, program+"anc(X, Y) :- anc(X, Z), e(Z, Y)."), data.src, []logic.PredRef{anc})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Bound query.
-	wantA := bottomUpAnswers(t, kb, src, `anc("a", Y)?`)
-	for _, strat := range []Strategy{StrategyInterpreted, StrategyCompiled} {
-		eng := New(kb, &mapDS{src: src}, Options{Strategy: strat})
-		got := answersOf(t, eng, `anc("a", Y)?`)
-		if !got.EqualAsSet(wantA) {
-			t.Fatalf("strategy %s anc(a,Y) wrong:\ngot %v\nwant %v", strat, got.Sort(), wantA.Sort())
+		for _, form := range []struct{ name, rec string }{
+			{"left-linear", "anc(X, Y) :- anc(X, Z), e(Z, Y)."},
+			{"right-linear", "anc(X, Y) :- e(X, Z), anc(Z, Y)."},
+			{"non-linear", "anc(X, Y) :- anc(X, Z), anc(Z, Y)."},
+		} {
+			kb := mustKB(t, program+form.rec)
+			for _, goal := range []struct {
+				atom    logic.Atom
+				answers int
+			}{
+				{logic.A("anc", data.root, logic.V("Y")), data.bound},
+				{logic.A("anc", logic.V("X"), logic.V("Y")), data.free},
+			} {
+				wantAnswers := answerRel(goal.atom, want[anc])
+				if wantAnswers.Len() != goal.answers {
+					t.Fatalf("%s: the reference derives %d answers to %s, want %d", data.name, wantAnswers.Len(), goal.atom, goal.answers)
+				}
+				for _, strat := range []Strategy{StrategyInterpreted, StrategyConjunction, StrategyCompiled} {
+					ds := &mapDS{src: data.src}
+					sol, err := New(kb, ds, Options{Strategy: strat}).Ask(goal.atom)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := relation.DistinctRel(sol.Tuples()); sol.Err() != nil || !got.EqualAsSet(wantAnswers) {
+						t.Errorf("%s %s %s, %s: %d answers (%v), want %d", data.name, form.name, goal.atom, strat, got.Len(), sol.Err(), goal.answers)
+					}
+					if data.name == "chain" && form.name == "left-linear" && goal.answers == n && strat == StrategyInterpreted && len(ds.queries) > n+2 {
+						t.Errorf("chain left-linear %s, %s: %d CAQL queries, want at most %d", goal.atom, strat, len(ds.queries), n+2)
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestRecursionCyclicCompiled: the compiled strategy handles cyclic data.
+// TestRecursionCyclicCompiled: every strategy, the compiled one and the two
+// that table recursive calls, answers right-linear reach over a cycle,
+// 1 → 2 → 3 → 1, with 3 → 4 off it.
 func TestRecursionCyclicCompiled(t *testing.T) {
 	kb := mustKB(t, `
 		:- base(edge/2).
@@ -358,11 +390,12 @@ func TestRecursionCyclicCompiled(t *testing.T) {
 		edge.MustAppend(relation.Tuple{relation.Int(e[0]), relation.Int(e[1])})
 	}
 	src := caql.MapSource{"edge": edge}
-	eng := New(kb, &mapDS{src: src}, Options{Strategy: StrategyCompiled})
-	got := answersOf(t, eng, "reach(1, Y)?")
-	// 1 reaches 2,3,1,4.
-	if got.Len() != 4 {
-		t.Fatalf("reach(1,Y) = %v", got.Sort())
+	for _, strat := range []Strategy{StrategyInterpreted, StrategyConjunction, StrategyCompiled} {
+		got := answersOf(t, New(kb, &mapDS{src: src}, Options{Strategy: strat}), "reach(1, Y)?")
+		// 1 reaches 2, 3, 1 and 4.
+		if got.Len() != 4 {
+			t.Errorf("strategy %s: reach(1, Y) = %v", strat, got.Sort())
+		}
 	}
 }
 

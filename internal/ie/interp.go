@@ -1,9 +1,9 @@
 package ie
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"runtime/metrics"
 	"strconv"
 
 	"repro/internal/bridge"
@@ -20,21 +20,23 @@ const maxDepth = 4096
 // depth-first SLD resolution with chronological backtracking (Section 4's
 // "well-known depth-first with chronological backtracking strategy of
 // Prolog"), where base-atom segments become CAQL queries whose result
-// streams are consumed tuple-at-a-time. Variant-ancestor pruning guards
-// against rule-level loops (like Prolog, cyclic *data* under recursive rules
-// is the fully-compiled strategy's territory; see nextCompiled).
+// streams are consumed tuple-at-a-time. A call to a recursive predicate is
+// tabled (table.go), so left-linear, non-linear and mutual recursion, and
+// cyclic data, end with every answer the fixpoint derives.
 //
 // The search resumes from a stack of choices, its open alternatives: a
-// segment's open stream or a call's next clause. It binds in one
-// logic.Bindings: applying a clause pushes its frame, and everything bound
-// since a choice was pushed is undone when the search backtracks into it.
-// What runs after a called clause's body succeeds is a cont on a stack, and
-// the open calls' variant keys are entries of one byte arena, each linked to
-// its caller's; backtracking cuts both back to the choice's heights.
+// segment's open stream, a call's next clause, or a tabled call's next
+// answer. It binds in one logic.Bindings: applying a clause pushes its frame,
+// and everything bound since a choice was pushed is undone when the search
+// backtracks into it. What runs after a called clause's body succeeds is a
+// cont on a stack, and the open pioneers are entries of an ancestor stack,
+// each linked to its caller's; backtracking cuts both back to the choice's
+// heights.
 //
 // A runner outlives its ask: close resets it and gives it back to its engine,
-// which hands it to a later ask with every stack's capacity and its free
-// query blocks, so a warm ask grows none of them again.
+// which hands it to a later ask, unless a collection finished in between,
+// with every stack's capacity, its free query blocks and its tables' storage,
+// so a warm ask grows none of them again.
 type runner struct {
 	engine   *Engine
 	ctx      context.Context // the ask's: every query runs under it
@@ -56,21 +58,40 @@ type runner struct {
 	b     logic.Bindings
 	conts []cont
 	anc   []ancestor
-	keys  []byte
 	roots []rootName // scratch: free roots in order of first occurrence
+	tabs  tables     // the ask's answer tables
 
 	answers []answer // the compiled strategy's, derived by the first next
 	built   bool
 
 	adv adviceBlock // the ask's advice, built at AskCtx, emptied by close
+
+	gcs      gcCount
+	closedAt uint64 // the collections finished when close gave it back
+}
+
+// gcCount reads how many garbage collections have finished, into a sample
+// of its own, so that a read allocates nothing.
+type gcCount [1]metrics.Sample
+
+func (s *gcCount) read() uint64 {
+	if s[0].Name == "" {
+		s[0].Name = "/gc/cycles/total:gc-cycles"
+	}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64()
 }
 
 // choice is an open alternative. A segment's is its open stream for the
 // query in blk: each further tuple binds the head of seg and resumes goal,
 // the rest of the clause. A call's is its clauses not yet tried; the call is
-// conts[conts-1] and its ancestor entry anc[anc-1]. The bindings mark and the
-// stack heights are the search's state when the choice was pushed, restored
-// by every retry.
+// conts[conts-1]. A tabled call's is also its table tab and the newest of
+// its answers it has delivered, at (-1: none). A pioneer's clauses are its predicate's, pc, its
+// ancestor entry is anc[anc-1] and its entry on the tables' SCC stack scc; a
+// follower, or a call whose table is complete, has no clauses and only reads.
+// tab is -1 for a call to a predicate that is not recursive. The bindings
+// mark and the stack heights are the search's state when the choice was
+// pushed, restored by every retry.
 type choice struct {
 	goal    cont
 	stream  *bridge.Stream
@@ -78,8 +99,11 @@ type choice struct {
 	seg     *viewTemplate
 	clauses []*compiledClause
 
-	mark             logic.Mark
-	conts, anc, keys int
+	pc           *predCode
+	tab, at, scc int32
+
+	mark       logic.Mark
+	conts, anc int
 }
 
 // rootName is a free root and the variable that reached it first.
@@ -92,18 +116,22 @@ type rootName struct {
 // ancestors anc, at depth, continued by conts[next] when they succeed (-1:
 // the goal is answered), with the clause's proof steps so far in acc. On the
 // conts stack it is what runs each time a called clause succeeds, and keeps
-// what the rule step cites: the call and the clause being tried.
+// what the rule step cites: the call and the clause being tried; a tabled
+// call's also keeps its choice, choices[ch] (-1 for an untabled call).
 type cont struct {
-	items                  []bodyItem
-	base, anc, depth, next int
-	call                   *logic.NumAtom
-	cc                     *compiledClause
-	acc                    []*Proof
+	items                      []bodyItem
+	base, anc, depth, next, ch int
+	call                       *logic.NumAtom
+	cc                         *compiledClause
+	acc                        []*Proof
 }
 
-// ancestor is an open call: its variant key is keys[start:end], and parent is
-// the index of its caller's entry (-1 at the goal).
-type ancestor struct{ start, end, parent int }
+// ancestor is an open pioneer: its table, its entry on the tables' SCC
+// stack, and the index of the nearest pioneer it was called under (-1: none).
+type ancestor struct {
+	tab, scc int32
+	parent   int
+}
 
 // next produces the search's next answer in depth-first order: it backtracks
 // into the newest choice while the goal is spent, and proves the goal's items
@@ -163,20 +191,22 @@ func (r *runner) close() {
 	}
 	r.session.End()
 	r.adv.empty()
+	r.tabs.reset()
 	clear(r.choices)
 	clear(r.conts)
-	r.choices, r.conts, r.anc, r.keys = r.choices[:0], r.conts[:0], r.anc[:0], r.keys[:0]
+	r.choices, r.conts, r.anc = r.choices[:0], r.conts[:0], r.anc[:0]
 	r.b.Undo(logic.Mark{})
 	r.answers, r.built = nil, false
 	r.ctx, r.sh, r.vars, r.session = nil, nil, nil, nil
 	r.g, r.goal, r.goalAtom = cont{}, [1]bodyItem{}, logic.NumAtom{}
+	r.closedAt = r.gcs.read()
 	r.engine.runners.Put(r)
 }
 
 // push records c with the search's state, which every retry of c restores.
 func (r *runner) push(c choice) {
 	c.mark = r.b.Mark()
-	c.conts, c.anc, c.keys = len(r.conts), len(r.anc), len(r.keys)
+	c.conts, c.anc = len(r.conts), len(r.anc)
 	r.choices = append(r.choices, c)
 }
 
@@ -186,10 +216,13 @@ func (r *runner) push(c choice) {
 // its query block goes back on the free list.
 func (r *runner) retry() (ok bool, err error) {
 	c := &r.choices[len(r.choices)-1]
-	r.conts, r.anc, r.keys = r.conts[:c.conts], r.anc[:c.anc], r.keys[:c.keys]
-	if c.stream != nil {
+	r.conts, r.anc = r.conts[:c.conts], r.anc[:c.anc]
+	switch {
+	case c.stream != nil:
 		ok, err = r.nextTuple(c)
-	} else {
+	case c.tab >= 0:
+		ok, err = r.nextAnswer(c)
+	default:
 		ok, err = r.nextClause(c)
 	}
 	if !ok {
@@ -231,10 +264,15 @@ func (r *runner) nextTuple(c *choice) (bool, error) {
 }
 
 // nextClause makes the body of the call's next clause whose head unifies the
-// goal.
+// goal. A pioneer's clauses run under its ancestor entry, an untabled call's
+// under its caller's.
 func (r *runner) nextClause(c *choice) (bool, error) {
 	k := c.conts - 1
 	call := &r.conts[k]
+	anc := call.anc
+	if c.pc != nil {
+		anc = c.anc - 1
+	}
 	for len(c.clauses) > 0 {
 		r.b.Undo(c.mark)
 		cc := c.clauses[0]
@@ -247,10 +285,105 @@ func (r *runner) nextClause(c *choice) (bool, error) {
 			return false, fmt.Errorf("ie: SLD depth limit %d exceeded (non-terminating recursion?)", maxDepth)
 		}
 		call.cc = cc
-		r.g = cont{items: cc.items, base: callee, anc: c.anc - 1, depth: call.depth + 1, next: k}
+		r.g = cont{items: cc.items, base: callee, anc: anc, depth: call.depth + 1, next: k}
 		return true, nil
 	}
 	return false, nil
+}
+
+// nextAnswer makes the goal the caller of a tabled call, with the call bound
+// to the next answer of its table it has not delivered; once it has
+// delivered them all, a pioneer runs its next clause, and a pioneer whose
+// clauses are spent settles its SCC, which may run them again. A call that
+// only reads records, when it stops, the last answer it read.
+func (r *runner) nextAnswer(c *choice) (bool, error) {
+	for {
+		t := &r.tabs.tabs[c.tab]
+		if c.at != t.last {
+			r.b.Undo(c.mark)
+			c.at = r.tabs.after(t, c.at)
+			if r.deliver(c, c.at) {
+				return true, nil
+			}
+			continue
+		}
+		if c.pc == nil {
+			t.stop = min(t.stop, c.at)
+			return false, nil
+		}
+		if ok, err := r.nextClause(c); ok || err != nil {
+			return ok, err
+		}
+		if !r.tabs.settle(c) {
+			return false, nil
+		}
+	}
+}
+
+// deliver binds the tabled call of choice c to answer rec of its table and
+// makes the goal the call's caller.
+func (r *runner) deliver(c *choice, rec int32) bool {
+	k := &r.conts[c.conts-1]
+	vals := r.tabs.answer(rec)
+	for j, n := range k.call.Nums {
+		if n >= 0 && !r.b.UnifyConst(k.base+int(n), vals[j]) {
+			return false
+		}
+	}
+	acc := k.acc
+	if r.engine.opts.Explain {
+		acc = appendProof(k.acc, r.tabs.proofs[rec])
+	}
+	r.g = cont{items: k.items, base: k.base, anc: k.anc, depth: k.depth, next: k.next, acc: acc}
+	return true
+}
+
+// call makes a call's choice: its clauses, or for a call to a recursive
+// predicate its table's, as tabling has it. A call whose table is complete
+// reads it. A call with an open ancestor pioneer of its table follows that
+// pioneer. A call whose table has an entry on the SCC stack, waiting or open,
+// follows the nearest of its ancestors that started no later than that
+// entry: it reads the table, and that ancestor's SCC, whose re-run would run
+// the call again, completes no sooner than the table's. Any other call
+// pioneers its table, starting an entry on the SCC stack and an ancestor
+// entry. A follower marks the newest entry on the SCC stack with the
+// ancestor it follows.
+func (r *runner) call(k *cont, pc *predCode) choice {
+	k.ch = -1
+	if !pc.tabled {
+		return choice{clauses: pc.clauses, tab: -1}
+	}
+	ts := &r.tabs
+	start := len(ts.keys)
+	ts.keys = r.appendKey(ts.keys, k.call, k.base)
+	id := ts.find(start, len(k.call.Args))
+	k.ch = len(r.choices)
+	c := choice{tab: id, at: -1}
+	t := &ts.tabs[id]
+	if t.complete {
+		return c
+	}
+	follow := int32(-1)
+	for a := k.anc; a >= 0; a = r.anc[a].parent {
+		an := r.anc[a]
+		if an.tab == id {
+			follow = an.scc
+			break
+		}
+		if follow < 0 && an.scc <= t.sp {
+			follow = an.scc
+		}
+	}
+	if follow >= 0 {
+		e := &ts.scc[len(ts.scc)-1]
+		e.low = min(e.low, follow)
+		return c
+	}
+	c.clauses, c.pc, c.scc = pc.clauses, pc, int32(len(ts.scc))
+	t.sp = c.scc
+	ts.scc = append(ts.scc, sccEntry{tab: id, low: c.scc})
+	r.anc = append(r.anc, ancestor{tab: id, scc: c.scc, parent: k.anc})
+	return c
 }
 
 // step proves the goal's first item, or continues its caller when the
@@ -262,12 +395,26 @@ func (r *runner) step() (bool, error) {
 	if len(g.items) == 0 {
 		k := &r.conts[g.next]
 		acc := g.acc
+		var p *Proof
 		if explain {
-			acc = appendProof(k.acc, &Proof{
+			p = &Proof{
 				Kind:     "rule",
 				Detail:   fmt.Sprintf("%s by rule %s of %s", r.resolveAtom(k.call, k.base), ruleIDOf(k.cc), k.cc.key.Pred),
 				Children: g.acc,
-			})
+			}
+			acc = appendProof(k.acc, p)
+		}
+		if k.ch >= 0 {
+			// A tabled call's answer goes on at once only when it is new and the
+			// call has delivered every answer before it; its choice delivers the
+			// rest in table order.
+			c := &r.choices[k.ch]
+			last := r.tabs.tabs[c.tab].last
+			fresh, err := r.tabs.add(c.tab, &r.b, k.call, k.base, p)
+			if !fresh || c.at != last {
+				return false, err
+			}
+			c.at = r.tabs.tabs[c.tab].last
 		}
 		*g = cont{items: k.items, base: k.base, anc: k.anc, depth: k.depth, next: k.next, acc: acc}
 		return true, nil
@@ -300,18 +447,11 @@ func (r *runner) step() (bool, error) {
 		return r.retry()
 
 	case itemCall:
-		start := len(r.keys)
-		r.keys = r.appendKey(r.keys, it.atom, g.base)
-		for a := g.anc; a >= 0; a = r.anc[a].parent {
-			if bytes.Equal(r.keys[r.anc[a].start:r.anc[a].end], r.keys[start:]) {
-				return false, nil // variant ancestor: prune this branch
-			}
-		}
-		r.anc = append(r.anc, ancestor{start: start, end: len(r.keys), parent: g.anc})
 		k := *g
 		k.call = it.atom
+		c := r.call(&k, it.callee)
 		r.conts = append(r.conts, k)
-		r.push(choice{clauses: it.callee.clauses})
+		r.push(c)
 		return r.retry()
 
 	default:

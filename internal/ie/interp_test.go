@@ -4,21 +4,27 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/advice"
 	"repro/internal/bridge"
+	"repro/internal/cache"
 	"repro/internal/caql"
 	"repro/internal/logic"
 	"repro/internal/relation"
+	"repro/internal/remotedb"
 )
 
-// A call's variant key must stay among its ancestors while the caller's
-// continuation runs from inside it. g's second clause calls g(X), a variant
-// of the open call, and is pruned; before it runs, the continuation of g's
+// A call's ancestors must stay its ancestors while the caller's continuation
+// runs from inside it. g's second clause calls g(X), a variant of the open
+// call, which follows g(X)'s table; before it runs, the continuation of g's
 // first clause has called h(X) twice. When those calls shared the ancestor
 // list's spare slot with g's, h(10) overwrote g(V0), the recursive g(X) ran,
-// and p0(X)? answered X=20 twice from 7 CAQL queries.
+// and p0(X)? answered X=20 twice from 7 CAQL queries. The follower reads
+// g(X)'s answers, 10 and 20, and runs e(10, 3) and e(20, 3) for them, so the
+// ask issues 5 queries; the variant-ancestor pruning tabling replaced issued
+// 3, because it failed the recursive call instead.
 func TestVariantAncestorsSurviveContinuations(t *testing.T) {
 	kb := mustKB(t, `
 		:- base(e/2).
@@ -33,8 +39,8 @@ func TestVariantAncestorsSurviveContinuations(t *testing.T) {
 	for _, strat := range []Strategy{StrategyInterpreted, StrategyConjunction} {
 		ds := &mapDS{src: caql.MapSource{"e": e}}
 		got := New(kb, ds, Options{Strategy: strat}).mustAsk(t, "p0(X)?")
-		if got.Len() != 2 || relation.DistinctRel(got).Len() != 2 || len(ds.queries) != 3 {
-			t.Errorf("%s: answers %v from %d CAQL queries, want X=10 and X=20 from 3:\n%s",
+		if got.Len() != 2 || relation.DistinctRel(got).Len() != 2 || len(ds.queries) != 5 {
+			t.Errorf("%s: answers %v from %d CAQL queries, want X=10 and X=20 from 5:\n%s",
 				strat, got.Tuples(), len(ds.queries), strings.Join(ds.queries, "\n"))
 		}
 	}
@@ -87,9 +93,10 @@ func (d *replayDS) End() {}
 // allocates per CAQL query it issues: less than one, since a query's block
 // (the query with its body atoms and terms) is reused once its segment's
 // choice has popped, as are the binding frames, the continuation stack and
-// the ancestor keys. The data source replays streams built beforehand, so
-// the count is the IE's own, and a search of 402 queries for one answer
-// makes the ask's fixed cost (the session, the answer) small beside it.
+// the storage of the answer tables, one for each of the 201 path calls. The
+// data source replays streams built beforehand, so the count is the IE's
+// own, and a search of 402 queries for one answer makes the ask's fixed cost
+// (the session, the answer) small beside it.
 func TestInterpretedSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -272,4 +279,97 @@ func atomPtrs(as []logic.Atom) []*logic.Atom {
 		out[i] = &as[i]
 	}
 	return out
+}
+
+// TestPooledRunnerKeepsNoTable: an ask's answer tables go with its runner
+// only as storage. An ask of left-linear anc(0, Y) closed after its first
+// answer leaves its tables incomplete; its runner, back with the engine,
+// holds no table, key or answer value, and after an edge is inserted the
+// next ask on the engine answers what the fixpoint derives over the new
+// data, as it does after a drained ask and a second insert. Then four
+// goroutines ask left-linear, right-linear and non-linear goals, bound and
+// free, on one engine at once, on the runners the others give back, and
+// each answers what a serial ask answered.
+func TestPooledRunnerKeepsNoTable(t *testing.T) {
+	const n = 30
+	kb := mustKB(t, `
+		:- base(e/2).
+		lanc(X, Y) :- e(X, Y).
+		lanc(X, Y) :- lanc(X, Z), e(Z, Y).
+		ranc(X, Y) :- e(X, Y).
+		ranc(X, Y) :- e(X, Z), ranc(Z, Y).
+		nanc(X, Y) :- e(X, Y).
+		nanc(X, Y) :- nanc(X, Z), nanc(Z, Y).
+	`)
+	chain := make([][2]int64, n)
+	for i := range chain {
+		chain[i] = [2]int64{int64(i), int64(i + 1)}
+	}
+	src := caql.MapSource{"e": relationOfPairs("e", chain)}
+	eng := New(kb, &mapDS{src: src}, Options{Strategy: StrategyInterpreted})
+	sol, err := eng.AskText("lanc(0, Y)?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sol.search
+	if _, ok := sol.Next(); !ok {
+		t.Fatalf("lanc(0, Y) has no answer: %v", sol.Err())
+	}
+	if len(r.tabs.tabs) == 0 || r.tabs.tabs[0].complete {
+		t.Fatalf("the ask closed after one answer left %d tables, the first complete: the test needs an incomplete one", len(r.tabs.tabs))
+	}
+	sol.Close()
+	if len(r.tabs.tabs) != 0 || len(r.tabs.keys) != 0 || len(r.tabs.scc) != 0 || len(r.tabs.recs) != 0 {
+		t.Fatalf("a closed runner keeps %d tables, %d key bytes, %d SCC entries and %d answers",
+			len(r.tabs.tabs), len(r.tabs.keys), len(r.tabs.scc), len(r.tabs.recs))
+	}
+	for _, v := range r.tabs.vals[:cap(r.tabs.vals)] {
+		if !v.IsNull() {
+			t.Fatalf("a closed runner's table storage keeps the value %v", v)
+		}
+	}
+	// The drained asks leave complete tables behind them; the next insert
+	// must show in the asks after it all the same.
+	for i := int64(0); i < 2; i++ {
+		src["e"].MustAppend(relation.Tuple{relation.Int(n + i), relation.Int(n + i + 1)})
+		for _, goal := range []string{"lanc(0, Y)?", "lanc(X, Y)?"} {
+			if got, want := answersOf(t, eng, goal), bottomUpAnswers(t, kb, src, goal); !got.EqualAsSet(want) {
+				t.Fatalf("%s after insert %d: %d answers, the fixpoint %d", goal, i+1, got.Len(), want.Len())
+			}
+		}
+	}
+
+	var goals []string
+	for _, p := range []string{"lanc", "ranc", "nanc"} {
+		goals = append(goals, p+"(X, Y)?")
+		for _, c := range []int{0, 7, 19} {
+			goals = append(goals, fmt.Sprintf("%s(%d, Y)?", p, c), fmt.Sprintf("%s(X, %d)?", p, c))
+		}
+	}
+	w := remotedb.NewEngine()
+	w.LoadTable(src["e"])
+	newCMS := func() *cache.CMS {
+		return cache.New(remotedb.NewInProcClient(w, remotedb.DefaultCosts()),
+			cache.Options{Features: cache.AllFeatures(), Costs: remotedb.DefaultCosts()})
+	}
+	serial := New(kb, newCMS(), DefaultOptions())
+	want := make(map[string]string, len(goals))
+	for _, g := range goals {
+		want[g] = answerSet(t, serial, g)
+	}
+	shared := New(kb, newCMS(), DefaultOptions())
+	var wg sync.WaitGroup
+	for k := 0; k < 4; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for i := range goals {
+				g := goals[(i+k*5)%len(goals)]
+				if got := answerSet(t, shared, g); got != want[g] {
+					t.Errorf("goroutine %d, %s: %s, serially %s", k, g, got, want[g])
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
 }

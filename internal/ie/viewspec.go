@@ -55,8 +55,13 @@ type compiledClause struct {
 	items []bodyItem
 }
 
-// predCode is a derived predicate's compiled clauses, in program order.
-type predCode struct{ clauses []*compiledClause }
+// predCode is a derived predicate's compiled clauses, in program order, and
+// whether the predicate is recursive, so that the SLD strategies table its
+// calls.
+type predCode struct {
+	clauses []*compiledClause
+	tabled  bool
+}
 
 // compiledKB is an engine's compile state for one generation of its KB and
 // one reading of the catalog statistics its shaper consulted: every derived
@@ -136,7 +141,7 @@ func (ck *compiledKB) pred(ref logic.PredRef) *predCode {
 		return pc
 	}
 	rules := ck.kb.Rules(ref)
-	pc := &predCode{clauses: make([]*compiledClause, 0, len(rules))}
+	pc := &predCode{clauses: make([]*compiledClause, 0, len(rules)), tabled: ck.kb.IsRecursive(ref)}
 	ck.preds[ref] = pc // before its clauses, which may call it
 	for idx, clause := range rules {
 		shaped, ok := shapeClause(ck.kb, &ck.sh, clause)
