@@ -21,7 +21,10 @@ import (
 // TestInsertWhileQuerying is the invisible-cache contract under concurrent
 // writes. N writers insert uniquely tagged batches into w through the CMS's
 // own client while M reader sessions query one view over w and one over the
-// untouched table u, over both transports and at engine dop {1, 4}. Every
+// untouched table u, over both transports and at engine dop {1, 4}. After
+// each of its batches the first writer waits until every reader has begun a
+// query since, as in TestIdentityHitConcurrent, so reads of w fall between
+// acknowledged batches and meet the element a batch made stale. Every
 // answer over w must be a union of whole batches, holding every batch
 // acknowledged before the query began and none issued after it ended — the
 // extension of w at some moment inside the query. Every answer over u must
@@ -100,26 +103,47 @@ func insertWhileQuerying(t *testing.T, transport string, dop, writers, readers, 
 		readWG  sync.WaitGroup
 		done    atomic.Bool
 		start   = make(chan struct{}) // closed once every goroutine exists, so they overlap
+		// seen[i] is the number of batches acknowledged before reader i
+		// began the last query over w it finished; a reader that stops sets
+		// it to MaxInt64.
+		seen = make([]atomic.Int64, readers)
 	)
 	for i := 0; i < writers; i++ {
 		writing.Add(1)
 		go func() {
 			defer writing.Done()
 			<-start
-			log.write(t, client, batches)
+			if i > 0 {
+				log.write(t, client, batches)
+				return
+			}
+			for b := 0; b < batches; b++ {
+				if !log.write(t, client, 1) {
+					return
+				}
+				acked := log.ackedCount()
+				for r := range seen {
+					for seen[r].Load() < acked {
+						runtime.Gosched()
+					}
+				}
+			}
 		}()
 	}
 	for i := 0; i < readers; i++ {
 		readWG.Add(1)
 		go func() {
 			defer readWG.Done()
+			defer seen[i].Store(math.MaxInt64)
 			s := cms.BeginSession(nil)
 			defer s.End()
 			<-start
 			for n := 0; n < 5 || !done.Load(); n++ {
+				acked := log.ackedCount()
 				if log.query(t, s, viewW) == nil {
 					return
 				}
+				seen[i].Store(acked)
 				got, err := drainView(s, viewU)
 				if err != nil {
 					t.Errorf("query over u: %v", err)

@@ -59,9 +59,15 @@ type wireFrame struct {
 
 	Req *wireRequest // frameReq
 
-	Name  string     // frameHeader: result relation name
-	Attrs []wireAttr // frameHeader; frameEnd for the "schema" op
+	Name  string     // frameHeader, as written: result relation name
+	Attrs []wireAttr // frameHeader, as written; frameEnd for the "schema" op
 	Batch []byte     // frameBatch: one column batch of the header's arity
+
+	// Head, on a header frame readFrame decoded, is the header's encoded Name
+	// and Attrs, checked but not built: it aliases the payload, and the
+	// client resolves it to a schema it keeps (muxConn.resolveHead). Name and
+	// Attrs stay empty on such a frame, and appendFrame writes Head back.
+	Head []byte
 
 	// Resume, on a header frame, is the encoded resume token (resume.go) when
 	// this stream is resumable — empty for the materializing execution path.
@@ -82,8 +88,7 @@ type wireFrame struct {
 	// give a client every table's version as of the highest Epoch it has
 	// seen, which is what the CMS checks a cached view's stamp against.
 	// Versions is a pointer, not a slice: 8 bytes on every frame rather than
-	// 24, for the frames that are not pooled (the ones a side writes, and the
-	// requests a server reads).
+	// 24, for the frames that are not pooled (the ones a side writes).
 	Epoch    uint64         // frameHeader, frameEnd
 	Versions *[]wireVersion // frameHeader, frameEnd
 
@@ -93,15 +98,21 @@ type wireFrame struct {
 }
 
 // framePool holds the frames readFrame decodes, each with the payload buffer
-// it keeps between uses. A sync.Pool rather than a free list: what it holds
-// does not outlive a collection, so an idle client keeps no payload resident.
+// it keeps between uses. Both sides of a connection read through it and give
+// back every frame they read: the server a request or cancel frame once it
+// has copied out the ID and the request (serveFramed); the client a header
+// once it has resolved it, a batch once its consumer has decoded it, an end
+// frame once its stream or catalog request has taken its outcome, and a frame
+// for a stream that is gone at once (readLoop). A sync.Pool rather than a
+// free list: what it holds does not outlive a collection, so an idle client
+// keeps no payload resident.
 var framePool = sync.Pool{New: func() any { return new(wireFrame) }}
 
 // release hands a frame readFrame returned back to framePool, keeping its
 // payload buffer; nothing of the frame may be used after. Decoded fields
-// never alias the buffer except Batch (strings are copied), so only a batch
-// must be decoded first. A frame that was not pooled (one past reuseLimit)
-// is left to the collector.
+// never alias the buffer except Batch and Head (strings are copied), so only
+// those must be used first. A frame that was not pooled (one past
+// reuseLimit) is left to the collector.
 func (f *wireFrame) release() {
 	if f.buf == nil {
 		return
@@ -127,7 +138,11 @@ func appendFrame(dst []byte, f *wireFrame) []byte {
 		dst = appendString(appendString(appendString(appendString(dst, r.Op), r.SQL), r.Name), r.Resume)
 		dst = binary.AppendUvarint(binary.AppendVarint(dst, r.Skip), r.Trace)
 	case frameHeader:
-		dst = appendAttrs(appendString(dst, f.Name), f.Attrs)
+		if f.Head != nil {
+			dst = append(dst, f.Head...)
+		} else {
+			dst = appendAttrs(appendString(dst, f.Name), f.Attrs)
+		}
 		dst = appendBool(appendString(dst, f.Resume), f.Resumed)
 		dst = appendVersions(binary.AppendUvarint(dst, f.Epoch), f.versions())
 	case frameBatch:
@@ -156,17 +171,17 @@ func decodeFrame(payload []byte) (*wireFrame, error) {
 
 // decode decodes one payload into f, whose fields must be zero. The input is
 // not trusted: every failure is a *ProtocolError, never a panic. A batch
-// frame's Batch aliases payload.
+// frame's Batch and a header's Head alias payload.
 func (f *wireFrame) decode(payload []byte) error {
 	d := wireDec{b: payload}
 	f.Kind, f.ID = d.u8(), d.uvarint()
 	switch f.Kind {
 	case frameReq:
-		f.Req = &wireRequest{Op: d.string(), SQL: d.string(), Name: d.string(), Resume: d.string(), Skip: d.varint(), Trace: d.uvarint()}
+		f.Req = &wireRequest{Op: d.op(), SQL: d.string(), Name: d.string(), Resume: d.string(), Skip: d.varint(), Trace: d.uvarint()}
 	case frameCancel:
 	case frameHeader:
-		f.Name, f.Attrs, f.Resume, f.Resumed = d.string(), d.attrs(), d.string(), d.bool()
-		f.Epoch, f.Versions = d.uvarint(), versionsRef(d.versions())
+		f.Head, f.Resume, f.Resumed = d.head(), d.string(), d.bool()
+		f.Epoch, f.Versions = d.uvarint(), d.versions()
 	case frameBatch:
 		f.Batch = d.rest()
 	case frameEnd:
@@ -178,7 +193,7 @@ func (f *wireFrame) decode(payload []byte) error {
 				f.Tables[i] = d.string()
 			}
 		}
-		f.Epoch, f.Versions = d.uvarint(), versionsRef(d.versions())
+		f.Epoch, f.Versions = d.uvarint(), d.versions()
 	default:
 		d.fail("unknown frame kind %d", f.Kind)
 	}
@@ -186,13 +201,6 @@ func (f *wireFrame) decode(payload []byte) error {
 		return &ProtocolError{Op: "read frame", Err: err}
 	}
 	return nil
-}
-
-func versionsRef(vs []wireVersion) *[]wireVersion {
-	if vs == nil {
-		return nil
-	}
-	return &vs
 }
 
 // writeFrame frames f in *buf, the writer's buffer reused from frame to

@@ -163,11 +163,15 @@ func TestFrameRoundTripAllKinds(t *testing.T) {
 }
 
 // FuzzDecodeFrame: arbitrary bytes decode to a typed error or to a frame that
-// re-encodes to exactly those bytes; never a panic.
+// re-encodes to exactly those bytes; never a panic. A header's or an end
+// frame's attrs then build a schema or an error, a repeated name included.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, fr := range sampleFrames() {
 		f.Add(appendFrame(nil, fr))
 	}
+	twice := []wireAttr{{Name: "x", Kind: 1}, {Name: "x", Kind: 2}}
+	f.Add(appendFrame(nil, &wireFrame{ID: 9, Kind: frameHeader, Name: "r", Attrs: twice}))
+	f.Add(appendFrame(nil, &wireFrame{ID: 9, Kind: frameEnd, Attrs: twice}))
 	f.Add(appendFrame(nil, &wireFrame{ID: 9, Kind: frameReq, Req: &wireRequest{Op: "exec", SQL: "SELECT 1", Skip: -1}}))
 	f.Add(appendFrame(nil, &wireFrame{ID: 9, Kind: frameCancel}))
 	f.Add(appendFrame(nil, &wireFrame{ID: 9, Kind: frameEnd, Err: "no", Stats: TableStats{Rows: 2, Distinct: []int{2}}, Tables: []string{"t"}}))
@@ -183,7 +187,33 @@ func FuzzDecodeFrame(f *testing.F) {
 		if again := appendFrame(nil, fr); !bytes.Equal(again, payload) {
 			t.Fatalf("re-encoded %x, decoded from %x", again, payload)
 		}
+		attrs := fr.Attrs
+		if fr.Kind == frameHeader {
+			d := wireDec{b: fr.Head}
+			d.string()
+			if attrs = d.attrs(); d.done() != nil {
+				t.Fatalf("a decoded header's Head %x does not decode: %v", fr.Head, d.done())
+			}
+			if _, _, err := decodeHead(fr.Head); (err == nil) != distinctNames(attrs) {
+				t.Fatalf("decodeHead of %v: %v", attrs, err)
+			}
+		}
+		sch, err := fromWireAttrs(attrs)
+		if (err == nil) != distinctNames(attrs) || err == nil && sch.Arity() != len(attrs) {
+			t.Fatalf("fromWireAttrs of %v: %v", attrs, err)
+		}
 	})
+}
+
+func distinctNames(attrs []wireAttr) bool {
+	seen := map[string]bool{}
+	for _, a := range attrs {
+		if seen[a.Name] {
+			return false
+		}
+		seen[a.Name] = true
+	}
+	return true
 }
 
 // TestStreamRejectsBatchOfWrongArity: a batch frame is checked against the
@@ -229,7 +259,7 @@ func TestWireAllocsPerTuple(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
-	const rows, perStream = 100_000, 100
+	const rows, perStream = 100_000, 80
 	attrs := []relation.Attr{{Name: "k", Kind: relation.KindInt}, {Name: "g", Kind: relation.KindString}, {Name: "v", Kind: relation.KindFloat}}
 	shapes := []struct {
 		name     string

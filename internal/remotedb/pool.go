@@ -271,7 +271,11 @@ func (p *PoolClient) RelationSchema(name string, arity int) (*relation.Schema, e
 	if err != nil {
 		return nil, err
 	}
-	sch := fromWireAttrs(resp.Attrs)
+	defer resp.release()
+	sch, err := fromWireAttrs(resp.Attrs)
+	if err != nil {
+		return nil, &ProtocolError{Op: "schema", Err: err}
+	}
 	if arity >= 0 && sch.Arity() != arity {
 		return nil, errArity(name, sch.Arity(), arity)
 	}
@@ -284,6 +288,7 @@ func (p *PoolClient) TableStats(name string) (TableStats, error) {
 	if err != nil {
 		return TableStats{}, err
 	}
+	defer resp.release()
 	return resp.Stats, nil
 }
 
@@ -293,6 +298,7 @@ func (p *PoolClient) Tables() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer resp.release()
 	return resp.Tables, nil
 }
 
@@ -318,7 +324,40 @@ type muxConn struct {
 
 	wmu  sync.Mutex // serializes frame writes
 	wbuf []byte     // the frame being written; guarded by wmu
+
+	// heads maps the encoded name and attrs of the headers this connection
+	// has read (wireFrame.Head) to what they resolve to, so a statement of a
+	// shape seen before gets the schema the first one built. The bytes are
+	// the whole schema, so an entry stays right across redials and table
+	// replacements. At most maxHeads entries; guarded by mu.
+	heads map[string]streamHead
+	// spare holds the channels of streams that ended cleanly, for the next
+	// execStream: at most keptChans, each frames channel empty and each gone
+	// channel open; guarded by mu.
+	spare []streamChans
 }
+
+// streamHead is what a header's name and attrs resolve to. Schemas are
+// immutable, so every stream of one header shares it.
+type streamHead struct {
+	name   string
+	schema *relation.Schema
+}
+
+// streamChans is the channel pair of one stream, kept for the next.
+type streamChans struct {
+	frames chan *wireFrame
+	gone   chan struct{}
+}
+
+// maxHeads bounds a connection's header memo: one that holds as many starts
+// over. A workload's result shapes are few, and an entry is a few dozen bytes.
+const maxHeads = 64
+
+// keptChans bounds a connection's spare channel pairs. The connection runs
+// as many streams at once as its callers do, and a pair beyond those would
+// wait unused.
+const keptChans = 4
 
 // ensure makes the connection usable, dialing it if it was never dialed or
 // redialing it if a teardown broke it.
@@ -518,18 +557,17 @@ func (c *muxConn) writeFrame(f *wireFrame) error {
 // execStream starts one streamed exec request.
 func (c *muxConn) execStream(ctx context.Context, sql, resume string, skip int64) (TupleStream, error) {
 	id := c.p.nextID.Add(1)
-	st := &muxStream{
-		c:      c,
-		id:     id,
-		ctx:    ctx,
-		frames: make(chan *wireFrame, c.p.opts.StreamWindow),
-		gone:   make(chan struct{}),
-		issued: time.Now(),
-	}
+	st := &muxStream{c: c, id: id, ctx: ctx, issued: time.Now()}
 	c.mu.Lock()
 	if c.broken || c.streams == nil {
 		c.mu.Unlock()
 		return nil, &TransportError{Op: "exec", Err: ErrBrokenConn}
+	}
+	if n := len(c.spare); n > 0 {
+		st.frames, st.gone = c.spare[n-1].frames, c.spare[n-1].gone
+		c.spare = c.spare[:n-1]
+	} else {
+		st.frames, st.gone = make(chan *wireFrame, c.p.opts.StreamWindow), make(chan struct{})
 	}
 	c.streams[id] = st
 	c.mu.Unlock()
@@ -557,24 +595,55 @@ func (c *muxConn) execStream(ctx context.Context, sql, resume string, skip int64
 	}
 	switch f.Kind {
 	case frameHeader:
-		st.schema = fromWireAttrs(f.Attrs)
-		st.arity = st.schema.Arity()
-		st.name = f.Name
+		h, err := c.resolveHead(f.Head)
 		st.resume, st.resumed = f.Resume, f.Resumed
 		f.release()
+		if err != nil {
+			err = &ProtocolError{Op: "exec", Err: err}
+			st.abort(err)
+			return nil, err
+		}
+		st.name, st.schema, st.arity = h.name, h.schema, h.schema.Arity()
 		return st, nil
 	case frameEnd:
 		err := endError(f)
+		f.release()
 		if err == nil {
 			err = &ProtocolError{Op: "exec", Err: errors.New("stream ended before its header")}
 		}
 		st.finish(err)
+		st.recycle()
 		return nil, err
 	default:
 		err := &ProtocolError{Op: "exec", Err: fmt.Errorf("unexpected frame kind %d before header", f.Kind)}
 		st.abort(err)
 		return nil, err
 	}
+}
+
+// resolveHead returns what a header's Head resolves to: from the memo, or
+// built on a miss, which a repeated attribute name fails.
+func (c *muxConn) resolveHead(head []byte) (streamHead, error) {
+	c.mu.Lock()
+	h, ok := c.heads[string(head)]
+	c.mu.Unlock()
+	if ok {
+		return h, nil
+	}
+	name, sch, err := decodeHead(head)
+	if err != nil {
+		return streamHead{}, err
+	}
+	h = streamHead{name: name, schema: sch}
+	c.mu.Lock()
+	if c.heads == nil {
+		c.heads = make(map[string]streamHead)
+	} else if len(c.heads) >= maxHeads {
+		clear(c.heads)
+	}
+	c.heads[string(head)] = h
+	c.mu.Unlock()
+	return h, nil
 }
 
 // endError maps a terminal frame to the client-side error surface (nil for a
@@ -756,6 +825,7 @@ func (st *muxStream) Next() (relation.Tuple, bool) {
 			st.ops = f.Ops
 			st.finish(endError(f))
 			f.release()
+			st.recycle()
 			return nil, false
 		default:
 			st.abort(&ProtocolError{Op: "exec", Err: fmt.Errorf("unexpected mid-stream frame kind %d", f.Kind)})
@@ -808,6 +878,22 @@ func (st *muxStream) abort(err error) {
 	st.c.writeFrame(&wireFrame{ID: st.id, Kind: frameCancel})
 	st.c.p.stats.streamsCanceled.Add(1)
 	st.settle()
+}
+
+// recycle gives the channels of a stream that has read its end frame back
+// to its connection. The read loop took the stream out of the demux table
+// before it delivered that frame, so neither a later frame nor a teardown
+// can reach them, and the end was the stream's last frame, so frames is
+// empty. A stream that died early keeps its channels: its gone is closed, or
+// a frame may still be on its way into frames.
+func (st *muxStream) recycle() {
+	c := st.c
+	c.mu.Lock()
+	if len(c.spare) < keptChans {
+		c.spare = append(c.spare, streamChans{frames: st.frames, gone: st.gone})
+	}
+	c.mu.Unlock()
+	st.frames, st.gone = nil, nil
 }
 
 // fail is called by the read loop / teardown when the connection dies under

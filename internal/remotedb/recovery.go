@@ -178,7 +178,11 @@ func OpenEngine(d Durability) (*Engine, *RecoveryStats, error) {
 func (e *Engine) replayRecord(rec *walRecord) error {
 	switch rec.Kind {
 	case walCreateTable:
-		e.applyCreateTable(rec.Name, fromWireAttrs(rec.Attrs))
+		sch, err := fromWireAttrs(rec.Attrs)
+		if err != nil {
+			return fmt.Errorf("replay create %s: %v", rec.Name, err)
+		}
+		e.applyCreateTable(rec.Name, sch)
 	case walLoadTable:
 		if rec.Rel == nil {
 			return errors.New("replay load without a table")

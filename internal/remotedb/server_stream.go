@@ -82,18 +82,22 @@ func (s *Server) serveFramed(conn net.Conn, br *bufio.Reader, frameTuples int) {
 			}
 			return
 		}
-		switch f.Kind {
+		// The frame goes back to framePool at once: what a request needs of
+		// it is its ID and its request, whose strings are copies.
+		kind, id, req := f.Kind, f.ID, f.Req
+		f.release()
+		switch kind {
 		case frameReq:
 			ctx, cancel := context.WithCancel(base)
 			fc.mu.Lock()
-			fc.cancels[f.ID] = cancel
+			fc.cancels[id] = cancel
 			fc.active++
 			fc.mu.Unlock()
 			fc.wg.Add(1)
-			go fc.handleStream(ctx, f.ID, f.Req)
+			go fc.handleStream(ctx, id, req)
 		case frameCancel:
 			fc.mu.Lock()
-			if cancel := fc.cancels[f.ID]; cancel != nil {
+			if cancel := fc.cancels[id]; cancel != nil {
 				cancel()
 			}
 			fc.mu.Unlock()

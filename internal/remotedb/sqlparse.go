@@ -255,6 +255,11 @@ func (p *sqlParser) parseCreate() (*CreateStmt, error) {
 				return nil, err
 			}
 		}
+		for _, a := range attrs {
+			if a.Name == col {
+				return nil, fmt.Errorf("remotedb: column %s repeated in CREATE TABLE %s", col, name)
+			}
+		}
 		attrs = append(attrs, relation.Attr{Name: col, Kind: kind})
 		if p.atPunct(",") {
 			p.advance()

@@ -149,6 +149,8 @@ func FuzzParseSQL(f *testing.F) {
 		"SELECT DISTINCT a.x, COUNT(*), sum(y) FROM emp a WHERE a.x <> 'it''s' GROUP BY a.x ORDER BY x LIMIT 10",
 		"EXPLAIN ANALYZE SELECT * FROM t WHERE x != -3 AND y = TRUE AND z = null",
 		"CREATE TABLE t (a INT, b VARCHAR(20))",
+		"CREATE TABLE t (x INT, x INT)",
+		"CREATE TABLE t (a INT, b TEXT, a FLOAT)",
 		"SELECT * FROM t WHERE x = 'unterminated",
 	} {
 		f.Add(seed)

@@ -200,7 +200,11 @@ func (t *walTable) maxSize() int {
 }
 
 func (w *walTable) relation() (*relation.Relation, error) {
-	r := relation.New(w.Name, fromWireAttrs(w.Attrs))
+	sch, err := fromWireAttrs(w.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	r := relation.New(w.Name, sch)
 	rows, err := decodeBatch(w.Rows, len(w.Attrs))
 	if err != nil {
 		return nil, err

@@ -34,12 +34,19 @@ func toWireAttrs(sch *relation.Schema) []wireAttr {
 	return attrs
 }
 
-func fromWireAttrs(attrs []wireAttr) *relation.Schema {
+// fromWireAttrs builds the schema of attrs read from a peer or the log,
+// refusing a repeated name, which relation.NewSchema would panic on.
+func fromWireAttrs(attrs []wireAttr) (*relation.Schema, error) {
 	out := make([]relation.Attr, len(attrs))
 	for i, a := range attrs {
+		for _, b := range attrs[:i] {
+			if a.Name == b.Name {
+				return nil, fmt.Errorf("attribute %q repeated", a.Name)
+			}
+		}
 		out[i] = relation.Attr{Name: a.Name, Kind: relation.Kind(a.Kind)}
 	}
-	return relation.NewSchema(out...)
+	return relation.NewSchema(out...), nil
 }
 
 // wireRequest is one protocol request, carried by a frameReq frame. Op
@@ -232,6 +239,20 @@ func (d *wireDec) bytes() []byte {
 
 func (d *wireDec) string() string { return string(d.bytes()) }
 
+// wireOps are a request's ops, which op decodes to these constants.
+var wireOps = [...]string{"exec", "schema", "stats", "tables"}
+
+// op reads a request's Op: a known op is its constant, not a new string.
+func (d *wireDec) op() string {
+	b := d.bytes()
+	for _, op := range wireOps {
+		if string(b) == op {
+			return op
+		}
+	}
+	return string(b)
+}
+
 // rest takes every byte left: the last field of a message needs no length.
 func (d *wireDec) rest() []byte {
 	out := d.b
@@ -251,6 +272,33 @@ func (d *wireDec) attrs() []wireAttr {
 	return attrs
 }
 
+// head checks a header's name and attrs as string and attrs would read them,
+// and returns their bytes, aliasing the message, instead of building them.
+func (d *wireDec) head() []byte {
+	start := d.b
+	d.bytes()
+	for n := d.count(2); n > 0; n-- {
+		d.bytes()
+		d.u8()
+	}
+	if d.err != nil {
+		return nil
+	}
+	n := len(start) - len(d.b)
+	return start[:n:n]
+}
+
+// decodeHead builds the name and schema of a header's Head.
+func decodeHead(head []byte) (string, *relation.Schema, error) {
+	d := wireDec{b: head}
+	name, attrs := d.string(), d.attrs()
+	if err := d.done(); err != nil {
+		return "", nil, err
+	}
+	sch, err := fromWireAttrs(attrs)
+	return name, sch, err
+}
+
 func (d *wireDec) ints() []int {
 	n := d.count(1)
 	if n == 0 {
@@ -263,7 +311,9 @@ func (d *wireDec) ints() []int {
 	return xs
 }
 
-func (d *wireDec) versions() []wireVersion {
+// versions reads a frame's version entries, nil when there are none: only a
+// frame that carries versions allocates their slice header.
+func (d *wireDec) versions() *[]wireVersion {
 	n := d.count(2)
 	if n == 0 {
 		return nil
@@ -272,7 +322,7 @@ func (d *wireDec) versions() []wireVersion {
 	for i := range vs {
 		vs[i] = wireVersion{Table: d.string(), Version: d.uvarint()}
 	}
-	return vs
+	return &vs
 }
 
 // done reports the first failure, or bytes left after the last field.
