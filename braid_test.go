@@ -332,6 +332,20 @@ func TestPublicAPIDirectCAQLAndClosure(t *testing.T) {
 	if len(closure) != 6 {
 		t.Fatalf("closure rows = %d, want 6: %v", len(closure), closure)
 	}
+	// Rows map the view's head variable names, whatever they are; Z, which
+	// the closure's own clause uses, too.
+	closure, err = sys.Closure("r(A, Z) :- edge(A, Z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range closure {
+		if _, ok := row["A"]; !ok || len(row) != 2 || row["Z"] == nil {
+			t.Fatalf("closure row %v, want keys A and Z", row)
+		}
+	}
+	if len(closure) != 6 {
+		t.Fatalf("closure rows = %d, want 6: %v", len(closure), closure)
+	}
 	if _, err := sys.Closure("r(X) :- edge(X, Y)"); err == nil {
 		t.Error("non-binary closure should error")
 	}
@@ -341,7 +355,7 @@ func TestPublicAPIDirectCAQLAndClosure(t *testing.T) {
 }
 
 // TestQueryCAQLUnion: a CAQL text of two clauses is their union, answered
-// through the CMS as caql.EvalUnion answers it over the same rows; a repeat
+// through the CMS as caql.RunProgram answers it over the same rows; a repeat
 // is served from the cache.
 func TestQueryCAQLUnion(t *testing.T) {
 	kb := MustParseKB(`:- base(edge/2).`)
@@ -360,11 +374,13 @@ func TestQueryCAQLUnion(t *testing.T) {
 	for _, e := range [][2]int64{{1, 2}, {2, 3}, {3, 4}, {4, 1}} {
 		edge.MustAppend(relation.Tuple{relation.Int(e[0]), relation.Int(e[1])})
 	}
-	u, err := caql.ParseUnion(text)
+	prog, err := caql.ParseProgram(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := caql.EvalUnion(u, caql.MapSource{"edge": edge})
+	want, _, err := caql.RunProgram(context.Background(), prog, func(q *caql.Query) (*relation.Relation, error) {
+		return caql.Eval(q, caql.MapSource{"edge": edge})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,11 +399,11 @@ func TestQueryCAQLUnion(t *testing.T) {
 			got[fmt.Sprint(r)] = true
 		}
 		if len(rows) != len(wantRows) || len(got) != len(wantRows) {
-			t.Fatalf("pass %d: union rows %v, want caql.EvalUnion's %v", pass, rows, want.Sort())
+			t.Fatalf("pass %d: union rows %v, want caql.RunProgram's %v", pass, rows, want.Sort())
 		}
 		for r := range got {
 			if !wantRows[r] {
-				t.Fatalf("pass %d: union row %s is not caql.EvalUnion's", pass, r)
+				t.Fatalf("pass %d: union row %s is not caql.RunProgram's", pass, r)
 			}
 		}
 		if pass == 1 && sys.Stats().RemoteRequests != before {

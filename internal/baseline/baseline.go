@@ -126,13 +126,27 @@ func (s *srSession) QueryText(src string) (*bridge.Stream, error) {
 	return s.QueryTextCtx(context.Background(), src)
 }
 
-// QueryTextCtx implements bridge.Session.
+// QueryTextCtx implements bridge.Session. A text of several clauses runs on
+// caql.RunProgram, whose queries load their relations as any query does.
 func (s *srSession) QueryTextCtx(ctx context.Context, src string) (*bridge.Stream, error) {
-	q, err := caql.Parse(src)
+	prog, err := caql.ParseProgram(src)
 	if err != nil {
 		return nil, err
 	}
-	return s.QueryCtx(ctx, q)
+	if len(prog) == 1 {
+		return s.QueryCtx(ctx, &prog[0])
+	}
+	ans, _, err := caql.RunProgram(ctx, prog, func(q *caql.Query) (*relation.Relation, error) {
+		stream, err := s.QueryCtx(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		return stream.DrainErr(q.Name())
+	})
+	if err != nil {
+		return nil, err
+	}
+	return bridge.NewEagerStream(ans), nil
 }
 
 // End implements bridge.Session.

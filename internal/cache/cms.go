@@ -394,20 +394,41 @@ func (s *Session) End() {
 	s.cms.idle.Put(sc)
 }
 
-// QueryText parses and answers a CAQL query.
+// QueryText parses and answers a CAQL text.
 func (s *Session) QueryText(src string) (*bridge.Stream, error) {
 	return s.QueryTextCtx(context.Background(), src)
 }
 
-// QueryTextCtx parses and answers a CAQL query under a context.
+// QueryTextCtx parses and answers a CAQL text under a context. A text of one
+// clause is a query. A text of several is a program, run on caql.RunProgram
+// (Section 5.3.3(d): "the remote DBMS does not support all CAQL operations,
+// but the CMS does"): its clauses over base relations are asked as queries,
+// and its rules run here, on the fixed-point operator of Section 2, charged
+// PerLocalOp a tuple their bodies produce. ctx governs every query and every
+// round, failing the program with bridge.ErrCanceled or ErrDeadlineExceeded.
 func (s *Session) QueryTextCtx(ctx context.Context, src string) (*bridge.Stream, error) {
 	_, psp := s.cms.tracer.Start(ctx, "cms.parse")
-	q, err := caql.Parse(src)
+	prog, err := caql.ParseProgram(src)
 	psp.End()
 	if err != nil {
 		return nil, err
 	}
-	return s.QueryCtx(ctx, q)
+	if len(prog) == 1 {
+		return s.QueryCtx(ctx, &prog[0])
+	}
+	ans, produced, err := caql.RunProgram(ctx, prog, func(q *caql.Query) (*relation.Relation, error) {
+		stream, err := s.QueryCtx(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		// A drained stream stays open: a pooled answer's tuples end at Close.
+		return stream.DrainErr(q.Name())
+	})
+	if err != nil {
+		return nil, liftCtxErr(err)
+	}
+	s.advanceLocal(s.cms.opts.Costs.PerLocalOp * float64(produced))
+	return bridge.NewEagerStream(ans), nil
 }
 
 // advance moves the session clock by d simulated milliseconds and accounts

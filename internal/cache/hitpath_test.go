@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -100,6 +101,50 @@ func TestHitPathAllocs(t *testing.T) {
 	}
 	if st := cms.Stats(); st.ExactHits == 0 || st.LazyAnswers == 0 || st.IndexBuilds == 0 {
 		t.Errorf("the cases did not take the paths they name: %+v", st)
+	}
+}
+
+// TestQueryTextHitAllocs holds the text door to the query it parses: a warm
+// one-clause QueryTextCtx hit allocates what the QueryCtx hit of the same
+// query does plus caql.Parse's block, for each kind of hit TestHitPathAllocs
+// counts, so telling a query from a program costs nothing. Every caql_cold
+// and write_mix query takes this path.
+func TestQueryTextHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e, _ := fixtureEngine(t, 21, 60)
+	cms := newCMS(t, e, Options{Features: AllFeatures()})
+	s := cms.BeginSession(advice.MustParse(hitPathAdvice)).(*Session)
+	defer s.End()
+	drainQ(t, s, "dg(X, Y, Z) :- b3(X, Y, Z)")
+	drainQ(t, s, "dx(X, Y) :- b2(X, Y)")
+	ctx := context.Background()
+	for _, text := range []string{`di(3, Z) :- b3(3, "a", Z)`, "dx(X, Y) :- b2(X, Y)", `dg(X, "a", Z) :- b3(X, "a", Z)`} {
+		q := caql.MustParse(text)
+		closed := func(st *bridge.Stream, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+		}
+		query := func() { closed(s.QueryCtx(ctx, q)) }
+		door := func() { closed(s.QueryTextCtx(ctx, text)) }
+		for i := 0; i < 3; i++ { // build the index, grow the session's scratch
+			query()
+			door()
+		}
+		before := cms.Stats()
+		hit := testing.AllocsPerRun(50, query)
+		viaText := testing.AllocsPerRun(50, door)
+		parse := testing.AllocsPerRun(50, func() { caql.MustParse(text) })
+		if after := cms.Stats(); after.RemoteRequests != before.RemoteRequests || after.CacheHits-before.CacheHits != 102 {
+			t.Fatalf("%s: not a cache hit every time", text)
+		}
+		t.Logf("%s: %v allocations through QueryTextCtx, %v through QueryCtx, %v to parse", text, viaText, hit, parse)
+		if viaText > hit+parse {
+			t.Errorf("%s: %v allocations through QueryTextCtx, want at most %v + %v", text, viaText, hit, parse)
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ func TestCAQLParserNoPanic(t *testing.T) {
 				}
 			}()
 			Parse(src)
-			ParseUnion(src)
+			ParseProgram(src)
 		}()
 	}
 }

@@ -1,6 +1,7 @@
 package caql
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"strings"
@@ -172,21 +173,47 @@ func TestEvalLazyIsLazy(t *testing.T) {
 	}
 }
 
-func TestEvalUnion(t *testing.T) {
+// TestRunProgramUnion: a program of two clauses over base relations is their
+// union, with set semantics: each clause is asked once, and 10 answers both.
+func TestRunProgramUnion(t *testing.T) {
 	src := fixtureSource()
-	u, err := ParseUnion(`
+	prog, err := ParseProgram(`
 		d(X) :- b2(X, Z) & Z = 10.
 		d(X) :- b2(X, Z) & Z = 20.
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := EvalUnion(u, src)
+	asked := 0
+	out, produced, err := RunProgram(context.Background(), prog, func(q *Query) (*relation.Relation, error) {
+		asked++
+		return Eval(q, src)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 3 {
-		t.Fatalf("union rows = %d, want 3", out.Len())
+	if out.Len() != 3 || asked != 2 || produced != 0 {
+		t.Fatalf("union rows = %d from %d asks and %d body tuples, want 3 from 2 and 0", out.Len(), asked, produced)
+	}
+}
+
+// TestRunProgramRuleReadsBase: a rule, a clause that reads a predicate the
+// program defines, may not read a base relation; the error names it, and
+// nothing is asked.
+func TestRunProgramRuleReadsBase(t *testing.T) {
+	prog, err := ParseProgram(`
+		tc(X, Y) :- e(X, Y).
+		tc(X, Y) :- tc(X, Z) & e(Z, Y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked := 0
+	_, _, err = RunProgram(context.Background(), prog, func(*Query) (*relation.Relation, error) {
+		asked++
+		return nil, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "base relation e/2") || asked != 0 {
+		t.Fatalf("got %v after %d asks, want an error naming e/2 before any", err, asked)
 	}
 }
 
@@ -441,7 +468,7 @@ func bruteForce(q *Query, src MapSource) *relation.Relation {
 	return relation.DistinctRel(out)
 }
 
-// ParseUnion reads clause after clause from one parser, so a period ends a
+// ParseProgram reads clause after clause from one parser, so a period ends a
 // clause only where the lexer sees punctuation: not in a comment, a quoted
 // string or a decimal. Identifiers are ASCII, and a lexing failure the parser
 // reaches is reported on its own line.
@@ -470,34 +497,39 @@ func TestParseUnionClauses(t *testing.T) {
 		{"stray character on line 3", "a(X) :- b(X).\na(X) :- c(X).\na(X) :- d(X) $ e(X).", nil,
 			`line 3: unexpected character "$"`},
 	} {
-		u, err := ParseUnion(c.src)
+		prog, err := ParseProgram(c.src)
 		if c.err != "" {
 			if err == nil || !strings.Contains(err.Error(), c.err) {
-				t.Errorf("%s: ParseUnion(%q) = %v, want an error with %q", c.name, c.src, err, c.err)
+				t.Errorf("%s: ParseProgram(%q) = %v, want an error with %q", c.name, c.src, err, c.err)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("%s: ParseUnion(%q): %v", c.name, c.src, err)
+			t.Errorf("%s: ParseProgram(%q): %v", c.name, c.src, err)
 			continue
 		}
 		var got []string
-		for _, q := range u.Queries {
+		for _, q := range prog {
 			got = append(got, q.String())
 		}
 		if !slices.Equal(got, c.want) {
-			t.Errorf("%s: ParseUnion(%q) = %q, want %q", c.name, c.src, got, c.want)
+			t.Errorf("%s: ParseProgram(%q) = %q, want %q", c.name, c.src, got, c.want)
 		}
 	}
 }
 
+// TestUnionValidate: a program, a union included, that defines one
+// predicate with two arities is an error, and so is an empty text.
 func TestUnionValidate(t *testing.T) {
-	if _, err := ParseUnion("d(X) :- b2(X, Y). d(X, Y) :- b2(X, Y)."); err == nil {
-		t.Error("arity mismatch union should error")
+	prog, err := ParseProgram("d(X) :- b2(X, Y). d(X, Y) :- b2(X, Y).")
+	if err != nil {
+		t.Fatal(err)
 	}
-	u := &Union{}
-	if err := u.Validate(); err == nil {
-		t.Error("empty union should error")
+	if _, _, err := RunProgram(context.Background(), prog, nil); err == nil {
+		t.Error("a predicate of two arities should error")
+	}
+	if _, err := ParseProgram(""); err == nil {
+		t.Error("an empty program should error")
 	}
 }
 
@@ -671,6 +703,9 @@ func TestParseAllocs(t *testing.T) {
 	} {
 		if got := testing.AllocsPerRun(100, func() { MustParse(c.src) }); got > c.want {
 			t.Errorf("Parse(%q): %.0f allocations, want at most %.0f", c.src, got, c.want)
+		}
+		if got := testing.AllocsPerRun(100, func() { ParseProgram(c.src) }); got > c.want {
+			t.Errorf("ParseProgram(%q): %.0f allocations, want at most %.0f", c.src, got, c.want)
 		}
 	}
 	if got := testing.AllocsPerRun(100, func() {

@@ -153,23 +153,6 @@ func EvalLazy(q *Query, src RelationSource) (relation.Iterator, *relation.Schema
 	return out, relation.NewSchema(attrs...), nil
 }
 
-// EvalUnion evaluates a union eagerly with set semantics across branches.
-func EvalUnion(u *Union, src RelationSource) (*relation.Relation, error) {
-	var its []relation.Iterator
-	var schema *relation.Schema
-	for _, q := range u.Queries {
-		it, sch, err := EvalLazy(q, src)
-		if err != nil {
-			return nil, err
-		}
-		if schema == nil {
-			schema = sch
-		}
-		its = append(its, it)
-	}
-	return relation.Drain(u.Queries[0].Name(), schema, relation.Distinct(relation.Chain(its...))), nil
-}
-
 // MapSource is a RelationSource over a map of extensions; primarily a test
 // and example fixture.
 type MapSource map[string]*relation.Relation

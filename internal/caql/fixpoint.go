@@ -3,6 +3,7 @@ package caql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -10,13 +11,71 @@ import (
 	"repro/internal/relation"
 )
 
+// RunProgram answers a program: clauses read as Datalog rules under set
+// semantics, whose answer is the extension of the last clause's head
+// predicate. A clause whose body reads no predicate the program defines is a
+// query over base relations: ask answers it, and its answer is facts of its
+// head. The other clauses run on Fixpoint over those facts. One of them that
+// reads a base relation is an error naming the relation, returned before
+// anything is asked, and so is a predicate defined with two arities.
+// RunProgram returns the answer and the tuples the rule bodies produced.
+// ctx is checked every round; ask runs under a context of its own.
+func RunProgram(ctx context.Context, clauses []Query, ask func(*Query) (*relation.Relation, error)) (*relation.Relation, int, error) {
+	arity := make(map[string]int, len(clauses))
+	for _, q := range clauses {
+		if n, ok := arity[q.Name()]; ok && n != len(q.Head.Args) {
+			return nil, 0, fmt.Errorf("caql: %s is defined with arities %d and %d", q.Name(), n, len(q.Head.Args))
+		}
+		arity[q.Name()] = len(q.Head.Args)
+	}
+	defined := func(a logic.Atom) bool {
+		n, ok := arity[a.Pred]
+		return ok && n == len(a.Args)
+	}
+	var rules, queries []*Query
+	for i := range clauses {
+		q := &clauses[i]
+		if !slices.ContainsFunc(q.Rels, defined) {
+			queries = append(queries, q)
+			continue
+		}
+		for _, a := range q.Rels {
+			if !defined(a) {
+				return nil, 0, fmt.Errorf("caql: rule %s reads base relation %s, which only a clause reading no derived predicate may", q, a.Ref())
+			}
+		}
+		rules = append(rules, q)
+	}
+	facts := make(MapSource, len(queries))
+	for _, q := range queries {
+		ans, err := ask(q)
+		if err != nil {
+			return nil, 0, err
+		}
+		if f := facts[q.Name()]; f != nil {
+			ans = relation.FromTuples(f.Name, f.Schema(), append(slices.Clip(f.Tuples()), ans.Tuples()...))
+		}
+		facts[q.Name()] = ans
+	}
+	derived, produced, err := Fixpoint(ctx, rules, facts)
+	if err != nil {
+		return nil, produced, err
+	}
+	goal := clauses[len(clauses)-1]
+	if ans := derived[goal.Head.Ref()]; ans != nil {
+		return ans, produced, nil
+	}
+	return relation.DistinctRel(facts[goal.Name()]), produced, nil
+}
+
 // Fixpoint evaluates rules, read as a Datalog program, to its least fixpoint
-// under set semantics. A predicate some rule's head names is derived; an atom
-// over any other predicate reads src. It returns the extension of every
-// derived predicate and the number of tuples the rule bodies produced,
-// duplicates included. This is the fixed-point operator of the paper's
-// compiled data access programs (Section 2); the compiled strategy's
-// bottom-up evaluation and the CMS's transitive closure both run on it.
+// under set semantics. A predicate some rule's head names is derived: its
+// extension starts as src's extension of it, when src has one. An atom over
+// any other predicate reads src. It returns the extension of every derived
+// predicate and the number of tuples the rule bodies produced, duplicates
+// included. This is the fixed-point operator of the paper's compiled data
+// access programs (Section 2), on which RunProgram runs every program the
+// CMS is asked.
 //
 // Evaluation is semi-naive (Bancilhon and Ramakrishnan, SIGMOD 1986). The
 // first round runs every rule once. After it, a rule with k atoms over
@@ -32,9 +91,20 @@ func Fixpoint(ctx context.Context, rules []*Query, src RelationSource) (map[logi
 		if err := r.Validate(); err != nil {
 			return nil, 0, fmt.Errorf("caql: rule %s: %w", r, err)
 		}
-		if ref := r.Head.Ref(); fs.exts[ref] == nil {
-			fs.exts[ref] = &extent{schema: placeholderSchema(ref.Arity), set: relation.NewTupleSet(0)}
+		ref := r.Head.Ref()
+		if fs.exts[ref] != nil {
+			continue
 		}
+		e := &extent{schema: placeholderSchema(ref.Arity), set: relation.NewTupleSet(0)}
+		if f, err := src.RelationExtension(ref.Name, ref.Arity); err == nil {
+			e.schema = f.Schema()
+			for _, tu := range f.Tuples() {
+				if e.set.Add(tu) {
+					e.tuples = append(e.tuples, tu)
+				}
+			}
+		}
+		fs.exts[ref] = e
 	}
 	// The first round runs the rules as written; the later ones run their Δ
 	// variants, built here once by renaming atoms to the views they read.
@@ -150,7 +220,8 @@ func (s fixSource) RelationExtension(name string, arity int) (*relation.Relation
 }
 
 // placeholderSchema types a derived predicate before its first tuple: a0,
-// a1, ... of no kind. The first rule output that adds a tuple replaces it.
+// a1, ... of no kind. src's schema, or else the first rule output that adds
+// a tuple, replaces it.
 func placeholderSchema(arity int) *relation.Schema {
 	attrs := make([]relation.Attr, arity)
 	for i := range attrs {

@@ -13,38 +13,37 @@ import (
 // Commas and ampersands are both accepted as conjunction separators, and the
 // final period may be left off. The query is validated for safety.
 func Parse(src string) (*Query, error) {
-	r := logic.NewClauseReader(src)
-	q, err := parseQuery(&r)
-	if err == nil {
-		err = r.End()
+	prog, err := ParseProgram(src)
+	if err == nil && len(prog) > 1 {
+		err = fmt.Errorf("caql: a query is one clause, not %d", len(prog))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("caql: %w", err)
-	}
-	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	return q, nil
+	return &prog[0], nil
 }
 
-// ParseUnion parses one or more conjunctive queries (a union when several
-// share the head predicate), read clause after clause from one text.
-func ParseUnion(src string) (*Union, error) {
-	u := &Union{}
-	for r := logic.NewClauseReader(src); r.More(); {
-		q, err := parseQuery(&r)
+// ParseProgram parses a text of one or more clauses, in text order, each
+// validated for safety. A text of one clause is a query, whose block is the
+// program: it parses in one allocation. A text of several is a program
+// (RunProgram).
+func ParseProgram(src string) ([]Query, error) {
+	var prog []Query
+	for r := logic.NewClauseReader(src); prog == nil || r.More(); {
+		blk, err := parseQuery(&r)
 		if err != nil {
 			return nil, fmt.Errorf("caql: %w", err)
 		}
-		if err := q.Validate(); err != nil {
+		if err := blk.q[0].Validate(); err != nil {
 			return nil, err
 		}
-		u.Queries = append(u.Queries, q)
+		if prog == nil {
+			prog = blk.q[:]
+		} else {
+			prog = append(prog, blk.q[0])
+		}
 	}
-	if err := u.Validate(); err != nil {
-		return nil, err
-	}
-	return u, nil
+	return prog, nil
 }
 
 // MustParse is Parse that panics on error; for tests and fixed literals.
@@ -57,27 +56,28 @@ func MustParse(src string) *Query {
 }
 
 // parseBlock is a parsed query and the atoms and terms its slices are carved
-// from, in one allocation. The arrays fit every query of the caql_cold and
+// from, in one allocation; q is an array so that a text of one clause is a
+// program without another. The arrays fit every query of the caql_cold and
 // write_mix benchmarks (at most four body atoms and twelve terms) and no
 // more, so the block allocates fewer bytes than a parse into slices of their
 // own; a query that overflows an array takes an allocation more for it (one
 // up to twice the array's length, as append grows). A block is never reused:
 // the query is the caller's to keep.
 type parseBlock struct {
-	q     Query
+	q     [1]Query
 	atoms [4]logic.Atom
 	terms [12]logic.Term
 }
 
 // parseQuery reads r's next clause into a parseBlock. The body keeps its text
 // order within Rels and within Cmps.
-func parseQuery(r *logic.ClauseReader) (*Query, error) {
+func parseQuery(r *logic.ClauseReader) (*parseBlock, error) {
 	blk := new(parseBlock)
 	c, err := r.Next(blk.atoms[:0], blk.terms[:0])
 	if err != nil {
 		return nil, err
 	}
-	q := &blk.q
+	q := &blk.q[0]
 	q.Head = c.Head
 	body := c.Body
 	// Move the relational atoms to the front, stably: a comparison written
@@ -96,5 +96,5 @@ func parseQuery(r *logic.ClauseReader) (*Query, error) {
 	if n < len(body) {
 		q.Cmps = body[n:]
 	}
-	return q, nil
+	return blk, nil
 }

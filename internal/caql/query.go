@@ -6,9 +6,10 @@
 // predicate calculus. Following Section 5.3.2, the core form handled by the
 // subsumption machinery is the PSJ (project-select-join) conjunctive query:
 // a head (projection) over a conjunction of relational atoms plus comparison
-// atoms. Unions of conjunctive queries and a semi-naive fixed-point operator
-// over rules in that form (Fixpoint) are layered on top; the CMS evaluates
-// them even though the remote DBMS's DML may not support them.
+// atoms. Programs of several such clauses, unions and recursion included,
+// run on a semi-naive fixed-point operator layered on top (RunProgram,
+// Fixpoint); the CMS evaluates them even though the remote DBMS's DML may
+// not support them.
 package caql
 
 import (
@@ -322,37 +323,4 @@ func ConstColumnName(i int) string {
 // DBMS catalog and by the CMS's copy of it.
 type SchemaSource interface {
 	RelationSchema(name string, arity int) (*relation.Schema, error)
-}
-
-// Union is a union of conjunctive queries sharing a head shape (the CMS
-// evaluates unions locally; the paper's fully-compiled DAPs often involve
-// union).
-type Union struct {
-	Queries []*Query
-}
-
-// Validate checks each branch and that arities agree.
-func (u *Union) Validate() error {
-	if len(u.Queries) == 0 {
-		return fmt.Errorf("caql: empty union")
-	}
-	arity := len(u.Queries[0].Head.Args)
-	for _, q := range u.Queries {
-		if err := q.Validate(); err != nil {
-			return err
-		}
-		if len(q.Head.Args) != arity {
-			return fmt.Errorf("caql: union branches have differing arities")
-		}
-	}
-	return nil
-}
-
-// String renders all branches.
-func (u *Union) String() string {
-	parts := make([]string, len(u.Queries))
-	for i, q := range u.Queries {
-		parts[i] = q.String()
-	}
-	return strings.Join(parts, "\n")
 }

@@ -30,8 +30,14 @@ func TestWorkloadsStrategiesComparatorsAgree(t *testing.T) {
 					t.Fatalf("reference %s: %v", q, err)
 				}
 				set := make(map[string]bool)
-				for _, s := range ie.Answers(q, derived[q.Ref()]) {
-					set[s.String()] = true
+				for _, tu := range derived[q.Ref()].Tuples() {
+					ground := logic.Atom{Pred: q.Pred, Args: make([]logic.Term, len(tu))}
+					for i, v := range tu {
+						ground.Args[i] = logic.C(v)
+					}
+					if m, ok := logic.MatchOneWay(q, ground, nil); ok {
+						set[logic.Subst(m).String()] = true
+					}
 				}
 				want[q.String()] = set
 			}

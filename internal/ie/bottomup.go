@@ -11,21 +11,32 @@ import (
 // BottomUp evaluates the knowledge base over base extensions to a fixpoint
 // (set semantics), returning the derived extension of every derived
 // predicate reachable from roots. It collects the reachable clauses and runs
-// them on caql.Fixpoint. It is the substrate of the fully-compiled strategy
-// (set-at-a-time, all solutions) and the semantic reference the other
-// strategies are differentially tested against; FuzzFixpoint holds it to the
-// naive evaluation in naive_test.go. caql.Fixpoint checks ctx every round.
+// them on caql.Fixpoint. It is the semantic reference the strategies are
+// differentially tested against, and no strategy's evaluator: the compiled
+// one asks the session its program (nextCompiled). FuzzFixpoint holds it to
+// the naive evaluation in naive_test.go. caql.Fixpoint checks ctx every round.
 func BottomUp(ctx context.Context, kb *logic.KB, base caql.RelationSource, roots []logic.PredRef) (map[logic.PredRef]*relation.Relation, error) {
 	var rules []*caql.Query
-	reach := make(map[logic.PredRef]bool)
+	for _, c := range reachable(kb, roots...) {
+		rules = append(rules, caql.NewQuery(c.Head, c.Body))
+	}
+	derived, _, err := caql.Fixpoint(ctx, rules, base)
+	return derived, err
+}
+
+// reachable returns the clauses of the derived predicates reachable from
+// roots, in the order a depth-first visit reaches them.
+func reachable(kb *logic.KB, roots ...logic.PredRef) []logic.Clause {
+	var out []logic.Clause
+	seen := make(map[logic.PredRef]bool)
 	var visit func(ref logic.PredRef)
 	visit = func(ref logic.PredRef) {
-		if reach[ref] || kb.IsBase(ref) {
+		if seen[ref] || kb.IsBase(ref) {
 			return
 		}
-		reach[ref] = true
+		seen[ref] = true
 		for _, c := range kb.Rules(ref) {
-			rules = append(rules, caql.NewQuery(c.Head, c.Body))
+			out = append(out, c)
 			for _, a := range c.Body {
 				if !a.IsComparison() {
 					visit(a.Ref())
@@ -35,42 +46,6 @@ func BottomUp(ctx context.Context, kb *logic.KB, base caql.RelationSource, roots
 	}
 	for _, r := range roots {
 		visit(r)
-	}
-	derived, _, err := caql.Fixpoint(ctx, rules, base)
-	return derived, err
-}
-
-// Answers filters a derived extension by unification with the (possibly
-// partially bound) goal, returning the answer substitutions projected onto
-// the goal's variables.
-func Answers(goal logic.Atom, ext *relation.Relation) []logic.Subst {
-	var out []logic.Subst
-	for _, tu := range ext.Tuples() {
-		s := logic.NewSubst()
-		ok := true
-		for i, t := range goal.Args {
-			switch {
-			case t.IsConst():
-				if !t.Const.Equal(tu[i]) {
-					ok = false
-				}
-			default:
-				bound := s.Walk(t)
-				if bound.IsConst() {
-					if !bound.Const.Equal(tu[i]) {
-						ok = false
-					}
-				} else {
-					s.BindInPlace(bound.Var, logic.C(tu[i]))
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok {
-			out = append(out, s)
-		}
 	}
 	return out
 }

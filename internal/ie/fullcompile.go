@@ -2,20 +2,22 @@ package ie
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/bridge"
 	"repro/internal/caql"
 	"repro/internal/logic"
+	"repro/internal/relation"
 )
 
 // nextCompiled hands out the answers of the fully-compiled strategy (the
 // compiled extreme of the I-C range, Section 2), all derived by its first
-// call: the relevant portion of the knowledge base is compiled into
-// set-at-a-time data access — each relevant base relation is requested once
-// as a whole (one large request per relation rather than one per binding) —
-// and the rule set is evaluated bottom-up to a fixpoint. Recursion is handled
-// by the fixpoint itself (the role the paper assigns to second-order
-// templates with a fixed-point operator).
+// call: the relevant portion of the knowledge base is compiled into one
+// program (program), which the session runs set-at-a-time. Each relevant
+// base relation is requested once as a whole (one large request per relation
+// rather than one per binding), and the rules run bottom-up to a fixpoint in
+// the CMS. Recursion is handled by the fixpoint itself (the role the paper
+// assigns to second-order templates with a fixed-point operator).
 func (r *runner) nextCompiled() (a answer, ok bool, err error) {
 	if !r.built {
 		r.built = true
@@ -27,55 +29,35 @@ func (r *runner) nextCompiled() (a answer, ok bool, err error) {
 	return a, ok, err
 }
 
-// compiled fetches the relevant base relations and derives every answer.
+// compiled asks the session the goal's program and derives every answer from
+// its answer. A program that stops on an error fails the ask rather than
+// leave a prefix behind; one the ask's context stopped fails it with the
+// context's typed error.
 func (r *runner) compiled() ([]answer, error) {
-	// Fetch every relevant base relation, set-at-a-time. Constants that
-	// appear in *every* occurrence of a relation at the same position are
-	// pushed into the fetch (a cheap magic-set-like restriction); otherwise
-	// the full extension is requested. A stream that stops on an error fails
-	// the ask rather than leave a prefix behind.
 	e := r.engine
 	graph, err := Extract(e.kb, r.goalAtom.Atom, &Shaper{Reorder: e.opts.Reorder, Stats: e.ds})
 	if err != nil {
 		return nil, err
 	}
-	fetched := caql.MapSource{}
-	for _, ref := range graph.BaseRels {
-		q, err := fetchQueryFor(graph, ref)
-		if err != nil {
-			return nil, err
+	stream, err := r.session.QueryTextCtx(r.ctx, program(e.kb, r.goalAtom.Atom, r.vars, graph))
+	var ext *relation.Relation
+	if err == nil {
+		ext, err = stream.DrainErr(r.goalAtom.Pred)
+		stream.Close() // a program's answer is eager: its tuples outlive Close
+	}
+	if err != nil {
+		if cerr := bridge.CtxError(r.ctx); cerr != nil {
+			return nil, cerr
 		}
-		stream, err := r.session.QueryCtx(r.ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		// A drained stream stays open: a pooled answer's tuples end at Close.
-		if fetched[ref.Name], err = stream.DrainErr(ref.Name); err != nil {
-			stream.Close()
-			return nil, err
-		}
+		return nil, err
 	}
 
-	// A base goal is one of the fetched relations; a derived one is derived.
-	goalRef := r.goalAtom.Ref()
-	ext := fetched[goalRef.Name]
-	if !e.kb.IsBase(goalRef) {
-		derived, err := BottomUp(r.ctx, e.kb, fetched, []logic.PredRef{goalRef})
-		if cerr := bridge.CtxError(r.ctx); err != nil && cerr != nil {
-			return nil, cerr // Fixpoint returns the context's own error
+	out := make([]answer, ext.Len())
+	for i, tu := range ext.Tuples() {
+		out[i].sub = make(logic.Subst, len(r.vars))
+		for j, v := range r.vars {
+			out[i].sub[v] = logic.C(tu[j])
 		}
-		if err != nil {
-			return nil, err
-		}
-		if ext = derived[goalRef]; ext == nil {
-			return nil, fmt.Errorf("ie: goal predicate %s not derivable", goalRef)
-		}
-	}
-
-	subs := Answers(r.goalAtom.Atom, ext)
-	out := make([]answer, len(subs))
-	for i, s := range subs {
-		out[i].sub = s.Restrict(r.vars)
 		if e.opts.Explain {
 			out[i].proof = ProofRoot(r.goalAtom.String(),
 				[]*Proof{{Kind: "rule", Detail: "derived set-at-a-time by bottom-up fixpoint evaluation"}})
@@ -84,13 +66,64 @@ func (r *runner) compiled() ([]answer, error) {
 	return out, nil
 }
 
+// program renders the compiled program of goal, whose answer is the goal's
+// answers, one column per variable of vars: a fetch clause for each base
+// relation the goal's problem graph reads (fetchQueryFor), then the rules
+// reachable from the goal, each base atom renamed to its fetch head, then a
+// goal clause. Fetch and goal heads are named apart from every predicate the
+// program names.
+func program(kb *logic.KB, goal logic.Atom, vars []string, graph *Graph) string {
+	rules := reachable(kb, goal.Ref())
+	names := map[string]bool{goal.Pred: true}
+	for _, c := range rules {
+		for _, a := range c.Body {
+			names[a.Pred] = true
+		}
+	}
+	fresh := func(name string) string {
+		for names[name] {
+			name += "_"
+		}
+		names[name] = true
+		return name
+	}
+
+	var b strings.Builder
+	fetch := make(map[logic.PredRef]string, len(graph.BaseRels))
+	for _, ref := range graph.BaseRels {
+		fetch[ref] = fresh("fetch_" + ref.Name)
+		b.WriteString(fetchQueryFor(graph, ref, fetch[ref]).String())
+		b.WriteByte('\n')
+	}
+	rename := func(a logic.Atom) logic.Atom {
+		if head, ok := fetch[a.Ref()]; ok {
+			a.Pred = head
+		}
+		return a
+	}
+	for _, c := range rules {
+		body := make([]logic.Atom, len(c.Body))
+		for i, a := range c.Body {
+			body[i] = rename(a)
+		}
+		b.WriteString(caql.NewQuery(c.Head, body).String())
+		b.WriteByte('\n')
+	}
+	head := logic.Atom{Pred: fresh("goal"), Args: make([]logic.Term, len(vars))}
+	for i, v := range vars {
+		head.Args[i] = logic.V(v)
+	}
+	b.WriteString(caql.NewQuery(head, []logic.Atom{rename(goal)}).String())
+	return b.String()
+}
+
 // fetchQueryFor builds the set-at-a-time fetch for a base relation: a full
 // scan, restricted by constants common to all graph occurrences of the
 // relation. Constant pushing is disabled entirely when the graph contains a
 // recursive cut — a cut hides deeper occurrences whose bindings differ from
 // the visible ones (e.g. transitive closure walks past the query's seed
 // constant).
-func fetchQueryFor(graph *Graph, ref logic.PredRef) (*caql.Query, error) {
+func fetchQueryFor(graph *Graph, ref logic.PredRef, head string) *caql.Query {
 	var occs []logic.Atom
 	recursive := false
 	graph.Walk(func(n *ORNode) {
@@ -126,9 +159,5 @@ func fetchQueryFor(graph *Graph, ref logic.PredRef) (*caql.Query, error) {
 	}
 	// The head carries every position (constants included) so the fetched
 	// extension has the relation's full arity for bottom-up evaluation.
-	q := caql.NewQuery(logic.A("fetch_"+ref.Name, args...), []logic.Atom{logic.A(ref.Name, args...)})
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return q, nil
+	return caql.NewQuery(logic.A(head, args...), []logic.Atom{logic.A(ref.Name, args...)})
 }

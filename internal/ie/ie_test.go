@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/advice"
 	"repro/internal/bridge"
+	"repro/internal/cache"
 	"repro/internal/caql"
 	"repro/internal/logic"
 	"repro/internal/relation"
@@ -106,15 +108,35 @@ func (s *mapSession) QueryCtx(ctx context.Context, q *caql.Query) (*bridge.Strea
 }
 
 func (s *mapSession) QueryText(src string) (*bridge.Stream, error) {
-	q, err := caql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return s.Query(q)
+	return s.QueryTextCtx(context.Background(), src)
 }
 
 func (s *mapSession) QueryTextCtx(ctx context.Context, src string) (*bridge.Stream, error) {
-	return s.QueryText(src)
+	return queryText(ctx, s, src)
+}
+
+// queryText is a test session's door: a text of one clause is a query, and a
+// text of several a program, which runs on caql.RunProgram as the CMS's
+// session runs it, its queries asked through s.
+func queryText(ctx context.Context, s bridge.Session, src string) (*bridge.Stream, error) {
+	prog, err := caql.ParseProgram(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(prog) == 1 {
+		return s.QueryCtx(ctx, &prog[0])
+	}
+	ans, _, err := caql.RunProgram(ctx, prog, func(q *caql.Query) (*relation.Relation, error) {
+		stream, err := s.QueryCtx(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		return stream.DrainErr(q.Name())
+	})
+	if err != nil {
+		return nil, err
+	}
+	return bridge.NewEagerStream(ans), nil
 }
 
 func (s *mapSession) End() { s.ds.ends++ }
@@ -272,6 +294,41 @@ func bottomUpAnswers(t *testing.T, kb *logic.KB, src caql.MapSource, goal string
 		t.Fatal(err)
 	}
 	return answerRel(g, derived[g.Ref()])
+}
+
+// Answers filters a derived extension by unification with the (possibly
+// partially bound) goal, returning the answer substitutions projected onto
+// the goal's variables.
+func Answers(goal logic.Atom, ext *relation.Relation) []logic.Subst {
+	var out []logic.Subst
+	for _, tu := range ext.Tuples() {
+		s := logic.NewSubst()
+		ok := true
+		for i, t := range goal.Args {
+			switch {
+			case t.IsConst():
+				if !t.Const.Equal(tu[i]) {
+					ok = false
+				}
+			default:
+				bound := s.Walk(t)
+				if bound.IsConst() {
+					if !bound.Const.Equal(tu[i]) {
+						ok = false
+					}
+				} else {
+					s.BindInPlace(bound.Var, logic.C(tu[i]))
+				}
+			}
+			if !ok {
+				break
+			}
+		}
+		if ok {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // answerRel is the distinct answers to g over the derived extension ext, one
@@ -864,5 +921,52 @@ func TestAnswersUnification(t *testing.T) {
 	sort.Slice(got, func(i, j int) bool { return got[i].String() < got[j].String() })
 	if got[0].String() != "{Y=1}" {
 		t.Fatalf("answer = %v", got[0])
+	}
+}
+
+// TestCompiledConstantsSurviveText: the compiled strategy renders its program
+// as text, where an integral float prints as an integer (2.0 as 2) and parses
+// back as one. Its rules carry such a float in a head, in a body atom and in
+// a comparison, and the compiled answers equal the interpreted ones under
+// relation.Value.Equal, over the test's map source and through a CMS. Making
+// the printed float read back as a float is ROADMAP item 2(e), a change of
+// its own, since it changes canonical keys.
+func TestCompiledConstantsSurviveText(t *testing.T) {
+	kb := mustKB(t, `
+		:- base(m/2).
+		w(X, 2.0) :- m(X, 3.0).
+		w(X, Y) :- m(X, Y), Y < 2.0.
+	`)
+	m := relation.New("m", relation.NewSchema(
+		relation.Attr{Name: "x", Kind: relation.KindString}, relation.Attr{Name: "y", Kind: relation.KindFloat}))
+	for i, y := range []float64{3, 1, 2.5, 2, 3} {
+		m.MustAppend(relation.Tuple{relation.Str(fmt.Sprint("n", i)), relation.Float(y)})
+	}
+	w := remotedb.NewEngine()
+	w.LoadTable(m)
+	sources := map[string]func() bridge.DataSource{
+		"map": func() bridge.DataSource { return &mapDS{src: caql.MapSource{"m": m}} },
+		"cms": func() bridge.DataSource {
+			return cache.New(remotedb.NewInProcClient(w, remotedb.DefaultCosts()), cache.Options{Features: cache.AllFeatures()})
+		},
+	}
+	// covers reports whether every row of a has a row of b equal to it,
+	// value by value.
+	covers := func(a, b *relation.Relation) bool {
+		for _, x := range a.Tuples() {
+			if !slices.ContainsFunc(b.Tuples(), func(y relation.Tuple) bool {
+				return slices.EqualFunc(x, y, relation.Value.Equal)
+			}) {
+				return false
+			}
+		}
+		return true
+	}
+	for name, ds := range sources {
+		want := New(kb, ds(), Options{Strategy: StrategyInterpreted}).mustAsk(t, "w(X, Y)?")
+		got := New(kb, ds(), Options{Strategy: StrategyCompiled}).mustAsk(t, "w(X, Y)?")
+		if want.Len() != 3 || got.Len() != 3 || !covers(got, want) || !covers(want, got) {
+			t.Errorf("%s: compiled answered %v, interpreted %v; want the same 3", name, got.Tuples(), want.Tuples())
+		}
 	}
 }

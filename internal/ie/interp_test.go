@@ -79,12 +79,12 @@ func (d *replayDS) QueryCtx(_ context.Context, q *caql.Query) (*bridge.Stream, e
 	return d.Query(q)
 }
 
-func (d *replayDS) QueryText(string) (*bridge.Stream, error) {
-	return nil, fmt.Errorf("replay: no text queries")
+func (d *replayDS) QueryText(src string) (*bridge.Stream, error) {
+	return d.QueryTextCtx(context.Background(), src)
 }
 
-func (d *replayDS) QueryTextCtx(context.Context, string) (*bridge.Stream, error) {
-	return nil, fmt.Errorf("replay: no text queries")
+func (d *replayDS) QueryTextCtx(ctx context.Context, src string) (*bridge.Stream, error) {
+	return queryText(ctx, d, src)
 }
 
 func (d *replayDS) End() {}

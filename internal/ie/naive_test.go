@@ -7,9 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
+	"repro/internal/bridge"
+	"repro/internal/cache"
 	"repro/internal/caql"
 	"repro/internal/logic"
 	"repro/internal/relation"
+	"repro/internal/remotedb"
 )
 
 // naiveBottomUp is the reference BottomUp is held to: naive evaluation. Each
@@ -103,7 +107,10 @@ func (o overlaySource) RelationExtension(name string, arity int) (*relation.Rela
 // FuzzFixpoint holds every strategy to the naive reference: BottomUp must
 // derive every reachable extension naiveBottomUp derives, and each of the
 // interpreted, conjunction and compiled strategies must answer the goal with
-// the reference's answers, as sets. A strategy may stop with an error, but
+// the reference's answers, as sets. The compiled one answers over the test's
+// map source and, on inputs of at most 31 edges, through the program door of
+// a CMS session and of the single-relation baseline's, both over an
+// in-process engine. A strategy may stop with an error, but
 // never with a short answer. The low two bits of form pick anc's recursion
 // (left-linear, right-linear, non-linear, or through odd and even, which call
 // each other); bit 2 adds comparisons, bit 3 adds random rules over anc, odd
@@ -167,18 +174,39 @@ func FuzzFixpoint(f *testing.F) {
 			}
 		}
 		wantAnswers := answerRel(goal, want[goal.Ref()])
-		for _, strat := range []Strategy{StrategyInterpreted, StrategyConjunction, StrategyCompiled} {
-			sol, err := New(kb, &mapDS{src: src}, Options{Strategy: strat}).Ask(goal)
+		type leg struct {
+			strat Strategy
+			ds    bridge.DataSource
+		}
+		legs := []leg{
+			{StrategyInterpreted, &mapDS{src: src}},
+			{StrategyConjunction, &mapDS{src: src}},
+			{StrategyCompiled, &mapDS{src: src}},
+		}
+		// The compiled strategy's program also runs through a CMS session and
+		// the single-relation baseline's, over an engine holding e, when e
+		// has at most 31 edges, as every input but the long chains has: on
+		// the seeds' 200-edge chains the two legs take an input past 10 s.
+		if src["e"].Len() <= 31 {
+			w := remotedb.NewEngine()
+			w.LoadTable(src["e"])
+			client := remotedb.NewInProcClient(w, remotedb.DefaultCosts())
+			legs = append(legs,
+				leg{StrategyCompiled, cache.New(client, cache.Options{Features: cache.AllFeatures()})},
+				leg{StrategyCompiled, baseline.NewSingleRelationCache(client, 0)})
+		}
+		for _, leg := range legs {
+			sol, err := New(kb, leg.ds, Options{Strategy: leg.strat}).Ask(goal)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ans := relation.DistinctRel(sol.Tuples())
 			if err := sol.Err(); err != nil {
-				t.Logf("%s: %s stopped with %v", goal, strat, err)
+				t.Logf("%s: %s over %T stopped with %v", goal, leg.strat, leg.ds, err)
 				continue
 			}
 			if !ans.EqualAsSet(wantAnswers) {
-				t.Fatalf("%s: %s answered %v, the reference %v\n%s", goal, strat, ans.Sort(), wantAnswers.Sort(), program)
+				t.Fatalf("%s: %s over %T answered %v, the reference %v\n%s", goal, leg.strat, leg.ds, ans.Sort(), wantAnswers.Sort(), program)
 			}
 		}
 	})

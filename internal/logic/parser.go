@@ -194,9 +194,6 @@ func (r *ClauseReader) Next(atoms []Atom, terms []Term) (Clause, error) {
 	return c, nil
 }
 
-// End reports anything left after the clauses read so far.
-func (r *ClauseReader) End() error { return r.p.end(nil, "clause") }
-
 // clause parses a clause up to its period. Body atoms are appended to atoms
 // and arguments to terms, and Body and each Args is a window of them; the
 // grown slices are returned for the next clause.

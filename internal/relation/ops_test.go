@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -76,6 +78,29 @@ func TestSchemaDuplicatePanics(t *testing.T) {
 		}
 	}()
 	NewSchema(Attr{"a", KindInt}, Attr{"a", KindInt})
+}
+
+// TestCheckNames: a repeat is found at every width, either side of the one
+// where the pairwise scan gives way to a set, and a narrow check allocates
+// nothing.
+func TestCheckNames(t *testing.T) {
+	for _, width := range []int{2, scanNamesBelow - 1, scanNamesBelow, 100} {
+		attrs := make([]Attr, width)
+		for i := range attrs {
+			attrs[i] = Attr{Name: fmt.Sprintf("a%d", i), Kind: KindInt}
+		}
+		if err := CheckNames(attrs); err != nil {
+			t.Fatalf("width %d, unique: %v", width, err)
+		}
+		attrs[width-1].Name = attrs[width/2-1].Name
+		if err := CheckNames(attrs); err == nil || !strings.Contains(err.Error(), attrs[width-1].Name) {
+			t.Fatalf("width %d, a repeat: %v", width, err)
+		}
+	}
+	narrow := testSchemaAB().Attrs()
+	if n := testing.AllocsPerRun(100, func() { CheckNames(narrow) }); n != 0 {
+		t.Fatalf("a narrow check allocates %.0f, want 0", n)
+	}
 }
 
 func TestSelect(t *testing.T) {

@@ -19,15 +19,40 @@ type Schema struct {
 
 // NewSchema builds a schema from the given attributes. Attribute names must
 // be unique; NewSchema panics otherwise (schemas are constructed from code or
-// validated parse trees, so a duplicate is a programming error).
+// validated parse trees, so a duplicate is a programming error). A schema
+// built from input is checked first, with CheckNames.
 func NewSchema(attrs ...Attr) *Schema {
-	s := &Schema{attrs: append([]Attr(nil), attrs...)}
-	for i, a := range attrs {
-		if s.ColIndex(a.Name) < i {
-			panic(fmt.Sprintf("relation: duplicate attribute %q in schema", a.Name))
-		}
+	if err := CheckNames(attrs); err != nil {
+		panic(err.Error())
 	}
-	return s
+	return &Schema{attrs: append([]Attr(nil), attrs...)}
+}
+
+// scanNamesBelow is the width under which CheckNames compares every pair of
+// names, allocating nothing; from it up, a set makes the check linear.
+const scanNamesBelow = 16
+
+// CheckNames returns an error naming an attribute whose name an earlier one
+// holds, nil when every name is unique.
+func CheckNames(attrs []Attr) error {
+	if len(attrs) < scanNamesBelow {
+		for i, a := range attrs {
+			for _, b := range attrs[:i] {
+				if a.Name == b.Name {
+					return fmt.Errorf("relation: attribute %q repeated", a.Name)
+				}
+			}
+		}
+		return nil
+	}
+	seen := make(map[string]struct{}, len(attrs))
+	for _, a := range attrs {
+		if _, ok := seen[a.Name]; ok {
+			return fmt.Errorf("relation: attribute %q repeated", a.Name)
+		}
+		seen[a.Name] = struct{}{}
+	}
+	return nil
 }
 
 // Arity returns the number of attributes.

@@ -259,7 +259,7 @@ func TestWireAllocsPerTuple(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
-	const rows, perStream = 100_000, 80
+	const rows, perStream = 100_000, 40
 	attrs := []relation.Attr{{Name: "k", Kind: relation.KindInt}, {Name: "g", Kind: relation.KindString}, {Name: "v", Kind: relation.KindFloat}}
 	shapes := []struct {
 		name     string
@@ -289,15 +289,22 @@ func TestWireAllocsPerTuple(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/timeout=%v", shape.name, timeout), func(t *testing.T) {
 				p := dialTestPool(t, addr, PoolOptions{Size: 1, RequestTimeout: timeout})
 				const sql = "SELECT * FROM fact"
+				// mallocs is the fewest of k readings: a collection during one
+				// empties framePool, and the frames it makes again are no cost
+				// of the wire's.
 				mallocs := func(drain func() int) float64 {
 					drain() // plan cache, connection buffers, pooled frames
-					var m0, m1 runtime.MemStats
-					runtime.ReadMemStats(&m0)
-					if n := drain(); n != rows {
-						t.Fatalf("drained %d tuples, want %d", n, rows)
+					fewest := math.Inf(1)
+					for range 5 {
+						var m0, m1 runtime.MemStats
+						runtime.ReadMemStats(&m0)
+						if n := drain(); n != rows {
+							t.Fatalf("drained %d tuples, want %d", n, rows)
+						}
+						runtime.ReadMemStats(&m1)
+						fewest = min(fewest, float64(m1.Mallocs-m0.Mallocs))
 					}
-					runtime.ReadMemStats(&m1)
-					return float64(m1.Mallocs - m0.Mallocs)
+					return fewest
 				}
 				count := func(it relation.Iterator) (n int) {
 					for {

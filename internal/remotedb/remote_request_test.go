@@ -8,8 +8,10 @@ import (
 	"net"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/relation"
 )
@@ -398,5 +400,51 @@ func TestRepeatedColumnIsAnError(t *testing.T) {
 	}
 	if err := NewEngine().replayRecord(&walRecord{Kind: walCreateTable, Name: "t", Attrs: twice}); err == nil {
 		t.Fatal("a logged CREATE TABLE repeating a name replayed")
+	}
+}
+
+// TestWideSchemaNamesLinear: the repeated-name check is linear in a schema's
+// width wherever a schema is built from input. A 30 000-wide header's schema
+// on a memo miss, CREATE TABLE and logged table each build in well under a
+// second, where the pairwise check took seconds; a repeat at the end is
+// still an error.
+func TestWideSchemaNamesLinear(t *testing.T) {
+	const width = 30_000
+	attrs := make([]wireAttr, width)
+	cols := make([]string, width)
+	for i := range attrs {
+		attrs[i] = wireAttr{Name: fmt.Sprintf("c%d", i), Kind: uint8(relation.KindInt)}
+		cols[i] = attrs[i].Name + " INT"
+	}
+	for _, repeat := range []bool{false, true} {
+		in := attrs
+		if repeat {
+			in = slices.Clone(attrs)
+			in[width-1].Name = in[0].Name
+			cols[width-1] = in[0].Name + " INT"
+		}
+		create := "CREATE TABLE w (" + strings.Join(cols, ", ") + ")"
+		for _, c := range []struct {
+			name  string
+			build func() error
+		}{
+			{"header", func() error { _, err := fromWireAttrs(in); return err }},
+			{"CREATE TABLE", func() error { _, err := ParseSQL(create); return err }},
+			{"logged table", func() error {
+				_, err := (&walTable{Name: "w", Attrs: in, Rows: appendBatch(nil, width, nil)}).relation()
+				return err
+			}},
+		} {
+			start := time.Now()
+			err := c.build()
+			took := time.Since(start)
+			if (err != nil) != repeat {
+				t.Errorf("%s, repeat %v: err %v", c.name, repeat, err)
+			}
+			if took > time.Second {
+				t.Errorf("%s, repeat %v: %v, want well under a second", c.name, repeat, took)
+			}
+			t.Logf("%s, repeat %v: %v", c.name, repeat, took)
+		}
 	}
 }

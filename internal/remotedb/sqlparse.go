@@ -255,11 +255,6 @@ func (p *sqlParser) parseCreate() (*CreateStmt, error) {
 				return nil, err
 			}
 		}
-		for _, a := range attrs {
-			if a.Name == col {
-				return nil, fmt.Errorf("remotedb: column %s repeated in CREATE TABLE %s", col, name)
-			}
-		}
 		attrs = append(attrs, relation.Attr{Name: col, Kind: kind})
 		if p.atPunct(",") {
 			p.advance()
@@ -269,6 +264,9 @@ func (p *sqlParser) parseCreate() (*CreateStmt, error) {
 	}
 	if err := p.expectPunct(")"); err != nil {
 		return nil, err
+	}
+	if err := relation.CheckNames(attrs); err != nil {
+		return nil, fmt.Errorf("remotedb: CREATE TABLE %s: %w", name, err)
 	}
 	return &CreateStmt{Table: name, Schema: relation.NewSchema(attrs...)}, nil
 }

@@ -39,12 +39,10 @@ func toWireAttrs(sch *relation.Schema) []wireAttr {
 func fromWireAttrs(attrs []wireAttr) (*relation.Schema, error) {
 	out := make([]relation.Attr, len(attrs))
 	for i, a := range attrs {
-		for _, b := range attrs[:i] {
-			if a.Name == b.Name {
-				return nil, fmt.Errorf("attribute %q repeated", a.Name)
-			}
-		}
 		out[i] = relation.Attr{Name: a.Name, Kind: relation.Kind(a.Kind)}
+	}
+	if err := relation.CheckNames(out); err != nil {
+		return nil, err
 	}
 	return relation.NewSchema(out...), nil
 }
