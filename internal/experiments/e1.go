@@ -18,12 +18,12 @@ import (
 // if provided incrementally. Not all solutions to a problem may be needed."
 //
 // The kinship workload runs under each strategy twice — consuming all
-// (distinct) solutions, and consuming only the first solution of each query
-// — over a *loose-coupling* data layer, isolating the strategy dimension.
-// (E2 then evaluates the bridge itself on a fixed strategy.) An additional
-// pair of rows shows the interpreted strategy behind the full BrAID CMS: the
-// bridge recovers most of the compiled extreme's transfer efficiency while
-// keeping single-solution laziness.
+// solutions, each answer once, and consuming only the first solution of each
+// query — over a *loose-coupling* data layer, isolating the strategy
+// dimension. (E2 then evaluates the bridge itself on a fixed strategy.) An
+// additional pair of rows shows the interpreted strategy behind the full
+// BrAID CMS: the bridge recovers most of the compiled extreme's transfer
+// efficiency while keeping single-solution laziness.
 func E1ICRange() *Table {
 	t := &Table{
 		ID:     "E1",
@@ -65,7 +65,7 @@ func E1ICRange() *Table {
 		t.AddRow(strat.String(), "loose", "anc/first", fi(int64(answers)), fi(st.RemoteRequests), fi(st.RemoteTuples), ff(st.ResponseSimMS))
 	}
 	// Recursion in each of its forms: every strategy answers what the
-	// fixpoint derives, the SLD strategies by tabling recursive calls.
+	// fixpoint derives, the SLD strategies by tabling every call.
 	for _, form := range e1ChainForms {
 		for _, args := range []string{"0,Y", "X,Y"} {
 			for _, strat := range []ie.Strategy{ie.StrategyInterpreted, ie.StrategyConjunction, ie.StrategyCompiled} {
@@ -93,7 +93,7 @@ var e1ChainForms = []struct{ name, rec string }{
 
 // RunE1Chain asks goal of anc, defined by e(X, Y) and the recursive clause
 // rec, over a chain 0 → 1 → … → e1ChainEdges under loose coupling, and
-// counts its distinct answers.
+// counts its answers.
 func RunE1Chain(strat ie.Strategy, rec, goal string) (stats statsView, answers int) {
 	e := relation.New("e", relation.NewSchema(
 		relation.Attr{Name: "a", Kind: relation.KindInt},
@@ -128,7 +128,8 @@ func RunE1Queries(strat ie.Strategy, braidLayer, allSolutions bool, only []logic
 }
 
 // runE1 asks w's queries under one strategy and layer, consuming every
-// distinct answer of each or only its first, and counts the answers.
+// answer of each or only its first, and counts the answers: an ask yields
+// each answer once.
 func runE1(w *workload.Workload, strat ie.Strategy, braidLayer, allSolutions bool) (stats statsView, answers int) {
 	client := remotedb.NewInProcClient(w.Engine(), remotedb.DefaultCosts())
 	cfg := core.Config{
@@ -149,15 +150,9 @@ func runE1(w *workload.Workload, strat ie.Strategy, braidLayer, allSolutions boo
 			panic(fmt.Sprintf("E1 %s: %v", q, err))
 		}
 		if allSolutions {
-			seen := map[string]bool{}
-			for {
-				sub, ok := sol.Next()
-				if !ok {
-					break
-				}
-				seen[sub.String()] = true
+			for _, ok := sol.Next(); ok; _, ok = sol.Next() {
+				answers++
 			}
-			answers += len(seen)
 		} else {
 			if _, ok := sol.Next(); ok {
 				answers++

@@ -125,11 +125,14 @@ type answer struct {
 
 // Solutions is the lazy stream of answers to an AI query: a single solution
 // is produced on demand (the paper's single-solution strategy), and Close
-// abandons the remaining search. The search runs inside Next, on the caller's
-// goroutine, so how many CAQL queries a consumer causes depends on how many
-// answers it took, never on scheduling. Once the search is closed or spent,
-// its runner goes back to the engine for another ask, and the Solutions
-// keeps only its variables and its error.
+// abandons the remaining search. Each answer comes once, under every
+// strategy: the SLD strategies table every derived call, so a call's answers
+// are held until the ask closes, and a base goal's answers go through a
+// table too. The search runs inside Next, on the caller's goroutine, so how
+// many CAQL queries a consumer causes depends on how many answers it took,
+// never on scheduling. Once the search is closed or spent, its runner goes
+// back to the engine for another ask, and the Solutions keeps only its
+// variables and its error.
 type Solutions struct {
 	vars   []string
 	search *runner
@@ -261,10 +264,11 @@ func (e *Engine) AskCtx(ctx context.Context, goal logic.Atom) (*Solutions, error
 	}
 	r.ctx, r.sh, r.vars, r.live = ctx, sh, vars, true
 	r.session = e.ds.BeginSession(adv)
-	r.goalAtom, r.goal[0] = logic.NumAtom{Atom: goal}, sh.goal
+	r.goalAtom, r.goal[0] = logic.NumAtom{Atom: goal, Nums: sh.goal.atom.Nums}, sh.goal
 	if sh.goal.kind == itemCall {
-		r.goalAtom.Nums = sh.goal.atom.Nums
 		r.goal[0].atom = &r.goalAtom
+	} else {
+		r.tabs.find(0, len(goal.Args)) // table 0: the base goal's answers
 	}
 	r.g = cont{items: r.goal[:], base: r.b.Push(len(vars)), anc: -1, next: -1}
 	return &Solutions{vars: vars, search: r}, nil

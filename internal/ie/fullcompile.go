@@ -161,3 +161,29 @@ func fetchQueryFor(graph *Graph, ref logic.PredRef, head string) *caql.Query {
 	// extension has the relation's full arity for bottom-up evaluation.
 	return caql.NewQuery(logic.A(head, args...), []logic.Atom{logic.A(ref.Name, args...)})
 }
+
+// reachable returns the clauses of the derived predicates reachable from
+// roots, in the order a depth-first visit reaches them.
+func reachable(kb *logic.KB, roots ...logic.PredRef) []logic.Clause {
+	var out []logic.Clause
+	seen := make(map[logic.PredRef]bool)
+	var visit func(ref logic.PredRef)
+	visit = func(ref logic.PredRef) {
+		if seen[ref] || kb.IsBase(ref) {
+			return
+		}
+		seen[ref] = true
+		for _, c := range kb.Rules(ref) {
+			out = append(out, c)
+			for _, a := range c.Body {
+				if !a.IsComparison() {
+					visit(a.Ref())
+				}
+			}
+		}
+	}
+	for _, r := range roots {
+		visit(r)
+	}
+	return out
+}

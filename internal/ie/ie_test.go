@@ -259,11 +259,11 @@ func answersOf(t *testing.T, eng *Engine, goal string) *relation.Relation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := sol.Tuples()
+	out := distinctTuples(t, sol)
 	if sol.Err() != nil {
 		t.Fatalf("ask %s: %v", goal, sol.Err())
 	}
-	return relation.DistinctRel(out)
+	return out
 }
 
 // TestStrategiesAgreeExample1 runs all three strategies on Example 1 and
@@ -289,7 +289,7 @@ func bottomUpAnswers(t *testing.T, kb *logic.KB, src caql.MapSource, goal string
 	if err != nil {
 		t.Fatal(err)
 	}
-	derived, err := BottomUp(context.Background(), kb, src, []logic.PredRef{g.Ref()})
+	derived, err := fixpoint(kb, src, g.Ref())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,10 +363,11 @@ func answerRel(g logic.Atom, ext *relation.Relation) *relation.Relation {
 // TestRecursionAncestor asks anc in its left-linear, right-linear and
 // non-linear forms, free and with its first argument bound, under every
 // strategy, over a small tree and over a 200-edge chain: each strategy
-// answers what naiveBottomUp derives. The three forms define one relation,
-// so the reference is derived once a dataset, from the left-linear form;
-// FuzzFixpoint's seeds derive the chain's from the non-linear form too. The
-// interpreted and conjunction strategies table anc's calls; before they did,
+// answers what naiveBottomUp derives, each answer once. The three forms
+// define one relation, so the reference is derived once a dataset, from the
+// left-linear form; FuzzFixpoint's seeds derive the chain's from the
+// non-linear form too. The
+// interpreted and conjunction strategies table every call; before they did,
 // they pruned a call that was a variant of an open ancestor, which lost the
 // answers of left-linear and non-linear recursion (1 of the chain's 200 to
 // anc(0, Y)). Tabled, the interpreted strategy answers left-linear
@@ -419,7 +420,7 @@ func TestRecursionAncestor(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := relation.DistinctRel(sol.Tuples()); sol.Err() != nil || !got.EqualAsSet(wantAnswers) {
+					if got := distinctTuples(t, sol); sol.Err() != nil || !got.EqualAsSet(wantAnswers) {
 						t.Errorf("%s %s %s, %s: %d answers (%v), want %d", data.name, form.name, goal.atom, strat, got.Len(), sol.Err(), goal.answers)
 					}
 					if data.name == "chain" && form.name == "left-linear" && goal.answers == n && strat == StrategyInterpreted && len(ds.queries) > n+2 {
@@ -432,7 +433,7 @@ func TestRecursionAncestor(t *testing.T) {
 }
 
 // TestRecursionCyclicCompiled: every strategy, the compiled one and the two
-// that table recursive calls, answers right-linear reach over a cycle,
+// that table every call, answers right-linear reach over a cycle,
 // 1 → 2 → 3 → 1, with 3 → 4 off it.
 func TestRecursionCyclicCompiled(t *testing.T) {
 	kb := mustKB(t, `
@@ -883,7 +884,7 @@ func TestStreamErrorFailsTheSearch(t *testing.T) {
 	}
 }
 
-func TestBottomUpComparisons(t *testing.T) {
+func TestFixpointComparisons(t *testing.T) {
 	kb := mustKB(t, `
 		:- base(n/1).
 		small(X) :- n(X), X < 3.
@@ -892,7 +893,7 @@ func TestBottomUpComparisons(t *testing.T) {
 	for i := int64(0); i < 6; i++ {
 		n.MustAppend(relation.Tuple{relation.Int(i)})
 	}
-	derived, err := BottomUp(context.Background(), kb, caql.MapSource{"n": n}, []logic.PredRef{{Name: "small", Arity: 1}})
+	derived, err := fixpoint(kb, caql.MapSource{"n": n}, logic.PredRef{Name: "small", Arity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -921,6 +922,48 @@ func TestAnswersUnification(t *testing.T) {
 	sort.Slice(got, func(i, j int) bool { return got[i].String() < got[j].String() })
 	if got[0].String() != "{Y=1}" {
 		t.Fatalf("answer = %v", got[0])
+	}
+}
+
+// TestAnswersAreASet: an ask yields each answer once under every strategy.
+// e holds two rows twice, so a base goal reads a repeat, and the derived
+// goals reach an answer through both copies of a row, through two clauses
+// or through two rows that differ only in a column they drop; each is asked
+// free and bound.
+func TestAnswersAreASet(t *testing.T) {
+	kb := mustKB(t, `
+		:- base(e/2).
+		p(X, Y) :- e(X, Y).
+		from(X) :- e(X, Y).
+		two(X, Y) :- e(X, Y).
+		two(X, Y) :- e(X, Z), e(Z, Y).
+	`)
+	src := caql.MapSource{"e": relationOfPairs("e", [][2]int64{{1, 2}, {1, 2}, {2, 3}, {1, 3}, {3, 3}, {3, 3}})}
+	for _, c := range []struct {
+		goal string
+		want int
+	}{
+		{"e(X, Y)?", 4},
+		{"e(1, Y)?", 2},
+		{"e(X, X)?", 1},
+		{"p(X, Y)?", 4},
+		{"p(1, Y)?", 2},
+		{"from(X)?", 3},
+		{"from(1)?", 1},
+		{"two(X, Y)?", 4},
+		{"two(1, Y)?", 2},
+	} {
+		for _, strat := range []Strategy{StrategyInterpreted, StrategyConjunction, StrategyCompiled} {
+			t.Run(c.goal+strat.String(), func(t *testing.T) {
+				sol, err := New(kb, &mapDS{src: src}, Options{Strategy: strat}).AskText(c.goal)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := distinctTuples(t, sol); sol.Err() != nil || got.Len() != c.want {
+					t.Errorf("%d answers (%v), want %d", got.Len(), sol.Err(), c.want)
+				}
+			})
+		}
 	}
 }
 

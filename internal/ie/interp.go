@@ -20,18 +20,19 @@ const maxDepth = 4096
 // depth-first SLD resolution with chronological backtracking (Section 4's
 // "well-known depth-first with chronological backtracking strategy of
 // Prolog"), where base-atom segments become CAQL queries whose result
-// streams are consumed tuple-at-a-time. A call to a recursive predicate is
+// streams are consumed tuple-at-a-time. Every call to a derived predicate is
 // tabled (table.go), so left-linear, non-linear and mutual recursion, and
-// cyclic data, end with every answer the fixpoint derives.
+// cyclic data, end with every answer the fixpoint derives, each answer is
+// passed on once, and a repeated variant reads its table instead of running
+// its clauses again.
 //
 // The search resumes from a stack of choices, its open alternatives: a
-// segment's open stream, a call's next clause, or a tabled call's next
-// answer. It binds in one logic.Bindings: applying a clause pushes its frame,
-// and everything bound since a choice was pushed is undone when the search
-// backtracks into it. What runs after a called clause's body succeeds is a
-// cont on a stack, and the open pioneers are entries of an ancestor stack,
-// each linked to its caller's; backtracking cuts both back to the choice's
-// heights.
+// segment's open stream, or a call's next answer or next clause. It binds in
+// one logic.Bindings: applying a clause pushes its frame, and everything
+// bound since a choice was pushed is undone when the search backtracks into
+// it. What runs after a called clause's body succeeds is a cont on a stack,
+// and the open pioneers are entries of an ancestor stack, each linked to its
+// caller's; backtracking cuts both back to the choice's heights.
 //
 // A runner outlives its ask: close resets it and gives it back to its engine,
 // which hands it to a later ask, unless a collection finished in between,
@@ -84,14 +85,13 @@ func (s *gcCount) read() uint64 {
 
 // choice is an open alternative. A segment's is its open stream for the
 // query in blk: each further tuple binds the head of seg and resumes goal,
-// the rest of the clause. A call's is its clauses not yet tried; the call is
-// conts[conts-1]. A tabled call's is also its table tab and the newest of
-// its answers it has delivered, at (-1: none). A pioneer's clauses are its predicate's, pc, its
-// ancestor entry is anc[anc-1] and its entry on the tables' SCC stack scc; a
-// follower, or a call whose table is complete, has no clauses and only reads.
-// tab is -1 for a call to a predicate that is not recursive. The bindings
-// mark and the stack heights are the search's state when the choice was
-// pushed, restored by every retry.
+// the rest of the clause. A call's is its table tab, the newest of its
+// answers it has delivered, at (-1: none), and its clauses not yet tried;
+// the call is conts[conts-1]. A pioneer's clauses are its predicate's, pc,
+// its ancestor entry is anc[anc-1] and its entry on the tables' SCC stack
+// scc; a follower, or a call whose table is complete, has no clauses and
+// only reads. The bindings mark and the stack heights are the search's state
+// when the choice was pushed, restored by every retry.
 type choice struct {
 	goal    cont
 	stream  *bridge.Stream
@@ -116,8 +116,8 @@ type rootName struct {
 // ancestors anc, at depth, continued by conts[next] when they succeed (-1:
 // the goal is answered), with the clause's proof steps so far in acc. On the
 // conts stack it is what runs each time a called clause succeeds, and keeps
-// what the rule step cites: the call and the clause being tried; a tabled
-// call's also keeps its choice, choices[ch] (-1 for an untabled call).
+// what the rule step cites: the call and the clause being tried, and the
+// call's choice, choices[ch].
 type cont struct {
 	items                      []bodyItem
 	base, anc, depth, next, ch int
@@ -153,6 +153,17 @@ func (r *runner) next() (a answer, ok bool, err error) {
 			r.live, err = r.retry()
 		case len(r.g.items) == 0 && r.g.next < 0:
 			r.live = false
+			if r.goal[0].kind == itemSegment {
+				// A base goal's rows may repeat, so its answers go through
+				// table 0, and a repeat backtracks.
+				fresh, err := r.tabs.add(0, &r.b, &r.goalAtom, r.g.base, nil)
+				if err != nil {
+					return answer{}, false, err
+				}
+				if !fresh {
+					continue
+				}
+			}
 			return r.emit(), true, nil
 		default:
 			r.live, err = r.step()
@@ -217,13 +228,10 @@ func (r *runner) push(c choice) {
 func (r *runner) retry() (ok bool, err error) {
 	c := &r.choices[len(r.choices)-1]
 	r.conts, r.anc = r.conts[:c.conts], r.anc[:c.anc]
-	switch {
-	case c.stream != nil:
+	if c.stream != nil {
 		ok, err = r.nextTuple(c)
-	case c.tab >= 0:
+	} else {
 		ok, err = r.nextAnswer(c)
-	default:
-		ok, err = r.nextClause(c)
 	}
 	if !ok {
 		if c.stream != nil {
@@ -263,16 +271,11 @@ func (r *runner) nextTuple(c *choice) (bool, error) {
 	}
 }
 
-// nextClause makes the body of the call's next clause whose head unifies the
-// goal. A pioneer's clauses run under its ancestor entry, an untabled call's
-// under its caller's.
+// nextClause makes the goal the body of pioneer c's next clause whose head
+// unifies the call, run under the pioneer's ancestor entry.
 func (r *runner) nextClause(c *choice) (bool, error) {
 	k := c.conts - 1
 	call := &r.conts[k]
-	anc := call.anc
-	if c.pc != nil {
-		anc = c.anc - 1
-	}
 	for len(c.clauses) > 0 {
 		r.b.Undo(c.mark)
 		cc := c.clauses[0]
@@ -285,13 +288,13 @@ func (r *runner) nextClause(c *choice) (bool, error) {
 			return false, fmt.Errorf("ie: SLD depth limit %d exceeded (non-terminating recursion?)", maxDepth)
 		}
 		call.cc = cc
-		r.g = cont{items: cc.items, base: callee, anc: anc, depth: call.depth + 1, next: k}
+		r.g = cont{items: cc.items, base: callee, anc: c.anc - 1, depth: call.depth + 1, next: k}
 		return true, nil
 	}
 	return false, nil
 }
 
-// nextAnswer makes the goal the caller of a tabled call, with the call bound
+// nextAnswer makes the goal the caller of a call, with the call bound
 // to the next answer of its table it has not delivered; once it has
 // delivered them all, a pioneer runs its next clause, and a pioneer whose
 // clauses are spent settles its SCC, which may run them again. A call that
@@ -320,7 +323,7 @@ func (r *runner) nextAnswer(c *choice) (bool, error) {
 	}
 }
 
-// deliver binds the tabled call of choice c to answer rec of its table and
+// deliver binds the call of choice c to answer rec of its table and
 // makes the goal the call's caller.
 func (r *runner) deliver(c *choice, rec int32) bool {
 	k := &r.conts[c.conts-1]
@@ -338,21 +341,16 @@ func (r *runner) deliver(c *choice, rec int32) bool {
 	return true
 }
 
-// call makes a call's choice: its clauses, or for a call to a recursive
-// predicate its table's, as tabling has it. A call whose table is complete
-// reads it. A call with an open ancestor pioneer of its table follows that
-// pioneer. A call whose table has an entry on the SCC stack, waiting or open,
-// follows the nearest of its ancestors that started no later than that
-// entry: it reads the table, and that ancestor's SCC, whose re-run would run
-// the call again, completes no sooner than the table's. Any other call
-// pioneers its table, starting an entry on the SCC stack and an ancestor
-// entry. A follower marks the newest entry on the SCC stack with the
-// ancestor it follows.
+// call makes a call's choice on its table, as tabling has it. A call whose
+// table is complete reads it. A call with an open ancestor pioneer of its
+// table follows that pioneer. A call whose table has an entry on the SCC
+// stack, waiting or open, follows the nearest of its ancestors that started
+// no later than that entry: it reads the table, and that ancestor's SCC,
+// whose re-run would run the call again, completes no sooner than the
+// table's. Any other call pioneers its table, starting an entry on the SCC
+// stack and an ancestor entry. A follower marks the newest entry on the SCC
+// stack with the ancestor it follows.
 func (r *runner) call(k *cont, pc *predCode) choice {
-	k.ch = -1
-	if !pc.tabled {
-		return choice{clauses: pc.clauses, tab: -1}
-	}
 	ts := &r.tabs
 	start := len(ts.keys)
 	ts.keys = r.appendKey(ts.keys, k.call, k.base)
@@ -404,18 +402,16 @@ func (r *runner) step() (bool, error) {
 			}
 			acc = appendProof(k.acc, p)
 		}
-		if k.ch >= 0 {
-			// A tabled call's answer goes on at once only when it is new and the
-			// call has delivered every answer before it; its choice delivers the
-			// rest in table order.
-			c := &r.choices[k.ch]
-			last := r.tabs.tabs[c.tab].last
-			fresh, err := r.tabs.add(c.tab, &r.b, k.call, k.base, p)
-			if !fresh || c.at != last {
-				return false, err
-			}
-			c.at = r.tabs.tabs[c.tab].last
+		// The call's answer goes on at once only when it is new and the call
+		// has delivered every answer before it; its choice delivers the rest
+		// in table order.
+		c := &r.choices[k.ch]
+		last := r.tabs.tabs[c.tab].last
+		fresh, err := r.tabs.add(c.tab, &r.b, k.call, k.base, p)
+		if !fresh || c.at != last {
+			return false, err
 		}
+		c.at = r.tabs.tabs[c.tab].last
 		*g = cont{items: k.items, base: k.base, anc: k.anc, depth: k.depth, next: k.next, acc: acc}
 		return true, nil
 	}

@@ -284,7 +284,8 @@ func atomPtrs(as []logic.Atom) []*logic.Atom {
 // TestPooledRunnerKeepsNoTable: an ask's answer tables go with its runner
 // only as storage. An ask of left-linear anc(0, Y) closed after its first
 // answer leaves its tables incomplete; its runner, back with the engine,
-// holds no table, key or answer value, and after an edge is inserted the
+// holds no table, key or answer value, nor does it after a base goal's ask,
+// and after an edge is inserted the
 // next ask on the engine answers what the fixpoint derives over the new
 // data, as it does after a drained ask and a second insert. Then four
 // goroutines ask left-linear, right-linear and non-linear goals, bound and
@@ -319,15 +320,30 @@ func TestPooledRunnerKeepsNoTable(t *testing.T) {
 		t.Fatalf("the ask closed after one answer left %d tables, the first complete: the test needs an incomplete one", len(r.tabs.tabs))
 	}
 	sol.Close()
-	if len(r.tabs.tabs) != 0 || len(r.tabs.keys) != 0 || len(r.tabs.scc) != 0 || len(r.tabs.recs) != 0 {
-		t.Fatalf("a closed runner keeps %d tables, %d key bytes, %d SCC entries and %d answers",
-			len(r.tabs.tabs), len(r.tabs.keys), len(r.tabs.scc), len(r.tabs.recs))
-	}
-	for _, v := range r.tabs.vals[:cap(r.tabs.vals)] {
-		if !v.IsNull() {
-			t.Fatalf("a closed runner's table storage keeps the value %v", v)
+	keepsNothing := func(goal string) {
+		t.Helper()
+		if len(r.tabs.tabs) != 0 || len(r.tabs.keys) != 0 || len(r.tabs.scc) != 0 || len(r.tabs.recs) != 0 {
+			t.Fatalf("%s: a closed runner keeps %d tables, %d key bytes, %d SCC entries and %d answers",
+				goal, len(r.tabs.tabs), len(r.tabs.keys), len(r.tabs.scc), len(r.tabs.recs))
+		}
+		for _, v := range r.tabs.vals[:cap(r.tabs.vals)] {
+			if !v.IsNull() {
+				t.Fatalf("%s: a closed runner's table storage keeps the value %v", goal, v)
+			}
 		}
 	}
+	keepsNothing("lanc(0, Y)?")
+	// A base goal's answers go through a table of their own, which close
+	// empties too.
+	if sol, err = eng.AskText("e(X, Y)?"); err != nil {
+		t.Fatal(err)
+	}
+	r = sol.search
+	if _, ok := sol.Next(); !ok || len(r.tabs.recs) != 1 {
+		t.Fatalf("e(X, Y) after one answer: %d answers tabled (%v), want 1", len(r.tabs.recs), sol.Err())
+	}
+	sol.Close()
+	keepsNothing("e(X, Y)?")
 	// The drained asks leave complete tables behind them; the next insert
 	// must show in the asks after it all the same.
 	for i := int64(0); i < 2; i++ {

@@ -16,7 +16,28 @@ import (
 	"repro/internal/remotedb"
 )
 
-// naiveBottomUp is the reference BottomUp is held to: naive evaluation. Each
+// fixpoint runs caql.Fixpoint over the clauses reachable from roots.
+func fixpoint(kb *logic.KB, base caql.RelationSource, roots ...logic.PredRef) (map[logic.PredRef]*relation.Relation, error) {
+	var rules []*caql.Query
+	for _, c := range reachable(kb, roots...) {
+		rules = append(rules, caql.NewQuery(c.Head, c.Body))
+	}
+	derived, _, err := caql.Fixpoint(context.Background(), rules, base)
+	return derived, err
+}
+
+// distinctTuples is the answers of sol as a relation, once it has checked
+// that no answer came twice.
+func distinctTuples(t *testing.T, sol *Solutions) *relation.Relation {
+	t.Helper()
+	ans := sol.Tuples()
+	if d := relation.DistinctRel(ans); d.Len() != ans.Len() {
+		t.Fatalf("%d solutions hold %d distinct answers: %v", ans.Len(), d.Len(), ans.Sort())
+	}
+	return ans
+}
+
+// naiveBottomUp is the reference fixpoint is held to: naive evaluation. Each
 // round re-runs every rule whose body reads a predicate that grew in the
 // round before over that predicate's whole extension, and deduplicates
 // in a TupleSet, until no extension grows. It returns the derived
@@ -104,20 +125,21 @@ func (o overlaySource) RelationExtension(name string, arity int) (*relation.Rela
 	return o.base.RelationExtension(name, arity)
 }
 
-// FuzzFixpoint holds every strategy to the naive reference: BottomUp must
-// derive every reachable extension naiveBottomUp derives, and each of the
-// interpreted, conjunction and compiled strategies must answer the goal with
-// the reference's answers, as sets. The compiled one answers over the test's
-// map source and, on inputs of at most 31 edges, through the program door of
-// a CMS session and of the single-relation baseline's, both over an
-// in-process engine. A strategy may stop with an error, but
-// never with a short answer. The low two bits of form pick anc's recursion
-// (left-linear, right-linear, non-linear, or through odd and even, which call
-// each other); bit 2 adds comparisons, bit 3 adds random rules over anc, odd
-// and even, and bit 4 asks q, which is not recursive and calls two of them,
-// so that its second call runs while the first call's table is open. data
-// picks a chain 0 → 1 → … → size, or random acyclic or cyclic edges over up
-// to 16 nodes; pick chooses the goal and whether it binds arguments.
+// FuzzFixpoint holds every strategy to the naive reference: caql.Fixpoint
+// over the reachable clauses must derive every reachable extension
+// naiveBottomUp derives, and each of the interpreted, conjunction and
+// compiled strategies must answer the goal with the reference's answers,
+// each once. The compiled one answers over the test's map source and, on
+// inputs of at most 31 edges, through the program door of a CMS session and
+// of the single-relation baseline's, both over an in-process engine. A
+// strategy may stop with an error, but never with a short answer. The low
+// two bits of form pick anc's recursion (left-linear, right-linear,
+// non-linear, or through odd and even, which call each other); bit 2 adds
+// comparisons, bit 3 adds random rules over anc, odd and even, and bit 4 asks
+// q, which is not recursive and calls two of them, so that its second call
+// runs while the first call's table is open. data picks a chain 0 → 1 → … →
+// size, or random acyclic or cyclic edges over up to 16 nodes; pick chooses
+// the goal and whether it binds arguments.
 func FuzzFixpoint(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(200), uint8(0))  // 200-edge chain, left-linear anc
 	f.Add(int64(1), uint8(2), uint8(0), uint8(200), uint8(0))  // the same chain, non-linear anc
@@ -132,45 +154,21 @@ func FuzzFixpoint(f *testing.F) {
 	f.Add(int64(65), uint8(5), uint8(71), uint8(47), uint8(18))  // right-linear anc with a comparison over cycles
 	f.Add(int64(-94), uint8(23), uint8(0), uint8(62), uint8(64)) // q over odd and even on a chain, q(X, Y)
 	f.Fuzz(func(t *testing.T, seed int64, form, data, size, pick uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		program := fixpointProgram(rng, form)
-		kb := mustKB(t, program)
-		// The naive reference is cubic in a chain's length, and the fuzzer
-		// stops an input after 10 s: only data 0 and the fixed rules get
-		// chains longer than 31 edges, up to the seeds' 200.
-		if data != 0 || form&24 != 0 {
-			size %= 32
-		}
-		src, nodes := fixpointData(rng, data, size)
-		pred := []string{"anc", "odd", "even"}[int(pick)%3]
-		if form&16 != 0 {
-			pred = "q"
-		}
-		args := []string{"X", "Y"}
-		for i := range args {
-			if pick>>(2+i)&1 == 1 {
-				args[i] = fmt.Sprint(rng.Intn(nodes + 1))
-			}
-		}
-		goal, err := logic.ParseAtom(fmt.Sprintf("%s(%s, %s)", pred, args[0], args[1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-
+		program, kb, src, goal := fixpointAsk(t, seed, form, data, size, pick)
 		want, _, err := naiveBottomUp(kb, src, []logic.PredRef{goal.Ref()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := BottomUp(context.Background(), kb, src, []logic.PredRef{goal.Ref()})
+		got, err := fixpoint(kb, src, goal.Ref())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("BottomUp derived %d predicates, the reference %d\n%s", len(got), len(want), program)
+			t.Fatalf("caql.Fixpoint derived %d predicates, the reference %d\n%s", len(got), len(want), program)
 		}
 		for ref, w := range want {
 			if g := got[ref]; g == nil || !g.EqualAsSet(w) {
-				t.Fatalf("%s: BottomUp derived %v, the reference %v\n%s", ref, g, w.Sort(), program)
+				t.Fatalf("%s: caql.Fixpoint derived %v, the reference %v\n%s", ref, g, w.Sort(), program)
 			}
 		}
 		wantAnswers := answerRel(goal, want[goal.Ref()])
@@ -200,7 +198,7 @@ func FuzzFixpoint(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ans := relation.DistinctRel(sol.Tuples())
+			ans := distinctTuples(t, sol)
 			if err := sol.Err(); err != nil {
 				t.Logf("%s: %s over %T stopped with %v", goal, leg.strat, leg.ds, err)
 				continue
@@ -210,6 +208,84 @@ func FuzzFixpoint(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTabledSearchWork asks the first 2 000 of a fixed draw of FuzzFixpoint's
+// inputs, random rules over cyclic data with a free or bound goal, under
+// both SLD strategies. Every ask answers the naive reference's set, each
+// answer once, and the CAQL queries the asks issue are capped, in total and
+// in the largest ask, at what the search issued with every derived call
+// tabled, plus 10 %: a repeated variant reads its table instead of running
+// its clauses again.
+func TestTabledSearchWork(t *testing.T) {
+	const asks = 2000
+	caps := []struct {
+		strat        Strategy
+		total, worst int
+	}{
+		{StrategyInterpreted, 65068, 1077},
+		{StrategyConjunction, 63425, 1077},
+	}
+	total, worst := make([]int, len(caps)), make([]int, len(caps))
+	rng := rand.New(rand.NewSource(42))
+	for range asks {
+		seed, form, size, pick := rng.Int63(), uint8(8+rng.Intn(24)), uint8(rng.Intn(256)), uint8(rng.Intn(256))
+		program, kb, src, goal := fixpointAsk(t, seed, form, 2, size, pick)
+		want, _, err := naiveBottomUp(kb, src, []logic.PredRef{goal.Ref()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAnswers := answerRel(goal, want[goal.Ref()])
+		for i, c := range caps {
+			ds := &mapDS{src: src}
+			sol, err := New(kb, ds, Options{Strategy: c.strat}).Ask(goal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans := distinctTuples(t, sol); sol.Err() != nil || !ans.EqualAsSet(wantAnswers) {
+				t.Fatalf("%s, %s: answered %v (%v), the reference %v\n%s", goal, c.strat, ans.Sort(), sol.Err(), wantAnswers.Sort(), program)
+			}
+			total[i] += len(ds.queries)
+			worst[i] = max(worst[i], len(ds.queries))
+		}
+	}
+	for i, c := range caps {
+		if total[i] > c.total*11/10 || worst[i] > c.worst*11/10 {
+			t.Errorf("%s: %d asks issued %d CAQL queries, the largest %d; want at most %d and %d", c.strat, asks, total[i], worst[i], c.total*11/10, c.worst*11/10)
+		}
+		t.Logf("%s: %d asks issued %d CAQL queries, the largest %d", c.strat, asks, total[i], worst[i])
+	}
+}
+
+// fixpointAsk is FuzzFixpoint's input decoded: the program, its KB, e and
+// the goal.
+func fixpointAsk(t *testing.T, seed int64, form, data, size, pick uint8) (string, *logic.KB, caql.MapSource, logic.Atom) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	program := fixpointProgram(rng, form)
+	kb := mustKB(t, program)
+	// The naive reference is cubic in a chain's length, and the fuzzer
+	// stops an input after 10 s: only data 0 and the fixed rules get
+	// chains longer than 31 edges, up to the seeds' 200.
+	if data != 0 || form&24 != 0 {
+		size %= 32
+	}
+	src, nodes := fixpointData(rng, data, size)
+	pred := []string{"anc", "odd", "even"}[int(pick)%3]
+	if form&16 != 0 {
+		pred = "q"
+	}
+	args := []string{"X", "Y"}
+	for i := range args {
+		if pick>>(2+i)&1 == 1 {
+			args[i] = fmt.Sprint(rng.Intn(nodes + 1))
+		}
+	}
+	goal, err := logic.ParseAtom(fmt.Sprintf("%s(%s, %s)", pred, args[0], args[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return program, kb, src, goal
 }
 
 // fixpointProgram builds FuzzFixpoint's program over the base relation e.

@@ -11,9 +11,9 @@ import (
 )
 
 // Linear tabling (Zhou, Sato and Shen, TPLP 2008; SLG resolution is the
-// reference semantics) for the SLD strategies. A call to a recursive
-// predicate has an answer table, one per variant of the call, which the
-// search's choices read in order:
+// reference semantics) for the SLD strategies. Every call to a derived
+// predicate, the goal's own included, has an answer table, one per variant
+// of the call, which the search's choices read in order:
 //
 //   - a call whose table is complete reads it;
 //   - a call that is a variant of an open ancestor, a pioneer, follows it:
@@ -35,8 +35,12 @@ import (
 // leader re-runs its clauses, as a new round, while a follower in its SCC
 // stopped before its table's last answer; otherwise every table from its
 // entry up is complete. Everything runs on the search's one choice stack,
-// and a runner's tables live for one ask: close empties them and keeps their
-// storage.
+// and a runner's tables live for one ask: an answer each call reached is
+// held until the ask closes, which empties the tables and keeps their
+// storage. So a call answers a set, and a variant that repeats within an ask
+// reads its table instead of running its clauses again. A base goal has no
+// call, and its answers go through table 0 (runner.next), so that it
+// answers a set too.
 
 // noStop is a table's stop when no follower has stopped on it this round.
 const noStop = math.MaxInt32
@@ -144,7 +148,7 @@ func (ts *tables) add(id int32, b *logic.Bindings, a *logic.NumAtom, base int, p
 			var ok bool
 			if _, v, ok = b.Resolve(base + int(n)); !ok {
 				ts.vals = ts.vals[:at]
-				return false, fmt.Errorf("ie: answer %s of a recursive call is not ground", a.Atom)
+				return false, fmt.Errorf("ie: answer %s of a call is not ground", a.Atom)
 			}
 		}
 		ts.vals = append(ts.vals, v)

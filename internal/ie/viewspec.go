@@ -29,7 +29,7 @@ const (
 type bodyItem struct {
 	kind   itemKind
 	seg    *viewTemplate  // itemSegment
-	atom   *logic.NumAtom // itemCall / itemCmp, numbered in the clause
+	atom   *logic.NumAtom // itemCall / itemCmp (and a base goal), numbered in the clause
 	callee *predCode      // itemCall
 }
 
@@ -55,12 +55,9 @@ type compiledClause struct {
 	items []bodyItem
 }
 
-// predCode is a derived predicate's compiled clauses, in program order, and
-// whether the predicate is recursive, so that the SLD strategies table its
-// calls.
+// predCode is a derived predicate's compiled clauses, in program order.
 type predCode struct {
 	clauses []*compiledClause
-	tabled  bool
 }
 
 // compiledKB is an engine's compile state for one generation of its KB and
@@ -141,7 +138,7 @@ func (ck *compiledKB) pred(ref logic.PredRef) *predCode {
 		return pc
 	}
 	rules := ck.kb.Rules(ref)
-	pc := &predCode{clauses: make([]*compiledClause, 0, len(rules)), tabled: ck.kb.IsRecursive(ref)}
+	pc := &predCode{clauses: make([]*compiledClause, 0, len(rules))}
 	ck.preds[ref] = pc // before its clauses, which may call it
 	for idx, clause := range rules {
 		shaped, ok := shapeClause(ck.kb, &ck.sh, clause)
@@ -252,7 +249,7 @@ type shape struct {
 	// goal is the pseudo-clause's one item, whose variable i is the goal's
 	// i-th distinct variable: a derived goal's call, whose atom each ask
 	// replaces by its own goal, or a base goal's segment, built from the
-	// goal itself and never shared.
+	// goal itself and never shared, with the goal, numbered, as its atom.
 	goal bodyItem
 	// views are the reachable views in first-reachable order, views[i]
 	// named names[i], and num[vt.id] is 1 + vt's index in views.
@@ -317,6 +314,8 @@ func (ck *compiledKB) compileShape(goal logic.Atom) *shape {
 	sh.annotate()
 	if sh.goal.kind == itemCall {
 		sh.goal.atom.Args = nil // each ask puts its own goal here
+	} else {
+		sh.goal.atom = numbered(&vars, goal) // numbers the answers of table 0
 	}
 	return sh
 }

@@ -7,15 +7,14 @@ import (
 
 // KB is a knowledge base: Horn clause rules indexed by head predicate, plus
 // the second-order assertions of Section 4 (mutual exclusion, functional
-// dependencies, recursive-structure declarations) and declarations of which
-// predicates are base (database) relations.
+// dependencies) and declarations of which predicates are base (database)
+// relations.
 type KB struct {
 	rules   map[PredRef][]Clause
 	order   []PredRef // rule insertion order, for deterministic iteration
 	base    map[PredRef]bool
 	mutex   []MutexSOA
 	fds     []FDSOA
-	recur   map[PredRef]bool
 	clauses int
 	gen     uint64
 }
@@ -25,7 +24,6 @@ func NewKB() *KB {
 	return &KB{
 		rules: make(map[PredRef][]Clause),
 		base:  make(map[PredRef]bool),
-		recur: make(map[PredRef]bool),
 	}
 }
 
@@ -123,48 +121,6 @@ func (kb *KB) FDs(ref PredRef) []FDSOA {
 		}
 	}
 	return out
-}
-
-// DeclareRecursive records a recursive-structure SOA (cf. [OHAR87]): the
-// predicate is known to be a recursive structure over other relations.
-func (kb *KB) DeclareRecursive(ref PredRef) {
-	kb.recur[ref] = true
-	kb.gen++
-}
-
-// DeclaredRecursive reports whether the predicate carries a
-// recursive-structure SOA.
-func (kb *KB) DeclaredRecursive(ref PredRef) bool { return kb.recur[ref] }
-
-// DependsOn reports whether pred's definition (transitively) uses target.
-func (kb *KB) DependsOn(pred, target PredRef) bool {
-	seen := make(map[PredRef]bool)
-	var walk func(p PredRef) bool
-	walk = func(p PredRef) bool {
-		if seen[p] {
-			return false
-		}
-		seen[p] = true
-		for _, c := range kb.rules[p] {
-			for _, a := range c.Body {
-				if a.IsComparison() {
-					continue
-				}
-				r := a.Ref()
-				if r == target || walk(r) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return walk(pred)
-}
-
-// IsRecursive reports whether the predicate is (directly or mutually)
-// recursive by definition, or declared so by an SOA.
-func (kb *KB) IsRecursive(ref PredRef) bool {
-	return kb.recur[ref] || kb.DependsOn(ref, ref)
 }
 
 // String renders the whole KB in surface syntax.

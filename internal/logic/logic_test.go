@@ -338,36 +338,6 @@ func TestKBBasics(t *testing.T) {
 	if !kb.IsBase(PredRef{"unknown", 1}) {
 		t.Fatal("ruleless predicate should be base")
 	}
-	if kb.IsRecursive(k2) {
-		t.Fatal("k2 is not recursive")
-	}
-}
-
-func TestKBRecursion(t *testing.T) {
-	kb, err := ParseProgram(`
-		:- base(parent/2).
-		anc(X, Y) :- parent(X, Y).
-		anc(X, Y) :- parent(X, Z), anc(Z, Y).
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !kb.IsRecursive(PredRef{"anc", 2}) {
-		t.Fatal("anc should be recursive")
-	}
-	// Mutual recursion.
-	kb2, err := ParseProgram(`
-		:- base(e/2).
-		odd(X, Y) :- e(X, Z), even(Z, Y).
-		even(X, X) :- e(X, X).
-		even(X, Y) :- e(X, Z), odd(Z, Y).
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !kb2.IsRecursive(PredRef{"odd", 2}) || !kb2.IsRecursive(PredRef{"even", 2}) {
-		t.Fatal("mutual recursion not detected")
-	}
 }
 
 func TestKBSOAs(t *testing.T) {
@@ -398,8 +368,18 @@ func TestKBSOAs(t *testing.T) {
 	if fds[0].Determines(map[int]bool{}, 1) {
 		t.Fatal("FD should require bound From")
 	}
-	if !kb.DeclaredRecursive(PredRef{"anc", 2}) {
-		t.Fatal("recursive SOA lost")
+	// The recursive-structure assertion is checked and changes nothing.
+	without, err := ParseProgram(`
+		:- base(b/2).
+		:- mutex(male/1, female/1).
+		:- fd(b/2, [1] -> [2]).
+		p(X) :- b(X, Y).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kb.Generation() != without.Generation() || kb.String() != without.String() {
+		t.Fatalf("the recursive assertion changed the KB: generation %d, %d\n%s", kb.Generation(), without.Generation(), kb)
 	}
 }
 
@@ -412,6 +392,9 @@ func TestKBErrors(t *testing.T) {
 	}
 	if _, err := ParseProgram(":- unknown(p/1)."); err == nil {
 		t.Error("unknown directive should error")
+	}
+	if _, err := ParseProgram(":- recursive(anc)."); err == nil {
+		t.Error("recursive assertion without an arity should error")
 	}
 	if _, err := ParseProgram("p(X :- q(X)."); err == nil {
 		t.Error("syntax error should be reported")
@@ -536,7 +519,6 @@ func TestGenerationCountsChanges(t *testing.T) {
 		{"DeclareBase on a derived predicate", func() error { return kb.DeclareBase(p) }, false},
 		{"AddMutex", func() error { kb.AddMutex(p, b); return nil }, true},
 		{"AddFD", func() error { kb.AddFD(FDSOA{Pred: b, From: []int{0}, To: []int{0}}); return nil }, true},
-		{"DeclareRecursive", func() error { kb.DeclareRecursive(p); return nil }, true},
 	} {
 		gen := kb.Generation()
 		err := step.change()

@@ -18,7 +18,7 @@ import (
 //	:- base(b1/2).              declare a base (database) relation
 //	:- mutex(k3/1, k4/1).       mutual-exclusion SOA
 //	:- fd(emp/3, [1] -> [2]).   functional-dependency SOA (1-based positions)
-//	:- recursive(anc/2).        recursive-structure SOA
+//	:- recursive(anc/2).        recursive-structure SOA: checked, no effect
 //
 // Variables begin with an uppercase letter or underscore; bare lowercase
 // identifiers are symbolic (string) constants; numbers and quoted strings are
@@ -388,14 +388,13 @@ func (p *parser) parseDirective(kb *KB) error {
 		}
 		kb.AddMutex(a, b)
 	case "recursive":
-		ref, err := p.parsePredRef()
-		if err != nil {
+		// Checked, and nothing more: every derived call is tabled.
+		if _, err := p.parsePredRef(); err != nil {
 			return err
 		}
 		if err := p.expect(")"); err != nil {
 			return err
 		}
-		kb.DeclareRecursive(ref)
 	case "fd":
 		ref, err := p.parsePredRef()
 		if err != nil {
