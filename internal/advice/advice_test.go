@@ -99,7 +99,7 @@ func TestTrackerExample1(t *testing.T) {
 		{"d1", "d2", "d3"},
 		{"d1", "d2", "d3", "d2", "d3"},
 	} {
-		tr := NewTracker(a.Path)
+		tr := newTracker(a.Path)
 		for _, q := range seq {
 			if !tr.Observe(q) {
 				t.Fatalf("sequence %v: unexpected rejection at %s", seq, q)
@@ -107,26 +107,26 @@ func TestTrackerExample1(t *testing.T) {
 		}
 	}
 	// Invalid: d2 before d1; repeated d1 (repetition term <1,1>).
-	tr := NewTracker(a.Path)
+	tr := newTracker(a.Path)
 	if tr.Observe("d2") {
 		t.Error("d2 before d1 should be rejected")
 	}
-	tr = NewTracker(a.Path)
+	tr = newTracker(a.Path)
 	tr.Observe("d1")
 	if tr.Observe("d1") {
 		t.Error("second d1 should be rejected (repetition <1,1>)")
 	}
-	if !tr.Lost() {
-		t.Error("tracker should be lost after rejection")
+	if got := within(tr, 8, "d1", "d2", "d3"); len(got) != 0 || tr.Observe("d2") {
+		t.Errorf("tracker should be lost after rejection, predicting and accepting nothing; it predicts %v", got)
 	}
 }
 
 // The CMS observes every query of a session and asks for the followers of
 // every view it answers: once the tracker's state sets have grown, neither
-// allocates to go on (SequenceFollowers allocates only its result).
+// allocates to go on (AppendSequenceFollowers allocates only to grow dst).
 func TestObserveAllocatesNothing(t *testing.T) {
 	a := MustParse(paperExample1)
-	tr := NewTracker(a.Path)
+	tr := newTracker(a.Path)
 	tr.Observe("d1")
 	seq := []string{"d2", "d3"}
 	tr.Observe("d2") // grow both state sets
@@ -140,8 +140,8 @@ func TestObserveAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Observe allocates %v per query, want 0", n)
 	}
-	if n := testing.AllocsPerRun(50, func() { SequenceFollowers(a.Path, "d3") }); n != 0 {
-		t.Errorf("SequenceFollowers allocates %v for a view with no followers, want 0", n)
+	if n := testing.AllocsPerRun(50, func() { AppendSequenceFollowers(nil, a.Path, "d3") }); n != 0 {
+		t.Errorf("AppendSequenceFollowers allocates %v for a view with no followers, want 0", n)
 	}
 }
 
@@ -149,21 +149,22 @@ func TestObserveAllocatesNothing(t *testing.T) {
 // the last it held allocates nothing, and then tracks and predicts as a new
 // tracker of that expression does, whatever it tracked before and however
 // far it got. AppendSequenceFollowers into a slice with room allocates
-// nothing either, and appends what SequenceFollowers returns.
+// nothing either, and appends what it appends to nil.
 func TestTrackerResetAllocs(t *testing.T) {
 	big, err := ParsePath("((d1(X?, Y^), [(d2(Z^, Y?), d3(Z?)), (d4(U^, Y?), d5(U?))]^1)<0,|X|>)<0,1>")
 	if err != nil {
 		t.Fatal(err)
 	}
 	small := MustParse(paperExample1).Path
-	tr := NewTracker(big)
+	tr := newTracker(big)
 	for _, q := range []string{"d1", "d4", "d1", "d9"} { // ends lost
 		tr.Observe(q)
 	}
 	tr.Reset(small)
-	fresh := NewTracker(small)
+	fresh := newTracker(small)
 	for _, q := range []string{"d1", "d2", "d3", "d2"} {
-		if got, want := tr.PredictWithin(8), fresh.PredictWithin(8); !reflect.DeepEqual(got, want) {
+		names := []string{"d1", "d2", "d3", "d4", "d5", "d9"}
+		if got, want := within(tr, 8, names...), within(fresh, 8, names...); !reflect.DeepEqual(got, want) {
 			t.Fatalf("before %s: a reset tracker predicts %v, a new one %v", q, got, want)
 		}
 		if got, want := tr.Observe(q), fresh.Observe(q); got != want {
@@ -183,7 +184,7 @@ func TestTrackerResetAllocs(t *testing.T) {
 	for _, name := range []string{"d1", "d2", "d3", "d4"} {
 		for _, e := range []Expr{small, big} {
 			got := AppendSequenceFollowers(dst[:1], e, name)[1:]
-			if want := SequenceFollowers(e, name); !slices.Equal(got, want) {
+			if want := AppendSequenceFollowers(nil, e, name); !slices.Equal(got, want) {
 				t.Errorf("followers of %s in %s: appended %v, returned %v", name, e, got, want)
 			}
 			if n := testing.AllocsPerRun(50, func() { AppendSequenceFollowers(dst[:0], e, name) }); n != 0 {
@@ -208,7 +209,7 @@ func TestTrackerPaperTrackingExcerpt(t *testing.T) {
 		{"d1", "d2", "d3", "d1", "d4", "d5"},
 	}
 	for _, seq := range valid {
-		tr := NewTracker(pe)
+		tr := newTracker(pe)
 		for i, q := range seq {
 			if !tr.Observe(q) {
 				t.Fatalf("valid sequence %v rejected at position %d (%s)", seq, i, q)
@@ -218,29 +219,26 @@ func TestTrackerPaperTrackingExcerpt(t *testing.T) {
 	// After observing d1 then d2, the alternation is committed to its first
 	// branch: the next query can be d3 (continue branch) or d1 (new
 	// repetition), but not d4/d5 (selection term 1).
-	tr := NewTracker(pe)
+	tr := newTracker(pe)
 	tr.Observe("d1")
 	tr.Observe("d2")
-	next := tr.PredictNext()
-	has := func(ss []string, w string) bool {
-		for _, s := range ss {
-			if s == w {
-				return true
-			}
-		}
-		return false
+	names := []string{"d1", "d2", "d3", "d4", "d5"}
+	next := within(tr, 1, names...)
+	has := func(m map[string]int, w string) bool {
+		_, ok := m[w]
+		return ok
 	}
 	if !has(next, "d3") || !has(next, "d1") {
-		t.Errorf("PredictNext after d1,d2 = %v, want d3 and d1", next)
+		t.Errorf("next after d1,d2 = %v, want d3 and d1", next)
 	}
 	if has(next, "d4") || has(next, "d5") {
-		t.Errorf("PredictNext after d1,d2 = %v, should not include d4/d5 mid-branch", next)
+		t.Errorf("next after d1,d2 = %v, should not include d4/d5 mid-branch", next)
 	}
 	// "Thus, d1 will be required for one of the next two queries": after
 	// d1,d2, within 2 steps d1 is predicted.
-	within := tr.PredictWithin(2)
-	if d, ok := within["d1"]; !ok || d > 2 {
-		t.Errorf("d1 should be predicted within 2 steps, got %v", within)
+	two := within(tr, 2, names...)
+	if d, ok := two["d1"]; !ok || d > 2 {
+		t.Errorf("d1 should be predicted within 2 steps, got %v", two)
 	}
 }
 
@@ -250,7 +248,7 @@ func TestTrackerAlternationSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(pe)
+	tr := newTracker(pe)
 	for _, q := range []string{"d1", "d2", "d3", "d2"} {
 		if !tr.Observe(q) {
 			t.Fatalf("unbounded alternation rejected %s", q)
@@ -261,7 +259,7 @@ func TestTrackerAlternationSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr = NewTracker(pe1)
+	tr = newTracker(pe1)
 	tr.Observe("d1")
 	tr.Observe("d2")
 	if tr.Observe("d3") {
@@ -274,22 +272,23 @@ func TestPredictWithinDistances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(pe)
-	within := tr.PredictWithin(3)
-	if within["d1"] != 1 || within["d2"] != 2 || within["d3"] != 3 {
-		t.Fatalf("distances wrong: %v", within)
+	tr := newTracker(pe)
+	names := []string{"d1", "d2", "d3"}
+	three := within(tr, 3, names...)
+	if three["d1"] != 1 || three["d2"] != 2 || three["d3"] != 3 {
+		t.Fatalf("distances wrong: %v", three)
 	}
 	tr.Observe("d1")
-	within = tr.PredictWithin(3)
-	if _, ok := within["d1"]; ok {
-		t.Errorf("d1 must not be predicted again: %v", within)
+	three = within(tr, 3, names...)
+	if _, ok := three["d1"]; ok {
+		t.Errorf("d1 must not be predicted again: %v", three)
 	}
-	if within["d2"] != 1 {
-		t.Errorf("d2 distance = %d, want 1", within["d2"])
+	if three["d2"] != 1 {
+		t.Errorf("d2 distance = %d, want 1", three["d2"])
 	}
 	// Lost tracker predicts nothing.
 	tr.Observe("d1")
-	if got := tr.PredictWithin(3); got != nil {
+	if got := within(tr, 3, names...); len(got) != 0 {
 		t.Errorf("lost tracker should predict nothing, got %v", got)
 	}
 }
@@ -297,21 +296,41 @@ func TestPredictWithinDistances(t *testing.T) {
 func TestSequenceFollowers(t *testing.T) {
 	a := MustParse(paperExample1)
 	// After d2, its sequence sibling d3 follows.
-	got := SequenceFollowers(a.Path, "d2")
+	got := AppendSequenceFollowers(nil, a.Path, "d2")
 	if !reflect.DeepEqual(got, []string{"d3"}) {
 		t.Fatalf("followers of d2 = %v, want [d3]", got)
 	}
 	// After d1, the whole inner group follows.
-	got = SequenceFollowers(a.Path, "d1")
+	got = AppendSequenceFollowers(nil, a.Path, "d1")
 	if len(got) != 2 {
 		t.Fatalf("followers of d1 = %v", got)
 	}
-	if got := SequenceFollowers(a.Path, "d3"); len(got) != 0 {
+	if got := AppendSequenceFollowers(nil, a.Path, "d3"); len(got) != 0 {
 		t.Fatalf("followers of d3 = %v, want none", got)
 	}
-	if got := SequenceFollowers(nil, "d1"); got != nil {
+	if got := AppendSequenceFollowers(nil, nil, "d1"); got != nil {
 		t.Fatalf("nil path followers = %v", got)
 	}
+}
+
+// newTracker is a tracker reset to e, as a CMS session arms its own.
+func newTracker(e Expr) *Tracker {
+	tr := new(Tracker)
+	tr.Reset(e)
+	return tr
+}
+
+// within is what tr's Distance tells of the given view names: for each one
+// a query against which can come within k observations, the least number of
+// observations before it can.
+func within(tr *Tracker, k int, names ...string) map[string]int {
+	out := map[string]int{}
+	for _, n := range names {
+		if d, ok := tr.Distance(k, n); ok {
+			out[n] = d
+		}
+	}
+	return out
 }
 
 func TestNames(t *testing.T) {
@@ -325,11 +344,11 @@ func TestNames(t *testing.T) {
 }
 
 func TestNilAndEmptyTracker(t *testing.T) {
-	tr := NewTracker(nil)
+	tr := newTracker(nil)
 	if tr.Observe("d1") {
 		t.Error("nil-path tracker accepts nothing")
 	}
-	if got := NewTracker(nil).PredictNext(); len(got) != 0 {
+	if got := within(newTracker(nil), 1, "d1"); len(got) != 0 {
 		t.Errorf("nil-path tracker predicts %v", got)
 	}
 }
@@ -386,17 +405,16 @@ func TestPredictWithinAllocs(t *testing.T) {
 	a := MustParse(paperExample1)
 	names := []string{"d1", "d2", "d3", "d4"}
 	seq := []string{"d1", "d2", "d3", "d2", "d3"}
-	tr := NewTracker(a.Path)
+	tr := newTracker(a.Path)
 	for i := 0; i <= len(seq); i++ {
-		fresh := NewTracker(a.Path)
+		fresh := newTracker(a.Path)
 		for _, q := range seq[:i] {
 			fresh.Observe(q)
 		}
 		walks := tr.Walks()
 		for _, k := range []int{8, 8, 8} {
-			want := fresh.PredictWithin(k)
 			for _, name := range names {
-				wd, wok := want[name]
+				wd, wok := fresh.Distance(k, name)
 				if d, ok := tr.Distance(k, name); d != wd || ok != wok {
 					t.Fatalf("after %v: Distance(%d, %s) = %d, %v; a new tracker predicts %d, %v", seq[:i], k, name, d, ok, wd, wok)
 				}

@@ -18,12 +18,12 @@ func BenchmarkTrackerObservePredict(b *testing.B) {
 	a := MustParse(paperExample1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := NewTracker(a.Path)
+		tr := newTracker(a.Path)
 		tr.Observe("d1")
 		tr.Observe("d2")
-		tr.PredictWithin(8)
+		tr.Distance(8, "d1")
 		tr.Observe("d3")
-		tr.PredictNext()
+		tr.Distance(1, "d2")
 	}
 }
 

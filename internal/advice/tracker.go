@@ -1,9 +1,7 @@
 package advice
 
 import (
-	"maps"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -85,18 +83,11 @@ type tEdge struct {
 	to    int32
 }
 
-// NewTracker compiles the expression; a nil expression yields a tracker that
-// predicts nothing.
-func NewTracker(e Expr) *Tracker {
-	t := &Tracker{}
-	t.Reset(e)
-	return t
-}
-
-// Reset recompiles t for e, as NewTracker would, into the storage t's earlier
-// automata grew: reset to an expression no larger than one it held before, it
-// allocates nothing, and it keeps nothing of the old expression but that
-// storage's capacity. The automaton is laid out in flat slices, built in
+// Reset compiles e into t, into the storage t's earlier automata grew. A
+// zero Tracker tracks once reset, and a nil expression yields one that
+// accepts and predicts nothing. Reset to an expression no larger than one it
+// held before, it allocates nothing, and it keeps nothing of the old
+// expression but that storage's capacity. The automaton is laid out in flat slices, built in
 // three walks of the expression: the first counts states and moves, the
 // second each state's moves, and the third places them.
 func (t *Tracker) Reset(e Expr) {
@@ -240,14 +231,6 @@ func (t *Tracker) close(s *stateSet) {
 	}
 }
 
-// Lost reports whether an observed query fell outside the path expression;
-// once lost, the tracker stops predicting.
-func (t *Tracker) Lost() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lost
-}
-
 // Observe advances the tracker on a query against view name. It returns
 // false (and enters the lost state) when the query does not fit the path
 // expression at the current position.
@@ -275,25 +258,11 @@ func (t *Tracker) Observe(name string) bool {
 	return true
 }
 
-// PredictNext returns the view names that could be the very next query,
-// sorted.
-func (t *Tracker) PredictNext() []string {
-	return t.keysWithin(1)
-}
-
-// PredictWithin returns, for each view name reachable within k observations,
-// the minimum number of observations before a query against it can occur
-// (1 = could be next). Names not reachable within k are absent.
-func (t *Tracker) PredictWithin(k int) map[string]int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return maps.Clone(t.predictWithinLocked(k))
-}
-
-// Distance is PredictWithin(k)[name] without the map: the minimum number of
-// observations before a query against name can occur, and whether that is
-// within k. It walks the automaton at most once per observation and k,
-// however many names are asked, and allocates nothing once warm.
+// Distance returns the minimum number of observations before a query
+// against name can occur (1 = could be next), and whether that is within k;
+// a lost tracker predicts nothing. It walks the automaton at most once per
+// observation and k, however many names are asked, and allocates nothing
+// once warm.
 func (t *Tracker) Distance(k int, name string) (int, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -358,31 +327,14 @@ func (t *Tracker) predictWithinLocked(k int) map[string]int {
 	return dist
 }
 
-func (t *Tracker) keysWithin(k int) []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m := t.predictWithinLocked(k)
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SequenceFollowers returns, for a just-observed view name, the view names
-// that belong to the same innermost sequence and follow it — the paper's
-// prefetch rule: "the sequence grouping ... indicates that all items in that
-// group are likely to be evaluated when the first item is evaluated"
-// (Section 5.3.1). This is computed structurally from the expression rather
-// than from tracker state, so it is usable even when the CMS chooses not to
+// AppendSequenceFollowers appends to dst, for a just-observed view name, the
+// view names that belong to the same innermost sequence and follow it — the
+// paper's prefetch rule: "the sequence grouping ... indicates that all items
+// in that group are likely to be evaluated when the first item is evaluated"
+// (Section 5.3.1) — and returns the extended slice. It allocates only to
+// grow dst. This is computed structurally from the expression rather than
+// from tracker state, so it is usable even when the CMS chooses not to
 // track.
-func SequenceFollowers(e Expr, name string) []string {
-	return AppendSequenceFollowers(nil, e, name)
-}
-
-// AppendSequenceFollowers appends SequenceFollowers(e, name) to dst and
-// returns the extended slice. It allocates only to grow dst.
 func AppendSequenceFollowers(dst []string, e Expr, name string) []string {
 	if e == nil {
 		return dst

@@ -85,7 +85,7 @@ func TestAnswerKindCounters(t *testing.T) {
 			}
 			if tc.down {
 				fc.SetDown(true)
-				if _, err := s.QueryText(`down(X) :- b1(X, 99)`); err == nil || !cms.Degraded() {
+				if _, err := s.QueryText(`down(X) :- b1(X, 99)`); err == nil || cms.rdi.Available() {
 					t.Fatalf("the remote is down but the CMS is not degraded (err %v)", err)
 				}
 			}

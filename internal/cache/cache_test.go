@@ -370,7 +370,7 @@ func TestLazyRemoteAnswerCostsWhatEagerDoes(t *testing.T) {
 			if st.Drain("out").Len() == 0 {
 				t.Fatal("fixture query answered nothing")
 			}
-			return s.SimNow()
+			return s.simNow
 		}
 		if lazy, eager := clock(true), clock(false); math.Abs(lazy-eager) > 1e-9 {
 			t.Fatalf("client %d: drained lazily the session clock reads %.4f ms, eagerly %.4f ms", i, lazy, eager)

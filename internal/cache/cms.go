@@ -220,11 +220,6 @@ func (c *CMS) Stats() bridge.SourceStats {
 	return st
 }
 
-// Degraded reports whether the CMS is in cache-only degraded mode (the
-// remote DBMS is unavailable). Cached and subsumable queries keep working;
-// queries that need the remote fail fast with remotedb.ErrRemoteUnavailable.
-func (c *CMS) Degraded() bool { return !c.rdi.Available() }
-
 // BeginSession implements bridge.DataSource. A session accepts optional
 // advice and then a sequence of CAQL queries (Section 3). Each session gets a
 // unique ID; advice-driven replacement predictors are registered per session
@@ -325,9 +320,10 @@ type scratch struct {
 	freeStreams bridge.StreamPool
 	// follower is the block prefetch instantiates each follower into.
 	follower followerBlock
-	// followers memoises advice.SequenceFollowers per view name: the path
-	// expression is fixed for the session, and only view names are asked.
-	// Its lists are carved from followerNames.
+	// followers memoises each view name's sequence followers
+	// (advice.AppendSequenceFollowers): the path expression is fixed for
+	// the session, and only view names are asked. Its lists are carved from
+	// followerNames.
 	followers     map[string][]string
 	followerNames []string
 
@@ -352,9 +348,6 @@ func (c *CMS) newScratch() *scratch {
 	}
 	return sc
 }
-
-// SimNow returns the session's virtual clock (milliseconds).
-func (s *Session) SimNow() float64 { return s.simNow }
 
 // End implements bridge.Session. It cancels the session context first — so
 // in-flight prefetch workers abort their remote calls instead of being waited

@@ -85,7 +85,7 @@ func TestDegradedCacheOnlyThenRecovery(t *testing.T) {
 	if elapsed > 8*time.Second {
 		t.Fatalf("failure took %v; deadlines did not bound it", elapsed)
 	}
-	if !cms.Degraded() {
+	if cms.rdi.Available() {
 		t.Fatal("CMS should report degraded after the remote failure")
 	}
 
@@ -147,7 +147,7 @@ func TestDegradedCacheOnlyThenRecovery(t *testing.T) {
 	if !rec.EqualAsSet(wantRec) {
 		t.Fatal("post-recovery answer wrong")
 	}
-	if cms.Degraded() {
+	if !cms.rdi.Available() {
 		t.Fatal("CMS should leave degraded mode after recovery")
 	}
 }
@@ -238,7 +238,7 @@ func TestDegradedSuppressesSpeculativeWork(t *testing.T) {
 	if _, err := s.QueryText(`nope(X, Z) :- b3(X, "zz", Z)`); err == nil {
 		t.Fatal("expected failure with remote down")
 	}
-	if !cms.Degraded() {
+	if cms.rdi.Available() {
 		t.Fatal("should be degraded")
 	}
 

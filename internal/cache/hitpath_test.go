@@ -953,13 +953,13 @@ func TestClosingAnEndedStreamIsFree(t *testing.T) {
 		if err != nil || rows.Len() != 10 {
 			t.Fatalf("drained %d rows (err %v), want 10", rows.Len(), err)
 		}
-		before, clock := cms.Stats(), s.SimNow()
+		before, clock := cms.Stats(), s.simNow
 		st.Close()
 		st.Close()
 		after := cms.Stats()
-		if after.StreamsCanceled != before.StreamsCanceled || after.FramesSent != before.FramesSent || s.SimNow() != clock {
+		if after.StreamsCanceled != before.StreamsCanceled || after.FramesSent != before.FramesSent || s.simNow != clock {
 			t.Fatalf("closing a drained stream canceled %d streams, sent %d frames and charged %.4f ms",
-				after.StreamsCanceled-before.StreamsCanceled, after.FramesSent-before.FramesSent, s.SimNow()-clock)
+				after.StreamsCanceled-before.StreamsCanceled, after.FramesSent-before.FramesSent, s.simNow-clock)
 		}
 		// Over the pool, the counters do see a Close that abandons a stream.
 		if _, ok := client.(*remotedb.PoolClient); ok {

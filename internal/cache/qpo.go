@@ -280,7 +280,7 @@ func (s *Session) plan(ctx context.Context, pq *subsume.Prepared, canon []byte, 
 	// skipped; the mandatory remote paths fail fast in the client.
 	degraded := !c.rdi.Available()
 
-	v, survivors, err := s.fromCache(ctx, c.tracer, pq, canon, s.staleChecker(degraded))
+	v, survivors, err := s.fromCache(ctx, c.tracer, pq, canon, s.staleChecker())
 	v.degraded = degraded
 	if err != nil || v.kind != remote {
 		return v, err
@@ -606,23 +606,19 @@ func (s *Session) predictsReuse(name string) bool {
 // leave it alone, and while the observed epoch is still at or below the stamp
 // no version can be above it, so the common case reads one number. A stale
 // view is invalidated (removed + counted) and the caller falls through to a
-// refetch instead of serving it. While degraded, cached answers are served
-// regardless — stale data beats no data, and the breaker already accounts
-// those answers as DegradedHits.
+// refetch instead of serving it. That holds while degraded too: what the
+// client has observed it keeps, so a view it knows the server has moved past
+// is not served, and its query fails as the remote's other queries do
+// (FuzzCacheInvisible).
 type staleCheck struct {
 	c *CMS
-	// remoteEpoch is the epoch observed when the pass began; 0 while
-	// degraded, which no view is stale against.
+	// remoteEpoch is the epoch observed when the pass began.
 	remoteEpoch uint64
 }
 
 // staleChecker begins a planning pass's staleness check.
-func (s *Session) staleChecker(degraded bool) staleCheck {
-	st := staleCheck{c: s.cms}
-	if !degraded {
-		st.remoteEpoch = s.cms.rdi.ObservedEpoch()
-	}
-	return st
+func (s *Session) staleChecker() staleCheck {
+	return staleCheck{c: s.cms, remoteEpoch: s.cms.rdi.ObservedEpoch()}
 }
 
 // stale reports whether e is stale, invalidating it if so.
@@ -788,12 +784,11 @@ func (s *Session) answerDecomposition(ctx context.Context, q *caql.Query, canon 
 		for _, v := range exportList {
 			head = append(head, logic.V(v))
 		}
-		existenceTest := len(head) == 0
-		if existenceTest {
-			// The residual shares nothing with the rest of the query: it is
-			// a pure existence test (e.g. a fully ground atom). Ship it with
-			// a constant head; a non-empty (deduplicated) result keeps the
-			// local join unchanged, an empty one annihilates it.
+		if len(head) == 0 {
+			// The residual shares nothing with the rest of the query (e.g. a
+			// fully ground atom). Ship it with a constant head: its rows,
+			// one a match, multiply the local join as the query's own atoms
+			// would, and none annihilates it.
 			head = []logic.Term{logic.CInt(1)}
 		}
 		var rAtoms []logic.Atom
@@ -805,9 +800,6 @@ func (s *Session) answerDecomposition(ctx context.Context, q *caql.Query, canon 
 		ext, sim, stamp, err := c.rdi.FetchCtx(ctx, rq)
 		if err != nil {
 			return err
-		}
-		if existenceTest {
-			ext = relation.DistinctRel(ext)
 		}
 		remoteDur = sim
 		residualExt, residualStamp = ext, stamp
@@ -900,7 +892,7 @@ func (s *Session) prefetchFollowers(q *caql.Query, vs *advice.ViewSpec) {
 			continue
 		}
 		if st.c == nil {
-			st = s.staleChecker(false) // prefetching runs only while the remote is available
+			st = s.staleChecker()
 		}
 		fq := s.follower.instantiate(fvs.Query, vs, q)
 		s.canon = fq.AppendCanonical(s.canon[:0])
@@ -963,8 +955,8 @@ func (b *followerBlock) bind(a logic.Atom, vs *advice.ViewSpec, q *caql.Query) l
 	return logic.Atom{Pred: a.Pred, Args: b.terms[at:end:end]}
 }
 
-// followersOf is advice.SequenceFollowers of the session's path expression,
-// memoised per view name in the scratch's followerNames.
+// followersOf is advice.AppendSequenceFollowers of the session's path
+// expression, memoised per view name in the scratch's followerNames.
 func (s *Session) followersOf(name string) []string {
 	f, ok := s.followers[name]
 	if !ok {

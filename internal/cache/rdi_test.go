@@ -147,7 +147,7 @@ func shapePair(data []byte) (q1, q2 *caql.Query) {
 		op := ops[next()%len(ops)]
 		l1, l2 := arg()
 		r1, r2 := arg()
-		rels1, rels2 = append(rels1, logic.Cmp(l1, op, r1)), append(rels2, logic.Cmp(l2, op, r2))
+		rels1, rels2 = append(rels1, logic.A(op.String(), l1, r1)), append(rels2, logic.A(op.String(), l2, r2))
 	}
 	return caql.NewQuery(h1, rels1), caql.NewQuery(h2, rels2)
 }

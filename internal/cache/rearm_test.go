@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -8,6 +9,22 @@ import (
 	"repro/internal/bridge"
 	"repro/internal/caql"
 )
+
+// example1Views are the views example1Advice's path names.
+var example1Views = []string{"d1", "d2", "d3"}
+
+// predicted is what tr's Distance tells of the given views within k
+// observations, as "view/distance" for each view it predicts, or nil when it
+// predicts none (as a lost tracker does).
+func predicted(tr *advice.Tracker, k int, views []string) []string {
+	var out []string
+	for _, v := range views {
+		if d, ok := tr.Distance(k, v); ok {
+			out = append(out, fmt.Sprintf("%s/%d", v, d))
+		}
+	}
+	return out
+}
 
 // rearm begins a session with adv on a CMS of its own, runs warm on it,
 // ends it, and begins another session with adv, which check gets with the
@@ -45,12 +62,13 @@ func rearm(t *testing.T, adv string, warm func(cms *CMS, s *Session), check func
 func TestRearmedSessionForgets(t *testing.T) {
 	rearm(t, example1Advice, func(cms *CMS, s *Session) {
 		drainQ(t, s, `d1(Y) :- b1("a", Y)`)
-		drainQ(t, s, `d2(X, 3) :- b2(X, Z) & b3(Z, "a", 3)`) // memoises d2's followers, prefetches d3
-		drainQ(t, s, `g("a", Y) :- b1("a", Y)`)              // outside the path: the tracker is lost, g counted
-		prefetched := cms.Stats().Prefetches                 // g waited the prefetch in
-		if prefetched == 0 || len(s.followers) == 0 || len(s.genSeen) == 0 || !s.tracker.Lost() || s.simNow == 0 {
+		drainQ(t, s, `d2(X, 3) :- b2(X, Z) & b3(Z, "a", 3)`)  // memoises d2's followers, prefetches d3
+		drainQ(t, s, `g("a", Y) :- b1("a", Y)`)               // outside the path: the tracker is lost, g counted
+		prefetched := cms.Stats().Prefetches                  // g waited the prefetch in
+		lost := predicted(s.tracker, 8, example1Views) == nil // a lost tracker predicts nothing
+		if prefetched == 0 || len(s.followers) == 0 || len(s.genSeen) == 0 || !lost || s.simNow == 0 {
 			t.Fatalf("the first session left nothing to forget: %d prefetches, followers %v, counts %v, lost %v, clock %v",
-				prefetched, s.followers, s.genSeen, s.tracker.Lost(), s.simNow)
+				prefetched, s.followers, s.genSeen, lost, s.simNow)
 		}
 	}, func(cms *CMS, ended, s *Session) {
 		if s.id == ended.id || s.simNow != 0 || s.queries != 0 || s.callerCtx != nil || s.ctx.Err() != nil {
@@ -61,10 +79,12 @@ func TestRearmedSessionForgets(t *testing.T) {
 			t.Fatalf("the new session starts with counts %v, followers %v, prefetches %v and private elements %v",
 				s.genSeen, s.followers, s.inflight, s.private)
 		}
-		fresh := advice.NewTracker(advice.MustParse(example1Advice).Path)
-		if s.tracker.Lost() || !slices.Equal(s.tracker.PredictNext(), fresh.PredictNext()) {
-			t.Fatalf("the new session's tracker predicts %v, lost %v; a fresh one predicts %v",
-				s.tracker.PredictNext(), s.tracker.Lost(), fresh.PredictNext())
+		var fresh advice.Tracker
+		fresh.Reset(advice.MustParse(example1Advice).Path)
+		for k := 1; k <= 8; k++ {
+			if got, want := predicted(s.tracker, k, example1Views), predicted(&fresh, k, example1Views); want == nil || !slices.Equal(got, want) {
+				t.Fatalf("within %d, the new session's tracker predicts %v; a fresh one predicts %v", k, got, want)
+			}
 		}
 		cms.mgr.pmu.RLock()
 		predict, endedPredicts := cms.mgr.predictors[s.id], cms.mgr.predictors[ended.id] != nil
@@ -99,16 +119,16 @@ func TestStreamsClosedAfterEndStayWithTheirSession(t *testing.T) {
 		}
 	}, func(cms *CMS, ended, s *Session) {
 		open.Close()
-		clock := ended.SimNow()
+		clock := ended.simNow
 		for i := 0; i < 8; i++ {
 			if _, ok := lazy.Next(); !ok {
 				t.Fatalf("the lazy stream stopped after End before its next checkpoint: %v", lazy.Err())
 			}
 		}
 		lazy.Close()
-		if ended.SimNow() <= clock || s.SimNow() != 0 {
+		if ended.simNow <= clock || s.simNow != 0 {
 			t.Fatalf("a lazy stream read after End moved the ended session's clock %v -> %v and the new one's to %v",
-				clock, ended.SimNow(), s.SimNow())
+				clock, ended.simNow, s.simNow)
 		}
 		first, second := query(t, s, di3), query(t, s, di3)
 		if first != closed {
@@ -160,8 +180,8 @@ func TestSessionAdviceAllocs(t *testing.T) {
 	adv := advice.MustParse(example1Advice)
 	run := func() {
 		s := cms.BeginSession(adv).(*Session)
-		if len(s.followersOf("d1")) != 2 || len(s.followersOf("d2")) != 1 || !slices.Equal(s.tracker.PredictNext(), []string{"d1"}) {
-			t.Fatalf("followers of d1 %v, of d2 %v, predicted %v", s.followersOf("d1"), s.followersOf("d2"), s.tracker.PredictNext())
+		if next := predicted(s.tracker, 1, example1Views); len(s.followersOf("d1")) != 2 || len(s.followersOf("d2")) != 1 || !slices.Equal(next, []string{"d1/1"}) {
+			t.Fatalf("followers of d1 %v, of d2 %v, predicted %v", s.followersOf("d1"), s.followersOf("d2"), next)
 		}
 		s.End()
 		if s.adv != nil {

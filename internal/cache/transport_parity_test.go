@@ -73,7 +73,7 @@ func TestTransportParity(t *testing.T) {
 				r.answers = append(r.answers, got)
 			}
 			s.End()
-			r.simNow = s.SimNow()
+			r.simNow = s.simNow
 			r.stats = cms.Stats()
 			r.stats.FramesSent, r.stats.FramesRecv, r.stats.RemoteStreams = 0, 0, 0
 			r.stats.StreamsCanceled, r.stats.FirstTupleMS = 0, 0

@@ -178,30 +178,6 @@ func (m MapSource) RelationSchema(name string, arity int) (*relation.Schema, err
 	return r.Schema(), nil
 }
 
-// Evaluable reports whether all variables in the head are produced by the
-// body (already checked by Validate) and all atoms reference relations known
-// to src; a convenience used by planners to test local evaluability.
-func Evaluable(q *Query, src RelationSource) bool {
-	for _, a := range q.Rels {
-		if _, err := src.RelationExtension(a.Pred, len(a.Args)); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// HeadBindings extracts the constant bindings of the head by position; used
-// by exact-match caching and by generalization analysis.
-func HeadBindings(q *Query) map[int]relation.Value {
-	out := make(map[int]relation.Value)
-	for i, t := range q.Head.Args {
-		if t.IsConst() {
-			out[i] = t.Const
-		}
-	}
-	return out
-}
-
 // Generalize returns a copy of q with the given head argument positions
 // turned into fresh variables (and the corresponding body occurrences left
 // intact — the body shares the head's variables, so generalization replaces

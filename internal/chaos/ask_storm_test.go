@@ -35,17 +35,17 @@ var askForms = []string{
 
 // runAskStorm is the soak's ask-level leg: cfg.Sessions goroutines share one
 // engine over one CMS and ask cfg.QueriesPerSession kinship questions each,
-// over the faulty remote of Run. An ask runs under a deadline of
+// over the faulty remote of runSoak. An ask runs under a deadline of
 // cfg.Deadline at cfg.DeadlineRate, is canceled from a racing goroutine at
 // cfg.CancelRate, and a quarter of the rest are closed after their first
 // answer. The remote injects cfg.Faults but no panics: compiling a goal
 // shape reads catalog statistics outside any query, where the CMS isolates
-// nothing (Run covers panics on the query path). Every ask either fails
+// nothing (runSoak covers panics on the query path). Every ask either fails
 // visibly or answers what a fault-free engine answers: an ask whose context
 // ended reports the bridge's typed error, and one that ends without error has
 // the whole answer set. After the storm the dispatch books balance and the
 // engine still answers.
-func runAskStorm(cfg Config) (askResult, error) {
+func runAskStorm(cfg soakConfig) (askResult, error) {
 	w := workload.Kinship(cfg.Seed, 40)
 	costs := cfg.Options.Costs
 	if costs == (remotedb.Costs{}) {

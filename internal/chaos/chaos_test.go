@@ -12,9 +12,9 @@ var chaosShort = flag.Bool("chaos.short", false, "run a reduced chaos soak (CI s
 
 // TestChaosSoak storms a shared CMS with faulty remotes, caller cancels, and
 // deadline storms, then asserts the robustness invariants: conservation,
-// typed errors, shard health (inside Run), and no goroutine leaks (here).
+// typed errors, shard health (inside runSoak), and no goroutine leaks (here).
 func TestChaosSoak(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultSoakConfig()
 	if *chaosShort || testing.Short() {
 		cfg.Sessions = 4
 		cfg.QueriesPerSession = 30
@@ -27,7 +27,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 
-	res, err := Run(cfg)
+	res, err := runSoak(cfg)
 	if err != nil {
 		t.Fatalf("soak invariant violated: %v\nstats: %+v", err, res.Stats)
 	}
@@ -37,7 +37,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("issued %d queries in %d rounds, want %d", res.Stats.Queries, res.rounds, wantQueries)
 	}
 	// The storm must actually have exercised the paths it claims to cover:
-	// Run replays rounds until it has, up to maxRounds.
+	// runSoak replays rounds until it has, up to maxRounds.
 	if res.Faults.Errors+res.Faults.Drops == 0 {
 		t.Error("no transport faults were injected; storm too weak")
 	}
@@ -79,16 +79,16 @@ func TestChaosSoak(t *testing.T) {
 // excluded here; what remains (one session against the seeded fault stream)
 // must reproduce its rounds, fault tallies and outcome counts exactly.
 func TestChaosDeterministicOutcomes(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultSoakConfig()
 	cfg.Sessions = 1
 	cfg.QueriesPerSession = 20
 	cfg.CancelRate = 0
 	cfg.DeadlineRate = 0
-	a, err := Run(cfg)
+	a, err := runSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := runSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestChaosDeterministicOutcomes(t *testing.T) {
 // or answers in full, the dispatch books balance, and no goroutine outlives
 // the storm.
 func TestChaosAskStorm(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultSoakConfig()
 	if *chaosShort || testing.Short() {
 		cfg.Sessions = 4
 		cfg.QueriesPerSession = 12

@@ -11,7 +11,7 @@ import (
 // var set) serves a durable engine instead of running the suite.
 func TestMain(m *testing.M) {
 	if os.Getenv(restartChildEnv) != "" {
-		RestartChildMain() // never returns
+		restartChildMain() // never returns
 	}
 	os.Exit(m.Run())
 }
@@ -26,7 +26,7 @@ func TestRestartStorm(t *testing.T) {
 		t.Skip("subprocess storm skipped in -short")
 	}
 	before := runtime.NumGoroutine()
-	cfg := DefaultRestartStormConfig(t.TempDir())
+	cfg := defaultRestartStormConfig(t.TempDir())
 	if *chaosShort {
 		cfg.Rounds = 2
 	}
@@ -34,7 +34,7 @@ func TestRestartStorm(t *testing.T) {
 		cfg.Rounds = 12
 		cfg.MaxBurst = 120 * time.Millisecond
 	}
-	res, err := RunRestartStorm(cfg)
+	res, err := runRestartStorm(cfg)
 	if err != nil {
 		t.Fatalf("restart storm invariants violated: %v\n%+v", err, res)
 	}
@@ -54,9 +54,9 @@ func TestRestartStormChildRecoversCleanly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short")
 	}
-	cfg := DefaultRestartStormConfig(t.TempDir())
+	cfg := defaultRestartStormConfig(t.TempDir())
 	cfg.Rounds = 1
-	res, err := RunRestartStorm(cfg)
+	res, err := runRestartStorm(cfg)
 	if err != nil {
 		t.Fatalf("single-round storm: %v\n%+v", err, res)
 	}

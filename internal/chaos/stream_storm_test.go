@@ -34,7 +34,7 @@ func TestStreamKillStorm(t *testing.T) {
 		t.Skip("-chaos.short")
 	}
 	before := runtime.NumGoroutine()
-	cfg := DefaultStormConfig()
+	cfg := defaultStormConfig()
 	if *chaosLong {
 		cfg.Workers = 12
 		cfg.StreamsPerWorker = 120
@@ -49,7 +49,7 @@ func TestStreamKillStorm(t *testing.T) {
 		cfg.PoolSize = 6
 		cfg.MaxRetries = 400
 	}
-	res, err := RunStorm(cfg)
+	res, err := runStorm(cfg)
 	if err != nil {
 		t.Fatalf("storm invariants violated: %v\n%+v", err, res)
 	}
@@ -77,13 +77,13 @@ func TestStreamKillStormDeterministic(t *testing.T) {
 	if *chaosShort {
 		t.Skip("-chaos.short")
 	}
-	cfg := DefaultStormConfig()
+	cfg := defaultStormConfig()
 	cfg.Sessions = 0 // raw leg only: the CMS leg's timing is not part of the claim
-	a, err := RunStorm(cfg)
+	a, err := runStorm(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunStorm(cfg)
+	b, err := runStorm(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/advice"
+	"repro/internal/caql"
+	"repro/internal/core"
+	"repro/internal/relation"
+	"repro/internal/remotedb"
+	"repro/internal/workload"
 )
 
 // update rewrites the golden files from the tables instead of comparing.
@@ -182,6 +189,42 @@ func TestE1Shape(t *testing.T) {
 			}
 		}
 	}
+}
+
+// verifyE2Consistency cross-checks every comparator's answers against direct
+// evaluation.
+func verifyE2Consistency() error {
+	w := workload.Chain(13, 100, 20)
+	src := w.Source()
+	for _, comp := range []core.Comparator{core.ComparatorLoose, core.ComparatorExact, core.ComparatorSingleRel, core.ComparatorBrAID} {
+		client := remotedb.NewInProcClient(w.Engine(), remotedb.DefaultCosts())
+		ds, err := dataSourceFor(comp, client)
+		if err != nil {
+			return err
+		}
+		session := ds.BeginSession(&advice.Advice{})
+		for _, q := range e2QueryMix() {
+			stream, err := session.Query(q)
+			if err != nil {
+				return fmt.Errorf("%s: %s: %w", comp, q, err)
+			}
+			got := stream.Drain("got")
+			want, err := caql.Eval(q, src)
+			if err != nil {
+				return err
+			}
+			if !got.EqualAsSet(want) {
+				return fmt.Errorf("%s: inconsistent answer for %s:\ngot %v\nwant %v",
+					comp, q, sorted(got), sorted(want))
+			}
+		}
+		session.End()
+	}
+	return nil
+}
+
+func sorted(r *relation.Relation) *relation.Relation {
+	return relation.DistinctRel(r).Sort()
 }
 
 func TestE2ShapeAndConsistency(t *testing.T) {

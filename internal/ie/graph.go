@@ -192,12 +192,3 @@ func (g *Graph) Walk(visit func(*ORNode)) {
 	}
 	rec(g.Root)
 }
-
-// CountNodes returns (OR nodes, AND nodes) for diagnostics.
-func (g *Graph) CountNodes() (orN, andN int) {
-	g.Walk(func(n *ORNode) {
-		orN++
-		andN += len(n.Rules)
-	})
-	return
-}

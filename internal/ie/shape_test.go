@@ -171,7 +171,8 @@ func FuzzAskByShape(f *testing.F) {
 			for _, line := range lines {
 				line = strings.TrimSpace(line)
 				if c, ok := strings.CutPrefix(line, "+"); ok {
-					if cl, err := logic.ParseClause(c); err == nil {
+					r := logic.NewClauseReader(c)
+					if cl, err := r.Next(nil, nil); err == nil {
 						named = append(named, cl.Body...)
 					}
 				} else if g, err := logic.ParseAtom(line); err == nil {
@@ -185,7 +186,8 @@ func FuzzAskByShape(f *testing.F) {
 			for _, line := range lines {
 				line = strings.TrimSpace(line)
 				if c, ok := strings.CutPrefix(line, "+"); ok {
-					if cl, err := logic.ParseClause(c); err == nil {
+					r := logic.NewClauseReader(c)
+					if cl, err := r.Next(nil, nil); err == nil {
 						kb.AddClause(cl)
 					}
 					continue
@@ -242,7 +244,8 @@ func TestAskSeesKBChange(t *testing.T) {
 	before := check("nothing", "p(X)?")
 
 	gen := kb.Generation()
-	cl, err := logic.ParseClause("q(Z) :- b(Z, 5).")
+	r := logic.NewClauseReader("q(Z) :- b(Z, 5).")
+	cl, err := r.Next(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,6 @@ type Atom struct {
 // A constructs an atom.
 func A(pred string, args ...Term) Atom { return Atom{Pred: pred, Args: args} }
 
-// Cmp constructs a comparison atom l op r.
-func Cmp(l Term, op relation.CmpOp, r Term) Atom {
-	return Atom{Pred: op.String(), Args: []Term{l, r}}
-}
-
 // IsComparison reports whether the atom is a built-in comparison.
 func (a Atom) IsComparison() bool {
 	_, ok := relation.LookupCmpOp(a.Pred)

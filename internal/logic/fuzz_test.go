@@ -25,7 +25,7 @@ func TestParserNoPanicOnGarbage(t *testing.T) {
 				}
 			}()
 			ParseProgram(src)
-			ParseClause(src)
+			parseClause(src)
 			ParseAtom(src)
 		}()
 	}
@@ -67,7 +67,7 @@ func TestParserNoPanicOnMutations(t *testing.T) {
 
 // FuzzParseProgram: any text parses to an error, or to a KB whose String()
 // parses back to the same String(), and each of whose clauses prints as a
-// clause that ParseClause reads back equal. Never a panic.
+// clause that parseClause reads back equal. Never a panic.
 func FuzzParseProgram(f *testing.F) {
 	for _, seed := range []string{
 		`
@@ -104,7 +104,7 @@ func FuzzParseProgram(f *testing.F) {
 		}
 		for _, ref := range kb.Preds() {
 			for _, c := range kb.Rules(ref) {
-				re, err := ParseClause(c.String())
+				re, err := parseClause(c.String())
 				if err != nil {
 					t.Fatalf("clause %s of %q does not parse back: %v", c, src, err)
 				}

@@ -127,19 +127,6 @@ func (c Clause) owned() Clause {
 	return c
 }
 
-// ParseClause parses a single clause (rule or fact) from src.
-func ParseClause(src string) (Clause, error) {
-	p := newParser(src)
-	c, _, _, err := p.clause(nil, nil)
-	if err == nil {
-		err = p.expect(".")
-	}
-	if err = p.end(err, "clause"); err != nil {
-		return Clause{}, err
-	}
-	return c, nil
-}
-
 // ParseAtom parses a single atom (e.g. an AI query) from src; a trailing
 // period or question mark is permitted.
 func ParseAtom(src string) (Atom, error) {

@@ -51,19 +51,3 @@ func (f FDSOA) String() string {
 	b.WriteString("])")
 	return b.String()
 }
-
-// Determines reports whether binding the given set of argument positions
-// determines position target under this FD.
-func (f FDSOA) Determines(bound map[int]bool, target int) bool {
-	for _, c := range f.From {
-		if !bound[c] {
-			return false
-		}
-	}
-	for _, c := range f.To {
-		if c == target {
-			return true
-		}
-	}
-	return false
-}

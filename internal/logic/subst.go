@@ -52,19 +52,6 @@ func (s Subst) ApplyAtoms(atoms []Atom) []Atom {
 	return out
 }
 
-// Restrict returns the substitution limited to the given variables, with
-// each binding fully walked. Used to project an answer substitution onto the
-// query variables.
-func (s Subst) Restrict(vars []string) Subst {
-	out := make(Subst, len(vars))
-	for _, v := range vars {
-		if _, ok := s[v]; ok {
-			out[v] = s.Walk(V(v))
-		}
-	}
-	return out
-}
-
 // Equal reports whether two substitutions denote the same mapping over their
 // union of domains (after walking).
 func (s Subst) Equal(o Subst) bool {

@@ -81,9 +81,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds n (n must be >= 0 for the value to remain monotone).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
@@ -208,48 +205,6 @@ func (h *Histogram) Observe(v int64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.n.Load() }
-
-// Quantile returns the q-quantile (0 <= q <= 1) estimated by a cumulative
-// walk with linear interpolation inside the matched bucket; observations in
-// the overflow bucket report the largest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.n.Load()
-	if total == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	cum := 0.0
-	for i := 0; i <= histBuckets; i++ {
-		c := float64(h.counts[i].Load())
-		if c == 0 {
-			continue
-		}
-		if cum+c >= target {
-			lo, hi := bucketBounds(i)
-			frac := (target - cum) / c
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + frac*(hi-lo)
-		}
-		cum += c
-	}
-	_, hi := bucketBounds(histBuckets)
-	return hi
-}
-
-// bucketBounds returns the [lower, upper] value range of bucket i.
-func bucketBounds(i int) (lo, hi float64) {
-	if i == 0 {
-		return 0, 1
-	}
-	if i >= histBuckets {
-		// Overflow: report the largest finite bound for both ends.
-		b := math.Ldexp(1, histBuckets-1)
-		return b, b
-	}
-	return math.Ldexp(1, i-1), math.Ldexp(1, i)
-}
 
 func (h *Histogram) expose(w io.Writer, name string) {
 	header(w, name, h.help, "histogram")

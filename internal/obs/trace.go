@@ -148,14 +148,6 @@ func (s *Span) Set(key, val string) {
 	s.Attrs = append(s.Attrs, Attr{Key: key, Val: val})
 }
 
-// Setf annotates the span with a formatted value. Nil-safe.
-func (s *Span) Setf(key, format string, args ...any) {
-	if s == nil {
-		return
-	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Val: fmt.Sprintf(format, args...)})
-}
-
 // End completes the span and commits it to the tracer ring. Nil-safe and
 // idempotent.
 func (s *Span) End() {

@@ -305,29 +305,3 @@ func Aggregate(in Iterator, groupBy []int, specs []AggSpec) []Tuple {
 	}
 	return acc.Emit()
 }
-
-// AggregateRel is the eager relation-level wrapper around Aggregate. Output
-// attribute names are the group-by attribute names followed by "op_col"
-// names.
-func AggregateRel(name string, r *Relation, groupBy []int, specs []AggSpec) *Relation {
-	attrs := make([]Attr, 0, len(groupBy)+len(specs))
-	for _, c := range groupBy {
-		attrs = append(attrs, r.schema.Attr(c))
-	}
-	for _, s := range specs {
-		kind := KindFloat
-		colName := "*"
-		if s.Op == AggCount {
-			kind = KindInt
-		}
-		if s.Col >= 0 {
-			colName = r.schema.Attr(s.Col).Name
-			if s.Op == AggMin || s.Op == AggMax {
-				kind = r.schema.Attr(s.Col).Kind
-			}
-		}
-		attrs = append(attrs, Attr{Name: fmt.Sprintf("%s_%s", s.Op, colName), Kind: kind})
-	}
-	tuples := Aggregate(r.Iter(), groupBy, specs)
-	return FromTuples(name, NewSchema(attrs...), tuples)
-}

@@ -7,17 +7,17 @@ import (
 
 func TestAggregateGlobal(t *testing.T) {
 	r := mkRel(t, "r", []any{1, 10}, []any{2, 20}, []any{3, 30})
-	out := AggregateRel("a", r, nil, []AggSpec{
+	out := Aggregate(r.Iter(), nil, []AggSpec{
 		{Op: AggCount, Col: -1},
 		{Op: AggSum, Col: 1},
 		{Op: AggMin, Col: 1},
 		{Op: AggMax, Col: 1},
 		{Op: AggAvg, Col: 1},
 	})
-	if out.Len() != 1 {
-		t.Fatalf("global aggregate rows = %d", out.Len())
+	if len(out) != 1 {
+		t.Fatalf("global aggregate rows = %d", len(out))
 	}
-	row := out.Tuple(0)
+	row := out[0]
 	if row[0].AsInt() != 3 || row[1].AsFloat() != 60 || row[2].AsInt() != 10 || row[3].AsInt() != 30 || row[4].AsFloat() != 20 {
 		t.Fatalf("aggregate row wrong: %v", row)
 	}
@@ -25,12 +25,12 @@ func TestAggregateGlobal(t *testing.T) {
 
 func TestAggregateGroupBy(t *testing.T) {
 	r := mkRel(t, "r", []any{1, 10}, []any{1, 30}, []any{2, 5})
-	out := AggregateRel("a", r, []int{0}, []AggSpec{{Op: AggSum, Col: 1}, {Op: AggCount, Col: -1}})
-	if out.Len() != 2 {
-		t.Fatalf("grouped rows = %d", out.Len())
+	out := Aggregate(r.Iter(), []int{0}, []AggSpec{{Op: AggSum, Col: 1}, {Op: AggCount, Col: -1}})
+	if len(out) != 2 {
+		t.Fatalf("grouped rows = %d", len(out))
 	}
 	byKey := map[int64]Tuple{}
-	for _, tu := range out.Tuples() {
+	for _, tu := range out {
 		byKey[tu[0].AsInt()] = tu
 	}
 	if byKey[1][1].AsFloat() != 40 || byKey[1][2].AsInt() != 2 {
@@ -43,20 +43,20 @@ func TestAggregateGroupBy(t *testing.T) {
 
 func TestAggregateEmptyInput(t *testing.T) {
 	r := New("r", NewSchema(Attr{"x", KindInt}))
-	global := AggregateRel("a", r, nil, []AggSpec{{Op: AggCount, Col: -1}, {Op: AggMin, Col: 0}})
-	if global.Len() != 1 || global.Tuple(0)[0].AsInt() != 0 || !global.Tuple(0)[1].IsNull() {
+	global := Aggregate(r.Iter(), nil, []AggSpec{{Op: AggCount, Col: -1}, {Op: AggMin, Col: 0}})
+	if len(global) != 1 || global[0][0].AsInt() != 0 || !global[0][1].IsNull() {
 		t.Fatalf("empty global aggregate wrong: %v", global)
 	}
-	grouped := AggregateRel("a", r, []int{0}, []AggSpec{{Op: AggCount, Col: -1}})
-	if grouped.Len() != 0 {
-		t.Fatalf("empty grouped aggregate should have no rows, got %d", grouped.Len())
+	grouped := Aggregate(r.Iter(), []int{0}, []AggSpec{{Op: AggCount, Col: -1}})
+	if len(grouped) != 0 {
+		t.Fatalf("empty grouped aggregate should have no rows, got %d", len(grouped))
 	}
 }
 
 func TestAggregateMinMaxStrings(t *testing.T) {
 	r := mkRel(t, "r", []any{"b"}, []any{"a"}, []any{"c"})
-	out := AggregateRel("a", r, nil, []AggSpec{{Op: AggMin, Col: 0}, {Op: AggMax, Col: 0}})
-	row := out.Tuple(0)
+	out := Aggregate(r.Iter(), nil, []AggSpec{{Op: AggMin, Col: 0}, {Op: AggMax, Col: 0}})
+	row := out[0]
 	if row[0].AsString() != "a" || row[1].AsString() != "c" {
 		t.Fatalf("string min/max wrong: %v", row)
 	}

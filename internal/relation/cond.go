@@ -38,24 +38,6 @@ func (op CmpOp) String() string {
 	}
 }
 
-// Negate returns the complementary operator (e.g. < becomes >=).
-func (op CmpOp) Negate() CmpOp {
-	switch op {
-	case OpEq:
-		return OpNe
-	case OpNe:
-		return OpEq
-	case OpLt:
-		return OpGe
-	case OpLe:
-		return OpGt
-	case OpGt:
-		return OpLe
-	default:
-		return OpLt
-	}
-}
-
 // Flip returns the operator with its operands swapped (e.g. a<b iff b>a).
 func (op CmpOp) Flip() CmpOp {
 	switch op {

@@ -22,13 +22,13 @@ type Index struct {
 	start []int32 // bucket count + 1 offsets into pos
 	pos   []int32 // row positions in tuples, grouped by bucket
 	// tuples is the extension captured at build time. Holding the slice, not
-	// the *Relation, is what makes the index a snapshot: Lookup never reads
+	// the *Relation, is what makes the index a snapshot: AppendLookup never reads
 	// the live relation, so it is safe beside a concurrent append.
 	tuples []Tuple
 }
 
 // BuildIndex constructs a hash index on the given columns of r. The index is
-// a snapshot: it reflects r's extension at build time. Lookup verifies a
+// a snapshot: it reflects r's extension at build time. A lookup verifies a
 // bucket's rows by value, so hash collisions never surface. The build hashes
 // every row twice, to count each bucket's rows and then to place them, and
 // allocates the index, its columns and its two arrays, nothing per key.
@@ -82,36 +82,15 @@ func (ix *Index) Covers(cols []int) bool {
 	return true
 }
 
-// Lookup returns the tuples whose indexed columns equal the given values, in
-// a slice of exactly their number: a bucket can hold other keys' rows too.
-func (ix *Index) Lookup(vals []Value) []Tuple { return ix.LookupIn(ix.tuples, vals) }
-
 // Rows is the number of rows the index was built over: the first Rows of its
 // relation's extension, however many were appended since.
 func (ix *Index) Rows() int { return len(ix.tuples) }
 
-// LookupIn is Lookup over rows, an extension whose first Rows() rows the
-// index was built over: the index's matches, then the equal rows of those
-// appended since the build, in row order, in a slice of exactly their number.
-// The appended rows are compared by the index's own equality.
-func (ix *Index) LookupIn(rows []Tuple, vals []Value) []Tuple {
-	tail := rows[len(ix.tuples):]
-	n := 0
-	for _, p := range ix.candidates(vals) {
-		if ix.matches(ix.tuples[p], vals) {
-			n++
-		}
-	}
-	for _, t := range tail {
-		if ix.matches(t, vals) {
-			n++
-		}
-	}
-	return ix.AppendLookupIn(make([]Tuple, 0, n), rows, vals)
-}
-
-// AppendLookupIn is LookupIn appending to dst, as AppendLookup does: the
-// index's matches, then the equal rows of rows[Rows():], in row order.
+// AppendLookupIn appends to dst, as AppendLookup does, the tuples of rows
+// whose indexed columns equal the given values. rows is an extension whose
+// first Rows() rows the index was built over: the index's matches come
+// first, then the equal rows of those appended since the build, in row
+// order, compared by the index's own equality.
 func (ix *Index) AppendLookupIn(dst, rows []Tuple, vals []Value) []Tuple {
 	dst = ix.AppendLookup(dst, vals)
 	for _, t := range rows[len(ix.tuples):] {

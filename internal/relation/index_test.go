@@ -10,11 +10,11 @@ import (
 func TestIndexLookup(t *testing.T) {
 	r := mkRel(t, "r", []any{1, "x"}, []any{2, "y"}, []any{1, "z"})
 	ix := BuildIndex(r, []int{0})
-	got := ix.Lookup([]Value{Int(1)})
+	got := ix.AppendLookupIn(nil, r.Tuples(), []Value{Int(1)})
 	if len(got) != 2 {
 		t.Fatalf("index lookup got %d, want 2", len(got))
 	}
-	if len(ix.Lookup([]Value{Int(9)})) != 0 {
+	if len(ix.AppendLookupIn(nil, r.Tuples(), []Value{Int(9)})) != 0 {
 		t.Fatal("lookup of absent key should be empty")
 	}
 	if !ix.Covers([]int{0}) || ix.Covers([]int{1}) || ix.Covers([]int{0, 1}) {
@@ -25,7 +25,7 @@ func TestIndexLookup(t *testing.T) {
 func TestIndexMultiColumn(t *testing.T) {
 	r := mkRel(t, "r", []any{1, "x"}, []any{1, "y"}, []any{2, "x"})
 	ix := BuildIndex(r, []int{0, 1})
-	got := ix.Lookup([]Value{Int(1), Str("x")})
+	got := ix.AppendLookupIn(nil, r.Tuples(), []Value{Int(1), Str("x")})
 	if len(got) != 1 {
 		t.Fatalf("multi-col lookup got %d, want 1", len(got))
 	}
@@ -40,8 +40,8 @@ func TestIndexAgreesWithScan(t *testing.T) {
 		}
 		ix := BuildIndex(r, []int{0})
 		for k := int64(0); k < 8; k++ {
-			viaIndex := FromTuples("i", r.Schema(), ix.Lookup([]Value{Int(k)}))
-			viaScan := SelectRel(r, []Cond{ColConst(0, OpEq, Int(k))})
+			viaIndex := FromTuples("i", r.Schema(), ix.AppendLookupIn(nil, r.Tuples(), []Value{Int(k)}))
+			viaScan := selectRel(r, []Cond{ColConst(0, OpEq, Int(k))})
 			if !viaIndex.EqualAsBag(viaScan) {
 				t.Fatalf("index and scan disagree for key %d", k)
 			}
@@ -59,8 +59,8 @@ func TestIndexFindsNegativeZero(t *testing.T) {
 	r.MustAppend(Tuple{Float(1), Int(3)})
 	ix := BuildIndex(r, []int{0})
 	for _, k := range []Value{Int(0), Float(0), Float(math.Copysign(0, -1))} {
-		viaIndex := FromTuples("i", r.Schema(), ix.Lookup([]Value{k}))
-		viaScan := SelectRel(r, []Cond{ColConst(0, OpEq, k)})
+		viaIndex := FromTuples("i", r.Schema(), ix.AppendLookupIn(nil, r.Tuples(), []Value{k}))
+		viaScan := selectRel(r, []Cond{ColConst(0, OpEq, k)})
 		if viaScan.Len() != 2 || !viaIndex.EqualAsBag(viaScan) {
 			t.Errorf("key %v: index finds %v, scan %v", k, viaIndex.Tuples(), viaScan.Tuples())
 		}
@@ -127,14 +127,13 @@ func TestIndexFootprint(t *testing.T) {
 // FuzzIndexAgreesWithScan decodes its input into a relation of 0 to 64 rows
 // over 1 to 3 int, float and string columns, an index on 1 or 2 of them, and
 // keys to probe it with. Every key's AppendLookup must return the rows the
-// equality scan SelectRel returns, the same rows in the same order, and
-// Lookup as many, in a slice of their exact size. The domains hold the values
-// Equal treats specially: Int(0), +0.0 and −0.0 are equal, and so are NaNs of
-// any payload. Each row's own key is probed too, so that most probes hit.
-// Then an index over the first half of the rows is probed with every key
-// again while the other half is appended, one row before each probe:
-// LookupIn over the grown extension must return the rows the scan of it
-// returns, in a slice of their exact number.
+// equality scan (Select) returns, the same rows in the same order. The
+// domains hold the values Equal treats specially: Int(0), +0.0 and −0.0 are
+// equal, and so are NaNs of any payload. Each row's own key is probed too, so
+// that most probes hit. Then an index over the first half of the rows is
+// probed with every key again while the other half is appended, one row
+// before each probe: AppendLookupIn over the grown extension must return the
+// rows the scan of it returns.
 func FuzzIndexAgreesWithScan(f *testing.F) {
 	f.Add([]byte{})                                                      // one int column, no rows
 	f.Add([]byte{0, 0, 8, 0, 1, 0, 1, 2, 3, 2, 1, 0, 9})                 // ints, repeated keys
@@ -153,13 +152,10 @@ func FuzzIndexAgreesWithScan(f *testing.F) {
 			for i, c := range cols {
 				conds[i] = ColConst(c, OpEq, key[i])
 			}
-			want := SelectRel(r, conds).Tuples()
+			want := selectRel(r, conds).Tuples()
 			got = ix.AppendLookup(got[:0], key)
 			if len(got) != len(want) {
 				t.Fatalf("%v on %v: index finds %d rows, scan %d\nrows %v", key, cols, len(got), len(want), r.Tuples())
-			}
-			if l := ix.Lookup(key); len(l) != len(want) || cap(l) != len(l) {
-				t.Fatalf("%v on %v: Lookup returns %d rows in a slice of %d, scan %d", key, cols, len(l), cap(l), len(want))
 			}
 			for i := range got {
 				if &got[i][0] != &want[i][0] {
@@ -180,11 +176,11 @@ func FuzzIndexAgreesWithScan(f *testing.F) {
 			for i, c := range cols {
 				conds[i] = ColConst(c, OpEq, key[i])
 			}
-			want := SelectRel(live, conds).Tuples()
-			got := ix.LookupIn(live.Tuples(), key)
-			if len(got) != len(want) || cap(got) != len(got) {
-				t.Fatalf("%v on %v, %d rows indexed of %d: LookupIn returns %d rows in a slice of %d, scan %d",
-					key, cols, ix.Rows(), live.Len(), len(got), cap(got), len(want))
+			want := selectRel(live, conds).Tuples()
+			got := ix.AppendLookupIn(nil, live.Tuples(), key)
+			if len(got) != len(want) {
+				t.Fatalf("%v on %v, %d rows indexed of %d: AppendLookupIn finds %d rows, scan %d",
+					key, cols, ix.Rows(), live.Len(), len(got), len(want))
 			}
 			for i := range got {
 				if &got[i][0] != &want[i][0] {

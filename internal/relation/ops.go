@@ -1,11 +1,11 @@
 package relation
 
 // Relational operators. Every operator has a lazy form over Iterators (used
-// by the CMS for generator-based lazy evaluation) and, where convenient, an
-// eager convenience wrapper over Relations. The lazy forms never consume more
-// of their inputs than needed to produce the demanded output tuples, except
-// where the operator is inherently blocking (hash join build side, sort,
-// difference, aggregation).
+// by the CMS for generator-based lazy evaluation and by the server's
+// executor); Drain materializes one where a Relation is wanted. The lazy
+// forms never consume more of their inputs than needed to produce the
+// demanded output tuples, except where the operator is inherently blocking
+// (hash join build side, sort, aggregation).
 
 // Select lazily filters the input by the given conditions.
 func Select(in Iterator, conds []Cond) Iterator {
@@ -39,11 +39,6 @@ func (s *SelectIter) Next() (Tuple, bool) {
 			return t, true
 		}
 	}
-}
-
-// SelectRel eagerly filters a relation.
-func SelectRel(r *Relation, conds []Cond) *Relation {
-	return Drain(r.Name, r.schema, Select(r.Iter(), conds))
 }
 
 // Project lazily projects each tuple onto the given columns, writing each
@@ -83,12 +78,6 @@ func (p *ProjectIter) Next() (Tuple, bool) {
 		out = append(out, t[c])
 	}
 	return out, true
-}
-
-// ProjectRel eagerly projects a relation, deriving the output schema.
-func ProjectRel(r *Relation, cols []int) *Relation {
-	var arena Arena
-	return Drain(r.Name, r.schema.Project(cols), Project(r.Iter(), cols, &arena))
 }
 
 // Distinct lazily removes duplicate tuples (set semantics). It buffers seen
@@ -143,45 +132,6 @@ func (l *LimitIter) Next() (Tuple, bool) {
 	}
 	l.left--
 	return t, true
-}
-
-// Union lazily concatenates two inputs (bag union).
-func Union(a, b Iterator) Iterator { return Chain(a, b) }
-
-// UnionRel eagerly computes the bag union of relations with equal arity.
-func UnionRel(name string, rs ...*Relation) *Relation {
-	if len(rs) == 0 {
-		return New(name, NewSchema())
-	}
-	out := New(name, rs[0].schema)
-	for _, r := range rs {
-		out.tuples = append(out.tuples, r.tuples...)
-	}
-	return out
-}
-
-// Difference returns tuples of a not present in b (set difference). The b
-// side is drained eagerly to build the filter.
-func Difference(a, b Iterator) Iterator {
-	keys := NewTupleSet(0)
-	for {
-		t, ok := b.Next()
-		if !ok {
-			break
-		}
-		keys.Add(t)
-	}
-	return IteratorFunc(func() (Tuple, bool) {
-		for {
-			t, ok := a.Next()
-			if !ok {
-				return nil, false
-			}
-			if !keys.Contains(t) {
-				return t, true
-			}
-		}
-	})
 }
 
 // JoinCond describes an equi-join condition: left column i equals right
@@ -245,19 +195,6 @@ func NestedLoopJoin(left, right Iterator, leftArity int, conds []Cond, cols []in
 			cur, idx = t, 0
 		}
 	})
-}
-
-// JoinRel eagerly equi-joins two relations, producing a concatenated schema.
-func JoinRel(name string, a, b *Relation, conds []JoinCond) *Relation {
-	schema := a.schema.Concat(b.schema)
-	return Drain(name, schema, HashJoin(a.Iter(), b.Iter(), conds))
-}
-
-// CrossRel eagerly computes the cross product.
-func CrossRel(name string, a, b *Relation) *Relation {
-	var arena Arena
-	schema := a.schema.Concat(b.schema)
-	return Drain(name, schema, NestedLoopJoin(a.Iter(), b.Iter(), a.schema.Arity(), nil, nil, &arena))
 }
 
 // Rename returns a renamed shallow view of the relation.

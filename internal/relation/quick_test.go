@@ -52,8 +52,8 @@ func TestQuickDistinctIdempotent(t *testing.T) {
 func TestQuickUnionProperties(t *testing.T) {
 	f := func(a, b [][2]int16) bool {
 		ra, rb := relOf("a", a), relOf("b", b)
-		u1 := UnionRel("u", ra, rb)
-		u2 := UnionRel("u", rb, ra)
+		u1 := chainRel(ra, rb)
+		u2 := chainRel(rb, ra)
 		return u1.Len() == ra.Len()+rb.Len() && u1.EqualAsSet(u2) && u1.EqualAsBag(u2)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -85,9 +85,9 @@ func TestQuickSortPreservesBag(t *testing.T) {
 func TestQuickSelectPartition(t *testing.T) {
 	f := func(rows [][2]int16, pivot int16) bool {
 		r := relOf("r", rows)
-		lo := SelectRel(r, []Cond{ColConst(0, OpLt, Int(int64(pivot)))})
-		hi := SelectRel(r, []Cond{ColConst(0, OpGe, Int(int64(pivot)))})
-		return lo.Len()+hi.Len() == r.Len() && UnionRel("u", lo, hi).EqualAsBag(r)
+		lo := selectRel(r, []Cond{ColConst(0, OpLt, Int(int64(pivot)))})
+		hi := selectRel(r, []Cond{ColConst(0, OpGe, Int(int64(pivot)))})
+		return lo.Len()+hi.Len() == r.Len() && chainRel(lo, hi).EqualAsBag(r)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -99,8 +99,8 @@ func TestQuickIndexAgreesWithScan(t *testing.T) {
 	f := func(rows [][2]int16, key int16) bool {
 		r := relOf("r", rows)
 		ix := BuildIndex(r, []int{0})
-		viaIx := FromTuples("i", r.Schema(), ix.Lookup([]Value{Int(int64(key))}))
-		viaScan := SelectRel(r, []Cond{ColConst(0, OpEq, Int(int64(key)))})
+		viaIx := FromTuples("i", r.Schema(), ix.AppendLookupIn(nil, r.Tuples(), []Value{Int(int64(key))}))
+		viaScan := selectRel(r, []Cond{ColConst(0, OpEq, Int(int64(key)))})
 		return viaIx.EqualAsBag(viaScan)
 	}
 	if err := quick.Check(f, nil); err != nil {

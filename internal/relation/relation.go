@@ -61,9 +61,6 @@ func (r *Relation) MustAppend(t Tuple) {
 	}
 }
 
-// AppendValues constructs a tuple from the given values and appends it.
-func (r *Relation) AppendValues(vs ...Value) error { return r.Append(Tuple(vs)) }
-
 // Grow preallocates capacity for n additional tuples. Bulk loaders (wire
 // decoding, stream materialization) call it once per batch so the tuple slice
 // is not regrown tuple-by-tuple. Capacity grows geometrically, so a stream

@@ -209,7 +209,7 @@ func agrees(r refValue, v Value) string {
 }
 
 // FuzzValueOrder holds the two-word Value to refValue: every accessor, Equal,
-// Compare, Hash, Key, String and ParseValue(String()) must agree, for any two
+// Compare, Hash, Key, String and parseValue(String()) must agree, for any two
 // values whose strings are windows on one backing array — what decodeBatch
 // hands out, and the case where pointer identity and string equality part.
 // Compare must return 0 exactly when Equal holds, and two values Equal calls
@@ -266,12 +266,12 @@ func FuzzValueOrder(f *testing.F) {
 				t.Fatalf("%v: %s", p.r, d)
 			}
 			rp, rerr := refParse(p.r.String())
-			vp, verr := ParseValue(p.v.String())
+			vp, verr := parseValue(p.v.String())
 			if (rerr == nil) != (verr == nil) {
-				t.Fatalf("%v: ParseValue(String()) error %v, want %v", p.r, verr, rerr)
+				t.Fatalf("%v: parseValue(String()) error %v, want %v", p.r, verr, rerr)
 			}
 			if d := agrees(rp, vp); verr == nil && d != "" {
-				t.Fatalf("%v: ParseValue(String()): %s", p.r, d)
+				t.Fatalf("%v: parseValue(String()): %s", p.r, d)
 			}
 		}
 		if got, want := va.Equal(vb), ra.equal(rb); got != want {

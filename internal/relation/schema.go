@@ -76,9 +76,6 @@ func (s *Schema) ColIndex(name string) int {
 	return -1
 }
 
-// Has reports whether the schema contains the named attribute.
-func (s *Schema) Has(name string) bool { return s.ColIndex(name) >= 0 }
-
 // Project derives a schema holding the attributes at the given positions.
 func (s *Schema) Project(cols []int) *Schema {
 	attrs := make([]Attr, len(cols))

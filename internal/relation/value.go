@@ -316,30 +316,3 @@ func (v Value) AppendKey(dst []byte) []byte {
 		return append(append(dst, 's'), v.AsString()...)
 	}
 }
-
-// ParseValue parses a CAQL literal: a quoted string, an integer, a float,
-// true/false, or null.
-func ParseValue(s string) (Value, error) {
-	switch s {
-	case "null":
-		return Null(), nil
-	case "true":
-		return Bool(true), nil
-	case "false":
-		return Bool(false), nil
-	}
-	if len(s) >= 2 && s[0] == '"' {
-		u, err := strconv.Unquote(s)
-		if err != nil {
-			return Value{}, fmt.Errorf("relation: bad string literal %s: %w", s, err)
-		}
-		return Str(u), nil
-	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return Int(i), nil
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return Float(f), nil
-	}
-	return Value{}, fmt.Errorf("relation: cannot parse value %q", s)
-}

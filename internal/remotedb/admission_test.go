@@ -39,7 +39,7 @@ func TestServerShedsOverMaxInflight(t *testing.T) {
 	}()
 	time.Sleep(100 * time.Millisecond) // c1 is mid-delay, holding the slot
 	_, err = c2.Exec("SELECT * FROM emp")
-	if !IsOverloaded(err) {
+	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated server returned %v, want ErrOverloaded", err)
 	}
 	if !IsTransient(err) {

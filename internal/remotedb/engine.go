@@ -381,8 +381,8 @@ func (e *Engine) applyInsert(table string, rows []relation.Tuple) {
 		}
 	}
 	// An index covers the rows it was built over, and a lookup scans the
-	// rows appended since (Index.LookupIn). Once they pass an eighth of the
-	// covered rows, the index is rebuilt over all of them.
+	// rows appended since (Index.AppendLookupIn). Once they pass an eighth
+	// of the covered rows, the index is rebuilt over all of them.
 	ixs := e.indexes[table]
 	for i, ix := range ixs {
 		if t.Len()-ix.Rows() > ix.Rows()/8 {
@@ -498,16 +498,12 @@ func (e *Engine) Stats(name string) (TableStats, error) {
 	return st, nil
 }
 
-// Execute runs a parsed statement, returning the result relation (nil for
+// ExecuteCtx runs a parsed statement, returning the result relation (nil for
 // DDL/DML) and the number of server-side tuple operations performed (the
 // cost-model input). A SELECT's statement may stay in the plan cache as the
-// shape its plan serves, so the caller must not modify it afterwards.
-func (e *Engine) Execute(st *Statement) (*relation.Relation, int64, error) {
-	return e.ExecuteCtx(context.Background(), st)
-}
-
-// ExecuteCtx is Execute with a context: engine spans started here parent
-// under the caller's span (or join a trace ID adopted from the wire).
+// shape its plan serves, so the caller must not modify it afterwards. Engine
+// spans started here parent under the caller's span in ctx (or join a trace
+// ID adopted from the wire).
 func (e *Engine) ExecuteCtx(ctx context.Context, st *Statement) (*relation.Relation, int64, error) {
 	switch {
 	case st.Create != nil:

@@ -273,10 +273,8 @@ func TestEngineAgainstCAQLEval(t *testing.T) {
 		}
 		if rng.Intn(2) == 0 {
 			ops := []relation.CmpOp{relation.OpLt, relation.OpLe, relation.OpNe, relation.OpGe}
-			body = append(body, logic.Cmp(
-				logic.V(varList[rng.Intn(len(varList))]),
-				ops[rng.Intn(len(ops))],
-				logic.CInt(int64(rng.Intn(4)))))
+			v := logic.V(varList[rng.Intn(len(varList))])
+			body = append(body, logic.A(ops[rng.Intn(len(ops))].String(), v, logic.CInt(int64(rng.Intn(4)))))
 		}
 		var head []logic.Term
 		for _, v := range varList {
@@ -400,7 +398,7 @@ func TestFloatConstantsOverTheWire(t *testing.T) {
 	x, w := logic.V("X"), logic.V("W")
 	head := logic.A("q", x, w)
 	cmp := func(op relation.CmpOp, f float64) []logic.Atom {
-		return []logic.Atom{logic.A("m", x, w), logic.Cmp(w, op, logic.C(relation.Float(f)))}
+		return []logic.Atom{logic.A("m", x, w), logic.A(op.String(), w, logic.C(relation.Float(f)))}
 	}
 	queries := map[string]*caql.Query{
 		"W >= 0.00001": caql.NewQuery(head, cmp(relation.OpGe, 0.00001)),
@@ -408,7 +406,7 @@ func TestFloatConstantsOverTheWire(t *testing.T) {
 		"W = 1e21":     caql.NewQuery(head, cmp(relation.OpEq, 1e21)),
 		"W > -1e-05":   caql.NewQuery(head, cmp(relation.OpGt, -1e-05)),
 		"m(X, 50.0)":   caql.NewQuery(logic.A("q", x), []logic.Atom{logic.A("m", x, logic.C(relation.Float(50)))}),
-		"0.00002 > W":  caql.NewQuery(head, []logic.Atom{logic.A("m", x, w), logic.Cmp(logic.C(relation.Float(0.00002)), relation.OpGt, w)}),
+		"0.00002 > W":  caql.NewQuery(head, []logic.Atom{logic.A("m", x, w), logic.A(relation.OpGt.String(), logic.C(relation.Float(0.00002)), w)}),
 	}
 	for name, q := range queries {
 		want, err := caql.Eval(q, src)

@@ -135,10 +135,6 @@ func IsTransient(err error) bool {
 		errors.Is(err, ErrRemoteUnavailable)
 }
 
-// IsOverloaded reports whether err is a server shed response, so callers can
-// distinguish overload (back off, retry later) from failure.
-func IsOverloaded(err error) bool { return errors.Is(err, ErrOverloaded) }
-
 // IsUnavailable reports whether err means the remote DBMS is unavailable
 // (the typed fail-fast condition the CMS degrades on).
 func IsUnavailable(err error) bool { return errors.Is(err, ErrRemoteUnavailable) }

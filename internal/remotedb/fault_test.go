@@ -12,6 +12,13 @@ import (
 
 // collectFaults runs n Execs against a freshly seeded FaultClient and
 // returns which requests failed.
+// breakerState is rc's breaker state, read under its lock.
+func breakerState(rc *ResilientClient) BreakerState {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.state
+}
+
 func collectFaults(t *testing.T, seed int64, n int) []bool {
 	t.Helper()
 	e := newTestEngine(t)
@@ -130,8 +137,8 @@ func TestResilientSemanticErrorsPassThrough(t *testing.T) {
 	if st.Retries != 0 || st.Failures != 0 || st.BreakerOpens != 0 {
 		t.Fatalf("semantic error should not touch retry/breaker counters: %+v", st)
 	}
-	if rc.Breaker() != BreakerClosed {
-		t.Fatalf("breaker = %v, want closed", rc.Breaker())
+	if breakerState(rc) != BreakerClosed {
+		t.Fatalf("breaker = %v, want closed", breakerState(rc))
 	}
 }
 
@@ -193,8 +200,8 @@ func TestBreakerLifecycle(t *testing.T) {
 			t.Fatalf("request %d: want unavailable, got %v", i, err)
 		}
 	}
-	if rc.Breaker() != BreakerOpen {
-		t.Fatalf("breaker = %v, want open", rc.Breaker())
+	if breakerState(rc) != BreakerOpen {
+		t.Fatalf("breaker = %v, want open", breakerState(rc))
 	}
 	if rc.ResilienceStats().BreakerOpens != 1 {
 		t.Fatalf("opens = %d, want 1", rc.ResilienceStats().BreakerOpens)
@@ -223,8 +230,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if stub.callCount() != calls+1 {
 		t.Fatal("half-open should admit exactly one probe")
 	}
-	if rc.Breaker() != BreakerOpen || rc.ResilienceStats().BreakerOpens != 2 {
-		t.Fatalf("failed probe should reopen: %v opens=%d", rc.Breaker(), rc.ResilienceStats().BreakerOpens)
+	if breakerState(rc) != BreakerOpen || rc.ResilienceStats().BreakerOpens != 2 {
+		t.Fatalf("failed probe should reopen: %v opens=%d", breakerState(rc), rc.ResilienceStats().BreakerOpens)
 	}
 
 	// Server recovers; after the next cooldown the probe closes the breaker.
@@ -233,8 +240,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if _, err := rc.Exec("x"); err != nil {
 		t.Fatalf("recovered probe should succeed: %v", err)
 	}
-	if rc.Breaker() != BreakerClosed || !rc.Available() {
-		t.Fatalf("breaker = %v, want closed and available", rc.Breaker())
+	if breakerState(rc) != BreakerClosed || !rc.Available() {
+		t.Fatalf("breaker = %v, want closed and available", breakerState(rc))
 	}
 	if _, err := rc.Exec("x"); err != nil {
 		t.Fatalf("closed breaker should serve normally: %v", err)
@@ -270,7 +277,7 @@ func TestResilientDeadlineCatchesHangs(t *testing.T) {
 		t.Fatalf("RequestTimeout did not bound the hang: %v", elapsed)
 	}
 	st := rc.ResilienceStats()
-	if st.Failures != 1 || st.BreakerOpens != 1 || rc.Breaker() != BreakerOpen {
+	if st.Failures != 1 || st.BreakerOpens != 1 || breakerState(rc) != BreakerOpen {
 		t.Fatalf("hang did not open the breaker: %+v", st)
 	}
 	// Breaker opened on the hang: the next call fails instantly.

@@ -89,9 +89,6 @@ func numberNodes(n planNode, next int) int {
 	return next
 }
 
-// EstRows is the optimizer's estimate of the result cardinality.
-func (p *Plan) EstRows() float64 { return p.estRows }
-
 // EstCost is the plan's simulated cost under the virtual cost model: one
 // round trip, the estimated result tuples shipped, the estimated server ops.
 func (p *Plan) EstCost(c Costs) float64 {

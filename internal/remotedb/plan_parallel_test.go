@@ -640,8 +640,8 @@ func TestNaNRangeEstimateMatchesNaNFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if est := nan.EstRows(); math.IsNaN(est) || math.IsInf(est, 0) || est != num.EstRows() {
-			t.Errorf("%s: est rows %v with NaNs, %v without", sql, est, num.EstRows())
+		if est := nan.estRows; math.IsNaN(est) || math.IsInf(est, 0) || est != num.estRows {
+			t.Errorf("%s: est rows %v with NaNs, %v without", sql, est, num.estRows)
 		}
 		if a, b := e.planDOP(nan), e.planDOP(num); a != b {
 			t.Errorf("%s: dop %d with NaNs, %d without", sql, a, b)

@@ -305,7 +305,7 @@ func TestPoolServerShed(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.Exec("SELECT * FROM dept"); err != nil && IsOverloaded(err) {
+			if _, err := p.Exec("SELECT * FROM dept"); err != nil && errors.Is(err, ErrOverloaded) {
 				shedSeen.set()
 			}
 		}()

@@ -660,7 +660,7 @@ func TestIndexSurvivesInsert(t *testing.T) {
 	fresh := relation.BuildIndex(tbl, []int{0})
 	for _, k := range []int64{0, 5, 77, n - 1, n, -1} {
 		key := []relation.Value{relation.Int(k)}
-		got, want := r.indexes["t"][0].LookupIn(tbl.Tuples(), key), fresh.Lookup(key)
+		got, want := r.indexes["t"][0].AppendLookupIn(nil, tbl.Tuples(), key), fresh.AppendLookupIn(nil, tbl.Tuples(), key)
 		if len(got) != len(want) {
 			t.Fatalf("the recovered index finds %v for %d, a fresh one %v", got, k, want)
 		}

@@ -34,20 +34,21 @@ func (e *Engine) referenceSelect(sel *SelectStmt) (*relation.Relation, int64, er
 	offset := make([]int, len(scope.tables))
 	for p, base := range scope.tables {
 		ops += int64(base.Len())
-		rows := relation.SelectRel(base, scope.perAlias[p])
+		rows := relation.Drain(base.Name, base.Schema(), relation.Select(base.Iter(), scope.perAlias[p]))
 		offset[p] = len(wideAttrs)
 		wideAttrs = append(wideAttrs, base.Schema().Attrs()...)
 		if wide == nil {
 			wide = rows
 		} else {
-			wide = relation.CrossRel("wide", wide, rows)
+			cross := relation.NestedLoopJoin(wide.Iter(), rows.Iter(), wide.Schema().Arity(), nil, nil, new(relation.Arena))
+			wide = relation.Drain("wide", wide.Schema().Concat(rows.Schema()), cross)
 		}
 	}
 	var conds []relation.Cond
 	for _, c := range scope.cross {
 		conds = append(conds, relation.ColCol(offset[c.lp]+c.lc, c.op, offset[c.rp]+c.rc))
 	}
-	wide = relation.SelectRel(wide, conds)
+	wide = relation.Drain("wide", wide.Schema(), relation.Select(wide.Iter(), conds))
 
 	widePos := func(c ColRef) (int, error) {
 		p, i, err := scope.resolve(c)

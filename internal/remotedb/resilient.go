@@ -143,13 +143,6 @@ func (r *ResilientClient) Available() bool {
 	return !r.cfg.Now().Before(r.reopenAt)
 }
 
-// Breaker returns the current breaker state.
-func (r *ResilientClient) Breaker() BreakerState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state
-}
-
 // ResilienceStats implements ResilienceReporter.
 func (r *ResilientClient) ResilienceStats() ResilienceStats {
 	r.mu.Lock()

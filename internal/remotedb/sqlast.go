@@ -129,9 +129,6 @@ func (c SQLCond) appendSQL(dst []byte, lit func([]byte, relation.Value) []byte) 
 	return lit(dst, c.RightVal)
 }
 
-// sqlLiteral renders a value as a SQL literal (appendSQLLiteral).
-func sqlLiteral(v relation.Value) string { return string(appendSQLLiteral(nil, v)) }
-
 // appendSQLLiteral appends v as a SQL literal that ParseSQL reads back as the
 // same value: strings single-quoted, and a float always with a point or an
 // exponent, so 50.0 does not come back as the int 50. A NaN or infinite float

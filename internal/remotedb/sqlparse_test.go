@@ -8,6 +8,9 @@ import (
 	"repro/internal/relation"
 )
 
+// sqlLiteral renders a value as a SQL literal (appendSQLLiteral).
+func sqlLiteral(v relation.Value) string { return string(appendSQLLiteral(nil, v)) }
+
 func TestParseCreate(t *testing.T) {
 	st, err := ParseSQL("CREATE TABLE emp (id INT, name VARCHAR(20), salary FLOAT, active BOOL)")
 	if err != nil {

@@ -1,7 +1,6 @@
 package subsume
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -24,7 +23,7 @@ type Derivation struct {
 	OutCols []int
 	Consts  []relation.Value
 	// Empty marks a statically-empty query (a false constant comparison):
-	// Apply returns no tuples regardless of the extension.
+	// the derivation yields no tuples regardless of the extension.
 	Empty bool
 }
 
@@ -162,15 +161,6 @@ func (d *Derivation) copyInto(blk *DerivationBlock) *Derivation {
 	return out
 }
 
-// Apply computes q's extension from ext(E) according to the derivation.
-// schema is the output schema (as derived by caql evaluation or OutputSchema).
-func (d *Derivation) Apply(name string, schema *relation.Schema, ext *relation.Relation) (*relation.Relation, error) {
-	if schema.Arity() != len(d.OutCols) {
-		return nil, fmt.Errorf("subsume: schema arity %d != derivation arity %d", schema.Arity(), len(d.OutCols))
-	}
-	return relation.Drain(name, schema, d.ApplyLazy(ext.Iter())), nil
-}
-
 // Identity reports whether the derivation's answer is ext(E)'s rows as they
 // are: the query is not empty, nothing is left to select, and the output
 // columns are the element's columns, each once and in order.
@@ -186,16 +176,17 @@ func (d *Derivation) Identity() bool {
 	return true
 }
 
-// Materialize is Apply over rows of ext(E), built for the allocator: it
-// counts the rows that pass the derivation's selections, then copies each
-// one's output values into one n × arity block, row after row. The block is
-// dst[:0] when dst has the capacity, and otherwise its only allocation. The
-// condition at index skip (-1: none) is not evaluated: the caller has applied
-// it already, as an index lookup that produced rows does. The values are
-// copies, so a consumer that overwrites one cannot reach the source, and rows
-// may be the caller's scratch. An answer's values are copies when the
-// derivation is not the identity: the identity's answer is rows itself,
-// which a caller whose rows are not scratch serves without Materialize.
+// Materialize computes q's answer from rows of ext(E), built for the
+// allocator: it counts the rows that pass the derivation's selections, then
+// copies each one's output values into one n × arity block, row after row.
+// The block is dst[:0] when dst has the capacity, and otherwise its only
+// allocation. The condition at index skip (-1: none) is not evaluated: the
+// caller has applied it already, as an index lookup that produced rows does.
+// The values are copies, so a consumer that overwrites one cannot reach the
+// source, and rows may be the caller's scratch. An answer's values are copies
+// when the derivation is not the identity: the identity's answer is rows
+// itself, which a caller whose rows are not scratch serves without
+// Materialize.
 func (d *Derivation) Materialize(dst []relation.Value, rows []relation.Tuple, skip int) (vals []relation.Value, n int) {
 	if d.Empty {
 		return dst[:0], 0

@@ -32,10 +32,6 @@ type Candidate struct {
 	VarCols map[string]int
 }
 
-// CoversAll reports whether the candidate covers every relational atom of a
-// query with n relational atoms.
-func (c *Candidate) CoversAll(n int) bool { return len(c.Cover) == n }
-
 // InterfaceVars returns the available variables sorted (deterministic
 // column order for materialization).
 func (c *Candidate) InterfaceVars() []string {
