@@ -1,3 +1,12 @@
+// Package ie implements BrAID's inference engine (Section 4 of the paper):
+// the query translator, problem graph extractor, problem graph shaper, view
+// specifier, path expression creator, and inference strategy controller
+// (Figure 4). The extractor and the shaper are one compile per goal shape,
+// which reaches the goal's clauses, shapes each once and segments it into
+// views; every strategy runs from it. The engine is logic-based and
+// function-free (Datalog with typed constants), and — like the FDE the paper
+// builds on — realizes several inference strategies along the
+// interpreted-compiled range from one set of component functions.
 package ie
 
 import (

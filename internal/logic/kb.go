@@ -63,8 +63,8 @@ func (kb *KB) DeclareBase(ref PredRef) error {
 
 // IsBase reports whether the predicate is a declared base relation. A
 // predicate with no rules and no declaration is also treated as base,
-// matching the paper's setting where the leaves of the problem graph are
-// database or built-in relations.
+// matching the paper's setting where every relation an ask reaches is
+// derived by rules, or a database or built-in relation.
 func (kb *KB) IsBase(ref PredRef) bool {
 	if kb.base[ref] {
 		return true
@@ -89,7 +89,7 @@ func (kb *KB) Generation() uint64 { return kb.gen }
 func (kb *KB) NumClauses() int { return kb.clauses }
 
 // AddMutex records a mutual-exclusion SOA: p and q cannot both hold of the
-// same arguments. The problem graph shaper uses these to cull OR branches.
+// same arguments. The IE's shaper uses these to cull contradictory clauses.
 func (kb *KB) AddMutex(p, q PredRef) {
 	kb.mutex = append(kb.mutex, MutexSOA{P: p, Q: q})
 	kb.gen++
