@@ -230,6 +230,20 @@ func TestCanonicalRenamingInvariance(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeepsConstantKinds: an integral float and the int it equals
+// are constants of two kinds, and the queries that hold them get two keys,
+// as the goal shapes that hold them do.
+func TestCanonicalKeepsConstantKinds(t *testing.T) {
+	f := MustParse("q(P, W) :- part(P, C, W) & W >= 50.0")
+	i := MustParse("q(P, W) :- part(P, C, W) & W >= 50")
+	if f.Canonical() == i.Canonical() {
+		t.Errorf("W >= 50.0 and W >= 50 share the canonical key %s", f.Canonical())
+	}
+	if got := f.String(); !strings.Contains(got, "W >= 50.0") {
+		t.Errorf("%s prints the float 50.0 as an int", got)
+	}
+}
+
 func TestInstantiateAndHeadBindings(t *testing.T) {
 	q := MustParse("d(X, Y) :- b2(X, Z) & b3(Z, Y, W)")
 	inst := q.Instantiate(map[string]relation.Value{"Y": relation.Int(7)})
@@ -610,6 +624,7 @@ func FuzzParse(f *testing.F) {
 		`d(X) :- b(X, "café ñ") & X != "\u00e9"`,
 		"d(X) :- b(X, café)",
 		"d(X, 2.5) :- b(X, Y) & Y >= 1.5e3 & Y < 1E+4",
+		"a:-a(Y)&0>-0e0000", // −0.0 once printed as -0 and read back as an int
 	} {
 		f.Add(seed)
 	}

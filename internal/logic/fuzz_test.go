@@ -86,6 +86,7 @@ func FuzzParseProgram(f *testing.F) {
 		"p(X) :- q(X, \xc3\xc3).",
 		"p(X) :- X < 2.5e3, q(X, Y), Y >= -0.5, 3 < 4.\nq(1E+2, 99999999999999999999).",
 		"p(A, B, C, D, E, F, G, H, I) :- q(A, B, C, D, E, F, G, H, I).",
+		"a:-0=-0.0.", // −0.0 once printed as -0 and read back as an int
 	} {
 		f.Add(seed)
 	}

@@ -150,7 +150,13 @@ func (v refValue) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		// A finite float keeps a point or an exponent, so it reads back as
+		// a float.
+		s := strconv.FormatFloat(v.f, 'g', -1, 64)
+		if !math.IsInf(v.f, 0) && v.f == v.f && !strings.ContainsAny(s, ".e") {
+			s += ".0"
+		}
+		return s
 	case KindString:
 		return strconv.Quote(v.s)
 	default:
@@ -272,6 +278,9 @@ func FuzzValueOrder(f *testing.F) {
 			}
 			if d := agrees(rp, vp); verr == nil && d != "" {
 				t.Fatalf("%v: parseValue(String()): %s", p.r, d)
+			}
+			if verr == nil && vp.Kind() != p.v.Kind() {
+				t.Fatalf("%v: parseValue(String()) is a %v, want a %v", p.r, vp.Kind(), p.v.Kind())
 			}
 		}
 		if got, want := va.Equal(vb), ra.equal(rb); got != want {

@@ -9,6 +9,7 @@
 package relation
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -255,7 +256,9 @@ func (v Value) String() string {
 	return string(v.AppendString(buf[:0]))
 }
 
-// AppendString appends the bytes of String to dst.
+// AppendString appends the bytes of String to dst. A finite float always
+// has a point or an exponent, so 50.0 prints as 50.0 and −0.0 as -0.0, and
+// reads back as a float rather than an int.
 func (v Value) AppendString(dst []byte) []byte {
 	switch v.Kind() {
 	case KindNull:
@@ -263,7 +266,13 @@ func (v Value) AppendString(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(dst, v.AsInt(), 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
+		start := len(dst)
+		f := v.AsFloat()
+		dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+		if !math.IsInf(f, 0) && f == f && !bytes.ContainsAny(dst[start:], ".e") {
+			dst = append(dst, ".0"...)
+		}
+		return dst
 	case KindString:
 		return strconv.AppendQuote(dst, v.AsString())
 	default:

@@ -422,7 +422,7 @@ func TestExplainAnalyzeShowsWorkers(t *testing.T) {
 			{"project (dname, id)", 2698, 2698},
 			{"hash join [big.g = dim.g] (build dim, probe streams)", 2698, 2714},
 			{"prune big to (id, g)", 2698, 2698},
-			{"scan big where [v < 700] (examine~4000, emit~2802)", 2698, 4000},
+			{"scan big where [v < 700.0] (examine~4000, emit~2802)", 2698, 4000},
 			{"scan dim (examine~16, emit~16)", 16, 16},
 		}},
 		{"SELECT big.v, dim.dname FROM big, dim WHERE big.g = dim.g AND big.id > dim.g", []nodeRows{

@@ -1,7 +1,6 @@
 package remotedb
 
 import (
-	"bytes"
 	"slices"
 	"strconv"
 
@@ -130,8 +129,9 @@ func (c SQLCond) appendSQL(dst []byte, lit func([]byte, relation.Value) []byte) 
 }
 
 // appendSQLLiteral appends v as a SQL literal that ParseSQL reads back as the
-// same value: strings single-quoted, and a float always with a point or an
-// exponent, so 50.0 does not come back as the int 50. A NaN or infinite float
+// same value: strings single-quoted, and the rest as Value.AppendString
+// renders them, a float always with a point or an exponent, so 50.0 does not
+// come back as the int 50. A NaN or infinite float
 // has no literal; TranslateCAQL and ShapeTemplate.Translate refuse one before
 // it gets here.
 func appendSQLLiteral(dst []byte, v relation.Value) []byte {
@@ -151,13 +151,6 @@ func appendSQLLiteral(dst []byte, v relation.Value) []byte {
 			return append(dst, "TRUE"...)
 		}
 		return append(dst, "FALSE"...)
-	case relation.KindFloat:
-		start := len(dst)
-		dst = strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
-		if !bytes.ContainsAny(dst[start:], ".e") {
-			dst = append(dst, ".0"...)
-		}
-		return dst
 	}
 	return v.AppendString(dst)
 }
