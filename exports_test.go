@@ -34,7 +34,6 @@ var testOnlyExportsAllowed = map[string]string{
 	"Engine.SetParallelMinRows":     "chaos's stream storm forces the parallel path on a small table with it",
 	"Engine.SetMorselSize":          "chaos's stream storm splits a small table into many morsels with it",
 	"PartitionedTable.Probe":        "ProbeIter's constructor, which HashJoin's doc points callers to",
-	"Names":                         "the advice language's view names of a path expression, beside Parse and String",
 }
 
 // interfaceMethods are the method names a standard library interface calls,

@@ -333,16 +333,6 @@ func within(tr *Tracker, k int, names ...string) map[string]int {
 	return out
 }
 
-func TestNames(t *testing.T) {
-	a := MustParse(paperExample1)
-	if got := Names(a.Path); !reflect.DeepEqual(got, []string{"d1", "d2", "d3"}) {
-		t.Fatalf("names = %v", got)
-	}
-	if Names(nil) != nil {
-		t.Error("nil expr should have no names")
-	}
-}
-
 func TestNilAndEmptyTracker(t *testing.T) {
 	tr := newTracker(nil)
 	if tr.Observe("d1") {

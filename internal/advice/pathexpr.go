@@ -107,32 +107,3 @@ func (a *Alternation) String() string {
 	}
 	return s
 }
-
-// Names returns every pattern name mentioned in the expression, in
-// first-appearance order.
-func Names(e Expr) []string {
-	var out []string
-	seen := make(map[string]bool)
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch v := x.(type) {
-		case *Pattern:
-			if !seen[v.Name] {
-				seen[v.Name] = true
-				out = append(out, v.Name)
-			}
-		case *Sequence:
-			for _, c := range v.Elems {
-				walk(c)
-			}
-		case *Alternation:
-			for _, c := range v.Elems {
-				walk(c)
-			}
-		}
-	}
-	if e != nil {
-		walk(e)
-	}
-	return out
-}
