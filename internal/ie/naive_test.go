@@ -26,6 +26,32 @@ func fixpoint(kb *logic.KB, base caql.RelationSource, roots ...logic.PredRef) (m
 	return derived, err
 }
 
+// reachable returns the clauses of the derived predicates reachable from
+// roots, in the order a depth-first visit reaches them.
+func reachable(kb *logic.KB, roots ...logic.PredRef) []logic.Clause {
+	var out []logic.Clause
+	seen := make(map[logic.PredRef]bool)
+	var visit func(ref logic.PredRef)
+	visit = func(ref logic.PredRef) {
+		if seen[ref] || kb.IsBase(ref) {
+			return
+		}
+		seen[ref] = true
+		for _, c := range kb.Rules(ref) {
+			out = append(out, c)
+			for _, a := range c.Body {
+				if !a.IsComparison() {
+					visit(a.Ref())
+				}
+			}
+		}
+	}
+	for _, r := range roots {
+		visit(r)
+	}
+	return out
+}
+
 // distinctTuples is the answers of sol as a relation, once it has checked
 // that no answer came twice.
 func distinctTuples(t *testing.T, sol *Solutions) *relation.Relation {
