@@ -33,7 +33,6 @@ var testOnlyExportsAllowed = map[string]string{
 	"SourceStats.DispatchConserved": "the conservation invariant (INVARIANTS.md) the tests of cache, core and chaos check",
 	"Engine.SetParallelMinRows":     "chaos's stream storm forces the parallel path on a small table with it",
 	"Engine.SetMorselSize":          "chaos's stream storm splits a small table into many morsels with it",
-	"PartitionedTable.Probe":        "ProbeIter's constructor, which HashJoin's doc points callers to",
 }
 
 // interfaceMethods are the method names a standard library interface calls,

@@ -182,7 +182,7 @@ const (
 // optimizer's estimate, capped at 1<<16; 0 when it has none): the group
 // table starts sized for them, and grows from there.
 func NewAggAccum(groupBy []int, specs []AggSpec, groups int) *AggAccum {
-	groups = min(max(groups, 0), maxSizeHint)
+	groups = min(max(groups, 0), 1<<16)
 	a := &AggAccum{groupBy: groupBy, specs: specs, keyCols: identity(len(groupBy)),
 		heads: make(map[uint64]*aggGroup, groups), groups: groups}
 	a.blocks = a.spine[:0]

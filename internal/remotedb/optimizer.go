@@ -258,10 +258,9 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		// Per-step output estimate, mirroring joinSearch.cost's recurrence
 		// (joined does not yet include a here).
 		stepOut := leftEst * outs[a] * js.step(joined, a)
-		var eq []relation.JoinCond
+		var probeCols, buildCols []int
 		var post []relation.Cond
 		var on []crossCond
-		keyNDV := 1.0 // the product of the build's key columns' NDVs
 		for ci, c := range scope.cross {
 			if consumed[ci] {
 				continue
@@ -270,15 +269,13 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			switch {
 			case c.lp == a && joined[c.rp]:
 				if c.op == relation.OpEq {
-					eq = append(eq, relation.JoinCond{Left: offs[c.rp] + rankIn(rk), Right: rankIn(lk)})
-					keyNDV *= float64(colNDV(scans[a].meta, c.lc))
+					probeCols, buildCols = append(probeCols, offs[c.rp]+rankIn(rk)), append(buildCols, rankIn(lk))
 				} else {
 					post = append(post, relation.Cond{Left: wideArity + rankIn(lk), Op: c.op, Right: offs[c.rp] + rankIn(rk)})
 				}
 			case c.rp == a && joined[c.lp]:
 				if c.op == relation.OpEq {
-					eq = append(eq, relation.JoinCond{Left: offs[c.lp] + rankIn(lk), Right: rankIn(rk)})
-					keyNDV *= float64(colNDV(scans[a].meta, c.rc))
+					probeCols, buildCols = append(probeCols, offs[c.lp]+rankIn(lk)), append(buildCols, rankIn(rk))
 				} else {
 					post = append(post, relation.Cond{Left: offs[c.lp] + rankIn(lk), Op: c.op, Right: wideArity + rankIn(rk)})
 				}
@@ -289,14 +286,15 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			on = append(on, c)
 		}
 		jn := &joinNode{
-			left:  cur,
-			right: right,
-			eq:    eq,
-			post:  post,
-			sch:   cur.Schema().Concat(right.Schema()),
-			on:    on,
-			build: a,
-			keys:  sizeHint(math.Min(outs[a], keyNDV)),
+			left:      cur,
+			right:     right,
+			probeCols: probeCols,
+			buildCols: buildCols,
+			post:      post,
+			sch:       cur.Schema().Concat(right.Schema()),
+			on:        on,
+			build:     a,
+			rows:      sizeHint(outs[a]),
 		}
 		nodeEst[jn] = stepOut
 		leftEst = stepOut
@@ -625,9 +623,9 @@ func (n *scanNode) outEst(where []SQLCond) float64 {
 	return math.Max(n.rows*selv, 0)
 }
 
-// sizeHint turns an estimate into a hash table's size hint, at most the
-// 1<<16 the executor caps hints at (an estimate over a cross product may
-// not fit an int).
+// sizeHint turns an estimate into a size hint for a join's build rows or an
+// aggregate's group table, at most 1<<16 (an estimate over a cross product
+// may not fit an int).
 func sizeHint(est float64) int {
 	return int(math.Min(est, 1<<16))
 }

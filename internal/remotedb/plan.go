@@ -204,17 +204,19 @@ func (n *scanNode) describe(p *Plan) string {
 }
 
 // joinNode joins two subtrees. The left side is the probe input and
-// streams; the right side is the build input, drained into a hash table
-// (equi-join) or a buffer (cross/theta join) when the node opens.
+// streams; the right side is the build input, drained when the node opens
+// and, for an equi-join, indexed on its join columns.
 type joinNode struct {
 	nodeSlot
 	left, right planNode
-	eq          []relation.JoinCond // probe position = Left, build position = Right
-	post        []relation.Cond     // residual theta conditions over the concatenated tuple
-	sch         *relation.Schema
-	on          []crossCond // the conjuncts eq and post came from, for EXPLAIN
-	build       int         // FROM position of the build side's alias
-	keys        int         // distinct build keys the optimizer expects: the build table's size hint
+	// probeCols[i] of the left side equals buildCols[i] of the right; both
+	// are empty for a cross or theta join.
+	probeCols, buildCols []int
+	post                 []relation.Cond // residual theta conditions over the concatenated tuple
+	sch                  *relation.Schema
+	on                   []crossCond // the conjuncts the columns and post came from, for EXPLAIN
+	build                int         // FROM position of the build side's alias
+	rows                 int         // the build's estimated rows: the capacity its drain starts from
 }
 
 func (n *joinNode) Schema() *relation.Schema { return n.sch }
@@ -227,7 +229,7 @@ func (n *joinNode) describe(p *Plan) string {
 		conds[i] = fmt.Sprintf("%s %s %s", attr(c.lp, c.lc), c.op, attr(c.rp, c.rc))
 	}
 	kind := "hash join"
-	if len(n.eq) == 0 {
+	if len(n.buildCols) == 0 {
 		kind = "nested-loop join"
 		if len(n.post) == 0 {
 			conds = append(conds, "cross")

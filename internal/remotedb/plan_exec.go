@@ -376,41 +376,69 @@ func (n *scanNode) open(run *planRun, _ bool) relation.Iterator {
 	return s
 }
 
-// joinState is a join's counted inputs and its probe.
+// joinState is a join's counted inputs, its build rows and their index, and
+// its probe. On a parallel run, the stream's own run holds each section
+// join's build, and every worker's run probes it.
 type joinState struct {
 	left, right counter
+	rows        []relation.Tuple
+	ix          relation.Index
 	probe       relation.ProbeIter
 }
 
+// release keeps the build's row slice and index arrays while the slice holds
+// at most keptLookupRows rows, as a scan keeps its lookup buffer.
 func (st *joinState) release() {
 	st.left.release()
 	st.right.release()
-	st.probe.Reset(nil, nil, nil, nil, nil)
+	st.probe.Reset(nil, nil, nil, nil, nil, nil)
+	clear(st.rows)
+	if cap(st.rows) > keptLookupRows {
+		st.rows, st.ix = nil, relation.Index{}
+	} else if st.rows != nil {
+		st.rows = st.rows[:0]
+		st.ix.Rebuild(st.rows, nil)
+	}
+}
+
+// build drains in into the join's row slice, presized for the build's
+// estimated rows, and indexes the rows on n's build columns.
+func (st *joinState) build(n *joinNode, in relation.Iterator) *relation.Index {
+	rows := st.rows[:0]
+	if cap(rows) < n.rows {
+		rows = make([]relation.Tuple, 0, n.rows)
+	}
+	for t, ok := in.Next(); ok; t, ok = in.Next() {
+		rows = append(rows, t)
+	}
+	st.rows = rows
+	st.ix.Rebuild(rows, n.buildCols)
+	return &st.ix
 }
 
 func (n *joinNode) open(run *planRun, keep bool) relation.Iterator {
 	return n.openCols(run, nil, keep)
 }
 
-// openCols probes a worker's prebuilt table (built once for the pool, so the
-// build side is not opened here) and otherwise builds from the right input,
-// which the build keeps. The join writes each accepted row as the cols
-// projection of left ++ right, or, with cols nil, as the concatenation
-// itself, into the run's arena when keep is set.
+// openCols probes, on a worker's run, the index the stream's own run built
+// for the pool (so the build side is not opened here), and otherwise builds
+// from the right input, which the build keeps. The join writes each accepted
+// row as the cols projection of left ++ right, or, with cols nil, as the
+// concatenation itself, into the run's arena when keep is set.
 func (n *joinNode) openCols(run *planRun, cols []int, keep bool) relation.Iterator {
 	st := state[joinState](run, n)
 	left := st.left.counted(run, run.openNode(n.left, false))
-	if len(n.eq) == 0 {
+	if len(n.buildCols) == 0 {
 		right := st.right.counted(run, run.openNode(n.right, true))
 		return relation.NestedLoopJoin(left, right, n.left.Schema().Arity(), n.post, cols, run.dst(keep))
 	}
-	var pt *relation.PartitionedTable
+	var ix *relation.Index
 	if run.worker != nil {
-		pt = run.par.tables[n]
+		ix = &run.par.run.states[n.id].(*joinState).ix
 	} else {
-		pt = relation.NewPartitionedTable(st.right.counted(run, run.openNode(n.right, true)), n.eq, 1, n.keys)
+		ix = st.build(n, st.right.counted(run, run.openNode(n.right, true)))
 	}
-	st.probe.Reset(pt, left, n.post, cols, run.dst(keep))
+	st.probe.Reset(ix, n.probeCols, left, n.post, cols, run.dst(keep))
 	return &st.probe
 }
 
