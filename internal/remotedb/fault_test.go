@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,16 +144,26 @@ func TestResilientSemanticErrorsPassThrough(t *testing.T) {
 }
 
 // flakyStub is a Client stub whose Exec fails with a transport error while
-// failing is set, and counts calls that reach it.
+// failing is set, and counts calls that reach it. A call that finds hold set
+// takes it, sends on it once it has arrived, and answers once it receives.
 type flakyStub struct {
 	mu      sync.Mutex
 	failing bool
 	calls   int
+	hold    chan struct{}
 }
 
 func (s *flakyStub) Exec(string) (*Result, error) {
 	s.mu.Lock()
 	s.calls++
+	hold := s.hold
+	s.hold = nil
+	s.mu.Unlock()
+	if hold != nil {
+		hold <- struct{}{}
+		<-hold
+	}
+	s.mu.Lock()
 	failing := s.failing
 	s.mu.Unlock()
 	if failing {
@@ -245,6 +256,61 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	if _, err := rc.Exec("x"); err != nil {
 		t.Fatalf("closed breaker should serve normally: %v", err)
+	}
+}
+
+// TestHalfOpenWaitsForProbe: a request that arrives while the half-open
+// probe is in flight waits for the probe's verdict. It proceeds when the
+// probe closes the breaker and fails fast, without reaching the remote, when
+// the probe re-opens it; a request whose context ends first returns its
+// context's error. Answering "probe in flight" at once failed a demand
+// request beside a prefetch's probe although the server was back.
+func TestHalfOpenWaitsForProbe(t *testing.T) {
+	for _, recovered := range []bool{true, false} {
+		stub := &flakyStub{failing: true}
+		var now atomic.Int64
+		rc := NewResilientClient(clientStub{stub}, Resilience{
+			MaxRetries:      -1,
+			BreakerFailures: 1,
+			BreakerCooldown: time.Second,
+			Sleep:           func(time.Duration) {},
+			Now:             func() time.Time { return time.Unix(0, now.Load()) },
+		})
+		if _, err := rc.Exec("x"); !IsUnavailable(err) || breakerState(rc) != BreakerOpen {
+			t.Fatalf("first failure: %v, breaker %v; want unavailable and open", err, breakerState(rc))
+		}
+		now.Store(int64(2 * time.Second))
+		stub.set(!recovered)
+		hold := make(chan struct{})
+		stub.mu.Lock()
+		stub.hold = hold
+		stub.mu.Unlock()
+		probe, beside := make(chan error, 1), make(chan error, 1)
+		go func() { _, err := rc.Exec("x"); probe <- err }()
+		<-hold // the probe has reached the remote
+		go func() { _, err := rc.Exec("x"); beside <- err }()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err := rc.ExecCtx(ctx, "x")
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("recovered %v: a request whose deadline passed while the probe was out returned %v", recovered, err)
+		}
+		select {
+		case err := <-beside:
+			t.Fatalf("recovered %v: a request beside the probe returned %v before the probe's verdict", recovered, err)
+		case <-time.After(30 * time.Millisecond):
+		}
+		hold <- struct{}{}
+		if err := <-probe; (err == nil) != recovered {
+			t.Fatalf("recovered %v: the probe returned %v", recovered, err)
+		}
+		err = <-beside
+		if recovered && (err != nil || stub.callCount() != 3) {
+			t.Fatalf("the request beside a probe that closed the breaker returned %v after %d remote calls, want nil after 3", err, stub.callCount())
+		}
+		if !recovered && (!IsUnavailable(err) || stub.callCount() != 2) {
+			t.Fatalf("the request beside a probe that re-opened the breaker returned %v after %d remote calls, want unavailable after 2", err, stub.callCount())
+		}
 	}
 }
 

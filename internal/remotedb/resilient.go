@@ -32,8 +32,10 @@ type ResilientClient struct {
 	state    BreakerState
 	failures int       // consecutive transport failures while closed
 	reopenAt time.Time // when an open breaker half-opens
-	probing  bool      // a half-open probe is in flight
-	stats    ResilienceStats
+	// probed is non-nil while a half-open probe is in flight, and closed when
+	// the probe settles.
+	probed chan struct{}
+	stats  ResilienceStats
 }
 
 // BreakerState is the circuit breaker state.
@@ -153,29 +155,43 @@ func (r *ResilientClient) ResilienceStats() ResilienceStats {
 }
 
 // admit decides whether a request may proceed under the breaker; it returns
-// (probe=true) when the request is the half-open trial.
-func (r *ResilientClient) admit() (probe bool, err error) {
+// (probe=true) when the request is the half-open trial. A request that finds
+// a probe in flight waits, under ctx, for its verdict: it proceeds if the
+// probe closed the breaker, fails fast if the probe re-opened it, and takes
+// the trial itself if the probe's caller gave up.
+func (r *ResilientClient) admit(ctx context.Context, op string) (probe bool, err error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch r.state {
-	case BreakerClosed:
-		return false, nil
-	case BreakerOpen:
-		if r.cfg.Now().Before(r.reopenAt) {
+	for {
+		switch {
+		case r.state == BreakerClosed:
+			r.mu.Unlock()
+			return false, nil
+		case r.state == BreakerOpen && r.cfg.Now().Before(r.reopenAt):
 			r.stats.FastFails++
+			r.mu.Unlock()
 			return false, &UnavailableError{Reason: "circuit open"}
+		case r.probed == nil:
+			r.state = BreakerHalfOpen
+			r.probed = make(chan struct{})
+			r.mu.Unlock()
+			return true, nil
 		}
-		r.state = BreakerHalfOpen
-		r.probing = true
-		return true, nil
-	default: // half-open
-		if r.probing {
-			r.stats.FastFails++
-			return false, &UnavailableError{Reason: "circuit half-open, probe in flight"}
+		probed := r.probed
+		r.mu.Unlock()
+		select {
+		case <-probed:
+		case <-ctx.Done():
+			return false, &TransportError{Op: op, Err: ctx.Err()}
 		}
-		r.probing = true
-		return true, nil
+		r.mu.Lock()
 	}
+}
+
+// endProbe marks the half-open probe settled, releasing the requests that
+// wait for its verdict (caller holds mu).
+func (r *ResilientClient) endProbe() {
+	close(r.probed)
+	r.probed = nil
 }
 
 // settle records the outcome of an admitted request.
@@ -183,7 +199,7 @@ func (r *ResilientClient) settle(probe, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if probe {
-		r.probing = false
+		defer r.endProbe() // after the verdict, which its waiters read
 	}
 	if ok {
 		r.state = BreakerClosed
@@ -243,7 +259,7 @@ func doCtx[T any](r *ResilientClient, ctx context.Context, op string, call func(
 	if err := ctx.Err(); err != nil {
 		return zero, &TransportError{Op: op, Err: err}
 	}
-	probe, err := r.admit()
+	probe, err := r.admit(ctx, op)
 	if err != nil {
 		return zero, err
 	}
@@ -290,7 +306,7 @@ func (r *ResilientClient) settleCanceled(probe bool) {
 		return
 	}
 	r.mu.Lock()
-	r.probing = false
+	r.endProbe()
 	r.mu.Unlock()
 }
 
