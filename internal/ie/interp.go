@@ -90,8 +90,10 @@ func (s *gcCount) read() uint64 {
 // the call is conts[conts-1]. A pioneer's clauses are its predicate's, pc,
 // its ancestor entry is anc[anc-1] and its entry on the tables' SCC stack
 // scc; a follower, or a call whose table is complete, has no clauses and
-// only reads. The bindings mark and the stack heights are the search's state
-// when the choice was pushed, restored by every retry.
+// only reads. reads is, for a follower, its entry in the tables' reads, and
+// for a pioneer how many reads there were when it started (-1: neither).
+// The bindings mark and the stack heights are the search's state when the
+// choice was pushed, restored by every retry.
 type choice struct {
 	goal    cont
 	stream  *bridge.Stream
@@ -99,8 +101,8 @@ type choice struct {
 	seg     *viewTemplate
 	clauses []*compiledClause
 
-	pc           *predCode
-	tab, at, scc int32
+	pc                  *predCode
+	tab, at, scc, reads int32
 
 	mark       logic.Mark
 	conts, anc int
@@ -127,10 +129,11 @@ type cont struct {
 }
 
 // ancestor is an open pioneer: its table, its entry on the tables' SCC
-// stack, and the index of the nearest pioneer it was called under (-1: none).
+// stack, the index of the nearest pioneer it was called under (-1: none),
+// and the round before which its clauses last ran in full (0: none).
 type ancestor struct {
-	tab, scc int32
-	parent   int
+	tab, scc, round int32
+	parent          int
 }
 
 // next produces the search's next answer in depth-first order: it backtracks
@@ -276,10 +279,14 @@ func (r *runner) nextTuple(c *choice) (bool, error) {
 func (r *runner) nextClause(c *choice) (bool, error) {
 	k := c.conts - 1
 	call := &r.conts[k]
+	rerun := r.tabs.fresh(r.anc[c.anc-1].round)
 	for len(c.clauses) > 0 {
 		r.b.Undo(c.mark)
 		cc := c.clauses[0]
 		c.clauses = c.clauses[1:]
+		if rerun && !cc.calls {
+			continue // its answers are in the table since the round that ran it
+		}
 		callee := r.b.Push(cc.nvars)
 		if !r.b.Unify(cc.head, callee, *call.call, call.base) {
 			continue
@@ -312,6 +319,9 @@ func (r *runner) nextAnswer(c *choice) (bool, error) {
 		}
 		if c.pc == nil {
 			t.stop = min(t.stop, c.at)
+			if c.reads >= 0 {
+				r.tabs.reads[c.reads].at = c.at
+			}
 			return false, nil
 		}
 		if ok, err := r.nextClause(c); ok || err != nil {
@@ -320,6 +330,7 @@ func (r *runner) nextAnswer(c *choice) (bool, error) {
 		if !r.tabs.settle(c) {
 			return false, nil
 		}
+		r.anc[c.anc-1].round = r.tabs.rounds
 	}
 }
 
@@ -349,17 +360,28 @@ func (r *runner) deliver(c *choice, rec int32) bool {
 // whose re-run would run the call again, completes no sooner than the
 // table's. Any other call pioneers its table, starting an entry on the SCC
 // stack and an ancestor entry. A follower marks the newest entry on the SCC
-// stack with the ancestor it follows.
-func (r *runner) call(k *cont, pc *predCode) choice {
+// stack with the ancestor it follows. A call from a pioneer's clause of a
+// table that is not complete is recorded in the tables' reads. In the round
+// after the one the clause's pioneer last ran in full, the clause's only
+// call starts after its table's mark, if the table was marked then: what
+// came before, that round read with the same bindings.
+func (r *runner) call(k *cont, it *bodyItem) choice {
 	ts := &r.tabs
 	start := len(ts.keys)
 	ts.keys = r.appendKey(ts.keys, k.call, k.base)
 	id := ts.find(start, len(k.call.Args))
 	k.ch = len(r.choices)
-	c := choice{tab: id, at: -1}
+	c := choice{tab: id, at: -1, reads: -1}
 	t := &ts.tabs[id]
+	if it.only && k.anc >= 0 && ts.fresh(r.anc[k.anc].round) && ts.fresh(t.marked) {
+		c.at = t.mark
+	}
 	if t.complete {
 		return c
+	}
+	if k.anc >= 0 {
+		c.reads = int32(len(ts.reads))
+		ts.reads = append(ts.reads, read{from: r.anc[k.anc].tab, to: id, at: noStop})
 	}
 	follow := int32(-1)
 	for a := k.anc; a >= 0; a = r.anc[a].parent {
@@ -377,10 +399,10 @@ func (r *runner) call(k *cont, pc *predCode) choice {
 		e.low = min(e.low, follow)
 		return c
 	}
-	c.clauses, c.pc, c.scc = pc.clauses, pc, int32(len(ts.scc))
+	c.clauses, c.pc, c.scc, c.reads = it.callee.clauses, it.callee, int32(len(ts.scc)), int32(len(ts.reads))
 	t.sp = c.scc
 	ts.scc = append(ts.scc, sccEntry{tab: id, low: c.scc})
-	r.anc = append(r.anc, ancestor{tab: id, scc: c.scc, parent: k.anc})
+	r.anc = append(r.anc, ancestor{tab: id, scc: c.scc, round: t.marked, parent: k.anc})
 	return c
 }
 
@@ -445,7 +467,7 @@ func (r *runner) step() (bool, error) {
 	case itemCall:
 		k := *g
 		k.call = it.atom
-		c := r.call(&k, it.callee)
+		c := r.call(&k, it)
 		r.conts = append(r.conts, k)
 		r.push(c)
 		return r.retry()

@@ -284,8 +284,9 @@ func atomPtrs(as []logic.Atom) []*logic.Atom {
 // TestPooledRunnerKeepsNoTable: an ask's answer tables go with its runner
 // only as storage. An ask of left-linear anc(0, Y) closed after its first
 // answer leaves its tables incomplete; its runner, back with the engine,
-// holds no table, key or answer value, nor does it after a base goal's ask,
-// and after an edge is inserted the
+// holds no table, key or answer value, nor does it after a base goal's ask
+// or after an ask whose leader ran its clauses again, with no read or round
+// mark left, and after an edge is inserted the
 // next ask on the engine answers what the fixpoint derives over the new
 // data, as it does after a drained ask and a second insert. Then four
 // goroutines ask left-linear, right-linear and non-linear goals, bound and
@@ -322,9 +323,10 @@ func TestPooledRunnerKeepsNoTable(t *testing.T) {
 	sol.Close()
 	keepsNothing := func(goal string) {
 		t.Helper()
-		if len(r.tabs.tabs) != 0 || len(r.tabs.keys) != 0 || len(r.tabs.scc) != 0 || len(r.tabs.recs) != 0 {
-			t.Fatalf("%s: a closed runner keeps %d tables, %d key bytes, %d SCC entries and %d answers",
-				goal, len(r.tabs.tabs), len(r.tabs.keys), len(r.tabs.scc), len(r.tabs.recs))
+		if len(r.tabs.tabs) != 0 || len(r.tabs.keys) != 0 || len(r.tabs.scc) != 0 || len(r.tabs.recs) != 0 ||
+			len(r.tabs.reads) != 0 || r.tabs.rounds != 0 {
+			t.Fatalf("%s: a closed runner keeps %d tables, %d key bytes, %d SCC entries, %d answers, %d reads and %d rounds",
+				goal, len(r.tabs.tabs), len(r.tabs.keys), len(r.tabs.scc), len(r.tabs.recs), len(r.tabs.reads), r.tabs.rounds)
 		}
 		for _, v := range r.tabs.vals[:cap(r.tabs.vals)] {
 			if !v.IsNull() {
@@ -344,6 +346,28 @@ func TestPooledRunnerKeepsNoTable(t *testing.T) {
 	}
 	sol.Close()
 	keepsNothing("e(X, Y)?")
+	// A leader that runs its clauses again marks its tables' rounds and
+	// records their reads, and close empties those too: q's second call
+	// reads an odd table that the first one's SCC is still filling.
+	mutual := New(mustKB(t, `
+		:- base(e/2).
+		odd(X, Y) :- e(X, Y).
+		odd(X, Y) :- e(X, Z), even(Z, Y).
+		even(X, Y) :- e(X, Z), odd(Z, Y).
+		q(X, Y) :- even(X, Z), odd(X, Y).
+	`), &mapDS{src: caql.MapSource{"e": relationOfPairs("e", [][2]int64{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 1}})}},
+		Options{Strategy: StrategyInterpreted})
+	if sol, err = mutual.AskText("q(X, Y)?"); err != nil {
+		t.Fatal(err)
+	}
+	r = sol.search
+	for _, ok := sol.Next(); ok && r.tabs.rounds == 0; _, ok = sol.Next() {
+	}
+	if r.tabs.rounds == 0 || len(r.tabs.reads) == 0 {
+		t.Fatalf("q(X, Y) ran %d rounds again with %d reads recorded: the test needs a re-run", r.tabs.rounds, len(r.tabs.reads))
+	}
+	sol.Close()
+	keepsNothing("q(X, Y)?")
 	// The drained asks leave complete tables behind them; the next insert
 	// must show in the asks after it all the same.
 	for i := int64(0); i < 2; i++ {

@@ -249,8 +249,8 @@ func TestTabledSearchWork(t *testing.T) {
 		strat        Strategy
 		total, worst int
 	}{
-		{StrategyInterpreted, 65068, 1077},
-		{StrategyConjunction, 63425, 1077},
+		{StrategyInterpreted, 56074, 724},
+		{StrategyConjunction, 54875, 724},
 	}
 	total, worst := make([]int, len(caps)), make([]int, len(caps))
 	rng := rand.New(rand.NewSource(42))

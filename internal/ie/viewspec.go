@@ -31,6 +31,7 @@ type bodyItem struct {
 	seg    *viewTemplate  // itemSegment
 	atom   *logic.NumAtom // itemCall / itemCmp (and a base goal), numbered in the clause
 	callee *predCode      // itemCall
+	only   bool           // itemCall: the clause's only call
 }
 
 // viewTemplate is a view specification in clause-variable space; execution
@@ -59,6 +60,7 @@ type compiledClause struct {
 	head  logic.NumAtom
 	nvars int
 	items []bodyItem
+	calls bool // some item is a call
 }
 
 // predCode is a derived predicate's compiled clauses, in program order.
@@ -158,6 +160,7 @@ func (ck *compiledKB) pred(ref logic.PredRef) *predCode {
 		}
 		cc.items = ck.segmentBody([]string{fmt.Sprintf("r%d", idx+1)}, &vars, shaped.Head, shaped.Body)
 		cc.nvars = len(vars)
+		cc.calls = slices.ContainsFunc(cc.items, isCall)
 		pc.clauses = append(pc.clauses, cc)
 	}
 	return pc
@@ -237,8 +240,13 @@ func (ck *compiledKB) segmentBody(rules []string, vars *logic.Numbering, head lo
 		}
 	}
 	flush(nil)
+	if i := slices.IndexFunc(items, isCall); i >= 0 && !slices.ContainsFunc(items[i+1:], isCall) {
+		items[i].only = true
+	}
 	return items
 }
+
+func isCall(it bodyItem) bool { return it.kind == itemCall }
 
 // numbered is a, numbered in the clause whose variables vars numbers.
 func numbered(vars *logic.Numbering, a logic.Atom) *logic.NumAtom {
