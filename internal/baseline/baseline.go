@@ -28,18 +28,20 @@ import (
 )
 
 // NewLooseCoupling returns the no-cache baseline: a CMS with every feature
-// disabled, so each query is translated and shipped remote.
-func NewLooseCoupling(client remotedb.Client) bridge.DataSource {
-	return cache.New(client, cache.Options{Features: cache.Features{}})
+// disabled, so each query is translated and shipped remote. Like every
+// comparator it charges its local work at costs, the model BrAID's CMS pays.
+func NewLooseCoupling(client remotedb.Client, costs remotedb.Costs) bridge.DataSource {
+	return cache.New(client, cache.Options{Features: cache.Features{}, Costs: costs})
 }
 
 // NewExactMatchCache returns the BERMUDA-style result cache: exact-match
 // reuse only — "the cached results must exactly match the query" — with no
 // subsumption and no advice-driven techniques.
-func NewExactMatchCache(client remotedb.Client, budget int64) bridge.DataSource {
+func NewExactMatchCache(client remotedb.Client, budget int64, costs remotedb.Costs) bridge.DataSource {
 	return cache.New(client, cache.Options{
 		Features:   cache.Features{ExactMatch: true, ResultCaching: true},
 		CacheBytes: budget,
+		Costs:      costs,
 	})
 }
 
@@ -53,7 +55,7 @@ type SingleRelationCache struct {
 var _ bridge.DataSource = (*SingleRelationCache)(nil)
 
 // NewSingleRelationCache builds the [CERI86]-style baseline.
-func NewSingleRelationCache(client remotedb.Client, budget int64) *SingleRelationCache {
+func NewSingleRelationCache(client remotedb.Client, budget int64, costs remotedb.Costs) *SingleRelationCache {
 	return &SingleRelationCache{cms: cache.New(client, cache.Options{
 		Features: cache.Features{
 			Subsumption:   true,
@@ -61,6 +63,7 @@ func NewSingleRelationCache(client remotedb.Client, budget int64) *SingleRelatio
 			ResultCaching: true,
 		},
 		CacheBytes: budget,
+		Costs:      costs,
 	})}
 }
 

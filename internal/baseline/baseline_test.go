@@ -22,7 +22,7 @@ func fixtureClient(t *testing.T) remotedb.Client {
 }
 
 func TestLooseCouplingAlwaysRemote(t *testing.T) {
-	ds := NewLooseCoupling(fixtureClient(t))
+	ds := NewLooseCoupling(fixtureClient(t), remotedb.DefaultCosts())
 	s := ds.BeginSession(nil)
 	defer s.End()
 	for i := 0; i < 3; i++ {
@@ -38,7 +38,7 @@ func TestLooseCouplingAlwaysRemote(t *testing.T) {
 }
 
 func TestExactMatchCacheReuse(t *testing.T) {
-	ds := NewExactMatchCache(fixtureClient(t), 0)
+	ds := NewExactMatchCache(fixtureClient(t), 0, remotedb.DefaultCosts())
 	s := ds.BeginSession(nil)
 	defer s.End()
 	for i := 0; i < 3; i++ {
@@ -64,7 +64,7 @@ func TestExactMatchCacheReuse(t *testing.T) {
 }
 
 func TestSingleRelationCache(t *testing.T) {
-	ds := NewSingleRelationCache(fixtureClient(t), 0)
+	ds := NewSingleRelationCache(fixtureClient(t), 0, remotedb.DefaultCosts())
 	s := ds.BeginSession(nil)
 	defer s.End()
 	// First query loads all of b2 (one remote request), then answers
@@ -112,7 +112,7 @@ func TestSingleRelationCache(t *testing.T) {
 }
 
 func TestSingleRelationCacheParseError(t *testing.T) {
-	ds := NewSingleRelationCache(fixtureClient(t), 0)
+	ds := NewSingleRelationCache(fixtureClient(t), 0, remotedb.DefaultCosts())
 	s := ds.BeginSession(nil)
 	defer s.End()
 	if _, err := s.QueryText("q(Y :-"); err == nil {

@@ -112,17 +112,21 @@ func TestSessionKeepsNoQuery(t *testing.T) {
 			},
 		},
 		{
-			name:   "exact-match baseline",
-			source: func(c remotedb.Client) bridge.DataSource { return baseline.NewExactMatchCache(c, 0) },
+			name: "exact-match baseline",
+			source: func(c remotedb.Client) bridge.DataSource {
+				return baseline.NewExactMatchCache(c, 0, remotedb.DefaultCosts())
+			},
 			asks: []ask{
 				{"miss", all2, miss},
 				{"exact", all2, func(b, a bridge.SourceStats) bool { return hit(b, a) && a.ExactHits == b.ExactHits+1 }},
 			},
 		},
 		{
-			name:   "single-relation baseline",
-			source: func(c remotedb.Client) bridge.DataSource { return baseline.NewSingleRelationCache(c, 0) },
-			asks:   []ask{{"loaded", join, func(b, a bridge.SourceStats) bool { return a.CacheHits == b.CacheHits+1 }}},
+			name: "single-relation baseline",
+			source: func(c remotedb.Client) bridge.DataSource {
+				return baseline.NewSingleRelationCache(c, 0, remotedb.DefaultCosts())
+			},
+			asks: []ask{{"loaded", join, func(b, a bridge.SourceStats) bool { return a.CacheHits == b.CacheHits+1 }}},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

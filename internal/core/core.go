@@ -77,11 +77,11 @@ func NewSystem(kb *logic.KB, client remotedb.Client, cfg Config) (*System, error
 	case ComparatorBrAID:
 		ds = cache.New(client, cfg.CMS)
 	case ComparatorLoose:
-		ds = baseline.NewLooseCoupling(client)
+		ds = baseline.NewLooseCoupling(client, cfg.CMS.Costs)
 	case ComparatorExact:
-		ds = baseline.NewExactMatchCache(client, cfg.CMS.CacheBytes)
+		ds = baseline.NewExactMatchCache(client, cfg.CMS.CacheBytes, cfg.CMS.Costs)
 	case ComparatorSingleRel:
-		ds = baseline.NewSingleRelationCache(client, cfg.CMS.CacheBytes)
+		ds = baseline.NewSingleRelationCache(client, cfg.CMS.CacheBytes, cfg.CMS.Costs)
 	default:
 		return nil, fmt.Errorf("core: unknown comparator %q", cfg.Comparator)
 	}

@@ -217,7 +217,7 @@ func FuzzFixpoint(f *testing.F) {
 			client := remotedb.NewInProcClient(w, remotedb.DefaultCosts())
 			legs = append(legs,
 				leg{StrategyCompiled, cache.New(client, cache.Options{Features: cache.AllFeatures()})},
-				leg{StrategyCompiled, baseline.NewSingleRelationCache(client, 0)})
+				leg{StrategyCompiled, baseline.NewSingleRelationCache(client, 0, remotedb.DefaultCosts())})
 		}
 		for _, leg := range legs {
 			sol, err := New(kb, leg.ds, Options{Strategy: leg.strat}).Ask(goal)
