@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -130,20 +131,25 @@ func TestIndexFootprint(t *testing.T) {
 // keys to probe it with. Every key's AppendLookup must return the rows the
 // equality scan (Select) returns, the same rows in the same order. The
 // domains hold the values Equal treats specially: Int(0), +0.0 and −0.0 are
-// equal, and so are NaNs of any payload. Each row's own key is probed too, so
-// that most probes hit. Then an index over the first half of the rows is
-// probed with every key again while the other half is appended, one row
-// before each probe: AppendLookupIn over the grown extension must return the
-// rows the scan of it returns.
+// equal, and so are NaNs of any payload; and NULL. Each row's own key is
+// probed too, so that most probes hit. Then an index over the first half of
+// the rows is probed with every key again while the other half is appended,
+// one row before each probe: AppendLookupIn over the grown extension must
+// return the rows the scan of it returns. Last, an ordered index over every
+// prefix of the rows, snapshots of every length, is asked for ranges on its
+// first column (checkRanges).
 func FuzzIndexAgreesWithScan(f *testing.F) {
-	f.Add([]byte{})                                                      // one int column, no rows
-	f.Add([]byte{0, 0, 8, 0, 1, 0, 1, 2, 3, 2, 1, 0, 9})                 // ints, repeated keys
-	f.Add([]byte{1 << 2, 0, 6, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 6})   // floats: 0, −0, NaNs, probed with every kind
-	f.Add([]byte{2 << 2, 0, 5, 0, 1, 2, 1, 0, 0, 1, 2, 9, 10, 11})       // strings, probed with numbers too
-	f.Add([]byte{1 | 1<<4, 1 | 1<<3, 9, 0, 0, 1, 1, 2, 2, 3, 3, 0, 1})   // an int and a float column, both indexed
-	f.Add([]byte{2 | 1<<2 | 2<<6, 1 | 2<<1, 12, 3, 1, 4, 0, 2, 5, 1, 0}) // three columns, an index on (2, 0)
-	f.Add([]byte{1 << 2, 1, 7, 1, 2, 3, 4, 5, 6, 0, 2, 3})               // an index on one column twice
-	f.Add(append([]byte{0, 0, 64}, make([]byte, 64)...))                 // 64 rows of one key
+	f.Add([]byte{})                                                                     // one int column, no rows
+	f.Add([]byte{0, 0, 8, 0, 1, 0, 1, 2, 3, 2, 1, 0, 9})                                // ints, repeated keys
+	f.Add([]byte{1 << 2, 0, 6, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 6})                  // floats: 0, −0, NaNs, probed with every kind
+	f.Add([]byte{2 << 2, 0, 5, 0, 1, 2, 1, 0, 0, 1, 2, 9, 10, 11})                      // strings, probed with numbers too
+	f.Add([]byte{1 | 1<<4, 1 | 1<<3, 9, 0, 0, 1, 1, 2, 2, 3, 3, 0, 1})                  // an int and a float column, both indexed
+	f.Add([]byte{2 | 1<<2 | 2<<6, 1 | 2<<1, 12, 3, 1, 4, 0, 2, 5, 1, 0})                // three columns, an index on (2, 0)
+	f.Add([]byte{1 << 2, 1, 7, 1, 2, 3, 4, 5, 6, 0, 2, 3})                              // an index on one column twice
+	f.Add(append([]byte{0, 0, 64}, make([]byte, 64)...))                                // 64 rows of one key
+	f.Add([]byte{1 << 2, 0, 10, 2, 6, 0, 3, 6, 5, 1, 2, 4, 6, 9, 2, 15})                // floats with NaNs and NULLs, ranges across them
+	f.Add([]byte{2 | 1<<2, 1, 9, 3, 0, 2, 4, 1, 3, 0, 2, 4, 16, 3, 1, 9})               // strings and ints, the index on the strings
+	f.Add(append([]byte{0, 0, 64}, bytes.Repeat([]byte{4, 1, 3, 0, 2, 2, 4, 1}, 9)...)) // 64 ints and NULLs: a full word of marks
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, cols, keys := decodeIndexCase(data)
 		ix := BuildIndex(r, cols)
@@ -189,14 +195,76 @@ func FuzzIndexAgreesWithScan(f *testing.F) {
 				}
 			}
 		}
+
+		for n := 0; n <= len(rows); n++ {
+			snap := New("r", r.Schema())
+			snap.AppendAll(rows[:n])
+			checkRanges(t, BuildOrderedIndex(snap, cols), snap, keys)
+		}
 	})
+}
+
+// checkRanges asks ix, an ordered index over all of r, for ranges on its
+// first column: each key's first value under each of <, <=, > and >=, and
+// every two keys' values as a lower and an upper bound, inclusive or not,
+// beside a condition on another column, which MarkRange must skip. The rows
+// it marks, read in position order, must be the rows of r whose first key
+// column meets the bounds, in base order: a superset of the rows the
+// conditions accept, and exactly those when the bounds are all there is.
+func checkRanges(t *testing.T, ix *Index, r *Relation, keys [][]Value) {
+	t.Helper()
+	c0, rows := ix.cols[0], r.Tuples()
+	other := ColConst((c0+1)%r.Schema().Arity(), OpNe, Null())
+	marks := make([]uint64, (len(rows)+63)/64)
+	check := func(conds []Cond) {
+		clear(marks)
+		n := ix.MarkRange(marks, append(conds, other))
+		var bounds []Cond
+		for _, c := range conds {
+			if c.Left == c0 {
+				bounds = append(bounds, c)
+			}
+		}
+		marked := 0
+		for p, row := range rows {
+			in := marks[p/64]&(1<<(p%64)) != 0
+			if in {
+				marked++
+			}
+			if in != EvalAll(bounds, row) {
+				t.Fatalf("%v over %d rows on %v: row %d %v marked %v", conds, len(rows), ix.cols, p, row, in)
+			}
+		}
+		if marked != n {
+			t.Fatalf("%v over %d rows on %v: MarkRange counts %d, marks %d", conds, len(rows), ix.cols, n, marked)
+		}
+	}
+	ops := []CmpOp{OpLt, OpLe, OpGt, OpGe}
+	if len(keys) > 16 { // 16 of the keys, spread over all of them
+		spread := make([][]Value, 16)
+		for i := range spread {
+			spread[i] = keys[i*len(keys)/16]
+		}
+		keys = spread
+	}
+	for i, key := range keys {
+		for _, op := range ops {
+			check([]Cond{ColConst(c0, op, key[0])})
+		}
+		hi := keys[(i+1)%len(keys)][0]
+		for _, lo := range ops[2:] {
+			for _, up := range ops[:2] {
+				check([]Cond{ColConst(c0, lo, key[0]), ColConst(c0, up, hi)})
+			}
+		}
+	}
 }
 
 // indexFuzzValues are FuzzIndexAgreesWithScan's domains, by column kind.
 var indexFuzzValues = [3][]Value{
-	{Int(0), Int(1), Int(-1), Int(2)},
-	{Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000001)), Float(1), Float(0.5)},
-	{Str(""), Str("a"), Str("b")},
+	{Int(0), Int(1), Int(-1), Int(2), Null()},
+	{Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000001)), Float(1), Float(0.5), Null()},
+	{Str(""), Str("a"), Str("b"), Null()},
 }
 
 // decodeIndexCase is FuzzIndexAgreesWithScan's decoder. Byte 0 gives the

@@ -15,7 +15,7 @@ import (
 )
 
 // Engine is the remote DBMS proper: a thread-safe store of base relations
-// with a conjunctive select-project-join executor, hash indexes, and catalog
+// with a conjunctive select-project-join executor, indexes, and catalog
 // statistics. It is deliberately a *conventional* engine: it supports only
 // its SQL subset, keeping the "the remote DBMS does not support all CAQL
 // operations, but the CMS does" asymmetry of Section 5.3.3(d).
@@ -386,7 +386,7 @@ func (e *Engine) applyInsert(table string, rows []relation.Tuple) {
 	ixs := e.indexes[table]
 	for i, ix := range ixs {
 		if t.Len()-ix.Rows() > ix.Rows()/8 {
-			ixs[i] = relation.BuildIndex(t, ix.Cols())
+			ixs[i] = relation.BuildOrderedIndex(t, ix.Cols())
 		}
 	}
 	e.versions[t.Name] = e.epoch.Add(1) // t.Name, not table: a map store keeps the key it is given
@@ -402,8 +402,9 @@ func coerce(v relation.Value, kind relation.Kind) (relation.Value, error) {
 	return relation.Value{}, fmt.Errorf("kind %s does not fit column kind %s", v.Kind(), kind)
 }
 
-// CreateIndex builds a hash index on the given columns of a table. The
-// executor uses it for equality selections.
+// CreateIndex builds an index on the given columns of a table, its hash
+// buckets and its rows sorted on the first column. The executor reads it for
+// equality and range selections and probes it in index joins.
 func (e *Engine) CreateIndex(table string, cols []int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -420,7 +421,7 @@ func (e *Engine) CreateIndex(table string, cols []int) error {
 
 // applyCreateIndex builds the index, replacing one on the same columns.
 func (e *Engine) applyCreateIndex(table string, cols []int) {
-	ix := relation.BuildIndex(e.tables[table], cols)
+	ix := relation.BuildOrderedIndex(e.tables[table], cols)
 	ixs := e.indexes[table]
 	if i := slices.IndexFunc(ixs, func(o *relation.Index) bool { return o.Covers(cols) }); i >= 0 {
 		ixs[i] = ix

@@ -15,13 +15,19 @@ import (
 //
 //   - predicate pushdown: every single-alias WHERE conjunct evaluates inside
 //     that alias's scan, below any join;
-//   - index-aware access paths: equality-constant conjuncts select the most
-//     selective covering hash index (estimated by the product of the indexed
-//     columns' NDVs);
-//   - join reordering: left-deep orders enumerated exhaustively up to
-//     joinEnumLimit aliases (greedily beyond), costed with per-step
-//     build+probe+output cardinalities; ties break toward the largest probe
-//     side, so small relations build and large ones stream (small-drives-large);
+//   - index-aware access paths: a scan reads the stored index whose columns
+//     equality literals key (the most selective, by the product of its
+//     columns' NDVs), or the sorted order of the one whose first column range
+//     literals bound, or the whole table, whichever its binding's estimates
+//     price cheapest;
+//   - join reordering and method: left-deep orders enumerated exhaustively up
+//     to joinEnumLimit aliases (greedily beyond), each step costed as a hash
+//     join (the new alias's access path, its build, the probe stream and the
+//     output) or, when the new alias has a stored index on its join columns,
+//     as an index join (the stream and one probe of that index per row), the
+//     cheaper; ties break toward the hash join and the largest probe side, so
+//     small relations build, or drive probes into large ones, and large ones
+//     stream (small-drives-large);
 //   - column pruning: each scan in a multi-table plan projects away columns
 //     nothing downstream reads, narrowing hash-table entries and shipped
 //     intermediates;
@@ -34,17 +40,21 @@ import (
 //     EXPLAIN shows, a cached plan keeps those of the binding that compiled
 //     it: they size tables and change no row, op or order.
 //
+// Every estimate is in server tuple operations, the unit Costs.PerServerOp
+// prices, so a cheaper plan by these counts is a cheaper one by Costs.
+//
 // A plan is compiled per statement shape, not per constant (plancache.go).
-// Every decision above but one reads only the shape and the catalog: the
-// index choice reads which conjuncts are equalities, pruning which columns
-// are named, parallel eligibility and the DOP threshold the tree and each
-// access path's examine estimate (rows, or rows/NDV). The join order alone
-// reads a literal's value, through each alias's output estimate (1/NDV, 0
-// outside min/max, or a range interpolation). So the tree holds its WHERE
-// literals as slots that each run fills (Plan.bind), and a cached plan with
-// two or more aliases is served to a binding only when that binding's
-// estimates choose the same order (Plan.orderHolds). The invariant: the plan
-// a binding runs is the plan that binding compiles on a fresh engine.
+// Which index paths a scan may take, pruning and parallel eligibility read
+// only the shape and the catalog. Three decisions read a literal's value,
+// through each alias's output estimate (1/NDV, 0 outside min/max, or an
+// interval interpolated between them) and a range path's examine estimate:
+// each scan's access path, the join order and each join's method. So the
+// tree holds its WHERE literals as slots that each run fills (Plan.bind), and
+// a cached plan is served to a binding only when that binding's estimates
+// make the same three decisions (Plan.orderHolds); the DOP threshold reads
+// the driver's examine estimate under the binding it runs. The invariant:
+// the plan a binding runs is the plan that binding compiles on a fresh
+// engine.
 //
 // The golden parity suite (parity_test.go) holds the planner to the semantics
 // of the tests' reference evaluator (reference_test.go) exactly, including its
@@ -178,8 +188,23 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	var bufs joinBufs
 	js := newJoinSearch(scans, scope.cross, sel.Where, &bufs)
 	order := append([]int(nil), js.choose()...)
+	via := append([]int(nil), js.bestVia...)
 	estOps, wideEst := js.cost(order)
 	outs := js.outs
+	for p, sn := range scans {
+		sn.path = js.paths[p]
+		if via[p] >= 0 {
+			sn.path, sn.via = probed, via[p]
+		}
+		switch sn.path {
+		case keyLookup:
+			sn.ixCols = sn.ixs[sn.key].cols
+		case rangeLookup:
+			sn.ixCols = sn.ixs[sn.rng].cols
+		case probed:
+			sn.ixCols = sn.ixs[sn.via].cols
+		}
+	}
 
 	// --- Column pruning: which base columns does anything above the joins
 	// read? (Only meaningful with 2+ aliases; single-table plans prune via
@@ -214,7 +239,8 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	// node as it is built; EXPLAIN ANALYZE renders it against actuals.
 	nodeEst := make(map[planNode]float64)
 
-	// --- Per-alias subtrees: scan (+ prune) ---
+	// --- Per-alias subtrees: scan (+ prune). An index join emits its inner
+	// side's stored rows whole, so that side is not pruned. ---
 	subtree := make([]planNode, n)
 	prunedCols := make([][]int, n)
 	for p, sn := range scans {
@@ -222,7 +248,7 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		arity := sn.sch.Arity()
 		keep := make([]int, 0, arity)
 		for i := 0; i < arity; i++ {
-			if n == 1 || needed[p] != nil && needed[p][i] {
+			if n == 1 || via[p] >= 0 || needed[p] != nil && needed[p][i] {
 				keep = append(keep, i)
 			}
 		}
@@ -285,6 +311,27 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			consumed[ci] = true
 			on = append(on, c)
 		}
+		if v := via[a]; v >= 0 {
+			// The index join probes the stored index on exactly its columns,
+			// so its key pairs them in the index's order; an equi-join
+			// conjunct past them is a post condition.
+			var pc, bc []int
+			used := make([]bool, len(buildCols))
+			for _, col := range scans[a].ixs[v].cols {
+				i := 0
+				for used[i] || buildCols[i] != col {
+					i++
+				}
+				used[i] = true
+				pc, bc = append(pc, probeCols[i]), append(bc, col)
+			}
+			for i, u := range used {
+				if !u {
+					post = append(post, relation.Cond{Left: probeCols[i], Op: relation.OpEq, Right: wideArity + buildCols[i]})
+				}
+			}
+			probeCols, buildCols = pc, bc
+		}
 		jn := &joinNode{
 			left:      cur,
 			right:     right,
@@ -295,6 +342,7 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 			on:        on,
 			build:     a,
 			rows:      sizeHint(outs[a]),
+			indexed:   via[a] >= 0,
 		}
 		nodeEst[jn] = stepOut
 		leftEst = stepOut
@@ -452,7 +500,9 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	nconds, nkeys := 0, 0
 	for _, sn := range scans {
 		nconds += len(sn.conds)
-		nkeys += len(sn.idxSlots)
+		if sn.path == keyLookup {
+			nkeys += len(sn.idxSlots)
+		}
 	}
 	return &Plan{
 		attrs:   toWireAttrs(schema),
@@ -469,6 +519,7 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 		scans:   scans,
 		cross:   scope.cross,
 		order:   order,
+		via:     via,
 		// Parallel eligibility is a pure shape property, so it is decided
 		// here, once per plan; the per-execution DOP decision stays at open
 		// time where the engine's settings are known.
@@ -528,9 +579,9 @@ func (sc *selScope) outputSchema(refs []colKey, extra ...relation.Attr) *relatio
 }
 
 // accessFor builds the scan of the alias at FROM position p: its pushed-down
-// conjuncts, with each literal replaced by its slot, and its access path — the
-// most selective covering hash index when equality-literal conjuncts match
-// one, else a full scan. The caller holds e.mu.
+// conjuncts, with each literal replaced by its slot, the table's stored
+// indexes, and among them the candidates for its access paths (key, rng).
+// The caller holds e.mu.
 func (e *Engine) accessFor(scope *selScope, p int) *scanNode {
 	base := scope.tables[p]
 	sn := &scanNode{
@@ -542,46 +593,41 @@ func (e *Engine) accessFor(scope *selScope, p int) *scanNode {
 		slots: scope.slots[p],
 		meta:  e.meta[base.Name],
 		rows:  float64(base.Len()),
+		key:   -1,
+		rng:   -1,
 	}
-	sn.examine = sn.rows
-	eqs := false
-	for k, c := range sn.conds {
+	for k := range sn.conds {
 		if sn.slots[k] >= 0 {
 			sn.conds[k].Const = relation.Value{}
-			eqs = eqs || c.Op == relation.OpEq
 		}
 	}
-	if !eqs {
-		return sn
-	}
-	var best *relation.Index
-	bestNDV := 0.0
 	for _, ix := range e.indexes[base.Name] {
-		if !sn.eqCovers(ix.Cols()) {
-			continue
+		st := storedIx{cols: ix.Cols(), ndv: 1}
+		for _, col := range st.cols {
+			st.ndv *= float64(colNDV(sn.meta, col))
 		}
-		nd := 1.0
-		for _, col := range ix.Cols() {
-			nd *= float64(colNDV(sn.meta, col))
+		tail := sn.rows - float64(ix.Rows())
+		st.probe, st.tail = (sn.rows-tail)/st.ndv+tail, tail
+		sn.ixs = append(sn.ixs, st)
+		i := len(sn.ixs) - 1
+		if sn.eqCovers(st.cols) && (sn.key < 0 || st.ndv > sn.ixs[sn.key].ndv) {
+			sn.key = i
 		}
-		if best == nil || nd > bestNDV {
-			best, bestNDV = ix, nd
+		if sn.bounded(st.cols[0]) && (sn.rng < 0 || colNDV(sn.meta, st.cols[0]) > colNDV(sn.meta, sn.ixs[sn.rng].cols[0])) {
+			sn.rng = i
 		}
 	}
-	if best == nil {
+	if sn.key < 0 {
 		return sn
 	}
-	sn.idxCols = append([]int(nil), best.Cols()...)
-	sn.idxSlots = make([]int, len(sn.idxCols))
-	for i, col := range sn.idxCols {
+	key := sn.ixs[sn.key].cols
+	sn.idxSlots = make([]int, len(key))
+	for i, col := range key {
 		for k, c := range sn.conds {
 			if sn.slots[k] >= 0 && c.Op == relation.OpEq && c.Left == col {
 				sn.idxSlots[i] = sn.slots[k]
 			}
 		}
-	}
-	if bestNDV > 0 {
-		sn.examine = sn.rows / bestNDV
 	}
 	return sn
 }
@@ -604,6 +650,57 @@ func (n *scanNode) eqCovers(cols []int) bool {
 	return true
 }
 
+// bound reports whether the scan's k-th conjunct bounds its column by a
+// literal: <, <=, > or >=.
+func (n *scanNode) bound(k int) bool {
+	op := n.conds[k].Op
+	return n.slots[k] >= 0 && op != relation.OpEq && op != relation.OpNe
+}
+
+// bounded reports whether a conjunct bounds column col by a literal.
+func (n *scanNode) bounded(col int) bool {
+	for k, c := range n.conds {
+		if n.bound(k) && c.Left == col {
+			return true
+		}
+	}
+	return false
+}
+
+// examine estimates the rows the scan reads by path under where's literals:
+// the table; a key's rows, rows/NDV; a range's candidates and the rows
+// appended since its index was built; an index join's rows matched by one
+// probe.
+func (n *scanNode) examine(path accessPath, where []SQLCond) float64 {
+	switch path {
+	case keyLookup:
+		return n.rows / n.ixs[n.key].ndv
+	case rangeLookup:
+		ix := n.ixs[n.rng]
+		return (n.rows-ix.tail)*n.interval(ix.cols[0], where) + ix.tail
+	case probed:
+		return n.ixs[n.via].probe
+	}
+	return n.rows
+}
+
+// access chooses the scan's path under where's literals: the key lookup when
+// there is one, the range when what it examines and a word of its position
+// bitmap per 64 indexed rows cost less, and the full scan when the table
+// costs less than both.
+func (n *scanNode) access(where []SQLCond) accessPath {
+	path, cost := fullScan, n.rows
+	if n.key >= 0 {
+		path, cost = keyLookup, n.examine(keyLookup, where)
+	}
+	if n.rng >= 0 {
+		if c := n.examine(rangeLookup, where) + (n.rows-n.ixs[n.rng].tail)/64; c < cost {
+			path = rangeLookup
+		}
+	}
+	return path
+}
+
 // cond returns the scan's k-th conjunct with where's literal in its slot.
 func (n *scanNode) cond(k int, where []SQLCond) relation.Cond {
 	c := n.conds[k]
@@ -613,14 +710,62 @@ func (n *scanNode) cond(k int, where []SQLCond) relation.Cond {
 	return c
 }
 
-// outEst is the rows the scan emits under where's literals: its examined
-// extension times each pushed-down conjunct's selectivity.
+// outEst is the rows the scan emits under where's literals: its table's rows
+// times each pushed-down conjunct's selectivity, the bounds on one column
+// taken together as one interval.
 func (n *scanNode) outEst(where []SQLCond) float64 {
 	selv := 1.0
-	for k := range n.conds {
-		selv *= condSelectivity(n.meta, n.cond(k, where))
+	for k, c := range n.conds {
+		if !n.bound(k) {
+			selv *= condSelectivity(n.meta, n.cond(k, where))
+			continue
+		}
+		first := true
+		for j := range k {
+			first = first && !(n.bound(j) && n.conds[j].Left == c.Left)
+		}
+		if first {
+			selv *= n.interval(c.Left, where)
+		}
 	}
 	return math.Max(n.rows*selv, 0)
+}
+
+// interval estimates the share of rows whose column col lies within the
+// bounds where's literals put on it, interpolated as one interval between
+// the column's min and max: sid >= 100 AND sid < 105 spans 5 of 2 000 keys,
+// where P(≥ 100)·P(< 105) would read 0.05. An interval bounded on both sides
+// and not empty holds at least one value's rows, 1/NDV. When a bound cannot
+// be interpolated (a column or literal not numeric, or a column of one
+// value), the bounds' selectivities multiply.
+func (n *scanNode) interval(col int, where []SQLCond) float64 {
+	lo, hi, product, exact := 0.0, 1.0, 1.0, true
+	lower, upper := false, false
+	var acc *colAcc
+	if n.meta != nil && col < len(n.meta.cols) {
+		acc = &n.meta.cols[col]
+	}
+	for k := range n.conds {
+		if !n.bound(k) || n.conds[k].Left != col {
+			continue
+		}
+		c := n.cond(k, where)
+		product *= condSelectivity(n.meta, c)
+		f, ok := rangeFraction(acc, c.Const)
+		exact = exact && ok
+		if c.Op == relation.OpLt || c.Op == relation.OpLe {
+			hi, upper = math.Min(hi, f), true
+		} else {
+			lo, lower = math.Max(lo, f), true
+		}
+	}
+	switch {
+	case !exact:
+		return product
+	case lower && upper && hi >= lo:
+		return math.Max(hi-lo, 1/float64(colNDV(n.meta, col)))
+	}
+	return math.Max(hi-lo, 0)
 }
 
 // sizeHint turns an estimate into a size hint for a join's build rows or an
@@ -683,16 +828,9 @@ func rangeSelectivity(acc *colAcc, op relation.CmpOp, v relation.Value) float64 
 	if acc == nil || !acc.any || !acc.min.IsNumeric() || !acc.max.IsNumeric() || !v.IsNumeric() {
 		return 1.0 / 3
 	}
-	lo, hi := acc.min.AsFloat(), acc.max.AsFloat()
-	if hi <= lo {
+	f, ok := rangeFraction(acc, v)
+	if !ok {
 		return 0.5
-	}
-	f := (v.AsFloat() - lo) / (hi - lo)
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
 	}
 	switch op {
 	case relation.OpLt, relation.OpLe:
@@ -703,42 +841,66 @@ func rangeSelectivity(acc *colAcc, op relation.CmpOp, v relation.Value) float64 
 	return 1.0 / 3
 }
 
-// joinSearch is the join-order choice for one binding: each alias's examine
-// estimate (its scan's, a property of the shape) and output estimate (under
-// the binding's literals), indexed by FROM position. buildPlan makes the
+// rangeFraction is where v falls between the column's observed min and max,
+// from 0 at min to 1 at max, clamped; ok is false when it cannot be
+// interpolated: no statistics, a column or v not numeric, or min = max.
+func rangeFraction(acc *colAcc, v relation.Value) (f float64, ok bool) {
+	if acc == nil || !acc.any || !acc.min.IsNumeric() || !acc.max.IsNumeric() || !v.IsNumeric() {
+		return 0, false
+	}
+	lo, hi := acc.min.AsFloat(), acc.max.AsFloat()
+	if hi <= lo {
+		return 0, false
+	}
+	return math.Min(math.Max((v.AsFloat()-lo)/(hi-lo), 0), 1), true
+}
+
+// joinSearch is the join-order and join-method choice for one binding. By
+// FROM position it holds each alias's output estimate, access path and the
+// rows that path examines, under the binding's literals. buildPlan makes the
 // choice and Plan.orderHolds repeats it for a later binding, through the same
 // code, so the two agree exactly.
 type joinSearch struct {
 	scans []*scanNode
 	cross []crossCond
 	outs  []float64
+	paths []accessPath
+	exams []float64
 
 	// Scratch: the aliases an order has joined so far, the order under
-	// consideration, and the best order found.
-	joined      []bool
-	order, best []int
-
+	// consideration, and the best order found. via and bestVia are, by FROM
+	// position, the stored index (an entry of the alias's ixs) that an index
+	// join probes to join the alias, in the order last costed and in the best
+	// order, or -1.
+	joined              []bool
+	order, best         []int
+	via, bestVia        []int
 	bestCost, bestProbe float64
 }
 
 // joinBufs backs a joinSearch over up to joinEnumLimit aliases, so that
 // repeating the choice for a cache hit allocates nothing.
 type joinBufs struct {
-	outs        [joinEnumLimit]float64
-	joined      [joinEnumLimit]bool
-	order, best [joinEnumLimit]int
+	outs, exams               [joinEnumLimit]float64
+	paths                     [joinEnumLimit]accessPath
+	joined                    [joinEnumLimit]bool
+	order, best, via, bestVia [joinEnumLimit]int
 }
 
 func newJoinSearch(scans []*scanNode, cross []crossCond, where []SQLCond, b *joinBufs) joinSearch {
 	n := len(scans)
 	js := joinSearch{scans: scans, cross: cross}
 	if n <= joinEnumLimit {
-		js.outs, js.joined, js.order, js.best = b.outs[:n], b.joined[:n], b.order[:n], b.best[:n]
+		js.outs, js.exams, js.paths, js.joined = b.outs[:n], b.exams[:n], b.paths[:n], b.joined[:n]
+		js.order, js.best, js.via, js.bestVia = b.order[:n], b.best[:n], b.via[:n], b.bestVia[:n]
 	} else {
-		js.outs, js.joined, js.order, js.best = make([]float64, n), make([]bool, n), make([]int, n), make([]int, n)
+		js.outs, js.exams, js.paths, js.joined = make([]float64, n), make([]float64, n), make([]accessPath, n), make([]bool, n)
+		js.order, js.best, js.via, js.bestVia = make([]int, n), make([]int, n), make([]int, n), make([]int, n)
 	}
 	for p, sn := range scans {
 		js.outs[p] = sn.outEst(where)
+		js.paths[p] = sn.access(where)
+		js.exams[p] = sn.examine(js.paths[p], where)
 	}
 	return js
 }
@@ -765,26 +927,62 @@ func (js *joinSearch) step(joined []bool, next int) float64 {
 	return s
 }
 
-// cost costs one left-deep order: each step pays the new alias's access
-// path, the probe stream, the build, and the estimated output.
+// join prices joining alias a into the joined aliases, whose output is left
+// rows: as a hash join, which pays a's access path, its rows into the build,
+// the left stream and the output; or as an index join, which pays the left
+// stream, one probe of a's stored index a left row and the output, when an
+// equi-join conjunct with a joined alias keys each of that index's columns.
+// It returns the cheaper, ties to the hash join, with the output estimate and
+// the index an index join probes, or -1.
+func (js *joinSearch) join(a int, left float64) (cost, out float64, via int) {
+	out = left * js.outs[a] * js.step(js.joined, a)
+	cost, via = js.exams[a]+left+js.outs[a]+out, -1
+	for i, ix := range js.scans[a].ixs {
+		if c := left + left*ix.probe + out; c < cost && js.keys(a, ix.cols) {
+			cost, via = c, i
+		}
+	}
+	return cost, out, via
+}
+
+// keys reports whether every one of alias a's columns cols is equated with a
+// column of a joined alias.
+func (js *joinSearch) keys(a int, cols []int) bool {
+	for _, col := range cols {
+		found := false
+		for _, c := range js.cross {
+			found = found || c.op == relation.OpEq && (c.lp == a && c.lc == col && js.joined[c.rp] || c.rp == a && c.rc == col && js.joined[c.lp])
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// cost costs one left-deep order, each step by join, and records each
+// step's method in via.
 func (js *joinSearch) cost(order []int) (cost, outRows float64) {
 	clear(js.joined)
 	js.joined[order[0]] = true
-	cost = js.scans[order[0]].examine
+	js.via[order[0]] = -1
+	cost = js.exams[order[0]]
 	left := js.outs[order[0]]
 	for _, a := range order[1:] {
-		out := left * js.outs[a] * js.step(js.joined, a)
-		cost += js.scans[a].examine + left + js.outs[a] + out
+		c, out, via := js.join(a, left)
+		cost += c
+		js.via[a] = via
 		left = out
 		js.joined[a] = true
 	}
 	return cost, left
 }
 
-// choose returns the cheapest left-deep order: exhaustively for up to
-// joinEnumLimit aliases, greedily beyond. Cost ties break toward the larger
-// first (probe) side so the big relation streams and small ones build. The
-// result is scratch, valid until the search is used again.
+// choose returns the cheapest left-deep order, with its joins' methods in
+// bestVia: exhaustively for up to joinEnumLimit aliases, greedily beyond.
+// Cost ties break toward the larger first (probe) side so the big relation
+// streams and small ones build. The result is scratch, valid until the
+// search is used again.
 func (js *joinSearch) choose() []int {
 	n := len(js.scans)
 	for p := range js.order {
@@ -792,10 +990,12 @@ func (js *joinSearch) choose() []int {
 	}
 	copy(js.best, js.order)
 	if n <= 1 {
+		js.bestVia[0] = -1
 		return js.best
 	}
 	if n <= joinEnumLimit {
 		js.bestCost, _ = js.cost(js.best)
+		copy(js.bestVia, js.via)
 		js.bestProbe = js.outs[js.best[0]]
 		js.permute(0)
 		return js.best
@@ -808,23 +1008,23 @@ func (js *joinSearch) choose() []int {
 	clear(js.joined)
 	order = append(order, rest[0])
 	js.joined[rest[0]] = true
+	js.bestVia[rest[0]] = -1
 	left := js.outs[rest[0]]
 	rest = rest[1:]
 	for len(rest) > 0 {
-		bestI := 0
+		bestI, bestVia := 0, -1
 		bestStep := math.Inf(1)
 		bestOut := 0.0
 		for i, a := range rest {
-			out := left * js.outs[a] * js.step(js.joined, a)
-			step := js.scans[a].examine + left + js.outs[a] + out
-			if step < bestStep {
-				bestI, bestStep, bestOut = i, step, out
+			if step, out, via := js.join(a, left); step < bestStep {
+				bestI, bestStep, bestOut, bestVia = i, step, out, via
 			}
 		}
 		a := rest[bestI]
 		rest = append(rest[:bestI], rest[bestI+1:]...)
 		order = append(order, a)
 		js.joined[a] = true
+		js.bestVia[a] = bestVia
 		left = bestOut
 	}
 	return order
@@ -841,6 +1041,7 @@ func (js *joinSearch) permute(k int) {
 		if c < js.bestCost-eps || (math.Abs(c-js.bestCost) <= eps && probe > js.bestProbe) {
 			js.bestCost, js.bestProbe = c, probe
 			copy(js.best, perm)
+			copy(js.bestVia, js.via)
 		}
 		return
 	}

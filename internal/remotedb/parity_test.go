@@ -99,6 +99,25 @@ var parityCorpus = []parityCase{
 	{sql: "SELECT cu.cname, po.grp, COUNT(*), SUM(po.amt) FROM po, cu WHERE po.cust = cu.id GROUP BY cu.cname, po.grp"},
 	{sql: "SELECT a.id, b.cname, b.tier FROM cu a, cu b WHERE a.tier < b.tier ORDER BY a.id, b.cname", ordered: true},
 	{sql: "SELECT po.id, re.rname FROM po, cu, re WHERE po.cust = cu.id AND cu.region > re.id ORDER BY po.id, re.rname", ordered: true},
+	// Ranges on an indexed column (po.cust, cu.id under the indexed run):
+	// two-sided, one-sided, inclusive and exclusive, beside another
+	// conjunct, a point written as a range, and under a LIMIT.
+	{sql: "SELECT id, amt FROM po WHERE cust >= 3 AND cust < 6"},
+	{sql: "SELECT id FROM po WHERE cust > 17"},
+	{sql: "SELECT id, grp FROM po WHERE cust <= 2 AND grp = 1"},
+	{sql: "SELECT id FROM po WHERE cust >= 4 AND cust <= 4 AND amt > 300.0"},
+	{sql: "SELECT cname, tier FROM cu WHERE id > 12 AND id <= 16"},
+	{sql: "SELECT id, cust FROM po WHERE cust < 5 LIMIT 4", unlimited: "SELECT id, cust FROM po WHERE cust < 5"},
+	// Index joins: a small side drives one probe a row into po's index on
+	// cust or cu's on id; the inner scan's conjuncts, and an equi-join
+	// conjunct past the index's columns, filter what the probe finds.
+	{sql: "SELECT cu.cname, po.id, po.amt FROM cu, po WHERE cu.id = po.cust AND cu.region = 2"},
+	{sql: "SELECT po.id, cu.cname FROM po, cu WHERE po.cust = cu.id AND po.id < 12 AND cu.tier = 2"},
+	{sql: "SELECT po.id, cu.cname FROM po, cu WHERE po.cust = cu.id AND po.grp = cu.tier AND cu.region = 1"},
+	{sql: "SELECT re.rname, cu.cname, po.id FROM re, cu, po WHERE re.id = cu.region AND cu.id = po.cust AND re.rname = 'east'"},
+	{sql: "SELECT cu.tier, COUNT(*) FROM cu, po WHERE cu.id = po.cust AND cu.region = 3 GROUP BY cu.tier ORDER BY tier", ordered: true},
+	{sql: "SELECT cu.cname, po.id FROM cu, po WHERE cu.id = po.cust AND cu.tier = 1 LIMIT 3",
+		unlimited: "SELECT cu.cname, po.id FROM cu, po WHERE cu.id = po.cust AND cu.tier = 1"},
 }
 
 // newParityEngine loads a deterministic three-table workload: po (orders,
@@ -137,7 +156,10 @@ func loadParityEngine(t *testing.T, indexed bool, poRows int) *Engine {
 		amt := float64(int(rng>>11)%1000) + 0.5
 		po = append(po, fmt.Sprintf("(%d,%d,%d,%g)", i, cust, grp, amt))
 	}
-	mustExec("INSERT INTO po VALUES " + strings.Join(po, ","))
+	// Indexed, the last of po's rows arrive after its index: a key lookup, a
+	// range and an index join also read the rows appended since a build.
+	tail := poRows / 16
+	mustExec("INSERT INTO po VALUES " + strings.Join(po[:poRows-tail], ","))
 	if indexed {
 		if err := e.CreateIndex("po", []int{1}); err != nil { // po.cust
 			t.Fatal(err)
@@ -145,6 +167,9 @@ func loadParityEngine(t *testing.T, indexed bool, poRows int) *Engine {
 		if err := e.CreateIndex("cu", []int{0}); err != nil { // cu.id
 			t.Fatal(err)
 		}
+	}
+	if tail > 0 {
+		mustExec("INSERT INTO po VALUES " + strings.Join(po[poRows-tail:], ","))
 	}
 	return e
 }
@@ -279,7 +304,7 @@ func runParity(t *testing.T, indexed bool) {
 	}
 }
 
-func mustParseSelect(t *testing.T, sql string) *SelectStmt {
+func mustParseSelect(t testing.TB, sql string) *SelectStmt {
 	t.Helper()
 	st, err := ParseSQL(sql)
 	if err != nil || st.Select == nil {
@@ -298,10 +323,17 @@ func TestParityCorpusIndexed(t *testing.T) { runParity(t, true) }
 // wire and EXPLAIN ANALYZE paths, report no stream error, and charge exactly the
 // serial planned run's op count — the parallel agg merge and the partitioned
 // join build are the high-risk paths this pins down.
-func TestParityCorpusParallel(t *testing.T) {
+func TestParityCorpusParallel(t *testing.T) { runParityParallel(t, false) }
+
+// TestParityCorpusParallelIndexed is TestParityCorpusParallel over the
+// indexed engine: range drivers split into morsels of their candidates, and
+// index joins whose workers probe the stored index.
+func TestParityCorpusParallelIndexed(t *testing.T) { runParityParallel(t, true) }
+
+func runParityParallel(t *testing.T, indexed bool) {
 	for _, dop := range []int{1, 4} {
 		t.Run(fmt.Sprintf("dop%d", dop), func(t *testing.T) {
-			e := newParityEngine(t, false)
+			e := newParityEngine(t, indexed)
 			e.SetParallelMinRows(1)
 			e.SetMorselSize(32)
 			wire := serveParity(t, e)
@@ -379,8 +411,9 @@ func TestExplainParse(t *testing.T) {
 	}
 }
 
-// EXPLAIN output reflects the optimizer's choices: index access paths,
-// hash joins with small build sides, pushed-down predicates, TopN fusing.
+// EXPLAIN output reflects the optimizer's choices: index access paths, key
+// and range, hash joins with small build sides, index joins driven by a
+// small side into a stored index, pushed-down predicates, TopN fusing.
 func TestExplainShowsPlanChoices(t *testing.T) {
 	e := newParityEngine(t, true)
 	explain := func(sql string) string {
@@ -401,7 +434,11 @@ func TestExplainShowsPlanChoices(t *testing.T) {
 	if !strings.Contains(out, "via index(cust)") {
 		t.Fatalf("no index access path:\n%s", out)
 	}
-	out = explain("SELECT po.id, cu.cname FROM po, cu WHERE po.cust = cu.id AND cu.tier = 1")
+	out = explain("SELECT id FROM po WHERE cust >= 7 AND cust < 9")
+	if !strings.Contains(out, "via index(cust) range") {
+		t.Fatalf("no range access path:\n%s", out)
+	}
+	out = explain("SELECT po.id, cu.cname FROM po, cu WHERE po.grp = cu.tier AND cu.tier = 1")
 	if !strings.Contains(out, "hash join") {
 		t.Fatalf("no hash join:\n%s", out)
 	}
@@ -411,12 +448,21 @@ func TestExplainShowsPlanChoices(t *testing.T) {
 	if !strings.Contains(out, "where [tier = 1]") {
 		t.Fatalf("predicate not pushed into the cu scan:\n%s", out)
 	}
+	// The filtered cu drives one probe of po's index on cust a row, which
+	// reads about 15 po rows; building either side would read all of po.
+	out = explain("SELECT po.id, cu.cname FROM po, cu WHERE po.cust = cu.id AND cu.tier = 1")
+	if !strings.Contains(out, "index join [po.cust = cu.id] (probe po via index(cust), outer streams)") {
+		t.Fatalf("no index join into po:\n%s", out)
+	}
+	if !strings.Contains(out, "scan cu where [tier = 1]") {
+		t.Fatalf("predicate not pushed into the cu scan:\n%s", out)
+	}
 	out = explain("SELECT id FROM po ORDER BY id LIMIT 7")
 	if !strings.Contains(out, "topn") {
 		t.Fatalf("LIMIT not fused into TopN:\n%s", out)
 	}
-	out = explain("SELECT po.id, cu.cname FROM po, cu WHERE po.cust = cu.id")
-	if !strings.Contains(out, "prune po to (id, cust)") {
+	out = explain("SELECT po.id, cu.cname FROM po, cu WHERE po.grp = cu.tier")
+	if !strings.Contains(out, "prune po to (id, grp)") {
 		t.Fatalf("po not column-pruned:\n%s", out)
 	}
 }

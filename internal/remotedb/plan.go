@@ -41,12 +41,15 @@ type Plan struct {
 	nodeEst map[planNode]float64
 
 	// scans are the plan's scans by FROM position; cross and order are the
-	// cross-alias conjuncts and the join order chosen, in FROM positions.
-	// They are what orderHolds re-derives the order from, and scans are also
+	// cross-alias conjuncts and the join order chosen, in FROM positions, and
+	// via is, by FROM position, the stored index an index join probes to join
+	// that alias (an entry of its scan's ixs), or -1. They are what
+	// orderHolds re-derives the plan's decisions from, and scans are also
 	// every table the plan reads (planCurrentLocked).
 	scans []*scanNode
 	cross []crossCond
 	order []int
+	via   []int
 
 	// par is the plan's parallelizable section (plan_parallel.go), or nil
 	// when the shape must stay serial. Eligibility is decided at build time;
@@ -111,16 +114,22 @@ func explainNode(p *Plan, n planNode, depth int, out *[]string) {
 }
 
 // orderHolds reports whether where, the WHERE of a statement of p's shape,
-// chooses p's join order: the one decision in a plan that reads a literal's
-// value. It repeats buildPlan's choice over that binding's per-alias
-// estimates and allocates nothing for up to joinEnumLimit aliases.
+// makes p's three decisions that read a literal's value: every scan's access
+// path, the join order and each join's method. It repeats buildPlan's choice
+// over that binding's per-alias estimates and allocates nothing for up to
+// joinEnumLimit aliases.
 func (p *Plan) orderHolds(where []SQLCond) bool {
-	if len(p.scans) < 2 {
-		return true
-	}
 	var bufs joinBufs
 	js := newJoinSearch(p.scans, p.cross, where, &bufs)
-	return slices.Equal(js.choose(), p.order)
+	if !slices.Equal(js.choose(), p.order) || !slices.Equal(js.bestVia, p.via) {
+		return false
+	}
+	for i, sn := range p.scans {
+		if p.via[i] < 0 && js.paths[i] != sn.path {
+			return false
+		}
+	}
+	return true
 }
 
 // errNotSelect reports that PlanForSQL was handed a non-SELECT statement.
@@ -143,9 +152,36 @@ type planNode interface {
 	slotted() *nodeSlot
 }
 
-// scanNode reads one base table: a full snapshot scan or an index equality
-// lookup, with every pushed-down per-alias predicate applied in the same
-// pass. The node stores names and slots, not snapshots or literals: the
+// accessPath is how a scan reaches its rows.
+type accessPath uint8
+
+const (
+	// fullScan reads the whole snapshot.
+	fullScan accessPath = iota
+	// keyLookup reads the rows an index's hash buckets hold under the key
+	// the equality literals make (ixs[key]).
+	keyLookup
+	// rangeLookup reads the rows an index's sorted order holds between the
+	// bounds the range literals put on its first column (ixs[rng]), in row
+	// order, then the rows appended since the index was built.
+	rangeLookup
+	// probed is an index join's inner side: the join probes ixs[via] once
+	// per outer row and never opens the scan.
+	probed
+)
+
+// storedIx is one of a table's stored indexes as the optimizer prices it: its
+// columns, the keys it holds (the product of their NDVs), the rows appended
+// since it was built, and the rows one probe of it reads, a key's rows and
+// those appended.
+type storedIx struct {
+	cols             []int
+	ndv, tail, probe float64
+}
+
+// scanNode reads one base table by its access path, with every pushed-down
+// per-alias predicate applied in the same pass; every path emits in row
+// order. The node stores names and slots, not snapshots or literals: the
 // extension, the index and the literals are bound each run (Plan.bind), and a
 // mutation of the table (or any DDL) makes every cached plan reading it stale
 // (the next open replans), so plans never dangle.
@@ -160,19 +196,25 @@ type scanNode struct {
 	// column-vs-column conjunct's slot is -1.
 	conds []relation.Cond
 	slots []int
-	// idxCols/idxSlots select an index access path when non-empty: bind looks
-	// up an index on exactly idxCols, keyed by the literals in idxSlots,
-	// falling back to the full scan (conds still include the equality
-	// predicates) if it no longer exists.
-	idxCols  []int
+	// ixs are the table's stored indexes at compile time; key and rng are
+	// the one equality literals key on every column and the one range
+	// literals bound on its first column, or -1, and idxSlots are key's
+	// literals by WHERE slot, one per key column. path is the access path
+	// the compiling binding chose, via the index it is probed by, and ixCols
+	// the columns of the index path reads, which bind looks up (falling back
+	// to the full scan, whose conds include every predicate the index
+	// served, if it no longer exists).
+	ixs      []storedIx
+	key, rng int
 	idxSlots []int
+	path     accessPath
+	via      int
+	ixCols   []int
 
 	// What the estimates read: the table's statistics and length at compile
-	// time, and the rows the access path examines (rows, or rows/NDV of the
-	// index), which no literal moves.
-	meta    *tableMeta
-	rows    float64
-	examine float64
+	// time.
+	meta *tableMeta
+	rows float64
 }
 
 func (n *scanNode) Schema() *relation.Schema { return n.sch }
@@ -184,12 +226,13 @@ func (n *scanNode) describe(p *Plan) string {
 	if n.alias != n.table {
 		fmt.Fprintf(&b, " AS %s", n.alias)
 	}
-	if len(n.idxCols) > 0 {
-		names := make([]string, len(n.idxCols))
-		for i, c := range n.idxCols {
-			names[i] = n.sch.Attr(c).Name
-		}
-		fmt.Fprintf(&b, " via index(%s)", strings.Join(names, ", "))
+	switch n.path {
+	case keyLookup:
+		fmt.Fprintf(&b, " via %s", n.index())
+	case rangeLookup:
+		fmt.Fprintf(&b, " via %s range", n.index())
+	case probed:
+		fmt.Fprintf(&b, " probed via %s", n.index())
 	}
 	if len(n.conds) > 0 {
 		strs := make([]string, len(n.conds))
@@ -199,13 +242,27 @@ func (n *scanNode) describe(p *Plan) string {
 		}
 		fmt.Fprintf(&b, " where [%s]", strings.Join(strs, " AND "))
 	}
-	fmt.Fprintf(&b, " (examine~%.0f, emit~%.0f)", n.examine, p.nodeEst[n])
+	fmt.Fprintf(&b, " (examine~%.0f, emit~%.0f)", n.examine(n.path, p.stmt.Where), p.nodeEst[n])
 	return b.String()
+}
+
+// index names the index the scan's path reads, as EXPLAIN shows it:
+// index(sid).
+func (n *scanNode) index() string {
+	names := make([]string, len(n.ixCols))
+	for i, c := range n.ixCols {
+		names[i] = n.sch.Attr(c).Name
+	}
+	return "index(" + strings.Join(names, ", ") + ")"
 }
 
 // joinNode joins two subtrees. The left side is the probe input and
 // streams; the right side is the build input, drained when the node opens
-// and, for an equi-join, indexed on its join columns.
+// and, for an equi-join, indexed on its join columns. An index join (indexed)
+// opens no build: its right side is a scan whose stored index on exactly
+// buildCols it probes once per left row, and whose conditions it applies to
+// the rows the probe finds. Both emit, per left row, its matches in row
+// order.
 type joinNode struct {
 	nodeSlot
 	left, right planNode
@@ -217,6 +274,7 @@ type joinNode struct {
 	on                   []crossCond // the conjuncts the columns and post came from, for EXPLAIN
 	build                int         // FROM position of the build side's alias
 	rows                 int         // the build's estimated rows: the capacity its drain starts from
+	indexed              bool        // an index join
 }
 
 func (n *joinNode) Schema() *relation.Schema { return n.sch }
@@ -227,6 +285,10 @@ func (n *joinNode) describe(p *Plan) string {
 	conds := make([]string, len(n.on))
 	for i, c := range n.on {
 		conds[i] = fmt.Sprintf("%s %s %s", attr(c.lp, c.lc), c.op, attr(c.rp, c.rc))
+	}
+	if n.indexed {
+		sn := p.scans[n.build]
+		return fmt.Sprintf("index join [%s] (probe %s via %s, outer streams)", strings.Join(conds, " AND "), sn.alias, sn.index())
 	}
 	kind := "hash join"
 	if len(n.buildCols) == 0 {
@@ -383,12 +445,13 @@ func (e *Engine) explainSelect(sel *SelectStmt) (*relation.Relation, int64, erro
 	header := fmt.Sprintf("plan epoch %d | est rows %.0f | est cost %.1f sim-ms",
 		p.epoch, p.estRows, p.EstCost(DefaultCosts()))
 	if p.par != nil {
-		if dop := e.planDOP(p); dop > 1 {
+		driver := p.par.driver.examine(p.par.driver.path, sel.Where)
+		if dop := e.planDOP(p, sel.Where); dop > 1 {
 			header += fmt.Sprintf(" | parallel dop %d (driver est %.0f rows, morsel %d)",
-				dop, p.par.driver.examine, e.MorselSize())
+				dop, driver, e.MorselSize())
 		} else {
 			header += fmt.Sprintf(" | parallel eligible, serial chosen (driver est %.0f rows, min %d, parallelism %d)",
-				p.par.driver.examine, e.ParallelMinRows(), e.Parallelism())
+				driver, e.ParallelMinRows(), e.Parallelism())
 		}
 	}
 	lines := []string{header}

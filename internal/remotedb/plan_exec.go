@@ -2,6 +2,7 @@ package remotedb
 
 import (
 	"context"
+	"math/bits"
 	"time"
 
 	"repro/internal/relation"
@@ -26,8 +27,8 @@ import (
 // run's first open of the node and re-armed by every later one: the scan with
 // its conditions, counting its own ops; the filter, the projection with its
 // reused row, the limit and the join probe; and a counter for each input the
-// blocking operators charge for. Its bindings' conditions and keys, and each
-// index scan's lookup buffer, are the run's too. A plan keeps one closed
+// blocking operators charge for. Its bindings' conditions and keys, each key
+// lookup's buffer and each range scan's position bitmap, are the run's too. A plan keeps one closed
 // serial run (Plan.putRun), so a statement whose shape is cached opens,
 // streams and closes with no per-node allocation: a fresh run and a kept one
 // open through the same structs. A stream that opens while the kept run is
@@ -35,8 +36,12 @@ import (
 // Parallel and EXPLAIN ANALYZE runs are not kept.
 
 // keptLookupRows bounds the lookup buffer a kept run keeps: a run back on its
-// plan holds nothing sized by rows beyond it.
-const keptLookupRows = 64
+// plan holds nothing sized by rows beyond it. keptMarkWords bounds a range
+// scan's bitmap the same way, at 64 Ki rows of its table.
+const (
+	keptLookupRows = 64
+	keptMarkWords  = 1024
+)
 
 // getRun returns p's kept run, or a new one.
 func (p *Plan) getRun() *planRun {
@@ -87,7 +92,8 @@ type planRun struct {
 }
 
 // release clears what run bound and read, keeping its storage: the lookup
-// buffers up to keptLookupRows rows each.
+// buffers up to keptLookupRows rows each, and the bitmaps up to keptMarkWords
+// words, cleared of what a walk left unread.
 func (run *planRun) release() {
 	for i := range run.scans {
 		b := &run.scans[i]
@@ -96,7 +102,12 @@ func (run *planRun) release() {
 		if cap(lookup) > keptLookupRows {
 			lookup = nil
 		}
-		*b = scanBinding{lookup: lookup}
+		marks := b.marks[:0]
+		if cap(marks) > keptMarkWords {
+			marks = nil
+		}
+		clear(marks[:cap(marks)])
+		*b = scanBinding{lookup: lookup, marks: marks}
 	}
 	clear(run.conds)
 	clear(run.keys)
@@ -164,15 +175,17 @@ func (run *planRun) actualFor(n planNode) *nodeActual {
 // the table extension; for an index access path, the index (nil when it has
 // been invalidated — the scan then falls back to filtering the full
 // extension, which is always correct because the scan's conds include the
-// equality predicates the index served) and its key; and the scan's
+// predicates the index served) and a key lookup's key; and the scan's
 // conditions with the statement's literals in their slots. lookup is the
-// buffer the index's matches are read into, kept from run to run.
+// buffer a key lookup's matches are read into, and marks the bitmap of a
+// range's candidate positions, both kept from run to run.
 type scanBinding struct {
 	rows   []relation.Tuple
 	ix     *relation.Index
 	key    []relation.Value
 	conds  []relation.Cond
 	lookup []relation.Tuple
+	marks  []uint64
 }
 
 // counter passes its input on, charging every tuple pulled as one
@@ -266,7 +279,7 @@ func (p *Plan) open(ctx context.Context, e *Engine, where []SQLCond, analyze, st
 			SnapLen: int64(len(run.scans[sn.pos].rows)),
 		}
 	} else if p.par != nil {
-		if dop := e.planDOP(p); dop > 1 {
+		if dop := e.planDOP(p, where); dop > 1 {
 			if ctx == nil {
 				ctx = context.Background()
 			}
@@ -295,14 +308,17 @@ func (run *planRun) bind(e *Engine, where []SQLCond) {
 			conds[k] = sn.cond(k, where)
 		}
 		b.conds, conds = conds[:len(sn.conds):len(sn.conds)], conds[len(sn.conds):]
-		if len(sn.idxCols) == 0 {
+		if len(sn.ixCols) == 0 {
 			continue
 		}
 		for _, ix := range e.indexes[sn.table] {
-			if ix.Covers(sn.idxCols) {
+			if ix.Covers(sn.ixCols) {
 				b.ix = ix
 				break
 			}
+		}
+		if sn.path != keyLookup {
+			continue
 		}
 		for k, s := range sn.idxSlots {
 			keys[k] = where[s].RightVal
@@ -311,46 +327,104 @@ func (run *planRun) bind(e *Engine, where []SQLCond) {
 	}
 }
 
-// boundRows is what scan n reads on this run: the index lookup over the
-// snapshot, its rows appended since the index was built included, read into
-// the binding's lookup buffer, when the access path survived binding, else the
-// whole snapshot.
+// boundRows is what scan n reads on this run, when its index survived
+// binding: a key lookup's or a range's matches over the snapshot, its rows
+// appended since the index was built included, in row order, read into the
+// binding's lookup buffer; otherwise the whole snapshot. A serial range scan
+// walks its bitmap instead (scanNode.open); a parallel one's driver gathers
+// its rows here.
 func (run *planRun) boundRows(n *scanNode) []relation.Tuple {
 	b := &run.scans[n.pos]
-	if b.ix == nil {
-		return b.rows
+	switch {
+	case b.ix == nil:
+	case n.path == keyLookup:
+		b.lookup = b.ix.AppendLookupIn(b.lookup[:0], b.rows, b.key)
+		return b.lookup
+	case n.path == rangeLookup:
+		b.lookup = b.lookup[:0]
+		w := markWalk{marks: run.marked(n)}
+		for p, ok := w.next(); ok; p, ok = w.next() {
+			b.lookup = append(b.lookup, b.rows[p])
+		}
+		b.lookup = append(b.lookup, b.rows[b.ix.Rows():]...)
+		return b.lookup
 	}
-	b.lookup = b.ix.AppendLookupIn(b.lookup[:0], b.rows, b.key)
-	return b.lookup
+	return b.rows
+}
+
+// marked marks the candidates of range scan n in its binding's bitmap, sized
+// for its index's rows, and returns the bitmap.
+func (run *planRun) marked(n *scanNode) []uint64 {
+	b := &run.scans[n.pos]
+	words := (b.ix.Rows() + 63) / 64
+	if cap(b.marks) < words {
+		b.marks = make([]uint64, words)
+	}
+	b.marks = b.marks[:words]
+	b.ix.MarkRange(b.marks, b.conds)
+	return b.marks
+}
+
+// markWalk reads a bitmap's set positions in ascending order, clearing each
+// word as it takes it, so a walk to the end leaves the bitmap clear.
+type markWalk struct {
+	marks []uint64
+	w     int    // the next word to take
+	word  uint64 // the taken word's positions not yet read
+}
+
+func (m *markWalk) next() (int, bool) {
+	for m.word == 0 {
+		if m.w == len(m.marks) {
+			return 0, false
+		}
+		m.word, m.marks[m.w] = m.marks[m.w], 0
+		m.w++
+	}
+	p := (m.w-1)*64 + bits.TrailingZeros64(m.word)
+	m.word &= m.word - 1
+	return p, true
 }
 
 // --- Node iterators ---
 
-// scanIter reads a scan's bound rows — the snapshot, the index's matches, or
-// on a worker's run each morsel the worker claims — charging every row read
-// as one op and passing on the rows its conditions accept.
+// scanIter reads a scan's bound rows — the snapshot, a key's matches, a
+// range's candidates walked from its bitmap (walk) and then the rows from
+// next on, or on a worker's run each morsel the worker claims — charging every
+// row read as one op and passing on the rows its conditions accept.
 type scanIter struct {
 	run   *planRun
 	rows  []relation.Tuple
 	next  int
+	walk  markWalk
 	conds []relation.Cond
 	na    *nodeActual // analyzing: counts the rows examined
 }
 
 func (s *scanIter) Next() (relation.Tuple, bool) {
 	for {
-		if s.next == len(s.rows) {
-			ws := s.run.worker
-			if ws == nil {
-				return nil, false
+		var t relation.Tuple
+		if s.walk.marks != nil {
+			p, ok := s.walk.next()
+			if !ok {
+				s.walk.marks = nil
+				continue
 			}
-			if s.rows = s.run.par.claim(ws); s.rows == nil {
-				return nil, false
+			t = s.rows[p]
+		} else {
+			if s.next == len(s.rows) {
+				ws := s.run.worker
+				if ws == nil {
+					return nil, false
+				}
+				if s.rows = s.run.par.claim(ws); s.rows == nil {
+					return nil, false
+				}
+				s.next = 0
 			}
-			s.next = 0
+			t = s.rows[s.next]
+			s.next++
 		}
-		t := s.rows[s.next]
-		s.next++
 		s.run.ops++
 		if s.na != nil {
 			s.na.examined++
@@ -367,23 +441,29 @@ func (s *scanIter) release() { *s = scanIter{} }
 // nothing.
 func (n *scanNode) open(run *planRun, _ bool) relation.Iterator {
 	s := state[scanIter](run, n)
-	s.run, s.next, s.conds, s.na = run, 0, run.scans[n.pos].conds, run.actualFor(n)
-	if run.worker == nil {
-		s.rows = run.boundRows(n)
-	} else {
+	b := &run.scans[n.pos]
+	s.run, s.next, s.walk, s.conds, s.na = run, 0, markWalk{}, b.conds, run.actualFor(n)
+	switch {
+	case run.worker != nil:
 		s.rows = nil // a worker's only scan is the driver: it claims morsels
+	case n.path == rangeLookup && b.ix != nil:
+		s.rows, s.next, s.walk.marks = b.rows, b.ix.Rows(), run.marked(n)
+	default:
+		s.rows = run.boundRows(n)
 	}
 	return s
 }
 
 // joinState is a join's counted inputs, its build rows and their index, and
 // its probe. On a parallel run, the stream's own run holds each section
-// join's build, and every worker's run probes it.
+// join's build, and every worker's run probes it. An analyzed index join
+// counts the rows its probe reads in read (analyzedProbe).
 type joinState struct {
 	left, right counter
 	rows        []relation.Tuple
 	ix          relation.Index
 	probe       relation.ProbeIter
+	read        int64
 }
 
 // release keeps the build's row slice and index arrays while the slice holds
@@ -392,6 +472,7 @@ func (st *joinState) release() {
 	st.left.release()
 	st.right.release()
 	st.probe.Reset(nil, nil, nil, nil, nil, nil)
+	st.read = 0
 	clear(st.rows)
 	if cap(st.rows) > keptLookupRows {
 		st.rows, st.ix = nil, relation.Index{}
@@ -420,11 +501,14 @@ func (n *joinNode) open(run *planRun, keep bool) relation.Iterator {
 	return n.openCols(run, nil, keep)
 }
 
-// openCols probes, on a worker's run, the index the stream's own run built
-// for the pool (so the build side is not opened here), and otherwise builds
-// from the right input, which the build keeps. The join writes each accepted
-// row as the cols projection of left ++ right, or, with cols nil, as the
-// concatenation itself, into the run's arena when keep is set.
+// openCols probes, for an index join, the stored index its right scan bound;
+// on a worker's run, the index the stream's own run built for the pool (so
+// the build side is not opened here); and otherwise builds from the right
+// input, which the build keeps. An index join charges each row its probe
+// matches on the join columns as one op, as the scan it replaces would. The
+// join writes each accepted row as the cols projection of left ++ right, or,
+// with cols nil, as the concatenation itself, into the run's arena when keep
+// is set.
 func (n *joinNode) openCols(run *planRun, cols []int, keep bool) relation.Iterator {
 	st := state[joinState](run, n)
 	left := st.left.counted(run, run.openNode(n.left, false))
@@ -432,14 +516,49 @@ func (n *joinNode) openCols(run *planRun, cols []int, keep bool) relation.Iterat
 		right := st.right.counted(run, run.openNode(n.right, true))
 		return relation.NestedLoopJoin(left, right, n.left.Schema().Arity(), n.post, cols, run.dst(keep))
 	}
-	var ix *relation.Index
-	if run.worker != nil {
+	ix := n.stored(run)
+	switch {
+	case ix != nil:
+		b := &run.scans[n.build]
+		st.probe.Reset(ix, n.probeCols, left, n.post, cols, run.dst(keep))
+		if na := run.actualFor(n); na != nil {
+			st.probe.Inner(b.rows[ix.Rows():], b.conds, &st.read)
+			return &analyzedProbe{st: st, run: run, na: na}
+		}
+		st.probe.Inner(b.rows[ix.Rows():], b.conds, &run.ops)
+		return &st.probe
+	case run.worker != nil:
 		ix = &run.par.run.states[n.id].(*joinState).ix
-	} else {
+	default:
 		ix = st.build(n, st.right.counted(run, run.openNode(n.right, true)))
 	}
 	st.probe.Reset(ix, n.probeCols, left, n.post, cols, run.dst(keep))
 	return &st.probe
+}
+
+// stored is the stored index an index join probes on run, nil for any other
+// join or when the index did not survive binding.
+func (n *joinNode) stored(run *planRun) *relation.Index {
+	if !n.indexed {
+		return nil
+	}
+	return run.scans[n.build].ix
+}
+
+// analyzedProbe is an analyzed index join's probe: it charges the rows the
+// probe reads to the run's ops and to the join's rows examined.
+type analyzedProbe struct {
+	st  *joinState
+	run *planRun
+	na  *nodeActual
+}
+
+func (a *analyzedProbe) Next() (relation.Tuple, bool) {
+	t, ok := a.st.probe.Next()
+	a.run.ops += a.st.read
+	a.na.examined += a.st.read
+	a.st.read = 0
+	return t, ok
 }
 
 // projectState is a projection's counted input and its projector.

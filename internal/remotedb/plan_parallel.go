@@ -19,8 +19,9 @@ import (
 // workers. Each worker opens the section top on a planRun of its own (its op
 // counter, its cancellation checkpoint): its scan reads the morsels it
 // claims, and each equi-join probes the relation.Index the stream's own run
-// built once over its build side before the pool started, read-only
-// afterwards. Workers feed a bounded exchange, or per-worker aggregation
+// built once over its build side before the pool started, or an index join
+// the stored one, read-only afterwards. A range scan's driver rows are its
+// candidates, gathered in row order. Workers feed a bounded exchange, or per-worker aggregation
 // partials (relation.AggAccum) merged in worker order. The stream's own run
 // opens the plan root as a serial run would, reading the exchange or the
 // merged aggregate in place of the section. Both sides charge ops at the
@@ -133,9 +134,9 @@ unwrap:
 
 // planDOP is the open-time half of the DOP decision: the configured worker
 // bound, gated by the optimizer's row threshold on the driver's examine
-// estimate (rows, or rows/NDV: no literal moves it). The morsel count clamps
+// estimate under where, the literals the run binds. The morsel count clamps
 // it further once the driver snapshot is bound (parExec.start).
-func (e *Engine) planDOP(p *Plan) int {
+func (e *Engine) planDOP(p *Plan, where []SQLCond) int {
 	if p.par == nil {
 		return 1
 	}
@@ -143,7 +144,7 @@ func (e *Engine) planDOP(p *Plan) int {
 	if dop <= 1 {
 		return 1
 	}
-	if p.par.driver.examine < float64(e.ParallelMinRows()) {
+	if p.par.driver.examine(p.par.driver.path, where) < float64(e.ParallelMinRows()) {
 		return 1
 	}
 	return dop
@@ -269,6 +270,9 @@ func (px *parExec) start() error {
 	// anything, its own joins included), each into the join's state on the
 	// stream's run, which every worker then reads.
 	for _, jn := range px.sec.joins {
+		if jn.stored(px.run) != nil {
+			continue // an index join: the workers probe the stored index
+		}
 		st := state[joinState](px.run, jn)
 		build := relation.NewGuardIterator(st.right.counted(px.run, px.run.openNode(jn.right, true)), 0, px.ctx.Err)
 		st.build(jn, build)

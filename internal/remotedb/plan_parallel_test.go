@@ -643,7 +643,7 @@ func TestNaNRangeEstimateMatchesNaNFree(t *testing.T) {
 		if est := nan.estRows; math.IsNaN(est) || math.IsInf(est, 0) || est != num.estRows {
 			t.Errorf("%s: est rows %v with NaNs, %v without", sql, est, num.estRows)
 		}
-		if a, b := e.planDOP(nan), e.planDOP(num); a != b {
+		if a, b := e.planDOP(nan, nan.stmt.Where), e.planDOP(num, num.stmt.Where); a != b {
 			t.Errorf("%s: dop %d with NaNs, %d without", sql, a, b)
 		}
 		got := strings.ReplaceAll(strings.Join(nan.Explain(), "\n"), "fnan", "fnum")
@@ -659,7 +659,7 @@ func TestNaNRangeEstimateMatchesNaNFree(t *testing.T) {
 // bag of rows, charge the same ops, end with a nil Err, and, when its plan
 // has a parallel section, run on the pool (with more than one worker once
 // the driver spans two morsels). A LIMIT case charges fewer ops than its
-// unlimited form.
+// unlimited form. Indexed, ranges and index joins run on the pool too.
 func FuzzParallelParity(f *testing.F) {
 	for _, seed := range []struct {
 		stmt, scale uint8
@@ -679,12 +679,26 @@ func FuzzParallelParity(f *testing.F) {
 		{18, 5, 11, 1},  // cross product: stays serial
 		{32, 3, 16, 2},  // LIMIT over a join: short-circuits, stays serial
 	} {
-		f.Add(seed.stmt, seed.scale, seed.morsel, seed.dop)
+		f.Add(seed.stmt, seed.scale, seed.morsel, seed.dop, false)
 	}
-	f.Fuzz(func(t *testing.T, stmt, scale uint8, morselIn uint16, dopIn uint8) {
+	for _, seed := range []struct {
+		sql           string
+		scale, morsel uint8
+		dop           uint8
+	}{
+		{"SELECT id, amt FROM po WHERE cust >= 3 AND cust < 6", 10, 4, 2},                                                               // a range driver's candidates in morsels
+		{"SELECT id FROM po WHERE cust > 17", 3, 1, 1},                                                                                  // one-sided, one-row morsels
+		{"SELECT cu.cname, po.id, po.amt FROM cu, po WHERE cu.id = po.cust AND cu.region = 2", 12, 1, 2},                                // workers probe po's stored index
+		{"SELECT re.rname, cu.cname, po.id FROM re, cu, po WHERE re.id = cu.region AND cu.id = po.cust AND re.rname = 'east'", 7, 2, 0}, // an index join over a hash join
+		{"SELECT cu.tier, COUNT(*) FROM cu, po WHERE cu.id = po.cust AND cu.region = 3 GROUP BY cu.tier ORDER BY tier", 15, 3, 1},       // partials over an index join
+	} {
+		i := slices.IndexFunc(parityCorpus, func(tc parityCase) bool { return tc.sql == seed.sql })
+		f.Add(uint8(i), seed.scale, uint16(seed.morsel), seed.dop, true)
+	}
+	f.Fuzz(func(t *testing.T, stmt, scale uint8, morselIn uint16, dopIn uint8, indexed bool) {
 		tc := parityCorpus[int(stmt)%len(parityCorpus)]
 		morsel, dop := 1+int(morselIn)%256, 2+int(dopIn)%3
-		e := loadParityEngine(t, false, 40+40*int(scale%16))
+		e := loadParityEngine(t, indexed, 40+40*int(scale%16))
 		e.SetParallelMinRows(0)
 		e.SetMorselSize(morsel)
 		sel := mustParseSelect(t, tc.sql)

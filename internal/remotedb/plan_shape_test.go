@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ var shapeExtra = []string{
 }
 
 // withLiterals keeps the statements that have a WHERE literal.
-func withLiterals(t *testing.T, stmts []string) []string {
+func withLiterals(t testing.TB, stmts []string) []string {
 	var out []string
 	for _, sql := range stmts {
 		for _, c := range mustParseSelect(t, sql).Where {
@@ -199,8 +200,17 @@ func TestPlanByShapeMatchesFreshCompile(t *testing.T) {
 
 // FuzzPlanByShape: a statement with a WHERE literal, warmed with one binding
 // of that literal and run with another, at either dop and with or without
-// indexes, runs as it would on a fresh engine.
+// indexes, runs as it would on a fresh engine. Indexed, a range's bounds
+// move its scan between the range path and the full scan, and an index
+// join's filters move it to a hash join.
 func FuzzPlanByShape(f *testing.F) {
+	var all []string
+	for _, tc := range parityCorpus {
+		all = append(all, tc.sql)
+	}
+	shapes := func(t testing.TB) []string {
+		return withLiterals(t, append(append([]string(nil), all...), shapeExtra...))
+	}
 	for _, seed := range []struct {
 		stmt, lit uint8
 		a, b      int16
@@ -217,12 +227,25 @@ func FuzzPlanByShape(f *testing.F) {
 	} {
 		f.Add(seed.stmt, seed.lit, seed.a, seed.b, seed.indexed, seed.dop)
 	}
-	var all []string
-	for _, tc := range parityCorpus {
-		all = append(all, tc.sql)
+	stmts := shapes(f)
+	for _, seed := range []struct {
+		sql  string
+		lit  uint8
+		a, b int16
+		dop  uint8
+	}{
+		{"SELECT id, amt FROM po WHERE cust >= 3 AND cust < 6", 1, 4, 40, 0},                                      // a range narrowed, then widened to most of po
+		{"SELECT id FROM po WHERE cust > 17", 0, -5, 12, 1},                                                       // a range from below min to inside
+		{"SELECT cname, tier FROM cu WHERE id > 12 AND id <= 16", 0, 16, 2, 0},                                    // an empty range, then a wide one
+		{"SELECT cu.cname, po.id, po.amt FROM cu, po WHERE cu.id = po.cust AND cu.region = 2", 0, 9, 1, 1},        // an index join driven by no rows, then by five
+		{"SELECT po.id, cu.cname FROM po, cu WHERE po.cust = cu.id AND po.id < 12 AND cu.tier = 2", 0, 400, 3, 0}, // a filter that moves the join
+	} {
+		if i := slices.Index(stmts, seed.sql); i >= 0 {
+			f.Add(uint8(i), seed.lit, seed.a, seed.b, true, seed.dop)
+		}
 	}
 	f.Fuzz(func(t *testing.T, stmt, lit uint8, a, b int16, indexed bool, dopIn uint8) {
-		stmts := withLiterals(t, append(append([]string(nil), all...), shapeExtra...))
+		stmts := shapes(t)
 		sel := mustParseSelect(t, stmts[int(stmt)%len(stmts)])
 		var lits []int
 		for w, c := range sel.Where {

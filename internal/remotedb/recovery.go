@@ -95,7 +95,7 @@ func OpenEngine(d Durability) (*Engine, *RecoveryStats, error) {
 				continue
 			}
 			for _, cols := range colsets {
-				e.indexes[n] = append(e.indexes[n], relation.BuildIndex(t, cols))
+				e.indexes[n] = append(e.indexes[n], relation.BuildOrderedIndex(t, cols))
 			}
 		}
 		e.epoch.Store(ck.Epoch)

@@ -197,8 +197,8 @@ func FuzzParseResumeToken(f *testing.F) {
 }
 
 // resumeStatements are the resumable shapes the resume property runs over:
-// scans, filters, projections, LIMITs (skipped tuples count against them) and
-// equalities on ev.g, the column checkResume indexes.
+// scans, filters, projections, LIMITs (skipped tuples count against them),
+// and equalities and ranges on ev.g, the column checkResume indexes.
 var resumeStatements = []string{
 	"SELECT v FROM big",
 	"SELECT v FROM big WHERE k < 500",
@@ -208,6 +208,9 @@ var resumeStatements = []string{
 	"SELECT v, k FROM big WHERE k >= 100 LIMIT 50",
 	"SELECT v FROM ev WHERE g = 3",
 	"SELECT v, g FROM ev WHERE g = 5 LIMIT 40",
+	"SELECT v FROM ev WHERE g >= 2 AND g < 5",
+	"SELECT v, g FROM ev WHERE g > 4 LIMIT 60",
+	"SELECT v FROM ev WHERE g <= 1 AND v != 'e7'",
 }
 
 // checkResume interrupts one delivery of src after offset tuples (modulo the
@@ -217,8 +220,12 @@ var resumeStatements = []string{
 // indexed builds the index on ev.g before the first open, indexBetween builds
 // it between the break and the resume: CreateIndex does not bump the table
 // version, so the token is honored across the access-path change and the
-// index path must emit in base order (bucket order = base order).
-func checkResume(t *testing.T, src string, offset int, indexed, indexBetween bool) (honored bool) {
+// index paths must emit in base order (bucket order = base order, and a
+// range walks its candidates by position). inserted rows go into ev between
+// the break and the resume, past an eighth of it the index is rebuilt: the
+// moved version refuses the token, and the fresh stream a client then skips
+// into must begin with the rows already delivered, the appended ones last.
+func checkResume(t *testing.T, src string, offset int, indexed, indexBetween bool, inserted int) (honored bool) {
 	t.Helper()
 	e := NewEngine()
 	loadBigTable(t, e, 700)
@@ -250,6 +257,31 @@ func checkResume(t *testing.T, src string, offset int, indexed, indexBetween boo
 	if indexBetween {
 		createIndex()
 	}
+	if inserted > 0 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO ev VALUES ")
+		for i := range inserted {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "(%d,'n%d')", i%7, i)
+		}
+		if _, _, err := e.ExecuteSQL(sb.String()); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := resumeSQLStream(e, src, broken.ResumeToken(), int64(kill)); ok {
+			t.Fatalf("resume of %q at %d honored a token minted before an insert", src, kill)
+		}
+		fresh, ok := e.ExecuteSQLStream(src)
+		if !ok {
+			t.Fatalf("%q not streamable after the insert", src)
+		}
+		after := drainScan(fresh)
+		if len(after) < len(want) || !equalStrings(after[:len(want)], want) {
+			t.Fatalf("%q after %d inserted rows does not begin with the %d rows before them", src, inserted, len(want))
+		}
+		return false
+	}
 	sc, ok := resumeSQLStream(e, src, broken.ResumeToken(), int64(kill))
 	if !ok {
 		return false
@@ -271,24 +303,30 @@ func TestScanResumeEqualsUninterrupted(t *testing.T) {
 	for trial := 0; trial < 90; trial++ {
 		src := resumeStatements[rng.Intn(len(resumeStatements))]
 		indexed, indexBetween := trial%3 == 1, trial%3 == 2
-		if !checkResume(t, src, rng.Intn(701), indexed, indexBetween) {
+		if !checkResume(t, src, rng.Intn(701), indexed, indexBetween, 0) {
 			t.Fatalf("trial %d: resume of %q refused (indexed=%v, indexBetween=%v)", trial, src, indexed, indexBetween)
 		}
 	}
 }
 
 // FuzzPlanResume drives checkResume from fuzzed inputs: whatever the
-// statement, interruption offset and index timing, a resume either delivers
-// exactly the tail or is refused — never a panic, a duplicate or a gap.
+// statement, interruption offset, index timing and rows inserted between the
+// break and the resume, a resume either delivers exactly the tail or is
+// refused — never a panic, a duplicate or a gap — and a refused one's fresh
+// stream begins with what was delivered.
 func FuzzPlanResume(f *testing.F) {
-	f.Add(uint8(0), uint16(0), false, false)
-	f.Add(uint8(3), uint16(649), false, false)
-	f.Add(uint8(4), uint16(300), false, true)
-	f.Add(uint8(6), uint16(57), true, false)
-	f.Add(uint8(6), uint16(99), false, true)
-	f.Add(uint8(7), uint16(40), true, true)
-	f.Fuzz(func(t *testing.T, stmt uint8, offset uint16, indexed, indexBetween bool) {
-		checkResume(t, resumeStatements[int(stmt)%len(resumeStatements)], int(offset), indexed, indexBetween)
+	f.Add(uint8(0), uint16(0), false, false, uint8(0))
+	f.Add(uint8(3), uint16(649), false, false, uint8(0))
+	f.Add(uint8(4), uint16(300), false, true, uint8(0))
+	f.Add(uint8(6), uint16(57), true, false, uint8(0))
+	f.Add(uint8(6), uint16(99), false, true, uint8(0))
+	f.Add(uint8(7), uint16(40), true, true, uint8(0))
+	f.Add(uint8(8), uint16(123), true, false, uint8(0))  // a range stream resumed
+	f.Add(uint8(9), uint16(31), false, true, uint8(0))   // a range under LIMIT, indexed mid-delivery
+	f.Add(uint8(8), uint16(200), true, false, uint8(30)) // rows inserted into the range's tail
+	f.Add(uint8(10), uint16(77), true, false, uint8(99)) // past an eighth: the index is rebuilt
+	f.Fuzz(func(t *testing.T, stmt uint8, offset uint16, indexed, indexBetween bool, inserted uint8) {
+		checkResume(t, resumeStatements[int(stmt)%len(resumeStatements)], int(offset), indexed, indexBetween, int(inserted))
 	})
 }
 
