@@ -28,9 +28,9 @@ import (
 //     cheaper; ties break toward the hash join and the largest probe side, so
 //     small relations build, or drive probes into large ones, and large ones
 //     stream (small-drives-large);
-//   - column pruning: each scan in a multi-table plan projects away columns
-//     nothing downstream reads, narrowing hash-table entries and shipped
-//     intermediates;
+//   - column pruning: each scan in a multi-table plan, but an index join's
+//     inner one, projects away columns nothing downstream reads, narrowing
+//     hash-table entries and shipped intermediates;
 //   - LIMIT/TopN pushdown: a LIMIT over an ORDER BY fuses into a bounded-heap
 //     TopN sort; a bare LIMIT short-circuits naturally because execution is
 //     pull-based;

@@ -28,10 +28,10 @@ import (
 // its conditions, counting its own ops; the filter, the projection with its
 // reused row, the limit and the join probe; and a counter for each input the
 // blocking operators charge for. Its bindings' conditions and keys, each key
-// lookup's buffer and each range scan's position bitmap, are the run's too. A plan keeps one closed
-// serial run (Plan.putRun), so a statement whose shape is cached opens,
-// streams and closes with no per-node allocation: a fresh run and a kept one
-// open through the same structs. A stream that opens while the kept run is
+// lookup's buffer and each range scan's position bitmap, are the run's too. A
+// plan keeps one closed serial run (Plan.putRun), so a statement whose shape
+// is cached opens, streams and closes with no per-node allocation: a fresh
+// run and a kept one open through the same structs. A stream that opens while the kept run is
 // out takes a fresh one, and of two runs closing, the later is kept.
 // Parallel and EXPLAIN ANALYZE runs are not kept.
 
