@@ -192,6 +192,60 @@ func TestPublicAPIOverTCP(t *testing.T) {
 	}
 }
 
+// TestAnswersNextAllocs holds Answers.Next to what it adds to the search: the
+// map it returns and the values boxed into it. A warm ask of path(X, Y) over
+// a chain of 20 edges, 210 answers of two values each, is drained once through
+// Next and once through the engine's solutions, and the difference is Next's
+// share: 4 an answer, the map (2) and its two values. It made 6 while Next
+// copied the query's variables twice for each answer.
+func TestAnswersNextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n, budget = 20, 4
+	kb := MustParseKB(`
+		:- base(e/2).
+		path(X, Y) :- e(X, Y).
+		path(X, Y) :- e(X, Z), path(Z, Y).
+	`)
+	db := NewDB()
+	db.MustExec(`CREATE TABLE e (a INT, b INT)`)
+	for i := 0; i < n; i++ {
+		// Values past 255 are boxed in an allocation of their own.
+		db.MustExec(fmt.Sprintf("INSERT INTO e VALUES (%d, %d)", 1000+i, 1001+i))
+	}
+	sys, err := New(kb, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const answers = n * (n + 1) / 2
+	drain := func(next func(*Answers) bool) func() {
+		return func() {
+			ans, err := sys.Ask("path(X, Y)?")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			for next(ans) {
+				got++
+			}
+			if ans.Err() != nil || got != answers {
+				t.Fatalf("path(X, Y) has %d answers (%v), want %d", got, ans.Err(), answers)
+			}
+		}
+	}
+	viaNext := drain(func(a *Answers) bool { _, ok := a.Next(); return ok })
+	direct := drain(func(a *Answers) bool { _, ok := a.sol.Next(); return ok })
+	for i := 0; i < 3; i++ {
+		viaNext()
+	}
+	perAnswer := (testing.AllocsPerRun(20, viaNext) - testing.AllocsPerRun(20, direct)) / answers
+	t.Logf("Answers.Next adds %.2f allocations an answer", perAnswer)
+	if perAnswer > budget {
+		t.Errorf("Answers.Next adds %.2f allocations an answer, budget %d", perAnswer, budget)
+	}
+}
+
 func TestPublicAPIEarlyClose(t *testing.T) {
 	sys := quickstartSystem(t)
 	ans, err := sys.Ask("grandparent(X, Z)?")

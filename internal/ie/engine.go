@@ -12,6 +12,7 @@ package ie
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -153,14 +154,17 @@ type Solutions struct {
 func (s *Solutions) Vars() []string { return append([]string(nil), s.vars...) }
 
 // Next returns the next answer substitution; ok is false when the search is
-// exhausted (check Err afterwards).
+// exhausted (check Err afterwards). The substitution belongs to the ask: the
+// next call writes the next answer over it, so a caller that keeps an answer
+// keeps maps.Clone of it. Once the ask has ended, no call writes to it again.
 func (s *Solutions) Next() (logic.Subst, bool) {
 	sub, _, ok := s.NextProof()
 	return sub, ok
 }
 
 // NextProof returns the next answer with its justification (nil unless the
-// engine runs with Options.Explain).
+// engine runs with Options.Explain). The substitution is the ask's, as Next's
+// is, and the next call overwrites it; the justification is the caller's.
 func (s *Solutions) NextProof() (logic.Subst, *Proof, bool) {
 	if s.done {
 		return nil, nil, false
@@ -173,7 +177,7 @@ func (s *Solutions) NextProof() (logic.Subst, *Proof, bool) {
 	return a.sub, a.proof, ok
 }
 
-// All drains the remaining answers.
+// All drains the remaining answers, each a substitution of its own.
 func (s *Solutions) All() []logic.Subst {
 	var out []logic.Subst
 	for {
@@ -181,7 +185,7 @@ func (s *Solutions) All() []logic.Subst {
 		if !ok {
 			return out
 		}
-		out = append(out, sub)
+		out = append(out, maps.Clone(sub))
 	}
 }
 

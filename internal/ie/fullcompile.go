@@ -17,25 +17,38 @@ import (
 // base relation is requested once as a whole (one large request per relation
 // rather than one per binding), and the rules run bottom-up to a fixpoint in
 // the CMS. Recursion is handled by the fixpoint itself (the role the paper
-// assigns to second-order templates with a fixed-point operator).
+// assigns to second-order templates with a fixed-point operator). Each row of
+// the program's answer is written into the ask's substitution as it is
+// handed out.
 func (r *runner) nextCompiled() (a answer, ok bool, err error) {
 	if !r.built {
 		r.built = true
-		r.answers, err = r.compiled()
+		if r.rows, err = r.compiled(); err != nil {
+			return answer{}, false, err
+		}
 	}
-	if ok = len(r.answers) > 0; ok {
-		a, r.answers = r.answers[0], r.answers[1:]
+	if len(r.rows) == 0 {
+		return answer{}, false, nil
 	}
-	return a, ok, err
+	tu := r.rows[0]
+	r.rows = r.rows[1:]
+	a.sub = r.answerSub()
+	for j, v := range r.vars {
+		a.sub[v] = logic.C(tu[j])
+	}
+	if r.engine.opts.Explain {
+		a.proof = ProofRoot(r.goalAtom.String(),
+			[]*Proof{{Kind: "rule", Detail: "derived set-at-a-time by bottom-up fixpoint evaluation"}})
+	}
+	return a, true, nil
 }
 
-// compiled asks the session the goal's program and derives every answer from
-// its answer. A program that stops on an error fails the ask rather than
-// leave a prefix behind; one the ask's context stopped fails it with the
-// context's typed error.
-func (r *runner) compiled() ([]answer, error) {
-	e := r.engine
-	stream, err := r.session.QueryTextCtx(r.ctx, r.sh.program(e.kb, r.goalAtom.Atom, r.vars))
+// compiled asks the session the goal's program and returns the rows of its
+// answer, one column per goal variable. A program that stops on an error
+// fails the ask rather than leave a prefix behind; one the ask's context
+// stopped fails it with the context's typed error.
+func (r *runner) compiled() ([]relation.Tuple, error) {
+	stream, err := r.session.QueryTextCtx(r.ctx, r.sh.program(r.engine.kb, r.goalAtom.Atom, r.vars))
 	var ext *relation.Relation
 	if err == nil {
 		ext, err = stream.DrainErr(r.goalAtom.Pred)
@@ -47,19 +60,7 @@ func (r *runner) compiled() ([]answer, error) {
 		}
 		return nil, err
 	}
-
-	out := make([]answer, ext.Len())
-	for i, tu := range ext.Tuples() {
-		out[i].sub = make(logic.Subst, len(r.vars))
-		for j, v := range r.vars {
-			out[i].sub[v] = logic.C(tu[j])
-		}
-		if e.opts.Explain {
-			out[i].proof = ProofRoot(r.goalAtom.String(),
-				[]*Proof{{Kind: "rule", Detail: "derived set-at-a-time by bottom-up fixpoint evaluation"}})
-		}
-	}
-	return out, nil
+	return ext.Tuples(), nil
 }
 
 // program renders the compiled program of goal, of shape sh, whose answer is

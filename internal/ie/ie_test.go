@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -560,6 +561,80 @@ func TestSolutionsLaziness(t *testing.T) {
 	}
 }
 
+// TestAnswerSubstitutionIsTheAsks: under each strategy, Next writes every
+// answer of an ask into one substitution, the ask's, which holds the answer
+// Next returned last, and the answers it has held are the ask's answers,
+// each once. The runner drops it when the ask ends. All hands out each
+// answer in a substitution of its own.
+func TestAnswerSubstitutionIsTheAsks(t *testing.T) {
+	const n = 6
+	kb := mustKB(t, `
+		:- base(e/2).
+		path(X, Y) :- e(X, Y).
+		path(X, Y) :- e(X, Z), path(Z, Y).
+	`)
+	chain := make([][2]int64, n)
+	for i := range chain {
+		chain[i] = [2]int64{int64(i), int64(i + 1)}
+	}
+	src := caql.MapSource{"e": relationOfPairs("e", chain)}
+	var want []string
+	for y := 1; y <= n; y++ {
+		want = append(want, fmt.Sprintf("{Y=%d}", y))
+	}
+	for _, strat := range []Strategy{StrategyInterpreted, StrategyConjunction, StrategyCompiled} {
+		eng := New(kb, &mapDS{src: src}, Options{Strategy: strat})
+		sol, err := eng.AskText("path(0, Y)?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := sol.search
+		var first logic.Subst
+		var got []string
+		for sub, ok := sol.Next(); ok; sub, ok = sol.Next() {
+			if first == nil {
+				first = sub
+			}
+			if mapID(sub) != mapID(first) {
+				t.Fatalf("%s: answer %d is a map of its own, not the ask's", strat, len(got)+1)
+			}
+			if r.sub == nil || mapID(sub) != mapID(r.sub) {
+				t.Fatalf("%s: answer %d is not the runner's substitution", strat, len(got)+1)
+			}
+			got = append(got, first.String())
+		}
+		if err := sol.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Sort(got); !slices.Equal(got, want) {
+			t.Errorf("%s: the substitution held %v, want %v", strat, got, want)
+		}
+		if r.sub != nil || r.rows != nil || r.built {
+			t.Errorf("%s: the ended ask's runner keeps its substitution %v and %d rows", strat, r.sub, len(r.rows))
+		}
+
+		if sol, err = eng.AskText("path(0, Y)?"); err != nil {
+			t.Fatal(err)
+		}
+		all := sol.All()
+		got = got[:0]
+		seen := make(map[uintptr]bool)
+		for _, sub := range all {
+			if seen[mapID(sub)] {
+				t.Fatalf("%s: All handed out one map twice", strat)
+			}
+			seen[mapID(sub)] = true
+			got = append(got, sub.String())
+		}
+		if slices.Sort(got); !slices.Equal(got, want) {
+			t.Errorf("%s: All answered %v, want %v", strat, got, want)
+		}
+	}
+}
+
+// mapID identifies the map sub is.
+func mapID(sub logic.Subst) uintptr { return reflect.ValueOf(sub).Pointer() }
+
 // shapeOnly shapes the one clause kb defines for pred.
 func shapeOnly(t *testing.T, kb *logic.KB, sh *Shaper, pred string, arity int) (logic.Clause, bool) {
 	t.Helper()
@@ -718,15 +793,16 @@ func TestInterpretedIssuesPerAtomQueries(t *testing.T) {
 // source, to its allocations: cousin(p007, Y)? on the 60-person kinship
 // workload, with the default options (reordering, advice and a path
 // expression), whose program the shape renders, the map source runs and the
-// runner turns into 12 answers, in about 2 485. It made 2 504 while its joins
-// built a map of row chains. Before the program was built from the shape,
+// runner hands out as 12 answers written into one substitution, in about
+// 2 463. It made 2 485 while each answer was a map of its own, and 2 504
+// while its joins built a map of row chains. Before the program was built from the shape,
 // the ask also extracted and shaped its AND/OR problem graph, reading the
 // statistics anew, and made 3 706.
 func TestCompiledAskAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const budget = 2490
+	const budget = 2465
 	w := workload.Kinship(1, 60)
 	ds := &mapDS{src: w.Source()}
 	opts := DefaultOptions()

@@ -62,8 +62,13 @@ type runner struct {
 	roots []rootName // scratch: free roots in order of first occurrence
 	tabs  tables     // the ask's answer tables
 
-	answers []answer // the compiled strategy's, derived by the first next
-	built   bool
+	// sub is the ask's answer substitution, made at its first answer and
+	// written over by each later one; close drops it, so that an answer its
+	// caller holds once the ask has ended is never written again.
+	sub logic.Subst
+
+	rows  []relation.Tuple // the compiled strategy's answers not yet handed out
+	built bool             // whether the compiled strategy derived them
 
 	adv adviceBlock // the ask's advice, built at AskCtx, emptied by close
 
@@ -178,13 +183,13 @@ func (r *runner) next() (a answer, ok bool, err error) {
 }
 
 // emit is the answer the goal reached: the goal variables' constants, the
-// goal's frame being the first.
+// goal's frame being the first, written into the ask's substitution.
 func (r *runner) emit() answer {
 	var root *Proof
 	if r.engine.opts.Explain {
 		root = ProofRoot(r.goalAtom.String(), r.g.acc)
 	}
-	sub := make(logic.Subst, len(r.vars))
+	sub := r.answerSub()
 	for i, v := range r.vars {
 		if _, c, ok := r.b.Resolve(i); ok {
 			sub[v] = logic.C(c)
@@ -193,9 +198,21 @@ func (r *runner) emit() answer {
 	return answer{sub: sub, proof: root}
 }
 
+// answerSub is the ask's answer substitution, emptied for the next answer:
+// made at the ask's first.
+func (r *runner) answerSub() logic.Subst {
+	if r.sub == nil {
+		r.sub = make(logic.Subst, len(r.vars))
+	} else {
+		clear(r.sub)
+	}
+	return r.sub
+}
+
 // close closes the streams still open on the choice stack, newest first,
 // ends the session, and gives the runner back to its engine, emptied: its
-// stacks keep their capacity and its query blocks, and nothing of the ask.
+// stacks keep their capacity and its query blocks, and nothing of the ask,
+// not even its answer substitution.
 func (r *runner) close() {
 	for i := len(r.choices) - 1; i >= 0; i-- {
 		if c := &r.choices[i]; c.stream != nil {
@@ -210,7 +227,7 @@ func (r *runner) close() {
 	clear(r.conts)
 	r.choices, r.conts, r.anc = r.choices[:0], r.conts[:0], r.anc[:0]
 	r.b.Undo(logic.Mark{})
-	r.answers, r.built = nil, false
+	r.sub, r.rows, r.built = nil, nil, false
 	r.ctx, r.sh, r.vars, r.session = nil, nil, nil, nil
 	r.g, r.goal, r.goalAtom = cont{}, [1]bodyItem{}, logic.NumAtom{}
 	r.closedAt = r.gcs.read()

@@ -284,7 +284,8 @@ func atomPtrs(as []logic.Atom) []*logic.Atom {
 // TestPooledRunnerKeepsNoTable: an ask's answer tables go with its runner
 // only as storage. An ask of left-linear anc(0, Y) closed after its first
 // answer leaves its tables incomplete; its runner, back with the engine,
-// holds no table, key or answer value, nor does it after a base goal's ask
+// holds no table, key or answer value, and no answer substitution, nor does
+// it after a base goal's ask
 // or after an ask whose leader ran its clauses again, with no read or round
 // mark left, and after an edge is inserted the
 // next ask on the engine answers what the fixpoint derives over the new
@@ -332,6 +333,9 @@ func TestPooledRunnerKeepsNoTable(t *testing.T) {
 			if !v.IsNull() {
 				t.Fatalf("%s: a closed runner's table storage keeps the value %v", goal, v)
 			}
+		}
+		if r.sub != nil {
+			t.Fatalf("%s: a closed runner keeps its answer substitution %v", goal, r.sub)
 		}
 	}
 	keepsNothing("lanc(0, Y)?")

@@ -2,6 +2,7 @@ package ie
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -379,19 +380,23 @@ func TestConcurrentAsksShareShapes(t *testing.T) {
 // TestClosedSolutionsSurviveRunnerReuse: a closed or spent Solutions gives
 // its runner back to the engine and keeps only its variables and its error.
 // Four goroutines ask at once, each closing half its asks after one answer
-// and draining the rest, and then call Next, Err, Close and Vars on every
-// Solutions it has finished while the others' asks run on the runners those
-// gave back: none of them reaches a runner (the race detector would see it),
-// and each says what it said when it was finished.
+// and draining the rest, by All or by Next, and then call Next, Err, Close
+// and Vars on every Solutions it has finished while the others' asks run on
+// the runners those gave back: none of them reaches a runner (the race
+// detector would see it), and each says what it said when it was finished.
+// The answer an ask gave last, held past its end, is not written again by
+// the later asks on its runner: it holds what it held when the ask ended.
 func TestClosedSolutionsSurviveRunnerReuse(t *testing.T) {
 	w := workload.Kinship(1, 40)
 	eng := New(w.KB, kinshipCMS(w), DefaultOptions())
+	type held struct{ sub, was logic.Subst }
 	var wg sync.WaitGroup
 	for k := 0; k < 4; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
 			var done []*Solutions
+			var kept []held
 			for i := 0; i < 40; i++ {
 				goal := fmt.Sprintf(kinshipForms[(i+k)%len(kinshipForms)], fmt.Sprintf("p%03d", 1+(i+k)%6))
 				sol, err := eng.AskText(goal)
@@ -399,11 +404,20 @@ func TestClosedSolutionsSurviveRunnerReuse(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if i%2 == 0 {
-					sol.Next()
+				var last logic.Subst
+				switch i % 4 {
+				case 0, 2:
+					last, _ = sol.Next()
 					sol.Close()
-				} else {
+				case 1:
 					sol.All()
+				case 3:
+					for sub, ok := sol.Next(); ok; sub, ok = sol.Next() {
+						last = sub
+					}
+				}
+				if last != nil {
+					kept = append(kept, held{last, maps.Clone(last)})
 				}
 				done = append(done, sol)
 				for _, d := range done {
@@ -414,6 +428,12 @@ func TestClosedSolutionsSurviveRunnerReuse(t *testing.T) {
 					d.Close()
 					if vars := d.Vars(); len(vars) != 1 {
 						t.Errorf("%s: a finished search has variables %v", goal, vars)
+						return
+					}
+				}
+				for _, h := range kept {
+					if !h.sub.Equal(h.was) {
+						t.Errorf("%s: an answer held from an ended ask changed from %v to %v", goal, h.was, h.sub)
 						return
 					}
 				}
@@ -520,16 +540,18 @@ func TestCachedShapeAllocs(t *testing.T) {
 // advice block, and the session's scratch, with its free streams and their
 // value blocks, its tracker and its follower lists, one an ended session
 // left, so the 51 segments the right-linear search holds open at its deepest
-// cost nothing. What is left is the session's handle, context and cancel
-// function, and the answers (2 each): 105 today. Before the advice, tracker
-// and followers were rebuilt in kept storage, the ask made 115; before
+// cost nothing. Every answer is written into one substitution, the ask's.
+// What is left is the goal's variables and the solutions, the session's
+// handle, context and cancel function, and that substitution (2): 7 today.
+// While each answer was a map of its own (2 each), the ask made 105; before
+// the advice, tracker and followers were rebuilt in kept storage, 115; before
 // runners and session scratch were kept, 334; and before closed hits gave
 // their value blocks back, 688.
 func TestWarmAskAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const n, budget = 50, 105
+	const n, budget = 50, 7
 	kb := mustKB(t, `
 		:- base(e/2).
 		path(X, Y) :- e(X, Y).

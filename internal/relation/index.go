@@ -244,7 +244,8 @@ type ProbeIter struct {
 	cand []int32 // rest of cur's bucket, not yet verified
 	// An index join's (Inner): the rows appended since ix was built and the
 	// rest of them cur has not met, the conditions on the right row alone,
-	// and the count of right rows matched on the join columns.
+	// and the count of right rows read: a bucket's that match on the join
+	// columns, and every tail row.
 	tail, rest []Tuple
 	inner      []Cond
 	read       *int64
@@ -264,9 +265,10 @@ func (p *ProbeIter) Reset(ix *Index, on []int, left Iterator, post []Cond, cols 
 
 // Inner makes the armed p an index join's probe of a stored index, whose
 // extension has grown by tail since the index was built: each left row meets
-// its bucket's rows, then every row of tail, in order. A right row Equal on
-// the join columns adds one to *read, and pairs only if it satisfies every
-// condition of inner, which read it alone.
+// its bucket's rows, then every row of tail, in order. A bucket's row Equal
+// on the join columns, and every tail row as it is read, adds one to *read,
+// as the estimate of a probe counts them; a right row pairs only if it
+// satisfies every condition of inner, which read it alone.
 func (p *ProbeIter) Inner(tail []Tuple, inner []Cond, read *int64) {
 	p.tail, p.inner, p.read = tail, inner, read
 }
@@ -275,14 +277,15 @@ func (p *ProbeIter) Inner(tail []Tuple, inner []Cond, read *int64) {
 func (p *ProbeIter) Next() (Tuple, bool) {
 	for {
 		for i, pos := range p.cand {
-			if t, ok := p.pair(p.ix.tuples[pos]); ok {
+			if t, ok := p.pair(p.ix.tuples[pos], true); ok {
 				p.cand = p.cand[i+1:]
 				return t, true
 			}
 		}
 		p.cand = nil
 		for i, r := range p.rest {
-			if t, ok := p.pair(r); ok {
+			*p.read++ // only Inner sets a tail
+			if t, ok := p.pair(r, false); ok {
 				p.rest = p.rest[i+1:]
 				return t, true
 			}
@@ -295,13 +298,17 @@ func (p *ProbeIter) Next() (Tuple, bool) {
 	}
 }
 
-// pair returns the row cur and r make, when r joins cur.
-func (p *ProbeIter) pair(r Tuple) (Tuple, bool) {
+// pair returns the row cur and r make, when r joins cur. An index join's
+// bucket row is charged once it matches on the join columns; a tail row was
+// charged as it was read.
+func (p *ProbeIter) pair(r Tuple, bucket bool) (Tuple, bool) {
 	if !equalOn(p.cur, p.on, r, p.ix.cols) {
 		return nil, false
 	}
 	if p.read != nil {
-		*p.read++
+		if bucket {
+			*p.read++
+		}
 		if !EvalAll(p.inner, r) {
 			return nil, false
 		}

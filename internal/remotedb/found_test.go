@@ -108,3 +108,65 @@ func TestRangeEstimateIsOneInterval(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexJoinChargesItsTail: an index join reads, for each outer row, its
+// bucket of the stored index and then every row appended since the index was
+// built, and charges each tail row it reads, whether or not it matches on
+// the join key, as the probe's estimate counts it. Four outer rows probe a
+// 64-row index of unique keys, each matching one bucket row, and a 6-row
+// tail holding one more match: the join examines 4 + 4·6 rows, and its
+// EXPLAIN ANALYZE line reads that plus its 4 outer rows, 32 ops, and the
+// statement's 41. While only the tail's matches were charged, they read 9
+// and 18.
+func TestIndexJoinChargesItsTail(t *testing.T) {
+	const indexed, outer = 64, 4
+	e := remotedb.NewEngine()
+	exec := func(sql string) {
+		t.Helper()
+		if _, _, err := e.ExecuteSQL(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec("CREATE TABLE a (k INT)")
+	exec("INSERT INTO a VALUES (1), (2), (3), (4)")
+	exec("CREATE TABLE b (k INT, v INT)")
+	var rows []string
+	for i := 0; i < indexed; i++ {
+		rows = append(rows, fmt.Sprintf("(%d, %d)", i, 10*i))
+	}
+	exec("INSERT INTO b VALUES " + strings.Join(rows, ", "))
+	if err := e.CreateIndex("b", []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	tail := []string{"(2, 1000)", "(100, 0)", "(101, 0)", "(102, 0)", "(103, 0)", "(104, 0)"}
+	exec("INSERT INTO b VALUES " + strings.Join(tail, ", "))
+
+	const sql = "SELECT a.k, b.v FROM a, b WHERE a.k = b.k"
+	rel, ops, err := e.ExecuteSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Len() != outer+1 {
+		t.Fatalf("%s: %d rows, want %d", sql, rel.Len(), outer+1)
+	}
+	plan, analyzeOps, err := e.ExecuteSQL("EXPLAIN ANALYZE " + sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var join string
+	for _, l := range plan.Tuples() {
+		if s := l[0].AsString(); strings.Contains(s, "index join") {
+			join = s
+		}
+	}
+	examined := outer + outer*len(tail)
+	want := fmt.Sprintf("ops %d,", examined+outer)
+	if !strings.Contains(join, "probe b via index(k)") || !strings.Contains(join, want) {
+		t.Errorf("%s: the index join's line is %q, want one probing index(k) with %q", sql, join, want)
+	}
+	// The outer rows are charged as the scan examines them and as the join
+	// reads them, and the projection charges a row each.
+	if wantOps := int64(2*outer + examined + rel.Len()); ops != wantOps || analyzeOps != ops {
+		t.Errorf("%s: %d ops, EXPLAIN ANALYZE %d, want %d", sql, ops, analyzeOps, wantOps)
+	}
+}

@@ -504,8 +504,9 @@ func (n *joinNode) open(run *planRun, keep bool) relation.Iterator {
 // openCols probes, for an index join, the stored index its right scan bound;
 // on a worker's run, the index the stream's own run built for the pool (so
 // the build side is not opened here); and otherwise builds from the right
-// input, which the build keeps. An index join charges each row its probe
-// matches on the join columns as one op, as the scan it replaces would. The
+// input, which the build keeps. An index join charges one op for each row of
+// a bucket its probe matches on the join columns, and for each row of the
+// unindexed tail it reads, as the optimizer's probe estimate counts them. The
 // join writes each accepted row as the cols projection of left ++ right, or,
 // with cols nil, as the concatenation itself, into the run's arena when keep
 // is set.
