@@ -116,6 +116,11 @@ type CMS struct {
 
 	// idle holds the scratch ended sessions left for later ones.
 	idle sync.Pool
+
+	// recalled, when set, sees every query a shape memo entry is about to
+	// answer, with the entry bound to it: FuzzShapeMemo holds the entry to a
+	// fresh plan there. Nothing sets it outside the package's tests.
+	recalled func(s *Session, q *caql.Query, ent *memoEntry)
 }
 
 var _ bridge.DataSource = (*CMS)(nil)
@@ -316,6 +321,12 @@ type scratch struct {
 	deriv subsume.DerivationBlock
 	cands []*Element
 	rows  []relation.Tuple
+	// shape holds the shape key of the query being answered, and memo the
+	// shapes the session has planned (memo.go), emptied at End with their
+	// storage kept.
+	shape    []byte
+	memo     []*memoEntry
+	memoNext int
 	// freeStreams is the stream pool of the session that ended last.
 	freeStreams bridge.StreamPool
 	// follower is the block prefetch instantiates each follower into.
@@ -365,7 +376,7 @@ func (s *Session) End() {
 	s.waitPrefetches()
 	s.pmu.Lock()
 	for _, e := range s.private {
-		e.publish()
+		s.cms.mgr.publish(e)
 	}
 	s.pmu.Unlock()
 	s.cms.mgr.UnregisterPredictor(s.id)
@@ -378,6 +389,7 @@ func (s *Session) End() {
 		sc.tracker = nil
 	}
 	clear(sc.genSeen)
+	sc.forgetMemo()
 	clear(sc.followers)
 	clear(sc.followerNames)
 	sc.followerNames = sc.followerNames[:0]

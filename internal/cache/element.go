@@ -47,6 +47,11 @@ type Element struct {
 	// filters on and what derivations from this element start from. Like Def
 	// and canon it is bookkeeping, not charged to the byte budget.
 	sig *subsume.Prepared
+	// key is the signature-index key the element is filed under (filingKey),
+	// set by Manager.Insert; filing is where it stands in that index, read
+	// and written under the key's shard lock.
+	key    uint64
+	filing uint8
 
 	ext  *relation.Relation
 	size int64 // ext's bytes

@@ -127,10 +127,12 @@ func TestIndexSupersetOfFullScan(t *testing.T) {
 }
 
 // checkIndexFilesResident walks every bucket of every shard: the index must
-// file exactly the resident elements, each once, and keep no empty bucket.
+// file exactly the resident elements, each once, in the shard of its key,
+// keep no empty bucket, and count in Manager.filed what it files.
 func checkIndexFilesResident(t *testing.T, m *Manager) {
 	t.Helper()
 	filed := map[int]bool{}
+	var counts [filedSlots]int32
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
@@ -138,6 +140,10 @@ func checkIndexFilesResident(t *testing.T, m *Manager) {
 			if len(bucket) == 0 {
 				t.Fatalf("empty bucket %x left in the index", k)
 			}
+			if k%numShards != uint64(i) {
+				t.Fatalf("bucket %x is in shard %d, not its key's", k, i)
+			}
+			counts[k%filedSlots] += int32(len(bucket))
 			for _, e := range bucket {
 				if filed[e.ID] {
 					t.Fatalf("E%d is filed twice", e.ID)
@@ -146,6 +152,11 @@ func checkIndexFilesResident(t *testing.T, m *Manager) {
 			}
 		}
 		s.mu.RUnlock()
+	}
+	for i := range counts {
+		if got := m.filed[i].Load(); got != counts[i] {
+			t.Fatalf("filed slot %d counts %d elements, the index files %d there", i, got, counts[i])
+		}
 	}
 	all := m.Elements()
 	if len(filed) != len(all) {

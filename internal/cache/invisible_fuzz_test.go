@@ -101,6 +101,9 @@ type invisibleCase struct {
 	seed   int64  // the tables' data
 	off    uint16 // features switched off, one bit each, in the order features lists them
 	steps  [][4]byte
+	// memo holds every shape memo hit to a fresh plan (FuzzShapeMemo); it
+	// is not read from the input.
+	memo bool
 }
 
 // invisibleHeader is the number of input bytes before the steps: flags,
@@ -267,6 +270,8 @@ type invisibleRun struct {
 	// mixedKind counts the answers whose schema took the latitude
 	// schemaAgrees grants a variable read from an int and a float column.
 	mixedKind int
+	// memo is what the run's shape memo met, when the case watches it.
+	memo memoReach
 }
 
 // runInvisible runs c's script, unbounded and then, with a budget, under it,
@@ -298,6 +303,7 @@ type invisibleWorld struct {
 	hist   []*caql.Query // the queries asked, in order
 	rng    *rand.Rand
 	res    invisibleRun
+	memo   *memoWatch // nil unless the case watches the shape memo
 }
 
 // breakerCooldown is how long the breaker stays open after the remote
@@ -350,6 +356,10 @@ func runInvisibleWorld(t *testing.T, c invisibleCase, cacheBytes int64) invisibl
 	}
 	w.s = w.cms.BeginSession(adv).(*Session)
 	defer w.s.End()
+	if c.memo {
+		w.memo = &memoWatch{w: w, last: map[string]memoMark{}}
+		w.cms.recalled = w.memo.recalled
+	}
 	w.res.verdicts = map[string]int{}
 	for i, st := range c.steps {
 		w.step(i, st)
@@ -686,7 +696,9 @@ func (w *invisibleWorld) ask(q *caql.Query, pull int, write func() error) {
 	w.tracer.Reset()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	w.memo.before()
 	st, err := w.s.QueryCtx(ctx, q)
+	w.memo.after(q)
 	if err != nil {
 		w.failed(q, err, werr, pull >= 0)
 		w.checkCounts(q, counts)

@@ -15,12 +15,17 @@ import (
 // elements (LRU modified by advice), tracks resources, and maintains the
 // cache model. It is safe for concurrent use by many sessions.
 //
-// Concurrency design: the store is split into numShards shards keyed by the
-// FNV hash of an element definition's canonical form. Each shard holds the
-// elements homed there plus that shard's slice of the signature index, under
-// its own RWMutex — lookups (ExactMatch, CandidatesFor) take read locks only,
-// so concurrent sessions probing the cache never serialize; insert/remove
-// take one shard's write lock. Touch is entirely atomic (no lock). Budget
+// Concurrency design: the store is split into numShards shards. An element
+// is homed in the shard of the FNV hash of its definition's canonical form,
+// and filed in the signature index in the shard of its index key (sigKey), so
+// one element may touch two shards. Each shard has its own RWMutex — lookups
+// (ExactMatch, CandidatesFor) take read locks only, and a probe takes one
+// read lock per distinct shard among its keys, so concurrent sessions probing
+// the cache never serialize; insert and remove take the home shard's write
+// lock and then the key shard's, one after the other, never both at once.
+// An element is filed once and unfiled once (Element.filing, under the key
+// shard's lock), so an eviction that unfiles an element between its insert's
+// two steps leaves nothing behind. Touch is entirely atomic (no lock). Budget
 // eviction is the one global operation: it serializes on evictMu and takes
 // shard locks one at a time, never holding two at once.
 //
@@ -38,6 +43,11 @@ import (
 // resident; what a probe does walk — constant-free definitions (whole
 // relations, ranges) and the elements pinning one of the query's own
 // constants — it walks with subsume.MayDerive, which allocates nothing.
+//
+// Every change to what a probe could find or choose — an insert, a publish,
+// an eviction, a removal, an index build (which changes an element's size) —
+// moves the generation, once it is made. A session's shape memo (memo.go)
+// serves only while the generation it was planned under stands.
 type Manager struct {
 	budget int64
 	shards [numShards]managerShard
@@ -45,6 +55,13 @@ type Manager struct {
 	nextID  atomic.Int64
 	tick    atomic.Int64
 	evicted atomic.Int64
+	gen     atomic.Uint64
+
+	// filed counts the elements filed under each signature-index key, by
+	// the key's value modulo filedSlots; keys that share a slot share a
+	// count. A shape memo asks it, without a lock, whether a probe for a
+	// query's constants could find anything.
+	filed [filedSlots]atomic.Int32
 
 	// evictMu serializes budget-eviction sweeps.
 	evictMu sync.Mutex
@@ -59,15 +76,27 @@ type Manager struct {
 
 const numShards = 16
 
+const filedSlots = 1024
+
 type managerShard struct {
 	mu       sync.RWMutex
-	elements map[int]*Element
+	elements map[int]*Element    // the elements homed here
 	byCanon  map[string]*Element // exact-match result cache index
-	// bySig is the signature index: sigKey hash → the elements filed under
-	// it. Distinct keys that collide share a bucket, which costs a probe a
-	// few more MayDerive calls and nothing else.
+	// bySig is this shard's part of the signature index: sigKey hash → the
+	// elements filed under it, for the keys homed here. Distinct keys that
+	// collide share a bucket, which costs a probe a few more MayDerive calls
+	// and nothing else.
 	bySig map[uint64][]*Element
 }
+
+// Element.filing states: an element is filed in the signature index once,
+// by its insert, and unfiled once, by its removal; an element unfiled before
+// its insert files it is never filed.
+const (
+	unfiledYet uint8 = iota
+	filedNow
+	unfiledForGood
+)
 
 // sigKey hashes an index key: an atom's relation and arity, and either one
 // constant position with its value or pos < 0 for "no constant". Value.Hash
@@ -123,6 +152,56 @@ func NewManager(budget int64) *Manager {
 
 func (m *Manager) shardFor(canon string) *managerShard {
 	return &m.shards[shardIndex(canon)]
+}
+
+// keyShard is the shard that holds index key k's bucket.
+func (m *Manager) keyShard(k uint64) *managerShard { return &m.shards[k%numShards] }
+
+// generation is the count of changes made to what a probe could find or
+// choose (see Manager).
+func (m *Manager) generation() uint64 { return m.gen.Load() }
+
+// mayFile reports whether an element may be filed under key k: false means
+// no element is.
+func (m *Manager) mayFile(k uint64) bool { return m.filed[k%filedSlots].Load() != 0 }
+
+// file files e in the signature index under its key, unless its removal has
+// unfiled it already.
+func (m *Manager) file(e *Element) {
+	s := m.keyShard(e.key)
+	s.mu.Lock()
+	if e.filing == unfiledYet {
+		s.bySig[e.key] = append(s.bySig[e.key], e)
+		m.filed[e.key%filedSlots].Add(1)
+		e.filing = filedNow
+	}
+	s.mu.Unlock()
+}
+
+// unfile takes e out of the signature index for good.
+func (m *Manager) unfile(e *Element) {
+	s := m.keyShard(e.key)
+	s.mu.Lock()
+	if e.filing == filedNow {
+		list := s.bySig[e.key]
+		if i := slices.Index(list, e); i >= 0 {
+			list = slices.Delete(list, i, i+1)
+		}
+		if len(list) == 0 {
+			delete(s.bySig, e.key) // constants come and go; empty buckets must not pile up
+		} else {
+			s.bySig[e.key] = list
+		}
+		m.filed[e.key%filedSlots].Add(-1)
+	}
+	e.filing = unfiledForGood
+	s.mu.Unlock()
+}
+
+// publish makes e visible to every session.
+func (m *Manager) publish(e *Element) {
+	e.publish()
+	m.gen.Add(1)
 }
 
 // RegisterPredictor installs a session's advice-driven replacement predictor.
@@ -192,17 +271,22 @@ func (m *Manager) Insert(e *Element) (stored bool) {
 		return false
 	}
 	e.lastUse.Store(m.tick.Add(1))
+	e.key = filingKey(e.Def)
 
 	s := m.shardFor(e.canon)
 	s.mu.Lock()
-	if old, ok := s.byCanon[e.canon]; ok {
+	old := s.byCanon[e.canon]
+	if old != nil {
 		s.removeLocked(old)
 	}
 	s.elements[e.ID] = e
 	s.byCanon[e.canon] = e
-	k := filingKey(e.Def)
-	s.bySig[k] = append(s.bySig[k], e)
 	s.mu.Unlock()
+	if old != nil {
+		m.unfile(old)
+	}
+	m.file(e)
+	m.gen.Add(1)
 
 	if m.budget > 0 {
 		m.ensureSpace()
@@ -251,44 +335,42 @@ func (m *Manager) ensureSpace() {
 		if victim == nil {
 			return
 		}
-		s := m.shardFor(victim.canon)
-		s.mu.Lock()
-		if _, still := s.elements[victim.ID]; still {
-			s.removeLocked(victim)
+		if m.remove(victim) {
 			m.evicted.Add(1)
 		}
-		s.mu.Unlock()
 	}
 }
 
+// removeLocked takes e out of its home shard s, whose write lock the caller
+// holds.
 func (s *managerShard) removeLocked(e *Element) {
 	delete(s.elements, e.ID)
 	if cur, ok := s.byCanon[e.canon]; ok && cur.ID == e.ID {
 		delete(s.byCanon, e.canon)
 	}
-	k := filingKey(e.Def)
-	list := s.bySig[k]
-	if i := slices.Index(list, e); i >= 0 {
-		list = slices.Delete(list, i, i+1)
+}
+
+// remove takes e out of the cache, holding one shard lock at a time, and
+// reports whether it was still resident.
+func (m *Manager) remove(e *Element) bool {
+	s := m.shardFor(e.canon)
+	s.mu.Lock()
+	_, still := s.elements[e.ID]
+	if still {
+		s.removeLocked(e)
 	}
-	if len(list) == 0 {
-		delete(s.bySig, k) // constants come and go; empty buckets must not pile up
-	} else {
-		s.bySig[k] = list
+	s.mu.Unlock()
+	if still {
+		m.unfile(e)
+		m.gen.Add(1)
 	}
+	return still
 }
 
 // Remove evicts one element immediately (a no-op if it is already gone): the
 // QPO's stale-epoch invalidation path, which must unlink a view before
 // refetching so no later lookup can serve it.
-func (m *Manager) Remove(e *Element) {
-	s := m.shardFor(e.canon)
-	s.mu.Lock()
-	if _, still := s.elements[e.ID]; still {
-		s.removeLocked(e)
-	}
-	s.mu.Unlock()
-}
+func (m *Manager) Remove(e *Element) { m.remove(e) }
 
 // Touch records a use of the element for LRU purposes. It is lock-free.
 func (m *Manager) Touch(e *Element) {
@@ -328,8 +410,8 @@ func (m *Manager) CandidatesFor(q *caql.Query) []*Element {
 // pass subsume.MayDerive — a superset of those subsume.Match accepts. It
 // reads the signature index (see Manager), so its cost follows the number of
 // constant-free definitions over q's relations, not the number of elements
-// resident. Every shard is probed under a read lock, so concurrent lookups
-// proceed in parallel.
+// resident. Each shard that holds one of q's keys is read under a read lock,
+// so concurrent lookups proceed in parallel.
 func (m *Manager) CandidatesForSession(q *subsume.Prepared, sid int64) []*Element {
 	return m.appendCandidates(nil, q, sid)
 }
@@ -355,10 +437,19 @@ func (m *Manager) appendCandidates(dst []*Element, q *subsume.Prepared, sid int6
 		}
 	}
 	out := dst
-	for i := range m.shards {
-		s := &m.shards[i]
+	var read [numShards]bool
+	for i, k := range keys {
+		si := k % numShards
+		if read[si] {
+			continue
+		}
+		read[si] = true
+		s := &m.shards[si]
 		s.mu.RLock()
-		for _, k := range keys {
+		for _, k := range keys[i:] {
+			if k%numShards != si {
+				continue
+			}
 			for _, e := range s.bySig[k] {
 				if e.visibleTo(sid) && subsume.MayDerive(e.sig, q) {
 					out = append(out, e)

@@ -177,7 +177,7 @@ func (s *Session) publishReady() {
 	kept := s.private[:0]
 	for _, e := range s.private {
 		if e.readyAtSim <= s.simNow {
-			e.publish()
+			s.cms.mgr.publish(e)
 		} else {
 			kept = append(kept, e)
 		}

@@ -162,12 +162,7 @@ func (s *Session) dispatch(ctx context.Context, q *caql.Query) (*bridge.Stream, 
 		s.tracker.Observe(name)
 	}
 
-	// The query's prepared form and canonical form are computed here, once,
-	// for every lookup and insert the planning steps make, into the
-	// session's scratch. A string of the canonical form is made only where
-	// one is kept.
-	s.canon = q.AppendCanonical(s.canon[:0])
-	stream, err := s.answer(ctx, subsume.PrepareInto(&s.prep, q), s.canon, vs)
+	stream, err := s.answer(ctx, q, vs)
 	if err != nil {
 		return nil, err
 	}
@@ -181,10 +176,22 @@ func (s *Session) dispatch(ctx context.Context, q *caql.Query) (*bridge.Stream, 
 	return stream, nil
 }
 
-// answer plans the query, given prepared and in canonical form, executes the
+// answer plans the query, or recalls the plan of its shape, executes the
 // plan, and counts the answer once it is made.
-func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon []byte, vs *advice.ViewSpec) (*bridge.Stream, error) {
-	v, err := s.plan(ctx, pq, canon, vs)
+func (s *Session) answer(ctx context.Context, q *caql.Query, vs *advice.ViewSpec) (*bridge.Stream, error) {
+	at := s.stamp()
+	if ent := s.recall(q, at); ent != nil {
+		if s.cms.recalled != nil {
+			s.cms.recalled(s, q, ent)
+		}
+		return s.answerRecalled(ctx, q, vs, ent)
+	}
+	// The query's prepared form and canonical form are computed here, once,
+	// for every lookup and insert the planning steps make, into the
+	// session's scratch. A string of the canonical form is made only where
+	// one is kept.
+	s.canon = q.AppendCanonical(s.canon[:0])
+	v, err := s.plan(ctx, subsume.PrepareInto(&s.prep, q), s.canon, vs)
 	if err != nil {
 		return nil, err
 	}
@@ -192,14 +199,38 @@ func (s *Session) answer(ctx context.Context, pq *subsume.Prepared, canon []byte
 	var stream *bridge.Stream
 	switch v.kind {
 	case exact, subsumed, generalized:
-		stream, err = s.serveFromElement(v.e, v.d, pq.Query, vs)
+		schema := s.schemaOf(q, v.e, v.d)
+		s.remember(q, at, &v, schema)
+		stream, err = s.serveFromElement(v.e, v.d, schema, vs)
 	case covered, partial:
-		stream, err = s.answerDecomposition(ctx, pq.Query, canon, vs, v.dec)
+		stream, err = s.answerDecomposition(ctx, q, s.canon, vs, v.dec)
 	default:
-		stream, err = s.answerRemote(ctx, pq.Query, canon, vs)
+		stream, err = s.answerRemote(ctx, q, s.canon, vs)
 	}
 	if err == nil {
 		s.cms.count(&v)
+	}
+	return stream, err
+}
+
+// answerRecalled answers q from its shape's memo entry, as answer does the
+// fresh plan the entry stands for.
+func (s *Session) answerRecalled(ctx context.Context, q *caql.Query, vs *advice.ViewSpec, ent *memoEntry) (*bridge.Stream, error) {
+	if err := bridge.CtxError(ctx); err != nil {
+		return nil, err
+	}
+	c := s.cms
+	v := verdict{kind: ent.kind, degraded: !c.rdi.Available(), e: ent.e, d: ent.d}
+	_, sp := c.tracer.Start(ctx, "cms.memo")
+	sp.Set("hit", kindNames[v.kind])
+	sp.End()
+	obs.SpanFromContext(ctx).Set("answer", kindNames[v.kind])
+	if !fitsSchema(ent.schema, q, v.d, v.e) {
+		ent.schema = v.e.servedSchema(q, v.d)
+	}
+	stream, err := s.serveFromElement(v.e, v.d, ent.schema, vs)
+	if err == nil {
+		c.count(&v)
 	}
 	return stream, err
 }
@@ -456,11 +487,12 @@ func (r *remoteStreamIter) Err() error {
 	return liftCtxErr(r.fs.Err())
 }
 
-// serveFromElement answers q from a cached element through a derivation,
-// choosing lazy (generator) or eager representation per advice (Section
-// 5.3.3's guideline: strict producers evaluate lazily; consumer-annotated
-// queries evaluate eagerly with indexes).
-func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, q *caql.Query, vs *advice.ViewSpec) (*bridge.Stream, error) {
+// serveFromElement answers a query from a cached element through a
+// derivation, under the query's output schema, choosing lazy (generator) or
+// eager representation per advice (Section 5.3.3's guideline: strict
+// producers evaluate lazily; consumer-annotated queries evaluate eagerly with
+// indexes).
+func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, schema *relation.Schema, vs *advice.ViewSpec) (*bridge.Stream, error) {
 	c := s.cms
 	c.mgr.Touch(e)
 	if rem := s.readyRemainder(e); rem > 0 {
@@ -469,7 +501,6 @@ func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, q *caql.Qu
 		// the owner's clock passing readyAtSim.)
 		s.advance(rem)
 	}
-	schema := e.servedSchema(q, d)
 
 	lazy := c.opts.Features.Lazy && vs != nil && vs.StrictProducer()
 	if lazy {
@@ -513,6 +544,7 @@ func (s *Session) derivedRows(e *Element, d *subsume.Derivation) (rows []relatio
 			ix, built := e.indexBuilt(cond.Left, s.shouldIndex(e, cond.Left))
 			if built {
 				c.stats.IndexBuilds.Add(1)
+				c.mgr.gen.Add(1) // e grew: the smallest element may be another now
 			}
 			if ix != nil {
 				s.rows = ix.AppendLookup(s.rows[:0], []relation.Value{cond.Const})

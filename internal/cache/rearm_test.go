@@ -55,10 +55,11 @@ func rearm(t *testing.T, adv string, warm func(cms *CMS, s *Session), check func
 // TestRearmedSessionForgets: a session that borrows an ended session's
 // scratch keeps its buffers and nothing else. The ended session observed
 // queries until its tracker was lost, memoised a follower, counted a sibling
-// instance for generalization, issued a prefetch and moved its clock. The
-// new session has its own ID and clock, a tracker that predicts what a fresh
-// one predicts, the replacement predictor reading that tracker under its own
-// ID, and empty memos, counts and prefetch sets.
+// instance for generalization, issued a prefetch, memoised a shape and moved
+// its clock. The new session has its own ID and clock, a tracker that
+// predicts what a fresh one predicts, the replacement predictor reading that
+// tracker under its own ID, and empty memos (its shape memo's kept entries
+// pointing at nothing), counts and prefetch sets.
 func TestRearmedSessionForgets(t *testing.T) {
 	rearm(t, example1Advice, func(cms *CMS, s *Session) {
 		drainQ(t, s, `d1(Y) :- b1("a", Y)`)
@@ -66,18 +67,25 @@ func TestRearmedSessionForgets(t *testing.T) {
 		drainQ(t, s, `g("a", Y) :- b1("a", Y)`)               // outside the path: the tracker is lost, g counted
 		prefetched := cms.Stats().Prefetches                  // g waited the prefetch in
 		lost := predicted(s.tracker, 8, example1Views) == nil // a lost tracker predicts nothing
-		if prefetched == 0 || len(s.followers) == 0 || len(s.genSeen) == 0 || !lost || s.simNow == 0 {
-			t.Fatalf("the first session left nothing to forget: %d prefetches, followers %v, counts %v, lost %v, clock %v",
-				prefetched, s.followers, s.genSeen, lost, s.simNow)
+		drainQ(t, s, `all(X, Y) :- b1(X, Y)`)
+		drainQ(t, s, `h(Y) :- b1("b", Y)`) // subsumed: its shape memoised
+		if prefetched == 0 || len(s.followers) == 0 || len(s.genSeen) == 0 || !lost || s.simNow == 0 || len(s.memo) == 0 {
+			t.Fatalf("the first session left nothing to forget: %d prefetches, followers %v, counts %v, lost %v, clock %v, %d shapes",
+				prefetched, s.followers, s.genSeen, lost, s.simNow, len(s.memo))
 		}
 	}, func(cms *CMS, ended, s *Session) {
 		if s.id == ended.id || s.simNow != 0 || s.queries != 0 || s.callerCtx != nil || s.ctx.Err() != nil {
 			t.Fatalf("the new session took the ended one's ID, clock or context: id %d (was %d), clock %v, %d queries",
 				s.id, ended.id, s.simNow, s.queries)
 		}
-		if len(s.genSeen) != 0 || len(s.followers) != 0 || len(s.inflight) != 0 || len(s.private) != 0 {
-			t.Fatalf("the new session starts with counts %v, followers %v, prefetches %v and private elements %v",
-				s.genSeen, s.followers, s.inflight, s.private)
+		if len(s.genSeen) != 0 || len(s.followers) != 0 || len(s.inflight) != 0 || len(s.private) != 0 || len(s.memo) != 0 {
+			t.Fatalf("the new session starts with counts %v, followers %v, prefetches %v, private elements %v and %d shapes",
+				s.genSeen, s.followers, s.inflight, s.private, len(s.memo))
+		}
+		for _, ent := range s.memo[:cap(s.memo)] {
+			if ent != nil && (ent.e != nil || ent.d != nil || ent.schema != nil) {
+				t.Fatalf("the new session's kept shape storage holds element %v", ent.e)
+			}
 		}
 		var fresh advice.Tracker
 		fresh.Reset(advice.MustParse(example1Advice).Path)

@@ -398,7 +398,7 @@ func TestRecursionAncestor(t *testing.T) {
 		{"tree", caql.MapSource{"e": tree}, logic.CStr("a"), 5, 9},
 		{"chain", chain, logic.CInt(0), n, n * (n + 1) / 2},
 	} {
-		want, _, err := naiveBottomUp(mustKB(t, program+"anc(X, Y) :- anc(X, Z), e(Z, Y)."), data.src, []logic.PredRef{anc})
+		want, err := naiveBottomUp(mustKB(t, program+"anc(X, Y) :- anc(X, Z), e(Z, Y)."), data.src, []logic.PredRef{anc})
 		if err != nil {
 			t.Fatal(err)
 		}

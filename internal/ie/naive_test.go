@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,13 +64,19 @@ func distinctTuples(t *testing.T, sol *Solutions) *relation.Relation {
 	return ans
 }
 
-// naiveBottomUp is the reference fixpoint is held to: naive evaluation. Each
-// round re-runs every rule whose body reads a predicate that grew in the
-// round before over that predicate's whole extension, and deduplicates
-// in a TupleSet, until no extension grows. It returns the derived
-// extensions and the number of tuples the rule bodies produced.
-func naiveBottomUp(kb *logic.KB, base caql.RelationSource, roots []logic.PredRef) (map[logic.PredRef]*relation.Relation, int, error) {
+// naiveBottomUp is the reference caql.Fixpoint and every strategy are held
+// to: bottom-up evaluation of the clauses reachable from roots, written here
+// without caql. It is semi-naive: the first round runs every rule over the
+// base relations, and each later round runs a rule once for each body atom
+// over a predicate that grew in the round before, that atom reading only the
+// tuples new in that round and the others their extensions so far, until no
+// extension grows. A body is joined atom by atom, the atom reading new
+// tuples first, each atom probed through a hash index on the columns its
+// constants and the atoms before it bind, and each comparison checked once
+// its variables are bound. It returns the derived extensions.
+func naiveBottomUp(kb *logic.KB, base caql.RelationSource, roots []logic.PredRef) (map[logic.PredRef]*relation.Relation, error) {
 	reach := make(map[logic.PredRef]bool)
+	var rules []logic.Clause
 	var visit func(ref logic.PredRef)
 	visit = func(ref logic.PredRef) {
 		if reach[ref] || kb.IsBase(ref) {
@@ -77,6 +84,7 @@ func naiveBottomUp(kb *logic.KB, base caql.RelationSource, roots []logic.PredRef
 		}
 		reach[ref] = true
 		for _, c := range kb.Rules(ref) {
+			rules = append(rules, c)
 			for _, a := range c.Body {
 				if !a.IsComparison() {
 					visit(a.Ref())
@@ -98,57 +106,245 @@ func naiveBottomUp(kb *logic.KB, base caql.RelationSource, roots []logic.PredRef
 		derived[ref] = relation.New(ref.Name, relation.NewSchema(attrs...))
 		seen[ref] = relation.NewTupleSet(0)
 	}
-	src := overlaySource{base: base, derived: derived}
-
-	changed := reach
-	produced := 0
-	for round := 0; len(changed) > 0; round++ {
-		next := make(map[logic.PredRef]bool)
-		for ref := range reach {
-			for _, c := range kb.Rules(ref) {
-				if round > 0 && !bodyTouches(c, changed) {
-					continue
+	ev := &bottomUp{derived: derived, base: base, indexes: map[indexKey]map[uint64][]relation.Tuple{}}
+	for round := 0; round == 0 || len(ev.delta) > 0; round++ {
+		next := make(map[logic.PredRef][]relation.Tuple)
+		emit := func(ref logic.PredRef, t relation.Tuple) {
+			if !seen[ref].Contains(t) {
+				t = t.Clone()
+				seen[ref].Add(t)
+				next[ref] = append(next[ref], t)
+			}
+		}
+		for _, c := range rules {
+			if round == 0 {
+				if err := ev.run(c, -1, emit); err != nil {
+					return nil, err
 				}
-				it, _, err := caql.EvalLazy(caql.NewQuery(c.Head, c.Body), src)
-				if err != nil {
-					return nil, 0, fmt.Errorf("ie: rule %s: %w", c, err)
-				}
-				for tu, ok := it.Next(); ok; tu, ok = it.Next() {
-					produced++
-					if seen[ref].Add(tu) {
-						derived[ref].MustAppend(tu)
-						next[ref] = true
+				continue
+			}
+			for i, a := range c.Body {
+				if !a.IsComparison() && len(ev.delta[a.Ref()]) > 0 {
+					if err := ev.run(c, i, emit); err != nil {
+						return nil, err
 					}
 				}
 			}
 		}
-		changed = next
+		for ref, ts := range next {
+			for _, t := range ts {
+				derived[ref].MustAppend(t)
+			}
+		}
+		ev.delta, ev.indexes = next, map[indexKey]map[uint64][]relation.Tuple{}
 	}
-	return derived, produced, nil
+	return derived, nil
 }
 
-func bodyTouches(c logic.Clause, changed map[logic.PredRef]bool) bool {
-	for _, a := range c.Body {
-		if !a.IsComparison() && changed[a.Ref()] {
-			return true
+// bottomUp is naiveBottomUp's state within a round: the extensions so far,
+// the tuples the round before added, and the indexes built in the round.
+type bottomUp struct {
+	derived map[logic.PredRef]*relation.Relation
+	delta   map[logic.PredRef][]relation.Tuple
+	base    caql.RelationSource
+	indexes map[indexKey]map[uint64][]relation.Tuple
+}
+
+// indexKey names an index: a relation's extension or its new tuples, on a
+// set of columns.
+type indexKey struct {
+	ref   logic.PredRef
+	delta bool
+	cols  string
+}
+
+// run joins c's body, the atom at position from reading only the new tuples
+// of its predicate (none when from < 0), and emits the head of every match,
+// in a tuple it reuses.
+func (ev *bottomUp) run(c logic.Clause, from int, emit func(logic.PredRef, relation.Tuple)) error {
+	order := make([]int, 0, len(c.Body))
+	if from >= 0 {
+		order = append(order, from)
+	}
+	for i, a := range c.Body {
+		if i != from && !a.IsComparison() {
+			order = append(order, i)
 		}
 	}
-	return false
-}
-
-// overlaySource resolves derived relations from the extensions in progress
-// and every other relation through base.
-type overlaySource struct {
-	base    caql.RelationSource
-	derived map[logic.PredRef]*relation.Relation
-}
-
-// RelationExtension implements caql.RelationSource.
-func (o overlaySource) RelationExtension(name string, arity int) (*relation.Relation, error) {
-	if r, ok := o.derived[logic.PredRef{Name: name, Arity: arity}]; ok {
-		return r, nil
+	// Each variable gets a slot in env as the join first binds it; an
+	// operand reads a slot, or is a constant when its slot is -1.
+	slot := map[string]int{}
+	operand := func(t logic.Term) bottomUpOperand {
+		if t.IsConst() {
+			return bottomUpOperand{slot: -1, c: t.Const}
+		}
+		return bottomUpOperand{slot: slot[t.Var]}
 	}
-	return o.base.RelationExtension(name, arity)
+	done := make([]bool, len(c.Body))
+	tests := func() []bottomUpTest { // the comparisons bound by now, not yet checked
+		var out []bottomUpTest
+	cmps:
+		for j, b := range c.Body {
+			if !b.IsComparison() || done[j] {
+				continue
+			}
+			for _, t := range b.Args {
+				if _, ok := slot[t.Var]; t.IsVar() && !ok {
+					continue cmps
+				}
+			}
+			done[j] = true
+			out = append(out, bottomUpTest{op: b.CmpOp(), l: operand(b.Args[0]), r: operand(b.Args[1])})
+		}
+		return out
+	}
+	pre := tests()
+	var steps []bottomUpStep
+	for _, i := range order {
+		a := c.Body[i]
+		var st bottomUpStep
+		var cols []int
+		for p, t := range a.Args {
+			if _, ok := slot[t.Var]; t.IsConst() || ok {
+				cols, st.key = append(cols, p), append(st.key, operand(t))
+			}
+		}
+		for p, t := range a.Args {
+			if t.IsConst() || slices.Contains(cols, p) {
+				continue
+			}
+			if first := slices.IndexFunc(a.Args, t.Equal); first < p {
+				st.repeats = append(st.repeats, [2]int{p, first})
+				continue
+			}
+			slot[t.Var] = len(slot)
+			st.binds = append(st.binds, [2]int{p, slot[t.Var]})
+		}
+		st.cols = cols
+		rows, err := ev.index(a.Ref(), i == from, cols)
+		if err != nil {
+			return fmt.Errorf("ie: rule %s: %w", c, err)
+		}
+		st.rows, st.tests = rows, tests()
+		steps = append(steps, st)
+	}
+	head := make([]bottomUpOperand, len(c.Head.Args))
+	for i, t := range c.Head.Args {
+		head[i] = operand(t)
+	}
+
+	env := make([]relation.Value, len(slot))
+	if !holds(pre, env) {
+		return nil
+	}
+	key, out := make(relation.Tuple, 0, 8), make(relation.Tuple, len(head))
+	var join func(k int)
+	join = func(k int) {
+		if k == len(steps) {
+			for i, o := range head {
+				out[i] = o.value(env)
+			}
+			emit(c.Head.Ref(), out) // a new answer is copied
+			return
+		}
+		st := &steps[k]
+		key = key[:0]
+		for _, o := range st.key {
+			key = append(key, o.value(env))
+		}
+	rows:
+		for _, row := range st.rows[key.Hash64()] {
+			for i, col := range st.cols {
+				if !row[col].Equal(key[i]) {
+					continue rows
+				}
+			}
+			for _, r := range st.repeats {
+				if !row[r[0]].Equal(row[r[1]]) {
+					continue rows
+				}
+			}
+			for _, b := range st.binds {
+				env[b[1]] = row[b[0]]
+			}
+			if holds(st.tests, env) {
+				join(k + 1)
+			}
+		}
+	}
+	join(0)
+	return nil
+}
+
+// bottomUpStep is one atom of a join: its rows by the hash of the columns
+// cols, which must equal key; the positions whose values bind a slot, the
+// positions that repeat an earlier one, and the comparisons bound once it
+// is.
+type bottomUpStep struct {
+	rows    map[uint64][]relation.Tuple
+	cols    []int
+	key     []bottomUpOperand
+	binds   [][2]int // position, slot
+	repeats [][2]int // position, the earlier position it repeats
+	tests   []bottomUpTest
+}
+
+// bottomUpOperand is a variable's slot in the join's environment, or a
+// constant when slot is -1.
+type bottomUpOperand struct {
+	slot int
+	c    relation.Value
+}
+
+func (o bottomUpOperand) value(env []relation.Value) relation.Value {
+	if o.slot < 0 {
+		return o.c
+	}
+	return env[o.slot]
+}
+
+type bottomUpTest struct {
+	op   relation.CmpOp
+	l, r bottomUpOperand
+}
+
+// holds reports whether every comparison holds in env.
+func holds(tests []bottomUpTest, env []relation.Value) bool {
+	for _, t := range tests {
+		if !t.op.Eval(t.l.value(env), t.r.value(env)) {
+			return false
+		}
+	}
+	return true
+}
+
+// index returns the rows of ref's extension so far, or with delta its new
+// tuples, by the hash of their values at cols.
+func (ev *bottomUp) index(ref logic.PredRef, delta bool, cols []int) (map[uint64][]relation.Tuple, error) {
+	k := indexKey{ref: ref, delta: delta, cols: fmt.Sprint(cols)}
+	if ix, ok := ev.indexes[k]; ok {
+		return ix, nil
+	}
+	var rows []relation.Tuple
+	switch r, ok := ev.derived[ref]; {
+	case delta:
+		rows = ev.delta[ref]
+	case ok:
+		rows = r.Tuples()
+	default:
+		r, err := ev.base.RelationExtension(ref.Name, ref.Arity)
+		if err != nil {
+			return nil, err
+		}
+		rows = r.Tuples()
+	}
+	ix := make(map[uint64][]relation.Tuple)
+	for _, t := range rows {
+		h := t.Hash64On(cols)
+		ix[h] = append(ix[h], t)
+	}
+	ev.indexes[k] = ix
+	return ix, nil
 }
 
 // FuzzFixpoint holds every strategy to the naive reference: caql.Fixpoint
@@ -181,7 +377,7 @@ func FuzzFixpoint(f *testing.F) {
 	f.Add(int64(-94), uint8(23), uint8(0), uint8(62), uint8(64)) // q over odd and even on a chain, q(X, Y)
 	f.Fuzz(func(t *testing.T, seed int64, form, data, size, pick uint8) {
 		program, kb, src, goal := fixpointAsk(t, seed, form, data, size, pick)
-		want, _, err := naiveBottomUp(kb, src, []logic.PredRef{goal.Ref()})
+		want, err := naiveBottomUp(kb, src, []logic.PredRef{goal.Ref()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +453,7 @@ func TestTabledSearchWork(t *testing.T) {
 	for range asks {
 		seed, form, size, pick := rng.Int63(), uint8(8+rng.Intn(24)), uint8(rng.Intn(256)), uint8(rng.Intn(256))
 		program, kb, src, goal := fixpointAsk(t, seed, form, 2, size, pick)
-		want, _, err := naiveBottomUp(kb, src, []logic.PredRef{goal.Ref()})
+		want, err := naiveBottomUp(kb, src, []logic.PredRef{goal.Ref()})
 		if err != nil {
 			t.Fatal(err)
 		}

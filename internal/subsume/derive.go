@@ -147,8 +147,9 @@ func (v *validation) derivation(assign []int, empty bool, blk *DerivationBlock) 
 	return d
 }
 
-// copyInto copies d into blk, which it overwrites, and returns the copy.
-func (d *Derivation) copyInto(blk *DerivationBlock) *Derivation {
+// CopyInto copies d into blk, which it overwrites, and returns the copy. It
+// allocates only for slices that outgrow blk's arrays.
+func (d *Derivation) CopyInto(blk *DerivationBlock) *Derivation {
 	c := d.Candidate
 	out := blk.layout(len(c.Cover), len(c.CoveredCmps), len(c.Conds), len(d.OutCols))
 	out.Candidate.Element = c.Element
@@ -259,7 +260,7 @@ func (d *Derivation) ApplyLazy(src relation.Iterator) relation.Iterator {
 		return src
 	}
 	l := new(lazyRows)
-	l.sel = relation.Select(src, d.copyInto(&l.own).Candidate.Conds)
+	l.sel = relation.Select(src, d.CopyInto(&l.own).Candidate.Conds)
 	return l
 }
 
