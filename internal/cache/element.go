@@ -61,6 +61,10 @@ type Element struct {
 	// shard → element, never the reverse).
 	mu      sync.Mutex
 	indexes map[int]*relation.Index // by column
+	ixBytes int64                   // the indexes' bytes
+	// mgr is the manager e is resident in, nil while it is not: that
+	// manager's byte count holds e's SizeBytes exactly while mgr is set.
+	mgr *Manager
 	// selUses counts equality selections per column, driving heuristic
 	// index builds on unadvised columns.
 	selUses map[int]int
@@ -111,13 +115,6 @@ func (e *Element) selCount(col int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.selUses[col]
-}
-
-// hasIndex reports whether an index exists on the column.
-func (e *Element) hasIndex(col int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.indexes[col] != nil
 }
 
 // servedSchema is derivedSchema(q, d, e), reusing a schema the element has
@@ -181,11 +178,27 @@ func (e *Element) Materialized() bool { return true }
 func (e *Element) SizeBytes() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := e.size
-	for _, ix := range e.indexes {
-		n += ix.SizeBytes()
+	return e.size + e.ixBytes
+}
+
+// enter makes m's byte count hold e's bytes; the caller holds the write lock
+// of the shard that has just made e resident.
+func (e *Element) enter(m *Manager) {
+	e.mu.Lock()
+	e.mgr = m
+	m.bytes.Add(e.size + e.ixBytes)
+	e.mu.Unlock()
+}
+
+// leave takes e's bytes off the count of the manager it is resident in; the
+// caller holds the write lock of the shard that has just made it not.
+func (e *Element) leave() {
+	e.mu.Lock()
+	if e.mgr != nil {
+		e.mgr.bytes.Add(-(e.size + e.ixBytes))
+		e.mgr = nil
 	}
-	return n
+	e.mu.Unlock()
 }
 
 // Index returns the element's index on the given column, building it if
@@ -198,7 +211,9 @@ func (e *Element) Index(col int, build bool) *relation.Index {
 // indexBuilt is Index plus a report of whether this call performed the build.
 // Concurrent callers racing to build
 // the same index serialize on the element lock; the first build wins (built
-// is true for it alone) and later callers reuse it.
+// is true for it alone) and later callers reuse it. A build on a resident
+// element adds the index's bytes to its manager's count, under the lock a
+// removal takes to subtract them, so the two never miss each other.
 func (e *Element) indexBuilt(col int, build bool) (ix *relation.Index, built bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -210,6 +225,11 @@ func (e *Element) indexBuilt(col int, build bool) (ix *relation.Index, built boo
 	}
 	ix = relation.BuildIndex(e.ext, []int{col})
 	e.indexes[col] = ix
+	n := ix.SizeBytes()
+	e.ixBytes += n
+	if e.mgr != nil {
+		e.mgr.bytes.Add(n)
+	}
 	return ix, true
 }
 

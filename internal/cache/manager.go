@@ -29,6 +29,13 @@ import (
 // eviction is the one global operation: it serializes on evictMu and takes
 // shard locks one at a time, never holding two at once.
 //
+// The bytes of the resident elements are a running count: an element adds
+// its bytes when a shard makes it resident and takes them off when a shard
+// unmakes it, under that shard's write lock and its own, and an index built
+// on a resident element adds the index's (Element.enter, leave, indexBuilt).
+// So SizeBytes is one load, and an insert with room to spare reads nothing
+// else.
+//
 // The signature index is the paper's "(predicate name, cache element)" index
 // for step 2, made selective. Subsumption needs every atom of an element to
 // find an atom of the query over the same relation with the same constant
@@ -56,6 +63,7 @@ type Manager struct {
 	tick    atomic.Int64
 	evicted atomic.Int64
 	gen     atomic.Uint64
+	bytes   atomic.Int64 // the resident elements' bytes
 
 	// filed counts the elements filed under each signature-index key, by
 	// the key's value modulo filedSlots; keys that share a slot share a
@@ -244,19 +252,10 @@ func (m *Manager) Len() int {
 	return n
 }
 
-// SizeBytes returns the total cache footprint.
-func (m *Manager) SizeBytes() int64 {
-	var n int64
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		for _, e := range s.elements {
-			n += e.SizeBytes()
-		}
-		s.mu.RUnlock()
-	}
-	return n
-}
+// SizeBytes returns the total cache footprint: the sum of the resident
+// elements' SizeBytes whenever no insert, removal or index build is under
+// way.
+func (m *Manager) SizeBytes() int64 { return m.bytes.Load() }
 
 // Evictions returns the cumulative eviction count.
 func (m *Manager) Evictions() int64 { return m.evicted.Load() }
@@ -281,6 +280,7 @@ func (m *Manager) Insert(e *Element) (stored bool) {
 	}
 	s.elements[e.ID] = e
 	s.byCanon[e.canon] = e
+	e.enter(m)
 	s.mu.Unlock()
 	if old != nil {
 		m.unfile(old)
@@ -306,48 +306,93 @@ func (m *Manager) NewElementID() int { return int(m.nextID.Add(1)) }
 // as infinitely far), ties broken by least recent use — the paper's
 // replacement use of path expressions: an element predicted "for one of the
 // next two queries ... is not the best candidate". Without a predictor this
-// degenerates to plain LRU. Sweeps serialize on evictMu and hold at most one
-// shard lock at a time.
+// degenerates to plain LRU.
+//
+// One sweep ranks every resident element once, asking the predictors about
+// each once, into a heap on that order, and pops victims until the count is
+// within budget, skipping one a concurrent removal took first: k victims of n
+// cost O(n + k log n). Predictions and uses stand still while one session
+// inserts, so its victims are those of picking the first again after every
+// eviction. An element inserted during the sweep is not ranked; its insert
+// sweeps next. Sweeps serialize on evictMu and hold at most one shard lock at
+// a time.
 func (m *Manager) ensureSpace() {
+	if m.bytes.Load() <= m.budget {
+		return
+	}
 	m.evictMu.Lock()
 	defer m.evictMu.Unlock()
+	if m.bytes.Load() <= m.budget {
+		return
+	}
 	const farAway = int(^uint(0) >> 1)
-	for m.SizeBytes() > m.budget {
-		var victim *Element
-		victimDist := -1
-		var victimUse int64
-		for i := range m.shards {
-			s := &m.shards[i]
-			s.mu.RLock()
-			for _, e := range s.elements {
-				dist := farAway
-				if d, ok := m.predictDistance(e); ok {
-					dist = d
-				}
-				use := e.lastUse.Load()
-				if victim == nil || dist > victimDist ||
-					(dist == victimDist && use < victimUse) {
-					victim, victimDist, victimUse = e, dist, use
-				}
+	var h []victim
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.mu.RLock()
+		for _, e := range s.elements {
+			dist := farAway
+			if d, ok := m.predictDistance(e); ok {
+				dist = d
 			}
-			s.mu.RUnlock()
+			h = append(h, victim{e, dist, e.lastUse.Load()})
 		}
-		if victim == nil {
-			return
-		}
-		if m.remove(victim) {
+		s.mu.RUnlock()
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 && m.bytes.Load() > m.budget {
+		v := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
+		if m.remove(v.e) {
 			m.evicted.Add(1)
 		}
 	}
 }
 
+// victim is an element ranked for eviction: its predicted reuse distance and
+// its last use when the sweep read them.
+type victim struct {
+	e    *Element
+	dist int
+	use  int64
+}
+
+// before reports whether a is evicted before b: farther predicted reuse
+// first, then less recent use.
+func (a victim) before(b victim) bool {
+	return a.dist > b.dist || a.dist == b.dist && a.use < b.use
+}
+
+// siftDown restores the heap order of h below i.
+func siftDown(h []victim, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // removeLocked takes e out of its home shard s, whose write lock the caller
-// holds.
+// holds, and its bytes off the count.
 func (s *managerShard) removeLocked(e *Element) {
 	delete(s.elements, e.ID)
 	if cur, ok := s.byCanon[e.canon]; ok && cur.ID == e.ID {
 		delete(s.byCanon, e.canon)
 	}
+	e.leave()
 }
 
 // remove takes e out of the cache, holding one shard lock at a time, and

@@ -541,10 +541,15 @@ func (s *Session) derivedRows(e *Element, d *subsume.Derivation) (rows []relatio
 			if cond.Right >= 0 || cond.Op != relation.OpEq {
 				continue
 			}
-			ix, built := e.indexBuilt(cond.Left, s.shouldIndex(e, cond.Left))
-			if built {
-				c.stats.IndexBuilds.Add(1)
-				c.mgr.gen.Add(1) // e grew: the smallest element may be another now
+			// An index that exists costs one lock; only a column without one
+			// asks whether to build it.
+			ix := e.Index(cond.Left, false)
+			if ix == nil && s.shouldIndex(e, cond.Left) {
+				var built bool
+				if ix, built = e.indexBuilt(cond.Left, true); built {
+					c.stats.IndexBuilds.Add(1)
+					c.mgr.gen.Add(1) // e grew: the smallest element may be another now
+				}
 			}
 			if ix != nil {
 				s.rows = ix.AppendLookup(s.rows[:0], []relation.Value{cond.Const})
@@ -557,15 +562,12 @@ func (s *Session) derivedRows(e *Element, d *subsume.Derivation) (rows []relatio
 	return ext.Tuples(), -1, ext.Len()
 }
 
-// shouldIndex decides whether to build an index on the element column:
-// consumer-annotated columns are prime candidates (Section 4.2.1); other
-// columns earn an index after repeated equality selections. The IndexBuilds
-// stat is counted where the build actually happens (indexBuilt), so two
-// sessions racing to index the same column count one build.
+// shouldIndex decides whether to build an index on an element column that
+// has none: consumer-annotated columns are prime candidates (Section 4.2.1);
+// other columns earn an index after repeated equality selections. The
+// IndexBuilds stat is counted where the build actually happens (indexBuilt),
+// so two sessions racing to index the same column count one build.
 func (s *Session) shouldIndex(e *Element, col int) bool {
-	if e.hasIndex(col) {
-		return true
-	}
 	if e.AdviceName != "" && s.adv != nil {
 		if vs := s.adv.ViewByName(e.AdviceName); vs != nil {
 			for _, cc := range vs.ConsumerCols() {

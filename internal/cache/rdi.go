@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/caql"
 	"repro/internal/logic"
@@ -25,11 +26,13 @@ type RDI struct {
 	// on the wire and the server's spans join the same trace.
 	tracer *obs.Tracer
 
+	// down is whether the last remote call failed at the transport level.
+	down atomic.Bool
+
 	mu      sync.Mutex
 	schemas map[string]catalogEntry[*relation.Schema]
 	stats   map[string]catalogEntry[remotedb.TableStats]
 	shapes  map[uint64]*shapeEntry // by remotedb.CAQLShape
-	down    bool                   // last remote call failed at the transport level
 }
 
 // catalogEntry is one table's schema or catalog statistics, stamped like a
@@ -77,9 +80,7 @@ func (r *RDI) Available() bool {
 	if a, ok := r.client.(remotedb.AvailabilityReporter); ok {
 		return a.Available()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return !r.down
+	return !r.down.Load()
 }
 
 // noteRemote records the outcome of a remote call for availability tracking.
@@ -90,9 +91,7 @@ func (r *RDI) noteRemote(err error) {
 		return
 	}
 	transientDown := err != nil && (remotedb.IsUnavailable(err) || remotedb.IsTransient(err))
-	r.mu.Lock()
-	r.down = transientDown
-	r.mu.Unlock()
+	r.down.Store(transientDown)
 }
 
 // RelationSchema implements caql.SchemaSource from the RDI's copy of the

@@ -203,19 +203,28 @@ func (f *wireFrame) decode(payload []byte) error {
 	return nil
 }
 
-// writeFrame frames f in *buf, the writer's buffer reused from frame to
-// frame, and writes it with one Write. The caller serializes writes; a failed
-// one may have left part of a frame on the wire, so the caller must treat it
-// as fatal for the connection.
-func writeFrame(w io.Writer, buf *[]byte, f *wireFrame) error {
-	// Sized for the batch up front: a frame past reuseLimit is one allocation.
-	b := slices.Grow((*buf)[:0], 4+1+binary.MaxVarintLen64+len(f.Batch))
-	b = appendFrame(append(b, 0, 0, 0, 0), f)
-	*buf = reuse(b)
-	if len(b)-4 > maxFrame {
-		return &ProtocolError{Op: "write frame", Err: fmt.Errorf("frame of %d bytes exceeds the %d limit", len(b)-4, maxFrame)}
+// writeFrame frames each of fs in *buf, the writer's buffer reused from
+// write to write, back to back, and writes them with one Write. The caller
+// serializes writes; a failed one may have left part of a frame on the wire,
+// so the caller must treat it as fatal for the connection.
+func writeFrame(w io.Writer, buf *[]byte, fs ...*wireFrame) error {
+	// Sized for the batches up front: frames past reuseLimit are one
+	// allocation.
+	n := 0
+	for _, f := range fs {
+		n += 4 + 1 + binary.MaxVarintLen64 + len(f.Batch)
 	}
-	le.PutUint32(b, uint32(len(b)-4))
+	b := slices.Grow((*buf)[:0], n)
+	for _, f := range fs {
+		at := len(b)
+		b = appendFrame(append(b, 0, 0, 0, 0), f)
+		if len(b)-at-4 > maxFrame {
+			*buf = reuse(b)
+			return &ProtocolError{Op: "write frame", Err: fmt.Errorf("frame of %d bytes exceeds the %d limit", len(b)-at-4, maxFrame)}
+		}
+		le.PutUint32(b[at:], uint32(len(b)-at-4))
+	}
+	*buf = reuse(b)
 	if _, err := w.Write(b); err != nil {
 		return &ProtocolError{Op: "write frame", Err: err}
 	}

@@ -40,8 +40,9 @@ type Server struct {
 	streamKills     atomic.Int64
 	streamResumes   atomic.Int64
 
-	// frameLat observes per-frame write latency in microseconds (nil when no
-	// metrics registry is configured — the write path then takes no timestamps).
+	// frameLat observes the latency of each socket write of response frames,
+	// one or more, in microseconds (nil when no metrics registry is
+	// configured — the write path then takes no timestamps).
 	frameLat *obs.Histogram
 
 	faultMu  sync.Mutex
@@ -191,7 +192,7 @@ func NewServerWithOptions(engine *Engine, opts ServerOptions) *Server {
 				return 0
 			})
 		s.frameLat = reg.Histogram("braid_server_frame_write_us",
-			"Latency of one response frame write, microseconds.")
+			"Latency of one socket write of response frames (a small answer's header, batch and end share one), microseconds.")
 		reg.CounterFunc("braid_engine_parallel_streams_total",
 			"Plan executions that ran on the morsel-parallel worker pool.",
 			func() int64 { return engine.ParallelStats().Streams })

@@ -20,7 +20,9 @@ import (
 // header/batch/end frames. The write path is shared (one mutex), so responses
 // of concurrent requests interleave at frame granularity — a large result
 // never monopolizes the connection, and the client sees first tuples after
-// one frame.
+// one frame. A stream's header rides in the socket write of its first batch,
+// and its last batch in that of its end frame, so an answer of one batch is
+// one write.
 //
 // Backpressure is the transport's: a frame write blocks when the peer's TCP
 // window is full, which happens exactly when the client-side stream buffer is
@@ -129,13 +131,16 @@ func (fc *framedConn) armIdleLocked() {
 	fc.s.mu.Unlock()
 }
 
-// write sends one frame under the write timeout. A failed write may have
-// left part of a frame on the wire, so the connection is closed (which also
-// unblocks the read loop).
-func (fc *framedConn) write(f *wireFrame) error {
+// write sends frames, in order, in one socket write under the write timeout.
+// A failed write may have left part of a frame on the wire, so the
+// connection is closed (which also unblocks the read loop).
+func (fc *framedConn) write(fs ...*wireFrame) error {
 	fc.wmu.Lock()
 	defer fc.wmu.Unlock()
-	if f.Kind == frameHeader || f.Kind == frameEnd {
+	for _, f := range fs {
+		if f.Kind != frameHeader && f.Kind != frameEnd {
+			continue
+		}
 		// The clock and the versions this connection has not reported yet
 		// ride every header and end frame (batch frames carry no such fields,
 		// and once per stream suffices). Taken under wmu, so the
@@ -155,7 +160,7 @@ func (fc *framedConn) write(f *wireFrame) error {
 	if fc.s.frameLat != nil {
 		t0 = time.Now()
 	}
-	err := writeFrame(fc.conn, &fc.wbuf, f)
+	err := writeFrame(fc.conn, &fc.wbuf, fs...)
 	if fc.s.frameLat != nil {
 		fc.s.frameLat.Observe(time.Since(t0).Microseconds())
 	}
@@ -166,8 +171,8 @@ func (fc *framedConn) write(f *wireFrame) error {
 		fc.conn.Close()
 		return err
 	}
-	fc.s.framesSent.Add(1)
-	// Yield after every frame: a producer that never parks would otherwise
+	fc.s.framesSent.Add(int64(len(fs)))
+	// Yield after every write: a producer that never parks would otherwise
 	// starve co-located consumers (loopback deployments, the bench harness)
 	// until the runtime's coarse preemption tick, turning the first-frame
 	// advantage of streaming into a scheduling artifact.
@@ -178,6 +183,11 @@ func (fc *framedConn) write(f *wireFrame) error {
 // writeEnd sends a terminal frame for stream id.
 func (fc *framedConn) writeEnd(id uint64, code int, errMsg string, ops int64) {
 	fc.write(&wireFrame{ID: id, Kind: frameEnd, Code: code, Err: errMsg, Ops: ops})
+}
+
+// endFrame is stream id's terminal frame for a complete answer.
+func endFrame(id uint64, ops int64) wireFrame {
+	return wireFrame{ID: id, Kind: frameEnd, Ops: ops}
 }
 
 // handleStream runs one framed request end to end, on this goroutine:
@@ -330,25 +340,26 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 	if rel != nil {
 		hdr.Name, hdr.Attrs, src = rel.Name, toWireAttrs(rel.Schema()), rel.Iter()
 	}
-	rows, frames, ok := fc.ship(context.Background(), hdr, src, killer, func() {})
-	if ok {
-		fc.writeEnd(id, wireCodeNone, "", ops)
-		frames++
-	}
+	rows, frames := fc.ship(context.Background(), hdr, src, killer, func(bool) wireFrame { return endFrame(id, ops) })
 	s.logSlow(start, req.SQL, false, rows, frames, 1)
 }
 
-// writeStopped answers a request whose context ended first: with the
-// deadline code when the request deadline ended it, with the cancel code
-// when a cancel frame or the connection's teardown did.
+// writeStopped answers a request whose context ended first (stopped).
 func (fc *framedConn) writeStopped(ctx context.Context, id uint64, ops int64) {
+	f := fc.stopped(ctx, id, ops)
+	fc.write(&f)
+}
+
+// stopped is the terminal frame of a request whose context ended first: with
+// the deadline code when the request deadline ended it, with the cancel code
+// when a cancel frame or the connection's teardown did.
+func (fc *framedConn) stopped(ctx context.Context, id uint64, ops int64) wireFrame {
 	if errors.Is(context.Cause(ctx), ErrDeadlineExceeded) {
 		fc.s.timeouts.Add(1)
-		fc.writeEnd(id, wireCodeDeadline, ErrDeadlineExceeded.Error(), ops)
-		return
+		return wireFrame{ID: id, Kind: frameEnd, Code: wireCodeDeadline, Err: ErrDeadlineExceeded.Error(), Ops: ops}
 	}
 	fc.s.streamsCanceled.Add(1)
-	fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), ops)
+	return wireFrame{ID: id, Kind: frameEnd, Code: wireCodeCanceled, Err: context.Canceled.Error(), Ops: ops}
 }
 
 // rollStreamFault decides whether one stream's connection dies mid-transfer
@@ -371,22 +382,28 @@ func (s *Server) rollStreamFault() (kill bool, after int) {
 	return true, after
 }
 
-// streamKiller is an armed stream-kill fault: after remaining more response
-// frames have been written for its stream, it severs the whole connection —
-// every multiplexed stream on it dies, exactly like a real connection loss.
+// streamKiller is an armed stream-kill fault: after remaining more header
+// and batch frames of its stream are on the wire, it severs the whole
+// connection — every multiplexed stream on it dies, exactly like a real
+// connection loss.
 type streamKiller struct {
 	fc        *framedConn
 	remaining int
 }
 
-// afterWrite burns one frame of the kill budget; when it is spent, the
-// connection is severed and true is returned so the caller stops producing.
-// Nil-safe: a nil killer never kills.
-func (k *streamKiller) afterWrite() (killed bool) {
+// due reports whether n more frames spend the kill budget: the writer sends
+// what it holds at once, so that no frame past the budget goes out. Nil-safe:
+// a nil killer is never due.
+func (k *streamKiller) due(n int) bool { return k != nil && n >= k.remaining }
+
+// afterWrite burns n frames on the wire of the kill budget; when it is spent,
+// the connection is severed and true is returned so the caller stops
+// producing. Nil-safe: a nil killer never kills.
+func (k *streamKiller) afterWrite(n int) (killed bool) {
 	if k == nil {
 		return false
 	}
-	k.remaining--
+	k.remaining -= n
 	if k.remaining > 0 {
 		return false
 	}
@@ -434,20 +451,19 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc *PlanStream,
 	// function of the snapshot alone (hash joins, aggregation, parallel
 	// workers), so a resuming client restarts and skips locally.
 	hdr := streamHeader(id, sc, resumed)
-	rows, frames, ok := fc.ship(ctx, &hdr, sc.inPlace(), killer, settle)
-	if !ok {
-		return rows, frames
-	}
-	// A stream that stopped early (a parallel worker hit its cancellation
-	// checkpoint) must not read as a complete result: report why it stopped,
-	// never a silently truncated ok-end.
-	settle()
-	if sc.Err() != nil {
-		fc.writeStopped(ctx, id, sc.Ops())
-		return rows, frames + 1
-	}
-	fc.writeEnd(id, wireCodeNone, "", sc.Ops())
-	return rows, frames + 1
+	return fc.ship(ctx, &hdr, sc.inPlace(), killer, func(ctxEnded bool) wireFrame {
+		settle()
+		switch {
+		case ctxEnded:
+			return fc.stopped(ctx, id, 0)
+		case sc.Err() != nil:
+			// A stream that stopped early (a parallel worker hit its
+			// cancellation checkpoint) must not read as a complete result:
+			// report why it stopped, never a silently truncated ok-end.
+			return fc.stopped(ctx, id, sc.Ops())
+		}
+		return endFrame(id, sc.Ops())
+	})
 }
 
 // streamHeader is the header frame of stream id: the plan's attrs, rendered
@@ -462,65 +478,77 @@ func streamHeader(id uint64, sc *PlanStream, resumed bool) wireFrame {
 
 // ship is the one writer of exec results, streamed or materialized: the
 // header frame, then src's tuples in batch frames of at most frameTuples,
-// checking between frames whether ctx has ended. ok reports that every tuple
-// went out and the caller owes the end frame; otherwise the stream is over (a
-// write failed, a kill fault fired, or ship wrote the terminal frame itself,
-// after calling settle). It returns the tuples and frames shipped, for the
-// slow-query log.
+// checking between frames whether ctx has ended, then the terminal frame that
+// end returns, given whether ctx ended the stream. end runs after the last
+// pull from src and before its frame is written; it is not called when a
+// write fails or a kill fault fires. ship returns the tuples and frames
+// shipped, for the slow-query log.
+//
+// Frames share socket writes where waiting costs the client nothing: the
+// header waits for the first batch or the end, and the last batch for the
+// end, so a result of at most frameTuples rows is one write. ship pulls the
+// row after a full batch before sending it, to know whether it is the last;
+// every other batch goes out as soon as it is encoded.
 //
 // ship copies each row's values into its staging buffer as it pulls the row,
-// so it holds no row src hands out: src may reuse its row from one pull to
-// the next (PlanStream.inPlace).
-func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Iterator, killer *streamKiller, settle func()) (rows, frames int64, ok bool) {
-	if fc.write(hdr) != nil {
-		return
+// so it holds no row src hands out past the next pull: src may reuse its row
+// from one pull to the next (PlanStream.inPlace).
+func (fc *framedConn) ship(ctx context.Context, hdr *wireFrame, src relation.Iterator, killer *streamKiller, end func(ctxEnded bool) wireFrame) (rows, frames int64) {
+	// held[:nheld] waits for the next write, with heldRows tuples.
+	var held [3]*wireFrame
+	held[0] = hdr
+	nheld, heldRows := 1, 0
+	// send writes what is held; false means the stream is over.
+	send := func() bool {
+		if fc.write(held[:nheld]...) != nil {
+			return false
+		}
+		rows, frames = rows+int64(heldRows), frames+int64(nheld)
+		killed := killer.afterWrite(nheld)
+		nheld, heldRows = 0, 0
+		return !killed
 	}
-	frames++
-	if killer.afterWrite() {
+	if killer.due(nheld) && !send() {
 		return
 	}
 	// write serializes synchronously, so a batch is on the wire before the
-	// next fill.
+	// next fill reuses buf; only the last, which no fill follows, is held.
 	buf := shipBufs.Get().(*shipBuf)
 	defer buf.release()
+	batch := wireFrame{ID: hdr.ID, Kind: frameBatch}
 	ncols := len(hdr.Attrs)
-	for done := false; !done; {
+	t, more := src.Next()
+	ctxEnded := false
+	for more {
 		buf.reset()
 		n := 0
-		for ; n < fc.frameTuples; n++ {
-			t, more := src.Next()
-			if !more {
-				done = true
-				break
-			}
+		for ; more && n < fc.frameTuples; n++ {
 			// Value by value: a bulk append goes through typedslicecopy,
 			// whose write barrier costs more per row than the inline one
 			// while the collector marks.
 			for _, v := range t[:ncols] {
 				buf.vals = append(buf.vals, v)
 			}
+			t, more = src.Next()
 		}
-		select {
-		case <-ctx.Done():
-			settle()
-			fc.writeStopped(ctx, hdr.ID, 0)
+		if ctxEnded = ctx.Err() != nil; ctxEnded {
+			break
+		}
+		buf.stage(n, ncols)
+		buf.batch = appendBatch(buf.batch[:0], ncols, buf.tuples)
+		batch.Batch = buf.batch
+		held[nheld], heldRows = &batch, n
+		nheld++
+		if (more || killer.due(nheld)) && !send() {
 			return
-		default:
-		}
-		if n > 0 {
-			buf.stage(n, ncols)
-			buf.batch = appendBatch(buf.batch[:0], ncols, buf.tuples)
-			if fc.write(&wireFrame{ID: hdr.ID, Kind: frameBatch, Batch: buf.batch}) != nil {
-				return
-			}
-			rows += int64(n)
-			frames++
-			if killer.afterWrite() {
-				return
-			}
 		}
 	}
-	return rows, frames, true
+	// The end frame spends no kill budget.
+	last := end(ctxEnded)
+	held[nheld], killer = &last, nil
+	nheld++
+	send()
+	return
 }
 
 // shipBuf is ship's staging for one frame at a time: the values of the rows
