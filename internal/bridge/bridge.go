@@ -246,15 +246,12 @@ type SourceStats struct {
 	StreamsCanceled int64   // remote streams torn down mid-flight
 	FirstTupleMS    float64 // mean wall-clock ms from request to first frame
 
-	// Dispatch-outcome counters (admission control and cancellation). Every
-	// issued query resolves to exactly one outcome, so the conservation
-	// invariant Queries = Completed + Canceled + DeadlineExceeded + Shed +
-	// Failed holds at any quiescent point (the chaos harness asserts it).
-	Admitted         int64 // queries past the admission controller
-	Queued           int64 // admitted queries that waited in the bounded queue
-	Shed             int64 // queries rejected with ErrOverloaded
+	// Dispatch-outcome counters. Every issued query resolves to exactly one
+	// outcome, so the conservation invariant Queries = Completed + Canceled +
+	// DeadlineExceeded + Failed holds at any quiescent point (the chaos
+	// harness asserts it).
 	Canceled         int64 // queries aborted by caller cancellation
-	DeadlineExceeded int64 // queries aborted by a deadline (ctx or QueryTimeout)
+	DeadlineExceeded int64 // queries aborted by the caller's deadline
 	Completed        int64 // queries that returned a stream
 	Failed           int64 // queries that failed for any other reason
 	PanicsRecovered  int64 // panics isolated to one query/prefetch (process survived)
@@ -264,7 +261,7 @@ type SourceStats struct {
 // query is accounted by exactly one outcome counter. It only holds at
 // quiescent points (no query mid-dispatch).
 func (s SourceStats) DispatchConserved() bool {
-	return s.Queries == s.Completed+s.Canceled+s.DeadlineExceeded+s.Shed+s.Failed
+	return s.Queries == s.Completed+s.Canceled+s.DeadlineExceeded+s.Failed
 }
 
 // Session is one advice-then-queries interaction (Section 3: "a session ...
@@ -280,8 +277,9 @@ type Session interface {
 	Query(q *caql.Query) (*Stream, error)
 	// QueryCtx answers one CAQL query under the caller's context: a canceled
 	// or expired ctx aborts remote calls, planning, and lazy generators, and
-	// the query resolves to a typed ErrCanceled/ErrDeadlineExceeded. An
-	// admission-controlled source may also shed the query with ErrOverloaded.
+	// the query resolves to a typed ErrCanceled/ErrDeadlineExceeded. A lazy
+	// answer keeps watching ctx after QueryCtx returns, until it is drained
+	// or closed.
 	QueryCtx(ctx context.Context, q *caql.Query) (*Stream, error)
 	// QueryText parses and answers a query in CAQL surface syntax.
 	QueryText(src string) (*Stream, error)

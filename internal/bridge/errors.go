@@ -8,7 +8,7 @@ import (
 
 // Typed failure classes of the query dispatch path. Every query issued
 // through a Session resolves to exactly one outcome — completed, canceled,
-// deadline-exceeded, shed, or failed — and the non-completed outcomes carry
+// deadline-exceeded, or failed — and the non-completed outcomes carry
 // one of these sentinels so callers (and the chaos harness's conservation
 // invariant) can classify errors without string matching.
 
@@ -17,15 +17,10 @@ import (
 // match context.Canceled under errors.Is.
 var ErrCanceled = errors.New("bridge: query canceled")
 
-// ErrDeadlineExceeded reports that the query's deadline — the caller's
-// context deadline or the data source's default query timeout — expired.
+// ErrDeadlineExceeded reports that the caller's context deadline expired
+// while the query (or a lazy stream derived from it) was running.
 // Errors carrying it also match context.DeadlineExceeded under errors.Is.
 var ErrDeadlineExceeded = errors.New("bridge: query deadline exceeded")
-
-// ErrOverloaded is the typed shed response: the data source's admission
-// controller rejected the query because the in-flight limit and the wait
-// queue were both full. The query was never started; retrying later is safe.
-var ErrOverloaded = errors.New("bridge: data source overloaded, query shed")
 
 // CtxError maps a done context's error to the bridge's typed sentinel,
 // wrapping the context error so errors.Is matches both (e.g. ErrCanceled and

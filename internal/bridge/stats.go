@@ -28,9 +28,6 @@ type StatsCounters struct {
 	EpochInvalidations atomic.Int64
 
 	// Dispatch outcomes (see SourceStats for the conservation invariant).
-	Admitted         atomic.Int64
-	Queued           atomic.Int64
-	Shed             atomic.Int64
 	Canceled         atomic.Int64
 	DeadlineExceeded atomic.Int64
 	Completed        atomic.Int64
@@ -75,9 +72,6 @@ func (c *StatsCounters) Snapshot() SourceStats {
 		DegradedHits:       c.DegradedHits.Load(),
 		EpochInvalidations: c.EpochInvalidations.Load(),
 
-		Admitted:         c.Admitted.Load(),
-		Queued:           c.Queued.Load(),
-		Shed:             c.Shed.Load(),
 		Canceled:         c.Canceled.Load(),
 		DeadlineExceeded: c.DeadlineExceeded.Load(),
 		Completed:        c.Completed.Load(),
@@ -90,14 +84,12 @@ func (c *StatsCounters) Snapshot() SourceStats {
 }
 
 // ClassifyOutcome bumps the dispatch-outcome counter matching err: nil →
-// Completed, ErrOverloaded → Shed, deadline → DeadlineExceeded, cancellation
-// → Canceled, anything else → Failed. Call exactly once per issued query.
+// Completed, deadline → DeadlineExceeded, cancellation → Canceled, anything
+// else → Failed. Call exactly once per issued query.
 func (c *StatsCounters) ClassifyOutcome(err error) {
 	switch {
 	case err == nil:
 		c.Completed.Add(1)
-	case errors.Is(err, ErrOverloaded):
-		c.Shed.Add(1)
 	case errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded):
 		c.DeadlineExceeded.Add(1)
 	case errors.Is(err, ErrCanceled) || errors.Is(err, context.Canceled):

@@ -55,17 +55,6 @@ func (b *blockingClient) ExecStream(ctx context.Context, sql string) (remotedb.T
 	return b.Client.ExecStream(ctx, sql)
 }
 
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestCancelMidLazyGenerator cancels the caller's context while a lazy
 // (generator-backed) answer is being consumed: the stream must stop within
 // one checkpoint interval and report the typed cancellation, never a silently
@@ -143,6 +132,95 @@ func TestSessionEndPoisonsLazyStream(t *testing.T) {
 	}
 }
 
+// TestLazyAnswersKeepTheirOwnContexts: one session holds two lazy answers,
+// a cached strict-producer hit and a remote stream, each opened under its
+// own caller context. Canceling one context stops that answer within one
+// checkpoint interval with the typed cancellation; the other answer reads to
+// its end.
+func TestLazyAnswersKeepTheirOwnContexts(t *testing.T) {
+	const rows = 300
+	e := remotedb.NewEngine()
+	for _, name := range []string{"b1", "b2"} {
+		r := relation.New(name, relation.NewSchema(
+			relation.Attr{Name: "x", Kind: relation.KindInt},
+			relation.Attr{Name: "y", Kind: relation.KindInt}))
+		for i := 0; i < rows; i++ {
+			r.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Int(int64(i))})
+		}
+		e.LoadTable(r)
+	}
+	const hitQ, remoteQ = "dp(X, Y) :- b2(X, Y)", "dr(X, Y) :- b1(X, Y)"
+	// The path ends at dr, so dr predicts no reuse and is not cached: its
+	// answer is a lazy remote stream.
+	const adv = `
+		view dp(X^, Y^) :- b2(X, Y).
+		view dr(X^, Y^) :- b1(X, Y).
+		path (dp(X^, Y^), dr(X^, Y^))<1,1>.
+	`
+	count := func(st *bridge.Stream) (n int) {
+		for ; ; n++ {
+			if _, ok := st.Next(); !ok {
+				return n
+			}
+		}
+	}
+	for _, cancelHit := range []bool{true, false} {
+		f := AllFeatures()
+		f.Prefetch = false // dr must reach the remote, not a prefetched element
+		cms := newCMS(t, e, Options{Features: f})
+		warm := cms.BeginSession(advice.MustParse(`view dp(X^, Y^) :- b2(X, Y).`)).(*Session)
+		drainQ(t, warm, hitQ) // cache dp for the next session
+		warm.End()
+
+		s := cms.BeginSession(advice.MustParse(adv)).(*Session)
+		hitCtx, stopHit := context.WithCancel(context.Background())
+		remoteCtx, stopRemote := context.WithCancel(context.Background())
+		hits := cms.Stats().CacheHits
+		hit, err := s.QueryCtx(hitCtx, caql.MustParse(hitQ))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Lazy() || cms.Stats().CacheHits != hits+1 {
+			t.Fatalf("dp: lazy %v, cache hits %d → %d; want a lazy cache hit", hit.Lazy(), hits, cms.Stats().CacheHits)
+		}
+		remote, err := s.QueryCtx(remoteCtx, caql.MustParse(remoteQ))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !remote.Lazy() || cms.Stats().CacheHits != hits+1 {
+			t.Fatalf("dr: lazy %v, cache hits %d; want a lazy remote answer", remote.Lazy(), cms.Stats().CacheHits)
+		}
+		for _, st := range []*bridge.Stream{hit, remote} {
+			if got := len(st.Take(10)); got != 10 {
+				t.Fatalf("took %d tuples before cancel", got)
+			}
+		}
+		canceled, other := hit, remote
+		if cancelHit {
+			stopHit()
+		} else {
+			stopRemote()
+			canceled, other = remote, hit
+		}
+		if extra := count(canceled); extra >= relation.DefaultGuardEvery {
+			t.Fatalf("hit canceled %v: the canceled answer emitted %d tuples after cancel, want < %d",
+				cancelHit, extra, relation.DefaultGuardEvery)
+		}
+		if err := canceled.Err(); !errors.Is(err, bridge.ErrCanceled) {
+			t.Fatalf("hit canceled %v: canceled answer error = %v, want bridge.ErrCanceled", cancelHit, err)
+		}
+		if rest := count(other); other.Err() != nil || 10+rest != rows {
+			t.Fatalf("hit canceled %v: the other answer read %d of %d tuples, err %v", cancelHit, 10+rest, rows, other.Err())
+		}
+		stopHit()
+		stopRemote()
+		s.End()
+		if st := cms.Stats(); !st.DispatchConserved() {
+			t.Fatalf("conservation violated: %+v", st)
+		}
+	}
+}
+
 // TestDeadlineDuringRemoteKeepsBreakerClosed expires a caller deadline while
 // the remote call is parked: the query must fail with the typed deadline
 // error, and — critically — the cancellation must not move the circuit
@@ -215,63 +293,6 @@ func TestBreakerOpenFailsFastUnderDeadline(t *testing.T) {
 	st := cms.Stats()
 	if st.Failed != 2 || !st.DispatchConserved() {
 		t.Fatalf("outcome accounting wrong: %+v", st)
-	}
-}
-
-// TestShedUnderSaturation saturates a MaxInflight=1, MaxQueue=1 CMS: the
-// third concurrent query must be shed immediately with the typed overload
-// error, and once load clears the conservation invariant must hold.
-func TestShedUnderSaturation(t *testing.T) {
-	e, _ := fixtureEngine(t, 4, 30)
-	costs := remotedb.DefaultCosts()
-	blocking := newBlockingClient(remotedb.NewInProcClient(e, costs))
-	cms := New(blocking, Options{Costs: costs, MaxInflight: 1, MaxQueue: 1})
-	s1 := cms.BeginSession(nil).(*Session)
-	defer s1.End()
-	s2 := cms.BeginSession(nil).(*Session)
-	defer s2.End()
-	s3 := cms.BeginSession(nil).(*Session)
-	defer s3.End()
-
-	// Warm the schema cache so the armed client only parks Exec calls.
-	if _, err := cms.RelationSchema("b2", 2); err != nil {
-		t.Fatal(err)
-	}
-	blocking.arm()
-
-	errs := make(chan error, 2)
-	go func() {
-		_, err := s1.QueryCtx(context.Background(), caql.MustParse("q1(X, Y) :- b2(X, Y)"))
-		errs <- err
-	}()
-	<-blocking.entered // q1 holds the in-flight slot, parked in the client
-	go func() {
-		_, err := s2.QueryCtx(context.Background(), caql.MustParse("q2(X, Y) :- b2(X, Y)"))
-		errs <- err
-	}()
-	waitUntil(t, "q2 in the admission queue", func() bool { return cms.Stats().Queued == 1 })
-
-	_, err := s3.QueryCtx(context.Background(), caql.MustParse("q3(X, Y) :- b2(X, Y)"))
-	if !errors.Is(err, bridge.ErrOverloaded) {
-		t.Fatalf("saturated CMS returned %v, want bridge.ErrOverloaded", err)
-	}
-	if !strings.Contains(err.Error(), "in flight") {
-		t.Fatalf("shed error should describe the load: %v", err)
-	}
-
-	close(blocking.release)
-	if err := <-errs; err != nil {
-		t.Fatalf("admitted query failed: %v", err)
-	}
-	if err := <-errs; err != nil {
-		t.Fatalf("queued query failed: %v", err)
-	}
-	st := cms.Stats()
-	if st.Shed != 1 || st.Queued != 1 || st.Admitted != 2 || st.Completed != 2 {
-		t.Fatalf("admission accounting wrong: %+v", st)
-	}
-	if !st.DispatchConserved() {
-		t.Fatalf("conservation violated: %+v", st)
 	}
 }
 

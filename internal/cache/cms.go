@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/advice"
 	"repro/internal/bridge"
@@ -74,20 +73,9 @@ type Options struct {
 	// PredictHorizon is how many queries ahead advice-based predictions
 	// look (replacement protection, reuse prediction). Default 8.
 	PredictHorizon int
-	// QueryTimeout is the default per-query deadline applied when the caller's
-	// context carries none (0: no default deadline). A query that exceeds it
-	// fails with bridge.ErrDeadlineExceeded.
-	QueryTimeout time.Duration
-	// MaxInflight bounds concurrently executing queries across all sessions
-	// (admission control). Excess queries wait in a bounded queue; when that
-	// is also full they are shed with bridge.ErrOverloaded (0: unbounded).
-	MaxInflight int
-	// MaxQueue bounds the admission wait queue (<= 0: 2x MaxInflight).
-	// Ignored unless MaxInflight > 0.
-	MaxQueue int
 	// Tracer, when non-nil, records spans for each query's lifecycle stages
 	// (parse, cache probe, subsumption, generalization, decomposition, remote
-	// fetch). Trace IDs propagate to the remote engine over the v2 wire, so a
+	// fetch). Trace IDs propagate to the remote engine in each request, so a
 	// remote-miss query yields one trace spanning both tiers.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, receives the CMS and remote-client counters as
@@ -104,7 +92,6 @@ type CMS struct {
 	rdi  *RDI
 	mgr  *Manager
 	pf   *prefetchPool
-	adm  *admission // nil when admission control is disabled
 
 	// tracer and queryLat are nil when observability is not configured; every
 	// use is nil-safe, so the hot path pays nothing.
@@ -135,7 +122,6 @@ func New(client remotedb.Client, opts Options) *CMS {
 		rdi:    NewRDI(client),
 		mgr:    NewManager(opts.CacheBytes),
 		pf:     newPrefetchPool(),
-		adm:    newAdmission(opts.MaxInflight, opts.MaxQueue),
 		tracer: opts.Tracer,
 	}
 	c.rdi.tracer = opts.Tracer
@@ -163,9 +149,6 @@ func (c *CMS) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("braid_cms_degraded_hits_total", "Cache hits served while the remote was unavailable.", st.DegradedHits.Load)
 	reg.CounterFunc("braid_cms_epoch_invalidations_total", "Cached views invalidated after a request observed a newer version of a table they read.", st.EpochInvalidations.Load)
 	reg.GaugeFunc("braid_cms_observed_epoch", "Highest backend clock observed on any request.", func() float64 { return float64(c.rdi.ObservedEpoch()) })
-	reg.CounterFunc("braid_cms_admitted_total", "Queries past the admission controller.", st.Admitted.Load)
-	reg.CounterFunc("braid_cms_queued_total", "Admitted queries that waited in the bounded queue.", st.Queued.Load)
-	reg.CounterFunc("braid_cms_shed_total", "Queries rejected with ErrOverloaded.", st.Shed.Load)
 	reg.CounterFunc("braid_cms_canceled_total", "Queries aborted by caller cancellation.", st.Canceled.Load)
 	reg.CounterFunc("braid_cms_deadline_exceeded_total", "Queries aborted by a deadline.", st.DeadlineExceeded.Load)
 	reg.CounterFunc("braid_cms_completed_total", "Queries that returned a stream.", st.Completed.Load)
@@ -182,8 +165,8 @@ func (c *CMS) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("braid_pool_requests_total", "Requests issued to the remote DBMS.", func() int64 { return c.rdi.Stats().Requests })
 	reg.CounterFunc("braid_pool_catalog_requests_total", "Catalog requests (schema, stats, tables) issued to the remote DBMS.", func() int64 { return c.rdi.Stats().CatalogRequests })
 	reg.CounterFunc("braid_pool_tuples_total", "Tuples shipped from the remote DBMS.", func() int64 { return c.rdi.Stats().TuplesReturned })
-	reg.CounterFunc("braid_pool_frames_sent_total", "Wire v2 frames written to the remote DBMS.", func() int64 { return c.rdi.Stats().FramesSent })
-	reg.CounterFunc("braid_pool_frames_recv_total", "Wire v2 frames received from the remote DBMS.", func() int64 { return c.rdi.Stats().FramesRecv })
+	reg.CounterFunc("braid_pool_frames_sent_total", "Protocol frames written to the remote DBMS.", func() int64 { return c.rdi.Stats().FramesSent })
+	reg.CounterFunc("braid_pool_frames_recv_total", "Protocol frames received from the remote DBMS.", func() int64 { return c.rdi.Stats().FramesRecv })
 	reg.CounterFunc("braid_pool_streams_total", "Streamed exec results opened.", func() int64 { return c.rdi.Stats().Streams })
 	reg.CounterFunc("braid_pool_streams_canceled_total", "Remote streams torn down mid-flight.", func() int64 { return c.rdi.Stats().StreamsCanceled })
 	c.queryLat = reg.Histogram("braid_cms_query_us", "End-to-end CAQL query latency, microseconds.")
@@ -274,10 +257,6 @@ type Session struct {
 	// session's in-flight prefetches and poisons its outstanding lazy streams.
 	ctx    context.Context
 	cancel context.CancelFunc
-	// callerCtx is the context of the query currently being planned; lazy
-	// streams capture it at creation (session methods are serial, so the
-	// scratch field is safe — see the concurrency note above).
-	callerCtx context.Context
 
 	simNow  float64
 	queries int64

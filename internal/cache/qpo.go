@@ -34,11 +34,10 @@ func (s *Session) Query(q *caql.Query) (*bridge.Stream, error) {
 }
 
 // QueryCtx implements bridge.Session. It is the single dispatch point for a
-// query: admission control, the default per-query deadline, panic isolation,
-// and outcome classification all live here, so the conservation invariant
-// (Queries = Completed + Canceled + DeadlineExceeded + Shed + Failed) holds
-// by construction — every counted query flows through exactly one
-// ClassifyOutcome call.
+// query: panic isolation and outcome classification live here, so the
+// conservation invariant (Queries = Completed + Canceled + DeadlineExceeded +
+// Failed) holds by construction — every counted query flows through exactly
+// one ClassifyOutcome call.
 func (s *Session) QueryCtx(ctx context.Context, q *caql.Query) (stream *bridge.Stream, err error) {
 	if verr := q.Validate(); verr != nil {
 		return nil, verr // malformed, never dispatched: not a counted query
@@ -78,28 +77,7 @@ func (s *Session) QueryCtx(ctx context.Context, q *caql.Query) (stream *bridge.S
 	if serr := s.ctx.Err(); serr != nil {
 		return nil, fmt.Errorf("%w: session ended: %w", bridge.ErrCanceled, serr)
 	}
-	if c.adm != nil {
-		var release func()
-		if release, err = c.adm.acquire(ctx, &c.stats); err != nil {
-			return nil, err
-		}
-		defer release()
-	} else {
-		c.stats.Admitted.Add(1)
-	}
-	// Default deadline: applied only when the caller brought none. The
-	// derived context dies when this call returns, so it governs eager work
-	// only; lazy streams watch the caller's context (see streamCheck).
-	qctx := ctx
-	if c.opts.QueryTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			qctx, cancel = context.WithTimeout(ctx, c.opts.QueryTimeout)
-			defer cancel()
-		}
-	}
-	s.callerCtx = ctx
-	return s.dispatch(qctx, q)
+	return s.dispatch(ctx, q)
 }
 
 // liftCtxErr maps raw context errors surfacing from deep layers (socket
@@ -120,14 +98,13 @@ func liftCtxErr(err error) error {
 	}
 }
 
-// streamCheck is the cancellation checkpoint lazy streams poll between tuple
-// batches. It watches the caller's context and the session's lifetime
-// context — deliberately NOT the derived per-query deadline context, which is
-// canceled when QueryCtx returns while a lazy stream is consumed after.
-func (s *Session) streamCheck() func() error {
-	caller, sctx := s.callerCtx, s.ctx
+// streamCheck is the cancellation checkpoint a lazy stream polls between
+// tuple batches. It watches the context of the query the stream answers and
+// the session's lifetime context.
+func (s *Session) streamCheck(ctx context.Context) func() error {
+	sctx := s.ctx
 	return func() error {
-		if err := bridge.CtxError(caller); err != nil {
+		if err := bridge.CtxError(ctx); err != nil {
 			return err
 		}
 		if err := sctx.Err(); err != nil {
@@ -137,8 +114,8 @@ func (s *Session) streamCheck() func() error {
 	}
 }
 
-// dispatch is the admitted query path: think-time accounting, prefetch
-// bookkeeping, and the three planning steps.
+// dispatch is the query path: think-time accounting, prefetch bookkeeping,
+// and the three planning steps.
 func (s *Session) dispatch(ctx context.Context, q *caql.Query) (*bridge.Stream, error) {
 	c := s.cms
 	if s.queries > 0 {
@@ -201,7 +178,7 @@ func (s *Session) answer(ctx context.Context, q *caql.Query, vs *advice.ViewSpec
 	case exact, subsumed, generalized:
 		schema := s.schemaOf(q, v.e, v.d)
 		s.remember(q, at, &v, schema)
-		stream, err = s.serveFromElement(v.e, v.d, schema, vs)
+		stream, err = s.serveFromElement(ctx, v.e, v.d, schema, vs)
 	case covered, partial:
 		stream, err = s.answerDecomposition(ctx, q, s.canon, vs, v.dec)
 	default:
@@ -228,7 +205,7 @@ func (s *Session) answerRecalled(ctx context.Context, q *caql.Query, vs *advice.
 	if !fitsSchema(ent.schema, q, v.d, v.e) {
 		ent.schema = v.e.servedSchema(q, v.d)
 	}
-	stream, err := s.serveFromElement(v.e, v.d, ent.schema, vs)
+	stream, err := s.serveFromElement(ctx, v.e, v.d, ent.schema, vs)
 	if err == nil {
 		c.count(&v)
 	}
@@ -405,22 +382,19 @@ func (s *Session) fromCache(ctx context.Context, tr *obs.Tracer, pq *subsume.Pre
 // will not be cached (a cached result must be materialized anyway), the
 // answer is handed to the IE as a lazy remote stream: the first tuple is
 // available after one wire frame instead of after the whole transfer, and an
-// abandoned consumer cancels the remote producer mid-flight. The stream is
-// established under the session's *caller* context — not the per-query
-// deadline context, which dies when QueryCtx returns while the stream is
-// still being consumed (same rule as streamCheck). The fixed round-trip cost
-// is charged at establishment and each tuple as the consumer pulls it; a
-// stream that runs to its end is charged the rest of the request's cost, so
-// a drained lazy answer costs what the same answer fetched eagerly does, and
-// one closed early only what it read.
+// abandoned consumer cancels the remote producer mid-flight. The fixed
+// round-trip cost is charged at establishment and each tuple as the consumer
+// pulls it; a stream that runs to its end is charged the rest of the
+// request's cost, so a drained lazy answer costs what the same answer fetched
+// eagerly does, and one closed early only what it read.
 func (s *Session) answerRemote(ctx context.Context, q *caql.Query, canon []byte, vs *advice.ViewSpec) (*bridge.Stream, error) {
 	c := s.cms
 	if c.opts.Features.Lazy && !s.shouldCache(vs) {
-		fs, err := c.rdi.FetchStreamCtx(s.callerCtx, q)
+		fs, err := c.rdi.FetchStreamCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}
-		it := &remoteStreamIter{guard: relation.NewGuardIterator(fs, relation.DefaultGuardEvery, s.streamCheck()), fs: fs, s: s}
+		it := &remoteStreamIter{guard: relation.NewGuardIterator(fs, relation.DefaultGuardEvery, s.streamCheck(ctx)), fs: fs, s: s}
 		it.charge(c.opts.Costs.PerRequest)
 		c.stats.LazyAnswers.Add(1)
 		return bridge.NewStream(fs.Schema(), it, true), nil
@@ -437,7 +411,7 @@ func (s *Session) answerRemote(ctx context.Context, q *caql.Query, canon []byte,
 }
 
 // remoteStreamIter splices cooperative cancellation (the guard, polling the
-// caller/session contexts) with the remote stream's own termination status:
+// query/session contexts) with the remote stream's own termination status:
 // whichever side stops the stream, the consumer sees a typed error from
 // bridge.Stream.Err, and a guard trip tears down the remote producer so the
 // server stops shipping frames nobody reads. It also keeps the session clock:
@@ -492,7 +466,7 @@ func (r *remoteStreamIter) Err() error {
 // eager representation per advice (Section 5.3.3's guideline: strict
 // producers evaluate lazily; consumer-annotated queries evaluate eagerly with
 // indexes).
-func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, schema *relation.Schema, vs *advice.ViewSpec) (*bridge.Stream, error) {
+func (s *Session) serveFromElement(ctx context.Context, e *Element, d *subsume.Derivation, schema *relation.Schema, vs *advice.ViewSpec) (*bridge.Stream, error) {
 	c := s.cms
 	c.mgr.Touch(e)
 	if rem := s.readyRemainder(e); rem > 0 {
@@ -507,12 +481,12 @@ func (s *Session) serveFromElement(e *Element, d *subsume.Derivation, schema *re
 		per := c.opts.Costs.PerLocalOp
 		src := chargeIter(e.Iter(), func(n int) { s.advanceLocal(per * float64(n)) })
 		c.stats.LazyAnswers.Add(1)
-		// Cooperative cancellation: the generator polls the caller/session
+		// Cooperative cancellation: the generator polls the query/session
 		// contexts every DefaultGuardEvery tuples. A tripped guard ends the
 		// stream AND records a typed error on it — consumers that check
 		// Stream.Err (or use DrainErr) can never mistake cancellation for a
 		// complete, merely short, result.
-		it := relation.NewGuardIterator(d.ApplyLazy(src), relation.DefaultGuardEvery, s.streamCheck())
+		it := relation.NewGuardIterator(d.ApplyLazy(src), relation.DefaultGuardEvery, s.streamCheck(ctx))
 		return bridge.NewStream(schema, it, true), nil
 	}
 

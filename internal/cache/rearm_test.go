@@ -74,7 +74,7 @@ func TestRearmedSessionForgets(t *testing.T) {
 				prefetched, s.followers, s.genSeen, lost, s.simNow, len(s.memo))
 		}
 	}, func(cms *CMS, ended, s *Session) {
-		if s.id == ended.id || s.simNow != 0 || s.queries != 0 || s.callerCtx != nil || s.ctx.Err() != nil {
+		if s.id == ended.id || s.simNow != 0 || s.queries != 0 || s.ctx.Err() != nil {
 			t.Fatalf("the new session took the ended one's ID, clock or context: id %d (was %d), clock %v, %d queries",
 				s.id, ended.id, s.simNow, s.queries)
 		}

@@ -21,10 +21,10 @@ import (
 // askResult summarizes one ask storm: how its asks ended, and the CMS's
 // books after it.
 type askResult struct {
-	Asks, Completed, Canceled, DeadlineExceeded, Shed, Failed int64
-	Stats                                                     bridge.SourceStats
-	Faults                                                    remotedb.FaultCounts
-	rounds                                                    int
+	Asks, Completed, Canceled, DeadlineExceeded, Failed int64
+	Stats                                               bridge.SourceStats
+	Faults                                              remotedb.FaultCounts
+	rounds                                              int
 }
 
 // askForms are the storm's questions, asked of people p001 to p008.
@@ -139,8 +139,6 @@ func runAskStorm(cfg soakConfig) (askResult, error) {
 					res.Canceled++
 				case errors.Is(err, bridge.ErrDeadlineExceeded):
 					res.DeadlineExceeded++
-				case errors.Is(err, bridge.ErrOverloaded):
-					res.Shed++
 				default:
 					res.Failed++
 				}

@@ -44,16 +44,16 @@ func TestChaosSoak(t *testing.T) {
 	if res.Faults.Panics == 0 {
 		t.Error("no panics were injected; storm too weak")
 	}
-	if res.Stats.Canceled+res.Stats.DeadlineExceeded == 0 {
-		t.Error("no query was canceled or deadline-exceeded; storm too weak")
+	if res.Stats.Canceled == 0 || res.Stats.DeadlineExceeded == 0 || res.Stats.Failed == 0 {
+		t.Error("no query was canceled, deadline-exceeded or failed; storm too weak")
 	}
 	if res.Stats.Completed == 0 {
 		t.Error("no query completed; storm too strong to be meaningful")
 	}
-	t.Logf("soak: %d queries in %d rounds, %v: completed=%d canceled=%d deadline=%d shed=%d failed=%d panics-recovered=%d drained=%d tuples",
+	t.Logf("soak: %d queries in %d rounds, %v: completed=%d canceled=%d deadline=%d failed=%d panics-recovered=%d drained=%d tuples",
 		res.Stats.Queries, res.rounds, res.Elapsed.Round(time.Millisecond),
 		res.Stats.Completed, res.Stats.Canceled, res.Stats.DeadlineExceeded,
-		res.Stats.Shed, res.Stats.Failed, res.Stats.PanicsRecovered, res.Drained)
+		res.Stats.Failed, res.Stats.PanicsRecovered, res.Drained)
 
 	// Goroutine accounting: sessions were Ended and prefetch workers joined,
 	// so the count must settle back to the baseline (small slack for runtime
@@ -120,7 +120,7 @@ func TestChaosAskStorm(t *testing.T) {
 	if res.Completed == 0 || res.Canceled+res.DeadlineExceeded == 0 {
 		t.Fatalf("the storm did not exercise both outcomes in %d rounds: %+v", res.rounds, res)
 	}
-	t.Logf("ask storm: %d asks in %d rounds: completed=%d canceled=%d deadline=%d shed=%d failed=%d; %d CAQL queries",
-		res.Asks, res.rounds, res.Completed, res.Canceled, res.DeadlineExceeded, res.Shed, res.Failed, res.Stats.Queries)
+	t.Logf("ask storm: %d asks in %d rounds: completed=%d canceled=%d deadline=%d failed=%d; %d CAQL queries",
+		res.Asks, res.rounds, res.Completed, res.Canceled, res.DeadlineExceeded, res.Failed, res.Stats.Queries)
 	stormLeakCheck(t, before)
 }

@@ -7,10 +7,10 @@
 // survive any fault interleaving:
 //
 //   - stats conservation: every issued query resolves to exactly one outcome
-//     (Completed, Canceled, DeadlineExceeded, Shed, or Failed);
+//     (Completed, Canceled, DeadlineExceeded, or Failed);
 //   - typed errors: any cancellation-related failure carries the bridge
-//     sentinel (ErrCanceled / ErrDeadlineExceeded / ErrOverloaded), never a
-//     bare context error with no classification;
+//     sentinel (ErrCanceled / ErrDeadlineExceeded), never a bare context
+//     error with no classification;
 //   - shard-lock health: after the storm, a fresh session can still query the
 //     CMS (no lock left held by a canceled or panicked query);
 //   - no goroutine leaks (asserted by the test around runSoak).
@@ -53,14 +53,14 @@ type soakConfig struct {
 	DeadlineRate float64
 	// Deadline is the tight per-query deadline for deadline-storm queries.
 	Deadline time.Duration
-	// Options configures the CMS under test (features, admission control,
-	// query timeout). Costs defaults to remotedb.DefaultCosts().
+	// Options configures the CMS under test. Costs defaults to
+	// remotedb.DefaultCosts().
 	Options cache.Options
 }
 
 // defaultSoakConfig is a storm that exercises every recovery path: transport
 // errors, hangs longer than the deadline, panics, random caller cancels, and
-// enough sessions to saturate the admission controller.
+// concurrent sessions sharing one CMS.
 func defaultSoakConfig() soakConfig {
 	return soakConfig{
 		Sessions:          8,
@@ -79,12 +79,7 @@ func defaultSoakConfig() soakConfig {
 		CancelRate:   0.10,
 		DeadlineRate: 0.15,
 		Deadline:     300 * time.Microsecond,
-		Options: cache.Options{
-			Features:     cache.AllFeatures(),
-			MaxInflight:  4,
-			MaxQueue:     4,
-			QueryTimeout: 250 * time.Millisecond,
-		},
+		Options:      cache.Options{Features: cache.AllFeatures()},
 	}
 }
 
@@ -107,14 +102,18 @@ type soakResult struct {
 // maxRounds caps the rounds runSoak replays the session sequence for. A round is
 // Sessions sessions of QueriesPerSession queries each, over an emptied
 // cache; runSoak starts another while some fault class the soak must exercise
-// (transport error or drop, panic, cancel or deadline) has not fired, since
-// how many queries reach the remote, and which land inside a deadline,
-// depends on how the host schedules the sessions.
-const maxRounds = 8
+// (transport error or drop, panic) or some non-completed outcome (canceled,
+// deadline exceeded, failed) has not shown, since how many queries reach the
+// remote, and which land inside a deadline or a cancel, depends on how the
+// host schedules the sessions. A cancel or a deadline lands only while its
+// query is still dispatching, and most cache hits finish before either, so a
+// reduced soak may need several rounds to see both.
+const maxRounds = 24
 
-// fired reports whether every fault class the soak must exercise has fired.
+// fired reports whether every fault class the soak must exercise has fired
+// and every non-completed outcome has been reached.
 func fired(f remotedb.FaultCounts, s bridge.SourceStats) bool {
-	return f.Errors+f.Drops > 0 && f.Panics > 0 && s.Canceled+s.DeadlineExceeded > 0
+	return f.Errors+f.Drops > 0 && f.Panics > 0 && s.Canceled > 0 && s.DeadlineExceeded > 0 && s.Failed > 0
 }
 
 // chaosAdvice is the Example 1 advice shape over the chain workload — the
@@ -244,9 +243,9 @@ func runSoak(cfg soakConfig) (soakResult, error) {
 			len(res.UntypedErrors), res.UntypedErrors[0])
 	}
 	if !res.Stats.DispatchConserved() {
-		return res, fmt.Errorf("chaos: stats conservation violated: Queries=%d != Completed=%d + Canceled=%d + DeadlineExceeded=%d + Shed=%d + Failed=%d",
+		return res, fmt.Errorf("chaos: stats conservation violated: Queries=%d != Completed=%d + Canceled=%d + DeadlineExceeded=%d + Failed=%d",
 			res.Stats.Queries, res.Stats.Completed, res.Stats.Canceled,
-			res.Stats.DeadlineExceeded, res.Stats.Shed, res.Stats.Failed)
+			res.Stats.DeadlineExceeded, res.Stats.Failed)
 	}
 	// Every injected panic fires on a goroutine whose recover counts it: the
 	// query's own, a prefetch worker's, or the decomposition helper's, which
@@ -267,8 +266,8 @@ func runSoak(cfg soakConfig) (soakResult, error) {
 // probe runs a plain query on a fresh session with a generous deadline and
 // fails unless some attempt drains without error. The remote still injects
 // faults, so a failed attempt is retried while the deadline allows; a wedged
-// CMS (a shard lock left held) or one that fails every query (a leaked
-// admission slot, a poisoned session registry) never gets a clean answer, and
+// CMS (a shard lock left held) or one that fails every query (a poisoned
+// session registry) never gets a clean answer, and
 // the probe reports the last error an attempt got before the deadline.
 func probe(cms *cache.CMS) error {
 	s := cms.BeginSession(advice.MustParse(chaosAdvice)).(*cache.Session)
@@ -300,8 +299,6 @@ func probe(cms *cache.CMS) error {
 // bridge sentinel — the failure mode the typed-error plumbing must prevent.
 func untypedCtxErr(err error) bool {
 	ctxish := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-	typed := errors.Is(err, bridge.ErrCanceled) ||
-		errors.Is(err, bridge.ErrDeadlineExceeded) ||
-		errors.Is(err, bridge.ErrOverloaded)
+	typed := errors.Is(err, bridge.ErrCanceled) || errors.Is(err, bridge.ErrDeadlineExceeded)
 	return ctxish && !typed
 }

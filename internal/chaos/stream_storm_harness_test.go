@@ -316,9 +316,9 @@ func runStorm(cfg stormConfig) (stormResult, error) {
 		wrc.Close()
 
 		if !res.CMSStats.DispatchConserved() {
-			return res, fmt.Errorf("storm: CMS dispatch accounting violated: Queries=%d != Completed=%d + Canceled=%d + DeadlineExceeded=%d + Shed=%d + Failed=%d",
+			return res, fmt.Errorf("storm: CMS dispatch accounting violated: Queries=%d != Completed=%d + Canceled=%d + DeadlineExceeded=%d + Failed=%d",
 				res.CMSStats.Queries, res.CMSStats.Completed, res.CMSStats.Canceled,
-				res.CMSStats.DeadlineExceeded, res.CMSStats.Shed, res.CMSStats.Failed)
+				res.CMSStats.DeadlineExceeded, res.CMSStats.Failed)
 		}
 	}
 	// ---- Leg 3: morsel-parallel streams under kills ----

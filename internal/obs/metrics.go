@@ -1,7 +1,7 @@
 // Package obs is BrAID's zero-dependency observability layer: a metrics
 // registry (counters, gauges, log-bucketed histograms) with Prometheus text
 // exposition, a lightweight context-propagated span tracer whose trace IDs
-// ride the v2 wire protocol, and an admin HTTP listener that serves both
+// ride the TCP protocol, and an admin HTTP listener that serves both
 // plus expvar and pprof. Everything here is allocation-light and safe for
 // concurrent use; a nil *Tracer or absent Registry disables the
 // corresponding instrumentation at near-zero cost.

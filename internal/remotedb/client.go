@@ -143,15 +143,12 @@ type InProcClient struct {
 	engine *Engine
 	costs  Costs
 
-	// seen is the engine clock and versions as of this client's last
+	// stats.seen is the engine clock and versions as of this client's last
 	// request — NOT the engine's live state. The staleness defense is
 	// specified as "on observing a newer version from any request", and the
 	// in-process transport keeps that contract so its cache dynamics match
 	// the wire transports'.
-	seen versionVec
-
-	mu    sync.Mutex
-	stats Stats
+	stats statsRec
 }
 
 // NewInProcClient connects to the engine with the given cost model.
@@ -166,23 +163,21 @@ func (c *InProcClient) Engine() *Engine { return c.engine }
 func (c *InProcClient) Costs() Costs { return c.costs }
 
 // ObservedEpoch implements Client.
-func (c *InProcClient) ObservedEpoch() uint64 { return c.seen.epoch.Load() }
+func (c *InProcClient) ObservedEpoch() uint64 { return c.stats.seen.epoch.Load() }
 
 // ObservedVersion implements VersionReporter.
-func (c *InProcClient) ObservedVersion(table string) uint64 { return c.seen.version(table) }
+func (c *InProcClient) ObservedVersion(table string) uint64 { return c.stats.seen.version(table) }
 
 // observe copies the engine's clock and the versions that moved since this
 // client last looked, as a wire response would carry them.
 func (c *InProcClient) observe() {
-	c.seen.note(c.engine.versionsSince(c.seen.epoch.Load()))
+	c.stats.seen.note(c.engine.versionsSince(c.stats.seen.epoch.Load()))
 }
 
 // observeCatalog is observe for a catalog request, which it counts.
 func (c *InProcClient) observeCatalog() {
 	c.observe()
-	c.mu.Lock()
-	c.stats.CatalogRequests++
-	c.mu.Unlock()
+	c.stats.catalogRequests.Add(1)
 }
 
 // Exec implements Client.
@@ -231,12 +226,10 @@ func (c *InProcClient) exec(ctx context.Context, sql string) (*Result, int64, er
 		tuples = int64(rel.Len())
 	}
 	sim := c.costs.RequestCost(tuples, ops)
-	c.mu.Lock()
-	c.stats.Requests++
-	c.stats.TuplesReturned += tuples
-	c.stats.ServerOps += ops
-	c.stats.SimMS += sim
-	c.mu.Unlock()
+	c.stats.requests.Add(1)
+	c.stats.tuplesReturned.Add(tuples)
+	c.stats.serverOps.Add(ops)
+	c.stats.addSimMS(sim)
 	if err := ctx.Err(); err != nil {
 		return nil, 0, &TransportError{Op: "exec", Err: err}
 	}
@@ -269,11 +262,7 @@ func (c *InProcClient) Tables() ([]string, error) {
 }
 
 // Stats implements Client.
-func (c *InProcClient) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
+func (c *InProcClient) Stats() Stats { return c.stats.snapshot() }
 
 // Close implements Client (a no-op for the in-process transport).
 func (c *InProcClient) Close() error { return nil }

@@ -51,7 +51,7 @@ type PoolClient struct {
 	stats statsRec
 }
 
-// statsRec is the pool's counter store: one atomic per Stats field, so the
+// statsRec is a client's counter store: one atomic per Stats field, so the
 // hot path (every frame, every request) never takes a lock and a Stats()
 // snapshot during load is race-free. SimMS, the one float, accumulates via
 // CAS on its bit pattern.
@@ -102,10 +102,10 @@ type PoolOptions struct {
 	// FrameTuples is the preferred response frame size in tuples, sent as a
 	// hint at negotiation (0: server default). The server clamps it.
 	FrameTuples int
-	// StreamWindow is how many undelivered response frames one stream may
+	// streamWindow is how many undelivered response frames one stream may
 	// buffer client-side before backpressure stalls the connection's reader
 	// (and, through TCP, the server's writer). Default 8.
-	StreamWindow int
+	streamWindow int
 	// Costs is the virtual cost model charged per request.
 	Costs Costs
 	// DialTimeout bounds connection establishment (0: no bound).
@@ -119,8 +119,8 @@ func (o PoolOptions) withDefaults() PoolOptions {
 	if o.Size <= 0 {
 		o.Size = 1
 	}
-	if o.StreamWindow <= 0 {
-		o.StreamWindow = 8
+	if o.streamWindow <= 0 {
+		o.streamWindow = 8
 	}
 	return o
 }
@@ -567,7 +567,7 @@ func (c *muxConn) execStream(ctx context.Context, sql, resume string, skip int64
 		st.frames, st.gone = c.spare[n-1].frames, c.spare[n-1].gone
 		c.spare = c.spare[:n-1]
 	} else {
-		st.frames, st.gone = make(chan *wireFrame, c.p.opts.StreamWindow), make(chan struct{})
+		st.frames, st.gone = make(chan *wireFrame, c.p.opts.streamWindow), make(chan struct{})
 	}
 	c.streams[id] = st
 	c.mu.Unlock()

@@ -131,7 +131,7 @@ func TestPoolMidStreamCancel(t *testing.T) {
 	defer srv.Close()
 
 	before := runtime.NumGoroutine()
-	p := dialTestPool(t, addr, PoolOptions{FrameTuples: 1, StreamWindow: 1})
+	p := dialTestPool(t, addr, PoolOptions{FrameTuples: 1, streamWindow: 1})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	st, err := p.ExecStream(ctx, "SELECT * FROM emp")
@@ -343,7 +343,7 @@ func TestPoolPausedConsumerKeepsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := dialTestPool(t, addr, PoolOptions{Size: 1, FrameTuples: 1, StreamWindow: 1})
+	p := dialTestPool(t, addr, PoolOptions{Size: 1, FrameTuples: 1, streamWindow: 1})
 
 	st, err := p.ExecStream(context.Background(), "SELECT k FROM big")
 	if err != nil {

@@ -219,7 +219,7 @@ func TestRecoveryRefusesMidLogCorruption(t *testing.T) {
 func TestRecoveryAfterInjectedCrash(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := openDurable(t, dir, func(d *Durability) {
-		d.Crash = &WALCrash{Seed: 7, Rate: 0.2}
+		d.crash = &walCrash{Seed: 7, Rate: 0.2}
 	})
 	if _, _, err := e.ExecuteSQL("CREATE TABLE t (k INT, v TEXT)"); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestRecoveryAfterInjectedCrash(t *testing.T) {
 			acked = append(acked, fmt.Sprintf("%d", i))
 			continue
 		}
-		if !errors.Is(err, ErrWALCrashed) {
+		if !errors.Is(err, errWALCrashed) {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 		crashed = true
@@ -263,12 +263,12 @@ func TestRecoveryAfterInjectedCrash(t *testing.T) {
 func TestRecoveryBatchAtomicity(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := openDurable(t, dir, func(d *Durability) {
-		d.Crash = &WALCrash{Seed: 1, Rate: 1} // next append tears
+		d.crash = &walCrash{Seed: 1, Rate: 1} // next append tears
 	})
 	// The crashpoint fires on the very first append (CREATE TABLE), so set up
 	// schema first WITHOUT the crash, then reopen with it.
 	_, _, err := e.ExecuteSQL("CREATE TABLE t (k INT)")
-	if !errors.Is(err, ErrWALCrashed) {
+	if !errors.Is(err, errWALCrashed) {
 		t.Fatalf("rate-1 crashpoint did not fire: %v", err)
 	}
 
@@ -283,9 +283,9 @@ func TestRecoveryBatchAtomicity(t *testing.T) {
 	// crash RNG too: seed 0 at rate 0.5 lets that first append through
 	// (draw 0.945) and tears the second — the batch insert (draw 0.245).
 	e3, _ := openDurable(t, dir2, func(d *Durability) {
-		d.Crash = &WALCrash{Seed: 0, Rate: 0.5}
+		d.crash = &walCrash{Seed: 0, Rate: 0.5}
 	})
-	if _, _, err := e3.ExecuteSQL("INSERT INTO t VALUES (1),(2),(3)"); !errors.Is(err, ErrWALCrashed) {
+	if _, _, err := e3.ExecuteSQL("INSERT INTO t VALUES (1),(2),(3)"); !errors.Is(err, errWALCrashed) {
 		t.Fatalf("batch insert under rate-1 crashpoint: %v", err)
 	}
 	r, _ := openDurable(t, dir2, nil)
@@ -445,10 +445,10 @@ func TestRecoveryFsyncPolicies(t *testing.T) {
 func TestWALStickyError(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := openDurable(t, dir, func(d *Durability) {
-		d.Crash = &WALCrash{Seed: 3, Rate: 1}
+		d.crash = &walCrash{Seed: 3, Rate: 1}
 	})
-	if _, _, err := e.ExecuteSQL("CREATE TABLE t (k INT)"); !errors.Is(err, ErrWALCrashed) {
-		t.Fatalf("want ErrWALCrashed, got %v", err)
+	if _, _, err := e.ExecuteSQL("CREATE TABLE t (k INT)"); !errors.Is(err, errWALCrashed) {
+		t.Fatalf("want errWALCrashed, got %v", err)
 	}
 	// The failed mutation must not have been applied...
 	if _, err := e.Schema("t"); err == nil {

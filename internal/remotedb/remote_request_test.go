@@ -195,7 +195,7 @@ func TestStreamChannelsReusedOnlyAfterEnd(t *testing.T) {
 	}
 	defer srv.Close()
 	// Two tuples a frame, so every stream below is many frames long.
-	p := dialTestPool(t, addr, PoolOptions{Size: 1, FrameTuples: 2, StreamWindow: 1})
+	p := dialTestPool(t, addr, PoolOptions{Size: 1, FrameTuples: 2, streamWindow: 1})
 	c := p.conns[0]
 	ctx := context.Background()
 	const scan = "SELECT * FROM part"
@@ -260,7 +260,7 @@ func TestStreamChannelsReusedOnlyAfterEnd(t *testing.T) {
 	defer ksrv.Close()
 	// A one-frame window: the read loop meets the end of the connection only
 	// after the header has been taken, so the header always arrives.
-	kp := dialTestPool(t, kaddr, PoolOptions{Size: 1, FrameTuples: 2, StreamWindow: 1})
+	kp := dialTestPool(t, kaddr, PoolOptions{Size: 1, FrameTuples: 2, streamWindow: 1})
 	st, err := kp.ExecStream(ctx, scan)
 	if err != nil {
 		t.Fatal(err)

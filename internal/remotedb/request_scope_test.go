@@ -65,7 +65,7 @@ func TestAbandonedEstablishmentLeavesNoStream(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
 	// One-tuple frames and a one-frame window: emp's four rows overflow it.
-	p := dialTestPool(t, addr, PoolOptions{Size: 1, FrameTuples: 1, StreamWindow: 1, RequestTimeout: 2 * time.Second})
+	p := dialTestPool(t, addr, PoolOptions{Size: 1, FrameTuples: 1, streamWindow: 1, RequestTimeout: 2 * time.Second})
 	rc := NewResilientClient(lateClient{p}, Resilience{Sleep: func(time.Duration) {}})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// Mid-stream failure recovery (wire v2): when a connection dies after frame N
+// Mid-stream failure recovery: when a connection dies after frame N
 // of a stream, the tuples already delivered are gone from the server's point
 // of view — re-issuing the statement replays the whole result, and a naive
 // client either drops the partial prefix (lost work) or concatenates two

@@ -169,9 +169,9 @@ func NewServerWithOptions(engine *Engine, opts ServerOptions) *Server {
 		reg.CounterFunc("braid_server_timeouts_total",
 			"Requests answered with the deadline code at the server request deadline.", s.timeouts.Load)
 		reg.CounterFunc("braid_server_frames_sent_total",
-			"Wire v2 response frames written (headers, batches, ends).", s.framesSent.Load)
+			"Protocol response frames written (headers, batches, ends).", s.framesSent.Load)
 		reg.CounterFunc("braid_server_streams_canceled_total",
-			"Wire v2 streams torn down mid-flight by cancel or disconnect.", s.streamsCanceled.Load)
+			"Streams torn down mid-flight by cancel or disconnect.", s.streamsCanceled.Load)
 		reg.CounterFunc("braid_server_stream_kills_total",
 			"Connections severed mid-stream by injected stream faults.", s.streamKills.Load)
 		reg.CounterFunc("braid_server_stream_resumes_total",

@@ -121,3 +121,22 @@ func TestWireDuplicateOutputColumn(t *testing.T) {
 		t.Fatalf("connection was dialed %d times, want 1", gen)
 	}
 }
+
+// TestStatsEpochIsObservedEpoch: after a request, a client's Stats().Epoch is
+// the clock it has observed, on the in-process transport as on the pool.
+func TestStatsEpochIsObservedEpoch(t *testing.T) {
+	addr, e, cleanup := startTestServer(t)
+	defer cleanup()
+	clients := map[string]Client{
+		"inproc": NewInProcClient(e, DefaultCosts()),
+		"pool":   dialTestPool(t, addr, PoolOptions{Size: 1}),
+	}
+	for name, c := range clients {
+		if _, err := c.Exec("SELECT * FROM dept"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := c.Stats().Epoch, c.ObservedEpoch(); got != want || want == 0 {
+			t.Fatalf("%s: Stats().Epoch = %d, ObservedEpoch() = %d; want them equal and non-zero", name, got, want)
+		}
+	}
+}

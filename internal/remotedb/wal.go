@@ -128,10 +128,10 @@ func (e *WALCorruptError) Error() string {
 // Is matches the ErrWALCorrupt sentinel.
 func (e *WALCorruptError) Is(target error) bool { return target == ErrWALCorrupt }
 
-// ErrWALCrashed is returned by appends after an injected crashpoint fired:
+// errWALCrashed is returned by appends after an injected crashpoint fired:
 // the WAL behaves as if the process died mid-write (a torn frame is on disk,
 // nothing later is accepted). Only fault-injected WALs return it.
-var ErrWALCrashed = errors.New("remotedb: wal crashed (injected)")
+var errWALCrashed = errors.New("remotedb: wal crashed (injected)")
 
 // WAL record kinds, one per logged engine mutation plus the restart marker.
 const (
@@ -244,13 +244,13 @@ type walCheckpoint struct {
 	Indexes  map[string][][]int
 }
 
-// WALCrash seeds deterministic crashpoint injection, the WAL's rider on the
+// walCrash seeds deterministic crashpoint injection, the WAL's rider on the
 // package's fault-injection machinery (ListenerFaults, FaultConfig): with
 // probability Rate, an append writes only a prefix of its frame — exactly the
 // torn tail a real mid-write crash leaves — and the WAL refuses all further
-// work with ErrWALCrashed, as a dead process would. Reopening the directory
+// work with errWALCrashed, as a dead process would. Reopening the directory
 // then exercises recovery's truncation path deterministically.
-type WALCrash struct {
+type walCrash struct {
 	Seed int64
 	Rate float64
 }
@@ -267,8 +267,8 @@ type Durability struct {
 	// SegmentBytes triggers rotation + checkpoint when the live segment
 	// exceeds it (default 64 MiB).
 	SegmentBytes int64
-	// Crash enables seeded crashpoint injection (tests only).
-	Crash *WALCrash
+	// crash enables seeded crashpoint injection (tests only).
+	crash *walCrash
 	// Tracer records the recovery span and is installed on the recovered
 	// engine (nil: untraced).
 	Tracer *obs.Tracer
@@ -309,7 +309,7 @@ type WAL struct {
 	size     int64
 	lastSync time.Time
 
-	crash   *WALCrash
+	crash   *walCrash
 	rng     *rand.Rand
 	crashed bool
 
@@ -678,10 +678,10 @@ func openWALSegment(d Durability, gen uint64, size int64, lastSeq uint64) (*WAL,
 		gen:          gen,
 		seq:          lastSeq,
 		size:         size,
-		crash:        d.Crash,
+		crash:        d.crash,
 	}
-	if d.Crash != nil {
-		w.rng = rand.New(rand.NewSource(d.Crash.Seed))
+	if d.crash != nil {
+		w.rng = rand.New(rand.NewSource(d.crash.Seed))
 	}
 	return w, nil
 }
@@ -692,7 +692,7 @@ func openWALSegment(d Durability, gen uint64, size int64, lastSeq uint64) (*WAL,
 // acknowledged write durable.
 func (w *WAL) Append(rec *walRecord) error {
 	if w.crashed {
-		return ErrWALCrashed
+		return errWALCrashed
 	}
 	rec.Seq = w.seq + 1
 	frame, err := encodeWALRecord(w.buf[:0], rec)
@@ -711,7 +711,7 @@ func (w *WAL) Append(rec *walRecord) error {
 		w.f.Write(torn)
 		w.f.Sync()
 		w.crashed = true
-		return ErrWALCrashed
+		return errWALCrashed
 	}
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("remotedb: wal append: %w", err)
@@ -748,7 +748,7 @@ func (w *WAL) shouldRotate() bool {
 // the engine mutex, so the snapshot is consistent with the log tail.
 func (w *WAL) Rotate(ck *walCheckpoint) error {
 	if w.crashed {
-		return ErrWALCrashed
+		return errWALCrashed
 	}
 	next := w.gen + 1
 	ck.Gen = next
